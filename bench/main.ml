@@ -329,9 +329,9 @@ let ablation () =
        run_suite ();
        (* warm: every check now hits the memo *)
        let warm_ns = measure_ns "warm" run_suite in
-       Containment.Stats.reset ();
+       let hits0 = Obs.Metric.value Containment.Check.cache_hits in
+       let checks0 = Obs.Metric.value Containment.Check.checks in
        run_suite ();
-       let s = Containment.Stats.read () in
        Containment.Check.set_caching false;
        Printf.printf
          "full SMO suite on chain-200: cold %s, memoized %s (%.1fx); warm run: %d checks answered \
@@ -339,7 +339,8 @@ let ablation () =
          (Format.asprintf "%a" pp_seconds (cold_ns /. 1e9))
          (Format.asprintf "%a" pp_seconds (warm_ns /. 1e9))
          (cold_ns /. warm_ns)
-         s.Containment.Stats.cache_hits s.Containment.Stats.checks);
+         (Obs.Metric.value Containment.Check.cache_hits - hits0)
+         (Obs.Metric.value Containment.Check.checks - checks0));
   header "Ablation -- containment-checker work per SMO (chain-200)";
   let env, frags = Workload.Chain.generate ~size:200 in
   match Fullc.Compile.compile env frags with
@@ -351,7 +352,7 @@ let ablation () =
           match Core.Engine.apply_timed st smo with
           | Ok (_, t) ->
               Format.printf "%-10s %a   %a@." label pp_seconds t.Core.Engine.seconds
-                Containment.Stats.pp t.Core.Engine.containment
+                Obs.Metric.pp t.Core.Engine.containment
           | Error _ -> Printf.printf "%-10s (aborts)\n%!" label)
         (Workload.Chain.smo_suite ~at:100)
 
@@ -551,8 +552,7 @@ let ivm () =
               measure_ns (Printf.sprintf "full-%d-%d" n d) (fun () ->
                   ignore
                     (ok
-                       (Dml.Translate.translate ~mode:`Full_diff env uv ~old_client:inst
-                          ~delta:ins)))
+                       (Dml.Translate.full_diff env uv ~old_client:inst ~delta:ins)))
             in
             Printf.printf "%9d %6d %14s %14s %9.1fx\n%!" n d
               (Format.asprintf "%a" pp_seconds (ivm_ns /. 1e9))

@@ -123,13 +123,23 @@ let size_arg =
 
 let jobs_arg =
   let doc =
-    "Discharge containment obligations on $(docv) domains.  Verdicts and failure \
-     messages are identical for every value; only wall-clock changes.  Defaults to \
-     the IMC_JOBS environment variable, or 1."
+    "Discharge containment obligations (and run $(b,query --exec) scans) on $(docv) \
+     domains.  Verdicts, failure messages and rows are identical for every value; \
+     only wall-clock changes."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* -- observability ---------------------------------------------------------- *)
+
+(* The non-zero counter deltas of [d] whose name starts with [prefix]. *)
+let counters ~prefix (d : Obs.Metric.snapshot) =
+  {
+    Obs.Metric.counters =
+      List.filter (fun (n, v) -> v <> 0 && String.starts_with ~prefix n) d.Obs.Metric.counters;
+    gauges = [];
+  }
+
+let since before = Obs.Metric.diff before (Obs.Metric.snapshot ())
 
 let trace_arg =
   let doc =
@@ -208,9 +218,9 @@ let compile_cmd =
     with_obs ~trace ~profile @@ fun () ->
     let env, frags, _ = load_input ~model:name ~file ~size in
     let what = match name, file with Some n, _ -> n | _, Some f -> f | _ -> "?" in
-    Containment.Stats.reset ();
+    let before = Obs.Metric.snapshot () in
     let t0 = Unix.gettimeofday () in
-    let c = ok (Fullc.Compile.compile ~validate:(not no_validate) ?jobs env frags) in
+    let c = ok (Fullc.Compile.compile ~validate:(not no_validate) ~jobs env frags) in
     let dt = Unix.gettimeofday () -. t0 in
     Printf.printf "full compilation of %s: %.3fs\n" what dt;
     Printf.printf "  fragments:          %d\n" (Mapping.Fragments.size frags);
@@ -221,7 +231,8 @@ let compile_cmd =
     Printf.printf "  cells enumerated:   %d\n" c.Fullc.Compile.report.Fullc.Validate.cells_visited;
     Printf.printf "  fk checks:          %d\n"
       c.Fullc.Compile.report.Fullc.Validate.containment_checks;
-    Format.printf "  containment stats:  %a@." Containment.Stats.pp (Containment.Stats.read ());
+    Format.printf "  containment stats:  %a@." Obs.Metric.pp
+      (counters ~prefix:"containment." (since before));
     match output with
     | None -> ()
     | Some path ->
@@ -246,7 +257,7 @@ let evolve_cmd =
     with_obs ~trace ~profile @@ fun () ->
     let env, frags, loaded = load_input ~model:name ~file ~size in
     let t0 = Unix.gettimeofday () in
-    let st = state_of ?jobs ~env ~frags loaded in
+    let st = state_of ~jobs ~env ~frags loaded in
     (match loaded with
     | Some _ -> Printf.printf "resumed compiled state\n\n"
     | None -> Printf.printf "bootstrap (full compilation): %.3fs\n\n" (Unix.gettimeofday () -. t0));
@@ -257,11 +268,11 @@ let evolve_cmd =
         let st =
           List.fold_left
             (fun st smo ->
-              match Core.Engine.apply_timed ?jobs st smo with
+              match Core.Engine.apply_timed ~jobs st smo with
               | Ok (st', t) ->
                   Format.printf "%-10s %.2f ms   %a@." (Core.Smo.name smo)
                     (t.Core.Engine.seconds *. 1000.)
-                    Containment.Stats.pp t.Core.Engine.containment;
+                    Obs.Metric.pp t.Core.Engine.containment;
                   st'
               | Error e ->
                   Printf.eprintf "error: %s aborts: %s\n" (Core.Smo.show smo)
@@ -298,10 +309,10 @@ let evolve_cmd =
         end;
         List.iter
           (fun (label, smo) ->
-            match Core.Engine.apply_timed ?jobs st smo with
+            match Core.Engine.apply_timed ~jobs st smo with
             | Ok (_, t) ->
                 Format.printf "%-10s %.2f ms   %a@." label (t.Core.Engine.seconds *. 1000.)
-                  Containment.Stats.pp t.Core.Engine.containment
+                  Obs.Metric.pp t.Core.Engine.containment
             | Error e ->
                 Printf.printf "%-10s aborts: %s\n" label
                   (Containment.Validation_error.show e))
@@ -383,16 +394,13 @@ let query_cmd =
           (List.equal Datum.Row.equal client_rows store_rows);
         match phys with
         | Some p when exec ->
-            let jobs =
-              match jobs with Some j -> j | None -> Containment.Discharge.default_jobs ()
-            in
             let db = Query.Eval.store_db store in
             let idb = Exec.Idb.make env db in
             let before = Obs.Metric.snapshot () in
             let t0 = Unix.gettimeofday () in
             let exec_rows = Exec.Run.rows ~jobs idb p in
             let dt = Unix.gettimeofday () -. t0 in
-            let delta = Obs.Metric.diff before (Obs.Metric.snapshot ()) in
+            let delta = counters ~prefix:"exec." (since before) in
             let naive = List.sort Datum.Row.compare (Query.Eval.rows env db unfolded) in
             let agree =
               List.equal Datum.Row.equal naive (List.sort Datum.Row.compare exec_rows)
@@ -401,9 +409,7 @@ let query_cmd =
             Format.printf "%d rows in %.3f ms; agrees with naive evaluation: %b@."
               (List.length exec_rows) (dt *. 1000.) agree;
             List.iter
-              (fun (name, v) ->
-                if v <> 0 && String.length name >= 5 && String.sub name 0 5 = "exec." then
-                  Format.printf "  %-24s %d@." name v)
+              (fun (name, v) -> Format.printf "  %-24s %d@." name v)
               delta.Obs.Metric.counters
         | Some _ | None -> ()
   in
@@ -443,21 +449,14 @@ let apply_cmd =
     Arg.(required & opt (some string) None
          & info [ "script" ] ~docv:"FILE.dml" ~doc:"Client-side update script.")
   in
-  let ivm_flag =
-    Arg.(value & flag
-         & info [ "ivm" ]
-             ~doc:"Translate through the incremental view-maintenance runtime (lib/ivm): \
-                   propagate only the delta through the compiled update views instead of \
-                   diffing whole store images.  Prints the per-operator rows-propagated \
-                   counters.")
-  in
   let verify_flag =
     Arg.(value & flag
          & info [ "verify" ]
-             ~doc:"Also run the other translation mode and check that both produce \
-                   byte-identical SQL and equal store states.")
+             ~doc:"Also translate through the whole-store oracle (diff the store images \
+                   before and after) and check that both produce byte-identical SQL and \
+                   equal store states.")
   in
-  let run name file size data script ivm verify trace profile =
+  let run name file size data script verify trace profile =
     with_obs ~trace ~profile @@ fun () ->
     let env, frags, loaded = load_input ~model:name ~file ~size in
     let st = state_of ~env ~frags loaded in
@@ -469,23 +468,15 @@ let apply_cmd =
       | None -> Edm.Instance.empty
     in
     let delta = ok (Surface.Elaborate.dml (ok (Surface.Parser.dml (read_file script)))) in
-    let mode = if ivm then `Ivm else `Full_diff in
     let before = Obs.Metric.snapshot () in
     let sql_script, _new_client, new_store =
-      ok (Dml.Translate.translate ~mode env uv ~old_client:inst ~delta)
+      ok (Dml.Translate.translate env uv ~old_client:inst ~delta)
     in
-    Printf.printf "-- mode: %s\n" (if ivm then "ivm" else "full-diff");
     Format.printf "-- translated DML@.%s@." (Dml.Translate.to_sql sql_script);
-    if ivm then begin
-      let d = Obs.Metric.diff before (Obs.Metric.snapshot ()) in
-      let ivm_counters =
-        List.filter (fun (n, v) -> v <> 0 && String.length n >= 4 && String.sub n 0 4 = "ivm.")
-          d.Obs.Metric.counters
-      in
-      if ivm_counters <> [] then begin
-        Printf.printf "-- rows propagated per operator\n";
-        List.iter (fun (n, v) -> Printf.printf "   %-20s %d\n" n v) ivm_counters
-      end
+    let propagated = counters ~prefix:"ivm." (since before) in
+    if propagated.Obs.Metric.counters <> [] then begin
+      Printf.printf "-- rows propagated per operator\n";
+      List.iter (fun (n, v) -> Printf.printf "   %-20s %d\n" n v) propagated.Obs.Metric.counters
     end;
     let old_store = ok (Query.View.apply_update_views env uv inst) in
     let applied = ok (Dml.Translate.apply_script old_store sql_script) in
@@ -495,35 +486,33 @@ let apply_cmd =
     end;
     Format.printf "-- resulting store state@.%a@." Relational.Instance.pp new_store;
     if verify then begin
-      let other = if ivm then `Full_diff else `Ivm in
-      let sql2, _, store2 = ok (Dml.Translate.translate ~mode:other env uv ~old_client:inst ~delta) in
+      let sql2, _, store2 = ok (Dml.Translate.full_diff env uv ~old_client:inst ~delta) in
       if Dml.Translate.to_sql sql2 = Dml.Translate.to_sql sql_script
          && Relational.Instance.equal store2 new_store
-      then Printf.printf "verify: both translation modes agree\n"
+      then Printf.printf "verify: the whole-store oracle agrees\n"
       else begin
-        Printf.eprintf "verify FAILED: modes disagree\n";
-        Printf.eprintf "-- %s\n%s" (if ivm then "full-diff" else "ivm")
-          (Dml.Translate.to_sql sql2);
+        Printf.eprintf "verify FAILED: the whole-store oracle disagrees\n";
+        Printf.eprintf "-- oracle\n%s" (Dml.Translate.to_sql sql2);
         exit 1
       end
     end
   in
   Cmd.v
     (Cmd.info "apply"
-       ~doc:"Translate a client update and apply it to the store, optionally through the \
-             IVM runtime (--ivm)")
-    Term.(const run $ model_arg $ file_arg $ size_arg $ data_arg $ script_arg $ ivm_flag
-          $ verify_flag $ trace_arg $ profile_arg)
+       ~doc:"Translate a client update through the incremental view-maintenance runtime \
+             (lib/ivm) and apply it to the store")
+    Term.(const run $ model_arg $ file_arg $ size_arg $ data_arg $ script_arg $ verify_flag
+          $ trace_arg $ profile_arg)
 
 let validate_cmd =
   let run name file size jobs trace profile =
     with_obs ~trace ~profile @@ fun () ->
     let env, frags, loaded = load_input ~model:name ~file ~size in
-    let st = state_of ?jobs ~env ~frags loaded in
-    Containment.Stats.reset ();
+    let st = state_of ~jobs ~env ~frags loaded in
+    let before = Obs.Metric.snapshot () in
     let t0 = Unix.gettimeofday () in
     match
-      Fullc.Validate.run ?jobs st.Core.State.env st.Core.State.fragments
+      Fullc.Validate.run ~jobs st.Core.State.env st.Core.State.fragments
         st.Core.State.update_views
     with
     | Error e ->
@@ -534,7 +523,8 @@ let validate_cmd =
         Printf.printf "  cells enumerated:  %d\n" report.Fullc.Validate.cells_visited;
         Printf.printf "  covered types:     %d\n" report.Fullc.Validate.covered_types;
         Printf.printf "  fk checks:         %d\n" report.Fullc.Validate.containment_checks;
-        Format.printf "  containment stats: %a@." Containment.Stats.pp (Containment.Stats.read ())
+        Format.printf "  containment stats: %a@." Obs.Metric.pp
+          (counters ~prefix:"containment." (since before))
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Run full mapping validation (roundtripping safety checks)")

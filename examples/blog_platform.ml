@@ -26,7 +26,7 @@ let step st label smo =
   | Ok (st', t) ->
       Printf.printf "  %-28s ok  (%.2f ms, %d containment checks)\n%!" label
         (t.Core.Engine.seconds *. 1000.)
-        t.Core.Engine.containment.Containment.Stats.checks;
+        (List.assoc "containment.checks" t.Core.Engine.containment.Obs.Metric.counters);
       st'
   | Error e -> failwith (label ^ ": " ^ Containment.Validation_error.show e)
 

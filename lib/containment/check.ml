@@ -1,5 +1,11 @@
 let ( let* ) = Result.bind
 
+let checks = Obs.Metric.counter "containment.checks"
+let cq_pairs = Obs.Metric.counter "containment.cq_pairs"
+let hom_steps = Obs.Metric.counter "containment.hom_steps"
+let approximate_checks = Obs.Metric.counter "containment.approximate_checks"
+let cache_hits = Obs.Metric.counter "containment.cache_hits"
+
 (* Replace every variable that the store forces equal to a constant by that
    constant, so homomorphism targets are syntactically explicit. *)
 let canonicalize (cq : Nf.cq) =
@@ -70,7 +76,7 @@ let constraint_entailed cons1 subst con =
         | `Const value -> not (Datum.Value.is_null value))
 
 let homomorphism (cq2 : Nf.cq) (cq1 : Nf.cq) =
-  Stats.record_cq_pair ();
+  Obs.Metric.incr cq_pairs;
   (* Seed the substitution from the heads: output columns must align. *)
   let seed =
     List.fold_left
@@ -95,7 +101,7 @@ let homomorphism (cq2 : Nf.cq) (cq1 : Nf.cq) =
         | (a2 : Nf.atom) :: rest ->
             List.exists
               (fun (a1 : Nf.atom) ->
-                Stats.record_hom_step ();
+                Obs.Metric.incr hom_steps;
                 if not (same_cols a2 a1) then false
                 else
                   let subst' =
@@ -185,7 +191,10 @@ let chase_assoc env (cq : Nf.cq) =
 (* -- memoization ------------------------------------------------------------ *)
 
 (* Verdicts depend on the schemas as well as the queries, so the memo key
-   carries a canonical fingerprint of the environment.  The table is capped;
+   carries the whole environment and key equality compares both schemas in
+   full (a physically shared environment short-circuits).  The hash covers
+   the queries only; entries for the same queries under different schemas
+   share a bucket and are told apart by [equal].  The table is capped;
    overflowing clears it (validation workloads re-ask the same few checks,
    so a simple policy suffices).
 
@@ -194,53 +203,52 @@ let chase_assoc env (cq : Nf.cq) =
    or an insert) compared to the NP-hard proving work they bracket, so the
    jobs=1 path pays only an uncontended lock. *)
 
+module Memo = Hashtbl.Make (struct
+  type t = Query.Env.t * Query.Algebra.t * Query.Algebra.t
+
+  let same_env (a : Query.Env.t) (b : Query.Env.t) =
+    a == b
+    || (Edm.Schema.equal a.Query.Env.client b.Query.Env.client
+       && Relational.Schema.equal a.Query.Env.store b.Query.Env.store)
+
+  let equal (e1, a1, b1) (e2, a2, b2) =
+    Query.Algebra.equal a1 a2 && Query.Algebra.equal b1 b2 && same_env e1 e2
+
+  let hash (_, q1, q2) = Hashtbl.hash (q1, q2)
+end)
+
 let caching = Atomic.make false
 let set_caching b = Atomic.set caching b
 
-let memo : (int * Query.Algebra.t * Query.Algebra.t, bool) Hashtbl.t = Hashtbl.create 256
+let memo : bool Memo.t = Memo.create 256
 let memo_cap = 8192
 let memo_mutex = Mutex.create ()
 
 let memo_find key =
-  Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt memo key)
+  Mutex.protect memo_mutex (fun () -> Memo.find_opt memo key)
 
 let memo_add key verdict =
   Mutex.protect memo_mutex (fun () ->
-      if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
-      Hashtbl.replace memo key verdict)
+      if Memo.length memo >= memo_cap then Memo.reset memo;
+      Memo.replace memo key verdict)
 
-let clear_cache () = Mutex.protect memo_mutex (fun () -> Hashtbl.reset memo)
-
-let env_fingerprint env =
-  let client = env.Query.Env.client in
-  Hashtbl.hash
-    ( List.map
-        (fun (e : Edm.Entity_type.t) ->
-          (e.Edm.Entity_type.name, e.Edm.Entity_type.parent, e.Edm.Entity_type.declared,
-           e.Edm.Entity_type.key))
-        (Edm.Schema.types client),
-      Edm.Schema.entity_sets client,
-      List.map (fun (a : Edm.Association.t) -> a.Edm.Association.name) (Edm.Schema.associations client),
-      List.map
-        (fun (t : Relational.Table.t) ->
-          (t.Relational.Table.name, t.Relational.Table.columns, t.Relational.Table.key,
-           t.Relational.Table.fks))
-        (Relational.Schema.tables env.Query.Env.store) )
+let clear_cache () = Mutex.protect memo_mutex (fun () -> Memo.reset memo)
 
 let subset env q1 q2 =
   (* Collapse stacked projections first: validation feeds [π_cols(view)]
      shapes whose outer-join structure only reduces once the projections are
      fused. *)
   let q1 = Query.Simplify.query env q1 and q2 = Query.Simplify.query env q2 in
-  let key = (env_fingerprint env, q1, q2) in
+  let key = (env, q1, q2) in
   match if Atomic.get caching then memo_find key else None with
   | Some verdict ->
-      Stats.record_cache_hit ();
+      Obs.Metric.incr cache_hits;
       Ok verdict
   | None ->
   let* n1 = Nf.normalize env Nf.Subset_side q1 in
   let* n2 = Nf.normalize env Nf.Superset_side q2 in
-  Stats.record_check ~approximate:(n1.Nf.approximate || n2.Nf.approximate);
+  Obs.Metric.incr checks;
+  if n1.Nf.approximate || n2.Nf.approximate then Obs.Metric.incr approximate_checks;
   let cq1s = List.map (chase_assoc env) n1.Nf.cqs in
   let cq1s = List.concat_map Nf.type_cases (List.map canonicalize cq1s) in
   let cq1s = List.filter (fun (cq : Nf.cq) -> Nf.consistent cq.Nf.cons) cq1s in

@@ -11,20 +11,6 @@
 let batches = Obs.Metric.counter "discharge.batches"
 let parallel_batches = Obs.Metric.counter "discharge.parallel_batches"
 
-let default_jobs =
-  let cached = ref None in
-  fun () ->
-    match !cached with
-    | Some j -> j
-    | None ->
-        let j =
-          match Sys.getenv_opt "IMC_JOBS" with
-          | Some s -> (match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-          | None -> 1
-        in
-        cached := Some j;
-        j
-
 let sequential obls =
   List.fold_left
     (fun acc ob -> Result.bind acc (fun () -> Obligation.discharge ~subset:Check.subset ob))
@@ -78,8 +64,8 @@ let parallel ~workers arr =
     | None -> assert false (* note_fail only lowers to indices with a recorded failure *)
   else Ok ()
 
-let run ?jobs obls =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+let run ?(jobs = 1) obls =
+  let jobs = max 1 jobs in
   let n = List.length obls in
   let workers = effective_workers ~jobs ~n in
   Obs.Span.with_ ~name:"discharge.batch"

@@ -10,14 +10,10 @@
     index).  The verdict cache in {!Check} is domain-safe, so enabling it
     does not change this guarantee. *)
 
-val default_jobs : unit -> int
-(** Degree of parallelism used when [run]'s [?jobs] is omitted: the value of
-    the [IMC_JOBS] environment variable if set to a positive integer, else 1.
-    Read once and cached. *)
-
 val run : ?jobs:int -> Obligation.t list -> (unit, Validation_error.t) result
 (** [run ?jobs obls] discharges every obligation with {!Check.subset}.
-    [jobs <= 1] (or a batch of at most one obligation) runs sequentially with
+    [jobs] defaults to 1; nothing reads it from the environment.  [jobs <= 1]
+    (or a batch of at most one obligation) runs sequentially with
     short-circuiting.  Larger [jobs] run the parallel worker loop; [jobs] is a
     {e cap} on the worker count — the engine never uses more domains than
     [Domain.recommended_domain_count ()] (oversubscribing a machine's cores

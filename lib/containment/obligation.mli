@@ -20,6 +20,9 @@ val make :
   name:string -> env:Query.Env.t -> lhs:Query.Algebra.t -> rhs:Query.Algebra.t ->
   on_fail:string -> t
 
+val discharged : Obs.Metric.counter
+(** ["containment.obligations"]: obligations passed to {!discharge}. *)
+
 val name : t -> string
 val on_fail : t -> string
 

@@ -28,34 +28,27 @@ let apply ?jobs st smo =
         ~attrs:[ ("kind", Smo.name smo); ("smo", Smo.show smo) ]
         (fun () -> dispatch ?jobs st smo)
   in
-  (* Debug/CI guard: the incremental compiler must only ever produce
-     structurally well-formed views — a [Lint.Wf] finding here is a compiler
-     bug, surfaced as a validation error tagged with the SMO. *)
-  let result =
-    match result with
-    | Ok st' when Lint.Wf.enabled () -> (
-        match Lint.Wf.gate st'.State.env st'.State.query_views st'.State.update_views with
-        | Ok () -> Ok st'
-        | Error m -> Error (Containment.Validation_error.msg m))
-    | r -> r
-  in
   Result.map_error (Containment.Validation_error.with_smo (Smo.name smo)) result
 
 let apply_all ?jobs st smos =
   List.fold_left (fun acc smo -> Result.bind acc (fun st -> apply ?jobs st smo)) (Ok st) smos
 
-type timing = {
-  smo : string;
-  seconds : float;
-  containment : Containment.Stats.snapshot;
-}
+type timing = { smo : string; seconds : float; containment : Obs.Metric.snapshot }
+
+let containment_counters =
+  Containment.Check.[ checks; cq_pairs; hom_steps; approximate_checks; cache_hits ]
+  @ [ Containment.Obligation.discharged ]
+
+let read_containment () =
+  let read c = (Obs.Metric.counter_name c, Obs.Metric.value c) in
+  { Obs.Metric.counters = List.map read containment_counters; gauges = [] }
 
 let apply_timed ?jobs st smo =
-  let before = Containment.Stats.read () in
+  let before = read_containment () in
   let t0 = Unix.gettimeofday () in
   match apply ?jobs st smo with
   | Error e -> Error e
   | Ok st' ->
       let seconds = Unix.gettimeofday () -. t0 in
-      let containment = Containment.Stats.diff before (Containment.Stats.read ()) in
+      let containment = Obs.Metric.diff before (read_containment ()) in
       Ok (st', { smo = Smo.name smo; seconds; containment })

@@ -5,7 +5,7 @@
     intact.
 
     [?jobs] sets the degree of parallelism for discharging the SMO's
-    containment obligations (default: {!Containment.Discharge.default_jobs}).
+    containment obligations (default 1).
     Verdicts and failure messages are identical for every [jobs] value.
     Failures are structured {!Containment.Validation_error.t} values tagged
     with the SMO kind; [Containment.Validation_error.show] renders the same
@@ -21,7 +21,9 @@ val apply_all :
 type timing = {
   smo : string;                           (** {!Smo.name} *)
   seconds : float;
-  containment : Containment.Stats.snapshot;  (** checker work during the SMO *)
+  containment : Obs.Metric.snapshot;
+      (** checker work during the SMO: the deltas of the [containment.*]
+          counters of {!Containment.Check} and {!Containment.Obligation} *)
 }
 
 val apply_timed :

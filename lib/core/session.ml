@@ -5,8 +5,6 @@ type event =
   | Checkpointed of string
   | Rolled_back of string
 
-type ivm_cache = (Query.View.update_views * Ivm.Plan.t) option ref
-
 module Query_map = Map.Make (struct
   type t = Query.Algebra.t
 
@@ -18,14 +16,6 @@ end)
    newest) means undo/redo and rollback land back on cached plans. *)
 type exec_cache = (Query.View.query_views * Exec.Plan.t Query_map.t) list ref
 
-module Frag_map = Map.Make (Mapping.Fragment)
-
-(* Per-fragment lint verdicts, keyed by the fragment and guarded by its
-   context digest (target table + source hierarchy signature).  An SMO only
-   dirties the fragments whose context it actually moved; undo/redo and
-   rollback land back on cached verdicts because old digests match again. *)
-type lint_cache = (Lint.Passes.frag_ctx * Lint.Diag.t list) Frag_map.t ref
-
 type t = {
   initial : State.t;
   past : (State.t * entry) list;        (* newest first; state BEFORE the smo *)
@@ -34,14 +24,12 @@ type t = {
   future : (State.t * entry) list;      (* undone, newest undo first *)
   checkpoints : (string * int) list;    (* name -> [depth] at the mark *)
   events : event list;                  (* newest first *)
-  ivm_cache : ivm_cache;                (* shared across derived sessions *)
   exec_cache : exec_cache;              (* shared across derived sessions *)
-  lint_cache : lint_cache;              (* shared across derived sessions *)
 }
 
 let start present =
   { initial = present; past = []; depth = 0; present; future = []; checkpoints = [];
-    events = []; ivm_cache = ref None; exec_cache = ref []; lint_cache = ref Frag_map.empty }
+    events = []; exec_cache = ref [] }
 
 let current t = t.present
 
@@ -100,28 +88,6 @@ let rollback_to ~name t =
       let t = unwind t in
       Ok { t with future = []; events = Rolled_back name :: t.events }
 
-(* The update views are rebuilt by value on every SMO, so cache validity is
-   decided by comparing view bindings (with a cheap physical-equality fast
-   path for the untouched case), not by counting SMOs: undo/redo and
-   rollback all land back on cached plans for free. *)
-let same_views a b =
-  a == b
-  || List.equal
-       (fun (ta, va) (tb, vb) -> String.equal ta tb && Query.View.equal va vb)
-       (Query.View.update_view_bindings a)
-       (Query.View.update_view_bindings b)
-
-let ivm_plan t =
-  let uv = t.present.State.update_views in
-  match !(t.ivm_cache) with
-  | Some (cached_uv, plan) when same_views cached_uv uv -> Ok plan
-  | Some _ | None ->
-      Result.map
-        (fun plan ->
-          t.ivm_cache := Some (uv, plan);
-          plan)
-        (Ivm.Plan.compile t.present.State.env uv)
-
 let c_plan_hit = Obs.Metric.counter "exec.plan.cache.hit"
 let c_plan_miss = Obs.Metric.counter "exec.plan.cache.miss"
 let max_exec_generations = 8
@@ -154,28 +120,11 @@ let query_plan t q =
           t.exec_cache := List.filteri (fun i _ -> i < max_exec_generations) gens);
       Ok plan
 
-let c_lint_hit = Obs.Metric.counter "lint.cache.hit"
-let c_lint_miss = Obs.Metric.counter "lint.cache.miss"
-
-let lint_fragment t f =
-  let env = t.present.State.env in
-  let ctx = Lint.Passes.fragment_ctx env f in
-  match Frag_map.find_opt f !(t.lint_cache) with
-  | Some (ctx', ds) when Lint.Passes.equal_frag_ctx ctx ctx' ->
-      Obs.Metric.incr c_lint_hit;
-      ds
-  | Some _ | None ->
-      Obs.Metric.incr c_lint_miss;
-      let ds = Lint.Passes.fragment_diags env f in
-      t.lint_cache := Frag_map.add f (ctx, ds) !(t.lint_cache);
-      ds
-
-let lint ?(views = true) t =
+let lint t =
   let st = t.present in
-  let views =
-    if views then Some (st.State.query_views, st.State.update_views) else None
-  in
-  Lint.Analyze.run ?views ~fragment_diags:(lint_fragment t) st.State.env st.State.fragments
+  Lint.Analyze.run
+    ~views:(st.State.query_views, st.State.update_views)
+    st.State.env st.State.fragments
 
 let log t =
   let b = Buffer.create 256 in
@@ -186,7 +135,9 @@ let log t =
         | Applied { smo; timing } ->
             Printf.sprintf "applied   %-40s %.2f ms (%d containment checks)\n" (Smo.show smo)
               (timing.Engine.seconds *. 1000.)
-              timing.Engine.containment.Containment.Stats.checks
+              (List.assoc
+                 (Obs.Metric.counter_name Containment.Check.checks)
+                 timing.Engine.containment.Obs.Metric.counters)
         | Checkpointed name -> Printf.sprintf "checkpoint %s\n" name
         | Rolled_back name -> Printf.sprintf "rollback  -> %s\n" name))
     (List.rev t.events);

@@ -46,23 +46,11 @@ val query_plan : t -> Query.Algebra.t -> (Exec.Plan.t, string) result
     generations is kept, so an SMO that moves the views forces recompilation
     while undo/redo/rollback land back on cached plans.  The cache is shared
     by all sessions derived from the same {!start} and reports
-    [exec.plan.cache.hit] / [exec.plan.cache.miss] counters. *)
+    [exec.plan.cache.hit] / [exec.plan.cache.miss] counters.  It is the
+    session's only cache. *)
 
-val lint : ?views:bool -> t -> Lint.Diag.t list
-(** Run the static mapping analyzer ({!Lint.Analyze}) over the present
-    state.  Per-fragment verdicts are memoized in a cache shared by all
-    sessions derived from the same {!start}, keyed by the fragment and
-    guarded by its context digest ({!Lint.Passes.fragment_ctx}) — so an SMO
-    only re-analyzes the fragments whose table or hierarchy it touched, and
-    undo/redo/rollback re-hit the old verdicts.  Hit/miss traffic is pinned
-    by the [lint.cache.hit] / [lint.cache.miss] counters.  [?views] (default
-    true) includes the compiled-view passes and the {!Lint.Wf} structural
-    checks. *)
-
-val ivm_plan : t -> (Ivm.Plan.t, string) result
-(** The IVM dataflow plan compiled from the present state's update views,
-    memoized inside the session: recompiled only when an SMO (or undo/redo/
-    rollback) actually changed the views, decided by value comparison of the
-    view bindings.  The cache is shared by all sessions derived from the
-    same {!start}, so applying an SMO invalidates it exactly when the views
-    move. *)
+val lint : t -> Lint.Diag.t list
+(** Run the static mapping analyzer over the present state: exactly
+    [Lint.Analyze.run ~views:(query_views, update_views) env fragments].
+    Nothing is cached; one run is cheaper than keying a per-fragment
+    cache. *)

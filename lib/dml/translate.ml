@@ -128,13 +128,6 @@ let diff_stores schema ~old_store ~new_store =
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-type mode = [ `Full_diff | `Ivm ]
-
-let default_mode () =
-  match Sys.getenv_opt "IMC_IVM" with
-  | Some ("1" | "true" | "yes") -> `Ivm
-  | Some _ | None -> `Full_diff
-
 let ivm_op = function
   | Delta.Insert_entity { set; entity } ->
       Ivm.Apply.Insert_entity
@@ -214,20 +207,17 @@ let ivm_step inc delta =
 
 let ivm_store inc = Ivm.State.store inc.plan inc.state
 
-let translate ?mode env uv ~old_client ~delta =
-  let mode = match mode with Some m -> m | None -> default_mode () in
-  let client_schema = env.Query.Env.client in
-  let* new_client = Delta.apply client_schema old_client delta in
-  match mode with
-  | `Full_diff ->
-      let* old_store = Query.View.apply_update_views env uv old_client in
-      let* new_store = Query.View.apply_update_views env uv new_client in
-      let script = diff_stores env.Query.Env.store ~old_store ~new_store in
-      Ok (script, new_client, new_store)
-  | `Ivm ->
-      let* inc = ivm_init env uv old_client in
-      let* script, inc = ivm_step inc delta in
-      Ok (script, new_client, ivm_store inc)
+let translate env uv ~old_client ~delta =
+  let* new_client = Delta.apply env.Query.Env.client old_client delta in
+  let* inc = ivm_init env uv old_client in
+  let* script, inc = ivm_step inc delta in
+  Ok (script, new_client, ivm_store inc)
+
+let full_diff env uv ~old_client ~delta =
+  let* new_client = Delta.apply env.Query.Env.client old_client delta in
+  let* old_store = Query.View.apply_update_views env uv old_client in
+  let* new_store = Query.View.apply_update_views env uv new_client in
+  Ok (diff_stores env.Query.Env.store ~old_store ~new_store, new_client, new_store)
 
 let apply_script store script =
   List.fold_left

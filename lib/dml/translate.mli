@@ -2,13 +2,14 @@
 
     The roundtripping guarantee makes translation conceptually simple — the
     update views determine the store state of any client state — and this
-    module turns that into *incremental* DML: materialize the store images
-    of the pre- and post-states through the views, then diff each table by
-    primary key into INSERT/UPDATE/DELETE statements.  The result applies
-    the exact effect of the client delta (property-tested: applying the
-    script to the old store yields the new store, and reading the new store
-    back through the query views yields the updated client state — the
-    "exactly the effect of U" criterion of Section 1.1). *)
+    module turns that into *incremental* DML: push the client delta through
+    the compiled update views and classify the changed rows of each table
+    by primary key into INSERT/UPDATE/DELETE statements ({!full_diff}, the
+    oracle, gets the same script by diffing whole store images).  The
+    result applies the exact effect of the client delta (property-tested:
+    applying the script to the old store yields the new store, and reading
+    the new store back through the query views yields the updated client
+    state — the "exactly the effect of U" criterion of Section 1.1). *)
 
 type store_op =
   | Insert_row of { table : string; row : Datum.Row.t }
@@ -30,30 +31,27 @@ val diff_stores :
     table-by-table; cross-table ordering follows foreign-key topology where
     possible (referenced tables' inserts first, deletes last). *)
 
-type mode = [ `Full_diff | `Ivm ]
-(** How [translate] derives the script: [`Full_diff] materializes both store
-    images through the views and diffs them (O(instance), the original
-    oracle path); [`Ivm] pushes only the delta through a compiled
-    [Ivm.Plan] (same script, property-tested byte-identical). *)
-
-val default_mode : unit -> mode
-(** [`Ivm] when the [IMC_IVM] environment variable is ["1"], ["true"] or
-    ["yes"]; [`Full_diff] otherwise.  CI runs the whole suite once per
-    mode. *)
-
 val translate :
-  ?mode:mode ->
   Query.Env.t -> Query.View.update_views -> old_client:Edm.Instance.t -> delta:Delta.t ->
   (script * Edm.Instance.t * Relational.Instance.t, string) result
-(** Apply the delta to the client state and derive the store script
-    ([?mode], default {!default_mode}).  Returns the script together with
-    the new client and store states.  Both modes validate the delta with
-    [Delta.apply] first, so error behaviour is identical. *)
+(** Apply the delta to the client state and derive the store script by
+    pushing only the delta through a compiled [Ivm.Plan] ({!ivm_init} then
+    {!ivm_step}).  Returns the script together with the new client and
+    store states.  The delta is validated with [Delta.apply] first. *)
+
+val full_diff :
+  Query.Env.t -> Query.View.update_views -> old_client:Edm.Instance.t -> delta:Delta.t ->
+  (script * Edm.Instance.t * Relational.Instance.t, string) result
+(** The whole-store oracle {!translate} is checked against: materialize the
+    old and new store images with [Query.View.apply_update_views] and
+    {!diff_stores} them (O(instance)).  Same result shape and the same
+    [Delta.apply] validation; the script is byte-identical to
+    {!translate}'s (property-tested). *)
 
 (** {2 Incremental translation}
 
-    The one-shot [translate ~mode:`Ivm] still pays O(instance) to
-    materialize the initial state.  Callers translating a {e stream} of
+    The one-shot {!translate} still pays O(instance) to materialize the
+    initial state.  Callers translating a {e stream} of
     deltas against a fixed mapping hold an [incremental] instead: compile
     and materialize once, then each [ivm_step] costs O(delta).
 

@@ -8,7 +8,7 @@
     [col = v] filter would keep.
 
     Full scans over at least [par_threshold] rows are partitioned across
-    [Domain.spawn] workers; [jobs] is a cap in the PR-2 convention
+    [Domain.spawn] workers; [jobs] is a cap, as in [Containment.Discharge]
     (clamped by row count and [Domain.recommended_domain_count ()]).  Output
     is deterministic: parallel and sequential execution produce identical
     row lists.

@@ -23,10 +23,4 @@ let compile ?(validate = true) ?(optimize = false) ?jobs env frags =
       let* query_views =
         Obs.Span.with_ ~name:"fullc.query-views" (fun () -> Query_views.all ~optimize env frags)
       in
-      let* () =
-        if Lint.Wf.enabled () then
-          Obs.Span.with_ ~name:"fullc.lint-wf" (fun () ->
-              Lint.Wf.gate env query_views update_views)
-        else Ok ()
-      in
       Ok { query_views; update_views; report })

@@ -10,8 +10,8 @@
       views never scan store tables) are listed with their key columns, which
       is what lets {!Apply} key the base images.
 
-    Compilation is pure; it is redone only when an SMO changes the views
-    (see [Core.Session.ivm_plan]). *)
+    Compilation is pure; a long-lived translator compiles once per view set
+    (see [Dml.Translate.ivm_init]). *)
 
 module Src_map : Map.S with type key = Query.Algebra.source
 

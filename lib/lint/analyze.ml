@@ -1,10 +1,9 @@
-let run ?views ?fragment_diags env frags =
+let run ?views env frags =
   Obs.Span.with_ ~name:"lint.analyze" (fun () ->
       let memo = Passes.new_memo () in
-      let per_frag =
-        match fragment_diags with Some f -> f | None -> Passes.fragment_diags ~memo env
+      let frag_ds =
+        List.concat_map (Passes.fragment_diags ~memo env) (Mapping.Fragments.to_list frags)
       in
-      let frag_ds = List.concat_map per_frag (Mapping.Fragments.to_list frags) in
       let model_ds = Passes.model_diags ~memo env frags in
       let view_ds =
         match views with

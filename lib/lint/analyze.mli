@@ -3,13 +3,8 @@
     [run env frags] executes the per-fragment passes, the whole-model
     passes and — when compiled views are supplied — the view passes and the
     {!Wf} structural checks, returning the sorted, de-duplicated diagnostic
-    list.  The whole run is wrapped in an [Obs] span ([lint.analyze]).
-
-    [?fragment_diags] lets a caller substitute a memoised per-fragment
-    analysis ([Core.Session] injects its incremental cache here); the
-    default is [Passes.fragment_diags env]. *)
+    list.  The whole run is wrapped in an [Obs] span ([lint.analyze]). *)
 
 val run :
   ?views:Query.View.query_views * Query.View.update_views ->
-  ?fragment_diags:(Mapping.Fragment.t -> Diag.t list) ->
   Query.Env.t -> Mapping.Fragments.t -> Diag.t list

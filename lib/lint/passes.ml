@@ -125,43 +125,6 @@ let disjoint_hier client hier c1 c2 = disjoint_gen (Some (client, hier)) c1 c2
 let disjoint_client client ~root c1 c2 = disjoint_hier client (hier_of client root) c1 c2
 let disjoint_store c1 c2 = disjoint_gen None c1 c2
 
-(* -- Per-fragment context digest ------------------------------------------ *)
-
-type frag_ctx = string
-
-let equal_frag_ctx = String.equal
-
-let fragment_ctx ?memo env (f : Fragment.t) =
-  let client = env.Query.Env.client in
-  let b = Buffer.create 256 in
-  (match Relational.Schema.find_table env.store f.table with
-  | None -> Buffer.add_string b "table:?"
-  | Some t -> Buffer.add_string b (Relational.Table.show t));
-  (match f.client_source with
-  | Fragment.Set s -> (
-      match Edm.Schema.set_root client s with
-      | None -> Buffer.add_string b "|set:?"
-      | Some root ->
-          let hier = hier_of ?memo client root in
-          List.iter
-            (fun (ty, ti) ->
-              Buffer.add_string b (Printf.sprintf "|%s:" ty);
-              List.iter
-                (fun (a, d) ->
-                  Buffer.add_string b
-                    (Printf.sprintf "%s %s %b;" a (Datum.Domain.show d) (S.mem a ti.nullable)))
-                ti.domains)
-            hier.info;
-          Buffer.add_string b ("|key:" ^ String.concat "," hier.key))
-  | Fragment.Assoc a -> (
-      match Edm.Schema.find_association client a with
-      | None -> Buffer.add_string b "|assoc:?"
-      | Some assoc ->
-          Buffer.add_string b ("|" ^ Edm.Association.show assoc);
-          Buffer.add_string b
-            ("|cols:" ^ String.concat "," (Edm.Schema.association_columns client assoc))));
-  Buffer.contents b
-
 (* -- Per-fragment passes: L003 L004 L005 L007 L012 ------------------------ *)
 
 let floc f = Diag.Fragment (Fragment.describe f)

@@ -25,17 +25,7 @@
     Severity encodes the soundness contract (see {!Diag}): the error-level
     passes only fire on mappings that [Fullc.Validate] would reject. *)
 
-(** {1 Per-fragment passes}
-
-    These are the unit of incremental caching: their verdict depends only on
-    the fragment and its {e context} — the target table's definition and the
-    source hierarchy's attribute/key structure.  [Core.Session] caches
-    [fragment_diags] per fragment and re-runs it only when the context
-    digest changes (the dirty set of an SMO). *)
-
-type frag_ctx
-(** A digest of everything [fragment_diags] reads besides the fragment
-    itself.  Equal contexts guarantee equal diagnostics. *)
+(** {1 Per-fragment passes} *)
 
 type memo
 (** A per-run cache of hierarchy snapshots (subtypes, attribute names,
@@ -44,9 +34,6 @@ type memo
     and never reuse it across schema changes. *)
 
 val new_memo : unit -> memo
-
-val fragment_ctx : ?memo:memo -> Query.Env.t -> Mapping.Fragment.t -> frag_ctx
-val equal_frag_ctx : frag_ctx -> frag_ctx -> bool
 
 val fragment_diags : ?memo:memo -> Query.Env.t -> Mapping.Fragment.t -> Diag.t list
 (** L003, L004, L005, L007, L012 for one fragment. *)

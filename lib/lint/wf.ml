@@ -274,19 +274,3 @@ let check env (qv : View.query_views) (uv : View.update_views) =
       acc := update_view_null_diags memo env t v @ !acc)
     (View.update_view_bindings uv);
   Diag.sort !acc
-
-let enabled () =
-  match Sys.getenv_opt "IMC_LINT_WF" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some _ -> true
-  | None -> Sys.getenv_opt "CI" <> None
-
-let gate env qv uv =
-  if not (enabled ()) then Ok ()
-  else
-    match Diag.errors (check env qv uv) with
-    | [] -> Ok ()
-    | errs ->
-        Error
-          ("algebra well-formedness: "
-          ^ String.concat "; " (List.map (fun d -> Format.asprintf "%a" Diag.pp d) errs))

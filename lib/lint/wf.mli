@@ -2,9 +2,10 @@
 
     Where {!Passes} judges the mapping, [Wf] judges the {e compiler's
     output}: the structural invariants every compiled view must satisfy.  An
-    error here is a compiler bug, never a user mistake, which is why the
-    {!gate} variant runs after every full compile and every incremental SMO
-    in debug/CI builds and turns findings into hard failures.
+    error here is a compiler bug, never a user mistake.  The compilers do
+    not run it; the test suite asserts that {!check} finds no error after
+    every step of its random-model compile and SMO pipelines, and
+    {!Analyze.run} includes it whenever views are supplied.
 
     {v
     code  severity  finding
@@ -25,15 +26,3 @@ val check :
   Query.Env.t -> Query.View.query_views -> Query.View.update_views -> Diag.t list
 (** All well-formedness diagnostics of a compiled view set, including the
     L104 nullability dataflow of every update view against its table. *)
-
-val enabled : unit -> bool
-(** Whether {!gate} is armed: the [IMC_LINT_WF] environment variable when
-    set ([0]/[false]/[off]/[no] disable, anything else enables), else on
-    exactly when [CI] is set — the "debug/CI builds" default. *)
-
-val gate :
-  Query.Env.t -> Query.View.query_views -> Query.View.update_views ->
-  (unit, string) result
-(** [Ok ()] when disabled or when {!check} finds no error-severity
-    diagnostics; otherwise an [Error] concatenating them.  Wired after every
-    [Fullc.Compile] run and every [Core.Engine] SMO dispatch. *)

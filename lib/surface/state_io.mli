@@ -10,12 +10,3 @@
 
 val save : Core.State.t -> string
 val load : string -> (Core.State.t, string) result
-
-(** Individual codecs, exposed for tests. *)
-
-val sexp_of_cond : Query.Cond.t -> Sexp.t
-val cond_of_sexp : Sexp.t -> (Query.Cond.t, string) result
-val sexp_of_query : Query.Algebra.t -> Sexp.t
-val query_of_sexp : Sexp.t -> (Query.Algebra.t, string) result
-val sexp_of_view : Query.View.t -> Sexp.t
-val view_of_sexp : Sexp.t -> (Query.View.t, string) result

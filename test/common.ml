@@ -16,6 +16,16 @@ let ok_v = function
   | Ok x -> x
   | Error e -> Alcotest.failf "unexpected error: %s" (show_v e)
 
+(* Error-severity [Lint.Wf] findings over a state's compiled views, rendered.
+   The compilers do not run this structural check themselves; the random
+   compile and SMO pipelines of the suite assert it after every step. *)
+let wf_errors (st : Core.State.t) =
+  Lint.Wf.check st.Core.State.env st.Core.State.query_views st.Core.State.update_views
+  |> Lint.Diag.errors
+  |> List.map (Format.asprintf "%a" Lint.Diag.pp)
+
+let check_wf tag st = check Alcotest.(list string) (tag ^ ": well-formed views") [] (wf_errors st)
+
 let check_ok msg = function
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: expected Ok, got Error %s" msg e

@@ -147,12 +147,12 @@ let prop_soundness =
       | Ok false -> true)
 
 let test_stats_counting () =
-  Containment.Stats.reset ();
+  let module K = Containment.Check in
+  let checks0 = Obs.Metric.value K.checks and pairs0 = Obs.Metric.value K.cq_pairs in
   let q = proj [ "Id" ] (sel (C.Is_of "Employee") persons) in
-  let _ = Containment.Check.subset env q q in
-  let s = Containment.Stats.read () in
-  checkb "checks counted" true (s.Containment.Stats.checks = 1);
-  checkb "cq pairs explored" true (s.Containment.Stats.cq_pairs >= 1)
+  let _ = K.subset env q q in
+  check Alcotest.int "checks counted" 1 (Obs.Metric.value K.checks - checks0);
+  checkb "cq pairs explored" true (Obs.Metric.value K.cq_pairs - pairs0 >= 1)
 
 let test_cache_correctness () =
   (* Memoization must not change a single verdict, and a repeated pass over
@@ -181,11 +181,50 @@ let test_cache_correctness () =
       in
       let cached = verdicts () in
       same "caching on vs off" plain cached;
-      Containment.Stats.reset ();
+      let hits0 = Obs.Metric.value Containment.Check.cache_hits in
       let again = verdicts () in
       same "second cached pass" plain again;
-      let s = Containment.Stats.read () in
-      checkb "second pass hits the cache" true (s.Containment.Stats.cache_hits > 0))
+      checkb "second pass hits the cache" true
+        (Obs.Metric.value Containment.Check.cache_hits > hits0))
+
+(* Two 30-table store schemas that differ only in table 25: there column C
+   is NOT NULL in one and nullable in the other, so [T25 ⊆ σ(C IS NOT NULL) T25]
+   holds over the first schema only.  A verdict memoized for one schema must
+   never be served for the other. *)
+let test_cache_key_schema () =
+  let store c_null =
+    List.fold_left
+      (fun s i ->
+        let c = if i = 25 then c_null else `Not_null in
+        let t =
+          Relational.Table.make ~name:(Printf.sprintf "T%02d" i) ~key:[ "Id" ]
+            [ ("Id", D.Int, `Not_null); ("C", D.Int, c) ]
+        in
+        ok_exn (Relational.Schema.add_table t s))
+      Relational.Schema.empty (List.init 30 Fun.id)
+  in
+  let env_strict = { Query.Env.client = Edm.Schema.empty; store = store `Not_null } in
+  let env_loose = { Query.Env.client = Edm.Schema.empty; store = store `Null } in
+  let t25 = A.Scan (A.Table "T25") in
+  let non_null = sel (C.Is_not_null "C") t25 in
+  let verdict env =
+    match Containment.Check.subset env t25 non_null with
+    | Ok b -> b
+    | Error e -> Alcotest.failf "normalization error: %s" e
+  in
+  checkb "uncached: NOT NULL column" true (verdict env_strict);
+  checkb "uncached: nullable column" false (verdict env_loose);
+  Containment.Check.set_caching true;
+  Containment.Check.clear_cache ();
+  Fun.protect
+    ~finally:(fun () ->
+      Containment.Check.set_caching false;
+      Containment.Check.clear_cache ())
+    (fun () ->
+      checkb "cached: NOT NULL column" true (verdict env_strict);
+      checkb "cached: nullable column is not served the other verdict" false
+        (verdict env_loose);
+      checkb "cached: NOT NULL column again" true (verdict env_strict))
 
 let () =
   Alcotest.run "containment"
@@ -212,5 +251,6 @@ let () =
           prop_soundness;
           Alcotest.test_case "stats" `Quick test_stats_counting;
           Alcotest.test_case "cache correctness" `Quick test_cache_correctness;
+          Alcotest.test_case "cache key covers the schemas" `Quick test_cache_key_schema;
         ] );
     ]

@@ -121,15 +121,12 @@ let test_pushdown_union () =
   check Alcotest.int "both branches indexed" 2 (Plan.index_scans plan)
 
 let test_parallel_scan_deterministic () =
-  (* Parallel slicing must preserve output order exactly, not just as bags.
-     [IMC_JOBS] (the PR-2 convention, via [Discharge.default_jobs]) raises
-     the worker cap, so the CI IMC_JOBS=4 pass runs real multi-domain scans. *)
-  let jobs = max 4 (Containment.Discharge.default_jobs ()) in
+  (* Parallel slicing must preserve output order exactly, not just as bags. *)
   let q = A.Select (C.Is_of "Employee", A.Scan (A.Entity_set "Persons")) in
   let plan = ok_exn (Planner.plan env q) in
   let idb = Idb.make env client_db in
   let seq = Run.rows idb plan in
-  let par = Run.rows ~jobs ~par_threshold:1 idb plan in
+  let par = Run.rows ~jobs:4 ~par_threshold:1 idb plan in
   checkb "identical row lists" true (List.equal Datum.Row.equal seq par)
 
 (* -- unfolded client queries over the paper example ------------------------ *)

@@ -62,7 +62,15 @@ let prop_random_smo_sequences =
         List.fold_left
           (fun st i ->
             let _, smo = List.nth pool (i mod List.length pool) in
-            match Core.Engine.apply st smo with Ok st' -> st' | Error _ -> st)
+            match Core.Engine.apply st smo with
+            | Ok st' ->
+                (match wf_errors st' with
+                | [] -> ()
+                | errs ->
+                    QCheck.Test.fail_reportf "SMO %s left ill-formed views:@.%s"
+                      (Core.Smo.show smo) (String.concat "\n" errs));
+                st'
+            | Error _ -> st)
           st distinct
       in
       match

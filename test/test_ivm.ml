@@ -21,8 +21,8 @@ let uv () = (Lazy.force compiled).Fullc.Compile.update_views
 (* Both paths on one delta, from one client state.  Returns the new client so
    sequences can thread it. *)
 let check_both_paths ?(msg = "delta") env uv ~old_client ~delta =
-  let full = Tr.translate ~mode:`Full_diff env uv ~old_client ~delta in
-  let ivm = Tr.translate ~mode:`Ivm env uv ~old_client ~delta in
+  let full = Tr.full_diff env uv ~old_client ~delta in
+  let ivm = Tr.translate env uv ~old_client ~delta in
   match (full, ivm) with
   | Error a, Error b ->
       check Alcotest.string (msg ^ ": same error") a b;
@@ -116,7 +116,7 @@ let test_paper_handle_stream () =
     (fun i delta ->
       let msg = Printf.sprintf "step %d" i in
       let s_full, new_client, st_full =
-        ok_exn (Tr.translate ~mode:`Full_diff env uv ~old_client:!client ~delta)
+        ok_exn (Tr.full_diff env uv ~old_client:!client ~delta)
       in
       let s_ivm, inc' = ok_exn (Tr.ivm_step !inc delta) in
       check Alcotest.string (msg ^ ": identical script") (Tr.to_sql s_full) (Tr.to_sql s_ivm);
@@ -285,11 +285,8 @@ let run_differential_case seed =
         if batch >= 4 then true
         else
           let delta = valid_batch schema inst (candidate_ops rs schema inst (100_000 + batch)) in
-          (match Sys.getenv_opt "IMC_IVM_TEST_STATS" with
-          | Some _ -> Printf.eprintf "[stats] seed=%d batch=%d ops=%d\n%!" seed batch (List.length delta)
-          | None -> ());
           match
-            ( Tr.translate ~mode:`Full_diff env uv ~old_client:inst ~delta,
+            ( Tr.full_diff env uv ~old_client:inst ~delta,
               Tr.ivm_step inc delta )
           with
           | Error e, _ ->

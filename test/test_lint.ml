@@ -224,21 +224,18 @@ let test_wf_codes () =
   in
   check_fires "NULL into NOT NULL" "L104" ds
 
-(* Wf.gate blocks compilation exactly on Error-severity findings. *)
-let test_wf_gate () =
+(* Clean views yield no Error-severity finding; a broken constructor does. *)
+let test_wf_errors () =
   let env = env_of [ ("Persons", person (), []) ] [ table_p () ] in
   let good = { Query.View.query = A.Scan (A.Table "P"); ctor = Query.Ctor.Tuple [ "Id"; "Nick" ] } in
   let bad_v = { good with Query.View.ctor = Query.Ctor.Tuple [ "Ghost" ] } in
-  let uv v = Query.View.set_table_view "P" v Query.View.no_update_views in
-  Unix.putenv "IMC_LINT_WF" "1";
-  check_ok "clean views pass the gate"
-    (Lint.Wf.gate env Query.View.no_query_views (uv good));
-  check_error "broken views are rejected"
-    (Lint.Wf.gate env Query.View.no_query_views (uv bad_v));
-  Unix.putenv "IMC_LINT_WF" "0";
-  check_ok "gate disabled by IMC_LINT_WF=0"
-    (Lint.Wf.gate env Query.View.no_query_views (uv bad_v));
-  Unix.putenv "IMC_LINT_WF" "1"
+  let errors v =
+    Diag.errors
+      (Lint.Wf.check env Query.View.no_query_views
+         (Query.View.set_table_view "P" v Query.View.no_update_views))
+  in
+  check Alcotest.int "clean views have no errors" 0 (List.length (errors good));
+  checkb "broken views have an L105 error" true (has_code "L105" (errors bad_v))
 
 (* -- soundness: valid models produce zero errors --------------------------- *)
 
@@ -282,51 +279,32 @@ let test_builtin_models_clean () =
        ("customer", env, frags));
     ]
 
-(* -- session cache --------------------------------------------------------- *)
+(* -- session ----------------------------------------------------------------- *)
 
-let counter_delta before after name =
-  let get (s : Obs.Metric.snapshot) =
-    match List.assoc_opt name s.Obs.Metric.counters with Some n -> n | None -> 0
-  in
-  get after - get before
-
-let test_session_cache () =
+let test_session_lint () =
   let module P = Workload.Paper_example in
   let module S = Core.Session in
   let s = S.start (ok_exn (Core.State.bootstrap P.stage4.P.env P.stage4.P.fragments)) in
-  let nfrags = Mapping.Fragments.size (S.current s).Core.State.fragments in
-  let b0 = Obs.Metric.snapshot () in
-  ignore (S.lint s);
-  let b1 = Obs.Metric.snapshot () in
-  check Alcotest.int "cold lint misses every fragment" nfrags
-    (counter_delta b0 b1 "lint.cache.miss");
-  check Alcotest.int "cold lint hits nothing" 0 (counter_delta b0 b1 "lint.cache.hit");
-  ignore (S.lint s);
-  let b2 = Obs.Metric.snapshot () in
-  check Alcotest.int "warm lint hits every fragment" nfrags
-    (counter_delta b1 b2 "lint.cache.hit");
-  check Alcotest.int "warm lint misses nothing" 0 (counter_delta b1 b2 "lint.cache.miss");
-  (* An SMO dirties only the touched contexts; the new fragment must miss. *)
   let level =
     Core.Smo.Add_property
       { etype = "Employee"; attr = ("Level", D.Int);
         target = Core.Add_property.To_existing_table { table = "Emp"; column = "Level" } }
   in
-  let s = ok_v (S.apply s level) in
-  let nfrags' = Mapping.Fragments.size (S.current s).Core.State.fragments in
-  ignore (S.lint s);
-  let b3 = Obs.Metric.snapshot () in
-  let miss = counter_delta b2 b3 "lint.cache.miss" in
-  check Alcotest.int "post-SMO lint covers all fragments" nfrags'
-    (miss + counter_delta b2 b3 "lint.cache.hit");
-  checkb "the touched fragments miss" true (miss >= 1);
-  checkb "untouched tables still hit" true (counter_delta b2 b3 "lint.cache.hit" >= 1);
-  (* Undo restores the old contexts; fragments cached before the SMO whose
-     entries were not overwritten hit again. *)
-  let s = Option.get (S.undo s) in
-  ignore (S.lint s);
-  let b4 = Obs.Metric.snapshot () in
-  checkb "undo re-hits cached verdicts" true (counter_delta b3 b4 "lint.cache.hit" >= 1)
+  let analyze s =
+    let st = S.current s in
+    Lint.Analyze.run
+      ~views:(st.Core.State.query_views, st.Core.State.update_views)
+      st.Core.State.env st.Core.State.fragments
+  in
+  let same msg s =
+    check Alcotest.(list string) msg
+      (List.map (Format.asprintf "%a" Diag.pp) (analyze s))
+      (List.map (Format.asprintf "%a" Diag.pp) (S.lint s))
+  in
+  same "initial state" s;
+  let s' = ok_v (S.apply s level) in
+  same "after an SMO" s';
+  same "after undo" (Option.get (S.undo s'))
 
 (* -- speed: static analysis vs obligation-based validation ----------------- *)
 
@@ -393,12 +371,12 @@ let () =
       ( "well-formedness",
         [
           Alcotest.test_case "codes" `Quick test_wf_codes;
-          Alcotest.test_case "gate" `Quick test_wf_gate;
+          Alcotest.test_case "check reports errors" `Quick test_wf_errors;
         ] );
       ( "soundness",
         [ prop_soundness; Alcotest.test_case "builtins clean" `Quick test_builtin_models_clean ]
       );
-      ("session", [ Alcotest.test_case "fragment cache" `Quick test_session_cache ]);
+      ("session", [ Alcotest.test_case "lint is Analyze.run" `Quick test_session_lint ]);
       ( "speed",
         [ Alcotest.test_case "beats validation by 50x" `Slow test_faster_than_validation ] );
       ("diag", [ Alcotest.test_case "rendering" `Quick test_diag_render ]);

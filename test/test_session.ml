@@ -75,24 +75,6 @@ let test_checkpoints () =
     (fun sub -> checkb ("log mentions " ^ sub) true (contains ~sub log))
     [ "applied"; "AE-TPT"; "checkpoint with-employee"; "rollback  -> with-employee" ]
 
-let test_ivm_plan_cache () =
-  let s = fresh_session () in
-  let p1 = ok_exn (S.ivm_plan s) in
-  checkb "hit without intervening SMO" true (p1 == ok_exn (S.ivm_plan s));
-  let s' = ok_v (S.apply s smo_employee) in
-  let p2 = ok_exn (S.ivm_plan s') in
-  checkb "SMO changed the views: recompiled" true (p2 != p1);
-  checkb "new plan covers the new table" true
-    (List.exists (fun (tp : Ivm.Plan.table_plan) -> tp.Ivm.Plan.table = "Emp") p2.Ivm.Plan.tables);
-  checkb "hit after the rebuild" true (p2 == ok_exn (S.ivm_plan s'));
-  (* undo returns to the stage-1 views; the shared cache holds the evolved
-     plan, so this must recompile rather than serve a stale dataflow *)
-  let s'' = Option.get (S.undo s') in
-  let p3 = ok_exn (S.ivm_plan s'') in
-  checkb "undo invalidates" true (p3 != p2);
-  checkb "undone plan drops the table" true
-    (List.for_all (fun (tp : Ivm.Plan.table_plan) -> tp.Ivm.Plan.table <> "Emp") p3.Ivm.Plan.tables)
-
 (* -- query / data / dml surface forms ---------------------------------------- *)
 
 let env4 = P.stage4.P.env
@@ -155,7 +137,6 @@ let () =
           Alcotest.test_case "failed apply" `Quick test_failed_apply_keeps_session;
           Alcotest.test_case "undo/redo" `Quick test_undo_redo;
           Alcotest.test_case "checkpoints and log" `Quick test_checkpoints;
-          Alcotest.test_case "ivm plan cache" `Quick test_ivm_plan_cache;
         ] );
       ( "query/data/dml surface",
         [
