@@ -22,20 +22,21 @@ let escape s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-let rec to_string = function
-  | Atom s -> if needs_quoting s then escape s else s
-  | List l -> "(" ^ String.concat " " (List.map to_string l) ^ ")"
-
-let rec pp_hum fmt = function
-  | Atom _ as a -> Format.pp_print_string fmt (to_string a)
-  | List l when List.for_all (function Atom _ -> true | List _ -> false) l ->
-      Format.pp_print_string fmt (to_string (List l))
+let rec add_to_buffer b = function
+  | Atom s -> Buffer.add_string b (if needs_quoting s then escape s else s)
   | List l ->
-      Format.fprintf fmt "@[<v 1>(%a)@]"
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_hum)
-        l
+      Buffer.add_char b '(';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char b ' ';
+          add_to_buffer b x)
+        l;
+      Buffer.add_char b ')'
 
-let to_string_hum s = Format.asprintf "%a" pp_hum s
+let to_string s =
+  let b = Buffer.create 64 in
+  add_to_buffer b s;
+  Buffer.contents b
 
 (* -- parsing --------------------------------------------------------------- *)
 

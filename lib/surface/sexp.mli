@@ -15,9 +15,6 @@ val to_string : t -> string
 (** Canonical rendering: atoms are quoted iff they contain delimiters or
     quotes; lists are parenthesized with single-space separators. *)
 
-val to_string_hum : t -> string
-(** Indented rendering for human inspection. *)
-
 val of_string : string -> (t, string) result
 (** Parse one s-expression; trailing garbage is an error.  Error messages
     carry the offending offset. *)

@@ -58,19 +58,163 @@ let cmp_of_string = function
   | "<=" -> Ok Query.Cond.Le | ">" -> Ok Query.Cond.Gt | ">=" -> Ok Query.Cond.Ge
   | s -> fail "bad comparison %s" s
 
-let rec sexp_of_cond = function
-  | Query.Cond.True -> Sexp.atom "true"
-  | Query.Cond.False -> Sexp.atom "false"
-  | Query.Cond.Is_of e -> Sexp.field "isof" [ Sexp.string e ]
-  | Query.Cond.Is_of_only e -> Sexp.field "isofonly" [ Sexp.string e ]
-  | Query.Cond.Is_null a -> Sexp.field "isnull" [ Sexp.string a ]
-  | Query.Cond.Is_not_null a -> Sexp.field "notnull" [ Sexp.string a ]
-  | Query.Cond.Cmp (a, op, v) ->
-      Sexp.field "cmp" [ Sexp.string a; Sexp.atom (cmp_to_string op); sexp_of_value v ]
-  | Query.Cond.And (a, b) -> Sexp.field "and" [ sexp_of_cond a; sexp_of_cond b ]
-  | Query.Cond.Or (a, b) -> Sexp.field "or" [ sexp_of_cond a; sexp_of_cond b ]
+(* -- the term table --------------------------------------------------------------- *)
 
-let rec cond_of_sexp = function
+(* Every condition, query and constructor node is a term.  [save] interns each
+   distinct node once, children first, so an entry's children are
+   back-references [#k] to earlier entries. *)
+
+(* A node with its children replaced by their indices in the table, so two
+   nodes are structurally equal iff their keys are equal.  Leaves are kept
+   whole. *)
+type key =
+  | Cond_atom of Query.Cond.t
+  | And of int * int
+  | Or of int * int
+  | Scan of Query.Algebra.source
+  | Select of int * int
+  | Project of Query.Algebra.proj_item list * int
+  | Join of string * int * int * string list
+  | Union of int * int
+  | Ctor_leaf of Query.Ctor.t
+  | If of int * int * int
+
+let reference k = Sexp.atom ("#" ^ string_of_int k)
+let strings l = Sexp.list (List.map Sexp.string l)
+
+let sexp_of_source = function
+  | Query.Algebra.Entity_set s -> Sexp.field "set" [ Sexp.string s ]
+  | Query.Algebra.Assoc_set a -> Sexp.field "assoc" [ Sexp.string a ]
+  | Query.Algebra.Table t -> Sexp.field "table" [ Sexp.string t ]
+
+let sexp_of_item = function
+  | Query.Algebra.Col { src; dst } -> Sexp.field "col" [ Sexp.string src; Sexp.string dst ]
+  | Query.Algebra.Const { value; dst } -> Sexp.field "const" [ sexp_of_value value; Sexp.string dst ]
+  | Query.Algebra.Coalesce { srcs; dst } -> Sexp.field "coalesce" [ strings srcs; Sexp.string dst ]
+
+let not_a_leaf () = invalid_arg "State_io: a term with children is not a leaf"
+
+let entry_of_key = function
+  | Cond_atom c -> (
+      match c with
+      | Query.Cond.True -> Sexp.atom "true"
+      | Query.Cond.False -> Sexp.atom "false"
+      | Query.Cond.Is_of e -> Sexp.field "isof" [ Sexp.string e ]
+      | Query.Cond.Is_of_only e -> Sexp.field "isofonly" [ Sexp.string e ]
+      | Query.Cond.Is_null a -> Sexp.field "isnull" [ Sexp.string a ]
+      | Query.Cond.Is_not_null a -> Sexp.field "notnull" [ Sexp.string a ]
+      | Query.Cond.Cmp (a, op, v) ->
+          Sexp.field "cmp" [ Sexp.string a; Sexp.atom (cmp_to_string op); sexp_of_value v ]
+      | Query.Cond.And _ | Query.Cond.Or _ -> not_a_leaf ())
+  | And (a, b) -> Sexp.field "and" [ reference a; reference b ]
+  | Or (a, b) -> Sexp.field "or" [ reference a; reference b ]
+  | Scan src -> Sexp.field "scan" [ sexp_of_source src ]
+  | Select (c, q) -> Sexp.field "select" [ reference c; reference q ]
+  | Project (items, q) -> Sexp.field "project" [ Sexp.list (List.map sexp_of_item items); reference q ]
+  | Join (kind, l, r, on) -> Sexp.field kind [ reference l; reference r; strings on ]
+  | Union (l, r) -> Sexp.field "union" [ reference l; reference r ]
+  | Ctor_leaf k -> (
+      match k with
+      | Query.Ctor.Entity { etype; attrs } -> Sexp.field "entity" [ Sexp.string etype; strings attrs ]
+      | Query.Ctor.Tuple cols -> Sexp.field "tuple" [ strings cols ]
+      | Query.Ctor.If _ -> not_a_leaf ())
+  | If (c, a, b) -> Sexp.field "if" [ reference c; reference a; reference b ]
+
+type encoder = { ids : (key, int) Hashtbl.t; mutable entries : string list; mutable count : int }
+
+let encoder () = { ids = Hashtbl.create 4096; entries = []; count = 0 }
+
+(* The index of the node [key], a new entry if no equal node came before. *)
+let intern enc key =
+  match Hashtbl.find_opt enc.ids key with
+  | Some k -> k
+  | None ->
+      let k = enc.count in
+      Hashtbl.add enc.ids key k;
+      enc.entries <- Sexp.to_string (entry_of_key key) :: enc.entries;
+      enc.count <- k + 1;
+      k
+
+(* The encoders below bind children with [let] before building a key:
+   children are interned left to right, which fixes the table order. *)
+
+let rec cond_ref enc c =
+  intern enc
+    (match c with
+    | Query.Cond.And (a, b) ->
+        let a = cond_ref enc a in
+        let b = cond_ref enc b in
+        And (a, b)
+    | Query.Cond.Or (a, b) ->
+        let a = cond_ref enc a in
+        let b = cond_ref enc b in
+        Or (a, b)
+    | atom -> Cond_atom atom)
+
+let rec query_ref enc q =
+  let binary kind l r on =
+    let l = query_ref enc l in
+    let r = query_ref enc r in
+    Join (kind, l, r, on)
+  in
+  intern enc
+    (match q with
+    | Query.Algebra.Scan src -> Scan src
+    | Query.Algebra.Select (c, q) ->
+        let c = cond_ref enc c in
+        let q = query_ref enc q in
+        Select (c, q)
+    | Query.Algebra.Project (items, q) -> Project (items, query_ref enc q)
+    | Query.Algebra.Join (l, r, on) -> binary "join" l r on
+    | Query.Algebra.Left_outer_join (l, r, on) -> binary "loj" l r on
+    | Query.Algebra.Full_outer_join (l, r, on) -> binary "foj" l r on
+    | Query.Algebra.Union_all (l, r) ->
+        let l = query_ref enc l in
+        let r = query_ref enc r in
+        Union (l, r))
+
+let rec ctor_ref enc k =
+  intern enc
+    (match k with
+    | Query.Ctor.If (c, a, b) ->
+        let c = cond_ref enc c in
+        let a = ctor_ref enc a in
+        let b = ctor_ref enc b in
+        If (c, a, b)
+    | leaf -> Ctor_leaf leaf)
+
+let sexp_of_view enc (v : Query.View.t) =
+  let q = query_ref enc v.Query.View.query in
+  let c = ctor_ref enc v.Query.View.ctor in
+  Sexp.field "view" [ reference q; reference c ]
+
+(* -- decoding terms ------------------------------------------------------------------- *)
+
+type term = Cond of Query.Cond.t | Query of Query.Algebra.t | Ctor of Query.Ctor.t
+
+let sort_name = function Cond _ -> "condition" | Query _ -> "query" | Ctor _ -> "constructor"
+
+(* The entries decoded so far; [#k] may name only those. *)
+type table = { terms : term array; mutable len : int }
+
+(* At most nine digits, so [int_of_string] cannot overflow. *)
+let digits s = s <> "" && String.length s <= 9 && String.for_all (fun c -> c >= '0' && c <= '9') s
+
+(* [Some t] when [s] is a back-reference, [None] when it is an inline term. *)
+let resolve tbl = function
+  | Sexp.Atom a when String.length a > 0 && a.[0] = '#' ->
+      let k = String.sub a 1 (String.length a - 1) in
+      if not (digits k) then fail "bad reference %s" a
+      else
+        let k = int_of_string k in
+        if k < tbl.len then Ok (Some tbl.terms.(k))
+        else fail "reference %s does not name an earlier term" a
+  | _ -> Ok None
+
+let wrong_sort s t expected =
+  fail "%s is a %s, expected a %s" (Sexp.to_string s) (sort_name t) expected
+
+let rec cond_of_sexp tbl = function
   | Sexp.Atom "true" -> Ok Query.Cond.True
   | Sexp.Atom "false" -> Ok Query.Cond.False
   | Sexp.List [ Sexp.Atom "isof"; e ] -> Result.map (fun e -> Query.Cond.Is_of e) (Sexp.as_atom e)
@@ -86,21 +230,21 @@ let rec cond_of_sexp = function
       let* v = value_of_sexp v in
       Ok (Query.Cond.Cmp (a, op, v))
   | Sexp.List [ Sexp.Atom "and"; a; b ] ->
-      let* a = cond_of_sexp a in
-      let* b = cond_of_sexp b in
+      let* a = cond_at tbl a in
+      let* b = cond_at tbl b in
       Ok (Query.Cond.And (a, b))
   | Sexp.List [ Sexp.Atom "or"; a; b ] ->
-      let* a = cond_of_sexp a in
-      let* b = cond_of_sexp b in
+      let* a = cond_at tbl a in
+      let* b = cond_at tbl b in
       Ok (Query.Cond.Or (a, b))
   | s -> fail "bad condition %s" (Sexp.to_string s)
 
-(* -- algebra -------------------------------------------------------------------- *)
-
-let sexp_of_source = function
-  | Query.Algebra.Entity_set s -> Sexp.field "set" [ Sexp.string s ]
-  | Query.Algebra.Assoc_set a -> Sexp.field "assoc" [ Sexp.string a ]
-  | Query.Algebra.Table t -> Sexp.field "table" [ Sexp.string t ]
+and cond_at tbl s =
+  let* r = resolve tbl s in
+  match r with
+  | None -> cond_of_sexp tbl s
+  | Some (Cond c) -> Ok c
+  | Some t -> wrong_sort s t "condition"
 
 let source_of_sexp = function
   | Sexp.List [ Sexp.Atom "set"; s ] ->
@@ -110,12 +254,6 @@ let source_of_sexp = function
   | Sexp.List [ Sexp.Atom "table"; t ] ->
       Result.map (fun t -> Query.Algebra.Table t) (Sexp.as_atom t)
   | s -> fail "bad source %s" (Sexp.to_string s)
-
-let sexp_of_item = function
-  | Query.Algebra.Col { src; dst } -> Sexp.field "col" [ Sexp.string src; Sexp.string dst ]
-  | Query.Algebra.Const { value; dst } -> Sexp.field "const" [ sexp_of_value value; Sexp.string dst ]
-  | Query.Algebra.Coalesce { srcs; dst } ->
-      Sexp.field "coalesce" [ Sexp.list (List.map Sexp.string srcs); Sexp.string dst ]
 
 let item_of_sexp = function
   | Sexp.List [ Sexp.Atom "col"; src; dst ] ->
@@ -132,34 +270,21 @@ let item_of_sexp = function
       Ok (Query.Algebra.Coalesce { srcs; dst })
   | s -> fail "bad projection item %s" (Sexp.to_string s)
 
-let rec sexp_of_query = function
-  | Query.Algebra.Scan src -> Sexp.field "scan" [ sexp_of_source src ]
-  | Query.Algebra.Select (c, q) -> Sexp.field "select" [ sexp_of_cond c; sexp_of_query q ]
-  | Query.Algebra.Project (items, q) ->
-      Sexp.field "project" [ Sexp.list (List.map sexp_of_item items); sexp_of_query q ]
-  | Query.Algebra.Join (l, r, on) ->
-      Sexp.field "join" [ sexp_of_query l; sexp_of_query r; Sexp.list (List.map Sexp.string on) ]
-  | Query.Algebra.Left_outer_join (l, r, on) ->
-      Sexp.field "loj" [ sexp_of_query l; sexp_of_query r; Sexp.list (List.map Sexp.string on) ]
-  | Query.Algebra.Full_outer_join (l, r, on) ->
-      Sexp.field "foj" [ sexp_of_query l; sexp_of_query r; Sexp.list (List.map Sexp.string on) ]
-  | Query.Algebra.Union_all (l, r) -> Sexp.field "union" [ sexp_of_query l; sexp_of_query r ]
-
-let rec query_of_sexp = function
+let rec query_of_sexp tbl = function
   | Sexp.List [ Sexp.Atom "scan"; src ] ->
       Result.map (fun s -> Query.Algebra.Scan s) (source_of_sexp src)
   | Sexp.List [ Sexp.Atom "select"; c; q ] ->
-      let* c = cond_of_sexp c in
-      let* q = query_of_sexp q in
+      let* c = cond_at tbl c in
+      let* q = query_at tbl q in
       Ok (Query.Algebra.Select (c, q))
   | Sexp.List [ Sexp.Atom "project"; items; q ] ->
       let* items = Result.bind (Sexp.as_list items) (map_ok item_of_sexp) in
-      let* q = query_of_sexp q in
+      let* q = query_at tbl q in
       Ok (Query.Algebra.Project (items, q))
   | Sexp.List [ Sexp.Atom kind; l; r; on ]
     when kind = "join" || kind = "loj" || kind = "foj" ->
-      let* l = query_of_sexp l in
-      let* r = query_of_sexp r in
+      let* l = query_at tbl l in
+      let* r = query_at tbl r in
       let* on = Result.bind (Sexp.as_list on) (map_ok Sexp.as_atom) in
       Ok
         (match kind with
@@ -167,21 +292,19 @@ let rec query_of_sexp = function
         | "loj" -> Query.Algebra.Left_outer_join (l, r, on)
         | _ -> Query.Algebra.Full_outer_join (l, r, on))
   | Sexp.List [ Sexp.Atom "union"; l; r ] ->
-      let* l = query_of_sexp l in
-      let* r = query_of_sexp r in
+      let* l = query_at tbl l in
+      let* r = query_at tbl r in
       Ok (Query.Algebra.Union_all (l, r))
   | s -> fail "bad query %s" (Sexp.to_string s)
 
-(* -- constructors and views ------------------------------------------------------ *)
+and query_at tbl s =
+  let* r = resolve tbl s in
+  match r with
+  | None -> query_of_sexp tbl s
+  | Some (Query q) -> Ok q
+  | Some t -> wrong_sort s t "query"
 
-let rec sexp_of_ctor = function
-  | Query.Ctor.Entity { etype; attrs } ->
-      Sexp.field "entity" [ Sexp.string etype; Sexp.list (List.map Sexp.string attrs) ]
-  | Query.Ctor.Tuple cols -> Sexp.field "tuple" [ Sexp.list (List.map Sexp.string cols) ]
-  | Query.Ctor.If (c, a, b) ->
-      Sexp.field "if" [ sexp_of_cond c; sexp_of_ctor a; sexp_of_ctor b ]
-
-let rec ctor_of_sexp = function
+let rec ctor_of_sexp tbl = function
   | Sexp.List [ Sexp.Atom "entity"; etype; attrs ] ->
       let* etype = Sexp.as_atom etype in
       let* attrs = Result.bind (Sexp.as_list attrs) (map_ok Sexp.as_atom) in
@@ -190,21 +313,53 @@ let rec ctor_of_sexp = function
       let* cols = Result.bind (Sexp.as_list cols) (map_ok Sexp.as_atom) in
       Ok (Query.Ctor.Tuple cols)
   | Sexp.List [ Sexp.Atom "if"; c; a; b ] ->
-      let* c = cond_of_sexp c in
-      let* a = ctor_of_sexp a in
-      let* b = ctor_of_sexp b in
+      let* c = cond_at tbl c in
+      let* a = ctor_at tbl a in
+      let* b = ctor_at tbl b in
       Ok (Query.Ctor.If (c, a, b))
   | s -> fail "bad constructor %s" (Sexp.to_string s)
 
-let sexp_of_view (v : Query.View.t) =
-  Sexp.field "view" [ sexp_of_query v.Query.View.query; sexp_of_ctor v.Query.View.ctor ]
+and ctor_at tbl s =
+  let* r = resolve tbl s in
+  match r with
+  | None -> ctor_of_sexp tbl s
+  | Some (Ctor k) -> Ok k
+  | Some t -> wrong_sort s t "constructor"
 
-let view_of_sexp s =
+(* A table entry: its head names its sort. *)
+let term_of_sexp tbl s =
+  let* r = resolve tbl s in
+  match (r, s) with
+  | Some t, _ -> Ok t
+  | None, Sexp.(Atom ("true" | "false")
+               | List (Atom ("isof" | "isofonly" | "isnull" | "notnull" | "cmp" | "and" | "or") :: _))
+    ->
+      Result.map (fun c -> Cond c) (cond_of_sexp tbl s)
+  | None, Sexp.List (Sexp.Atom ("scan" | "select" | "project" | "join" | "loj" | "foj" | "union") :: _)
+    ->
+      Result.map (fun q -> Query q) (query_of_sexp tbl s)
+  | None, Sexp.List (Sexp.Atom ("entity" | "tuple" | "if") :: _) ->
+      Result.map (fun k -> Ctor k) (ctor_of_sexp tbl s)
+  | None, _ -> fail "bad term %s" (Sexp.to_string s)
+
+let table_of_entries entries =
+  let tbl = { terms = Array.make (List.length entries) (Cond Query.Cond.True); len = 0 } in
+  let rec go = function
+    | [] -> Ok tbl
+    | s :: rest ->
+        let* t = term_of_sexp tbl s in
+        tbl.terms.(tbl.len) <- t;
+        tbl.len <- tbl.len + 1;
+        go rest
+  in
+  go entries
+
+let view_of_sexp tbl s =
   let* args = Sexp.as_field "view" s in
   match args with
   | [ q; c ] ->
-      let* query = query_of_sexp q in
-      let* ctor = ctor_of_sexp c in
+      let* query = query_at tbl q in
+      let* ctor = ctor_at tbl c in
       Ok { Query.View.query; ctor }
   | _ -> fail "bad view %s" (Sexp.to_string s)
 
@@ -255,9 +410,8 @@ let mult_of_string = function
   | "many" -> Ok Edm.Association.Many
   | s -> fail "bad multiplicity %s" s
 
-let sexp_of_client client =
-  Sexp.field "client"
-    (List.map sexp_of_etype (Edm.Schema.types client)
+let client_fields client =
+  List.map sexp_of_etype (Edm.Schema.types client)
     @ List.map
         (fun (set, root) -> Sexp.field "eset" [ Sexp.string set; Sexp.string root ])
         (Edm.Schema.entity_sets client)
@@ -268,7 +422,7 @@ let sexp_of_client client =
               Sexp.string a.Edm.Association.end2;
               Sexp.atom (mult_to_string a.Edm.Association.mult1);
               Sexp.atom (mult_to_string a.Edm.Association.mult2) ])
-        (Edm.Schema.associations client))
+        (Edm.Schema.associations client)
 
 let client_of_sexp s =
   let* fields = Sexp.as_field "client" s in
@@ -379,8 +533,7 @@ let table_of_sexp s =
       Ok { Relational.Table.name; columns; key; fks }
   | _ -> fail "bad table %s" (Sexp.to_string s)
 
-let sexp_of_store store =
-  Sexp.field "store" (List.map sexp_of_table (Relational.Schema.tables store))
+let store_fields store = List.map sexp_of_table (Relational.Schema.tables store)
 
 let store_of_sexp s =
   let* tables = Sexp.as_field "store" s in
@@ -393,23 +546,25 @@ let store_of_sexp s =
 
 (* -- fragments ---------------------------------------------------------------------- *)
 
-let sexp_of_fragment (f : Mapping.Fragment.t) =
+let sexp_of_fragment enc (f : Mapping.Fragment.t) =
   let source =
     match f.Mapping.Fragment.client_source with
     | Mapping.Fragment.Set s -> Sexp.field "set" [ Sexp.string s ]
     | Mapping.Fragment.Assoc a -> Sexp.field "assoc" [ Sexp.string a ]
   in
+  let client_cond = reference (cond_ref enc f.Mapping.Fragment.client_cond) in
+  let store_cond = reference (cond_ref enc f.Mapping.Fragment.store_cond) in
   Sexp.field "frag"
     [
       source;
-      sexp_of_cond f.Mapping.Fragment.client_cond;
+      client_cond;
       Sexp.list
         (List.map (fun (a, c) -> Sexp.pair (Sexp.string a) (Sexp.string c)) f.Mapping.Fragment.pairs);
       Sexp.string f.Mapping.Fragment.table;
-      sexp_of_cond f.Mapping.Fragment.store_cond;
+      store_cond;
     ]
 
-let fragment_of_sexp s =
+let fragment_of_sexp tbl s =
   let* args = Sexp.as_field "frag" s in
   match args with
   | [ source; ccond; pairs; table; scond ] ->
@@ -421,7 +576,7 @@ let fragment_of_sexp s =
             Result.map (fun a -> Mapping.Fragment.Assoc a) (Sexp.as_atom a)
         | s -> fail "bad fragment source %s" (Sexp.to_string s)
       in
-      let* client_cond = cond_of_sexp ccond in
+      let* client_cond = cond_at tbl ccond in
       let* pairs =
         Result.bind (Sexp.as_list pairs)
           (map_ok (function
@@ -432,80 +587,126 @@ let fragment_of_sexp s =
             | s -> fail "bad pair %s" (Sexp.to_string s)))
       in
       let* table = Sexp.as_atom table in
-      let* store_cond = cond_of_sexp scond in
+      let* store_cond = cond_at tbl scond in
       Ok { Mapping.Fragment.client_source; client_cond; pairs; table; store_cond }
   | _ -> fail "bad fragment %s" (Sexp.to_string s)
 
 (* -- the whole state -------------------------------------------------------------------- *)
 
+(* The document is [(state (client ..) (store ..) (terms ..) (fragments ..)
+   (query_views ..) (update_views ..))], laid out with one field per line and
+   one element of a field per line, so it diffs line by line. *)
+let render fields =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b "(state";
+  List.iter
+    (fun (name, items) ->
+      Buffer.add_string b "\n (";
+      Buffer.add_string b name;
+      List.iter
+        (fun item ->
+          Buffer.add_string b "\n  ";
+          Buffer.add_string b item)
+        items;
+      Buffer.add_char b ')')
+    fields;
+  Buffer.add_string b ")\n";
+  Buffer.contents b
+
 let save (st : Core.State.t) =
+  Obs.Span.with_ ~name:"surface.io.encode" @@ fun () ->
+  let enc = encoder () in
+  let render_all = List.map Sexp.to_string in
+  (* Interning order is document order: fragments, query views, update views. *)
+  let fragments =
+    List.map (sexp_of_fragment enc) (Mapping.Fragments.to_list st.Core.State.fragments)
+  in
+  let binding kind (name, v) = Sexp.field kind [ Sexp.string name; sexp_of_view enc v ] in
   let qv = st.Core.State.query_views in
-  let doc =
-    Sexp.field "state"
+  let entity_views = List.map (binding "for_entity") (Query.View.entity_view_bindings qv) in
+  let assoc_views = List.map (binding "for_assoc") (Query.View.assoc_view_bindings qv) in
+  let update_views =
+    List.map (binding "for_table") (Query.View.update_view_bindings st.Core.State.update_views)
+  in
+  let text =
+    render
       [
-        sexp_of_client st.Core.State.env.Query.Env.client;
-        sexp_of_store st.Core.State.env.Query.Env.store;
-        Sexp.field "fragments"
-          (List.map sexp_of_fragment (Mapping.Fragments.to_list st.Core.State.fragments));
-        Sexp.field "query_views"
-          (List.map
-             (fun (ty, v) -> Sexp.field "for_entity" [ Sexp.string ty; sexp_of_view v ])
-             (Query.View.entity_view_bindings qv)
-          @ List.map
-              (fun (a, v) -> Sexp.field "for_assoc" [ Sexp.string a; sexp_of_view v ])
-              (Query.View.assoc_view_bindings qv));
-        Sexp.field "update_views"
-          (List.map
-             (fun (t, v) -> Sexp.field "for_table" [ Sexp.string t; sexp_of_view v ])
-             (Query.View.update_view_bindings st.Core.State.update_views));
+        ("client", render_all (client_fields st.Core.State.env.Query.Env.client));
+        ("store", render_all (store_fields st.Core.State.env.Query.Env.store));
+        ("terms", List.rev enc.entries);
+        ("fragments", render_all fragments);
+        ("query_views", render_all (entity_views @ assoc_views));
+        ("update_views", render_all update_views);
       ]
   in
-  Sexp.to_string_hum doc ^ "\n"
+  Obs.Span.add_attr "bytes" (string_of_int (String.length text));
+  Obs.Span.add_attr "terms" (string_of_int enc.count);
+  text
 
-let load text =
-  let* doc = Sexp.of_string text in
+(* The term table and the other five fields of a document.  A document without
+   a table (the tree form) has every term inline. *)
+let split doc =
   let* fields = Sexp.as_field "state" doc in
   match fields with
-  | [ client_s; store_s; frags_s; qv_s; uv_s ] ->
-      let* client = client_of_sexp client_s in
-      let* store = store_of_sexp store_s in
-      let* frag_list = Sexp.as_field "fragments" frags_s in
-      let* frags = map_ok fragment_of_sexp frag_list in
-      let* qv_fields = Sexp.as_field "query_views" qv_s in
-      let* query_views =
-        List.fold_left
-          (fun acc f ->
-            let* qv = acc in
-            match f with
-            | Sexp.List [ Sexp.Atom "for_entity"; ty; v ] ->
-                let* ty = Sexp.as_atom ty in
-                let* v = view_of_sexp v in
-                Ok (Query.View.set_entity_view ty v qv)
-            | Sexp.List [ Sexp.Atom "for_assoc"; a; v ] ->
-                let* a = Sexp.as_atom a in
-                let* v = view_of_sexp v in
-                Ok (Query.View.set_assoc_view a v qv)
-            | s -> fail "bad query-view entry %s" (Sexp.to_string s))
-          (Ok Query.View.no_query_views) qv_fields
-      in
-      let* uv_fields = Sexp.as_field "update_views" uv_s in
-      let* update_views =
-        List.fold_left
-          (fun acc f ->
-            let* uv = acc in
-            match f with
-            | Sexp.List [ Sexp.Atom "for_table"; t; v ] ->
-                let* t = Sexp.as_atom t in
-                let* v = view_of_sexp v in
-                Ok (Query.View.set_table_view t v uv)
-            | s -> fail "bad update-view entry %s" (Sexp.to_string s))
-          (Ok Query.View.no_update_views) uv_fields
-      in
-      Ok
-        {
-          Core.State.env = Query.Env.make ~client ~store;
-          fragments = Mapping.Fragments.of_list frags;
-          query_views;
-          update_views;
-        }
+  | [ client_s; store_s; Sexp.List (Sexp.Atom "terms" :: entries); frags_s; qv_s; uv_s ] ->
+      Ok (entries, (client_s, store_s, frags_s, qv_s, uv_s))
+  | [ client_s; store_s; frags_s; qv_s; uv_s ] -> Ok ([], (client_s, store_s, frags_s, qv_s, uv_s))
   | _ -> fail "bad state document"
+
+let decode entries (client_s, store_s, frags_s, qv_s, uv_s) =
+  let* client = client_of_sexp client_s in
+  let* store = store_of_sexp store_s in
+  let* tbl = table_of_entries entries in
+  let* frag_list = Sexp.as_field "fragments" frags_s in
+  let* frags = map_ok (fragment_of_sexp tbl) frag_list in
+  let* qv_fields = Sexp.as_field "query_views" qv_s in
+  let* query_views =
+    List.fold_left
+      (fun acc f ->
+        let* qv = acc in
+        match f with
+        | Sexp.List [ Sexp.Atom "for_entity"; ty; v ] ->
+            let* ty = Sexp.as_atom ty in
+            let* v = view_of_sexp tbl v in
+            Ok (Query.View.set_entity_view ty v qv)
+        | Sexp.List [ Sexp.Atom "for_assoc"; a; v ] ->
+            let* a = Sexp.as_atom a in
+            let* v = view_of_sexp tbl v in
+            Ok (Query.View.set_assoc_view a v qv)
+        | s -> fail "bad query-view entry %s" (Sexp.to_string s))
+      (Ok Query.View.no_query_views) qv_fields
+  in
+  let* uv_fields = Sexp.as_field "update_views" uv_s in
+  let* update_views =
+    List.fold_left
+      (fun acc f ->
+        let* uv = acc in
+        match f with
+        | Sexp.List [ Sexp.Atom "for_table"; t; v ] ->
+            let* t = Sexp.as_atom t in
+            let* v = view_of_sexp tbl v in
+            Ok (Query.View.set_table_view t v uv)
+        | s -> fail "bad update-view entry %s" (Sexp.to_string s))
+      (Ok Query.View.no_update_views) uv_fields
+  in
+  Ok
+    {
+      Core.State.env = Query.Env.make ~client ~store;
+      fragments = Mapping.Fragments.of_list frags;
+      query_views;
+      update_views;
+    }
+
+let load text =
+  let bytes = ("bytes", string_of_int (String.length text)) in
+  let* entries, fields =
+    Obs.Span.with_ ~attrs:[ bytes ] ~name:"surface.io.parse" (fun () ->
+        let parsed = Result.bind (Sexp.of_string text) split in
+        Result.iter
+          (fun (entries, _) -> Obs.Span.add_attr "terms" (string_of_int (List.length entries)))
+          parsed;
+        parsed)
+  in
+  Obs.Span.with_ ~attrs:[ bytes ] ~name:"surface.io.decode" (fun () ->
+      Obs.Span.add_attr "terms" (string_of_int (List.length entries));
+      decode entries fields)

@@ -270,14 +270,6 @@ let prop_sexp_roundtrip =
       | Ok s' -> Surface.Sexp.equal s s'
       | Error e -> QCheck.Test.fail_reportf "reparse failed: %s" e)
 
-let prop_sexp_hum_roundtrip =
-  qtest "humanized s-expressions roundtrip" ~count:200
-    (QCheck.make ~print:Surface.Sexp.to_string (gen_sexp 16))
-    (fun s ->
-      match Surface.Sexp.of_string (Surface.Sexp.to_string_hum s) with
-      | Ok s' -> Surface.Sexp.equal s s'
-      | Error e -> QCheck.Test.fail_reportf "reparse failed: %s" e)
-
 (* -- state save/load ---------------------------------------------------------------- *)
 
 let test_state_roundtrip () =
@@ -332,6 +324,157 @@ let test_state_io_views_after_evolution () =
   | Ok _ -> ()
   | Error f -> Alcotest.failf "reloaded views broke roundtripping: %a" Roundtrip.Check.pp_failure f
 
+(* -- shared-term documents ------------------------------------------------------------ *)
+
+let save = Surface.State_io.save
+let load = Surface.State_io.load
+
+let chain5_evolved =
+  lazy
+    (let env, frags = Workload.Chain.generate ~size:5 in
+     let st = Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile env frags)) in
+     List.fold_left
+       (fun st (label, smo) ->
+         if label = "AE-TPC-fk" then st
+         else match Core.Engine.apply st smo with Ok st' -> st' | Error _ -> st)
+       st
+       (Workload.Chain.smo_suite ~at:2))
+
+let paper_state = lazy (ok_exn (Core.State.bootstrap P.stage4.P.env P.stage4.P.fragments))
+
+(* The customer model's views, as [imcc compile -m customer --no-validate]
+   builds them. *)
+let customer_state =
+  lazy
+    (let env, frags = Workload.Customer.generate () in
+     Core.State.of_compiled env frags
+       (ok_exn (Fullc.Compile.compile ~validate:false ~jobs:1 env frags)))
+
+(* The same document with every back-reference replaced by its entry and the
+   term table dropped: the tree form, where every term is inline. *)
+let inline_terms text =
+  match ok_exn (Surface.Sexp.of_string text) with
+  | Surface.Sexp.List
+      [ state; client; store; Surface.Sexp.List (_ :: entries); frags; qv; uv ] ->
+      let table = Array.of_list entries in
+      let rec expand = function
+        | Surface.Sexp.Atom a when String.length a > 1 && a.[0] = '#' ->
+            expand table.(int_of_string (String.sub a 1 (String.length a - 1)))
+        | Surface.Sexp.Atom _ as a -> a
+        | Surface.Sexp.List l -> Surface.Sexp.List (List.map expand l)
+      in
+      Surface.Sexp.to_string
+        (Surface.Sexp.List [ state; client; store; expand frags; expand qv; expand uv ])
+  | _ -> Alcotest.fail "saved state has no term table"
+
+let test_tree_form_loads () =
+  List.iter
+    (fun (name, st) ->
+      let text = save (Lazy.force st) in
+      let tree = inline_terms text in
+      checkb (name ^ ": the tree form has no references") false (String.contains tree '#');
+      match load tree with
+      | Ok st' -> checkb (name ^ ": tree form loads to the same state") true (save st' = text)
+      | Error e -> Alcotest.failf "%s: tree form does not load: %s" name e)
+    [ ("paper", paper_state); ("chain-5", chain5_evolved) ]
+
+let test_canonical_form () =
+  List.iter
+    (fun (name, st) ->
+      let st = Lazy.force st in
+      let unshared : Core.State.t =
+        Marshal.from_string (Marshal.to_string st [ Marshal.No_sharing ]) 0
+      in
+      checkb (name ^ ": an unshared copy saves to the same text") true (save unshared = save st))
+    [ ("paper", paper_state); ("chain-5", chain5_evolved); ("customer", customer_state) ]
+
+let test_customer_roundtrip () =
+  let st = Lazy.force customer_state in
+  let text = save st in
+  checkb "customer state saves to under 1 MB" true (String.length text < 1_000_000);
+  let st' = ok_exn (load text) in
+  checkb "save (load t) = t" true (save st' = text);
+  List.iter
+    (fun (ty, v) ->
+      match Query.View.entity_view st'.Core.State.query_views ty with
+      | Some v' -> checkb ("query view " ^ ty) true (Query.View.equal v v')
+      | None -> Alcotest.failf "query view %s lost" ty)
+    (Query.View.entity_view_bindings st.Core.State.query_views);
+  let label, smo = List.hd (Workload.Customer.smo_suite ()) in
+  let evolved = ok_v (Core.Engine.apply st' smo) in
+  let text' = save evolved in
+  checkb (label ^ ": save (load t) = t after the SMO") true (save (ok_exn (load text')) = text')
+
+let test_loaded_state_is_shared () =
+  let st = Lazy.force customer_state in
+  let loaded = ok_exn (load (save st)) in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let compiled = words st and reloaded = words loaded in
+  if reloaded > 2 * compiled then
+    Alcotest.failf "loaded state has %d words, the compiled one %d" reloaded compiled
+
+(* Hand-written documents around a two-entry table whose entry 0 is [true]. *)
+let doc ?(terms = "true (select #0 (scan (table T)))") ?(frags = "") ?(views = "") () =
+  Printf.sprintf "(state (client) (store) (terms %s) (fragments %s) (query_views %s) (update_views))"
+    terms frags views
+
+let test_bad_references () =
+  let view q c = Printf.sprintf "(for_entity E (view %s %s))" q c in
+  checkb "a well-formed table loads" true
+    (Result.is_ok (load (doc ~views:(view "#1" "(entity E (Id))") ())));
+  List.iter
+    (fun (what, text) ->
+      match load text with
+      | Ok _ -> Alcotest.failf "%s: loaded" what
+      | Error _ -> ())
+    [
+      ("forward reference", doc ~terms:"(and #1 #0) true" ());
+      ("self reference", doc ~terms:"(and #0 #0)" ());
+      ("dangling reference in a view", doc ~views:(view "#7" "(entity E (Id))") ());
+      ("out-of-range reference", doc ~views:(view "#2" "(entity E (Id))") ());
+      ("overflowing reference", doc ~views:(view "#99999999999999999999" "(entity E (Id))") ());
+      ("negative reference", doc ~views:(view "#-1" "(entity E (Id))") ());
+      ("malformed reference", doc ~views:(view "#1x" "(entity E (Id))") ());
+      ("empty reference", doc ~views:(view "#" "(entity E (Id))") ());
+      ("condition used as a query", doc ~views:(view "#0" "(entity E (Id))") ());
+      ("query used as a condition", doc ~terms:"true (scan (set S)) (and #0 #1)" ());
+      ("query used as a constructor", doc ~views:(view "#1" "#1") ());
+      ("query in a fragment condition",
+       doc ~frags:"(frag (set S) #1 ((Id Id)) T #0)" ());
+      ("unknown term", doc ~terms:"true (nand #0 #0)" ());
+    ]
+
+(* Truncated and byte-mutated saved states: [load] answers, [Ok] or [Error],
+   and never raises. *)
+let prop_load_never_raises =
+  let texts = lazy [| save (Lazy.force paper_state); save (Lazy.force chain5_evolved) |] in
+  let damage =
+    QCheck.Gen.(
+      pair (int_bound 1)
+        (oneof
+           [
+             map (fun f -> `Truncate f) (float_bound_inclusive 1.);
+             map (fun (f, c) -> `Mutate (f, c)) (pair (float_bound_inclusive 1.) printable);
+             map (fun f -> `Delete f) (float_bound_inclusive 1.);
+           ]))
+  in
+  let apply text = function
+    | `Truncate f -> String.sub text 0 (int_of_float (f *. float_of_int (String.length text)))
+    | `Mutate (f, c) ->
+        let b = Bytes.of_string text in
+        Bytes.set b (min (Bytes.length b - 1) (int_of_float (f *. float_of_int (Bytes.length b)))) c;
+        Bytes.to_string b
+    | `Delete f ->
+        let i = min (String.length text - 1) (int_of_float (f *. float_of_int (String.length text))) in
+        String.sub text 0 i ^ String.sub text (i + 1) (String.length text - i - 1)
+  in
+  qtest "load never raises on damaged documents" ~count:500 (QCheck.make damage)
+    (fun (which, d) ->
+      let damaged = apply (Lazy.force texts).(which) d in
+      match load damaged with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "surface"
     [
@@ -349,10 +492,16 @@ let () =
           Alcotest.test_case "SMO printing roundtrips" `Quick test_smo_print_parse_roundtrip;
           Alcotest.test_case "inferred diffs replay" `Quick test_diff_script_replays;
         ] );
-      ("sexp", [ prop_sexp_roundtrip; prop_sexp_hum_roundtrip ]);
+      ("sexp", [ prop_sexp_roundtrip ]);
       ( "state io",
         [
           Alcotest.test_case "save/load roundtrip" `Quick test_state_roundtrip;
           Alcotest.test_case "evolved views survive" `Quick test_state_io_views_after_evolution;
+          Alcotest.test_case "tree form loads" `Quick test_tree_form_loads;
+          Alcotest.test_case "canonical form" `Quick test_canonical_form;
+          Alcotest.test_case "customer save (load t) = t" `Quick test_customer_roundtrip;
+          Alcotest.test_case "loaded state is shared" `Quick test_loaded_state_is_shared;
+          Alcotest.test_case "bad references" `Quick test_bad_references;
+          prop_load_never_raises;
         ] );
     ]
