@@ -360,7 +360,8 @@ let query_cmd =
     Arg.(value & flag
          & info [ "exec" ]
              ~doc:"Execute the physical plan against the store instance derived from --data and \
-                   cross-check it against the naive evaluator.")
+                   cross-check it against the naive evaluator.  Exits 1 when the physical and \
+                   naive rows, or the client-side and store-side rows, disagree.")
   in
   let run name file size data qtext plan exec jobs =
     let env, frags, loaded = load_input ~model:name ~file ~size in
@@ -390,28 +391,35 @@ let query_cmd =
         let store_rows = Query.Eval.rows_set env (Query.Eval.store_db store) unfolded in
         Format.printf "@.-- rows (over %s)@." path;
         List.iter (fun r -> Format.printf "%a@." Datum.Row.pp r) client_rows;
-        Format.printf "@.client-side and store-side evaluation agree: %b@."
-          (List.equal Datum.Row.equal client_rows store_rows);
-        match phys with
-        | Some p when exec ->
-            let db = Query.Eval.store_db store in
-            let idb = Exec.Idb.make env db in
-            let before = Obs.Metric.snapshot () in
-            let t0 = Unix.gettimeofday () in
-            let exec_rows = Exec.Run.rows ~jobs idb p in
-            let dt = Unix.gettimeofday () -. t0 in
-            let delta = counters ~prefix:"exec." (since before) in
-            let naive = List.sort Datum.Row.compare (Query.Eval.rows env db unfolded) in
-            let agree =
-              List.equal Datum.Row.equal naive (List.sort Datum.Row.compare exec_rows)
-            in
-            Format.printf "@.-- physical execution (jobs=%d)@." jobs;
-            Format.printf "%d rows in %.3f ms; agrees with naive evaluation: %b@."
-              (List.length exec_rows) (dt *. 1000.) agree;
-            List.iter
-              (fun (name, v) -> Format.printf "  %-24s %d@." name v)
-              delta.Obs.Metric.counters
-        | Some _ | None -> ()
+        let client_agree = List.equal Datum.Row.equal client_rows store_rows in
+        Format.printf "@.client-side and store-side evaluation agree: %b@." client_agree;
+        let exec_agree =
+          match phys with
+          | Some p when exec ->
+              let db = Query.Eval.store_db store in
+              let idb = Exec.Idb.make env db in
+              let before = Obs.Metric.snapshot () in
+              let t0 = Unix.gettimeofday () in
+              let exec_rows = Exec.Run.rows ~jobs idb p in
+              let dt = Unix.gettimeofday () -. t0 in
+              let delta = counters ~prefix:"exec." (since before) in
+              let naive = List.sort Datum.Row.compare (Query.Eval.rows env db unfolded) in
+              let agree =
+                List.equal Datum.Row.equal naive (List.sort Datum.Row.compare exec_rows)
+              in
+              Format.printf "@.-- physical execution (jobs=%d)@." jobs;
+              Format.printf "%d rows in %.3f ms; agrees with naive evaluation: %b@."
+                (List.length exec_rows) (dt *. 1000.) agree;
+              List.iter
+                (fun (name, v) -> Format.printf "  %-24s %d@." name v)
+                delta.Obs.Metric.counters;
+              agree
+          | Some _ | None -> true
+        in
+        if not (client_agree && exec_agree) then begin
+          Printf.eprintf "error: the evaluations of the query disagree\n";
+          exit 1
+        end
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Translate (and optionally evaluate) a client query by view unfolding")

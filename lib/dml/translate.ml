@@ -71,60 +71,6 @@ let topo_tables schema =
   place tables;
   !placed
 
-let diff_table (tbl : Relational.Table.t) ~old_rows ~new_rows =
-  let key_of r = Datum.Row.project tbl.Relational.Table.key r in
-  let keyed rows = List.map (fun r -> (key_of r, r)) rows in
-  let old_k = keyed (List.sort_uniq Datum.Row.compare old_rows) in
-  let new_k = keyed (List.sort_uniq Datum.Row.compare new_rows) in
-  let find k l = List.find_opt (fun (k', _) -> Datum.Row.equal k k') l in
-  let deletes =
-    List.filter_map
-      (fun (k, _) ->
-        if find k new_k = None then Some (Delete_row { table = tbl.Relational.Table.name; key = k })
-        else None)
-      old_k
-  in
-  let inserts =
-    List.filter_map
-      (fun (k, r) ->
-        if find k old_k = None then Some (Insert_row { table = tbl.Relational.Table.name; row = r })
-        else None)
-      new_k
-  in
-  let updates =
-    List.filter_map
-      (fun (k, r_new) ->
-        match find k old_k with
-        | Some (_, r_old) when not (Datum.Row.equal r_old r_new) ->
-            let changes =
-              List.filter
-                (fun (c, v) -> not (Datum.Value.equal v (Datum.Row.get c r_old)))
-                (Datum.Row.to_list r_new)
-            in
-            Some (Update_row { table = tbl.Relational.Table.name; key = k; changes })
-        | _ -> None)
-      new_k
-  in
-  (deletes, updates, inserts)
-
-let diff_stores schema ~old_store ~new_store =
-  let order = topo_tables schema in
-  let per_table =
-    List.map
-      (fun name ->
-        let tbl = Relational.Schema.get_table schema name in
-        diff_table tbl
-          ~old_rows:(Relational.Instance.rows old_store ~table:name)
-          ~new_rows:(Relational.Instance.rows new_store ~table:name))
-      order
-  in
-  (* Deletes in reverse topological order (children first), then updates,
-     then inserts in topological order (parents first). *)
-  let deletes = List.concat_map (fun (d, _, _) -> d) (List.rev per_table) in
-  let updates = List.concat_map (fun (_, u, _) -> u) per_table in
-  let inserts = List.concat_map (fun (_, _, i) -> i) per_table in
-  deletes @ updates @ inserts
-
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
@@ -137,11 +83,8 @@ let ivm_op = function
   | Delta.Insert_link { assoc; link } -> Ivm.Apply.Insert_link { assoc; link }
   | Delta.Delete_link { assoc; link } -> Ivm.Apply.Delete_link { assoc; link }
 
-(* Same classification and ordering as [diff_stores], fed from table deltas
-   instead of whole-store diffs.  [removed]/[added] are sorted subsets of the
-   sorted row lists [diff_table] iterates, and a sorted subset preserves
-   relative order, so the emitted script is byte-identical to the full-diff
-   script (pinned by the differential tests in test/test_ivm.ml). *)
+(* Deletes run children first and inserts parents first, so that no delete
+   or insert leaves a foreign key dangling. *)
 let script_of_deltas schema (deltas : Ivm.Apply.table_delta list) =
   let by_table = List.map (fun (d : Ivm.Apply.table_delta) -> (d.Ivm.Apply.table, d)) deltas in
   let per_table =
@@ -193,6 +136,34 @@ let script_of_deltas schema (deltas : Ivm.Apply.table_delta list) =
   let updates = List.concat_map (fun (_, u, _) -> u) per_table in
   let inserts = List.concat_map (fun (_, _, i) -> i) per_table in
   deletes @ updates @ inserts
+
+(* The rows only in [old_rows] and the rows only in [new_rows], each
+   ascending: a sorted merge of the two deduplicated images. *)
+let sorted_diff old_rows new_rows =
+  let rec go removed added = function
+    | [], ns -> (List.rev removed, List.rev_append added ns)
+    | os, [] -> (List.rev_append removed os, List.rev added)
+    | (o :: os' as os), (n :: ns' as ns) ->
+        let c = Datum.Row.compare o n in
+        if c = 0 then go removed added (os', ns')
+        else if c < 0 then go (o :: removed) added (os', ns)
+        else go removed (n :: added) (os, ns')
+  in
+  let sorted rows = List.sort_uniq Datum.Row.compare rows in
+  go [] [] (sorted old_rows, sorted new_rows)
+
+let diff_stores schema ~old_store ~new_store =
+  script_of_deltas schema
+    (List.map
+       (fun (tbl : Relational.Table.t) ->
+         let table = tbl.Relational.Table.name in
+         let removed, added =
+           sorted_diff
+             (Relational.Instance.rows old_store ~table)
+             (Relational.Instance.rows new_store ~table)
+         in
+         { Ivm.Apply.table; removed; added })
+       (Relational.Schema.tables schema))
 
 type incremental = { env : Query.Env.t; plan : Ivm.Plan.t; state : Ivm.State.t }
 

@@ -27,9 +27,9 @@ val to_sql : script -> string
 val diff_stores :
   Relational.Schema.t -> old_store:Relational.Instance.t -> new_store:Relational.Instance.t ->
   script
-(** Per-table, keyed diff.  Deletes are emitted before inserts and updates
-    table-by-table; cross-table ordering follows foreign-key topology where
-    possible (referenced tables' inserts first, deletes last). *)
+(** Per-table, keyed diff: a sorted merge of each table's old and new
+    images yields its removed and added rows, which {!script_of_deltas}
+    classifies and orders. *)
 
 val translate :
   Query.Env.t -> Query.View.update_views -> old_client:Edm.Instance.t -> delta:Delta.t ->
@@ -70,8 +70,12 @@ val ivm_store : incremental -> Relational.Instance.t
     state through the update views). *)
 
 val script_of_deltas : Relational.Schema.t -> Ivm.Apply.table_delta list -> script
-(** Classify per-table removed/added rows into DELETE/UPDATE/INSERT and
-    order them exactly as {!diff_stores} does. *)
+(** Classify per-table removed/added rows by primary key into
+    DELETE/UPDATE/INSERT.  All deletes come first, in reverse foreign-key
+    topological order (children first); then all updates; then all inserts
+    in topological order (referenced tables first).  Self references fall
+    back to name order.  This is the one classifier: {!diff_stores} and
+    {!ivm_step} both end here. *)
 
 val apply_script :
   Relational.Instance.t -> script -> (Relational.Instance.t, string) result

@@ -1,5 +1,3 @@
-type join_kind = Inner | Left | Full
-
 type access =
   | Full_scan
   | Index_eq of { col : string; value : Datum.Value.t }
@@ -14,17 +12,9 @@ type node =
   | Filter of Query.Cond.t * node
   | Project of Query.Algebra.proj_item list * node
   | Hash_join of join
-  | Nested_loop of join
   | Append of node * node
 
-and join = {
-  kind : join_kind;
-  on : string list;
-  left : node;
-  right : node;
-  left_pad : string list;
-  right_pad : string list;
-}
+and join = { spec : Query.Join.t; left : node; right : node }
 
 type t = node
 
@@ -33,7 +23,10 @@ let source_name = function
   | Query.Algebra.Assoc_set a -> a
   | Query.Algebra.Table t -> t
 
-let kind_name = function Inner -> "inner" | Left -> "left outer" | Full -> "full outer"
+let kind_name = function
+  | Query.Join.Inner -> "inner"
+  | Query.Join.Left -> "left outer"
+  | Query.Join.Full -> "full outer"
 
 let item_string = function
   | Query.Algebra.Col { src; dst } ->
@@ -77,13 +70,8 @@ let show t =
         go (indent + 2) n
     | Hash_join j ->
         line indent
-          (Printf.sprintf "hash join (%s) on {%s}" (kind_name j.kind) (String.concat "," j.on));
-        go (indent + 2) j.left;
-        go (indent + 2) j.right
-    | Nested_loop j ->
-        line indent
-          (Printf.sprintf "nested loop (%s) on {%s}" (kind_name j.kind)
-             (String.concat "," j.on));
+          (Printf.sprintf "hash join (%s) on {%s}" (kind_name j.spec.kind)
+             (String.concat "," j.spec.on));
         go (indent + 2) j.left;
         go (indent + 2) j.right
     | Append (a, b) ->
@@ -100,5 +88,5 @@ let rec index_scans = function
   | Scan { access = Index_eq _; _ } -> 1
   | Scan { access = Full_scan; _ } -> 0
   | Filter (_, n) | Project (_, n) -> index_scans n
-  | Hash_join j | Nested_loop j -> index_scans j.left + index_scans j.right
+  | Hash_join j -> index_scans j.left + index_scans j.right
   | Append (a, b) -> index_scans a + index_scans b

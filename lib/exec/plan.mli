@@ -2,13 +2,12 @@
 
     A plan is what {!Planner} lowers a {!Query.Algebra} tree into and what
     {!Run} executes: scans annotated with an access path (full or hash-index
-    probe), a residual filter and an optionally fused projection; hash joins
-    with precomputed outer-join padding; a nested-loop fallback for joins
-    without equality columns; and bag union.  The executor's semantics on any
-    plan produced by {!Planner} equal [Query.Eval.rows] on the source query,
-    as bags. *)
-
-type join_kind = Inner | Left | Full
+    probe), a residual filter and an optionally fused projection; hash joins,
+    each carrying its {!Query.Join.t} spec (kind, join columns, precomputed
+    outer-join padding); and bag union.  A join without equality columns is
+    a hash join too: every row's key is empty, so the single bucket yields
+    the cross product.  The executor's semantics on any plan produced by
+    {!Planner} equal [Query.Eval.rows] on the source query, as bags. *)
 
 type access =
   | Full_scan
@@ -27,22 +26,10 @@ type node =
     }
   | Filter of Query.Cond.t * node
   | Project of Query.Algebra.proj_item list * node
-  | Hash_join of join  (** equi-join: build on [right], probe from [left] *)
-  | Nested_loop of join  (** fallback, used when [on] is empty *)
+  | Hash_join of join  (** build on [right], probe from [left] *)
   | Append of node * node  (** UNION ALL *)
 
-and join = {
-  kind : join_kind;
-  on : string list;
-  left : node;
-  right : node;
-  left_pad : string list;
-      (** right-side-only columns NULL-padded onto unmatched left rows
-          ([Left]/[Full]) *)
-  right_pad : string list;
-      (** left-side-only columns NULL-padded onto unmatched right rows
-          ([Full] only) *)
-}
+and join = { spec : Query.Join.t; left : node; right : node }
 
 type t = node
 

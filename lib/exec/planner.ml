@@ -99,9 +99,9 @@ let rec lower env filters q =
         | inner -> Plan.Project (items, inner)
       in
       wrap_residual (List.rev residual) node
-  | A.Join (l, r, on) -> lower_join env filters Plan.Inner l r on
-  | A.Left_outer_join (l, r, on) -> lower_join env filters Plan.Left l r on
-  | A.Full_outer_join (l, r, on) -> lower_join env filters Plan.Full l r on
+  | A.Join (l, r, on) -> lower_join env filters Query.Join.Inner l r on
+  | A.Left_outer_join (l, r, on) -> lower_join env filters Query.Join.Left l r on
+  | A.Full_outer_join (l, r, on) -> lower_join env filters Query.Join.Full l r on
   | A.Union_all (l, r) -> Plan.Append (lower env filters l, lower env filters r)
 
 and lower_join env filters kind l r on =
@@ -111,37 +111,24 @@ and lower_join env filters kind l r on =
       (fun (tl, tr, res) f ->
         let cols = cond_columns f in
         match kind with
-        | Plan.Inner ->
+        | Query.Join.Inner ->
             if subset cols lcols then (f :: tl, tr, res)
             else if subset cols rcols then (tl, f :: tr, res)
             else (tl, tr, f :: res)
-        | Plan.Left ->
+        | Query.Join.Left ->
             (* only the preserved side; right-side rows are NULL-padded *)
             if subset cols lcols then (f :: tl, tr, res) else (tl, tr, f :: res)
-        | Plan.Full -> (tl, tr, f :: res))
+        | Query.Join.Full -> (tl, tr, f :: res))
       ([], [], []) filters
-  in
-  let not_on c = not (List.mem c on) in
-  let left_pad =
-    match kind with
-    | Plan.Inner -> []
-    | Plan.Left | Plan.Full -> List.filter not_on rcols
-  in
-  let right_pad =
-    match kind with Plan.Inner | Plan.Left -> [] | Plan.Full -> List.filter not_on lcols
   in
   let join =
     {
-      Plan.kind;
-      on;
+      Plan.spec = Query.Join.make kind ~on ~left:lcols ~right:rcols;
       left = lower env (List.rev to_left) l;
       right = lower env (List.rev to_right) r;
-      left_pad;
-      right_pad;
     }
   in
-  let node = if on = [] then Plan.Nested_loop join else Plan.Hash_join join in
-  wrap_residual (List.rev residual) node
+  wrap_residual (List.rev residual) (Plan.Hash_join join)
 
 let plan env q =
   Obs.Span.with_ ~name:"exec.plan" (fun () ->

@@ -5,27 +5,6 @@ module Row = Datum.Row
 let c_scanned = Obs.Metric.counter "exec.rows.scanned"
 let c_joined = Obs.Metric.counter "exec.rows.joined"
 
-module Key = struct
-  type t = Datum.Value.t list
-
-  let equal a b = List.compare Datum.Value.compare a b = 0
-  let hash = Hashtbl.hash
-end
-
-module Key_tbl = Hashtbl.Make (Key)
-
-(* The join key of a row: [None] unless every join column is present and
-   non-NULL — exactly when [Eval.join_match] could succeed. *)
-let key_of on row =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | c :: rest -> (
-        match Row.find c row with
-        | Some v when not (Datum.Value.is_null v) -> go (v :: acc) rest
-        | Some _ | None -> None)
-  in
-  go [] on
-
 let apply_proj proj row =
   match proj with None -> row | Some items -> Eval.project_row items row
 
@@ -79,95 +58,15 @@ let rec exec ~jobs ~par_threshold idb plan =
   | Plan.Project (items, n) ->
       List.map (Eval.project_row items) (exec ~jobs ~par_threshold idb n)
   | Plan.Hash_join j -> hash_join ~jobs ~par_threshold idb j
-  | Plan.Nested_loop j -> nested_loop ~jobs ~par_threshold idb j
   | Plan.Append (a, b) ->
       exec ~jobs ~par_threshold idb a @ exec ~jobs ~par_threshold idb b
 
 and hash_join ~jobs ~par_threshold idb (j : Plan.join) =
   let lrows = exec ~jobs ~par_threshold idb j.left in
-  let rarr = Array.of_list (exec ~jobs ~par_threshold idb j.right) in
-  let matched = Array.make (Array.length rarr) false in
-  let tbl = Key_tbl.create (max 16 (Array.length rarr)) in
-  (* Build in reverse index order so each bucket lists rows in input order. *)
-  for i = Array.length rarr - 1 downto 0 do
-    match key_of j.on rarr.(i) with
-    | Some k ->
-        let bucket = Option.value ~default:[] (Key_tbl.find_opt tbl k) in
-        Key_tbl.replace tbl k ((i, rarr.(i)) :: bucket)
-    | None -> ()
-  done;
-  let pad_left lrow =
-    match j.kind with
-    | Plan.Inner -> []
-    | Plan.Left | Plan.Full -> [ Eval.pad j.left_pad lrow ]
-  in
-  let out =
-    List.concat_map
-      (fun lrow ->
-        match key_of j.on lrow with
-        | None -> pad_left lrow
-        | Some k -> (
-            match Key_tbl.find_opt tbl k with
-            | None | Some [] -> pad_left lrow
-            | Some bucket ->
-                Obs.Metric.incr ~by:(List.length bucket) c_joined;
-                List.map
-                  (fun (i, rrow) ->
-                    matched.(i) <- true;
-                    Row.union lrow rrow)
-                  bucket))
-      lrows
-  in
-  match j.kind with
-  | Plan.Inner | Plan.Left -> out
-  | Plan.Full ->
-      let right_unmatched = ref [] in
-      for i = Array.length rarr - 1 downto 0 do
-        if not matched.(i) then
-          right_unmatched := Eval.pad j.right_pad rarr.(i) :: !right_unmatched
-      done;
-      out @ !right_unmatched
-
-and nested_loop ~jobs ~par_threshold idb (j : Plan.join) =
-  let lrows = exec ~jobs ~par_threshold idb j.left in
   let rrows = exec ~jobs ~par_threshold idb j.right in
-  let joined lrow rrow =
-    Obs.Metric.incr c_joined;
-    Row.union lrow rrow
-  in
-  match j.kind with
-  | Plan.Inner ->
-      List.concat_map
-        (fun lrow ->
-          List.filter_map
-            (fun rrow ->
-              if Eval.join_match j.on lrow rrow then Some (joined lrow rrow) else None)
-            rrows)
-        lrows
-  | Plan.Left ->
-      List.concat_map
-        (fun lrow ->
-          match List.filter (Eval.join_match j.on lrow) rrows with
-          | [] -> [ Eval.pad j.left_pad lrow ]
-          | matches -> List.map (joined lrow) matches)
-        lrows
-  | Plan.Full ->
-      let left_part =
-        List.concat_map
-          (fun lrow ->
-            match List.filter (Eval.join_match j.on lrow) rrows with
-            | [] -> [ Eval.pad j.left_pad lrow ]
-            | matches -> List.map (joined lrow) matches)
-          lrows
-      in
-      let right_unmatched =
-        List.filter_map
-          (fun rrow ->
-            if List.exists (fun lrow -> Eval.join_match j.on lrow rrow) lrows then None
-            else Some (Eval.pad j.right_pad rrow))
-          rrows
-      in
-      left_part @ right_unmatched
+  let out, pairs = Query.Join.hash j.spec lrows rrows in
+  Obs.Metric.incr ~by:pairs c_joined;
+  out
 
 let rows ?(jobs = 1) ?(par_threshold = 2048) idb plan =
   Obs.Span.with_ ~name:"exec.run" (fun () ->

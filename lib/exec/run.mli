@@ -1,11 +1,11 @@
 (** Physical plan execution.
 
     [rows] evaluates a {!Plan} over an {!Idb} with the same bag semantics as
-    [Query.Eval.rows] on the source query: hash joins match exactly when
-    [Query.Eval.join_match] would (all join columns present and non-[NULL] on
-    both sides, values equal), outer joins NULL-pad via the plan's
-    precomputed pad lists, and index probes skip nothing a residual
-    [col = v] filter would keep.
+    [Query.Eval.rows] on the source query: every join runs through
+    [Query.Join.hash] (rows match when all join columns are present and
+    non-[NULL] on both sides and equal; outer joins NULL-pad via the spec's
+    pad lists; a join with no columns is the cross product), and index
+    probes skip nothing a residual [col = v] filter would keep.
 
     Full scans over at least [par_threshold] rows are partitioned across
     [Domain.spawn] workers; [jobs] is a cap, as in [Containment.Discharge]

@@ -2,9 +2,9 @@
    distribute over deltas; unions add them; joins recompute exactly the key
    groups a delta touches (old and new group contents are both at hand in
    {!State.join_state}, so Δout = J(new) − J(old) per touched key, with J
-   replicating [Query.Eval]'s matching and padding row for row).  DISTINCT —
-   applied by [apply_update_views] once to query rows and once to constructed
-   tuples — becomes multiplicity 0↔positive transitions. *)
+   the group's cross product or its padding, decided by [Query.Join.key]).
+   DISTINCT — applied by [apply_update_views] once to query rows and once to
+   constructed tuples — becomes multiplicity 0↔positive transitions. *)
 
 module Row_map = Multiset.Row_map
 
@@ -18,47 +18,35 @@ let c_ctor = Obs.Metric.counter "ivm.rows.ctor"
 
 let tick c d = Obs.Metric.incr ~by:(Multiset.total d) c
 
-(* The join of two key-group bags, replicating Eval's bag semantics: matched
-   pairs multiply their multiplicities; outer kinds pad unmatched rows.  NULL
-   join keys group apart from every non-NULL key and [join_match] refuses
-   them, so NULL-keyed rows are always "unmatched" and pad correctly. *)
-let join_bags (j : Plan.join) lbag rbag =
-  let matched lrow = Multiset.fold (fun rrow _ m -> m || Query.Eval.join_match j.on lrow rrow) rbag in
-  let inner =
+(* The join of one key group.  Every row of a group projects to the same
+   join-key row [k], so either every pair matches — [k] is a full non-NULL
+   key and both sides are non-empty: the cross product, multiplicities
+   multiplied — or no pair does, and the outer kinds pad each side. *)
+let join_group (j : Query.Join.t) k lbag rbag =
+  if Option.is_some (Query.Join.key j.on k)
+     && not (Multiset.is_empty lbag || Multiset.is_empty rbag)
+  then
     Multiset.fold
       (fun lrow cl acc ->
         Multiset.fold
-          (fun rrow cr acc ->
-            if Query.Eval.join_match j.on lrow rrow then
-              Multiset.add (Datum.Row.union lrow rrow) (cl * cr) acc
-            else acc)
+          (fun rrow cr acc -> Multiset.add (Datum.Row.union lrow rrow) (cl * cr) acc)
           rbag acc)
       lbag Multiset.empty
-  in
-  match j.kind with
-  | Plan.Inner -> inner
-  | Plan.Left | Plan.Full ->
-      let out =
-        Multiset.fold
-          (fun lrow cl acc ->
-            if matched lrow false then acc
-            else Multiset.add (Query.Eval.pad j.left_pad lrow) cl acc)
-          lbag inner
-      in
-      if j.kind = Plan.Left then out
-      else
-        Multiset.fold
-          (fun rrow cr acc ->
-            if Multiset.fold (fun lrow _ m -> m || Query.Eval.join_match j.on lrow rrow) lbag false
-            then acc
-            else Multiset.add (Query.Eval.pad j.right_pad rrow) cr acc)
-          rbag out
+  else
+    let padded cols bag acc =
+      Multiset.fold (fun row n acc -> Multiset.add (Query.Join.pad cols row) n acc) bag acc
+    in
+    match j.kind with
+    | Query.Join.Inner -> Multiset.empty
+    | Query.Join.Left -> padded j.left_pad lbag Multiset.empty
+    | Query.Join.Full -> padded j.right_pad rbag (padded j.left_pad lbag Multiset.empty)
 
 let group_keys groups = Row_map.fold (fun k _ acc -> Row_map.add k () acc) groups
 
 let join_delta (j : Plan.join) st dl dr =
   let js = State.join st j.id in
-  let dl_groups = Multiset.group_by j.on dl and dr_groups = Multiset.group_by j.on dr in
+  let on = j.spec.Query.Join.on in
+  let dl_groups = Multiset.group_by on dl and dr_groups = Multiset.group_by on dr in
   let touched = group_keys dr_groups (group_keys dl_groups Row_map.empty) in
   let group m k = Option.value ~default:Multiset.empty (Row_map.find_opt k m) in
   let set_group k g m = if Multiset.is_empty g then Row_map.remove k m else Row_map.add k g m in
@@ -68,7 +56,9 @@ let join_delta (j : Plan.join) st dl dr =
         let old_l = group lefts k and old_r = group rights k in
         let new_l = Multiset.sum (group dl_groups k) old_l in
         let new_r = Multiset.sum (group dr_groups k) old_r in
-        let d = Multiset.diff (join_bags j new_l new_r) (join_bags j old_l old_r) in
+        let d =
+          Multiset.diff (join_group j.spec k new_l new_r) (join_group j.spec k old_l old_r)
+        in
         (Multiset.sum d out, set_group k new_l lefts, set_group k new_r rights))
       touched
       (Multiset.empty, js.State.lefts, js.State.rights)

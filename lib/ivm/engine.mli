@@ -6,10 +6,13 @@
     - π:      Δout = image of Δin under the projection (counts sum)
     - ∪ (ALL): Δout = Δl + Δr
     - ⋈ / ⟕ / ⟗: group both deltas by join key; for each touched key [k],
-      Δout_k = J(L_k + ΔL_k, R_k + ΔR_k) − J(L_k, R_k) where [J] replicates
-      [Query.Eval]'s matching, multiplicity product, and NULL padding on just
-      that group (exact because equal join values imply equal key
-      projections, so no match crosses groups);
+      Δout_k = J(L_k + ΔL_k, R_k + ΔR_k) − J(L_k, R_k).  All rows of a group
+      share one key, so [J] is one of two things: when [Query.Join.key]
+      accepts [k] (every join column present and non-[NULL]) and both sides
+      are non-empty, the cross product with multiplicities multiplied;
+      otherwise the [Query.Join.pad]ding of each side the kind preserves.
+      This is exact because equal join values imply equal key projections,
+      so no match crosses groups, and a keyless join is one group;
     - DISTINCT (applied to query rows, then again to constructed tuples):
       rows whose multiplicity crosses 0 contribute ±1.
 

@@ -4,8 +4,6 @@ module Src_map = Map.Make (struct
   let compare = Query.Algebra.compare_source
 end)
 
-type join_kind = Inner | Left | Full
-
 type node =
   | Scan of Query.Algebra.source
   | Select of Query.Cond.t * node
@@ -13,15 +11,7 @@ type node =
   | Join of join
   | Union of node * node
 
-and join = {
-  id : int;
-  kind : join_kind;
-  on : string list;
-  left : node;
-  right : node;
-  left_pad : string list;
-  right_pad : string list;
-}
+and join = { id : int; spec : Query.Join.t; left : node; right : node }
 
 type table_plan = { table : string; root : node; ctor : Query.Ctor.t }
 
@@ -59,9 +49,9 @@ let rec compile_node env next_id = function
       let* ln = compile_node env next_id l in
       let* rn = compile_node env next_id r in
       Ok (Union (ln, rn))
-  | Query.Algebra.Join (l, r, on) -> compile_join env next_id Inner l r on
-  | Query.Algebra.Left_outer_join (l, r, on) -> compile_join env next_id Left l r on
-  | Query.Algebra.Full_outer_join (l, r, on) -> compile_join env next_id Full l r on
+  | Query.Algebra.Join (l, r, on) -> compile_join env next_id Query.Join.Inner l r on
+  | Query.Algebra.Left_outer_join (l, r, on) -> compile_join env next_id Query.Join.Left l r on
+  | Query.Algebra.Full_outer_join (l, r, on) -> compile_join env next_id Query.Join.Full l r on
 
 and compile_join env next_id kind l r on =
   let* lcols = Query.Algebra.infer env l in
@@ -70,10 +60,8 @@ and compile_join env next_id kind l r on =
   let* rn = compile_node env next_id r in
   let id = !next_id in
   incr next_id;
-  let not_on c = not (List.mem c on) in
-  let left_pad = if kind = Inner then [] else List.filter not_on rcols in
-  let right_pad = if kind = Full then List.filter not_on lcols else [] in
-  Ok (Join { id; kind; on; left = ln; right = rn; left_pad; right_pad })
+  let spec = Query.Join.make kind ~on ~left:lcols ~right:rcols in
+  Ok (Join { id; spec; left = ln; right = rn })
 
 let rec node_sources acc = function
   | Scan s -> if List.exists (Query.Algebra.equal_source s) acc then acc else s :: acc
@@ -115,6 +103,9 @@ let rec pp_node fmt = function
   | Project (_, n) -> Format.fprintf fmt "@[π(%a)@]" pp_node n
   | Join j ->
       Format.fprintf fmt "@[(%a %s#%d{%s} %a)@]" pp_node j.left
-        (match j.kind with Inner -> "⋈" | Left -> "⟕" | Full -> "⟗")
-        j.id (String.concat "," j.on) pp_node j.right
+        (match j.spec.kind with
+        | Query.Join.Inner -> "⋈"
+        | Query.Join.Left -> "⟕"
+        | Query.Join.Full -> "⟗")
+        j.id (String.concat "," j.spec.on) pp_node j.right
   | Union (l, r) -> Format.fprintf fmt "@[(%a ∪ %a)@]" pp_node l pp_node r

@@ -4,8 +4,9 @@
     additions that make incremental evaluation self-contained:
 
     - every join carries a stable [id] (index into the per-join group state
-      of {!State}) and its precomputed outer-join padding column lists, so
-      the engine never re-infers schemas at propagation time;
+      of {!State}) and its {!Query.Join.t} spec — the kind, join columns and
+      precomputed outer-join padding lists shared with [Exec.Plan] — so the
+      engine never re-infers schemas at propagation time;
     - the client-side {e sources} (entity sets and association sets — update
       views never scan store tables) are listed with their key columns, which
       is what lets {!Apply} key the base images.
@@ -14,8 +15,6 @@
     (see [Dml.Translate.ivm_init]). *)
 
 module Src_map : Map.S with type key = Query.Algebra.source
-
-type join_kind = Inner | Left | Full
 
 type node =
   | Scan of Query.Algebra.source
@@ -26,16 +25,9 @@ type node =
 
 and join = {
   id : int;  (** dense index, [0 .. join_count-1], keys the group state *)
-  kind : join_kind;
-  on : string list;
+  spec : Query.Join.t;
   left : node;
   right : node;
-  left_pad : string list;
-      (** right-side-only columns NULL-padded onto unmatched left rows
-          (outer kinds) *)
-  right_pad : string list;
-      (** left-side-only columns NULL-padded onto unmatched right rows
-          ([Full] only) *)
 }
 
 type table_plan = { table : string; root : node; ctor : Query.Ctor.t }

@@ -3,7 +3,9 @@
     Evaluation is the ground truth against which everything else is checked:
     mapping semantics, view correctness, containment soundness and the
     roundtripping criterion are all defined (and property-tested) in terms of
-    [rows]. *)
+    [rows].  Joins here are plain nested loops, written independently of
+    {!Join}: [rows] is the oracle the physical runtimes built on that kernel
+    ([Exec.Run], [Ivm.Engine]) are differentially tested against. *)
 
 type db = { client : Edm.Instance.t; store : Relational.Instance.t }
 
@@ -17,8 +19,8 @@ val rows : Env.t -> db -> Algebra.t -> Datum.Row.t list
 
 (** {2 Row-level building blocks}
 
-    Exposed so incremental evaluators (lib/ivm) can replicate [rows]'s
-    semantics row by row instead of re-running whole queries. *)
+    Exposed so the physical runtimes (lib/exec, lib/ivm) scan and project
+    rows exactly as [rows] does. *)
 
 val entity_row : Env.t -> string -> Edm.Instance.entity -> Datum.Row.t
 (** The scan row of one entity of the named set: every column of
@@ -27,13 +29,6 @@ val entity_row : Env.t -> string -> Edm.Instance.entity -> Datum.Row.t
 
 val project_row : Algebra.proj_item list -> Datum.Row.t -> Datum.Row.t
 (** One row through a projection list ([Col]/[Const]/[Coalesce]). *)
-
-val join_match : string list -> Datum.Row.t -> Datum.Row.t -> bool
-(** Whether two rows join on the given columns: both sides bound, the left
-    value non-[NULL], and the values equal. *)
-
-val pad : string list -> Datum.Row.t -> Datum.Row.t
-(** Bind every listed column to [NULL] (outer-join padding). *)
 
 val rows_set : Env.t -> db -> Algebra.t -> Datum.Row.t list
 (** [rows] deduplicated and sorted — set semantics, the basis of query

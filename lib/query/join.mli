@@ -1,0 +1,42 @@
+(** The join kernel of the physical runtimes.
+
+    One definition of the join kinds, the outer-join padding lists, the
+    NULL-refusing join key and the hash build/probe.  [Exec.Run] runs every
+    join of a plan through {!hash}; [Ivm.Engine] joins one key group at a
+    time, deciding with {!key} whether the group matches and padding with
+    {!pad} when it does not.
+
+    [Eval.rows] deliberately does not use this module: it stays the
+    independent nested-loop oracle both runtimes are tested against. *)
+
+type kind = Inner | Left | Full
+
+type t = {
+  kind : kind;
+  on : string list;  (** the equality columns; [[]] makes a cross join *)
+  left_pad : string list;
+      (** right-side-only columns NULL-padded onto unmatched left rows
+          ([Left]/[Full]) *)
+  right_pad : string list;
+      (** left-side-only columns NULL-padded onto unmatched right rows
+          ([Full] only) *)
+}
+
+val make : kind -> on:string list -> left:string list -> right:string list -> t
+(** The spec of a join whose sides produce the columns [left] and [right]. *)
+
+val key : string list -> Datum.Row.t -> Datum.Value.t list option
+(** The join key of a row: [None] unless every join column is present and
+    non-[NULL].  Two rows join exactly when both keys are [Some] and equal
+    under [Datum.Value.compare]; with no join columns every key is
+    [Some []], so every pair joins. *)
+
+val pad : string list -> Datum.Row.t -> Datum.Row.t
+(** Bind every listed column to [NULL] (outer-join padding). *)
+
+val hash : t -> Datum.Row.t list -> Datum.Row.t list -> Datum.Row.t list * int
+(** [hash j left right] builds a hash table on [right] and probes it from
+    [left].  Output is in nested-loop order: each left row's matches in
+    right input order (or the padded left row for the outer kinds), then,
+    for [Full], the padded unmatched right rows in input order.  Also
+    returns the number of matched pairs. *)

@@ -75,14 +75,33 @@ let test_outer_joins_null_keys () =
          V.equal (Datum.Row.get "Cid" r) (V.Int 6) && V.equal (Datum.Row.get "Id" r) V.Null)
        rows)
 
-let test_nested_loop_fallback () =
-  let cross =
-    A.Join (A.Scan (A.Table "Emp"), A.project_cols [ "Cid" ] (A.Scan (A.Table "Client")), [])
+(* Joins without equality columns are hash joins whose every key is [[]]:
+   the single bucket yields the cross product, and an empty side leaves every
+   row of the preserved side NULL-padded. *)
+let test_keyless_join () =
+  let expect_keyless kind plan =
+    match plan with
+    | Plan.Hash_join { spec = { Query.Join.on = []; kind = k; _ }; _ } when k = kind -> ()
+    | p -> Alcotest.failf "expected a keyless hash join, got:@.%s" (Plan.show p)
   in
-  let plan = check_exec ~msg:"cross join" env store_db cross in
-  match plan with
-  | Plan.Nested_loop _ -> ()
-  | p -> Alcotest.failf "expected a nested-loop fallback, got:@.%s" (Plan.show p)
+  let emp = A.Scan (A.Table "Emp") in
+  let cids = A.project_cols [ "Cid"; "Score" ] (A.Scan (A.Table "Client")) in
+  let none_of col q = A.Select (C.Cmp (col, C.Eq, V.Int 999), q) in
+  let all_null cols rows =
+    List.for_all (fun r -> List.for_all (fun c -> V.equal (Datum.Row.get c r) V.Null) cols) rows
+  in
+  expect_keyless Query.Join.Inner
+    (check_exec ~msg:"cross join" env store_db (A.Join (emp, cids, [])));
+  let loj = A.Left_outer_join (emp, none_of "Cid" cids, []) in
+  expect_keyless Query.Join.Left (check_exec ~msg:"keyless left outer join" env store_db loj);
+  let rows = Run.rows (Idb.make env store_db) (ok_exn (Planner.plan env loj)) in
+  check Alcotest.int "every Emp row once" 2 (List.length rows);
+  checkb "every Emp row padded" true (all_null [ "Cid"; "Score" ] rows);
+  let foj = A.Full_outer_join (none_of "Id" emp, cids, []) in
+  expect_keyless Query.Join.Full (check_exec ~msg:"keyless full outer join" env store_db foj);
+  let rows = Run.rows (Idb.make env store_db) (ok_exn (Planner.plan env foj)) in
+  check Alcotest.int "every Client row once" 2 (List.length rows);
+  checkb "every Client row padded" true (all_null [ "Id"; "Dept" ] rows)
 
 let test_index_scan () =
   let q = A.Select (C.Cmp ("Id", C.Eq, V.Int 3), A.Scan (A.Table "Emp")) in
@@ -334,7 +353,7 @@ let () =
       ( "physical operators",
         [
           Alcotest.test_case "outer joins and NULL join keys" `Quick test_outer_joins_null_keys;
-          Alcotest.test_case "nested-loop fallback" `Quick test_nested_loop_fallback;
+          Alcotest.test_case "keyless join" `Quick test_keyless_join;
           Alcotest.test_case "indexed point lookup" `Quick test_index_scan;
           Alcotest.test_case "pushdown through projection" `Quick
             test_pushdown_through_projection;

@@ -154,6 +154,108 @@ let test_handle_guards () =
     [ Delta.Delete_link
         { assoc = "Supports"; link = row [ ("Customer.Id", V.Int 6); ("Employee.Id", V.Int 3) ] } ]
 
+(* -- NULL join keys ------------------------------------------------------ *)
+
+(* Hand-built update views over the paper's client schema whose joins see
+   NULL keys (Department is NULL on non-employees and BillAddr on
+   non-customers), several rows per key, and no key at all.  The IVM group
+   join takes its padding-only branch for every NULL-keyed group, and for the
+   keyless join whenever Supports is empty. *)
+let null_key_env, null_key_uv =
+  let table name key cols =
+    Relational.Table.make ~name ~key (List.map (fun (c, d) -> (c, d, `Null)) cols)
+  in
+  let store =
+    List.fold_left
+      (fun s t -> ok_exn (Relational.Schema.add_table t s))
+      Relational.Schema.empty
+      [
+        table "Foj" [ "A"; "B" ] [ ("A", D.Int); ("B", D.Int); ("K", D.String) ];
+        table "Loj" [ "B"; "A" ] [ ("A", D.Int); ("B", D.Int); ("K", D.String) ];
+        table "Cross" [ "A"; "C" ] [ ("A", D.Int); ("C", D.Int) ];
+      ]
+  in
+  let persons = A.Scan (A.Entity_set "Persons") in
+  let by_dept = A.Project ([ A.col_as "Id" "A"; A.col_as "Department" "K" ], persons) in
+  let by_addr = A.Project ([ A.col_as "Id" "B"; A.col_as "BillAddr" "K" ], persons) in
+  let employees = A.Select (C.Is_of "Employee", persons) in
+  let supported = A.Project ([ A.col_as "Customer.Id" "C" ], A.Scan (A.Assoc_set "Supports")) in
+  let view query cols = { Query.View.query; ctor = Query.Ctor.Tuple cols } in
+  ( Query.Env.make ~client:env.Query.Env.client ~store,
+    Query.View.no_update_views
+    |> Query.View.set_table_view "Foj"
+         (view (A.Full_outer_join (by_dept, by_addr, [ "K" ])) [ "A"; "B"; "K" ])
+    |> Query.View.set_table_view "Loj"
+         (view
+            (A.Left_outer_join
+               (by_addr, A.Project ([ A.col_as "Id" "A"; A.col_as "Department" "K" ], employees),
+                 [ "K" ]))
+            [ "A"; "B"; "K" ])
+    |> Query.View.set_table_view "Cross"
+         (view
+            (A.Left_outer_join (A.Project ([ A.col_as "Id" "A" ], employees), supported, []))
+            [ "A"; "C" ]) )
+
+let test_null_join_keys () =
+  let person id =
+    Edm.Instance.entity ~etype:"Person" [ ("Id", V.Int id); ("Name", V.String "p") ]
+  in
+  let employee id dept =
+    Edm.Instance.entity ~etype:"Employee"
+      [ ("Id", V.Int id); ("Name", V.String "e"); ("Department", dept) ]
+  in
+  let customer id addr =
+    Edm.Instance.entity ~etype:"Customer"
+      [ ("Id", V.Int id); ("Name", V.String "c"); ("CredScore", V.Int 1); ("BillAddr", addr) ]
+  in
+  let insert e = Delta.Insert_entity { set = "Persons"; entity = e } in
+  let update id a v =
+    Delta.Update_entity { set = "Persons"; key = row [ ("Id", V.Int id) ]; changes = [ (a, v) ] }
+  in
+  let delete id = Delta.Delete_entity { set = "Persons"; key = row [ ("Id", V.Int id) ] } in
+  let link c e = row [ ("Customer.Id", V.Int c); ("Employee.Id", V.Int e) ] in
+  let d1 = V.String "D1" and d2 = V.String "D2" in
+  let client0 =
+    List.fold_left
+      (fun inst e -> Edm.Instance.add_entity ~set:"Persons" e inst)
+      Edm.Instance.empty
+      [ person 1; employee 2 d1; employee 3 d1; employee 4 V.Null; customer 5 d1;
+        customer 6 V.Null; customer 7 d2 ]
+  in
+  let stream =
+    [
+      ( "inserts into NULL and shared keys",
+        [ insert (person 8); insert (employee 9 d2); insert (employee 10 V.Null);
+          insert (customer 11 d1); insert (customer 12 V.Null) ] );
+      ( "first link: keyless join leaves padding",
+        [ Delta.Insert_link { assoc = "Supports"; link = link 5 2 } ] );
+      ( "keys move to and from NULL",
+        [ update 2 "Department" V.Null; update 4 "Department" d1; update 6 "BillAddr" d2;
+          update 11 "BillAddr" V.Null; update 9 "Department" d1 ] );
+      ("second link", [ Delta.Insert_link { assoc = "Supports"; link = link 7 3 } ]);
+      ( "deletes empty a key group",
+        [ delete 8; delete 12; delete 10; update 7 "BillAddr" V.Null ] );
+      ( "unlinking all: keyless join back to padding",
+        [ Delta.Delete_link { assoc = "Supports"; link = link 5 2 };
+          Delta.Delete_link { assoc = "Supports"; link = link 7 3 } ] );
+      ("delete the last shared-key rows", [ delete 3; delete 4; delete 9; delete 5 ]);
+    ]
+  in
+  let inc = ref (ok_exn (Tr.ivm_init null_key_env null_key_uv client0)) in
+  let client = ref client0 in
+  List.iter
+    (fun (msg, delta) ->
+      let s_full, new_client, st_full =
+        ok_exn (Tr.full_diff null_key_env null_key_uv ~old_client:!client ~delta)
+      in
+      let s_ivm, inc' = ok_exn (Tr.ivm_step !inc delta) in
+      checkb (msg ^ ": changes the store") true (s_full <> []);
+      check Alcotest.string (msg ^ ": identical script") (Tr.to_sql s_full) (Tr.to_sql s_ivm);
+      checkb (msg ^ ": equal store") true (Relational.Instance.equal st_full (Tr.ivm_store inc'));
+      client := new_client;
+      inc := inc')
+    stream
+
 (* -- random models × random delta streams --------------------------------- *)
 
 let profile =
@@ -316,6 +418,7 @@ let () =
           Alcotest.test_case "one-shot translate modes agree" `Quick test_paper_one_shot;
           Alcotest.test_case "handle stream matches oracle" `Quick test_paper_handle_stream;
           Alcotest.test_case "handle guards" `Quick test_handle_guards;
+          Alcotest.test_case "NULL and keyless join keys" `Quick test_null_join_keys;
         ] );
       ("differential", [ prop_differential ]);
     ]
