@@ -136,7 +136,9 @@ let () =
        ~samples:50 ()
    with
   | Ok n -> Printf.printf "\nroundtrip check over %d random blog states: ok\n%!" n
-  | Error f -> Format.printf "roundtrip failure!@.%a@." Roundtrip.Check.pp_failure f);
+  | Error f ->
+      Format.eprintf "roundtrip failure!@.%a@." Roundtrip.Check.pp_failure f;
+      exit 1);
 
   let posts_by_author =
     Query.Algebra.project_cols [ "Id"; "Title"; "Body" ]

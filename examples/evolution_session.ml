@@ -57,4 +57,6 @@ let () =
       st'.Core.State.update_views ~samples:50 ()
   with
   | Ok n -> Printf.printf "roundtrip check over %d random states of the evolved model: ok\n" n
-  | Error f -> Format.printf "roundtrip failure!@.%a@." Roundtrip.Check.pp_failure f
+  | Error f ->
+      Format.eprintf "roundtrip failure!@.%a@." Roundtrip.Check.pp_failure f;
+      exit 1

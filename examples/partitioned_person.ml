@@ -66,7 +66,9 @@ let () =
   in
   (* A gapped partitioning must abort: ages in [10, 18) would be lost. *)
   (match Core.Engine.apply st (adult_young ~young_bound:10) with
-  | Ok _ -> print_endline "BUG: the gapped mapping was accepted"
+  | Ok _ ->
+      prerr_endline "BUG: the gapped mapping was accepted";
+      exit 1
   | Error e ->
       Printf.printf "gapped partitioning rejected, as it must be:\n  %s\n\n%!"
         (Containment.Validation_error.show e));

@@ -26,29 +26,12 @@ let apply ?jobs (st : State.t) ~assoc ~table ~fmap =
   let cols2 = List.map (Edm.Association.qualify ~etype:assoc.Edm.Association.end2) key2 in
   let expected = cols1 @ cols2 in
   let* () =
-    if
-      List.length fmap = List.length expected
-      && List.for_all (fun c -> List.mem_assoc c fmap) expected
-    then Ok ()
-    else fail "f must map exactly the key columns of both endpoints"
-  in
-  let image = List.map snd fmap in
-  let* () =
-    if List.length (List.sort_uniq String.compare image) = List.length image then Ok ()
-    else fail "f is not one-to-one"
-  in
-  let* () =
-    match List.find_opt (fun c -> not (Relational.Table.mem_column tbl c)) image with
-    | Some c -> fail "f targets unknown column %s.%s" table c
-    | None -> Ok ()
+    Algo.check_column_map
+      ~attrs:(Edm.Schema.association_attributes client' assoc)
+      ~keys:[ cols1 ] tbl fmap
   in
   let f_pk1 = List.map (fun c -> List.assoc c fmap) cols1 in
   let f_pk2 = List.map (fun c -> List.assoc c fmap) cols2 in
-  let* () =
-    if List.sort String.compare f_pk1 = List.sort String.compare tbl.Relational.Table.key then
-      Ok ()
-    else fail "f(PK1) must be the primary key of %s" table
-  in
   (* Check 1: f(PK2) previously unused. *)
   let* () =
     all_ok

@@ -1,69 +1,24 @@
 let ( let* ) = Result.bind
-let fail fmt = Algo.fail fmt
-let all_ok = Algo.all_ok
 
 let apply ?jobs (st : State.t) ~assoc ~table ~fmap =
   let client = st.State.env.Query.Env.client in
   let store = st.State.env.Query.Env.store in
   let* client' = Algo.lift (Edm.Schema.add_association assoc client) in
-  let key1 = Edm.Schema.key_of client' assoc.Edm.Association.end1 in
-  let key2 = Edm.Schema.key_of client' assoc.Edm.Association.end2 in
-  let cols1 = List.map (Edm.Association.qualify ~etype:assoc.Edm.Association.end1) key1 in
-  let cols2 = List.map (Edm.Association.qualify ~etype:assoc.Edm.Association.end2) key2 in
-  let expected = cols1 @ cols2 in
-  let* () =
-    if
-      List.length fmap = List.length expected
-      && List.for_all (fun c -> List.mem_assoc c fmap) expected
-    then Ok ()
-    else fail "f must map exactly the key columns of both endpoints"
+  let attrs = Edm.Schema.association_attributes client' assoc in
+  let expected = List.map fst attrs in
+  let cols1 =
+    List.map (Edm.Association.qualify ~etype:assoc.Edm.Association.end1)
+      (Edm.Schema.key_of client' assoc.Edm.Association.end1)
   in
-  let image = List.map snd fmap in
-  let* () =
-    if List.length (List.sort_uniq String.compare image) = List.length image then Ok ()
-    else fail "f is not one-to-one"
+  let keys =
+    match assoc.Edm.Association.mult2 with
+    | Edm.Association.Many -> [ expected ]
+    | Edm.Association.One | Edm.Association.Zero_or_one -> [ expected; cols1 ]
   in
-  let* () =
-    match List.find_opt (fun c -> not (Relational.Table.mem_column table c)) image with
-    | Some c -> fail "f targets unknown column %s.%s" table.Relational.Table.name c
-    | None -> Ok ()
-  in
-  let f_pk1 = List.map (fun c -> List.assoc c fmap) cols1 in
-  let sorted_key = List.sort String.compare table.Relational.Table.key in
-  let* () =
-    let full = List.sort String.compare image in
-    let first_end = List.sort String.compare f_pk1 in
-    if sorted_key = full then Ok ()
-    else if
-      sorted_key = first_end
-      && assoc.Edm.Association.mult2 <> Edm.Association.Many
-    then Ok ()
-    else
-      fail
-        "the key of join table %s must be f(PK1 ∪ PK2), or f(PK1) for an at-most-one second \
-         endpoint"
-        table.Relational.Table.name
-  in
-  let* () =
-    all_ok
-      (fun c ->
-        if List.mem c image || Relational.Table.nullable table c then Ok ()
-        else
-          fail "column %s.%s is outside the association image and must be nullable"
-            table.Relational.Table.name c)
-      (Relational.Table.column_names table)
-  in
-  let* store' =
-    match Relational.Schema.find_table store table.Relational.Table.name with
-    | None -> Algo.lift (Relational.Schema.add_table table store)
-    | Some existing ->
-        if not (Relational.Table.equal existing table) then
-          fail "table %s already exists with a different definition" table.Relational.Table.name
-        else if Mapping.Fragments.on_table st.State.fragments table.Relational.Table.name <> []
-        then fail "table %s is already mentioned in the mapping" table.Relational.Table.name
-        else Ok store
-  in
+  let* () = Algo.check_column_map ~attrs ~keys table fmap in
+  let* store' = Algo.add_fresh_table st.State.fragments store table fmap in
   let env' = Query.Env.make ~client:client' ~store:store' in
+  let image = List.map snd fmap in
   (* Fragment, views. *)
   let fragments, query_views, update_views =
     Algo.span "aa-jt.view-patch" @@ fun () ->

@@ -1,6 +1,5 @@
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
-let all_ok = Algo.all_ok
 
 (* -- schema evolution and precondition checks ----------------------------- *)
 
@@ -8,7 +7,8 @@ let check_preconditions (st : State.t) ~entity ~alpha ~p_ref ~table ~fmap =
   let client = st.State.env.Query.Env.client in
   let e = entity.Edm.Entity_type.name in
   let* client' = Algo.lift (Edm.Schema.add_derived entity client) in
-  let att_e = Edm.Schema.attribute_names client' e in
+  let att = Edm.Schema.attributes client' e in
+  let att_e = List.map fst att in
   let key = Edm.Schema.key_of client' e in
   let* () =
     match List.find_opt (fun a -> not (List.mem a att_e)) alpha with
@@ -55,60 +55,13 @@ let check_preconditions (st : State.t) ~entity ~alpha ~p_ref ~table ~fmap =
               a p
         | None -> Ok ())
   in
-  (* f : α → att(T), 1-1, key onto key, domain-compatible, rest nullable. *)
+  (* f : α → att(T) under the shared column-map rules; T must be fresh to
+     the mapping and is added to the store if necessary. *)
   let* () =
-    if List.length fmap = List.length alpha
-       && List.for_all (fun a -> List.mem_assoc a fmap) alpha
-    then Ok ()
-    else fail "f must map exactly the attributes of α"
+    Algo.check_column_map ~attrs:(List.map (fun a -> (a, List.assoc a att)) alpha)
+      ~keys:[ key ] table fmap
   in
-  let cols = List.map snd fmap in
-  let* () =
-    if List.length (List.sort_uniq String.compare cols) = List.length cols then Ok ()
-    else fail "f is not one-to-one"
-  in
-  let* () =
-    match List.find_opt (fun c -> not (Relational.Table.mem_column table c)) cols with
-    | Some c -> fail "f targets unknown column %s.%s" table.Relational.Table.name c
-    | None -> Ok ()
-  in
-  let key_image = List.filter_map (fun k -> List.assoc_opt k fmap) key in
-  let* () =
-    if List.sort String.compare key_image = List.sort String.compare table.Relational.Table.key
-    then Ok ()
-    else fail "f must map the key of %s onto the key of %s" e table.Relational.Table.name
-  in
-  let* () =
-    all_ok
-      (fun (a, c) ->
-        match Edm.Schema.attribute_domain client' e a, Relational.Table.domain_of table c with
-        | Some da, Some dc ->
-            if Datum.Domain.subsumes ~wide:dc ~narrow:da then Ok ()
-            else fail "dom(%s) is not contained in dom(%s.%s)" a table.Relational.Table.name c
-        | None, _ | _, None -> Ok ())
-      fmap
-  in
-  let* () =
-    all_ok
-      (fun c ->
-        if List.mem c cols || Relational.Table.nullable table c then Ok ()
-        else
-          fail "column %s.%s is outside f(α) and must be nullable" table.Relational.Table.name c)
-      (Relational.Table.column_names table)
-  in
-  (* T must be fresh to the mapping; add it to the store if necessary. *)
-  let store = st.State.env.Query.Env.store in
-  let* store' =
-    match Relational.Schema.find_table store table.Relational.Table.name with
-    | None -> Algo.lift (Relational.Schema.add_table table store)
-    | Some existing ->
-        if not (Relational.Table.equal existing table) then
-          fail "table %s already exists with a different definition" table.Relational.Table.name
-        else if
-          Mapping.Fragments.on_table st.State.fragments table.Relational.Table.name <> []
-        then fail "table %s is already mentioned in the mapping" table.Relational.Table.name
-        else Ok store
-  in
+  let* store' = Algo.add_fresh_table st.State.fragments st.State.env.Query.Env.store table fmap in
   Ok (Query.Env.make ~client:client' ~store:store')
 
 (* -- Algorithm 1: query views --------------------------------------------- *)

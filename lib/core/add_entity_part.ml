@@ -10,11 +10,10 @@ let fail fmt = Algo.fail fmt
 let all_ok = Algo.all_ok
 
 let check_part client' e part =
-  let att_e = Edm.Schema.attribute_names client' e in
+  let att = Edm.Schema.attributes client' e in
   let key = Edm.Schema.key_of client' e in
-  let tbl = part.part_table in
   let* () =
-    match List.find_opt (fun a -> not (List.mem a att_e)) part.part_alpha with
+    match List.find_opt (fun a -> not (List.mem_assoc a att)) part.part_alpha with
     | Some a -> fail "αᵢ contains %s, which is not an attribute of %s" a e
     | None -> Ok ()
   in
@@ -31,44 +30,9 @@ let check_part client' e part =
     if Query.Cover.satisfiable client' ~etype:e part.part_cond then Ok ()
     else fail "ψᵢ (%s) is unsatisfiable" (Query.Cond.show part.part_cond)
   in
-  let* () =
-    if
-      List.length part.part_fmap = List.length part.part_alpha
-      && List.for_all (fun a -> List.mem_assoc a part.part_fmap) part.part_alpha
-    then Ok ()
-    else fail "fᵢ must map exactly αᵢ"
-  in
-  let image = List.map snd part.part_fmap in
-  let* () =
-    if List.length (List.sort_uniq String.compare image) = List.length image then Ok ()
-    else fail "fᵢ is not one-to-one"
-  in
-  let* () =
-    match List.find_opt (fun c -> not (Relational.Table.mem_column tbl c)) image with
-    | Some c -> fail "fᵢ targets unknown column %s.%s" tbl.Relational.Table.name c
-    | None -> Ok ()
-  in
-  let key_image = List.filter_map (fun k -> List.assoc_opt k part.part_fmap) key in
-  let* () =
-    if List.sort String.compare key_image = List.sort String.compare tbl.Relational.Table.key
-    then Ok ()
-    else fail "fᵢ must map the key of %s onto the key of %s" e tbl.Relational.Table.name
-  in
-  let* () =
-    all_ok
-      (fun (a, c) ->
-        match Edm.Schema.attribute_domain client' e a, Relational.Table.domain_of tbl c with
-        | Some da, Some dc ->
-            if Datum.Domain.subsumes ~wide:dc ~narrow:da then Ok ()
-            else fail "dom(%s) is not contained in dom(%s.%s)" a tbl.Relational.Table.name c
-        | None, _ | _, None -> Ok ())
-      part.part_fmap
-  in
-  all_ok
-    (fun c ->
-      if List.mem c image || Relational.Table.nullable tbl c then Ok ()
-      else fail "column %s.%s is outside fᵢ(αᵢ) and must be nullable" tbl.Relational.Table.name c)
-    (Relational.Table.column_names tbl)
+  Algo.check_column_map
+    ~attrs:(List.map (fun a -> (a, List.assoc a att)) part.part_alpha)
+    ~keys:[ key ] part.part_table part.part_fmap
 
 let apply ?jobs (st : State.t) ~entity ~p_ref ~parts =
   let e = entity.Edm.Entity_type.name in
@@ -92,17 +56,7 @@ let apply ?jobs (st : State.t) ~entity ~p_ref ~parts =
     List.fold_left
       (fun acc pt ->
         let* store = acc in
-        match Relational.Schema.find_table store pt.part_table.Relational.Table.name with
-        | None -> Algo.lift (Relational.Schema.add_table pt.part_table store)
-        | Some existing ->
-            if not (Relational.Table.equal existing pt.part_table) then
-              fail "table %s already exists with a different definition"
-                pt.part_table.Relational.Table.name
-            else if
-              Mapping.Fragments.on_table st.State.fragments pt.part_table.Relational.Table.name
-              <> []
-            then fail "table %s is already mentioned in the mapping" pt.part_table.Relational.Table.name
-            else Ok store)
+        Algo.add_fresh_table st.State.fragments store pt.part_table pt.part_fmap)
       (Ok st.State.env.Query.Env.store)
       parts
   in

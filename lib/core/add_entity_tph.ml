@@ -1,6 +1,5 @@
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
-let all_ok = Algo.all_ok
 
 (* Narrow [IS OF E'] so it no longer captures the new type [e]: the new
    type's rows live exclusively in its own discriminator region. *)
@@ -29,31 +28,10 @@ let apply ?jobs (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_v
     if Mapping.Fragments.on_table st.State.fragments table <> [] then Ok ()
     else fail "TPH requires table %s to already carry the hierarchy" table
   in
-  let att_e = Edm.Schema.attribute_names client' e in
-  let key = Edm.Schema.key_of client' e in
-  let* () =
-    if
-      List.length fmap = List.length att_e
-      && List.for_all (fun a -> List.mem_assoc a fmap) att_e
-    then Ok ()
-    else fail "f must map all of att(%s)" e
-  in
+  let att = Edm.Schema.attributes client' e in
+  let att_e = List.map fst att in
   let image = List.map snd fmap in
-  let* () =
-    if List.length (List.sort_uniq String.compare image) = List.length image then Ok ()
-    else fail "f is not one-to-one"
-  in
-  let* () =
-    match List.find_opt (fun c -> not (Relational.Table.mem_column tbl c)) image with
-    | Some c -> fail "f targets unknown column %s.%s" table c
-    | None -> Ok ()
-  in
-  let key_image = List.filter_map (fun k -> List.assoc_opt k fmap) key in
-  let* () =
-    if List.sort String.compare key_image = List.sort String.compare tbl.Relational.Table.key
-    then Ok ()
-    else fail "f must map the key of %s onto the key of %s" e table
-  in
+  let* () = Algo.check_column_map ~attrs:att ~keys:[ Edm.Schema.key_of client' e ] tbl fmap in
   let* () =
     match Relational.Table.domain_of tbl disc with
     | None -> fail "unknown discriminator column %s.%s" table disc
@@ -62,16 +40,6 @@ let apply ?jobs (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_v
         else if Datum.Value.member disc_value d then Ok ()
         else fail "discriminator value %s outside the domain of %s.%s"
                (Datum.Value.show disc_value) table disc
-  in
-  let* () =
-    all_ok
-      (fun (a, c) ->
-        match Edm.Schema.attribute_domain client' e a, Relational.Table.domain_of tbl c with
-        | Some da, Some dc ->
-            if Datum.Domain.subsumes ~wide:dc ~narrow:da then Ok ()
-            else fail "dom(%s) is not contained in dom(%s.%s)" a table c
-        | None, _ | _, None -> Ok ())
-      fmap
   in
   let env' = Query.Env.make ~client:client' ~store in
   let parent = Option.get entity.Edm.Entity_type.parent in

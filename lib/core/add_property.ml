@@ -4,7 +4,6 @@ type target =
 
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
-let all_ok = Algo.all_ok
 
 (* Resolve the target into (store', table name, property column, key attr to
    key column pairs). *)
@@ -56,55 +55,16 @@ let resolve_target (st : State.t) client' ~etype ~attr:(a, dom) = function
       in
       Ok (store', table, column, key_pairs, `Existing)
   | To_new_table { table; fmap } ->
-      let store = st.State.env.Query.Env.store in
       let key = Edm.Schema.key_of client' etype in
-      let* () =
-        if
-          List.length fmap = List.length key + 1
-          && List.mem_assoc a fmap
-          && List.for_all (fun k -> List.mem_assoc k fmap) key
-        then Ok ()
-        else fail "f must map the key of %s plus the new attribute" etype
+      let attrs =
+        List.filter (fun (x, _) -> x = a || List.mem x key) (Edm.Schema.attributes client' etype)
+      in
+      let* () = Algo.check_column_map ~attrs ~keys:[ key ] table fmap in
+      let* store' =
+        Algo.add_fresh_table st.State.fragments st.State.env.Query.Env.store table fmap
       in
       let column = List.assoc a fmap in
       let key_pairs = List.map (fun k -> (k, List.assoc k fmap)) key in
-      let image = List.map snd fmap in
-      let* () =
-        if List.length (List.sort_uniq String.compare image) = List.length image then Ok ()
-        else fail "f is not one-to-one"
-      in
-      let* () =
-        match List.find_opt (fun c -> not (Relational.Table.mem_column table c)) image with
-        | Some c -> fail "f targets unknown column %s.%s" table.Relational.Table.name c
-        | None -> Ok ()
-      in
-      let* () =
-        if
-          List.sort String.compare (List.map snd key_pairs)
-          = List.sort String.compare table.Relational.Table.key
-        then Ok ()
-        else fail "the key image must be the key of %s" table.Relational.Table.name
-      in
-      let* () =
-        all_ok
-          (fun c ->
-            if List.mem c image || Relational.Table.nullable table c then Ok ()
-            else
-              fail "column %s.%s is outside f and must be nullable" table.Relational.Table.name c)
-          (Relational.Table.column_names table)
-      in
-      let* store' =
-        match Relational.Schema.find_table store table.Relational.Table.name with
-        | None -> Algo.lift (Relational.Schema.add_table table store)
-        | Some existing ->
-            if not (Relational.Table.equal existing table) then
-              fail "table %s already exists with a different definition"
-                table.Relational.Table.name
-            else if
-              Mapping.Fragments.on_table st.State.fragments table.Relational.Table.name <> []
-            then fail "table %s is already mentioned in the mapping" table.Relational.Table.name
-            else Ok store
-      in
       Ok (store', table.Relational.Table.name, column, key_pairs, `New table)
 
 let apply ?jobs (st : State.t) ~etype ~attr:(a, dom) ~target =

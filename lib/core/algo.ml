@@ -27,6 +27,69 @@ let collect f xs =
 
 let discharge ?jobs obls = Containment.Discharge.run ?jobs obls
 
+(* -- the column map f of the additive SMOs --------------------------------- *)
+
+let check_column_map ~attrs ~keys (table : Relational.Table.t) fmap =
+  let name = table.Relational.Table.name in
+  let braces l = "{" ^ String.concat ", " l ^ "}" in
+  let* () =
+    if
+      List.length fmap = List.length attrs
+      && List.for_all (fun (a, _) -> List.mem_assoc a fmap) attrs
+    then Ok ()
+    else
+      fail "f must map exactly %s, not %s" (braces (List.map fst attrs))
+        (braces (List.map fst fmap))
+  in
+  let rec repeated = function
+    | [] -> None
+    | c :: rest -> if List.mem c rest then Some c else repeated rest
+  in
+  let* () =
+    match repeated (List.map snd fmap) with
+    | Some c -> fail "f is not one-to-one: it maps two attributes to %s.%s" name c
+    | None -> Ok ()
+  in
+  let* () =
+    match List.find_opt (fun (_, c) -> not (Relational.Table.mem_column table c)) fmap with
+    | Some (_, c) -> fail "f targets unknown column %s.%s" name c
+    | None -> Ok ()
+  in
+  let sorted = List.sort String.compare in
+  let image key = sorted (List.filter_map (fun k -> List.assoc_opt k fmap) key) in
+  let* () =
+    if List.exists (fun key -> image key = sorted table.Relational.Table.key) keys then Ok ()
+    else
+      fail "f must map %s onto the key of %s"
+        (String.concat " or " (List.map braces keys)) name
+  in
+  all_ok
+    (fun (a, c) ->
+      match List.assoc_opt a attrs, Relational.Table.domain_of table c with
+      | Some da, Some dc when not (Datum.Domain.subsumes ~wide:dc ~narrow:da) ->
+          fail "dom(%s) is not contained in dom(%s.%s)" a name c
+      | _ -> Ok ())
+    fmap
+
+let add_fresh_table frags store (table : Relational.Table.t) fmap =
+  let name = table.Relational.Table.name in
+  let* () =
+    all_ok
+      (fun c ->
+        if List.exists (fun (_, c') -> c' = c) fmap || Relational.Table.nullable table c then
+          Ok ()
+        else fail "column %s.%s is outside the image of f and must be nullable" name c)
+      (Relational.Table.column_names table)
+  in
+  match Relational.Schema.find_table store name with
+  | None -> lift (Relational.Schema.add_table table store)
+  | Some existing ->
+      if not (Relational.Table.equal existing table) then
+        fail "table %s already exists with a different definition" name
+      else if Mapping.Fragments.on_table frags name <> [] then
+        fail "table %s is already mentioned in the mapping" name
+      else Ok store
+
 let tag_for etype = "_t" ^ etype
 
 (* Phase marker for the SMO algorithms: a named [Obs] span (free when

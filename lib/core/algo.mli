@@ -26,6 +26,34 @@ val discharge :
   (unit, Containment.Validation_error.t) result
 (** Prove a collected obligation batch — {!Containment.Discharge.run}. *)
 
+(** {1 The column map of the additive SMOs}
+
+    Every additive SMO (AddEntity, AddEntityPart, AddEntityTPH, AddAssocFK,
+    AddAssocJT, AddProperty) stores the attributes it adds through a column
+    map [f] into a table [T], under the same side conditions (Section 3).
+    Checks only one SMO has stay in that SMO. *)
+
+val check_column_map :
+  attrs:(string * Datum.Domain.t) list -> keys:string list list -> Relational.Table.t ->
+  (string * string) list -> (unit, Containment.Validation_error.t) result
+(** [check_column_map ~attrs ~keys t f] checks, in this order, that [f]
+    maps exactly the attributes of [attrs] (α, αᵢ, att(E), both endpoints'
+    qualified key columns, or key plus the new property); that it is
+    one-to-one; that every column it targets exists in [t]; that [f] maps
+    one of [keys] onto the key of [t] — the entity key, f(PK₁) for
+    AddAssocFK, f(PK₁ ∪ PK₂) or (for an at-most-one second endpoint) f(PK₁)
+    for AddAssocJT; and that dom(a) ⊆ dom(f(a)) for the domain [attrs] gives
+    each attribute.  Each failure names the offending attribute, column or
+    table. *)
+
+val add_fresh_table :
+  Mapping.Fragments.t -> Relational.Schema.t -> Relational.Table.t ->
+  (string * string) list -> (Relational.Schema.t, Containment.Validation_error.t) result
+(** The extra rules for a column map [f] into a new table [t]: every column
+    of [t] outside the image of [f] is nullable, and [t] is either absent
+    from the store (and is added to it) or identical to the store's table
+    of that name and not yet mentioned by the fragments. *)
+
 val tag_for : string -> string
 (** The fresh provenance attribute [t_E] of Algorithm 1, derived from the
     new entity type's name. *)

@@ -102,6 +102,13 @@ let association_columns t (a : Association.t) =
   Association.end1_columns a ~key:(key_of t a.end1)
   @ Association.end2_columns a ~key:(key_of t a.end2)
 
+let association_attributes t (a : Association.t) =
+  let ends etype =
+    let atts = attributes t etype in
+    List.map (fun k -> (Association.qualify ~etype k, List.assoc k atts)) (key_of t etype)
+  in
+  ends a.end1 @ ends a.end2
+
 (* -- construction -------------------------------------------------------- *)
 
 let check_fresh_type t name =

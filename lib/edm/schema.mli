@@ -120,6 +120,10 @@ val association_columns : t -> Association.t -> string list
 (** Qualified columns of the association set: end1 key columns then end2 key
     columns. *)
 
+val association_attributes : t -> Association.t -> (string * Datum.Domain.t) list
+(** {!association_columns} paired with the domain of the endpoint key
+    attribute each column carries. *)
+
 (** {1 Whole-schema checks} *)
 
 val well_formed : t -> (unit, string) result

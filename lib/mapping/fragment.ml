@@ -116,20 +116,36 @@ let well_formed env f =
         else fail "store condition mentions unknown column %s.%s" f.table c)
       (Query.Cond.columns f.store_cond)
   in
+  (* Every paired column's domain subsumes its attribute's, [domains] giving
+     each client attribute's domain. *)
+  let check_domains domains =
+    all_ok
+      (fun (a, c) ->
+        match List.assoc_opt a domains, Relational.Table.domain_of tbl c with
+        | Some da, Some dc ->
+            if Datum.Domain.subsumes ~wide:dc ~narrow:da then Ok ()
+            else fail "domain of %s.%s does not subsume attribute %s" f.table c a
+        | None, _ | _, None -> Ok () (* reported above *))
+      f.pairs
+  in
   match f.client_source with
   | Assoc a -> (
       match Edm.Schema.find_association client a with
       | None -> fail "fragment over unknown association %s" a
       | Some assoc ->
-          let expected = Edm.Schema.association_columns client assoc in
+          let domains = Edm.Schema.association_attributes client assoc in
+          let expected = List.map fst domains in
           let* () =
             if List.sort String.compare (attrs f) = List.sort String.compare expected then Ok ()
             else
               fail "association fragment must project the full key columns {%s}"
                 (String.concat "," expected)
           in
-          if Query.Cond.equal f.client_cond Query.Cond.True then Ok ()
-          else fail "association fragments carry no client-side condition")
+          let* () =
+            if Query.Cond.equal f.client_cond Query.Cond.True then Ok ()
+            else fail "association fragments carry no client-side condition"
+          in
+          check_domains domains)
   | Set s -> (
       match Edm.Schema.set_root client s with
       | None -> fail "fragment over unknown entity set %s" s
@@ -168,11 +184,4 @@ let well_formed env f =
                     Ok ())
               (Query.Cond.atoms f.client_cond)
           in
-          all_ok
-            (fun (a, c) ->
-              match List.assoc_opt a all_attrs, Relational.Table.domain_of tbl c with
-              | Some da, Some dc ->
-                  if Datum.Domain.subsumes ~wide:dc ~narrow:da then Ok ()
-                  else fail "domain of %s.%s does not subsume attribute %s" f.table c a
-              | None, _ | _, None -> Ok () (* reported above *))
-            f.pairs)
+          check_domains all_attrs)

@@ -61,4 +61,5 @@ val well_formed : Query.Env.t -> t -> (unit, string) result
 (** Sources and columns exist, projections are aligned and duplicate-free and
     cover the client key, ψ only mentions client attributes and types of the
     fragment's hierarchy, χ is type-free, and every paired column's domain
-    subsumes its attribute's domain. *)
+    subsumes its attribute's domain (for an association fragment, the domain
+    of the endpoint key attribute the column carries). *)

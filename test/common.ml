@@ -16,15 +16,23 @@ let ok_v = function
   | Ok x -> x
   | Error e -> Alcotest.failf "unexpected error: %s" (show_v e)
 
-(* Error-severity [Lint.Wf] findings over a state's compiled views, rendered.
-   The compilers do not run this structural check themselves; the random
-   compile and SMO pipelines of the suite assert it after every step. *)
+(* Error-severity [Lint.Wf] findings over a state's compiled views, rendered,
+   followed by the independent fragment check [Mapping.Fragments.well_formed]
+   on its mapping.  The compilers and SMOs do not run these checks
+   themselves; the random compile and SMO pipelines of the suite assert them
+   after every step. *)
 let wf_errors (st : Core.State.t) =
-  Lint.Wf.check st.Core.State.env st.Core.State.query_views st.Core.State.update_views
+  let env = st.Core.State.env in
+  (Lint.Wf.check env st.Core.State.query_views st.Core.State.update_views
   |> Lint.Diag.errors
-  |> List.map (Format.asprintf "%a" Lint.Diag.pp)
+  |> List.map (Format.asprintf "%a" Lint.Diag.pp))
+  @
+  match Mapping.Fragments.well_formed env st.Core.State.fragments with
+  | Ok () -> []
+  | Error e -> [ "fragments: " ^ e ]
 
-let check_wf tag st = check Alcotest.(list string) (tag ^ ": well-formed views") [] (wf_errors st)
+let check_wf tag st =
+  check Alcotest.(list string) (tag ^ ": well-formed views and fragments") [] (wf_errors st)
 
 let check_ok msg = function
   | Ok () -> ()

@@ -27,19 +27,22 @@ let smo_employee =
     { entity = employee; alpha = [ "Id"; "Department" ]; p_ref = Some "Person";
       table = emp_table; fmap = [ ("Id", "Id"); ("Department", "Dept") ] }
 
-let smo_customer =
+let customer_tpc table =
   Core.Smo.Add_entity
     { entity = customer; alpha = [ "Id"; "Name"; "CredScore"; "BillAddr" ]; p_ref = None;
-      table = client_table;
+      table;
       fmap = [ ("Id", "Cid"); ("Name", "Name"); ("CredScore", "Score"); ("BillAddr", "Addr") ] }
 
-let smo_supports =
+let smo_customer = customer_tpc client_table
+
+let supports_fk fmap =
   Core.Smo.Add_assoc_fk
     { assoc =
         { Edm.Association.name = "Supports"; end1 = "Customer"; end2 = "Employee";
           mult1 = Edm.Association.Many; mult2 = Edm.Association.Zero_or_one };
-      table = "Client";
-      fmap = [ ("Customer.Id", "Cid"); ("Employee.Id", "Eid") ] }
+      table = "Client"; fmap }
+
+let smo_supports = supports_fk [ ("Customer.Id", "Cid"); ("Employee.Id", "Eid") ]
 
 let paper_states =
   lazy
@@ -469,6 +472,178 @@ let test_add_property_new_table () =
   in
   checkb "descendants inherit the property" true (ok_exn (Core.State.roundtrip_ok st inst))
 
+(* -- the column-map rules of the additive SMOs ------------------------------------ *)
+
+(* One builder per additive SMO; each default is accepted (see the controls
+   below), so a row that changes one argument breaks exactly one rule. *)
+let col ?(null = `Null) name dom = (name, dom, null)
+
+let cm_ae ?(fmap = [ ("Id", "Id"); ("Department", "Dept") ]) table =
+  Core.Smo.Add_entity
+    { entity = employee; alpha = [ "Id"; "Department" ]; p_ref = Some "Person"; table; fmap }
+
+let cm_emp ?(name = "EmpX") ?(key = [ "Id" ]) ?(extra = []) ?(dept = D.String) () =
+  T.make ~name ~key ([ col ~null:`Not_null "Id" D.Int; col "Dept" dept ] @ extra)
+
+let cm_aep ?(alpha = [ "Hid"; "Age" ]) ?(fmap = [ ("Hid", "Hid"); ("Age", "Age") ]) table =
+  Core.Smo.Add_entity_part
+    { entity =
+        Edm.Entity_type.derived ~name:"Citizen" ~parent:"Human" ~non_null:[ "Age" ]
+          [ ("Age", D.Int) ];
+      p_ref = Some "Human";
+      parts =
+        [ { Core.Add_entity_part.part_alpha = alpha; part_cond = C.True; part_table = table;
+            part_fmap = fmap } ] }
+
+let cm_citizens ?(name = "Citizens") ?(key = [ "Hid" ]) ?(extra = []) ?(age = D.Int) () =
+  T.make ~name ~key ([ col ~null:`Not_null "Hid" D.Int; col ~null:`Not_null "Age" age ] @ extra)
+
+let cm_tph fmap =
+  Core.Smo.Add_entity_tph
+    { entity = Edm.Entity_type.derived ~name:"Book" ~parent:"Item" [ ("Pages", D.Int) ];
+      table = "Inventory"; fmap; discriminator = ("Disc", V.String "book") }
+
+let mentors mult2 =
+  { Edm.Association.name = "Mentors"; end1 = "Employee"; end2 = "Customer";
+    mult1 = Edm.Association.Many; mult2 }
+
+let cm_jt ?(assoc = mentors Edm.Association.Many)
+    ?(fmap = [ ("Employee.Id", "Eid"); ("Customer.Id", "Cid") ]) table =
+  Core.Smo.Add_assoc_jt { assoc; table; fmap }
+
+let cm_mentors ?(name = "MentorsT") ?(key = [ "Eid"; "Cid" ]) ?(extra = []) ?(dom = D.Int) () =
+  T.make ~name ~key ([ col ~null:`Not_null "Eid" dom; col ~null:`Not_null "Cid" dom ] @ extra)
+
+let cm_ap ?(dom = D.Int) ?(fmap = [ ("Id", "Id"); ("Level", "Lvl") ]) table =
+  Core.Smo.Add_property
+    { etype = "Employee"; attr = ("Level", dom);
+      target = Core.Add_property.To_new_table { table; fmap } }
+
+let cm_emplvl ?(name = "EmpLvl") ?(key = [ "Id" ]) ?(extra = []) ?(id = D.Int) ?(lvl = D.Int) () =
+  T.make ~name ~key ([ col ~null:`Not_null "Id" id; col "Lvl" lvl ] @ extra)
+
+(* Paper stage 3 with a string-typed Client.Eid, the target of the AA-FK
+   domain row. *)
+let string_eid_state =
+  lazy
+    (let _, st2, _, _ = Lazy.force paper_states in
+     let table =
+       T.make ~name:"Client" ~key:[ "Cid" ]
+         [ col ~null:`Not_null "Cid" D.Int; col "Eid" D.String; col "Name" D.String;
+           col "Score" D.Int; col "Addr" D.String ]
+     in
+     ok_v (Core.Engine.apply st2 (customer_tpc table)))
+
+let test_column_map_controls () =
+  let st1, _, st3, st4 = Lazy.force paper_states in
+  List.iter
+    (fun (label, st, smo) ->
+      match Core.Engine.apply st smo with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: unexpected rejection: %s" label (show_v e))
+    [ ("AE", st1, cm_ae (cm_emp ()));
+      ("AEP", Lazy.force part_base, cm_aep (cm_citizens ()));
+      ("TPH", Lazy.force tph_base, cm_tph [ ("Id", "Id"); ("Label", "Label"); ("Pages", "Pages") ]);
+      ("AA-FK", st3, smo_supports);
+      ("AA-JT", st4, cm_jt (cm_mentors ()));
+      ("AP", st4, cm_ap (cm_emplvl ())) ]
+
+(* Each additive SMO against each column-map rule that applies to it: the SMO
+   is rejected with a message containing the needle — the offending
+   attribute, column or table, or the rule's own words where the rule names
+   no single culprit (a missing or repeated map entry). *)
+let test_column_map_rejections () =
+  let st1, _, st3, st4 = Lazy.force paper_states in
+  let aep = Lazy.force part_base and tph = Lazy.force tph_base in
+  let nonnull_extra = [ col ~null:`Not_null "Extra" D.Int ] in
+  let stored (st : Core.State.t) = Relational.Schema.get_table st.Core.State.env.Query.Env.store in
+  let rows =
+    [ ("AE exact", st1, cm_ae ~fmap:[ ("Id", "Id") ] (cm_emp ()), "must map");
+      ("AE one-to-one", st1, cm_ae ~fmap:[ ("Id", "Id"); ("Department", "Id") ] (cm_emp ()),
+       "one-to-one");
+      ("AE unknown column", st1, cm_ae ~fmap:[ ("Id", "Id"); ("Department", "Zz") ] (cm_emp ()),
+       "Zz");
+      ("AE key image", st1,
+       cm_ae (T.make ~name:"EmpK" ~key:[ "Dept" ]
+                [ col "Id" D.Int; col ~null:`Not_null "Dept" D.String ]),
+       "EmpK");
+      ("AE domain", st1, cm_ae (cm_emp ~dept:D.Int ()), "dom(Department)");
+      ("AE nullable", st1, cm_ae (cm_emp ~extra:nonnull_extra ()), "Extra");
+      ("AE table differs", st1, cm_ae (cm_emp ~name:"HR" ()), "HR");
+      ("AE table mentioned", st1, cm_ae ~fmap:[ ("Id", "Id"); ("Department", "Name") ] (stored st1 "HR"),
+       "HR");
+      ("AEP exact", aep, cm_aep ~fmap:[ ("Hid", "Hid") ] (cm_citizens ()), "must map");
+      ("AEP one-to-one", aep, cm_aep ~fmap:[ ("Hid", "Hid"); ("Age", "Hid") ] (cm_citizens ()),
+       "one-to-one");
+      ("AEP unknown column", aep, cm_aep ~fmap:[ ("Hid", "Hid"); ("Age", "Zz") ] (cm_citizens ()),
+       "Zz");
+      ("AEP key image", aep, cm_aep (cm_citizens ~name:"CitK" ~key:[ "Age" ] ()), "CitK");
+      ("AEP domain", aep, cm_aep (cm_citizens ~age:D.String ()), "dom(Age)");
+      ("AEP nullable", aep, cm_aep (cm_citizens ~extra:nonnull_extra ()), "Extra");
+      ("AEP table differs", aep, cm_aep (cm_citizens ~name:"Humans" ()), "Humans");
+      ("AEP table mentioned", aep,
+       cm_aep ~alpha:[ "Hid" ] ~fmap:[ ("Hid", "Hid") ] (stored aep "Humans"),
+       "Humans");
+      ("TPH exact", tph, cm_tph [ ("Id", "Id"); ("Label", "Label") ], "must map");
+      ("TPH one-to-one", tph, cm_tph [ ("Id", "Id"); ("Label", "Label"); ("Pages", "Label") ],
+       "one-to-one");
+      ("TPH unknown column", tph, cm_tph [ ("Id", "Id"); ("Label", "Label"); ("Pages", "Zz") ],
+       "Zz");
+      ("TPH key image", tph, cm_tph [ ("Id", "Rpm"); ("Label", "Label"); ("Pages", "Pages") ],
+       "Inventory");
+      ("TPH domain", tph, cm_tph [ ("Id", "Id"); ("Label", "Rpm"); ("Pages", "Pages") ],
+       "dom(Label)");
+      ("AA-FK exact", st3, supports_fk [ ("Customer.Id", "Cid") ], "must map");
+      ("AA-FK one-to-one", st3, supports_fk [ ("Customer.Id", "Cid"); ("Employee.Id", "Cid") ],
+       "one-to-one");
+      ("AA-FK unknown column", st3, supports_fk [ ("Customer.Id", "Cid"); ("Employee.Id", "Zz") ],
+       "Zz");
+      ("AA-FK key image", st3, supports_fk [ ("Customer.Id", "Eid"); ("Employee.Id", "Cid") ],
+       "Client");
+      ("AA-FK domain", Lazy.force string_eid_state, smo_supports, "dom(Employee.Id)");
+      ("AA-JT exact", st4, cm_jt ~fmap:[ ("Employee.Id", "Eid") ] (cm_mentors ()), "must map");
+      ("AA-JT one-to-one", st4,
+       cm_jt ~fmap:[ ("Employee.Id", "Eid"); ("Customer.Id", "Eid") ] (cm_mentors ()),
+       "one-to-one");
+      ("AA-JT unknown column", st4,
+       cm_jt ~fmap:[ ("Employee.Id", "Eid"); ("Customer.Id", "Zz") ] (cm_mentors ()), "Zz");
+      ("AA-JT key image", st4, cm_jt (cm_mentors ~name:"MentorsK" ~key:[ "Eid" ] ()),
+       "MentorsK");
+      ("AA-JT domain", st4, cm_jt (cm_mentors ~dom:D.String ()), "dom(Employee.Id)");
+      ("AA-JT nullable", st4, cm_jt (cm_mentors ~extra:nonnull_extra ()), "Extra");
+      ("AA-JT table differs", st4, cm_jt (cm_mentors ~name:"HR" ()), "HR");
+      ("AA-JT table mentioned", st4,
+       cm_jt
+         ~assoc:{ (mentors Edm.Association.Zero_or_one) with end1 = "Customer"; end2 = "Employee" }
+         ~fmap:[ ("Customer.Id", "Cid"); ("Employee.Id", "Eid") ] (stored st4 "Client"),
+       "Client");
+      ("AP exact", st4, cm_ap ~fmap:[ ("Level", "Lvl") ] (cm_emplvl ()), "must map");
+      ("AP one-to-one", st4, cm_ap ~fmap:[ ("Id", "Id"); ("Level", "Id") ] (cm_emplvl ()),
+       "one-to-one");
+      ("AP unknown column", st4, cm_ap ~fmap:[ ("Id", "Id"); ("Level", "Zz") ] (cm_emplvl ()),
+       "Zz");
+      ("AP key image", st4, cm_ap (cm_emplvl ~name:"LvlK" ~key:[ "Lvl" ] ()), "LvlK");
+      ("AP domain (attribute)", st4, cm_ap (cm_emplvl ~lvl:D.String ()), "dom(Level)");
+      ("AP domain (key)", st4, cm_ap (cm_emplvl ~id:D.String ()), "dom(Id)");
+      ("AP nullable", st4, cm_ap (cm_emplvl ~extra:nonnull_extra ()), "Extra");
+      ("AP table differs", st4, cm_ap (cm_emplvl ~name:"HR" ()), "HR");
+      ("AP table mentioned", st4, cm_ap ~dom:D.String ~fmap:[ ("Id", "Id"); ("Level", "Name") ]
+         (stored st4 "HR"),
+       "HR") ]
+  in
+  let failures =
+    List.filter_map
+      (fun (label, st, smo, needle) ->
+        match Core.Engine.apply st smo with
+        | Ok _ -> Some (label ^ ": accepted")
+        | Error e ->
+            let msg = show_v e in
+            if contains ~sub:needle msg then None
+            else Some (Printf.sprintf "%s: %S does not contain %S" label msg needle))
+      rows
+  in
+  check Alcotest.(list string) "every row rejected, naming its culprit" [] failures
+
 (* -- DropEntity ---------------------------------------------------------------- *)
 
 let test_drop_entity () =
@@ -752,6 +927,11 @@ let () =
         [
           Alcotest.test_case "existing table" `Quick test_add_property_existing;
           Alcotest.test_case "new table" `Quick test_add_property_new_table;
+        ] );
+      ( "column map",
+        [
+          Alcotest.test_case "valid controls accepted" `Quick test_column_map_controls;
+          Alcotest.test_case "rejection table" `Quick test_column_map_rejections;
         ] );
       ( "drop and refactor",
         [

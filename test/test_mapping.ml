@@ -71,7 +71,26 @@ let test_well_formed_negatives () =
   let dup_assoc =
     Mapping.Fragments.of_list [ P.phi4; P.phi4 ]
   in
-  check_error "association mapped twice" (Mapping.Fragments.well_formed env dup_assoc)
+  check_error "association mapped twice" (Mapping.Fragments.well_formed env dup_assoc);
+  (* A join table whose string columns cannot hold the two int endpoint keys. *)
+  let mentors =
+    { Edm.Association.name = "Mentors"; end1 = "Employee"; end2 = "Customer";
+      mult1 = Edm.Association.Many; mult2 = Edm.Association.Many }
+  in
+  let mentors_env =
+    Query.Env.make
+      ~client:(ok_exn (Edm.Schema.add_association mentors env.Query.Env.client))
+      ~store:
+        (ok_exn
+           (Relational.Schema.add_table
+              (Relational.Table.make ~name:"MentorsT" ~key:[ "Eid"; "Cid" ]
+                 [ ("Eid", D.String, `Not_null); ("Cid", D.String, `Not_null) ])
+              env.Query.Env.store))
+  in
+  check_error "association domain mismatch"
+    (F.well_formed mentors_env
+       (F.assoc ~assoc:"Mentors" ~table:"MentorsT"
+          [ ("Employee.Id", "Eid"); ("Customer.Id", "Cid") ]))
 
 (* Attribute coverage by constant-only-projection fragments: neither fragment
    projects Flag, but each client condition fixes it to a constant, so the
