@@ -707,6 +707,12 @@ let exec_bench () =
 (* E11: static lint vs obligation-based validation.                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Wall time and allocated megabytes of [f ()]. *)
+let wall_alloc f =
+  let a0 = Gc.allocated_bytes () in
+  let r, dt = wall f in
+  (r, dt, (Gc.allocated_bytes () -. a0) /. 1e6)
+
 let lint_bench () =
   header "Lint -- static analysis wall-time vs obligation-based validation (E11)";
   let ok = function Ok x -> x | Error e -> failwith e in
@@ -722,28 +728,56 @@ let lint_bench () =
       ("customer", fun () -> Workload.Customer.generate ());
     ]
   in
-  Printf.printf "%-12s %12s %12s %10s %7s\n%!" "model" "lint" "validate" "val/lint" "diags";
+  Printf.printf "%-12s %12s %9s %12s %10s %7s\n%!" "model" "lint" "alloc" "validate" "val/lint"
+    "diags";
   let rows =
     List.map
       (fun (name, gen) ->
         let env, frags = gen () in
         let c = ok (Fullc.Compile.compile ~validate:false env frags) in
         let views = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
-        let diags, lint_dt = wall (fun () -> Lint.Analyze.run ~views env frags) in
+        Gc.full_major ();
+        let diags, lint_dt, lint_mb = wall_alloc (fun () -> Lint.Analyze.run ~views env frags) in
         let _, val_dt =
           wall (fun () -> ok (Fullc.Validate.run env frags c.Fullc.Compile.update_views))
         in
-        Printf.printf "%-12s %12s %12s %9.1fx %7d\n%!" name
+        Printf.printf "%-12s %12s %7.1fMB %12s %9.1fx %7d\n%!" name
           (Format.asprintf "%a" pp_seconds lint_dt)
+          lint_mb
           (Format.asprintf "%a" pp_seconds val_dt)
           (val_dt /. lint_dt) (List.length diags);
-        (name, lint_dt, val_dt, List.length diags))
+        (name, lint_dt, lint_mb, val_dt, List.length diags))
       models
   in
+  (* The customer run split by pass, as [Lint.Analyze.run] runs them. *)
+  let passes =
+    let env, frags = Workload.Customer.generate () in
+    let c = ok (Fullc.Compile.compile ~validate:false env frags) in
+    let qv, uv = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
+    let memo = Lint.Passes.new_memo () in
+    List.map
+      (fun (pass, f) ->
+        Gc.full_major ();
+        let _, dt, mb = wall_alloc f in
+        (pass, dt, mb))
+      [
+        ( "fragments",
+          fun () ->
+            ignore
+              (List.concat_map (Lint.Passes.fragment_diags ~memo env)
+                 (Mapping.Fragments.to_list frags)) );
+        ("model", fun () -> ignore (Lint.Passes.model_diags ~memo env frags));
+        ("views", fun () -> ignore (Lint.Passes.view_diags env qv uv));
+        ("wf", fun () -> ignore (Lint.Wf.check env qv uv));
+      ]
+  in
+  Printf.printf "\ncustomer by pass:";
+  List.iter (fun (pass, dt, mb) -> Printf.printf "  %s %.1f ms / %.1f MB" pass (dt *. 1e3) mb) passes;
+  print_newline ();
   (* Acceptance (ISSUE 6): linting the seed model suite is >= 50x faster
      than the obligation-based validation it screens for. *)
-  let total_lint = List.fold_left (fun a (_, l, _, _) -> a +. l) 0. rows in
-  let total_val = List.fold_left (fun a (_, _, v, _) -> a +. v) 0. rows in
+  let total_lint = List.fold_left (fun a (_, l, _, _, _) -> a +. l) 0. rows in
+  let total_val = List.fold_left (fun a (_, _, _, v, _) -> a +. v) 0. rows in
   let speedup = total_val /. total_lint in
   Printf.printf "\nsuite: lint %.1f ms, validate %.1f ms -> %.1fx (target >= 50x: %s)\n%!"
     (total_lint *. 1e3) (total_val *. 1e3) speedup
@@ -751,14 +785,22 @@ let lint_bench () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n  \"rows\": [";
   List.iteri
-    (fun i (name, lint_dt, val_dt, diags) ->
+    (fun i (name, lint_dt, lint_mb, val_dt, diags) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "\n    { \"model\": %S, \"lint_ms\": %.3f, \"validate_ms\": %.3f, \"speedup\": \
-            %.1f, \"diags\": %d }"
-           name (lint_dt *. 1e3) (val_dt *. 1e3) (val_dt /. lint_dt) diags))
+           "\n    { \"model\": %S, \"lint_ms\": %.3f, \"alloc_mb\": %.2f, \"validate_ms\": %.3f, \
+            \"speedup\": %.1f, \"diags\": %d }"
+           name (lint_dt *. 1e3) lint_mb (val_dt *. 1e3) (val_dt /. lint_dt) diags))
     rows;
+  Buffer.add_string buf "\n  ],\n  \"customer_passes\": [";
+  List.iteri
+    (fun i (pass, dt, mb) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf
+        (Printf.sprintf "\n    { \"pass\": %S, \"ms\": %.3f, \"alloc_mb\": %.2f }" pass (dt *. 1e3)
+           mb))
+    passes;
   Buffer.add_string buf
     (Printf.sprintf
        "\n  ],\n  \"suite\": { \"lint_ms\": %.3f, \"validate_ms\": %.3f, \"speedup\": %.1f, \

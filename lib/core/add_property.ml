@@ -90,12 +90,17 @@ let apply ?jobs (st : State.t) ~etype ~attr:(a, dom) ~target =
         Query.Algebra.Scan (Query.Algebra.Table table) )
   in
   let affected = Edm.Schema.ancestors client' etype @ Edm.Schema.subtypes client' etype in
-  let rec extend_ctor ctor =
-    match ctor with
-    | Query.Ctor.Entity { etype = t; _ } when Edm.Schema.is_subtype client' ~sub:t ~sup:etype ->
-        Query.Ctor.Entity { etype = t; attrs = Edm.Schema.attribute_names client' t }
-    | Query.Ctor.Entity _ | Query.Ctor.Tuple _ -> ctor
-    | Query.Ctor.If (c, x, y) -> Query.Ctor.If (c, extend_ctor x, extend_ctor y)
+  (* The affected views share their CASE chains; rebuilding each shared node
+     once, and only where a leaf changes, keeps that sharing. *)
+  let extend_ctor =
+    Query.Ctor.Memo.fix (Query.Ctor.Memo.create ()) (fun extend ctor ->
+        match ctor with
+        | Query.Ctor.Entity { etype = t; _ } when Edm.Schema.is_subtype client' ~sub:t ~sup:etype ->
+            Query.Ctor.Entity { etype = t; attrs = Edm.Schema.attribute_names client' t }
+        | Query.Ctor.Entity _ | Query.Ctor.Tuple _ -> ctor
+        | Query.Ctor.If (c, x, y) ->
+            let x' = extend x and y' = extend y in
+            if x' == x && y' == y then ctor else Query.Ctor.If (c, x', y'))
   in
   let* query_views =
     Algo.span "ap.query-views" @@ fun () ->

@@ -68,6 +68,15 @@ let attributes t name =
   let chain = List.rev (name :: ancestors t name) in
   List.concat_map (fun n -> (get_type t n).Entity_type.declared) chain
 
+let hierarchy_attributes t root =
+  let seen = Hashtbl.create 64 in
+  List.concat_map
+    (fun ty ->
+      List.filter
+        (fun (a, _) -> (not (Hashtbl.mem seen a)) && (Hashtbl.replace seen a (); true))
+        (get_type t ty).Entity_type.declared)
+    (subtypes t root)
+
 let attribute_names t name = List.map fst (attributes t name)
 let attribute_domain t name a = List.assoc_opt a (attributes t name)
 let key_of t name = (get_type t (root_of t name)).Entity_type.key

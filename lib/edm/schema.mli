@@ -90,6 +90,13 @@ val strictly_between : t -> low:string -> high:string option -> string list
 val attributes : t -> string -> (string * Datum.Domain.t) list
 (** [att(E)]: inherited attributes first (root downwards), then declared. *)
 
+val hierarchy_attributes : t -> string -> (string * Datum.Domain.t) list
+(** Every attribute of some type in the hierarchy under the given type,
+    once, with the domain of its earliest declaring type in {!subtypes}
+    preorder (sibling types may declare one name with different domains).
+    Each type's declared attributes are read once, so this is linear in the
+    hierarchy, unlike concatenating {!attributes} over {!subtypes}. *)
+
 val attribute_names : t -> string -> string list
 val attribute_domain : t -> string -> string -> Datum.Domain.t option
 

@@ -38,6 +38,15 @@ let compare a b =
 
 let sort ds = List.sort_uniq compare ds
 
+(* A finding is a diagnostic whose location is filled in by [at]. *)
+type finding = t
+
+let finding ~code ~severity fmt = makef ~code ~severity ~loc:Model fmt
+let at loc (f : finding) = { f with loc }
+
+let union_findings a b =
+  match (a, b) with [], l | l, [] -> l | _ -> List.sort_uniq compare (a @ b)
+
 let severity_label = function Error -> "error" | Warning -> "warning" | Info -> "info"
 
 let errors ds = List.filter (fun d -> d.severity = Error) ds

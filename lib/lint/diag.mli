@@ -43,6 +43,24 @@ val compare : t -> t -> int
 
 val sort : t list -> t list
 
+(** {1 Location-free findings}
+
+    The view analyses run once per physically distinct subterm
+    ({!Query.Algebra.Memo}), and a subterm may sit in many views.  So what
+    they store per subterm is a finding without a location; each view that
+    contains the subterm turns it into a diagnostic at its own location. *)
+
+type finding
+
+val finding :
+  code:string -> severity:severity -> ('a, Format.formatter, unit, finding) format4 -> 'a
+
+val at : location -> finding -> t
+
+val union_findings : finding list -> finding list -> finding list
+(** Sorted and duplicate-free when both arguments are; returns one argument
+    itself when the other is empty, so a clean subterm allocates nothing. *)
+
 val severity_label : severity -> string
 (** ["error"] / ["warning"] / ["info"]. *)
 

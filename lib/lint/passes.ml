@@ -40,9 +40,9 @@ let rec approx client ~ty ~attrs c =
 (* Everything the passes read about one hierarchy, gathered once.  The
    [Edm.Schema] attribute accessors rebuild the inherited attribute list on
    every call, which is fine interactively but dominates a whole-model sweep;
-   a [memo] shares these snapshots across the fragments of a run (the caller
-   must not reuse it across schema changes — [Analyze.run] and the session
-   cache both create one per run). *)
+   a [memo] shares these snapshots across the fragments of a run.  The
+   caller must not reuse it across schema changes; [Analyze.run], its only
+   user, creates one per run. *)
 type type_info = {
   names : string list;
   nset : S.t;
@@ -374,25 +374,25 @@ let model_diags ?memo env frags =
 
 (* -- Compiled-view passes: L008 L011 -------------------------------------- *)
 
-let rec dead_select_diags loc q acc =
+(* The L011 findings of a subtree; [dead] reaches the children. *)
+let dead_select_step dead q =
   match q with
-  | Query.Algebra.Scan _ -> acc
+  | Query.Algebra.Scan _ -> []
   | Query.Algebra.Select (c, sub) ->
-      let acc =
+      let here =
         if unsat c then
-          Diag.makef ~code:"L011" ~severity:Diag.Warning ~loc
-            "selection %s is unsatisfiable: the subtree contributes no rows"
-            (Pretty.cond_string c)
-          :: acc
-        else acc
+          [ Diag.finding ~code:"L011" ~severity:Diag.Warning
+              "selection %s is unsatisfiable: the subtree contributes no rows"
+              (Pretty.cond_string c) ]
+        else []
       in
-      dead_select_diags loc sub acc
-  | Query.Algebra.Project (_, sub) -> dead_select_diags loc sub acc
+      Diag.union_findings here (dead sub)
+  | Query.Algebra.Project (_, sub) -> dead sub
   | Query.Algebra.Join (l, r, _)
   | Query.Algebra.Left_outer_join (l, r, _)
   | Query.Algebra.Full_outer_join (l, r, _)
   | Query.Algebra.Union_all (l, r) ->
-      dead_select_diags loc r (dead_select_diags loc l acc)
+      Diag.union_findings (dead l) (dead r)
 
 let leaf_name = function
   | Query.Ctor.Entity { etype; _ } -> "entity " ^ etype
@@ -424,9 +424,19 @@ let dead_branch_diags loc ctor acc =
       walk ctor acc
 
 let view_diags env (qv : Query.View.query_views) (uv : Query.View.update_views) =
+  (* One table per call, holding location-free findings: each selection is
+     judged once however many views share it, and reported at every view
+     containing it.  Only selections are stored; the walk between them does
+     no work of its own, so repeating it is cheaper than hashing every
+     node. *)
+  let dead =
+    Query.Algebra.Memo.fix
+      ~keep:(function Query.Algebra.Select _ -> true | _ -> false)
+      (Query.Algebra.Memo.create ()) dead_select_step
+  in
   let acc = ref [] in
   let one ?(branches = true) loc (v : Query.View.t) =
-    let ds = dead_select_diags loc v.query !acc in
+    let ds = List.rev_append (List.rev_map (Diag.at loc) (dead v.query)) !acc in
     acc := if branches then dead_branch_diags loc v.ctor ds else ds
   in
   (* The root view's constructor carries the hierarchy's full CASE chain; the

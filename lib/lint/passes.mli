@@ -52,8 +52,9 @@ val view_diags :
     hierarchy-root entity views, the association views, and the update views.
     Per-subtype entity views restrict the root's CASE chain, so the roots see
     every branch; skipping the subtype copies keeps the pass linear in the
-    model rather than in (branches x subtypes).  (Structural well-formedness
-    is {!Wf}'s job.) *)
+    model rather than in (branches x subtypes).  L011 runs once per
+    physically distinct subterm and is reported at every view containing
+    it, as {!Wf} describes.  (Structural well-formedness is {!Wf}'s job.) *)
 
 (** {1 Shared condition reasoning} *)
 

@@ -5,8 +5,6 @@ module Ctor = Query.Ctor
 
 let ( let* ) = Option.bind
 
-module S = Set.Make (String)
-
 (* -- L104: may-NULL dataflow ---------------------------------------------- *)
 
 (* Scan nullability only depends on the scanned source, so one table shared
@@ -56,12 +54,13 @@ let scan_nullability (memo : scan_memo) env src =
    when any type of the hierarchy lacks it or declares it nullable, joins
    exploit that NULL keys never match, outer joins pad the missing side, and
    COALESCE is null only when all sources are.  [None] when the query is too
-   broken to analyse (L101's business). *)
-let rec nullability memo env q =
+   broken to analyse (L101's business).  A step of a memoized fold:
+   [nullability] reaches the children, [scan] resolves sources. *)
+let nullability_step scan nullability q =
   match q with
-  | Algebra.Scan src -> scan_nullability memo env src
+  | Algebra.Scan src -> scan src
   | Algebra.Select (c, sub) ->
-      let* cols = nullability memo env sub in
+      let* cols = nullability sub in
       let refined =
         Mapping.Coverage.conjuncts c
         |> List.filter_map (function
@@ -71,7 +70,7 @@ let rec nullability memo env q =
       in
       Some (List.map (fun (n, nl) -> (n, nl && not (List.mem n refined))) cols)
   | Algebra.Project (items, sub) ->
-      let* cols = nullability memo env sub in
+      let* cols = nullability sub in
       let of_src s = match List.assoc_opt s cols with Some nl -> nl | None -> true in
       Some
         (List.map
@@ -81,25 +80,25 @@ let rec nullability memo env q =
              | Algebra.Coalesce { srcs; dst } -> (dst, List.for_all of_src srcs))
            items)
   | Algebra.Join (l, r, on) ->
-      let* lc = nullability memo env l in
-      let* rc = nullability memo env r in
+      let* lc = nullability l in
+      let* rc = nullability r in
       Some
         (List.map (fun (n, nl) -> (n, (not (List.mem n on)) && nl)) lc
         @ List.filter (fun (n, _) -> not (List.mem n on)) rc)
   | Algebra.Left_outer_join (l, r, on) ->
-      let* lc = nullability memo env l in
-      let* rc = nullability memo env r in
+      let* lc = nullability l in
+      let* rc = nullability r in
       Some (lc @ List.filter_map (fun (n, _) -> if List.mem n on then None else Some (n, true)) rc)
   | Algebra.Full_outer_join (l, r, on) ->
-      let* lc = nullability memo env l in
-      let* rc = nullability memo env r in
+      let* lc = nullability l in
+      let* rc = nullability r in
       let right_null n = match List.assoc_opt n rc with Some nl -> nl | None -> true in
       Some
         (List.map (fun (n, nl) -> if List.mem n on then (n, nl || right_null n) else (n, true)) lc
         @ List.filter_map (fun (n, _) -> if List.mem n on then None else Some (n, true)) rc)
   | Algebra.Union_all (l, r) ->
-      let* lc = nullability memo env l in
-      let* rc = nullability memo env r in
+      let* lc = nullability l in
+      let* rc = nullability r in
       let right_null n = match List.assoc_opt n rc with Some nl -> nl | None -> true in
       Some (List.map (fun (n, nl) -> (n, nl || right_null n)) lc)
 
@@ -120,11 +119,11 @@ let guard_forces_not_null guard col =
            | _ -> false))
     guard
 
-let update_view_null_diags memo env tname (v : View.t) =
+let update_view_null_diags env nullability tname (v : View.t) =
   match Relational.Schema.find_table env.Query.Env.store tname with
   | None -> []
   | Some tbl -> (
-      match nullability memo env v.query with
+      match nullability v.query with
       | None -> []
       | Some cols ->
           tuple_leaves [] v.ctor
@@ -149,128 +148,170 @@ let update_view_null_diags memo env tname (v : View.t) =
                      else None)
                    cs))
 
-(* -- L102: duplicate projection destinations ------------------------------ *)
+(* -- L102, L103: projection and union shape -------------------------------- *)
 
-let rec dup_dst_diags loc q acc =
+let dup_dsts items =
+  let rec adjacent_dups = function
+    | a :: (b :: _ as rest) ->
+        if String.equal a b then a :: adjacent_dups rest else adjacent_dups rest
+    | _ -> []
+  in
+  List.sort_uniq String.compare
+    (adjacent_dups (List.sort String.compare (List.map Algebra.dst_of items)))
+
+(* A subtree's output columns (None once anything is unresolvable — L101's
+   business) and its L102 and L103 findings: projections binding a column
+   twice, and unions whose sides agree on columns as sets but not in order.
+   [shape] reaches the children, [scan] resolves sources. *)
+let shape_step scan shape q =
   match q with
-  | Algebra.Scan _ -> acc
+  | Algebra.Scan src -> (scan src, [])
+  | Algebra.Select (_, sub) -> shape sub
   | Algebra.Project (items, sub) ->
-      let dsts = List.map Algebra.dst_of items in
-      let rec adjacent_dups = function
-        | a :: (b :: _ as rest) ->
-            if String.equal a b then a :: adjacent_dups rest else adjacent_dups rest
-        | _ -> []
+      let here =
+        match dup_dsts items with
+        | [] -> []
+        | dups ->
+            [ Diag.finding ~code:"L102" ~severity:Diag.Error
+                "projection binds column(s) %s more than once" (String.concat ", " dups) ]
       in
-      let dups = List.sort_uniq String.compare (adjacent_dups (List.sort String.compare dsts)) in
-      let acc =
-        if dups = [] then acc
-        else
-          Diag.makef ~code:"L102" ~severity:Diag.Error ~loc
-            "projection binds column(s) %s more than once" (String.concat ", " dups)
-          :: acc
-      in
-      dup_dst_diags loc sub acc
-  | Algebra.Select (_, sub) -> dup_dst_diags loc sub acc
-  | Algebra.Join (l, r, _)
-  | Algebra.Left_outer_join (l, r, _)
-  | Algebra.Full_outer_join (l, r, _)
-  | Algebra.Union_all (l, r) ->
-      dup_dst_diags loc r (dup_dst_diags loc l acc)
-
-(* -- L103: union signature order ------------------------------------------ *)
-
-(* Single bottom-up pass: propagate each subtree's output columns (None once
-   anything is unresolvable — L101's business) and flag unions whose sides
-   agree as sets but not in order. *)
-let rec union_scan env loc q acc =
-  match q with
-  | Algebra.Scan _ ->
-      ((match Algebra.infer env q with Ok cols -> Some cols | Error _ -> None), acc)
-  | Algebra.Select (_, sub) -> union_scan env loc sub acc
-  | Algebra.Project (items, sub) ->
-      let _, acc = union_scan env loc sub acc in
-      (Some (List.map Algebra.dst_of items), acc)
+      (Some (List.map Algebra.dst_of items), Diag.union_findings here (snd (shape sub)))
   | Algebra.Join (l, r, on) | Algebra.Left_outer_join (l, r, on) | Algebra.Full_outer_join (l, r, on)
     ->
-      let lc, acc = union_scan env loc l acc in
-      let rc, acc = union_scan env loc r acc in
+      let lc, lf = shape l in
+      let rc, rf = shape r in
       let cols =
         match (lc, rc) with
         | Some lc, Some rc -> Some (lc @ List.filter (fun c -> not (List.mem c on)) rc)
         | _ -> None
       in
-      (cols, acc)
+      (cols, Diag.union_findings lf rf)
   | Algebra.Union_all (l, r) ->
-      let lc, acc = union_scan env loc l acc in
-      let rc, acc = union_scan env loc r acc in
-      let acc =
+      let lc, lf = shape l in
+      let rc, rf = shape r in
+      let here =
         match (lc, rc) with
         | Some lc, Some rc
           when lc <> rc && List.sort String.compare lc = List.sort String.compare rc ->
-            Diag.makef ~code:"L103" ~severity:Diag.Warning ~loc
-              "UNION ALL sides agree on columns but in different order: {%s} vs {%s}"
-              (String.concat "," lc) (String.concat "," rc)
-            :: acc
-        | _ -> acc
+            [ Diag.finding ~code:"L103" ~severity:Diag.Warning
+                "UNION ALL sides agree on columns but in different order: {%s} vs {%s}"
+                (String.concat "," lc) (String.concat "," rc) ]
+        | _ -> []
       in
-      (lc, acc)
-
-let union_order_diags env loc q acc = snd (union_scan env loc q acc)
+      (lc, Diag.union_findings here (Diag.union_findings lf rf))
 
 (* -- L105: constructor references ----------------------------------------- *)
 
-let ctor_ref_diags loc (v : View.t) cols acc =
-  let cols = S.of_list cols in
-  let acc = ref acc in
-  let check what c =
-    if not (S.mem c cols) then
-      acc :=
-        Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
-          "constructor %s %s is not produced by the view's query" what c
-        :: !acc
+module Refs = Set.Make (struct
+  type t = string * string
+
+  let compare = compare
+end)
+
+(* What a constructor subtree references: [(what, column)] pairs, and
+   whether some branch tests entity types.  [refs] reaches the children. *)
+let ctor_refs_step refs c =
+  let tag what cs = Refs.of_list (List.map (fun c -> (what, c)) cs) in
+  match c with
+  | Ctor.Entity { attrs; _ } -> (tag "attribute" attrs, false)
+  | Ctor.Tuple cs -> (tag "column" cs, false)
+  | Ctor.If (cond, a, b) ->
+      let ra, ta = refs a in
+      let rb, tb = refs b in
+      ( Refs.union (tag "condition column" (Cond.columns cond)) (Refs.union ra rb),
+        Cond.type_atoms cond <> [] || ta || tb )
+
+(* Membership in a sorted array: one small array per view instead of a set. *)
+let sorted_mem cols c =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let k = String.compare c cols.(mid) in
+    k = 0 || if k < 0 then go lo mid else go (mid + 1) hi
   in
-  let rec walk = function
-    | Ctor.Entity { attrs; _ } -> List.iter (check "attribute") attrs
-    | Ctor.Tuple cs -> List.iter (check "column") cs
-    | Ctor.If (c, a, b) ->
-        List.iter (check "condition column") (Cond.columns c);
-        if Cond.type_atoms c <> [] && not (S.mem Query.Env.type_column cols) then
-          acc :=
-            Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
-              "constructor tests entity types but the query does not carry %s"
-              Query.Env.type_column
-            :: !acc;
-        walk a;
-        walk b
+  go 0 (Array.length cols)
+
+let ctor_ref_diags loc (refs, tests_types) cols acc =
+  let cols = Array.of_list cols in
+  Array.sort String.compare cols;
+  let acc =
+    Refs.fold
+      (fun (what, c) acc ->
+        if sorted_mem cols c then acc
+        else
+          Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
+            "constructor %s %s is not produced by the view's query" what c
+          :: acc)
+      refs acc
   in
-  walk v.ctor;
-  !acc
+  if tests_types && not (sorted_mem cols Query.Env.type_column) then
+    Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
+      "constructor tests entity types but the query does not carry %s" Query.Env.type_column
+    :: acc
+  else acc
 
 (* -- Assembly ------------------------------------------------------------- *)
 
-let view_diags env loc (v : View.t) =
-  let acc = dup_dst_diags loc v.query [] in
-  let acc = union_order_diags env loc v.query acc in
-  let acc =
-    match Algebra.infer env v.query with
-    | Ok cols -> ctor_ref_diags loc v cols acc
-    | Error msg ->
-        (* Suppress when a more specific structural error already explains
-           the failure. *)
-        if List.exists (fun d -> d.Diag.severity = Diag.Error) acc then acc
-        else Diag.makef ~code:"L101" ~severity:Diag.Error ~loc "%s" msg :: acc
-  in
-  Diag.sort acc
+(* Every analysis is a memoized fold with one table per call: the
+   environment is fixed for the call, and a table holds location-free
+   findings, which each view places at its own location.  A table keeps only
+   the results of nodes a second parent will ask for ([Memo.shared]), so
+   what stays live during the call is small; the L104 pass runs after the
+   others, so their tables are dead by then. *)
 
-let check env (qv : View.query_views) (uv : View.update_views) =
-  let memo : scan_memo = Hashtbl.create 64 in
-  let acc = ref [] in
-  let one loc v = acc := view_diags env loc v @ !acc in
-  List.iter (fun (ty, v) -> one (Diag.Query_view ty) v) (View.entity_view_bindings qv);
-  List.iter (fun (a, v) -> one (Diag.Query_view a) v) (View.assoc_view_bindings qv);
-  List.iter
-    (fun (t, v) ->
-      one (Diag.Update_view t) v;
-      acc := update_view_null_diags memo env t v @ !acc)
-    (View.update_view_bindings uv);
-  Diag.sort !acc
+let located (qv : View.query_views) (uv : View.update_views) =
+  let at loc bindings = List.map (fun (n, v) -> (loc n, v)) bindings in
+  at (fun ty -> Diag.Query_view ty) (View.entity_view_bindings qv)
+  @ at (fun a -> Diag.Query_view a) (View.assoc_view_bindings qv)
+  @ at (fun t -> Diag.Update_view t) (View.update_view_bindings uv)
+
+(* L101, L102, L103 and L105 of every view. *)
+let view_shape_diags env ~keep views =
+  let algebra step = Algebra.Memo.fix ~keep (Algebra.Memo.create ()) step in
+  let infer = algebra (fun infer -> Algebra.infer_step (fun _ -> infer) env) in
+  let scans = Hashtbl.create 64 in
+  let scan src =
+    match Hashtbl.find_opt scans src with
+    | Some cols -> cols
+    | None ->
+        let cols = Result.to_option (Algebra.infer env (Algebra.Scan src)) in
+        Hashtbl.add scans src cols;
+        cols
+  in
+  let shape = algebra (shape_step scan) in
+  let refs =
+    let keep = Ctor.Memo.shared (List.map (fun (_, (v : View.t)) -> v.ctor) views) in
+    Ctor.Memo.fix ~keep (Ctor.Memo.create ()) ctor_refs_step
+  in
+  let one acc (loc, (v : View.t)) =
+    let structural = List.rev_map (Diag.at loc) (snd (shape v.query)) in
+    List.rev_append
+      (match infer v.query with
+      | Ok cols -> ctor_ref_diags loc (refs v.ctor) cols structural
+      | Error msg ->
+          (* Suppress when a more specific structural error already explains
+             the failure. *)
+          if List.exists (fun d -> d.Diag.severity = Diag.Error) structural then structural
+          else Diag.makef ~code:"L101" ~severity:Diag.Error ~loc "%s" msg :: structural)
+      acc
+  in
+  List.fold_left one [] views
+
+(* L104 of every update view. *)
+let update_null_diags env ~keep (uv : View.update_views) =
+  let scans : scan_memo = Hashtbl.create 64 in
+  let nullability =
+    Algebra.Memo.fix ~keep (Algebra.Memo.create ()) (nullability_step (scan_nullability scans env))
+  in
+  List.concat_map
+    (fun (t, v) -> update_view_null_diags env nullability t v)
+    (View.update_view_bindings uv)
+
+(* One [keep] for both: the subterms shared anywhere in the view set, a
+   superset of those the update views share among themselves. *)
+let check env qv uv =
+  let views = located qv uv in
+  let keep = Algebra.Memo.shared (List.map (fun (_, (v : View.t)) -> v.query) views) in
+  let shape_ds = view_shape_diags env ~keep views in
+  Diag.sort (List.rev_append shape_ds (update_null_diags env ~keep uv))

@@ -17,10 +17,25 @@
                     view (outer-join padding, nullable source)
     L105  error     a constructor references a column the query does not
                     produce (or tests types without the $type column)
-    v} *)
+    v}
 
-val view_diags : Query.Env.t -> Diag.location -> Query.View.t -> Diag.t list
-(** L101, L102, L103, L105 for one view. *)
+    {b Shared subterms.}  The incremental compiler builds each new view out
+    of the old views' subterms, so the compiled views form a DAG: on the
+    customer model about 33,600 algebra nodes as trees, about 2,000
+    physically distinct.  Each analysis is therefore a fold memoized on
+    physical identity ({!Query.Algebra.Memo}, {!Query.Ctor.Memo}) and runs
+    once per distinct subterm.  This is sound because
+    - there is one table per analysis per {!check} call, and the
+      environment is fixed for the call, so a node's result depends on the
+      node alone;
+    - a table holds location-free findings ({!Diag.finding}); each view
+      places the findings of its subterms at its own location, so a fault
+      in a shared subterm is still reported at every view that contains it;
+    - the findings of a subterm reached twice within one view are merged
+      ({!Diag.union_findings}), so each is reported once per view, which is
+      what {!Diag.sort} made of the duplicates of a tree walk.
+    A table stores only the results of subterms reached more than once
+    ([Memo.shared]), so the memory held during a call stays small. *)
 
 val check :
   Query.Env.t -> Query.View.query_views -> Query.View.update_views -> Diag.t list

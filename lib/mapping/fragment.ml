@@ -150,11 +150,7 @@ let well_formed env f =
       match Edm.Schema.set_root client s with
       | None -> fail "fragment over unknown entity set %s" s
       | Some root ->
-          let hierarchy = Edm.Schema.subtypes client root in
-          let all_attrs =
-            List.concat_map (fun ty -> Edm.Schema.attributes client ty) hierarchy
-            |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
-          in
+          let all_attrs = Edm.Schema.hierarchy_attributes client root in
           let* () =
             all_ok
               (fun a ->
@@ -175,7 +171,8 @@ let well_formed env f =
               (fun atom ->
                 match atom with
                 | Query.Cond.Is_of e | Query.Cond.Is_of_only e ->
-                    if List.mem e hierarchy then Ok ()
+                    if Edm.Schema.mem_type client e && Edm.Schema.is_subtype client ~sub:e ~sup:root
+                    then Ok ()
                     else fail "condition tests type %s outside hierarchy of %s" e s
                 | Query.Cond.Is_null a | Query.Cond.Is_not_null a | Query.Cond.Cmp (a, _, _) ->
                     if List.mem_assoc a all_attrs then Ok ()

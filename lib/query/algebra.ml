@@ -55,7 +55,19 @@ let check_cond cols c =
     fail "type test in %s over rows without a dynamic type" (Cond.show c)
   else Ok ()
 
-let rec infer env = function
+module Memo = Phys_memo.Make (struct
+  type nonrec t = t
+
+  let iter_children f = function
+    | Scan _ -> ()
+    | Select (_, q) | Project (_, q) -> f q
+    | Join (l, r, _) | Left_outer_join (l, r, _) | Full_outer_join (l, r, _) | Union_all (l, r) ->
+        f l;
+        f r
+end)
+
+(* The typing rule of one node; [infer env] reaches the children. *)
+let infer_step infer env = function
   | Scan src -> source_columns env src
   | Select (c, q) ->
       let* cols = infer env q in
@@ -104,6 +116,20 @@ let rec infer env = function
       if List.sort String.compare lc = List.sort String.compare rc then Ok lc
       else
         fail "union sides disagree: {%s} vs {%s}" (String.concat "," lc) (String.concat "," rc)
+
+let rec infer env q = infer_step infer env q
+
+let sharing qs =
+  let tbl = Memo.create () in
+  let size =
+    Memo.fix tbl (fun size -> function
+      | Scan _ -> 1
+      | Select (_, q) | Project (_, q) -> 1 + size q
+      | Join (l, r, _) | Left_outer_join (l, r, _) | Full_outer_join (l, r, _) | Union_all (l, r) ->
+          1 + size l + size r)
+  in
+  let tree = List.fold_left (fun n q -> n + size q) 0 qs in
+  (tree, Memo.size tbl)
 
 let columns env q =
   match infer env q with

@@ -62,6 +62,24 @@ val infer : Env.t -> t -> (string list, string) result
     only appear over rows that carry {!Env.type_column}, join sides don't
     clash outside the join columns, and union sides agree on columns. *)
 
+(** {1 Folds over shared subterms} *)
+
+module Memo : Phys_memo.S with type node := t
+(** {!Phys_memo.Make} over queries: one result per physically distinct
+    subterm, however many views share it. *)
+
+val infer_step :
+  (Env.t -> t -> (string list, string) result) -> Env.t -> t -> (string list, string) result
+(** {!infer}'s rule for one node, reaching the children through its first
+    argument.  {!infer} ties it by plain recursion, so it allocates what a
+    directly recursive [infer] would; a view analysis over many views ties
+    it through a {!Memo} table, so each shared subterm is typed once. *)
+
+val sharing : t list -> int * int
+(** [(tree, distinct)]: the nodes of the queries counted as trees (each
+    shared subterm once per occurrence) and counted once per physically
+    distinct node. *)
+
 val columns : Env.t -> t -> string list
 (** @raise Invalid_argument when {!infer} fails. *)
 

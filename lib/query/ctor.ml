@@ -4,6 +4,16 @@ type t =
   | If of Cond.t * t * t
 [@@deriving eq]
 
+module Memo = Phys_memo.Make (struct
+  type nonrec t = t
+
+  let iter_children f = function
+    | Entity _ | Tuple _ -> ()
+    | If (_, a, b) ->
+        f a;
+        f b
+end)
+
 let rec pp fmt = function
   | Entity { etype; attrs } -> Format.fprintf fmt "%s(%s)" etype (String.concat "," attrs)
   | Tuple cols -> Format.fprintf fmt "(%s)" (String.concat "," cols)

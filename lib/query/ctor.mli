@@ -16,6 +16,11 @@ type t =
       (** Branch on the row (provenance flags, discriminators). *)
 
 val equal : t -> t -> bool
+
+module Memo : Phys_memo.S with type node := t
+(** {!Phys_memo.Make} over constructors: views of one hierarchy share their
+    CASE chains, so a constructor analysis runs once per distinct node. *)
+
 val pp : Format.formatter -> t -> unit
 val show : t -> string
 

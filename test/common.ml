@@ -185,3 +185,38 @@ let arb_cond_no_types = QCheck.make ~print:C.show gen_cond_no_types
 
 let qtest ?(count = 200) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+
+(* The SMO pipeline grown below the root of a random model's first entity
+   set, or [None] when that root has no key-carrying table.  Its shape
+   varies with the seed: grow, then widen with a property, then (sometimes)
+   shrink again. *)
+let random_pipeline seed (st : Core.State.t) =
+  match Edm.Schema.entity_sets st.Core.State.env.Query.Env.client with
+  | [] -> None
+  | (_, root) :: _ -> (
+      match Modef.Style.key_carrier st.Core.State.env st.Core.State.fragments ~etype:root with
+      | None -> None
+      | Some (ptable, _) ->
+          let entity =
+            Edm.Entity_type.derived ~name:"Fresh" ~parent:root [ ("FreshAttr", D.String) ]
+          in
+          let table =
+            Relational.Table.make ~name:"TFresh" ~key:[ "Id" ]
+              ~fks:[ { Relational.Table.fk_columns = [ "Id" ]; ref_table = ptable;
+                       ref_columns = [ "Id" ] } ]
+              [ ("Id", D.Int, `Not_null); ("FreshAttr", D.String, `Null) ]
+          in
+          Some
+            ([ Core.Smo.Add_entity
+                 { entity; alpha = [ "Id"; "FreshAttr" ]; p_ref = Some root; table;
+                   fmap = [ ("Id", "Id"); ("FreshAttr", "FreshAttr") ] } ]
+            @ (if seed mod 2 = 0 then
+                 [ Core.Smo.Add_property
+                     { etype = "Fresh"; attr = ("FreshExtra", D.Int);
+                       target =
+                         Core.Add_property.To_existing_table
+                           { table = "TFresh"; column = "FreshExtra" } } ]
+               else [])
+            @
+            if seed mod 3 = 0 then [ Core.Smo.Drop_property { etype = "Fresh"; attr = "FreshAttr" } ]
+            else []))

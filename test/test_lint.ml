@@ -331,6 +331,249 @@ let test_faster_than_validation () =
     true
     (val_dt >= 50.0 *. lint_dt)
 
+(* -- shared subterms: the memoized passes against the tree walks ----------- *)
+
+let show_diags ds = String.concat "\n    " (List.map (Format.asprintf "%a" Diag.pp) ds)
+
+(* The memoized [Wf.check] and [Passes.view_diags] must return exactly what
+   the tree-walking oracles return; returns their diagnostics. *)
+let same_as_tree tag env qv uv =
+  let agree what dag tree =
+    if not (List.equal Diag.equal dag tree) then
+      Alcotest.failf "%s: %s differs from the tree walk\n  memoized:\n    %s\n  tree:\n    %s" tag
+        what (show_diags dag) (show_diags tree);
+    dag
+  in
+  agree "Wf.check" (Lint.Wf.check env qv uv) (Lint_tree.Wf.check env qv uv)
+  @ agree "Passes.view_diags" (Lint.Passes.view_diags env qv uv)
+      (Lint_tree.Views.view_diags env qv uv)
+
+(* Faults planted in a view set without breaking its sharing: the rewrite is
+   itself memoized on physical identity, so a damaged shared subterm stays
+   shared by every view that contained it.  Which nodes are hit depends on
+   their structural hash: some selections become unsatisfiable (L011) or
+   test a column their input lacks (L101), some projections bind a column
+   twice (L102) or become a union with their own column-reversed copy
+   (L103), and some constructor leaves name a column no query produces
+   (L105). *)
+let damage (qv : Query.View.query_views) (uv : Query.View.update_views) =
+  let hit k x = Hashtbl.hash x mod k = 0 in
+  let query =
+    Query.Algebra.Memo.fix (Query.Algebra.Memo.create ()) (fun go q ->
+        match q with
+        | A.Scan _ -> q
+        | A.Select (c, sub) ->
+            let c =
+              if hit 5 q then C.And (c, C.False)
+              else if hit 7 q then C.And (c, C.Is_null "Ghost")
+              else c
+            in
+            A.Select (c, go sub)
+        | A.Project (items, sub) ->
+            let sub = go sub in
+            if hit 13 q then A.Project (items @ [ A.null_as (A.dst_of (List.hd items)) ], sub)
+            else if hit 5 q then A.Union_all (A.Project (items, sub), A.Project (List.rev items, sub))
+            else A.Project (items, sub)
+        | A.Join (l, r, on) -> A.Join (go l, go r, on)
+        | A.Left_outer_join (l, r, on) -> A.Left_outer_join (go l, go r, on)
+        | A.Full_outer_join (l, r, on) -> A.Full_outer_join (go l, go r, on)
+        | A.Union_all (l, r) -> A.Union_all (go l, go r))
+  in
+  let ctor =
+    Query.Ctor.Memo.fix (Query.Ctor.Memo.create ()) (fun go c ->
+        match c with
+        | Query.Ctor.Entity { etype; attrs } when hit 3 c ->
+            Query.Ctor.Entity { etype; attrs = attrs @ [ "Ghost" ] }
+        | Query.Ctor.Tuple cs when hit 3 c -> Query.Ctor.Tuple (cs @ [ "Ghost" ])
+        | Query.Ctor.Entity _ | Query.Ctor.Tuple _ -> c
+        | Query.Ctor.If (cond, a, b) -> Query.Ctor.If (cond, go a, go b))
+  in
+  let view (v : Query.View.t) = { Query.View.query = query v.query; ctor = ctor v.ctor } in
+  let qv =
+    List.fold_left
+      (fun qv (a, v) -> Query.View.set_assoc_view a (view v) qv)
+      (List.fold_left
+         (fun qv (ty, v) -> Query.View.set_entity_view ty (view v) qv)
+         qv (Query.View.entity_view_bindings qv))
+      (Query.View.assoc_view_bindings qv)
+  in
+  let uv =
+    List.fold_left
+      (fun uv (t, v) -> Query.View.set_table_view t (view v) uv)
+      uv (Query.View.update_view_bindings uv)
+  in
+  (qv, uv)
+
+(* Checks the state's views as they are and, with [damaged], once more with
+   faults planted; returns the damaged views' diagnostics. *)
+let same_as_tree_state ?(damaged = true) tag (st : Core.State.t) =
+  let env = st.Core.State.env in
+  let qv, uv = (st.Core.State.query_views, st.Core.State.update_views) in
+  ignore (same_as_tree tag env qv uv);
+  if not damaged then []
+  else
+    let qv', uv' = damage qv uv in
+    same_as_tree (tag ^ " (damaged)") env qv' uv'
+
+let builtin_models () =
+  [
+    (let s = Workload.Paper_example.stage4 in
+     ("paper", s.Workload.Paper_example.env, s.Workload.Paper_example.fragments));
+    (let env, frags = Workload.Chain.generate ~size:30 in
+     ("chain-30", env, frags));
+    (let env, frags = Workload.Hub_rim.generate ~n:2 ~m:3 ~style:`Tph in
+     ("hub-rim", env, frags));
+    (let env, frags = Workload.Hub_rim.generate ~n:2 ~m:3 ~style:`Tpt in
+     ("hub-rim-tpt", env, frags));
+    (let env, frags = Workload.Customer.generate () in
+     ("customer", env, frags));
+  ]
+
+(* A state saved and loaded back, as the e2e loop obtains it: the loader
+   shares equal subterms. *)
+let reloaded st = ok_exn (Surface.State_io.load (Surface.State_io.save st))
+
+let loaded_state env frags =
+  reloaded (Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags)))
+
+let test_dag_builtins () =
+  List.iter
+    (fun (name, env, frags) ->
+      let st = Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags)) in
+      ignore (same_as_tree_state (name ^ " compiled") st);
+      (* The optimizer is what introduces unions. *)
+      let o = ok_exn (Fullc.Compile.compile ~validate:false ~optimize:true env frags) in
+      ignore (same_as_tree_state (name ^ " optimized") (Core.State.of_compiled env frags o));
+      let ds = same_as_tree_state (name ^ " loaded") (reloaded st) in
+      (* The planted faults are there to be found. *)
+      if name = "customer" then
+        List.iter
+          (fun code -> check_fires "damaged customer" code ds)
+          [ "L011"; "L101"; "L102"; "L103"; "L105" ])
+    (builtin_models ())
+
+(* Customer after each suite SMO alone (as the e2e [edit] op applies it) and
+   after the whole suite in sequence: Algorithm 1's output shares the old
+   views' subterms. *)
+let test_dag_customer_suite () =
+  let env, frags = Workload.Customer.generate () in
+  let st = loaded_state env frags in
+  let suite = Workload.Customer.smo_suite () in
+  List.iter
+    (fun (label, smo) ->
+      ignore (same_as_tree_state ("customer + " ^ label) (ok_v (Core.Engine.apply ~jobs:1 st smo))))
+    suite;
+  ignore
+    (List.fold_left
+       (fun st (label, smo) ->
+         let st = ok_v (Core.Engine.apply ~jobs:1 st smo) in
+         ignore (same_as_tree_state ~damaged:false ("customer suite up to " ^ label) st);
+         st)
+       st suite)
+
+let prop_dag_random =
+  qtest ~count:200 "random models match tree"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let env, frags = Workload.Random_model.generate ~seed () in
+      let tag = Printf.sprintf "seed %d" seed in
+      let st = loaded_state env frags in
+      ignore (same_as_tree_state tag st);
+      (match random_pipeline seed st with
+      | None -> ()
+      | Some smos ->
+          ignore
+            (List.fold_left
+               (fun st smo ->
+                 Option.bind st (fun st ->
+                     match Core.Engine.apply ~jobs:1 st smo with
+                     | Error _ -> None
+                     | Ok st ->
+                         ignore (same_as_tree_state (tag ^ " after " ^ Core.Smo.name smo) st);
+                         Some st))
+               (Some st) smos));
+      true)
+
+(* One shared subterm carries an L102 and an L103 fault, one shared
+   constructor an L105 fault, one shared selection an L011 fault; each sits
+   in two views, and each must be reported at both. *)
+let test_shared_faults () =
+  let env = env_of [ ("Persons", person (), []) ] [ table_p () ] in
+  let p = A.Scan (A.Table "P") in
+  let dup = A.Project ([ A.col "Id"; A.col "Nick"; A.col_as "Nick" "Id" ], p) in
+  let shared =
+    A.Union_all
+      (A.project_cols [ "Id"; "Nick" ] dup, A.Project ([ A.col "Nick"; A.col "Id" ], p))
+  in
+  let ghost = Query.Ctor.Entity { etype = "Person"; attrs = [ "Id"; "Ghost" ] } in
+  let dead = A.Select (C.And (C.Is_null "Nick", C.Is_not_null "Nick"), p) in
+  let qv =
+    Query.View.no_query_views
+    |> Query.View.set_entity_view "V1" { Query.View.query = shared; ctor = entity_leaf }
+    |> Query.View.set_entity_view "V2"
+         { Query.View.query = A.Select (C.Is_not_null "Id", shared); ctor = entity_leaf }
+    |> Query.View.set_entity_view "V3" { Query.View.query = p; ctor = ghost }
+    |> Query.View.set_entity_view "V4" { Query.View.query = A.project_cols [ "Id"; "Nick" ] p; ctor = ghost }
+    |> Query.View.set_entity_view "V5" { Query.View.query = dead; ctor = entity_leaf }
+  in
+  let uv =
+    Query.View.set_table_view "P"
+      { Query.View.query = A.project_cols [ "Id"; "Nick" ] dead; ctor = Query.Ctor.Tuple [ "Id"; "Nick" ] }
+      Query.View.no_update_views
+  in
+  let ds = Lint.Wf.check env qv uv @ Lint.Passes.view_diags env qv uv in
+  let reported code loc =
+    checkb
+      (Format.asprintf "%s reported at %a (got:\n    %s)" code Diag.pp_location loc (show_diags ds))
+      true
+      (List.exists (fun (d : Diag.t) -> d.code = code && d.loc = loc) ds)
+  in
+  List.iter
+    (fun (code, locs) -> List.iter (reported code) locs)
+    [
+      ("L102", [ Diag.Query_view "V1"; Diag.Query_view "V2" ]);
+      ("L103", [ Diag.Query_view "V1"; Diag.Query_view "V2" ]);
+      ("L105", [ Diag.Query_view "V3"; Diag.Query_view "V4" ]);
+      ("L011", [ Diag.Query_view "V5"; Diag.Update_view "P" ]);
+    ];
+  ignore (same_as_tree "shared faults" env qv uv)
+
+(* Each [Analyze.run] opens one span per pass under [lint.analyze], and the
+   view passes report the sharing they exploit. *)
+let test_pass_spans () =
+  let env, frags = Workload.Hub_rim.generate ~n:2 ~m:3 ~style:`Tpt in
+  let st = loaded_state env frags in
+  let views = (st.Core.State.query_views, st.Core.State.update_views) in
+  Obs.Span.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      ignore (Lint.Analyze.run ~views env frags);
+      ignore (Lint.Analyze.run ~views env frags));
+  let roots = Obs.Span.roots () in
+  check Alcotest.(list string) "two runs, two roots" [ "lint.analyze"; "lint.analyze" ]
+    (List.map Obs.Span.name roots);
+  List.iter
+    (fun root ->
+      let kids = Obs.Span.children root in
+      check Alcotest.(list string) "one span per pass"
+        [ "lint.fragments"; "lint.model"; "lint.views"; "lint.wf" ]
+        (List.map Obs.Span.name kids);
+      List.iter
+        (fun kid ->
+          match Obs.Span.name kid with
+          | "lint.views" | "lint.wf" ->
+              let attr k = int_of_string (List.assoc k (Obs.Span.attrs kid)) in
+              let tree = attr "tree_nodes" and distinct = attr "distinct_nodes" in
+              checkb
+                (Printf.sprintf "%s: 0 < distinct (%d) <= tree (%d)" (Obs.Span.name kid) distinct
+                   tree)
+                true
+                (0 < distinct && distinct <= tree)
+          | _ -> ())
+        kids)
+    roots;
+  Obs.Span.reset ()
+
 (* -- diagnostics plumbing -------------------------------------------------- *)
 
 let test_diag_render () =
@@ -377,6 +620,14 @@ let () =
         [ prop_soundness; Alcotest.test_case "builtins clean" `Quick test_builtin_models_clean ]
       );
       ("session", [ Alcotest.test_case "lint is Analyze.run" `Quick test_session_lint ]);
+      ( "shared subterms",
+        [
+          Alcotest.test_case "builtins match tree" `Quick test_dag_builtins;
+          Alcotest.test_case "customer suite matches tree" `Quick test_dag_customer_suite;
+          prop_dag_random;
+          Alcotest.test_case "shared faults at every view" `Quick test_shared_faults;
+          Alcotest.test_case "one span per pass" `Quick test_pass_spans;
+        ] );
       ( "speed",
         [ Alcotest.test_case "beats validation by 50x" `Slow test_faster_than_validation ] );
       ("diag", [ Alcotest.test_case "rendering" `Quick test_diag_render ]);

@@ -92,6 +92,69 @@ let test_well_formed_negatives () =
        (F.assoc ~assoc:"Mentors" ~table:"MentorsT"
           [ ("Employee.Id", "Eid"); ("Customer.Id", "Cid") ]))
 
+(* Sibling types may declare one attribute name with different domains
+   ([Edm.Schema.well_formed] allows it).  A fragment's attribute then takes
+   the domain of the earliest declaring type in [subtypes] preorder, where
+   children come in name order. *)
+let test_sibling_domains () =
+  let env_of ~a ~b =
+    let client =
+      Edm.Schema.empty
+      |> Edm.Schema.add_root ~set:"Things"
+           (Edm.Entity_type.root ~name:"Thing" ~key:[ "Id" ] [ ("Id", D.Int) ])
+      |> Result.get_ok
+      |> Edm.Schema.add_derived (Edm.Entity_type.derived ~name:"A" ~parent:"Thing" [ ("X", a) ])
+      |> Result.get_ok
+      |> Edm.Schema.add_derived (Edm.Entity_type.derived ~name:"B" ~parent:"Thing" [ ("X", b) ])
+      |> Result.get_ok
+    in
+    check_ok "siblings may share a name" (Edm.Schema.well_formed client);
+    let store =
+      ok_exn
+        (Relational.Schema.add_table
+           (Relational.Table.make ~name:"T" ~key:[ "Id" ]
+              [ ("Id", D.Int, `Not_null); ("I", D.Int, `Null); ("S", D.String, `Null) ])
+           Relational.Schema.empty)
+    in
+    Query.Env.make ~client ~store
+  in
+  let into col = F.entity ~set:"Things" ~cond:C.True ~table:"T" [ ("Id", "Id"); ("X", col) ] in
+  let a_int = env_of ~a:D.Int ~b:D.String in
+  check_ok "X is A's int: int column" (F.well_formed a_int (into "I"));
+  check_error "X is A's int: string column" (F.well_formed a_int (into "S"));
+  let a_string = env_of ~a:D.String ~b:D.Int in
+  check_ok "X is A's string: string column" (F.well_formed a_string (into "S"));
+  check_error "X is A's string: int column" (F.well_formed a_string (into "I"));
+  checkb "hierarchy_attributes keeps A's domain" true
+    (Edm.Schema.hierarchy_attributes a_string.Query.Env.client "Thing"
+    = [ ("Id", D.Int); ("X", D.String) ])
+
+(* [Edm.Schema.hierarchy_attributes], which [Fragment.well_formed] checks
+   attributes and domains against, agrees with what it replaced: the
+   inherited attribute lists of every subtype, concatenated and
+   de-duplicated by name. *)
+let test_hierarchy_attributes () =
+  let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+  let check_env tag (env : Query.Env.t) =
+    let client = env.Query.Env.client in
+    List.iter
+      (fun (set, root) ->
+        let old =
+          List.concat_map (Edm.Schema.attributes client) (Edm.Schema.subtypes client root)
+          |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
+        in
+        checkb (Printf.sprintf "%s %s" tag set) true
+          (by_name (Edm.Schema.hierarchy_attributes client root) = old))
+      (Edm.Schema.entity_sets client)
+  in
+  check_env "paper" P.stage4.P.env;
+  check_env "chain" (fst (Workload.Chain.generate ~size:30));
+  check_env "hub-rim" (fst (Workload.Hub_rim.generate ~n:2 ~m:3 ~style:`Tph));
+  check_env "customer" (fst (Workload.Customer.generate ()));
+  for seed = 1 to 200 do
+    check_env (Printf.sprintf "seed %d" seed) (fst (Workload.Random_model.generate ~seed ()))
+  done
+
 (* Attribute coverage by constant-only-projection fragments: neither fragment
    projects Flag, but each client condition fixes it to a constant, so the
    pair covers the attribute exactly when the conditions exhaust its domain. *)
@@ -187,6 +250,8 @@ let () =
           Alcotest.test_case "well-formed" `Quick test_well_formed;
           Alcotest.test_case "well-formed negatives" `Quick test_well_formed_negatives;
           Alcotest.test_case "constant-only coverage" `Quick test_constant_only_coverage;
+          Alcotest.test_case "sibling attribute domains" `Quick test_sibling_domains;
+          Alcotest.test_case "hierarchy attributes" `Quick test_hierarchy_attributes;
         ] );
       ( "fragments",
         [ Alcotest.test_case "collection ops" `Quick test_collection_ops;

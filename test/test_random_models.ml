@@ -33,41 +33,6 @@ let test_compiles () =
       check_wf (Printf.sprintf "seed %d" seed) (Core.State.of_compiled env frags c))
     (Lazy.force compiled)
 
-(* The SMO pipeline grown below the root of a random model's first entity
-   set, or [None] when that root has no key-carrying table.  Its shape
-   varies with the seed: grow, then widen with a property, then (sometimes)
-   shrink again. *)
-let pipeline seed (st : Core.State.t) =
-  match Edm.Schema.entity_sets st.Core.State.env.Query.Env.client with
-  | [] -> None
-  | (_, root) :: _ -> (
-      match Modef.Style.key_carrier st.Core.State.env st.Core.State.fragments ~etype:root with
-      | None -> None
-      | Some (ptable, _) ->
-          let entity =
-            Edm.Entity_type.derived ~name:"Fresh" ~parent:root [ ("FreshAttr", D.String) ]
-          in
-          let table =
-            Relational.Table.make ~name:"TFresh" ~key:[ "Id" ]
-              ~fks:[ { Relational.Table.fk_columns = [ "Id" ]; ref_table = ptable;
-                       ref_columns = [ "Id" ] } ]
-              [ ("Id", D.Int, `Not_null); ("FreshAttr", D.String, `Null) ]
-          in
-          Some
-            ([ Core.Smo.Add_entity
-                 { entity; alpha = [ "Id"; "FreshAttr" ]; p_ref = Some root; table;
-                   fmap = [ ("Id", "Id"); ("FreshAttr", "FreshAttr") ] } ]
-            @ (if seed mod 2 = 0 then
-                 [ Core.Smo.Add_property
-                     { etype = "Fresh"; attr = ("FreshExtra", D.Int);
-                       target =
-                         Core.Add_property.To_existing_table
-                           { table = "TFresh"; column = "FreshExtra" } } ]
-               else [])
-            @
-            if seed mod 3 = 0 then [ Core.Smo.Drop_property { etype = "Fresh"; attr = "FreshAttr" } ]
-            else []))
-
 (* [Engine.apply] one SMO at a time, asserting well-formed views after every
    accepted step; the first rejection aborts. *)
 let apply_checked tag st smos =
@@ -146,7 +111,7 @@ let test_evolution_on_random_models () =
   List.iter
     (fun (seed, env, frags, c) ->
       let st = Core.State.of_compiled env frags c in
-      match pipeline seed st with
+      match random_pipeline seed st with
       | None -> ()
       | Some smos -> (
           let tag = Printf.sprintf "seed %d" seed in
@@ -191,7 +156,7 @@ let test_differential_vs_fullc () =
   List.iter
     (fun (seed, env, frags, c) ->
       let st = Core.State.of_compiled env frags c in
-      match pipeline seed st with
+      match random_pipeline seed st with
       | None -> ()
       | Some smos -> (
           match apply_checked (Printf.sprintf "seed %d" seed) st smos with
@@ -288,7 +253,7 @@ let test_jobs_agree () =
     (fun (seed, env, frags, c) ->
       let st = Core.State.of_compiled env frags c in
       let tag = Printf.sprintf "seed %d" seed in
-      match pipeline seed st with
+      match random_pipeline seed st with
       | None -> ()
       | Some smos ->
           ignore
