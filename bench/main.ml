@@ -4,7 +4,8 @@
      fig2  — the compiled query view of the running example (Fig. 2)
      fig4  — full-compilation time of the hub-and-rim model (Fig. 4)
      fig9  — SMO timings on the 1002-type chain model (Fig. 9)
-     fig10 — SMO timings on the customer-like model (Fig. 10)
+     fig10 — SMO timings on the customer-like model (Fig. 10); writes
+             BENCH_fig10.json
      ablation — design-choice measurements called out in DESIGN.md
      par   — obligation-discharge jobs sweep (1/2/4); writes BENCH_par.json
      obs   — per-phase span breakdown via lib/obs; writes BENCH_obs.json
@@ -34,6 +35,15 @@ let measure_ns name f =
       let o = Analyze.one ols Toolkit.Instance.monotonic_clock b in
       match Analyze.OLS.estimates o with Some [ ns ] -> ns | Some _ | None -> nan)
   | _ -> nan
+
+(* Megabytes the calling domain has allocated so far.  Promoted words count
+   once as minor and once as major allocation, so they are subtracted.
+   [Gc.minor_words] includes the live part of the minor heap, so unlike
+   [Gc.allocated_bytes] the figure does not depend on when the minor heap
+   was last emptied. *)
+let allocated_mb () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. 8. /. 1e6
 
 let pp_seconds fmt s =
   if s < 1e-3 then Format.fprintf fmt "%8.1fus" (s *. 1e6)
@@ -184,7 +194,7 @@ let fig4 () =
 
 let smo_table ~baseline st suite =
   Printf.printf "%-10s %-12s %-10s %s\n%!" "SMO" "time" "speedup" "notes";
-  List.iter
+  List.map
     (fun (label, smo) ->
       let outcome = Core.Engine.apply st smo in
       let ns = measure_ns label (fun () -> ignore (Core.Engine.apply st smo)) in
@@ -201,7 +211,8 @@ let smo_table ~baseline st suite =
       Printf.printf "%-10s %-12s %-10s %s\n%!" label
         (Format.asprintf "%a" pp_seconds s)
         (Printf.sprintf "%.0fx" (baseline /. s))
-        note)
+        note;
+      (label, s))
     suite
 
 let fig9 ~chain_size () =
@@ -214,7 +225,39 @@ let fig9 ~chain_size () =
       Printf.printf "full compilation baseline: %s  (the paper's EF baseline: 15 minutes)\n\n%!"
         (Format.asprintf "%a" pp_seconds full_time);
       let st = Core.State.of_compiled env frags c in
-      smo_table ~baseline:full_time st (Workload.Chain.smo_suite ~at:(chain_size / 2))
+      ignore (smo_table ~baseline:full_time st (Workload.Chain.smo_suite ~at:(chain_size / 2)))
+
+(* Per-SMO cost split of one state: median wall time outside obligation
+   discharge over 11 traced applications, megabytes allocated and
+   obligations discharged by one application. *)
+let smo_costs st suite =
+  let runs = 11 in
+  let obligations = Obs.Metric.counter "containment.obligations" in
+  List.map
+    (fun (label, smo) ->
+      let apply () = ignore (Core.Engine.apply st smo) in
+      apply ();
+      let o0 = Obs.Metric.value obligations and a0 = allocated_mb () in
+      apply ();
+      let alloc_mb = allocated_mb () -. a0 in
+      let obls = Obs.Metric.value obligations - o0 in
+      let outside_discharge () =
+        Obs.Span.reset ();
+        Obs.enable ();
+        apply ();
+        Obs.disable ();
+        let total = List.fold_left (fun a sp -> a +. Obs.Span.duration_s sp) 0. (Obs.Span.roots ()) in
+        let discharge =
+          Obs.Span.fold_all
+            (fun a sp -> if Obs.Span.name sp = "discharge.batch" then a +. Obs.Span.duration_s sp else a)
+            0.
+        in
+        Obs.Span.reset ();
+        total -. discharge
+      in
+      let samples = List.sort compare (List.init runs (fun _ -> outside_discharge ())) in
+      (label, List.nth samples (runs / 2), alloc_mb, obls))
+    suite
 
 let fig10 () =
   header "Fig. 10 -- SMO timings on the customer-like model";
@@ -227,7 +270,31 @@ let fig10 () =
       Printf.printf "full compilation baseline: %s  (the paper's EF baseline: 8 hours)\n\n%!"
         (Format.asprintf "%a" pp_seconds full_time);
       let st = Core.State.of_compiled env frags c in
-      smo_table ~baseline:full_time st (Workload.Customer.smo_suite ())
+      let suite = Workload.Customer.smo_suite () in
+      let times = smo_table ~baseline:full_time st suite in
+      let costs = smo_costs st suite in
+      Printf.printf "\n%-10s %14s %10s %12s\n%!" "SMO" "non-discharge" "alloc" "obligations";
+      List.iter
+        (fun (label, other_s, mb, obls) ->
+          Printf.printf "%-10s %12.3fms %8.2fMB %12d\n%!" label (other_s *. 1e3) mb obls)
+        costs;
+      let buf = Buffer.create 1024 in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "{\n  \"command\": \"dune exec bench/main.exe -- fig10\",\n  \"full_compile_s\": %.3f,\n  \
+            \"rows\": ["
+           full_time);
+      List.iteri
+        (fun i ((label, s), (_, other_s, mb, obls)) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf
+            (Printf.sprintf
+               "\n    { \"smo\": %S, \"ms\": %.3f, \"non_containment_ms\": %.3f, \"alloc_mb\": %.2f, \
+                \"obligations\": %d }"
+               label (s *. 1e3) (other_s *. 1e3) mb obls))
+        (List.combine times costs);
+      Buffer.add_string buf "\n  ]\n}\n";
+      write_bench_json ~path:"BENCH_fig10.json" ~label:"Fig. 10 per-SMO costs" (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md section 5).                                    *)

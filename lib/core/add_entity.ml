@@ -39,8 +39,7 @@ let check_preconditions (st : State.t) ~entity ~alpha ~p_ref ~table ~fmap =
           | None -> Ok ()
         in
         (* Documented restriction: under a strict ancestor reference, the
-           non-key part of α must be new to the hierarchy (Algorithm 1 joins
-           would otherwise clash on column names). *)
+           non-key part of α must be new to the hierarchy. *)
         let root = Edm.Schema.root_of client' e in
         let older =
           List.concat_map
@@ -64,154 +63,16 @@ let check_preconditions (st : State.t) ~entity ~alpha ~p_ref ~table ~fmap =
   let* store' = Algo.add_fresh_table st.State.fragments st.State.env.Query.Env.store table fmap in
   Ok (Query.Env.make ~client:client' ~store:store')
 
-(* -- Algorithm 1: query views --------------------------------------------- *)
-
-let query_views (st : State.t) env' ~entity ~alpha ~p_ref ~table ~fmap =
-  let client' = env'.Query.Env.client in
-  let e = entity.Edm.Entity_type.name in
-  let key = Edm.Schema.key_of client' e in
-  let te = Algo.tag_for e in
-  let tau_e = Query.Ctor.Entity { etype = e; attrs = Edm.Schema.attribute_names client' e } in
-  let scan_t = Query.Algebra.Scan (Query.Algebra.Table table.Relational.Table.name) in
-  let renamed = List.map (fun (a, c) -> Query.Algebra.col_as c a) fmap in
-  let stq = Query.Algebra.Project (renamed, scan_t) in
-  let stq_tagged = Query.Algebra.Project (renamed @ [ Query.Algebra.tag te ], scan_t) in
-  let prev ty =
-    match Query.View.entity_view st.State.query_views ty with
-    | Some v -> Ok v
-    | None -> fail "no previous query view for entity type %s" ty
-  in
-  ignore alpha;
-  let* qe, qaux =
-    match p_ref with
-    | None -> Ok (stq, stq_tagged)
-    | Some p ->
-        let* vp = prev p in
-        Ok
-          ( Query.Algebra.Join (vp.Query.View.query, stq, key),
-            Query.Algebra.Join (vp.Query.View.query, stq_tagged, key) )
-  in
-  let anc = match p_ref with None -> [] | Some p -> p :: Edm.Schema.ancestors client' p in
-  let between =
-    match p_ref with
-    | None -> Edm.Schema.ancestors client' e
-    | Some p -> Edm.Schema.strictly_between client' ~low:e ~high:(Some p)
-  in
-  let flag = Query.Cond.Cmp (te, Query.Cond.Eq, Datum.Value.Bool true) in
-  let* qv =
-    List.fold_left
-      (fun acc f ->
-        let* acc = acc in
-        let* vf = prev f in
-        let query = Query.Algebra.Left_outer_join (vf.Query.View.query, stq_tagged, key) in
-        let ctor = Query.Ctor.If (flag, tau_e, vf.Query.View.ctor) in
-        Ok (Query.View.set_entity_view f { Query.View.query; ctor } acc))
-      (Ok st.State.query_views) anc
-  in
-  let* qv =
-    List.fold_left
-      (fun acc f ->
-        let* acc = acc in
-        let* vf = prev f in
-        let query = Algo.align_union env' vf.Query.View.query qaux in
-        let ctor = Query.Ctor.If (flag, tau_e, vf.Query.View.ctor) in
-        Ok (Query.View.set_entity_view f { Query.View.query; ctor } acc))
-      (Ok qv) between
-  in
-  Ok (Query.View.set_entity_view e { Query.View.query = qe; ctor = tau_e } qv, between)
-
-(* -- Algorithm 2: update views --------------------------------------------- *)
-
-let update_views (st : State.t) env' ~entity ~alpha ~p_ref ~table ~fmap ~between =
-  let client' = env'.Query.Env.client in
-  let e = entity.Edm.Entity_type.name in
-  let set = Option.get (Edm.Schema.set_of_type client' e) in
-  ignore alpha;
-  let items =
-    List.map (fun (a, c) -> Query.Algebra.col_as a c) fmap
-    @ List.filter_map
-        (fun c ->
-          if List.mem_assoc c (List.map (fun (a, b) -> (b, a)) fmap) then None
-          else Some (Query.Algebra.null_as c))
-        (Relational.Table.column_names table)
-  in
-  let qt =
-    Query.Algebra.Project
-      ( items,
-        Query.Algebra.Select
-          (Query.Cond.Is_of e, Query.Algebra.Scan (Query.Algebra.Entity_set set)) )
-  in
-  let tau_t = Query.Ctor.Tuple (Relational.Table.column_names table) in
-  let adapted =
-    List.fold_left
-      (fun acc (tbl, (v : Query.View.t)) ->
-        let query =
-          Query.Algebra.map_conditions
-            (Algo.adapt_cond client' ~p_ref ~between ~e)
-            v.Query.View.query
-        in
-        Query.View.set_table_view tbl { v with Query.View.query } acc)
-      Query.View.no_update_views
-      (Query.View.update_view_bindings st.State.update_views)
-  in
-  Query.View.set_table_view table.Relational.Table.name
-    { Query.View.query = qt; ctor = tau_t }
-    adapted
-
-(* -- fragment adaptation (Section 3.1.3) ----------------------------------- *)
-
-let fragments (st : State.t) env' ~entity ~p_ref ~table ~fmap ~between =
-  let client' = env'.Query.Env.client in
-  let e = entity.Edm.Entity_type.name in
-  let set = Option.get (Edm.Schema.set_of_type client' e) in
-  let sigma_star =
-    Mapping.Fragments.map
-      (fun f ->
-        {
-          f with
-          Mapping.Fragment.client_cond =
-            Algo.adapt_cond client' ~p_ref ~between ~e f.Mapping.Fragment.client_cond;
-        })
-      st.State.fragments
-  in
-  let phi_e =
-    Mapping.Fragment.entity ~set ~cond:(Query.Cond.Is_of e)
-      ~table:table.Relational.Table.name fmap
-  in
-  Mapping.Fragments.add phi_e sigma_star
-
 (* -- validation (Section 3.1.4) --------------------------------------------- *)
 
 (* Emit the obligations of Section 3.1.4's checks 1–3; the caller discharges
    the batch. *)
 let validation_obligations env' frags' uv' ~table ~fmap ~between =
-  let client' = env'.Query.Env.client in
   (* Check 1: associations with endpoints strictly between E and P. *)
   let* check1 = Algo.assoc_endpoint_obligations env' frags' uv' ~etypes:between in
   (* Check 2: foreign keys of the association tables that share columns with
      the association image. *)
-  let* check2 =
-    Algo.collect
-      (fun f_type ->
-        Algo.collect
-          (fun (a : Edm.Association.t) ->
-            match Mapping.Fragments.of_assoc frags' a.Edm.Association.name with
-            | [] -> Ok []
-            | frag :: _ -> (
-                let r = frag.Mapping.Fragment.table in
-                match Relational.Schema.find_table env'.Query.Env.store r with
-                | None -> Ok []
-                | Some tbl ->
-                    let beta = Mapping.Fragment.cols frag in
-                    Algo.collect
-                      (fun (fk : Relational.Table.foreign_key) ->
-                        if List.exists (fun c -> List.mem c beta) fk.fk_columns then
-                          Algo.fk_obligations env' uv' ~table:r fk
-                        else Ok [])
-                      tbl.Relational.Table.fks))
-          (Edm.Schema.associations_on client' f_type))
-      between
-  in
+  let* check2 = Algo.assoc_table_fk_obligations env' frags' uv' ~etypes:between in
   (* Check 3: foreign keys of T that intersect f(α). *)
   let f_alpha = List.map snd fmap in
   let* check3 =
@@ -229,19 +90,18 @@ let apply ?jobs (st : State.t) ~entity ~alpha ~p_ref ~table ~fmap =
     Algo.span "ae.preconditions" (fun () ->
         check_preconditions st ~entity ~alpha ~p_ref ~table ~fmap)
   in
-  let* qv', between =
-    Algo.span "ae.query-views" (fun () -> query_views st env' ~entity ~alpha ~p_ref ~table ~fmap)
+  let e = entity.Edm.Entity_type.name in
+  let set = Option.get (Edm.Schema.set_of_type env'.Query.Env.client e) in
+  (* φ_E: the one partition, ψ = TRUE. *)
+  let phi_e =
+    Mapping.Fragment.entity ~set ~cond:(Query.Cond.Is_of e) ~table:table.Relational.Table.name fmap
   in
-  let uv' =
-    Algo.span "ae.update-views" (fun () ->
-        update_views st env' ~entity ~alpha ~p_ref ~table ~fmap ~between)
-  in
-  let frags' =
-    Algo.span "ae.fragments" (fun () -> fragments st env' ~entity ~p_ref ~table ~fmap ~between)
-  in
+  let* st', between = Neighborhood.add_type ~phase:"ae" st env' ~entity ~p_ref [ phi_e ] in
   let* obls =
     Algo.span "ae.validate" (fun () ->
-        validation_obligations env' frags' uv' ~table ~fmap ~between)
+        validation_obligations env' st'.State.fragments st'.State.update_views ~table ~fmap ~between)
   in
   let* () = Algo.discharge ?jobs obls in
-  Ok { State.env = env'; fragments = frags'; query_views = qv'; update_views = uv' }
+  (* Last, so that checks 1–3 report the failures they can see. *)
+  let* () = Algo.assoc_rows_keep_entities env' st'.State.fragments ~e ~etypes:between in
+  Ok st'

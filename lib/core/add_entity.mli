@@ -13,7 +13,12 @@
     - validation per Section 3.1.4 (association-endpoint and foreign-key
       containment checks over the new update views, emitted as one proof
       obligation batch and discharged via {!Containment.Discharge}; aborts
-      on failure).
+      on failure; then it also aborts when an association of a type
+      between [E] and [P] is stored in a table [E]'s entities leave —
+      {!Algo.assoc_rows_keep_entities}).
+
+    The three view phases are {!Neighborhood.add_type} with the one
+    partition φ_E, the routine AddEntityPart runs over its partitions.
 
     TPT is [α = (att(E) ∖ att(E′)) ∪ PK_E, P = E′]; TPC is
     [α = att(E), P = NIL].

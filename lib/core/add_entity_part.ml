@@ -27,6 +27,26 @@ let check_part client' e part =
     else fail "ψᵢ must be a condition over attributes and constants"
   in
   let* () =
+    match
+      List.find_opt (fun a -> not (List.mem_assoc a att)) (Query.Cond.columns part.part_cond)
+    with
+    | Some a -> fail "ψᵢ mentions %s, which is not an attribute of %s" a e
+    | None -> Ok ()
+  in
+  let* () =
+    match
+      List.find_map
+        (function
+          | Query.Cond.Cmp (a, _, v) when not (Datum.Value.member v (List.assoc a att)) ->
+              Some (a, v)
+          | _ -> None)
+        (Query.Cond.atoms part.part_cond)
+    with
+    | Some (a, v) ->
+        fail "ψᵢ compares %s to %s, which is outside dom(%s)" a (Datum.Value.to_literal v) a
+    | None -> Ok ()
+  in
+  let* () =
     if Query.Cover.satisfiable client' ~etype:e part.part_cond then Ok ()
     else fail "ψᵢ (%s) is unsatisfiable" (Query.Cond.show part.part_cond)
   in
@@ -89,51 +109,37 @@ let apply ?jobs (st : State.t) ~entity ~p_ref ~parts =
             fail "the partition conditions covering attribute %s of %s are not a tautology" a e)
       (Edm.Schema.attribute_names client' e)
   in
-  (* Fragments: Σ* adaptation plus one fragment per partition. *)
-  let between =
-    match p_ref with
-    | None -> Edm.Schema.ancestors client' e
-    | Some p -> Edm.Schema.strictly_between client' ~low:e ~high:(Some p)
-  in
+  (* Views and fragments: Algorithms 1 and 2 over the partitions. *)
   let set = Option.get (Edm.Schema.set_of_type client' e) in
-  let sigma_star =
-    Mapping.Fragments.map
-      (fun f ->
-        {
-          f with
-          Mapping.Fragment.client_cond =
-            Algo.adapt_cond client' ~p_ref ~between ~e f.Mapping.Fragment.client_cond;
-        })
-      st.State.fragments
+  let phis =
+    List.map
+      (fun pt ->
+        Mapping.Fragment.entity ~set
+          ~cond:(Query.Cond.And (Query.Cond.Is_of e, pt.part_cond))
+          ~table:pt.part_table.Relational.Table.name pt.part_fmap)
+      parts
   in
-  let fragments =
-    List.fold_left
-      (fun acc pt ->
-        Mapping.Fragments.add
-          (Mapping.Fragment.entity ~set
-             ~cond:(Query.Cond.And (Query.Cond.Is_of e, pt.part_cond))
-             ~table:pt.part_table.Relational.Table.name pt.part_fmap)
-          acc)
-      sigma_star parts
-  in
-  (* Views: regenerate the affected entity set (the neighborhood). *)
-  let* st' = Algo.recompile_set env' fragments ~set { st with State.env = env' } in
+  let* st', between = Neighborhood.add_type ~phase:"aep" st env' ~entity ~p_ref phis in
   (* Validation: one containment obligation per foreign key of each new
-     table — the 2^n checks of the AEP-np benchmarks — plus the association
-     checks on intermediate types, discharged as one batch. *)
+     table — the 2^n checks of the AEP-np benchmarks — plus checks 1 and 2
+     of AddEntity on the types between E and P, discharged as one batch. *)
+  let uv' = st'.State.update_views in
   let* fk_obls =
     Algo.span "aep.validate" @@ fun () ->
     Algo.collect
       (fun pt ->
         Algo.collect
           (fun (fk : Relational.Table.foreign_key) ->
-            Algo.fk_obligations env' st'.State.update_views
-              ~table:pt.part_table.Relational.Table.name fk)
+            Algo.fk_obligations env' uv' ~table:pt.part_table.Relational.Table.name fk)
           pt.part_table.Relational.Table.fks)
       parts
   in
   let* assoc_obls =
-    Algo.assoc_endpoint_obligations env' fragments st'.State.update_views ~etypes:between
+    Algo.assoc_endpoint_obligations env' st'.State.fragments uv' ~etypes:between
   in
-  let* () = Algo.discharge ?jobs (fk_obls @ assoc_obls) in
+  let* assoc_fk_obls =
+    Algo.assoc_table_fk_obligations env' st'.State.fragments uv' ~etypes:between
+  in
+  let* () = Algo.discharge ?jobs (fk_obls @ assoc_obls @ assoc_fk_obls) in
+  let* () = Algo.assoc_rows_keep_entities env' st'.State.fragments ~e ~etypes:between in
   Ok st'

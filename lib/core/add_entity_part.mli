@@ -11,9 +11,13 @@
     are checked by containment (the AEP-np benchmarks of Fig. 9 stress
     exactly this: one check per partition table).
 
-    Query views (full outer join of the partition tables, constants
-    re-materialized) are produced by regenerating the affected entity set's
-    views — the neighborhood, not the whole mapping. *)
+    Each ψᵢ may only mention attributes of [E] and compare them to values
+    of their domains.  Views come from the Algorithm 1/2 surgery shared
+    with AddEntity ({!Neighborhood.add_type}): [E]'s query view is the keyed
+    full outer join of the partition tables, attributes stored in several
+    partitions COALESCEd and constants re-materialized; only [E]'s
+    neighborhood is touched.  The types strictly between [E] and [P]
+    get AddEntity's association checks 1 and 2. *)
 
 type part = {
   part_alpha : string list;

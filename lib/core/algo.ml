@@ -217,6 +217,69 @@ let assoc_endpoint_obligations env frags uv ~etypes =
         (Edm.Schema.associations_on client etype))
     etypes
 
+let assoc_rows_keep_entities env frags ~e ~etypes =
+  let client = env.Query.Env.client in
+  all_ok
+    (fun etype ->
+      let key = Edm.Schema.key_of client etype in
+      let set = Edm.Schema.set_of_type client etype in
+      all_ok
+        (fun (a : Edm.Association.t) ->
+          match Mapping.Fragments.of_assoc frags a.Edm.Association.name with
+          | [] -> Ok ()
+          | f :: _ ->
+              let r = f.Mapping.Fragment.table in
+              let beta =
+                List.filter_map
+                  (fun k -> Mapping.Fragment.col_of f (Edm.Association.qualify ~etype k))
+                  key
+              in
+              (* The entity fragments of the table that store the endpoint's
+                 key in the association's columns. *)
+              let keyed (g : Mapping.Fragment.t) =
+                (match g.Mapping.Fragment.client_source with
+                | Mapping.Fragment.Set s -> set = Some s
+                | Mapping.Fragment.Assoc _ -> false)
+                && List.filter_map (fun k -> List.assoc_opt k g.Mapping.Fragment.pairs) key = beta
+              in
+              let keyed = List.filter keyed (Mapping.Fragments.on_table frags r) in
+              if
+                keyed <> []
+                && not
+                     (List.exists
+                        (fun (g : Mapping.Fragment.t) ->
+                          Query.Cover.satisfiable client ~etype:e g.Mapping.Fragment.client_cond)
+                        keyed)
+              then
+                fail "association %s is stored in %s by the key of %s, but %s no longer holds %s"
+                  a.Edm.Association.name r etype r e
+              else Ok ())
+        (Edm.Schema.associations_on client etype))
+    etypes
+
+let assoc_table_fk_obligations env frags uv ~etypes =
+  let client = env.Query.Env.client in
+  collect
+    (fun etype ->
+      collect
+        (fun (a : Edm.Association.t) ->
+          match Mapping.Fragments.of_assoc frags a.Edm.Association.name with
+          | [] -> Ok []
+          | frag :: _ -> (
+              let r = frag.Mapping.Fragment.table in
+              match Relational.Schema.find_table env.Query.Env.store r with
+              | None -> Ok []
+              | Some tbl ->
+                  let beta = Mapping.Fragment.cols frag in
+                  collect
+                    (fun (fk : Relational.Table.foreign_key) ->
+                      if List.exists (fun c -> List.mem c beta) fk.fk_columns then
+                        fk_obligations env uv ~table:r fk
+                      else Ok [])
+                    tbl.Relational.Table.fks))
+        (Edm.Schema.associations_on client etype))
+    etypes
+
 let recompile_set env frags ~set (st : State.t) =
   span "algo.recompile-set" ~attrs:[ ("set", set) ] @@ fun () ->
   let* set_views = lift (Fullc.Query_views.for_set env frags ~set) in

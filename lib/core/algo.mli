@@ -101,11 +101,33 @@ val assoc_endpoint_obligations :
     must still be storable in the table its fragment maps to, under the
     {e new} update views. *)
 
+val assoc_rows_keep_entities :
+  Query.Env.t -> Mapping.Fragments.t -> e:string -> etypes:string list ->
+  (unit, Containment.Validation_error.t) result
+(** The Fig. 6 shape with the association inside the endpoint's own table:
+    an association with an endpoint in [etypes] whose fragment stores its
+    rows under the endpoint key's columns of a table that holds the
+    endpoint's entities, where no fragment of the table holds entities of
+    the new type [e] any more.  An association row of an [e] entity would
+    then be a row no entity accounts for, so the SMO aborts.  A structural
+    check: it emits no obligation. *)
+
+val assoc_table_fk_obligations :
+  Query.Env.t -> Mapping.Fragments.t -> Query.View.update_views -> etypes:string list ->
+  (Containment.Obligation.t list, Containment.Validation_error.t) result
+(** Obligations for check 2 of Section 3.1.4, for every association having
+    one of the given types as an endpoint: each foreign key of the table
+    the association maps to that shares a column with the association's
+    image must still hold under the new update views. *)
+
 val recompile_set :
   Query.Env.t -> Mapping.Fragments.t -> set:string -> State.t ->
   (State.t, Containment.Validation_error.t) result
 (** Neighborhood recompilation: regenerate the query views of one entity
-    set's hierarchy and the update views of the tables its fragments touch,
-    leaving every other view untouched.  Used by the SMOs for which the
-    paper gives no incremental view-surgery recipe (DropEntity on non-trivial
-    neighborhoods, Refactor). *)
+    set's hierarchy with the full compiler's [Fullc.Query_views.for_set],
+    and the update views of the tables its fragments touch, leaving every
+    other view untouched.  Used by the SMOs for which the paper gives no
+    view-surgery recipe: DropEntity, DropProperty and Refactor.  AddEntity
+    and AddEntityPart patch their neighborhood instead
+    ({!Neighborhood.add_type}); their tests keep this function as the
+    oracle the patched views are compared against. *)

@@ -1,0 +1,198 @@
+let ( let* ) = Result.bind
+let fail fmt = Algo.fail fmt
+
+module A = Query.Algebra
+
+(* -- Algorithm 1: query views --------------------------------------------- *)
+
+(* E's store side: the one partition's projection, or the keyed full outer
+   join of all of them with each attribute fused from the partitions that
+   store or determine it.  Attributes of P are read from P's view and left
+   out.  Returns the side without and with the provenance flag t_E. *)
+let store_side ~key ~own ~keep ~te phis =
+  match phis with
+  | [ phi ] ->
+      ( Fullc.Query_views.store_projection ~key ~keep phi,
+        Fullc.Query_views.store_projection ~key ~keep ~tag:te phi )
+  | _ ->
+      let ifr = List.mapi (fun i phi -> (i, phi)) phis in
+      let joined =
+        match
+          List.map (fun (i, phi) -> Fullc.Query_views.store_projection ~key ~keep ~index:i phi) ifr
+        with
+        | [] -> invalid_arg "Neighborhood.store_side: no partition"
+        | first :: rest -> List.fold_left (fun acc q -> A.Full_outer_join (acc, q, key)) first rest
+      in
+      let items = List.map A.col key @ List.map (Fullc.Query_views.fused_item ifr) own in
+      (A.Project (items, joined), A.Project (items @ [ A.tag te ], joined))
+
+let query_views (st : State.t) env' ~e ~p_ref ~between phis =
+  let client' = env'.Query.Env.client in
+  let key = Edm.Schema.key_of client' e in
+  let te = Algo.tag_for e in
+  let tau_e = Query.Ctor.Entity { etype = e; attrs = Edm.Schema.attribute_names client' e } in
+  let from_p = match p_ref with None -> [] | Some p -> Edm.Schema.attribute_names client' p in
+  let keep a = not (List.mem a from_p) in
+  let own =
+    List.filter (fun a -> keep a && not (List.mem a key)) (Edm.Schema.attribute_names client' e)
+  in
+  let side, side_tagged = store_side ~key ~own ~keep ~te phis in
+  let prev ty =
+    match Query.View.entity_view st.State.query_views ty with
+    | Some v -> Ok v
+    | None -> fail "no previous query view for entity type %s" ty
+  in
+  (* A previous view can yield a column named like one of E's own attributes
+     when another type of the hierarchy declares that name (an attribute E
+     re-stores below a grandparent, or a sibling's namesake).  Such a column
+     is NULL on E's rows, which no previous fragment stores.  The previous
+     views yield only tags and the attributes of the hierarchy before E, so
+     they are typed only when one of those is among E's own. *)
+  let namesakes =
+    let before =
+      Edm.Schema.hierarchy_attributes st.State.env.Query.Env.client
+        (Edm.Schema.root_of client' e)
+    in
+    List.filter (fun a -> List.mem_assoc a before) own
+  in
+  (* The previous views share most of their subterms: type each distinct
+     one once. *)
+  let columns =
+    let infer =
+      A.Memo.fix (A.Memo.create ()) (fun infer -> A.infer_step (fun _ -> infer) env')
+    in
+    fun q ->
+      match infer q with
+      | Ok cols -> cols
+      | Error msg -> invalid_arg ("Neighborhood.query_views: " ^ msg)
+  in
+  let clash q =
+    match namesakes with
+    | [] -> []
+    | _ ->
+        let cols = columns q in
+        List.filter (fun a -> List.mem a cols) namesakes
+  in
+  let* qe, qaux =
+    match p_ref with
+    | None -> Ok (side, side_tagged)
+    | Some p ->
+        let* vp = prev p in
+        let qp =
+          match clash vp.Query.View.query with
+          | [] -> vp.Query.View.query
+          | drop ->
+              A.project_cols
+                (List.filter (fun c -> not (List.mem c drop)) (columns vp.Query.View.query))
+                vp.Query.View.query
+        in
+        Ok (A.Join (qp, side, key), A.Join (qp, side_tagged, key))
+  in
+  (* P and its ancestors: the tagged LEFT OUTER JOIN, a namesake column
+     coalesced from E's side. *)
+  let loj q =
+    match clash q with
+    | [] -> A.Left_outer_join (q, side_tagged, key)
+    | fused ->
+        let renamed a = a ^ "@" ^ e in
+        let right =
+          A.Project
+            ( List.map A.col key
+              @ List.map (fun a -> if List.mem a fused then A.col_as a (renamed a) else A.col a) own
+              @ [ A.col te ],
+              side_tagged )
+        in
+        A.Project
+          ( List.map
+              (fun c -> if List.mem c fused then A.coalesce [ renamed c; c ] c else A.col c)
+              (columns q)
+            @ List.map A.col (List.filter (fun a -> not (List.mem a fused)) own)
+            @ [ A.col te ],
+            A.Left_outer_join (q, right, key) )
+  in
+  (* The previous views share their constructors; extend each shared one
+     once. *)
+  let flag = Query.Cond.Cmp (te, Query.Cond.Eq, Datum.Value.Bool true) in
+  let extended = ref [] in
+  let extend ctor =
+    match List.assq_opt ctor !extended with
+    | Some c -> c
+    | None ->
+        let c = Query.Ctor.If (flag, tau_e, ctor) in
+        extended := (ctor, c) :: !extended;
+        c
+  in
+  let patch rewrite acc f =
+    let* acc = acc in
+    let* vf = prev f in
+    Ok
+      (Query.View.set_entity_view f
+         { Query.View.query = rewrite vf.Query.View.query; ctor = extend vf.Query.View.ctor }
+         acc)
+  in
+  let anc = match p_ref with None -> [] | Some p -> p :: Edm.Schema.ancestors client' p in
+  let* qv = List.fold_left (patch loj) (Ok st.State.query_views) anc in
+  (* Types strictly between E and P: the aligned UNION ALL. *)
+  let* qv = List.fold_left (patch (fun q -> Algo.align_union env' q qaux)) (Ok qv) between in
+  Ok (Query.View.set_entity_view e { Query.View.query = qe; ctor = tau_e } qv)
+
+(* -- Algorithm 2: update views --------------------------------------------- *)
+
+let update_views (st : State.t) env' ~e ~p_ref ~between phis =
+  let client' = env'.Query.Env.client in
+  let set = Option.get (Edm.Schema.set_of_type client' e) in
+  let adapt = Algo.adapt_cond client' ~p_ref ~between ~e in
+  let adapted =
+    List.fold_left
+      (fun acc (tbl, (v : Query.View.t)) ->
+        let query = A.map_conditions adapt v.Query.View.query in
+        if query == v.Query.View.query then acc
+        else Query.View.set_table_view tbl { v with Query.View.query } acc)
+      st.State.update_views
+      (Query.View.update_view_bindings st.State.update_views)
+  in
+  List.fold_left
+    (fun acc (phi : Mapping.Fragment.t) ->
+      let table = Relational.Schema.get_table env'.Query.Env.store phi.Mapping.Fragment.table in
+      let columns = Relational.Table.column_names table in
+      let items =
+        List.map (fun (a, c) -> A.col_as a c) phi.Mapping.Fragment.pairs
+        @ List.filter_map
+            (fun c ->
+              if List.exists (fun (_, c') -> c' = c) phi.Mapping.Fragment.pairs then None
+              else Some (A.null_as c))
+            columns
+      in
+      let query =
+        A.Project
+          (items, A.Select (phi.Mapping.Fragment.client_cond, A.Scan (A.Entity_set set)))
+      in
+      Query.View.set_table_view phi.Mapping.Fragment.table
+        { Query.View.query; ctor = Query.Ctor.Tuple columns }
+        acc)
+    adapted phis
+
+(* -- fragment adaptation (Section 3.1.3) ----------------------------------- *)
+
+let fragments (st : State.t) env' ~e ~p_ref ~between phis =
+  let adapt = Algo.adapt_cond env'.Query.Env.client ~p_ref ~between ~e in
+  let sigma_star =
+    Mapping.Fragments.map
+      (fun f ->
+        let cond = adapt f.Mapping.Fragment.client_cond in
+        if cond == f.Mapping.Fragment.client_cond then f
+        else { f with Mapping.Fragment.client_cond = cond })
+      st.State.fragments
+  in
+  List.fold_left (fun acc phi -> Mapping.Fragments.add phi acc) sigma_star phis
+
+let add_type ~phase (st : State.t) env' ~entity ~p_ref phis =
+  let e = entity.Edm.Entity_type.name in
+  let between = Edm.Schema.strictly_between env'.Query.Env.client ~low:e ~high:p_ref in
+  let span step f = Algo.span (phase ^ "." ^ step) f in
+  let* query_views =
+    span "query-views" (fun () -> query_views st env' ~e ~p_ref ~between phis)
+  in
+  let update_views = span "update-views" (fun () -> update_views st env' ~e ~p_ref ~between phis) in
+  let fragments = span "fragments" (fun () -> fragments st env' ~e ~p_ref ~between phis) in
+  Ok ({ State.env = env'; fragments; query_views; update_views }, between)

@@ -13,30 +13,39 @@ let hierarchy_attrs client root =
     (Edm.Schema.subtypes client root)
   |> List.fold_left (fun acc a -> if List.mem a acc then acc else acc @ [ a ]) []
 
-(* Tagged store query of one fragment: key columns under their attribute
-   names, other mapped attributes under fragment-local names, client-side
-   determined constants re-materialized, plus the provenance flag. *)
-let tagged_store_query key i (f : Mapping.Fragment.t) =
+let store_projection ~key ?(keep = fun _ -> true) ?index ?tag (f : Mapping.Fragment.t) =
   let base =
     let scan = Query.Algebra.Scan (Query.Algebra.Table f.Mapping.Fragment.table) in
     match f.Mapping.Fragment.store_cond with
     | Query.Cond.True -> scan
     | c -> Query.Algebra.Select (c, scan)
   in
+  let name a = match index with Some i -> Frag_info.local_name a i | None -> a in
   let items =
-    List.map
+    List.filter_map
       (fun (a, c) ->
-        if List.mem a key then Query.Algebra.col_as c a
-        else Query.Algebra.col_as c (Frag_info.local_name a i))
+        if List.mem a key then Some (Query.Algebra.col_as c a)
+        else if keep a then Some (Query.Algebra.col_as c (name a))
+        else None)
       f.Mapping.Fragment.pairs
     @ List.filter_map
         (fun (a, v) ->
-          if List.mem a key || List.mem a (Mapping.Fragment.attrs f) then None
-          else Some (Query.Algebra.const v (Frag_info.local_name a i)))
+          if List.mem a key || List.mem a (Mapping.Fragment.attrs f) || not (keep a) then None
+          else Some (Query.Algebra.const v (name a)))
         (Frag_info.determined_constants f.Mapping.Fragment.client_cond)
-    @ [ Query.Algebra.tag (Frag_info.tag_name i) ]
+    @ match tag with Some t -> [ Query.Algebra.tag t ] | None -> []
   in
   Query.Algebra.Project (items, base)
+
+let fused_item ifr a =
+  Frag_info.fuse_item
+    (Frag_info.sources_for ifr a ~attr_of:Mapping.Fragment.attrs
+       ~cond_of:(fun f -> f.Mapping.Fragment.client_cond))
+    a
+
+(* Tagged store query of one fragment of a set: other mapped attributes
+   under fragment-local names, plus the fragment's provenance flag. *)
+let tagged_store_query key i f = store_projection ~key ~index:i ~tag:(Frag_info.tag_name i) f
 
 let fused_query ?(optimize = false) env frags ~set =
   let client = env.Query.Env.client in
@@ -67,12 +76,7 @@ let fused_query ?(optimize = false) env frags ~set =
   let items =
     List.map
       (fun a ->
-        if List.mem a key then Query.Algebra.col a
-        else
-          Frag_info.fuse_item
-            (Frag_info.sources_for ifr a ~attr_of:Mapping.Fragment.attrs
-               ~cond_of:(fun f -> f.Mapping.Fragment.client_cond))
-            a)
+        if List.mem a key then Query.Algebra.col a else fused_item ifr a)
       attrs
     @ List.map (fun (i, _) -> Query.Algebra.col (Frag_info.tag_name i)) ifr
   in

@@ -29,6 +29,30 @@ val all :
 (** Views for every entity type and association set of the client schema.
     Fails when a set or association has no mapping fragments. *)
 
+(** {1 Building blocks shared with the incremental compiler}
+
+    AddEntity and AddEntityPart (Sections 3.1 and 3.3) build the new type's
+    store side from the same per-fragment projections the full compiler
+    fuses. *)
+
+val store_projection :
+  key:string list -> ?keep:(string -> bool) -> ?index:int -> ?tag:string ->
+  Mapping.Fragment.t -> Query.Algebra.t
+(** The store query of one entity fragment: its table (selected by its
+    store condition), the [key] attributes under their own names, every
+    other mapped attribute, then the constants its client condition
+    determines for attributes it does not map (Section 3.3's gender
+    example), and with [?tag] the provenance flag [tag = TRUE].  With
+    [?index:i] the non-key attributes take the fragment-local names that
+    {!fused_item} reads; without it they keep their own names.  [?keep]
+    (default: all) restricts the non-key attributes projected. *)
+
+val fused_item : (int * Mapping.Fragment.t) list -> string -> Query.Algebra.proj_item
+(** The column of attribute [a] over the full outer join of the indexed
+    fragments' [store_projection ~index:i]: the single source renamed, the
+    COALESCE of several, or [NULL] when no fragment stores or determines
+    [a]. *)
+
 val type_guard :
   Query.Env.t -> Mapping.Fragments.t -> set:string -> etype:string ->
   (Query.Cond.t option, string) result

@@ -21,36 +21,38 @@ let rec pp_span depth fmt span =
 
 let pp_tree fmt () = List.iter (pp_span 0 fmt) (Span.roots ())
 
-(* -- aggregation by span name ---------------------------------------------- *)
+(* -- aggregation by span path ---------------------------------------------- *)
 
 type agg = { count : int; total_s : float; self_s : float }
 
 let aggregate () =
   let order = ref [] in
   let tbl = Hashtbl.create 32 in
-  let add acc span =
-    let name = Span.name span in
-    (match Hashtbl.find_opt tbl name with
+  let rec add parent span =
+    let path = match parent with None -> Span.name span | Some p -> p ^ "/" ^ Span.name span in
+    (match Hashtbl.find_opt tbl path with
     | None ->
-        order := name :: !order;
-        Hashtbl.add tbl name
+        order := path :: !order;
+        Hashtbl.add tbl path
           { count = 1; total_s = Span.duration_s span; self_s = Span.self_s span }
     | Some a ->
-        Hashtbl.replace tbl name
+        Hashtbl.replace tbl path
           { count = a.count + 1; total_s = a.total_s +. Span.duration_s span;
             self_s = a.self_s +. Span.self_s span });
-    acc
+    List.iter (add (Some path)) (Span.children span)
   in
-  Span.fold_all add ();
-  List.rev_map (fun name -> (name, Hashtbl.find tbl name)) !order
+  List.iter (add None) (Span.roots ());
+  List.rev_map (fun path -> (path, Hashtbl.find tbl path)) !order
 
 let pp_aggregate fmt () =
-  Format.fprintf fmt "%-36s %8s %10s %10s@." "phase" "count" "total" "self";
+  let rows = aggregate () in
+  let width = List.fold_left (fun w (path, _) -> max w (String.length path)) 36 rows in
+  Format.fprintf fmt "%-*s %8s %10s %10s@." width "phase" "count" "total" "self";
   List.iter
-    (fun (name, a) ->
-      Format.fprintf fmt "%-36s %8d  %a  %a@." name a.count pp_duration a.total_s pp_duration
-        a.self_s)
-    (aggregate ())
+    (fun (path, a) ->
+      Format.fprintf fmt "%-*s %8d  %a  %a@." width path a.count pp_duration a.total_s
+        pp_duration a.self_s)
+    rows
 
 (* -- Chrome trace_event JSON ------------------------------------------------ *)
 

@@ -5,8 +5,10 @@ val pp_tree : Format.formatter -> unit -> unit
 
 type agg = { count : int; total_s : float; self_s : float }
 
-(** Roll-up by span name over all completed spans, in order of first
-    appearance. *)
+(** Roll-up by span path over all completed spans, in order of first
+    appearance.  A span's path is the names from its root down to it,
+    joined by [/] ([smo:AEP-2p/discharge.batch/containment.obligation]), so
+    the same phase under different parents gets one row each. *)
 val aggregate : unit -> (string * agg) list
 
 (** The roll-up as a phase/count/total/self table. *)
@@ -16,5 +18,6 @@ val pp_aggregate : Format.formatter -> unit -> unit
     rebased to the first span) — loadable in about:tracing or Perfetto. *)
 val trace_json : ?process:string -> unit -> string
 
-(** Flat roll-up as [phase,count,total_ms,self_ms,mean_ms] CSV. *)
+(** Flat roll-up as [phase,count,total_ms,self_ms,mean_ms] CSV, one row per
+    span path. *)
 val csv : unit -> string

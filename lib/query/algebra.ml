@@ -144,14 +144,25 @@ let rec sources_acc acc = function
 
 let sources q = List.rev (sources_acc [] q)
 
-let rec map_conditions f = function
-  | Scan s -> Scan s
-  | Select (c, q) -> Select (f c, map_conditions f q)
-  | Project (items, q) -> Project (items, map_conditions f q)
-  | Join (l, r, on) -> Join (map_conditions f l, map_conditions f r, on)
-  | Left_outer_join (l, r, on) -> Left_outer_join (map_conditions f l, map_conditions f r, on)
-  | Full_outer_join (l, r, on) -> Full_outer_join (map_conditions f l, map_conditions f r, on)
-  | Union_all (l, r) -> Union_all (map_conditions f l, map_conditions f r)
+(* Rebuilds only the nodes under a condition [f] changes: when [f] returns
+   every condition physically unchanged, so is the query. *)
+let rec map_conditions f q =
+  let binary mk l r =
+    let l' = map_conditions f l and r' = map_conditions f r in
+    if l' == l && r' == r then q else mk l' r'
+  in
+  match q with
+  | Scan _ -> q
+  | Select (c, sub) ->
+      let c' = f c and sub' = map_conditions f sub in
+      if c' == c && sub' == sub then q else Select (c', sub')
+  | Project (items, sub) ->
+      let sub' = map_conditions f sub in
+      if sub' == sub then q else Project (items, sub')
+  | Join (l, r, on) -> binary (fun l r -> Join (l, r, on)) l r
+  | Left_outer_join (l, r, on) -> binary (fun l r -> Left_outer_join (l, r, on)) l r
+  | Full_outer_join (l, r, on) -> binary (fun l r -> Full_outer_join (l, r, on)) l r
+  | Union_all (l, r) -> binary (fun l r -> Union_all (l, r)) l r
 
 let pp_item fmt = function
   | Col { src; dst } when src = dst -> Format.pp_print_string fmt src

@@ -88,7 +88,9 @@ val sources : t -> source list
 
 val map_conditions : (Cond.t -> Cond.t) -> t -> t
 (** Rewrite every selection condition (used by Algorithm 2 and the fragment
-    adaptation of Section 3.1.3). *)
+    adaptation of Section 3.1.3).  Sharing-preserving: a subterm whose
+    conditions [f] returns physically unchanged comes back physically
+    unchanged, so [map_conditions f q == q] when [f] rewrites nothing. *)
 
 val pp : Format.formatter -> t -> unit
 val show : t -> string

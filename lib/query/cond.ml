@@ -83,12 +83,16 @@ let columns c =
 let type_atoms c =
   List.filter (function Is_of _ | Is_of_only _ -> true | _ -> false) (atoms c)
 
-let rec map_atoms f = function
-  | True -> True
-  | False -> False
-  | (Is_of _ | Is_of_only _ | Is_null _ | Is_not_null _ | Cmp _) as a -> f a
-  | And (a, b) -> And (map_atoms f a, map_atoms f b)
-  | Or (a, b) -> Or (map_atoms f a, map_atoms f b)
+let rec map_atoms f c =
+  match c with
+  | True | False -> c
+  | Is_of _ | Is_of_only _ | Is_null _ | Is_not_null _ | Cmp _ -> f c
+  | And (a, b) ->
+      let a' = map_atoms f a and b' = map_atoms f b in
+      if a' == a && b' == b then c else And (a', b')
+  | Or (a, b) ->
+      let a' = map_atoms f a and b' = map_atoms f b in
+      if a' == a && b' == b then c else Or (a', b')
 
 let rename_columns pairs c =
   let subst a = match List.assoc_opt a pairs with Some b -> b | None -> a in

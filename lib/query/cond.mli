@@ -48,7 +48,9 @@ val type_atoms : t -> t list
 
 val map_atoms : (t -> t) -> t -> t
 (** Rebuild the condition, replacing each atom by the image (which may be a
-    compound condition) — the workhorse of Algorithm 2's [IS OF] rewrites. *)
+    compound condition) — the workhorse of Algorithm 2's [IS OF] rewrites.
+    Sharing-preserving: when [f] returns every atom physically, the result
+    is [c] itself. *)
 
 val rename_columns : (string * string) list -> t -> t
 (** Substitute attribute names in non-type atoms ([(old, new)] pairs). *)

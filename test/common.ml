@@ -186,12 +186,86 @@ let arb_cond_no_types = QCheck.make ~print:C.show gen_cond_no_types
 let qtest ?(count = 200) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
+(* An AddEntityPart of [FreshPart] below [Fresh] (itself below [root]), in
+   a shape the seed picks:
+   - 1, 2 or 3 partitions: one with ψ = TRUE; two with disjoint ranges of
+     [Band]; two split on the closed-domain [Kind], which neither stores (ψ
+     determines it, as in the gender example); or three where two [Band]
+     ranges overlap and the third (ψ = TRUE) stores the rest;
+   - P = NIL, the parent [Fresh] or the grandparent [root];
+   - under the parent, the first partition re-stores an inherited attribute;
+     under the grandparent or NIL every partition set re-stores [Fresh]'s
+     attributes.
+   [fresh_attrs] are [Fresh]'s attributes when the step runs; under a
+   parent or grandparent the new tables reference [ptable], the root's key
+   carrier. *)
+let aep_step seed client ~root ~ptable ~fresh_attrs =
+  let key = Edm.Schema.key_of client root in
+  let root_attrs = Edm.Schema.attributes client root in
+  let own = [ ("Band", D.Int); ("Kind", D.Enum [ "A"; "B" ]) ] in
+  let p_ref = match seed / 3 mod 3 with 0 -> Some "Fresh" | 1 -> Some root | _ -> None in
+  let inherited =
+    match p_ref with
+    | Some "Fresh" -> []
+    | Some _ -> fresh_attrs
+    | None -> List.filter (fun (a, _) -> not (List.mem a key)) root_attrs @ fresh_attrs
+  in
+  let required = inherited @ own in
+  (* Under the parent, the first partition also stores an attribute the
+     parent's view already yields. *)
+  let restored =
+    match p_ref, fresh_attrs with
+    | Some "Fresh", a :: _ -> [ a ]
+    | _ -> []
+  in
+  let domains = List.filter (fun (a, _) -> List.mem a key) root_attrs @ required @ restored in
+  let part i attrs cond =
+    let name = Printf.sprintf "TFreshP%d" i in
+    let cols = key @ List.map fst attrs in
+    let fks =
+      match p_ref with
+      | None -> []
+      | Some _ -> [ { Relational.Table.fk_columns = key; ref_table = ptable; ref_columns = key } ]
+    in
+    {
+      Core.Add_entity_part.part_alpha = cols;
+      part_cond = cond;
+      part_table =
+        Relational.Table.make ~name ~key ~fks
+          (List.map
+             (fun c ->
+               (c, List.assoc c domains, if List.mem c key then `Not_null else `Null))
+             cols);
+      part_fmap = List.map (fun c -> (c, c)) cols;
+    }
+  in
+  let band op n = C.Cmp ("Band", op, V.Int n) in
+  let without a = List.filter (fun (a', _) -> a' <> a) in
+  let parts =
+    match seed mod 4 with
+    | 0 -> [ part 1 (restored @ required) C.True ]
+    | 1 -> [ part 1 (restored @ required) (band C.Lt 50); part 2 required (band C.Ge 50) ]
+    | 2 ->
+        [ part 1 (restored @ without "Kind" required) (C.Cmp ("Kind", C.Eq, V.String "A"));
+          part 2 (without "Kind" required) (C.Cmp ("Kind", C.Eq, V.String "B")) ]
+    | _ ->
+        [ part 1 (restored @ without "Band" required) C.True;
+          part 2 [ ("Band", D.Int) ] (band C.Lt 60);
+          part 3 [ ("Band", D.Int) ] (band C.Ge 40) ]
+  in
+  Core.Smo.Add_entity_part
+    { entity =
+        Edm.Entity_type.derived ~name:"FreshPart" ~parent:"Fresh" ~non_null:[ "Band"; "Kind" ] own;
+      p_ref;
+      parts }
+
 (* The SMO pipeline grown below the root of a random model's first entity
    set, or [None] when that root has no key-carrying table.  Its shape
    varies with the seed: grow, then widen with a property, then (sometimes)
-   shrink again. *)
+   shrink again, then add a partitioned subtype ({!aep_step}). *)
 let random_pipeline seed (st : Core.State.t) =
-  match Edm.Schema.entity_sets st.Core.State.env.Query.Env.client with
+  let client = st.Core.State.env.Query.Env.client in
+  match Edm.Schema.entity_sets client with
   | [] -> None
   | (_, root) :: _ -> (
       match Modef.Style.key_carrier st.Core.State.env st.Core.State.fragments ~etype:root with
@@ -206,17 +280,22 @@ let random_pipeline seed (st : Core.State.t) =
                        ref_columns = [ "Id" ] } ]
               [ ("Id", D.Int, `Not_null); ("FreshAttr", D.String, `Null) ]
           in
+          let widen = seed mod 2 = 0 and shrink = seed mod 3 = 0 in
+          let fresh_attrs =
+            (if shrink then [] else [ ("FreshAttr", D.String) ])
+            @ if widen then [ ("FreshExtra", D.Int) ] else []
+          in
           Some
             ([ Core.Smo.Add_entity
                  { entity; alpha = [ "Id"; "FreshAttr" ]; p_ref = Some root; table;
                    fmap = [ ("Id", "Id"); ("FreshAttr", "FreshAttr") ] } ]
-            @ (if seed mod 2 = 0 then
+            @ (if widen then
                  [ Core.Smo.Add_property
                      { etype = "Fresh"; attr = ("FreshExtra", D.Int);
                        target =
                          Core.Add_property.To_existing_table
                            { table = "TFresh"; column = "FreshExtra" } } ]
                else [])
-            @
-            if seed mod 3 = 0 then [ Core.Smo.Drop_property { etype = "Fresh"; attr = "FreshAttr" } ]
-            else []))
+            @ (if shrink then [ Core.Smo.Drop_property { etype = "Fresh"; attr = "FreshAttr" } ]
+               else [])
+            @ [ aep_step seed client ~root ~ptable ~fresh_attrs ]))

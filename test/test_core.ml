@@ -152,6 +152,19 @@ let test_fig6_violation_aborts () =
   (match Core.Engine.apply st4 smo with
   | Ok _ -> Alcotest.fail "expected the Fig. 6 scenario to abort"
   | Error e -> checkb "mentions the association or table" true (String.length (show_v e) > 0));
+  let aep =
+    Core.Smo.Add_entity_part
+      { entity = vip; p_ref = None;
+        parts =
+          [ { Core.Add_entity_part.part_alpha = [ "Id"; "Name"; "CredScore"; "BillAddr"; "Tier" ];
+              part_cond = C.True; part_table = vip_table;
+              part_fmap =
+                [ ("Id", "Vid"); ("Name", "VName"); ("CredScore", "VScore"); ("BillAddr", "VAddr");
+                  ("Tier", "Tier") ] } ] }
+  in
+  (match Core.Engine.apply st4 aep with
+  | Ok _ -> Alcotest.fail "expected the Fig. 6 scenario to abort for AEP"
+  | Error e -> checkb "AEP names the association" true (contains ~sub:"Supports" (show_v e)));
   (* The TPT variant of the same addition keeps VIP keys in Client and must
      succeed. *)
   let vip_tpt =
@@ -163,6 +176,115 @@ let test_fig6_violation_aborts () =
         fmap = [ ("Id", "Vid"); ("Tier", "Tier") ] }
   in
   checkb "TPT variant validates" true (Result.is_ok (Core.Engine.apply st4 smo_ok))
+
+(* Two roots, Acct and Bank, and the association Holds between them. *)
+let accts_client () =
+  ok_exn
+    (Edm.Schema.add_root ~set:"Accts"
+       (Edm.Entity_type.root ~name:"Acct" ~key:[ "Id" ] [ ("Id", D.Int); ("Name", D.String) ])
+       Edm.Schema.empty)
+  |> Edm.Schema.add_root ~set:"Banks"
+       (Edm.Entity_type.root ~name:"Bank" ~key:[ "Id" ] [ ("Id", D.Int) ])
+  |> ok_exn
+  |> Edm.Schema.add_association
+       { Edm.Association.name = "Holds"; end1 = "Acct"; end2 = "Bank";
+         mult1 = Edm.Association.Many; mult2 = Edm.Association.Zero_or_one }
+  |> ok_exn
+
+(* A new subtype [Vip] of [Acct]: added TPC, as one partition with P = NIL,
+   and TPT. *)
+let vip_smos () =
+  let vip = Edm.Entity_type.derived ~name:"Vip" ~parent:"Acct" [ ("Tier", D.String) ] in
+  let vip_table =
+    T.make ~name:"TVip" ~key:[ "Id" ]
+      [ ("Id", D.Int, `Not_null); ("Name", D.String, `Null); ("Tier", D.String, `Null) ]
+  in
+  let cols = [ ("Id", "Id"); ("Name", "Name"); ("Tier", "Tier") ] in
+  let tpc =
+    Core.Smo.Add_entity
+      { entity = vip; alpha = List.map fst cols; p_ref = None; table = vip_table; fmap = cols }
+  in
+  let aep =
+    Core.Smo.Add_entity_part
+      { entity = vip; p_ref = None;
+        parts =
+          [ { Core.Add_entity_part.part_alpha = List.map fst cols; part_cond = C.True;
+              part_table = vip_table; part_fmap = cols } ] }
+  in
+  let tpt =
+    Core.Smo.Add_entity
+      { entity = vip; alpha = [ "Id"; "Tier" ]; p_ref = Some "Acct";
+        table = T.make ~name:"TVip" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null); ("Tier", D.String, `Null) ];
+        fmap = [ ("Id", "Id"); ("Tier", "Tier") ] }
+  in
+  ([ ("AE-TPC", tpc); ("AEP with P = NIL", aep) ], tpt)
+
+let expect_aborts st ~sub smos =
+  List.iter
+    (fun (label, smo) ->
+      match Core.Engine.apply st smo with
+      | Ok _ -> Alcotest.failf "%s: expected the SMO to abort" label
+      | Error e -> checkb (label ^ " names " ^ sub) true (contains ~sub (show_v e)))
+    smos
+
+(* Fig. 6 with the association stored in the endpoint's own table: Holds
+   rows live in TAcct next to the Acct entities, keyed by the account id.  A
+   new subtype stored apart from TAcct (TPC, or partitions with P = NIL)
+   would leave a TAcct row for each of its Holds links that no entity
+   accounts for.  Checks 1–3 pass, since the update view of TAcct already
+   holds every Holds row; the SMO must still abort. *)
+let test_fig6_in_table_assoc_aborts () =
+  let client = accts_client () in
+  let store =
+    List.fold_left
+      (fun s t -> ok_exn (Relational.Schema.add_table t s))
+      Relational.Schema.empty
+      [ T.make ~name:"TBank" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null) ];
+        T.make ~name:"TAcct" ~key:[ "Id" ]
+          ~fks:[ { T.fk_columns = [ "BankId" ]; ref_table = "TBank"; ref_columns = [ "Id" ] } ]
+          [ ("Id", D.Int, `Not_null); ("Name", D.String, `Null); ("BankId", D.Int, `Null) ] ]
+  in
+  let frags =
+    Mapping.Fragments.of_list
+      [ F.entity ~set:"Accts" ~cond:(C.Is_of "Acct") ~table:"TAcct" [ ("Id", "Id"); ("Name", "Name") ];
+        F.entity ~set:"Banks" ~cond:(C.Is_of "Bank") ~table:"TBank" [ ("Id", "Id") ];
+        F.assoc ~assoc:"Holds" ~table:"TAcct" ~store_cond:(C.Is_not_null "BankId")
+          [ ("Acct.Id", "Id"); ("Bank.Id", "BankId") ] ]
+  in
+  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let aborting, tpt = vip_smos () in
+  expect_aborts st ~sub:"Holds" aborting;
+  checkb "TPT variant validates" true (Result.is_ok (Core.Engine.apply st tpt))
+
+(* Fig. 6 with the association in a join table whose foreign key references
+   the endpoint's table: check 1 passes, since the join table's update view
+   holds every Holds row, but a Vip stored apart from TAcct leaves its Holds
+   rows pointing at no TAcct row.  Check 2 (the join table's foreign key)
+   must abort AddEntity and AddEntityPart alike. *)
+let test_fig6_join_table_assoc_aborts () =
+  let client = accts_client () in
+  let store =
+    List.fold_left
+      (fun s t -> ok_exn (Relational.Schema.add_table t s))
+      Relational.Schema.empty
+      [ T.make ~name:"TBank" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null) ];
+        T.make ~name:"TAcct" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null); ("Name", D.String, `Null) ];
+        T.make ~name:"THolds" ~key:[ "AcctId" ]
+          ~fks:
+            [ { T.fk_columns = [ "AcctId" ]; ref_table = "TAcct"; ref_columns = [ "Id" ] };
+              { T.fk_columns = [ "BankId" ]; ref_table = "TBank"; ref_columns = [ "Id" ] } ]
+          [ ("AcctId", D.Int, `Not_null); ("BankId", D.Int, `Not_null) ] ]
+  in
+  let frags =
+    Mapping.Fragments.of_list
+      [ F.entity ~set:"Accts" ~cond:(C.Is_of "Acct") ~table:"TAcct" [ ("Id", "Id"); ("Name", "Name") ];
+        F.entity ~set:"Banks" ~cond:(C.Is_of "Bank") ~table:"TBank" [ ("Id", "Id") ];
+        F.assoc ~assoc:"Holds" ~table:"THolds" [ ("Acct.Id", "AcctId"); ("Bank.Id", "BankId") ] ]
+  in
+  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let aborting, tpt = vip_smos () in
+  expect_aborts st ~sub:"THolds(AcctId) -> TAcct" aborting;
+  checkb "TPT variant validates" true (Result.is_ok (Core.Engine.apply st tpt))
 
 let test_precondition_failures () =
   let st1, _, _, _ = Lazy.force paper_states in
@@ -485,14 +607,15 @@ let cm_ae ?(fmap = [ ("Id", "Id"); ("Department", "Dept") ]) table =
 let cm_emp ?(name = "EmpX") ?(key = [ "Id" ]) ?(extra = []) ?(dept = D.String) () =
   T.make ~name ~key ([ col ~null:`Not_null "Id" D.Int; col "Dept" dept ] @ extra)
 
-let cm_aep ?(alpha = [ "Hid"; "Age" ]) ?(fmap = [ ("Hid", "Hid"); ("Age", "Age") ]) table =
+let cm_aep ?(alpha = [ "Hid"; "Age" ]) ?(fmap = [ ("Hid", "Hid"); ("Age", "Age") ])
+    ?(cond = C.True) table =
   Core.Smo.Add_entity_part
     { entity =
         Edm.Entity_type.derived ~name:"Citizen" ~parent:"Human" ~non_null:[ "Age" ]
           [ ("Age", D.Int) ];
       p_ref = Some "Human";
       parts =
-        [ { Core.Add_entity_part.part_alpha = alpha; part_cond = C.True; part_table = table;
+        [ { Core.Add_entity_part.part_alpha = alpha; part_cond = cond; part_table = table;
             part_fmap = fmap } ] }
 
 let cm_citizens ?(name = "Citizens") ?(key = [ "Hid" ]) ?(extra = []) ?(age = D.Int) () =
@@ -584,6 +707,12 @@ let test_column_map_rejections () =
       ("AEP table mentioned", aep,
        cm_aep ~alpha:[ "Hid" ] ~fmap:[ ("Hid", "Hid") ] (stored aep "Humans"),
        "Humans");
+      ("AEP ψ attribute", aep,
+       cm_aep ~cond:(C.Cmp ("Height", C.Ge, V.Int 1)) (cm_citizens ()), "Height");
+      ("AEP ψ domain", aep, cm_aep ~cond:(C.Cmp ("Age", C.Ge, V.String "a")) (cm_citizens ()),
+       "'a'");
+      ("AEP ψ domain (negated)", aep,
+       cm_aep ~cond:(C.Cmp ("Age", C.Lt, V.String "a")) (cm_citizens ()), "dom(Age)");
       ("TPH exact", tph, cm_tph [ ("Id", "Id"); ("Label", "Label") ], "must map");
       ("TPH one-to-one", tph, cm_tph [ ("Id", "Id"); ("Label", "Label"); ("Pages", "Label") ],
        "one-to-one");
@@ -909,6 +1038,10 @@ let () =
       ( "validation",
         [
           Alcotest.test_case "Fig. 6 violation aborts" `Quick test_fig6_violation_aborts;
+          Alcotest.test_case "Fig. 6 with an in-table association aborts" `Quick
+            test_fig6_in_table_assoc_aborts;
+          Alcotest.test_case "Fig. 6 with a join-table association aborts" `Quick
+            test_fig6_join_table_assoc_aborts;
           Alcotest.test_case "precondition failures" `Quick test_precondition_failures;
           Alcotest.test_case "AddAssocFK check 1" `Quick test_assoc_fk_check1;
         ] );

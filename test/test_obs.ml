@@ -176,6 +176,32 @@ let test_aggregate_and_csv () =
   checkb "csv header" true (contains ~sub:"phase,count,total_ms,self_ms,mean_ms" csv);
   checkb "csv row" true (contains ~sub:"agg,2," csv)
 
+(* The roll-up is keyed by span path: one phase under two parents is two
+   rows, and repeats of one path add up. *)
+let test_aggregate_path_keyed () =
+  with_collection (fun () ->
+      List.iter
+        (fun smo ->
+          Obs.Span.with_ ~name:smo (fun () ->
+              Obs.Span.with_ ~name:"discharge.batch" (fun () ->
+                  Obs.Span.with_ ~name:"containment.obligation" (fun () -> ()))))
+        [ "smo:A"; "smo:B"; "smo:A" ]);
+  let rows = Obs.Export.aggregate () in
+  let count path =
+    match List.assoc_opt path rows with Some a -> a.Obs.Export.count | None -> 0
+  in
+  Alcotest.(check (list string))
+    "paths in first-appearance order"
+    [ "smo:A"; "smo:A/discharge.batch"; "smo:A/discharge.batch/containment.obligation"; "smo:B";
+      "smo:B/discharge.batch"; "smo:B/discharge.batch/containment.obligation" ]
+    (List.map fst rows);
+  checki "repeated path adds up" 2 (count "smo:A/discharge.batch");
+  checki "other parent keeps its own row" 1 (count "smo:B/discharge.batch");
+  checki "no name-keyed row" 0 (count "discharge.batch");
+  let table = Format.asprintf "%a" Obs.Export.pp_aggregate () in
+  checkb "table shows the full path" true
+    (contains ~sub:"smo:B/discharge.batch/containment.obligation" table)
+
 let () =
   Alcotest.run "obs"
     [
@@ -195,5 +221,6 @@ let () =
         [
           Alcotest.test_case "trace_event JSON" `Quick test_trace_json;
           Alcotest.test_case "aggregate and CSV" `Quick test_aggregate_and_csv;
+          Alcotest.test_case "aggregate keyed by span path" `Quick test_aggregate_path_keyed;
         ] );
     ]
