@@ -380,34 +380,6 @@ let ablation () =
       (let env, frags = Workload.Chain.generate ~size:20 in
        ("chain-20", env, frags));
     ];
-  header "Ablation -- containment-check memoization";
-  (let env, frags = Workload.Chain.generate ~size:200 in
-   match Fullc.Compile.compile env frags with
-   | Error e -> Printf.printf "chain compile failed: %s\n" e
-   | Ok c ->
-       let st = Core.State.of_compiled env frags c in
-       let suite = Workload.Chain.smo_suite ~at:100 in
-       let run_suite () =
-         List.iter (fun (_, smo) -> ignore (Core.Engine.apply st smo)) suite
-       in
-       let cold_ns = measure_ns "cold" run_suite in
-       Containment.Check.set_caching true;
-       Containment.Check.clear_cache ();
-       run_suite ();
-       (* warm: every check now hits the memo *)
-       let warm_ns = measure_ns "warm" run_suite in
-       let hits0 = Obs.Metric.value Containment.Check.cache_hits in
-       let checks0 = Obs.Metric.value Containment.Check.checks in
-       run_suite ();
-       Containment.Check.set_caching false;
-       Printf.printf
-         "full SMO suite on chain-200: cold %s, memoized %s (%.1fx); warm run: %d checks answered \
-          from cache (%d re-proved)\n%!"
-         (Format.asprintf "%a" pp_seconds (cold_ns /. 1e9))
-         (Format.asprintf "%a" pp_seconds (warm_ns /. 1e9))
-         (cold_ns /. warm_ns)
-         (Obs.Metric.value Containment.Check.cache_hits - hits0)
-         (Obs.Metric.value Containment.Check.checks - checks0));
   header "Ablation -- containment-checker work per SMO (chain-200)";
   let env, frags = Workload.Chain.generate ~size:200 in
   match Fullc.Compile.compile env frags with
@@ -442,8 +414,8 @@ let par () =
             | Error _ -> []))
       (List.init models Fun.id)
   in
-  (* Replicate the batch so the measurement amortizes domain spawning; the
-     cache is off, so every copy is re-proven. *)
+  (* Replicate the batch so the measurement amortizes domain spawning; every
+     copy is re-proven. *)
   let target = 4000 in
   let reps = max 1 ((target + List.length base_obls - 1) / List.length base_obls) in
   let obls = List.concat (List.init reps (fun _ -> base_obls)) in

@@ -4,7 +4,6 @@ let checks = Obs.Metric.counter "containment.checks"
 let cq_pairs = Obs.Metric.counter "containment.cq_pairs"
 let hom_steps = Obs.Metric.counter "containment.hom_steps"
 let approximate_checks = Obs.Metric.counter "containment.approximate_checks"
-let cache_hits = Obs.Metric.counter "containment.cache_hits"
 
 (* Replace every variable that the store forces equal to a constant by that
    constant, so homomorphism targets are syntactically explicit. *)
@@ -188,63 +187,11 @@ let chase_assoc env (cq : Nf.cq) =
   in
   { cq with Nf.body = cq.Nf.body @ extra_atoms; cons = cq.Nf.cons @ extra_cons }
 
-(* -- memoization ------------------------------------------------------------ *)
-
-(* Verdicts depend on the schemas as well as the queries, so the memo key
-   carries the whole environment and key equality compares both schemas in
-   full (a physically shared environment short-circuits).  The hash covers
-   the queries only; entries for the same queries under different schemas
-   share a bucket and are told apart by [equal].  The table is capped;
-   overflowing clears it (validation workloads re-ask the same few checks,
-   so a simple policy suffices).
-
-   The table is shared across the discharge engine's worker domains, so every
-   access goes through [memo_mutex]; the critical sections are tiny (a probe
-   or an insert) compared to the NP-hard proving work they bracket, so the
-   jobs=1 path pays only an uncontended lock. *)
-
-module Memo = Hashtbl.Make (struct
-  type t = Query.Env.t * Query.Algebra.t * Query.Algebra.t
-
-  let same_env (a : Query.Env.t) (b : Query.Env.t) =
-    a == b
-    || (Edm.Schema.equal a.Query.Env.client b.Query.Env.client
-       && Relational.Schema.equal a.Query.Env.store b.Query.Env.store)
-
-  let equal (e1, a1, b1) (e2, a2, b2) =
-    Query.Algebra.equal a1 a2 && Query.Algebra.equal b1 b2 && same_env e1 e2
-
-  let hash (_, q1, q2) = Hashtbl.hash (q1, q2)
-end)
-
-let caching = Atomic.make false
-let set_caching b = Atomic.set caching b
-
-let memo : bool Memo.t = Memo.create 256
-let memo_cap = 8192
-let memo_mutex = Mutex.create ()
-
-let memo_find key =
-  Mutex.protect memo_mutex (fun () -> Memo.find_opt memo key)
-
-let memo_add key verdict =
-  Mutex.protect memo_mutex (fun () ->
-      if Memo.length memo >= memo_cap then Memo.reset memo;
-      Memo.replace memo key verdict)
-
-let clear_cache () = Mutex.protect memo_mutex (fun () -> Memo.reset memo)
-
 let subset env q1 q2 =
   (* Collapse stacked projections first: validation feeds [π_cols(view)]
      shapes whose outer-join structure only reduces once the projections are
      fused. *)
   let q1 = Query.Simplify.query env q1 and q2 = Query.Simplify.query env q2 in
-  let key = (env, q1, q2) in
-  match if Atomic.get caching then memo_find key else None with
-  | Some verdict ->
-      Obs.Metric.incr cache_hits;
-      Ok verdict
-  | None ->
   let* n1 = Nf.normalize env Nf.Subset_side q1 in
   let* n2 = Nf.normalize env Nf.Superset_side q2 in
   Obs.Metric.incr checks;
@@ -253,9 +200,7 @@ let subset env q1 q2 =
   let cq1s = List.concat_map Nf.type_cases (List.map canonicalize cq1s) in
   let cq1s = List.filter (fun (cq : Nf.cq) -> Nf.consistent cq.Nf.cons) cq1s in
   let cq2s = List.map canonicalize n2.Nf.cqs in
-  let verdict = List.for_all (fun cq1 -> List.exists (fun cq2 -> homomorphism cq2 cq1) cq2s) cq1s in
-  if Atomic.get caching then memo_add key verdict;
-  Ok verdict
+  Ok (List.for_all (fun cq1 -> List.exists (fun cq2 -> homomorphism cq2 cq1) cq2s) cq1s)
 
 let equivalent env q1 q2 =
   let* a = subset env q1 q2 in

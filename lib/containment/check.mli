@@ -24,21 +24,6 @@ val subset : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string)
 
 val equivalent : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
 
-val set_caching : bool -> unit
-(** Verdicts are memoized by (schemas, queries) — repeated validation runs
-    over the same mapping re-ask the same checks, and the paper's Section
-    4.2 attributes most of the compilation time to them.  The key compares
-    the full client and store schemas, so a verdict is only ever served for
-    the schemas it was proven over.  Off by default so that benchmark
-    timings measure cold validation (the paper's setting); enable it to
-    measure the memoization ablation.
-
-    The memo table is shared across {!Discharge} worker domains and protected
-    by a mutex, so caching may be enabled under any [jobs] setting without
-    affecting verdicts. *)
-
-val clear_cache : unit -> unit
-
 (** {1 Counters}
 
     Live [Obs.Metric] counters; traces, benchmarks and [imcc] read them
@@ -56,6 +41,3 @@ val hom_steps : Obs.Metric.counter
 val approximate_checks : Obs.Metric.counter
 (** ["containment.approximate_checks"]: checks that used outer-join
     approximations. *)
-
-val cache_hits : Obs.Metric.counter
-(** ["containment.cache_hits"]: checks answered from the memo table. *)

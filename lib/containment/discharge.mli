@@ -7,8 +7,8 @@
     Determinism guarantee: for any [jobs], [run] returns the same verdict as
     sequential discharge, and on failure reports the {e first} failing
     obligation in emission order (parallel workers track the minimum failing
-    index).  The verdict cache in {!Check} is domain-safe, so enabling it
-    does not change this guarantee. *)
+    index).  {!Check.subset} keeps no mutable state, so workers share
+    nothing but the obligation list. *)
 
 val run : ?jobs:int -> Obligation.t list -> (unit, Validation_error.t) result
 (** [run ?jobs obls] discharges every obligation with {!Check.subset}.

@@ -1,20 +1,6 @@
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
 
-(* Narrow [IS OF E'] so it no longer captures the new type [e]: the new
-   type's rows live exclusively in its own discriminator region. *)
-let narrow_parent client' ~parent ~e cond =
-  Query.Cond.map_atoms
-    (function
-      | Query.Cond.Is_of p when p = parent ->
-          let others =
-            List.filter (fun c -> c <> e) (Edm.Schema.children client' parent)
-          in
-          Query.Cond.disj
-            (Query.Cond.Is_of_only parent :: List.map (fun c -> Query.Cond.Is_of c) others)
-      | atom -> atom)
-    cond
-
 let apply ?jobs (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) =
   let store = st.State.env.Query.Env.store in
   let e = entity.Edm.Entity_type.name in
@@ -29,7 +15,6 @@ let apply ?jobs (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_v
     else fail "TPH requires table %s to already carry the hierarchy" table
   in
   let att = Edm.Schema.attributes client' e in
-  let att_e = List.map fst att in
   let image = List.map snd fmap in
   let* () = Algo.check_column_map ~attrs:att ~keys:[ Edm.Schema.key_of client' e ] tbl fmap in
   let* () =
@@ -76,59 +61,28 @@ let apply ?jobs (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_v
          (Mapping.Fragments.on_table st.State.fragments table))
   in
   let* () = Algo.discharge ?jobs overlap_obls in
-  (* Fragments: narrow the parent's reach, then add φ_E. *)
-  let sigma_star =
-    Algo.span "ae-tph.fragments" @@ fun () ->
-    Mapping.Fragments.map
-      (fun f ->
-        {
-          f with
-          Mapping.Fragment.client_cond =
-            narrow_parent client' ~parent ~e f.Mapping.Fragment.client_cond;
-        })
-      st.State.fragments
-  in
+  (* Narrow [IS OF parent] so it no longer captures E: E's rows live
+     exclusively in its own discriminator region. *)
+  let narrow = Algo.rule_out client' ~between:[ parent ] ~e in
   let phi_e =
     Mapping.Fragment.entity ~set ~cond:(Query.Cond.Is_of e) ~table ~store_cond:disc_cond fmap
   in
-  let fragments = Mapping.Fragments.add phi_e sigma_star in
-  (* Query views. *)
-  let te = Algo.tag_for e in
-  let tau_e = Query.Ctor.Entity { etype = e; attrs = att_e } in
-  let renamed = List.map (fun (a, c) -> Query.Algebra.col_as c a) fmap in
-  let branch = Query.Algebra.Select (disc_cond, Query.Algebra.Scan (Query.Algebra.Table table)) in
-  let qe = Query.Algebra.Project (renamed, branch) in
-  let q_tagged = Query.Algebra.Project (renamed @ [ Query.Algebra.tag te ], branch) in
-  let flag = Query.Cond.Cmp (te, Query.Cond.Eq, Datum.Value.Bool true) in
+  let fragments =
+    Algo.span "ae-tph.fragments" @@ fun () ->
+    Mapping.Fragments.add phi_e (Algo.adapt_fragments narrow st.State.fragments)
+  in
+  (* Query views: Algorithm 1 with P = NIL, E's store side read from its
+     discriminator region. *)
   let* query_views =
     Algo.span "ae-tph.query-views" @@ fun () ->
-    List.fold_left
-      (fun acc f ->
-        let* acc = acc in
-        match Query.View.entity_view st.State.query_views f with
-        | None -> fail "no previous query view for entity type %s" f
-        | Some vf ->
-            let query = Algo.align_union env' vf.Query.View.query q_tagged in
-            let ctor = Query.Ctor.If (flag, tau_e, vf.Query.View.ctor) in
-            Ok (Query.View.set_entity_view f { Query.View.query; ctor } acc))
-      (Ok st.State.query_views)
-      (Edm.Schema.ancestors client' e)
+    Neighborhood.query_views st env' ~e ~p_ref:None
+      ~between:(Edm.Schema.ancestors client' e) [ phi_e ]
   in
-  let query_views =
-    Query.View.set_entity_view e { Query.View.query = qe; ctor = tau_e } query_views
-  in
-  (* Update views: narrow the parent's reach everywhere, then union the new
+  (* Update views: narrow the parent's reach everywhere, then merge the new
      branch into T's view. *)
   let narrowed =
     Algo.span "ae-tph.update-views" @@ fun () ->
-    List.fold_left
-      (fun acc (t, (v : Query.View.t)) ->
-        let query =
-          Query.Algebra.map_conditions (narrow_parent client' ~parent ~e) v.Query.View.query
-        in
-        Query.View.set_table_view t { v with Query.View.query } acc)
-      Query.View.no_update_views
-      (Query.View.update_view_bindings st.State.update_views)
+    Algo.adapt_update_views narrow st.State.update_views
   in
   let* prev_t =
     match Query.View.table_view narrowed table with

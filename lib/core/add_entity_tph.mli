@@ -4,11 +4,12 @@
 
     Query views: a select–project branch over [σ(d = v)(T)] is unioned into
     the view of each ancestor (with a provenance flag driving the CASE), and
-    forms the new type's own view.  Update views and fragments: conditions
-    [IS OF E′] that previously swallowed the whole subtree of the parent are
-    narrowed to rule the new type out (the generalization of the paper's
-    "change [IS OF E′] to [IS OF (ONLY E′)]" to parents with several
-    children), and the new type's branch is unioned into [T]'s update view.
+    forms the new type's own view — {!Neighborhood.query_views} with
+    [P = NIL].  Update views and fragments: conditions [IS OF E′] on the
+    parent are narrowed to rule the new type out ({!Algo.rule_out}, the
+    generalization of the paper's "change [IS OF E′] to [IS OF (ONLY E′)]"
+    to parents with several children), and the new type's rows are merged
+    into [T]'s update view by a keyed FULL OUTER JOIN.
     Validation: the discriminator region must be disjoint from every region
     already claimed on [T]; foreign keys touching the mapped columns and
     associations on ancestor types are re-checked by containment. *)

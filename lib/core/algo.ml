@@ -148,6 +148,22 @@ let adapt_cond client ~p_ref ~between ~e cond =
   in
   rule_out client ~between ~e cond
 
+let adapt_fragments rewrite frags =
+  Mapping.Fragments.map
+    (fun f ->
+      let cond = rewrite f.Mapping.Fragment.client_cond in
+      if cond == f.Mapping.Fragment.client_cond then f
+      else { f with Mapping.Fragment.client_cond = cond })
+    frags
+
+let adapt_update_views rewrite uv =
+  List.fold_left
+    (fun acc (t, (v : Query.View.t)) ->
+      let query = Query.Algebra.map_conditions rewrite v.Query.View.query in
+      if query == v.Query.View.query then acc
+      else Query.View.set_table_view t { v with Query.View.query } acc)
+    uv (Query.View.update_view_bindings uv)
+
 let not_null_conj cols = Query.Cond.conj (List.map (fun c -> Query.Cond.Is_not_null c) cols)
 
 let fk_obligations env uv ~table (fk : Relational.Table.foreign_key) =

@@ -83,6 +83,16 @@ val adapt_cond :
 (** Both rewrites, as applied to update views (Algorithm 2) and to the
     previous fragments Σ⁻ (Section 3.1.3). *)
 
+val adapt_fragments : (Query.Cond.t -> Query.Cond.t) -> Mapping.Fragments.t -> Mapping.Fragments.t
+(** Rewrite every fragment's client condition; a fragment the rewrite leaves
+    alone stays physically the same. *)
+
+val adapt_update_views :
+  (Query.Cond.t -> Query.Cond.t) -> Query.View.update_views -> Query.View.update_views
+(** Rewrite every selection condition of the update views
+    ({!Query.Algebra.map_conditions}); a view the rewrite leaves alone stays
+    physically the same. *)
+
 val not_null_conj : string list -> Query.Cond.t
 
 val fk_obligations :

@@ -24,20 +24,33 @@ let apply (st : State.t) ~etype ~attr =
   let before_tables = Mapping.Fragments.tables st.State.fragments in
   let fragments =
     Algo.span "drop-property.fragments" @@ fun () ->
-    Mapping.Fragments.to_list st.State.fragments
-    |> List.filter_map (fun (f : Mapping.Fragment.t) ->
-           if
-             not
-               (Mapping.Fragment.equal_client_source f.Mapping.Fragment.client_source
-                  (Mapping.Fragment.Set set))
-           then Some f
-           else if not (List.mem attr (Mapping.Fragment.attrs f)) then Some f
-           else
-             let pairs = List.filter (fun (a, _) -> a <> attr) f.Mapping.Fragment.pairs in
-             (* A fragment left with nothing but the key carried only this
-                property: drop it. *)
-             if List.for_all (fun (a, _) -> List.mem a key) pairs then None
-             else Some { f with Mapping.Fragment.pairs })
+    let all = Mapping.Fragments.to_list st.State.fragments in
+    (* Another fragment with [f]'s source, conditions and table whose pairs
+       include [pairs] implies the equation of [f] cut down to [pairs]. *)
+    let implied (f : Mapping.Fragment.t) pairs =
+      List.exists
+        (fun (g : Mapping.Fragment.t) ->
+          g != f
+          && Mapping.Fragment.equal { g with pairs = f.pairs } f
+          && List.for_all (fun p -> List.mem p g.pairs) pairs)
+        all
+    in
+    List.filter_map
+      (fun (f : Mapping.Fragment.t) ->
+        if
+          not
+            (Mapping.Fragment.equal_client_source f.Mapping.Fragment.client_source
+               (Mapping.Fragment.Set set))
+        then Some f
+        else if not (List.mem attr (Mapping.Fragment.attrs f)) then Some f
+        else
+          let pairs = List.remove_assoc attr f.Mapping.Fragment.pairs in
+          (* A fragment left with nothing but the key still says which
+             entities the table holds, and so which types they have; drop
+             it only when another fragment says the same. *)
+          if List.for_all (fun (a, _) -> List.mem a key) pairs && implied f pairs then None
+          else Some { f with Mapping.Fragment.pairs })
+      all
     |> Mapping.Fragments.of_list
   in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in

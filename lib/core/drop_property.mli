@@ -4,8 +4,10 @@
     Preconditions: the attribute is declared (not inherited) and non-key,
     and no fragment's client condition tests it (partitioned mappings keyed
     on the attribute cannot lose it).  Fragments projecting the attribute
-    lose the pair; a fragment left projecting only key attributes while a
-    sibling fragment still carries the type's data is removed outright.
+    lose the pair.  A fragment left projecting only key attributes is
+    removed only when another fragment with the same source, conditions
+    and table still maps those columns; otherwise it stays, because it
+    alone may tell the type's entities apart (a TPT type's own table).
     Views of the affected set regenerate from the adapted fragments (the
     neighborhood), and the surviving coverage of every concrete type is
     re-checked — dropping an attribute can never lose {e other} data, but

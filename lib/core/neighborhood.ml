@@ -11,9 +11,11 @@ module A = Query.Algebra
    out.  Returns the side without and with the provenance flag t_E. *)
 let store_side ~key ~own ~keep ~te phis =
   match phis with
-  | [ phi ] ->
-      ( Fullc.Query_views.store_projection ~key ~keep phi,
-        Fullc.Query_views.store_projection ~key ~keep ~tag:te phi )
+  | [ phi ] -> (
+      (* Both sides read the one partition's table through the same node. *)
+      match Fullc.Query_views.store_projection ~key ~keep phi with
+      | A.Project (items, base) as side -> (side, A.Project (items @ [ A.tag te ], base))
+      | side -> (side, Fullc.Query_views.store_projection ~key ~keep ~tag:te phi))
   | _ ->
       let ifr = List.mapi (fun i phi -> (i, phi)) phis in
       let joined =
@@ -141,16 +143,6 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
 let update_views (st : State.t) env' ~e ~p_ref ~between phis =
   let client' = env'.Query.Env.client in
   let set = Option.get (Edm.Schema.set_of_type client' e) in
-  let adapt = Algo.adapt_cond client' ~p_ref ~between ~e in
-  let adapted =
-    List.fold_left
-      (fun acc (tbl, (v : Query.View.t)) ->
-        let query = A.map_conditions adapt v.Query.View.query in
-        if query == v.Query.View.query then acc
-        else Query.View.set_table_view tbl { v with Query.View.query } acc)
-      st.State.update_views
-      (Query.View.update_view_bindings st.State.update_views)
-  in
   List.fold_left
     (fun acc (phi : Mapping.Fragment.t) ->
       let table = Relational.Schema.get_table env'.Query.Env.store phi.Mapping.Fragment.table in
@@ -170,18 +162,15 @@ let update_views (st : State.t) env' ~e ~p_ref ~between phis =
       Query.View.set_table_view phi.Mapping.Fragment.table
         { Query.View.query; ctor = Query.Ctor.Tuple columns }
         acc)
-    adapted phis
+    (Algo.adapt_update_views (Algo.adapt_cond client' ~p_ref ~between ~e) st.State.update_views)
+    phis
 
 (* -- fragment adaptation (Section 3.1.3) ----------------------------------- *)
 
 let fragments (st : State.t) env' ~e ~p_ref ~between phis =
-  let adapt = Algo.adapt_cond env'.Query.Env.client ~p_ref ~between ~e in
   let sigma_star =
-    Mapping.Fragments.map
-      (fun f ->
-        let cond = adapt f.Mapping.Fragment.client_cond in
-        if cond == f.Mapping.Fragment.client_cond then f
-        else { f with Mapping.Fragment.client_cond = cond })
+    Algo.adapt_fragments
+      (Algo.adapt_cond env'.Query.Env.client ~p_ref ~between ~e)
       st.State.fragments
   in
   List.fold_left (fun acc phi -> Mapping.Fragments.add phi acc) sigma_star phis

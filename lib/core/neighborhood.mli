@@ -31,3 +31,17 @@ val add_type :
 
     The phases are traced as [phase ^ ".query-views"], [".update-views"]
     and [".fragments"].  Validation is the caller's. *)
+
+val query_views :
+  State.t ->
+  Query.Env.t ->
+  e:string ->
+  p_ref:string option ->
+  between:string list ->
+  Mapping.Fragment.t list ->
+  (Query.View.query_views, Containment.Validation_error.t) result
+(** The query-view half of {!add_type} (Algorithm 1), with [between] the
+    types strictly between [E] and [P].  AddEntityTPH calls it with
+    [p_ref = None] and [E]'s one discriminator fragment: every ancestor's
+    view becomes the aligned UNION ALL with [E]'s tagged rows, and each
+    distinct constructor among them is extended once. *)

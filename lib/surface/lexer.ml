@@ -41,6 +41,7 @@ let tokenize input =
   let out = ref [] in
   let peek k = if !pos + k < n then Some input.[!pos + k] else None in
   let cur () = peek 0 in
+  let digit k = match peek k with Some ch -> is_digit ch | None -> false in
   let advance () =
     (match cur () with
     | Some '\n' ->
@@ -64,6 +65,8 @@ let tokenize input =
           advance ();
           match cur () with
           | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
+          | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
+          | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
           | Some ch -> advance (); Buffer.add_char b ch; go ()
           | None -> error "unterminated escape")
       | Some ch ->
@@ -74,23 +77,32 @@ let tokenize input =
     go ();
     emit ~l ~c (Str (Buffer.contents b))
   in
+  (* -?digits, then an optional fraction and exponent; either makes a
+     float.  An integer followed by '..' is a multiplicity range. *)
   let lex_number () =
     let l = !line and c = !col in
     let start = !pos in
-    while (match cur () with Some ch -> is_digit ch | None -> false) do
-      advance ()
-    done;
-    match cur (), peek 1 with
-    | Some '.', Some '.' ->
-        (* an integer followed by '..' (multiplicity ranges) *)
-        emit ~l ~c (Int (int_of_string (String.sub input start (!pos - start))))
-    | Some '.', Some d when is_digit d ->
-        advance ();
-        while (match cur () with Some ch -> is_digit ch | None -> false) do
-          advance ()
-        done;
-        emit ~l ~c (Float (float_of_string (String.sub input start (!pos - start))))
-    | _, _ -> emit ~l ~c (Int (int_of_string (String.sub input start (!pos - start))))
+    let digits () = while digit 0 do advance () done in
+    if cur () = Some '-' then advance ();
+    digits ();
+    let fraction = cur () = Some '.' && digit 1 in
+    if fraction then (advance (); digits ());
+    let exponent =
+      match cur (), peek 1 with
+      | Some ('e' | 'E'), Some ('+' | '-') -> digit 2
+      | Some ('e' | 'E'), _ -> digit 1
+      | _, _ -> false
+    in
+    if exponent then (
+      advance ();
+      if not (digit 0) then advance ();
+      digits ());
+    let text = String.sub input start (!pos - start) in
+    if fraction || exponent then emit ~l ~c (Float (float_of_string text))
+    else
+      match int_of_string_opt text with
+      | Some i -> emit ~l ~c (Int i)
+      | None -> error (Printf.sprintf "integer %s out of range" text)
   in
   let lex_ident () =
     let l = !line and c = !col in
@@ -138,7 +150,7 @@ let tokenize input =
     | Some '<' -> emit (Op "<"); advance (); go ()
     | Some '>' -> emit (Op ">"); advance (); go ()
     | Some '=' -> emit (Op "="); advance (); go ()
-    | Some c when is_digit c -> lex_number (); go ()
+    | Some c when is_digit c || (c = '-' && digit 1) -> lex_number (); go ()
     | Some c when is_ident_start c -> lex_ident (); go ()
     | Some c -> error (Printf.sprintf "unexpected character %C" c)
   in

@@ -2,9 +2,11 @@
 
 type token =
   | Ident of string   (** identifiers, possibly dotted: [Customer.Id] *)
-  | Int of int
-  | Float of float
-  | Str of string     (** double-quoted *)
+  | Int of int        (** [-?digits] *)
+  | Float of float    (** [-?digits], then [.digits] and/or [(e|E)(+|-)?digits] *)
+  | Str of string     (** double-quoted; a backslash escapes the next byte,
+                          with [n], [t] and [r] read as newline, tab and
+                          carriage return *)
   | LBrace | RBrace | LParen | RParen
   | Semi | Colon | Comma
   | Arrow             (** -> *)

@@ -1,15 +1,38 @@
 let buf_add = Buffer.add_string
 
+(* Only the escapes [Lexer] reads back; every other byte is written as is. *)
+let quote s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> buf_add b "\\\""
+      | '\\' -> buf_add b "\\\\"
+      | '\n' -> buf_add b "\\n"
+      | '\t' -> buf_add b "\\t"
+      | '\r' -> buf_add b "\\r"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* The fewest significant digits that read back as the finite [f], with a
+   decimal point or an exponent so the lexer reads a float. *)
+let decimal f =
+  let rec shortest p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+  in
+  let s = shortest 1 in
+  if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+
 let literal = function
   | Datum.Value.Null -> "null"
   | Datum.Value.Int i -> string_of_int i
-  | Datum.Value.String s -> Printf.sprintf "%S" s
+  | Datum.Value.String s -> quote s
   | Datum.Value.Bool true -> "true"
   | Datum.Value.Bool false -> "false"
-  | Datum.Value.Decimal f ->
-      (* Keep a decimal point so the lexer reads it back as a float. *)
-      let s = Printf.sprintf "%g" f in
-      if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+  | Datum.Value.Decimal f -> decimal f
 
 let cmp = function
   | Query.Cond.Eq -> "="
@@ -52,7 +75,7 @@ let domain = function
   | Datum.Domain.Bool -> "bool"
   | Datum.Domain.Decimal -> "decimal"
   | Datum.Domain.Enum values ->
-      "enum (" ^ String.concat ", " (List.map (Printf.sprintf "%S") values) ^ ")"
+      "enum (" ^ String.concat ", " (List.map quote values) ^ ")"
 
 let entity_type ~key (e : Edm.Entity_type.t) =
   let b = Buffer.create 128 in

@@ -154,44 +154,10 @@ let test_stats_counting () =
   check Alcotest.int "checks counted" 1 (Obs.Metric.value K.checks - checks0);
   checkb "cq pairs explored" true (Obs.Metric.value K.cq_pairs - pairs0 >= 1)
 
-let test_cache_correctness () =
-  (* Memoization must not change a single verdict, and a repeated pass over
-     the same checks must be answered from the cache. *)
-  let pairs =
-    List.concat_map (fun q1 -> List.map (fun q2 -> (q1, q2)) query_pool) query_pool
-  in
-  let verdicts () = List.map (fun (q1, q2) -> Containment.Check.subset env q1 q2) pairs in
-  let plain = verdicts () in
-  Containment.Check.set_caching true;
-  Containment.Check.clear_cache ();
-  Fun.protect
-    ~finally:(fun () ->
-      Containment.Check.set_caching false;
-      Containment.Check.clear_cache ())
-    (fun () ->
-      let same tag a b =
-        List.iteri
-          (fun i (x, y) ->
-            match x, y with
-            | Ok bx, Ok by ->
-                checkb (Printf.sprintf "%s: pair %d verdict" tag i) bx by
-            | Error _, Error _ -> ()
-            | _, _ -> Alcotest.failf "%s: pair %d changed outcome kind" tag i)
-          (List.combine a b)
-      in
-      let cached = verdicts () in
-      same "caching on vs off" plain cached;
-      let hits0 = Obs.Metric.value Containment.Check.cache_hits in
-      let again = verdicts () in
-      same "second cached pass" plain again;
-      checkb "second pass hits the cache" true
-        (Obs.Metric.value Containment.Check.cache_hits > hits0))
-
 (* Two 30-table store schemas that differ only in table 25: there column C
    is NOT NULL in one and nullable in the other, so [T25 ⊆ σ(C IS NOT NULL) T25]
-   holds over the first schema only.  A verdict memoized for one schema must
-   never be served for the other. *)
-let test_cache_key_schema () =
+   holds over the first schema only. *)
+let test_schema_nullability () =
   let store c_null =
     List.fold_left
       (fun s i ->
@@ -212,19 +178,8 @@ let test_cache_key_schema () =
     | Ok b -> b
     | Error e -> Alcotest.failf "normalization error: %s" e
   in
-  checkb "uncached: NOT NULL column" true (verdict env_strict);
-  checkb "uncached: nullable column" false (verdict env_loose);
-  Containment.Check.set_caching true;
-  Containment.Check.clear_cache ();
-  Fun.protect
-    ~finally:(fun () ->
-      Containment.Check.set_caching false;
-      Containment.Check.clear_cache ())
-    (fun () ->
-      checkb "cached: NOT NULL column" true (verdict env_strict);
-      checkb "cached: nullable column is not served the other verdict" false
-        (verdict env_loose);
-      checkb "cached: NOT NULL column again" true (verdict env_strict))
+  checkb "NOT NULL column" true (verdict env_strict);
+  checkb "nullable column" false (verdict env_loose)
 
 let () =
   Alcotest.run "containment"
@@ -238,6 +193,7 @@ let () =
         [
           Alcotest.test_case "intervals" `Quick test_interval_containments;
           Alcotest.test_case "nulls" `Quick test_null_reasoning;
+          Alcotest.test_case "schema nullability" `Quick test_schema_nullability;
         ] );
       ( "structure",
         [
@@ -250,7 +206,5 @@ let () =
         [
           prop_soundness;
           Alcotest.test_case "stats" `Quick test_stats_counting;
-          Alcotest.test_case "cache correctness" `Quick test_cache_correctness;
-          Alcotest.test_case "cache key covers the schemas" `Quick test_cache_key_schema;
         ] );
     ]

@@ -594,6 +594,30 @@ let test_add_property_new_table () =
   in
   checkb "descendants inherit the property" true (ok_exn (Core.State.roundtrip_ok st inst))
 
+(* AE-TPT with one attribute, then DropProperty of that attribute: the
+   fragment left with only the key still tells employees from persons. *)
+let test_drop_tpt_only_attribute () =
+  let _, st2, _, _ = Lazy.force paper_states in
+  let st =
+    ok_v (Core.Engine.apply st2 (Core.Smo.Drop_property { etype = "Employee"; attr = "Department" }))
+  in
+  checkb "Emp keeps a fragment" true
+    (List.mem "Emp" (Mapping.Fragments.tables st.Core.State.fragments));
+  (match
+     Roundtrip.Check.roundtrips st.Core.State.env st.Core.State.query_views
+       st.Core.State.update_views ~samples:5 ~base_seed:7 ()
+   with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "roundtrip: %a" Roundtrip.Check.pp_failure f);
+  let inst =
+    Edm.Instance.empty
+    |> Edm.Instance.add_entity ~set:"Persons"
+         (Edm.Instance.entity ~etype:"Person" [ ("Id", V.Int 1); ("Name", V.String "ana") ])
+    |> Edm.Instance.add_entity ~set:"Persons"
+         (Edm.Instance.entity ~etype:"Employee" [ ("Id", V.Int 2); ("Name", V.String "bob") ])
+  in
+  checkb "an employee reads back as an employee" true (ok_exn (Core.State.roundtrip_ok st inst))
+
 (* -- the column-map rules of the additive SMOs ------------------------------------ *)
 
 (* One builder per additive SMO; each default is accepted (see the controls
@@ -1060,6 +1084,8 @@ let () =
         [
           Alcotest.test_case "existing table" `Quick test_add_property_existing;
           Alcotest.test_case "new table" `Quick test_add_property_new_table;
+          Alcotest.test_case "drop a TPT type's only attribute" `Quick
+            test_drop_tpt_only_attribute;
         ] );
       ( "column map",
         [

@@ -3,8 +3,8 @@
    - differential determinism: for any batch, jobs=1 and jobs=4 produce the
      same verdict, and on failure the SAME first failing obligation (in
      emission order) — the acceptance criterion of the obligation API;
-   - cache safety: the shared verdict memo can be hammered from several
-     domains at once without corrupting verdicts. *)
+   - domain safety: several domains proving the same checks at once get
+     the same verdicts. *)
 
 open Common
 
@@ -17,7 +17,7 @@ let sel c q = A.Select (c, q)
 let proj cols q = A.project_cols cols q
 
 (* Employee ⊆ Person holds; Person ⊆ Employee does not.  Vary the selection
-   by [i] so distinct obligations are distinct memo keys. *)
+   by [i] so distinct obligations are distinct queries. *)
 let emp_ids i = proj [ "Id" ] (sel (C.And (C.Is_of "Employee", C.Cmp ("Id", C.Ge, V.Int i))) persons)
 let person_ids i = proj [ "Id" ] (sel (C.And (C.Is_of "Person", C.Cmp ("Id", C.Ge, V.Int i))) persons)
 
@@ -64,17 +64,10 @@ let test_failure_is_structured () =
       check Alcotest.string "legacy rendering is the bare message" "obligation 1 failed"
         (VE.show e)
 
-(* -- cache safety under domain concurrency --------------------------------- *)
+(* -- safety under domain concurrency ---------------------------------------- *)
 
-let test_cache_hammer () =
-  Containment.Check.set_caching true;
-  Containment.Check.clear_cache ();
-  Fun.protect ~finally:(fun () ->
-      Containment.Check.set_caching false;
-      Containment.Check.clear_cache ())
-  @@ fun () ->
-  (* 4 domains re-prove the same handful of (lhs, rhs) pairs concurrently, so
-     every iteration races memo_find/memo_add on shared keys. *)
+let test_domain_hammer () =
+  (* 4 domains re-prove the same handful of (lhs, rhs) pairs concurrently. *)
   let rounds = 200 in
   let worker () =
     let wrong = ref 0 in
@@ -92,12 +85,12 @@ let test_cache_hammer () =
   let domains = List.init 3 (fun _ -> Domain.spawn worker) in
   let wrong = worker () + List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
   check Alcotest.int "no corrupted verdicts across 4 domains" 0 wrong;
-  (* And the discharge engine itself, with the cache on. *)
+  (* And the discharge engine itself. *)
   let batch = batch_of_pattern (List.init 40 (fun _ -> true)) in
   for _ = 1 to 5 do
     match Containment.Discharge.run ~jobs:4 batch with
     | Ok () -> ()
-    | Error e -> Alcotest.failf "cached parallel batch failed: %s" (VE.show e)
+    | Error e -> Alcotest.failf "parallel batch failed: %s" (VE.show e)
   done
 
 let () =
@@ -108,5 +101,5 @@ let () =
           prop_differential;
           Alcotest.test_case "structured failure" `Quick test_failure_is_structured;
         ] );
-      ("cache safety", [ Alcotest.test_case "4-domain hammer" `Quick test_cache_hammer ]);
+      ("domain safety", [ Alcotest.test_case "4-domain hammer" `Quick test_domain_hammer ]);
     ]

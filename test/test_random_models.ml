@@ -118,24 +118,30 @@ let test_dsl_roundtrip () =
     (Lazy.force models)
 
 let test_evolution_on_random_models () =
-  (* An AddEntity TPT below a random root must keep the mapping sound. *)
+  (* Every accepted step of the pipeline must keep the mapping sound. *)
   List.iter
     (fun (seed, env, frags, c) ->
       let st = Core.State.of_compiled env frags c in
       match random_pipeline seed st with
       | None -> ()
-      | Some smos -> (
-          let tag = Printf.sprintf "seed %d" seed in
-          match apply_checked tag st [ List.hd smos ] with
-          | Error _ -> () (* some random neighborhoods rightly refuse *)
-          | Ok st' -> (
-              match
-                Roundtrip.Check.roundtrips st'.Core.State.env st'.Core.State.query_views
-                  st'.Core.State.update_views ~samples:5 ~base_seed:(seed * 331) ()
-              with
-              | Ok _ -> ()
-              | Error f ->
-                  Alcotest.failf "seed %d evolved roundtrip: %a" seed Roundtrip.Check.pp_failure f)))
+      | Some smos ->
+          let rec go st = function
+            | [] -> ()
+            | smo :: rest -> (
+                let tag = Printf.sprintf "seed %d" seed in
+                match apply_checked tag st [ smo ] with
+                | Error _ -> () (* some random neighborhoods rightly refuse *)
+                | Ok st' -> (
+                    match
+                      Roundtrip.Check.roundtrips st'.Core.State.env st'.Core.State.query_views
+                        st'.Core.State.update_views ~samples:5 ~base_seed:(seed * 331) ()
+                    with
+                    | Ok _ -> go st' rest
+                    | Error f ->
+                        Alcotest.failf "%s after %s: evolved roundtrip: %a" tag (Core.Smo.name smo)
+                          Roundtrip.Check.pp_failure f))
+          in
+          go st smos)
     (Lazy.force compiled)
 
 let test_differential_vs_fullc () =

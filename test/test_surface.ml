@@ -175,9 +175,12 @@ let test_parse_errors () =
   bad "bad keyword" "klient { }";
   bad "missing key" "store { table T { Id : int; } }";
   bad "bad domain" "client { type T { key Id : quux; } }";
-  (match Surface.Parser.condition "Age >= " with
-  | Ok _ -> Alcotest.fail "expected condition error"
-  | Error e -> checkb "condition error" true (contains ~sub:"line" e));
+  List.iter
+    (fun text ->
+      match Surface.Parser.condition text with
+      | Ok _ -> Alcotest.failf "expected a condition error for %S" text
+      | Error e -> checkb "condition error" true (contains ~sub:"line" e))
+    [ "Age >= "; "Age = 99999999999999999999" ];
   match Surface.Parser.condition "Age >= 18 and (Gender = \"M\" or Gender = \"F\")" with
   | Ok c ->
       checkb "condition parsed" true
@@ -189,8 +192,42 @@ let test_parse_errors () =
                     Query.Cond.Cmp ("Gender", Query.Cond.Eq, V.String "F") ) )))
   | Error e -> Alcotest.failf "condition should parse: %s" e
 
+(* [gen_cond] with comparisons against literals the printer must escape or
+   spell exactly: negative numbers, decimals that [%g] rounds or writes
+   with an exponent, and strings with quotes, backslashes, control and
+   non-ASCII bytes. *)
+let gen_dsl_cond =
+  QCheck.Gen.(
+    let literal =
+      oneof
+        [
+          map (fun i -> V.Int i) int;
+          map (fun i -> V.Int (-i)) small_nat;
+          map (fun f -> V.Decimal f)
+            (oneofl [ -2.5; 1234567.5; 123456.75; 0.1 +. 0.2; 1e20; -1e-7; -0.0 ]);
+          map (fun f -> V.Decimal f) (float_bound_inclusive 1e12);
+          map (fun f -> V.Decimal (if Float.is_finite f then f else 1.5)) float;
+          map (fun s -> V.String s)
+            (oneofl [ "café"; "say \"hi\""; "back\\slash"; "tab\there"; "two\nlines" ]);
+          map (fun s -> V.String s) (string_size ~gen:char (int_range 0 8));
+          map (fun b -> V.Bool b) bool;
+        ]
+    in
+    let cmp =
+      map2 (fun op v -> C.Cmp ("A", op, v)) (oneofl [ C.Eq; C.Neq; C.Lt; C.Le; C.Gt; C.Ge ]) literal
+    in
+    frequency
+      [
+        (1, gen_cond);
+        (2, cmp);
+        (2, map2 (fun a b -> C.And (a, b)) cmp gen_cond);
+        (1, map2 (fun a b -> C.Or (a, b)) cmp cmp);
+      ])
+
 let prop_cond_print_parse =
-  qtest "conditions roundtrip through the DSL" ~count:300 arb_cond (fun c ->
+  qtest "conditions roundtrip through the DSL" ~count:300
+    (QCheck.make ~print:C.show gen_dsl_cond)
+    (fun c ->
       let text = Surface.Print_dsl.cond c in
       match Surface.Parser.condition text with
       | Ok c' ->
