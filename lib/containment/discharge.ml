@@ -1,20 +1,14 @@
 (* Batch discharge engine for proof obligations.
 
-   The sequential path is a short-circuiting fold, so the first failing
-   obligation in emission order is reported.  The parallel path must agree
-   byte-for-byte: workers pull indices from a shared atomic counter and keep
-   a CAS-maintained minimum failing index; once a failure at index [i] is
-   known, indices above [i] are skipped (their verdicts cannot change the
-   outcome), and the failure finally reported is the smallest failing index
-   — exactly the obligation sequential discharge would have reported. *)
+   One path for every [jobs]: workers pull indices from a shared atomic
+   counter and keep a CAS-maintained minimum failing index; once a failure
+   at index [i] is known, indices above [i] are skipped (their verdicts
+   cannot change the outcome), and the failure finally reported is the
+   smallest failing index — the first failing obligation in emission order.
+   With one worker the calling domain walks the batch in order and stops
+   proving at the first failure. *)
 
 let batches = Obs.Metric.counter "discharge.batches"
-let parallel_batches = Obs.Metric.counter "discharge.parallel_batches"
-
-let sequential obls =
-  List.fold_left
-    (fun acc ob -> Result.bind acc (fun () -> Obligation.discharge ~subset:Check.subset ob))
-    (Ok ()) obls
 
 (* [jobs] is a cap, not a demand: spawning more domains than the machine has
    cores can only lose wall-clock to scheduling and stop-the-world minor GCs
@@ -23,7 +17,7 @@ let sequential obls =
 let effective_workers ~jobs ~n =
   max 1 (min (min jobs n) (Domain.recommended_domain_count ()))
 
-let parallel ~workers arr =
+let prove ~workers arr =
   let n = Array.length arr in
   let next = Atomic.make 0 in
   let first_fail = Atomic.make max_int in
@@ -46,7 +40,7 @@ let parallel ~workers arr =
       else
         for i = lo to min (lo + chunk - 1) (n - 1) do
           if i < Atomic.get first_fail then
-            match Obligation.discharge ~subset:Check.subset arr.(i) with
+            match Obligation.discharge arr.(i) with
             | Ok () -> ()
             | Error e ->
                 failures.(i) <- Some e;
@@ -77,11 +71,4 @@ let run ?(jobs = 1) obls =
       ]
   @@ fun () ->
   Obs.Metric.incr batches;
-  if jobs <= 1 || n <= 1 then sequential obls
-  else begin
-    (* Any jobs > 1 request goes through the worker loop (even when the core
-       clamp leaves a single worker), so the deterministic failure-selection
-       machinery is exercised on every machine. *)
-    Obs.Metric.incr parallel_batches;
-    parallel ~workers (Array.of_list obls)
-  end
+  prove ~workers (Array.of_list obls)

@@ -12,26 +12,6 @@ type cq = { head : (string * term) list; body : atom list; cons : constr list }
 type role = Subset_side | Superset_side
 type output = { cqs : cq list; approximate : bool }
 
-let pp_term fmt = function
-  | V i -> Format.fprintf fmt "x%d" i
-  | C v -> Format.pp_print_string fmt (Datum.Value.to_literal v)
-
-let pp_cq fmt cq =
-  let pp_arg fmt (c, t) = Format.fprintf fmt "%s:%a" c pp_term t in
-  let pp_args = Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ",") pp_arg in
-  let pp_atom fmt a = Format.fprintf fmt "%a(%a)" Query.Algebra.pp_source a.src pp_args a.args in
-  let pp_con fmt = function
-    | Ty_in (v, tys) -> Format.fprintf fmt "x%d∈{%s}" v (String.concat "," tys)
-    | Rel (v, op, c) -> Format.fprintf fmt "x%d %a %s" v Query.Cond.pp_cmp op (Datum.Value.to_literal c)
-    | Null_c v -> Format.fprintf fmt "x%d IS NULL" v
-    | Not_null_c v -> Format.fprintf fmt "x%d IS NOT NULL" v
-  in
-  Format.fprintf fmt "@[head(%a) :- %a | %a@]" pp_args cq.head
-    (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ") pp_atom)
-    cq.body
-    (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ") pp_con)
-    cq.cons
-
 (* ------------------------------------------------------------------ *)
 (* Constraint solving: per-variable consistency and entailment.        *)
 (* ------------------------------------------------------------------ *)

@@ -59,6 +59,4 @@ val type_cases : cq -> cq list
     [IS OF P ⊆ IS OF (ONLY P) ∪ IS OF E] — the disjunctions Algorithm 2
     introduces. *)
 
-val pp_cq : Format.formatter -> cq -> unit
-val pp_term : Format.formatter -> term -> unit
 val equal_term : term -> term -> bool

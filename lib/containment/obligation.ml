@@ -13,14 +13,13 @@ let discharged = Obs.Metric.counter "containment.obligations"
 let name t = t.name
 let on_fail t = t.on_fail
 
-(* Every obligation — whether discharged sequentially or by a parallel
-   worker — funnels through here, so the span and counter accounting is uniform
-   across both paths.  A normalization error counts as "not proven", the
-   conservative collapse validation relies on. *)
-let discharge ~subset t =
+(* Every obligation funnels through here, whichever discharge worker proves
+   it, so the span and counter accounting is uniform.  A normalization error
+   counts as "not proven", the conservative collapse validation relies on. *)
+let discharge t =
   Obs.Span.with_ ~name:"containment.obligation" ~attrs:[ ("obligation", t.name) ]
   @@ fun () ->
   Obs.Metric.incr discharged;
-  match subset t.env t.lhs t.rhs with
+  match Check.subset t.env t.lhs t.rhs with
   | Ok true -> Ok ()
   | Ok false | Error _ -> Error (Validation_error.of_obligation ~name:t.name t.on_fail)

@@ -2,11 +2,11 @@
 
     A validation step of the incremental compiler reduces to containment
     tests ([lhs ⊆ rhs] over [env]'s schemas).  Instead of proving each test
-    inline where it arises, the SMO algorithms {e emit} obligations and hand
-    the batch to {!Discharge} — the collect-then-discharge split that makes
-    the checks schedulable (sequentially or across domains) and uniformly
-    observable.  Obligations are immutable values: building one performs no
-    proving work. *)
+    inline where it arises, the SMO algorithms {e return} obligations, and
+    [Core.Engine] hands each SMO's batch to {!Discharge} — the
+    collect-then-discharge split that makes the checks schedulable (on one
+    domain or several) and uniformly observable.  Obligations are immutable
+    values: building one performs no proving work. *)
 
 type t = {
   name : string;             (** stable identifier, e.g. ["aa-fk.check-2:Emp"] *)
@@ -26,11 +26,7 @@ val discharged : Obs.Metric.counter
 val name : t -> string
 val on_fail : t -> string
 
-val discharge :
-  subset:(Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result) ->
-  t -> (unit, Validation_error.t) result
-(** Discharge one obligation with the given prover (normally
-    [Check.subset]).  Records the per-obligation span and counter; a
-    normalization error is conservatively "not proven".  All discharge paths
-    — {!Discharge.run} sequentially or via parallel workers — go through
-    this function. *)
+val discharge : t -> (unit, Validation_error.t) result
+(** Prove one obligation with {!Check.subset}.  Records the per-obligation
+    span and counter; a normalization error is conservatively "not proven".
+    Every worker of {!Discharge.run} proves through this function. *)

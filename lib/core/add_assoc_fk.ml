@@ -2,7 +2,7 @@ let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
 let all_ok = Algo.all_ok
 
-let apply ?jobs (st : State.t) ~assoc ~table ~fmap =
+let apply (st : State.t) ~assoc ~table ~fmap =
   let client = st.State.env.Query.Env.client in
   let store = st.State.env.Query.Env.store in
   let* client' = Algo.lift (Edm.Schema.add_association assoc client) in
@@ -48,8 +48,7 @@ let apply ?jobs (st : State.t) ~assoc ~table ~fmap =
     | None -> fail "table %s has no update view" table
   in
   let env' = Query.Env.make ~client:client' ~store in
-  (* Checks 2 and 3 reduce to containment: emit the obligations here,
-     discharge the batch below. *)
+  (* Checks 2 and 3 reduce to containment: they are the SMO's obligations. *)
   let check2 =
     Algo.span "aa-fk.validate" @@ fun () ->
     let set1 = Option.get (Edm.Schema.set_of_type client' assoc.Edm.Association.end1) in
@@ -101,7 +100,6 @@ let apply ?jobs (st : State.t) ~assoc ~table ~fmap =
                 ])
       tbl.Relational.Table.fks
   in
-  let* () = Algo.discharge ?jobs (check2 :: check3) in
   (* Fragment, query view, update view. *)
   Algo.span "aa-fk.view-patch" @@ fun () ->
   let phi_a =
@@ -135,4 +133,4 @@ let apply ?jobs (st : State.t) ~assoc ~table ~fmap =
       { Query.View.query = qt; ctor = prev_t.Query.View.ctor }
       st.State.update_views
   in
-  Ok { State.env = env'; fragments; query_views; update_views }
+  Ok ({ State.env = env'; fragments; query_views; update_views }, check2 :: check3)

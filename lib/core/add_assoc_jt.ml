@@ -1,6 +1,6 @@
 let ( let* ) = Result.bind
 
-let apply ?jobs (st : State.t) ~assoc ~table ~fmap =
+let apply (st : State.t) ~assoc ~table ~fmap =
   let client = st.State.env.Query.Env.client in
   let store = st.State.env.Query.Env.store in
   let* client' = Algo.lift (Edm.Schema.add_association assoc client) in
@@ -59,5 +59,4 @@ let apply ?jobs (st : State.t) ~assoc ~table ~fmap =
         Algo.fk_obligations env' update_views ~table:table.Relational.Table.name fk)
       table.Relational.Table.fks
   in
-  let* () = Algo.discharge ?jobs obls in
-  Ok { State.env = env'; fragments; query_views; update_views }
+  Ok ({ State.env = env'; fragments; query_views; update_views }, obls)

@@ -6,14 +6,14 @@
     of the first endpoint's key alone when the second endpoint's
     multiplicity is at most one.  Validation checks the join table's foreign
     keys against the previous update views (the endpoints' keys must resolve
-    wherever the foreign keys point). *)
+    wherever the foreign keys point): one obligation per foreign key,
+    returned for {!Engine.apply} to discharge. *)
 
 val apply :
-  ?jobs:int ->
   State.t ->
   assoc:Edm.Association.t ->
   table:Relational.Table.t ->
   fmap:(string * string) list ->
-  (State.t, Containment.Validation_error.t) result
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result
 (** [fmap] maps the association's qualified key columns to columns of the
     (new) join table. *)

@@ -65,8 +65,7 @@ let check_preconditions (st : State.t) ~entity ~alpha ~p_ref ~table ~fmap =
 
 (* -- validation (Section 3.1.4) --------------------------------------------- *)
 
-(* Emit the obligations of Section 3.1.4's checks 1–3; the caller discharges
-   the batch. *)
+(* Emit the obligations of Section 3.1.4's checks 1–3. *)
 let validation_obligations env' frags' uv' ~table ~fmap ~between =
   (* Check 1: associations with endpoints strictly between E and P. *)
   let* check1 = Algo.assoc_endpoint_obligations env' frags' uv' ~etypes:between in
@@ -85,7 +84,7 @@ let validation_obligations env' frags' uv' ~table ~fmap ~between =
   in
   Ok (check1 @ check2 @ check3)
 
-let apply ?jobs (st : State.t) ~entity ~alpha ~p_ref ~table ~fmap =
+let apply (st : State.t) ~entity ~alpha ~p_ref ~table ~fmap =
   let* env' =
     Algo.span "ae.preconditions" (fun () ->
         check_preconditions st ~entity ~alpha ~p_ref ~table ~fmap)
@@ -97,11 +96,9 @@ let apply ?jobs (st : State.t) ~entity ~alpha ~p_ref ~table ~fmap =
     Mapping.Fragment.entity ~set ~cond:(Query.Cond.Is_of e) ~table:table.Relational.Table.name fmap
   in
   let* st', between = Neighborhood.add_type ~phase:"ae" st env' ~entity ~p_ref [ phi_e ] in
+  let* () = Algo.assoc_rows_keep_entities env' st'.State.fragments ~e ~etypes:between in
   let* obls =
     Algo.span "ae.validate" (fun () ->
         validation_obligations env' st'.State.fragments st'.State.update_views ~table ~fmap ~between)
   in
-  let* () = Algo.discharge ?jobs obls in
-  (* Last, so that checks 1–3 report the failures they can see. *)
-  let* () = Algo.assoc_rows_keep_entities env' st'.State.fragments ~e ~etypes:between in
-  Ok st'
+  Ok (st', obls)

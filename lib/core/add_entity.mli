@@ -10,12 +10,11 @@
       [IS OF (ONLY P)] widening; the [dp]/[chp] rewrite ruling [E] out of
       intermediate types);
     - fragment adaptation per Section 3.1.3 (Σ* plus φ_E);
-    - validation per Section 3.1.4 (association-endpoint and foreign-key
-      containment checks over the new update views, emitted as one proof
-      obligation batch and discharged via {!Containment.Discharge}; aborts
-      on failure; then it also aborts when an association of a type
-      between [E] and [P] is stored in a table [E]'s entities leave —
-      {!Algo.assoc_rows_keep_entities}).
+    - validation per Section 3.1.4: it aborts when an association of a
+      type between [E] and [P] is stored in a table [E]'s entities leave
+      ({!Algo.assoc_rows_keep_entities}), and otherwise returns the
+      association-endpoint and foreign-key containment checks over the new
+      update views as its proof obligations.
 
     The three view phases are {!Neighborhood.add_type} with the one
     partition φ_E, the routine AddEntityPart runs over its partitions.
@@ -26,14 +25,17 @@
     Restriction (documented deviation): when [P ≠ NIL], the non-key part of
     [α] must consist of attributes new to the hierarchy.  Mappings that
     re-store inherited attributes under a strict ancestor reference require
-    a full recompilation, which this compiler signals by aborting. *)
+    a full recompilation, which this compiler signals by aborting.
+
+    Like every SMO algorithm, [apply] proves nothing itself: it returns the
+    evolved state with the obligations that must hold for it, and
+    {!Engine.apply} discharges them. *)
 
 val apply :
-  ?jobs:int ->
   State.t ->
   entity:Edm.Entity_type.t ->
   alpha:string list ->
   p_ref:string option ->
   table:Relational.Table.t ->
   fmap:(string * string) list ->
-  (State.t, Containment.Validation_error.t) result
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result

@@ -17,7 +17,8 @@
     full outer join of the partition tables, attributes stored in several
     partitions COALESCEd and constants re-materialized; only [E]'s
     neighborhood is touched.  The types strictly between [E] and [P]
-    get AddEntity's association checks 1 and 2. *)
+    get AddEntity's association checks 1 and 2.  The containment checks are
+    returned as obligations, for {!Engine.apply} to discharge. *)
 
 type part = {
   part_alpha : string list;
@@ -27,9 +28,8 @@ type part = {
 }
 
 val apply :
-  ?jobs:int ->
   State.t ->
   entity:Edm.Entity_type.t ->
   p_ref:string option ->
   parts:part list ->
-  (State.t, Containment.Validation_error.t) result
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result

@@ -1,7 +1,7 @@
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
 
-let apply ?jobs (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) =
+let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) =
   let store = st.State.env.Query.Env.store in
   let e = entity.Edm.Entity_type.name in
   let* client' = Algo.lift (Edm.Schema.add_derived entity st.State.env.Query.Env.client) in
@@ -29,9 +29,9 @@ let apply ?jobs (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_v
   let env' = Query.Env.make ~client:client' ~store in
   let parent = Option.get entity.Edm.Entity_type.parent in
   let set = Option.get (Edm.Schema.set_of_type client' e) in
-  (* Validation (before committing views): the new discriminator region must
-     be free on T.  The overlap tests are emitted as obligations and
-     discharged as one batch before any view surgery. *)
+  (* Validation: the new discriminator region must be free on T.  The
+     overlap tests lead the SMO's batch, so a clash is the failure it
+     reports. *)
   let disc_cond = Query.Cond.Cmp (disc, Query.Cond.Eq, disc_value) in
   let overlap_obls =
     Algo.span "ae-tph.validate" @@ fun () ->
@@ -60,7 +60,6 @@ let apply ?jobs (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_v
            | Mapping.Fragment.Assoc _ -> false)
          (Mapping.Fragments.on_table st.State.fragments table))
   in
-  let* () = Algo.discharge ?jobs overlap_obls in
   (* Narrow [IS OF parent] so it no longer captures E: E's rows live
      exclusively in its own discriminator region. *)
   let narrow = Algo.rule_out client' ~between:[ parent ] ~e in
@@ -146,5 +145,6 @@ let apply ?jobs (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_v
     Algo.assoc_endpoint_obligations env' fragments update_views
       ~etypes:(Edm.Schema.ancestors client' e)
   in
-  let* () = Algo.discharge ?jobs (fk_obls @ assoc_obls) in
-  Ok { State.env = env'; fragments; query_views; update_views }
+  Ok
+    ( { State.env = env'; fragments; query_views; update_views },
+      overlap_obls @ fk_obls @ assoc_obls )

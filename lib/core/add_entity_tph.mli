@@ -12,14 +12,15 @@
     into [T]'s update view by a keyed FULL OUTER JOIN.
     Validation: the discriminator region must be disjoint from every region
     already claimed on [T]; foreign keys touching the mapped columns and
-    associations on ancestor types are re-checked by containment. *)
+    associations on ancestor types are re-checked by containment.  All of
+    these are returned as one obligation batch, the overlap tests first,
+    for {!Engine.apply} to discharge. *)
 
 val apply :
-  ?jobs:int ->
   State.t ->
   entity:Edm.Entity_type.t ->
   table:string ->
   fmap:(string * string) list ->
   discriminator:string * Datum.Value.t ->
-  (State.t, Containment.Validation_error.t) result
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result
 (** [fmap] maps all of [att(E)] to columns of the existing [table]. *)

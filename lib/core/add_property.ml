@@ -67,7 +67,7 @@ let resolve_target (st : State.t) client' ~etype ~attr:(a, dom) = function
       let key_pairs = List.map (fun k -> (k, List.assoc k fmap)) key in
       Ok (store', table.Relational.Table.name, column, key_pairs, `New table)
 
-let apply ?jobs (st : State.t) ~etype ~attr:(a, dom) ~target =
+let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
   let* client' = Algo.lift (Edm.Schema.add_attribute ~etype (a, dom) st.State.env.Query.Env.client) in
   let* store', table, column, key_pairs, mode =
     Algo.span "ap.preconditions" (fun () -> resolve_target st client' ~etype ~attr:(a, dom) target)
@@ -174,5 +174,4 @@ let apply ?jobs (st : State.t) ~etype ~attr:(a, dom) ~target =
             Algo.fk_obligations env' update_views ~table:tbl.Relational.Table.name fk)
           tbl.Relational.Table.fks
   in
-  let* () = Algo.discharge ?jobs obls in
-  Ok { State.env = env'; fragments; query_views; update_views }
+  Ok ({ State.env = env'; fragments; query_views; update_views }, obls)

@@ -7,7 +7,8 @@
     by left-outer-joining the property column on the hierarchy key and
     extending the affected constructor leaves; the target table's update
     view gains the property through an outer join with
-    [σ(IS OF E)(entity set)]. *)
+    [σ(IS OF E)(entity set)].  A new property table's foreign keys are
+    returned as obligations, for {!Engine.apply} to discharge. *)
 
 type target =
   | To_existing_table of { table : string; column : string }
@@ -19,9 +20,8 @@ type target =
           table's columns; the key image must be the table key. *)
 
 val apply :
-  ?jobs:int ->
   State.t ->
   etype:string ->
   attr:string * Datum.Domain.t ->
   target:target ->
-  (State.t, Containment.Validation_error.t) result
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result

@@ -25,8 +25,6 @@ let collect f xs =
   in
   Ok (List.concat (List.rev groups))
 
-let discharge ?jobs obls = Containment.Discharge.run ?jobs obls
-
 (* -- the column map f of the additive SMOs --------------------------------- *)
 
 let check_column_map ~attrs ~keys (table : Relational.Table.t) fmap =
@@ -190,6 +188,19 @@ let fk_obligations env uv ~table (fk : Relational.Table.foreign_key) =
                  "incremental validation: update views may violate foreign key %s(%s) -> %s" table
                  cols fk.ref_table);
         ]
+
+let recheck_fks env uv tables =
+  let has_view t = Query.View.table_view uv t <> None in
+  collect
+    (fun table ->
+      match Relational.Schema.find_table env.Query.Env.store table with
+      | Some tbl when has_view table ->
+          collect
+            (fun (fk : Relational.Table.foreign_key) ->
+              if has_view fk.ref_table then fk_obligations env uv ~table fk else Ok [])
+            tbl.Relational.Table.fks
+      | Some _ | None -> Ok [])
+    tables
 
 let assoc_endpoint_obligations env frags uv ~etypes =
   span "algo.assoc-checks" @@ fun () ->

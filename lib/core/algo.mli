@@ -2,10 +2,11 @@
 
     Validation is split into two phases: the algorithms {e emit} proof
     obligations ([fk_obligations], [assoc_endpoint_obligations]) describing
-    the containments that must hold, then prove the collected batch with
-    [discharge] — sequentially or across domains.  Structural problems
-    (missing views, unmappable endpoints) are still immediate errors; only
-    the containment proofs are deferred. *)
+    the containments that must hold and return them with the evolved state;
+    {!Engine.apply} then proves each SMO's batch with
+    {!Containment.Discharge.run}.  Structural problems (missing views,
+    unmappable endpoints) are immediate errors, found before any proof
+    runs; only the containment proofs are deferred. *)
 
 val fail : ('a, Format.formatter, unit, ('b, Containment.Validation_error.t) result) format4 -> 'a
 (** [Error] of a plain-message {!Containment.Validation_error.t}. *)
@@ -19,12 +20,7 @@ val all_ok : ('a -> (unit, 'e) result) -> 'a list -> (unit, 'e) result
 val collect :
   ('a -> ('b list, 'e) result) -> 'a list -> ('b list, 'e) result
 (** Concatenate the lists emitted per item, preserving emission order (the
-    order {!discharge} reports the first failure in). *)
-
-val discharge :
-  ?jobs:int -> Containment.Obligation.t list ->
-  (unit, Containment.Validation_error.t) result
-(** Prove a collected obligation batch — {!Containment.Discharge.run}. *)
+    order {!Containment.Discharge.run} reports the first failure in). *)
 
 (** {1 The column map of the additive SMOs}
 
@@ -102,6 +98,14 @@ val fk_obligations :
 (** The obligation for one foreign-key preservation test over update views
     (SQL simple-match semantics: null references are exempt).  A missing
     update view is an immediate structural error. *)
+
+val recheck_fks :
+  Query.Env.t -> Query.View.update_views -> string list ->
+  (Containment.Obligation.t list, Containment.Validation_error.t) result
+(** [recheck_fks env uv tables]: the {!fk_obligations} of every foreign key
+    of the given store tables whose two ends both have an update view in
+    [uv], in table order — the safety re-check of the SMOs that regenerate
+    a table's update view (DropEntity, DropAssociation, Refactor). *)
 
 val assoc_endpoint_obligations :
   Query.Env.t -> Mapping.Fragments.t -> Query.View.update_views -> etypes:string list ->

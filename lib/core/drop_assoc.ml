@@ -1,7 +1,7 @@
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
 
-let apply ?jobs (st : State.t) ~assoc =
+let apply (st : State.t) ~assoc =
   let client = st.State.env.Query.Env.client in
   let* _a =
     match Edm.Schema.find_association client assoc with
@@ -33,17 +33,6 @@ let apply ?jobs (st : State.t) ~assoc =
   (* Safety: remaining foreign keys of the touched table still hold. *)
   let* obls =
     Algo.span "drop-assoc.fk-checks" @@ fun () ->
-    match Relational.Schema.find_table env'.Query.Env.store table with
-    | None -> Ok []
-    | Some tbl ->
-        Algo.collect
-          (fun (fk : Relational.Table.foreign_key) ->
-            if
-              Query.View.table_view st'.State.update_views table = None
-              || Query.View.table_view st'.State.update_views fk.ref_table = None
-            then Ok []
-            else Algo.fk_obligations env' st'.State.update_views ~table fk)
-          tbl.Relational.Table.fks
+    Algo.recheck_fks env' st'.State.update_views [ table ]
   in
-  let* () = Algo.discharge ?jobs obls in
-  Ok st'
+  Ok (st', obls)

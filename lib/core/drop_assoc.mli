@@ -6,7 +6,9 @@
     (for a key/foreign-key mapping the foreign-key column reverts to an
     unmapped NULL-padded column; a join table loses its view entirely).
     Dropping rows can only shrink foreign-key sources, but the touched
-    table's keys are re-checked for safety. *)
+    table's foreign keys are re-checked for safety: their obligations are
+    returned for {!Engine.apply} to discharge. *)
 
 val apply :
-  ?jobs:int -> State.t -> assoc:string -> (State.t, Containment.Validation_error.t) result
+  State.t -> assoc:string ->
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result

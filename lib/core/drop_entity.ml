@@ -10,7 +10,7 @@ let erase_type ~e cond =
          | atom -> atom)
        cond)
 
-let apply ?jobs (st : State.t) ~etype =
+let apply (st : State.t) ~etype =
   let client = st.State.env.Query.Env.client in
   let* set =
     match Edm.Schema.set_of_type client etype with
@@ -53,17 +53,6 @@ let apply ?jobs (st : State.t) ~etype =
   in
   let* obls =
     Algo.span "drop-entity.fk-checks" @@ fun () ->
-    Algo.collect
-      (fun table ->
-        match Relational.Schema.find_table env'.Query.Env.store table with
-        | None -> Ok []
-        | Some tbl ->
-            Algo.collect
-              (fun (fk : Relational.Table.foreign_key) ->
-                if Query.View.table_view st'.State.update_views fk.ref_table = None then Ok []
-                else Algo.fk_obligations env' st'.State.update_views ~table fk)
-              tbl.Relational.Table.fks)
-      touched
+    Algo.recheck_fks env' st'.State.update_views touched
   in
-  let* () = Algo.discharge ?jobs obls in
-  Ok st'
+  Ok (st', obls)

@@ -10,7 +10,9 @@
     themselves stay in the store; dropping data is not the compiler's
     call).  Views of the affected entity set are regenerated from its
     remaining fragments — the neighborhood — and the touched tables'
-    foreign keys are re-checked. *)
+    foreign keys are re-checked: their obligations are returned for
+    {!Engine.apply} to discharge. *)
 
 val apply :
-  ?jobs:int -> State.t -> etype:string -> (State.t, Containment.Validation_error.t) result
+  State.t -> etype:string ->
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result

@@ -4,9 +4,13 @@
     recompiled query and update views) or abort with the previous state
     intact.
 
-    [?jobs] sets the degree of parallelism for discharging the SMO's
-    containment obligations (default 1).
-    Verdicts and failure messages are identical for every [jobs] value.
+    Each SMO is one validation step: its algorithm compiles the neighborhood
+    and returns the containment obligations the new state must satisfy,
+    and [apply] proves that batch with one {!Containment.Discharge.run}
+    call (inside the SMO's ["smo:"] span) before committing.  Structural
+    checks run inside the algorithm, before any proof.  [?jobs] caps the
+    discharge workers (default 1); verdicts and failure messages are
+    identical for every [jobs] value.
     Failures are structured {!Containment.Validation_error.t} values tagged
     with the SMO kind; [Containment.Validation_error.show] renders the same
     message the string-errored API used to produce. *)

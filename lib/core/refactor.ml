@@ -2,7 +2,7 @@ let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
 let all_ok = Algo.all_ok
 
-let apply ?jobs (st : State.t) ~assoc =
+let apply (st : State.t) ~assoc =
   let client = st.State.env.Query.Env.client in
   let* a =
     match Edm.Schema.find_association client assoc with
@@ -105,14 +105,6 @@ let apply ?jobs (st : State.t) ~assoc =
   (* Foreign keys of the subtree's table must keep resolving. *)
   let* obls =
     Algo.span "refactor.fk-checks" @@ fun () ->
-    match Relational.Schema.find_table env'.Query.Env.store t2 with
-    | None -> Ok []
-    | Some tbl ->
-        Algo.collect
-          (fun (fk : Relational.Table.foreign_key) ->
-            if Query.View.table_view st'.State.update_views fk.ref_table = None then Ok []
-            else Algo.fk_obligations env' st'.State.update_views ~table:t2 fk)
-          tbl.Relational.Table.fks
+    Algo.recheck_fks env' st'.State.update_views [ t2 ]
   in
-  let* () = Algo.discharge ?jobs obls in
-  Ok st'
+  Ok (st', obls)

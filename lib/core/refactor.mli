@@ -9,11 +9,13 @@
     table); [IS OF (ONLY E1)] conditions widen to admit the new subtype
     (Σ*-style).  Views of the merged hierarchy are regenerated from the
     adapted fragments (the neighborhood); coverage of the reparented
-    subtree and the touched tables' foreign keys are re-validated.
+    subtree is re-validated, and the touched table's foreign keys are
+    returned as obligations for {!Engine.apply} to discharge.
 
     Supported shape (the common one): [E2] is a hierarchy root whose subtree
     maps entirely to tables carrying the association's f(PK₁) image, with
     the association mapped FK-style into [E2]'s table. *)
 
 val apply :
-  ?jobs:int -> State.t -> assoc:string -> (State.t, Containment.Validation_error.t) result
+  State.t -> assoc:string ->
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result

@@ -17,4 +17,3 @@ let derived ~name ~parent ?(non_null = []) declared =
   assert (List.for_all (fun a -> List.mem_assoc a declared) non_null);
   { name; parent = Some parent; declared; key = []; non_null }
 let declared_names t = List.map fst t.declared
-let declared_domain t a = List.assoc_opt a t.declared

@@ -35,4 +35,3 @@ val derived :
     given extra attributes. *)
 
 val declared_names : t -> string list
-val declared_domain : t -> string -> Datum.Domain.t option

@@ -15,8 +15,9 @@
     - {b projection fusion}: a projection directly over a scan is fused into
       the scan node.
 
-    Equi-joins become hash joins (build right, probe left); joins with no
-    join columns fall back to nested loops. *)
+    Every join becomes a hash join (build right, probe left) through
+    {!Query.Join.hash}; a join with no join columns hashes every row under
+    the empty key, so it runs as a cross join. *)
 
 val plan : Query.Env.t -> Query.Algebra.t -> (Plan.t, string) result
 (** Validates with [Query.Algebra.infer], then lowers.  [Error] carries the

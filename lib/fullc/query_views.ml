@@ -104,10 +104,6 @@ let guard_of_split (must, may) =
       let parts = conj @ (match disj with [] -> [] | _ -> [ Query.Cond.disj disj ]) in
       Some (Query.Cond.conj parts)
 
-let type_guard env frags ~set ~etype =
-  let* _root, ifr, _q = fused_query env frags ~set in
-  Ok (guard_of_split (cover_split env.Query.Env.client ifr ~etype))
-
 (* Order concrete types for the CASE: most constrained first. *)
 let case_order client ifr types =
   let depth ty = List.length (Edm.Schema.ancestors client ty) in
@@ -137,6 +133,23 @@ let for_set ?(optimize = false) env frags ~set =
   in
   let* () =
     match covered with [] -> fail "no entity type of set %s is covered" set | _ -> Ok ()
+  in
+  (* Two types under one guard read back as whichever the CASE tests first:
+     nothing in the store tells their entities apart.  Sorted by guard,
+     equal guards are adjacent. *)
+  let rec alike = function
+    | (a, g) :: ((b, g') :: _ as rest) ->
+        if Query.Cond.equal g g' then Some (a, b) else alike rest
+    | _ -> None
+  in
+  let* () =
+    match alike (List.sort (fun (_, g) (_, g') -> Query.Cond.compare g g') covered) with
+    | Some (a, b) ->
+        fail
+          "entity types %s and %s of set %s have the same guard: the store cannot tell them \
+           apart"
+          a b set
+    | None -> Ok ()
   in
   let leaf ty = Query.Ctor.Entity { etype = ty; attrs = Edm.Schema.attribute_names client ty } in
   let rec build = function

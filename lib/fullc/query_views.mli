@@ -18,7 +18,9 @@ val for_set :
   ((string * Query.View.t) list, string) result
 (** Views for every concrete type of the set's hierarchy, root first.
     [?optimize] (default false) applies the Section-6 FOJ-to-LOJ/UNION
-    rewrites of {!Optimize}. *)
+    rewrites of {!Optimize}.  Fails when two covered types get the same
+    provenance guard: the store could not tell their entities apart, and
+    every such entity would read back as one of the two. *)
 
 val for_assoc :
   Query.Env.t -> Mapping.Fragments.t -> assoc:string -> (Query.View.t, string) result
@@ -52,9 +54,3 @@ val fused_item : (int * Mapping.Fragment.t) list -> string -> Query.Algebra.proj
     fragments' [store_projection ~index:i]: the single source renamed, the
     COALESCE of several, or [NULL] when no fragment stores or determines
     [a]. *)
-
-val type_guard :
-  Query.Env.t -> Mapping.Fragments.t -> set:string -> etype:string ->
-  (Query.Cond.t option, string) result
-(** The provenance-flag condition under which a fused row represents an
-    entity of exactly [etype]; [None] when no fragment covers the type. *)

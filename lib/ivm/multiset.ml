@@ -12,10 +12,7 @@ let add r n t =
     let c = count r t + n in
     if c = 0 then Row_map.remove r t else Row_map.add r c t
 
-let singleton r n = add r n empty
-let of_rows rows = List.fold_left (fun t r -> add r 1 t) empty rows
 let sum a b = Row_map.fold add a b
-let neg t = Row_map.map (fun n -> -n) t
 let diff a b = Row_map.fold (fun r n acc -> add r (-n) acc) b a
 let to_list t = Row_map.bindings t
 let rows t = List.filter_map (fun (r, n) -> if n > 0 then Some r else None) (Row_map.bindings t)

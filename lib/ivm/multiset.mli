@@ -20,14 +20,10 @@ val count : Datum.Row.t -> t -> int
 val add : Datum.Row.t -> int -> t -> t
 (** Add [n] occurrences (may be negative); entries summing to zero vanish. *)
 
-val singleton : Datum.Row.t -> int -> t
-val of_rows : Datum.Row.t list -> t
-
 val sum : t -> t -> t
-val neg : t -> t
 
 val diff : t -> t -> t
-(** [diff a b = sum a (neg b)] — the delta turning [b] into [a]. *)
+(** [diff a b]: [a]'s counts minus [b]'s — the delta turning [b] into [a]. *)
 
 val to_list : t -> (Datum.Row.t * int) list
 (** Bindings in ascending {!Datum.Row.compare} order. *)

@@ -93,9 +93,6 @@ let ty_nullable ti a = (not (S.mem a ti.nset)) || S.mem a ti.nullable
 let selected_info client hier c =
   List.filter (fun (ty, ti) -> approx client ~ty ~attrs:ti.names c <> F) hier.info
 
-let selected_types client ~root c =
-  List.map fst (selected_info client (hier_of client root) c)
-
 let is_false = function Cond.False -> true | _ -> false
 let unsat c = is_false (Simplify.cond c)
 
@@ -122,7 +119,6 @@ let disjoint_gen hierarchy c1 c2 =
   | _ -> false
 
 let disjoint_hier client hier c1 c2 = disjoint_gen (Some (client, hier)) c1 c2
-let disjoint_client client ~root c1 c2 = disjoint_hier client (hier_of client root) c1 c2
 let disjoint_store c1 c2 = disjoint_gen None c1 c2
 
 (* -- Per-fragment passes: L003 L004 L005 L007 L012 ------------------------ *)

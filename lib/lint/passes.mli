@@ -55,21 +55,3 @@ val view_diags :
     model rather than in (branches x subtypes).  L011 runs once per
     physically distinct subterm and is reported at every view containing
     it, as {!Wf} describes.  (Structural well-formedness is {!Wf}'s job.) *)
-
-(** {1 Shared condition reasoning} *)
-
-val selected_types : Edm.Schema.t -> root:string -> Query.Cond.t -> string list
-(** The exact types of the hierarchy under [root] that can satisfy the
-    condition, judging type atoms exactly and value atoms optimistically
-    (three-valued).  Atoms over attributes a type lacks evaluate as over
-    [NULL], matching {!Query.Cond.eval}. *)
-
-val disjoint_client :
-  Edm.Schema.t -> root:string -> Query.Cond.t -> Query.Cond.t -> bool
-(** Syntactic disjointness of two client-side conditions over one hierarchy:
-    provable when every DNF cross-pair is contradictory (type-aware) —
-    [true] means no entity satisfies both.  Gives up (returns [false]) past
-    a DNF size cap. *)
-
-val disjoint_store : Query.Cond.t -> Query.Cond.t -> bool
-(** Value-level disjointness of two store-side conditions. *)

@@ -6,7 +6,6 @@ let to_list t = t
 let add f t = t @ [ f ]
 let remove f t = List.filter (fun g -> not (Fragment.equal f g)) t
 let size = List.length
-let union a b = a @ b
 let on_table t table = List.filter (fun (f : Fragment.t) -> f.table = table) t
 
 let of_set t set =

@@ -11,7 +11,6 @@ val to_list : t -> Fragment.t list
 val add : Fragment.t -> t -> t
 val remove : Fragment.t -> t -> t
 val size : t -> int
-val union : t -> t -> t
 
 val on_table : t -> string -> Fragment.t list
 val of_set : t -> string -> Fragment.t list

@@ -28,7 +28,6 @@ let reset_counter c = Atomic.set c.cell 0
 
 let set g v = Atomic.set g.gcell v
 let get g = Atomic.get g.gcell
-let gauge_name g = g.gname
 
 type snapshot = { counters : (string * int) list; gauges : (string * float) list }
 

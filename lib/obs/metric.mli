@@ -16,7 +16,6 @@ val reset_counter : counter -> unit
 val gauge : string -> gauge
 val set : gauge -> float -> unit
 val get : gauge -> float
-val gauge_name : gauge -> string
 
 type snapshot = { counters : (string * int) list; gauges : (string * float) list }
 

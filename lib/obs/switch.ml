@@ -8,8 +8,3 @@ let state = Atomic.make false
 let enable () = Atomic.set state true
 let disable () = Atomic.set state false
 let enabled () = Atomic.get state
-
-let with_enabled f =
-  let before = Atomic.get state in
-  Atomic.set state true;
-  Fun.protect ~finally:(fun () -> Atomic.set state before) f

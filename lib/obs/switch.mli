@@ -7,7 +7,3 @@
 val enable : unit -> unit
 val disable : unit -> unit
 val enabled : unit -> bool
-
-(** [with_enabled f] runs [f] with collection on, restoring the previous
-    state afterwards (exceptions included). *)
-val with_enabled : (unit -> 'a) -> 'a

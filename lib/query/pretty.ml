@@ -96,12 +96,10 @@ let view fmt (v : View.t) =
 let query_string q = Format.asprintf "%a" query q
 let view_string v = Format.asprintf "%a" view v
 
-(* Compact single-line forms — the shared renderers for error messages and
-   lint diagnostics. *)
+(* Compact single-line conditions, for lint diagnostics and fragment
+   descriptions. *)
 let cond = Cond.pp
 let cond_string c = Format.asprintf "@[<h>%a@]" cond c
-let compact_query = Algebra.pp
-let compact_query_string q = Format.asprintf "@[<h>%a@]" compact_query q
 
 let pp_named pp_v fmt (name, v) = Format.fprintf fmt "@[<v>-- %s@,%a@]" name pp_v v
 

@@ -7,19 +7,13 @@ val view : Format.formatter -> View.t -> unit
 val query_string : Algebra.t -> string
 val view_string : View.t -> string
 
-(** {1 Compact single-line renderers}
+(** {1 Compact single-line conditions}
 
-    The shared condition and algebra formatters behind every human-facing
-    message: [Fullc.Validate] errors and [Lint] diagnostics both render
-    through these instead of ad-hoc formatters. *)
+    The condition renderer of [Lint] diagnostics and of the fragment
+    descriptions ([Mapping.Fragment.describe]) that error messages quote. *)
 
 val cond : Format.formatter -> Cond.t -> unit
 val cond_string : Cond.t -> string
-
-val compact_query : Format.formatter -> Algebra.t -> unit
-(** One-line π/σ algebra rendering (no derived-table aliases). *)
-
-val compact_query_string : Algebra.t -> string
 
 val query_views : Format.formatter -> View.query_views -> unit
 val update_views : Format.formatter -> View.update_views -> unit

@@ -70,7 +70,3 @@ let rec go env qv q =
 let client_query env qv q =
   let* q', _ = go env qv q in
   Ok (Simplify.query env q')
-
-let compose env qv (v : View.t) =
-  let* query = client_query env qv v.View.query in
-  Ok { View.query; ctor = v.View.ctor }

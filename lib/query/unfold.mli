@@ -12,8 +12,3 @@
     mapping compilers never build such queries. *)
 
 val client_query : Env.t -> View.query_views -> Algebra.t -> (Algebra.t, string) result
-
-val compose :
-  Env.t -> View.query_views -> View.t -> (View.t, string) result
-(** Unfold a client-side view (an update view) over the query views — the
-    composition [V ∘ Q] whose identity is checked during validation. *)

@@ -18,7 +18,6 @@ let get_table t name =
   | Some tbl -> tbl
   | None -> invalid_arg (Printf.sprintf "Relational.Schema: unknown table %s" name)
 
-let mem_table t name = M.mem name t
 let tables t = List.map snd (M.bindings t)
 
 let referencing t name =

@@ -16,7 +16,6 @@ val find_table : t -> string -> Table.t option
 val get_table : t -> string -> Table.t
 (** @raise Invalid_argument on unknown tables. *)
 
-val mem_table : t -> string -> bool
 val tables : t -> Table.t list
 (** Ascending name order. *)
 

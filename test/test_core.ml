@@ -421,7 +421,14 @@ let test_tph_discriminator_clash () =
   in
   match Core.Engine.apply st clash with
   | Ok _ -> Alcotest.fail "expected discriminator overlap to abort"
-  | Error e -> checkb "mentions the discriminator" true (contains ~sub:"book" (show_v e))
+  | Error e ->
+      checkb "mentions the discriminator" true (contains ~sub:"book" (show_v e));
+      (* The overlap tests lead AE-TPH's one batch, so the clash is what it
+         reports. *)
+      checkb "names the overlap obligation" true
+        (match Containment.Validation_error.obligation e with
+        | Some name -> String.starts_with ~prefix:"ae-tph.overlap:" name
+        | None -> false)
 
 (* -- AddEntityPart ----------------------------------------------------------- *)
 
@@ -1047,6 +1054,31 @@ let test_apply_timed () =
   checkb "nonnegative time" true (timing.Core.Engine.seconds >= 0.0);
   check Alcotest.string "label" "AE-TPT" timing.Core.Engine.smo
 
+(* Every SMO is one validation step: an accepted [Engine.apply] proves its
+   obligations in exactly one discharge batch, whatever their number.  The
+   obligation counts are the SMOs' own (E3: AEP-np proves 2^n foreign keys). *)
+let test_one_batch_per_smo () =
+  let env, frags = Workload.Chain.generate ~size:10 in
+  let st = Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile env frags)) in
+  let batches = Obs.Metric.counter "discharge.batches" in
+  let obligations = Containment.Obligation.discharged in
+  let expected =
+    [ ("AE-TPT", 1); ("AE-TPC", 0); ("AE-TPH", 5); ("AEP-1p", 2); ("AEP-2p", 4); ("AEP-3p", 8);
+      ("AA-FK", 1); ("AA-JT", 2); ("AP", 0) ]
+  in
+  let accepted =
+    List.filter_map
+      (fun (label, smo) ->
+        let b0 = Obs.Metric.value batches and o0 = Obs.Metric.value obligations in
+        match Core.Engine.apply st smo with
+        | Error _ -> None
+        | Ok _ ->
+            check Alcotest.int (label ^ ": one batch") 1 (Obs.Metric.value batches - b0);
+            Some (label, Obs.Metric.value obligations - o0))
+      (Workload.Chain.smo_suite ~at:5)
+  in
+  check Alcotest.(list (pair string int)) "obligations per accepted SMO" expected accepted
+
 let () =
   Alcotest.run "core"
     [
@@ -1104,5 +1136,9 @@ let () =
           Alcotest.test_case "join-table tightening rejected" `Quick
             test_facet_tightening_rejected_for_jt;
         ] );
-      ("engine", [ Alcotest.test_case "timed application" `Quick test_apply_timed ]);
+      ( "engine",
+        [
+          Alcotest.test_case "timed application" `Quick test_apply_timed;
+          Alcotest.test_case "one discharge batch per SMO" `Quick test_one_batch_per_smo;
+        ] );
     ]

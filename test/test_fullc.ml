@@ -181,6 +181,24 @@ let test_validation_fk_failure () =
   | Ok _ -> Alcotest.fail "expected foreign-key validation failure"
   | Error e -> checkb "mentions a foreign key" true (contains ~sub:"foreign key" e)
 
+let test_validation_alike_types () =
+  (* Paper stage 2 without φ2 and without Employee.Department: HR alone
+     holds persons and employees, and no column says which is which. *)
+  let stage2 = P.stage2.P.env in
+  let client =
+    ok_exn (Edm.Schema.remove_attribute ~etype:"Employee" "Department" stage2.Query.Env.client)
+  in
+  let env' = Query.Env.make ~client ~store:stage2.Query.Env.store in
+  let frags = Mapping.Fragments.of_list [ P.phi1 ] in
+  List.iter
+    (fun validate ->
+      match Fullc.Compile.compile ~validate env' frags with
+      | Ok _ -> Alcotest.failf "validate=%b: expected the alike types to be rejected" validate
+      | Error e ->
+          checkb "names both types" true
+            (contains ~sub:"Person" e && contains ~sub:"Employee" e && contains ~sub:"Persons" e))
+    [ true; false ]
+
 let test_validation_nullability () =
   (* Leave Client.Cid unmapped is impossible (key), but a non-nullable
      non-key column must be rejected. *)
@@ -293,6 +311,8 @@ let () =
           Alcotest.test_case "coverage failure" `Quick test_validation_coverage_failure;
           Alcotest.test_case "foreign-key failure" `Quick test_validation_fk_failure;
           Alcotest.test_case "nullability failure" `Quick test_validation_nullability;
+          Alcotest.test_case "types the store cannot tell apart" `Quick
+            test_validation_alike_types;
         ] );
       ( "partitioned (Section 3.3)",
         [
