@@ -746,11 +746,12 @@ let exec_bench () =
 (* E11: static lint vs obligation-based validation.                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall time and allocated megabytes of [f ()]. *)
+(* Wall time and allocated megabytes of [f ()] ([allocated_mb], as fig10
+   measures). *)
 let wall_alloc f =
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_mb () in
   let r, dt = wall f in
-  (r, dt, (Gc.allocated_bytes () -. a0) /. 1e6)
+  (r, dt, allocated_mb () -. a0)
 
 let lint_bench () =
   header "Lint -- static analysis wall-time vs obligation-based validation (E11)";

@@ -4,6 +4,7 @@ let checks = Obs.Metric.counter "containment.checks"
 let cq_pairs = Obs.Metric.counter "containment.cq_pairs"
 let hom_steps = Obs.Metric.counter "containment.hom_steps"
 let approximate_checks = Obs.Metric.counter "containment.approximate_checks"
+let cases = Obs.Metric.counter "containment.cases"
 
 (* Replace every variable that the store forces equal to a constant by that
    constant, so homomorphism targets are syntactically explicit. *)
@@ -34,13 +35,13 @@ module Int_map = Map.Make (Int)
 
 (* Try to extend [subst] so that term [t2] of the candidate (superset) CQ
    maps onto term [t1] of the target (subset) CQ. *)
-let unify_term cons1 subst t2 t1 =
+let unify_term store1 subst t2 t1 =
   match t2 with
   | Nf.C v2 -> (
       match t1 with
       | Nf.C v1 -> if Datum.Value.equal v1 v2 then Some subst else None
       | Nf.V u ->
-          if Nf.entails cons1 (Nf.Rel (u, Query.Cond.Eq, v2)) then Some subst else None)
+          if Nf.entails store1 (Nf.Rel (u, Query.Cond.Eq, v2)) then Some subst else None)
   | Nf.V x -> (
       match Int_map.find_opt x subst with
       | Some t -> if Nf.equal_term t t1 then Some subst else None
@@ -48,7 +49,7 @@ let unify_term cons1 subst t2 t1 =
 
 (* The image of a constraint of the candidate CQ under the substitution must
    be entailed by the target CQ's store. *)
-let constraint_entailed cons1 subst con =
+let constraint_entailed store1 subst con =
   let on_var v k =
     match Int_map.find_opt v subst with
     | Some (Nf.V u) -> k (`Var u)
@@ -58,23 +59,23 @@ let constraint_entailed cons1 subst con =
   match con with
   | Nf.Ty_in (v, tys) ->
       on_var v (function
-        | `Var u -> Nf.entails cons1 (Nf.Ty_in (u, tys))
+        | `Var u -> Nf.entails store1 (Nf.Ty_in (u, tys))
         | `Const (Datum.Value.String ty) -> List.mem ty tys
         | `Const _ -> false)
   | Nf.Rel (v, op, c) ->
       on_var v (function
-        | `Var u -> Nf.entails cons1 (Nf.Rel (u, op, c))
+        | `Var u -> Nf.entails store1 (Nf.Rel (u, op, c))
         | `Const value -> Query.Cond.eval_cmp op value c)
   | Nf.Null_c v ->
       on_var v (function
-        | `Var u -> Nf.entails cons1 (Nf.Null_c u)
+        | `Var u -> Nf.entails store1 (Nf.Null_c u)
         | `Const value -> Datum.Value.is_null value)
   | Nf.Not_null_c v ->
       on_var v (function
-        | `Var u -> Nf.entails cons1 (Nf.Not_null_c u)
+        | `Var u -> Nf.entails store1 (Nf.Not_null_c u)
         | `Const value -> not (Datum.Value.is_null value))
 
-let homomorphism (cq2 : Nf.cq) (cq1 : Nf.cq) =
+let homomorphism (cq2 : Nf.cq) ((cq1 : Nf.cq), store1) =
   Obs.Metric.incr cq_pairs;
   (* Seed the substitution from the heads: output columns must align. *)
   let seed =
@@ -85,7 +86,7 @@ let homomorphism (cq2 : Nf.cq) (cq1 : Nf.cq) =
         | Some subst -> (
             match List.assoc_opt col cq1.Nf.head with
             | None -> None
-            | Some t1 -> unify_term cq1.Nf.cons subst t2 t1))
+            | Some t1 -> unify_term store1 subst t2 t1))
       (Some Int_map.empty) cq2.Nf.head
   in
   match seed with
@@ -96,7 +97,7 @@ let homomorphism (cq2 : Nf.cq) (cq1 : Nf.cq) =
       in
       let rec assign subst = function
         | [] ->
-            List.for_all (constraint_entailed cq1.Nf.cons subst) cq2.Nf.cons
+            List.for_all (constraint_entailed store1 subst) cq2.Nf.cons
         | (a2 : Nf.atom) :: rest ->
             List.exists
               (fun (a1 : Nf.atom) ->
@@ -111,7 +112,7 @@ let homomorphism (cq2 : Nf.cq) (cq1 : Nf.cq) =
                         | Some subst -> (
                             match List.assoc_opt col a1.Nf.args with
                             | None -> None
-                            | Some t1 -> unify_term cq1.Nf.cons subst t2 t1))
+                            | Some t1 -> unify_term store1 subst t2 t1))
                       (Some subst) a2.Nf.args
                   in
                   match subst' with None -> false | Some subst' -> assign subst' rest)
@@ -187,20 +188,51 @@ let chase_assoc env (cq : Nf.cq) =
   in
   { cq with Nf.body = cq.Nf.body @ extra_atoms; cons = cq.Nf.cons @ extra_cons }
 
-let subset env q1 q2 =
-  (* Collapse stacked projections first: validation feeds [π_cols(view)]
-     shapes whose outer-join structure only reduces once the projections are
-     fused. *)
-  let q1 = Query.Simplify.query env q1 and q2 = Query.Simplify.query env q2 in
-  let* n1 = Nf.normalize env Nf.Subset_side q1 in
-  let* n2 = Nf.normalize env Nf.Superset_side q2 in
+(* Attribute strings are only built while spans are collected. *)
+let tag key n = if Obs.enabled () then Obs.Span.add_attr key (string_of_int n)
+
+let subset_with ~split env q1 q2 =
+  let* n1, n2 =
+    Obs.Span.with_ ~name:"containment.normalize" @@ fun () ->
+    (* Collapse stacked projections first: validation feeds [π_cols(view)]
+       shapes whose outer-join structure only reduces once the projections
+       are fused. *)
+    let simplify = Query.Simplify.query env in
+    let q1 = simplify q1 and q2 = simplify q2 in
+    let* n1 = Nf.normalize env Nf.Subset_side q1 in
+    let* n2 = Nf.normalize env Nf.Superset_side q2 in
+    tag "lhs_cqs" (List.length n1.Nf.cqs);
+    tag "rhs_cqs" (List.length n2.Nf.cqs);
+    Ok (n1, n2)
+  in
   Obs.Metric.incr checks;
   if n1.Nf.approximate || n2.Nf.approximate then Obs.Metric.incr approximate_checks;
-  let cq1s = List.map (chase_assoc env) n1.Nf.cqs in
-  let cq1s = List.concat_map Nf.type_cases (List.map canonicalize cq1s) in
-  let cq1s = List.filter (fun (cq : Nf.cq) -> Nf.consistent cq.Nf.cons) cq1s in
   let cq2s = List.map canonicalize n2.Nf.cqs in
+  let cq1s =
+    Obs.Span.with_ ~name:"containment.cases" @@ fun () ->
+    let cq1s = List.map (fun cq -> canonicalize (chase_assoc env cq)) n1.Nf.cqs in
+    let cq1s =
+      List.filter_map
+        (fun (cq : Nf.cq) ->
+          let store = Nf.solve cq.Nf.cons in
+          if Nf.consistent store then Some (cq, store) else None)
+        (List.concat_map (split ~against:cq2s) cq1s)
+    in
+    let n = List.length cq1s in
+    Obs.Metric.incr ~by:n cases;
+    tag "cases" n;
+    cq1s
+  in
+  Obs.Span.with_ ~name:"containment.hom" @@ fun () ->
+  tag "cases" (List.length cq1s);
+  tag "rhs_cqs" (List.length cq2s);
   Ok (List.for_all (fun cq1 -> List.exists (fun cq2 -> homomorphism cq2 cq1) cq2s) cq1s)
+
+let subset env q1 q2 = subset_with ~split:Nf.type_cases env q1 q2
+
+module For_tests = struct
+  let subset = subset_with
+end
 
 let equivalent env q1 q2 =
   let* a = subset env q1 q2 in

@@ -24,6 +24,16 @@ val subset : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string)
 
 val equivalent : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
 
+(** {1 Observability}
+
+    Each {!subset} call opens ["containment.normalize"] under the caller's
+    span (simplify and normalize both sides; attrs [lhs_cqs] and [rhs_cqs],
+    the UCQ sizes) and, when both sides normalize, ["containment.cases"]
+    (chase the subset side and split it by {!Nf.type_cases}; attr [cases])
+    and ["containment.hom"] (the homomorphism search; attrs [cases] and
+    [rhs_cqs]).  Attribute strings are only built while collection is
+    enabled. *)
+
 (** {1 Counters}
 
     Live [Obs.Metric] counters; traces, benchmarks and [imcc] read them
@@ -41,3 +51,18 @@ val hom_steps : Obs.Metric.counter
 val approximate_checks : Obs.Metric.counter
 (** ["containment.approximate_checks"]: checks that used outer-join
     approximations. *)
+
+val cases : Obs.Metric.counter
+(** ["containment.cases"]: satisfiable subset-side cases after the type
+    split, the CQs the homomorphism search must each cover. *)
+
+(** {1 Test seam} *)
+
+module For_tests : sig
+  val subset :
+    split:(against:Nf.cq list -> Nf.cq -> Nf.cq list) ->
+    Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
+  (** {!subset} with the type split replaced by [split]; {!subset} is
+      [subset ~split:Nf.type_cases].  Only tests call it, to hold the coarse
+      split against the one-case-per-type oracle. *)
+end

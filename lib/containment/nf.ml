@@ -17,6 +17,7 @@ type output = { cqs : cq list; approximate : bool }
 (* ------------------------------------------------------------------ *)
 
 module Int_map = Map.Make (Int)
+module String_set = Set.Make (String)
 
 type info = {
   types : string list option;                 (* intersection of Ty_in sets *)
@@ -28,6 +29,8 @@ type info = {
   notnull : bool;
   inconsistent : bool;
 }
+
+type store = info Int_map.t
 
 let info0 =
   { types = None; eq = None; neq = []; lo = None; hi = None; null = false; notnull = false;
@@ -70,14 +73,6 @@ let add_info i = function
 
 let var_of = function Ty_in (v, _) | Rel (v, _, _) | Null_c v | Not_null_c v -> v
 
-let infos cons =
-  List.fold_left
-    (fun m con ->
-      let v = var_of con in
-      let i = Option.value ~default:info0 (Int_map.find_opt v m) in
-      Int_map.add v (add_info i con) m)
-    Int_map.empty cons
-
 (* Integer strict bounds round inwards so that emptiness checks are exact on
    Int; other domains keep strictness flags. *)
 let norm_bounds i =
@@ -91,7 +86,17 @@ let norm_bounds i =
     | Some (Datum.Value.Int n, true) -> Some (Datum.Value.Int (n - 1), false)
     | b -> b
   in
-  { i with lo; hi }
+  if lo == i.lo && hi == i.hi then i else { i with lo; hi }
+
+(* One fold of the store into per-variable facts; [consistent] and
+   [entails] only read the result. *)
+let solve cons =
+  List.fold_left
+    (fun m con ->
+      let v = var_of con in
+      let i = Option.value ~default:info0 (Int_map.find_opt v m) in
+      Int_map.add v (add_info i con) m)
+    Int_map.empty cons
 
 let in_bounds i v =
   let ok_lo = match i.lo with
@@ -144,11 +149,10 @@ let info_consistent i =
         if is_bool_constrained i && i.notnull then bool_candidates i <> []
         else true)
 
-let consistent cons = Int_map.for_all (fun _ i -> info_consistent i) (infos cons)
+let consistent store = Int_map.for_all (fun _ i -> info_consistent i) store
 
-let entails cons target =
-  let m = infos cons in
-  let i = norm_bounds (Option.value ~default:info0 (Int_map.find_opt (var_of target) m)) in
+let entails store target =
+  let i = norm_bounds (Option.value ~default:info0 (Int_map.find_opt (var_of target) store)) in
   match target with
   | Ty_in (_, tys) -> (
       match i.types with Some ts -> List.for_all (fun t -> List.mem t tys) ts | None -> false)
@@ -383,7 +387,7 @@ let rec norm env role counter q : (state list * bool, string) Stdlib.result =
             List.filter_map
               (fun conj ->
                 match List.fold_left (apply_atom env) st conj with
-                | st -> if consistent st.cons then Some st else None
+                | st -> if consistent (solve st.cons) then Some st else None
                 | exception Dead_state -> None)
               disjuncts)
           sts
@@ -442,7 +446,7 @@ let rec norm env role counter q : (state list * bool, string) Stdlib.result =
                            (dst, V x) :: bind)
                           :: cases (Null_c x :: prefix_null) rest)
                 in
-                List.filter (fun ((st : state), _) -> consistent st.cons) (cases [] terms))
+                List.filter (fun ((st : state), _) -> consistent (solve st.cons)) (cases [] terms))
               states
       in
       let out =
@@ -504,7 +508,7 @@ and join_states ls rs on =
             }
           in
           match List.fold_left unify_join_col (merged, str.bind) on with
-          | st, _ -> if consistent st.cons then Some st else None
+          | st, _ -> if consistent (solve st.cons) then Some st else None
           | exception Dead_state -> None)
         rs)
     ls
@@ -512,19 +516,63 @@ and join_states ls rs on =
 and pad_state cols st =
   { st with bind = st.bind @ List.map (fun c -> (c, C Datum.Value.Null)) cols }
 
-let type_cases (cq : cq) : cq list =
-  let m = infos cq.cons in
-  let split_vars =
-    Int_map.fold
-      (fun v i acc -> match i.types with Some tys when List.length tys > 1 -> (v, tys) :: acc | _ -> acc)
-      m []
+(* The type distinctions the superset side can observe: each of its [Ty_in]
+   sets, and each of its string constants as a singleton. *)
+let observable_type_sets (cq2s : cq list) =
+  let of_term acc = function
+    | C (Datum.Value.String s) -> String_set.singleton s :: acc
+    | C _ | V _ -> acc
   in
+  let of_args acc args = List.fold_left (fun acc (_, t) -> of_term acc t) acc args in
   List.fold_left
-    (fun cases (v, tys) ->
-      List.concat_map
-        (fun (cq : cq) -> List.map (fun ty -> { cq with cons = Ty_in (v, [ ty ]) :: cq.cons }) tys)
-        cases)
-    [ cq ] split_vars
+    (fun acc (cq : cq) ->
+      let acc = of_args acc cq.head in
+      let acc = List.fold_left (fun acc (a : atom) -> of_args acc a.args) acc cq.body in
+      List.fold_left
+        (fun acc -> function
+          | Ty_in (_, tys) -> String_set.of_list tys :: acc
+          | Rel (_, _, c) -> of_term acc (C c)
+          | Null_c _ | Not_null_c _ -> acc)
+        acc cq.cons)
+    [] cq2s
+  |> List.sort_uniq String_set.compare
+
+(* Refine [[tys]] by every observable set: split each class into the types
+   inside the set and those outside it, keeping only non-empty parts. *)
+let type_partition ~against =
+  let sets = observable_type_sets against in
+  fun tys ->
+    List.fold_left
+      (fun classes s ->
+        List.concat_map
+          (fun cls ->
+            match List.partition (fun t -> String_set.mem t s) cls with
+            | [], _ | _, [] -> [ cls ]
+            | inside, outside -> [ inside; outside ])
+          classes)
+      [ tys ] sets
+
+let type_cases ~against =
+  let partition = type_partition ~against in
+  fun (cq : cq) ->
+    let split_vars =
+      Int_map.fold
+        (fun v i acc ->
+          match i.types with
+          | Some (_ :: _ :: _ as tys) -> (
+              match partition tys with
+              | [ _ ] -> acc
+              | classes -> (v, classes) :: acc)
+          | _ -> acc)
+        (solve cq.cons) []
+    in
+    List.fold_left
+      (fun cases (v, classes) ->
+        List.concat_map
+          (fun (cq : cq) ->
+            List.map (fun cls -> { cq with cons = Ty_in (v, cls) :: cq.cons }) classes)
+          cases)
+      [ cq ] split_vars
 
 let normalize env role q =
   let counter = ref 0 in
@@ -532,7 +580,7 @@ let normalize env role q =
   let cqs =
     List.filter_map
       (fun st ->
-        if consistent st.cons then Some { head = st.bind; body = st.body; cons = st.cons }
+        if consistent (solve st.cons) then Some { head = st.bind; body = st.body; cons = st.cons }
         else None)
       sts
   in

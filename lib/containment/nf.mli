@@ -42,21 +42,50 @@ val normalize : Query.Env.t -> role -> Query.Algebra.t -> (output, string) resul
 (** Unsatisfiable disjuncts are pruned; an empty [cqs] means the query is
     provably empty. *)
 
-val consistent : constr list -> bool
-(** Whether the constraint store is satisfiable (per-variable reasoning:
-    type-set intersection, interval emptiness with exact integer rounding,
-    finite boolean domains, null conflicts). *)
+type store
+(** A constraint store solved into per-variable facts: the intersection of
+    a variable's [Ty_in] sets, its equality, disequalities and bounds, and
+    its null tests. *)
 
-val entails : constr list -> constr -> bool
+val solve : constr list -> store
+(** One fold over the store.  The checker solves each case once and asks
+    {!entails} about it for every candidate homomorphism. *)
+
+val consistent : store -> bool
+(** Whether the store is satisfiable (per-variable reasoning: type-set
+    intersection, interval emptiness with exact integer rounding, finite
+    boolean domains, null conflicts). *)
+
+val entails : store -> constr -> bool
 (** Whether every assignment satisfying the store satisfies the target
     constraint — the atom-level test of homomorphism checking. *)
 
-val type_cases : cq -> cq list
-(** Split a conjunctive query into one case per concrete type of each of its
-    dynamic-type variables.  The union of the cases is equivalent to the
-    original CQ; splitting the subset side this way makes the homomorphism
-    test complete for coverage checks such as
-    [IS OF P ⊆ IS OF (ONLY P) ∪ IS OF E] — the disjunctions Algorithm 2
-    introduces. *)
+val type_partition : against:cq list -> string list -> string list list
+(** [type_partition ~against tys] is the coarsest partition of [tys] that
+    the superset CQs [against] can observe: two types share a class exactly
+    when they lie in the same [Ty_in] sets of [against] and equal the same
+    string constants of [against] (in heads, atom arguments or comparisons).
+    Each class is therefore inside or disjoint from every such set.  The
+    classes are non-empty and their union is [tys]. *)
+
+val type_cases : against:cq list -> cq -> cq list
+(** Split a subset-side conjunctive query into one case per class of
+    {!type_partition} for each of its dynamic-type variables; a variable
+    with one class is not split.  The union of the cases is equivalent to
+    the original CQ.
+
+    Splitting makes the homomorphism test complete for coverage checks such
+    as [IS OF P ⊆ IS OF (ONLY P) ∪ IS OF E] — the disjunctions Algorithm 2
+    introduces — and the coarse split is as complete as one case per
+    concrete type.  A homomorphism from a superset CQ reads a case's store
+    only through {!entails}, and of a type variable [u] it can only ask
+    [Ty_in (u, S)] for a set [S] of [against]: the case's types for [u] are
+    one class [K], and [K ⊆ S] holds exactly when every type of [K] is in
+    [S], since [K] is inside or disjoint from [S].  Every other fact of the
+    store is the same in the class case and in each per-type case.  So a
+    superset CQ maps onto the class case exactly when it maps onto each of
+    the class's per-type cases, and the checker's verdict is the same.
+    Partial application [type_cases ~against] computes the observable sets
+    once. *)
 
 val equal_term : term -> term -> bool

@@ -50,7 +50,7 @@ let apply_all ?jobs st smos =
 type timing = { smo : string; seconds : float; containment : Obs.Metric.snapshot }
 
 let containment_counters =
-  Containment.Check.[ checks; cq_pairs; hom_steps; approximate_checks ]
+  Containment.Check.[ checks; cases; cq_pairs; hom_steps; approximate_checks ]
   @ [ Containment.Obligation.discharged ]
 
 let read_containment () =

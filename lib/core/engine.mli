@@ -18,6 +18,13 @@
 val apply :
   ?jobs:int -> State.t -> Smo.t -> (State.t, Containment.Validation_error.t) result
 
+val compile :
+  State.t -> Smo.t ->
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result
+(** The SMO's algorithm alone: the evolved state and the obligations
+    {!apply} would prove before committing it, unproven.  Structural
+    failures are reported untagged. *)
+
 val apply_all :
   ?jobs:int -> State.t -> Smo.t list -> (State.t, Containment.Validation_error.t) result
 (** Left-to-right; the first failure aborts the whole sequence. *)

@@ -27,7 +27,7 @@ let rec fold_contradictions ~top c =
       let a' = fold_contradictions ~top:false a and b' = fold_contradictions ~top:false b in
       if a' = Cond.False || b' = Cond.False then Cond.False
       else
-        let c' = Cond.And (a', b') in
+        let c' = if a' == a && b' == b then c else Cond.And (a', b') in
         if
           top
           &&
@@ -38,13 +38,13 @@ let rec fold_contradictions ~top c =
   | Cond.Or (a, b) -> (
       match (fold_contradictions ~top:true a, fold_contradictions ~top:true b) with
       | Cond.False, x | x, Cond.False -> x
-      | x, y -> Cond.Or (x, y))
+      | x, y -> if x == a && y == b then c else Cond.Or (x, y))
   | c -> if is_atom c && unsat_atom c then Cond.False else c
 
 let cond c =
   let c = Cond.simplify c in
   match fold_contradictions ~top:true c with
-  | c' when Cond.equal c c' -> c
+  | c' when c' == c || Cond.equal c c' -> c
   | c' -> Cond.simplify c'
 
 (* Compose two projection layers: the outer items re-expressed directly over
@@ -69,8 +69,12 @@ let compose_projections outer inner =
          outer)
   with Opaque -> None
 
-let is_identity_projection env items q =
-  match Algebra.infer env q with
+(* Only a list of plain [Col] items can be an identity, so [infer] types the
+   (already simplified) input only for those. *)
+let is_identity_projection infer items q =
+  List.for_all (function Algebra.Col { src; dst } -> src = dst | _ -> false) items
+  &&
+  match infer q with
   | Error _ -> false
   | Ok cols ->
       List.length items = List.length cols
@@ -81,42 +85,50 @@ let is_identity_projection env items q =
              | Algebra.Const _ | Algebra.Coalesce _ -> false)
            items cols
 
-let rec query env q =
-  match q with
-  | Algebra.Scan _ -> q
-  | Algebra.Select (c, q1) -> (
-      let q1 = query env q1 in
-      match cond c with
-      | Cond.True -> q1
-      | c -> (
-          match q1 with
-          | Algebra.Select (c2, q2) -> Algebra.Select (cond (Cond.And (c, c2)), q2)
-          | _ -> Algebra.Select (c, q1)))
-  | Algebra.Project (items, q1) -> (
-      let q1 = query env q1 in
-      match q1 with
-      | Algebra.Project (inner, q2) -> (
-          match compose_projections items inner with
-          | Some merged -> query env (Algebra.Project (merged, q2))
-          | None -> Algebra.Project (items, q1))
-      | _ -> if is_identity_projection env items q1 then q1 else Algebra.Project (items, q1))
-  | Algebra.Join (l, r, on) -> Algebra.Join (query env l, query env r, on)
-  | Algebra.Left_outer_join (l, r, on) -> Algebra.Left_outer_join (query env l, query env r, on)
-  | Algebra.Full_outer_join (l, r, on) -> Algebra.Full_outer_join (query env l, query env r, on)
-  | Algebra.Union_all (l, r) -> Algebra.Union_all (query env l, query env r)
-
-let view env (v : View.t) =
-  { View.query = query env v.View.query; ctor = Ctor.map_conditions cond v.View.ctor }
-
-let query_views env (qv : View.query_views) =
-  List.fold_left
-    (fun acc (ty, v) -> View.set_entity_view ty (view env v) acc)
-    (List.fold_left
-       (fun acc (a, v) -> View.set_assoc_view a (view env v) acc)
-       View.no_query_views (View.assoc_view_bindings qv))
-    (View.entity_view_bindings qv)
-
-let update_views env (uv : View.update_views) =
-  List.fold_left
-    (fun acc (tbl, v) -> View.set_table_view tbl (view env v) acc)
-    View.no_update_views (View.update_view_bindings uv)
+(* The compiled views form a DAG, so both the rewrite and the typing of its
+   identity-projection test are memoized on physical identity for the
+   duration of one call.  A node whose rewrite changes nothing comes back
+   physically unchanged, so an already simplified query is returned [==]. *)
+let query env =
+  let infer =
+    lazy
+      (Algebra.Memo.fix (Algebra.Memo.create ()) (fun infer ->
+           Algebra.infer_step (fun _ -> infer) env))
+  in
+  let infer q = Lazy.force infer q in
+  let step query q =
+    let binary mk l r =
+      let l' = query l and r' = query r in
+      if l' == l && r' == r then q else mk l' r'
+    in
+    match q with
+    | Algebra.Scan _ -> q
+    | Algebra.Select (c, q1) -> (
+        let q1' = query q1 in
+        match cond c with
+        | Cond.True -> q1'
+        | c' -> (
+            match q1' with
+            | Algebra.Select (c2, q2) -> Algebra.Select (cond (Cond.And (c', c2)), q2)
+            | _ ->
+                if q1' == q1 && (c' == c || Cond.equal c' c) then q
+                else Algebra.Select (c', q1')))
+    | Algebra.Project (items, q1) -> (
+        let q1' = query q1 in
+        match q1' with
+        | Algebra.Project (inner, q2) -> (
+            match compose_projections items inner with
+            | Some merged -> query (Algebra.Project (merged, q2))
+            | None -> if q1' == q1 then q else Algebra.Project (items, q1'))
+        | _ ->
+            if is_identity_projection infer items q1' then q1'
+            else if q1' == q1 then q
+            else Algebra.Project (items, q1'))
+    | Algebra.Join (l, r, on) -> binary (fun l r -> Algebra.Join (l, r, on)) l r
+    | Algebra.Left_outer_join (l, r, on) ->
+        binary (fun l r -> Algebra.Left_outer_join (l, r, on)) l r
+    | Algebra.Full_outer_join (l, r, on) ->
+        binary (fun l r -> Algebra.Full_outer_join (l, r, on)) l r
+    | Algebra.Union_all (l, r) -> binary (fun l r -> Algebra.Union_all (l, r)) l r
+  in
+  Algebra.Memo.fix (Algebra.Memo.create ()) step

@@ -17,8 +17,9 @@ val cond : Cond.t -> Cond.t
     [False].  Conditions without a contradiction come back unchanged. *)
 
 val query : Env.t -> Algebra.t -> Algebra.t
-val view : Env.t -> View.t -> View.t
-(** Simplify the query and the constructor's branch conditions. *)
-
-val query_views : Env.t -> View.query_views -> View.query_views
-val update_views : Env.t -> View.update_views -> View.update_views
+(** Views are DAGs: [query env] creates one table keyed on physical
+    identity, so applying it to several queries rewrites (and types) each
+    distinct subterm once across all of them.  A subterm whose rewrite
+    changes nothing comes back physically unchanged, so [query env q == q]
+    when [q] is already simplified.  The result is structurally the same as
+    rewriting each query as a tree. *)

@@ -4,9 +4,11 @@ type state = { mutable toks : Lexer.spanned list }
 
 let peek st = match st.toks with [] -> assert false | t :: _ -> t
 
+(* The lexer ends every token list with [Eof], and [next] never consumes
+   it, so [peek] always has a token to return. *)
 let next st =
   let t = peek st in
-  (match st.toks with [] -> () | _ :: rest -> st.toks <- rest);
+  (match st.toks with [] | [ _ ] -> () | _ :: rest -> st.toks <- rest);
   t
 
 let fail_at (t : Lexer.spanned) fmt =
@@ -584,9 +586,10 @@ let bindings st =
   expect st Lexer.LParen;
   let one st =
     let c = ident st in
-    (match (next st).Lexer.token with
+    let t = next st in
+    (match t.Lexer.token with
     | Lexer.Op "=" -> ()
-    | tok -> fail_at (peek st) "expected '=' after %s, found %s" c (Lexer.describe tok));
+    | tok -> fail_at t "expected '=' after %s, found %s" c (Lexer.describe tok));
     (c, literal st)
   in
   let bs = sep_list st ~sep:Lexer.Comma one in

@@ -1,0 +1,34 @@
+(* The containment checker's type split before it learned to look at the
+   superset side: every dynamic-type variable with more than one possible
+   type is split into one case per concrete type.  Tests hold
+   [Containment.Nf.type_cases] (one case per class of types the superset
+   side can tell apart) against it, verdict for verdict. *)
+
+module Nf = Containment.Nf
+
+(* Each variable's possible types: the intersection of its [Ty_in] sets. *)
+let types_of (cq : Nf.cq) =
+  List.fold_left
+    (fun acc -> function
+      | Nf.Ty_in (v, tys) ->
+          let tys =
+            match List.assoc_opt v acc with
+            | None -> tys
+            | Some cur -> List.filter (fun t -> List.mem t tys) cur
+          in
+          (v, tys) :: List.remove_assoc v acc
+      | Nf.Rel _ | Nf.Null_c _ | Nf.Not_null_c _ -> acc)
+    [] cq.Nf.cons
+
+let type_cases ~against:(_ : Nf.cq list) (cq : Nf.cq) =
+  List.fold_left
+    (fun cases (v, tys) ->
+      if List.length tys <= 1 then cases
+      else
+        List.concat_map
+          (fun (cq : Nf.cq) ->
+            List.map (fun ty -> { cq with Nf.cons = Nf.Ty_in (v, [ ty ]) :: cq.Nf.cons }) tys)
+          cases)
+    [ cq ] (types_of cq)
+
+let subset = Containment.Check.For_tests.subset ~split:type_cases

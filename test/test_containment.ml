@@ -181,6 +181,212 @@ let test_schema_nullability () =
   checkb "NOT NULL column" true (verdict env_strict);
   checkb "nullable column" false (verdict env_loose)
 
+(* -- the type split: coarse classes against one case per type ------------- *)
+
+module Nf = Containment.Nf
+module Obligation = Containment.Obligation
+
+let compiled_state (env, frags) =
+  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+
+let customer = lazy (compiled_state (Workload.Customer.generate ()))
+
+(* Each customer suite SMO applied alone to the compiled model, as the
+   [session] benchmark applies them, with the obligations it returns. *)
+let customer_obligations =
+  lazy
+    (let st = Lazy.force customer in
+     List.map
+       (fun (label, smo) ->
+         match Core.Engine.compile st smo with
+         | Ok (_, obls) -> (label, obls)
+         | Error e -> Alcotest.failf "%s: %s" label (show_v e))
+       (Workload.Customer.smo_suite ()))
+
+let verdict_testable = Alcotest.(result bool pass)
+
+let split_agrees tag (o : Obligation.t) =
+  let coarse = Containment.Check.subset o.Obligation.env o.lhs o.rhs in
+  let fine = Per_type_split.subset o.Obligation.env o.lhs o.rhs in
+  check verdict_testable (tag ^ " " ^ Obligation.name o) fine coarse;
+  Result.is_ok coarse
+
+let test_split_customer () =
+  List.iter
+    (fun (label, obls) ->
+      List.iter (fun o -> checkb (label ^ " normalizes") true (split_agrees label o)) obls)
+    (Lazy.force customer_obligations);
+  (* The pool plus a union that covers the hierarchy only type by type. *)
+  let pool =
+    A.Union_all
+      (proj [ "Id" ] (sel (C.Is_of_only "Person") persons),
+       A.Union_all
+         (proj [ "Id" ] (sel (C.Is_of "Employee") persons),
+          proj [ "Id" ] (sel (C.Is_of "Customer") persons)))
+    :: query_pool
+  in
+  List.iteri
+    (fun i q1 ->
+      List.iteri
+        (fun j q2 ->
+          check verdict_testable (Printf.sprintf "pool %d ⊆ %d" i j)
+            (Per_type_split.subset env q1 q2) (Containment.Check.subset env q1 q2))
+        pool)
+    pool
+
+(* Obligations of the random SMO pipelines, step by step up to the first
+   refused SMO. *)
+let pipeline_obligations seed =
+  let st = compiled_state (Workload.Random_model.generate ~seed ()) in
+  match random_pipeline seed st with
+  | None -> []
+  | Some smos ->
+      let rec go st acc = function
+        | [] -> acc
+        | smo :: rest -> (
+            match Core.Engine.compile st smo with
+            | Error _ -> acc
+            | Ok (st', obls) -> (
+                let acc = List.map (fun o -> (Core.Smo.name smo, o)) obls @ acc in
+                match Containment.Discharge.run obls with
+                | Ok () -> go st' acc rest
+                | Error _ -> acc))
+      in
+      List.rev (go st [] smos)
+
+let prop_split_random =
+  qtest ~count:100 "coarse split ≡ per-type split on random pipelines"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      List.iter
+        (fun (label, o) -> ignore (split_agrees (Printf.sprintf "seed %d %s" seed label) o))
+        (pipeline_obligations seed);
+      true)
+
+(* Random type sets and random superset stores over ten types. *)
+let gen_partition_case =
+  let open QCheck.Gen in
+  let ty = map (Printf.sprintf "T%d") (int_bound 9) in
+  let tys = map (List.sort_uniq String.compare) (list_size (int_range 1 10) ty) in
+  let con =
+    oneof
+      [
+        map (fun ts -> Nf.Ty_in (0, ts)) tys;
+        map (fun t -> Nf.Rel (1, Query.Cond.Eq, V.String t)) ty;
+      ]
+  in
+  let cq =
+    map2
+      (fun cons head -> { Nf.head = List.map (fun t -> ("c", Nf.C (V.String t))) head; body = []; cons })
+      (list_size (int_bound 4) con) (list_size (int_bound 1) ty)
+  in
+  pair tys (list_size (int_bound 3) cq)
+
+let prop_partition =
+  qtest ~count:500 "classes partition the types and respect every superset set"
+    (QCheck.make gen_partition_case)
+    (fun (tys, against) ->
+      let classes = Nf.type_partition ~against tys in
+      let sets =
+        List.concat_map
+          (fun (cq : Nf.cq) ->
+            List.filter_map
+              (function
+                | Nf.Ty_in (_, ts) -> Some ts
+                | Nf.Rel (_, _, V.String t) -> Some [ t ]
+                | _ -> None)
+              cq.Nf.cons
+            @ List.filter_map
+                (function _, Nf.C (V.String t) -> Some [ t ] | _ -> None)
+                cq.Nf.head)
+          against
+      in
+      List.for_all (fun cls -> cls <> []) classes
+      && List.sort String.compare (List.concat classes) = tys
+      && List.for_all
+           (fun cls ->
+             List.for_all
+               (fun s ->
+                 List.for_all (fun t -> List.mem t s) cls
+                 || List.for_all (fun t -> not (List.mem t s)) cls)
+               sets)
+           classes
+      (* Coarsest: two classes differ on some set. *)
+      && List.for_all
+           (fun c1 ->
+             List.for_all
+               (fun c2 ->
+                 c1 == c2
+                 || List.exists (fun s -> List.mem (List.hd c1) s <> List.mem (List.hd c2) s) sets)
+               classes)
+           classes)
+
+(* AA-JT's foreign-key check types both endpoints over their whole
+   hierarchies (95 and 10 types), which no superset CQ tells apart: the
+   per-type split made 950 cases of it. *)
+let test_aa_jt_cases () =
+  let obls = List.assoc "AA-JT" (Lazy.force customer_obligations) in
+  let fk =
+    List.filter (fun o -> String.starts_with ~prefix:"fk:" (Obligation.name o)) obls
+  in
+  checkb "AA-JT has an fk: obligation" true (fk <> []);
+  List.iter
+    (fun o ->
+      let c0 = Obs.Metric.value Containment.Check.cases in
+      checkb (Obligation.name o ^ " proven") true (Result.is_ok (Obligation.discharge o));
+      check Alcotest.int (Obligation.name o ^ " cases") 1
+        (Obs.Metric.value Containment.Check.cases - c0))
+    fk
+
+(* -- the DAG-aware simplifier against the tree walk ---------------------- *)
+
+let views_of (st : Core.State.t) =
+  let qv = st.Core.State.query_views in
+  List.map
+    (fun (_, v) -> v.Query.View.query)
+    (Query.View.entity_view_bindings qv @ Query.View.assoc_view_bindings qv
+    @ Query.View.update_view_bindings st.Core.State.update_views)
+
+let simplify_agrees tag env qs =
+  let simplify = Query.Simplify.query env in
+  List.iteri
+    (fun i q ->
+      let s = simplify q in
+      checkb (Printf.sprintf "%s #%d matches the tree walk" tag i) true
+        (A.equal s (Simplify_tree.query env q));
+      checkb (Printf.sprintf "%s #%d simplified is a fixpoint" tag i) true
+        (Query.Simplify.query env s == s))
+    qs
+
+let test_simplify_customer () =
+  let st = Lazy.force customer in
+  let env = st.Core.State.env in
+  simplify_agrees "customer view" env (views_of st);
+  simplify_agrees "customer view, loaded" env
+    (views_of (ok_exn (Surface.State_io.load (Surface.State_io.save st))));
+  List.iter
+    (fun (label, obls) ->
+      List.iter
+        (fun (o : Obligation.t) ->
+          simplify_agrees (label ^ " " ^ Obligation.name o) o.Obligation.env
+            [ o.Obligation.lhs; o.Obligation.rhs ])
+        obls)
+    (Lazy.force customer_obligations)
+
+let prop_simplify_random =
+  qtest ~count:100 "simplify ≡ tree walk on random models"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let st = compiled_state (Workload.Random_model.generate ~seed ()) in
+      simplify_agrees (Printf.sprintf "seed %d view" seed) st.Core.State.env (views_of st);
+      List.iter
+        (fun (label, (o : Obligation.t)) ->
+          simplify_agrees
+            (Printf.sprintf "seed %d %s %s" seed label (Obligation.name o))
+            o.Obligation.env [ o.Obligation.lhs; o.Obligation.rhs ])
+        (pipeline_obligations seed);
+      true)
+
 let () =
   Alcotest.run "containment"
     [
@@ -206,5 +412,17 @@ let () =
         [
           prop_soundness;
           Alcotest.test_case "stats" `Quick test_stats_counting;
+        ] );
+      ( "type split",
+        [
+          Alcotest.test_case "customer suite matches per-type split" `Quick test_split_customer;
+          prop_split_random;
+          prop_partition;
+          Alcotest.test_case "AA-JT fk check is one case" `Quick test_aa_jt_cases;
+        ] );
+      ( "simplify",
+        [
+          Alcotest.test_case "customer matches tree walk" `Quick test_simplify_customer;
+          prop_simplify_random;
         ] );
     ]

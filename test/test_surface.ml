@@ -512,6 +512,71 @@ let prop_load_never_raises =
       | Ok _ | Error _ -> true
       | exception e -> QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e))
 
+(* Every prefix of each example file, and seeded one-byte mutations of it,
+   through the parser and the elaborator: each answers [Ok] or [Error] and
+   never raises.  Truncated bindings used to reach [peek] past the end of
+   the token list.  [dune runtest] runs the tests from [test/] of the build
+   tree, [dune exec] from the root. *)
+let example_dir = List.find Sys.file_exists [ "../examples/models"; "examples/models" ]
+
+let parse_and_elaborate file text =
+  let ( let* ) = Result.bind in
+  match Filename.extension file with
+  | ".imc" ->
+      let* m = Surface.Parser.model text in
+      Result.map ignore (Surface.Elaborate.model m)
+  | ".smo" ->
+      let* s = Surface.Parser.script text in
+      Result.map ignore (Surface.Elaborate.script s)
+  | ".imcd" ->
+      let* d = Surface.Parser.data text in
+      Result.map ignore (Surface.Elaborate.data P.stage4.P.env d)
+  | ".dml" ->
+      let* d = Surface.Parser.dml text in
+      Result.map ignore (Surface.Elaborate.dml d)
+  | ext -> Alcotest.failf "no reader for %s files" ext
+
+let test_truncated_bindings () =
+  List.iter
+    (fun (what, r) -> checkb what true (Result.is_error r))
+    [
+      ("truncated dml", Result.map ignore (Surface.Parser.dml "unlink Supports (Customer.Id"));
+      ( "truncated data",
+        Result.map ignore (Surface.Parser.data "data { Supports: (Customer.Id = 5, Employee.Id") );
+    ];
+  match Surface.Parser.dml "unlink Supports (Customer.Id 5);" with
+  | Ok _ -> Alcotest.fail "missing '=' accepted"
+  | Error e -> checkb ("error at the bad token: " ^ e) true (contains ~sub:"column 30" e)
+
+let test_examples_fuzz () =
+  let files =
+    Sys.readdir example_dir |> Array.to_list |> List.sort String.compare
+    |> List.filter (fun f -> List.mem (Filename.extension f) [ ".imc"; ".smo"; ".imcd"; ".dml" ])
+  in
+  checkb "example files found" true (List.length files >= 4);
+  List.iter
+    (fun file ->
+      let text = In_channel.with_open_bin (Filename.concat example_dir file) In_channel.input_all in
+      let run = parse_and_elaborate file in
+      let answers what input =
+        match run input with
+        | Ok () | Error _ -> ()
+        | exception e -> Alcotest.failf "%s, %s: raised %s" file what (Printexc.to_string e)
+      in
+      answers "whole file" text;
+      for i = 0 to String.length text - 1 do
+        answers (Printf.sprintf "prefix of %d bytes" i) (String.sub text 0 i)
+      done;
+      let rng = Random.State.make [| 18; String.length text |] in
+      for _ = 1 to 2000 do
+        let b = Bytes.of_string text in
+        let pos = Random.State.int rng (Bytes.length b) in
+        let byte = Char.chr (Random.State.int rng 256) in
+        Bytes.set b pos byte;
+        answers (Printf.sprintf "byte %d set to %C" pos byte) (Bytes.to_string b)
+      done)
+    files
+
 let () =
   Alcotest.run "surface"
     [
@@ -520,6 +585,8 @@ let () =
           Alcotest.test_case "paper model parses and elaborates" `Quick test_parse_paper_model;
           Alcotest.test_case "print/parse roundtrip" `Quick test_model_print_parse_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "truncated bindings" `Quick test_truncated_bindings;
+          Alcotest.test_case "example files fuzzed" `Quick test_examples_fuzz;
           prop_cond_print_parse;
         ] );
       ( "smo scripts",
