@@ -307,6 +307,12 @@ let assoc_table_fk_obligations env frags uv ~etypes =
         (Edm.Schema.associations_on client etype))
     etypes
 
+let drop_orphaned_views ~before frags uv =
+  let after = Mapping.Fragments.tables frags in
+  List.fold_left
+    (fun uv t -> if List.mem t after then uv else Query.View.remove_table_view t uv)
+    uv (Mapping.Fragments.tables before)
+
 let recompile_set env frags ~set (st : State.t) =
   span "algo.recompile-set" ~attrs:[ ("set", set) ] @@ fun () ->
   let* set_views = lift (Fullc.Query_views.for_set env frags ~set) in

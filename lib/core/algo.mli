@@ -134,6 +134,14 @@ val assoc_table_fk_obligations :
     the association maps to that shares a column with the association's
     image must still hold under the new update views. *)
 
+val drop_orphaned_views :
+  before:Mapping.Fragments.t -> Mapping.Fragments.t -> Query.View.update_views ->
+  Query.View.update_views
+(** [drop_orphaned_views ~before frags uv] removes from [uv] the update view
+    of every table that a fragment of [before] mentions and no fragment of
+    [frags] does: the tables a DropEntity, DropProperty or DropAssociation
+    left without a fragment. *)
+
 val recompile_set :
   Query.Env.t -> Mapping.Fragments.t -> set:string -> State.t ->
   (State.t, Containment.Validation_error.t) result

@@ -23,7 +23,6 @@ let apply (st : State.t) ~etype =
     | None -> fail "dropping hierarchy root %s would drop its entity set; not supported" etype
   in
   let* client' = Algo.lift (Edm.Schema.remove_type etype client) in
-  let before_tables = Mapping.Fragments.tables st.State.fragments in
   let fragments =
     Algo.span "drop-entity.fragments" @@ fun () ->
     Mapping.Fragments.to_list st.State.fragments
@@ -36,10 +35,8 @@ let apply (st : State.t) ~etype =
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
   (* Remove update views of tables that lost all fragments, and the dropped
      type's query view. *)
-  let after_tables = Mapping.Fragments.tables fragments in
-  let orphaned = List.filter (fun t -> not (List.mem t after_tables)) before_tables in
   let update_views =
-    List.fold_left (fun uv t -> Query.View.remove_table_view t uv) st.State.update_views orphaned
+    Algo.drop_orphaned_views ~before:st.State.fragments fragments st.State.update_views
   in
   let query_views = Query.View.remove_entity_view etype st.State.query_views in
   let st' = { State.env = env'; fragments; query_views; update_views } in

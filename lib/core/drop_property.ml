@@ -21,7 +21,6 @@ let apply (st : State.t) ~etype ~attr =
       (Mapping.Fragments.of_set st.State.fragments set)
   in
   let key = Edm.Schema.key_of client etype in
-  let before_tables = Mapping.Fragments.tables st.State.fragments in
   let fragments =
     Algo.span "drop-property.fragments" @@ fun () ->
     let all = Mapping.Fragments.to_list st.State.fragments in
@@ -61,10 +60,8 @@ let apply (st : State.t) ~etype ~attr =
       (fun ty -> Algo.lift (Mapping.Coverage.attribute_coverage env' fragments ~etype:ty))
       (Edm.Schema.subtypes client' (Edm.Schema.root_of client' etype))
   in
-  let after_tables = Mapping.Fragments.tables fragments in
-  let orphaned = List.filter (fun t -> not (List.mem t after_tables)) before_tables in
   let update_views =
-    List.fold_left (fun uv t -> Query.View.remove_table_view t uv) st.State.update_views orphaned
+    Algo.drop_orphaned_views ~before:st.State.fragments fragments st.State.update_views
   in
   let st' = { State.env = env'; fragments; query_views = st.State.query_views; update_views } in
   Algo.recompile_set env' fragments ~set st'

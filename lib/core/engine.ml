@@ -4,7 +4,8 @@ let without_obligations r = Result.map (fun st -> (st, [])) r
 
 let compile st = function
   | Smo.Add_entity { entity; alpha; p_ref; table; fmap } ->
-      Add_entity.apply st ~entity ~alpha ~p_ref ~table ~fmap
+      Add_entity_part.apply st ~entity ~p_ref
+        ~parts:[ { part_alpha = alpha; part_cond = True; part_table = table; part_fmap = fmap } ]
   | Smo.Add_entity_part { entity; p_ref; parts } -> Add_entity_part.apply st ~entity ~p_ref ~parts
   | Smo.Add_entity_tph { entity; table; fmap; discriminator } ->
       Add_entity_tph.apply st ~entity ~table ~fmap ~discriminator

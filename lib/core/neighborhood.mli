@@ -1,7 +1,7 @@
 (** View surgery for a new entity type: Algorithms 1 and 2 (Section 3.1),
-    generalized to the horizontal partitions of Section 3.3.  AddEntity is
-    the one-partition case with ψ = [TRUE]; AddEntityPart passes one
-    fragment per partition.  Only the new type's neighborhood changes: every
+    generalized to the horizontal partitions of Section 3.3.
+    AddEntityPart passes one fragment per partition; AddEntity is its
+    one-partition case with ψ = [TRUE].  Only the new type's neighborhood changes: every
     other query view, and every update view whose conditions the rewrite
     leaves alone, stays physically the same. *)
 

@@ -12,7 +12,10 @@ type t =
       p_ref : string option;  (** the ancestor [P]; [None] is the paper's NIL *)
       table : Relational.Table.t;
       fmap : (string * string) list;
-    }  (** AE-TPT / AE-TPC and the general form of Section 3.1. *)
+    }
+      (** AE-TPT / AE-TPC and the general form of Section 3.1: the
+          one-partition case (ψ = [TRUE]) of [Add_entity_part], which
+          {!Engine} compiles it as. *)
   | Add_entity_part of {
       entity : Edm.Entity_type.t;
       p_ref : string option;

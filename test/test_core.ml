@@ -293,7 +293,11 @@ let test_precondition_failures () =
       { entity = employee; alpha = [ "Id" ]; p_ref = None; table = emp_table;
         fmap = [ ("Id", "Id") ] }
   in
-  checkb "TPC with partial α rejected" true (Result.is_error (Core.Engine.apply st1 bad_alpha));
+  (match Core.Engine.apply st1 bad_alpha with
+  | Ok _ -> Alcotest.fail "TPC with partial α accepted"
+  | Error e ->
+      checkb "TPC with partial α rejected" true
+        (contains ~sub:"attribute Name of Employee is stored by no partition" (show_v e)));
   let bad_key =
     Core.Smo.Add_entity
       { entity = employee; alpha = [ "Department" ]; p_ref = Some "Person"; table = emp_table;
@@ -1079,6 +1083,69 @@ let test_one_batch_per_smo () =
   in
   check Alcotest.(list (pair string int)) "obligations per accepted SMO" expected accepted
 
+(* AddEntity is AddEntityPart's one-partition case with ψ = TRUE: every AE
+   of the paper, chain and customer suites and of the random pipelines
+   gives the same saved state, the same obligation names and the same
+   verdict as that one-partition AEP. *)
+let as_one_partition = function
+  | Core.Smo.Add_entity { entity; alpha; p_ref; table; fmap } ->
+      Core.Smo.Add_entity_part
+        { entity; p_ref;
+          parts =
+            [ { Core.Add_entity_part.part_alpha = alpha; part_cond = C.True; part_table = table;
+                part_fmap = fmap } ] }
+  | smo -> Alcotest.failf "%s is not an AddEntity" (Core.Smo.name smo)
+
+let outcome st smo =
+  match Core.Engine.compile st smo with
+  | Error e -> ([], Error (show_v e))
+  | Ok (st', obls) ->
+      let verdict = Result.map_error show_v (Containment.Discharge.run obls) in
+      ( List.sort String.compare (List.map Containment.Obligation.name obls),
+        Result.map (fun () -> Surface.State_io.save st') verdict )
+
+let test_ae_is_one_partition () =
+  let compiled (env, frags) =
+    Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+  in
+  let aes suite =
+    List.filter (fun (_, smo) -> match smo with Core.Smo.Add_entity _ -> true | _ -> false) suite
+  in
+  let st1, st2, _, _ = Lazy.force paper_states in
+  let chain = compiled (Workload.Chain.generate ~size:10) in
+  let customer = compiled (Workload.Customer.generate ()) in
+  let random =
+    List.filter_map
+      (fun seed ->
+        let st = compiled (Workload.Random_model.generate ~seed ()) in
+        match random_pipeline seed st with
+        | Some (ae :: _) -> Some (Printf.sprintf "random %d" seed, st, ae)
+        | _ -> None)
+      (List.init 36 (fun i -> i + 1))
+  in
+  let cases =
+    [ ("paper Employee", st1, smo_employee); ("paper Customer", st2, smo_customer) ]
+    @ List.map
+        (fun (l, smo) -> ("chain " ^ l, chain, smo))
+        (aes (Workload.Chain.smo_suite ~at:5))
+    @ List.map
+        (fun (l, smo) -> ("customer " ^ l, customer, smo))
+        (aes (Workload.Customer.smo_suite ()))
+    @ random
+  in
+  let accepted =
+    List.filter
+      (fun (label, st, smo) ->
+        let names, saved = outcome st smo in
+        let names', saved' = outcome st (as_one_partition smo) in
+        check Alcotest.(list string) (label ^ ": obligation names") names names';
+        check Alcotest.(result string string) (label ^ ": saved state") saved saved';
+        Result.is_ok saved)
+      cases
+  in
+  checkb "accepted and rejected AEs among the cases" true
+    (accepted <> [] && List.length accepted < List.length cases)
+
 let () =
   Alcotest.run "core"
     [
@@ -1140,5 +1207,6 @@ let () =
         [
           Alcotest.test_case "timed application" `Quick test_apply_timed;
           Alcotest.test_case "one discharge batch per SMO" `Quick test_one_batch_per_smo;
+          Alcotest.test_case "AE is the one-partition AEP" `Quick test_ae_is_one_partition;
         ] );
     ]

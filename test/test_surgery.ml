@@ -157,6 +157,26 @@ let test_random_models () =
       checkb (Printf.sprintf "P = %s reached" p) true (List.exists (fun (_, p') -> p' = p) !shapes))
     [ "nil"; "parent"; "grandparent" ]
 
+(* AE-TPT re-storing inherited attributes, on the paper's stage 2 (Person in
+   HR, Employee TPT in Emp): a Manager whose α re-stores Department, once
+   under its parent Employee, which already yields it, and once under its
+   grandparent Person, where coverage requires it. *)
+let test_restored_attributes () =
+  let stage = Workload.Paper_example.stage2 in
+  let st = compiled_state (stage.env, stage.fragments) in
+  let manager = Edm.Entity_type.derived ~name:"Manager" ~parent:"Employee" [ ("Level", D.Int) ] in
+  let ae ~p_ref ~ref_table =
+    Core.Smo.Add_entity
+      { entity = manager; alpha = [ "Id"; "Department"; "Level" ]; p_ref = Some p_ref;
+        table =
+          Relational.Table.make ~name:"TManager" ~key:[ "Id" ]
+            ~fks:[ { Relational.Table.fk_columns = [ "Id" ]; ref_table; ref_columns = [ "Id" ] } ]
+            [ ("Id", D.Int, `Not_null); ("Dept", D.String, `Null); ("Level", D.Int, `Null) ];
+        fmap = [ ("Id", "Id"); ("Department", "Dept"); ("Level", "Level") ] }
+  in
+  differential ~tag:"under the parent" st (ae ~p_ref:"Employee" ~ref_table:"Emp");
+  differential ~tag:"under the grandparent" st (ae ~p_ref:"Person" ~ref_table:"HR")
+
 (* -- sharing --------------------------------------------------------------- *)
 
 (* A node-by-node copy: what Algorithm 2's condition rewrite returned for
@@ -250,6 +270,8 @@ let () =
           Alcotest.test_case "chain-10" `Quick test_chain;
           Alcotest.test_case "customer" `Quick test_customer;
           Alcotest.test_case "random models" `Quick test_random_models;
+          Alcotest.test_case "AE re-storing inherited attributes" `Quick
+            test_restored_attributes;
         ] );
       ("sharing", [ Alcotest.test_case "customer neighborhoods" `Quick test_sharing ]);
     ]
