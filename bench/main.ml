@@ -643,6 +643,79 @@ let ivm () =
 (* Physical execution: lib/exec plans vs Query.Eval.rows (E10).        *)
 (* ------------------------------------------------------------------ *)
 
+(* Key lookups on the customer model, as the e2ebench [serve] workload reads
+   it: [SELECT * FROM Set WHERE Id = c] planned through a session and run
+   on an indexed store of the same instance (seed 2013, 300 entities per
+   set).  One TPT set (Set1, 95 tables), one TPH set (Set2, 22 scans of one
+   table) and one set with a TPC type (Set4 after the suite's AE-TPC, read
+   at a key of the new type).  Each read takes the next key of the set, so
+   the figures cover planning a fresh literal, not one cached plan. *)
+let customer_lookups () =
+  let ok = function Ok x -> x | Error e -> failwith e in
+  let module A = Query.Algebra in
+  let env, frags = Workload.Customer.generate () in
+  let st =
+    Core.State.of_compiled env frags (ok (Fullc.Compile.compile ~validate:false env frags))
+  in
+  let st_tpc =
+    match Core.Engine.apply st (List.assoc "AE-TPC" (Workload.Customer.smo_suite ())) with
+    | Ok st -> st
+    | Error e -> failwith (Containment.Validation_error.show e)
+  in
+  let scanned = Obs.Metric.counter "exec.rows.scanned" in
+  Printf.printf "\ncustomer key lookups (seed 2013, 300 entities per set)\n%!";
+  Printf.printf "%-5s %-4s %6s %12s %12s %9s %6s %6s %6s\n%!" "set" "map" "tables" "read" "run"
+    "scanned" "scans" "index" "eval";
+  List.map
+    (fun (set, style, st, etype) ->
+      let env = st.Core.State.env in
+      let schema = env.Query.Env.client in
+      let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 schema in
+      let store = ok (Query.View.apply_update_views env st.Core.State.update_views inst) in
+      let db = Query.Eval.store_db store in
+      let idb = Exec.Idb.make env db in
+      let session = Core.Session.start st in
+      let queries =
+        Edm.Instance.entities inst ~set
+        |> List.filter (fun (e : Edm.Instance.entity) ->
+               match etype with Some t -> e.Edm.Instance.etype = t | None -> true)
+        |> List.map (fun (e : Edm.Instance.entity) ->
+               A.Select
+                 ( Query.Cond.Cmp ("Id", Query.Cond.Eq, Datum.Row.get "Id" e.Edm.Instance.attrs),
+                   A.Scan (A.Entity_set set) ))
+        |> Array.of_list
+      in
+      let q = queries.(Array.length queries / 2) in
+      let plan = ok (Core.Session.query_plan session q) in
+      let before = Obs.Metric.value scanned in
+      let rows = Exec.Run.rows idb plan in
+      let rows_scanned = Obs.Metric.value scanned - before in
+      let unfolded = ok (Query.Unfold.client_query env st.Core.State.query_views q) in
+      let sorted = List.sort Datum.Row.compare in
+      let agrees =
+        List.equal Datum.Row.equal (sorted rows) (sorted (Query.Eval.rows env db unfolded))
+      in
+      let next = ref 0 in
+      let read_ns =
+        measure_ns ("read-" ^ set) (fun () ->
+            let q = queries.(!next mod Array.length queries) in
+            incr next;
+            ignore (Exec.Run.rows idb (ok (Core.Session.query_plan session q))))
+      in
+      let run_ns = measure_ns ("run-" ^ set) (fun () -> ignore (Exec.Run.rows idb plan)) in
+      let tables = List.length (A.sources unfolded) in
+      Printf.printf "%-5s %-4s %6d %12s %12s %9d %6d %6d %6b\n%!" set style tables
+        (Format.asprintf "%a" pp_seconds (read_ns /. 1e9))
+        (Format.asprintf "%a" pp_seconds (run_ns /. 1e9))
+        rows_scanned (Exec.Plan.scans plan) (Exec.Plan.index_scans plan) agrees;
+      if not agrees then failwith (Printf.sprintf "exec/%s key lookup disagrees with Eval.rows" set);
+      Printf.sprintf
+        "\n    { \"set\": %S, \"mapping\": %S, \"tables\": %d, \"read_ns\": %.1f, \"run_ns\": %.1f, \
+         \"rows_scanned\": %d, \"scans\": %d, \"index_scans\": %d, \"agrees_with_eval\": %b }"
+        set style tables read_ns run_ns rows_scanned (Exec.Plan.scans plan)
+        (Exec.Plan.index_scans plan) agrees)
+    [ ("Set1", "TPT", st, None); ("Set2", "TPH", st, None); ("Set4", "TPC", st_tpc, Some "CNewTpc") ]
+
 let exec_bench () =
   header "Exec -- physical plans (hash joins, indexed scans) vs naive evaluation";
   let ok = function Ok x -> x | Error e -> failwith e in
@@ -729,6 +802,8 @@ let exec_bench () =
             %.1f, \"exec_jobs4_ns\": %.1f }"
            n shape naive_ns j1_ns j4_ns))
     results;
+  Buffer.add_string buf "\n  ],\n  \"customer_key_lookups\": [";
+  Buffer.add_string buf (String.concat "," (customer_lookups ()));
   Buffer.add_string buf "\n  ]";
   (match accept with
   | Some (_, _, naive_ns, j1_ns, _) ->

@@ -5,16 +5,17 @@ type event =
   | Checkpointed of string
   | Rolled_back of string
 
-module Query_map = Map.Make (struct
-  type t = Query.Algebra.t
+(* One planner context per generation of the query views (and the
+   environment they are typed in).  Keeping a bounded list of recent
+   generations (instead of only the newest) means undo/redo and rollback
+   land back on a planned generation. *)
+type generation = {
+  gen_env : Query.Env.t;
+  gen_views : Query.View.query_views;
+  planner : Exec.Planner.context;
+}
 
-  let compare = Query.Algebra.compare
-end)
-
-(* Compiled physical plans, bucketed by the query views they were unfolded
-   over.  Keeping a bounded list of recent generations (instead of only the
-   newest) means undo/redo and rollback land back on cached plans. *)
-type exec_cache = (Query.View.query_views * Exec.Plan.t Query_map.t) list ref
+type exec_cache = generation list ref
 
 type t = {
   initial : State.t;
@@ -98,27 +99,30 @@ let same_query_views a b =
       eq (Query.View.entity_view_bindings a) (Query.View.entity_view_bindings b)
       && eq (Query.View.assoc_view_bindings a) (Query.View.assoc_view_bindings b))
 
-let query_plan t q =
-  let ( let* ) = Result.bind in
-  let qv = t.present.State.query_views in
+let generation t =
+  let { State.env; query_views = qv; _ } = t.present in
   let gens = !(t.exec_cache) in
-  let generation = List.find_opt (fun (v, _) -> same_query_views v qv) gens in
-  match generation with
-  | Some (_, plans) when Query_map.mem q plans ->
+  match List.find_opt (fun g -> g.gen_env == env && same_query_views g.gen_views qv) gens with
+  | Some g ->
       Obs.Metric.incr c_plan_hit;
-      Ok (Query_map.find q plans)
-  | Some _ | None ->
+      if List.hd gens != g then t.exec_cache := g :: List.filter (fun g' -> g' != g) gens;
+      g
+  | None ->
       Obs.Metric.incr c_plan_miss;
-      let* unfolded = Query.Unfold.client_query t.present.State.env qv q in
-      let* plan = Exec.Planner.plan t.present.State.env unfolded in
-      (match generation with
-      | Some ((v, plans) as gen) ->
-          let rest = List.filter (fun g -> g != gen) gens in
-          t.exec_cache := (v, Query_map.add q plan plans) :: rest
-      | None ->
-          let gens = (qv, Query_map.singleton q plan) :: gens in
-          t.exec_cache := List.filteri (fun i _ -> i < max_exec_generations) gens);
-      Ok plan
+      let views =
+        List.map
+          (fun (_, v) -> v.Query.View.query)
+          (Query.View.entity_view_bindings qv @ Query.View.assoc_view_bindings qv)
+      in
+      let g = { gen_env = env; gen_views = qv; planner = Exec.Planner.context env views } in
+      t.exec_cache := List.filteri (fun i _ -> i < max_exec_generations) (g :: gens);
+      g
+
+let query_plan t q =
+  let g = generation t in
+  Result.bind
+    (Obs.Span.with_ ~name:"query.unfold" (fun () -> Query.Unfold.splice g.gen_env g.gen_views q))
+    (Exec.Planner.plan_in g.planner)
 
 let lint t =
   let st = t.present in

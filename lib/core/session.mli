@@ -39,14 +39,18 @@ val log : t -> string
 (** A human-readable session transcript: SMOs, timings, checkpoints. *)
 
 val query_plan : t -> Query.Algebra.t -> (Exec.Plan.t, string) result
-(** The physical plan for a client query over the present state: unfolds it
-    through the query views ([Query.Unfold.client_query]) and lowers it with
-    {!Exec.Planner}, memoized inside the session.  Plans are bucketed by the
-    query views they were compiled against, and a bounded number of recent
-    generations is kept, so an SMO that moves the views forces recompilation
-    while undo/redo/rollback land back on cached plans.  The cache is shared
-    by all sessions derived from the same {!start} and reports
-    [exec.plan.cache.hit] / [exec.plan.cache.miss] counters.  It is the
+(** The physical plan for a client query over the present state: splices
+    the query views in ([Query.Unfold.splice], span [query.unfold]) and
+    lowers the result with {!Exec.Planner.plan_in} (span [exec.plan]).  The
+    session keeps one planner context per generation, that is per
+    environment and query views, for a bounded number of recent
+    generations: an SMO that moves the views gets a new context, and
+    undo/redo/rollback land back on an earlier one.  Plans themselves are
+    not kept, so the plan equals a cold [Exec.Planner.plan] of the unfolded
+    query, and a stream of distinct queries leaves the session's size
+    unchanged.  The contexts are shared by all sessions derived from the
+    same {!start}.  Each call counts [exec.plan.cache.hit] when it reuses a
+    context and [exec.plan.cache.miss] when it builds one.  They are the
     session's only cache. *)
 
 val lint : t -> Lint.Diag.t list

@@ -84,9 +84,11 @@ let show t =
 
 let pp fmt t = Format.pp_print_string fmt (show t)
 
-let rec index_scans = function
-  | Scan { access = Index_eq _; _ } -> 1
-  | Scan { access = Full_scan; _ } -> 0
-  | Filter (_, n) | Project (_, n) -> index_scans n
-  | Hash_join j -> index_scans j.left + index_scans j.right
-  | Append (a, b) -> index_scans a + index_scans b
+let rec count_scans p = function
+  | Scan { access; _ } -> if p access then 1 else 0
+  | Filter (_, n) | Project (_, n) -> count_scans p n
+  | Hash_join j -> count_scans p j.left + count_scans p j.right
+  | Append (a, b) -> count_scans p a + count_scans p b
+
+let scans = count_scans (fun _ -> true)
+let index_scans = count_scans (function Index_eq _ -> true | Full_scan -> false)

@@ -37,6 +37,9 @@ val pp : Format.formatter -> t -> unit
 val show : t -> string
 (** An indented EXPLAIN-style tree, one operator per line. *)
 
+val scans : t -> int
+(** Number of scans in the plan, whatever their access path. *)
+
 val index_scans : t -> int
 (** Number of [Index_eq] access paths in the plan (for tests and EXPLAIN
     summaries). *)

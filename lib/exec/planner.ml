@@ -77,11 +77,59 @@ let push_through_projection items c =
 let wrap_residual filters node =
   match filters with [] -> node | fs -> Plan.Filter (C.conj fs, node)
 
-let rec lower env filters q =
+(* Planning state for the queries planned over one set of views.  The
+   tables are keyed on physical identity and hold only the views' nodes,
+   before and after simplification: a query spliced over the views is
+   simplified and typed afresh only above them, and each join of a view
+   gets its spec (and padding lists) once. *)
+type context = {
+  env : Query.Env.t;
+  simplify : A.t -> A.t;
+  infer : A.t -> (string list, string) result;
+  join_spec : A.t -> Query.Join.t;
+}
+
+let columns_of infer q =
+  match infer q with Ok cols -> cols | Error e -> invalid_arg ("Exec.Planner: " ^ e)
+
+let context env views =
+  Obs.Span.with_ ~name:"exec.plan.context" (fun () ->
+      let nodes = A.Memo.create () in
+      let register =
+        A.Memo.fix nodes (fun register -> function
+          | A.Scan _ -> ()
+          | A.Select (_, q) | A.Project (_, q) -> register q
+          | A.Join (l, r, _) | A.Left_outer_join (l, r, _) | A.Full_outer_join (l, r, _)
+          | A.Union_all (l, r) ->
+              register l;
+              register r)
+      in
+      let keep = A.Memo.mem nodes in
+      List.iter register views;
+      let simplify = Query.Simplify.query ~keep env in
+      List.iter (fun v -> register (simplify v)) views;
+      let infer =
+        A.Memo.fix ~keep (A.Memo.create ()) (fun infer -> A.infer_step (fun _ -> infer) env)
+      in
+      let join_spec =
+        A.Memo.fix ~keep (A.Memo.create ()) (fun _ q ->
+            let kind, l, r, on =
+              match q with
+              | A.Join (l, r, on) -> (Query.Join.Inner, l, r, on)
+              | A.Left_outer_join (l, r, on) -> (Query.Join.Left, l, r, on)
+              | A.Full_outer_join (l, r, on) -> (Query.Join.Full, l, r, on)
+              | A.Scan _ | A.Select _ | A.Project _ | A.Union_all _ ->
+                  invalid_arg "Exec.Planner: not a join"
+            in
+            Query.Join.make kind ~on ~left:(columns_of infer l) ~right:(columns_of infer r))
+      in
+      { env; simplify; infer; join_spec })
+
+let rec lower ctx filters q =
   match q with
-  | A.Select (c, q) -> lower env (conjuncts c @ filters) q
+  | A.Select (c, q) -> lower ctx (conjuncts c @ filters) q
   | A.Scan src ->
-      let access, residual = pick_index env src filters in
+      let access, residual = pick_index ctx.env src filters in
       Plan.Scan { source = src; access; filter = C.conj residual; proj = None }
   | A.Project (items, q) ->
       let pushed, residual =
@@ -92,45 +140,49 @@ let rec lower env filters q =
             | None -> (pushed, f :: residual))
           ([], []) filters
       in
-      let inner = lower env (List.rev pushed) q in
+      let inner = lower ctx (List.rev pushed) q in
       let node =
         match inner with
         | Plan.Scan ({ proj = None; _ } as s) -> Plan.Scan { s with proj = Some items }
         | inner -> Plan.Project (items, inner)
       in
       wrap_residual (List.rev residual) node
-  | A.Join (l, r, on) -> lower_join env filters Query.Join.Inner l r on
-  | A.Left_outer_join (l, r, on) -> lower_join env filters Query.Join.Left l r on
-  | A.Full_outer_join (l, r, on) -> lower_join env filters Query.Join.Full l r on
-  | A.Union_all (l, r) -> Plan.Append (lower env filters l, lower env filters r)
+  | A.Join (l, r, _) | A.Left_outer_join (l, r, _) | A.Full_outer_join (l, r, _) ->
+      lower_join ctx filters (ctx.join_spec q) l r
+  | A.Union_all (l, r) -> Plan.Append (lower ctx filters l, lower ctx filters r)
 
-and lower_join env filters kind l r on =
-  let lcols = A.columns env l and rcols = A.columns env r in
+(* A conjunct over join columns only goes into both inputs, whatever the
+   join kind: an output row takes its join columns from the input row it
+   came from, and a matched pair agrees on them, so the conjunct holds of
+   the output row exactly when it holds of its input rows.  Other conjuncts
+   sink only into an inner join's side that has their columns, or into a
+   left join's preserved side, never into a NULL-padded side. *)
+and lower_join ctx filters spec l r =
+  let columns = columns_of ctx.infer in
   let to_left, to_right, residual =
     List.fold_left
       (fun (tl, tr, res) f ->
         let cols = cond_columns f in
-        match kind with
-        | Query.Join.Inner ->
-            if subset cols lcols then (f :: tl, tr, res)
-            else if subset cols rcols then (tl, f :: tr, res)
-            else (tl, tr, f :: res)
-        | Query.Join.Left ->
-            (* only the preserved side; right-side rows are NULL-padded *)
-            if subset cols lcols then (f :: tl, tr, res) else (tl, tr, f :: res)
-        | Query.Join.Full -> (tl, tr, f :: res))
+        if subset cols spec.Query.Join.on then (f :: tl, f :: tr, res)
+        else
+          match spec.Query.Join.kind with
+          | Query.Join.Inner ->
+              if subset cols (columns l) then (f :: tl, tr, res)
+              else if subset cols (columns r) then (tl, f :: tr, res)
+              else (tl, tr, f :: res)
+          | Query.Join.Left ->
+              if subset cols (columns l) then (f :: tl, tr, res) else (tl, tr, f :: res)
+          | Query.Join.Full -> (tl, tr, f :: res))
       ([], [], []) filters
   in
   let join =
-    {
-      Plan.spec = Query.Join.make kind ~on ~left:lcols ~right:rcols;
-      left = lower env (List.rev to_left) l;
-      right = lower env (List.rev to_right) r;
-    }
+    { Plan.spec; left = lower ctx (List.rev to_left) l; right = lower ctx (List.rev to_right) r }
   in
   wrap_residual (List.rev residual) (Plan.Hash_join join)
 
-let plan env q =
-  Obs.Span.with_ ~name:"exec.plan" (fun () ->
-      let* _cols = A.infer env q in
-      Ok (lower env [] (Query.Simplify.query env q)))
+let lower_query ctx q =
+  let* _cols = ctx.infer q in
+  Ok (lower ctx [] (ctx.simplify q))
+
+let plan_in ctx q = Obs.Span.with_ ~name:"exec.plan" (fun () -> lower_query ctx q)
+let plan env q = Obs.Span.with_ ~name:"exec.plan" (fun () -> lower_query (context env [ q ]) q)

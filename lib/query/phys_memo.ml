@@ -5,6 +5,7 @@ module type S = sig
   val create : unit -> 'a table
   val fix : ?keep:(node -> bool) -> 'a table -> ((node -> 'a) -> node -> 'a) -> node -> 'a
   val size : 'a table -> int
+  val mem : 'a table -> node -> bool
   val shared : node list -> node -> bool
 end
 
@@ -39,6 +40,7 @@ struct
     go
 
   let size = H.length
+  let mem = H.mem
 
   let shared roots =
     let edges = H.create 256 in

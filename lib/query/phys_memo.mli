@@ -37,6 +37,10 @@ module type S = sig
   val size : 'a table -> int
   (** Results stored so far. *)
 
+  val mem : 'a table -> node -> bool
+  (** [mem tbl x] holds when [x] itself (not a structural copy) has a
+      stored result. *)
+
   val shared : node list -> node -> bool
   (** [shared roots x] holds when [x] is reached more than once from
       [roots]: through two parents, or as a root and a child, or as a root

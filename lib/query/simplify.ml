@@ -86,13 +86,14 @@ let is_identity_projection infer items q =
            items cols
 
 (* The compiled views form a DAG, so both the rewrite and the typing of its
-   identity-projection test are memoized on physical identity for the
-   duration of one call.  A node whose rewrite changes nothing comes back
-   physically unchanged, so an already simplified query is returned [==]. *)
-let query env =
+   identity-projection test are memoized on physical identity, for as long
+   as the returned function lives, and only at the nodes [keep] picks.  A
+   node whose rewrite changes nothing comes back physically unchanged, so an
+   already simplified query is returned [==]. *)
+let query ?keep env =
   let infer =
     lazy
-      (Algebra.Memo.fix (Algebra.Memo.create ()) (fun infer ->
+      (Algebra.Memo.fix ?keep (Algebra.Memo.create ()) (fun infer ->
            Algebra.infer_step (fun _ -> infer) env))
   in
   let infer q = Lazy.force infer q in
@@ -131,4 +132,4 @@ let query env =
         binary (fun l r -> Algebra.Full_outer_join (l, r, on)) l r
     | Algebra.Union_all (l, r) -> binary (fun l r -> Algebra.Union_all (l, r)) l r
   in
-  Algebra.Memo.fix (Algebra.Memo.create ()) step
+  Algebra.Memo.fix ?keep (Algebra.Memo.create ()) step

@@ -16,10 +16,13 @@ val cond : Cond.t -> Cond.t
     {!Cond.atoms_contradict}) and lone comparisons against [NULL] fold to
     [False].  Conditions without a contradiction come back unchanged. *)
 
-val query : Env.t -> Algebra.t -> Algebra.t
+val query : ?keep:(Algebra.t -> bool) -> Env.t -> Algebra.t -> Algebra.t
 (** Views are DAGs: [query env] creates one table keyed on physical
     identity, so applying it to several queries rewrites (and types) each
-    distinct subterm once across all of them.  A subterm whose rewrite
-    changes nothing comes back physically unchanged, so [query env q == q]
-    when [q] is already simplified.  The result is structurally the same as
-    rewriting each query as a tree. *)
+    distinct subterm once across all of them.  With [keep], the table holds
+    only the subterms [keep] picks ({!Phys_memo.S.fix}), so a long-lived
+    [query ~keep env] applied to a stream of queries around shared views
+    grows only with the views.  A subterm whose rewrite changes nothing
+    comes back physically unchanged, so [query env q == q] when [q] is
+    already simplified.  The result is structurally the same as rewriting
+    each query as a tree. *)

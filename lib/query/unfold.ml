@@ -67,6 +67,5 @@ let rec go env qv q =
       let* r', _ = go env qv r in
       Ok (Algebra.Union_all (l', r'), None)
 
-let client_query env qv q =
-  let* q', _ = go env qv q in
-  Ok (Simplify.query env q')
+let splice env qv q = Result.map fst (go env qv q)
+let client_query env qv q = Result.map (Simplify.query env) (splice env qv q)

@@ -11,4 +11,11 @@
     provenance flags cannot be translated and are reported as errors; the
     mapping compilers never build such queries. *)
 
+val splice : Env.t -> View.query_views -> Algebra.t -> (Algebra.t, string) result
+(** The client query with its scans replaced by the views themselves:
+    every spliced view is [==] to its query in [qv], so a caller holding
+    tables keyed on the views' nodes can reuse them.  Nothing is
+    simplified. *)
+
 val client_query : Env.t -> View.query_views -> Algebra.t -> (Algebra.t, string) result
+(** {!splice}, then [Simplify.query]. *)

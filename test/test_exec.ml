@@ -2,8 +2,11 @@
    produces must evaluate to the same bag of rows as [Query.Eval.rows] on the
    source query — on the paper example (including NULL join keys, outer joins
    and IS OF provenance guards), on random client states, and on random
-   models; and the session plan cache must recompile exactly when an SMO
-   moves the query views, with undo/redo landing back on cached plans. *)
+   models; key filters must reach both inputs of every join kind and turn
+   each customer key lookup into index probes; and the session must plan
+   against one planner context per generation of the query views, with
+   undo/redo landing back on planned generations, plans equal to a cold
+   [Planner.plan], and a size that a stream of distinct reads leaves flat. *)
 
 open Common
 module P = Workload.Paper_example
@@ -272,6 +275,180 @@ let prop_random_models =
     QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
     run_random_model_case
 
+(* -- differential: key filters through joins -------------------------------- *)
+
+(* Two tables joined on [K1], [K2] or both.  Each side renames the key
+   column it does not join on ([K2] -> [K2l] on the left), so only the [on]
+   columns are shared.  [K1] and [K2] are foreign keys on both sides, so an
+   equality on them can become an index probe. *)
+let kf_env =
+  let ref_table = Relational.Table.make ~name:"Ref" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null) ] in
+  let side name key payload =
+    let fk col =
+      { Relational.Table.fk_columns = [ col ]; ref_table = "Ref"; ref_columns = [ "Id" ] }
+    in
+    Relational.Table.make ~name ~key:[ key ] ~fks:[ fk "K1"; fk "K2" ]
+      [ (key, D.Int, `Not_null); ("K1", D.Int, `Null); ("K2", D.Int, `Null);
+        (payload, D.Int, `Null) ]
+  in
+  let store =
+    List.fold_left
+      (fun s t -> ok_exn (Relational.Schema.add_table t s))
+      Relational.Schema.empty
+      [ ref_table; side "L" "Lid" "A"; side "R" "Rid" "B" ]
+  in
+  Query.Env.make ~client:Edm.Schema.empty ~store
+
+let kf_side table ~on ~suffix =
+  A.Project
+    (List.map
+       (fun c ->
+         if List.mem c on || not (List.mem c [ "K1"; "K2" ]) then A.col c
+         else A.col_as c (c ^ suffix))
+       (Query.Env.table_columns kf_env table),
+     A.Scan (A.Table table))
+
+(* Keys and payloads from a small domain with NULL, so rows match, miss
+   (a key present on one side only) and carry NULL keys on both sides. *)
+let gen_kf_value =
+  QCheck.Gen.(frequency [ (1, return V.Null); (4, map (fun n -> V.Int n) (int_range 1 3)) ])
+
+let gen_kf_rows key payload =
+  QCheck.Gen.(
+    let* n = int_range 0 6 in
+    let* vals = list_repeat n (triple gen_kf_value gen_kf_value gen_kf_value) in
+    return
+      (List.mapi
+         (fun i (k1, k2, x) -> row [ (key, V.Int i); ("K1", k1); ("K2", k2); (payload, x) ])
+         vals))
+
+(* An atom over the join columns only: any comparison (the constant may be
+   absent from both sides, or NULL), IS NULL, IS NOT NULL, or a disjunction
+   of two of them. *)
+let gen_key_atom on =
+  QCheck.Gen.(
+    let atom =
+      let* col = oneofl on in
+      let* op = oneofl [ C.Eq; C.Neq; C.Lt; C.Le; C.Gt; C.Ge ] in
+      let* v = frequency [ (6, map (fun n -> V.Int n) (int_range 1 4)); (1, return V.Null) ] in
+      oneof [ return (C.Cmp (col, op, v)); return (C.Is_null col); return (C.Is_not_null col) ]
+    in
+    frequency [ (4, atom); (1, map2 (fun a b -> C.Or (a, b)) atom atom) ])
+
+(* An atom that reads a column outside [on]: a payload, a renamed key, or a
+   disjunction mixing a join column with one of those. *)
+let gen_other_atom on others =
+  QCheck.Gen.(
+    let other =
+      let* col = oneofl others in
+      let* v = map (fun n -> V.Int n) (int_range 1 3) in
+      oneofl [ C.Cmp (col, C.Eq, v); C.Cmp (col, C.Gt, v); C.Is_null col ]
+    in
+    frequency [ (2, other); (1, map2 (fun k o -> C.Or (k, o)) (gen_key_atom on) other) ])
+
+type kf_case = {
+  kind : Query.Join.kind;
+  on : string list;
+  conjuncts : C.t list;
+  l : Datum.Row.t list;
+  r : Datum.Row.t list;
+}
+
+let gen_kf_case =
+  QCheck.Gen.(
+    let* kind = oneofl [ Query.Join.Inner; Query.Join.Left; Query.Join.Full ] in
+    let* on = oneofl [ [ "K1" ]; [ "K2" ]; [ "K1"; "K2" ] ] in
+    let others =
+      [ "A"; "B" ]
+      @ List.concat_map
+          (fun k -> if List.mem k on then [] else [ k ^ "l"; k ^ "r" ])
+          [ "K1"; "K2" ]
+    in
+    let* keys = list_size (int_range 1 3) (gen_key_atom on) in
+    let* rest = list_size (int_range 0 2) (gen_other_atom on others) in
+    let* conjuncts = shuffle_l (keys @ rest) in
+    let* l = gen_kf_rows "Lid" "A" in
+    let* r = gen_kf_rows "Rid" "B" in
+    return { kind; on; conjuncts; l; r })
+
+let kf_query c =
+  let l = kf_side "L" ~on:c.on ~suffix:"l" and r = kf_side "R" ~on:c.on ~suffix:"r" in
+  let join =
+    match c.kind with
+    | Query.Join.Inner -> A.Join (l, r, c.on)
+    | Query.Join.Left -> A.Left_outer_join (l, r, c.on)
+    | Query.Join.Full -> A.Full_outer_join (l, r, c.on)
+  in
+  A.Select (C.conj c.conjuncts, join)
+
+let arb_kf_case = QCheck.make ~print:(fun c -> A.show (kf_query c)) gen_kf_case
+
+(* Exec agrees with Eval on σf over each join kind, and an equality on a
+   join column puts an index probe on both inputs, unless simplification
+   folds the filter to FALSE. *)
+let prop_key_filter_pushdown =
+  qtest "key filters through joins ≡ Eval.rows" ~count:500 arb_kf_case (fun c ->
+      let store =
+        Relational.Instance.(set_rows ~table:"R" c.r (set_rows ~table:"L" c.l empty))
+      in
+      let plan = check_exec ~msg:"key filter" kf_env (Query.Eval.store_db store) (kf_query c) in
+      let key_eq = function
+        | C.Cmp (col, C.Eq, v) -> List.mem col c.on && not (V.is_null v)
+        | _ -> false
+      in
+      if
+        List.exists key_eq c.conjuncts
+        && Query.Simplify.cond (C.conj c.conjuncts) <> C.False
+        && Plan.index_scans plan <> 2
+      then
+        QCheck.Test.fail_reportf "expected an index probe on both inputs:@.%s" (Plan.show plan);
+      true)
+
+(* -- customer key lookups --------------------------------------------------- *)
+
+let customer =
+  lazy
+    (let env, frags = Workload.Customer.generate () in
+     Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags)))
+
+let key_lookup schema set id =
+  let root = Option.get (Edm.Schema.set_root schema set) in
+  match Edm.Schema.key_of schema root with
+  | [ key ] -> A.Select (C.Cmp (key, C.Eq, V.Int id), A.Scan (A.Entity_set set))
+  | _ -> Alcotest.failf "%s: composite key" set
+
+(* Every scan of every customer key lookup is an index probe, and the rows
+   are [Query.Eval]'s, on the instance the serve benchmark reads. *)
+let test_customer_key_lookups () =
+  let st = Lazy.force customer in
+  let env = st.Core.State.env in
+  let schema = env.Query.Env.client in
+  let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 schema in
+  let store = ok_exn (Query.View.apply_update_views env st.Core.State.update_views inst) in
+  let db = Query.Eval.store_db store in
+  let idb = Idb.make env db in
+  let session = Core.Session.start st in
+  List.iter
+    (fun (set, root) ->
+      let key = List.hd (Edm.Schema.key_of schema root) in
+      let ids =
+        List.filter_map
+          (fun (e : Edm.Instance.entity) ->
+            match Datum.Row.get key e.Edm.Instance.attrs with V.Int n -> Some n | _ -> None)
+          (Edm.Instance.entities inst ~set)
+      in
+      List.iter
+        (fun id ->
+          let q = key_lookup schema set id in
+          let plan = ok_exn (Core.Session.query_plan session q) in
+          let msg = Printf.sprintf "%s key %d" set id in
+          check Alcotest.int (msg ^ ": every scan is an index probe") (Plan.scans plan)
+            (Plan.index_scans plan);
+          let unfolded = ok_exn (Query.Unfold.client_query env st.Core.State.query_views q) in
+          check_bags msg (Query.Eval.rows env db unfolded) (Run.rows idb plan))
+        [ List.hd ids; List.nth ids (List.length ids / 2); -1 ])
+    (Edm.Schema.entity_sets schema)
+
 (* -- session plan cache ----------------------------------------------------- *)
 
 (* Stage 1 -> Add_entity Employee, as in the paper pipeline. *)
@@ -299,53 +476,90 @@ let cache_counts f =
 let expect_cache msg ~hit ~miss (got_hit, got_miss) =
   check Alcotest.(pair int int) (msg ^ ": (hit, miss)") (hit, miss) (got_hit, got_miss)
 
+(* The plan a cold one-shot [Planner.plan] gives for [q] over [st]. *)
+let cold_plan st q =
+  let env = st.Core.State.env in
+  ok_exn (Planner.plan env (ok_exn (Query.Unfold.client_query env st.Core.State.query_views q)))
+
+let check_cold msg s q plan =
+  check Alcotest.string (msg ^ ": agrees with a cold plan")
+    (Plan.show (cold_plan (Core.Session.current s) q))
+    (Plan.show plan)
+
+(* Hits and misses count planner-context reuse: one miss per generation of
+   the query views, then hits, whatever the query. *)
 let test_plan_cache () =
   let s1 = Workload.Paper_example.stage1 in
   let st = ok_exn (Core.State.bootstrap s1.P.env s1.P.fragments) in
   let session = Core.Session.start st in
   let q = A.Scan (A.Entity_set "Persons") in
-  let query s = cache_counts (fun () -> ok_exn (Core.Session.query_plan s q)) in
-  let plan0, h, m = query session in
-  expect_cache "first compile" ~hit:0 ~miss:1 (h, m);
-  let plan0', h, m = query session in
-  expect_cache "repeat is cached" ~hit:1 ~miss:0 (h, m);
-  checkb "same physical plan" true (plan0 == plan0');
-  (* an SMO moves the query views: same query must recompile *)
+  let query msg s =
+    let plan, h, m = cache_counts (fun () -> ok_exn (Core.Session.query_plan s q)) in
+    check_cold msg s q plan;
+    (plan, h, m)
+  in
+  let plan0, h, m = query "first read" session in
+  expect_cache "first read" ~hit:0 ~miss:1 (h, m);
+  let _, h, m = query "repeat" session in
+  expect_cache "repeat reuses the generation" ~hit:1 ~miss:0 (h, m);
+  (* an SMO moves the query views: a new generation *)
   let session' = ok_v (Core.Session.apply session employee_smo) in
-  let plan1, h, m = query session' in
+  let plan1, h, m = query "after SMO" session' in
   expect_cache "after SMO" ~hit:0 ~miss:1 (h, m);
-  checkb "recompiled against the new views" false (plan0 == plan1);
-  (* undo returns to the old views: the original plan is still cached *)
+  checkb "planned against the new views" false (Plan.show plan0 = Plan.show plan1);
+  (* undo returns to the old views, still planned *)
   let undone =
     match Core.Session.undo session' with
     | Some s -> s
     | None -> Alcotest.fail "undo failed"
   in
-  let plan_undo, h, m = query undone in
+  let _, h, m = query "after undo" undone in
   expect_cache "after undo" ~hit:1 ~miss:0 (h, m);
-  checkb "undo restores the cached plan" true (plan0 == plan_undo);
   (* and redo lands back on the post-SMO generation *)
   let redone =
     match Core.Session.redo undone with
     | Some s -> s
     | None -> Alcotest.fail "redo failed"
   in
-  let plan_redo, h, m = query redone in
-  expect_cache "after redo" ~hit:1 ~miss:0 (h, m);
-  checkb "redo restores the recompiled plan" true (plan1 == plan_redo)
+  let _, h, m = query "after redo" redone in
+  expect_cache "after redo" ~hit:1 ~miss:0 (h, m)
 
-let test_plan_cache_per_query () =
+let test_one_context_per_generation () =
   let s1 = Workload.Paper_example.stage1 in
   let st = ok_exn (Core.State.bootstrap s1.P.env s1.P.fragments) in
   let session = Core.Session.start st in
   let q1 = A.Scan (A.Entity_set "Persons") in
   let q2 = A.project_cols [ "Id" ] (A.Scan (A.Entity_set "Persons")) in
-  let _, h, m = cache_counts (fun () -> ok_exn (Core.Session.query_plan session q1)) in
-  expect_cache "q1 compiles" ~hit:0 ~miss:1 (h, m);
-  let _, h, m = cache_counts (fun () -> ok_exn (Core.Session.query_plan session q2)) in
-  expect_cache "q2 compiles separately" ~hit:0 ~miss:1 (h, m);
-  let _, h, m = cache_counts (fun () -> ok_exn (Core.Session.query_plan session q1)) in
-  expect_cache "q1 still cached" ~hit:1 ~miss:0 (h, m)
+  let read msg q =
+    let plan, h, m = cache_counts (fun () -> ok_exn (Core.Session.query_plan session q)) in
+    check_cold msg session q plan;
+    (plan, (h, m))
+  in
+  let p1, hm = read "q1" q1 in
+  expect_cache "q1 opens the generation" ~hit:0 ~miss:1 hm;
+  let p2, hm = read "q2" q2 in
+  expect_cache "q2 reuses it" ~hit:1 ~miss:0 hm;
+  checkb "each query its own plan" false (Plan.show p1 = Plan.show p2);
+  let _, hm = read "q1 again" q1 in
+  expect_cache "q1 reuses it" ~hit:1 ~miss:0 hm
+
+(* Distinct point reads leave the session's size flat: the planner context
+   holds only view nodes, never a client query or its plan. *)
+let test_plan_memory_flat () =
+  let st = Lazy.force customer in
+  let schema = st.Core.State.env.Query.Env.client in
+  let sets = Array.of_list (List.map fst (Edm.Schema.entity_sets schema)) in
+  let session = Core.Session.start st in
+  let read i =
+    let set = sets.(i mod Array.length sets) in
+    ignore (ok_exn (Core.Session.query_plan session (key_lookup schema set i)))
+  in
+  read 0;
+  let words () = Obj.reachable_words (Obj.repr session) in
+  let w0 = words () in
+  for i = 1 to 10_000 do read i done;
+  let grown_mb = float_of_int (words () - w0) *. float_of_int (Sys.word_size / 8) /. 1e6 in
+  if grown_mb > 0.25 then Alcotest.failf "session grew by %.2f MB over 10,000 reads" grown_mb
 
 let () =
   Alcotest.run "exec"
@@ -367,10 +581,13 @@ let () =
           Alcotest.test_case "matches client semantics" `Quick
             test_exec_matches_client_semantics;
         ] );
-      ("differential", [ prop_random_states; prop_random_models ]);
+      ("differential", [ prop_random_states; prop_random_models; prop_key_filter_pushdown ]);
+      ( "key lookups",
+        [ Alcotest.test_case "customer lookups probe indexes" `Quick test_customer_key_lookups ] );
       ( "plan cache",
         [
           Alcotest.test_case "SMO invalidates, undo/redo restore" `Quick test_plan_cache;
-          Alcotest.test_case "cache is per query" `Quick test_plan_cache_per_query;
+          Alcotest.test_case "one context for every query" `Quick test_one_context_per_generation;
+          Alcotest.test_case "flat over distinct reads" `Quick test_plan_memory_flat;
         ] );
     ]
