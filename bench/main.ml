@@ -12,6 +12,9 @@
      lint  — static lint vs full validation (E11); writes BENCH_lint.json
      ivm   — update-translation scaling, IVM vs full diff; writes BENCH_ivm.json
      exec  — physical execution vs naive evaluation; writes BENCH_exec.json
+     edit  — the persisted Fig. 7 loop on the customer model, layer by
+             layer (load, each suite SMO, each lint pass, save); writes
+             BENCH_edit.json
 
    `dune exec bench/main.exe` runs everything; pass a subset of the mode
    names to restrict, and `--chain-size N` to scale the Fig. 9 model. *)
@@ -924,6 +927,76 @@ let lint_bench () =
   write_bench_json ~path:"BENCH_lint.json" ~label:"lint sweep" (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
+(* The persisted Fig. 7 loop (e2ebench's edit workload), layer by       *)
+(* layer: what loading the customer .imcs, each suite SMO, each lint    *)
+(* pass and saving cost on their own.                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The median wall time over [runs] calls of [f], each on a collected heap,
+   and the megabytes one call allocates (the same on every call). *)
+let layer ?(runs = 7) f =
+  let samples =
+    List.init runs (fun _ ->
+        Gc.full_major ();
+        let _, dt, mb = wall_alloc f in
+        (dt *. 1e3, mb))
+  in
+  let ms = List.sort Float.compare (List.map fst samples) in
+  (List.nth ms (runs / 2), snd (List.hd samples))
+
+let edit_bench () =
+  header "Edit -- the persisted Fig. 7 loop on the customer model, by layer";
+  let ok = function Ok x -> x | Error e -> failwith e in
+  let env, frags = Workload.Customer.generate () in
+  let compiled = ok (Fullc.Compile.compile ~validate:false ~jobs:1 env frags) in
+  let text = Surface.State_io.save (Core.State.of_compiled env frags compiled) in
+  let st = ok (Surface.State_io.load text) in
+  let env = st.Core.State.env and frags = st.Core.State.fragments in
+  let qv, uv = (st.Core.State.query_views, st.Core.State.update_views) in
+  let memo = ref (Lint.Passes.new_memo ()) in
+  let rows =
+    [ ("load", "surface", fun () -> ignore (ok (Surface.State_io.load text))) ]
+    @ List.map
+        (fun (label, smo) ->
+          (label, "smo", fun () -> ignore (Core.Engine.apply ~jobs:1 st smo)))
+        (Workload.Customer.smo_suite ())
+    @ [
+        ( "fragments", "lint",
+          fun () ->
+            memo := Lint.Passes.new_memo ();
+            ignore
+              (List.concat_map (Lint.Passes.fragment_diags ~memo:!memo env)
+                 (Mapping.Fragments.to_list frags)) );
+        ("model", "lint", fun () -> ignore (Lint.Passes.model_diags ~memo:!memo env frags));
+        ("views", "lint", fun () -> ignore (Lint.Passes.view_diags env qv uv));
+        ("wf", "lint", fun () -> ignore (Lint.Wf.check env qv uv));
+        ("save", "surface", fun () -> ignore (Surface.State_io.save st));
+      ]
+  in
+  Printf.printf "%-10s %-8s %10s %10s\n%!" "layer" "kind" "ms" "MB";
+  let measured =
+    List.map
+      (fun (name, kind, f) ->
+        let ms, mb = layer f in
+        Printf.printf "%-10s %-8s %10.3f %10.2f\n%!" name kind ms mb;
+        (name, kind, ms, mb))
+      rows
+  in
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf
+    (Printf.sprintf "{\n  \"model\": \"customer\",\n  \"state_bytes\": %d,\n  \"rows\": ["
+       (String.length text));
+  List.iteri
+    (fun i (name, kind, ms, mb) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf
+        (Printf.sprintf "\n    { \"layer\": %S, \"kind\": %S, \"ms\": %.3f, \"alloc_mb\": %.2f }"
+           name kind ms mb))
+    measured;
+  Buffer.add_string buf "\n  ]\n}\n";
+  write_bench_json ~path:"BENCH_edit.json" ~label:"edit layers" (Buffer.contents buf)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -939,12 +1012,12 @@ let () =
     List.filter
       (fun a ->
         List.mem a
-          [ "fig2"; "fig4"; "fig9"; "fig10"; "ablation"; "par"; "obs"; "ivm"; "exec"; "lint" ])
+          [ "fig2"; "fig4"; "fig9"; "fig10"; "ablation"; "par"; "obs"; "ivm"; "exec"; "lint"; "edit" ])
       args
   in
   let modes =
     if modes = [] then
-      [ "fig2"; "fig4"; "fig9"; "fig10"; "ablation"; "par"; "obs"; "ivm"; "exec"; "lint" ]
+      [ "fig2"; "fig4"; "fig9"; "fig10"; "ablation"; "par"; "obs"; "ivm"; "exec"; "lint"; "edit" ]
     else modes
   in
   List.iter
@@ -959,5 +1032,6 @@ let () =
       | "ivm" -> ivm ()
       | "exec" -> exec_bench ()
       | "lint" -> lint_bench ()
+      | "edit" -> edit_bench ()
       | _ -> ())
     modes

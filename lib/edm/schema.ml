@@ -2,11 +2,29 @@ module M = Map.Make (String)
 
 type t = {
   ty : Entity_type.t M.t;        (* entity types by name *)
+  kids : string list M.t;        (* parent -> its children, ascending; no empty lists *)
   sets : string M.t;             (* entity-set name -> root type name *)
   assocs : Association.t M.t;    (* associations by name *)
 }
 
-let empty = { ty = M.empty; sets = M.empty; assocs = M.empty }
+(* [kids] is an index over the [parent] fields of [ty]: every operation that
+   adds, removes or reparents a type updates it, so the hierarchy queries
+   below never scan the type map. *)
+let empty = { ty = M.empty; kids = M.empty; sets = M.empty; assocs = M.empty }
+
+let add_child ~parent c kids =
+  let rec insert = function
+    | [] -> [ c ]
+    | x :: rest as l -> if String.compare c x < 0 then c :: l else x :: insert rest
+  in
+  M.update parent (fun l -> Some (insert (Option.value l ~default:[]))) kids
+
+let remove_child ~parent c kids =
+  M.update parent
+    (function
+      | None -> None
+      | Some l -> ( match List.filter (fun x -> x <> c) l with [] -> None | l -> Some l))
+    kids
 
 let ( let* ) r f = Result.bind r f
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -22,11 +40,7 @@ let get_type t name =
 let types t = List.map snd (M.bindings t.ty)
 let parent t name = (get_type t name).Entity_type.parent
 
-let children t name =
-  M.fold
-    (fun _ (e : Entity_type.t) acc -> if e.parent = Some name then e.name :: acc else acc)
-    t.ty []
-  |> List.sort String.compare
+let children t name = Option.value (M.find_opt name t.kids) ~default:[]
 
 let ancestors t name =
   let rec up acc n =
@@ -34,21 +48,11 @@ let ancestors t name =
   in
   up [] name
 
-(* One pass over the type map builds the child index, so walking a subtree is
-   O(types + subtree) rather than a full-map fold per node — this sits under
-   [subtypes] and therefore under every hierarchy-wide analysis. *)
+(* Reads the child index, so walking a subtree costs only the subtree; this
+   sits under [subtypes] and therefore under every hierarchy-wide analysis. *)
 let descendants t name =
-  let by_parent = Hashtbl.create 16 in
-  M.iter
-    (fun _ (e : Entity_type.t) ->
-      match e.parent with Some p -> Hashtbl.add by_parent p e.name | None -> ())
-    t.ty;
-  (* [M.iter] visits keys in ascending order and [find_all] returns newest
-     first, so reversing restores the sorted order [children] guarantees. *)
-  let rec walk n =
-    List.concat_map (fun c -> c :: walk c) (List.rev (Hashtbl.find_all by_parent n))
-  in
-  walk name
+  let rec walk n acc = List.fold_right (fun c acc -> c :: walk c acc) (children t n) acc in
+  walk name []
 
 let subtypes t name = name :: descendants t name
 let is_subtype t ~sub ~sup = sub = sup || List.mem sup (ancestors t sub)
@@ -147,7 +151,7 @@ let add_derived (e : Entity_type.t) t =
   let* () = if not (mem_type t p) then fail "unknown parent type %s" p else Ok () in
   let* () = if e.key <> [] then fail "derived type %s must not declare a key" e.name else Ok () in
   let* () = check_no_shadowing t ~parent:p e.declared in
-  Ok { t with ty = M.add e.name e t.ty }
+  Ok { t with ty = M.add e.name e t.ty; kids = add_child ~parent:p e.name t.kids }
 
 let add_association (a : Association.t) t =
   let* () =
@@ -167,12 +171,13 @@ let remove_type name t =
   else if children t name <> [] then fail "entity type %s has derived types" name
   else if associations_on t name <> [] then fail "entity type %s is an association endpoint" name
   else
-    let sets =
+    let sets, kids =
       match set_of_type t name, parent t name with
-      | Some set, None -> M.remove set t.sets
-      | _, _ -> t.sets
+      | Some set, None -> (M.remove set t.sets, t.kids)
+      | _, Some p -> (t.sets, remove_child ~parent:p name t.kids)
+      | None, None -> (t.sets, t.kids)
     in
-    Ok { t with ty = M.remove name t.ty; sets }
+    Ok { t with ty = M.remove name t.ty; kids; sets }
 
 let remove_subtree name t =
   if not (mem_type t name) then fail "unknown entity type %s" name
@@ -255,7 +260,7 @@ let reparent ~etype ~parent:p t =
   in
   let e = { e with Entity_type.parent = Some p; key = [] } in
   let sets = M.filter (fun _ r -> r <> etype) t.sets in
-  Ok { t with ty = M.add etype e t.ty; sets }
+  Ok { t with ty = M.add etype e t.ty; kids = add_child ~parent:p etype t.kids; sets }
 
 (* -- whole-schema check -------------------------------------------------- *)
 
@@ -303,6 +308,7 @@ let well_formed t =
       else Ok ())
     (Ok ()) (associations t)
 
+(* [kids] is derived from [ty], so it takes no part. *)
 let equal a b =
   M.equal Entity_type.equal a.ty b.ty
   && M.equal String.equal a.sets b.sets

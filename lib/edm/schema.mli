@@ -56,7 +56,11 @@ val reparent : etype:string -> parent:string -> t -> (t, string) result
     descendants follow it into the parent's hierarchy.  Fails if [etype] is
     not a root, if a cycle would form, or if attributes would clash. *)
 
-(** {1 Hierarchy queries} *)
+(** {1 Hierarchy queries}
+
+    The schema keeps an index from each type to its children, which the
+    evolution operations above maintain, so {!children}, {!descendants} and
+    {!subtypes} cost the size of their result. *)
 
 val mem_type : t -> string -> bool
 val find_type : t -> string -> Entity_type.t option
@@ -65,6 +69,7 @@ val types : t -> Entity_type.t list
 
 val parent : t -> string -> string option
 val children : t -> string -> string list
+(** Direct children in ascending name order. *)
 val ancestors : t -> string -> string list
 (** Proper ancestors, nearest first. *)
 

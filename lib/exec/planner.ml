@@ -3,12 +3,6 @@ module C = Query.Cond
 
 let ( let* ) = Result.bind
 
-(* Split a condition into its top-level conjuncts. *)
-let rec conjuncts = function
-  | C.True -> []
-  | C.And (a, b) -> conjuncts a @ conjuncts b
-  | c -> [ c ]
-
 (* Columns a conjunct reads, counting the type column for type atoms. *)
 let cond_columns c =
   let cols = C.columns c in
@@ -127,7 +121,9 @@ let context env views =
 
 let rec lower ctx filters q =
   match q with
-  | A.Select (c, q) -> lower ctx (conjuncts c @ filters) q
+  | A.Select (c, q) ->
+      let keep c filters = match c with C.True -> filters | c -> c :: filters in
+      lower ctx (List.fold_right keep (C.conjuncts c) filters) q
   | A.Scan src ->
       let access, residual = pick_index ctx.env src filters in
       Plan.Scan { source = src; access; filter = C.conj residual; proj = None }

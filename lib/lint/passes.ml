@@ -38,7 +38,8 @@ let rec approx client ~ty ~attrs c =
 (* -- Hierarchy snapshot --------------------------------------------------- *)
 
 (* Everything the passes read about one hierarchy, gathered once.  The
-   [Edm.Schema] attribute accessors rebuild the inherited attribute list on
+   [Edm.Schema] hierarchy queries read a child index, but its attribute
+   accessors still walk the ancestry and concatenate the declared lists on
    every call, which is fine interactively but dominates a whole-model sweep;
    a [memo] shares these snapshots across the fragments of a run.  The
    caller must not reuse it across schema changes; [Analyze.run], its only
@@ -134,7 +135,7 @@ let entity_fragment_diags ?memo env (f : Fragment.t) set tbl add =
       let key = hier.key in
       let sel = selected_info client hier f.client_cond in
       let forced_not_null =
-        Mapping.Coverage.conjuncts f.client_cond
+        Query.Cond.conjuncts f.client_cond
         |> List.filter_map (function
              | Cond.Is_not_null a | Cond.Cmp (a, _, _) -> Some a
              | _ -> None)

@@ -1,11 +1,7 @@
-let rec conjuncts = function
-  | Query.Cond.And (a, b) -> conjuncts a @ conjuncts b
-  | c -> [ c ]
-
 let determined_constants cond =
   List.filter_map
     (function Query.Cond.Cmp (a, Query.Cond.Eq, v) -> Some (a, v) | _ -> None)
-    (conjuncts cond)
+    (Query.Cond.conjuncts cond)
 
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt

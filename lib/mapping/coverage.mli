@@ -11,6 +11,3 @@ val attribute_coverage :
 val determined_constants : Query.Cond.t -> (string * Datum.Value.t) list
 (** Attribute/column values forced by equality conjuncts of a condition
     (e.g. [gender = 'M'], or a TPH discriminator on the store side). *)
-
-val conjuncts : Query.Cond.t -> Query.Cond.t list
-(** Top-level AND structure. *)

@@ -12,6 +12,16 @@ type t =
   | Or of t * t
 [@@deriving eq, ord]
 
+module Memo = Phys_memo.Make (struct
+  type nonrec t = t
+
+  let iter_children f = function
+    | And (a, b) | Or (a, b) ->
+        f a;
+        f b
+    | True | False | Is_of _ | Is_of_only _ | Is_null _ | Is_not_null _ | Cmp _ -> ()
+end)
+
 let rec pp fmt = function
   | True -> Format.pp_print_string fmt "TRUE"
   | False -> Format.pp_print_string fmt "FALSE"
@@ -29,6 +39,12 @@ let show c = Format.asprintf "%a" pp c
 
 let conj = function [] -> True | c :: rest -> List.fold_left (fun acc x -> And (acc, x)) c rest
 let disj = function [] -> False | c :: rest -> List.fold_left (fun acc x -> Or (acc, x)) c rest
+
+(* One accumulator, so the left-nested chains [conj] builds split in linear
+   time. *)
+let conjuncts c =
+  let rec go c acc = match c with And (a, b) -> go a (go b acc) | c -> c :: acc in
+  go c []
 
 let eval_cmp op va vb =
   if Datum.Value.is_null va || Datum.Value.is_null vb then false

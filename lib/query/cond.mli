@@ -20,6 +20,11 @@ type t =
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+module Memo : Phys_memo.S with type node := t
+(** {!Phys_memo.Make} over conditions: the views' selections and CASE
+    guards share their conjunction chains. *)
+
 val pp : Format.formatter -> t -> unit
 val show : t -> string
 val pp_cmp : Format.formatter -> cmp -> unit
@@ -27,6 +32,11 @@ val pp_cmp : Format.formatter -> cmp -> unit
 val conj : t list -> t
 val disj : t list -> t
 (** n-ary connectives; [conj [] = True], [disj [] = False]. *)
+
+val conjuncts : t -> t list
+(** The top-level AND structure, left to right: the leaves of the [And]
+    nodes reached from the root without passing another connective.  Linear
+    in the result. *)
 
 val eval_cmp : cmp -> Datum.Value.t -> Datum.Value.t -> bool
 (** SQL comparison of two values; false whenever either is [NULL]. *)

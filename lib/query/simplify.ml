@@ -1,7 +1,5 @@
 (* -- condition cleanup ---------------------------------------------------- *)
 
-let rec conjuncts = function Cond.And (a, b) -> conjuncts a @ conjuncts b | c -> [ c ]
-
 let is_atom = function
   | Cond.True | Cond.False | Cond.And _ | Cond.Or _ -> false
   | Cond.Is_of _ | Cond.Is_of_only _ | Cond.Is_null _ | Cond.Is_not_null _ | Cond.Cmp _ -> true
@@ -31,7 +29,7 @@ let rec fold_contradictions ~top c =
         if
           top
           &&
-          let atoms = List.filter is_atom (conjuncts c') in
+          let atoms = List.filter is_atom (Cond.conjuncts c') in
           List.exists unsat_atom atoms || exists_pair Cond.atoms_contradict atoms
         then Cond.False
         else c'

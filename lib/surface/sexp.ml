@@ -6,7 +6,7 @@ let list l = List l
 let needs_quoting s =
   s = ""
   || String.exists
-       (function ' ' | '\t' | '\n' | '(' | ')' | '"' | ';' -> true | _ -> false)
+       (function ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> true | _ -> false)
        s
 
 let escape s =
@@ -42,78 +42,78 @@ let to_string s =
 
 exception Parse_error of int * string
 
+(* The reader indexes [input] directly, with no option per look at a
+   character and no closure per atom or list: [of_string] reads whole saved
+   states. *)
 let parse_all input =
   let n = String.length input in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some input.[!pos] else None in
-  let advance () = incr pos in
+  let buf = Buffer.create 64 in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | Some ';' ->
-        (* comment to end of line *)
-        while peek () <> None && peek () <> Some '\n' do
-          advance ()
-        done;
-        skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match input.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' ->
+          incr pos;
+          skip_ws ()
+      | ';' ->
+          (* comment to end of line *)
+          while !pos < n && input.[!pos] <> '\n' do
+            incr pos
+          done;
+          skip_ws ()
+      | _ -> ()
+  in
+  let rec quoted () =
+    if !pos >= n then raise (Parse_error (!pos, "unterminated string"));
+    match input.[!pos] with
+    | '"' -> incr pos
+    | '\\' ->
+        incr pos;
+        if !pos >= n then raise (Parse_error (!pos, "unterminated escape"));
+        let c = input.[!pos] in
+        incr pos;
+        Buffer.add_char buf (if c = 'n' then '\n' else c);
+        quoted ()
+    | c ->
+        incr pos;
+        Buffer.add_char buf c;
+        quoted ()
   in
   let parse_quoted () =
-    advance ();
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> raise (Parse_error (!pos, "unterminated string"))
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-          | Some c -> advance (); Buffer.add_char b c; go ()
-          | None -> raise (Parse_error (!pos, "unterminated escape")))
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Atom (Buffer.contents b)
+    incr pos;
+    Buffer.clear buf;
+    quoted ();
+    Atom (Buffer.contents buf)
   in
   let parse_bare () =
     let start = !pos in
-    let rec go () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';') | None -> ()
-      | Some _ ->
-          advance ();
-          go ()
-    in
-    go ();
+    while
+      !pos < n
+      && match input.[!pos] with
+         | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> false
+         | _ -> true
+    do
+      incr pos
+    done;
     Atom (String.sub input start (!pos - start))
   in
   let rec parse_one () =
     skip_ws ();
-    match peek () with
-    | None -> raise (Parse_error (!pos, "unexpected end of input"))
-    | Some '(' ->
-        advance ();
-        let items = ref [] in
-        let rec go () =
-          skip_ws ();
-          match peek () with
-          | Some ')' -> advance ()
-          | None -> raise (Parse_error (!pos, "unclosed parenthesis"))
-          | Some _ ->
-              items := parse_one () :: !items;
-              go ()
-        in
-        go ();
-        List (List.rev !items)
-    | Some ')' -> raise (Parse_error (!pos, "unexpected )"))
-    | Some '"' -> parse_quoted ()
-    | Some _ -> parse_bare ()
+    if !pos >= n then raise (Parse_error (!pos, "unexpected end of input"));
+    match input.[!pos] with
+    | '(' ->
+        incr pos;
+        List (parse_items [])
+    | ')' -> raise (Parse_error (!pos, "unexpected )"))
+    | '"' -> parse_quoted ()
+    | _ -> parse_bare ()
+  and parse_items acc =
+    skip_ws ();
+    if !pos >= n then raise (Parse_error (!pos, "unclosed parenthesis"));
+    if input.[!pos] = ')' then (
+      incr pos;
+      List.rev acc)
+    else parse_items (parse_one () :: acc)
   in
   let out = ref [] in
   skip_ws ();

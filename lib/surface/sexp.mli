@@ -12,8 +12,10 @@ val atom : string -> t
 val list : t list -> t
 
 val to_string : t -> string
-(** Canonical rendering: atoms are quoted iff they contain delimiters or
-    quotes; lists are parenthesized with single-space separators. *)
+(** Canonical rendering: atoms are quoted iff they are empty or contain a
+    byte the reader stops a bare atom at (space, tab, LF, CR, parentheses,
+    double quote, semicolon); lists are parenthesized with single-space
+    separators.  [of_string (to_string s) = Ok s] for every [s]. *)
 
 val of_string : string -> (t, string) result
 (** Parse one s-expression; trailing garbage is an error.  Error messages

@@ -120,72 +120,94 @@ let entry_of_key = function
       | Query.Ctor.If _ -> not_a_leaf ())
   | If (c, a, b) -> Sexp.field "if" [ reference c; reference a; reference b ]
 
-type encoder = { ids : (key, int) Hashtbl.t; mutable entries : string list; mutable count : int }
-
-let encoder () = { ids = Hashtbl.create 4096; entries = []; count = 0 }
+(* The interned terms so far; [visits] counts the nodes the encoder looked up. *)
+type interned = {
+  ids : (key, int) Hashtbl.t;
+  mutable entries : string list;
+  mutable count : int;
+  mutable visits : int;
+}
 
 (* The index of the node [key], a new entry if no equal node came before. *)
-let intern enc key =
-  match Hashtbl.find_opt enc.ids key with
+let intern tbl key =
+  tbl.visits <- tbl.visits + 1;
+  match Hashtbl.find_opt tbl.ids key with
   | Some k -> k
   | None ->
-      let k = enc.count in
-      Hashtbl.add enc.ids key k;
-      enc.entries <- Sexp.to_string (entry_of_key key) :: enc.entries;
-      enc.count <- k + 1;
+      let k = tbl.count in
+      Hashtbl.add tbl.ids key k;
+      tbl.entries <- Sexp.to_string (entry_of_key key) :: tbl.entries;
+      tbl.count <- k + 1;
       k
 
-(* The encoders below bind children with [let] before building a key:
-   children are interned left to right, which fixes the table order. *)
+type encoder = {
+  terms : interned;
+  cond_ref : Query.Cond.t -> int;
+  query_ref : Query.Algebra.t -> int;
+  ctor_ref : Query.Ctor.t -> int;
+}
 
-let rec cond_ref enc c =
-  intern enc
-    (match c with
-    | Query.Cond.And (a, b) ->
-        let a = cond_ref enc a in
-        let b = cond_ref enc b in
-        And (a, b)
-    | Query.Cond.Or (a, b) ->
-        let a = cond_ref enc a in
-        let b = cond_ref enc b in
-        Or (a, b)
-    | atom -> Cond_atom atom)
-
-let rec query_ref enc q =
-  let binary kind l r on =
-    let l = query_ref enc l in
-    let r = query_ref enc r in
-    Join (kind, l, r, on)
+(* The views form a DAG, so each reference function is memoized on physical
+   identity: a subterm shared by many views is walked once, not once per
+   occurrence.  A node reached again had all its subterms interned on its
+   first visit, so skipping it adds no entry and the table order is the
+   tree walk's.  Children are bound with [let] before building a key, so they
+   are interned left to right, which fixes that order. *)
+let encoder () =
+  let terms = { ids = Hashtbl.create 4096; entries = []; count = 0; visits = 0 } in
+  let cond_ref =
+    Query.Cond.Memo.fix (Query.Cond.Memo.create ()) (fun cond_ref c ->
+        intern terms
+          (match c with
+          | Query.Cond.And (a, b) ->
+              let a = cond_ref a in
+              let b = cond_ref b in
+              And (a, b)
+          | Query.Cond.Or (a, b) ->
+              let a = cond_ref a in
+              let b = cond_ref b in
+              Or (a, b)
+          | atom -> Cond_atom atom))
   in
-  intern enc
-    (match q with
-    | Query.Algebra.Scan src -> Scan src
-    | Query.Algebra.Select (c, q) ->
-        let c = cond_ref enc c in
-        let q = query_ref enc q in
-        Select (c, q)
-    | Query.Algebra.Project (items, q) -> Project (items, query_ref enc q)
-    | Query.Algebra.Join (l, r, on) -> binary "join" l r on
-    | Query.Algebra.Left_outer_join (l, r, on) -> binary "loj" l r on
-    | Query.Algebra.Full_outer_join (l, r, on) -> binary "foj" l r on
-    | Query.Algebra.Union_all (l, r) ->
-        let l = query_ref enc l in
-        let r = query_ref enc r in
-        Union (l, r))
-
-let rec ctor_ref enc k =
-  intern enc
-    (match k with
-    | Query.Ctor.If (c, a, b) ->
-        let c = cond_ref enc c in
-        let a = ctor_ref enc a in
-        let b = ctor_ref enc b in
-        If (c, a, b)
-    | leaf -> Ctor_leaf leaf)
+  let query_ref =
+    Query.Algebra.Memo.fix (Query.Algebra.Memo.create ()) (fun query_ref q ->
+        let binary kind l r on =
+          let l = query_ref l in
+          let r = query_ref r in
+          Join (kind, l, r, on)
+        in
+        intern terms
+          (match q with
+          | Query.Algebra.Scan src -> Scan src
+          | Query.Algebra.Select (c, q) ->
+              let c = cond_ref c in
+              let q = query_ref q in
+              Select (c, q)
+          | Query.Algebra.Project (items, q) -> Project (items, query_ref q)
+          | Query.Algebra.Join (l, r, on) -> binary "join" l r on
+          | Query.Algebra.Left_outer_join (l, r, on) -> binary "loj" l r on
+          | Query.Algebra.Full_outer_join (l, r, on) -> binary "foj" l r on
+          | Query.Algebra.Union_all (l, r) ->
+              let l = query_ref l in
+              let r = query_ref r in
+              Union (l, r)))
+  in
+  let ctor_ref =
+    Query.Ctor.Memo.fix (Query.Ctor.Memo.create ()) (fun ctor_ref k ->
+        intern terms
+          (match k with
+          | Query.Ctor.If (c, a, b) ->
+              let c = cond_ref c in
+              let a = ctor_ref a in
+              let b = ctor_ref b in
+              If (c, a, b)
+          | leaf -> Ctor_leaf leaf))
+  in
+  { terms; cond_ref; query_ref; ctor_ref }
 
 let sexp_of_view enc (v : Query.View.t) =
-  let q = query_ref enc v.Query.View.query in
-  let c = ctor_ref enc v.Query.View.ctor in
+  let q = enc.query_ref v.Query.View.query in
+  let c = enc.ctor_ref v.Query.View.ctor in
   Sexp.field "view" [ reference q; reference c ]
 
 (* -- decoding terms ------------------------------------------------------------------- *)
@@ -552,8 +574,8 @@ let sexp_of_fragment enc (f : Mapping.Fragment.t) =
     | Mapping.Fragment.Set s -> Sexp.field "set" [ Sexp.string s ]
     | Mapping.Fragment.Assoc a -> Sexp.field "assoc" [ Sexp.string a ]
   in
-  let client_cond = reference (cond_ref enc f.Mapping.Fragment.client_cond) in
-  let store_cond = reference (cond_ref enc f.Mapping.Fragment.store_cond) in
+  let client_cond = reference (enc.cond_ref f.Mapping.Fragment.client_cond) in
+  let store_cond = reference (enc.cond_ref f.Mapping.Fragment.store_cond) in
   Sexp.field "frag"
     [
       source;
@@ -633,14 +655,15 @@ let save (st : Core.State.t) =
       [
         ("client", render_all (client_fields st.Core.State.env.Query.Env.client));
         ("store", render_all (store_fields st.Core.State.env.Query.Env.store));
-        ("terms", List.rev enc.entries);
+        ("terms", List.rev enc.terms.entries);
         ("fragments", render_all fragments);
         ("query_views", render_all (entity_views @ assoc_views));
         ("update_views", render_all update_views);
       ]
   in
   Obs.Span.add_attr "bytes" (string_of_int (String.length text));
-  Obs.Span.add_attr "terms" (string_of_int enc.count);
+  Obs.Span.add_attr "terms" (string_of_int enc.terms.count);
+  Obs.Span.add_attr "visits" (string_of_int enc.terms.visits);
   text
 
 (* The term table and the other five fields of a document.  A document without

@@ -46,9 +46,17 @@
     model the loaded state is about as large in memory as the compiled one,
     and the file about 180 KB.
 
+    [save] reaches the terms through physical-identity memo tables
+    ({!Query.Algebra.Memo} and its condition and constructor twins), so it
+    walks the views as the DAG they are: a shared subterm is visited once.
+    A node seen before has no new subterm, so this changes no byte of the
+    output.
+
     Both directions record [Obs] spans: [surface.io.parse] and
     [surface.io.decode] in [load], [surface.io.encode] in [save], each
-    tagged with the document's [bytes] and its [terms] count. *)
+    tagged with the document's [bytes] and its [terms] count.  The encode
+    span also carries [visits], the nodes the encoder looked up; on a loaded
+    state, where each term is one physical node, it equals [terms]. *)
 
 val save : Core.State.t -> string
 

@@ -71,7 +71,7 @@ module Wf = struct
     | Algebra.Select (c, sub) ->
         let* cols = nullability memo env sub in
         let refined =
-          Mapping.Coverage.conjuncts c
+          Query.Cond.conjuncts c
           |> List.filter_map (function
                | Cond.Is_not_null a -> Some a
                | Cond.Cmp (a, _, v) when not (Datum.Value.is_null v) -> Some a
@@ -121,7 +121,7 @@ module Wf = struct
   let guard_forces_not_null guard col =
     List.exists
       (fun g ->
-        Mapping.Coverage.conjuncts g
+        Query.Cond.conjuncts g
         |> List.exists (function
              | Cond.Is_not_null a -> String.equal a col
              | Cond.Cmp (a, _, v) -> String.equal a col && not (Datum.Value.is_null v)

@@ -171,6 +171,50 @@ let test_restrict_new_components () =
   check Alcotest.int "persons and employees kept" 4
     (List.length (Edm.Instance.entities restricted ~set:"Persons"))
 
+(* The child index under random evolution: after every operation of a
+   random sequence of [add_root], [add_derived], [remove_type],
+   [remove_subtree] and [reparent] (refused ones included), [children],
+   [descendants] and [subtypes] agree with {!Schema_walk}'s recomputation
+   over [types], and the schema stays well formed. *)
+let prop_child_index =
+  let gen_op =
+    QCheck.Gen.(
+      triple (frequency [ (1, return 0); (4, return 1); (1, return 2); (1, return 3); (2, return 4) ])
+        (int_bound 1000) (int_bound 1000))
+  in
+  qtest "child index matches a recomputation" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list (triple int int int)) (QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) gen_op))
+    (fun ops ->
+      let pick s i =
+        let names = List.map (fun (e : Edm.Entity_type.t) -> e.name) (Edm.Schema.types s) in
+        List.nth names (i mod List.length names)
+      in
+      let step (s, fresh) (kind, i, j) =
+        let name = Printf.sprintf "T%02d" fresh in
+        let r =
+          match kind with
+          | 0 ->
+              Edm.Schema.add_root ~set:(name ^ "s")
+                (Edm.Entity_type.root ~name ~key:[ name ^ "Id" ] [ (name ^ "Id", D.Int) ]) s
+          | 1 -> Edm.Schema.add_derived (Edm.Entity_type.derived ~name ~parent:(pick s i) []) s
+          | 2 -> Edm.Schema.remove_type (pick s i) s
+          | 3 -> Edm.Schema.remove_subtree (pick s i) s
+          | _ -> Edm.Schema.reparent ~etype:(pick s i) ~parent:(pick s j) s
+        in
+        let s = match r with Ok s' when Edm.Schema.types s' <> [] -> s' | _ -> s in
+        Schema_walk.check (Printf.sprintf "after op %d" fresh) s;
+        check_ok "well formed" (Edm.Schema.well_formed s);
+        (s, fresh + 1)
+      in
+      let seed =
+        ok_exn
+          (Edm.Schema.add_root ~set:"Rs"
+             (Edm.Entity_type.root ~name:"R" ~key:[ "RId" ] [ ("RId", D.Int) ])
+             Edm.Schema.empty)
+      in
+      ignore (List.fold_left step (seed, 0) ops);
+      true)
+
 let prop_conforming_generated =
   qtest "generator produces conforming instances" ~count:200 arb_client_instance (fun inst ->
       match Edm.Instance.conforms client inst with
@@ -190,6 +234,7 @@ let () =
           Alcotest.test_case "evolution" `Quick test_evolution;
           Alcotest.test_case "reparent" `Quick test_reparent;
           Alcotest.test_case "well-formed" `Quick test_well_formed;
+          prop_child_index;
         ] );
       ( "instance",
         [

@@ -33,14 +33,23 @@ let test_compiles () =
       check_wf (Printf.sprintf "seed %d" seed) (Core.State.of_compiled env frags c))
     (Lazy.force compiled)
 
-(* [Engine.apply] one SMO at a time, asserting well-formed views after every
-   accepted step; the first rejection aborts. *)
+(* [Engine.apply] one SMO at a time, asserting after every accepted step
+   well-formed views, a child index that matches a recomputation
+   ({!Schema_walk}), and a [save] that matches the tree-walk encoder
+   ({!State_io_tree}); the first rejection aborts. *)
 let apply_checked tag st smos =
   List.fold_left
     (fun acc smo ->
       Result.bind acc (fun st ->
           let r = Core.Engine.apply st smo in
-          Result.iter (check_wf (tag ^ " after " ^ Core.Smo.name smo)) r;
+          Result.iter
+            (fun (st : Core.State.t) ->
+              let tag = tag ^ " after " ^ Core.Smo.name smo in
+              check_wf tag st;
+              Schema_walk.check tag st.Core.State.env.Query.Env.client;
+              checkb (tag ^ ": save matches the tree-walk encoder") true
+                (String.equal (Surface.State_io.save st) (State_io_tree.save st)))
+            r;
           r))
     (Ok st) smos
 

@@ -289,15 +289,23 @@ let test_diff_script_replays () =
 
 (* -- sexp ------------------------------------------------------------------------ *)
 
+(* Atoms are arbitrary byte strings, half of them over the bytes the reader
+   treats specially, so delimiters, escapes and CRs are common. *)
+let gen_atom =
+  QCheck.Gen.(
+    map Surface.Sexp.atom
+      (frequency
+         [
+           (1, string_size ~gen:char (int_bound 8));
+           (1, string_size ~gen:(oneofl [ ' '; '\t'; '\n'; '\r'; '('; ')'; '"'; ';'; '\\'; 'n'; '#'; 'a' ]) (int_bound 8));
+         ]))
+
 let rec gen_sexp n =
   QCheck.Gen.(
-    if n <= 1 then map Surface.Sexp.atom (oneofl [ "a"; "b c"; "with\"quote"; ""; "x(y)" ])
+    if n <= 1 then gen_atom
     else
       frequency
-        [
-          (1, map Surface.Sexp.atom (oneofl [ "atom"; "two words"; "semi;colon" ]));
-          (2, map Surface.Sexp.list (list_size (int_range 0 4) (gen_sexp (n / 2))));
-        ])
+        [ (1, gen_atom); (2, map Surface.Sexp.list (list_size (int_range 0 4) (gen_sexp (n / 2)))) ])
 
 let prop_sexp_roundtrip =
   qtest "s-expressions roundtrip" ~count:300
@@ -306,6 +314,41 @@ let prop_sexp_roundtrip =
       match Surface.Sexp.of_string (Surface.Sexp.to_string s) with
       | Ok s' -> Surface.Sexp.equal s s'
       | Error e -> QCheck.Test.fail_reportf "reparse failed: %s" e)
+
+(* A CR is whitespace to the reader, so an atom holding one must be quoted:
+   [(str a\rb)] used to read back as [(str a b)]. *)
+let test_sexp_cr () =
+  let s = Surface.Sexp.(list [ atom "str"; atom "a\rb" ]) in
+  checkb "an atom with a CR roundtrips" true
+    (Surface.Sexp.of_string (Surface.Sexp.to_string s) = Ok s)
+
+(* The indexing reader against the character-at-a-time one it replaced
+   ({!Sexp_tree}): the same trees or the same error message. *)
+let same_reading what text =
+  match (Surface.Sexp.of_string_many text, Sexp_tree.of_string_many text) with
+  | Ok a, Ok b -> if not (List.equal Surface.Sexp.equal a b) then Alcotest.failf "%s: different trees" what
+  | Error a, Error b -> check Alcotest.string (what ^ ": same error") b a
+  | Ok _, Error e -> Alcotest.failf "%s: only the oracle fails: %s" what e
+  | Error e, Ok _ -> Alcotest.failf "%s: only the reader fails: %s" what e
+
+let mutations ~seed ~count text f =
+  let rng = Random.State.make [| seed; String.length text |] in
+  for _ = 1 to count do
+    let b = Bytes.of_string text in
+    let pos = Random.State.int rng (Bytes.length b) in
+    let byte = Char.chr (Random.State.int rng 256) in
+    Bytes.set b pos byte;
+    f (Printf.sprintf "byte %d set to %C" pos byte) (Bytes.to_string b)
+  done
+
+let prop_reader_matches_oracle =
+  qtest "reader matches the oracle on printed sexps" ~count:300
+    (QCheck.make ~print:Surface.Sexp.to_string (gen_sexp 16))
+    (fun s ->
+      let text = Surface.Sexp.to_string s in
+      same_reading "printed" text;
+      same_reading "truncated" (String.sub text 0 (String.length text / 2));
+      true)
 
 (* -- state save/load ---------------------------------------------------------------- *)
 
@@ -577,6 +620,81 @@ let test_examples_fuzz () =
       done)
     files
 
+(* -- the oracles --------------------------------------------------------------------- *)
+
+(* The customer state as [imcc] loads it, and that state after each SMO of
+   the customer suite, each applied to the loaded state. *)
+let customer_loaded = lazy (ok_exn (load (save (Lazy.force customer_state))))
+
+let customer_suite_states =
+  lazy
+    (let st = Lazy.force customer_loaded in
+     List.map (fun (label, smo) -> (label, ok_v (Core.Engine.apply st smo))) (Workload.Customer.smo_suite ()))
+
+let example_texts () =
+  Sys.readdir example_dir |> Array.to_list |> List.sort String.compare
+  |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat example_dir f) In_channel.input_all))
+
+let test_reader_matches_oracle () =
+  let files = example_texts () in
+  check Alcotest.int "six example files" 6 (List.length files);
+  List.iter
+    (fun (file, text) ->
+      same_reading file text;
+      for i = 0 to String.length text - 1 do
+        same_reading (Printf.sprintf "%s, prefix of %d bytes" file i) (String.sub text 0 i)
+      done;
+      mutations ~seed:18 ~count:2000 text (fun what -> same_reading (file ^ ", " ^ what)))
+    files;
+  let base = save (Lazy.force customer_loaded) in
+  same_reading "customer" base;
+  List.iter (fun (label, st) -> same_reading ("customer after " ^ label) (save st))
+    (Lazy.force customer_suite_states);
+  mutations ~seed:21 ~count:200 base (fun what -> same_reading ("customer, " ^ what))
+
+(* [save] walks the views as a DAG; {!State_io_tree} walks them as trees.
+   They must write the same bytes. *)
+let same_as_tree_encoder what st =
+  let text = save st in
+  if not (String.equal text (State_io_tree.save st)) then
+    Alcotest.failf "%s: save differs from the tree-walk encoder" what
+
+let test_save_matches_oracle () =
+  List.iter
+    (fun (name, st) -> same_as_tree_encoder name (Lazy.force st))
+    [ ("paper", paper_state); ("chain-5", chain5_evolved); ("customer", customer_state);
+      ("customer loaded", customer_loaded) ];
+  List.iter (fun (label, st) -> same_as_tree_encoder ("customer after " ^ label) st)
+    (Lazy.force customer_suite_states)
+
+(* On a loaded state every term is one physical node, so the DAG walk
+   looks up each distinct term exactly once. *)
+let test_encode_visits () =
+  let st = Lazy.force customer_loaded in
+  Obs.Span.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () -> ignore (save st));
+  let span = List.hd (Obs.Span.roots ()) in
+  check Alcotest.string "the span" "surface.io.encode" (Obs.Span.name span);
+  let attr k = int_of_string (List.assoc k (Obs.Span.attrs span)) in
+  check Alcotest.int "visits = distinct terms" (attr "terms") (attr "visits");
+  Obs.Span.reset ()
+
+(* A string constant holding a CR survives [save] and [load]. *)
+let test_cr_constant () =
+  let st = Lazy.force paper_state in
+  let cr = C.Cmp ("Name", C.Eq, V.String "a\rb") in
+  let frags =
+    List.map
+      (fun (f : Mapping.Fragment.t) -> { f with Mapping.Fragment.client_cond = C.And (f.client_cond, cr) })
+      (Mapping.Fragments.to_list st.Core.State.fragments)
+  in
+  let st = { st with Core.State.fragments = Mapping.Fragments.of_list frags } in
+  let text = save st in
+  let st' = ok_exn (load text) in
+  checkb "fragments survive" true (Mapping.Fragments.equal st.Core.State.fragments st'.Core.State.fragments);
+  checkb "save (load t) = t" true (String.equal (save st') text)
+
 let () =
   Alcotest.run "surface"
     [
@@ -596,7 +714,13 @@ let () =
           Alcotest.test_case "SMO printing roundtrips" `Quick test_smo_print_parse_roundtrip;
           Alcotest.test_case "inferred diffs replay" `Quick test_diff_script_replays;
         ] );
-      ("sexp", [ prop_sexp_roundtrip ]);
+      ( "sexp",
+        [
+          prop_sexp_roundtrip;
+          Alcotest.test_case "CR is quoted" `Quick test_sexp_cr;
+          prop_reader_matches_oracle;
+          Alcotest.test_case "reader matches the oracle" `Quick test_reader_matches_oracle;
+        ] );
       ( "state io",
         [
           Alcotest.test_case "save/load roundtrip" `Quick test_state_roundtrip;
@@ -606,6 +730,9 @@ let () =
           Alcotest.test_case "customer save (load t) = t" `Quick test_customer_roundtrip;
           Alcotest.test_case "loaded state is shared" `Quick test_loaded_state_is_shared;
           Alcotest.test_case "bad references" `Quick test_bad_references;
+          Alcotest.test_case "save matches the tree-walk encoder" `Quick test_save_matches_oracle;
+          Alcotest.test_case "encoder visits each term once" `Quick test_encode_visits;
+          Alcotest.test_case "CR in a string constant" `Quick test_cr_constant;
           prop_load_never_raises;
         ] );
     ]
