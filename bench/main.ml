@@ -10,11 +10,12 @@
      par   — obligation-discharge jobs sweep (1/2/4); writes BENCH_par.json
      obs   — per-phase span breakdown via lib/obs; writes BENCH_obs.json
      lint  — static lint vs full validation (E11); writes BENCH_lint.json
-     ivm   — update-translation scaling, IVM vs full diff; writes BENCH_ivm.json
+     ivm   — update-translation scaling, IVM vs full diff, and the cost of
+             materializing a customer instance; writes BENCH_ivm.json
      exec  — physical execution vs naive evaluation; writes BENCH_exec.json
      edit  — the persisted Fig. 7 loop on the customer model, layer by
-             layer (load, each suite SMO, each lint pass, save); writes
-             BENCH_edit.json
+             layer (load, each suite SMO, linting the mapping and the views,
+             save); writes BENCH_edit.json
 
    `dune exec bench/main.exe` runs everything; pass a subset of the mode
    names to restrict, and `--chain-size N` to scale the Fig. 9 model. *)
@@ -47,6 +48,25 @@ let measure_ns name f =
 let allocated_mb () =
   let _, promoted, major = Gc.counters () in
   (Gc.minor_words () +. major -. promoted) *. 8. /. 1e6
+
+(* Wall time and allocated megabytes of [f ()] ([allocated_mb], as fig10
+   measures). *)
+let wall_alloc f =
+  let a0 = allocated_mb () in
+  let r, dt = wall f in
+  (r, dt, allocated_mb () -. a0)
+
+(* The median wall time over [runs] calls of [f], each on a collected heap,
+   and the megabytes one call allocates (the same on every call). *)
+let layer ?(runs = 7) f =
+  let samples =
+    List.init runs (fun _ ->
+        Gc.full_major ();
+        let _, dt, mb = wall_alloc f in
+        (dt *. 1e3, mb))
+  in
+  let ms = List.sort Float.compare (List.map fst samples) in
+  (List.nth ms (runs / 2), snd (List.hd samples))
 
 let pp_seconds fmt s =
   if s < 1e-3 then Format.fprintf fmt "%8.1fus" (s *. 1e6)
@@ -319,8 +339,7 @@ let ablation () =
               let inc_ns = measure_ns "inc" (fun () -> ignore (Core.Engine.apply st smo)) in
               let _, full_reval =
                 wall (fun () ->
-                    Fullc.Validate.run st'.Core.State.env st'.Core.State.fragments
-                      st'.Core.State.update_views)
+                    Fullc.Validate.run st'.Core.State.env st'.Core.State.fragments)
               in
               Printf.printf
                 "AE-TPT on chain-200: neighborhood checks %s; full revalidation of the evolved \
@@ -409,12 +428,7 @@ let par () =
     List.concat_map
       (fun seed ->
         let env, frags = Workload.Random_model.generate ~seed () in
-        match Fullc.Update_views.all ~optimize:false env frags with
-        | Error _ -> []
-        | Ok uv -> (
-            match Fullc.Validate.fk_obligations env frags uv with
-            | Ok obls -> obls
-            | Error _ -> []))
+        match Fullc.Validate.fk_obligations env frags with Ok obls -> obls | Error _ -> [])
       (List.init models Fun.id)
   in
   (* Replicate the batch so the measurement amortizes domain spawning; every
@@ -639,6 +653,21 @@ let ivm () =
            (ivm_hi /. ivm_lo) (full_hi /. full_lo)
            (ivm_hi /. ivm_lo <= 2.0))
   | _ -> ());
+  (* Materializing a populated customer instance, as e2ebench's serve set-up
+     does: the one-off cost that the steps above amortize. *)
+  let init_ms, init_mb =
+    let env, frags = Workload.Customer.generate () in
+    let uv = (ok (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
+    let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 env.Query.Env.client in
+    layer ~runs:3 (fun () -> ignore (ok (Dml.Translate.ivm_init env uv inst)))
+  in
+  Printf.printf "\nivm_init, customer with 300 entities per set: %.1f ms, %.1f MB\n%!" init_ms
+    init_mb;
+  Buffer.add_string buf
+    (Printf.sprintf
+       ",\n  \"init\": { \"model\": \"customer\", \"entities_per_set\": 300, \"ms\": %.1f, \
+        \"alloc_mb\": %.1f }"
+       init_ms init_mb);
   Buffer.add_string buf "\n}\n";
   write_bench_json ~path:"BENCH_ivm.json" ~label:"scaling sweep" (Buffer.contents buf)
 
@@ -824,13 +853,6 @@ let exec_bench () =
 (* E11: static lint vs obligation-based validation.                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall time and allocated megabytes of [f ()] ([allocated_mb], as fig10
-   measures). *)
-let wall_alloc f =
-  let a0 = allocated_mb () in
-  let r, dt = wall f in
-  (r, dt, allocated_mb () -. a0)
-
 let lint_bench () =
   header "Lint -- static analysis wall-time vs obligation-based validation (E11)";
   let ok = function Ok x -> x | Error e -> failwith e in
@@ -856,9 +878,7 @@ let lint_bench () =
         let views = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
         Gc.full_major ();
         let diags, lint_dt, lint_mb = wall_alloc (fun () -> Lint.Analyze.run ~views env frags) in
-        let _, val_dt =
-          wall (fun () -> ok (Fullc.Validate.run env frags c.Fullc.Compile.update_views))
-        in
+        let _, val_dt = wall (fun () -> ok (Fullc.Validate.run env frags)) in
         Printf.printf "%-12s %12s %7.1fMB %12s %9.1fx %7d\n%!" name
           (Format.asprintf "%a" pp_seconds lint_dt)
           lint_mb
@@ -867,29 +887,22 @@ let lint_bench () =
         (name, lint_dt, lint_mb, val_dt, List.length diags))
       models
   in
-  (* The customer run split by pass, as [Lint.Analyze.run] runs them. *)
+  (* The customer run split by artifact, as [Lint.Analyze.run] runs it. *)
   let passes =
     let env, frags = Workload.Customer.generate () in
     let c = ok (Fullc.Compile.compile ~validate:false env frags) in
     let qv, uv = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
-    let memo = Lint.Passes.new_memo () in
     List.map
       (fun (pass, f) ->
         Gc.full_major ();
         let _, dt, mb = wall_alloc f in
         (pass, dt, mb))
       [
-        ( "fragments",
-          fun () ->
-            ignore
-              (List.concat_map (Lint.Passes.fragment_diags ~memo env)
-                 (Mapping.Fragments.to_list frags)) );
-        ("model", fun () -> ignore (Lint.Passes.model_diags ~memo env frags));
-        ("views", fun () -> ignore (Lint.Passes.view_diags env qv uv));
-        ("wf", fun () -> ignore (Lint.Wf.check env qv uv));
+        ("mapping", fun () -> ignore (Lint.Passes.run env frags));
+        ("views", fun () -> ignore (Lint.Wf.check env qv uv));
       ]
   in
-  Printf.printf "\ncustomer by pass:";
+  Printf.printf "\ncustomer by artifact:";
   List.iter (fun (pass, dt, mb) -> Printf.printf "  %s %.1f ms / %.1f MB" pass (dt *. 1e3) mb) passes;
   print_newline ();
   (* Acceptance (ISSUE 6): linting the seed model suite is >= 50x faster
@@ -928,21 +941,9 @@ let lint_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* The persisted Fig. 7 loop (e2ebench's edit workload), layer by       *)
-(* layer: what loading the customer .imcs, each suite SMO, each lint    *)
-(* pass and saving cost on their own.                                   *)
+(* layer: what loading the customer .imcs, each suite SMO, linting the  *)
+(* mapping and the views, and saving cost on their own.                 *)
 (* ------------------------------------------------------------------ *)
-
-(* The median wall time over [runs] calls of [f], each on a collected heap,
-   and the megabytes one call allocates (the same on every call). *)
-let layer ?(runs = 7) f =
-  let samples =
-    List.init runs (fun _ ->
-        Gc.full_major ();
-        let _, dt, mb = wall_alloc f in
-        (dt *. 1e3, mb))
-  in
-  let ms = List.sort Float.compare (List.map fst samples) in
-  (List.nth ms (runs / 2), snd (List.hd samples))
 
 let edit_bench () =
   header "Edit -- the persisted Fig. 7 loop on the customer model, by layer";
@@ -953,7 +954,6 @@ let edit_bench () =
   let st = ok (Surface.State_io.load text) in
   let env = st.Core.State.env and frags = st.Core.State.fragments in
   let qv, uv = (st.Core.State.query_views, st.Core.State.update_views) in
-  let memo = ref (Lint.Passes.new_memo ()) in
   let rows =
     [ ("load", "surface", fun () -> ignore (ok (Surface.State_io.load text))) ]
     @ List.map
@@ -961,15 +961,8 @@ let edit_bench () =
           (label, "smo", fun () -> ignore (Core.Engine.apply ~jobs:1 st smo)))
         (Workload.Customer.smo_suite ())
     @ [
-        ( "fragments", "lint",
-          fun () ->
-            memo := Lint.Passes.new_memo ();
-            ignore
-              (List.concat_map (Lint.Passes.fragment_diags ~memo:!memo env)
-                 (Mapping.Fragments.to_list frags)) );
-        ("model", "lint", fun () -> ignore (Lint.Passes.model_diags ~memo:!memo env frags));
-        ("views", "lint", fun () -> ignore (Lint.Passes.view_diags env qv uv));
-        ("wf", "lint", fun () -> ignore (Lint.Wf.check env qv uv));
+        ("mapping", "lint", fun () -> ignore (Lint.Passes.run env frags));
+        ("views", "lint", fun () -> ignore (Lint.Wf.check env qv uv));
         ("save", "surface", fun () -> ignore (Surface.State_io.save st));
       ]
   in

@@ -426,32 +426,6 @@ let query_cmd =
     Term.(const run $ model_arg $ file_arg $ size_arg $ data_arg $ qtext $ plan_flag $ exec_flag
           $ jobs_arg)
 
-let dml_cmd =
-  let script_arg =
-    Arg.(required & opt (some string) None
-         & info [ "script" ] ~docv:"FILE.dml" ~doc:"Client-side update script.")
-  in
-  let run name file size data script =
-    let env, frags, loaded = load_input ~model:name ~file ~size in
-    let st = state_of ~env ~frags loaded in
-    let env = st.Core.State.env in
-    let inst =
-      match data with
-      | Some path -> ok (Surface.Elaborate.data env (ok (Surface.Parser.data (read_file path))))
-      | None -> Edm.Instance.empty
-    in
-    let delta = ok (Surface.Elaborate.dml (ok (Surface.Parser.dml (read_file script)))) in
-    let sql_script, _new_client, new_store =
-      ok (Dml.Translate.translate env st.Core.State.update_views ~old_client:inst ~delta)
-    in
-    Format.printf "-- translated DML@.%s@." (Dml.Translate.to_sql sql_script);
-    Format.printf "-- resulting store state@.%a@." Relational.Instance.pp new_store
-  in
-  Cmd.v
-    (Cmd.info "dml"
-       ~doc:"Translate a client-side update script into store DML through the update views")
-    Term.(const run $ model_arg $ file_arg $ size_arg $ data_arg $ script_arg)
-
 let apply_cmd =
   let script_arg =
     Arg.(required & opt (some string) None
@@ -521,7 +495,6 @@ let validate_cmd =
     let t0 = Unix.gettimeofday () in
     match
       Fullc.Validate.run ~jobs st.Core.State.env st.Core.State.fragments
-        st.Core.State.update_views
     with
     | Error e ->
         Printf.printf "mapping INVALID: %s\n" e;
@@ -631,5 +604,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ models_cmd; show_cmd; compile_cmd; evolve_cmd; roundtrip_cmd; query_cmd; dml_cmd;
-            apply_cmd; validate_cmd; lint_cmd; diff_cmd ]))
+          [ models_cmd; show_cmd; compile_cmd; evolve_cmd; roundtrip_cmd; query_cmd; apply_cmd;
+            validate_cmd; lint_cmd; diff_cmd ]))

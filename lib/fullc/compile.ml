@@ -17,7 +17,7 @@ let compile ?(validate = true) ?(optimize = false) ?jobs env frags =
       let* report =
         if validate then
           Obs.Span.with_ ~name:"fullc.validate" (fun () ->
-              Validate.run ?jobs env frags update_views)
+              Validate.run ?jobs env frags)
         else Ok { Validate.cells_visited = 0; containment_checks = 0; covered_types = 0 }
       in
       let* query_views =

@@ -1,7 +1,5 @@
 (* Shared per-fragment analysis used by both view generators. *)
 
-let determined_constants = Mapping.Coverage.determined_constants
-
 let tag_name i = Printf.sprintf "_from%d" (i + 1)
 let local_name a i = Printf.sprintf "%s@%d" a (i + 1)
 
@@ -12,7 +10,8 @@ let sources_for indexed_frags a ~attr_of ~cond_of =
   List.filter_map
     (fun (i, f) ->
       if List.mem a (attr_of f) then Some (local_name a i)
-      else if List.mem_assoc a (determined_constants (cond_of f)) then Some (local_name a i)
+      else if List.mem_assoc a (Mapping.Coverage.determined_constants (cond_of f)) then
+        Some (local_name a i)
       else None)
     indexed_frags
 

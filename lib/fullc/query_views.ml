@@ -32,7 +32,7 @@ let store_projection ~key ?(keep = fun _ -> true) ?index ?tag (f : Mapping.Fragm
         (fun (a, v) ->
           if List.mem a key || List.mem a (Mapping.Fragment.attrs f) || not (keep a) then None
           else Some (Query.Algebra.const v (name a)))
-        (Frag_info.determined_constants f.Mapping.Fragment.client_cond)
+        (Mapping.Coverage.determined_constants f.Mapping.Fragment.client_cond)
     @ match tag with Some t -> [ Query.Algebra.tag t ] | None -> []
   in
   Query.Algebra.Project (items, base)

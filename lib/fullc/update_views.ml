@@ -15,7 +15,7 @@ let client_base (f : Mapping.Fragment.t) =
 let store_constants (f : Mapping.Fragment.t) =
   List.filter
     (fun (c, _) -> not (List.mem c (Mapping.Fragment.cols f)))
-    (Frag_info.determined_constants f.Mapping.Fragment.store_cond)
+    (Mapping.Coverage.determined_constants f.Mapping.Fragment.store_cond)
 
 let tagged_client_query key i (f : Mapping.Fragment.t) =
   let items =

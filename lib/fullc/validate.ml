@@ -127,7 +127,7 @@ let client_query_renamed (g : Mapping.Fragment.t) cols ~renaming =
     | Query.Cond.True -> scan
     | c -> Query.Algebra.Select (c, scan)
   in
-  let consts = Frag_info.determined_constants g.Mapping.Fragment.store_cond in
+  let consts = Mapping.Coverage.determined_constants g.Mapping.Fragment.store_cond in
   let item c =
     let dst = match List.assoc_opt c renaming with Some d -> d | None -> c in
     match Mapping.Fragment.attr_of g c with
@@ -154,8 +154,7 @@ let collect f xs =
   in
   Ok (List.concat (List.rev groups))
 
-let fk_obligations env frags uv =
-  ignore uv;
+let fk_obligations env frags =
   let store = env.Query.Env.store in
   collect
     (fun table ->
@@ -185,7 +184,7 @@ let fk_obligations env frags uv =
               let writes c =
                 Mapping.Fragment.attr_of g c <> None
                 || List.mem_assoc c
-                     (Frag_info.determined_constants g.Mapping.Fragment.store_cond)
+                     (Mapping.Coverage.determined_constants g.Mapping.Fragment.store_cond)
               in
               if not (List.exists writes fk.fk_columns) then Ok []
               else if not (List.for_all writes fk.fk_columns) then
@@ -213,8 +212,8 @@ let fk_obligations env frags uv =
         tbl.Relational.Table.fks)
     (Mapping.Fragments.tables frags)
 
-let fk_checks ?jobs env frags uv =
-  let* obls = fk_obligations env frags uv in
+let fk_checks ?jobs env frags =
+  let* obls = fk_obligations env frags in
   let* () =
     Result.map_error Containment.Validation_error.show (Containment.Discharge.run ?jobs obls)
   in
@@ -234,7 +233,8 @@ let nullability env frags =
               (fun f ->
                 List.mem c (Mapping.Fragment.cols f)
                 || List.mem_assoc c
-                     (Frag_info.determined_constants (f : Mapping.Fragment.t).Mapping.Fragment.store_cond))
+                     (Mapping.Coverage.determined_constants
+                        (f : Mapping.Fragment.t).Mapping.Fragment.store_cond))
               table_frags
           in
           if mapped || col.Relational.Table.nullable then Ok ()
@@ -244,10 +244,10 @@ let nullability env frags =
 
 let phase name f = Obs.Span.with_ ~name:("validate." ^ name) f
 
-let run ?jobs env frags uv =
+let run ?jobs env frags =
   let* () = phase "well-formed" (fun () -> Mapping.Fragments.well_formed env frags) in
   let* cells_visited = phase "cells" (fun () -> one_to_one env frags) in
   let* covered_types = phase "coverage" (fun () -> coverage env frags) in
   let* () = phase "nullability" (fun () -> nullability env frags) in
-  let* containment_checks = phase "fk-checks" (fun () -> fk_checks ?jobs env frags uv) in
+  let* containment_checks = phase "fk-checks" (fun () -> fk_checks ?jobs env frags) in
   Ok { cells_visited; containment_checks; covered_types }

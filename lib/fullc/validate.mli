@@ -8,8 +8,12 @@
 
     (2)–(4) update views preserve integrity constraints: attribute coverage
     per concrete type (no client data loss — the Section 3.3 tautology
-    test), nullability of unmapped columns, and one query-containment check
-    per foreign key over the generated update views;
+    test), nullability of unmapped columns, and per foreign key one
+    query-containment check for each fragment writing its columns: that
+    fragment's client query, renamed to the referenced columns, must be
+    contained in the union of the client queries of the referenced table's
+    fragments (checking over the fused update views instead would make the
+    containment normalization exponential);
 
     (5) the composition of mapping and update views is the identity — by
     construction of the generated views given (1)–(4), and verified
@@ -25,15 +29,12 @@ type report = {
   covered_types : int;         (** concrete types whose attributes all map *)
 }
 
-val run :
-  ?jobs:int -> Query.Env.t -> Mapping.Fragments.t -> Query.View.update_views ->
-  (report, string) result
+val run : ?jobs:int -> Query.Env.t -> Mapping.Fragments.t -> (report, string) result
 (** [?jobs] sets the parallelism for discharging the foreign-key containment
     obligations (step 4); verdicts are identical for every value. *)
 
 val fk_obligations :
-  Query.Env.t -> Mapping.Fragments.t -> Query.View.update_views ->
-  (Containment.Obligation.t list, string) result
+  Query.Env.t -> Mapping.Fragments.t -> (Containment.Obligation.t list, string) result
 (** The foreign-key containment obligations of step 4, one per
     (foreign key, writing fragment) pair, without discharging them —
     exported so harnesses can batch obligations across whole models. *)

@@ -107,60 +107,42 @@ let to_table_deltas deltas =
       { table; removed; added })
     deltas
 
-let step (plan : Plan.t) st ops =
+let run (plan : Plan.t) st ops =
+  let* st, feed =
+    List.fold_left
+      (fun acc op -> Result.bind acc (fun sf -> feed_op plan sf op))
+      (Ok (st, Src_map.empty))
+      ops
+  in
+  let st, deltas = Engine.propagate plan st ~feed in
+  Ok (to_table_deltas deltas, st)
+
+let step plan st ops =
   Obs.Span.with_ ~name:"ivm.step" (fun () ->
       Obs.Span.add_attr "ops" (string_of_int (List.length ops));
-      let* st, feed =
-        List.fold_left
-          (fun acc op -> Result.bind acc (fun sf -> feed_op plan sf op))
-          (Ok (st, Src_map.empty))
-          ops
-      in
-      let st, deltas = Engine.propagate plan st ~feed in
-      Ok (to_table_deltas deltas, st))
+      run plan st ops)
 
+(* The whole instance as one batch of inserts into the empty state, so init
+   enforces exactly [step]'s duplicate-key and duplicate-link guards. *)
 let init (plan : Plan.t) client =
   Obs.Span.with_ ~name:"ivm.init" (fun () ->
-      let env = plan.Plan.env in
-      let schema = env.Query.Env.client in
-      let* st, feed =
-        List.fold_left
-          (fun acc (set, root) ->
-            let* st, feed = acc in
-            let keyattrs = Edm.Schema.key_of schema root in
-            let src = Query.Algebra.Entity_set set in
-            List.fold_left
-              (fun acc e ->
-                let* st, feed = acc in
-                let row = Query.Eval.entity_row env set e in
-                let key = Datum.Row.project keyattrs row in
-                let base = State.base st src in
-                if Row_map.mem key base then
-                  fail "ivm: duplicate key %s in %s" (Datum.Row.show key) set
-                else
-                  Ok (State.set_base src (Row_map.add key row base) st, feed_add src row 1 feed))
-              (Ok (st, feed))
+      let schema = plan.Plan.env.Query.Env.client in
+      let entities =
+        List.concat_map
+          (fun (set, _) ->
+            List.map
+              (fun (e : Edm.Instance.entity) ->
+                Insert_entity { set; etype = e.etype; attrs = e.attrs })
               (Edm.Instance.entities client ~set))
-          (Ok (State.empty plan, Src_map.empty))
           (Edm.Schema.entity_sets schema)
       in
-      let* st, feed =
-        List.fold_left
-          (fun acc (a : Edm.Association.t) ->
-            let* st, feed = acc in
-            let src = Query.Algebra.Assoc_set a.Edm.Association.name in
-            List.fold_left
-              (fun acc link ->
-                let* st, feed = acc in
-                let base = State.base st src in
-                if Row_map.mem link base then
-                  fail "ivm: duplicate link %s in %s" (Datum.Row.show link) a.Edm.Association.name
-                else
-                  Ok (State.set_base src (Row_map.add link link base) st, feed_add src link 1 feed))
-              (Ok (st, feed))
-              (Edm.Instance.links client ~assoc:a.Edm.Association.name))
-          (Ok (st, feed))
+      let links =
+        List.concat_map
+          (fun (a : Edm.Association.t) ->
+            List.map
+              (fun link -> Insert_link { assoc = a.name; link })
+              (Edm.Instance.links client ~assoc:a.name))
           (Edm.Schema.associations schema)
       in
-      let st, _deltas = Engine.propagate plan st ~feed in
+      let* _, st = run plan (State.empty plan) (entities @ links) in
       Ok st)

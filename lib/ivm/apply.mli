@@ -1,9 +1,10 @@
 (** Client deltas in, table deltas out — the IVM face of update translation.
 
-    [init] materializes a client instance through the plan once (it reuses
-    the propagation engine with the whole instance as one "delta", so the
-    materialized state is by construction consistent with what later steps
-    maintain); [step] then costs O(delta), not O(instance).
+    [init] materializes a client instance through the plan once: it is a
+    {!step} from the empty state whose batch inserts every entity and link
+    of the instance, so the materialized state is by construction
+    consistent with what later steps maintain, and the instance meets the
+    same guards.  [step] then costs O(delta), not O(instance).
 
     Ops mirror [Dml.Delta.op] structurally (lib/ivm sits below lib/dml, so
     it declares its own type; [Dml.Translate] converts).  [step] enforces
@@ -27,7 +28,9 @@ type table_delta = {
 }
 
 val init : Plan.t -> Edm.Instance.t -> (State.t, string) result
-(** Materialize a full client instance (runs under an ["ivm.init"] span). *)
+(** Materialize a full client instance (runs under an ["ivm.init"] span).
+    Fails, as {!step} does, on an instance holding two entities with one
+    key in a set or the same link twice. *)
 
 val step : Plan.t -> State.t -> op list -> (table_delta list * State.t, string) result
 (** Propagate one batch of ops (runs under an ["ivm.step"] span).  The

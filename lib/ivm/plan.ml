@@ -18,7 +18,6 @@ type table_plan = { table : string; root : node; ctor : Query.Ctor.t }
 type t = {
   env : Query.Env.t;
   tables : table_plan list;
-  join_count : int;
   sources : (Query.Algebra.source * string list) list;
 }
 
@@ -93,7 +92,7 @@ let compile env uv =
         Ok ((src, key) :: acc))
       (Ok []) srcs
   in
-  Ok { env; tables; join_count = !next_id; sources = List.rev sources }
+  Ok { env; tables; sources = List.rev sources }
 
 let rec pp_node fmt = function
   | Scan (Query.Algebra.Entity_set s) | Scan (Query.Algebra.Assoc_set s)

@@ -24,7 +24,7 @@ type node =
   | Union of node * node
 
 and join = {
-  id : int;  (** dense index, [0 .. join_count-1], keys the group state *)
+  id : int;  (** dense index, unique within the plan, keys the group state *)
   spec : Query.Join.t;
   left : node;
   right : node;
@@ -35,7 +35,6 @@ type table_plan = { table : string; root : node; ctor : Query.Ctor.t }
 type t = {
   env : Query.Env.t;
   tables : table_plan list;  (** ascending table-name order *)
-  join_count : int;
   sources : (Query.Algebra.source * string list) list;
       (** each client source with its key columns: the hierarchy key for an
           entity set, all association columns for an association set *)

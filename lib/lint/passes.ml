@@ -1,6 +1,5 @@
 module Cond = Query.Cond
 module Simplify = Query.Simplify
-module Pretty = Query.Pretty
 module Fragment = Mapping.Fragment
 module Fragments = Mapping.Fragments
 
@@ -41,9 +40,8 @@ let rec approx client ~ty ~attrs c =
    [Edm.Schema] hierarchy queries read a child index, but its attribute
    accessors still walk the ancestry and concatenate the declared lists on
    every call, which is fine interactively but dominates a whole-model sweep;
-   a [memo] shares these snapshots across the fragments of a run.  The
-   caller must not reuse it across schema changes; [Analyze.run], its only
-   user, creates one per run. *)
+   [run] shares these snapshots across the fragments and model passes of one
+   call, so the table never outlives the schema it was built from. *)
 type type_info = {
   names : string list;
   nset : S.t;
@@ -56,36 +54,28 @@ type hier = {
   info : (string * type_info) list;  (* subtypes in [Edm.Schema.subtypes] order *)
 }
 
-type memo = (string, hier) Hashtbl.t
+type hiers = (string, hier) Hashtbl.t
 
-let new_memo () : memo = Hashtbl.create 16
-
-let hier_of ?memo client root =
-  let build () =
-    let info =
-      List.map
-        (fun ty ->
-          let domains = Edm.Schema.attributes client ty in
-          let names = List.map fst domains in
-          let nullable =
-            List.fold_left
-              (fun s a -> if Edm.Schema.attribute_nullable client ty a then S.add a s else s)
-              S.empty names
-          in
-          (ty, { names; nset = S.of_list names; domains; nullable }))
-        (Edm.Schema.subtypes client root)
-    in
-    { key = Edm.Schema.key_of client root; info }
-  in
-  match memo with
-  | None -> build ()
-  | Some tbl -> (
-      match Hashtbl.find_opt tbl root with
-      | Some h -> h
-      | None ->
-          let h = build () in
-          Hashtbl.add tbl root h;
-          h)
+let hier_of (hiers : hiers) client root =
+  match Hashtbl.find_opt hiers root with
+  | Some h -> h
+  | None ->
+      let info =
+        List.map
+          (fun ty ->
+            let domains = Edm.Schema.attributes client ty in
+            let names = List.map fst domains in
+            let nullable =
+              List.fold_left
+                (fun s a -> if Edm.Schema.attribute_nullable client ty a then S.add a s else s)
+                S.empty names
+            in
+            (ty, { names; nset = S.of_list names; domains; nullable }))
+          (Edm.Schema.subtypes client root)
+      in
+      let h = { key = Edm.Schema.key_of client root; info } in
+      Hashtbl.add hiers root h;
+      h
 
 (* An attribute a type lacks reads as NULL (matching [Cond.eval]), so it is
    nullable for that type as far as L003 is concerned. *)
@@ -126,12 +116,12 @@ let disjoint_store c1 c2 = disjoint_gen None c1 c2
 
 let floc f = Diag.Fragment (Fragment.describe f)
 
-let entity_fragment_diags ?memo env (f : Fragment.t) set tbl add =
+let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
   let client = env.Query.Env.client in
   match Edm.Schema.set_root client set with
   | None -> ()
   | Some root ->
-      let hier = hier_of ?memo client root in
+      let hier = hier_of hiers client root in
       let key = hier.key in
       let sel = selected_info client hier f.client_cond in
       let forced_not_null =
@@ -197,14 +187,14 @@ let assoc_fragment_diags (f : Fragment.t) tbl add =
              k))
     tbl.Relational.Table.key
 
-let fragment_diags ?memo env (f : Fragment.t) =
+let fragment_diags hiers env (f : Fragment.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   (match Relational.Schema.find_table env.Query.Env.store f.table with
   | None -> ()
   | Some tbl -> (
       match f.client_source with
-      | Fragment.Set s -> entity_fragment_diags ?memo env f s tbl add
+      | Fragment.Set s -> entity_fragment_diags hiers env f s tbl add
       | Fragment.Assoc _ -> assoc_fragment_diags f tbl add));
   if is_false (Simplify.cond f.store_cond) then
     add
@@ -218,7 +208,7 @@ let fragment_diags ?memo env (f : Fragment.t) =
   | Error msg ->
       if not (List.exists (fun d -> d.Diag.severity = Diag.Error) specific) then
         add (Diag.makef ~code:"L012" ~severity:Diag.Error ~loc:(floc f) "%s" msg));
-  Diag.sort !diags
+  !diags
 
 (* -- Whole-model passes: L001 L002 L006 L009 L010 ------------------------- *)
 
@@ -226,7 +216,7 @@ let rec distinct_pairs = function
   | [] -> []
   | x :: rest -> List.map (fun y -> (x, y)) rest @ distinct_pairs rest
 
-let unmapped_attr_diags ?memo env frags add =
+let unmapped_attr_diags hiers env frags add =
   let client = env.Query.Env.client in
   List.iter
     (fun (s, root) ->
@@ -238,7 +228,7 @@ let unmapped_attr_diags ?memo env frags add =
             || List.mem_assoc a (Mapping.Coverage.determined_constants f.client_cond))
           sfrags
       in
-      (hier_of ?memo client root).info
+      (hier_of hiers client root).info
       |> List.concat_map (fun (_, ti) -> ti.names)
       |> List.sort_uniq String.compare
       |> List.iter (fun a ->
@@ -271,7 +261,7 @@ let unwritten_column_diags env frags add =
             tbl.columns)
     (Fragments.tables frags)
 
-let overlap_diags ?memo env frags add =
+let overlap_diags hiers env frags add =
   let client = env.Query.Env.client in
   List.iter
     (fun tname ->
@@ -300,7 +290,7 @@ let overlap_diags ?memo env frags add =
                      if
                        conflicting <> []
                        && (not
-                             (disjoint_hier client (hier_of ?memo client root) f.client_cond
+                             (disjoint_hier client (hier_of hiers client root) f.client_cond
                                 g.client_cond))
                        && not (disjoint_store f.store_cond g.store_cond)
                      then
@@ -359,96 +349,23 @@ let unreferenced_table_diags env frags add =
              "table is not mapped by any fragment"))
     (Relational.Schema.tables env.Query.Env.store)
 
-let model_diags ?memo env frags =
+let model_diags hiers env frags =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  unmapped_attr_diags ?memo env frags add;
+  unmapped_attr_diags hiers env frags add;
   unwritten_column_diags env frags add;
-  overlap_diags ?memo env frags add;
+  overlap_diags hiers env frags add;
   assoc_fk_diags env frags add;
   unreferenced_table_diags env frags add;
-  Diag.sort !diags
+  !diags
 
-(* -- Compiled-view passes: L008 L011 -------------------------------------- *)
+(* -- The mapping analysis ------------------------------------------------- *)
 
-(* The L011 findings of a subtree; [dead] reaches the children. *)
-let dead_select_step dead q =
-  match q with
-  | Query.Algebra.Scan _ -> []
-  | Query.Algebra.Select (c, sub) ->
-      let here =
-        if unsat c then
-          [ Diag.finding ~code:"L011" ~severity:Diag.Warning
-              "selection %s is unsatisfiable: the subtree contributes no rows"
-              (Pretty.cond_string c) ]
-        else []
-      in
-      Diag.union_findings here (dead sub)
-  | Query.Algebra.Project (_, sub) -> dead sub
-  | Query.Algebra.Join (l, r, _)
-  | Query.Algebra.Left_outer_join (l, r, _)
-  | Query.Algebra.Full_outer_join (l, r, _)
-  | Query.Algebra.Union_all (l, r) ->
-      Diag.union_findings (dead l) (dead r)
-
-let leaf_name = function
-  | Query.Ctor.Entity { etype; _ } -> "entity " ^ etype
-  | Query.Ctor.Tuple _ -> "a tuple"
-  | Query.Ctor.If _ -> "a nested CASE"
-
-let dead_branch_diags loc ctor acc =
-  let dead guard leaf acc =
-    if unsat guard then
-      Diag.makef ~code:"L008" ~severity:Diag.Warning ~loc
-        "CASE branch constructing %s is unreachable (guard %s is unsatisfiable)" (leaf_name leaf)
-        (Pretty.cond_string guard)
-      :: acc
-    else acc
+let run env frags =
+  let hiers : hiers = Hashtbl.create 16 in
+  let frag_ds =
+    Obs.Span.with_ ~name:"lint.fragments" (fun () ->
+        List.concat_map (fragment_diags hiers env) (Fragments.to_list frags))
   in
-  match Query.Ctor.branches ctor with
-  | Some bs ->
-      List.fold_left
-        (fun acc b -> match b with Some (guard, leaf) -> dead guard leaf acc | None -> acc)
-        acc bs
-  | None ->
-      (* Some guard resists complementation: fall back to testing each branch
-         condition on its own. *)
-      let rec walk c acc =
-        match c with
-        | Query.Ctor.Entity _ | Query.Ctor.Tuple _ -> acc
-        | Query.Ctor.If (cond, t, e) -> walk e (walk t (dead cond t acc))
-      in
-      walk ctor acc
-
-let view_diags env (qv : Query.View.query_views) (uv : Query.View.update_views) =
-  (* One table per call, holding location-free findings: each selection is
-     judged once however many views share it, and reported at every view
-     containing it.  Only selections are stored; the walk between them does
-     no work of its own, so repeating it is cheaper than hashing every
-     node. *)
-  let dead =
-    Query.Algebra.Memo.fix
-      ~keep:(function Query.Algebra.Select _ -> true | _ -> false)
-      (Query.Algebra.Memo.create ()) dead_select_step
-  in
-  let acc = ref [] in
-  let one ?(branches = true) loc (v : Query.View.t) =
-    let ds = List.rev_append (List.rev_map (Diag.at loc) (dead v.query)) !acc in
-    acc := if branches then dead_branch_diags loc v.ctor ds else ds
-  in
-  (* The root view's constructor carries the hierarchy's full CASE chain; the
-     per-subtype views restrict the same chain, so running the quadratic
-     branch analysis only at the roots covers every branch without paying for
-     it once per subtype. *)
-  let roots =
-    List.fold_left
-      (fun s (_, root) -> S.add root s)
-      S.empty
-      (Edm.Schema.entity_sets env.Query.Env.client)
-  in
-  List.iter
-    (fun (ty, v) -> one ~branches:(S.mem ty roots) (Diag.Query_view ty) v)
-    (Query.View.entity_view_bindings qv);
-  List.iter (fun (a, v) -> one (Diag.Query_view a) v) (Query.View.assoc_view_bindings qv);
-  List.iter (fun (t, v) -> one (Diag.Update_view t) v) (Query.View.update_view_bindings uv);
-  Diag.sort !acc
+  let model_ds = Obs.Span.with_ ~name:"lint.model" (fun () -> model_diags hiers env frags) in
+  Diag.sort (List.rev_append frag_ds model_ds)

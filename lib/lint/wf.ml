@@ -148,7 +148,7 @@ let update_view_null_diags env nullability tname (v : View.t) =
                      else None)
                    cs))
 
-(* -- L102, L103: projection and union shape -------------------------------- *)
+(* -- L011, L102, L103: selections, projections and unions ------------------ *)
 
 let dup_dsts items =
   let rec adjacent_dups = function
@@ -159,14 +159,28 @@ let dup_dsts items =
   List.sort_uniq String.compare
     (adjacent_dups (List.sort String.compare (List.map Algebra.dst_of items)))
 
+let unsat c = match Query.Simplify.cond c with Cond.False -> true | _ -> false
+
 (* A subtree's output columns (None once anything is unresolvable — L101's
-   business) and its L102 and L103 findings: projections binding a column
-   twice, and unions whose sides agree on columns as sets but not in order.
-   [shape] reaches the children, [scan] resolves sources. *)
+   business) and its L011, L102 and L103 findings: unsatisfiable selections,
+   projections binding a column twice, and unions whose sides agree on
+   columns as sets but not in order.  The columns are this lenient list, not
+   [Algebra.infer]'s, because [infer] stops at a projection it rejects and
+   L103 must still be found above one.  [shape] reaches the children, [scan]
+   resolves sources. *)
 let shape_step scan shape q =
   match q with
   | Algebra.Scan src -> (scan src, [])
-  | Algebra.Select (_, sub) -> shape sub
+  | Algebra.Select (c, sub) ->
+      let cols, below = shape sub in
+      let here =
+        if unsat c then
+          [ Diag.finding ~code:"L011" ~severity:Diag.Warning
+              "selection %s is unsatisfiable: the subtree contributes no rows"
+              (Query.Pretty.cond_string c) ]
+        else []
+      in
+      (cols, Diag.union_findings here below)
   | Algebra.Project (items, sub) ->
       let here =
         match dup_dsts items with
@@ -199,6 +213,37 @@ let shape_step scan shape q =
         | _ -> []
       in
       (lc, Diag.union_findings here (Diag.union_findings lf rf))
+
+(* -- L008: dead CASE branches ---------------------------------------------- *)
+
+let leaf_name = function
+  | Ctor.Entity { etype; _ } -> "entity " ^ etype
+  | Ctor.Tuple _ -> "a tuple"
+  | Ctor.If _ -> "a nested CASE"
+
+let dead_branch_diags loc ctor acc =
+  let dead guard leaf acc =
+    if unsat guard then
+      Diag.makef ~code:"L008" ~severity:Diag.Warning ~loc
+        "CASE branch constructing %s is unreachable (guard %s is unsatisfiable)" (leaf_name leaf)
+        (Query.Pretty.cond_string guard)
+      :: acc
+    else acc
+  in
+  match Ctor.branches ctor with
+  | Some bs ->
+      List.fold_left
+        (fun acc b -> match b with Some (guard, leaf) -> dead guard leaf acc | None -> acc)
+        acc bs
+  | None ->
+      (* Some guard resists complementation: fall back to testing each branch
+         condition on its own. *)
+      let rec walk c acc =
+        match c with
+        | Ctor.Entity _ | Ctor.Tuple _ -> acc
+        | Ctor.If (cond, t, e) -> walk e (walk t (dead cond t acc))
+      in
+      walk ctor acc
 
 (* -- L105: constructor references ----------------------------------------- *)
 
@@ -260,13 +305,19 @@ let ctor_ref_diags loc (refs, tests_types) cols acc =
    what stays live during the call is small; the L104 pass runs after the
    others, so their tables are dead by then. *)
 
-let located (qv : View.query_views) (uv : View.update_views) =
-  let at loc bindings = List.map (fun (n, v) -> (loc n, v)) bindings in
-  at (fun ty -> Diag.Query_view ty) (View.entity_view_bindings qv)
-  @ at (fun a -> Diag.Query_view a) (View.assoc_view_bindings qv)
-  @ at (fun t -> Diag.Update_view t) (View.update_view_bindings uv)
+(* Every view with its location and whether its CASE branches are checked
+   (L008).  The root view's constructor carries the hierarchy's full CASE
+   chain; the per-subtype views restrict the same chain, so running the
+   quadratic branch analysis only at the roots covers every branch without
+   paying for it once per subtype. *)
+let located env (qv : View.query_views) (uv : View.update_views) =
+  let roots = List.map snd (Edm.Schema.entity_sets env.Query.Env.client) in
+  let at loc branches bindings = List.map (fun (n, v) -> (loc n, branches n, v)) bindings in
+  at (fun ty -> Diag.Query_view ty) (fun ty -> List.mem ty roots) (View.entity_view_bindings qv)
+  @ at (fun a -> Diag.Query_view a) (fun _ -> true) (View.assoc_view_bindings qv)
+  @ at (fun t -> Diag.Update_view t) (fun _ -> true) (View.update_view_bindings uv)
 
-(* L101, L102, L103 and L105 of every view. *)
+(* L008, L011, L101, L102, L103 and L105 of every view. *)
 let view_shape_diags env ~keep views =
   let algebra step = Algebra.Memo.fix ~keep (Algebra.Memo.create ()) step in
   let infer = algebra (fun infer -> Algebra.infer_step (fun _ -> infer) env) in
@@ -281,11 +332,12 @@ let view_shape_diags env ~keep views =
   in
   let shape = algebra (shape_step scan) in
   let refs =
-    let keep = Ctor.Memo.shared (List.map (fun (_, (v : View.t)) -> v.ctor) views) in
+    let keep = Ctor.Memo.shared (List.map (fun (_, _, (v : View.t)) -> v.ctor) views) in
     Ctor.Memo.fix ~keep (Ctor.Memo.create ()) ctor_refs_step
   in
-  let one acc (loc, (v : View.t)) =
+  let one acc (loc, branches, (v : View.t)) =
     let structural = List.rev_map (Diag.at loc) (snd (shape v.query)) in
+    let acc = if branches then dead_branch_diags loc v.ctor acc else acc in
     List.rev_append
       (match infer v.query with
       | Ok cols -> ctor_ref_diags loc (refs v.ctor) cols structural
@@ -311,7 +363,7 @@ let update_null_diags env ~keep (uv : View.update_views) =
 (* One [keep] for both: the subterms shared anywhere in the view set, a
    superset of those the update views share among themselves. *)
 let check env qv uv =
-  let views = located qv uv in
-  let keep = Algebra.Memo.shared (List.map (fun (_, (v : View.t)) -> v.query) views) in
+  let views = located env qv uv in
+  let keep = Algebra.Memo.shared (List.map (fun (_, _, (v : View.t)) -> v.query) views) in
   let shape_ds = view_shape_diags env ~keep views in
   Diag.sort (List.rev_append shape_ds (update_null_diags env ~keep uv))

@@ -1,14 +1,18 @@
-(** Algebra well-formedness checker for compiled views.
+(** The view analysis of the linter: one memoized walk over the compiled
+    views.
 
     Where {!Passes} judges the mapping, [Wf] judges the {e compiler's
-    output}: the structural invariants every compiled view must satisfy.  An
-    error here is a compiler bug, never a user mistake.  The compilers do
+    output}.  Its errors are structural invariants every compiled view must
+    satisfy, so an error here is a compiler bug, never a user mistake; its
+    warnings flag dead or suspicious parts of the views.  The compilers do
     not run it; the test suite asserts that {!check} finds no error after
     every step of its random-model compile and SMO pipelines, and
     {!Analyze.run} includes it whenever views are supplied.
 
     {v
     code  severity  finding
+    L008  warning   dead (unreachable) CASE branch in a view constructor
+    L011  warning   unsatisfiable selection inside a compiled view
     L101  error     Algebra.infer rejects the view's query (unresolved
                     column, join clash, union column-set disagreement, ...)
     L102  error     a projection binds the same output column twice
@@ -18,6 +22,12 @@
     L105  error     a constructor references a column the query does not
                     produce (or tests types without the $type column)
     v}
+
+    L011 and L101–L105 cover every view.  L008 covers the constructors of
+    the hierarchy-root entity views, the association views and the update
+    views: a per-subtype entity view restricts its root's CASE chain, so
+    the roots see every branch, and skipping the subtype copies keeps the
+    analysis linear in the model rather than in (branches x subtypes).
 
     {b Shared subterms.}  The incremental compiler builds each new view out
     of the old views' subterms, so the compiled views form a DAG: on the
@@ -39,5 +49,5 @@
 
 val check :
   Query.Env.t -> Query.View.query_views -> Query.View.update_views -> Diag.t list
-(** All well-formedness diagnostics of a compiled view set, including the
-    L104 nullability dataflow of every update view against its table. *)
+(** Every finding of the catalog over a compiled view set, sorted, including
+    the L104 nullability dataflow of every update view against its table. *)

@@ -1,8 +1,9 @@
-(* Tree-walking versions of [Lint.Wf.check] and [Lint.Passes.view_diags]:
-   the same rules, applied to every view as a tree, so a subterm reached
-   from many views is analysed once per occurrence and each diagnostic is
-   built at the view being walked.  Tests use them as the oracle the
-   memoized analyses must match diagnostic for diagnostic. *)
+(* Tree-walking versions of the rules of [Lint.Wf.check]: [Wf] has the
+   structural ones (L101-L105) and [Views] the dead-code ones (L008, L011).
+   Each applies its rules to every view as a tree, so a subterm reached from
+   many views is analysed once per occurrence and each diagnostic is built
+   at the view being walked.  Tests use their union as the oracle the
+   memoized analysis must match diagnostic for diagnostic. *)
 
 module Wf = struct
   module Cond = Query.Cond

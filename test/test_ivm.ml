@@ -154,6 +154,24 @@ let test_handle_guards () =
     [ Delta.Delete_link
         { assoc = "Supports"; link = row [ ("Customer.Id", V.Int 6); ("Employee.Id", V.Int 3) ] } ]
 
+(* [ivm_init] is a step from the empty state, so an instance that breaks a
+   step guard fails to materialize; [Edm.Instance] itself accepts both. *)
+let test_init_guards () =
+  let uv = uv () in
+  let expect_error msg client =
+    match Tr.ivm_init env uv client with
+    | Ok _ -> Alcotest.failf "%s: expected an error" msg
+    | Error e -> checkb (msg ^ ": " ^ e) true (contains ~sub:"already present" e)
+  in
+  expect_error "duplicate entity key"
+    (Edm.Instance.add_entity ~set:"Persons"
+       (Edm.Instance.entity ~etype:"Person" [ ("Id", V.Int 1); ("Name", V.String "Ann") ])
+       P.sample_client);
+  expect_error "duplicate link"
+    (Edm.Instance.add_link ~assoc:"Supports"
+       (row [ ("Customer.Id", V.Int 5); ("Employee.Id", V.Int 4) ])
+       P.sample_client)
+
 (* -- NULL join keys ------------------------------------------------------ *)
 
 (* Hand-built update views over the paper's client schema whose joins see
@@ -418,6 +436,7 @@ let () =
           Alcotest.test_case "one-shot translate modes agree" `Quick test_paper_one_shot;
           Alcotest.test_case "handle stream matches oracle" `Quick test_paper_handle_stream;
           Alcotest.test_case "handle guards" `Quick test_handle_guards;
+          Alcotest.test_case "init guards" `Quick test_init_guards;
           Alcotest.test_case "NULL and keyless join keys" `Quick test_null_join_keys;
         ] );
       ("differential", [ prop_differential ]);

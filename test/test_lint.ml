@@ -28,6 +28,9 @@ let table_p ?(nick = `Null) () =
 let codes ds = List.map (fun (d : Diag.t) -> d.Diag.code) ds
 let has_code c ds = List.mem c (codes ds)
 
+(* The mapping analysis of a one-fragment set. *)
+let lint_one env f = Lint.Passes.run env (Mapping.Fragments.of_list [ f ])
+
 let check_fires what code ds =
   checkb (Printf.sprintf "%s fires %s (got: %s)" what code (String.concat "," (codes ds))) true
     (has_code code ds)
@@ -38,18 +41,18 @@ let check_fires what code ds =
 let test_nullability_clash () =
   let env = env_of [ ("Persons", person (), []) ] [ table_p ~nick:`Not_null () ] in
   let f = F.entity ~set:"Persons" ~cond:C.True ~table:"P" [ ("Id", "Id"); ("Nick", "Nick") ] in
-  let ds = Lint.Passes.fragment_diags env f in
+  let ds = lint_one env f in
   check_fires "nullable->NOT NULL" "L003" ds;
   checkb "L003 is a warning" true (Diag.errors ds = []);
   (* Declaring the attribute non-null silences it. *)
   let env' = env_of [ ("Persons", person ~nick:`Not_null (), []) ] [ table_p ~nick:`Not_null () ] in
-  checkb "non-null attribute is clean" false (has_code "L003" (Lint.Passes.fragment_diags env' f));
+  checkb "non-null attribute is clean" false (has_code "L003" (lint_one env' f));
   (* So does a client condition forcing the attribute non-null. *)
   let f' =
     F.entity ~set:"Persons" ~cond:(C.Is_not_null "Nick") ~table:"P"
       [ ("Id", "Id"); ("Nick", "Nick") ]
   in
-  checkb "IS NOT NULL guard is clean" false (has_code "L003" (Lint.Passes.fragment_diags env f'))
+  checkb "IS NOT NULL guard is clean" false (has_code "L003" (lint_one env f'))
 
 (* L005: a primary-key column neither mapped nor fixed by the store side. *)
 let test_key_non_coverage () =
@@ -59,7 +62,7 @@ let test_key_non_coverage () =
   in
   let env = env_of [ ("Persons", person (), []) ] [ t ] in
   let f = F.entity ~set:"Persons" ~cond:C.True ~table:"P" [ ("Id", "Id"); ("Nick", "Nick") ] in
-  let ds = Lint.Passes.fragment_diags env f in
+  let ds = lint_one env f in
   check_fires "unmapped pk column" "L005" ds;
   checkb "L005 (uncovered) is an error" true (Diag.errors ds <> []);
   (* Fixing the column with a store-side constant discharges it. *)
@@ -68,21 +71,20 @@ let test_key_non_coverage () =
       ~store_cond:(C.Cmp ("Part", C.Eq, V.Int 1))
       [ ("Id", "Id"); ("Nick", "Nick") ]
   in
-  checkb "store constant covers the pk column" false
-    (has_code "L005" (Lint.Passes.fragment_diags env f'))
+  checkb "store constant covers the pk column" false (has_code "L005" (lint_one env f'))
 
 (* L007: contradictory fragment conditions. *)
 let test_unsatisfiable_condition () =
   let env = env_of [ ("Persons", person (), []) ] [ table_p () ] in
   let contradiction = C.And (C.Cmp ("Id", C.Eq, V.Int 1), C.Cmp ("Id", C.Eq, V.Int 2)) in
   let f = F.entity ~set:"Persons" ~cond:contradiction ~table:"P" [ ("Id", "Id") ] in
-  check_fires "contradictory client cond" "L007" (Lint.Passes.fragment_diags env f);
+  check_fires "contradictory client cond" "L007" (lint_one env f);
   let g =
     F.entity ~set:"Persons" ~cond:C.True ~table:"P"
       ~store_cond:(C.And (C.Cmp ("Nick", C.Eq, V.String "a"), C.Is_null "Nick"))
       [ ("Id", "Id") ]
   in
-  check_fires "contradictory store cond" "L007" (Lint.Passes.fragment_diags env g)
+  check_fires "contradictory store cond" "L007" (lint_one env g)
 
 (* L004: column domain does not subsume the attribute's. *)
 let test_domain_clash () =
@@ -92,7 +94,7 @@ let test_domain_clash () =
   in
   let env = env_of [ ("Persons", person (), []) ] [ t ] in
   let f = F.entity ~set:"Persons" ~cond:C.True ~table:"P" [ ("Id", "Id"); ("Nick", "Nick") ] in
-  let ds = Lint.Passes.fragment_diags env f in
+  let ds = lint_one env f in
   check_fires "string into bool" "L004" ds;
   checkb "L004 is an error" true (Diag.errors ds <> [])
 
@@ -104,7 +106,7 @@ let test_overlapping_fragments () =
   let f = F.entity ~set:"Persons" ~cond:C.True ~table:"P" [ ("Id", "Id"); ("Nick", "Nick") ] in
   let g = F.entity ~set:"Persons" ~cond:C.True ~table:"P" [ ("Id", "Id"); ("Id", "Nick") ] in
   let frags = Mapping.Fragments.of_list [ f; g ] in
-  check_fires "conflicting writes" "L006" (Lint.Passes.model_diags env frags);
+  check_fires "conflicting writes" "L006" (Lint.Passes.run env frags);
   (* Disjoint client conditions silence it: no entity hits both fragments. *)
   let f' =
     F.entity ~set:"Persons" ~cond:(C.Cmp ("Id", C.Lt, V.Int 0)) ~table:"P"
@@ -115,7 +117,7 @@ let test_overlapping_fragments () =
       [ ("Id", "Id"); ("Id", "Nick") ]
   in
   checkb "disjoint conditions are clean" false
-    (has_code "L006" (Lint.Passes.model_diags env (Mapping.Fragments.of_list [ f'; g' ])))
+    (has_code "L006" (Lint.Passes.run env (Mapping.Fragments.of_list [ f'; g' ])))
 
 (* L001 / L002 / L010: unmapped attribute, unwritten column, unmapped table. *)
 let test_inventory_passes () =
@@ -126,7 +128,7 @@ let test_inventory_passes () =
         Relational.Table.make ~name:"Orphan" ~key:[ "K" ] [ ("K", D.Int, `Not_null) ] ]
   in
   let f = F.entity ~set:"Persons" ~cond:C.True ~table:"P" [ ("Id", "Id") ] in
-  let ds = Lint.Passes.model_diags env (Mapping.Fragments.of_list [ f ]) in
+  let ds = lint_one env f in
   check_fires "Nick mapped nowhere" "L001" ds;
   check_fires "Orphan table" "L010" ds;
   let t2 =
@@ -134,8 +136,7 @@ let test_inventory_passes () =
       [ ("Id", D.Int, `Not_null); ("Nick", D.String, `Not_null) ]
   in
   let env' = env_of [ ("Persons", person (), []) ] [ t2 ] in
-  check_fires "NOT NULL column written nowhere" "L002"
-    (Lint.Passes.model_diags env' (Mapping.Fragments.of_list [ f ]))
+  check_fires "NOT NULL column written nowhere" "L002" (lint_one env' f)
 
 (* -- compiled-view defect classes ------------------------------------------ *)
 
@@ -150,13 +151,13 @@ let test_dead_case_branch () =
       ctor = Query.Ctor.If (dead_guard, entity_leaf, entity_leaf) }
   in
   let qv = Query.View.set_entity_view "Person" v Query.View.no_query_views in
-  let ds = Lint.Passes.view_diags env qv Query.View.no_update_views in
+  let ds = Lint.Wf.check env qv Query.View.no_update_views in
   check_fires "contradictory guard" "L008" ds;
   (* The pass runs on hierarchy-root views: the same ctor under a non-root
      name is skipped by design. *)
   let qv' = Query.View.set_entity_view "NotARoot" v Query.View.no_query_views in
   checkb "non-root views skipped" false
-    (has_code "L008" (Lint.Passes.view_diags env qv' Query.View.no_update_views))
+    (has_code "L008" (Lint.Wf.check env qv' Query.View.no_update_views))
 
 (* A CASE chain with a branch dead only in context: [Ctor.branches]
    accumulates the complemented else-guards, so the pass sees the
@@ -173,8 +174,7 @@ let test_dead_final_else () =
      contradictory only once the complemented else-guard is accumulated. *)
   let v = { Query.View.query = A.Scan (A.Table "P"); ctor = chain } in
   let qv = Query.View.set_entity_view "Person" v Query.View.no_query_views in
-  check_fires "dead final else" "L008"
-    (Lint.Passes.view_diags env qv Query.View.no_update_views)
+  check_fires "dead final else" "L008" (Lint.Wf.check env qv Query.View.no_update_views)
 
 (* L011: unsatisfiable selection inside a view query. *)
 let test_dead_selection () =
@@ -184,7 +184,7 @@ let test_dead_selection () =
   in
   let v = { Query.View.query = q; ctor = Query.Ctor.Tuple [ "Id"; "Nick" ] } in
   let uv = Query.View.set_table_view "P" v Query.View.no_update_views in
-  check_fires "dead selection" "L011" (Lint.Passes.view_diags env Query.View.no_query_views uv)
+  check_fires "dead selection" "L011" (Lint.Wf.check env Query.View.no_query_views uv)
 
 (* -- algebra well-formedness (Wf) ------------------------------------------ *)
 
@@ -323,7 +323,7 @@ let test_faster_than_validation () =
   in
   let ds, lint_dt = wall (fun () -> Lint.Analyze.run ~views env frags) in
   check Alcotest.int "model is clean" 0 (List.length ds);
-  let r, val_dt = wall (fun () -> Fullc.Validate.run env frags c.Fullc.Compile.update_views) in
+  let r, val_dt = wall (fun () -> Fullc.Validate.run env frags) in
   (match r with Ok _ -> () | Error e -> Alcotest.failf "validation rejected the model: %s" e);
   checkb
     (Printf.sprintf "lint (%.1f ms) >= 50x faster than validation (%.1f ms)" (lint_dt *. 1e3)
@@ -335,18 +335,15 @@ let test_faster_than_validation () =
 
 let show_diags ds = String.concat "\n    " (List.map (Format.asprintf "%a" Diag.pp) ds)
 
-(* The memoized [Wf.check] and [Passes.view_diags] must return exactly what
-   the tree-walking oracles return; returns their diagnostics. *)
+(* The memoized [Wf.check] must return exactly what the two tree-walking
+   oracles return together; returns its diagnostics. *)
 let same_as_tree tag env qv uv =
-  let agree what dag tree =
-    if not (List.equal Diag.equal dag tree) then
-      Alcotest.failf "%s: %s differs from the tree walk\n  memoized:\n    %s\n  tree:\n    %s" tag
-        what (show_diags dag) (show_diags tree);
-    dag
-  in
-  agree "Wf.check" (Lint.Wf.check env qv uv) (Lint_tree.Wf.check env qv uv)
-  @ agree "Passes.view_diags" (Lint.Passes.view_diags env qv uv)
-      (Lint_tree.Views.view_diags env qv uv)
+  let dag = Lint.Wf.check env qv uv in
+  let tree = Diag.sort (Lint_tree.Wf.check env qv uv @ Lint_tree.Views.view_diags env qv uv) in
+  if not (List.equal Diag.equal dag tree) then
+    Alcotest.failf "%s: Wf.check differs from the tree walks\n  memoized:\n    %s\n  tree:\n    %s"
+      tag (show_diags dag) (show_diags tree);
+  dag
 
 (* Faults planted in a view set without breaking its sharing: the rewrite is
    itself memoized on physical identity, so a damaged shared subterm stays
@@ -521,7 +518,7 @@ let test_shared_faults () =
       { Query.View.query = A.project_cols [ "Id"; "Nick" ] dead; ctor = Query.Ctor.Tuple [ "Id"; "Nick" ] }
       Query.View.no_update_views
   in
-  let ds = Lint.Wf.check env qv uv @ Lint.Passes.view_diags env qv uv in
+  let ds = Lint.Wf.check env qv uv in
   let reported code loc =
     checkb
       (Format.asprintf "%s reported at %a (got:\n    %s)" code Diag.pp_location loc (show_diags ds))
@@ -539,7 +536,7 @@ let test_shared_faults () =
   ignore (same_as_tree "shared faults" env qv uv)
 
 (* Each [Analyze.run] opens one span per pass under [lint.analyze], and the
-   view passes report the sharing they exploit. *)
+   view analysis reports the sharing it exploits. *)
 let test_pass_spans () =
   let env, frags = Workload.Hub_rim.generate ~n:2 ~m:3 ~style:`Tpt in
   let st = loaded_state env frags in
@@ -556,12 +553,12 @@ let test_pass_spans () =
     (fun root ->
       let kids = Obs.Span.children root in
       check Alcotest.(list string) "one span per pass"
-        [ "lint.fragments"; "lint.model"; "lint.views"; "lint.wf" ]
+        [ "lint.fragments"; "lint.model"; "lint.views" ]
         (List.map Obs.Span.name kids);
       List.iter
         (fun kid ->
           match Obs.Span.name kid with
-          | "lint.views" | "lint.wf" ->
+          | "lint.views" ->
               let attr k = int_of_string (List.assoc k (Obs.Span.attrs kid)) in
               let tree = attr "tree_nodes" and distinct = attr "distinct_nodes" in
               checkb
