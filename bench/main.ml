@@ -555,6 +555,142 @@ let obs_report ~chain_size () =
 (* IVM: update-translation cost, O(delta) vs O(instance) (E9).         *)
 (* ------------------------------------------------------------------ *)
 
+(* Single-op transactions on e2ebench serve's customer instance (seed 2013,
+   300 entities per set), one row per kind.  Each kind is a cycle of
+   deltas: for insert, update and delete one per entity set, for link one
+   per association, each valid on the materialized handle [inc] and drawn
+   from a seeded generator.  Every step starts from [inc] (the handle is
+   immutable), so a step can be repeated as often as Bechamel likes.  Per
+   step: Bechamel ns, megabytes allocated and the table plans visited (the
+   [tables] attribute of the [ivm.propagate] span), each the mean over the
+   cycle. *)
+let customer_steps env inc inst =
+  let ok = function Ok x -> x | Error e -> failwith e in
+  let schema = env.Query.Env.client in
+  let rng = Random.State.make [| 2013 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let sets = Edm.Schema.entity_sets schema in
+  let key_of set =
+    Edm.Schema.key_of schema (Option.get (Edm.Schema.set_root schema set))
+  in
+  (* Every value any link holds: a delete takes an entity whose key value
+     is none of them, so it leaves no link dangling. *)
+  let linked =
+    List.concat_map
+      (fun (a : Edm.Association.t) ->
+        List.concat_map
+          (fun l -> List.map snd (Datum.Row.to_list l))
+          (Edm.Instance.links inst ~assoc:a.Edm.Association.name))
+      (Edm.Schema.associations schema)
+  in
+  let key_value set (e : Edm.Instance.entity) =
+    Datum.Row.project (key_of set) e.Edm.Instance.attrs
+  in
+  let inserts =
+    List.mapi
+      (fun i (set, root) ->
+        let etype = pick (Edm.Schema.subtypes schema root) in
+        let key = key_of set in
+        let attrs =
+          List.map
+            (fun (a, dom) ->
+              if List.mem a key then (a, Datum.Value.Int (1_000_000 + i))
+              else (a, Roundtrip.Generate.value_for rng dom))
+            (Edm.Schema.attributes schema etype)
+        in
+        Dml.Delta.Insert_entity { set; entity = Edm.Instance.entity ~etype attrs })
+      sets
+  in
+  let updates =
+    List.filter_map
+      (fun (set, _) ->
+        let e = pick (Edm.Instance.entities inst ~set) in
+        let key = key_of set in
+        match
+          List.filter (fun (a, _) -> not (List.mem a key)) (Edm.Schema.attributes schema e.Edm.Instance.etype)
+        with
+        | [] -> None
+        | attrs ->
+            let a, dom = pick attrs in
+            Some
+              (Dml.Delta.Update_entity
+                 { set; key = key_value set e; changes = [ (a, Roundtrip.Generate.value_for rng dom) ] }))
+      sets
+  in
+  let deletes =
+    List.filter_map
+      (fun (set, _) ->
+        match
+          List.filter
+            (fun e ->
+              not (List.exists (fun (_, v) -> List.mem v linked) (Datum.Row.to_list (key_value set e))))
+            (Edm.Instance.entities inst ~set)
+        with
+        | [] -> None
+        | es -> Some (Dml.Delta.Delete_entity { set; key = key_value set (pick es) }))
+      sets
+  in
+  let links =
+    List.filter_map
+      (fun (a : Edm.Association.t) ->
+        let name = a.Edm.Association.name in
+        let existing = Edm.Instance.links inst ~assoc:name in
+        let used col = List.map (Datum.Row.get col) existing in
+        let side bounded ety =
+          let set = Option.get (Edm.Schema.set_of_type schema ety) in
+          let cols = List.map (fun k -> (k, Edm.Association.qualify ~etype:ety k)) (Edm.Schema.key_of schema ety) in
+          let used = List.concat_map (fun (_, q) -> used q) cols in
+          List.filter_map
+            (fun (e : Edm.Instance.entity) ->
+              if not (Edm.Schema.is_subtype schema ~sub:e.Edm.Instance.etype ~sup:ety) then None
+              else
+                let end_row = List.map (fun (k, q) -> (q, Datum.Row.get k e.Edm.Instance.attrs)) cols in
+                if bounded && List.exists (fun (_, v) -> List.mem v used) end_row then None
+                else Some end_row)
+            (Edm.Instance.entities inst ~set)
+        in
+        match
+          ( side (a.Edm.Association.mult2 <> Edm.Association.Many) a.Edm.Association.end1,
+            side (a.Edm.Association.mult1 <> Edm.Association.Many) a.Edm.Association.end2 )
+        with
+        | [], _ | _, [] -> None
+        | ends1, ends2 ->
+            let link = Datum.Row.of_list (pick ends1 @ pick ends2) in
+            if List.exists (Datum.Row.equal link) existing then None
+            else Some (Dml.Delta.Insert_link { assoc = name; link }))
+      (Edm.Schema.associations schema)
+  in
+  List.map
+    (fun (kind, deltas) ->
+      let deltas = Array.of_list (List.map (fun op -> [ op ]) deltas) in
+      let n = Array.length deltas in
+      let step i = ok (Dml.Translate.ivm_step inc deltas.(i mod n)) in
+      let next = ref 0 in
+      let ns =
+        measure_ns ("customer-" ^ kind) (fun () ->
+            ignore (step !next);
+            incr next)
+      in
+      Gc.full_major ();
+      let a0 = allocated_mb () in
+      for i = 0 to n - 1 do ignore (step i) done;
+      let mb = (allocated_mb () -. a0) /. float_of_int n in
+      Obs.reset ();
+      Obs.enable ();
+      for i = 0 to n - 1 do ignore (step i) done;
+      Obs.disable ();
+      let visited =
+        Obs.Span.fold_all
+          (fun acc sp ->
+            match List.assoc_opt "tables" (Obs.Span.attrs sp) with
+            | Some t when Obs.Span.name sp = "ivm.propagate" -> acc + int_of_string t
+            | _ -> acc)
+          0
+      in
+      Obs.reset ();
+      (kind, n, ns, mb, float_of_int visited /. float_of_int n))
+    [ ("insert", inserts); ("update", updates); ("delete", deletes); ("link", links) ]
+
 let ivm () =
   header "IVM -- update translation: delta propagation vs full store diff";
   let module P = Workload.Paper_example in
@@ -654,13 +790,12 @@ let ivm () =
            (ivm_hi /. ivm_lo <= 2.0))
   | _ -> ());
   (* Materializing a populated customer instance, as e2ebench's serve set-up
-     does: the one-off cost that the steps above amortize. *)
-  let init_ms, init_mb =
-    let env, frags = Workload.Customer.generate () in
-    let uv = (ok (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
-    let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 env.Query.Env.client in
-    layer ~runs:3 (fun () -> ignore (ok (Dml.Translate.ivm_init env uv inst)))
-  in
+     does: the one-off cost that the steps above amortize; then single-op
+     steps on it. *)
+  let env, frags = Workload.Customer.generate () in
+  let uv = (ok (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
+  let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 env.Query.Env.client in
+  let init_ms, init_mb = layer ~runs:3 (fun () -> ignore (ok (Dml.Translate.ivm_init env uv inst))) in
   Printf.printf "\nivm_init, customer with 300 entities per set: %.1f ms, %.1f MB\n%!" init_ms
     init_mb;
   Buffer.add_string buf
@@ -668,6 +803,26 @@ let ivm () =
        ",\n  \"init\": { \"model\": \"customer\", \"entities_per_set\": 300, \"ms\": %.1f, \
         \"alloc_mb\": %.1f }"
        init_ms init_mb);
+  let steps = customer_steps env (ok (Dml.Translate.ivm_init env uv inst)) inst in
+  Printf.printf "\nsingle-op steps on it (mean over one delta per set or association)\n%!";
+  Printf.printf "%-7s %6s %12s %10s %8s\n%!" "kind" "steps" "ivm-step" "MB" "tables";
+  List.iter
+    (fun (kind, n, ns, mb, visited) ->
+      Printf.printf "%-7s %6d %12s %10.3f %8.2f\n%!" kind n
+        (Format.asprintf "%a" pp_seconds (ns /. 1e9))
+        mb visited)
+    steps;
+  Buffer.add_string buf ",\n  \"customer\": [";
+  List.iteri
+    (fun i (kind, n, ns, mb, visited) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf
+        (Printf.sprintf
+           "\n    { \"kind\": %S, \"steps\": %d, \"ivm_step_ns\": %.1f, \"alloc_mb\": %.4f, \
+            \"tables_visited\": %.2f }"
+           kind n ns mb visited))
+    steps;
+  Buffer.add_string buf "\n  ]";
   Buffer.add_string buf "\n}\n";
   write_bench_json ~path:"BENCH_ivm.json" ~label:"scaling sweep" (Buffer.contents buf)
 

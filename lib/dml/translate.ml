@@ -41,35 +41,62 @@ let to_sql script =
     script;
   Buffer.contents b
 
-(* Foreign-key topological order: referenced tables first; cycles (self
-   references) fall back to name order within the strongly-connected rest. *)
+module String_map = Map.Make (String)
+module Row_map = Map.Make (Datum.Row)
+
+(* Foreign-key topological order, level by level: a level is every table
+   whose last referenced table (self references aside) sits in the level
+   before it, sorted by name.  Each table and foreign key is visited once.
+   Tables left over — on a cycle, or referencing a table the schema lacks —
+   follow in name order. *)
 let topo_tables schema =
-  let tables = List.map (fun (t : Relational.Table.t) -> t.Relational.Table.name) (Relational.Schema.tables schema) in
-  let refs name =
-    match Relational.Schema.find_table schema name with
-    | None -> []
-    | Some tbl ->
-        List.filter_map
-          (fun (fk : Relational.Table.foreign_key) ->
-            if fk.Relational.Table.ref_table = name then None else Some fk.Relational.Table.ref_table)
-          tbl.Relational.Table.fks
+  let tables = Relational.Schema.tables schema in
+  let refs (tbl : Relational.Table.t) =
+    List.sort_uniq String.compare
+      (List.filter_map
+         (fun (fk : Relational.Table.foreign_key) ->
+           if fk.Relational.Table.ref_table = tbl.Relational.Table.name then None
+           else Some fk.Relational.Table.ref_table)
+         tbl.Relational.Table.fks)
   in
-  let placed = ref [] in
-  let rec place pending =
-    let ready, blocked =
-      List.partition (fun t -> List.for_all (fun r -> List.mem r !placed) (refs t)) pending
-    in
-    match ready, blocked with
-    | [], [] -> ()
-    | [], blocked ->
-        (* cycle: give up on ordering the rest *)
-        placed := !placed @ List.sort String.compare blocked
-    | ready, blocked ->
-        placed := !placed @ List.sort String.compare ready;
-        place blocked
+  let waiting = Hashtbl.create 64 and dependents = Hashtbl.create 64 in
+  let level0 =
+    List.filter_map
+      (fun (tbl : Relational.Table.t) ->
+        let name = tbl.Relational.Table.name in
+        let rs = refs tbl in
+        Hashtbl.replace waiting name (List.length rs);
+        List.iter (fun r -> Hashtbl.add dependents r name) rs;
+        if rs = [] then Some name else None)
+      tables
   in
-  place tables;
-  !placed
+  let rec levels placed level =
+    match level with
+    | [] ->
+        let rest =
+          List.filter_map
+            (fun (tbl : Relational.Table.t) ->
+              let name = tbl.Relational.Table.name in
+              if Hashtbl.find waiting name > 0 then Some name else None)
+            tables
+        in
+        List.rev_append placed (List.sort String.compare rest)
+    | level ->
+        let level = List.sort String.compare level in
+        let next =
+          List.concat_map
+            (fun r ->
+              List.filter
+                (fun d ->
+                  let n = Hashtbl.find waiting d - 1 in
+                  Hashtbl.replace waiting d n;
+                  n = 0)
+                (Hashtbl.find_all dependents r))
+            level
+        in
+        levels (List.rev_append level placed) next
+  in
+  levels [] level0
 
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -83,59 +110,76 @@ let ivm_op = function
   | Delta.Insert_link { assoc; link } -> Ivm.Apply.Insert_link { assoc; link }
   | Delta.Delete_link { assoc; link } -> Ivm.Apply.Delete_link { assoc; link }
 
+(* One table's removed and added rows, paired by primary key: a key in both
+   is an UPDATE of the changed columns, a key only removed a DELETE, a key
+   only added an INSERT.  Should a key repeat on one side, its first row
+   counts. *)
+let classify (tbl : Relational.Table.t) (d : Ivm.Apply.table_delta) =
+  let name = tbl.Relational.Table.name in
+  let keyed rows = List.map (fun r -> (Datum.Row.project tbl.Relational.Table.key r, r)) rows in
+  let index l =
+    List.fold_left (fun m (k, r) -> if Row_map.mem k m then m else Row_map.add k r m) Row_map.empty l
+  in
+  let removed_k = keyed d.Ivm.Apply.removed and added_k = keyed d.Ivm.Apply.added in
+  let removed_m = index removed_k and added_m = index added_k in
+  let deletes =
+    List.filter_map
+      (fun (k, _) ->
+        if Row_map.mem k added_m then None else Some (Delete_row { table = name; key = k }))
+      removed_k
+  in
+  let updates =
+    List.filter_map
+      (fun (k, r_new) ->
+        match Row_map.find_opt k removed_m with
+        | Some r_old ->
+            let changes =
+              List.filter
+                (fun (c, v) ->
+                  match Datum.Row.find c r_old with
+                  | Some v_old -> not (Datum.Value.equal v v_old)
+                  | None -> true)
+                (Datum.Row.to_list r_new)
+            in
+            Some (Update_row { table = name; key = k; changes })
+        | None -> None)
+      added_k
+  in
+  let inserts =
+    List.filter_map
+      (fun (k, r) ->
+        if Row_map.mem k removed_m then None else Some (Insert_row { table = name; row = r }))
+      added_k
+  in
+  (deletes, updates, inserts)
+
+(* Each table's position in [topo_tables]. *)
+let fk_rank schema =
+  List.fold_left
+    (fun (m, i) name -> (String_map.add name i m, i + 1))
+    (String_map.empty, 0) (topo_tables schema)
+  |> fst
+
 (* Deletes run children first and inserts parents first, so that no delete
-   or insert leaves a foreign key dangling. *)
-let script_of_deltas schema (deltas : Ivm.Apply.table_delta list) =
-  let by_table = List.map (fun (d : Ivm.Apply.table_delta) -> (d.Ivm.Apply.table, d)) deltas in
+   or insert leaves a foreign key dangling.  Only the given deltas are
+   sorted, by [rank]; a table without a rank (not in the schema) is
+   dropped. *)
+let script_in_order schema rank (deltas : Ivm.Apply.table_delta list) =
   let per_table =
     List.filter_map
-      (fun name ->
-        match List.assoc_opt name by_table with
-        | None -> None
-        | Some d ->
-            let tbl = Relational.Schema.get_table schema name in
-            let key_of r = Datum.Row.project tbl.Relational.Table.key r in
-            let removed_k = List.map (fun r -> (key_of r, r)) d.Ivm.Apply.removed in
-            let added_k = List.map (fun r -> (key_of r, r)) d.Ivm.Apply.added in
-            let find k l = List.find_opt (fun (k', _) -> Datum.Row.equal k k') l in
-            let deletes =
-              List.filter_map
-                (fun (k, _) ->
-                  if find k added_k = None then Some (Delete_row { table = name; key = k })
-                  else None)
-                removed_k
-            in
-            let updates =
-              List.filter_map
-                (fun (k, r_new) ->
-                  match find k removed_k with
-                  | Some (_, r_old) ->
-                      let changes =
-                        List.filter
-                          (fun (c, v) ->
-                            match Datum.Row.find c r_old with
-                            | Some v_old -> not (Datum.Value.equal v v_old)
-                            | None -> true)
-                          (Datum.Row.to_list r_new)
-                      in
-                      Some (Update_row { table = name; key = k; changes })
-                  | None -> None)
-                added_k
-            in
-            let inserts =
-              List.filter_map
-                (fun (k, r) ->
-                  if find k removed_k = None then Some (Insert_row { table = name; row = r })
-                  else None)
-                added_k
-            in
-            Some (deletes, updates, inserts))
-      (topo_tables schema)
+      (fun (d : Ivm.Apply.table_delta) ->
+        Option.map (fun i -> (i, d)) (String_map.find_opt d.Ivm.Apply.table rank))
+      deltas
+    |> List.stable_sort (fun (i, _) (j, _) -> Int.compare i j)
+    |> List.map (fun (_, (d : Ivm.Apply.table_delta)) ->
+           classify (Relational.Schema.get_table schema d.Ivm.Apply.table) d)
   in
   let deletes = List.concat_map (fun (d, _, _) -> d) (List.rev per_table) in
   let updates = List.concat_map (fun (_, u, _) -> u) per_table in
   let inserts = List.concat_map (fun (_, _, i) -> i) per_table in
   deletes @ updates @ inserts
+
+let script_of_deltas schema deltas = script_in_order schema (fk_rank schema) deltas
 
 (* The rows only in [old_rows] and the rows only in [new_rows], each
    ascending: a sorted merge of the two deduplicated images. *)
@@ -165,18 +209,23 @@ let diff_stores schema ~old_store ~new_store =
          { Ivm.Apply.table; removed; added })
        (Relational.Schema.tables schema))
 
-type incremental = { env : Query.Env.t; plan : Ivm.Plan.t; state : Ivm.State.t }
+type incremental = {
+  env : Query.Env.t;
+  plan : Ivm.Plan.t;
+  rank : int String_map.t;  (* [fk_rank] of the store schema *)
+  state : Ivm.State.t;
+}
 
 let ivm_init env uv client =
   let* plan = Ivm.Plan.compile env uv in
   let* state = Ivm.Apply.init plan client in
-  Ok { env; plan; state }
+  Ok { env; plan; rank = fk_rank env.Query.Env.store; state }
 
 let ivm_step inc delta =
   let* deltas, state = Ivm.Apply.step inc.plan inc.state (List.map ivm_op delta) in
-  Ok (script_of_deltas inc.env.Query.Env.store deltas, { inc with state })
+  Ok (script_in_order inc.env.Query.Env.store inc.rank deltas, { inc with state })
 
-let ivm_store inc = Ivm.State.store inc.plan inc.state
+let ivm_store inc = Ivm.State.store inc.state
 
 let translate env uv ~old_client ~delta =
   let* new_client = Delta.apply env.Query.Env.client old_client delta in

@@ -51,9 +51,12 @@ val full_diff :
 (** {2 Incremental translation}
 
     The one-shot {!translate} still pays O(instance) to materialize the
-    initial state.  Callers translating a {e stream} of
-    deltas against a fixed mapping hold an [incremental] instead: compile
-    and materialize once, then each [ivm_step] costs O(delta).
+    initial state.  Callers translating a {e stream} of deltas against a
+    fixed mapping hold an [incremental] instead: [ivm_init] compiles the
+    plan, materializes the instance and computes the foreign-key order of
+    the store once; each [ivm_step] then costs the delta plus the table
+    plans it reaches ([Ivm.Engine.propagate]), and orders only the touched
+    tables' deltas.
 
     [ivm_step] enforces keyed guards only (see [Ivm.Apply]); it does not
     re-run [Delta.apply]'s whole-instance checks. *)
@@ -67,15 +70,22 @@ val ivm_step : incremental -> Delta.t -> (script * incremental, string) result
 
 val ivm_store : incremental -> Relational.Instance.t
 (** The maintained store image (set-equal to pushing the current client
-    state through the update views). *)
+    state through the update views), in O(1).  Rows are ascending, and a
+    table the last step did not change keeps the very same row list. *)
+
+val topo_tables : Relational.Schema.t -> string list
+(** Every table in foreign-key topological order: referenced tables first,
+    level by level, each level in name order.  Self references are ignored;
+    tables on a cycle (or referencing a table the schema lacks) follow in
+    name order.  Linear in tables and foreign keys, plus the sorts. *)
 
 val script_of_deltas : Relational.Schema.t -> Ivm.Apply.table_delta list -> script
-(** Classify per-table removed/added rows by primary key into
-    DELETE/UPDATE/INSERT.  All deletes come first, in reverse foreign-key
-    topological order (children first); then all updates; then all inserts
-    in topological order (referenced tables first).  Self references fall
-    back to name order.  This is the one classifier: {!diff_stores} and
-    {!ivm_step} both end here. *)
+(** Classify per-table removed/added rows, paired by primary key, into
+    DELETE/UPDATE/INSERT.  All deletes come first, in reverse
+    {!topo_tables} order (children first); then all updates; then all
+    inserts in {!topo_tables} order (referenced tables first).  This is the
+    one classifier: {!diff_stores} and {!ivm_step} both end here
+    ([ivm_step] with the order computed by [ivm_init]). *)
 
 val apply_script :
   Relational.Instance.t -> script -> (Relational.Instance.t, string) result

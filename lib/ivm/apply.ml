@@ -107,13 +107,14 @@ let to_table_deltas deltas =
       { table; removed; added })
     deltas
 
+let feed (plan : Plan.t) st ops =
+  List.fold_left
+    (fun acc op -> Result.bind acc (fun sf -> feed_op plan sf op))
+    (Ok (st, Src_map.empty))
+    ops
+
 let run (plan : Plan.t) st ops =
-  let* st, feed =
-    List.fold_left
-      (fun acc op -> Result.bind acc (fun sf -> feed_op plan sf op))
-      (Ok (st, Src_map.empty))
-      ops
-  in
+  let* st, feed = feed plan st ops in
   let st, deltas = Engine.propagate plan st ~feed in
   Ok (to_table_deltas deltas, st)
 

@@ -4,7 +4,8 @@
     {!step} from the empty state whose batch inserts every entity and link
     of the instance, so the materialized state is by construction
     consistent with what later steps maintain, and the instance meets the
-    same guards.  [step] then costs O(delta), not O(instance).
+    same guards.  [step] then costs the delta plus the table plans it
+    reaches, not O(instance).
 
     Ops mirror [Dml.Delta.op] structurally (lib/ivm sits below lib/dml, so
     it declares its own type; [Dml.Translate] converts).  [step] enforces
@@ -34,5 +35,14 @@ val init : Plan.t -> Edm.Instance.t -> (State.t, string) result
 
 val step : Plan.t -> State.t -> op list -> (table_delta list * State.t, string) result
 (** Propagate one batch of ops (runs under an ["ivm.step"] span).  The
-    returned deltas cover every table of the plan, in plan order; untouched
-    tables have empty [removed]/[added]. *)
+    returned deltas cover the tables whose plans read a source the batch
+    changes ({!Engine.propagate}), in plan order; a reached table may still
+    have empty [removed]/[added].  Every other table is unchanged, and its
+    row list in {!State.store} is physically the previous one. *)
+
+val feed :
+  Plan.t -> State.t -> op list -> (State.t * Multiset.t Plan.Src_map.t, string) result
+(** The first half of {!step}: check the ops against the base images in
+    sequence and turn them into signed base-row deltas per client source,
+    returning the state with updated bases.  {!step} hands the result to
+    {!Engine.propagate}. *)

@@ -105,17 +105,40 @@ let table_delta (plan : Plan.t) feed st (tp : Plan.table_plan) =
   in
   tick c_ctor tuple_d;
   let tuple_counts, out = Multiset.apply_distinct ~base:ts.State.tuple_counts ~delta:tuple_d in
-  (out, State.set_table tp.Plan.table { State.query_counts; tuple_counts } st)
+  ( out,
+    State.set_table tp.Plan.table { State.query_counts; tuple_counts }
+      ~changed:(not (Multiset.is_empty out)) st )
 
+(* The plans reading a source the feed changes, in plan order.  Plan order
+   is ascending table name, so merging the readers of several sources is a
+   sort by name. *)
+let reached (plan : Plan.t) feed =
+  match
+    Plan.Src_map.fold
+      (fun src d acc -> if Multiset.is_empty d then acc else Plan.readers plan src :: acc)
+      feed []
+  with
+  | [] -> []
+  | [ tps ] -> tps
+  | tpss ->
+      List.sort_uniq
+        (fun (a : Plan.table_plan) (b : Plan.table_plan) -> String.compare a.Plan.table b.Plan.table)
+        (List.concat tpss)
+
+(* Every delta rule maps an empty input delta to an empty output delta and
+   leaves its state alone, so a plan no fed source reaches can be skipped:
+   its table's delta is empty and its state unchanged. *)
 let propagate (plan : Plan.t) st ~feed =
   Obs.Span.with_ ~name:"ivm.propagate" (fun () ->
       let fed = Plan.Src_map.fold (fun _ d acc -> acc + Multiset.total d) feed 0 in
       Obs.Span.add_attr "rows.fed" (string_of_int fed);
+      let tps = reached plan feed in
+      Obs.Span.add_attr "tables" (string_of_int (List.length tps));
       let st, deltas =
         List.fold_left
           (fun (st, acc) (tp : Plan.table_plan) ->
             let out, st = table_delta plan feed st tp in
             (st, (tp.Plan.table, out) :: acc))
-          (st, []) plan.Plan.tables
+          (st, []) tps
       in
       (st, List.rev deltas))

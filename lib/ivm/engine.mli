@@ -16,13 +16,21 @@
     - DISTINCT (applied to query rows, then again to constructed tuples):
       rows whose multiplicity crosses 0 contribute ±1.
 
+    Every rule is linear: an empty input delta gives an empty output delta
+    and leaves the operator's state alone.  So a table plan that scans no
+    source the feed changes is skipped, exactly: its delta is empty and its
+    state unchanged.  A propagation costs the delta plus the plans it
+    reaches ({!Plan.readers}), not the whole plan.
+
     Every operator increments an [ivm.rows.*] counter by the absolute row
     count of the delta it emits; a propagation runs under an
-    ["ivm.propagate"] span carrying the fed row count. *)
+    ["ivm.propagate"] span carrying the fed row count ([rows.fed]) and the
+    number of table plans visited ([tables]). *)
 
 val propagate :
   Plan.t -> State.t -> feed:Multiset.t Plan.Src_map.t -> State.t * (string * Multiset.t) list
-(** Push one batch of base deltas (per client source) through every table
-    plan.  Returns the updated state and, per table in plan order, the
-    {e set-level} delta of the materialized table: [-1] rows left the table,
-    [+1] rows entered it. *)
+(** Push one batch of base deltas (per client source) through the table
+    plans that read a changed source.  Returns the updated state and, per
+    visited table in plan order, the {e set-level} delta of the
+    materialized table: [-1] rows left the table, [+1] rows entered it.
+    Tables not listed are unchanged. *)

@@ -19,6 +19,7 @@ type t = {
   env : Query.Env.t;
   tables : table_plan list;
   sources : (Query.Algebra.source * string list) list;
+  readers : table_plan list Src_map.t;
 }
 
 let ( let* ) = Result.bind
@@ -92,7 +93,18 @@ let compile env uv =
         Ok ((src, key) :: acc))
       (Ok []) srcs
   in
-  Ok { env; tables; sources = List.rev sources }
+  let readers =
+    List.fold_right
+      (fun (tp : table_plan) m ->
+        List.fold_left
+          (fun m src ->
+            Src_map.update src (fun l -> Some (tp :: Option.value ~default:[] l)) m)
+          m (node_sources [] tp.root))
+      tables Src_map.empty
+  in
+  Ok { env; tables; sources = List.rev sources; readers }
+
+let readers t src = Option.value ~default:[] (Src_map.find_opt src t.readers)
 
 let rec pp_node fmt = function
   | Scan (Query.Algebra.Entity_set s) | Scan (Query.Algebra.Assoc_set s)

@@ -10,6 +10,7 @@ type t = {
   bases : Datum.Row.t Row_map.t Src_map.t;
   joins : join_state Int_map.t;
   tables : table_state String_map.t;
+  store : Relational.Instance.t;
 }
 
 let empty_join = { lefts = Row_map.empty; rights = Row_map.empty }
@@ -23,6 +24,10 @@ let empty (plan : Plan.t) =
         Src_map.empty plan.Plan.sources;
     joins = Int_map.empty;
     tables = String_map.empty;
+    store =
+      List.fold_left
+        (fun store (tp : Plan.table_plan) -> Relational.Instance.set_rows ~table:tp.Plan.table [] store)
+        Relational.Instance.empty plan.Plan.tables;
   }
 
 let base t src = Option.value ~default:Row_map.empty (Src_map.find_opt src t.bases)
@@ -30,12 +35,12 @@ let set_base src b t = { t with bases = Src_map.add src b t.bases }
 let join t id = Option.value ~default:empty_join (Int_map.find_opt id t.joins)
 let set_join id js t = { t with joins = Int_map.add id js t.joins }
 let table t name = Option.value ~default:empty_table (String_map.find_opt name t.tables)
-let set_table name ts t = { t with tables = String_map.add name ts t.tables }
 
-let store (plan : Plan.t) t =
-  List.fold_left
-    (fun store (tp : Plan.table_plan) ->
-      Relational.Instance.set_rows ~table:tp.Plan.table
-        (Multiset.rows (table t tp.Plan.table).tuple_counts)
-        store)
-    Relational.Instance.empty plan.Plan.tables
+let set_table name ts ~changed t =
+  let store =
+    if changed then Relational.Instance.set_rows ~table:name (Multiset.rows ts.tuple_counts) t.store
+    else t.store
+  in
+  { t with tables = String_map.add name ts t.tables; store }
+
+let store t = t.store

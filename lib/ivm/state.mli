@@ -1,6 +1,7 @@
 (** Materialized images maintained between deltas.
 
-    Immutable (each propagation returns a new value), holding three layers:
+    Immutable (each propagation returns a new value), holding three layers
+    and the store image they determine:
 
     - {e bases}: per client source, the current scan rows keyed by the
       source's key columns — what {!Apply} consults to validate ops and to
@@ -9,7 +10,10 @@
       engine needs to recompute exactly the touched key groups;
     - {e tables}: per store table, the bag of view query rows and the bag of
       constructed tuples, each with multiplicities, so DISTINCT maintenance
-      is a pair of counter transitions rather than a re-sort. *)
+      is a pair of counter transitions rather than a re-sort;
+    - {e store}: per store table, the rows of [tuple_counts], ascending.  A
+      table is re-listed only when its rows change, so the row list of a
+      table a propagation leaves alone is physically the previous one. *)
 
 module Row_map = Multiset.Row_map
 module Int_map : Map.S with type key = int
@@ -23,18 +27,23 @@ type t = {
   bases : Datum.Row.t Row_map.t Src_map.t;
   joins : join_state Int_map.t;
   tables : table_state String_map.t;
+  store : Relational.Instance.t;
 }
 
 val empty : Plan.t -> t
+(** No rows anywhere; the store image lists every table of the plan. *)
 
 val base : t -> Query.Algebra.source -> Datum.Row.t Row_map.t
 val set_base : Query.Algebra.source -> Datum.Row.t Row_map.t -> t -> t
 val join : t -> int -> join_state
 val set_join : int -> join_state -> t -> t
 val table : t -> string -> table_state
-val set_table : string -> table_state -> t -> t
+val set_table : string -> table_state -> changed:bool -> t -> t
+(** Replace a table's counts.  [changed] says whether the rows of
+    [tuple_counts] differ, as a set, from the current ones; only then is
+    the table re-listed in the store image. *)
 
-val store : Plan.t -> t -> Relational.Instance.t
-(** The materialized store image: per table, the rows of [tuple_counts] —
-    by construction equal (as a set) to pushing the current client state
-    through [Query.View.apply_update_views]. *)
+val store : t -> Relational.Instance.t
+(** The materialized store image, in O(1): per table, the rows of
+    [tuple_counts], ascending — by construction equal (as a set) to pushing
+    the current client state through [Query.View.apply_update_views]. *)

@@ -271,6 +271,44 @@ let test_store_integrity_after_dml () =
     (List.exists (function Tr.Delete_row _ -> true | _ -> false) script);
   check_ok "store constraints preserved" (Relational.Instance.conforms env.Query.Env.store new_store)
 
+(* The foreign-key order as [Dml.Translate] computed it before its level
+   walk: each round appends, sorted by name, every pending table whose
+   referenced tables are all placed, rescanning the pending list. *)
+let quadratic_topo_tables schema =
+  let tables = List.map (fun (t : Relational.Table.t) -> t.Relational.Table.name) (Relational.Schema.tables schema) in
+  let refs name =
+    match Relational.Schema.find_table schema name with
+    | None -> []
+    | Some tbl ->
+        List.filter_map
+          (fun (fk : Relational.Table.foreign_key) ->
+            if fk.Relational.Table.ref_table = name then None else Some fk.Relational.Table.ref_table)
+          tbl.Relational.Table.fks
+  in
+  let placed = ref [] in
+  let rec place pending =
+    let ready, blocked =
+      List.partition (fun t -> List.for_all (fun r -> List.mem r !placed) (refs t)) pending
+    in
+    match ready, blocked with
+    | [], [] -> ()
+    | [], blocked -> placed := !placed @ List.sort String.compare blocked
+    | ready, blocked ->
+        placed := !placed @ List.sort String.compare ready;
+        place blocked
+  in
+  place tables;
+  !placed
+
+let test_topo_order () =
+  List.iter
+    (fun (name, (env : Query.Env.t)) ->
+      let store = env.Query.Env.store in
+      check Alcotest.(list string) (name ^ ": FK order") (quadratic_topo_tables store)
+        (Tr.topo_tables store))
+    [ ("paper", env); ("chain", fst (Workload.Chain.generate ~size:50));
+      ("customer", fst (Workload.Customer.generate ())) ]
+
 let () =
   Alcotest.run "dml"
     [
@@ -285,6 +323,7 @@ let () =
           Alcotest.test_case "association ops" `Quick test_translate_link_ops;
           Alcotest.test_case "SQL rendering" `Quick test_sql_rendering;
           Alcotest.test_case "diff_stores FK topology" `Quick test_diff_stores_fk_topology;
+          Alcotest.test_case "FK order of the level walk" `Quick test_topo_order;
           Alcotest.test_case "integrity preserved" `Quick test_store_integrity_after_dml;
           prop_exact_effect;
         ] );

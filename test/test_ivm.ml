@@ -387,6 +387,73 @@ let valid_batch schema inst candidates =
     (inst, []) candidates
   |> fun (_, acc) -> List.rev acc
 
+(* [Dml.Translate]'s conversion of a client delta to IVM ops. *)
+let ivm_ops delta =
+  List.map
+    (function
+      | Delta.Insert_entity { set; entity } ->
+          Ivm.Apply.Insert_entity
+            { set; etype = entity.Edm.Instance.etype; attrs = entity.Edm.Instance.attrs }
+      | Delta.Delete_entity { set; key } -> Ivm.Apply.Delete_entity { set; key }
+      | Delta.Update_entity { set; key; changes } -> Ivm.Apply.Update_entity { set; key; changes }
+      | Delta.Insert_link { assoc; link } -> Ivm.Apply.Insert_link { assoc; link }
+      | Delta.Delete_link { assoc; link } -> Ivm.Apply.Delete_link { assoc; link })
+    delta
+
+(* A whole instance as inserts, entities first, as [Ivm.Apply.init] feeds it. *)
+let instance_ops schema inst =
+  List.concat_map
+    (fun (set, _) ->
+      List.map
+        (fun e -> Delta.Insert_entity { set; entity = e })
+        (Edm.Instance.entities inst ~set))
+    (Edm.Schema.entity_sets schema)
+  @ List.concat_map
+      (fun (a : Edm.Association.t) ->
+        List.map
+          (fun link -> Delta.Insert_link { assoc = a.Edm.Association.name; link })
+          (Edm.Instance.links inst ~assoc:a.Edm.Association.name))
+      (Edm.Schema.associations schema)
+
+let sign_split d =
+  let part p = List.filter_map (fun (r, n) -> if p n then Some r else None) (Ivm.Multiset.to_list d) in
+  (part (fun n -> n < 0), part (fun n -> n > 0))
+
+(* The skipping engine against [Ivm_all_tables] after one step from equal
+   states: equal states, equal non-empty deltas, and a store image whose
+   every table lists the rows of its [tuple_counts]. *)
+let check_skip ~fail (plan : Ivm.Plan.t) ~store (skip_deltas, st_skip) (all_deltas, st_all) =
+  let non_empty =
+    List.filter (fun (_, removed, added) -> removed <> [] || added <> [])
+  in
+  let skip =
+    non_empty
+      (List.map
+         (fun (d : Ivm.Apply.table_delta) -> (d.Ivm.Apply.table, d.removed, d.added))
+         skip_deltas)
+  in
+  let all = non_empty (List.map (fun (t, d) -> let r, a = sign_split d in (t, r, a)) all_deltas) in
+  let same_rows = List.equal Datum.Row.equal in
+  if not (Ivm_all_tables.equal_states st_skip st_all) then fail "state differs from every-table propagation"
+  else if
+    not
+      (List.equal
+         (fun (t, r, a) (t', r', a') -> t = t' && same_rows r r' && same_rows a a')
+         skip all)
+  then fail "deltas differ from every-table propagation"
+  else if
+    Relational.Instance.tables store
+    <> List.map (fun (tp : Ivm.Plan.table_plan) -> tp.Ivm.Plan.table) plan.Ivm.Plan.tables
+    || not
+         (List.for_all
+            (fun (tp : Ivm.Plan.table_plan) ->
+              let table = tp.Ivm.Plan.table in
+              same_rows
+                (Relational.Instance.rows store ~table)
+                (Ivm.Multiset.rows (Ivm.State.table st_skip table).Ivm.State.tuple_counts))
+            plan.Ivm.Plan.tables)
+  then fail "store image differs from the tables' tuple counts"
+
 let run_differential_case seed =
   let env, fragments = Workload.Random_model.generate ~profile ~seed () in
   let schema = env.Query.Env.client in
@@ -401,7 +468,26 @@ let run_differential_case seed =
         | Ok inc -> inc
         | Error e -> QCheck.Test.fail_reportf "seed %d: ivm_init failed: %s" seed e
       in
-      let rec go batch inst inc =
+      let plan =
+        match Ivm.Plan.compile env uv with
+        | Ok plan -> plan
+        | Error e -> QCheck.Test.fail_reportf "seed %d: plan failed: %s" seed e
+      in
+      (* Both engines from the empty state, then step by step beside the
+         handle: each step's skip check reads the handle's store image. *)
+      let both tag st_skip st_all ops ~store_of =
+        let fail what = QCheck.Test.fail_reportf "seed %d %s: %s" seed tag what in
+        match (Ivm.Apply.step plan st_skip ops, Ivm_all_tables.step plan st_all ops) with
+        | Error e, _ | _, Error e -> fail e
+        | Ok ((_, st_skip') as skip), Ok ((_, st_all') as all) ->
+            check_skip ~fail plan ~store:(store_of st_skip') skip all;
+            (st_skip', st_all')
+      in
+      let empty = Ivm.State.empty plan in
+      let st0 =
+        both "init" empty empty (ivm_ops (instance_ops schema inst0)) ~store_of:Ivm.State.store
+      in
+      let rec go batch inst inc (st_skip, st_all) =
         if batch >= 4 then true
         else
           let delta = valid_batch schema inst (candidate_ops rs schema inst (100_000 + batch)) in
@@ -419,14 +505,95 @@ let run_differential_case seed =
                   batch (Tr.to_sql s_full) (Tr.to_sql s_ivm)
               else if not (Relational.Instance.equal st_full (Tr.ivm_store inc')) then
                 QCheck.Test.fail_reportf "seed %d batch %d: stores differ" seed batch
-              else go (batch + 1) new_client inc'
+              else
+                let sts =
+                  both (Printf.sprintf "batch %d" batch) st_skip st_all (ivm_ops delta)
+                    ~store_of:(fun _ -> Tr.ivm_store inc')
+                in
+                go (batch + 1) new_client inc' sts
       in
-      go 0 inst0 inc
+      go 0 inst0 inc st0
 
 let prop_differential =
   qtest "ivm ≡ full-diff on random models and delta streams" ~count:220
     QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
     run_differential_case
+
+(* -- sharing: a write reaches only its tables ---------------------------- *)
+
+(* The [tables] attribute of the one [ivm.propagate] span that [f] opens. *)
+let tables_visited f =
+  Obs.reset ();
+  Obs.enable ();
+  let r = Fun.protect ~finally:Obs.disable f in
+  let visited =
+    Obs.Span.fold_all
+      (fun acc sp ->
+        if Obs.Span.name sp = "ivm.propagate" then List.assoc_opt "tables" (Obs.Span.attrs sp) :: acc
+        else acc)
+      []
+  in
+  Obs.reset ();
+  (r, visited)
+
+(* serve's customer instance (seed 2013, 300 entities per set).  Inserting
+   an entity of a set's root type visits exactly the plans that read the
+   set, changes one table, and every other table keeps its row list,
+   physically: once into a set that one table reads, once into the set
+   that the most tables read (a TPT hierarchy, so the other plans it
+   reaches change nothing). *)
+let test_write_touches_its_tables () =
+  let env, frags = Workload.Customer.generate () in
+  let uv = (ok_exn (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
+  let schema = env.Query.Env.client in
+  let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 schema in
+  let plan = ok_exn (Ivm.Plan.compile env uv) in
+  let inc = ok_exn (Tr.ivm_init env uv inst) in
+  let readers set = List.length (Ivm.Plan.readers plan (A.Entity_set set)) in
+  let sets = Edm.Schema.entity_sets schema in
+  let narrow =
+    match List.find_opt (fun (set, _) -> readers set = 1) sets with
+    | Some s -> s
+    | None -> Alcotest.fail "customer has no entity set read by one table"
+  in
+  let wide =
+    List.fold_left (fun best s -> if readers (fst s) > readers (fst best) then s else best) narrow sets
+  in
+  let rs = Random.State.make [| 2013 |] in
+  List.iter
+    (fun (set, root) ->
+      let key = Edm.Schema.key_of schema root in
+      let attrs =
+        List.map
+          (fun (a, dom) ->
+            if List.mem a key then (a, V.Int 1_000_000) else (a, Roundtrip.Generate.value_for rs dom))
+          (Edm.Schema.attributes schema root)
+      in
+      let delta = [ Delta.Insert_entity { set; entity = Edm.Instance.entity ~etype:root attrs } ] in
+      let (script, inc'), visited = tables_visited (fun () -> ok_exn (Tr.ivm_step inc delta)) in
+      check Alcotest.(list (option string)) (set ^ ": plans visited")
+        [ Some (string_of_int (readers set)) ] visited;
+      let table =
+        match script with
+        | [ Tr.Insert_row { table; _ } ] -> table
+        | _ -> Alcotest.failf "%s: expected one INSERT, got@.%s" set (Tr.to_sql script)
+      in
+      let before = Tr.ivm_store inc and after = Tr.ivm_store inc' in
+      check Alcotest.(list string) (set ^ ": same tables") (Relational.Instance.tables before)
+        (Relational.Instance.tables after);
+      List.iter
+        (fun t ->
+          let shared =
+            Relational.Instance.rows before ~table:t == Relational.Instance.rows after ~table:t
+          in
+          checkb (Printf.sprintf "%s: %s %s" set t (if t = table then "re-listed" else "shares its row list"))
+            (t <> table) shared)
+        (Relational.Instance.tables before);
+      check Alcotest.int (set ^ ": one row more in " ^ table)
+        (List.length (Relational.Instance.rows before ~table) + 1)
+        (List.length (Relational.Instance.rows after ~table)))
+    [ narrow; wide ];
+  checkb "the widest set is read by many tables" true (readers (fst wide) > 1)
 
 let () =
   Alcotest.run "ivm"
@@ -439,5 +606,7 @@ let () =
           Alcotest.test_case "init guards" `Quick test_init_guards;
           Alcotest.test_case "NULL and keyless join keys" `Quick test_null_join_keys;
         ] );
+      ( "customer",
+        [ Alcotest.test_case "a write touches only its tables" `Quick test_write_touches_its_tables ] );
       ("differential", [ prop_differential ]);
     ]
