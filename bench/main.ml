@@ -293,7 +293,7 @@ let fig10 () =
       Printf.printf "full compilation baseline: %s  (the paper's EF baseline: 8 hours)\n\n%!"
         (Format.asprintf "%a" pp_seconds full_time);
       let st = Core.State.of_compiled env frags c in
-      let suite = Workload.Customer.smo_suite () in
+      let suite = Workload.Customer.smo_suite () @ Workload.Customer.drop_suite () in
       let times = smo_table ~baseline:full_time st suite in
       let costs = smo_costs st suite in
       Printf.printf "\n%-10s %14s %10s %12s\n%!" "SMO" "non-discharge" "alloc" "obligations";

@@ -189,19 +189,6 @@ let fk_obligations env uv ~table (fk : Relational.Table.foreign_key) =
                  cols fk.ref_table);
         ]
 
-let recheck_fks env uv tables =
-  let has_view t = Query.View.table_view uv t <> None in
-  collect
-    (fun table ->
-      match Relational.Schema.find_table env.Query.Env.store table with
-      | Some tbl when has_view table ->
-          collect
-            (fun (fk : Relational.Table.foreign_key) ->
-              if has_view fk.ref_table then fk_obligations env uv ~table fk else Ok [])
-            tbl.Relational.Table.fks
-      | Some _ | None -> Ok [])
-    tables
-
 let assoc_endpoint_obligations env frags uv ~etypes =
   span "algo.assoc-checks" @@ fun () ->
   let client = env.Query.Env.client in
@@ -307,31 +294,65 @@ let assoc_table_fk_obligations env frags uv ~etypes =
         (Edm.Schema.associations_on client etype))
     etypes
 
-let drop_orphaned_views ~before frags uv =
-  let after = Mapping.Fragments.tables frags in
-  List.fold_left
-    (fun uv t -> if List.mem t after then uv else Query.View.remove_table_view t uv)
-    uv (Mapping.Fragments.tables before)
-
-let recompile_set env frags ~set (st : State.t) =
-  span "algo.recompile-set" ~attrs:[ ("set", set) ] @@ fun () ->
-  let* set_views = lift (Fullc.Query_views.for_set env frags ~set) in
-  let touched_tables =
+let shrink (before : State.t) env fragments query_views ~set ~fk_tables =
+  span "algo.shrink" @@ fun () ->
+  let tables = Mapping.Fragments.tables fragments in
+  let update_views =
+    List.fold_left
+      (fun uv t -> if List.mem t tables then uv else Query.View.remove_table_view t uv)
+      before.State.update_views (Mapping.Fragments.tables before.State.fragments)
+  in
+  let set_tables =
+    match set with
+    | None -> []
+    | Some set ->
+        List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table)
+          (Mapping.Fragments.of_set fragments set)
+  in
+  let regenerated =
     List.sort_uniq String.compare
-      (List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table)
-         (Mapping.Fragments.of_set frags set))
+      (set_tables @ List.filter (fun t -> List.mem t tables) fk_tables)
+  in
+  let store = env.Query.Env.store in
+  let* () =
+    all_ok
+      (fun t ->
+        let unwritten = Mapping.Coverage.unwritten_not_null (Mapping.Fragments.on_table fragments t) in
+        match Option.map unwritten (Relational.Schema.find_table store t) with
+        | Some (c :: _) -> fail "non-nullable column %s.%s would be written by no fragment" t c
+        | Some [] | None -> Ok ())
+      regenerated
+  in
+  let* query_views =
+    match set with
+    | None -> Ok query_views
+    | Some set ->
+        let* views = lift (Fullc.Query_views.for_set env fragments ~set) in
+        Ok
+          (List.fold_left
+             (fun acc (ty, v) -> Query.View.set_entity_view ty v acc)
+             query_views views)
   in
   let* update_views =
     List.fold_left
       (fun acc table ->
         let* acc = acc in
-        let* v = lift (Fullc.Update_views.for_table env frags ~table) in
+        let* v = lift (Fullc.Update_views.for_table env fragments ~table) in
         Ok (Query.View.set_table_view table v acc))
-      (Ok st.State.update_views) touched_tables
+      (Ok update_views) regenerated
   in
-  let query_views =
-    List.fold_left
-      (fun acc (ty, v) -> Query.View.set_entity_view ty v acc)
-      st.State.query_views set_views
+  let has_view t = Query.View.table_view update_views t <> None in
+  let* obls =
+    collect
+      (fun table ->
+        match Relational.Schema.find_table store table with
+        | Some tbl when has_view table ->
+            collect
+              (fun (fk : Relational.Table.foreign_key) ->
+                if has_view fk.ref_table then fk_obligations env update_views ~table fk
+                else Ok [])
+              tbl.Relational.Table.fks
+        | Some _ | None -> Ok [])
+      (List.sort_uniq String.compare fk_tables)
   in
-  Ok { State.env; fragments = frags; query_views; update_views }
+  Ok ({ State.env; fragments; query_views; update_views }, obls)

@@ -99,14 +99,6 @@ val fk_obligations :
     (SQL simple-match semantics: null references are exempt).  A missing
     update view is an immediate structural error. *)
 
-val recheck_fks :
-  Query.Env.t -> Query.View.update_views -> string list ->
-  (Containment.Obligation.t list, Containment.Validation_error.t) result
-(** [recheck_fks env uv tables]: the {!fk_obligations} of every foreign key
-    of the given store tables whose two ends both have an update view in
-    [uv], in table order — the safety re-check of the SMOs that regenerate
-    a table's update view (DropEntity, DropAssociation, Refactor). *)
-
 val assoc_endpoint_obligations :
   Query.Env.t -> Mapping.Fragments.t -> Query.View.update_views -> etypes:string list ->
   (Containment.Obligation.t list, Containment.Validation_error.t) result
@@ -134,22 +126,20 @@ val assoc_table_fk_obligations :
     the association maps to that shares a column with the association's
     image must still hold under the new update views. *)
 
-val drop_orphaned_views :
-  before:Mapping.Fragments.t -> Mapping.Fragments.t -> Query.View.update_views ->
-  Query.View.update_views
-(** [drop_orphaned_views ~before frags uv] removes from [uv] the update view
-    of every table that a fragment of [before] mentions and no fragment of
-    [frags] does: the tables a DropEntity, DropProperty or DropAssociation
-    left without a fragment. *)
-
-val recompile_set :
-  Query.Env.t -> Mapping.Fragments.t -> set:string -> State.t ->
-  (State.t, Containment.Validation_error.t) result
-(** Neighborhood recompilation: regenerate the query views of one entity
-    set's hierarchy with the full compiler's [Fullc.Query_views.for_set],
-    and the update views of the tables its fragments touch, leaving every
-    other view untouched.  Used by the SMOs for which the paper gives no
-    view-surgery recipe: DropEntity, DropProperty and Refactor.  AddEntity
-    and AddEntityPart patch their neighborhood instead
-    ({!Neighborhood.add_type}); their tests keep this function as the
-    oracle the patched views are compared against. *)
+val shrink :
+  State.t -> Query.Env.t -> Mapping.Fragments.t -> Query.View.query_views ->
+  set:string option -> fk_tables:string list ->
+  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result
+(** [shrink before env frags qv ~set ~fk_tables]: the one tail of the SMOs
+    that shrink the mapping (DropEntity, DropProperty, DropAssociation,
+    Refactor), given the shrunken schemas, fragments and query views, the
+    entity set whose views regenerate, if any, and the tables whose foreign
+    keys must be re-proved.  It drops the update view of every table
+    [before] maps and [frags] does not.  The regenerated tables are [set]'s
+    and the still-mapped [fk_tables]; a non-nullable column of one that no
+    fragment writes ({!Mapping.Coverage.unwritten_not_null}) is an
+    immediate error naming the table and the column.  Then [set]'s query
+    views regenerate with [Fullc.Query_views.for_set] and each regenerated
+    table's update view with [Fullc.Update_views.for_table]; the result
+    carries the {!fk_obligations} of every foreign key of [fk_tables] whose
+    two ends keep an update view, in table order. *)

@@ -18,21 +18,9 @@ let apply (st : State.t) ~assoc =
   let* client' = Algo.lift (Edm.Schema.remove_association assoc client) in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
   let fragments = Mapping.Fragments.remove frag st.State.fragments in
-  let query_views = Query.View.remove_assoc_view assoc st.State.query_views in
   (* A pure join table loses its view; any other table's update view
-     regenerates from its remaining fragments. *)
-  let* update_views =
-    Algo.span "drop-assoc.view-patch" @@ fun () ->
-    let uv = Algo.drop_orphaned_views ~before:st.State.fragments fragments st.State.update_views in
-    if Option.is_none (Query.View.table_view uv table) then Ok uv
-    else
-      let* v = Algo.lift (Fullc.Update_views.for_table env' fragments ~table) in
-      Ok (Query.View.set_table_view table v uv)
-  in
-  let st' = { State.env = env'; fragments; query_views; update_views } in
-  (* Safety: remaining foreign keys of the touched table still hold. *)
-  let* obls =
-    Algo.span "drop-assoc.fk-checks" @@ fun () ->
-    Algo.recheck_fks env' st'.State.update_views [ table ]
-  in
-  Ok (st', obls)
+     regenerates from its remaining fragments, and its foreign keys are
+     re-proved. *)
+  Algo.shrink st env' fragments
+    (Query.View.remove_assoc_view assoc st.State.query_views)
+    ~set:None ~fk_tables:[ table ]

@@ -3,8 +3,10 @@
 
     The association's fragment disappears; its query view is removed; the
     update view of its table is regenerated from the remaining fragments
-    (for a key/foreign-key mapping the foreign-key column reverts to an
-    unmapped NULL-padded column; a join table loses its view entirely).
+    by {!Algo.shrink} (for a key/foreign-key mapping the foreign-key column
+    reverts to an unmapped NULL-padded column, and the drop is refused if
+    that column is declared not null; a join table loses its view
+    entirely).
     Dropping rows can only shrink foreign-key sources, but the touched
     table's foreign keys are re-checked for safety: their obligations are
     returned for {!Engine.apply} to discharge. *)

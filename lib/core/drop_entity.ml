@@ -33,23 +33,12 @@ let apply (st : State.t) ~etype =
     |> Mapping.Fragments.of_list
   in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
-  (* Remove update views of tables that lost all fragments, and the dropped
-     type's query view. *)
-  let update_views =
-    Algo.drop_orphaned_views ~before:st.State.fragments fragments st.State.update_views
-  in
-  let query_views = Query.View.remove_entity_view etype st.State.query_views in
-  let st' = { State.env = env'; fragments; query_views; update_views } in
-  (* Neighborhood view regeneration for the affected set. *)
-  let* st' = Algo.recompile_set env' fragments ~set st' in
-  (* Re-check foreign keys of the set's remaining tables. *)
+  (* The set's views regenerate, and its remaining tables' foreign keys are
+     re-proved. *)
   let touched =
-    List.sort_uniq String.compare
-      (List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table)
-         (Mapping.Fragments.of_set fragments set))
+    List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table)
+      (Mapping.Fragments.of_set fragments set)
   in
-  let* obls =
-    Algo.span "drop-entity.fk-checks" @@ fun () ->
-    Algo.recheck_fks env' st'.State.update_views touched
-  in
-  Ok (st', obls)
+  Algo.shrink st env' fragments
+    (Query.View.remove_entity_view etype st.State.query_views)
+    ~set:(Some set) ~fk_tables:touched

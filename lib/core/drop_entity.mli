@@ -10,8 +10,8 @@
     themselves stay in the store; dropping data is not the compiler's
     call).  Views of the affected entity set are regenerated from its
     remaining fragments — the neighborhood — and the touched tables'
-    foreign keys are re-checked: their obligations are returned for
-    {!Engine.apply} to discharge. *)
+    foreign keys are re-checked ({!Algo.shrink}): their obligations are
+    returned for {!Engine.apply} to discharge. *)
 
 val apply :
   State.t -> etype:string ->

@@ -97,14 +97,9 @@ let apply (st : State.t) ~assoc =
       (fun ty -> Algo.lift (Mapping.Coverage.attribute_coverage env' fragments ~etype:ty))
       (Edm.Schema.subtypes client' e2)
   in
-  (* Views: drop the association view and the stale E2-subtree views, then
-     regenerate the merged hierarchy. *)
-  let query_views = Query.View.remove_assoc_view assoc st.State.query_views in
-  let st' = { State.env = env'; fragments; query_views; update_views = st.State.update_views } in
-  let* st' = Algo.recompile_set env' fragments ~set:set1 st' in
-  (* Foreign keys of the subtree's table must keep resolving. *)
-  let* obls =
-    Algo.span "refactor.fk-checks" @@ fun () ->
-    Algo.recheck_fks env' st'.State.update_views [ t2 ]
-  in
-  Ok (st', obls)
+  (* Views: drop the association view, then regenerate the merged
+     hierarchy; the foreign keys of the subtree's table must keep
+     resolving. *)
+  Algo.shrink st env' fragments
+    (Query.View.remove_assoc_view assoc st.State.query_views)
+    ~set:(Some set1) ~fk_tables:[ t2 ]

@@ -24,9 +24,6 @@ type cell = {
       (** Fragments whose store condition evaluates to true in this cell. *)
 }
 
-val atoms_of_table : Mapping.Fragments.t -> string -> Query.Cond.t list
-(** Distinct store-side condition atoms of the table's fragments. *)
-
 val enumerate :
   Query.Env.t -> Mapping.Fragments.t -> table:string -> (cell list, string) result
 (** All satisfiable cells of the table.  Fails when the atom count exceeds
@@ -38,5 +35,3 @@ val fold :
   init:'a -> f:('a -> cell -> 'a) -> ('a, string) result
 (** Streaming variant of {!enumerate}: visits every satisfiable cell without
     materializing the (potentially huge) cell list. *)
-
-val max_atoms : int

@@ -22,9 +22,6 @@ val for_set :
     provenance guard: the store could not tell their entities apart, and
     every such entity would read back as one of the two. *)
 
-val for_assoc :
-  Query.Env.t -> Mapping.Fragments.t -> assoc:string -> (Query.View.t, string) result
-
 val all :
   ?optimize:bool ->
   Query.Env.t -> Mapping.Fragments.t -> (Query.View.query_views, string) result

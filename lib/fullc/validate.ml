@@ -11,15 +11,13 @@ let rec all_ok f = function
 
 (* -- step (2): attribute coverage per concrete type ---------------------- *)
 
-let attribute_coverage = Mapping.Coverage.attribute_coverage
-
 let coverage env frags =
   let client = env.Query.Env.client in
   let types =
     List.concat_map (fun (_, root) -> Edm.Schema.subtypes client root)
       (Edm.Schema.entity_sets client)
   in
-  let* () = all_ok (fun ty -> attribute_coverage env frags ~etype:ty) types in
+  let* () = all_ok (fun ty -> Mapping.Coverage.attribute_coverage env frags ~etype:ty) types in
   Ok (List.length types)
 
 (* -- step (1): one-to-one left sides over the cell partitioning ----------- *)
@@ -181,11 +179,7 @@ let fk_obligations env frags =
           in
           collect
             (fun (g : Mapping.Fragment.t) ->
-              let writes c =
-                Mapping.Fragment.attr_of g c <> None
-                || List.mem_assoc c
-                     (Mapping.Coverage.determined_constants g.Mapping.Fragment.store_cond)
-              in
+              let writes = Mapping.Coverage.writes g in
               if not (List.exists writes fk.fk_columns) then Ok []
               else if not (List.for_all writes fk.fk_columns) then
                 fail "fragment %s writes foreign key %s(%s) only partially"
@@ -220,26 +214,12 @@ let fk_checks ?jobs env frags =
   Ok (List.length obls)
 
 let nullability env frags =
-  let store = env.Query.Env.store in
   all_ok
     (fun table ->
-      let tbl = Relational.Schema.get_table store table in
-      let table_frags = Mapping.Fragments.on_table frags table in
-      all_ok
-        (fun (col : Relational.Table.column) ->
-          let c = col.Relational.Table.cname in
-          let mapped =
-            List.exists
-              (fun f ->
-                List.mem c (Mapping.Fragment.cols f)
-                || List.mem_assoc c
-                     (Mapping.Coverage.determined_constants
-                        (f : Mapping.Fragment.t).Mapping.Fragment.store_cond))
-              table_frags
-          in
-          if mapped || col.Relational.Table.nullable then Ok ()
-          else fail "non-nullable column %s.%s is not mapped" table c)
-        tbl.Relational.Table.columns)
+      let tbl = Relational.Schema.get_table env.Query.Env.store table in
+      match Mapping.Coverage.unwritten_not_null (Mapping.Fragments.on_table frags table) tbl with
+      | [] -> Ok ()
+      | c :: _ -> fail "non-nullable column %s.%s is not mapped" table c)
     (Mapping.Fragments.tables frags)
 
 let phase name f = Obs.Span.with_ ~name:("validate." ^ name) f

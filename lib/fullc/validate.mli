@@ -38,10 +38,3 @@ val fk_obligations :
 (** The foreign-key containment obligations of step 4, one per
     (foreign key, writing fragment) pair, without discharging them —
     exported so harnesses can batch obligations across whole models. *)
-
-val attribute_coverage :
-  Query.Env.t -> Mapping.Fragments.t -> etype:string -> (unit, string) result
-(** The per-type data-loss check: every attribute of the exact type is, for
-    every attribute valuation, either projected or forced to a constant by
-    some fragment whose ψ holds — the paper's tautology condition from
-    Section 3.3, reused by [AddEntityPart]. *)

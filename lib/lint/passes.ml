@@ -151,7 +151,6 @@ let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
               (Diag.makef ~code:"L003" ~severity:Diag.Warning ~loc:(floc f)
                  "attribute %s may be NULL but column %s.%s is NOT NULL" a f.table c))
         f.pairs;
-      let consts = Mapping.Coverage.determined_constants f.store_cond in
       List.iter
         (fun k ->
           match Fragment.attr_of f k with
@@ -161,7 +160,7 @@ let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
                 (Diag.makef ~code:"L005" ~severity:Diag.Warning ~loc:(floc f)
                    "primary-key column %s.%s is paired with non-key attribute %s" f.table k a)
           | None ->
-              if not (List.mem_assoc k consts) then
+              if not (Mapping.Coverage.writes f k) then
                 add
                   (Diag.makef ~code:"L005" ~severity:Diag.Error ~loc:(floc f)
                      "primary-key column %s.%s is neither mapped nor fixed by the store condition"
@@ -177,10 +176,9 @@ let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
              "client condition selects no type of the hierarchy rooted at %s" root)
 
 let assoc_fragment_diags (f : Fragment.t) tbl add =
-  let consts = Mapping.Coverage.determined_constants f.store_cond in
   List.iter
     (fun k ->
-      if Fragment.attr_of f k = None && not (List.mem_assoc k consts) then
+      if not (Mapping.Coverage.writes f k) then
         add
           (Diag.makef ~code:"L005" ~severity:Diag.Error ~loc:(floc f)
              "primary-key column %s.%s is neither mapped nor fixed by the store condition" f.table
@@ -244,21 +242,12 @@ let unwritten_column_diags env frags add =
       match Relational.Schema.find_table env.Query.Env.store tname with
       | None -> ()
       | Some tbl ->
-          let tfrags = Fragments.on_table frags tname in
-          let written c =
-            List.exists
-              (fun (f : Fragment.t) ->
-                List.mem c (Fragment.cols f)
-                || List.mem_assoc c (Mapping.Coverage.determined_constants f.store_cond))
-              tfrags
-          in
           List.iter
-            (fun (col : Relational.Table.column) ->
-              if (not col.nullable) && not (written col.cname) then
-                add
-                  (Diag.makef ~code:"L002" ~severity:Diag.Error ~loc:(Diag.Table tname)
-                     "non-nullable column %s is written by no fragment" col.cname))
-            tbl.columns)
+            (fun c ->
+              add
+                (Diag.makef ~code:"L002" ~severity:Diag.Error ~loc:(Diag.Table tname)
+                   "non-nullable column %s is written by no fragment" c))
+            (Mapping.Coverage.unwritten_not_null (Fragments.on_table frags tname) tbl))
     (Fragments.tables frags)
 
 let overlap_diags hiers env frags add =

@@ -36,3 +36,15 @@ let attribute_coverage env frags ~etype =
       if Query.Cover.tautology client ~etype (Query.Cond.disj covering) then Ok ()
       else fail "attribute %s of entity type %s is not covered by the mapping" attr etype)
     (Edm.Schema.attributes client etype)
+
+let writes (f : Fragment.t) c =
+  List.mem c (Fragment.cols f)
+  || List.mem_assoc c (determined_constants f.Fragment.store_cond)
+
+let unwritten_not_null frags (table : Relational.Table.t) =
+  List.filter_map
+    (fun (col : Relational.Table.column) ->
+      let c = col.Relational.Table.cname in
+      if col.Relational.Table.nullable || List.exists (fun f -> writes f c) frags then None
+      else Some c)
+    table.Relational.Table.columns

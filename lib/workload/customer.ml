@@ -281,3 +281,10 @@ let smo_suite () =
             Core.Add_property.To_existing_table { table = tpt_table_name 1 0;
                                                   column = "CNewProp" } } );
   ]
+
+let drop_suite () =
+  [
+    ("DROP", Core.Smo.Drop_entity { etype = ty 1 20 });
+    ("DROP-P", Core.Smo.Drop_property { etype = ty 1 20; attr = attr 1 20 });
+    ("DROP-A", Core.Smo.Drop_association { assoc = "Rel27" });
+  ]

@@ -21,3 +21,8 @@ val stats : unit -> string
 
 val smo_suite : unit -> (string * Core.Smo.t) list
 (** The Fig. 10 primitives over this model, labelled as in the figure. *)
+
+val drop_suite : unit -> (string * Core.Smo.t) list
+(** Three shrinking SMOs over this model: [DROP] drops a leaf of the
+    95-type TPT hierarchy (Set1), [DROP-P] that leaf's attribute, and
+    [DROP-A] the association Rel27. *)

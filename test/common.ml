@@ -34,6 +34,26 @@ let wf_errors (st : Core.State.t) =
 let check_wf tag st =
   check Alcotest.(list string) (tag ^ ": well-formed views and fragments") [] (wf_errors st)
 
+(* What every accepted step must leave behind besides well-formed views:
+   no mapped table has a non-nullable column its fragments leave unwritten
+   ({!Mapping.Coverage.unwritten_not_null}), and lint reports no L002 (a
+   lint error implies that validation rejects). *)
+let check_written tag (st : Core.State.t) =
+  let env = st.Core.State.env and frags = st.Core.State.fragments in
+  let unwritten =
+    List.concat_map
+      (fun t ->
+        Mapping.Coverage.unwritten_not_null (Mapping.Fragments.on_table frags t)
+          (Relational.Schema.get_table env.Query.Env.store t)
+        |> List.map (fun c -> t ^ "." ^ c))
+      (Mapping.Fragments.tables frags)
+  in
+  check Alcotest.(list string) (tag ^ ": non-nullable columns written") [] unwritten;
+  check Alcotest.(list string) (tag ^ ": no L002") []
+    (Lint.Analyze.run env frags
+    |> List.filter (fun (d : Lint.Diag.t) -> d.Lint.Diag.code = "L002")
+    |> List.map (Format.asprintf "%a" Lint.Diag.pp))
+
 let check_ok msg = function
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: expected Ok, got Error %s" msg e
@@ -262,7 +282,8 @@ let aep_step seed client ~root ~ptable ~fresh_attrs =
 (* The SMO pipeline grown below the root of a random model's first entity
    set, or [None] when that root has no key-carrying table.  Its shape
    varies with the seed: grow, then widen with a property, then (sometimes)
-   shrink again, then add a partitioned subtype ({!aep_step}). *)
+   shrink again, then add a partitioned subtype ({!aep_step}), drop that
+   subtype again, and drop the model's first association if it has one. *)
 let random_pipeline seed (st : Core.State.t) =
   let client = st.Core.State.env.Query.Env.client in
   match Edm.Schema.entity_sets client with
@@ -298,4 +319,9 @@ let random_pipeline seed (st : Core.State.t) =
                else [])
             @ (if shrink then [ Core.Smo.Drop_property { etype = "Fresh"; attr = "FreshAttr" } ]
                else [])
-            @ [ aep_step seed client ~root ~ptable ~fresh_attrs ]))
+            @ [ aep_step seed client ~root ~ptable ~fresh_attrs;
+                Core.Smo.Drop_entity { etype = "FreshPart" } ]
+            @
+            match Edm.Schema.associations client with
+            | a :: _ -> [ Core.Smo.Drop_association { assoc = a.Edm.Association.name } ]
+            | [] -> []))

@@ -609,9 +609,9 @@ let test_add_property_new_table () =
    fragment left with only the key still tells employees from persons. *)
 let test_drop_tpt_only_attribute () =
   let _, st2, _, _ = Lazy.force paper_states in
-  let st =
-    ok_v (Core.Engine.apply st2 (Core.Smo.Drop_property { etype = "Employee"; attr = "Department" }))
-  in
+  let smo = Core.Smo.Drop_property { etype = "Employee"; attr = "Department" } in
+  let st = ok_v (Core.Engine.apply st2 smo) in
+  Recompile.check "drop Employee.Department" st2 smo st;
   checkb "Emp keeps a fragment" true
     (List.mem "Emp" (Mapping.Fragments.tables st.Core.State.fragments));
   (match
@@ -816,7 +816,9 @@ let test_drop_entity () =
   checkb "endpoint drop refused" true
     (Result.is_error (Core.Engine.apply st4 (Core.Smo.Drop_entity { etype = "Customer" })));
   (* At stage 3 Customer is droppable; fragments revert to Σ2 shape. *)
-  let st = ok_v (Core.Engine.apply st3 (Core.Smo.Drop_entity { etype = "Customer" })) in
+  let smo = Core.Smo.Drop_entity { etype = "Customer" } in
+  let st = ok_v (Core.Engine.apply st3 smo) in
+  Recompile.check "drop Customer" st3 smo st;
   (* φ3 disappears; φ'1 keeps its (now redundant) widened condition, which is
      semantically Σ2's φ1 on the shrunken schema. *)
   check Alcotest.int "Customer fragment removed" 2
@@ -828,6 +830,86 @@ let test_drop_entity () =
       P.sample_client
   in
   checkb "roundtrip after drop" true (ok_exn (Core.State.roundtrip_ok st inst))
+
+(* -- drops that would leave a NOT NULL column unwritten ------------------------ *)
+
+(* Person(Id, Name) in HR(Id, Name, Dep), Dept(Id) in DeptT(Id), and WorksIn
+   (every person works in one department) stored by HR.Dep -> DeptT.Id;
+   [name] and [dep] say whether HR.Name and HR.Dep are declared not null. *)
+let hr_state ~name ~dep =
+  let client =
+    ok_exn
+      (Edm.Schema.add_root ~set:"Persons"
+         (Edm.Entity_type.root ~name:"Person" ~key:[ "Id" ] ~non_null:[ "Name" ]
+            [ ("Id", D.Int); ("Name", D.String) ])
+         Edm.Schema.empty)
+  in
+  let client =
+    ok_exn
+      (Edm.Schema.add_root ~set:"Depts"
+         (Edm.Entity_type.root ~name:"Dept" ~key:[ "Id" ] [ ("Id", D.Int) ])
+         client)
+  in
+  let client =
+    ok_exn
+      (Edm.Schema.add_association
+         { Edm.Association.name = "WorksIn"; end1 = "Person"; end2 = "Dept";
+           mult1 = Edm.Association.Many; mult2 = Edm.Association.One }
+         client)
+  in
+  let null b = if b then `Not_null else `Null in
+  let store =
+    List.fold_left
+      (fun acc t -> ok_exn (Relational.Schema.add_table t acc))
+      Relational.Schema.empty
+      [
+        T.make ~name:"DeptT" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null) ];
+        T.make ~name:"HR" ~key:[ "Id" ]
+          ~fks:[ { T.fk_columns = [ "Dep" ]; ref_table = "DeptT"; ref_columns = [ "Id" ] } ]
+          [ ("Id", D.Int, `Not_null); ("Name", D.String, null name); ("Dep", D.Int, null dep) ];
+      ]
+  in
+  let frags =
+    Mapping.Fragments.of_list
+      [
+        F.entity ~set:"Persons" ~cond:(C.Is_of "Person") ~table:"HR"
+          [ ("Id", "Id"); ("Name", "Name") ];
+        F.entity ~set:"Depts" ~cond:(C.Is_of "Dept") ~table:"DeptT" [ ("Id", "Id") ];
+        F.assoc ~assoc:"WorksIn" ~table:"HR" ~store_cond:(C.Is_not_null "Dep")
+          [ ("Person.Id", "Id"); ("Dept.Id", "Dep") ];
+      ]
+  in
+  ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags)
+
+let test_drops_keep_not_null_written () =
+  let drop_name = Core.Smo.Drop_property { etype = "Person"; attr = "Name" } in
+  let drop_works_in = Core.Smo.Drop_association { assoc = "WorksIn" } in
+  List.iter
+    (fun (label, st, smo, column) ->
+      match Core.Engine.apply st smo with
+      | Ok _ -> Alcotest.failf "%s: accepted, leaving %s unwritten" label column
+      | Error e ->
+          let msg = show_v e in
+          if not (contains ~sub:column msg) then
+            Alcotest.failf "%s: %S does not name %s" label msg column)
+    [
+      ("drop property Person.Name", hr_state ~name:true ~dep:false, drop_name, "HR.Name");
+      ("drop assoc WorksIn", hr_state ~name:false ~dep:true, drop_works_in, "HR.Dep");
+    ];
+  (* With the column nullable, each drop is accepted, and full validation
+     accepts what it leaves. *)
+  List.iter
+    (fun (label, st, smo) ->
+      let st' = ok_v (Core.Engine.apply st smo) in
+      Recompile.check label st smo st';
+      check_written label st';
+      match Fullc.Validate.run st'.Core.State.env st'.Core.State.fragments with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: full validation rejects the result: %s" label e)
+    [
+      ("drop property Person.Name (nullable)", hr_state ~name:false ~dep:false, drop_name);
+      ("drop assoc WorksIn (nullable)", hr_state ~name:false ~dep:false, drop_works_in);
+    ]
 
 (* -- Refactor ------------------------------------------------------------------- *)
 
@@ -878,7 +960,9 @@ let test_refactor () =
       ]
   in
   let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
-  let st' = ok_v (Core.Engine.apply st (Core.Smo.Refactor { assoc = "Heads" })) in
+  let smo = Core.Smo.Refactor { assoc = "Heads" } in
+  let st' = ok_v (Core.Engine.apply st smo) in
+  Recompile.check "refactor Heads" st smo st';
   let client' = st'.Core.State.env.Query.Env.client in
   checkb "Mgr now derives Dept" true (Edm.Schema.parent client' "Mgr" = Some "Dept");
   check Alcotest.(list string) "Mgr attributes" [ "Did"; "DName"; "Mid"; "MName" ]
@@ -952,7 +1036,9 @@ let test_refactor_subtree () =
       ]
   in
   let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
-  let st' = ok_v (Core.Engine.apply st (Core.Smo.Refactor { assoc = "Heads" })) in
+  let smo = Core.Smo.Refactor { assoc = "Heads" } in
+  let st' = ok_v (Core.Engine.apply st smo) in
+  Recompile.check "refactor Heads" st smo st';
   let client' = st'.Core.State.env.Query.Env.client in
   checkb "Mgr derives Dept" true (Edm.Schema.parent client' "Mgr" = Some "Dept");
   checkb "SeniorMgr follows" true
@@ -1194,6 +1280,8 @@ let () =
       ( "drop and refactor",
         [
           Alcotest.test_case "drop entity" `Quick test_drop_entity;
+          Alcotest.test_case "drops keep NOT NULL columns written" `Quick
+            test_drops_keep_not_null_written;
           Alcotest.test_case "refactor association" `Quick test_refactor;
           Alcotest.test_case "refactor with a subtree" `Quick test_refactor_subtree;
         ] );

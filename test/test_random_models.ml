@@ -34,35 +34,28 @@ let test_compiles () =
     (Lazy.force compiled)
 
 (* [Engine.apply] one SMO at a time, asserting after every accepted step
-   well-formed views, a child index that matches a recomputation
-   ({!Schema_walk}), and a [save] that matches the tree-walk encoder
-   ({!State_io_tree}); the first rejection aborts. *)
+   well-formed views, written non-nullable columns ({!check_written}), a
+   child index that matches a recomputation ({!Schema_walk}), a [save] that
+   matches the tree-walk encoder ({!State_io_tree}), and for a drop the
+   views of the reference regeneration ({!Recompile}); the first rejection
+   aborts. *)
 let apply_checked tag st smos =
   List.fold_left
     (fun acc smo ->
-      Result.bind acc (fun st ->
-          let r = Core.Engine.apply st smo in
+      Result.bind acc (fun before ->
+          let r = Core.Engine.apply before smo in
           Result.iter
             (fun (st : Core.State.t) ->
               let tag = tag ^ " after " ^ Core.Smo.name smo in
               check_wf tag st;
+              check_written tag st;
+              Recompile.check tag before smo st;
               Schema_walk.check tag st.Core.State.env.Query.Env.client;
               checkb (tag ^ ": save matches the tree-walk encoder") true
                 (String.equal (Surface.State_io.save st) (State_io_tree.save st)))
             r;
           r))
     (Ok st) smos
-
-(* The state after the longest accepted prefix of [smos]: once an SMO is
-   refused (some random neighborhoods rightly refuse), the rest are not
-   applied. *)
-let apply_accepted tag st smos =
-  let rec go st = function
-    | [] -> st
-    | smo :: rest -> (
-        match apply_checked tag st [ smo ] with Ok st' -> go st' rest | Error _ -> st)
-  in
-  go st smos
 
 let test_roundtrips () =
   List.iter
@@ -154,10 +147,14 @@ let test_evolution_on_random_models () =
     (Lazy.force compiled)
 
 let test_differential_vs_fullc () =
-  (* Differential check of the incremental compiler: after an SMO pipeline
-     applied step by step (up to its first refused SMO), every surviving view must be equivalent to the
-     view a from-scratch full compilation of the final mapping produces.
-     [Containment.Check.equivalent] is the primary oracle; where its
+  (* Differential check of the incremental compiler: an SMO pipeline is
+     applied step by step (up to its first refused SMO), and every view must
+     be equivalent to the view a from-scratch full compilation of the same
+     mapping produces.  The check runs on the state just before each
+     shrinking SMO that follows an additive one, and on the final state: a
+     drop regenerates its set's views with the full compiler, so checking
+     only the end would not check the views the additive SMOs' surgery
+     built.  [Containment.Check.equivalent] is the primary oracle; where its
      conservative outer-join approximation cannot prove equivalence, the
      views are compared by evaluation on sampled states instead. *)
   let empirical env dbs tag q_inc q_full =
@@ -179,68 +176,86 @@ let test_differential_vs_fullc () =
       | Ok true -> ()
       | Ok false | Error _ -> empirical env dbs tag q_inc q_full
   in
+  let compare_with_fullc seed (st' : Core.State.t) =
+    let env' = st'.Core.State.env in
+    match Fullc.Compile.compile env' st'.Core.State.fragments with
+    | Error e -> Alcotest.failf "seed %d: full compile of evolved mapping: %s" seed e
+    | Ok full ->
+        check_wf
+          (Printf.sprintf "seed %d full compile" seed)
+          (Core.State.of_compiled env' st'.Core.State.fragments full);
+        let insts =
+          List.init 4 (fun i ->
+              Roundtrip.Generate.instance ~seed:((seed * 913) + i)
+                env'.Query.Env.client)
+        in
+        let client_dbs = List.map Query.Eval.client_db insts in
+        let store_dbs =
+          List.map
+            (fun inst ->
+              Query.Eval.store_db
+                (ok_exn
+                   (Query.View.apply_update_views env'
+                      full.Fullc.Compile.update_views inst)))
+            insts
+        in
+        (* Query views read the store; compare them projected
+           onto the entity's attributes (the two compilers
+           differ in their internal tag columns). *)
+        List.iter
+          (fun (e, (v : Query.View.t)) ->
+            match Query.View.entity_view st'.Core.State.query_views e with
+            | None -> Alcotest.failf "seed %d: no incremental view for %s" seed e
+            | Some vi ->
+                let atts = Edm.Schema.attribute_names env'.Query.Env.client e in
+                equiv env' store_dbs
+                  (Printf.sprintf "seed %d entity %s" seed e)
+                  (Query.Algebra.project_cols atts vi.Query.View.query)
+                  (Query.Algebra.project_cols atts v.Query.View.query))
+          (Query.View.entity_view_bindings full.Fullc.Compile.query_views);
+        List.iter
+          (fun (a, (v : Query.View.t)) ->
+            match Query.View.assoc_view st'.Core.State.query_views a with
+            | None -> Alcotest.failf "seed %d: no incremental assoc view for %s" seed a
+            | Some vi ->
+                equiv env' store_dbs
+                  (Printf.sprintf "seed %d assoc %s" seed a)
+                  vi.Query.View.query v.Query.View.query)
+          (Query.View.assoc_view_bindings full.Fullc.Compile.query_views);
+        (* Update views read the client state. *)
+        List.iter
+          (fun (t, (v : Query.View.t)) ->
+            match Query.View.table_view st'.Core.State.update_views t with
+            | None -> Alcotest.failf "seed %d: no incremental update view for %s" seed t
+            | Some vi ->
+                equiv env' client_dbs
+                  (Printf.sprintf "seed %d table %s" seed t)
+                  vi.Query.View.query v.Query.View.query)
+          (Query.View.update_view_bindings full.Fullc.Compile.update_views)
+  in
+  let shrinks = function
+    | Core.Smo.Drop_entity _ | Core.Smo.Drop_property _ | Core.Smo.Drop_association _
+    | Core.Smo.Refactor _ ->
+        true
+    | _ -> false
+  in
   List.iter
     (fun (seed, env, frags, c) ->
       let st = Core.State.of_compiled env frags c in
       match random_pipeline seed st with
       | None -> ()
-      | Some smos -> (
-          let st' = apply_accepted (Printf.sprintf "seed %d" seed) st smos in
-          let env' = st'.Core.State.env in
-          match Fullc.Compile.compile env' st'.Core.State.fragments with
-          | Error e -> Alcotest.failf "seed %d: full compile of evolved mapping: %s" seed e
-          | Ok full ->
-              check_wf
-                (Printf.sprintf "seed %d full compile" seed)
-                (Core.State.of_compiled env' st'.Core.State.fragments full);
-              let insts =
-                List.init 4 (fun i ->
-                    Roundtrip.Generate.instance ~seed:((seed * 913) + i)
-                      env'.Query.Env.client)
-              in
-              let client_dbs = List.map Query.Eval.client_db insts in
-              let store_dbs =
-                List.map
-                  (fun inst ->
-                    Query.Eval.store_db
-                      (ok_exn
-                         (Query.View.apply_update_views env'
-                            full.Fullc.Compile.update_views inst)))
-                  insts
-              in
-              (* Query views read the store; compare them projected
-                 onto the entity's attributes (the two compilers
-                 differ in their internal tag columns). *)
-              List.iter
-                (fun (e, (v : Query.View.t)) ->
-                  match Query.View.entity_view st'.Core.State.query_views e with
-                  | None -> Alcotest.failf "seed %d: no incremental view for %s" seed e
-                  | Some vi ->
-                      let atts = Edm.Schema.attribute_names env'.Query.Env.client e in
-                      equiv env' store_dbs
-                        (Printf.sprintf "seed %d entity %s" seed e)
-                        (Query.Algebra.project_cols atts vi.Query.View.query)
-                        (Query.Algebra.project_cols atts v.Query.View.query))
-                (Query.View.entity_view_bindings full.Fullc.Compile.query_views);
-              List.iter
-                (fun (a, (v : Query.View.t)) ->
-                  match Query.View.assoc_view st'.Core.State.query_views a with
-                  | None -> Alcotest.failf "seed %d: no incremental assoc view for %s" seed a
-                  | Some vi ->
-                      equiv env' store_dbs
-                        (Printf.sprintf "seed %d assoc %s" seed a)
-                        vi.Query.View.query v.Query.View.query)
-                (Query.View.assoc_view_bindings full.Fullc.Compile.query_views);
-              (* Update views read the client state. *)
-              List.iter
-                (fun (t, (v : Query.View.t)) ->
-                  match Query.View.table_view st'.Core.State.update_views t with
-                  | None -> Alcotest.failf "seed %d: no incremental update view for %s" seed t
-                  | Some vi ->
-                      equiv env' client_dbs
-                        (Printf.sprintf "seed %d table %s" seed t)
-                        vi.Query.View.query v.Query.View.query)
-                (Query.View.update_view_bindings full.Fullc.Compile.update_views)))
+      | Some smos ->
+          (* [grown]: some SMO since the last check built views by surgery. *)
+          let rec go ~grown st = function
+            | [] -> compare_with_fullc seed st
+            | smo :: rest -> (
+                let checked = grown && shrinks smo in
+                if checked then compare_with_fullc seed st;
+                match apply_checked (Printf.sprintf "seed %d" seed) st [ smo ] with
+                | Ok st' -> go ~grown:(not (shrinks smo)) st' rest
+                | Error _ -> if not checked then compare_with_fullc seed st)
+          in
+          go ~grown:false st smos)
     (Lazy.force compiled)
 
 (* -- discharge parallelism is unobservable ---------------------------------- *)
