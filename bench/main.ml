@@ -4,18 +4,31 @@
      fig2  — the compiled query view of the running example (Fig. 2)
      fig4  — full-compilation time of the hub-and-rim model (Fig. 4)
      fig9  — SMO timings on the 1002-type chain model (Fig. 9)
-     fig10 — SMO timings on the customer-like model (Fig. 10); writes
-             BENCH_fig10.json
+     fig10 — SMO timings on the customer-like model (Fig. 10)
      ablation — design-choice measurements called out in DESIGN.md
-     par   — obligation-discharge jobs sweep (1/2/4); writes BENCH_par.json
-     obs   — per-phase span breakdown via lib/obs; writes BENCH_obs.json
-     lint  — static lint vs full validation (E11); writes BENCH_lint.json
+     par   — obligation-discharge jobs sweep (1/2/4)
+     obs   — per-phase span breakdown via lib/obs
+     lint  — static lint vs full validation (E11)
      ivm   — update-translation scaling, IVM vs full diff, and the cost of
-             materializing a customer instance; writes BENCH_ivm.json
-     exec  — physical execution vs naive evaluation; writes BENCH_exec.json
+             materializing a customer instance
+     exec  — physical execution vs naive evaluation
      edit  — the persisted Fig. 7 loop on the customer model, layer by
              layer (load, each suite SMO, linting the mapping and the views,
-             save); writes BENCH_edit.json
+             save)
+
+   Each of fig10, par, obs, lint, ivm, exec and edit prints its tables and
+   writes them to BENCH_<mode>.json ([emit]), in one schema:
+
+     { "command": "dune exec bench/main.exe -- <mode>",
+       "git_rev": <git describe --always --dirty, or "unknown">,
+       "cores": <Domain.recommended_domain_count ()>,
+       "tables": { <name>: { "keys": [..], "counts": [..], "rows": [{..}, ..] } } }
+
+   A row is one object; [keys] name the columns that identify it, [counts]
+   the columns whose values do not depend on the host ([count_columns]).
+   [python3 bench/check.py OLD NEW] matches the rows of two such files by
+   their keys and exits 1 if a count differs or a row is missing or added;
+   it compares no timing, and ignores a top-level "parent" document.
 
    `dune exec bench/main.exe` runs everything; pass a subset of the mode
    names to restrict, and `--chain-size N` to scale the Fig. 9 model. *)
@@ -75,9 +88,98 @@ let pp_seconds fmt s =
 
 let header title = Printf.printf "\n=== %s ===\n%!" title
 
-let write_bench_json ~path ~label content =
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc content);
-  Printf.printf "\n%s written to %s\n%!" label path
+(* ------------------------------------------------------------------ *)
+(* Tables: every mode's results, printed and written by [emit].        *)
+(* ------------------------------------------------------------------ *)
+
+(* A JSON string, or a JSON literal (a number, a boolean or null). *)
+type cell = Str of string | Lit of string
+
+let str s = Str s
+let int n = Lit (string_of_int n)
+let num digits x = Lit (if Float.is_finite x then Printf.sprintf "%.*f" digits x else "null")
+let bool b = Lit (string_of_bool b)
+
+(* Every row of a table has the same columns, in the same order. *)
+type table = { name : string; keys : string list; rows : (string * cell) list list }
+
+(* The columns whose values do not depend on the host. *)
+let count_columns =
+  [ "obligations"; "tables_visited"; "scans"; "index_scans"; "rows_scanned"; "diags";
+    "state_bytes"; "steps"; "verdict" ]
+
+let json_string s =
+  let esc = function
+    | '"' -> "\\\""
+    | '\\' -> "\\\\"
+    | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+    | c -> String.make 1 c
+  in
+  "\"" ^ String.concat "" (List.map esc (List.of_seq (String.to_seq s))) ^ "\""
+
+let json_cell = function Str s -> json_string s | Lit l -> l
+
+let print_table t =
+  match t.rows with
+  | [] -> ()
+  | first :: _ ->
+      let text = function Str s | Lit s -> s in
+      let width c =
+        List.fold_left
+          (fun w r -> max w (String.length (text (List.assoc c r))))
+          (String.length c) t.rows
+      in
+      (* Strings are left-aligned, numbers right-aligned. *)
+      let cols =
+        List.map (fun (c, v) -> (c, width c, match v with Str _ -> true | Lit _ -> false)) first
+      in
+      let last = List.length cols - 1 in
+      let line cell =
+        String.concat "  "
+          (List.mapi
+             (fun i (c, w, left) ->
+               let s = cell c in
+               let fill = String.make (w - String.length s) ' ' in
+               if not left then fill ^ s else if i = last then s else s ^ fill)
+             cols)
+      in
+      Printf.printf "\n-- %s --\n%s\n" t.name (line Fun.id);
+      List.iter (fun r -> Printf.printf "%s\n%!" (line (fun c -> text (List.assoc c r)))) t.rows
+
+(* The --chain-size pair of the command line, if given. *)
+let chain_size_arg =
+  let rec find = function
+    | "--chain-size" :: n :: _ -> [ "--chain-size"; n ]
+    | _ :: rest -> find rest
+    | [] -> []
+  in
+  find (Array.to_list Sys.argv)
+
+let git_rev () =
+  let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
+  let line = In_channel.input_line ic in
+  match (Unix.close_process_in ic, line) with Unix.WEXITED 0, Some rev -> rev | _ -> "unknown"
+
+(* Print [tables] and write them to BENCH_<mode>.json, one row a line. *)
+let emit mode tables =
+  List.iter print_table tables;
+  let list f l sep = String.concat sep (List.map f l) in
+  let field (c, v) = json_string c ^ ": " ^ json_cell v in
+  let table t =
+    let cols = match t.rows with r :: _ -> List.map fst r | [] -> [] in
+    Printf.sprintf
+      "    %s: {\n      \"keys\": [%s],\n      \"counts\": [%s],\n      \"rows\": [\n%s\n      ]\n    }"
+      (json_string t.name) (list json_string t.keys ", ")
+      (list json_string (List.filter (fun c -> List.mem c count_columns) cols) ", ")
+      (list (fun r -> "        { " ^ list field r ", " ^ " }") t.rows ",\n")
+  in
+  let path = Printf.sprintf "BENCH_%s.json" mode in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "{\n  \"command\": %s,\n  \"git_rev\": %s,\n  \"cores\": %d,\n  \"tables\": {\n%s\n  }\n}\n"
+        (json_string (String.concat " " ("dune exec bench/main.exe --" :: mode :: chain_size_arg)))
+        (json_string (git_rev ())) (Domain.recommended_domain_count ()) (list table tables ",\n"));
+  Printf.printf "\n%s written\n%!" path
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 2: the query view of the running example, compiled             *)
@@ -215,109 +317,76 @@ let fig4 () =
 (* Figs. 9 & 10: incremental SMO timings vs. full recompilation.       *)
 (* ------------------------------------------------------------------ *)
 
-let smo_table ~baseline st suite =
-  Printf.printf "%-10s %-12s %-10s %s\n%!" "SMO" "time" "speedup" "notes";
+(* Per-SMO costs on one state, from one untraced loop per SMO of at least
+   11 applications and half a second.  Each application times the SMO's
+   algorithm ([Core.Engine.compile]) and its obligation discharge apart:
+   [ms] is the median application, [non_containment_ms] the median
+   algorithm time (so never above [ms]) and [alloc_mb] the median
+   megabytes allocated.  [speedup] is over the full compile's [baseline]
+   seconds. *)
+let smo_rows ~baseline st suite =
   List.map
     (fun (label, smo) ->
-      let outcome = Core.Engine.apply st smo in
-      let ns = measure_ns label (fun () -> ignore (Core.Engine.apply st smo)) in
-      let s = ns /. 1e9 in
-      let note =
-        match outcome with
-        | Ok _ -> ""
-        | Error e ->
-            (* Validation aborts are timed too: the paper reports AE-TPC
-               failures of exactly this shape (Section 4.2). *)
-            let e = Containment.Validation_error.show e in
-            "aborts: " ^ (if String.length e > 60 then String.sub e 0 60 ^ "..." else e)
+      let run () =
+        let a0 = allocated_mb () and t0 = Unix.gettimeofday () in
+        let compiled = Core.Engine.compile st smo in
+        let t1 = Unix.gettimeofday () in
+        let proved = Result.bind compiled (fun (_, obls) -> Containment.Discharge.run obls) in
+        let t2 = Unix.gettimeofday () in
+        ((t2 -. t0, t1 -. t0, allocated_mb () -. a0), (compiled, proved))
       in
-      Printf.printf "%-10s %-12s %-10s %s\n%!" label
-        (Format.asprintf "%a" pp_seconds s)
-        (Printf.sprintf "%.0fx" (baseline /. s))
-        note;
-      (label, s))
+      let _, (compiled, proved) = run () in
+      let obligations = match compiled with Ok (_, obls) -> List.length obls | Error _ -> 0 in
+      (* Validation aborts are timed too: the paper reports AE-TPC failures
+         of exactly this shape (Section 4.2). *)
+      let outcome =
+        match proved with
+        | Ok () -> "ok"
+        | Error e ->
+            let e = Containment.Validation_error.show e in
+            "aborts: " ^ if String.length e > 60 then String.sub e 0 60 ^ "..." else e
+      in
+      Gc.full_major ();
+      let stop = Unix.gettimeofday () +. 0.5 in
+      let rec loop n acc =
+        if n >= 11 && Unix.gettimeofday () >= stop then acc else loop (n + 1) (fst (run ()) :: acc)
+      in
+      let runs = loop 0 [] in
+      let median f =
+        let l = List.sort Float.compare (List.map f runs) in
+        List.nth l (List.length l / 2)
+      in
+      let s = median (fun (t, _, _) -> t) in
+      [ ("smo", str label); ("ms", num 3 (s *. 1e3)); ("speedup", num 0 (baseline /. s));
+        ("non_containment_ms", num 3 (median (fun (_, c, _) -> c) *. 1e3));
+        ("alloc_mb", num 2 (median (fun (_, _, mb) -> mb))); ("obligations", int obligations);
+        ("outcome", str outcome) ])
     suite
+
+(* The full compile of [env, frags] and the costs of [suite] on its state. *)
+let smo_tables env frags suite =
+  let compiled, full_time = wall (fun () -> Fullc.Compile.compile env frags) in
+  match compiled with
+  | Error e -> failwith ("full compilation failed: " ^ e)
+  | Ok c ->
+      let st = Core.State.of_compiled env frags c in
+      [ { name = "full_compile"; keys = []; rows = [ [ ("full_compile_s", num 3 full_time) ] ] };
+        { name = "smos"; keys = [ "smo" ]; rows = smo_rows ~baseline:full_time st suite } ]
 
 let fig9 ~chain_size () =
-  header (Printf.sprintf "Fig. 9 -- SMO timings on the %d-type chain model" chain_size);
+  header
+    (Printf.sprintf
+       "Fig. 9 -- SMO timings on the %d-type chain model (the paper's EF baseline: 15 minutes)"
+       chain_size);
   let env, frags = Workload.Chain.generate ~size:chain_size in
-  let compiled, full_time = wall (fun () -> Fullc.Compile.compile env frags) in
-  match compiled with
-  | Error e -> Printf.printf "full compilation failed: %s\n" e
-  | Ok c ->
-      Printf.printf "full compilation baseline: %s  (the paper's EF baseline: 15 minutes)\n\n%!"
-        (Format.asprintf "%a" pp_seconds full_time);
-      let st = Core.State.of_compiled env frags c in
-      ignore (smo_table ~baseline:full_time st (Workload.Chain.smo_suite ~at:(chain_size / 2)))
-
-(* Per-SMO cost split of one state: median wall time outside obligation
-   discharge over 11 traced applications, megabytes allocated and
-   obligations discharged by one application. *)
-let smo_costs st suite =
-  let runs = 11 in
-  let obligations = Obs.Metric.counter "containment.obligations" in
-  List.map
-    (fun (label, smo) ->
-      let apply () = ignore (Core.Engine.apply st smo) in
-      apply ();
-      let o0 = Obs.Metric.value obligations and a0 = allocated_mb () in
-      apply ();
-      let alloc_mb = allocated_mb () -. a0 in
-      let obls = Obs.Metric.value obligations - o0 in
-      let outside_discharge () =
-        Obs.Span.reset ();
-        Obs.enable ();
-        apply ();
-        Obs.disable ();
-        let total = List.fold_left (fun a sp -> a +. Obs.Span.duration_s sp) 0. (Obs.Span.roots ()) in
-        let discharge =
-          Obs.Span.fold_all
-            (fun a sp -> if Obs.Span.name sp = "discharge.batch" then a +. Obs.Span.duration_s sp else a)
-            0.
-        in
-        Obs.Span.reset ();
-        total -. discharge
-      in
-      let samples = List.sort compare (List.init runs (fun _ -> outside_discharge ())) in
-      (label, List.nth samples (runs / 2), alloc_mb, obls))
-    suite
+  List.iter print_table (smo_tables env frags (Workload.Chain.smo_suite ~at:(chain_size / 2)))
 
 let fig10 () =
-  header "Fig. 10 -- SMO timings on the customer-like model";
+  header "Fig. 10 -- SMO timings on the customer-like model (the paper's EF baseline: 8 hours)";
   Printf.printf "model: %s\n%!" (Workload.Customer.stats ());
   let env, frags = Workload.Customer.generate () in
-  let compiled, full_time = wall (fun () -> Fullc.Compile.compile env frags) in
-  match compiled with
-  | Error e -> Printf.printf "full compilation failed: %s\n" e
-  | Ok c ->
-      Printf.printf "full compilation baseline: %s  (the paper's EF baseline: 8 hours)\n\n%!"
-        (Format.asprintf "%a" pp_seconds full_time);
-      let st = Core.State.of_compiled env frags c in
-      let suite = Workload.Customer.smo_suite () @ Workload.Customer.drop_suite () in
-      let times = smo_table ~baseline:full_time st suite in
-      let costs = smo_costs st suite in
-      Printf.printf "\n%-10s %14s %10s %12s\n%!" "SMO" "non-discharge" "alloc" "obligations";
-      List.iter
-        (fun (label, other_s, mb, obls) ->
-          Printf.printf "%-10s %12.3fms %8.2fMB %12d\n%!" label (other_s *. 1e3) mb obls)
-        costs;
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\n  \"command\": \"dune exec bench/main.exe -- fig10\",\n  \"full_compile_s\": %.3f,\n  \
-            \"rows\": ["
-           full_time);
-      List.iteri
-        (fun i ((label, s), (_, other_s, mb, obls)) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n    { \"smo\": %S, \"ms\": %.3f, \"non_containment_ms\": %.3f, \"alloc_mb\": %.2f, \
-                \"obligations\": %d }"
-               label (s *. 1e3) (other_s *. 1e3) mb obls))
-        (List.combine times costs);
-      Buffer.add_string buf "\n  ]\n}\n";
-      write_bench_json ~path:"BENCH_fig10.json" ~label:"Fig. 10 per-SMO costs" (Buffer.contents buf)
+  emit "fig10"
+    (smo_tables env frags (Workload.Customer.smo_suite () @ Workload.Customer.drop_suite ()))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md section 5).                                    *)
@@ -436,10 +505,6 @@ let par () =
   let target = 4000 in
   let reps = max 1 ((target + List.length base_obls - 1) / List.length base_obls) in
   let obls = List.concat (List.init reps (fun _ -> base_obls)) in
-  Printf.printf
-    "batch: %d fk obligations (%d from %d random models, replicated x%d); %d cores\n\n%!"
-    (List.length obls) (List.length base_obls) models reps
-    (Domain.recommended_domain_count ());
   let verdict = function
     | Ok () -> "ok"
     | Error e -> "fail: " ^ Containment.Validation_error.show e
@@ -460,33 +525,20 @@ let par () =
         | _ -> Hashtbl.replace best jobs dt)
       sweep_jobs
   done;
-  let sweep =
-    List.map
-      (fun jobs -> (jobs, Hashtbl.find best jobs, verdict (Hashtbl.find last jobs)))
-      sweep_jobs
-  in
-  let base = match sweep with (_, dt, _) :: _ -> dt | [] -> nan in
-  let base_verdict = match sweep with (_, _, v) :: _ -> v | [] -> "?" in
-  List.iter
-    (fun (jobs, dt, v) ->
-      Printf.printf "jobs=%d  %s  speedup %.2fx  verdict %s%s\n%!" jobs
-        (Format.asprintf "%a" pp_seconds dt)
-        (base /. dt) v
-        (if v = base_verdict then "" else "  <-- MISMATCH"))
-    sweep;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"models\": %d,\n  \"obligations\": %d,\n  \"cores\": %d,\n  \"sweep\": ["
-       models (List.length obls)
-       (Domain.recommended_domain_count ()));
-  List.iteri
-    (fun i (jobs, dt, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    { \"jobs\": %d, \"seconds\": %.6f, \"verdict\": %S }" jobs dt v))
-    sweep;
-  Buffer.add_string buf "\n  ]\n}\n";
-  write_bench_json ~path:"BENCH_par.json" ~label:"jobs sweep" (Buffer.contents buf)
+  let base = Hashtbl.find best 1 in
+  emit "par"
+    [ { name = "batch"; keys = [];
+        rows =
+          [ [ ("models", int models); ("model_obligations", int (List.length base_obls));
+              ("replicas", int reps); ("obligations", int (List.length obls)) ] ] };
+      { name = "sweep"; keys = [ "jobs" ];
+        rows =
+          List.map
+            (fun jobs ->
+              let dt = Hashtbl.find best jobs in
+              [ ("jobs", int jobs); ("seconds", num 6 dt); ("speedup", num 2 (base /. dt));
+                ("verdict", str (verdict (Hashtbl.find last jobs))) ])
+            sweep_jobs } ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-phase span breakdown (lib/obs): where the compile time goes.    *)
@@ -524,32 +576,22 @@ let obs_workloads ~chain_size =
 
 let obs_report ~chain_size () =
   header "Observability -- per-phase span breakdown (lib/obs)";
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"workloads\": [";
-  List.iteri
-    (fun i (name, run) ->
-      Obs.Span.reset ();
-      Obs.enable ();
-      run ();
-      Obs.disable ();
-      Printf.printf "\n-- %s --\n%!" name;
-      Format.printf "%a%!" Obs.Export.pp_aggregate ();
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n    { \"name\": %S, \"phases\": [" name);
-      List.iteri
-        (fun j (phase, a) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n      { \"phase\": %S, \"count\": %d, \"total_ms\": %.3f, \"self_ms\": %.3f }"
-               phase a.Obs.Export.count
-               (a.Obs.Export.total_s *. 1e3)
-               (a.Obs.Export.self_s *. 1e3)))
-        (Obs.Export.aggregate ());
-      Buffer.add_string buf "\n    ] }")
-    (obs_workloads ~chain_size);
-  Buffer.add_string buf "\n  ]\n}\n";
-  write_bench_json ~path:"BENCH_obs.json" ~label:"per-phase aggregates" (Buffer.contents buf)
+  let rows =
+    List.concat_map
+      (fun (name, run) ->
+        Obs.Span.reset ();
+        Obs.enable ();
+        run ();
+        Obs.disable ();
+        List.map
+          (fun (phase, a) ->
+            [ ("workload", str name); ("phase", str phase); ("count", int a.Obs.Export.count);
+              ("total_ms", num 3 (a.Obs.Export.total_s *. 1e3));
+              ("self_ms", num 3 (a.Obs.Export.self_s *. 1e3)) ])
+          (Obs.Export.aggregate ()))
+      (obs_workloads ~chain_size)
+  in
+  emit "obs" [ { name = "phases"; keys = [ "workload"; "phase" ]; rows } ]
 
 (* ------------------------------------------------------------------ *)
 (* IVM: update-translation cost, O(delta) vs O(instance) (E9).         *)
@@ -688,7 +730,8 @@ let customer_steps env inc inst =
           0
       in
       Obs.reset ();
-      (kind, n, ns, mb, float_of_int visited /. float_of_int n))
+      [ ("kind", str kind); ("steps", int n); ("ivm_step_ns", num 1 ns); ("alloc_mb", num 4 mb);
+        ("tables_visited", num 2 (float_of_int visited /. float_of_int n)) ])
     [ ("insert", inserts); ("update", updates); ("delete", deletes); ("link", links) ]
 
 let ivm () =
@@ -722,8 +765,7 @@ let ivm () =
   in
   let sizes = [ 50; 100; 200; 400; 800 ] in
   let deltas = [ 1; 8 ] in
-  Printf.printf "model: paper stage 4; delta: insert d Customers (paired with its inverse)\n\n%!";
-  Printf.printf "%9s %6s %14s %14s %10s\n%!" "instance" "delta" "ivm-step" "full-diff" "full/ivm";
+  Printf.printf "model: paper stage 4; delta: insert d Customers (paired with its inverse)\n%!";
   let results =
     List.concat_map
       (fun n ->
@@ -746,10 +788,6 @@ let ivm () =
                     (ok
                        (Dml.Translate.full_diff env uv ~old_client:inst ~delta:ins)))
             in
-            Printf.printf "%9d %6d %14s %14s %9.1fx\n%!" n d
-              (Format.asprintf "%a" pp_seconds (ivm_ns /. 1e9))
-              (Format.asprintf "%a" pp_seconds (full_ns /. 1e9))
-              (full_ns /. ivm_ns);
             (n, d, ivm_ns, full_ns))
           deltas)
       sizes
@@ -758,37 +796,14 @@ let ivm () =
      while the instance grows 16x; the full diff grows super-linearly. *)
   let at n d = List.find_opt (fun (n', d', _, _) -> n' = n && d' = d) results in
   let lo = List.hd sizes and hi = List.nth sizes (List.length sizes - 1) in
-  (match (at lo 1, at hi 1) with
-  | Some (_, _, ivm_lo, full_lo), Some (_, _, ivm_hi, full_hi) ->
-      let ivm_growth = ivm_hi /. ivm_lo and full_growth = full_hi /. full_lo in
-      Printf.printf
-        "\n1-entity delta, instance %dx -> %dx (16x): ivm grew %.2fx (target <= 2x: %s), \
-         full diff grew %.2fx\n%!"
-        lo hi ivm_growth
-        (if ivm_growth <= 2.0 then "PASS" else "FAIL")
-        full_growth
-  | _ -> ());
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"model\": \"paper-stage4\",\n  \"rows\": [";
-  List.iteri
-    (fun i (n, d, ivm_ns, full_ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"instance\": %d, \"delta\": %d, \"ivm_step_ns\": %.1f, \"full_diff_ns\": %.1f }"
-           n d ivm_ns full_ns))
-    results;
-  Buffer.add_string buf "\n  ]";
-  (match (at lo 1, at hi 1) with
-  | Some (_, _, ivm_lo, full_lo), Some (_, _, ivm_hi, full_hi) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\n  \"acceptance\": { \"instance_growth\": %.1f, \"ivm_growth\": %.3f, \
-            \"full_growth\": %.3f, \"pass\": %b }"
-           (float_of_int hi /. float_of_int lo)
-           (ivm_hi /. ivm_lo) (full_hi /. full_lo)
-           (ivm_hi /. ivm_lo <= 2.0))
-  | _ -> ());
+  let acceptance =
+    match (at lo 1, at hi 1) with
+    | Some (_, _, ivm_lo, full_lo), Some (_, _, ivm_hi, full_hi) ->
+        [ [ ("instance_growth", num 1 (float_of_int hi /. float_of_int lo));
+            ("ivm_growth", num 3 (ivm_hi /. ivm_lo)); ("full_growth", num 3 (full_hi /. full_lo));
+            ("pass", bool (ivm_hi /. ivm_lo <= 2.0)) ] ]
+    | _ -> []
+  in
   (* Materializing a populated customer instance, as e2ebench's serve set-up
      does: the one-off cost that the steps above amortize; then single-op
      steps on it. *)
@@ -796,35 +811,21 @@ let ivm () =
   let uv = (ok (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
   let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 env.Query.Env.client in
   let init_ms, init_mb = layer ~runs:3 (fun () -> ignore (ok (Dml.Translate.ivm_init env uv inst))) in
-  Printf.printf "\nivm_init, customer with 300 entities per set: %.1f ms, %.1f MB\n%!" init_ms
-    init_mb;
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\n  \"init\": { \"model\": \"customer\", \"entities_per_set\": 300, \"ms\": %.1f, \
-        \"alloc_mb\": %.1f }"
-       init_ms init_mb);
-  let steps = customer_steps env (ok (Dml.Translate.ivm_init env uv inst)) inst in
-  Printf.printf "\nsingle-op steps on it (mean over one delta per set or association)\n%!";
-  Printf.printf "%-7s %6s %12s %10s %8s\n%!" "kind" "steps" "ivm-step" "MB" "tables";
-  List.iter
-    (fun (kind, n, ns, mb, visited) ->
-      Printf.printf "%-7s %6d %12s %10.3f %8.2f\n%!" kind n
-        (Format.asprintf "%a" pp_seconds (ns /. 1e9))
-        mb visited)
-    steps;
-  Buffer.add_string buf ",\n  \"customer\": [";
-  List.iteri
-    (fun i (kind, n, ns, mb, visited) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"kind\": %S, \"steps\": %d, \"ivm_step_ns\": %.1f, \"alloc_mb\": %.4f, \
-            \"tables_visited\": %.2f }"
-           kind n ns mb visited))
-    steps;
-  Buffer.add_string buf "\n  ]";
-  Buffer.add_string buf "\n}\n";
-  write_bench_json ~path:"BENCH_ivm.json" ~label:"scaling sweep" (Buffer.contents buf)
+  emit "ivm"
+    [ { name = "paper"; keys = [ "instance"; "delta" ];
+        rows =
+          List.map
+            (fun (n, d, ivm_ns, full_ns) ->
+              [ ("instance", int n); ("delta", int d); ("ivm_step_ns", num 1 ivm_ns);
+                ("full_diff_ns", num 1 full_ns); ("full_over_ivm", num 1 (full_ns /. ivm_ns)) ])
+            results };
+      { name = "acceptance"; keys = []; rows = acceptance };
+      { name = "init"; keys = [];
+        rows =
+          [ [ ("model", str "customer"); ("entities_per_set", int 300); ("ms", num 1 init_ms);
+              ("alloc_mb", num 1 init_mb) ] ] };
+      { name = "customer"; keys = [ "kind" ];
+        rows = customer_steps env (ok (Dml.Translate.ivm_init env uv inst)) inst } ]
 
 (* ------------------------------------------------------------------ *)
 (* Physical execution: lib/exec plans vs Query.Eval.rows (E10).        *)
@@ -850,9 +851,6 @@ let customer_lookups () =
     | Error e -> failwith (Containment.Validation_error.show e)
   in
   let scanned = Obs.Metric.counter "exec.rows.scanned" in
-  Printf.printf "\ncustomer key lookups (seed 2013, 300 entities per set)\n%!";
-  Printf.printf "%-5s %-4s %6s %12s %12s %9s %6s %6s %6s\n%!" "set" "map" "tables" "read" "run"
-    "scanned" "scans" "index" "eval";
   List.map
     (fun (set, style, st, etype) ->
       let env = st.Core.State.env in
@@ -890,17 +888,11 @@ let customer_lookups () =
             ignore (Exec.Run.rows idb (ok (Core.Session.query_plan session q))))
       in
       let run_ns = measure_ns ("run-" ^ set) (fun () -> ignore (Exec.Run.rows idb plan)) in
-      let tables = List.length (A.sources unfolded) in
-      Printf.printf "%-5s %-4s %6d %12s %12s %9d %6d %6d %6b\n%!" set style tables
-        (Format.asprintf "%a" pp_seconds (read_ns /. 1e9))
-        (Format.asprintf "%a" pp_seconds (run_ns /. 1e9))
-        rows_scanned (Exec.Plan.scans plan) (Exec.Plan.index_scans plan) agrees;
       if not agrees then failwith (Printf.sprintf "exec/%s key lookup disagrees with Eval.rows" set);
-      Printf.sprintf
-        "\n    { \"set\": %S, \"mapping\": %S, \"tables\": %d, \"read_ns\": %.1f, \"run_ns\": %.1f, \
-         \"rows_scanned\": %d, \"scans\": %d, \"index_scans\": %d, \"agrees_with_eval\": %b }"
-        set style tables read_ns run_ns rows_scanned (Exec.Plan.scans plan)
-        (Exec.Plan.index_scans plan) agrees)
+      [ ("set", str set); ("mapping", str style); ("tables", int (List.length (A.sources unfolded)));
+        ("read_ns", num 1 read_ns); ("run_ns", num 1 run_ns); ("rows_scanned", int rows_scanned);
+        ("scans", int (Exec.Plan.scans plan)); ("index_scans", int (Exec.Plan.index_scans plan));
+        ("agrees_with_eval", bool agrees) ])
     [ ("Set1", "TPT", st, None); ("Set2", "TPH", st, None); ("Set4", "TPC", st_tpc, Some "CNewTpc") ]
 
 let exec_bench () =
@@ -928,9 +920,7 @@ let exec_bench () =
     ]
   in
   let sizes = [ 200; 800; 3200 ] in
-  Printf.printf "model: paper stage 4; shapes: assoc point lookup, 2-way join, IS OF flattening\n\n%!";
-  Printf.printf "%9s %-6s %12s %12s %12s %10s %10s\n%!" "instance" "shape" "naive" "exec j=1"
-    "exec j=4" "naive/j1" "idx scans";
+  Printf.printf "model: paper stage 4; shapes: assoc point lookup, 2-way join, IS OF flattening\n%!";
   let results =
     List.concat_map
       (fun n ->
@@ -956,53 +946,34 @@ let exec_bench () =
               measure_ns (Printf.sprintf "exec4-%s-%d" shape n) (fun () ->
                   ignore (Exec.Run.rows ~jobs:4 ~par_threshold:256 idb plan))
             in
-            let naive_ns = naive_dt *. 1e9 in
-            Printf.printf "%9d %-6s %12s %12s %12s %9.1fx %10d\n%!" n shape
-              (Format.asprintf "%a" pp_seconds naive_dt)
-              (Format.asprintf "%a" pp_seconds (j1_ns /. 1e9))
-              (Format.asprintf "%a" pp_seconds (j4_ns /. 1e9))
-              (naive_ns /. j1_ns) (Exec.Plan.index_scans plan);
-            (n, shape, naive_ns, j1_ns, j4_ns))
+            (n, shape, naive_dt *. 1e9, j1_ns, j4_ns, Exec.Plan.index_scans plan))
           (shapes n))
       sizes
   in
   (* Acceptance (ISSUE 4): the physical engine beats Eval.rows by >= 5x on
      the 2-way join at the largest instance size. *)
   let hi = List.nth sizes (List.length sizes - 1) in
-  let accept =
-    List.find_opt (fun (n, shape, _, _, _) -> n = hi && shape = "join") results
+  let acceptance =
+    List.filter_map
+      (fun (n, shape, naive_ns, j1_ns, _, _) ->
+        if n = hi && shape = "join" then
+          Some
+            [ ("join_instance", int hi); ("naive_over_exec1", num 2 (naive_ns /. j1_ns));
+              ("pass", bool (naive_ns /. j1_ns >= 5.0)) ]
+        else None)
+      results
   in
-  (match accept with
-  | Some (_, _, naive_ns, j1_ns, _) ->
-      Printf.printf "\n2-way join at n=%d: naive/exec = %.1fx (target >= 5x: %s)\n%!" hi
-        (naive_ns /. j1_ns)
-        (if naive_ns /. j1_ns >= 5.0 then "PASS" else "FAIL")
-  | None -> ());
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"model\": \"paper-stage4\",\n  \"rows\": [";
-  List.iteri
-    (fun i (n, shape, naive_ns, j1_ns, j4_ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"instance\": %d, \"shape\": %S, \"naive_ns\": %.1f, \"exec_jobs1_ns\": \
-            %.1f, \"exec_jobs4_ns\": %.1f }"
-           n shape naive_ns j1_ns j4_ns))
-    results;
-  Buffer.add_string buf "\n  ],\n  \"customer_key_lookups\": [";
-  Buffer.add_string buf (String.concat "," (customer_lookups ()));
-  Buffer.add_string buf "\n  ]";
-  (match accept with
-  | Some (_, _, naive_ns, j1_ns, _) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\n  \"acceptance\": { \"join_instance\": %d, \"naive_over_exec1\": %.2f, \
-            \"pass\": %b }"
-           hi (naive_ns /. j1_ns)
-           (naive_ns /. j1_ns >= 5.0))
-  | None -> ());
-  Buffer.add_string buf "\n}\n";
-  write_bench_json ~path:"BENCH_exec.json" ~label:"execution sweep" (Buffer.contents buf)
+  emit "exec"
+    [ { name = "paper"; keys = [ "instance"; "shape" ];
+        rows =
+          List.map
+            (fun (n, shape, naive_ns, j1_ns, j4_ns, index_scans) ->
+              [ ("instance", int n); ("shape", str shape); ("naive_ns", num 1 naive_ns);
+                ("exec_jobs1_ns", num 1 j1_ns); ("exec_jobs4_ns", num 1 j4_ns);
+                ("naive_over_jobs1", num 1 (naive_ns /. j1_ns)); ("index_scans", int index_scans) ])
+            results };
+      { name = "customer_key_lookups"; keys = [ "set" ]; rows = customer_lookups () };
+      { name = "acceptance"; keys = []; rows = acceptance } ]
 
 (* ------------------------------------------------------------------ *)
 (* E11: static lint vs obligation-based validation.                    *)
@@ -1023,8 +994,6 @@ let lint_bench () =
       ("customer", fun () -> Workload.Customer.generate ());
     ]
   in
-  Printf.printf "%-12s %12s %9s %12s %10s %7s\n%!" "model" "lint" "alloc" "validate" "val/lint"
-    "diags";
   let rows =
     List.map
       (fun (name, gen) ->
@@ -1034,11 +1003,6 @@ let lint_bench () =
         Gc.full_major ();
         let diags, lint_dt, lint_mb = wall_alloc (fun () -> Lint.Analyze.run ~views env frags) in
         let _, val_dt = wall (fun () -> ok (Fullc.Validate.run env frags)) in
-        Printf.printf "%-12s %12s %7.1fMB %12s %9.1fx %7d\n%!" name
-          (Format.asprintf "%a" pp_seconds lint_dt)
-          lint_mb
-          (Format.asprintf "%a" pp_seconds val_dt)
-          (val_dt /. lint_dt) (List.length diags);
         (name, lint_dt, lint_mb, val_dt, List.length diags))
       models
   in
@@ -1051,48 +1015,31 @@ let lint_bench () =
       (fun (pass, f) ->
         Gc.full_major ();
         let _, dt, mb = wall_alloc f in
-        (pass, dt, mb))
+        [ ("pass", str pass); ("ms", num 3 (dt *. 1e3)); ("alloc_mb", num 2 mb) ])
       [
         ("mapping", fun () -> ignore (Lint.Passes.run env frags));
         ("views", fun () -> ignore (Lint.Wf.check env qv uv));
       ]
   in
-  Printf.printf "\ncustomer by artifact:";
-  List.iter (fun (pass, dt, mb) -> Printf.printf "  %s %.1f ms / %.1f MB" pass (dt *. 1e3) mb) passes;
-  print_newline ();
   (* Acceptance (ISSUE 6): linting the seed model suite is >= 50x faster
      than the obligation-based validation it screens for. *)
   let total_lint = List.fold_left (fun a (_, l, _, _, _) -> a +. l) 0. rows in
   let total_val = List.fold_left (fun a (_, _, _, v, _) -> a +. v) 0. rows in
   let speedup = total_val /. total_lint in
-  Printf.printf "\nsuite: lint %.1f ms, validate %.1f ms -> %.1fx (target >= 50x: %s)\n%!"
-    (total_lint *. 1e3) (total_val *. 1e3) speedup
-    (if speedup >= 50. then "PASS" else "FAIL");
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"rows\": [";
-  List.iteri
-    (fun i (name, lint_dt, lint_mb, val_dt, diags) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"model\": %S, \"lint_ms\": %.3f, \"alloc_mb\": %.2f, \"validate_ms\": %.3f, \
-            \"speedup\": %.1f, \"diags\": %d }"
-           name (lint_dt *. 1e3) lint_mb (val_dt *. 1e3) (val_dt /. lint_dt) diags))
-    rows;
-  Buffer.add_string buf "\n  ],\n  \"customer_passes\": [";
-  List.iteri
-    (fun i (pass, dt, mb) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    { \"pass\": %S, \"ms\": %.3f, \"alloc_mb\": %.2f }" pass (dt *. 1e3)
-           mb))
-    passes;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n  ],\n  \"suite\": { \"lint_ms\": %.3f, \"validate_ms\": %.3f, \"speedup\": %.1f, \
-        \"pass\": %b }\n}\n"
-       (total_lint *. 1e3) (total_val *. 1e3) speedup (speedup >= 50.));
-  write_bench_json ~path:"BENCH_lint.json" ~label:"lint sweep" (Buffer.contents buf)
+  emit "lint"
+    [ { name = "models"; keys = [ "model" ];
+        rows =
+          List.map
+            (fun (name, lint_dt, lint_mb, val_dt, diags) ->
+              [ ("model", str name); ("lint_ms", num 3 (lint_dt *. 1e3)); ("alloc_mb", num 2 lint_mb);
+                ("validate_ms", num 3 (val_dt *. 1e3)); ("speedup", num 1 (val_dt /. lint_dt));
+                ("diags", int diags) ])
+            rows };
+      { name = "customer_passes"; keys = [ "pass" ]; rows = passes };
+      { name = "suite"; keys = [];
+        rows =
+          [ [ ("lint_ms", num 3 (total_lint *. 1e3)); ("validate_ms", num 3 (total_val *. 1e3));
+              ("speedup", num 1 speedup); ("pass", bool (speedup >= 50.)) ] ] } ]
 
 (* ------------------------------------------------------------------ *)
 (* The persisted Fig. 7 loop (e2ebench's edit workload), layer by       *)
@@ -1121,53 +1068,26 @@ let edit_bench () =
         ("save", "surface", fun () -> ignore (Surface.State_io.save st));
       ]
   in
-  Printf.printf "%-10s %-8s %10s %10s\n%!" "layer" "kind" "ms" "MB";
-  let measured =
-    List.map
-      (fun (name, kind, f) ->
-        let ms, mb = layer f in
-        Printf.printf "%-10s %-8s %10.3f %10.2f\n%!" name kind ms mb;
-        (name, kind, ms, mb))
-      rows
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"model\": \"customer\",\n  \"state_bytes\": %d,\n  \"rows\": ["
-       (String.length text));
-  List.iteri
-    (fun i (name, kind, ms, mb) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    { \"layer\": %S, \"kind\": %S, \"ms\": %.3f, \"alloc_mb\": %.2f }"
-           name kind ms mb))
-    measured;
-  Buffer.add_string buf "\n  ]\n}\n";
-  write_bench_json ~path:"BENCH_edit.json" ~label:"edit layers" (Buffer.contents buf)
+  emit "edit"
+    [ { name = "state"; keys = [];
+        rows = [ [ ("model", str "customer"); ("state_bytes", int (String.length text)) ] ] };
+      { name = "layers"; keys = [ "layer" ];
+        rows =
+          List.map
+            (fun (name, kind, f) ->
+              let ms, mb = layer f in
+              [ ("layer", str name); ("kind", str kind); ("ms", num 3 ms); ("alloc_mb", num 2 mb) ])
+            rows } ]
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv in
-  let chain_size =
-    let rec find = function
-      | "--chain-size" :: n :: _ -> int_of_string n
-      | _ :: rest -> find rest
-      | [] -> 1002
-    in
-    find args
+  let chain_size = match chain_size_arg with [ _; n ] -> int_of_string n | _ -> 1002 in
+  let all =
+    [ "fig2"; "fig4"; "fig9"; "fig10"; "ablation"; "par"; "obs"; "ivm"; "exec"; "lint"; "edit" ]
   in
-  let modes =
-    List.filter
-      (fun a ->
-        List.mem a
-          [ "fig2"; "fig4"; "fig9"; "fig10"; "ablation"; "par"; "obs"; "ivm"; "exec"; "lint"; "edit" ])
-      args
-  in
-  let modes =
-    if modes = [] then
-      [ "fig2"; "fig4"; "fig9"; "fig10"; "ablation"; "par"; "obs"; "ivm"; "exec"; "lint"; "edit" ]
-    else modes
-  in
+  let modes = match List.filter (fun a -> List.mem a all) args with [] -> all | modes -> modes in
   List.iter
     (function
       | "fig2" -> fig2 ()

@@ -1,7 +1,5 @@
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
-let all_ok = Algo.all_ok
-
 let apply (st : State.t) ~assoc ~table ~fmap =
   let client = st.State.env.Query.Env.client in
   let store = st.State.env.Query.Env.store in
@@ -34,7 +32,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
   let f_pk2 = List.map (fun c -> List.assoc c fmap) cols2 in
   (* Check 1: f(PK2) previously unused. *)
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun c ->
         if Mapping.Fragments.column_used st.State.fragments ~table c then
           fail "column %s.%s is already used by the mapping" table c
@@ -69,7 +67,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
   (* Check 3: an existing foreign key out of f(PK2) must keep resolving. *)
   let* check3 =
     Algo.span "aa-fk.validate" @@ fun () ->
-    Algo.collect
+    Datum.Results.collect
       (fun (fk : Relational.Table.foreign_key) ->
         if not (List.exists (fun c -> List.mem c f_pk2) fk.fk_columns) then Ok []
         else if fk.fk_columns <> f_pk2 then

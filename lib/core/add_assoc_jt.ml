@@ -54,7 +54,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
      checker). *)
   let* obls =
     Algo.span "aa-jt.validate" @@ fun () ->
-    Algo.collect
+    Datum.Results.collect
       (fun (fk : Relational.Table.foreign_key) ->
         Algo.fk_obligations env' update_views ~table:table.Relational.Table.name fk)
       table.Relational.Table.fks

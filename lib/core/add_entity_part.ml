@@ -7,8 +7,6 @@ type part = {
 
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
-let all_ok = Algo.all_ok
-
 let check_part client' e part =
   let att = Edm.Schema.attributes client' e in
   let key = Edm.Schema.key_of client' e in
@@ -58,7 +56,7 @@ let apply (st : State.t) ~entity ~p_ref ~parts =
   let e = entity.Edm.Entity_type.name in
   let* client' = Algo.lift (Edm.Schema.add_derived entity st.State.env.Query.Env.client) in
   let* () = match parts with [] -> fail "AddEntityPart needs at least one partition" | _ -> Ok () in
-  let* () = all_ok (check_part client' e) parts in
+  let* () = Datum.Results.all_ok (check_part client' e) parts in
   let* () =
     match p_ref with
     | None -> Ok ()
@@ -86,7 +84,7 @@ let apply (st : State.t) ~entity ~p_ref ~parts =
   let att_p = match p_ref with None -> [] | Some p -> Edm.Schema.attribute_names client' p in
   let* () =
     Algo.span "aep.coverage" @@ fun () ->
-    all_ok
+    Datum.Results.all_ok
       (fun a ->
         if List.mem a att_p then Ok ()
         else
@@ -131,10 +129,10 @@ let apply (st : State.t) ~entity ~p_ref ~parts =
   let* check1 = Algo.assoc_endpoint_obligations env' st'.State.fragments uv' ~etypes:between in
   let* check2 = Algo.assoc_table_fk_obligations env' st'.State.fragments uv' ~etypes:between in
   let* check3 =
-    Algo.collect
+    Datum.Results.collect
       (fun pt ->
         let f_alpha = List.map snd pt.part_fmap in
-        Algo.collect
+        Datum.Results.collect
           (fun (fk : Relational.Table.foreign_key) ->
             if List.exists (fun c -> List.mem c f_alpha) fk.fk_columns then
               Algo.fk_obligations env' uv' ~table:pt.part_table.Relational.Table.name fk

@@ -134,7 +134,7 @@ let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) 
   (* Remaining validation: foreign keys of T touching f(att(E)), and
      associations on the ancestors (the new entities join their sets). *)
   let* fk_obls =
-    Algo.collect
+    Datum.Results.collect
       (fun (fk : Relational.Table.foreign_key) ->
         if List.exists (fun c -> List.mem c image) fk.fk_columns then
           Algo.fk_obligations env' update_views ~table fk

@@ -169,7 +169,7 @@ let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
     match mode with
     | `Existing -> Ok []
     | `New tbl ->
-        Algo.collect
+        Datum.Results.collect
           (fun (fk : Relational.Table.foreign_key) ->
             Algo.fk_obligations env' update_views ~table:tbl.Relational.Table.name fk)
           tbl.Relational.Table.fks

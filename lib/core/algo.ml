@@ -5,26 +5,6 @@ module VE = Containment.Validation_error
 let fail fmt = VE.msgf fmt
 let lift r = VE.lift r
 
-let rec all_ok f = function
-  | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      all_ok f rest
-
-(* Accumulate the obligation lists emitted per item, preserving emission
-   order — the discharge engine's failure reporting is defined in terms of
-   this order. *)
-let collect f xs =
-  let* groups =
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        let* obls = f x in
-        Ok (obls :: acc))
-      (Ok []) xs
-  in
-  Ok (List.concat (List.rev groups))
-
 (* -- the column map f of the additive SMOs --------------------------------- *)
 
 let check_column_map ~attrs ~keys (table : Relational.Table.t) fmap =
@@ -61,7 +41,7 @@ let check_column_map ~attrs ~keys (table : Relational.Table.t) fmap =
       fail "f must map %s onto the key of %s"
         (String.concat " or " (List.map braces keys)) name
   in
-  all_ok
+  Datum.Results.all_ok
     (fun (a, c) ->
       match List.assoc_opt a attrs, Relational.Table.domain_of table c with
       | Some da, Some dc when not (Datum.Domain.subsumes ~wide:dc ~narrow:da) ->
@@ -72,7 +52,7 @@ let check_column_map ~attrs ~keys (table : Relational.Table.t) fmap =
 let add_fresh_table frags store (table : Relational.Table.t) fmap =
   let name = table.Relational.Table.name in
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun c ->
         if List.exists (fun (_, c') -> c' = c) fmap || Relational.Table.nullable table c then
           Ok ()
@@ -192,9 +172,9 @@ let fk_obligations env uv ~table (fk : Relational.Table.foreign_key) =
 let assoc_endpoint_obligations env frags uv ~etypes =
   span "algo.assoc-checks" @@ fun () ->
   let client = env.Query.Env.client in
-  collect
+  Datum.Results.collect
     (fun etype ->
-      collect
+      Datum.Results.collect
         (fun (a : Edm.Association.t) ->
           match Mapping.Fragments.of_assoc frags a.Edm.Association.name with
           | [] -> Ok []
@@ -233,11 +213,11 @@ let assoc_endpoint_obligations env frags uv ~etypes =
 
 let assoc_rows_keep_entities env frags ~e ~etypes =
   let client = env.Query.Env.client in
-  all_ok
+  Datum.Results.all_ok
     (fun etype ->
       let key = Edm.Schema.key_of client etype in
       let set = Edm.Schema.set_of_type client etype in
-      all_ok
+      Datum.Results.all_ok
         (fun (a : Edm.Association.t) ->
           match Mapping.Fragments.of_assoc frags a.Edm.Association.name with
           | [] -> Ok ()
@@ -273,9 +253,9 @@ let assoc_rows_keep_entities env frags ~e ~etypes =
 
 let assoc_table_fk_obligations env frags uv ~etypes =
   let client = env.Query.Env.client in
-  collect
+  Datum.Results.collect
     (fun etype ->
-      collect
+      Datum.Results.collect
         (fun (a : Edm.Association.t) ->
           match Mapping.Fragments.of_assoc frags a.Edm.Association.name with
           | [] -> Ok []
@@ -285,7 +265,7 @@ let assoc_table_fk_obligations env frags uv ~etypes =
               | None -> Ok []
               | Some tbl ->
                   let beta = Mapping.Fragment.cols frag in
-                  collect
+                  Datum.Results.collect
                     (fun (fk : Relational.Table.foreign_key) ->
                       if List.exists (fun c -> List.mem c beta) fk.fk_columns then
                         fk_obligations env uv ~table:r fk
@@ -315,7 +295,7 @@ let shrink (before : State.t) env fragments query_views ~set ~fk_tables =
   in
   let store = env.Query.Env.store in
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun t ->
         let unwritten = Mapping.Coverage.unwritten_not_null (Mapping.Fragments.on_table fragments t) in
         match Option.map unwritten (Relational.Schema.find_table store t) with
@@ -343,11 +323,11 @@ let shrink (before : State.t) env fragments query_views ~set ~fk_tables =
   in
   let has_view t = Query.View.table_view update_views t <> None in
   let* obls =
-    collect
+    Datum.Results.collect
       (fun table ->
         match Relational.Schema.find_table store table with
         | Some tbl when has_view table ->
-            collect
+            Datum.Results.collect
               (fun (fk : Relational.Table.foreign_key) ->
                 if has_view fk.ref_table then fk_obligations env update_views ~table fk
                 else Ok [])

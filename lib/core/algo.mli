@@ -15,13 +15,6 @@ val lift : ('a, string) result -> ('a, Containment.Validation_error.t) result
 (** Adapt a string-errored result (e.g. from [Fullc]) into the validation
     error monad. *)
 
-val all_ok : ('a -> (unit, 'e) result) -> 'a list -> (unit, 'e) result
-
-val collect :
-  ('a -> ('b list, 'e) result) -> 'a list -> ('b list, 'e) result
-(** Concatenate the lists emitted per item, preserving emission order (the
-    order {!Containment.Discharge.run} reports the first failure in). *)
-
 (** {1 The column map of the additive SMOs}
 
     Every additive SMO (AddEntity, AddEntityPart, AddEntityTPH, AddAssocFK,

@@ -1,7 +1,5 @@
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
-let all_ok = Algo.all_ok
-
 let apply (st : State.t) ~etype ~attr =
   let client = st.State.env.Query.Env.client in
   let* set =
@@ -12,7 +10,7 @@ let apply (st : State.t) ~etype ~attr =
   let* client' = Algo.lift (Edm.Schema.remove_attribute ~etype attr client) in
   (* No fragment may condition on the attribute. *)
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun (f : Mapping.Fragment.t) ->
         if List.mem attr (Query.Cond.columns f.Mapping.Fragment.client_cond) then
           fail "attribute %s is tested by fragment %s; drop not supported" attr
@@ -56,7 +54,7 @@ let apply (st : State.t) ~etype ~attr =
   (* Every concrete type of the hierarchy must still be covered. *)
   let* () =
     Algo.span "drop-property.coverage" @@ fun () ->
-    all_ok
+    Datum.Results.all_ok
       (fun ty -> Algo.lift (Mapping.Coverage.attribute_coverage env' fragments ~etype:ty))
       (Edm.Schema.subtypes client' (Edm.Schema.root_of client' etype))
   in

@@ -1,7 +1,5 @@
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
-let all_ok = Algo.all_ok
-
 let widen_attribute (st : State.t) ~etype ~attr dom =
   let env = st.State.env in
   let* client' = Algo.lift (Edm.Schema.widen_attribute ~etype attr dom env.Query.Env.client) in
@@ -13,7 +11,7 @@ let widen_attribute (st : State.t) ~etype ~attr dom =
   in
   let* () =
     Algo.span "widen.domain-checks" @@ fun () ->
-    all_ok
+    Datum.Results.all_ok
       (fun (f : Mapping.Fragment.t) ->
         match Mapping.Fragment.col_of f attr with
         | None -> Ok ()

@@ -1,7 +1,5 @@
 let ( let* ) = Result.bind
 let fail fmt = Algo.fail fmt
-let all_ok = Algo.all_ok
-
 let apply (st : State.t) ~assoc =
   let client = st.State.env.Query.Env.client in
   let* a =
@@ -93,7 +91,7 @@ let apply (st : State.t) ~assoc =
   (* Coverage of the reparented subtree (inherited attributes included). *)
   let* () =
     Algo.span "refactor.coverage" @@ fun () ->
-    all_ok
+    Datum.Results.all_ok
       (fun ty -> Algo.lift (Mapping.Coverage.attribute_coverage env' fragments ~etype:ty))
       (Edm.Schema.subtypes client' e2)
   in

@@ -29,12 +29,6 @@ let entity ~etype bindings = { etype; attrs = Datum.Row.of_list bindings }
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let rec all_ok f = function
-  | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      all_ok f rest
-
 let sort_uniq_entities l = List.sort_uniq compare_entity l
 let sort_uniq_rows l = List.sort_uniq Datum.Row.compare l
 
@@ -58,14 +52,14 @@ let check_entity schema ~set e =
         (String.concat "," expected)
   in
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun (a, d) ->
         let v = Datum.Row.get a e.attrs in
         if Datum.Value.member v d then Ok ()
         else fail "attribute %s of %s holds %s outside its domain" a e.etype (Datum.Value.show v))
       attrs
   in
-  all_ok
+  Datum.Results.all_ok
     (fun (a, _) ->
       if
         Datum.Value.is_null (Datum.Row.get a e.attrs)
@@ -139,14 +133,14 @@ let check_multiplicity (a : Association.t) rows ~cols ~other_mult ~side =
 
 let conforms schema t =
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun set ->
         let es = entities t ~set in
-        let* () = all_ok (check_entity schema ~set) es in
+        let* () = Datum.Results.all_ok (check_entity schema ~set) es in
         check_keys_unique ~set es schema)
       (sets t)
   in
-  all_ok
+  Datum.Results.all_ok
     (fun name ->
       let* a =
         match Schema.find_association schema name with
@@ -154,7 +148,7 @@ let conforms schema t =
         | None -> fail "unknown association %s" name
       in
       let rows = links t ~assoc:name in
-      let* () = all_ok (check_link schema t a) rows in
+      let* () = Datum.Results.all_ok (check_link schema t a) rows in
       let cols1 = Association.end1_columns a ~key:(Schema.key_of schema a.end1) in
       let cols2 = Association.end2_columns a ~key:(Schema.key_of schema a.end2) in
       (* mult2 bounds partners per end1 value and vice versa. *)

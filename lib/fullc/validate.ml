@@ -3,12 +3,6 @@ type report = { cells_visited : int; containment_checks : int; covered_types : i
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let rec all_ok f = function
-  | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      all_ok f rest
-
 (* -- step (2): attribute coverage per concrete type ---------------------- *)
 
 let coverage env frags =
@@ -17,7 +11,9 @@ let coverage env frags =
     List.concat_map (fun (_, root) -> Edm.Schema.subtypes client root)
       (Edm.Schema.entity_sets client)
   in
-  let* () = all_ok (fun ty -> Mapping.Coverage.attribute_coverage env frags ~etype:ty) types in
+  let* () =
+    Datum.Results.all_ok (fun ty -> Mapping.Coverage.attribute_coverage env frags ~etype:ty) types
+  in
   Ok (List.length types)
 
 (* -- step (1): one-to-one left sides over the cell partitioning ----------- *)
@@ -33,7 +29,7 @@ let cell_collision env key (cell : Cells.cell) =
     | [] | [ _ ] -> Ok ()
     | f :: rest ->
         let* () =
-          all_ok
+          Datum.Results.all_ok
             (fun g ->
               if not (same_set f g) then Ok ()
               else
@@ -140,24 +136,12 @@ let client_query_renamed (g : Mapping.Fragment.t) cols ~renaming =
       Some (Query.Algebra.Project (List.map Option.get items, base))
   | _ -> None
 
-(* Accumulate per-item obligation lists in emission order. *)
-let collect f xs =
-  let* groups =
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        let* obls = f x in
-        Ok (obls :: acc))
-      (Ok []) xs
-  in
-  Ok (List.concat (List.rev groups))
-
 let fk_obligations env frags =
   let store = env.Query.Env.store in
-  collect
+  Datum.Results.collect
     (fun table ->
       let tbl = Relational.Schema.get_table store table in
-      collect
+      Datum.Results.collect
         (fun (fk : Relational.Table.foreign_key) ->
           let* () =
             if Mapping.Fragments.on_table frags fk.ref_table <> [] then Ok ()
@@ -177,7 +161,7 @@ let fk_obligations env frags =
             | q :: rest ->
                 Ok (List.fold_left (fun acc q' -> Query.Algebra.Union_all (acc, q')) q rest)
           in
-          collect
+          Datum.Results.collect
             (fun (g : Mapping.Fragment.t) ->
               let writes = Mapping.Coverage.writes g in
               if not (List.exists writes fk.fk_columns) then Ok []
@@ -214,7 +198,7 @@ let fk_checks ?jobs env frags =
   Ok (List.length obls)
 
 let nullability env frags =
-  all_ok
+  Datum.Results.all_ok
     (fun table ->
       let tbl = Relational.Schema.get_table env.Query.Env.store table in
       match Mapping.Coverage.unwritten_not_null (Mapping.Fragments.on_table frags table) tbl with

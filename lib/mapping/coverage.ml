@@ -6,12 +6,6 @@ let determined_constants cond =
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let rec all_ok f = function
-  | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      all_ok f rest
-
 let attribute_coverage env frags ~etype =
   let client = env.Query.Env.client in
   let* set =
@@ -20,7 +14,7 @@ let attribute_coverage env frags ~etype =
     | None -> fail "entity type %s belongs to no set" etype
   in
   let set_frags = Fragments.of_set frags set in
-  all_ok
+  Datum.Results.all_ok
     (fun (attr, _dom) ->
       let covering =
         List.filter_map

@@ -66,12 +66,6 @@ let holds env client store f =
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let rec all_ok f = function
-  | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      all_ok f rest
-
 let distinct l =
   let sorted = List.sort String.compare l in
   let rec dup = function
@@ -99,7 +93,7 @@ let well_formed env f =
     | None -> Ok ()
   in
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun c ->
         if Relational.Table.mem_column tbl c then Ok ()
         else fail "fragment projects unknown column %s.%s" f.table c)
@@ -110,7 +104,7 @@ let well_formed env f =
     else fail "store-side condition of a fragment uses a type test"
   in
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun c ->
         if Relational.Table.mem_column tbl c then Ok ()
         else fail "store condition mentions unknown column %s.%s" f.table c)
@@ -119,7 +113,7 @@ let well_formed env f =
   (* Every paired column's domain subsumes its attribute's, [domains] giving
      each client attribute's domain. *)
   let check_domains domains =
-    all_ok
+    Datum.Results.all_ok
       (fun (a, c) ->
         match List.assoc_opt a domains, Relational.Table.domain_of tbl c with
         | Some da, Some dc ->
@@ -152,7 +146,7 @@ let well_formed env f =
       | Some root ->
           let all_attrs = Edm.Schema.hierarchy_attributes client root in
           let* () =
-            all_ok
+            Datum.Results.all_ok
               (fun a ->
                 if List.mem_assoc a all_attrs then Ok ()
                 else fail "fragment projects unknown attribute %s of set %s" a s)
@@ -160,14 +154,14 @@ let well_formed env f =
           in
           let key = Edm.Schema.key_of client root in
           let* () =
-            all_ok
+            Datum.Results.all_ok
               (fun k ->
                 if List.mem k (attrs f) then Ok ()
                 else fail "fragment projection misses key attribute %s" k)
               key
           in
           let* () =
-            all_ok
+            Datum.Results.all_ok
               (fun atom ->
                 match atom with
                 | Query.Cond.Is_of e | Query.Cond.Is_of_only e ->

@@ -1,19 +1,13 @@
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let rec all_ok f = function
-  | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      all_ok f rest
-
 let type_names schema = List.map (fun (e : Edm.Entity_type.t) -> e.Edm.Entity_type.name) (Edm.Schema.types schema)
 
 (* Reject edits the SMO vocabulary cannot express. *)
 let check_expressible (st : Core.State.t) ~target =
   let old_client = st.Core.State.env.Query.Env.client in
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun name ->
         match Edm.Schema.find_type target name with
         | None ->
@@ -28,7 +22,7 @@ let check_expressible (st : Core.State.t) ~target =
               else fail "entity type %s changed parent; not expressible as SMOs" name
             in
             let* () =
-              all_ok
+              Datum.Results.all_ok
                 (fun (a, dom) ->
                   match List.assoc_opt a nt.Edm.Entity_type.declared with
                   | Some dom' when Datum.Domain.equal dom dom' -> Ok ()
@@ -41,7 +35,7 @@ let check_expressible (st : Core.State.t) ~target =
             Ok ())
       (type_names old_client)
   in
-  all_ok
+  Datum.Results.all_ok
     (fun (a : Edm.Association.t) ->
       match Edm.Schema.find_association target a.Edm.Association.name with
       | Some a' when Edm.Association.equal a a' -> Ok ()

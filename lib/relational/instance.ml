@@ -14,12 +14,6 @@ let tables t = List.map fst (M.bindings t)
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let rec all_ok f = function
-  | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      all_ok f rest
-
 let check_row (tbl : Table.t) r =
   let expected = List.sort String.compare (Table.column_names tbl) in
   let actual = List.sort String.compare (Datum.Row.columns r) in
@@ -29,7 +23,7 @@ let check_row (tbl : Table.t) r =
       fail "row of %s has columns {%s}, expected {%s}" tbl.name (String.concat "," actual)
         (String.concat "," expected)
   in
-  all_ok
+  Datum.Results.all_ok
     (fun (c : Table.column) ->
       let v = Datum.Row.get c.cname r in
       if Datum.Value.is_null v then
@@ -41,7 +35,7 @@ let check_row (tbl : Table.t) r =
 let check_key (tbl : Table.t) rows =
   let keys = List.map (Datum.Row.project tbl.key) rows in
   let* () =
-    all_ok
+    Datum.Results.all_ok
       (fun k ->
         if List.exists Datum.Value.is_null (List.map snd (Datum.Row.to_list k)) then
           fail "NULL key in table %s" tbl.name
@@ -61,7 +55,7 @@ let check_fk t (tbl : Table.t) (fk : Table.foreign_key) rows =
   let targets =
     List.map (Datum.Row.project fk.ref_columns) (Option.value ~default:[] (M.find_opt fk.ref_table t))
   in
-  all_ok
+  Datum.Results.all_ok
     (fun r ->
       let src = List.map (fun c -> Datum.Row.get c r) fk.fk_columns in
       if List.exists Datum.Value.is_null src then Ok ()
@@ -74,7 +68,7 @@ let check_fk t (tbl : Table.t) (fk : Table.foreign_key) rows =
     rows
 
 let conforms schema t =
-  all_ok
+  Datum.Results.all_ok
     (fun table ->
       let* tbl =
         match Schema.find_table schema table with
@@ -82,9 +76,9 @@ let conforms schema t =
         | None -> fail "unknown table %s" table
       in
       let rs = rows t ~table in
-      let* () = all_ok (check_row tbl) rs in
+      let* () = Datum.Results.all_ok (check_row tbl) rs in
       let* () = check_key tbl rs in
-      all_ok (fun fk -> check_fk t tbl fk rs) tbl.fks)
+      Datum.Results.all_ok (fun fk -> check_fk t tbl fk rs) tbl.fks)
     (tables t)
 
 let equal a b =

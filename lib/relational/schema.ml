@@ -38,23 +38,17 @@ let remove_table name t =
 let replace_table (tbl : Table.t) t =
   if M.mem tbl.name t then Ok (M.add tbl.name tbl t) else fail "unknown table %s" tbl.name
 
-let rec all_ok f = function
-  | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      all_ok f rest
-
 let well_formed t =
-  all_ok
+  Datum.Results.all_ok
     (fun (tbl : Table.t) ->
       let* () =
-        all_ok
+        Datum.Results.all_ok
           (fun k ->
             if Table.mem_column tbl k then Ok ()
             else fail "table %s keys on unknown column %s" tbl.name k)
           tbl.key
       in
-      all_ok
+      Datum.Results.all_ok
         (fun (fk : Table.foreign_key) ->
           let* target =
             match find_table t fk.ref_table with
@@ -69,7 +63,7 @@ let well_formed t =
             if List.length fk.fk_columns = List.length fk.ref_columns then Ok ()
             else fail "foreign key %s -> %s has mismatched arity" tbl.name fk.ref_table
           in
-          all_ok
+          Datum.Results.all_ok
             (fun (c, rc) ->
               match Table.domain_of tbl c, Table.domain_of target rc with
               | Some d, Some rd when Datum.Domain.equal d rd -> Ok ()

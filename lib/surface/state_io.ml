@@ -1,13 +1,6 @@
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let rec map_ok f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_ok f rest in
-      Ok (y :: ys)
-
 (* -- values and domains ------------------------------------------------------ *)
 
 let sexp_of_value = function
@@ -44,7 +37,7 @@ let domain_of_sexp = function
   | Sexp.Atom "bool" -> Ok Datum.Domain.Bool
   | Sexp.Atom "decimal" -> Ok Datum.Domain.Decimal
   | Sexp.List (Sexp.Atom "enum" :: values) ->
-      Result.map (fun v -> Datum.Domain.Enum v) (map_ok Sexp.as_atom values)
+      Result.map (fun v -> Datum.Domain.Enum v) (Datum.Results.map_ok Sexp.as_atom values)
   | s -> fail "bad domain %s" (Sexp.to_string s)
 
 (* -- conditions --------------------------------------------------------------- *)
@@ -287,7 +280,7 @@ let item_of_sexp = function
       let* dst = Sexp.as_atom dst in
       Ok (Query.Algebra.Const { value; dst })
   | Sexp.List [ Sexp.Atom "coalesce"; srcs; dst ] ->
-      let* srcs = Result.bind (Sexp.as_list srcs) (map_ok Sexp.as_atom) in
+      let* srcs = Result.bind (Sexp.as_list srcs) (Datum.Results.map_ok Sexp.as_atom) in
       let* dst = Sexp.as_atom dst in
       Ok (Query.Algebra.Coalesce { srcs; dst })
   | s -> fail "bad projection item %s" (Sexp.to_string s)
@@ -300,14 +293,14 @@ let rec query_of_sexp tbl = function
       let* q = query_at tbl q in
       Ok (Query.Algebra.Select (c, q))
   | Sexp.List [ Sexp.Atom "project"; items; q ] ->
-      let* items = Result.bind (Sexp.as_list items) (map_ok item_of_sexp) in
+      let* items = Result.bind (Sexp.as_list items) (Datum.Results.map_ok item_of_sexp) in
       let* q = query_at tbl q in
       Ok (Query.Algebra.Project (items, q))
   | Sexp.List [ Sexp.Atom kind; l; r; on ]
     when kind = "join" || kind = "loj" || kind = "foj" ->
       let* l = query_at tbl l in
       let* r = query_at tbl r in
-      let* on = Result.bind (Sexp.as_list on) (map_ok Sexp.as_atom) in
+      let* on = Result.bind (Sexp.as_list on) (Datum.Results.map_ok Sexp.as_atom) in
       Ok
         (match kind with
         | "join" -> Query.Algebra.Join (l, r, on)
@@ -329,10 +322,10 @@ and query_at tbl s =
 let rec ctor_of_sexp tbl = function
   | Sexp.List [ Sexp.Atom "entity"; etype; attrs ] ->
       let* etype = Sexp.as_atom etype in
-      let* attrs = Result.bind (Sexp.as_list attrs) (map_ok Sexp.as_atom) in
+      let* attrs = Result.bind (Sexp.as_list attrs) (Datum.Results.map_ok Sexp.as_atom) in
       Ok (Query.Ctor.Entity { etype; attrs })
   | Sexp.List [ Sexp.Atom "tuple"; cols ] ->
-      let* cols = Result.bind (Sexp.as_list cols) (map_ok Sexp.as_atom) in
+      let* cols = Result.bind (Sexp.as_list cols) (Datum.Results.map_ok Sexp.as_atom) in
       Ok (Query.Ctor.Tuple cols)
   | Sexp.List [ Sexp.Atom "if"; c; a; b ] ->
       let* c = cond_at tbl c in
@@ -409,15 +402,15 @@ let etype_of_sexp s =
       in
       let* declared =
         Result.bind (Sexp.as_list declared)
-          (map_ok (function
+          (Datum.Results.map_ok (function
             | Sexp.List [ a; d ] ->
                 let* a = Sexp.as_atom a in
                 let* d = domain_of_sexp d in
                 Ok (a, d)
             | s -> fail "bad attribute %s" (Sexp.to_string s)))
       in
-      let* key = Result.bind (Sexp.as_list key) (map_ok Sexp.as_atom) in
-      let* non_null = Result.bind (Sexp.as_list non_null) (map_ok Sexp.as_atom) in
+      let* key = Result.bind (Sexp.as_list key) (Datum.Results.map_ok Sexp.as_atom) in
+      let* non_null = Result.bind (Sexp.as_list non_null) (Datum.Results.map_ok Sexp.as_atom) in
       Ok { Edm.Entity_type.name; parent; declared; key; non_null }
   | _ -> fail "bad entity type %s" (Sexp.to_string s)
 
@@ -450,7 +443,7 @@ let client_of_sexp s =
   let* fields = Sexp.as_field "client" s in
   (* Types in dependency order: roots first. *)
   let* types =
-    map_ok etype_of_sexp
+    Datum.Results.map_ok etype_of_sexp
       (List.filter (function Sexp.List (Sexp.Atom "type" :: _) -> true | _ -> false) fields)
   in
   let sets =
@@ -533,7 +526,7 @@ let table_of_sexp s =
       let* name = Sexp.as_atom name in
       let* columns =
         Result.bind (Sexp.as_list cols)
-          (map_ok (function
+          (Datum.Results.map_ok (function
             | Sexp.List [ c; d; n ] ->
                 let* cname = Sexp.as_atom c in
                 let* domain = domain_of_sexp d in
@@ -541,14 +534,18 @@ let table_of_sexp s =
                 Ok { Relational.Table.cname; domain; nullable }
             | s -> fail "bad column %s" (Sexp.to_string s)))
       in
-      let* key = Result.bind (Sexp.as_list key) (map_ok Sexp.as_atom) in
+      let* key = Result.bind (Sexp.as_list key) (Datum.Results.map_ok Sexp.as_atom) in
       let* fks =
         Result.bind (Sexp.as_list fks)
-          (map_ok (function
+          (Datum.Results.map_ok (function
             | Sexp.List [ fkc; ref_t; refc ] ->
-                let* fk_columns = Result.bind (Sexp.as_list fkc) (map_ok Sexp.as_atom) in
+                let* fk_columns =
+                  Result.bind (Sexp.as_list fkc) (Datum.Results.map_ok Sexp.as_atom)
+                in
                 let* ref_table = Sexp.as_atom ref_t in
-                let* ref_columns = Result.bind (Sexp.as_list refc) (map_ok Sexp.as_atom) in
+                let* ref_columns =
+                  Result.bind (Sexp.as_list refc) (Datum.Results.map_ok Sexp.as_atom)
+                in
                 Ok { Relational.Table.fk_columns; ref_table; ref_columns }
             | s -> fail "bad foreign key %s" (Sexp.to_string s)))
       in
@@ -601,7 +598,7 @@ let fragment_of_sexp tbl s =
       let* client_cond = cond_at tbl ccond in
       let* pairs =
         Result.bind (Sexp.as_list pairs)
-          (map_ok (function
+          (Datum.Results.map_ok (function
             | Sexp.List [ a; c ] ->
                 let* a = Sexp.as_atom a in
                 let* c = Sexp.as_atom c in
@@ -681,7 +678,7 @@ let decode entries (client_s, store_s, frags_s, qv_s, uv_s) =
   let* store = store_of_sexp store_s in
   let* tbl = table_of_entries entries in
   let* frag_list = Sexp.as_field "fragments" frags_s in
-  let* frags = map_ok (fragment_of_sexp tbl) frag_list in
+  let* frags = Datum.Results.map_ok (fragment_of_sexp tbl) frag_list in
   let* qv_fields = Sexp.as_field "query_views" qv_s in
   let* query_views =
     List.fold_left
