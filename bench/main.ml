@@ -16,8 +16,8 @@
              layer (load, each suite SMO, linting the mapping and the views,
              save)
 
-   Each of fig10, par, obs, lint, ivm, exec and edit prints its tables and
-   writes them to BENCH_<mode>.json ([emit]), in one schema:
+   Each of fig9, fig10, par, obs, lint, ivm, exec and edit prints its tables
+   and writes them to BENCH_<mode>.json ([emit]), in one schema:
 
      { "command": "dune exec bench/main.exe -- <mode>",
        "git_rev": <git describe --always --dirty, or "unknown">,
@@ -30,28 +30,11 @@
    their keys and exits 1 if a count differs or a row is missing or added;
    it compares no timing, and ignores a top-level "parent" document.
 
+   Every timing of every mode is a median of [sample], the one timer; obs's
+   phase times are the spans' own.
+
    `dune exec bench/main.exe` runs everything; pass a subset of the mode
    names to restrict, and `--chain-size N` to scale the Fig. 9 model. *)
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* One Bechamel micro-benchmark: OLS estimate of ns/run. *)
-let measure_ns name f =
-  let open Bechamel in
-  let test = Test.make ~name (Staged.stage f) in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  match Test.elements test with
-  | [ elt ] -> (
-      let b = Benchmark.run cfg [ Toolkit.Instance.monotonic_clock ] elt in
-      let ols =
-        Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-      in
-      let o = Analyze.one ols Toolkit.Instance.monotonic_clock b in
-      match Analyze.OLS.estimates o with Some [ ns ] -> ns | Some _ | None -> nan)
-  | _ -> nan
 
 (* Megabytes the calling domain has allocated so far.  Promoted words count
    once as minor and once as major allocation, so they are subtracted.
@@ -62,29 +45,46 @@ let allocated_mb () =
   let _, promoted, major = Gc.counters () in
   (Gc.minor_words () +. major -. promoted) *. 8. /. 1e6
 
-(* Wall time and allocated megabytes of [f ()] ([allocated_mb], as fig10
-   measures). *)
-let wall_alloc f =
-  let a0 = allocated_mb () in
-  let r, dt = wall f in
-  (r, dt, allocated_mb () -. a0)
-
-(* The median wall time over [runs] calls of [f], each on a collected heap,
-   and the megabytes one call allocates (the same on every call). *)
-let layer ?(runs = 7) f =
-  let samples =
-    List.init runs (fun _ ->
-        Gc.full_major ();
-        let _, dt, mb = wall_alloc f in
-        (dt *. 1e3, mb))
+(* The harness's one timer: every timed cell of every mode goes through it,
+   and no other code here reads the clock or collects the heap.  [sample f]
+   returns the result of a first call of [f], then the median milliseconds
+   and megabytes ([allocated_mb]) per call over at least 7 samples taken
+   across at least half a second.  A sample is one batch of calls on a
+   collected heap; the batch doubles from one call until it takes at least
+   1 ms, so the clock's resolution does not show in fast cells.  A first
+   call slower than the half second is the only sample, so a slow cell
+   costs one run. *)
+let sample f =
+  let batch n g =
+    Gc.full_major ();
+    let a0 = allocated_mb () and t0 = Unix.gettimeofday () in
+    let r = g () in
+    let dt = Unix.gettimeofday () -. t0 in
+    (r, (dt *. 1e3 /. float_of_int n, (allocated_mb () -. a0) /. float_of_int n))
   in
-  let ms = List.sort Float.compare (List.map fst samples) in
-  (List.nth ms (runs / 2), snd (List.hd samples))
+  let start = Unix.gettimeofday () in
+  let r, first = batch 1 f in
+  let rec loop n acc =
+    let (), ((ms, _) as s) =
+      batch n (fun () -> for _ = 1 to n do ignore (Sys.opaque_identity (f ())) done)
+    in
+    if acc = [] && ms *. float_of_int n < 1. then loop (2 * n) []
+    else
+      let acc = s :: acc in
+      if List.length acc >= 7 && Unix.gettimeofday () -. start >= 0.5 then acc else loop n acc
+  in
+  let samples = if fst first > 500. then [ first ] else loop 1 [] in
+  let median g =
+    let l = List.sort Float.compare (List.map g samples) in
+    List.nth l (List.length l / 2)
+  in
+  (r, median fst, median snd)
 
-let pp_seconds fmt s =
-  if s < 1e-3 then Format.fprintf fmt "%8.1fus" (s *. 1e6)
-  else if s < 1.0 then Format.fprintf fmt "%8.2fms" (s *. 1e3)
-  else Format.fprintf fmt "%8.2fs " s
+(* A duration for the text-only modes, [ms] milliseconds. *)
+let show_ms ms =
+  if ms < 1. then Printf.sprintf "%8.1fus" (ms *. 1e3)
+  else if ms < 1e3 then Printf.sprintf "%8.2fms" ms
+  else Printf.sprintf "%8.2fs " (ms /. 1e3)
 
 let header title = Printf.printf "\n=== %s ===\n%!" title
 
@@ -105,8 +105,8 @@ type table = { name : string; keys : string list; rows : (string * cell) list li
 
 (* The columns whose values do not depend on the host. *)
 let count_columns =
-  [ "obligations"; "tables_visited"; "scans"; "index_scans"; "rows_scanned"; "diags";
-    "state_bytes"; "steps"; "verdict" ]
+  [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "tables_visited"; "scans"; "index_scans";
+    "rows_scanned"; "diags"; "state_bytes"; "steps"; "verdict" ]
 
 let json_string s =
   let esc = function
@@ -283,7 +283,7 @@ let fig2 () =
 let fig4 () =
   header "Fig. 4 -- full-compilation time of the hub-and-rim model (TPH into one table)";
   Printf.printf "%3s %3s %6s %6s  %-20s %-12s\n%!" "N" "M" "types" "atoms" "TPH" "TPT";
-  let budget = 30.0 in
+  let budget_ms = 30e3 in
   let atom_budget = 24 in
   List.iter
     (fun n ->
@@ -292,19 +292,19 @@ let fig4 () =
         (fun m ->
           let types = Workload.Hub_rim.type_count ~n ~m in
           let atoms = Workload.Hub_rim.atom_count ~n ~m in
-          let tpt_time =
-            let env, frags = Workload.Hub_rim.generate ~n ~m ~style:`Tpt in
-            let r, dt = wall (fun () -> Fullc.Compile.compile env frags) in
-            match r with Ok _ -> Format.asprintf "%a" pp_seconds dt | Error e -> "error: " ^ e
+          let time style =
+            let env, frags = Workload.Hub_rim.generate ~n ~m ~style in
+            let r, ms, _ = sample (fun () -> Fullc.Compile.compile env frags) in
+            (ms, match r with Ok _ -> show_ms ms | Error e -> "error: " ^ e)
           in
+          let tpt_time = snd (time `Tpt) in
           let tph_time =
             if !over_budget || atoms > atom_budget then
               Printf.sprintf "cutoff (2^%d cells)" atoms
             else
-              let env, frags = Workload.Hub_rim.generate ~n ~m ~style:`Tph in
-              let r, dt = wall (fun () -> Fullc.Compile.compile env frags) in
-              if dt > budget then over_budget := true;
-              match r with Ok _ -> Format.asprintf "%a" pp_seconds dt | Error e -> "error: " ^ e
+              let ms, shown = time `Tph in
+              if ms > budget_ms then over_budget := true;
+              shown
           in
           Printf.printf "%3d %3d %6d %6d  %-20s %-12s\n%!" n m types atoms tph_time tpt_time)
         [ 1; 2; 3; 4; 5; 6; 8; 10 ])
@@ -317,26 +317,30 @@ let fig4 () =
 (* Figs. 9 & 10: incremental SMO timings vs. full recompilation.       *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-SMO costs on one state, from one untraced loop per SMO of at least
-   11 applications and half a second.  Each application times the SMO's
-   algorithm ([Core.Engine.compile]) and its obligation discharge apart:
-   [ms] is the median application, [non_containment_ms] the median
-   algorithm time (so never above [ms]) and [alloc_mb] the median
-   megabytes allocated.  [speedup] is over the full compile's [baseline]
-   seconds. *)
-let smo_rows ~baseline st suite =
+(* The containment checker's work in [f ()]: the deltas of its case,
+   CQ-pair and homomorphism-step counters, as count cells. *)
+let checker_work f =
+  let counters =
+    Containment.Check.[ ("cases", cases); ("cq_pairs", cq_pairs); ("hom_steps", hom_steps) ]
+  in
+  let before = List.map (fun (_, c) -> Obs.Metric.value c) counters in
+  let r = f () in
+  (r, List.map2 (fun (name, c) b -> (name, int (Obs.Metric.value c - b))) counters before)
+
+(* Per-SMO costs on one state.  One untimed application gives the outcome,
+   the obligations and the checker's work; then the SMO's algorithm
+   ([Core.Engine.compile]) and its obligation discharge are sampled apart.
+   [ms] and [alloc_mb] are the sums of the two medians and
+   [non_containment_ms] the algorithm's (so never above [ms]); [speedup] is
+   over the full compile's [baseline_ms]. *)
+let smo_rows ~baseline_ms st suite =
   List.map
     (fun (label, smo) ->
-      let run () =
-        let a0 = allocated_mb () and t0 = Unix.gettimeofday () in
-        let compiled = Core.Engine.compile st smo in
-        let t1 = Unix.gettimeofday () in
-        let proved = Result.bind compiled (fun (_, obls) -> Containment.Discharge.run obls) in
-        let t2 = Unix.gettimeofday () in
-        ((t2 -. t0, t1 -. t0, allocated_mb () -. a0), (compiled, proved))
+      let (compiled, proved), work =
+        checker_work (fun () ->
+            let compiled = Core.Engine.compile st smo in
+            (compiled, Result.bind compiled (fun (_, obls) -> Containment.Discharge.run obls)))
       in
-      let _, (compiled, proved) = run () in
-      let obligations = match compiled with Ok (_, obls) -> List.length obls | Error _ -> 0 in
       (* Validation aborts are timed too: the paper reports AE-TPC failures
          of exactly this shape (Section 4.2). *)
       let outcome =
@@ -346,32 +350,30 @@ let smo_rows ~baseline st suite =
             let e = Containment.Validation_error.show e in
             "aborts: " ^ if String.length e > 60 then String.sub e 0 60 ^ "..." else e
       in
-      Gc.full_major ();
-      let stop = Unix.gettimeofday () +. 0.5 in
-      let rec loop n acc =
-        if n >= 11 && Unix.gettimeofday () >= stop then acc else loop (n + 1) (fst (run ()) :: acc)
+      let _, algo_ms, algo_mb = sample (fun () -> Core.Engine.compile st smo) in
+      let obls, check_ms, check_mb =
+        match compiled with
+        | Error _ -> ([], 0., 0.)
+        | Ok (_, obls) ->
+            let _, ms, mb = sample (fun () -> Containment.Discharge.run obls) in
+            (obls, ms, mb)
       in
-      let runs = loop 0 [] in
-      let median f =
-        let l = List.sort Float.compare (List.map f runs) in
-        List.nth l (List.length l / 2)
-      in
-      let s = median (fun (t, _, _) -> t) in
-      [ ("smo", str label); ("ms", num 3 (s *. 1e3)); ("speedup", num 0 (baseline /. s));
-        ("non_containment_ms", num 3 (median (fun (_, c, _) -> c) *. 1e3));
-        ("alloc_mb", num 2 (median (fun (_, _, mb) -> mb))); ("obligations", int obligations);
-        ("outcome", str outcome) ])
+      let ms = algo_ms +. check_ms in
+      [ ("smo", str label); ("ms", num 3 ms); ("speedup", num 0 (baseline_ms /. ms));
+        ("non_containment_ms", num 3 algo_ms); ("alloc_mb", num 2 (algo_mb +. check_mb));
+        ("obligations", int (List.length obls)) ]
+      @ work
+      @ [ ("outcome", str outcome) ])
     suite
 
 (* The full compile of [env, frags] and the costs of [suite] on its state. *)
 let smo_tables env frags suite =
-  let compiled, full_time = wall (fun () -> Fullc.Compile.compile env frags) in
-  match compiled with
-  | Error e -> failwith ("full compilation failed: " ^ e)
-  | Ok c ->
+  match sample (fun () -> Fullc.Compile.compile env frags) with
+  | Error e, _, _ -> failwith ("full compilation failed: " ^ e)
+  | Ok c, full_ms, _ ->
       let st = Core.State.of_compiled env frags c in
-      [ { name = "full_compile"; keys = []; rows = [ [ ("full_compile_s", num 3 full_time) ] ] };
-        { name = "smos"; keys = [ "smo" ]; rows = smo_rows ~baseline:full_time st suite } ]
+      [ { name = "full_compile"; keys = []; rows = [ [ ("full_compile_s", num 3 (full_ms /. 1e3)) ] ] };
+        { name = "smos"; keys = [ "smo" ]; rows = smo_rows ~baseline_ms:full_ms st suite } ]
 
 let fig9 ~chain_size () =
   header
@@ -379,7 +381,7 @@ let fig9 ~chain_size () =
        "Fig. 9 -- SMO timings on the %d-type chain model (the paper's EF baseline: 15 minutes)"
        chain_size);
   let env, frags = Workload.Chain.generate ~size:chain_size in
-  List.iter print_table (smo_tables env frags (Workload.Chain.smo_suite ~at:(chain_size / 2)))
+  emit "fig9" (smo_tables env frags (Workload.Chain.smo_suite ~at:(chain_size / 2)))
 
 let fig10 () =
   header "Fig. 10 -- SMO timings on the customer-like model (the paper's EF baseline: 8 hours)";
@@ -405,29 +407,24 @@ let ablation () =
           match Core.Engine.apply st smo with
           | Error e -> Printf.printf "AE-TPT failed: %s\n" (Containment.Validation_error.show e)
           | Ok st' ->
-              let inc_ns = measure_ns "inc" (fun () -> ignore (Core.Engine.apply st smo)) in
-              let _, full_reval =
-                wall (fun () ->
-                    Fullc.Validate.run st'.Core.State.env st'.Core.State.fragments)
+              let _, inc_ms, _ = sample (fun () -> Core.Engine.apply st smo) in
+              let _, full_ms, _ =
+                sample (fun () -> Fullc.Validate.run st'.Core.State.env st'.Core.State.fragments)
               in
               Printf.printf
                 "AE-TPT on chain-200: neighborhood checks %s; full revalidation of the evolved \
                  mapping %s (%.0fx)\n%!"
-                (Format.asprintf "%a" pp_seconds (inc_ns /. 1e9))
-                (Format.asprintf "%a" pp_seconds full_reval)
-                (full_reval /. (inc_ns /. 1e9)))));
+                (show_ms inc_ms) (show_ms full_ms) (full_ms /. inc_ms))));
   header "Ablation -- direct LOJ/UNION route vs. generic FOJ route (Section 6)";
   let st = paper_pipeline () in
   let env = st.Core.State.env in
   (match Fullc.Compile.compile ~validate:false env st.Core.State.fragments with
   | Error e -> Printf.printf "full view generation failed: %s\n" e
   | Ok full ->
-      let gen_ns =
-        measure_ns "fullgen" (fun () ->
-            ignore (Fullc.Compile.compile ~validate:false env st.Core.State.fragments))
+      let _, gen_ms, _ =
+        sample (fun () -> Fullc.Compile.compile ~validate:false env st.Core.State.fragments)
       in
-      Printf.printf "generic FOJ view generation (paper example): %s\n%!"
-        (Format.asprintf "%a" pp_seconds (gen_ns /. 1e9));
+      Printf.printf "generic FOJ view generation (paper example): %s\n%!" (show_ms gen_ms);
       let agree = ref true in
       for seed = 0 to 19 do
         let inst = Roundtrip.Generate.instance ~seed env.Query.Env.client in
@@ -481,8 +478,9 @@ let ablation () =
         (fun (label, smo) ->
           match Core.Engine.apply_timed st smo with
           | Ok (_, t) ->
-              Format.printf "%-10s %a   %a@." label pp_seconds t.Core.Engine.seconds
-                Obs.Metric.pp t.Core.Engine.containment
+              let _, ms, _ = sample (fun () -> Core.Engine.apply st smo) in
+              Format.printf "%-10s %s   %a@." label (show_ms ms) Obs.Metric.pp
+                t.Core.Engine.containment
           | Error _ -> Printf.printf "%-10s (aborts)\n%!" label)
         (Workload.Chain.smo_suite ~at:100)
 
@@ -509,23 +507,15 @@ let par () =
     | Ok () -> "ok"
     | Error e -> "fail: " ^ Containment.Validation_error.show e
   in
-  (* Best of 5 interleaved rounds: domain spawn cost is in the measurement;
-     scheduler and allocator noise (which arrives in bursts on shared
-     machines) hits every jobs value alike and is then minimized away. *)
-  let sweep_jobs = [ 1; 2; 4 ] in
-  let best = Hashtbl.create 3 in
-  let last = Hashtbl.create 3 in
-  for _ = 1 to 5 do
-    List.iter
+  (* Domain spawn cost is in the measurement. *)
+  let sweep =
+    List.map
       (fun jobs ->
-        let r, dt = wall (fun () -> Containment.Discharge.run ~jobs obls) in
-        Hashtbl.replace last jobs r;
-        match Hashtbl.find_opt best jobs with
-        | Some b when b <= dt -> ()
-        | _ -> Hashtbl.replace best jobs dt)
-      sweep_jobs
-  done;
-  let base = Hashtbl.find best 1 in
+        let r, ms, _ = sample (fun () -> Containment.Discharge.run ~jobs obls) in
+        (jobs, ms /. 1e3, verdict r))
+      [ 1; 2; 4 ]
+  in
+  let _, base, _ = List.hd sweep in
   emit "par"
     [ { name = "batch"; keys = [];
         rows =
@@ -534,11 +524,10 @@ let par () =
       { name = "sweep"; keys = [ "jobs" ];
         rows =
           List.map
-            (fun jobs ->
-              let dt = Hashtbl.find best jobs in
+            (fun (jobs, dt, verdict) ->
               [ ("jobs", int jobs); ("seconds", num 6 dt); ("speedup", num 2 (base /. dt));
-                ("verdict", str (verdict (Hashtbl.find last jobs))) ])
-            sweep_jobs } ]
+                ("verdict", str verdict) ])
+            sweep } ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-phase span breakdown (lib/obs): where the compile time goes.    *)
@@ -602,10 +591,10 @@ let obs_report ~chain_size () =
    deltas: for insert, update and delete one per entity set, for link one
    per association, each valid on the materialized handle [inc] and drawn
    from a seeded generator.  Every step starts from [inc] (the handle is
-   immutable), so a step can be repeated as often as Bechamel likes.  Per
-   step: Bechamel ns, megabytes allocated and the table plans visited (the
-   [tables] attribute of the [ivm.propagate] span), each the mean over the
-   cycle. *)
+   immutable), so a step can be repeated as often as [sample] likes, each
+   call taking the cycle's next delta.  Per step: the sampled ns and
+   megabytes, and the table plans visited (the [tables] attribute of the
+   [ivm.propagate] span) as the mean over the cycle. *)
 let customer_steps env inc inst =
   let ok = function Ok x -> x | Error e -> failwith e in
   let schema = env.Query.Env.client in
@@ -708,15 +697,11 @@ let customer_steps env inc inst =
       let n = Array.length deltas in
       let step i = ok (Dml.Translate.ivm_step inc deltas.(i mod n)) in
       let next = ref 0 in
-      let ns =
-        measure_ns ("customer-" ^ kind) (fun () ->
+      let _, ms, mb =
+        sample (fun () ->
             ignore (step !next);
             incr next)
       in
-      Gc.full_major ();
-      let a0 = allocated_mb () in
-      for i = 0 to n - 1 do ignore (step i) done;
-      let mb = (allocated_mb () -. a0) /. float_of_int n in
       Obs.reset ();
       Obs.enable ();
       for i = 0 to n - 1 do ignore (step i) done;
@@ -730,7 +715,7 @@ let customer_steps env inc inst =
           0
       in
       Obs.reset ();
-      [ ("kind", str kind); ("steps", int n); ("ivm_step_ns", num 1 ns); ("alloc_mb", num 4 mb);
+      [ ("kind", str kind); ("steps", int n); ("ivm_step_ns", num 1 (ms *. 1e6)); ("alloc_mb", num 4 mb);
         ("tables_visited", num 2 (float_of_int visited /. float_of_int n)) ])
     [ ("insert", inserts); ("update", updates); ("delete", deletes); ("link", links) ]
 
@@ -746,7 +731,7 @@ let ivm () =
   let open Datum in
   (* The measured update: insert [d] fresh Customers; its inverse deletes
      them again.  Measuring the insert/delete pair on a threaded handle
-     leaves the state unchanged between repetitions, so Bechamel can run the
+     leaves the state unchanged between repetitions, so [sample] can run the
      thunk as often as it likes; each pair is two translations. *)
   let fresh_id k = 1_000_000 + k in
   let insert_delta d =
@@ -775,20 +760,16 @@ let ivm () =
           (fun d ->
             let ins = insert_delta d and del = delete_delta d in
             let h = ref inc0 in
-            let ivm_ns =
-              measure_ns (Printf.sprintf "ivm-%d-%d" n d) (fun () ->
+            let _, pair_ms, _ =
+              sample (fun () ->
                   let _, h1 = ok (Dml.Translate.ivm_step !h ins) in
                   let _, h2 = ok (Dml.Translate.ivm_step h1 del) in
                   h := h2)
-              /. 2.
             in
-            let full_ns =
-              measure_ns (Printf.sprintf "full-%d-%d" n d) (fun () ->
-                  ignore
-                    (ok
-                       (Dml.Translate.full_diff env uv ~old_client:inst ~delta:ins)))
+            let _, full_ms, _ =
+              sample (fun () -> ok (Dml.Translate.full_diff env uv ~old_client:inst ~delta:ins))
             in
-            (n, d, ivm_ns, full_ns))
+            (n, d, pair_ms *. 1e6 /. 2., full_ms *. 1e6))
           deltas)
       sizes
   in
@@ -810,7 +791,7 @@ let ivm () =
   let env, frags = Workload.Customer.generate () in
   let uv = (ok (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
   let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 env.Query.Env.client in
-  let init_ms, init_mb = layer ~runs:3 (fun () -> ignore (ok (Dml.Translate.ivm_init env uv inst))) in
+  let inc, init_ms, init_mb = sample (fun () -> ok (Dml.Translate.ivm_init env uv inst)) in
   emit "ivm"
     [ { name = "paper"; keys = [ "instance"; "delta" ];
         rows =
@@ -825,7 +806,7 @@ let ivm () =
           [ [ ("model", str "customer"); ("entities_per_set", int 300); ("ms", num 1 init_ms);
               ("alloc_mb", num 1 init_mb) ] ] };
       { name = "customer"; keys = [ "kind" ];
-        rows = customer_steps env (ok (Dml.Translate.ivm_init env uv inst)) inst } ]
+        rows = customer_steps env inc inst } ]
 
 (* ------------------------------------------------------------------ *)
 (* Physical execution: lib/exec plans vs Query.Eval.rows (E10).        *)
@@ -881,16 +862,17 @@ let customer_lookups () =
         List.equal Datum.Row.equal (sorted rows) (sorted (Query.Eval.rows env db unfolded))
       in
       let next = ref 0 in
-      let read_ns =
-        measure_ns ("read-" ^ set) (fun () ->
+      let _, read_ms, _ =
+        sample (fun () ->
             let q = queries.(!next mod Array.length queries) in
             incr next;
-            ignore (Exec.Run.rows idb (ok (Core.Session.query_plan session q))))
+            Exec.Run.rows idb (ok (Core.Session.query_plan session q)))
       in
-      let run_ns = measure_ns ("run-" ^ set) (fun () -> ignore (Exec.Run.rows idb plan)) in
+      let _, run_ms, _ = sample (fun () -> Exec.Run.rows idb plan) in
       if not agrees then failwith (Printf.sprintf "exec/%s key lookup disagrees with Eval.rows" set);
       [ ("set", str set); ("mapping", str style); ("tables", int (List.length (A.sources unfolded)));
-        ("read_ns", num 1 read_ns); ("run_ns", num 1 run_ns); ("rows_scanned", int rows_scanned);
+        ("read_ns", num 1 (read_ms *. 1e6)); ("run_ns", num 1 (run_ms *. 1e6));
+        ("rows_scanned", int rows_scanned);
         ("scans", int (Exec.Plan.scans plan)); ("index_scans", int (Exec.Plan.index_scans plan));
         ("agrees_with_eval", bool agrees) ])
     [ ("Set1", "TPT", st, None); ("Set2", "TPH", st, None); ("Set4", "TPC", st_tpc, Some "CNewTpc") ]
@@ -932,21 +914,14 @@ let exec_bench () =
             let unfolded = ok (Query.Unfold.client_query env st.Core.State.query_views q) in
             let plan = ok (Exec.Planner.plan env unfolded) in
             let idb = Exec.Idb.make env db in
-            (* one warm run builds row arrays and indexes, and cross-checks *)
-            let exec_rows = Exec.Run.rows idb plan in
-            let naive_rows, naive_dt = wall (fun () -> Query.Eval.rows env db unfolded) in
+            (* the first run builds row arrays and indexes *)
+            let exec_rows, j1_ms, _ = sample (fun () -> Exec.Run.rows idb plan) in
+            let naive_rows, naive_ms, _ = sample (fun () -> Query.Eval.rows env db unfolded) in
             let sorted = List.sort Datum.Row.compare in
             if not (List.equal Datum.Row.equal (sorted naive_rows) (sorted exec_rows)) then
               failwith (Printf.sprintf "exec/%s disagrees with Eval.rows at n=%d" shape n);
-            let j1_ns =
-              measure_ns (Printf.sprintf "exec1-%s-%d" shape n) (fun () ->
-                  ignore (Exec.Run.rows idb plan))
-            in
-            let j4_ns =
-              measure_ns (Printf.sprintf "exec4-%s-%d" shape n) (fun () ->
-                  ignore (Exec.Run.rows ~jobs:4 ~par_threshold:256 idb plan))
-            in
-            (n, shape, naive_dt *. 1e9, j1_ns, j4_ns, Exec.Plan.index_scans plan))
+            let _, j4_ms, _ = sample (fun () -> Exec.Run.rows ~jobs:4 ~par_threshold:256 idb plan) in
+            (n, shape, naive_ms *. 1e6, j1_ms *. 1e6, j4_ms *. 1e6, Exec.Plan.index_scans plan))
           (shapes n))
       sizes
   in
@@ -1000,10 +975,9 @@ let lint_bench () =
         let env, frags = gen () in
         let c = ok (Fullc.Compile.compile ~validate:false env frags) in
         let views = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
-        Gc.full_major ();
-        let diags, lint_dt, lint_mb = wall_alloc (fun () -> Lint.Analyze.run ~views env frags) in
-        let _, val_dt = wall (fun () -> ok (Fullc.Validate.run env frags)) in
-        (name, lint_dt, lint_mb, val_dt, List.length diags))
+        let diags, lint_ms, lint_mb = sample (fun () -> Lint.Analyze.run ~views env frags) in
+        let _, val_ms, _ = sample (fun () -> ok (Fullc.Validate.run env frags)) in
+        (name, lint_ms, lint_mb, val_ms, List.length diags))
       models
   in
   (* The customer run split by artifact, as [Lint.Analyze.run] runs it. *)
@@ -1013,9 +987,8 @@ let lint_bench () =
     let qv, uv = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
     List.map
       (fun (pass, f) ->
-        Gc.full_major ();
-        let _, dt, mb = wall_alloc f in
-        [ ("pass", str pass); ("ms", num 3 (dt *. 1e3)); ("alloc_mb", num 2 mb) ])
+        let _, ms, mb = sample f in
+        [ ("pass", str pass); ("ms", num 3 ms); ("alloc_mb", num 2 mb) ])
       [
         ("mapping", fun () -> ignore (Lint.Passes.run env frags));
         ("views", fun () -> ignore (Lint.Wf.check env qv uv));
@@ -1030,15 +1003,15 @@ let lint_bench () =
     [ { name = "models"; keys = [ "model" ];
         rows =
           List.map
-            (fun (name, lint_dt, lint_mb, val_dt, diags) ->
-              [ ("model", str name); ("lint_ms", num 3 (lint_dt *. 1e3)); ("alloc_mb", num 2 lint_mb);
-                ("validate_ms", num 3 (val_dt *. 1e3)); ("speedup", num 1 (val_dt /. lint_dt));
+            (fun (name, lint_ms, lint_mb, val_ms, diags) ->
+              [ ("model", str name); ("lint_ms", num 3 lint_ms); ("alloc_mb", num 2 lint_mb);
+                ("validate_ms", num 3 val_ms); ("speedup", num 1 (val_ms /. lint_ms));
                 ("diags", int diags) ])
             rows };
       { name = "customer_passes"; keys = [ "pass" ]; rows = passes };
       { name = "suite"; keys = [];
         rows =
-          [ [ ("lint_ms", num 3 (total_lint *. 1e3)); ("validate_ms", num 3 (total_val *. 1e3));
+          [ [ ("lint_ms", num 3 total_lint); ("validate_ms", num 3 total_val);
               ("speedup", num 1 speedup); ("pass", bool (speedup >= 50.)) ] ] } ]
 
 (* ------------------------------------------------------------------ *)
@@ -1075,7 +1048,7 @@ let edit_bench () =
         rows =
           List.map
             (fun (name, kind, f) ->
-              let ms, mb = layer f in
+              let _, ms, mb = sample f in
               [ ("layer", str name); ("kind", str kind); ("ms", num 3 ms); ("alloc_mb", num 2 mb) ])
             rows } ]
 

@@ -105,18 +105,3 @@ let compile env uv =
   Ok { env; tables; sources = List.rev sources; readers }
 
 let readers t src = Option.value ~default:[] (Src_map.find_opt src t.readers)
-
-let rec pp_node fmt = function
-  | Scan (Query.Algebra.Entity_set s) | Scan (Query.Algebra.Assoc_set s)
-  | Scan (Query.Algebra.Table s) ->
-      Format.fprintf fmt "%s" s
-  | Select (c, n) -> Format.fprintf fmt "@[σ[%a]@,(%a)@]" Query.Cond.pp c pp_node n
-  | Project (_, n) -> Format.fprintf fmt "@[π(%a)@]" pp_node n
-  | Join j ->
-      Format.fprintf fmt "@[(%a %s#%d{%s} %a)@]" pp_node j.left
-        (match j.spec.kind with
-        | Query.Join.Inner -> "⋈"
-        | Query.Join.Left -> "⟕"
-        | Query.Join.Full -> "⟗")
-        j.id (String.concat "," j.spec.on) pp_node j.right
-  | Union (l, r) -> Format.fprintf fmt "@[(%a ∪ %a)@]" pp_node l pp_node r

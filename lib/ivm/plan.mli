@@ -51,5 +51,3 @@ val compile : Query.Env.t -> Query.View.update_views -> (t, string) result
 val readers : t -> Query.Algebra.source -> table_plan list
 (** The table plans reading a source, in plan order ([[]] for a source no
     view reads). *)
-
-val pp_node : Format.formatter -> node -> unit

@@ -25,11 +25,20 @@ val stage4 : stage
 
 (** Individual fragments, as named in Example 5. *)
 
-val phi1 : Mapping.Fragment.t   (** π(σ IS OF Person) = π(HR) — stages 1–2 *)
-val phi1' : Mapping.Fragment.t  (** the Σ3 rewrite: IS OF (ONLY Person) ∨ IS OF Employee *)
-val phi2 : Mapping.Fragment.t   (** Employee → Emp *)
-val phi3 : Mapping.Fragment.t   (** Customer → Client *)
-val phi4 : Mapping.Fragment.t   (** Supports → Client (Cid, Eid) *)
+val phi1 : Mapping.Fragment.t
+(** π(σ IS OF Person) = π(HR) — stages 1–2 *)
+
+val phi1' : Mapping.Fragment.t
+(** the Σ3 rewrite: IS OF (ONLY Person) ∨ IS OF Employee *)
+
+val phi2 : Mapping.Fragment.t
+(** Employee → Emp *)
+
+val phi3 : Mapping.Fragment.t
+(** Customer → Client *)
+
+val phi4 : Mapping.Fragment.t
+(** Supports → Client (Cid, Eid) *)
 
 val sample_client : Edm.Instance.t
 (** A small conforming client state for stage 4: two plain persons, two
