@@ -51,11 +51,8 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
      views yield only tags and the attributes of the hierarchy before E, so
      they are typed only when one of those is among E's own. *)
   let namesakes =
-    let before =
-      Edm.Schema.hierarchy_attributes st.State.env.Query.Env.client
-        (Edm.Schema.root_of client' e)
-    in
-    List.filter (fun a -> List.mem_assoc a before) own
+    let root = Edm.Schema.root_of client' e in
+    List.filter (fun a -> Edm.Schema.hierarchy_attribute st.State.env.Query.Env.client root a <> None) own
   in
   (* The previous views share most of their subterms: type each distinct
      one once. *)

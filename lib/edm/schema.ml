@@ -3,14 +3,17 @@ module M = Map.Make (String)
 type t = {
   ty : Entity_type.t M.t;        (* entity types by name *)
   kids : string list M.t;        (* parent -> its children, ascending; no empty lists *)
+  hattrs : (Datum.Domain.t * string) M.t M.t;
+      (* root -> attribute -> its domain and declaring type *)
   sets : string M.t;             (* entity-set name -> root type name *)
   assocs : Association.t M.t;    (* associations by name *)
 }
 
-(* [kids] is an index over the [parent] fields of [ty]: every operation that
-   adds, removes or reparents a type updates it, so the hierarchy queries
-   below never scan the type map. *)
-let empty = { ty = M.empty; kids = M.empty; sets = M.empty; assocs = M.empty }
+(* [kids] is an index over the [parent] fields of [ty], and [hattrs] one
+   over the declared attributes of each hierarchy: every operation that
+   adds, removes or reparents a type, or changes its attributes, updates
+   them, so the hierarchy queries below never scan the type map. *)
+let empty = { ty = M.empty; kids = M.empty; hattrs = M.empty; sets = M.empty; assocs = M.empty }
 
 let add_child ~parent c kids =
   let rec insert = function
@@ -48,6 +51,17 @@ let ancestors t name =
   in
   up [] name
 
+(* The queries below walk the parent links without building [ancestors]:
+   lint and the mapping checks ask them thousands of times per SMO. *)
+let rec is_subtype t ~sub ~sup =
+  String.equal sub sup || match parent t sub with None -> false | Some p -> is_subtype t ~sub:p ~sup
+
+let is_proper_ancestor t ~anc ~descendant =
+  (not (String.equal anc descendant))
+  && match parent t descendant with None -> false | Some p -> is_subtype t ~sub:p ~sup:anc
+
+let rec root_of t name = match parent t name with None -> name | Some p -> root_of t p
+
 (* Reads the child index, so walking a subtree costs only the subtree; this
    sits under [subtypes] and therefore under every hierarchy-wide analysis. *)
 let descendants t name =
@@ -55,11 +69,6 @@ let descendants t name =
   walk name []
 
 let subtypes t name = name :: descendants t name
-let is_subtype t ~sub ~sup = sub = sup || List.mem sup (ancestors t sub)
-let is_proper_ancestor t ~anc ~descendant = anc <> descendant && List.mem anc (ancestors t descendant)
-
-let root_of t name =
-  match ancestors t name with [] -> name | l -> List.nth l (List.length l - 1)
 
 let strictly_between t ~low ~high =
   let ancs = ancestors t low in
@@ -72,29 +81,26 @@ let attributes t name =
   let chain = List.rev (name :: ancestors t name) in
   List.concat_map (fun n -> (get_type t n).Entity_type.declared) chain
 
-let hierarchy_attributes t root =
-  let seen = Hashtbl.create 64 in
-  List.concat_map
-    (fun ty ->
-      List.filter
-        (fun (a, _) -> (not (Hashtbl.mem seen a)) && (Hashtbl.replace seen a (); true))
-        (get_type t ty).Entity_type.declared)
-    (subtypes t root)
+let hierarchy_index t name =
+  let root = if mem_type t name then root_of t name else name in
+  Option.value (M.find_opt root t.hattrs) ~default:M.empty
+
+let hierarchy_attributes t name =
+  M.fold (fun a (d, _) acc -> (a, d) :: acc) (hierarchy_index t name) [] |> List.rev
+
+let hierarchy_attribute t name a = Option.map fst (M.find_opt a (hierarchy_index t name))
 
 let attribute_names t name = List.map fst (attributes t name)
 let attribute_domain t name a = List.assoc_opt a (attributes t name)
 let key_of t name = (get_type t (root_of t name)).Entity_type.key
 
 let attribute_nullable t name a =
-  if List.mem a (key_of t name) then false
-  else
-    let chain = name :: ancestors t name in
-    not
-      (List.exists
-         (fun n ->
-           let e = get_type t n in
-           List.mem a e.Entity_type.non_null && List.mem_assoc a e.Entity_type.declared)
-         chain)
+  let rec declared_non_null n =
+    let e = get_type t n in
+    (List.mem a e.Entity_type.non_null && List.mem_assoc a e.Entity_type.declared)
+    || match e.Entity_type.parent with None -> false | Some p -> declared_non_null p
+  in
+  not (List.mem a (key_of t name) || declared_non_null name)
 
 let entity_sets t = M.bindings t.sets
 let set_root t set = M.find_opt set t.sets
@@ -122,6 +128,40 @@ let association_attributes t (a : Association.t) =
   in
   ends a.end1 @ ends a.end2
 
+(* -- the attribute index ----------------------------------------------------- *)
+
+(* Whether [x] comes before [y] in the preorder of their common hierarchy:
+   an ancestor comes before its descendants, and siblings' subtrees in
+   ascending name order, as [children] lists them. *)
+let precedes t x y =
+  let rec down xs ys =
+    match (xs, ys) with
+    | [], _ -> true
+    | _, [] -> false
+    | a :: xs, b :: ys -> if String.equal a b then down xs ys else String.compare a b < 0
+  in
+  down (List.rev (x :: ancestors t x)) (List.rev (y :: ancestors t y))
+
+(* Add attributes [ty] declares to an index of its hierarchy: an attribute
+   keeps the domain of its earliest declaring type in preorder. *)
+let index_attributes t ty attrs idx =
+  List.fold_left
+    (fun idx (a, d) ->
+      match M.find_opt a idx with
+      | Some (_, other) when not (precedes t ty other) -> idx
+      | _ -> M.add a (d, ty) idx)
+    idx attrs
+
+(* [t] with [attrs], which [ty] has just declared, in its hierarchy's index. *)
+let index_new ty attrs t =
+  let root = root_of t ty in
+  { t with hattrs = M.add root (index_attributes t ty attrs (hierarchy_index t root)) t.hattrs }
+
+(* [t] with the index of [root]'s hierarchy rebuilt by a walk over it. *)
+let reindex root t =
+  let index idx ty = index_attributes t ty (get_type t ty).Entity_type.declared idx in
+  { t with hattrs = M.add root (List.fold_left index M.empty (subtypes t root)) t.hattrs }
+
 (* -- construction -------------------------------------------------------- *)
 
 let check_fresh_type t name =
@@ -143,7 +183,7 @@ let add_root ~set (e : Entity_type.t) t =
     | None -> Ok ()
   in
   let* () = if M.mem set t.sets then fail "entity set %s already exists" set else Ok () in
-  Ok { t with ty = M.add e.name e t.ty; sets = M.add set e.name t.sets }
+  Ok (index_new e.name e.declared { t with ty = M.add e.name e t.ty; sets = M.add set e.name t.sets })
 
 let add_derived (e : Entity_type.t) t =
   let* () = check_fresh_type t e.name in
@@ -151,7 +191,7 @@ let add_derived (e : Entity_type.t) t =
   let* () = if not (mem_type t p) then fail "unknown parent type %s" p else Ok () in
   let* () = if e.key <> [] then fail "derived type %s must not declare a key" e.name else Ok () in
   let* () = check_no_shadowing t ~parent:p e.declared in
-  Ok { t with ty = M.add e.name e t.ty; kids = add_child ~parent:p e.name t.kids }
+  Ok (index_new e.name e.declared { t with ty = M.add e.name e t.ty; kids = add_child ~parent:p e.name t.kids })
 
 let add_association (a : Association.t) t =
   let* () =
@@ -171,13 +211,15 @@ let remove_type name t =
   else if children t name <> [] then fail "entity type %s has derived types" name
   else if associations_on t name <> [] then fail "entity type %s is an association endpoint" name
   else
+    let root = root_of t name in
     let sets, kids =
       match set_of_type t name, parent t name with
       | Some set, None -> (M.remove set t.sets, t.kids)
       | _, Some p -> (t.sets, remove_child ~parent:p name t.kids)
       | None, None -> (t.sets, t.kids)
     in
-    Ok { t with ty = M.remove name t.ty; kids; sets }
+    let t = { t with ty = M.remove name t.ty; kids; sets } in
+    Ok (if root = name then { t with hattrs = M.remove root t.hattrs } else reindex root t)
 
 let remove_subtree name t =
   if not (mem_type t name) then fail "unknown entity type %s" name
@@ -197,7 +239,7 @@ let add_attribute ~etype (a, dom) t =
     | Some d -> fail "attribute %s would shadow a declaration in descendant %s" a d
     | None ->
         let e = { e with Entity_type.declared = e.Entity_type.declared @ [ (a, dom) ] } in
-        Ok { t with ty = M.add etype e t.ty }
+        Ok (index_new etype [ (a, dom) ] { t with ty = M.add etype e t.ty })
 
 let remove_attribute ~etype a t =
   let* e =
@@ -214,7 +256,7 @@ let remove_attribute ~etype a t =
         non_null = List.filter (fun a' -> a' <> a) e.Entity_type.non_null;
       }
     in
-    Ok { t with ty = M.add etype e t.ty }
+    Ok (reindex (root_of t etype) { t with ty = M.add etype e t.ty })
 
 let widen_attribute ~etype a dom t =
   let* e =
@@ -233,7 +275,7 @@ let widen_attribute ~etype a dom t =
               List.map (fun (a', d) -> if a' = a then (a', dom) else (a', d)) e.Entity_type.declared;
           }
         in
-        Ok { t with ty = M.add etype e t.ty }
+        Ok (reindex (root_of t etype) { t with ty = M.add etype e t.ty })
 
 let set_multiplicity ~assoc (mult1, mult2) t =
   match M.find_opt assoc t.assocs with
@@ -254,13 +296,21 @@ let reparent ~etype ~parent:p t =
      they clash with the new ancestry, which we reject instead of merging. *)
   let inherited = attribute_names t p in
   let* () =
-    match List.find_opt (fun (a, _) -> List.mem a inherited) e.Entity_type.declared with
-    | Some (a, _) -> fail "attribute %s of %s clashes with the new ancestry" a etype
+    match
+      List.find_map
+        (fun d ->
+          List.find_map
+            (fun (a, _) -> if List.mem a inherited then Some (a, d) else None)
+            (get_type t d).Entity_type.declared)
+        (subtypes t etype)
+    with
+    | Some (a, d) -> fail "attribute %s of %s clashes with the new ancestry" a d
     | None -> Ok ()
   in
   let e = { e with Entity_type.parent = Some p; key = [] } in
   let sets = M.filter (fun _ r -> r <> etype) t.sets in
-  Ok { t with ty = M.add etype e t.ty; kids = add_child ~parent:p etype t.kids; sets }
+  let t = { t with ty = M.add etype e t.ty; kids = add_child ~parent:p etype t.kids; sets } in
+  Ok (reindex (root_of t p) { t with hattrs = M.remove etype t.hattrs })
 
 (* -- whole-schema check -------------------------------------------------- *)
 
@@ -308,7 +358,7 @@ let well_formed t =
       else Ok ())
     (Ok ()) (associations t)
 
-(* [kids] is derived from [ty], so it takes no part. *)
+(* [kids] and [hattrs] are derived from [ty], so they take no part. *)
 let equal a b =
   M.equal Entity_type.equal a.ty b.ty
   && M.equal String.equal a.sets b.sets

@@ -81,7 +81,9 @@ val subtypes : t -> string -> string list
     [IS OF E]. *)
 
 val is_subtype : t -> sub:string -> sup:string -> bool
-(** Reflexive. *)
+(** Reflexive.  This, {!is_proper_ancestor}, {!root_of}, {!key_of} and
+    {!attribute_nullable} walk the parent links without building
+    {!ancestors}. *)
 
 val is_proper_ancestor : t -> anc:string -> descendant:string -> bool
 val root_of : t -> string -> string
@@ -96,11 +98,15 @@ val attributes : t -> string -> (string * Datum.Domain.t) list
 (** [att(E)]: inherited attributes first (root downwards), then declared. *)
 
 val hierarchy_attributes : t -> string -> (string * Datum.Domain.t) list
-(** Every attribute of some type in the hierarchy under the given type,
-    once, with the domain of its earliest declaring type in {!subtypes}
-    preorder (sibling types may declare one name with different domains).
-    Each type's declared attributes are read once, so this is linear in the
-    hierarchy, unlike concatenating {!attributes} over {!subtypes}. *)
+(** Every attribute of some type in the hierarchy of the given type's root,
+    once, ascending by name, with the domain of its earliest declaring type
+    in the root's {!subtypes} preorder (sibling types may declare one name
+    with different domains).  The schema keeps this per root, in an index
+    the evolution operations above maintain. *)
+
+val hierarchy_attribute : t -> string -> string -> Datum.Domain.t option
+(** [hierarchy_attribute t name a] is [a]'s domain in
+    [hierarchy_attributes t name], by one lookup in the index. *)
 
 val attribute_names : t -> string -> string list
 val attribute_domain : t -> string -> string -> Datum.Domain.t option

@@ -110,12 +110,12 @@ let well_formed env f =
         else fail "store condition mentions unknown column %s.%s" f.table c)
       (Query.Cond.columns f.store_cond)
   in
-  (* Every paired column's domain subsumes its attribute's, [domains] giving
+  (* Every paired column's domain subsumes its attribute's, [domain] giving
      each client attribute's domain. *)
-  let check_domains domains =
+  let check_domains domain =
     Datum.Results.all_ok
       (fun (a, c) ->
-        match List.assoc_opt a domains, Relational.Table.domain_of tbl c with
+        match domain a, Relational.Table.domain_of tbl c with
         | Some da, Some dc ->
             if Datum.Domain.subsumes ~wide:dc ~narrow:da then Ok ()
             else fail "domain of %s.%s does not subsume attribute %s" f.table c a
@@ -139,16 +139,16 @@ let well_formed env f =
             if Query.Cond.equal f.client_cond Query.Cond.True then Ok ()
             else fail "association fragments carry no client-side condition"
           in
-          check_domains domains)
+          check_domains (fun a -> List.assoc_opt a domains))
   | Set s -> (
       match Edm.Schema.set_root client s with
       | None -> fail "fragment over unknown entity set %s" s
       | Some root ->
-          let all_attrs = Edm.Schema.hierarchy_attributes client root in
+          let domain = Edm.Schema.hierarchy_attribute client root in
           let* () =
             Datum.Results.all_ok
               (fun a ->
-                if List.mem_assoc a all_attrs then Ok ()
+                if domain a <> None then Ok ()
                 else fail "fragment projects unknown attribute %s of set %s" a s)
               (attrs f)
           in
@@ -169,10 +169,10 @@ let well_formed env f =
                     then Ok ()
                     else fail "condition tests type %s outside hierarchy of %s" e s
                 | Query.Cond.Is_null a | Query.Cond.Is_not_null a | Query.Cond.Cmp (a, _, _) ->
-                    if List.mem_assoc a all_attrs then Ok ()
+                    if domain a <> None then Ok ()
                     else fail "condition mentions unknown attribute %s" a
                 | Query.Cond.True | Query.Cond.False | Query.Cond.And _ | Query.Cond.Or _ ->
                     Ok ())
               (Query.Cond.atoms f.client_cond)
           in
-          check_domains all_attrs)
+          check_domains domain)

@@ -1,55 +1,80 @@
-let ( let* ) = Result.bind
-let fail fmt = Format.kasprintf (fun s -> Error s) fmt
+(* One pass each way: [save] prints every section and term entry straight
+   into one buffer, and [load] walks a cursor over the text, decoding each
+   entry, fragment and view as it reads it.  No s-expression tree is built
+   in either direction. *)
 
-(* -- values and domains ------------------------------------------------------ *)
+(* -- writing ------------------------------------------------------------------------------ *)
 
-let sexp_of_value = function
-  | Datum.Value.Null -> Sexp.atom "null"
-  | Datum.Value.Int i -> Sexp.field "int" [ Sexp.int i ]
-  | Datum.Value.String s -> Sexp.field "str" [ Sexp.string s ]
-  | Datum.Value.Bool b -> Sexp.field "bool" [ Sexp.bool b ]
-  | Datum.Value.Decimal f -> Sexp.field "dec" [ Sexp.atom (Printf.sprintf "%h" f) ]
+(* The bytes the reader stops a bare atom at. *)
+let delimiter = function ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> true | _ -> false
 
-let value_of_sexp = function
-  | Sexp.Atom "null" -> Ok Datum.Value.Null
-  | Sexp.List [ Sexp.Atom "int"; i ] -> Result.map (fun i -> Datum.Value.Int i) (Sexp.as_int i)
-  | Sexp.List [ Sexp.Atom "str"; s ] ->
-      Result.map (fun s -> Datum.Value.String s) (Sexp.as_atom s)
-  | Sexp.List [ Sexp.Atom "bool"; b ] ->
-      Result.map (fun b -> Datum.Value.Bool b) (Sexp.as_bool b)
-  | Sexp.List [ Sexp.Atom "dec"; f ] ->
-      let* a = Sexp.as_atom f in
-      (match float_of_string_opt a with
-      | Some f -> Ok (Datum.Value.Decimal f)
-      | None -> fail "bad decimal %s" a)
-  | s -> fail "bad value %s" (Sexp.to_string s)
+(* Whether [s.[i ..]] holds no delimiter. *)
+let rec plain s i = i >= String.length s || ((not (delimiter s.[i])) && plain s (i + 1))
 
-let sexp_of_domain = function
-  | Datum.Domain.Int -> Sexp.atom "int"
-  | Datum.Domain.String -> Sexp.atom "string"
-  | Datum.Domain.Bool -> Sexp.atom "bool"
-  | Datum.Domain.Decimal -> Sexp.atom "decimal"
-  | Datum.Domain.Enum values -> Sexp.field "enum" (List.map Sexp.string values)
+(* An atom is quoted iff it is empty or holds a delimiter; inside quotes,
+   double quote, backslash and LF are escaped. *)
+let add_atom b s =
+  if s <> "" && plain s 0 then Buffer.add_string b s
+  else (
+    Buffer.add_char b '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"')
 
-let domain_of_sexp = function
-  | Sexp.Atom "int" -> Ok Datum.Domain.Int
-  | Sexp.Atom "string" -> Ok Datum.Domain.String
-  | Sexp.Atom "bool" -> Ok Datum.Domain.Bool
-  | Sexp.Atom "decimal" -> Ok Datum.Domain.Decimal
-  | Sexp.List (Sexp.Atom "enum" :: values) ->
-      Result.map (fun v -> Datum.Domain.Enum v) (Datum.Results.map_ok Sexp.as_atom values)
-  | s -> fail "bad domain %s" (Sexp.to_string s)
+(* The writers below take the buffer first and print one element each; none
+   builds a string or a closure per element, since [save] prints thousands. *)
+let close b = Buffer.add_char b ')'
 
-(* -- conditions --------------------------------------------------------------- *)
+(* [" " ^ x] for each [x] of [l]. *)
+let rec add_args b add = function
+  | [] -> ()
+  | x :: rest ->
+      Buffer.add_char b ' ';
+      add b x;
+      add_args b add rest
+
+let add_list b add l =
+  Buffer.add_char b '(';
+  (match l with [] -> () | x :: rest -> add b x; add_args b add rest);
+  close b
+
+let add_atoms b l = add_list b add_atom l
+let add_arg b add x = Buffer.add_char b ' '; add b x
+
+(* [(head] and [(head s]; the caller closes the list. *)
+let add_head b head = Buffer.add_char b '('; Buffer.add_string b head
+let add_named b head s = add_head b head; add_arg b add_atom s
+
+(* The decimal digits of [k >= 0], without building a string. *)
+let rec add_digits b k =
+  if k >= 10 then add_digits b (k / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (k mod 10)))
+
+let add_reference b k = Buffer.add_char b '#'; add_digits b k
+let add_refs b head x y = add_head b head; add_arg b add_reference x; add_arg b add_reference y
+
+let add_value b = function
+  | Datum.Value.Null -> Buffer.add_string b "null"
+  | Datum.Value.Int i -> add_named b "int" (string_of_int i); close b
+  | Datum.Value.String s -> add_named b "str" s; close b
+  | Datum.Value.Bool v -> Buffer.add_string b (if v then "(bool true)" else "(bool false)")
+  | Datum.Value.Decimal f -> add_named b "dec" (Printf.sprintf "%h" f); close b
+
+let add_domain b = function
+  | Datum.Domain.Int -> Buffer.add_string b "int"
+  | Datum.Domain.String -> Buffer.add_string b "string"
+  | Datum.Domain.Bool -> Buffer.add_string b "bool"
+  | Datum.Domain.Decimal -> Buffer.add_string b "decimal"
+  | Datum.Domain.Enum values -> add_head b "enum"; add_args b add_atom values; close b
 
 let cmp_to_string = function
   | Query.Cond.Eq -> "=" | Query.Cond.Neq -> "<>" | Query.Cond.Lt -> "<"
   | Query.Cond.Le -> "<=" | Query.Cond.Gt -> ">" | Query.Cond.Ge -> ">="
-
-let cmp_of_string = function
-  | "=" -> Ok Query.Cond.Eq | "<>" -> Ok Query.Cond.Neq | "<" -> Ok Query.Cond.Lt
-  | "<=" -> Ok Query.Cond.Le | ">" -> Ok Query.Cond.Gt | ">=" -> Ok Query.Cond.Ge
-  | s -> fail "bad comparison %s" s
 
 (* -- the term table --------------------------------------------------------------- *)
 
@@ -72,51 +97,48 @@ type key =
   | Ctor_leaf of Query.Ctor.t
   | If of int * int * int
 
-let reference k = Sexp.atom ("#" ^ string_of_int k)
-let strings l = Sexp.list (List.map Sexp.string l)
-
-let sexp_of_source = function
-  | Query.Algebra.Entity_set s -> Sexp.field "set" [ Sexp.string s ]
-  | Query.Algebra.Assoc_set a -> Sexp.field "assoc" [ Sexp.string a ]
-  | Query.Algebra.Table t -> Sexp.field "table" [ Sexp.string t ]
-
-let sexp_of_item = function
-  | Query.Algebra.Col { src; dst } -> Sexp.field "col" [ Sexp.string src; Sexp.string dst ]
-  | Query.Algebra.Const { value; dst } -> Sexp.field "const" [ sexp_of_value value; Sexp.string dst ]
-  | Query.Algebra.Coalesce { srcs; dst } -> Sexp.field "coalesce" [ strings srcs; Sexp.string dst ]
+let add_item b = function
+  | Query.Algebra.Col { src; dst } -> add_named b "col" src; add_arg b add_atom dst; close b
+  | Query.Algebra.Const { value; dst } ->
+      add_head b "const"; add_arg b add_value value; add_arg b add_atom dst; close b
+  | Query.Algebra.Coalesce { srcs; dst } ->
+      add_head b "coalesce"; add_arg b add_atoms srcs; add_arg b add_atom dst; close b
 
 let not_a_leaf () = invalid_arg "State_io: a term with children is not a leaf"
 
-let entry_of_key = function
-  | Cond_atom c -> (
-      match c with
-      | Query.Cond.True -> Sexp.atom "true"
-      | Query.Cond.False -> Sexp.atom "false"
-      | Query.Cond.Is_of e -> Sexp.field "isof" [ Sexp.string e ]
-      | Query.Cond.Is_of_only e -> Sexp.field "isofonly" [ Sexp.string e ]
-      | Query.Cond.Is_null a -> Sexp.field "isnull" [ Sexp.string a ]
-      | Query.Cond.Is_not_null a -> Sexp.field "notnull" [ Sexp.string a ]
-      | Query.Cond.Cmp (a, op, v) ->
-          Sexp.field "cmp" [ Sexp.string a; Sexp.atom (cmp_to_string op); sexp_of_value v ]
-      | Query.Cond.And _ | Query.Cond.Or _ -> not_a_leaf ())
-  | And (a, b) -> Sexp.field "and" [ reference a; reference b ]
-  | Or (a, b) -> Sexp.field "or" [ reference a; reference b ]
-  | Scan src -> Sexp.field "scan" [ sexp_of_source src ]
-  | Select (c, q) -> Sexp.field "select" [ reference c; reference q ]
-  | Project (items, q) -> Sexp.field "project" [ Sexp.list (List.map sexp_of_item items); reference q ]
-  | Join (kind, l, r, on) -> Sexp.field kind [ reference l; reference r; strings on ]
-  | Union (l, r) -> Sexp.field "union" [ reference l; reference r ]
-  | Ctor_leaf k -> (
-      match k with
-      | Query.Ctor.Entity { etype; attrs } -> Sexp.field "entity" [ Sexp.string etype; strings attrs ]
-      | Query.Ctor.Tuple cols -> Sexp.field "tuple" [ strings cols ]
-      | Query.Ctor.If _ -> not_a_leaf ())
-  | If (c, a, b) -> Sexp.field "if" [ reference c; reference a; reference b ]
+(* A table entry: [(head arg ..)], or [true] / [false]. *)
+let add_entry b = function
+  | Cond_atom Query.Cond.True -> Buffer.add_string b "true"
+  | Cond_atom Query.Cond.False -> Buffer.add_string b "false"
+  | key ->
+      (match key with
+      | Cond_atom (Query.Cond.Is_of e) -> add_named b "isof" e
+      | Cond_atom (Query.Cond.Is_of_only e) -> add_named b "isofonly" e
+      | Cond_atom (Query.Cond.Is_null a) -> add_named b "isnull" a
+      | Cond_atom (Query.Cond.Is_not_null a) -> add_named b "notnull" a
+      | Cond_atom (Query.Cond.Cmp (a, op, v)) ->
+          add_named b "cmp" a; add_arg b Buffer.add_string (cmp_to_string op); add_arg b add_value v
+      | Cond_atom (Query.Cond.True | Query.Cond.False | Query.Cond.And _ | Query.Cond.Or _) -> not_a_leaf ()
+      | And (x, y) -> add_refs b "and" x y
+      | Or (x, y) -> add_refs b "or" x y
+      | Scan (Query.Algebra.Entity_set s) -> add_head b "scan "; add_named b "set" s; close b
+      | Scan (Query.Algebra.Assoc_set s) -> add_head b "scan "; add_named b "assoc" s; close b
+      | Scan (Query.Algebra.Table s) -> add_head b "scan "; add_named b "table" s; close b
+      | Select (c, q) -> add_refs b "select" c q
+      | Project (items, q) -> add_head b "project "; add_list b add_item items; add_arg b add_reference q
+      | Join (kind, l, r, on) -> add_refs b kind l r; add_arg b add_atoms on
+      | Union (l, r) -> add_refs b "union" l r
+      | Ctor_leaf (Query.Ctor.Entity { etype; attrs }) -> add_named b "entity" etype; add_arg b add_atoms attrs
+      | Ctor_leaf (Query.Ctor.Tuple cols) -> add_head b "tuple"; add_arg b add_atoms cols
+      | Ctor_leaf (Query.Ctor.If _) -> not_a_leaf ()
+      | If (c, x, y) -> add_refs b "if" c x; add_arg b add_reference y);
+      close b
 
-(* The interned terms so far; [visits] counts the nodes the encoder looked up. *)
+(* The interned terms so far, each new one printed to [out] on its own line
+   as it is interned; [visits] counts the nodes the encoder looked up. *)
 type interned = {
+  out : Buffer.t;
   ids : (key, int) Hashtbl.t;
-  mutable entries : string list;
   mutable count : int;
   mutable visits : int;
 }
@@ -129,7 +151,8 @@ let intern tbl key =
   | None ->
       let k = tbl.count in
       Hashtbl.add tbl.ids key k;
-      tbl.entries <- Sexp.to_string (entry_of_key key) :: tbl.entries;
+      Buffer.add_string tbl.out "\n  ";
+      add_entry tbl.out key;
       tbl.count <- k + 1;
       k
 
@@ -146,8 +169,8 @@ type encoder = {
    first visit, so skipping it adds no entry and the table order is the
    tree walk's.  Children are bound with [let] before building a key, so they
    are interned left to right, which fixes that order. *)
-let encoder () =
-  let terms = { ids = Hashtbl.create 4096; entries = []; count = 0; visits = 0 } in
+let encoder out =
+  let terms = { out; ids = Hashtbl.create 4096; count = 0; visits = 0 } in
   let cond_ref =
     Query.Cond.Memo.fix (Query.Cond.Memo.create ()) (fun cond_ref c ->
         intern terms
@@ -198,535 +221,530 @@ let encoder () =
   in
   { terms; cond_ref; query_ref; ctor_ref }
 
-let sexp_of_view enc (v : Query.View.t) =
-  let q = enc.query_ref v.Query.View.query in
-  let c = enc.ctor_ref v.Query.View.ctor in
-  Sexp.field "view" [ reference q; reference c ]
-
-(* -- decoding terms ------------------------------------------------------------------- *)
-
-type term = Cond of Query.Cond.t | Query of Query.Algebra.t | Ctor of Query.Ctor.t
-
-let sort_name = function Cond _ -> "condition" | Query _ -> "query" | Ctor _ -> "constructor"
-
-(* The entries decoded so far; [#k] may name only those. *)
-type table = { terms : term array; mutable len : int }
-
-(* At most nine digits, so [int_of_string] cannot overflow. *)
-let digits s = s <> "" && String.length s <= 9 && String.for_all (fun c -> c >= '0' && c <= '9') s
-
-(* [Some t] when [s] is a back-reference, [None] when it is an inline term. *)
-let resolve tbl = function
-  | Sexp.Atom a when String.length a > 0 && a.[0] = '#' ->
-      let k = String.sub a 1 (String.length a - 1) in
-      if not (digits k) then fail "bad reference %s" a
-      else
-        let k = int_of_string k in
-        if k < tbl.len then Ok (Some tbl.terms.(k))
-        else fail "reference %s does not name an earlier term" a
-  | _ -> Ok None
-
-let wrong_sort s t expected =
-  fail "%s is a %s, expected a %s" (Sexp.to_string s) (sort_name t) expected
-
-let rec cond_of_sexp tbl = function
-  | Sexp.Atom "true" -> Ok Query.Cond.True
-  | Sexp.Atom "false" -> Ok Query.Cond.False
-  | Sexp.List [ Sexp.Atom "isof"; e ] -> Result.map (fun e -> Query.Cond.Is_of e) (Sexp.as_atom e)
-  | Sexp.List [ Sexp.Atom "isofonly"; e ] ->
-      Result.map (fun e -> Query.Cond.Is_of_only e) (Sexp.as_atom e)
-  | Sexp.List [ Sexp.Atom "isnull"; a ] ->
-      Result.map (fun a -> Query.Cond.Is_null a) (Sexp.as_atom a)
-  | Sexp.List [ Sexp.Atom "notnull"; a ] ->
-      Result.map (fun a -> Query.Cond.Is_not_null a) (Sexp.as_atom a)
-  | Sexp.List [ Sexp.Atom "cmp"; a; op; v ] ->
-      let* a = Sexp.as_atom a in
-      let* op = Result.bind (Sexp.as_atom op) cmp_of_string in
-      let* v = value_of_sexp v in
-      Ok (Query.Cond.Cmp (a, op, v))
-  | Sexp.List [ Sexp.Atom "and"; a; b ] ->
-      let* a = cond_at tbl a in
-      let* b = cond_at tbl b in
-      Ok (Query.Cond.And (a, b))
-  | Sexp.List [ Sexp.Atom "or"; a; b ] ->
-      let* a = cond_at tbl a in
-      let* b = cond_at tbl b in
-      Ok (Query.Cond.Or (a, b))
-  | s -> fail "bad condition %s" (Sexp.to_string s)
-
-and cond_at tbl s =
-  let* r = resolve tbl s in
-  match r with
-  | None -> cond_of_sexp tbl s
-  | Some (Cond c) -> Ok c
-  | Some t -> wrong_sort s t "condition"
-
-let source_of_sexp = function
-  | Sexp.List [ Sexp.Atom "set"; s ] ->
-      Result.map (fun s -> Query.Algebra.Entity_set s) (Sexp.as_atom s)
-  | Sexp.List [ Sexp.Atom "assoc"; a ] ->
-      Result.map (fun a -> Query.Algebra.Assoc_set a) (Sexp.as_atom a)
-  | Sexp.List [ Sexp.Atom "table"; t ] ->
-      Result.map (fun t -> Query.Algebra.Table t) (Sexp.as_atom t)
-  | s -> fail "bad source %s" (Sexp.to_string s)
-
-let item_of_sexp = function
-  | Sexp.List [ Sexp.Atom "col"; src; dst ] ->
-      let* src = Sexp.as_atom src in
-      let* dst = Sexp.as_atom dst in
-      Ok (Query.Algebra.Col { src; dst })
-  | Sexp.List [ Sexp.Atom "const"; v; dst ] ->
-      let* value = value_of_sexp v in
-      let* dst = Sexp.as_atom dst in
-      Ok (Query.Algebra.Const { value; dst })
-  | Sexp.List [ Sexp.Atom "coalesce"; srcs; dst ] ->
-      let* srcs = Result.bind (Sexp.as_list srcs) (Datum.Results.map_ok Sexp.as_atom) in
-      let* dst = Sexp.as_atom dst in
-      Ok (Query.Algebra.Coalesce { srcs; dst })
-  | s -> fail "bad projection item %s" (Sexp.to_string s)
-
-let rec query_of_sexp tbl = function
-  | Sexp.List [ Sexp.Atom "scan"; src ] ->
-      Result.map (fun s -> Query.Algebra.Scan s) (source_of_sexp src)
-  | Sexp.List [ Sexp.Atom "select"; c; q ] ->
-      let* c = cond_at tbl c in
-      let* q = query_at tbl q in
-      Ok (Query.Algebra.Select (c, q))
-  | Sexp.List [ Sexp.Atom "project"; items; q ] ->
-      let* items = Result.bind (Sexp.as_list items) (Datum.Results.map_ok item_of_sexp) in
-      let* q = query_at tbl q in
-      Ok (Query.Algebra.Project (items, q))
-  | Sexp.List [ Sexp.Atom kind; l; r; on ]
-    when kind = "join" || kind = "loj" || kind = "foj" ->
-      let* l = query_at tbl l in
-      let* r = query_at tbl r in
-      let* on = Result.bind (Sexp.as_list on) (Datum.Results.map_ok Sexp.as_atom) in
-      Ok
-        (match kind with
-        | "join" -> Query.Algebra.Join (l, r, on)
-        | "loj" -> Query.Algebra.Left_outer_join (l, r, on)
-        | _ -> Query.Algebra.Full_outer_join (l, r, on))
-  | Sexp.List [ Sexp.Atom "union"; l; r ] ->
-      let* l = query_at tbl l in
-      let* r = query_at tbl r in
-      Ok (Query.Algebra.Union_all (l, r))
-  | s -> fail "bad query %s" (Sexp.to_string s)
-
-and query_at tbl s =
-  let* r = resolve tbl s in
-  match r with
-  | None -> query_of_sexp tbl s
-  | Some (Query q) -> Ok q
-  | Some t -> wrong_sort s t "query"
-
-let rec ctor_of_sexp tbl = function
-  | Sexp.List [ Sexp.Atom "entity"; etype; attrs ] ->
-      let* etype = Sexp.as_atom etype in
-      let* attrs = Result.bind (Sexp.as_list attrs) (Datum.Results.map_ok Sexp.as_atom) in
-      Ok (Query.Ctor.Entity { etype; attrs })
-  | Sexp.List [ Sexp.Atom "tuple"; cols ] ->
-      let* cols = Result.bind (Sexp.as_list cols) (Datum.Results.map_ok Sexp.as_atom) in
-      Ok (Query.Ctor.Tuple cols)
-  | Sexp.List [ Sexp.Atom "if"; c; a; b ] ->
-      let* c = cond_at tbl c in
-      let* a = ctor_at tbl a in
-      let* b = ctor_at tbl b in
-      Ok (Query.Ctor.If (c, a, b))
-  | s -> fail "bad constructor %s" (Sexp.to_string s)
-
-and ctor_at tbl s =
-  let* r = resolve tbl s in
-  match r with
-  | None -> ctor_of_sexp tbl s
-  | Some (Ctor k) -> Ok k
-  | Some t -> wrong_sort s t "constructor"
-
-(* A table entry: its head names its sort. *)
-let term_of_sexp tbl s =
-  let* r = resolve tbl s in
-  match (r, s) with
-  | Some t, _ -> Ok t
-  | None, Sexp.(Atom ("true" | "false")
-               | List (Atom ("isof" | "isofonly" | "isnull" | "notnull" | "cmp" | "and" | "or") :: _))
-    ->
-      Result.map (fun c -> Cond c) (cond_of_sexp tbl s)
-  | None, Sexp.List (Sexp.Atom ("scan" | "select" | "project" | "join" | "loj" | "foj" | "union") :: _)
-    ->
-      Result.map (fun q -> Query q) (query_of_sexp tbl s)
-  | None, Sexp.List (Sexp.Atom ("entity" | "tuple" | "if") :: _) ->
-      Result.map (fun k -> Ctor k) (ctor_of_sexp tbl s)
-  | None, _ -> fail "bad term %s" (Sexp.to_string s)
-
-let table_of_entries entries =
-  let tbl = { terms = Array.make (List.length entries) (Cond Query.Cond.True); len = 0 } in
-  let rec go = function
-    | [] -> Ok tbl
-    | s :: rest ->
-        let* t = term_of_sexp tbl s in
-        tbl.terms.(tbl.len) <- t;
-        tbl.len <- tbl.len + 1;
-        go rest
-  in
-  go entries
-
-let view_of_sexp tbl s =
-  let* args = Sexp.as_field "view" s in
-  match args with
-  | [ q; c ] ->
-      let* query = query_at tbl q in
-      let* ctor = ctor_at tbl c in
-      Ok { Query.View.query; ctor }
-  | _ -> fail "bad view %s" (Sexp.to_string s)
-
-(* -- schemas ---------------------------------------------------------------------- *)
-
-let sexp_of_etype (e : Edm.Entity_type.t) =
-  Sexp.field "type"
-    [
-      Sexp.string e.Edm.Entity_type.name;
-      (match e.Edm.Entity_type.parent with None -> Sexp.atom "_" | Some p -> Sexp.string p);
-      Sexp.list
-        (List.map (fun (a, d) -> Sexp.pair (Sexp.string a) (sexp_of_domain d))
-           e.Edm.Entity_type.declared);
-      Sexp.list (List.map Sexp.string e.Edm.Entity_type.key);
-      Sexp.list (List.map Sexp.string e.Edm.Entity_type.non_null);
-    ]
-
-let etype_of_sexp s =
-  let* args = Sexp.as_field "type" s in
-  match args with
-  | [ name; parent; declared; key; non_null ] ->
-      let* name = Sexp.as_atom name in
-      let* parent =
-        match parent with Sexp.Atom "_" -> Ok None | p -> Result.map Option.some (Sexp.as_atom p)
-      in
-      let* declared =
-        Result.bind (Sexp.as_list declared)
-          (Datum.Results.map_ok (function
-            | Sexp.List [ a; d ] ->
-                let* a = Sexp.as_atom a in
-                let* d = domain_of_sexp d in
-                Ok (a, d)
-            | s -> fail "bad attribute %s" (Sexp.to_string s)))
-      in
-      let* key = Result.bind (Sexp.as_list key) (Datum.Results.map_ok Sexp.as_atom) in
-      let* non_null = Result.bind (Sexp.as_list non_null) (Datum.Results.map_ok Sexp.as_atom) in
-      Ok { Edm.Entity_type.name; parent; declared; key; non_null }
-  | _ -> fail "bad entity type %s" (Sexp.to_string s)
+(* -- writing schemas, fragments and views ------------------------------------------ *)
 
 let mult_to_string = function
   | Edm.Association.One -> "one"
   | Edm.Association.Zero_or_one -> "zero_or_one"
   | Edm.Association.Many -> "many"
 
-let mult_of_string = function
-  | "one" -> Ok Edm.Association.One
-  | "zero_or_one" -> Ok Edm.Association.Zero_or_one
-  | "many" -> Ok Edm.Association.Many
-  | s -> fail "bad multiplicity %s" s
+(* [(a x)], the atom [a] paired with [x]. *)
+let add_pair add b (a, x) = Buffer.add_char b '('; add_atom b a; add_arg b add x; close b
 
-let client_fields client =
-  List.map sexp_of_etype (Edm.Schema.types client)
-    @ List.map
-        (fun (set, root) -> Sexp.field "eset" [ Sexp.string set; Sexp.string root ])
-        (Edm.Schema.entity_sets client)
-    @ List.map
-        (fun (a : Edm.Association.t) ->
-          Sexp.field "rel"
-            [ Sexp.string a.Edm.Association.name; Sexp.string a.Edm.Association.end1;
-              Sexp.string a.Edm.Association.end2;
-              Sexp.atom (mult_to_string a.Edm.Association.mult1);
-              Sexp.atom (mult_to_string a.Edm.Association.mult2) ])
-        (Edm.Schema.associations client)
+let add_etype b (e : Edm.Entity_type.t) =
+  add_named b "type" e.name;
+  (match e.parent with None -> Buffer.add_string b " _" | Some p -> add_arg b add_atom p);
+  add_arg b (fun b -> add_list b (add_pair add_domain)) e.declared;
+  add_arg b add_atoms e.key;
+  add_arg b add_atoms e.non_null;
+  close b
 
-let client_of_sexp s =
-  let* fields = Sexp.as_field "client" s in
-  (* Types in dependency order: roots first. *)
-  let* types =
-    Datum.Results.map_ok etype_of_sexp
-      (List.filter (function Sexp.List (Sexp.Atom "type" :: _) -> true | _ -> false) fields)
+let add_client b item client =
+  List.iter (fun e -> item (); add_etype b e) (Edm.Schema.types client);
+  List.iter
+    (fun (set, root) -> item (); add_named b "eset" set; add_arg b add_atom root; close b)
+    (Edm.Schema.entity_sets client);
+  List.iter
+    (fun (a : Edm.Association.t) ->
+      item ();
+      add_named b "rel" a.name;
+      add_args b add_atom [ a.end1; a.end2; mult_to_string a.mult1; mult_to_string a.mult2 ];
+      close b)
+    (Edm.Schema.associations client)
+
+let add_table b (t : Relational.Table.t) =
+  let column b (c : Relational.Table.column) =
+    Buffer.add_char b '(';
+    add_atom b c.cname;
+    add_arg b add_domain c.domain;
+    Buffer.add_string b (if c.nullable then " true)" else " false)")
   in
-  let sets =
-    List.filter_map
-      (function
-        | Sexp.List [ Sexp.Atom "eset"; Sexp.Atom set; Sexp.Atom root ] -> Some (set, root)
-        | _ -> None)
-      fields
+  let fk b (fk : Relational.Table.foreign_key) =
+    Buffer.add_char b '(';
+    add_atoms b fk.fk_columns;
+    add_arg b add_atom fk.ref_table;
+    add_arg b add_atoms fk.ref_columns;
+    close b
   in
-  let rec place placed pending schema =
-    match pending with
-    | [] -> Ok schema
-    | _ -> (
-        let ready, blocked =
-          List.partition
-            (fun (e : Edm.Entity_type.t) ->
-              match e.Edm.Entity_type.parent with None -> true | Some p -> List.mem p placed)
-            pending
-        in
-        match ready with
-        | [] -> fail "unresolvable parents in saved client schema"
-        | _ ->
-            let* schema =
-              List.fold_left
-                (fun acc (e : Edm.Entity_type.t) ->
-                  let* schema = acc in
-                  match e.Edm.Entity_type.parent with
-                  | Some _ -> Edm.Schema.add_derived e schema
-                  | None -> (
-                      match List.find_opt (fun (_, root) -> root = e.Edm.Entity_type.name) sets with
-                      | Some (set, _) -> Edm.Schema.add_root ~set e schema
-                      | None -> fail "saved root %s has no entity set" e.Edm.Entity_type.name))
-                (Ok schema) ready
-            in
-            place
-              (placed @ List.map (fun (e : Edm.Entity_type.t) -> e.Edm.Entity_type.name) ready)
-              blocked schema)
-  in
-  let* schema = place [] types Edm.Schema.empty in
-  List.fold_left
-    (fun acc s ->
-      let* schema = acc in
-      match s with
-      | Sexp.List [ Sexp.Atom "rel"; name; e1; e2; m1; m2 ] ->
-          let* name = Sexp.as_atom name in
-          let* end1 = Sexp.as_atom e1 in
-          let* end2 = Sexp.as_atom e2 in
-          let* mult1 = Result.bind (Sexp.as_atom m1) mult_of_string in
-          let* mult2 = Result.bind (Sexp.as_atom m2) mult_of_string in
-          Edm.Schema.add_association { Edm.Association.name; end1; end2; mult1; mult2 } schema
-      | _ -> Ok schema)
-    (Ok schema) fields
+  add_named b "table" t.name;
+  add_arg b (fun b -> add_list b column) t.columns;
+  add_arg b add_atoms t.key;
+  add_arg b (fun b -> add_list b fk) t.fks;
+  close b
 
-let sexp_of_table (t : Relational.Table.t) =
-  Sexp.field "table"
-    [
-      Sexp.string t.Relational.Table.name;
-      Sexp.list
-        (List.map
-           (fun (c : Relational.Table.column) ->
-             Sexp.list
-               [ Sexp.string c.Relational.Table.cname; sexp_of_domain c.Relational.Table.domain;
-                 Sexp.bool c.Relational.Table.nullable ])
-           t.Relational.Table.columns);
-      Sexp.list (List.map Sexp.string t.Relational.Table.key);
-      Sexp.list
-        (List.map
-           (fun (fk : Relational.Table.foreign_key) ->
-             Sexp.list
-               [ Sexp.list (List.map Sexp.string fk.Relational.Table.fk_columns);
-                 Sexp.string fk.Relational.Table.ref_table;
-                 Sexp.list (List.map Sexp.string fk.Relational.Table.ref_columns) ])
-           t.Relational.Table.fks);
-    ]
+(* [(frag (set S) #i ((a c) ..) T #j)], or [(assoc A)] for the source. *)
+let add_fragment b enc (f : Mapping.Fragment.t) =
+  (match f.client_source with
+  | Mapping.Fragment.Set s -> add_named b "frag (set" s
+  | Mapping.Fragment.Assoc a -> add_named b "frag (assoc" a);
+  close b;
+  add_arg b add_reference (enc.cond_ref f.client_cond);
+  add_arg b (fun b -> add_list b (add_pair add_atom)) f.pairs;
+  add_arg b add_atom f.table;
+  add_arg b add_reference (enc.cond_ref f.store_cond);
+  close b
 
-let table_of_sexp s =
-  let* args = Sexp.as_field "table" s in
-  match args with
-  | [ name; cols; key; fks ] ->
-      let* name = Sexp.as_atom name in
-      let* columns =
-        Result.bind (Sexp.as_list cols)
-          (Datum.Results.map_ok (function
-            | Sexp.List [ c; d; n ] ->
-                let* cname = Sexp.as_atom c in
-                let* domain = domain_of_sexp d in
-                let* nullable = Sexp.as_bool n in
-                Ok { Relational.Table.cname; domain; nullable }
-            | s -> fail "bad column %s" (Sexp.to_string s)))
-      in
-      let* key = Result.bind (Sexp.as_list key) (Datum.Results.map_ok Sexp.as_atom) in
-      let* fks =
-        Result.bind (Sexp.as_list fks)
-          (Datum.Results.map_ok (function
-            | Sexp.List [ fkc; ref_t; refc ] ->
-                let* fk_columns =
-                  Result.bind (Sexp.as_list fkc) (Datum.Results.map_ok Sexp.as_atom)
-                in
-                let* ref_table = Sexp.as_atom ref_t in
-                let* ref_columns =
-                  Result.bind (Sexp.as_list refc) (Datum.Results.map_ok Sexp.as_atom)
-                in
-                Ok { Relational.Table.fk_columns; ref_table; ref_columns }
-            | s -> fail "bad foreign key %s" (Sexp.to_string s)))
-      in
-      Ok { Relational.Table.name; columns; key; fks }
-  | _ -> fail "bad table %s" (Sexp.to_string s)
-
-let store_fields store = List.map sexp_of_table (Relational.Schema.tables store)
-
-let store_of_sexp s =
-  let* tables = Sexp.as_field "store" s in
-  List.fold_left
-    (fun acc t ->
-      let* schema = acc in
-      let* tbl = table_of_sexp t in
-      Relational.Schema.add_table tbl schema)
-    (Ok Relational.Schema.empty) tables
-
-(* -- fragments ---------------------------------------------------------------------- *)
-
-let sexp_of_fragment enc (f : Mapping.Fragment.t) =
-  let source =
-    match f.Mapping.Fragment.client_source with
-    | Mapping.Fragment.Set s -> Sexp.field "set" [ Sexp.string s ]
-    | Mapping.Fragment.Assoc a -> Sexp.field "assoc" [ Sexp.string a ]
-  in
-  let client_cond = reference (enc.cond_ref f.Mapping.Fragment.client_cond) in
-  let store_cond = reference (enc.cond_ref f.Mapping.Fragment.store_cond) in
-  Sexp.field "frag"
-    [
-      source;
-      client_cond;
-      Sexp.list
-        (List.map (fun (a, c) -> Sexp.pair (Sexp.string a) (Sexp.string c)) f.Mapping.Fragment.pairs);
-      Sexp.string f.Mapping.Fragment.table;
-      store_cond;
-    ]
-
-let fragment_of_sexp tbl s =
-  let* args = Sexp.as_field "frag" s in
-  match args with
-  | [ source; ccond; pairs; table; scond ] ->
-      let* client_source =
-        match source with
-        | Sexp.List [ Sexp.Atom "set"; s ] ->
-            Result.map (fun s -> Mapping.Fragment.Set s) (Sexp.as_atom s)
-        | Sexp.List [ Sexp.Atom "assoc"; a ] ->
-            Result.map (fun a -> Mapping.Fragment.Assoc a) (Sexp.as_atom a)
-        | s -> fail "bad fragment source %s" (Sexp.to_string s)
-      in
-      let* client_cond = cond_at tbl ccond in
-      let* pairs =
-        Result.bind (Sexp.as_list pairs)
-          (Datum.Results.map_ok (function
-            | Sexp.List [ a; c ] ->
-                let* a = Sexp.as_atom a in
-                let* c = Sexp.as_atom c in
-                Ok (a, c)
-            | s -> fail "bad pair %s" (Sexp.to_string s)))
-      in
-      let* table = Sexp.as_atom table in
-      let* store_cond = cond_at tbl scond in
-      Ok { Mapping.Fragment.client_source; client_cond; pairs; table; store_cond }
-  | _ -> fail "bad fragment %s" (Sexp.to_string s)
-
-(* -- the whole state -------------------------------------------------------------------- *)
+let add_binding b enc kind (name, (v : Query.View.t)) =
+  add_named b kind name;
+  Buffer.add_string b " (view";
+  add_arg b add_reference (enc.query_ref v.query);
+  add_arg b add_reference (enc.ctor_ref v.ctor);
+  Buffer.add_string b "))"
 
 (* The document is [(state (client ..) (store ..) (terms ..) (fragments ..)
    (query_views ..) (update_views ..))], laid out with one field per line and
-   one element of a field per line, so it diffs line by line. *)
-let render fields =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "(state";
-  List.iter
-    (fun (name, items) ->
-      Buffer.add_string b "\n (";
-      Buffer.add_string b name;
-      List.iter
-        (fun item ->
-          Buffer.add_string b "\n  ";
-          Buffer.add_string b item)
-        items;
-      Buffer.add_char b ')')
-    fields;
-  Buffer.add_string b ")\n";
-  Buffer.contents b
-
+   one element of a field per line, so it diffs line by line.  The terms
+   section is printed while the encoder interns the fragments' conditions
+   and the views, in document order; the sections after it then find every
+   reference in the encoder's memo tables. *)
 let save (st : Core.State.t) =
   Obs.Span.with_ ~name:"surface.io.encode" @@ fun () ->
-  let enc = encoder () in
-  let render_all = List.map Sexp.to_string in
+  let b = Buffer.create 65536 in
+  let item () = Buffer.add_string b "\n  " in
+  let section name items = Buffer.add_string b "\n ("; Buffer.add_string b name; items (); close b in
+  let enc = encoder b in
+  let fragments = Mapping.Fragments.to_list st.fragments in
+  let entity_views = Query.View.entity_view_bindings st.query_views in
+  let assoc_views = Query.View.assoc_view_bindings st.query_views in
+  let update_views = Query.View.update_view_bindings st.update_views in
+  let bindings kind = List.iter (fun v -> item (); add_binding b enc kind v) in
+  Buffer.add_string b "(state";
+  section "client" (fun () -> add_client b item st.env.client);
+  section "store" (fun () -> List.iter (fun t -> item (); add_table b t) (Relational.Schema.tables st.env.store));
   (* Interning order is document order: fragments, query views, update views. *)
-  let fragments =
-    List.map (sexp_of_fragment enc) (Mapping.Fragments.to_list st.Core.State.fragments)
-  in
-  let binding kind (name, v) = Sexp.field kind [ Sexp.string name; sexp_of_view enc v ] in
-  let qv = st.Core.State.query_views in
-  let entity_views = List.map (binding "for_entity") (Query.View.entity_view_bindings qv) in
-  let assoc_views = List.map (binding "for_assoc") (Query.View.assoc_view_bindings qv) in
-  let update_views =
-    List.map (binding "for_table") (Query.View.update_view_bindings st.Core.State.update_views)
-  in
-  let text =
-    render
-      [
-        ("client", render_all (client_fields st.Core.State.env.Query.Env.client));
-        ("store", render_all (store_fields st.Core.State.env.Query.Env.store));
-        ("terms", List.rev enc.terms.entries);
-        ("fragments", render_all fragments);
-        ("query_views", render_all (entity_views @ assoc_views));
-        ("update_views", render_all update_views);
-      ]
-  in
+  section "terms" (fun () ->
+      List.iter
+        (fun (f : Mapping.Fragment.t) -> ignore (enc.cond_ref f.client_cond); ignore (enc.cond_ref f.store_cond))
+        fragments;
+      List.iter
+        (List.iter (fun (_, (v : Query.View.t)) -> ignore (enc.query_ref v.query); ignore (enc.ctor_ref v.ctor)))
+        [ entity_views; assoc_views; update_views ]);
+  section "fragments" (fun () -> List.iter (fun f -> item (); add_fragment b enc f) fragments);
+  section "query_views" (fun () -> bindings "for_entity" entity_views; bindings "for_assoc" assoc_views);
+  section "update_views" (fun () -> bindings "for_table" update_views);
+  Buffer.add_string b ")\n";
+  let text = Buffer.contents b in
   Obs.Span.add_attr "bytes" (string_of_int (String.length text));
   Obs.Span.add_attr "terms" (string_of_int enc.terms.count);
   Obs.Span.add_attr "visits" (string_of_int enc.terms.visits);
   text
 
-(* The term table and the other five fields of a document.  A document without
-   a table (the tree form) has every term inline. *)
-let split doc =
-  let* fields = Sexp.as_field "state" doc in
-  match fields with
-  | [ client_s; store_s; Sexp.List (Sexp.Atom "terms" :: entries); frags_s; qv_s; uv_s ] ->
-      Ok (entries, (client_s, store_s, frags_s, qv_s, uv_s))
-  | [ client_s; store_s; frags_s; qv_s; uv_s ] -> Ok ([], (client_s, store_s, frags_s, qv_s, uv_s))
-  | _ -> fail "bad state document"
+(* -- reading ------------------------------------------------------------------------------ *)
 
-let decode entries (client_s, store_s, frags_s, qv_s, uv_s) =
-  let* client = client_of_sexp client_s in
-  let* store = store_of_sexp store_s in
-  let* tbl = table_of_entries entries in
-  let* frag_list = Sexp.as_field "fragments" frags_s in
-  let* frags = Datum.Results.map_ok (fragment_of_sexp tbl) frag_list in
-  let* qv_fields = Sexp.as_field "query_views" qv_s in
-  let* query_views =
-    List.fold_left
-      (fun acc f ->
-        let* qv = acc in
-        match f with
-        | Sexp.List [ Sexp.Atom "for_entity"; ty; v ] ->
-            let* ty = Sexp.as_atom ty in
-            let* v = view_of_sexp tbl v in
-            Ok (Query.View.set_entity_view ty v qv)
-        | Sexp.List [ Sexp.Atom "for_assoc"; a; v ] ->
-            let* a = Sexp.as_atom a in
-            let* v = view_of_sexp tbl v in
-            Ok (Query.View.set_assoc_view a v qv)
-        | s -> fail "bad query-view entry %s" (Sexp.to_string s))
-      (Ok Query.View.no_query_views) qv_fields
+(* The reader's only exception: the offset it stopped at and why.  [load]
+   turns it into [Error]. *)
+exception Malformed of int * string
+
+type cursor = { text : string; mutable pos : int }
+
+let fail c msg = raise (Malformed (c.pos, msg))
+let failf c fmt = Printf.ksprintf (fail c) fmt
+
+let rec skip_ws c =
+  if c.pos < String.length c.text then
+    match c.text.[c.pos] with
+    | ' ' | '\t' | '\n' | '\r' -> c.pos <- c.pos + 1; skip_ws c
+    | ';' ->
+        (* comment to end of line *)
+        while c.pos < String.length c.text && c.text.[c.pos] <> '\n' do c.pos <- c.pos + 1 done;
+        skip_ws c
+    | _ -> ()
+
+(* The next byte after blanks and comments; the document never ends where
+   the reader looks. *)
+let look c =
+  skip_ws c;
+  if c.pos >= String.length c.text then fail c "unexpected end of input";
+  c.text.[c.pos]
+
+let expect c ch =
+  if look c <> ch then failf c "expected %C" ch;
+  c.pos <- c.pos + 1
+
+(* Consumes a [)] if one is next. *)
+let at_close c = look c = ')' && (c.pos <- c.pos + 1; true)
+
+(* A quoted atom, from its opening quote. *)
+let quoted c =
+  let b = Buffer.create 16 in
+  let n = String.length c.text in
+  let rec go p =
+    if p >= n then (c.pos <- p; fail c "unterminated string");
+    match c.text.[p] with
+    | '"' -> p + 1
+    | '\\' ->
+        if p + 1 >= n then (c.pos <- p + 1; fail c "unterminated escape");
+        Buffer.add_char b (match c.text.[p + 1] with 'n' -> '\n' | e -> e);
+        go (p + 2)
+    | ch -> Buffer.add_char b ch; go (p + 1)
   in
-  let* uv_fields = Sexp.as_field "update_views" uv_s in
-  let* update_views =
-    List.fold_left
-      (fun acc f ->
-        let* uv = acc in
-        match f with
-        | Sexp.List [ Sexp.Atom "for_table"; t; v ] ->
-            let* t = Sexp.as_atom t in
-            let* v = view_of_sexp tbl v in
-            Ok (Query.View.set_table_view t v uv)
-        | s -> fail "bad update-view entry %s" (Sexp.to_string s))
-      (Ok Query.View.no_update_views) uv_fields
+  c.pos <- go (c.pos + 1);
+  Buffer.contents b
+
+(* The end of the bare atom starting at [c.pos]. *)
+let bare_end c =
+  let p = ref c.pos in
+  while !p < String.length c.text && not (delimiter c.text.[!p]) do incr p done;
+  !p
+
+let atom c =
+  match look c with
+  | '(' | ')' -> fail c "expected an atom"
+  | '"' -> quoted c
+  | _ ->
+      let start = c.pos in
+      c.pos <- bare_end c;
+      String.sub c.text start (c.pos - start)
+
+(* The head atom of a list, after its [(]. *)
+let head c = expect c '('; atom c
+
+(* The elements up to the closing parenthesis of the current list. *)
+let rec until_close c f =
+  if at_close c then []
+  else
+    let x = f c in
+    x :: until_close c f
+
+let atoms c = expect c '('; until_close c atom
+
+(* [(name ..)]: [f] reads the arguments, then the list must close. *)
+let field c name f =
+  let h = head c in
+  if h <> name then failf c "expected (%s ..), got (%s .." name h;
+  let x = f c in
+  expect c ')';
+  x
+
+(* [(x y)], read by [first] and [second]. *)
+let pair first second c =
+  expect c '(';
+  let x = first c in
+  let y = second c in
+  expect c ')';
+  (x, y)
+
+let bool c = match atom c with "true" -> true | "false" -> false | a -> failf c "not a bool: %s" a
+
+let value c =
+  if look c <> '(' then match atom c with "null" -> Datum.Value.Null | a -> failf c "bad value %s" a
+  else
+    let h = head c in
+    let a = atom c in
+    expect c ')';
+    match h with
+    | "str" -> Datum.Value.String a
+    | "int" when int_of_string_opt a <> None -> Datum.Value.Int (int_of_string a)
+    | "bool" when a = "true" || a = "false" -> Datum.Value.Bool (a = "true")
+    | "dec" when float_of_string_opt a <> None -> Datum.Value.Decimal (float_of_string a)
+    | _ -> failf c "bad value (%s %s)" h a
+
+let domain c =
+  if look c = '(' then
+    match head c with "enum" -> Datum.Domain.Enum (until_close c atom) | h -> failf c "bad domain (%s .." h
+  else
+    match atom c with
+    | "int" -> Datum.Domain.Int
+    | "string" -> Datum.Domain.String
+    | "bool" -> Datum.Domain.Bool
+    | "decimal" -> Datum.Domain.Decimal
+    | a -> failf c "bad domain %s" a
+
+(* -- reading terms ------------------------------------------------------------------- *)
+
+type term = Cond of Query.Cond.t | Query of Query.Algebra.t | Ctor of Query.Ctor.t
+
+let sort_name = function Cond _ -> "condition" | Query _ -> "query" | Ctor _ -> "constructor"
+
+(* The entries decoded so far, in [terms.(0 .. len - 1)]; [#k] may name only
+   those. *)
+type table = { mutable terms : term array; mutable len : int }
+
+let push tbl t =
+  if tbl.len = Array.length tbl.terms then (
+    let grown = Array.make (2 * tbl.len) t in
+    Array.blit tbl.terms 0 grown 0 tbl.len;
+    tbl.terms <- grown);
+  tbl.terms.(tbl.len) <- t;
+  tbl.len <- tbl.len + 1
+
+let true_ = Cond Query.Cond.True
+let false_ = Cond Query.Cond.False
+
+(* The entry the reference [s.[i .. j-1]] names: [#] and at most nine
+   digits, so the index cannot overflow. *)
+let resolve c tbl s i j =
+  if j - i < 2 || j - i > 10 then failf c "bad reference %s" (String.sub s i (j - i));
+  let k = ref 0 in
+  for p = i + 1 to j - 1 do
+    match s.[p] with
+    | '0' .. '9' as d -> k := (10 * !k) + Char.code d - 48
+    | _ -> failf c "bad reference %s" (String.sub s i (j - i))
+  done;
+  if !k >= tbl.len then failf c "no earlier term for %s" (String.sub s i (j - i));
+  tbl.terms.(!k)
+
+(* An atom where a term may stand: a back-reference, [true] or [false]. *)
+let word c tbl s i j =
+  if j > i && s.[i] = '#' then resolve c tbl s i j
+  else match String.sub s i (j - i) with "true" -> true_ | "false" -> false_ | w -> failf c "bad term %s" w
+
+let item c =
+  let x =
+    match head c with
+    | "col" ->
+        let src = atom c in
+        Query.Algebra.Col { src; dst = atom c }
+    | "const" ->
+        let value = value c in
+        Query.Algebra.Const { value; dst = atom c }
+    | "coalesce" ->
+        let srcs = atoms c in
+        Query.Algebra.Coalesce { srcs; dst = atom c }
+    | h -> failf c "bad projection item (%s .." h
   in
-  Ok
-    {
-      Core.State.env = Query.Env.make ~client ~store;
-      fragments = Mapping.Fragments.of_list frags;
-      query_views;
-      update_views;
-    }
+  expect c ')';
+  x
+
+(* [(set s)], [(assoc a)] or [(table t)]. *)
+let source c =
+  let h = head c in
+  let s = atom c in
+  expect c ')';
+  match h with
+  | "set" -> Query.Algebra.Entity_set s
+  | "assoc" -> Query.Algebra.Assoc_set s
+  | "table" -> Query.Algebra.Table s
+  | h -> failf c "bad source (%s .." h
+
+let wrong_sort c t expected = failf c "a %s where a %s is expected" (sort_name t) expected
+
+(* A term, inline or as an atom.  A bare reference is resolved in place,
+   without copying it out. *)
+let rec term c tbl =
+  match look c with
+  | '(' ->
+      let t = inline c tbl (head c) in
+      expect c ')';
+      t
+  | ')' -> fail c "expected a term"
+  | '"' ->
+      let s = quoted c in
+      word c tbl s 0 (String.length s)
+  | _ ->
+      let stop = bare_end c in
+      let t = word c tbl c.text c.pos stop in
+      c.pos <- stop;
+      t
+
+(* The arguments of an inline term whose head is given, children left to
+   right. *)
+and inline c tbl h =
+  match h with
+  | "isof" -> Cond (Query.Cond.Is_of (atom c))
+  | "isofonly" -> Cond (Query.Cond.Is_of_only (atom c))
+  | "isnull" -> Cond (Query.Cond.Is_null (atom c))
+  | "notnull" -> Cond (Query.Cond.Is_not_null (atom c))
+  | "cmp" ->
+      let a = atom c in
+      let op =
+        match atom c with
+        | "=" -> Query.Cond.Eq | "<>" -> Query.Cond.Neq | "<" -> Query.Cond.Lt
+        | "<=" -> Query.Cond.Le | ">" -> Query.Cond.Gt | ">=" -> Query.Cond.Ge
+        | s -> failf c "bad comparison %s" s
+      in
+      Cond (Query.Cond.Cmp (a, op, value c))
+  | "and" ->
+      let a = cond c tbl in
+      Cond (Query.Cond.And (a, cond c tbl))
+  | "or" ->
+      let a = cond c tbl in
+      Cond (Query.Cond.Or (a, cond c tbl))
+  | "scan" -> Query (Query.Algebra.Scan (source c))
+  | "select" ->
+      let p = cond c tbl in
+      Query (Query.Algebra.Select (p, query c tbl))
+  | "project" ->
+      expect c '(';
+      let items = until_close c item in
+      Query (Query.Algebra.Project (items, query c tbl))
+  | "join" | "loj" | "foj" ->
+      let l = query c tbl in
+      let r = query c tbl in
+      let on = atoms c in
+      Query
+        (match h with
+        | "join" -> Query.Algebra.Join (l, r, on)
+        | "loj" -> Query.Algebra.Left_outer_join (l, r, on)
+        | _ -> Query.Algebra.Full_outer_join (l, r, on))
+  | "union" ->
+      let l = query c tbl in
+      Query (Query.Algebra.Union_all (l, query c tbl))
+  | "entity" ->
+      let etype = atom c in
+      Ctor (Query.Ctor.Entity { etype; attrs = atoms c })
+  | "tuple" -> Ctor (Query.Ctor.Tuple (atoms c))
+  | "if" ->
+      let p = cond c tbl in
+      let a = ctor c tbl in
+      Ctor (Query.Ctor.If (p, a, ctor c tbl))
+  | h -> failf c "bad term (%s .." h
+
+and cond c tbl = match term c tbl with Cond x -> x | t -> wrong_sort c t "condition"
+and query c tbl = match term c tbl with Query q -> q | t -> wrong_sort c t "query"
+and ctor c tbl = match term c tbl with Ctor k -> k | t -> wrong_sort c t "constructor"
+
+(* -- reading schemas, fragments and views --------------------------------------------- *)
+
+let ok c = function Ok x -> x | Error e -> fail c e
+
+let mult c = function
+  | "one" -> Edm.Association.One
+  | "zero_or_one" -> Edm.Association.Zero_or_one
+  | "many" -> Edm.Association.Many
+  | s -> failf c "bad multiplicity %s" s
+
+(* The client field lists types, entity sets and associations; types are
+   added parents first, each root with its set, and associations last. *)
+let client c =
+  let types = ref [] and sets = ref [] and rels = ref [] in
+  while not (at_close c) do
+    (match head c with
+    | "type" ->
+        let name = atom c in
+        let parent = match atom c with "_" -> None | p -> Some p in
+        expect c '(';
+        let declared = until_close c (pair atom domain) in
+        let key = atoms c in
+        types := { Edm.Entity_type.name; parent; declared; key; non_null = atoms c } :: !types
+    | "eset" ->
+        let set = atom c in
+        sets := (set, atom c) :: !sets
+    | "rel" ->
+        let name = atom c in
+        let end1 = atom c in
+        let end2 = atom c in
+        let mult1 = mult c (atom c) in
+        rels := { Edm.Association.name; end1; end2; mult1; mult2 = mult c (atom c) } :: !rels
+    | h -> failf c "bad client field (%s .." h);
+    expect c ')'
+  done;
+  let add schema (e : Edm.Entity_type.t) =
+    match (e.parent, List.find_opt (fun (_, root) -> root = e.name) !sets) with
+    | Some _, _ -> ok c (Edm.Schema.add_derived e schema)
+    | None, Some (set, _) -> ok c (Edm.Schema.add_root ~set e schema)
+    | None, None -> failf c "saved root %s has no entity set" e.name
+  in
+  let rec place schema = function
+    | [] -> schema
+    | pending -> (
+        let ready, blocked =
+          List.partition
+            (fun (e : Edm.Entity_type.t) -> Option.fold ~none:true ~some:(Edm.Schema.mem_type schema) e.parent)
+            pending
+        in
+        match ready with
+        | [] -> fail c "unresolvable parents in saved client schema"
+        | _ -> place (List.fold_left add schema ready) blocked)
+  in
+  let schema = place Edm.Schema.empty (List.rev !types) in
+  List.fold_left (fun schema a -> ok c (Edm.Schema.add_association a schema)) schema (List.rev !rels)
+
+let store c =
+  let column c =
+    expect c '(';
+    let cname = atom c in
+    let domain = domain c in
+    let nullable = bool c in
+    expect c ')';
+    { Relational.Table.cname; domain; nullable }
+  in
+  let fk c =
+    expect c '(';
+    let fk_columns = atoms c in
+    let ref_table = atom c in
+    let ref_columns = atoms c in
+    expect c ')';
+    { Relational.Table.fk_columns; ref_table; ref_columns }
+  in
+  let table c =
+    let name = atom c in
+    expect c '(';
+    let columns = until_close c column in
+    let key = atoms c in
+    expect c '(';
+    { Relational.Table.name; columns; key; fks = until_close c fk }
+  in
+  let rec go schema =
+    if at_close c then schema else go (ok c (Relational.Schema.add_table (field c "table" table) schema))
+  in
+  go Relational.Schema.empty
+
+let fragment c tbl =
+  field c "frag" (fun c ->
+      let client_source =
+        match source c with
+        | Query.Algebra.Entity_set s -> Mapping.Fragment.Set s
+        | Query.Algebra.Assoc_set a -> Mapping.Fragment.Assoc a
+        | Query.Algebra.Table t -> failf c "bad fragment source (table %s)" t
+      in
+      let client_cond = cond c tbl in
+      expect c '(';
+      let pairs = until_close c (pair atom atom) in
+      let table = atom c in
+      { Mapping.Fragment.client_source; client_cond; pairs; table; store_cond = cond c tbl })
+
+(* The bindings of a view section, each [(kind name (view q c))], folded
+   into [init] by the setter [kinds] gives its kind. *)
+let views c tbl kinds init =
+  let rec go acc =
+    if at_close c then acc
+    else
+      let kind = head c in
+      match List.assoc_opt kind kinds with
+      | None -> failf c "bad view binding (%s .." kind
+      | Some set ->
+          let name = atom c in
+          let v = field c "view" (fun c -> let query = query c tbl in { Query.View.query; ctor = ctor c tbl }) in
+          expect c ')';
+          go (set name v acc)
+  in
+  go init
+
+(* The whole document, with or without a term table: a document without one
+   (the tree form) has every term inline. *)
+let document c =
+  let section name = if head c <> name then failf c "expected (%s .." name in
+  section "state";
+  section "client";
+  let client = client c in
+  section "store";
+  let store = store c in
+  let tbl = { terms = Array.make 256 true_; len = 0 } in
+  (match head c with
+  | "terms" ->
+      while not (at_close c) do push tbl (term c tbl) done;
+      section "fragments"
+  | "fragments" -> ()
+  | h -> failf c "expected (terms .. or (fragments .., got (%s .." h);
+  let fragments = Mapping.Fragments.of_list (until_close c (fun c -> fragment c tbl)) in
+  Obs.Span.add_attr "terms" (string_of_int tbl.len);
+  section "query_views";
+  let query_views =
+    views c tbl
+      [ ("for_entity", Query.View.set_entity_view); ("for_assoc", Query.View.set_assoc_view) ]
+      Query.View.no_query_views
+  in
+  section "update_views";
+  let update_views = views c tbl [ ("for_table", Query.View.set_table_view) ] Query.View.no_update_views in
+  expect c ')';
+  skip_ws c;
+  if c.pos < String.length c.text then fail c "trailing input after the state";
+  { Core.State.env = Query.Env.make ~client ~store; fragments; query_views; update_views }
 
 let load text =
-  let bytes = ("bytes", string_of_int (String.length text)) in
-  let* entries, fields =
-    Obs.Span.with_ ~attrs:[ bytes ] ~name:"surface.io.parse" (fun () ->
-        let parsed = Result.bind (Sexp.of_string text) split in
-        Result.iter
-          (fun (entries, _) -> Obs.Span.add_attr "terms" (string_of_int (List.length entries)))
-          parsed;
-        parsed)
-  in
-  Obs.Span.with_ ~attrs:[ bytes ] ~name:"surface.io.decode" (fun () ->
-      Obs.Span.add_attr "terms" (string_of_int (List.length entries));
-      decode entries fields)
+  Obs.Span.with_ ~attrs:[ ("bytes", string_of_int (String.length text)) ] ~name:"surface.io.decode"
+  @@ fun () ->
+  match document { text; pos = 0 } with
+  | st -> Ok st
+  | exception Malformed (pos, msg) -> Error (Printf.sprintf "at offset %d: %s" pos msg)

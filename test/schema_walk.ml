@@ -1,7 +1,10 @@
-(* The hierarchy queries of [Edm.Schema] recomputed from scratch, by the
-   walk [descendants] made before the schema kept a child index: one pass
-   over [types] builds a parent -> children table.  [check] compares the
-   index-backed accessors with it at every type. *)
+(* The hierarchy queries of [Edm.Schema] recomputed from scratch: the
+   walk [descendants] made before the schema kept a child index (one pass
+   over [types] builds a parent -> children table), the list-building
+   versions of the accessors that now walk parent links, and the
+   hierarchy-attribute walk the schema's per-root index replaced.  [check]
+   compares the schema's accessors with them at every type, every pair of
+   types and every attribute of each hierarchy. *)
 
 let by_parent schema =
   let tbl = Hashtbl.create 16 in
@@ -31,3 +34,69 @@ let check tag schema =
       Alcotest.check slist (tag ^ ": subtypes of " ^ n) (n :: descendants tbl n)
         (Edm.Schema.subtypes schema n))
     (Edm.Schema.types schema)
+
+(* Proper ancestors, nearest first, and the accessors built on them. *)
+let ancestors schema name =
+  let rec up acc n = match Edm.Schema.parent schema n with None -> List.rev acc | Some p -> up (p :: acc) p in
+  up [] name
+
+let is_subtype schema ~sub ~sup = sub = sup || List.mem sup (ancestors schema sub)
+
+let is_proper_ancestor schema ~anc ~descendant =
+  anc <> descendant && List.mem anc (ancestors schema descendant)
+
+let root_of schema name = match ancestors schema name with [] -> name | l -> List.nth l (List.length l - 1)
+let find schema n = Option.get (Edm.Schema.find_type schema n)
+let key_of schema name = (find schema (root_of schema name)).key
+
+let attribute_nullable schema name a =
+  (not (List.mem a (key_of schema name)))
+  && not
+       (List.exists
+          (fun n ->
+            let e = find schema n in
+            List.mem a e.non_null && List.mem_assoc a e.declared)
+          (name :: ancestors schema name))
+
+(* Every attribute of the hierarchy under [root], once, with the domain of
+   its first declaring type in preorder. *)
+let hierarchy_attributes tbl schema root =
+  let seen = Hashtbl.create 64 in
+  List.concat_map
+    (fun ty ->
+      List.filter
+        (fun (a, _) -> (not (Hashtbl.mem seen a)) && (Hashtbl.replace seen a (); true))
+        (find schema ty).declared)
+    (root :: descendants tbl root)
+
+let check_walks tag schema =
+  let tbl = by_parent schema in
+  let names = List.map (fun (e : Edm.Entity_type.t) -> e.name) (Edm.Schema.types schema) in
+  let bool what expected got = Alcotest.(check bool) (tag ^ ": " ^ what) expected got in
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (tag ^ ": root of " ^ n) (root_of schema n) (Edm.Schema.root_of schema n);
+      Alcotest.(check (list string)) (tag ^ ": key of " ^ n) (key_of schema n) (Edm.Schema.key_of schema n);
+      List.iter
+        (fun m ->
+          bool (Printf.sprintf "%s subtype of %s" n m) (is_subtype schema ~sub:n ~sup:m)
+            (Edm.Schema.is_subtype schema ~sub:n ~sup:m);
+          bool (Printf.sprintf "%s proper ancestor of %s" n m) (is_proper_ancestor schema ~anc:n ~descendant:m)
+            (Edm.Schema.is_proper_ancestor schema ~anc:n ~descendant:m))
+        names;
+      let root = root_of schema n in
+      let walk = hierarchy_attributes tbl schema root in
+      let by_name = List.sort (fun (a, _) (b, _) -> String.compare a b) in
+      bool ("hierarchy attributes of " ^ n) true (by_name walk = Edm.Schema.hierarchy_attributes schema n);
+      List.iter
+        (fun a ->
+          bool (Printf.sprintf "%s.%s nullable" n a) (attribute_nullable schema n a)
+            (Edm.Schema.attribute_nullable schema n a);
+          bool (Printf.sprintf "domain of %s in %s's hierarchy" a n) true
+            (List.assoc_opt a walk = Edm.Schema.hierarchy_attribute schema n a))
+        ("?unknown" :: List.map fst walk))
+    names
+
+let check tag schema =
+  check tag schema;
+  check_walks tag schema

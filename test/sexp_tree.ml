@@ -1,8 +1,8 @@
 (* The s-expression reader as first written, a character at a time through
-   [peek], kept as the oracle for [Surface.Sexp]'s indexing reader: on any
+   [peek], kept as the oracle for [Sexp]'s indexing reader: on any
    input both give the same trees or the same error message. *)
 
-module S = Surface.Sexp
+module S = Sexp
 
 exception Parse_error of int * string
 

@@ -1,11 +1,11 @@
-(* The [.imcs] term encoder as first written, kept as the oracle for
-   [Surface.State_io.save]: it walks every fragment condition and view as a
-   tree, interning each node by structure once per occurrence, where [save]
-   walks the DAG.  Both must write the same bytes.  The client and store
-   fields hold no terms, so the oracle copies them from [save]'s document
-   and rebuilds the other four. *)
+(* The [.imcs] encoder as first written, kept as the oracle for
+   [Surface.State_io.save]: it builds an s-expression tree for every
+   section and term entry and renders each with [Sexp.to_string], and it
+   walks every fragment condition and view as a tree, interning each node by
+   structure once per occurrence, where [save] prints straight into one
+   buffer and walks the DAG.  Both must write the same bytes. *)
 
-module S = Surface.Sexp
+module S = Sexp
 module C = Query.Cond
 module A = Query.Algebra
 
@@ -27,6 +27,13 @@ let sexp_of_value = function
   | Datum.Value.String s -> S.field "str" [ S.string s ]
   | Datum.Value.Bool b -> S.field "bool" [ S.bool b ]
   | Datum.Value.Decimal f -> S.field "dec" [ S.atom (Printf.sprintf "%h" f) ]
+
+let sexp_of_domain = function
+  | Datum.Domain.Int -> S.atom "int"
+  | Datum.Domain.String -> S.atom "string"
+  | Datum.Domain.Bool -> S.atom "bool"
+  | Datum.Domain.Decimal -> S.atom "decimal"
+  | Datum.Domain.Enum values -> S.field "enum" (List.map S.string values)
 
 let cmp_to_string = function
   | C.Eq -> "=" | C.Neq -> "<>" | C.Lt -> "<" | C.Le -> "<=" | C.Gt -> ">" | C.Ge -> ">="
@@ -157,15 +164,46 @@ let render fields =
   Buffer.add_string b ")\n";
   Buffer.contents b
 
-(* The items of the client and store fields of [save]'s document. *)
-let schema_fields st =
-  match S.of_string (Surface.State_io.save st) with
-  | Ok (S.List (S.Atom "state" :: S.List (S.Atom "client" :: client) :: S.List (S.Atom "store" :: store) :: _))
-    ->
-      (List.map S.to_string client, List.map S.to_string store)
-  | Ok _ | Error _ -> failwith "State_io_tree: save wrote no client and store fields"
+let mult = function
+  | Edm.Association.One -> S.atom "one"
+  | Edm.Association.Zero_or_one -> S.atom "zero_or_one"
+  | Edm.Association.Many -> S.atom "many"
 
-(* Returns the document and the number of nodes walked. *)
+let client_fields client =
+  List.map
+    (fun (e : Edm.Entity_type.t) ->
+      S.field "type"
+        [ S.string e.name;
+          (match e.parent with None -> S.atom "_" | Some p -> S.string p);
+          S.list (List.map (fun (a, d) -> S.pair (S.string a) (sexp_of_domain d)) e.declared);
+          strings e.key;
+          strings e.non_null ])
+    (Edm.Schema.types client)
+  @ List.map (fun (set, root) -> S.field "eset" [ S.string set; S.string root ]) (Edm.Schema.entity_sets client)
+  @ List.map
+      (fun (a : Edm.Association.t) ->
+        S.field "rel" [ S.string a.name; S.string a.end1; S.string a.end2; mult a.mult1; mult a.mult2 ])
+      (Edm.Schema.associations client)
+
+let store_fields store =
+  List.map
+    (fun (t : Relational.Table.t) ->
+      S.field "table"
+        [ S.string t.name;
+          S.list
+            (List.map
+               (fun (c : Relational.Table.column) ->
+                 S.list [ S.string c.cname; sexp_of_domain c.domain; S.bool c.nullable ])
+               t.columns);
+          strings t.key;
+          S.list
+            (List.map
+               (fun (fk : Relational.Table.foreign_key) ->
+                 S.list [ strings fk.fk_columns; S.string fk.ref_table; strings fk.ref_columns ])
+               t.fks) ])
+    (Relational.Schema.tables store)
+
+(* The document [Surface.State_io.save] must write. *)
 let save (st : Core.State.t) =
   let enc = { ids = Hashtbl.create 4096; entries = []; count = 0 } in
   let render_all = List.map S.to_string in
@@ -181,11 +219,11 @@ let save (st : Core.State.t) =
   let update_views =
     List.map (binding "for_table") (Query.View.update_view_bindings st.Core.State.update_views)
   in
-  let client, store = schema_fields st in
+  let env = st.Core.State.env in
   render
     [
-      ("client", client);
-      ("store", store);
+      ("client", render_all (client_fields env.Query.Env.client));
+      ("store", render_all (store_fields env.Query.Env.store));
       ("terms", List.rev enc.entries);
       ("fragments", render_all fragments);
       ("query_views", render_all (entity_views @ assoc_views));

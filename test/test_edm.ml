@@ -171,20 +171,26 @@ let test_restrict_new_components () =
   check Alcotest.int "persons and employees kept" 4
     (List.length (Edm.Instance.entities restricted ~set:"Persons"))
 
-(* The child index under random evolution: after every operation of a
-   random sequence of [add_root], [add_derived], [remove_type],
-   [remove_subtree] and [reparent] (refused ones included), [children],
-   [descendants] and [subtypes] agree with {!Schema_walk}'s recomputation
-   over [types], and the schema stays well formed. *)
+(* The child and attribute indexes under random evolution: after every
+   operation of a random sequence of [add_root], [add_derived] (declaring
+   attributes from a small pool, so sibling types share names with
+   different domains), [remove_type], [remove_subtree], [reparent],
+   [add_attribute], [remove_attribute] and [widen_attribute] (refused ones
+   included), every hierarchy accessor agrees with {!Schema_walk}'s
+   recomputation, and the schema stays well formed. *)
 let prop_child_index =
   let gen_op =
     QCheck.Gen.(
-      triple (frequency [ (1, return 0); (4, return 1); (1, return 2); (1, return 3); (2, return 4) ])
+      triple
+        (frequency
+           [ (1, return 0); (4, return 1); (1, return 2); (1, return 3); (2, return 4); (1, return 5);
+             (1, return 6); (1, return 7) ])
         (int_bound 1000) (int_bound 1000))
   in
   qtest "child index matches a recomputation" ~count:200
     (QCheck.make ~print:QCheck.Print.(list (triple int int int)) (QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) gen_op))
     (fun ops ->
+      let attribute j = ([| "A"; "B"; "C" |].(j / 3 mod 3), if j mod 2 = 0 then D.Int else D.String) in
       let pick s i =
         let names = List.map (fun (e : Edm.Entity_type.t) -> e.name) (Edm.Schema.types s) in
         List.nth names (i mod List.length names)
@@ -196,10 +202,15 @@ let prop_child_index =
           | 0 ->
               Edm.Schema.add_root ~set:(name ^ "s")
                 (Edm.Entity_type.root ~name ~key:[ name ^ "Id" ] [ (name ^ "Id", D.Int) ]) s
-          | 1 -> Edm.Schema.add_derived (Edm.Entity_type.derived ~name ~parent:(pick s i) []) s
+          | 1 ->
+              let declared = if j mod 3 = 0 then [] else [ attribute j ] in
+              Edm.Schema.add_derived (Edm.Entity_type.derived ~name ~parent:(pick s i) declared) s
           | 2 -> Edm.Schema.remove_type (pick s i) s
           | 3 -> Edm.Schema.remove_subtree (pick s i) s
-          | _ -> Edm.Schema.reparent ~etype:(pick s i) ~parent:(pick s j) s
+          | 4 -> Edm.Schema.reparent ~etype:(pick s i) ~parent:(pick s j) s
+          | 5 -> Edm.Schema.add_attribute ~etype:(pick s i) (attribute j) s
+          | 6 -> Edm.Schema.remove_attribute ~etype:(pick s i) (fst (attribute j)) s
+          | _ -> Edm.Schema.widen_attribute ~etype:(pick s i) (fst (attribute j)) D.Decimal s
         in
         let s = match r with Ok s' when Edm.Schema.types s' <> [] -> s' | _ -> s in
         Schema_walk.check (Printf.sprintf "after op %d" fresh) s;

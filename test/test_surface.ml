@@ -293,7 +293,7 @@ let test_diff_script_replays () =
    treats specially, so delimiters, escapes and CRs are common. *)
 let gen_atom =
   QCheck.Gen.(
-    map Surface.Sexp.atom
+    map Sexp.atom
       (frequency
          [
            (1, string_size ~gen:char (int_bound 8));
@@ -305,28 +305,28 @@ let rec gen_sexp n =
     if n <= 1 then gen_atom
     else
       frequency
-        [ (1, gen_atom); (2, map Surface.Sexp.list (list_size (int_range 0 4) (gen_sexp (n / 2)))) ])
+        [ (1, gen_atom); (2, map Sexp.list (list_size (int_range 0 4) (gen_sexp (n / 2)))) ])
 
 let prop_sexp_roundtrip =
   qtest "s-expressions roundtrip" ~count:300
-    (QCheck.make ~print:Surface.Sexp.to_string (gen_sexp 16))
+    (QCheck.make ~print:Sexp.to_string (gen_sexp 16))
     (fun s ->
-      match Surface.Sexp.of_string (Surface.Sexp.to_string s) with
-      | Ok s' -> Surface.Sexp.equal s s'
+      match Sexp.of_string (Sexp.to_string s) with
+      | Ok s' -> Sexp.equal s s'
       | Error e -> QCheck.Test.fail_reportf "reparse failed: %s" e)
 
 (* A CR is whitespace to the reader, so an atom holding one must be quoted:
    [(str a\rb)] used to read back as [(str a b)]. *)
 let test_sexp_cr () =
-  let s = Surface.Sexp.(list [ atom "str"; atom "a\rb" ]) in
+  let s = Sexp.(list [ atom "str"; atom "a\rb" ]) in
   checkb "an atom with a CR roundtrips" true
-    (Surface.Sexp.of_string (Surface.Sexp.to_string s) = Ok s)
+    (Sexp.of_string (Sexp.to_string s) = Ok s)
 
 (* The indexing reader against the character-at-a-time one it replaced
    ({!Sexp_tree}): the same trees or the same error message. *)
 let same_reading what text =
-  match (Surface.Sexp.of_string_many text, Sexp_tree.of_string_many text) with
-  | Ok a, Ok b -> if not (List.equal Surface.Sexp.equal a b) then Alcotest.failf "%s: different trees" what
+  match (Sexp.of_string_many text, Sexp_tree.of_string_many text) with
+  | Ok a, Ok b -> if not (List.equal Sexp.equal a b) then Alcotest.failf "%s: different trees" what
   | Error a, Error b -> check Alcotest.string (what ^ ": same error") b a
   | Ok _, Error e -> Alcotest.failf "%s: only the oracle fails: %s" what e
   | Error e, Ok _ -> Alcotest.failf "%s: only the reader fails: %s" what e
@@ -343,9 +343,9 @@ let mutations ~seed ~count text f =
 
 let prop_reader_matches_oracle =
   qtest "reader matches the oracle on printed sexps" ~count:300
-    (QCheck.make ~print:Surface.Sexp.to_string (gen_sexp 16))
+    (QCheck.make ~print:Sexp.to_string (gen_sexp 16))
     (fun s ->
-      let text = Surface.Sexp.to_string s in
+      let text = Sexp.to_string s in
       same_reading "printed" text;
       same_reading "truncated" (String.sub text 0 (String.length text / 2));
       true)
@@ -433,18 +433,18 @@ let customer_state =
 (* The same document with every back-reference replaced by its entry and the
    term table dropped: the tree form, where every term is inline. *)
 let inline_terms text =
-  match ok_exn (Surface.Sexp.of_string text) with
-  | Surface.Sexp.List
-      [ state; client; store; Surface.Sexp.List (_ :: entries); frags; qv; uv ] ->
+  match ok_exn (Sexp.of_string text) with
+  | Sexp.List
+      [ state; client; store; Sexp.List (_ :: entries); frags; qv; uv ] ->
       let table = Array.of_list entries in
       let rec expand = function
-        | Surface.Sexp.Atom a when String.length a > 1 && a.[0] = '#' ->
+        | Sexp.Atom a when String.length a > 1 && a.[0] = '#' ->
             expand table.(int_of_string (String.sub a 1 (String.length a - 1)))
-        | Surface.Sexp.Atom _ as a -> a
-        | Surface.Sexp.List l -> Surface.Sexp.List (List.map expand l)
+        | Sexp.Atom _ as a -> a
+        | Sexp.List l -> Sexp.List (List.map expand l)
       in
-      Surface.Sexp.to_string
-        (Surface.Sexp.List [ state; client; store; expand frags; expand qv; expand uv ])
+      Sexp.to_string
+        (Sexp.List [ state; client; store; expand frags; expand qv; expand uv ])
   | _ -> Alcotest.fail "saved state has no term table"
 
 let test_tree_form_loads () =
@@ -695,6 +695,119 @@ let test_cr_constant () =
   checkb "fragments survive" true (Mapping.Fragments.equal st.Core.State.fragments st'.Core.State.fragments);
   checkb "save (load t) = t" true (String.equal (save st') text)
 
+(* -- loader fuzzing ---------------------------------------------------------------------- *)
+
+(* A saved document with, for each [#k] in it, its offset, [k], and the
+   index of the term entry it sits in ([None] outside the table), and the
+   sort of every entry.  [save] writes one entry a line. *)
+type fuzz_doc = {
+  text : string;
+  refs : (int * int * int option) array;
+  sorts : string array;
+  parens : int array;
+}
+
+let sort_of_head h =
+  if List.mem h [ "scan"; "select"; "project"; "join"; "loj"; "foj"; "union" ] then "query"
+  else if List.mem h [ "entity"; "tuple"; "if" ] then "constructor"
+  else "condition"
+
+let fuzz_doc text =
+  let sorts = ref [] and entries = ref 0 and refs = ref [] and in_terms = ref false and offset = ref 0 in
+  List.iter
+    (fun line ->
+      let n = String.length line in
+      if n > 1 && String.sub line 0 2 = " (" then in_terms := line = " (terms";
+      let entry = !in_terms && n > 2 && String.sub line 0 2 = "  " in
+      let here = if entry then Some !entries else None in
+      if entry then (
+        let head =
+          if line.[2] <> '(' then "true" else List.hd (String.split_on_char ' ' (String.sub line 3 (n - 3)))
+        in
+        sorts := sort_of_head head :: !sorts;
+        incr entries);
+      String.iteri
+        (fun i ch ->
+          let j = ref (i + 1) in
+          while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do incr j done;
+          if ch = '#' && !j > i + 1 then
+            refs := (!offset + i, int_of_string (String.sub line (i + 1) (!j - i - 1)), here) :: !refs)
+        line;
+      offset := !offset + n + 1)
+    (String.split_on_char '\n' text);
+  let parens = ref [] in
+  String.iteri (fun i ch -> if ch = '(' || ch = ')' then parens := i :: !parens) text;
+  { text; refs = Array.of_list (List.rev !refs); sorts = Array.of_list (List.rev !sorts);
+    parens = Array.of_list (List.rev !parens) }
+
+(* The customer state and three random models, each saved. *)
+let fuzz_docs =
+  lazy
+    (Array.of_list
+       (List.map fuzz_doc
+          (save (Lazy.force customer_loaded)
+          :: List.map
+               (fun seed ->
+                 let env, frags = Workload.Random_model.generate ~seed () in
+                 save
+                   (Core.State.of_compiled env frags
+                      (ok_exn (Fullc.Compile.compile ~validate:false ~jobs:1 env frags))))
+               [ 1; 2; 3 ])))
+
+(* [text] with [s.[i .. j-1]] replaced by [by]. *)
+let splice s i j by = String.sub s 0 i ^ by ^ String.sub s j (String.length s - j)
+
+(* A damaged copy of [d.text], and whether [load] must reject it.  [r] picks
+   the place and [n] the replacement. *)
+let damage d (kind, r, n) =
+  let pick a = a.(int_of_float (r *. float_of_int (Array.length a - 1))) in
+  let rewrite_ref f =
+    let at, k, entry = pick d.refs in
+    let digits = String.length (string_of_int k) in
+    match f k entry with
+    | Some k' -> (splice d.text (at + 1) (at + 1 + digits) (string_of_int k'), true)
+    | None -> (d.text, false)
+  in
+  let entries = Array.length d.sorts in
+  match kind with
+  | `Truncate ->
+      let at = int_of_float (r *. float_of_int (String.length d.text - 1)) in
+      (String.sub d.text 0 at, true)
+  | `Drop_paren ->
+      let at = pick d.parens in
+      (splice d.text at (at + 1) "", false)
+  | `Duplicate_paren ->
+      let at = pick d.parens in
+      (splice d.text at at (String.make 1 d.text.[at]), false)
+  | `Forward -> rewrite_ref (fun _ entry -> Option.map (fun e -> e + (n mod (entries - e))) entry)
+  | `Out_of_range -> rewrite_ref (fun _ _ -> Some (entries + n))
+  | `Wrong_sort ->
+      rewrite_ref (fun k entry ->
+          let limit = Option.value entry ~default:entries in
+          let others = List.filter (fun i -> d.sorts.(i) <> d.sorts.(k)) (List.init limit Fun.id) in
+          match others with [] -> None | l -> Some (List.nth l (n mod List.length l)))
+  | `Flip_byte ->
+      let at = int_of_float (r *. float_of_int (String.length d.text - 1)) in
+      (splice d.text at (at + 1) (String.make 1 (Char.chr (n land 255))), false)
+
+(* [load] answers every damaged document, [Ok] or [Error], and never raises;
+   a truncated document and a forward, out-of-range or wrong-sort reference
+   are always rejected. *)
+let prop_loader_fuzz =
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 3)
+        (oneofl [ `Truncate; `Drop_paren; `Duplicate_paren; `Forward; `Out_of_range; `Wrong_sort; `Flip_byte ])
+        (pair (float_bound_inclusive 1.) (int_bound 1_000_000)))
+  in
+  qtest "loader fuzz: damaged documents never raise" ~count:400 (QCheck.make gen)
+    (fun (which, kind, (r, n)) ->
+      let text, must_fail = damage (Lazy.force fuzz_docs).(which) (kind, r, n) in
+      match load text with
+      | Ok _ when must_fail -> QCheck.Test.fail_reportf "a malformed document loaded"
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "surface"
     [
@@ -734,5 +847,6 @@ let () =
           Alcotest.test_case "encoder visits each term once" `Quick test_encode_visits;
           Alcotest.test_case "CR in a string constant" `Quick test_cr_constant;
           prop_load_never_raises;
+          prop_loader_fuzz;
         ] );
     ]
