@@ -106,7 +106,7 @@ type table = { name : string; keys : string list; rows : (string * cell) list li
 (* The columns whose values do not depend on the host. *)
 let count_columns =
   [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "tables_visited"; "scans"; "index_scans";
-    "rows_scanned"; "diags"; "state_bytes"; "steps"; "verdict" ]
+    "rows_scanned"; "diags"; "state_bytes"; "steps"; "verdict"; "tree_nodes"; "distinct_nodes" ]
 
 let json_string s =
   let esc = function
@@ -983,7 +983,8 @@ let lint_bench () =
         let views = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
         let diags, lint_ms, lint_mb = sample (fun () -> Lint.Analyze.run ~views env frags) in
         let _, val_ms, _ = sample (fun () -> ok (Fullc.Validate.run env frags)) in
-        (name, lint_ms, lint_mb, val_ms, List.length diags))
+        let sharing = Query.Algebra.sharing (Query.View.queries (fst views) (snd views)) in
+        (name, lint_ms, lint_mb, val_ms, List.length diags, sharing))
       models
   in
   (* The customer run split by artifact, as [Lint.Analyze.run] runs it. *)
@@ -1002,17 +1003,17 @@ let lint_bench () =
   in
   (* Acceptance (ISSUE 6): linting the seed model suite is >= 50x faster
      than the obligation-based validation it screens for. *)
-  let total_lint = List.fold_left (fun a (_, l, _, _, _) -> a +. l) 0. rows in
-  let total_val = List.fold_left (fun a (_, _, _, v, _) -> a +. v) 0. rows in
+  let total_lint = List.fold_left (fun a (_, l, _, _, _, _) -> a +. l) 0. rows in
+  let total_val = List.fold_left (fun a (_, _, _, v, _, _) -> a +. v) 0. rows in
   let speedup = total_val /. total_lint in
   emit "lint"
     [ { name = "models"; keys = [ "model" ];
         rows =
           List.map
-            (fun (name, lint_ms, lint_mb, val_ms, diags) ->
+            (fun (name, lint_ms, lint_mb, val_ms, diags, (tree, distinct)) ->
               [ ("model", str name); ("lint_ms", num 3 lint_ms); ("alloc_mb", num 2 lint_mb);
                 ("validate_ms", num 3 val_ms); ("speedup", num 1 (val_ms /. lint_ms));
-                ("diags", int diags) ])
+                ("diags", int diags); ("tree_nodes", int tree); ("distinct_nodes", int distinct) ])
             rows };
       { name = "customer_passes"; keys = [ "pass" ]; rows = passes };
       { name = "suite"; keys = [];

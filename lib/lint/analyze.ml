@@ -4,13 +4,7 @@
 let sharing_attrs (qv, uv) =
   if not (Obs.enabled ()) then []
   else
-    let queries bindings = List.map (fun (_, (v : Query.View.t)) -> v.query) bindings in
-    let tree, distinct =
-      Query.Algebra.sharing
-        (queries (Query.View.entity_view_bindings qv)
-        @ queries (Query.View.assoc_view_bindings qv)
-        @ queries (Query.View.update_view_bindings uv))
-    in
+    let tree, distinct = Query.Algebra.sharing (Query.View.queries qv uv) in
     [ ("tree_nodes", string_of_int tree); ("distinct_nodes", string_of_int distinct) ]
 
 let run ?views env frags =

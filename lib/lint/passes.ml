@@ -84,9 +84,6 @@ let ty_nullable ti a = (not (S.mem a ti.nset)) || S.mem a ti.nullable
 let selected_info client hier c =
   List.filter (fun (ty, ti) -> approx client ~ty ~attrs:ti.names c <> F) hier.info
 
-let is_false = function Cond.False -> true | _ -> false
-let unsat c = is_false (Simplify.cond c)
-
 (* DNF with a size cap: past the cap we give up rather than blow the
    syntactic-analysis cost budget. *)
 let dnf_capped c =
@@ -95,7 +92,7 @@ let dnf_capped c =
   else Some d
 
 let conj_unsat hierarchy conj =
-  unsat (Cond.conj conj)
+  Simplify.unsat (Cond.conj conj)
   ||
   match hierarchy with
   | Some (client, hier) -> selected_info client hier (Cond.conj conj) = []
@@ -166,7 +163,7 @@ let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
                      "primary-key column %s.%s is neither mapped nor fixed by the store condition"
                      f.table k))
         tbl.Relational.Table.key;
-      if is_false (Simplify.cond f.client_cond) then
+      if Simplify.unsat f.client_cond then
         add
           (Diag.makef ~code:"L007" ~severity:Diag.Warning ~loc:(floc f)
              "client condition is unsatisfiable: contradictory conjuncts")
@@ -194,7 +191,7 @@ let fragment_diags hiers env (f : Fragment.t) =
       match f.client_source with
       | Fragment.Set s -> entity_fragment_diags hiers env f s tbl add
       | Fragment.Assoc _ -> assoc_fragment_diags f tbl add));
-  if is_false (Simplify.cond f.store_cond) then
+  if Simplify.unsat f.store_cond then
     add
       (Diag.makef ~code:"L007" ~severity:Diag.Warning ~loc:(floc f)
          "store condition is unsatisfiable: contradictory conjuncts");

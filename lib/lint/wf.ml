@@ -10,23 +10,20 @@ let ( let* ) = Option.bind
 (* Scan nullability only depends on the scanned source, so one table shared
    by many update views (or one entity set scanned by every view of its
    hierarchy) is resolved once per [check]. *)
-type scan_memo = (string, (string * bool) list option) Hashtbl.t
-
-let scan_nullability (memo : scan_memo) env src =
-  let client = env.Query.Env.client in
-  let key, build =
-    match src with
-    | Algebra.Table t ->
-        ( "tbl:" ^ t,
-          fun () ->
+let scan_nullability memo env src =
+  match Hashtbl.find memo src with
+  | r -> r
+  | exception Not_found ->
+      let client = env.Query.Env.client in
+      let r =
+        match src with
+        | Algebra.Table t ->
             let* tbl = Relational.Schema.find_table env.Query.Env.store t in
             Some
               (List.map
                  (fun (c : Relational.Table.column) -> (c.cname, c.nullable))
-                 tbl.Relational.Table.columns) )
-    | Algebra.Entity_set s ->
-        ( "set:" ^ s,
-          fun () ->
+                 tbl.Relational.Table.columns)
+        | Algebra.Entity_set s ->
             let* root = Edm.Schema.set_root client s in
             let subtys = Edm.Schema.subtypes client root in
             Some
@@ -35,19 +32,18 @@ let scan_nullability (memo : scan_memo) env src =
                    if String.equal c Query.Env.type_column then (c, false)
                    else
                      (c, List.exists (fun ty -> Edm.Schema.attribute_nullable client ty c) subtys))
-                 (Query.Env.entity_set_columns env s)) )
-    | Algebra.Assoc_set a ->
-        ( "assoc:" ^ a,
-          fun () ->
+                 (Query.Env.entity_set_columns env s))
+        | Algebra.Assoc_set a ->
             let* assoc = Edm.Schema.find_association client a in
-            Some (List.map (fun c -> (c, false)) (Edm.Schema.association_columns client assoc)) )
-  in
-  match Hashtbl.find_opt memo key with
-  | Some r -> r
-  | None ->
-      let r = build () in
-      Hashtbl.add memo key r;
+            Some (List.map (fun c -> (c, false)) (Edm.Schema.association_columns client assoc))
+      in
+      Hashtbl.add memo src r;
       r
+
+(* Whether column [n] of [cols] may be NULL, [absent] if [cols] lacks it. *)
+let rec may_null ~absent n = function
+  | [] -> absent
+  | (m, nl) :: rest -> if String.equal m n then nl else may_null ~absent n rest
 
 (* For each output column of a query, whether it may carry NULL: table scans
    read column nullability, entity-set scans treat an attribute as nullable
@@ -59,8 +55,7 @@ let scan_nullability (memo : scan_memo) env src =
 let nullability_step scan nullability q =
   match q with
   | Algebra.Scan src -> scan src
-  | Algebra.Select (c, sub) ->
-      let* cols = nullability sub in
+  | Algebra.Select (c, sub) -> (
       let refined =
         Query.Cond.conjuncts c
         |> List.filter_map (function
@@ -68,10 +63,13 @@ let nullability_step scan nullability q =
              | Cond.Cmp (a, _, v) when not (Datum.Value.is_null v) -> Some a
              | _ -> None)
       in
-      Some (List.map (fun (n, nl) -> (n, nl && not (List.mem n refined))) cols)
+      match nullability sub with
+      | Some cols when refined <> [] ->
+          Some (List.map (fun (n, nl) -> (n, nl && not (List.mem n refined))) cols)
+      | r -> r)
   | Algebra.Project (items, sub) ->
       let* cols = nullability sub in
-      let of_src s = match List.assoc_opt s cols with Some nl -> nl | None -> true in
+      let of_src s = may_null ~absent:true s cols in
       Some
         (List.map
            (function
@@ -92,15 +90,15 @@ let nullability_step scan nullability q =
   | Algebra.Full_outer_join (l, r, on) ->
       let* lc = nullability l in
       let* rc = nullability r in
-      let right_null n = match List.assoc_opt n rc with Some nl -> nl | None -> true in
       Some
-        (List.map (fun (n, nl) -> if List.mem n on then (n, nl || right_null n) else (n, true)) lc
+        (List.map
+           (fun (n, nl) -> (n, (not (List.mem n on)) || nl || may_null ~absent:true n rc))
+           lc
         @ List.filter_map (fun (n, _) -> if List.mem n on then None else Some (n, true)) rc)
   | Algebra.Union_all (l, r) ->
       let* lc = nullability l in
       let* rc = nullability r in
-      let right_null n = match List.assoc_opt n rc with Some nl -> nl | None -> true in
-      Some (List.map (fun (n, nl) -> (n, nl || right_null n)) lc)
+      Some (List.map (fun (n, nl) -> (n, nl || may_null ~absent:true n rc)) lc)
 
 (* Tuple leaves of an update-view constructor, each with the positive branch
    conditions guarding it. *)
@@ -130,13 +128,10 @@ let update_view_null_diags env nullability tname (v : View.t) =
           |> List.concat_map (fun (guard, cs) ->
                  List.filter_map
                    (fun c ->
-                     let may_null =
-                       match List.assoc_opt c cols with Some nl -> nl | None -> false
-                     in
                      if
                        Relational.Table.mem_column tbl c
                        && (not (Relational.Table.nullable tbl c))
-                       && may_null
+                       && may_null ~absent:false c cols
                        && not (guard_forces_not_null guard c)
                      then
                        Some
@@ -148,71 +143,91 @@ let update_view_null_diags env nullability tname (v : View.t) =
                      else None)
                    cs))
 
-(* -- L011, L102, L103: selections, projections and unions ------------------ *)
+(* -- L011, L101, L102, L103: the typed fold ---------------------------------- *)
 
+(* The columns a projection binds twice (asked only where [infer] fails). *)
 let dup_dsts items =
-  let rec adjacent_dups = function
-    | a :: (b :: _ as rest) ->
-        if String.equal a b then a :: adjacent_dups rest else adjacent_dups rest
-    | _ -> []
-  in
+  let dsts = List.map Algebra.dst_of items in
   List.sort_uniq String.compare
-    (adjacent_dups (List.sort String.compare (List.map Algebra.dst_of items)))
+    (List.filter (fun d -> List.length (List.filter (String.equal d) dsts) > 1) dsts)
 
-let unsat c = match Query.Simplify.cond c with Cond.False -> true | _ -> false
+(* The view fold's result for a subterm: [Algebra.infer]'s verdict, its
+   L011, L102 and L103 findings, and its columns.  These are [infer]'s list
+   where it succeeds, and a lenient list elsewhere, for L103 must still be
+   found above a projection [infer] rejects (None once a source is unknown). *)
+type typed = {
+  typed : (string list, string) result;
+  cols : string list option;
+  findings : Diag.finding list;
+}
 
-(* A subtree's output columns (None once anything is unresolvable — L101's
-   business) and its L011, L102 and L103 findings: unsatisfiable selections,
-   projections binding a column twice, and unions whose sides agree on
-   columns as sets but not in order.  The columns are this lenient list, not
-   [Algebra.infer]'s, because [infer] stops at a projection it rejects and
-   L103 must still be found above one.  [shape] reaches the children, [scan]
-   resolves sources. *)
-let shape_step scan shape q =
+(* [infer]'s rule at [q], with [a]'s verdict in [ra] and the other's in [rb]. *)
+let verdict env q a ra rb =
+  Algebra.infer_step (fun _ child -> if child == a then ra.typed else rb.typed) env q
+
+(* Each child is reached once, as [fold] recomputes an unshared node.  What
+   [infer] accepts binds no column twice and has union sides that agree as
+   sets, so only where it fails are L102 and a union's sets checked. *)
+let typed_step env fold q =
   match q with
-  | Algebra.Scan src -> (scan src, [])
+  | Algebra.Scan _ ->
+      let typed = Algebra.infer env q in
+      { typed; cols = Result.to_option typed; findings = [] }
   | Algebra.Select (c, sub) ->
-      let cols, below = shape sub in
+      let s = fold sub in
       let here =
-        if unsat c then
+        if Query.Simplify.unsat c then
           [ Diag.finding ~code:"L011" ~severity:Diag.Warning
               "selection %s is unsatisfiable: the subtree contributes no rows"
               (Query.Pretty.cond_string c) ]
         else []
       in
-      (cols, Diag.union_findings here below)
-  | Algebra.Project (items, sub) ->
-      let here =
-        match dup_dsts items with
-        | [] -> []
-        | dups ->
-            [ Diag.finding ~code:"L102" ~severity:Diag.Error
-                "projection binds column(s) %s more than once" (String.concat ", " dups) ]
-      in
-      (Some (List.map Algebra.dst_of items), Diag.union_findings here (snd (shape sub)))
+      let typed = verdict env q sub s s in
+      { typed; cols = s.cols; findings = Diag.union_findings here s.findings }
+  | Algebra.Project (items, sub) -> (
+      let s = fold sub in
+      match verdict env q sub s s with
+      | Ok dsts as typed -> { typed; cols = Some dsts; findings = s.findings }
+      | Error _ as typed ->
+          let here =
+            match dup_dsts items with
+            | [] -> []
+            | dups ->
+                [ Diag.finding ~code:"L102" ~severity:Diag.Error
+                    "projection binds column(s) %s more than once" (String.concat ", " dups) ]
+          in
+          { typed;
+            cols = Some (List.map Algebra.dst_of items);
+            findings = Diag.union_findings here s.findings })
   | Algebra.Join (l, r, on) | Algebra.Left_outer_join (l, r, on) | Algebra.Full_outer_join (l, r, on)
     ->
-      let lc, lf = shape l in
-      let rc, rf = shape r in
+      let rl = fold l in
+      let rr = fold r in
+      let typed = verdict env q l rl rr in
       let cols =
-        match (lc, rc) with
-        | Some lc, Some rc -> Some (lc @ List.filter (fun c -> not (List.mem c on)) rc)
-        | _ -> None
+        match (typed, rl.cols, rr.cols) with
+        | Ok cols, _, _ -> Some cols
+        | Error _, Some lc, Some rc -> Some (lc @ List.filter (fun c -> not (List.mem c on)) rc)
+        | Error _, _, _ -> None
       in
-      (cols, Diag.union_findings lf rf)
+      { typed; cols; findings = Diag.union_findings rl.findings rr.findings }
   | Algebra.Union_all (l, r) ->
-      let lc, lf = shape l in
-      let rc, rf = shape r in
+      let rl = fold l in
+      let rr = fold r in
+      let typed = verdict env q l rl rr in
       let here =
-        match (lc, rc) with
+        match (rl.cols, rr.cols) with
         | Some lc, Some rc
-          when lc <> rc && List.sort String.compare lc = List.sort String.compare rc ->
+          when lc <> rc
+               && (Result.is_ok typed
+                  || List.sort String.compare lc = List.sort String.compare rc) ->
             [ Diag.finding ~code:"L103" ~severity:Diag.Warning
                 "UNION ALL sides agree on columns but in different order: {%s} vs {%s}"
                 (String.concat "," lc) (String.concat "," rc) ]
         | _ -> []
       in
-      (lc, Diag.union_findings here (Diag.union_findings lf rf))
+      let findings = Diag.union_findings rl.findings rr.findings in
+      { typed; cols = rl.cols; findings = Diag.union_findings here findings }
 
 (* -- L008: dead CASE branches ---------------------------------------------- *)
 
@@ -223,7 +238,7 @@ let leaf_name = function
 
 let dead_branch_diags loc ctor acc =
   let dead guard leaf acc =
-    if unsat guard then
+    if Query.Simplify.unsat guard then
       Diag.makef ~code:"L008" ~severity:Diag.Warning ~loc
         "CASE branch constructing %s is unreachable (guard %s is unsatisfiable)" (leaf_name leaf)
         (Query.Pretty.cond_string guard)
@@ -231,10 +246,7 @@ let dead_branch_diags loc ctor acc =
     else acc
   in
   match Ctor.branches ctor with
-  | Some bs ->
-      List.fold_left
-        (fun acc b -> match b with Some (guard, leaf) -> dead guard leaf acc | None -> acc)
-        acc bs
+  | Some bs -> List.fold_left (fun acc (guard, leaf) -> dead guard leaf acc) acc bs
   | None ->
       (* Some guard resists complementation: fall back to testing each branch
          condition on its own. *)
@@ -266,31 +278,37 @@ let ctor_refs_step refs c =
       ( Refs.union (tag "condition column" (Cond.columns cond)) (Refs.union ra rb),
         Cond.type_atoms cond <> [] || ta || tb )
 
-(* Membership in a sorted array: one small array per view instead of a set. *)
-let sorted_mem cols c =
-  let rec go lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) / 2 in
-    let k = String.compare c cols.(mid) in
-    k = 0 || if k < 0 then go lo mid else go (mid + 1) hi
-  in
-  go 0 (Array.length cols)
+(* Membership in a sorted array, without a closure. *)
+let rec sorted_mem cols c lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let k = String.compare c cols.(mid) in
+  k = 0 || if k < 0 then sorted_mem cols c lo mid else sorted_mem cols c (mid + 1) hi
+
+(* Sorted once per list: views share [infer]'s lists, and [compare] stops at [==]. *)
+let sorted_columns tbl cols =
+  match Hashtbl.find tbl cols with
+  | sorted -> sorted
+  | exception Not_found ->
+      let sorted = Array.of_list cols in
+      Array.stable_sort String.compare sorted;
+      Hashtbl.add tbl cols sorted;
+      sorted
 
 let ctor_ref_diags loc (refs, tests_types) cols acc =
-  let cols = Array.of_list cols in
-  Array.sort String.compare cols;
+  let mem c = sorted_mem cols c 0 (Array.length cols) in
   let acc =
     Refs.fold
       (fun (what, c) acc ->
-        if sorted_mem cols c then acc
+        if mem c then acc
         else
           Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
             "constructor %s %s is not produced by the view's query" what c
           :: acc)
       refs acc
   in
-  if tests_types && not (sorted_mem cols Query.Env.type_column) then
+  if tests_types && not (mem Query.Env.type_column) then
     Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
       "constructor tests entity types but the query does not carry %s" Query.Env.type_column
     :: acc
@@ -298,12 +316,8 @@ let ctor_ref_diags loc (refs, tests_types) cols acc =
 
 (* -- Assembly ------------------------------------------------------------- *)
 
-(* Every analysis is a memoized fold with one table per call: the
-   environment is fixed for the call, and a table holds location-free
-   findings, which each view places at its own location.  A table keeps only
-   the results of nodes a second parent will ask for ([Memo.shared]), so
-   what stays live during the call is small; the L104 pass runs after the
-   others, so their tables are dead by then. *)
+(* One table per analysis per call (see wf.mli); the L104 pass runs after
+   the others' tables are dead. *)
 
 (* Every view with its location and whether its CASE branches are checked
    (L008).  The root view's constructor carries the hierarchy's full CASE
@@ -319,28 +333,19 @@ let located env (qv : View.query_views) (uv : View.update_views) =
 
 (* L008, L011, L101, L102, L103 and L105 of every view. *)
 let view_shape_diags env ~keep views =
-  let algebra step = Algebra.Memo.fix ~keep (Algebra.Memo.create ()) step in
-  let infer = algebra (fun infer -> Algebra.infer_step (fun _ -> infer) env) in
-  let scans = Hashtbl.create 64 in
-  let scan src =
-    match Hashtbl.find_opt scans src with
-    | Some cols -> cols
-    | None ->
-        let cols = Result.to_option (Algebra.infer env (Algebra.Scan src)) in
-        Hashtbl.add scans src cols;
-        cols
-  in
-  let shape = algebra (shape_step scan) in
+  let fold = Algebra.Memo.fix ~keep (Algebra.Memo.create ()) (typed_step env) in
   let refs =
     let keep = Ctor.Memo.shared (List.map (fun (_, _, (v : View.t)) -> v.ctor) views) in
     Ctor.Memo.fix ~keep (Ctor.Memo.create ()) ctor_refs_step
   in
+  let sorted = Hashtbl.create 64 in
   let one acc (loc, branches, (v : View.t)) =
-    let structural = List.rev_map (Diag.at loc) (snd (shape v.query)) in
+    let n = fold v.query in
+    let structural = List.rev_map (Diag.at loc) n.findings in
     let acc = if branches then dead_branch_diags loc v.ctor acc else acc in
     List.rev_append
-      (match infer v.query with
-      | Ok cols -> ctor_ref_diags loc (refs v.ctor) cols structural
+      (match n.typed with
+      | Ok cols -> ctor_ref_diags loc (refs v.ctor) (sorted_columns sorted cols) structural
       | Error msg ->
           (* Suppress when a more specific structural error already explains
              the failure. *)
@@ -352,7 +357,7 @@ let view_shape_diags env ~keep views =
 
 (* L104 of every update view. *)
 let update_null_diags env ~keep (uv : View.update_views) =
-  let scans : scan_memo = Hashtbl.create 64 in
+  let scans = Hashtbl.create 64 in
   let nullability =
     Algebra.Memo.fix ~keep (Algebra.Memo.create ()) (nullability_step (scan_nullability scans env))
   in

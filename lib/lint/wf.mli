@@ -30,22 +30,20 @@
     analysis linear in the model rather than in (branches x subtypes).
 
     {b Shared subterms.}  The incremental compiler builds each new view out
-    of the old views' subterms, so the compiled views form a DAG: on the
-    customer model about 33,600 algebra nodes as trees, about 2,000
-    physically distinct.  Each analysis is therefore a fold memoized on
-    physical identity ({!Query.Algebra.Memo}, {!Query.Ctor.Memo}) and runs
-    once per distinct subterm.  This is sound because
-    - there is one table per analysis per {!check} call, and the
-      environment is fixed for the call, so a node's result depends on the
-      node alone;
-    - a table holds location-free findings ({!Diag.finding}); each view
-      places the findings of its subterms at its own location, so a fault
-      in a shared subterm is still reported at every view that contains it;
-    - the findings of a subterm reached twice within one view are merged
-      ({!Diag.union_findings}), so each is reported once per view, which is
-      what {!Diag.sort} made of the duplicates of a tree walk.
-    A table stores only the results of subterms reached more than once
-    ([Memo.shared]), so the memory held during a call stays small. *)
+    of the old views' subterms, so the views form a DAG: a loaded customer
+    state has 33,306 algebra nodes as trees, 1,818 physically distinct.
+    Each analysis is a fold memoized on physical identity
+    ({!Query.Algebra.Memo}, {!Query.Ctor.Memo}).  One typed fold yields a
+    subterm's [Algebra.infer] verdict, columns and L011/L102/L103 findings
+    together; L105 sorts each distinct column list once; L008 tests the
+    guards {!Query.Ctor.branches} builds once each; L104 is its own fold.
+    Sound because each table lives for one {!check} call, with the
+    environment fixed, and holds location-free findings ({!Diag.finding})
+    that each view places at its own location, merged
+    ({!Diag.union_findings}) where one view reaches a subterm twice.  A
+    table keeps only subterms reached more than once ([Memo.shared]).  On
+    loaded customer a call allocates 3.2 MB: the typed fold 1.2, the
+    constructor reference sets 0.8, L104 0.5. *)
 
 val check :
   Query.Env.t -> Query.View.query_views -> Query.View.update_views -> Diag.t list

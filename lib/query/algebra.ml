@@ -44,14 +44,18 @@ let source_columns env = function
       | Some _ -> Ok (Env.table_columns env t)
       | None -> fail "unknown table %s" t)
 
+(* The atoms are tested in place; the lists of [Cond.columns] are built
+   only to name the first absent column. *)
 let check_cond cols c =
-  let missing = List.filter (fun a -> not (List.mem a cols)) (Cond.columns c) in
-  let* () =
-    match missing with
-    | [] -> Ok ()
-    | a :: _ -> fail "condition %s references absent column %s" (Cond.show c) a
+  let absent = function
+    | Cond.Is_null a | Cond.Is_not_null a | Cond.Cmp (a, _, _) -> not (List.mem a cols)
+    | _ -> false
   in
-  if Cond.type_atoms c <> [] && not (List.mem Env.type_column cols) then
+  let type_atom = function Cond.Is_of _ | Cond.Is_of_only _ -> true | _ -> false in
+  if Cond.exists_atom absent c then
+    fail "condition %s references absent column %s" (Cond.show c)
+      (List.find (fun a -> not (List.mem a cols)) (Cond.columns c))
+  else if Cond.exists_atom type_atom c && not (List.mem Env.type_column cols) then
     fail "type test in %s over rows without a dynamic type" (Cond.show c)
   else Ok ()
 
@@ -113,7 +117,7 @@ let infer_step infer env = function
   | Union_all (l, r) ->
       let* lc = infer env l in
       let* rc = infer env r in
-      if List.sort String.compare lc = List.sort String.compare rc then Ok lc
+      if lc = rc || List.sort String.compare lc = List.sort String.compare rc then Ok lc
       else
         fail "union sides disagree: {%s} vs {%s}" (String.concat "," lc) (String.concat "," rc)
 

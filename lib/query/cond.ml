@@ -88,6 +88,11 @@ let rec atoms_acc acc = function
 
 let atoms c = List.rev (atoms_acc [] c)
 
+let rec exists_atom p = function
+  | True | False -> false
+  | (Is_of _ | Is_of_only _ | Is_null _ | Is_not_null _ | Cmp _) as a -> p a
+  | And (a, b) | Or (a, b) -> exists_atom p a || exists_atom p b
+
 let columns c =
   List.filter_map
     (function
@@ -120,22 +125,31 @@ let rename_columns pairs c =
       | (True | False | Is_of _ | Is_of_only _ | And _ | Or _) as atom -> atom)
     c
 
-(* Flatten to lists of conjuncts/disjuncts, simplify, rebuild. *)
+(* Unit and absorbing elements and duplicate removal, bottom up.  [orig] is
+   the node being simplified: when its children come back physically
+   unchanged it is returned itself, so simplifying a simplified condition
+   allocates nothing. *)
+let and_of ~orig a b =
+  match (a, b) with
+  | False, _ | _, False -> False
+  | True, x | x, True -> x
+  | x, y when equal x y -> x
+  | x, y -> ( match orig with And (a0, b0) when a0 == x && b0 == y -> orig | _ -> And (x, y))
+
+let or_of ~orig a b =
+  match (a, b) with
+  | True, _ | _, True -> True
+  | False, x | x, False -> x
+  | x, y when equal x y -> x
+  | x, y -> ( match orig with Or (a0, b0) when a0 == x && b0 == y -> orig | _ -> Or (x, y))
+
 let rec simplify c =
   match c with
   | True | False | Is_of _ | Is_of_only _ | Is_null _ | Is_not_null _ | Cmp _ -> c
-  | And (a, b) -> (
-      match simplify a, simplify b with
-      | False, _ | _, False -> False
-      | True, x | x, True -> x
-      | x, y when equal x y -> x
-      | x, y -> And (x, y))
-  | Or (a, b) -> (
-      match simplify a, simplify b with
-      | True, _ | _, True -> True
-      | False, x | x, False -> x
-      | x, y when equal x y -> x
-      | x, y -> Or (x, y))
+  | And (a, b) -> and_of ~orig:c (simplify a) (simplify b)
+  | Or (a, b) -> or_of ~orig:c (simplify a) (simplify b)
+
+let simplify_and a b = and_of ~orig:True a b
 
 let rec dnf = function
   | True -> [ [] ]

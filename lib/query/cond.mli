@@ -50,6 +50,10 @@ val eval : Edm.Schema.t -> Datum.Row.t -> t -> bool
 val atoms : t -> t list
 (** The distinct atoms, in first-occurrence order. *)
 
+val exists_atom : (t -> bool) -> t -> bool
+(** [exists_atom p c] is [List.exists p (atoms c)], without building the
+    list. *)
+
 val columns : t -> string list
 (** Attribute names mentioned by non-type atoms. *)
 
@@ -67,7 +71,13 @@ val rename_columns : (string * string) list -> t -> t
 
 val simplify : t -> t
 (** Boolean simplification: unit/absorbing elements, flattening, duplicate
-    removal.  Purely syntactic — no satisfiability reasoning. *)
+    removal.  Purely syntactic — no satisfiability reasoning.
+    Sharing-preserving: [simplify (simplify c) == simplify c]. *)
+
+val simplify_and : t -> t -> t
+(** [simplify_and a b] is [simplify (And (a, b))] for [a] and [b] already
+    simplified, in one step: a conjunction chain extended one simplified
+    condition at a time is simplified once, not once per extension. *)
 
 val dnf : t -> t list list
 (** Disjunctive normal form as a list of conjunctions of atoms.  [True] is

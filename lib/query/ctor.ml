@@ -40,21 +40,21 @@ let rec types_constructed = function
       ta @ List.filter (fun ty -> not (List.mem ty ta)) (types_constructed b)
 
 (* Flatten the decision tree into (guard, leaf) pairs.  The guard of a leaf
-   is the conjunction of the conditions on its path, with else-branches
-   contributing the SQL-faithful complement. *)
+   is the simplified conjunction of the conditions on its path, with
+   else-branches contributing the SQL-faithful complement.  Each node's
+   guard extends its parent's by one simplified condition, so the guards of
+   a CASE chain share their prefixes and cost one node per branch. *)
 let branches ctor =
   let ( let* ) = Option.bind in
-  let rec go guard = function
-    | (Entity _ | Tuple _) as leaf -> Some [ (Cond.simplify (Cond.conj (List.rev guard)), leaf) ]
+  let rec go guard k acc =
+    match k with
+    | Entity _ | Tuple _ -> Some ((guard, k) :: acc)
     | If (c, a, b) ->
-        let* bs_then = go (c :: guard) a in
         let* nc = Cond.negate c in
-        let* bs_else = go (nc :: guard) b in
-        Some (bs_then @ bs_else)
+        let* acc = go (Cond.simplify_and guard (Cond.simplify nc)) b acc in
+        go (Cond.simplify_and guard (Cond.simplify c)) a acc
   in
-  match go [] ctor with
-  | Some pairs -> Some (List.map (fun p -> Some p) pairs)
-  | None -> None
+  go Cond.True ctor []
 
 let guard_for ctor ~satisfies =
   match branches ctor with
@@ -62,9 +62,7 @@ let guard_for ctor ~satisfies =
   | Some pairs ->
       let conds =
         List.filter_map
-          (function
-            | Some (guard, Entity { etype; _ }) when satisfies etype -> Some guard
-            | Some _ | None -> None)
+          (function guard, Entity { etype; _ } when satisfies etype -> Some guard | _ -> None)
           pairs
       in
       Some (Cond.simplify (Cond.disj conds))

@@ -33,10 +33,13 @@ val eval_tuple : Edm.Schema.t -> Datum.Row.t -> t -> Datum.Row.t
 val types_constructed : t -> string list
 (** Entity types appearing at [Entity] leaves, outermost first. *)
 
-val branches : t -> (Cond.t * t) option list option
-(** Guard/leaf pairs with the else-branch guards complemented via
-    {!Cond.negate}; [None] when some branch condition is not negatable.
-    Intended for internal use by {!guard_for}. *)
+val branches : t -> (Cond.t * t) list option
+(** Guard/leaf pairs, leaves left to right, each guard the
+    {!Cond.simplify}d conjunction of the conditions on the leaf's path with
+    the else-branch conditions complemented via {!Cond.negate}; [None] when
+    some branch condition is not negatable.  Guards share their common
+    prefixes, so a CASE chain of [n] branches costs [O(n)] condition nodes.
+    Used by {!guard_for} and the linter's dead-branch check. *)
 
 val guard_for : t -> satisfies:(string -> bool) -> Cond.t option
 (** The row-level condition under which the constructed entity's type

@@ -46,13 +46,13 @@ struct
     let edges = H.create 256 in
     let rec visit x =
       match H.find edges x with
-      | n -> incr n
+      | n -> H.replace edges x (n + 1)
       | exception Not_found ->
-          H.add edges x (ref 1);
+          H.add edges x 1;
           T.iter_children visit x
     in
     List.iter visit roots;
     let shared = H.create 64 in
-    H.iter (fun x n -> if !n > 1 then H.add shared x ()) edges;
+    H.iter (fun x n -> if n > 1 then H.add shared x ()) edges;
     if H.length shared = 0 then fun _ -> false else H.mem shared
 end

@@ -45,6 +45,11 @@ let cond c =
   | c' when c' == c || Cond.equal c c' -> c
   | c' -> Cond.simplify c'
 
+(* The folding returns [False] or a term without [False] in it, which
+   [Cond.simplify] cannot turn into [False]: so one folding decides. *)
+let unsat c =
+  match fold_contradictions ~top:true (Cond.simplify c) with Cond.False -> true | _ -> false
+
 (* Compose two projection layers: the outer items re-expressed directly over
    the input of the inner items. *)
 let compose_projections outer inner =

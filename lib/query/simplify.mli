@@ -16,6 +16,11 @@ val cond : Cond.t -> Cond.t
     {!Cond.atoms_contradict}) and lone comparisons against [NULL] fold to
     [False].  Conditions without a contradiction come back unchanged. *)
 
+val unsat : Cond.t -> bool
+(** [cond c = False], without rebuilding [c]: no row satisfies [c] by
+    [cond]'s local reasoning.  A simplified [c] is simplified again for
+    free ({!Cond.simplify} keeps it). *)
+
 val query : ?keep:(Algebra.t -> bool) -> Env.t -> Algebra.t -> Algebra.t
 (** Views are DAGs: [query env] creates one table keyed on physical
     identity, so applying it to several queries rewrites (and types) each

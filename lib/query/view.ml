@@ -24,6 +24,10 @@ let entity_view_bindings qv = String_map.bindings qv.entity
 let assoc_view_bindings qv = String_map.bindings qv.assoc
 let update_view_bindings uv = String_map.bindings uv
 
+let queries qv uv =
+  List.map (fun (_, v) -> v.query)
+    (entity_view_bindings qv @ assoc_view_bindings qv @ update_view_bindings uv)
+
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 

@@ -37,6 +37,9 @@ val entity_view_bindings : query_views -> (string * t) list
 val assoc_view_bindings : query_views -> (string * t) list
 val update_view_bindings : update_views -> (string * t) list
 
+val queries : query_views -> update_views -> Algebra.t list
+(** Every view's query: the entity, association, then update views. *)
+
 val apply_query_views :
   Env.t -> query_views -> Relational.Instance.t -> (Edm.Instance.t, string) result
 (** Materialize the client state of a store state: evaluate each hierarchy

@@ -329,10 +329,7 @@ module Views = struct
       else acc
     in
     match Query.Ctor.branches ctor with
-    | Some bs ->
-        List.fold_left
-          (fun acc b -> match b with Some (guard, leaf) -> dead guard leaf acc | None -> acc)
-          acc bs
+    | Some bs -> List.fold_left (fun acc (guard, leaf) -> dead guard leaf acc) acc bs
     | None ->
         (* Some guard resists complementation: fall back to testing each branch
            condition on its own. *)

@@ -535,6 +535,63 @@ let test_shared_faults () =
     ];
   ignore (same_as_tree "shared faults" env qv uv)
 
+(* The view fold derives the lenient column lists and "no L102/L103" from
+   [infer]'s verdict where it succeeds, and works them out on their own only
+   where it fails.  These views sit on that boundary. *)
+let test_typed_fold_boundary () =
+  let env = env_of [ ("Persons", person (), []) ] [ table_p () ] in
+  let p = A.Scan (A.Table "P") in
+  let view q = { Query.View.query = q; ctor = entity_leaf } in
+  let lint tag views =
+    let qv =
+      List.fold_left
+        (fun qv (name, v) -> Query.View.set_entity_view name v qv)
+        Query.View.no_query_views views
+    in
+    same_as_tree tag env qv Query.View.no_update_views
+  in
+  let at name code ds =
+    List.exists (fun (d : Diag.t) -> d.code = code && d.loc = Diag.Query_view name) ds
+  in
+  (* [infer] rejects the left projection (absent column), so it types no
+     union above it; the lenient lists still show the sides in different
+     order. *)
+  let rejected = A.Project ([ A.col "Id"; A.col_as "Ghost" "Nick" ], p) in
+  let ds =
+    lint "L103 above a rejected projection"
+      [ ("V", view (A.Union_all (rejected, A.Project ([ A.col "Nick"; A.col "Id" ], p)))) ]
+  in
+  checkb "L103 above a projection infer rejects" true (at "V" "L103" ds);
+  checkb "and L101 for the absent column" true (at "V" "L101" ds);
+  (* [infer] stops at the absent column, before it looks for duplicates, in
+     the projection itself and in its input; L102 is still reported, and
+     explains the failure, so L101 is not. *)
+  let dup_over q = A.Project ([ A.col "Id"; A.col_as "Nick" "Id" ], q) in
+  let ds =
+    lint "L102 after an earlier failure"
+      [ ("Own", view (A.Project ([ A.col "Ghost"; A.col "Id"; A.col_as "Nick" "Id" ], p)));
+        ("Below", view (dup_over (A.Select (C.Is_null "Ghost", p)))) ]
+  in
+  List.iter
+    (fun name ->
+      checkb (name ^ ": L102 reported") true (at name "L102" ds);
+      checkb (name ^ ": L101 suppressed") false (at name "L101" ds))
+    [ "Own"; "Below" ];
+  (* Three views over one physical column list (one query, and a selection
+     over it, which passes the list up); one constructor names a column the
+     list lacks.  L105 is that view's alone. *)
+  let q = A.project_cols [ "Id"; "Nick" ] p in
+  let ghost = Query.Ctor.Entity { etype = "Person"; attrs = [ "Id"; "Ghost" ] } in
+  let ds =
+    lint "L105 on a shared column list"
+      [ ("Clean", view q);
+        ("Ghost", { Query.View.query = q; ctor = ghost });
+        ("Selected", view (A.Select (C.Is_not_null "Id", q))) ]
+  in
+  checkb "L105 at the view whose constructor names the column" true (at "Ghost" "L105" ds);
+  checkb "no L105 at the views that share its columns" false
+    (at "Clean" "L105" ds || at "Selected" "L105" ds)
+
 (* Each [Analyze.run] opens one span per pass under [lint.analyze], and the
    view analysis reports the sharing it exploits. *)
 let test_pass_spans () =
@@ -623,6 +680,7 @@ let () =
           Alcotest.test_case "customer suite matches tree" `Quick test_dag_customer_suite;
           prop_dag_random;
           Alcotest.test_case "shared faults at every view" `Quick test_shared_faults;
+          Alcotest.test_case "typed fold boundary" `Quick test_typed_fold_boundary;
           Alcotest.test_case "one span per pass" `Quick test_pass_spans;
         ] );
       ( "speed",

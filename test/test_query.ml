@@ -126,6 +126,13 @@ let prop_simplify_equivalent =
       let s = C.simplify c in
       List.for_all (fun r -> C.eval client r c = C.eval client r s) (rows_of_instance inst))
 
+(* A simplified condition is its own simplification, physically: the
+   linter simplifies CASE guards once and relies on it. *)
+let prop_simplify_shares =
+  qtest "simplify keeps a simplified condition" ~count:300 arb_cond (fun c ->
+      let s = C.simplify c in
+      C.simplify s == s)
+
 let prop_negate_complements =
   qtest "negate is the row-level complement" ~count:300
     QCheck.(pair arb_cond_no_types arb_client_instance)
@@ -208,6 +215,11 @@ let prop_simplify_cond_equivalent =
       let s = Query.Simplify.cond c in
       List.for_all (fun r -> C.eval client r c = C.eval client r s) (rows_of_instance inst))
 
+(* [unsat] decides [cond c = False] with one folding and no rebuilding. *)
+let prop_unsat_is_cond_false =
+  qtest "unsat is cond = FALSE" ~count:500 arb_cond (fun c ->
+      Query.Simplify.unsat c = C.equal (Query.Simplify.cond c) C.False)
+
 (* -- pretty --------------------------------------------------------------- *)
 
 let test_pretty () =
@@ -272,13 +284,47 @@ let test_ctor_dead_final_else () =
       check Alcotest.int "three branches" 3 (List.length bs);
       let dead g = C.equal (Query.Simplify.cond g) C.False in
       match bs with
-      | [ Some (g1, l1); Some (g2, _); Some (g3, l3) ] ->
+      | [ (g1, l1); (g2, _); (g3, l3) ] ->
           checkb "then branch first" true (Query.Ctor.equal l1 (leaf "A"));
           checkb "first guard live" false (dead g1);
           checkb "second guard live" false (dead g2);
           checkb "final else leaf last" true (Query.Ctor.equal l3 (leaf "C"));
           checkb "final else guard is dead" true (dead g3)
       | _ -> Alcotest.fail "unexpected branch shape")
+
+(* [branches] builds each guard by extending its parent's; the oracle
+   conjoins and simplifies each leaf's path on its own. *)
+let prop_ctor_branches =
+  let leaf i = Query.Ctor.Entity { etype = "T" ^ string_of_int i; attrs = [ "Id" ] } in
+  let gen =
+    QCheck.Gen.(
+      sized_size (int_bound 12)
+      @@ fix (fun self n ->
+             if n = 0 then map leaf small_nat
+             else
+               map3
+                 (fun c a b -> Query.Ctor.If (c, a, b))
+                 (frequency [ (9, gen_cond_no_types); (1, gen_cond) ])
+                 (self (n / 3)) (self (n - 1 - (n / 3)))))
+  in
+  let oracle ctor =
+    let ( let* ) = Option.bind in
+    let rec go guard = function
+      | (Query.Ctor.Entity _ | Query.Ctor.Tuple _) as k ->
+          Some [ (C.simplify (C.conj (List.rev guard)), k) ]
+      | Query.Ctor.If (c, a, b) ->
+          let* bs_then = go (c :: guard) a in
+          let* nc = C.negate c in
+          let* bs_else = go (nc :: guard) b in
+          Some (bs_then @ bs_else)
+    in
+    go [] ctor
+  in
+  qtest "branches are the simplified path conjunctions" ~count:500
+    (QCheck.make ~print:Query.Ctor.show gen) (fun ctor ->
+      Option.equal
+        (List.equal (fun (g, k) (g', k') -> C.equal g g' && Query.Ctor.equal k k'))
+        (Query.Ctor.branches ctor) (oracle ctor))
 
 (* Unfolding a type test over a projection that dropped the provenance
    machinery must fail with the type-erasing diagnostic, not silently
@@ -358,6 +404,7 @@ let () =
         [
           prop_dnf_equivalent;
           prop_simplify_equivalent;
+          prop_simplify_shares;
           prop_negate_complements;
           Alcotest.test_case "negate type test" `Quick test_negate_type_test;
           Alcotest.test_case "helpers" `Quick test_cond_helpers;
@@ -367,6 +414,7 @@ let () =
           Alcotest.test_case "semantics preserved" `Quick test_simplify_queries;
           Alcotest.test_case "contradiction folding" `Quick test_simplify_contradictions;
           prop_simplify_cond_equivalent;
+          prop_unsat_is_cond_false;
         ] );
       ( "pretty", [ Alcotest.test_case "rendering" `Quick test_pretty ] );
       ( "unfold",
@@ -377,5 +425,6 @@ let () =
           Alcotest.test_case "evaluation" `Quick test_ctor_eval;
           Alcotest.test_case "guards" `Quick test_ctor_guard;
           Alcotest.test_case "dead final else" `Quick test_ctor_dead_final_else;
+          prop_ctor_branches;
         ] );
     ]
