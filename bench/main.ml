@@ -106,7 +106,9 @@ type table = { name : string; keys : string list; rows : (string * cell) list li
 (* The columns whose values do not depend on the host. *)
 let count_columns =
   [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "tables_visited"; "scans"; "index_scans";
-    "rows_scanned"; "diags"; "state_bytes"; "steps"; "verdict"; "tree_nodes"; "distinct_nodes" ]
+    "rows_scanned"; "diags"; "state_bytes"; "steps"; "verdict"; "tree_nodes"; "distinct_nodes";
+    "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union"; "rows_distinct";
+    "rows_ctor" ]
 
 let json_string s =
   let esc = function
@@ -600,7 +602,8 @@ let obs_report ~chain_size () =
    immutable), so a step can be repeated as often as [sample] likes, each
    call taking the cycle's next delta.  Per step: the sampled ns and
    megabytes, and the table plans visited (the [tables] attribute of the
-   [ivm.propagate] span) as the mean over the cycle. *)
+   [ivm.propagate] span) as the mean over the cycle.  Per cycle: the rows
+   each IVM operator emitted ([ivm.rows.*], summed over its steps). *)
 let customer_steps env inc inst =
   let ok = function Ok x -> x | Error e -> failwith e in
   let schema = env.Query.Env.client in
@@ -720,9 +723,15 @@ let customer_steps env inc inst =
             | _ -> acc)
           0
       in
+      let operator_rows =
+        List.map
+          (fun op -> ("rows_" ^ op, int (Obs.Metric.value (Obs.Metric.counter ("ivm.rows." ^ op)))))
+          [ "scan"; "select"; "project"; "join"; "union"; "distinct"; "ctor" ]
+      in
       Obs.reset ();
       [ ("kind", str kind); ("steps", int n); ("ivm_step_ns", num 1 (ms *. 1e6)); ("alloc_mb", num 4 mb);
-        ("tables_visited", num 2 (float_of_int visited /. float_of_int n)) ])
+        ("tables_visited", num 2 (float_of_int visited /. float_of_int n)) ]
+      @ operator_rows)
     [ ("insert", inserts); ("update", updates); ("delete", deletes); ("link", links) ]
 
 let ivm () =

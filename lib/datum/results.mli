@@ -4,8 +4,6 @@
 
 val all_ok : ('a -> (unit, 'e) result) -> 'a list -> (unit, 'e) result
 
-val map_ok : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
-
 val collect : ('a -> ('b list, 'e) result) -> 'a list -> ('b list, 'e) result
 (** Concatenate the lists emitted per item, preserving emission order (the
     order [Containment.Discharge.run] reports the first failure in). *)

@@ -1,4 +1,4 @@
-type op =
+type op = Ivm.Apply.op =
   | Insert_entity of { set : string; entity : Edm.Instance.entity }
   | Delete_entity of { set : string; key : Datum.Row.t }
   | Update_entity of { set : string; key : Datum.Row.t; changes : (string * Datum.Value.t) list }

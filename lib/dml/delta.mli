@@ -9,15 +9,13 @@
     no dangling links), and the resulting state is re-checked with
     [Edm.Instance.conforms]. *)
 
-type op =
+type op = Ivm.Apply.op =
   | Insert_entity of { set : string; entity : Edm.Instance.entity }
   | Delete_entity of { set : string; key : Datum.Row.t }
-      (** [key] binds the hierarchy's key attributes. *)
   | Update_entity of { set : string; key : Datum.Row.t; changes : (string * Datum.Value.t) list }
-      (** Non-key attributes of the identified entity; the entity's type
-          must declare (or inherit) every changed attribute. *)
   | Insert_link of { assoc : string; link : Datum.Row.t }
   | Delete_link of { assoc : string; link : Datum.Row.t }
+(** The one client-delta type, which [Ivm.Apply] propagates. *)
 
 type t = op list
 

@@ -101,15 +101,6 @@ let topo_tables schema =
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let ivm_op = function
-  | Delta.Insert_entity { set; entity } ->
-      Ivm.Apply.Insert_entity
-        { set; etype = entity.Edm.Instance.etype; attrs = entity.Edm.Instance.attrs }
-  | Delta.Delete_entity { set; key } -> Ivm.Apply.Delete_entity { set; key }
-  | Delta.Update_entity { set; key; changes } -> Ivm.Apply.Update_entity { set; key; changes }
-  | Delta.Insert_link { assoc; link } -> Ivm.Apply.Insert_link { assoc; link }
-  | Delta.Delete_link { assoc; link } -> Ivm.Apply.Delete_link { assoc; link }
-
 (* One table's removed and added rows, paired by primary key: a key in both
    is an UPDATE of the changed columns, a key only removed a DELETE, a key
    only added an INSERT.  Should a key repeat on one side, its first row
@@ -222,7 +213,7 @@ let ivm_init env uv client =
   Ok { env; plan; rank = fk_rank env.Query.Env.store; state }
 
 let ivm_step inc delta =
-  let* deltas, state = Ivm.Apply.step inc.plan inc.state (List.map ivm_op delta) in
+  let* deltas, state = Ivm.Apply.step inc.plan inc.state delta in
   Ok (script_in_order inc.env.Query.Env.store inc.rank deltas, { inc with state })
 
 let ivm_store inc = Ivm.State.store inc.state

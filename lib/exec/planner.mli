@@ -22,7 +22,12 @@
 
     Every join becomes a hash join (build right, probe left) through
     {!Query.Join.hash}; a join with no join columns hashes every row under
-    the empty key, so it runs as a cross join. *)
+    the empty key, so it runs as a cross join.
+
+    Both runtimes run the plans lowered here: {!Run} executes the plans of
+    client queries, and [Ivm.Plan] lowers every update view through one
+    {!context} and {!plan_in}, so [Ivm.Engine] maintains the same plans
+    under client deltas. *)
 
 type context
 (** Planning state for the queries planned over one set of views: a

@@ -2,7 +2,7 @@ module Row_map = Multiset.Row_map
 module Src_map = Plan.Src_map
 
 type op =
-  | Insert_entity of { set : string; etype : string; attrs : Datum.Row.t }
+  | Insert_entity of { set : string; entity : Edm.Instance.entity }
   | Delete_entity of { set : string; key : Datum.Row.t }
   | Update_entity of { set : string; key : Datum.Row.t; changes : (string * Datum.Value.t) list }
   | Insert_link of { assoc : string; link : Datum.Row.t }
@@ -33,8 +33,8 @@ let entity_key schema ~set row =
 let feed_op (plan : Plan.t) (st, feed) op =
   let schema = plan.Plan.env.Query.Env.client in
   match op with
-  | Insert_entity { set; etype; attrs } ->
-      let row = Query.Eval.entity_row plan.Plan.env set { Edm.Instance.etype; attrs } in
+  | Insert_entity { set; entity } ->
+      let row = Query.Eval.entity_row plan.Plan.env set entity in
       let* key = entity_key schema ~set row in
       let src = Query.Algebra.Entity_set set in
       let base = State.base st src in
@@ -132,8 +132,7 @@ let init (plan : Plan.t) client =
         List.concat_map
           (fun (set, _) ->
             List.map
-              (fun (e : Edm.Instance.entity) ->
-                Insert_entity { set; etype = e.etype; attrs = e.attrs })
+              (fun entity -> Insert_entity { set; entity })
               (Edm.Instance.entities client ~set))
           (Edm.Schema.entity_sets schema)
       in

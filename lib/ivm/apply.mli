@@ -7,8 +7,8 @@
     same guards.  [step] then costs the delta plus the table plans it
     reaches, not O(instance).
 
-    Ops mirror [Dml.Delta.op] structurally (lib/ivm sits below lib/dml, so
-    it declares its own type; [Dml.Translate] converts).  [step] enforces
+    [op] is the client delta type: [Dml.Delta.op] re-exports it (lib/ivm
+    sits below lib/dml, so the type is declared here).  [step] enforces
     the keyed guards — duplicate/missing keys, immutable key attributes,
     unknown attributes, duplicate/missing links — against its base images,
     but {e not} the O(instance) whole-state checks of [Dml.Delta.apply]
@@ -16,9 +16,12 @@
     needing those validate the delta separately. *)
 
 type op =
-  | Insert_entity of { set : string; etype : string; attrs : Datum.Row.t }
+  | Insert_entity of { set : string; entity : Edm.Instance.entity }
   | Delete_entity of { set : string; key : Datum.Row.t }
+      (** [key] binds the hierarchy's key attributes. *)
   | Update_entity of { set : string; key : Datum.Row.t; changes : (string * Datum.Value.t) list }
+      (** Non-key attributes of the identified entity; the entity's type
+          must declare (or inherit) every changed attribute. *)
   | Insert_link of { assoc : string; link : Datum.Row.t }
   | Delete_link of { assoc : string; link : Datum.Row.t }
 

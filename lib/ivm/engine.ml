@@ -1,12 +1,15 @@
-(* Delta rules, one per algebra operator.  Selections and projections
-   distribute over deltas; unions add them; joins recompute exactly the key
-   groups a delta touches (old and new group contents are both at hand in
-   {!State.join_state}, so Δout = J(new) − J(old) per touched key, with J
-   the group's cross product or its padding, decided by [Query.Join.key]).
-   DISTINCT — applied by [apply_update_views] once to query rows and once to
-   constructed tuples — becomes multiplicity 0↔positive transitions. *)
+(* Delta rules, one per plan operator.  Selections and projections (a
+   scan's own included) distribute over deltas; unions add them; joins
+   recompute exactly the key groups a delta touches (old and new group
+   contents are both at hand in {!State.join_state}, so Δout = J(new) −
+   J(old) per touched key, with J the group's cross product or its padding,
+   decided by [Query.Join.key]).  DISTINCT — applied by
+   [apply_update_views] once to query rows and once to constructed tuples —
+   becomes multiplicity 0↔positive transitions. *)
 
 module Row_map = Multiset.Row_map
+module P = Exec.Plan
+module C = Query.Cond
 
 let c_scan = Obs.Metric.counter "ivm.rows.scan"
 let c_select = Obs.Metric.counter "ivm.rows.select"
@@ -43,10 +46,10 @@ let join_group (j : Query.Join.t) k lbag rbag =
 
 let group_keys groups = Row_map.fold (fun k _ acc -> Row_map.add k () acc) groups
 
-let join_delta (j : Plan.join) st dl dr =
-  let js = State.join st j.id in
-  let on = j.spec.Query.Join.on in
-  let dl_groups = Multiset.group_by on dl and dr_groups = Multiset.group_by on dr in
+(* Recompute the key groups [dl] and [dr] touch; [js] holds both inputs'
+   groups before the delta, and the result holds them after it. *)
+let join_delta (j : Query.Join.t) (js : State.join_state) dl dr =
+  let dl_groups = Multiset.group_by j.on dl and dr_groups = Multiset.group_by j.on dr in
   let touched = group_keys dr_groups (group_keys dl_groups Row_map.empty) in
   let group m k = Option.value ~default:Multiset.empty (Row_map.find_opt k m) in
   let set_group k g m = if Multiset.is_empty g then Row_map.remove k m else Row_map.add k g m in
@@ -56,57 +59,75 @@ let join_delta (j : Plan.join) st dl dr =
         let old_l = group lefts k and old_r = group rights k in
         let new_l = Multiset.sum (group dl_groups k) old_l in
         let new_r = Multiset.sum (group dr_groups k) old_r in
-        let d =
-          Multiset.diff (join_group j.spec k new_l new_r) (join_group j.spec k old_l old_r)
-        in
+        let d = Multiset.diff (join_group j k new_l new_r) (join_group j k old_l old_r) in
         (Multiset.sum d out, set_group k new_l lefts, set_group k new_r rights))
       touched
       (Multiset.empty, js.State.lefts, js.State.rights)
   in
-  (out, State.set_join j.id { State.lefts; rights } st)
+  (out, { State.lefts; rights })
 
-let rec node_delta env feed st = function
-  | Plan.Scan src ->
-      let d = Option.value ~default:Multiset.empty (Plan.Src_map.find_opt src feed) in
-      tick c_scan d;
-      (d, st)
-  | Plan.Select (c, n) ->
-      let d, st = node_delta env feed st n in
-      let d = Multiset.filter (fun r -> Query.Cond.eval env.Query.Env.client r c) d in
+let select schema c d =
+  match c with
+  | C.True -> d
+  | c ->
+      let d = Multiset.filter (fun r -> C.eval schema r c) d in
       tick c_select d;
-      (d, st)
-  | Plan.Project (items, n) ->
-      let d, st = node_delta env feed st n in
-      let d = Multiset.map_rows (Query.Eval.project_row items) d in
-      tick c_project d;
-      (d, st)
-  | Plan.Union (l, r) ->
-      let dl, st = node_delta env feed st l in
-      let dr, st = node_delta env feed st r in
+      d
+
+let project items d =
+  let d = Multiset.map_rows (Query.Eval.project_row items) d in
+  tick c_project d;
+  d
+
+(* The selection a scan applies: its residual filter, and for an index
+   probe the [col = value] conjunct it was planned from ([C.eval] matches
+   no [NULL], as the probe does). *)
+let scan_cond access filter =
+  match (access, filter) with
+  | P.Full_scan, f -> f
+  | P.Index_eq { col; value }, C.True -> C.Cmp (col, C.Eq, value)
+  | P.Index_eq { col; value }, f -> C.And (C.Cmp (col, C.Eq, value), f)
+
+(* [joins] holds the table's join states by preorder number and [next] is
+   the number of the next join the walk meets. *)
+let rec node_delta schema feed ((next, joins) as acc) = function
+  | P.Scan { source; access; filter; proj } ->
+      let d = Option.value ~default:Multiset.empty (Plan.Src_map.find_opt source feed) in
+      tick c_scan d;
+      let d = select schema (scan_cond access filter) d in
+      ((match proj with None -> d | Some items -> project items d), acc)
+  | P.Filter (c, n) ->
+      let d, acc = node_delta schema feed acc n in
+      (select schema c d, acc)
+  | P.Project (items, n) ->
+      let d, acc = node_delta schema feed acc n in
+      (project items d, acc)
+  | P.Append (l, r) ->
+      let dl, acc = node_delta schema feed acc l in
+      let dr, acc = node_delta schema feed acc r in
       let d = Multiset.sum dl dr in
       tick c_union d;
-      (d, st)
-  | Plan.Join j ->
-      let dl, st = node_delta env feed st j.left in
-      let dr, st = node_delta env feed st j.right in
-      let d, st = join_delta j st dl dr in
-      tick c_join d;
-      (d, st)
+      (d, acc)
+  | P.Hash_join j ->
+      let dl, acc = node_delta schema feed (next + 1, joins) j.left in
+      let dr, (after, joins) = node_delta schema feed acc j.right in
+      if Multiset.is_empty dl && Multiset.is_empty dr then (Multiset.empty, (after, joins))
+      else
+        let d, js = join_delta j.spec (State.join joins next) dl dr in
+        tick c_join d;
+        (d, (after, State.Int_map.add next js joins))
 
 let table_delta (plan : Plan.t) feed st (tp : Plan.table_plan) =
-  let d, st = node_delta plan.Plan.env feed st tp.Plan.root in
+  let schema = plan.Plan.env.Query.Env.client in
   let ts = State.table st tp.Plan.table in
+  let d, (_, joins) = node_delta schema feed (0, ts.State.joins) tp.Plan.root in
   let query_counts, set_d = Multiset.apply_distinct ~base:ts.State.query_counts ~delta:d in
   tick c_distinct set_d;
-  let tuple_d =
-    Multiset.map_rows
-      (fun r -> Query.Ctor.eval_tuple plan.Plan.env.Query.Env.client r tp.Plan.ctor)
-      set_d
-  in
+  let tuple_d = Multiset.map_rows (fun r -> Query.Ctor.eval_tuple schema r tp.Plan.ctor) set_d in
   tick c_ctor tuple_d;
   let tuple_counts, out = Multiset.apply_distinct ~base:ts.State.tuple_counts ~delta:tuple_d in
   ( out,
-    State.set_table tp.Plan.table { State.query_counts; tuple_counts }
+    State.set_table tp.Plan.table { State.query_counts; tuple_counts; joins }
       ~changed:(not (Multiset.is_empty out)) st )
 
 (* The plans reading a source the feed changes, in plan order.  Plan order

@@ -1,18 +1,26 @@
-(** The delta-propagation engine: one signed-multiset delta per operator.
+(** The delta-propagation engine: one signed-multiset delta per operator
+    of the [Exec.Plan.t] each table plan holds.
 
     Delta rules (Δ ranges over {!Multiset.t} with signed counts):
 
-    - σ[c]:   Δout = filter c Δin
-    - π:      Δout = image of Δin under the projection (counts sum)
-    - ∪ (ALL): Δout = Δl + Δr
-    - ⋈ / ⟕ / ⟗: group both deltas by join key; for each touched key [k],
-      Δout_k = J(L_k + ΔL_k, R_k + ΔR_k) − J(L_k, R_k).  All rows of a group
-      share one key, so [J] is one of two things: when [Query.Join.key]
-      accepts [k] (every join column present and non-[NULL]) and both sides
-      are non-empty, the cross product with multiplicities multiplied;
-      otherwise the [Query.Join.pad]ding of each side the kind preserves.
-      This is exact because equal join values imply equal key projections,
-      so no match crosses groups, and a keyless join is one group;
+    - scan of [src] with access path [a], residual filter [f] and fused
+      projection [p]: Δout = π[p] σ[a ∧ f] Δsrc, where [Index_eq {col; value}]
+      is the selection [col = value] it was planned from ([NULL] matches
+      nothing) and [Full_scan] selects everything;
+    - [Filter] (σ[c]): Δout = filter c Δin;
+    - [Project] (π): Δout = image of Δin under the projection (counts sum);
+    - [Append] (∪ ALL): Δout = Δl + Δr;
+    - [Hash_join] (⋈ / ⟕ / ⟗): group both deltas by join key; for each
+      touched key [k], Δout_k = J(L_k + ΔL_k, R_k + ΔR_k) − J(L_k, R_k).
+      All rows of a group share one key, so [J] is one of two things: when
+      [Query.Join.key] accepts [k] (every join column present and
+      non-[NULL]) and both sides are non-empty, the cross product with
+      multiplicities multiplied; otherwise the [Query.Join.pad]ding of each
+      side the kind preserves.  This is exact because equal join values
+      imply equal key projections, so no match crosses groups, and a
+      keyless join is one group.  A table plan's joins are numbered in
+      preorder; the number keys the join's groups in the table's
+      {!State.table_state};
     - DISTINCT (applied to query rows, then again to constructed tuples):
       rows whose multiplicity crosses 0 contribute ±1.
 
@@ -22,10 +30,16 @@
     state unchanged.  A propagation costs the delta plus the plans it
     reaches ({!Plan.readers}), not the whole plan.
 
-    Every operator increments an [ivm.rows.*] counter by the absolute row
-    count of the delta it emits; a propagation runs under an
-    ["ivm.propagate"] span carrying the fed row count ([rows.fed]) and the
-    number of table plans visited ([tables]). *)
+    Counters, each incremented by the absolute row count of a delta:
+    [ivm.rows.scan] the source delta a scan reads; [ivm.rows.select] what
+    a scan's selection (an [Index_eq] access or a residual filter) or a
+    [Filter] keeps; [ivm.rows.project] what a scan's fused projection or a
+    [Project] emits; [ivm.rows.join] and [ivm.rows.union] what a join and a
+    union emit; [ivm.rows.distinct] and [ivm.rows.ctor] the query rows
+    crossing 0 and the tuples constructed from them.  A scan without a
+    selection or a projection ticks neither counter.  A propagation runs
+    under an ["ivm.propagate"] span carrying the fed row count
+    ([rows.fed]) and the number of table plans visited ([tables]). *)
 
 val propagate :
   Plan.t -> State.t -> feed:Multiset.t Plan.Src_map.t -> State.t * (string * Multiset.t) list

@@ -4,25 +4,26 @@ module String_map = Map.Make (String)
 module Src_map = Plan.Src_map
 
 type join_state = { lefts : Multiset.t Row_map.t; rights : Multiset.t Row_map.t }
-type table_state = { query_counts : Multiset.t; tuple_counts : Multiset.t }
+
+type table_state = {
+  query_counts : Multiset.t;
+  tuple_counts : Multiset.t;
+  joins : join_state Int_map.t;
+}
 
 type t = {
   bases : Datum.Row.t Row_map.t Src_map.t;
-  joins : join_state Int_map.t;
   tables : table_state String_map.t;
   store : Relational.Instance.t;
 }
 
 let empty_join = { lefts = Row_map.empty; rights = Row_map.empty }
-let empty_table = { query_counts = Multiset.empty; tuple_counts = Multiset.empty }
+let empty_table =
+  { query_counts = Multiset.empty; tuple_counts = Multiset.empty; joins = Int_map.empty }
 
 let empty (plan : Plan.t) =
   {
-    bases =
-      List.fold_left
-        (fun m (src, _) -> Src_map.add src Row_map.empty m)
-        Src_map.empty plan.Plan.sources;
-    joins = Int_map.empty;
+    bases = Src_map.empty;
     tables = String_map.empty;
     store =
       List.fold_left
@@ -32,8 +33,7 @@ let empty (plan : Plan.t) =
 
 let base t src = Option.value ~default:Row_map.empty (Src_map.find_opt src t.bases)
 let set_base src b t = { t with bases = Src_map.add src b t.bases }
-let join t id = Option.value ~default:empty_join (Int_map.find_opt id t.joins)
-let set_join id js t = { t with joins = Int_map.add id js t.joins }
+let join joins id = Option.value ~default:empty_join (Int_map.find_opt id joins)
 let table t name = Option.value ~default:empty_table (String_map.find_opt name t.tables)
 
 let set_table name ts ~changed t =

@@ -1,16 +1,17 @@
 (** Materialized images maintained between deltas.
 
-    Immutable (each propagation returns a new value), holding three layers
+    Immutable (each propagation returns a new value), holding two layers
     and the store image they determine:
 
     - {e bases}: per client source, the current scan rows keyed by the
       source's key columns — what {!Apply} consults to validate ops and to
       build signed row deltas;
-    - {e joins}: per join id, both input bags grouped by join key — what the
-      engine needs to recompute exactly the touched key groups;
     - {e tables}: per store table, the bag of view query rows and the bag of
       constructed tuples, each with multiplicities, so DISTINCT maintenance
-      is a pair of counter transitions rather than a re-sort;
+      is a pair of counter transitions rather than a re-sort; and, per join
+      of the table's plan (numbered in preorder, so the numbers are local
+      to the table), both input bags grouped by join key — what the engine
+      needs to recompute exactly the touched key groups;
     - {e store}: per store table, the rows of [tuple_counts], ascending.  A
       table is re-listed only when its rows change, so the row list of a
       table a propagation leaves alone is physically the previous one. *)
@@ -21,11 +22,15 @@ module String_map : Map.S with type key = string
 module Src_map = Plan.Src_map
 
 type join_state = { lefts : Multiset.t Row_map.t; rights : Multiset.t Row_map.t }
-type table_state = { query_counts : Multiset.t; tuple_counts : Multiset.t }
+
+type table_state = {
+  query_counts : Multiset.t;
+  tuple_counts : Multiset.t;
+  joins : join_state Int_map.t;  (** by the join's preorder number in the plan *)
+}
 
 type t = {
   bases : Datum.Row.t Row_map.t Src_map.t;
-  joins : join_state Int_map.t;
   tables : table_state String_map.t;
   store : Relational.Instance.t;
 }
@@ -35,11 +40,12 @@ val empty : Plan.t -> t
 
 val base : t -> Query.Algebra.source -> Datum.Row.t Row_map.t
 val set_base : Query.Algebra.source -> Datum.Row.t Row_map.t -> t -> t
-val join : t -> int -> join_state
-val set_join : int -> join_state -> t -> t
+val join : join_state Int_map.t -> int -> join_state
+(** A join's entry in a table's [joins]; no groups when absent. *)
+
 val table : t -> string -> table_state
 val set_table : string -> table_state -> changed:bool -> t -> t
-(** Replace a table's counts.  [changed] says whether the rows of
+(** Replace a table's state.  [changed] says whether the rows of
     [tuple_counts] differ, as a set, from the current ones; only then is
     the table re-listed in the store image. *)
 

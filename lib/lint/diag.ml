@@ -50,8 +50,6 @@ let union_findings a b =
 let severity_label = function Error -> "error" | Warning -> "warning" | Info -> "info"
 
 let errors ds = List.filter (fun d -> d.severity = Error) ds
-let warnings ds = List.filter (fun d -> d.severity = Warning) ds
-let infos ds = List.filter (fun d -> d.severity = Info) ds
 
 let count ds =
   List.fold_left

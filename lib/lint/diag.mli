@@ -65,8 +65,6 @@ val severity_label : severity -> string
 (** ["error"] / ["warning"] / ["info"]. *)
 
 val errors : t list -> t list
-val warnings : t list -> t list
-val infos : t list -> t list
 
 val count : t list -> int * int * int
 (** [(errors, warnings, infos)]. *)

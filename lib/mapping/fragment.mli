@@ -50,9 +50,6 @@ val store_query : t -> Query.Algebra.t
 (** [π_β(σ_χ(R))] with β renamed to α, so both sides share an output
     schema. *)
 
-val store_query_raw : t -> Query.Algebra.t
-(** [π_β(σ_χ(R))] under the store column names. *)
-
 val holds : Query.Env.t -> Edm.Instance.t -> Relational.Instance.t -> t -> bool
 (** Whether the pair of states satisfies the fragment equation (set
     semantics) — the building block of the mapping's semantics. *)

@@ -206,13 +206,3 @@ let atoms_contradict a b =
       | _, _, Some s2, Some s1 -> bounds (w, s2) (v, s1)
       | _ -> false)
   | _ -> false
-
-let negate_type_test schema ~set_root c =
-  let all = Edm.Schema.subtypes schema set_root in
-  let complement keep =
-    disj (List.filter_map (fun ty -> if keep ty then None else Some (Is_of_only ty)) all)
-  in
-  match c with
-  | Is_of e -> Some (complement (fun ty -> Edm.Schema.is_subtype schema ~sub:ty ~sup:e))
-  | Is_of_only e -> Some (complement (fun ty -> ty = e))
-  | True | False | Is_null _ | Is_not_null _ | Cmp _ | And _ | Or _ -> None

@@ -98,9 +98,3 @@ val negate : t -> t option
 (** SQL-faithful row-level complement, when expressible without type
     reasoning: comparisons flip and pick up an [IS NULL] disjunct, null
     tests flip, [And]/[Or] dualize.  [None] if a type atom occurs. *)
-
-val negate_type_test :
-  Edm.Schema.t -> set_root:string -> t -> t option
-(** Complement of a single type atom within the hierarchy rooted at
-    [set_root], expressed as a disjunction of [Is_of_only] atoms over the
-    remaining types.  [None] for non-type atoms. *)

@@ -32,13 +32,6 @@ let rec eval_tuple schema row = function
   | Entity _ -> invalid_arg "Query.Ctor.eval_tuple: entity leaf in a tuple constructor"
   | If (c, a, b) -> if Cond.eval schema row c then eval_tuple schema row a else eval_tuple schema row b
 
-let rec types_constructed = function
-  | Entity { etype; _ } -> [ etype ]
-  | Tuple _ -> []
-  | If (_, a, b) ->
-      let ta = types_constructed a in
-      ta @ List.filter (fun ty -> not (List.mem ty ta)) (types_constructed b)
-
 (* Flatten the decision tree into (guard, leaf) pairs.  The guard of a leaf
    is the simplified conjunction of the conditions on its path, with
    else-branches contributing the SQL-faithful complement.  Each node's

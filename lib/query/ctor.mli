@@ -30,9 +30,6 @@ val eval_entity : Edm.Schema.t -> Datum.Row.t -> t -> Edm.Instance.entity
 val eval_tuple : Edm.Schema.t -> Datum.Row.t -> t -> Datum.Row.t
 (** @raise Invalid_argument if evaluation reaches an [Entity] leaf. *)
 
-val types_constructed : t -> string list
-(** Entity types appearing at [Entity] leaves, outermost first. *)
-
 val branches : t -> (Cond.t * t) list option
 (** Guard/leaf pairs, leaves left to right, each guard the
     {!Cond.simplify}d conjunction of the conditions on the leaf's path with

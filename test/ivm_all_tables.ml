@@ -30,10 +30,8 @@ let join_group (j : Query.Join.t) k lbag rbag =
 
 let group_keys groups = Row_map.fold (fun k _ acc -> Row_map.add k () acc) groups
 
-let join_delta (j : Plan.join) st dl dr =
-  let js = State.join st j.id in
-  let on = j.spec.Query.Join.on in
-  let dl_groups = Multiset.group_by on dl and dr_groups = Multiset.group_by on dr in
+let join_delta (j : Query.Join.t) (js : State.join_state) dl dr =
+  let dl_groups = Multiset.group_by j.on dl and dr_groups = Multiset.group_by j.on dr in
   let touched = group_keys dr_groups (group_keys dl_groups Row_map.empty) in
   let group m k = Option.value ~default:Multiset.empty (Row_map.find_opt k m) in
   let set_group k g m = if Multiset.is_empty g then Row_map.remove k m else Row_map.add k g m in
@@ -43,44 +41,54 @@ let join_delta (j : Plan.join) st dl dr =
         let old_l = group lefts k and old_r = group rights k in
         let new_l = Multiset.sum (group dl_groups k) old_l in
         let new_r = Multiset.sum (group dr_groups k) old_r in
-        let d =
-          Multiset.diff (join_group j.spec k new_l new_r) (join_group j.spec k old_l old_r)
-        in
+        let d = Multiset.diff (join_group j k new_l new_r) (join_group j k old_l old_r) in
         (Multiset.sum d out, set_group k new_l lefts, set_group k new_r rights))
       touched
       (Multiset.empty, js.State.lefts, js.State.rights)
   in
-  (out, State.set_join j.id { State.lefts; rights } st)
+  (out, { State.lefts; rights })
 
-let rec node_delta env feed st = function
-  | Plan.Scan src -> (Option.value ~default:Multiset.empty (Plan.Src_map.find_opt src feed), st)
-  | Plan.Select (c, n) ->
-      let d, st = node_delta env feed st n in
-      (Multiset.filter (fun r -> Query.Cond.eval env.Query.Env.client r c) d, st)
-  | Plan.Project (items, n) ->
-      let d, st = node_delta env feed st n in
-      (Multiset.map_rows (Query.Eval.project_row items) d, st)
-  | Plan.Union (l, r) ->
-      let dl, st = node_delta env feed st l in
-      let dr, st = node_delta env feed st r in
-      (Multiset.sum dl dr, st)
-  | Plan.Join j ->
-      let dl, st = node_delta env feed st j.left in
-      let dr, st = node_delta env feed st j.right in
-      join_delta j st dl dr
+let select schema c d = Multiset.filter (fun r -> Query.Cond.eval schema r c) d
+
+(* Joins numbered in preorder: [next] is the number of the next join. *)
+let rec node_delta schema feed ((next, joins) as acc) = function
+  | Exec.Plan.Scan { source; access; filter; proj } ->
+      let d = Option.value ~default:Multiset.empty (Plan.Src_map.find_opt source feed) in
+      let d =
+        match access with
+        | Exec.Plan.Full_scan -> d
+        | Exec.Plan.Index_eq { col; value } -> select schema (Query.Cond.Cmp (col, Eq, value)) d
+      in
+      let d = select schema filter d in
+      let d =
+        match proj with None -> d | Some items -> Multiset.map_rows (Query.Eval.project_row items) d
+      in
+      (d, acc)
+  | Exec.Plan.Filter (c, n) ->
+      let d, acc = node_delta schema feed acc n in
+      (select schema c d, acc)
+  | Exec.Plan.Project (items, n) ->
+      let d, acc = node_delta schema feed acc n in
+      (Multiset.map_rows (Query.Eval.project_row items) d, acc)
+  | Exec.Plan.Append (l, r) ->
+      let dl, acc = node_delta schema feed acc l in
+      let dr, acc = node_delta schema feed acc r in
+      (Multiset.sum dl dr, acc)
+  | Exec.Plan.Hash_join j ->
+      let dl, acc = node_delta schema feed (next + 1, joins) j.left in
+      let dr, (after, joins) = node_delta schema feed acc j.right in
+      let d, js = join_delta j.spec (State.join joins next) dl dr in
+      (d, (after, State.Int_map.add next js joins))
 
 let table_delta (plan : Plan.t) feed st (tp : Plan.table_plan) =
-  let d, st = node_delta plan.Plan.env feed st tp.Plan.root in
+  let schema = plan.Plan.env.Query.Env.client in
   let ts = State.table st tp.Plan.table in
+  let d, (_, joins) = node_delta schema feed (0, ts.State.joins) tp.Plan.root in
   let query_counts, set_d = Multiset.apply_distinct ~base:ts.State.query_counts ~delta:d in
-  let tuple_d =
-    Multiset.map_rows
-      (fun r -> Query.Ctor.eval_tuple plan.Plan.env.Query.Env.client r tp.Plan.ctor)
-      set_d
-  in
+  let tuple_d = Multiset.map_rows (fun r -> Query.Ctor.eval_tuple schema r tp.Plan.ctor) set_d in
   let tuple_counts, out = Multiset.apply_distinct ~base:ts.State.tuple_counts ~delta:tuple_d in
   ( out,
-    State.set_table tp.Plan.table { State.query_counts; tuple_counts }
+    State.set_table tp.Plan.table { State.query_counts; tuple_counts; joins }
       ~changed:(not (Multiset.is_empty out)) st )
 
 let propagate (plan : Plan.t) st ~feed =
@@ -106,19 +114,22 @@ let step plan st ops =
    nothing equals a missing one. *)
 let equal_states (a : State.t) (b : State.t) =
   let join_empty (js : State.join_state) = Row_map.is_empty js.lefts && Row_map.is_empty js.rights in
+  let joins (ts : State.table_state) =
+    State.Int_map.filter (fun _ js -> not (join_empty js)) ts.joins
+  in
   let table_empty (ts : State.table_state) =
     Multiset.is_empty ts.query_counts && Multiset.is_empty ts.tuple_counts
+    && State.Int_map.is_empty (joins ts)
   in
   let ms_equal = Row_map.equal Int.equal in
   let groups_equal = Row_map.equal ms_equal in
   Plan.Src_map.equal (Row_map.equal Datum.Row.equal) a.bases b.bases
-  && State.Int_map.equal
-       (fun (x : State.join_state) (y : State.join_state) ->
-         groups_equal x.lefts y.lefts && groups_equal x.rights y.rights)
-       (State.Int_map.filter (fun _ js -> not (join_empty js)) a.joins)
-       (State.Int_map.filter (fun _ js -> not (join_empty js)) b.joins)
   && State.String_map.equal
        (fun (x : State.table_state) (y : State.table_state) ->
-         ms_equal x.query_counts y.query_counts && ms_equal x.tuple_counts y.tuple_counts)
+         ms_equal x.query_counts y.query_counts && ms_equal x.tuple_counts y.tuple_counts
+         && State.Int_map.equal
+              (fun (x : State.join_state) (y : State.join_state) ->
+                groups_equal x.lefts y.lefts && groups_equal x.rights y.rights)
+              (joins x) (joins y))
        (State.String_map.filter (fun _ ts -> not (table_empty ts)) a.tables)
        (State.String_map.filter (fun _ ts -> not (table_empty ts)) b.tables)

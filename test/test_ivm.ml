@@ -274,6 +274,100 @@ let test_null_join_keys () =
       inc := inc')
     stream
 
+(* -- index-probe scans ----------------------------------------------------- *)
+
+(* Hand-built update views that select one key value, on an entity set's key
+   and on an association column: the planner turns each selection into an
+   [Index_eq] scan, which IVM applies as the [col = 5] selection it came
+   from.  Ops on key 5 change the tables; ops on other keys change nothing. *)
+let index_env, index_uv =
+  let table name key cols =
+    Relational.Table.make ~name ~key (List.map (fun (c, d) -> (c, d, `Null)) cols)
+  in
+  let store =
+    List.fold_left
+      (fun s t -> ok_exn (Relational.Schema.add_table t s))
+      Relational.Schema.empty
+      [
+        table "Five" [ "Id" ] [ ("Id", D.Int); ("Name", D.String) ];
+        table "FiveLinks" [ "C"; "E" ] [ ("C", D.Int); ("E", D.Int) ];
+      ]
+  in
+  let view query cols = { Query.View.query; ctor = Query.Ctor.Tuple cols } in
+  ( Query.Env.make ~client:env.Query.Env.client ~store,
+    Query.View.no_update_views
+    |> Query.View.set_table_view "Five"
+         (view
+            (A.Select
+               ( C.Cmp ("Id", C.Eq, V.Int 5),
+                 A.Project ([ A.col "Id"; A.col "Name" ], A.Scan (A.Entity_set "Persons")) ))
+            [ "Id"; "Name" ])
+    |> Query.View.set_table_view "FiveLinks"
+         (view
+            (A.Project
+               ( [ A.col_as "Customer.Id" "C"; A.col_as "Employee.Id" "E" ],
+                 A.Select (C.Cmp ("Customer.Id", C.Eq, V.Int 5), A.Scan (A.Assoc_set "Supports")) ))
+            [ "C"; "E" ]) )
+
+let test_index_scans () =
+  let plan = ok_exn (Ivm.Plan.compile index_env index_uv) in
+  List.iter
+    (fun (tp : Ivm.Plan.table_plan) ->
+      check Alcotest.int (tp.Ivm.Plan.table ^ ": one index scan") 1
+        (Exec.Plan.index_scans tp.Ivm.Plan.root))
+    plan.Ivm.Plan.tables;
+  let person id name =
+    Edm.Instance.entity ~etype:"Person" [ ("Id", V.Int id); ("Name", V.String name) ]
+  in
+  let customer id =
+    Edm.Instance.entity ~etype:"Customer"
+      [ ("Id", V.Int id); ("Name", V.String "c"); ("CredScore", V.Int 1);
+        ("BillAddr", V.String "a") ]
+  in
+  let insert e = Delta.Insert_entity { set = "Persons"; entity = e } in
+  let rename id name =
+    Delta.Update_entity
+      { set = "Persons"; key = row [ ("Id", V.Int id) ]; changes = [ ("Name", V.String name) ] }
+  in
+  let delete id = Delta.Delete_entity { set = "Persons"; key = row [ ("Id", V.Int id) ] } in
+  let link c e = row [ ("Customer.Id", V.Int c); ("Employee.Id", V.Int e) ] in
+  let client0 =
+    List.fold_left
+      (fun inst e -> Edm.Instance.add_entity ~set:"Persons" e inst)
+      Edm.Instance.empty
+      [ person 1 "a"; person 2 "b"; customer 6;
+        Edm.Instance.entity ~etype:"Employee"
+          [ ("Id", V.Int 3); ("Name", V.String "e"); ("Department", V.String "D") ] ]
+  in
+  let stream =
+    [
+      ("insert key 5 and key 7", true, [ insert (customer 5); insert (person 7 "g") ]);
+      ( "link key 5 and key 6", true,
+        [ Delta.Insert_link { assoc = "Supports"; link = link 5 3 };
+          Delta.Insert_link { assoc = "Supports"; link = link 6 3 } ] );
+      ("update key 5 and key 1", true, [ rename 5 "five"; rename 1 "one" ]);
+      ( "other keys only", false,
+        [ rename 2 "two"; insert (person 8 "h"); delete 7;
+          Delta.Delete_link { assoc = "Supports"; link = link 6 3 } ] );
+      ( "unlink and delete key 5", true,
+        [ Delta.Delete_link { assoc = "Supports"; link = link 5 3 }; delete 5; delete 8 ] );
+    ]
+  in
+  let inc = ref (ok_exn (Tr.ivm_init index_env index_uv client0)) in
+  let client = ref client0 in
+  List.iter
+    (fun (msg, changes, delta) ->
+      let s_full, new_client, st_full =
+        ok_exn (Tr.full_diff index_env index_uv ~old_client:!client ~delta)
+      in
+      let s_ivm, inc' = ok_exn (Tr.ivm_step !inc delta) in
+      checkb (msg ^ ": changes the store") changes (s_full <> []);
+      check Alcotest.string (msg ^ ": identical script") (Tr.to_sql s_full) (Tr.to_sql s_ivm);
+      checkb (msg ^ ": equal store") true (Relational.Instance.equal st_full (Tr.ivm_store inc'));
+      client := new_client;
+      inc := inc')
+    stream
+
 (* -- random models × random delta streams --------------------------------- *)
 
 let profile =
@@ -387,19 +481,6 @@ let valid_batch schema inst candidates =
     (inst, []) candidates
   |> fun (_, acc) -> List.rev acc
 
-(* [Dml.Translate]'s conversion of a client delta to IVM ops. *)
-let ivm_ops delta =
-  List.map
-    (function
-      | Delta.Insert_entity { set; entity } ->
-          Ivm.Apply.Insert_entity
-            { set; etype = entity.Edm.Instance.etype; attrs = entity.Edm.Instance.attrs }
-      | Delta.Delete_entity { set; key } -> Ivm.Apply.Delete_entity { set; key }
-      | Delta.Update_entity { set; key; changes } -> Ivm.Apply.Update_entity { set; key; changes }
-      | Delta.Insert_link { assoc; link } -> Ivm.Apply.Insert_link { assoc; link }
-      | Delta.Delete_link { assoc; link } -> Ivm.Apply.Delete_link { assoc; link })
-    delta
-
 (* A whole instance as inserts, entities first, as [Ivm.Apply.init] feeds it. *)
 let instance_ops schema inst =
   List.concat_map
@@ -485,7 +566,7 @@ let run_differential_case seed =
       in
       let empty = Ivm.State.empty plan in
       let st0 =
-        both "init" empty empty (ivm_ops (instance_ops schema inst0)) ~store_of:Ivm.State.store
+        both "init" empty empty (instance_ops schema inst0) ~store_of:Ivm.State.store
       in
       let rec go batch inst inc (st_skip, st_all) =
         if batch >= 4 then true
@@ -507,7 +588,7 @@ let run_differential_case seed =
                 QCheck.Test.fail_reportf "seed %d batch %d: stores differ" seed batch
               else
                 let sts =
-                  both (Printf.sprintf "batch %d" batch) st_skip st_all (ivm_ops delta)
+                  both (Printf.sprintf "batch %d" batch) st_skip st_all delta
                     ~store_of:(fun _ -> Tr.ivm_store inc')
                 in
                 go (batch + 1) new_client inc' sts
@@ -518,6 +599,36 @@ let prop_differential =
   qtest "ivm ≡ full-diff on random models and delta streams" ~count:220
     QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
     run_differential_case
+
+(* -- one plan for both runtimes ------------------------------------------- *)
+
+(* Every table plan IVM maintains is the plan [Exec.Planner] gives its
+   view. *)
+let check_planner_roots msg env uv =
+  let plan = ok_exn (Ivm.Plan.compile env uv) in
+  let views = Query.View.update_view_bindings uv in
+  check Alcotest.(list string) (msg ^ ": one plan per view") (List.map fst views)
+    (List.map (fun (tp : Ivm.Plan.table_plan) -> tp.Ivm.Plan.table) plan.Ivm.Plan.tables);
+  List.iter
+    (fun (tp : Ivm.Plan.table_plan) ->
+      let v = List.assoc tp.Ivm.Plan.table views in
+      checkb
+        (Printf.sprintf "%s: %s is the planner's plan" msg tp.Ivm.Plan.table)
+        true
+        (tp.Ivm.Plan.root = ok_exn (Exec.Planner.plan env v.Query.View.query)))
+    plan.Ivm.Plan.tables
+
+let test_planner_roots () =
+  check_planner_roots "paper stage 4" env (uv ());
+  let cenv, cfrags = Workload.Customer.generate () in
+  check_planner_roots "customer" cenv
+    (ok_exn (Fullc.Compile.compile ~validate:false cenv cfrags)).Fullc.Compile.update_views;
+  for seed = 0 to 29 do
+    let renv, frags = Workload.Random_model.generate ~profile ~seed () in
+    match Fullc.Compile.compile ~validate:false renv frags with
+    | Ok c -> check_planner_roots (Printf.sprintf "seed %d" seed) renv c.Fullc.Compile.update_views
+    | Error e -> Alcotest.failf "seed %d: compile failed: %s" seed e
+  done
 
 (* -- sharing: a write reaches only its tables ---------------------------- *)
 
@@ -605,7 +716,10 @@ let () =
           Alcotest.test_case "handle guards" `Quick test_handle_guards;
           Alcotest.test_case "init guards" `Quick test_init_guards;
           Alcotest.test_case "NULL and keyless join keys" `Quick test_null_join_keys;
+          Alcotest.test_case "index-probe scans" `Quick test_index_scans;
         ] );
+      ( "planner",
+        [ Alcotest.test_case "table plans are the planner's plans" `Quick test_planner_roots ] );
       ( "customer",
         [ Alcotest.test_case "a write touches only its tables" `Quick test_write_touches_its_tables ] );
       ("differential", [ prop_differential ]);
