@@ -509,10 +509,10 @@ let par () =
     | Ok () -> "ok"
     | Error e -> "fail: " ^ Containment.Validation_error.show e
   in
-  (* Domain spawn cost is in the measurement.  On an idle host, and after
-     single-domain work, two-domain work can run at a fraction of its speed
-     for up to a second, so two untimed samplings at jobs=2 come first and
-     the multi-domain cells are sampled before jobs=1. *)
+  (* The cost of starting domains is in the measurement.  On an idle host,
+     and after single-domain work, two-domain work can run at a fraction of
+     its speed for up to a second, so two untimed samplings at jobs=2 come
+     first and the multi-domain cells are sampled before jobs=1. *)
   for _ = 1 to 2 do
     ignore (sample (fun () -> Containment.Discharge.run ~jobs:2 obls))
   done;
@@ -935,8 +935,7 @@ let exec_bench () =
             let sorted = List.sort Datum.Row.compare in
             if not (List.equal Datum.Row.equal (sorted naive_rows) (sorted exec_rows)) then
               failwith (Printf.sprintf "exec/%s disagrees with Eval.rows at n=%d" shape n);
-            let _, j4_ms, _ = sample (fun () -> Exec.Run.rows ~jobs:4 ~par_threshold:256 idb plan) in
-            (n, shape, naive_ms *. 1e6, j1_ms *. 1e6, j4_ms *. 1e6, Exec.Plan.index_scans plan))
+            (n, shape, naive_ms *. 1e6, j1_ms *. 1e6, Exec.Plan.index_scans plan))
           (shapes n))
       sizes
   in
@@ -945,7 +944,7 @@ let exec_bench () =
   let hi = List.nth sizes (List.length sizes - 1) in
   let acceptance =
     List.filter_map
-      (fun (n, shape, naive_ns, j1_ns, _, _) ->
+      (fun (n, shape, naive_ns, j1_ns, _) ->
         if n = hi && shape = "join" then
           Some
             [ ("join_instance", int hi); ("naive_over_exec1", num 2 (naive_ns /. j1_ns));
@@ -957,9 +956,9 @@ let exec_bench () =
     [ { name = "paper"; keys = [ "instance"; "shape" ];
         rows =
           List.map
-            (fun (n, shape, naive_ns, j1_ns, j4_ns, index_scans) ->
+            (fun (n, shape, naive_ns, j1_ns, index_scans) ->
               [ ("instance", int n); ("shape", str shape); ("naive_ns", num 1 naive_ns);
-                ("exec_jobs1_ns", num 1 j1_ns); ("exec_jobs4_ns", num 1 j4_ns);
+                ("exec_jobs1_ns", num 1 j1_ns);
                 ("naive_over_jobs1", num 1 (naive_ns /. j1_ns)); ("index_scans", int index_scans) ])
             results };
       { name = "customer_key_lookups"; keys = [ "set" ]; rows = customer_lookups () };

@@ -123,9 +123,8 @@ let size_arg =
 
 let jobs_arg =
   let doc =
-    "Discharge containment obligations (and run $(b,query --exec) scans) on $(docv) \
-     domains.  Verdicts, failure messages and rows are identical for every value; \
-     only wall-clock changes."
+    "Discharge containment obligations on $(docv) domains.  Verdicts and failure \
+     messages are identical for every value; only wall-clock changes."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -363,7 +362,7 @@ let query_cmd =
                    cross-check it against the naive evaluator.  Exits 1 when the physical and \
                    naive rows, or the client-side and store-side rows, disagree.")
   in
-  let run name file size data qtext plan exec jobs =
+  let run name file size data qtext plan exec =
     let env, frags, loaded = load_input ~model:name ~file ~size in
     let st = state_of ~env ~frags loaded in
     let env = st.Core.State.env in
@@ -400,14 +399,14 @@ let query_cmd =
               let idb = Exec.Idb.make env db in
               let before = Obs.Metric.snapshot () in
               let t0 = Unix.gettimeofday () in
-              let exec_rows = Exec.Run.rows ~jobs idb p in
+              let exec_rows = Exec.Run.rows idb p in
               let dt = Unix.gettimeofday () -. t0 in
               let delta = counters ~prefix:"exec." (since before) in
               let naive = List.sort Datum.Row.compare (Query.Eval.rows env db unfolded) in
               let agree =
                 List.equal Datum.Row.equal naive (List.sort Datum.Row.compare exec_rows)
               in
-              Format.printf "@.-- physical execution (jobs=%d)@." jobs;
+              Format.printf "@.-- physical execution@.";
               Format.printf "%d rows in %.3f ms; agrees with naive evaluation: %b@."
                 (List.length exec_rows) (dt *. 1000.) agree;
               List.iter
@@ -423,8 +422,7 @@ let query_cmd =
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Translate (and optionally evaluate) a client query by view unfolding")
-    Term.(const run $ model_arg $ file_arg $ size_arg $ data_arg $ qtext $ plan_flag $ exec_flag
-          $ jobs_arg)
+    Term.(const run $ model_arg $ file_arg $ size_arg $ data_arg $ qtext $ plan_flag $ exec_flag)
 
 let apply_cmd =
   let script_arg =

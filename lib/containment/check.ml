@@ -188,9 +188,6 @@ let chase_assoc env (cq : Nf.cq) =
   in
   { cq with Nf.body = cq.Nf.body @ extra_atoms; cons = cq.Nf.cons @ extra_cons }
 
-(* Attribute strings are only built while spans are collected. *)
-let tag key n = if Obs.enabled () then Obs.Span.add_attr key (string_of_int n)
-
 let subset_with ~split env q1 q2 =
   let* n1, n2 =
     Obs.Span.with_ ~name:"containment.normalize" @@ fun () ->
@@ -201,8 +198,8 @@ let subset_with ~split env q1 q2 =
     let q1 = simplify q1 and q2 = simplify q2 in
     let* n1 = Nf.normalize env Nf.Subset_side q1 in
     let* n2 = Nf.normalize env Nf.Superset_side q2 in
-    tag "lhs_cqs" (List.length n1.Nf.cqs);
-    tag "rhs_cqs" (List.length n2.Nf.cqs);
+    Obs.Span.tag "lhs_cqs" (List.length n1.Nf.cqs);
+    Obs.Span.tag "rhs_cqs" (List.length n2.Nf.cqs);
     Ok (n1, n2)
   in
   Obs.Metric.incr checks;
@@ -220,12 +217,12 @@ let subset_with ~split env q1 q2 =
     in
     let n = List.length cq1s in
     Obs.Metric.incr ~by:n cases;
-    tag "cases" n;
+    Obs.Span.tag "cases" n;
     cq1s
   in
   Obs.Span.with_ ~name:"containment.hom" @@ fun () ->
-  tag "cases" (List.length cq1s);
-  tag "rhs_cqs" (List.length cq2s);
+  Obs.Span.tag "cases" (List.length cq1s);
+  Obs.Span.tag "rhs_cqs" (List.length cq2s);
   Ok (List.for_all (fun cq1 -> List.exists (fun cq2 -> homomorphism cq2 cq1) cq2s) cq1s)
 
 let subset env q1 q2 = subset_with ~split:Nf.type_cases env q1 q2

@@ -19,7 +19,6 @@ type op = Ivm.Apply.op =
 
 type t = op list
 
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
 
 val apply : Edm.Schema.t -> Edm.Instance.t -> t -> (Edm.Instance.t, string) result

@@ -18,7 +18,6 @@ type store_op =
 
 type script = store_op list
 
-val pp_store_op : Format.formatter -> store_op -> unit
 val pp_script : Format.formatter -> script -> unit
 
 val to_sql : script -> string

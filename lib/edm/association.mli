@@ -25,7 +25,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val show : t -> string
-val equal_multiplicity : multiplicity -> multiplicity -> bool
 val pp_multiplicity : Format.formatter -> multiplicity -> unit
 
 val qualify : etype:string -> string -> string

@@ -39,5 +39,4 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 val show : t -> string
-val equal_entity : entity -> entity -> bool
 val pp_entity : Format.formatter -> entity -> unit

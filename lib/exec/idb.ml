@@ -38,16 +38,7 @@ let source_rows t src =
   match Source_tbl.find_opt t.rows src with
   | Some arr -> arr
   | None ->
-      let list =
-        match src with
-        | Query.Algebra.Entity_set s ->
-            List.map
-              (Query.Eval.entity_row t.env s)
-              (Edm.Instance.entities t.db.Query.Eval.client ~set:s)
-        | Query.Algebra.Assoc_set a -> Edm.Instance.links t.db.Query.Eval.client ~assoc:a
-        | Query.Algebra.Table tbl -> Relational.Instance.rows t.db.Query.Eval.store ~table:tbl
-      in
-      let arr = Array.of_list list in
+      let arr = Array.of_list (Query.Eval.rows t.env t.db (Query.Algebra.Scan src)) in
       Source_tbl.add t.rows src arr;
       arr
 

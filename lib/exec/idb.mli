@@ -13,8 +13,8 @@ val env : t -> Query.Env.t
 val db : t -> Query.Eval.db
 
 val source_rows : t -> Query.Algebra.source -> Datum.Row.t array
-(** Materialized rows of a source, cached after the first call.  Entity-set
-    rows are padded and tagged exactly as [Query.Eval] produces them. *)
+(** Materialized rows of a source, cached after the first call: the rows
+    [Query.Eval.rows] gives for a scan of it. *)
 
 val lookup : t -> Query.Algebra.source -> string -> Datum.Value.t -> Datum.Row.t list
 (** [lookup t src col v] returns the rows of [src] whose [col] equals [v]

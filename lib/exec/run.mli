@@ -5,18 +5,14 @@
     [Query.Join.hash] (rows match when all join columns are present and
     non-[NULL] on both sides and equal; outer joins NULL-pad via the spec's
     pad lists; a join with no columns is the cross product), and index
-    probes skip nothing a residual [col = v] filter would keep.
-
-    Full scans over at least [par_threshold] rows are partitioned across
-    [Domain.spawn] workers; [jobs] is a cap, as in [Containment.Discharge]
-    (clamped by row count and [Domain.recommended_domain_count ()]).  Output
-    is deterministic: parallel and sequential execution produce identical
-    row lists.
+    probes skip nothing a residual [col = v] filter would keep.  Plans run
+    on the calling domain, and each scan keeps its rows in scan order.
 
     Bumps [exec.rows.scanned] / [exec.rows.joined] counters and records an
     [exec.run] span. *)
 
-val rows :
-  ?jobs:int -> ?par_threshold:int -> Idb.t -> Plan.t -> Datum.Row.t list
-(** [jobs] defaults to [1] (sequential); [par_threshold] defaults to
-    [2048]. *)
+val rows : ?jobs:int -> Idb.t -> Plan.t -> Datum.Row.t list
+(** [jobs] is ignored: every plan runs on the calling domain, since scans
+    split across fresh domains were slower than one domain at every size.
+    The argument stays only because the end-to-end benchmark's [serve]
+    workload passes [~jobs:1]. *)

@@ -120,7 +120,7 @@ let run (plan : Plan.t) st ops =
 
 let step plan st ops =
   Obs.Span.with_ ~name:"ivm.step" (fun () ->
-      Obs.Span.add_attr "ops" (string_of_int (List.length ops));
+      Obs.Span.tag "ops" (List.length ops);
       run plan st ops)
 
 (* The whole instance as one batch of inserts into the empty state, so init

@@ -151,10 +151,10 @@ let reached (plan : Plan.t) feed =
    its table's delta is empty and its state unchanged. *)
 let propagate (plan : Plan.t) st ~feed =
   Obs.Span.with_ ~name:"ivm.propagate" (fun () ->
-      let fed = Plan.Src_map.fold (fun _ d acc -> acc + Multiset.total d) feed 0 in
-      Obs.Span.add_attr "rows.fed" (string_of_int fed);
+      if Obs.enabled () then
+        Obs.Span.tag "rows.fed" (Plan.Src_map.fold (fun _ d acc -> acc + Multiset.total d) feed 0);
       let tps = reached plan feed in
-      Obs.Span.add_attr "tables" (string_of_int (List.length tps));
+      Obs.Span.tag "tables" (List.length tps);
       let st, deltas =
         List.fold_left
           (fun (st, acc) (tp : Plan.table_plan) ->
@@ -163,3 +163,7 @@ let propagate (plan : Plan.t) st ~feed =
           (st, []) tps
       in
       (st, List.rev deltas))
+
+module For_tests = struct
+  let table_delta = table_delta
+end

@@ -48,3 +48,14 @@ val propagate :
     visited table in plan order, the {e set-level} delta of the
     materialized table: [-1] rows left the table, [+1] rows entered it.
     Tables not listed are unchanged. *)
+
+(** {1 Test seam} *)
+
+module For_tests : sig
+  val table_delta :
+    Plan.t -> Multiset.t Plan.Src_map.t -> State.t -> Plan.table_plan -> Multiset.t * State.t
+  (** The delta rules of one table plan: its set-level delta for [feed] and
+      the state with its table updated, whether or not [feed] reaches it.
+      {!propagate} applies it to the plans the feed reaches; only tests call
+      it, to apply it to every plan and check that skipping is sound. *)
+end

@@ -61,9 +61,6 @@ val union_findings : finding list -> finding list -> finding list
 (** Sorted and duplicate-free when both arguments are; returns one argument
     itself when the other is empty, so a clean subterm allocates nothing. *)
 
-val severity_label : severity -> string
-(** ["error"] / ["warning"] / ["info"]. *)
-
 val errors : t list -> t list
 
 val count : t list -> int * int * int

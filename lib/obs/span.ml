@@ -54,6 +54,8 @@ let add_attr key value =
     | [] -> ()
     | span :: _ -> span.attrs <- (key, value) :: span.attrs
 
+let tag key n = if Switch.enabled () then add_attr key (string_of_int n)
+
 let reset () =
   Mutex.lock completed_mutex;
   completed := [];

@@ -14,6 +14,10 @@ val with_ : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 'a
     disabled or no span is open). *)
 val add_attr : string -> string -> unit
 
+(** [add_attr] of an integer, whose string is only built while spans are
+    collected. *)
+val tag : string -> int -> unit
+
 (** Completed top-level spans, oldest first. *)
 val roots : unit -> t list
 

@@ -27,7 +27,6 @@ module Memo : Phys_memo.S with type node := t
 
 val pp : Format.formatter -> t -> unit
 val show : t -> string
-val pp_cmp : Format.formatter -> cmp -> unit
 
 val conj : t list -> t
 val disj : t list -> t

@@ -25,9 +25,6 @@ type t = {
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val show : t -> string
-val equal_column : column -> column -> bool
-val equal_foreign_key : foreign_key -> foreign_key -> bool
-val pp_foreign_key : Format.formatter -> foreign_key -> unit
 
 val make :
   name:string -> key:string list -> ?fks:foreign_key list ->

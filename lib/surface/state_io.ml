@@ -324,9 +324,9 @@ let save (st : Core.State.t) =
   section "update_views" (fun () -> bindings "for_table" update_views);
   Buffer.add_string b ")\n";
   let text = Buffer.contents b in
-  Obs.Span.add_attr "bytes" (string_of_int (String.length text));
-  Obs.Span.add_attr "terms" (string_of_int enc.terms.count);
-  Obs.Span.add_attr "visits" (string_of_int enc.terms.visits);
+  Obs.Span.tag "bytes" (String.length text);
+  Obs.Span.tag "terms" enc.terms.count;
+  Obs.Span.tag "visits" enc.terms.visits;
   text
 
 (* -- reading ------------------------------------------------------------------------------ *)
@@ -728,7 +728,7 @@ let document c =
   | "fragments" -> ()
   | h -> failf c "expected (terms .. or (fragments .., got (%s .." h);
   let fragments = Mapping.Fragments.of_list (until_close c (fun c -> fragment c tbl)) in
-  Obs.Span.add_attr "terms" (string_of_int tbl.len);
+  Obs.Span.tag "terms" tbl.len;
   section "query_views";
   let query_views =
     views c tbl
@@ -743,8 +743,8 @@ let document c =
   { Core.State.env = Query.Env.make ~client ~store; fragments; query_views; update_views }
 
 let load text =
-  Obs.Span.with_ ~attrs:[ ("bytes", string_of_int (String.length text)) ] ~name:"surface.io.decode"
-  @@ fun () ->
+  Obs.Span.with_ ~name:"surface.io.decode" @@ fun () ->
+  Obs.Span.tag "bytes" (String.length text);
   match document { text; pos = 0 } with
   | st -> Ok st
   | exception Malformed (pos, msg) -> Error (Printf.sprintf "at offset %d: %s" pos msg)

@@ -6,12 +6,10 @@
 
     Substitution note (see DESIGN.md): the model is synthesized
     deterministically from the published statistics.  The TPH hierarchies
-    are capped at {!tph_cap} types so that the full-compilation baseline
+    are capped at 22 types so that the full-compilation baseline
     (whose cell enumeration is exponential in the TPH type count) finishes
     in tens of seconds on a laptop rather than hours; the incremental /
     full contrast — the figure's point — is preserved. *)
-
-val tph_cap : int
 
 val generate : unit -> Query.Env.t * Mapping.Fragments.t
 

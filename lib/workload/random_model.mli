@@ -17,10 +17,5 @@ type profile = {
   assocs : int;            (** FK-style associations between distinct roots *)
 }
 
-val default_profile : profile
-
 val generate : ?profile:profile -> seed:int -> unit -> Query.Env.t * Mapping.Fragments.t
 
-val style_of : seed:int -> hierarchy:int -> [ `Tpt | `Tpc | `Tph ]
-(** The style [generate] picked for a hierarchy — exposed for test
-    diagnostics. *)

@@ -35,13 +35,11 @@ let check_bags msg a b =
     Alcotest.failf "%s: bags differ (%d vs %d rows)" msg (List.length a) (List.length b)
 
 (* Plan [q] as-is (no unfolding) and compare the executor against the naive
-   evaluator on [db], sequentially and with parallel scan slicing forced. *)
+   evaluator on [db]. *)
 let check_exec ?(msg = "exec") env db q =
   let plan = ok_exn (Planner.plan env q) in
   let idb = Idb.make env db in
-  let naive = Query.Eval.rows env db q in
-  check_bags (msg ^ " (jobs=1)") naive (Run.rows idb plan);
-  check_bags (msg ^ " (jobs=4)") naive (Run.rows ~jobs:4 ~par_threshold:1 idb plan);
+  check_bags msg (Query.Eval.rows env db q) (Run.rows idb plan);
   plan
 
 let store_db = Query.Eval.store_db P.sample_store
@@ -141,15 +139,6 @@ let test_pushdown_union () =
   in
   let plan = check_exec ~msg:"union pushdown" env store_db q in
   check Alcotest.int "both branches indexed" 2 (Plan.index_scans plan)
-
-let test_parallel_scan_deterministic () =
-  (* Parallel slicing must preserve output order exactly, not just as bags. *)
-  let q = A.Select (C.Is_of "Employee", A.Scan (A.Entity_set "Persons")) in
-  let plan = ok_exn (Planner.plan env q) in
-  let idb = Idb.make env client_db in
-  let seq = Run.rows idb plan in
-  let par = Run.rows ~jobs:4 ~par_threshold:1 idb plan in
-  checkb "identical row lists" true (List.equal Datum.Row.equal seq par)
 
 (* -- unfolded client queries over the paper example ------------------------ *)
 
@@ -572,8 +561,6 @@ let () =
           Alcotest.test_case "pushdown through projection" `Quick
             test_pushdown_through_projection;
           Alcotest.test_case "pushdown into union" `Quick test_pushdown_union;
-          Alcotest.test_case "parallel scan determinism" `Quick
-            test_parallel_scan_deterministic;
         ] );
       ( "view unfolding",
         [
