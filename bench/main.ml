@@ -21,6 +21,7 @@
 
      { "command": "dune exec bench/main.exe -- <mode>",
        "git_rev": <git describe --always --dirty, or "unknown">,
+       "profile": <the dune profile the harness was built in, e.g. "dev">,
        "cores": <Domain.recommended_domain_count ()>,
        "tables": { <name>: { "keys": [..], "counts": [..], "rows": [{..}, ..] } } }
 
@@ -107,8 +108,7 @@ type table = { name : string; keys : string list; rows : (string * cell) list li
 let count_columns =
   [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "tables_visited"; "scans"; "index_scans";
     "rows_scanned"; "diags"; "state_bytes"; "steps"; "verdict"; "tree_nodes"; "distinct_nodes";
-    "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union"; "rows_distinct";
-    "rows_ctor" ]
+    "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union"; "rows_distinct" ]
 
 let json_string s =
   let esc = function
@@ -178,9 +178,11 @@ let emit mode tables =
   let path = Printf.sprintf "BENCH_%s.json" mode in
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc
-        "{\n  \"command\": %s,\n  \"git_rev\": %s,\n  \"cores\": %d,\n  \"tables\": {\n%s\n  }\n}\n"
+        "{\n  \"command\": %s,\n  \"git_rev\": %s,\n  \"profile\": %s,\n  \"cores\": %d,\n\
+         \  \"tables\": {\n%s\n  }\n}\n"
         (json_string (String.concat " " ("dune exec bench/main.exe --" :: mode :: chain_size_arg)))
-        (json_string (git_rev ())) (Domain.recommended_domain_count ()) (list table tables ",\n"));
+        (json_string (git_rev ())) (json_string Build_profile.name) (Domain.recommended_domain_count ())
+        (list table tables ",\n"));
   Printf.printf "\n%s written\n%!" path
 
 (* ------------------------------------------------------------------ *)
@@ -726,7 +728,7 @@ let customer_steps env inc inst =
       let operator_rows =
         List.map
           (fun op -> ("rows_" ^ op, int (Obs.Metric.value (Obs.Metric.counter ("ivm.rows." ^ op)))))
-          [ "scan"; "select"; "project"; "join"; "union"; "distinct"; "ctor" ]
+          [ "scan"; "select"; "project"; "join"; "union"; "distinct" ]
       in
       Obs.reset ();
       [ ("kind", str kind); ("steps", int n); ("ivm_step_ns", num 1 (ms *. 1e6)); ("alloc_mb", num 4 mb);

@@ -149,5 +149,5 @@ let () =
   Format.printf "@.client query 'all posts' unfolds to:@.%a@." Query.Pretty.query sql;
 
   Format.printf "@.final update view of the Contents table:@.%a@."
-    Query.Pretty.view
+    Query.Pretty.query
     (Option.get (Query.View.table_view st.Core.State.update_views "Contents"))

@@ -56,7 +56,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
            (Query.Cond.Is_of assoc.Edm.Association.end1,
             Query.Algebra.Scan (Query.Algebra.Entity_set set1)))
     in
-    let rhs = Query.Algebra.project_cols f_pk1 prev_t.Query.View.query in
+    let rhs = Query.Algebra.project_cols f_pk1 prev_t in
     Containment.Obligation.make
       ~name:(Printf.sprintf "aa-fk.check-2:%s" assoc.Edm.Association.end1)
       ~env:env' ~lhs ~rhs
@@ -75,7 +75,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
         else
           match Query.View.table_view st.State.update_views fk.ref_table with
           | None -> fail "foreign key target %s has no update view" fk.ref_table
-          | Some vt' ->
+          | Some qt' ->
               let set2 = Option.get (Edm.Schema.set_of_type client' assoc.Edm.Association.end2) in
               let lhs =
                 Query.Algebra.project_renamed (List.combine key2 fk.ref_columns)
@@ -83,7 +83,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
                      (Query.Cond.Is_of assoc.Edm.Association.end2,
                       Query.Algebra.Scan (Query.Algebra.Entity_set set2)))
               in
-              let rhs = Query.Algebra.project_cols fk.ref_columns vt'.Query.View.query in
+              let rhs = Query.Algebra.project_cols fk.ref_columns qt' in
               Ok
                 [
                   Containment.Obligation.make
@@ -124,11 +124,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
   in
   let qt =
     Query.Algebra.Left_outer_join
-      (Query.Algebra.project_cols keep prev_t.Query.View.query, assoc_side, f_pk1)
+      (Query.Algebra.project_cols keep prev_t, assoc_side, f_pk1)
   in
-  let update_views =
-    Query.View.set_table_view table
-      { Query.View.query = qt; ctor = prev_t.Query.View.ctor }
-      st.State.update_views
-  in
+  let update_views = Query.View.set_table_view table qt st.State.update_views in
   Ok ({ State.env = env'; fragments; query_views; update_views }, check2 :: check3)

@@ -42,11 +42,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
               (Relational.Table.column_names table),
           Query.Algebra.Scan (Query.Algebra.Assoc_set assoc.Edm.Association.name) )
     in
-    let update_views =
-      Query.View.set_table_view table.Relational.Table.name
-        { Query.View.query = qt; ctor = Query.Ctor.Tuple (Relational.Table.column_names table) }
-        st.State.update_views
-    in
+    let update_views = Query.View.set_table_view table.Relational.Table.name qt st.State.update_views in
     (fragments, query_views, update_views)
   in
   (* Validation: the join table's foreign keys must resolve under the new

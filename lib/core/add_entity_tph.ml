@@ -99,7 +99,7 @@ let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) 
     Query.Algebra.Project
       ( List.map Query.Algebra.col tkey
         @ List.map (fun c -> Query.Algebra.col_as c (c ^ "@old")) nonkey,
-        prev_t.Query.View.query )
+        prev_t )
   in
   let new_side =
     let mapped c = List.exists (fun (_, c') -> c' = c) fmap in
@@ -126,11 +126,7 @@ let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) 
             nonkey,
         Query.Algebra.Full_outer_join (old_side, new_side, tkey) )
   in
-  let update_views =
-    Query.View.set_table_view table
-      { Query.View.query = qt; ctor = prev_t.Query.View.ctor }
-      narrowed
-  in
+  let update_views = Query.View.set_table_view table qt narrowed in
   (* Remaining validation: foreign keys of T touching f(att(E)), and
      associations on the ancestors (the new entities join their sets). *)
   let* fk_obls =

@@ -144,24 +144,14 @@ let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
               | Query.Algebra.Project (items, q) -> Query.Algebra.Project (items @ pads, q)
               | q -> q)
         in
-        Ok
-          (Query.View.set_table_view table
-             { Query.View.query = qt; ctor = Query.Ctor.Tuple (Relational.Table.column_names tbl) }
-             st.State.update_views)
+        Ok (Query.View.set_table_view table qt st.State.update_views)
     | `Existing -> (
         match Query.View.table_view st.State.update_views table with
         | None -> fail "table %s has no update view" table
-        | Some vt ->
+        | Some qt ->
             let tbl' = Relational.Schema.get_table store' table in
-            let qt =
-              Query.Algebra.Left_outer_join
-                (vt.Query.View.query, entity_side, tbl'.Relational.Table.key)
-            in
-            Ok
-              (Query.View.set_table_view table
-                 { Query.View.query = qt;
-                   ctor = Query.Ctor.Tuple (Relational.Table.column_names tbl') }
-                 st.State.update_views))
+            let qt = Query.Algebra.Left_outer_join (qt, entity_side, tbl'.Relational.Table.key) in
+            Ok (Query.View.set_table_view table qt st.State.update_views))
   in
   (* Validation: foreign keys of a new property table. *)
   let* obls =

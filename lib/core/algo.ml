@@ -136,10 +136,9 @@ let adapt_fragments rewrite frags =
 
 let adapt_update_views rewrite uv =
   List.fold_left
-    (fun acc (t, (v : Query.View.t)) ->
-      let query = Query.Algebra.map_conditions rewrite v.Query.View.query in
-      if query == v.Query.View.query then acc
-      else Query.View.set_table_view t { v with Query.View.query } acc)
+    (fun acc (t, q) ->
+      let q' = Query.Algebra.map_conditions rewrite q in
+      if q' == q then acc else Query.View.set_table_view t q' acc)
     uv (Query.View.update_view_bindings uv)
 
 let not_null_conj cols = Query.Cond.conj (List.map (fun c -> Query.Cond.Is_not_null c) cols)
@@ -150,13 +149,13 @@ let fk_obligations env uv ~table (fk : Relational.Table.foreign_key) =
   | None, _ -> fail "table %s has no update view" table
   | Some _, None ->
       fail "foreign key %s -> %s references a table outside the mapping" table fk.ref_table
-  | Some vt, Some vt' ->
+  | Some qt, Some qt' ->
       let lhs =
         Query.Algebra.project_renamed
           (List.combine fk.fk_columns fk.ref_columns)
-          (Query.Algebra.Select (not_null_conj fk.fk_columns, vt.Query.View.query))
+          (Query.Algebra.Select (not_null_conj fk.fk_columns, qt))
       in
-      let rhs = Query.Algebra.project_cols fk.ref_columns vt'.Query.View.query in
+      let rhs = Query.Algebra.project_cols fk.ref_columns qt' in
       let cols = String.concat "," fk.fk_columns in
       Ok
         [
@@ -189,13 +188,13 @@ let assoc_endpoint_obligations env frags uv ~etypes =
               else
                 match Query.View.table_view uv f.Mapping.Fragment.table with
                 | None -> fail "table %s has no update view" f.Mapping.Fragment.table
-                | Some vr ->
+                | Some qr ->
                     let lhs =
                       Query.Algebra.project_renamed
                         (List.combine end_cols beta)
                         (Query.Algebra.Scan (Query.Algebra.Assoc_set a.Edm.Association.name))
                     in
-                    let rhs = Query.Algebra.project_cols beta vr.Query.View.query in
+                    let rhs = Query.Algebra.project_cols beta qr in
                     Ok
                       [
                         Containment.Obligation.make

@@ -143,21 +143,16 @@ let update_views (st : State.t) env' ~e ~p_ref ~between phis =
   List.fold_left
     (fun acc (phi : Mapping.Fragment.t) ->
       let table = Relational.Schema.get_table env'.Query.Env.store phi.Mapping.Fragment.table in
-      let columns = Relational.Table.column_names table in
       let items =
         List.map (fun (a, c) -> A.col_as a c) phi.Mapping.Fragment.pairs
         @ List.filter_map
             (fun c ->
               if List.exists (fun (_, c') -> c' = c) phi.Mapping.Fragment.pairs then None
               else Some (A.null_as c))
-            columns
-      in
-      let query =
-        A.Project
-          (items, A.Select (phi.Mapping.Fragment.client_cond, A.Scan (A.Entity_set set)))
+            (Relational.Table.column_names table)
       in
       Query.View.set_table_view phi.Mapping.Fragment.table
-        { Query.View.query; ctor = Query.Ctor.Tuple columns }
+        (A.Project (items, A.Select (phi.Mapping.Fragment.client_cond, A.Scan (A.Entity_set set))))
         acc)
     (Algo.adapt_update_views (Algo.adapt_cond client' ~p_ref ~between ~e) st.State.update_views)
     phis

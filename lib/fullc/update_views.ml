@@ -80,11 +80,7 @@ let for_table ?(optimize = false) env frags ~table =
       (fun c -> if List.mem c key then Query.Algebra.col c else Frag_info.fuse_item (sources_for c) c)
       (Relational.Table.column_names tbl)
   in
-  Ok
-    {
-      Query.View.query = Query.Algebra.Project (items, combined);
-      ctor = Query.Ctor.Tuple (Relational.Table.column_names tbl);
-    }
+  Ok (Query.Algebra.Project (items, combined))
 
 let all ?(optimize = false) env frags =
   List.fold_left

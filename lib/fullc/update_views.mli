@@ -8,7 +8,7 @@
 
 val for_table :
   ?optimize:bool ->
-  Query.Env.t -> Mapping.Fragments.t -> table:string -> (Query.View.t, string) result
+  Query.Env.t -> Mapping.Fragments.t -> table:string -> (Query.Algebra.t, string) result
 (** Fails when the table has no fragments, or some fragment does not map the
     table's full primary key. *)
 

@@ -3,9 +3,9 @@
    recompute exactly the key groups a delta touches (old and new group
    contents are both at hand in {!State.join_state}, so Δout = J(new) −
    J(old) per touched key, with J the group's cross product or its padding,
-   decided by [Query.Join.key]).  DISTINCT — applied by
-   [apply_update_views] once to query rows and once to constructed tuples —
-   becomes multiplicity 0↔positive transitions. *)
+   decided by [Query.Join.key]).  DISTINCT — which [apply_update_views]
+   applies to each view's query rows — becomes multiplicity 0↔positive
+   transitions. *)
 
 module Row_map = Multiset.Row_map
 module P = Exec.Plan
@@ -17,7 +17,6 @@ let c_project = Obs.Metric.counter "ivm.rows.project"
 let c_join = Obs.Metric.counter "ivm.rows.join"
 let c_union = Obs.Metric.counter "ivm.rows.union"
 let c_distinct = Obs.Metric.counter "ivm.rows.distinct"
-let c_ctor = Obs.Metric.counter "ivm.rows.ctor"
 
 let tick c d = Obs.Metric.incr ~by:(Multiset.total d) c
 
@@ -121,13 +120,10 @@ let table_delta (plan : Plan.t) feed st (tp : Plan.table_plan) =
   let schema = plan.Plan.env.Query.Env.client in
   let ts = State.table st tp.Plan.table in
   let d, (_, joins) = node_delta schema feed (0, ts.State.joins) tp.Plan.root in
-  let query_counts, set_d = Multiset.apply_distinct ~base:ts.State.query_counts ~delta:d in
-  tick c_distinct set_d;
-  let tuple_d = Multiset.map_rows (fun r -> Query.Ctor.eval_tuple schema r tp.Plan.ctor) set_d in
-  tick c_ctor tuple_d;
-  let tuple_counts, out = Multiset.apply_distinct ~base:ts.State.tuple_counts ~delta:tuple_d in
+  let query_counts, out = Multiset.apply_distinct ~base:ts.State.query_counts ~delta:d in
+  tick c_distinct out;
   ( out,
-    State.set_table tp.Plan.table { State.query_counts; tuple_counts; joins }
+    State.set_table tp.Plan.table { State.query_counts; joins }
       ~changed:(not (Multiset.is_empty out)) st )
 
 (* The plans reading a source the feed changes, in plan order.  Plan order

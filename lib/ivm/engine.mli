@@ -21,8 +21,8 @@
       keyless join is one group.  A table plan's joins are numbered in
       preorder; the number keys the join's groups in the table's
       {!State.table_state};
-    - DISTINCT (applied to query rows, then again to constructed tuples):
-      rows whose multiplicity crosses 0 contribute ±1.
+    - DISTINCT (applied to the view's query rows, which are the table's
+      rows): rows whose multiplicity crosses 0 contribute ±1.
 
     Every rule is linear: an empty input delta gives an empty output delta
     and leaves the operator's state alone.  So a table plan that scans no
@@ -35,8 +35,7 @@
     a scan's selection (an [Index_eq] access or a residual filter) or a
     [Filter] keeps; [ivm.rows.project] what a scan's fused projection or a
     [Project] emits; [ivm.rows.join] and [ivm.rows.union] what a join and a
-    union emit; [ivm.rows.distinct] and [ivm.rows.ctor] the query rows
-    crossing 0 and the tuples constructed from them.  A scan without a
+    union emit; [ivm.rows.distinct] the query rows crossing 0.  A scan without a
     selection or a projection ticks neither counter.  A propagation runs
     under an ["ivm.propagate"] span carrying the fed row count
     ([rows.fed]) and the number of table plans visited ([tables]). *)

@@ -4,7 +4,7 @@ module Src_map = Map.Make (struct
   let compare = Query.Algebra.compare_source
 end)
 
-type table_plan = { table : string; root : Exec.Plan.t; ctor : Query.Ctor.t }
+type table_plan = { table : string; root : Exec.Plan.t }
 type t = { env : Query.Env.t; tables : table_plan list; readers : table_plan list Src_map.t }
 
 let ( let* ) = Result.bind
@@ -14,17 +14,17 @@ let ( let* ) = Result.bind
    prepending each plan to its sources' readers leaves them ascending. *)
 let compile env uv =
   let views = Query.View.update_view_bindings uv in
-  let ctx = Exec.Planner.context env (List.map (fun (_, v) -> v.Query.View.query) views) in
+  let ctx = Exec.Planner.context env (List.map snd views) in
   let* rev_plans =
     List.fold_left
-      (fun acc (table, (v : Query.View.t)) ->
+      (fun acc (table, q) ->
         let* acc = acc in
-        let sources = Query.Algebra.sources v.Query.View.query in
+        let sources = Query.Algebra.sources q in
         match List.find_map (function Query.Algebra.Table t -> Some t | _ -> None) sources with
         | Some t -> Error ("ivm: update view scans store table " ^ t)
         | None ->
-            let* root = Exec.Planner.plan_in ctx v.Query.View.query in
-            Ok (({ table; root; ctor = v.Query.View.ctor }, sources) :: acc))
+            let* root = Exec.Planner.plan_in ctx q in
+            Ok (({ table; root }, sources) :: acc))
       (Ok []) views
   in
   let readers =

@@ -18,7 +18,7 @@
 
 module Src_map : Map.S with type key = Query.Algebra.source
 
-type table_plan = { table : string; root : Exec.Plan.t; ctor : Query.Ctor.t }
+type table_plan = { table : string; root : Exec.Plan.t }
 
 type t = {
   env : Query.Env.t;

@@ -5,11 +5,7 @@ module Src_map = Plan.Src_map
 
 type join_state = { lefts : Multiset.t Row_map.t; rights : Multiset.t Row_map.t }
 
-type table_state = {
-  query_counts : Multiset.t;
-  tuple_counts : Multiset.t;
-  joins : join_state Int_map.t;
-}
+type table_state = { query_counts : Multiset.t; joins : join_state Int_map.t }
 
 type t = {
   bases : Datum.Row.t Row_map.t Src_map.t;
@@ -18,8 +14,7 @@ type t = {
 }
 
 let empty_join = { lefts = Row_map.empty; rights = Row_map.empty }
-let empty_table =
-  { query_counts = Multiset.empty; tuple_counts = Multiset.empty; joins = Int_map.empty }
+let empty_table = { query_counts = Multiset.empty; joins = Int_map.empty }
 
 let empty (plan : Plan.t) =
   {
@@ -38,7 +33,7 @@ let table t name = Option.value ~default:empty_table (String_map.find_opt name t
 
 let set_table name ts ~changed t =
   let store =
-    if changed then Relational.Instance.set_rows ~table:name (Multiset.rows ts.tuple_counts) t.store
+    if changed then Relational.Instance.set_rows ~table:name (Multiset.rows ts.query_counts) t.store
     else t.store
   in
   { t with tables = String_map.add name ts t.tables; store }

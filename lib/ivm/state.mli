@@ -6,13 +6,13 @@
     - {e bases}: per client source, the current scan rows keyed by the
       source's key columns — what {!Apply} consults to validate ops and to
       build signed row deltas;
-    - {e tables}: per store table, the bag of view query rows and the bag of
-      constructed tuples, each with multiplicities, so DISTINCT maintenance
-      is a pair of counter transitions rather than a re-sort; and, per join
+    - {e tables}: per store table, the bag of view query rows with
+      multiplicities, so DISTINCT maintenance is a counter transition
+      rather than a re-sort; and, per join
       of the table's plan (numbered in preorder, so the numbers are local
       to the table), both input bags grouped by join key — what the engine
       needs to recompute exactly the touched key groups;
-    - {e store}: per store table, the rows of [tuple_counts], ascending.  A
+    - {e store}: per store table, the rows of [query_counts], ascending.  A
       table is re-listed only when its rows change, so the row list of a
       table a propagation leaves alone is physically the previous one. *)
 
@@ -25,7 +25,6 @@ type join_state = { lefts : Multiset.t Row_map.t; rights : Multiset.t Row_map.t 
 
 type table_state = {
   query_counts : Multiset.t;
-  tuple_counts : Multiset.t;
   joins : join_state Int_map.t;  (** by the join's preorder number in the plan *)
 }
 
@@ -46,10 +45,10 @@ val join : join_state Int_map.t -> int -> join_state
 val table : t -> string -> table_state
 val set_table : string -> table_state -> changed:bool -> t -> t
 (** Replace a table's state.  [changed] says whether the rows of
-    [tuple_counts] differ, as a set, from the current ones; only then is
+    [query_counts] differ, as a set, from the current ones; only then is
     the table re-listed in the store image. *)
 
 val store : t -> Relational.Instance.t
 (** The materialized store image, in O(1): per table, the rows of
-    [tuple_counts], ascending — by construction equal (as a set) to pushing
+    [query_counts], ascending — by construction equal (as a set) to pushing
     the current client state through [Query.View.apply_update_views]. *)

@@ -100,48 +100,25 @@ let nullability_step scan nullability q =
       let* rc = nullability r in
       Some (List.map (fun (n, nl) -> (n, nl || may_null ~absent:true n rc)) lc)
 
-(* Tuple leaves of an update-view constructor, each with the positive branch
-   conditions guarding it. *)
-let rec tuple_leaves guard = function
-  | Ctor.Tuple cs -> [ (guard, cs) ]
-  | Ctor.Entity _ -> []
-  | Ctor.If (c, a, b) -> tuple_leaves (c :: guard) a @ tuple_leaves guard b
-
-let guard_forces_not_null guard col =
-  List.exists
-    (fun g ->
-      Query.Cond.conjuncts g
-      |> List.exists (function
-           | Cond.Is_not_null a -> String.equal a col
-           | Cond.Cmp (a, _, v) -> String.equal a col && not (Datum.Value.is_null v)
-           | _ -> false))
-    guard
-
-let update_view_null_diags env nullability tname (v : View.t) =
+(* Each NOT NULL column of the table that the view's query may fill with
+   NULL; a column the query lacks is L105's business. *)
+let update_view_null_diags env nullability tname q =
   match Relational.Schema.find_table env.Query.Env.store tname with
   | None -> []
   | Some tbl -> (
-      match nullability v.query with
+      match nullability q with
       | None -> []
       | Some cols ->
-          tuple_leaves [] v.ctor
-          |> List.concat_map (fun (guard, cs) ->
-                 List.filter_map
-                   (fun c ->
-                     if
-                       Relational.Table.mem_column tbl c
-                       && (not (Relational.Table.nullable tbl c))
-                       && may_null ~absent:false c cols
-                       && not (guard_forces_not_null guard c)
-                     then
-                       Some
-                         (Diag.makef ~code:"L104" ~severity:Diag.Warning
-                            ~loc:(Diag.Update_view tname)
-                            "column %s is NOT NULL but the update view may produce NULL there \
-                             (outer-join padding or nullable source)"
-                            c)
-                     else None)
-                   cs))
+          List.filter_map
+            (fun (c : Relational.Table.column) ->
+              if (not c.nullable) && may_null ~absent:false c.cname cols then
+                Some
+                  (Diag.makef ~code:"L104" ~severity:Diag.Warning ~loc:(Diag.Update_view tname)
+                     "column %s is NOT NULL but the update view may produce NULL there \
+                      (outer-join padding or nullable source)"
+                     c.cname)
+              else None)
+            tbl.Relational.Table.columns)
 
 (* -- L011, L101, L102, L103: the typed fold ---------------------------------- *)
 
@@ -257,7 +234,7 @@ let dead_branch_diags loc ctor acc =
       in
       walk ctor acc
 
-(* -- L105: constructor references ----------------------------------------- *)
+(* -- L105: constructor references and update-view columns ------------------ *)
 
 module Refs = Set.Make (struct
   type t = string * string
@@ -314,38 +291,73 @@ let ctor_ref_diags loc (refs, tests_types) cols acc =
     :: acc
   else acc
 
+(* An update view's columns, sorted, are exactly its table's: one error per
+   column only one side has. *)
+let update_column_diags env loc table cols acc =
+  let diag fmt = Diag.makef ~code:"L105" ~severity:Diag.Error ~loc fmt in
+  match Relational.Schema.find_table env.Query.Env.store table with
+  | None -> diag "the store has no table %s" table :: acc
+  | Some tbl ->
+      let missing acc c =
+        if sorted_mem cols c 0 (Array.length cols) then acc
+        else diag "the update view does not produce column %s of table %s" c table :: acc
+      in
+      let extra acc c =
+        if Relational.Table.mem_column tbl c then acc
+        else diag "the update view produces column %s, which table %s lacks" c table :: acc
+      in
+      Array.fold_left extra (List.fold_left missing acc (Relational.Table.column_names tbl)) cols
+
 (* -- Assembly ------------------------------------------------------------- *)
 
 (* One table per analysis per call (see wf.mli); the L104 pass runs after
    the others' tables are dead. *)
 
-(* Every view with its location and whether its CASE branches are checked
-   (L008).  The root view's constructor carries the hierarchy's full CASE
-   chain; the per-subtype views restrict the same chain, so running the
-   quadratic branch analysis only at the roots covers every branch without
-   paying for it once per subtype. *)
+(* What a view's columns are judged against: a query view's constructor,
+   with whether its CASE branches are checked (L008), or an update view's
+   table. *)
+type judge = Ctor of { ctor : Ctor.t; branches : bool } | Table of string
+
+(* Every view with its location, query and judge.  The root view's
+   constructor carries the hierarchy's full CASE chain; the per-subtype
+   views restrict the same chain, so running the quadratic branch analysis
+   only at the roots covers every branch without paying for it once per
+   subtype. *)
 let located env (qv : View.query_views) (uv : View.update_views) =
   let roots = List.map snd (Edm.Schema.entity_sets env.Query.Env.client) in
-  let at loc branches bindings = List.map (fun (n, v) -> (loc n, branches n, v)) bindings in
+  let at loc branches bindings =
+    List.map
+      (fun (n, (v : View.t)) -> (loc n, v.query, Ctor { ctor = v.ctor; branches = branches n }))
+      bindings
+  in
   at (fun ty -> Diag.Query_view ty) (fun ty -> List.mem ty roots) (View.entity_view_bindings qv)
   @ at (fun a -> Diag.Query_view a) (fun _ -> true) (View.assoc_view_bindings qv)
-  @ at (fun t -> Diag.Update_view t) (fun _ -> true) (View.update_view_bindings uv)
+  @ List.map (fun (t, q) -> (Diag.Update_view t, q, Table t)) (View.update_view_bindings uv)
 
 (* L008, L011, L101, L102, L103 and L105 of every view. *)
 let view_shape_diags env ~keep views =
   let fold = Algebra.Memo.fix ~keep (Algebra.Memo.create ()) (typed_step env) in
   let refs =
-    let keep = Ctor.Memo.shared (List.map (fun (_, _, (v : View.t)) -> v.ctor) views) in
+    let keep =
+      Ctor.Memo.shared
+        (List.filter_map (function _, _, Ctor { ctor; _ } -> Some ctor | _ -> None) views)
+    in
     Ctor.Memo.fix ~keep (Ctor.Memo.create ()) ctor_refs_step
   in
   let sorted = Hashtbl.create 64 in
-  let one acc (loc, branches, (v : View.t)) =
-    let n = fold v.query in
+  let one acc (loc, query, judge) =
+    let n = fold query in
     let structural = List.rev_map (Diag.at loc) n.findings in
-    let acc = if branches then dead_branch_diags loc v.ctor acc else acc in
+    let acc =
+      match judge with Ctor { ctor; branches = true } -> dead_branch_diags loc ctor acc | _ -> acc
+    in
     List.rev_append
       (match n.typed with
-      | Ok cols -> ctor_ref_diags loc (refs v.ctor) (sorted_columns sorted cols) structural
+      | Ok cols -> (
+          let cols = sorted_columns sorted cols in
+          match judge with
+          | Ctor { ctor; _ } -> ctor_ref_diags loc (refs ctor) cols structural
+          | Table t -> update_column_diags env loc t cols structural)
       | Error msg ->
           (* Suppress when a more specific structural error already explains
              the failure. *)
@@ -362,13 +374,13 @@ let update_null_diags env ~keep (uv : View.update_views) =
     Algebra.Memo.fix ~keep (Algebra.Memo.create ()) (nullability_step (scan_nullability scans env))
   in
   List.concat_map
-    (fun (t, v) -> update_view_null_diags env nullability t v)
+    (fun (t, q) -> update_view_null_diags env nullability t q)
     (View.update_view_bindings uv)
 
 (* One [keep] for both: the subterms shared anywhere in the view set, a
    superset of those the update views share among themselves. *)
 let check env qv uv =
   let views = located env qv uv in
-  let keep = Algebra.Memo.shared (List.map (fun (_, _, (v : View.t)) -> v.query) views) in
+  let keep = Algebra.Memo.shared (List.map (fun (_, q, _) -> q) views) in
   let shape_ds = view_shape_diags env ~keep views in
   Diag.sort (List.rev_append shape_ds (update_null_diags env ~keep uv))

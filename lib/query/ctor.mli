@@ -2,16 +2,16 @@
 
     A query view [(Q_E | τ_E)] evaluates the relational query [Q_E] and then
     applies [τ_E] to each row to decide which entity type to instantiate —
-    the role of the CASE statement in Fig. 2.  Update and association views
-    use the degenerate [Tuple] form that simply assembles a row. *)
+    the role of the CASE statement in Fig. 2.  Association views use the
+    degenerate [Tuple] form that simply assembles a row; update views have
+    no constructor, their query's rows being the table's. *)
 
 type t =
   | Entity of { etype : string; attrs : string list }
       (** Instantiate [etype] from the named row columns (which coincide
           with the attribute names of the type). *)
   | Tuple of string list
-      (** Assemble a store tuple or association tuple from the named
-          columns. *)
+      (** Assemble an association tuple from the named columns. *)
   | If of Cond.t * t * t
       (** Branch on the row (provenance flags, discriminators). *)
 

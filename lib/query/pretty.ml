@@ -110,5 +110,5 @@ let query_views fmt (qv : View.query_views) =
 
 let update_views fmt (uv : View.update_views) =
   Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (pp_named view))
+    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (pp_named query))
     (View.update_view_bindings uv)

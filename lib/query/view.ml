@@ -7,7 +7,7 @@ let show v = Format.asprintf "%a" pp v
 module String_map = Map.Make (String)
 
 type query_views = { entity : t String_map.t; assoc : t String_map.t }
-type update_views = t String_map.t
+type update_views = Algebra.t String_map.t
 
 let no_query_views = { entity = String_map.empty; assoc = String_map.empty }
 let no_update_views = String_map.empty
@@ -25,8 +25,8 @@ let assoc_view_bindings qv = String_map.bindings qv.assoc
 let update_view_bindings uv = String_map.bindings uv
 
 let queries qv uv =
-  List.map (fun (_, v) -> v.query)
-    (entity_view_bindings qv @ assoc_view_bindings qv @ update_view_bindings uv)
+  List.map (fun (_, v) -> v.query) (entity_view_bindings qv @ assoc_view_bindings qv)
+  @ List.map snd (update_view_bindings uv)
 
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -37,10 +37,12 @@ let rec fold_ok f acc = function
       let* acc = f acc x in
       fold_ok f acc rest
 
-let eval_view env db (v : t) =
-  match Algebra.infer env v.query with
-  | Error e -> fail "ill-typed view %s: %s" (show v) e
-  | Ok _ -> Ok (List.sort_uniq Datum.Row.compare (Eval.rows env db v.query))
+let eval_query env db pp x q =
+  match Algebra.infer env q with
+  | Error e -> fail "ill-typed view %a: %s" pp x e
+  | Ok _ -> Ok (List.sort_uniq Datum.Row.compare (Eval.rows env db q))
+
+let eval_view env db v = eval_query env db pp v v.query
 
 let apply_query_views env qv store =
   let db = Eval.store_db store in
@@ -76,13 +78,9 @@ let apply_query_views env qv store =
 let apply_update_views env uv client =
   let db = Eval.client_db client in
   fold_ok
-    (fun store (table, v) ->
-      let* rows = eval_view env db v in
-      let tuples =
-        List.sort_uniq Datum.Row.compare
-          (List.map (fun row -> Ctor.eval_tuple env.Env.client row v.ctor) rows)
-      in
-      Ok (Relational.Instance.set_rows ~table tuples store))
+    (fun store (table, q) ->
+      let* rows = eval_query env db Algebra.pp q q in
+      Ok (Relational.Instance.set_rows ~table rows store))
     Relational.Instance.empty (update_view_bindings uv)
 
 let roundtrip env qv uv client =

@@ -4,8 +4,10 @@
     the previous view of any ancestor [P], so per-type views are the unit of
     incremental maintenance — plus one view per association set.  The view of
     a hierarchy's root type doubles as the entity-set view used to
-    materialize client states.  An update-view set holds one view per store
-    table mentioned in the mapping. *)
+    materialize client states.  An update-view set holds one query per store
+    table mentioned in the mapping: an update view needs no constructor, since
+    its query's columns are exactly its table's (lint's L105 checks this) and
+    its distinct rows are the table's rows. *)
 
 type t = { query : Algebra.t; ctor : Ctor.t }
 
@@ -20,22 +22,22 @@ type query_views = {
   assoc : t String_map.t;   (** keyed by association-set name *)
 }
 
-type update_views = t String_map.t  (** keyed by table name *)
+type update_views = Algebra.t String_map.t  (** keyed by table name *)
 
 val no_query_views : query_views
 val no_update_views : update_views
 val entity_view : query_views -> string -> t option
 val assoc_view : query_views -> string -> t option
-val table_view : update_views -> string -> t option
+val table_view : update_views -> string -> Algebra.t option
 val set_entity_view : string -> t -> query_views -> query_views
 val set_assoc_view : string -> t -> query_views -> query_views
-val set_table_view : string -> t -> update_views -> update_views
+val set_table_view : string -> Algebra.t -> update_views -> update_views
 val remove_entity_view : string -> query_views -> query_views
 val remove_assoc_view : string -> query_views -> query_views
 val remove_table_view : string -> update_views -> update_views
 val entity_view_bindings : query_views -> (string * t) list
 val assoc_view_bindings : query_views -> (string * t) list
-val update_view_bindings : update_views -> (string * t) list
+val update_view_bindings : update_views -> (string * Algebra.t) list
 
 val queries : query_views -> update_views -> Algebra.t list
 (** Every view's query: the entity, association, then update views. *)
@@ -48,8 +50,8 @@ val apply_query_views :
 
 val apply_update_views :
   Env.t -> update_views -> Edm.Instance.t -> (Relational.Instance.t, string) result
-(** Materialize the store state of a client state.  Tables without views end
-    up empty. *)
+(** Materialize the store state of a client state: each table holds the
+    distinct rows of its update view.  Tables without views end up empty. *)
 
 val roundtrip :
   Env.t -> query_views -> update_views -> Edm.Instance.t -> (Edm.Instance.t, string) result

@@ -284,13 +284,6 @@ let add_fragment b enc (f : Mapping.Fragment.t) =
   add_arg b add_reference (enc.cond_ref f.store_cond);
   close b
 
-let add_binding b enc kind (name, (v : Query.View.t)) =
-  add_named b kind name;
-  Buffer.add_string b " (view";
-  add_arg b add_reference (enc.query_ref v.query);
-  add_arg b add_reference (enc.ctor_ref v.ctor);
-  Buffer.add_string b "))"
-
 (* The document is [(state (client ..) (store ..) (terms ..) (fragments ..)
    (query_views ..) (update_views ..))], laid out with one field per line and
    one element of a field per line, so it diffs line by line.  The terms
@@ -307,7 +300,13 @@ let save (st : Core.State.t) =
   let entity_views = Query.View.entity_view_bindings st.query_views in
   let assoc_views = Query.View.assoc_view_bindings st.query_views in
   let update_views = Query.View.update_view_bindings st.update_views in
-  let bindings kind = List.iter (fun v -> item (); add_binding b enc kind v) in
+  (* [(kind name v)]: a query view's [v] is [(view #q #c)], an update
+     view's its query [#q]. *)
+  let bindings kind add =
+    List.iter (fun (name, v) -> item (); add_named b kind name; add_arg b add v; close b)
+  in
+  let view b (v : Query.View.t) = add_refs b "view" (enc.query_ref v.query) (enc.ctor_ref v.ctor); close b in
+  let query b q = add_reference b (enc.query_ref q) in
   Buffer.add_string b "(state";
   section "client" (fun () -> add_client b item st.env.client);
   section "store" (fun () -> List.iter (fun t -> item (); add_table b t) (Relational.Schema.tables st.env.store));
@@ -318,10 +317,13 @@ let save (st : Core.State.t) =
         fragments;
       List.iter
         (List.iter (fun (_, (v : Query.View.t)) -> ignore (enc.query_ref v.query); ignore (enc.ctor_ref v.ctor)))
-        [ entity_views; assoc_views; update_views ]);
+        [ entity_views; assoc_views ];
+      List.iter (fun (_, q) -> ignore (enc.query_ref q)) update_views);
   section "fragments" (fun () -> List.iter (fun f -> item (); add_fragment b enc f) fragments);
-  section "query_views" (fun () -> bindings "for_entity" entity_views; bindings "for_assoc" assoc_views);
-  section "update_views" (fun () -> bindings "for_table" update_views);
+  section "query_views" (fun () ->
+      bindings "for_entity" view entity_views;
+      bindings "for_assoc" view assoc_views);
+  section "update_views" (fun () -> bindings "for_table" query update_views);
   Buffer.add_string b ")\n";
   let text = Buffer.contents b in
   Obs.Span.tag "bytes" (String.length text);
@@ -694,9 +696,9 @@ let fragment c tbl =
       let table = atom c in
       { Mapping.Fragment.client_source; client_cond; pairs; table; store_cond = cond c tbl })
 
-(* The bindings of a view section, each [(kind name (view q c))], folded
-   into [init] by the setter [kinds] gives its kind. *)
-let views c tbl kinds init =
+(* The bindings of a view section, each [(kind name v)] with [v] read by
+   [value], folded into [init] by the setter [kinds] gives its kind. *)
+let views c value kinds init =
   let rec go acc =
     if at_close c then acc
     else
@@ -705,7 +707,7 @@ let views c tbl kinds init =
       | None -> failf c "bad view binding (%s .." kind
       | Some set ->
           let name = atom c in
-          let v = field c "view" (fun c -> let query = query c tbl in { Query.View.query; ctor = ctor c tbl }) in
+          let v = value c in
           expect c ')';
           go (set name v acc)
   in
@@ -731,12 +733,15 @@ let document c =
   Obs.Span.tag "terms" tbl.len;
   section "query_views";
   let query_views =
-    views c tbl
+    views c
+      (fun c -> field c "view" (fun c -> let query = query c tbl in { Query.View.query; ctor = ctor c tbl }))
       [ ("for_entity", Query.View.set_entity_view); ("for_assoc", Query.View.set_assoc_view) ]
       Query.View.no_query_views
   in
   section "update_views";
-  let update_views = views c tbl [ ("for_table", Query.View.set_table_view) ] Query.View.no_update_views in
+  let update_views =
+    views c (fun c -> query c tbl) [ ("for_table", Query.View.set_table_view) ] Query.View.no_update_views
+  in
   expect c ')';
   skip_ws c;
   if c.pos < String.length c.text then fail c "trailing input after the state";

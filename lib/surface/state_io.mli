@@ -17,7 +17,7 @@
      (terms e0 e1 e2 ..)
      (fragments (frag (set S) #i ((a c) ..) T #j) ..)
      (query_views (for_entity E (view #q #c)) .. (for_assoc A (view #q #c)) ..)
-     (update_views (for_table T (view #q #c)) ..))
+     (update_views (for_table T #q) ..))
     v}
 
     {b Term table.}  Every {!Query.Cond.t}, {!Query.Algebra.t} and

@@ -39,15 +39,14 @@ let equal_states (a : State.t) (b : State.t) =
     State.Int_map.filter (fun _ js -> not (join_empty js)) ts.joins
   in
   let table_empty (ts : State.table_state) =
-    Multiset.is_empty ts.query_counts && Multiset.is_empty ts.tuple_counts
-    && State.Int_map.is_empty (joins ts)
+    Multiset.is_empty ts.query_counts && State.Int_map.is_empty (joins ts)
   in
   let ms_equal = Row_map.equal Int.equal in
   let groups_equal = Row_map.equal ms_equal in
   Plan.Src_map.equal (Row_map.equal Datum.Row.equal) a.bases b.bases
   && State.String_map.equal
        (fun (x : State.table_state) (y : State.table_state) ->
-         ms_equal x.query_counts y.query_counts && ms_equal x.tuple_counts y.tuple_counts
+         ms_equal x.query_counts y.query_counts
          && State.Int_map.equal
               (fun (x : State.join_state) (y : State.join_state) ->
                 groups_equal x.lefts y.lefts && groups_equal x.rights y.rights)

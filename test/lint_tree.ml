@@ -1,5 +1,6 @@
 (* Tree-walking versions of the rules of [Lint.Wf.check]: [Wf] has the
-   structural ones (L101-L105) and [Views] the dead-code ones (L008, L011).
+   structural ones (L101-L105) and [Views] the dead-code ones (L008, L011;
+   update views have no constructor, so no L008).
    Each applies its rules to every view as a tree, so a subterm reached from
    many views is analysed once per occurrence and each diagnostic is built
    at the view being walked.  Tests use their union as the oracle the
@@ -112,51 +113,24 @@ module Wf = struct
         let right_null n = match List.assoc_opt n rc with Some nl -> nl | None -> true in
         Some (List.map (fun (n, nl) -> (n, nl || right_null n)) lc)
 
-  (* Tuple leaves of an update-view constructor, each with the positive branch
-     conditions guarding it. *)
-  let rec tuple_leaves guard = function
-    | Ctor.Tuple cs -> [ (guard, cs) ]
-    | Ctor.Entity _ -> []
-    | Ctor.If (c, a, b) -> tuple_leaves (c :: guard) a @ tuple_leaves guard b
-
-  let guard_forces_not_null guard col =
-    List.exists
-      (fun g ->
-        Query.Cond.conjuncts g
-        |> List.exists (function
-             | Cond.Is_not_null a -> String.equal a col
-             | Cond.Cmp (a, _, v) -> String.equal a col && not (Datum.Value.is_null v)
-             | _ -> false))
-      guard
-
-  let update_view_null_diags memo env tname (v : View.t) =
+  let update_view_null_diags memo env tname q =
     match Relational.Schema.find_table env.Query.Env.store tname with
     | None -> []
     | Some tbl -> (
-        match nullability memo env v.query with
+        match nullability memo env q with
         | None -> []
         | Some cols ->
-            tuple_leaves [] v.ctor
-            |> List.concat_map (fun (guard, cs) ->
-                   List.filter_map
-                     (fun c ->
-                       let may_null =
-                         match List.assoc_opt c cols with Some nl -> nl | None -> false
-                       in
-                       if
-                         Relational.Table.mem_column tbl c
-                         && (not (Relational.Table.nullable tbl c))
-                         && may_null
-                         && not (guard_forces_not_null guard c)
-                       then
-                         Some
-                           (Diag.makef ~code:"L104" ~severity:Diag.Warning
-                              ~loc:(Diag.Update_view tname)
-                              "column %s is NOT NULL but the update view may produce NULL there \
-                               (outer-join padding or nullable source)"
-                              c)
-                       else None)
-                     cs))
+            List.filter_map
+              (fun c ->
+                let may_null = match List.assoc_opt c cols with Some nl -> nl | None -> false in
+                if (not (Relational.Table.nullable tbl c)) && may_null then
+                  Some
+                    (Diag.makef ~code:"L104" ~severity:Diag.Warning ~loc:(Diag.Update_view tname)
+                       "column %s is NOT NULL but the update view may produce NULL there \
+                        (outer-join padding or nullable source)"
+                       c)
+                else None)
+              (Relational.Table.column_names tbl))
 
   (* -- L102: duplicate projection destinations ------------------------------ *)
 
@@ -255,14 +229,37 @@ module Wf = struct
     walk v.ctor;
     !acc
 
+  (* An update view's columns against its table's. *)
+  let table_column_diags env loc table cols acc =
+    match Relational.Schema.find_table env.Query.Env.store table with
+    | None ->
+        Diag.makef ~code:"L105" ~severity:Diag.Error ~loc "the store has no table %s" table :: acc
+    | Some tbl ->
+        let have = S.of_list cols and want = S.of_list (Relational.Table.column_names tbl) in
+        let acc =
+          S.fold
+            (fun c acc ->
+              Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
+                "the update view does not produce column %s of table %s" c table
+              :: acc)
+            (S.diff want have) acc
+        in
+        S.fold
+          (fun c acc ->
+            Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
+              "the update view produces column %s, which table %s lacks" c table
+            :: acc)
+          (S.diff have want) acc
+
   (* -- Assembly ------------------------------------------------------------- *)
 
-  let view_diags env loc (v : View.t) =
-    let acc = dup_dst_diags loc v.query [] in
-    let acc = union_order_diags env loc v.query acc in
+  (* [judge] applies L105 to the columns of a well-typed query. *)
+  let view_diags env loc q judge =
+    let acc = dup_dst_diags loc q [] in
+    let acc = union_order_diags env loc q acc in
     let acc =
-      match Algebra.infer env v.query with
-      | Ok cols -> ctor_ref_diags loc v cols acc
+      match Algebra.infer env q with
+      | Ok cols -> judge cols acc
       | Error msg ->
           (* Suppress when a more specific structural error already explains
              the failure. *)
@@ -274,13 +271,14 @@ module Wf = struct
   let check env (qv : View.query_views) (uv : View.update_views) =
     let memo : scan_memo = Hashtbl.create 64 in
     let acc = ref [] in
-    let one loc v = acc := view_diags env loc v @ !acc in
+    let one loc (v : View.t) = acc := view_diags env loc v.query (ctor_ref_diags loc v) @ !acc in
     List.iter (fun (ty, v) -> one (Diag.Query_view ty) v) (View.entity_view_bindings qv);
     List.iter (fun (a, v) -> one (Diag.Query_view a) v) (View.assoc_view_bindings qv);
     List.iter
-      (fun (t, v) ->
-        one (Diag.Update_view t) v;
-        acc := update_view_null_diags memo env t v @ !acc)
+      (fun (t, q) ->
+        let loc = Diag.Update_view t in
+        acc := view_diags env loc q (table_column_diags env loc t) @ !acc;
+        acc := update_view_null_diags memo env t q @ !acc)
       (View.update_view_bindings uv);
     Diag.sort !acc
 end
@@ -360,6 +358,8 @@ module Views = struct
       (fun (ty, v) -> one ~branches:(S.mem ty roots) (Diag.Query_view ty) v)
       (Query.View.entity_view_bindings qv);
     List.iter (fun (a, v) -> one (Diag.Query_view a) v) (Query.View.assoc_view_bindings qv);
-    List.iter (fun (t, v) -> one (Diag.Update_view t) v) (Query.View.update_view_bindings uv);
+    List.iter
+      (fun (t, q) -> acc := dead_select_diags (Diag.Update_view t) q !acc)
+      (Query.View.update_view_bindings uv);
     Diag.sort !acc
 end

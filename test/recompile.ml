@@ -77,11 +77,22 @@ let expected (before : Core.State.t) smo (after : Core.State.t) =
       regenerate ~set (Query.View.remove_assoc_view assoc qv) before.Core.State.update_views
   | _ -> None
 
-let bindings (st : Core.State.t) =
+let query_bindings (st : Core.State.t) =
   let tagged kind = List.map (fun (n, v) -> (kind ^ " " ^ n, v)) in
   tagged "entity" (Query.View.entity_view_bindings st.Core.State.query_views)
   @ tagged "assoc" (Query.View.assoc_view_bindings st.Core.State.query_views)
-  @ tagged "table" (Query.View.update_view_bindings st.Core.State.update_views)
+
+let update_bindings (st : Core.State.t) =
+  List.map (fun (n, q) -> ("table " ^ n, q)) (Query.View.update_view_bindings st.Core.State.update_views)
+
+(* The same names in the same order, and equal views under each. *)
+let same_bindings tag equal ours theirs =
+  Alcotest.check
+    Alcotest.(list string)
+    (tag ^ ": the reference's view bindings") (List.map fst theirs) (List.map fst ours);
+  List.iter2
+    (fun (n, v) (_, w) -> Alcotest.check Alcotest.bool (tag ^ ": " ^ n ^ " as the reference") true (equal v w))
+    ours theirs
 
 (* The views of [after], the state [smo] produced from [before], are the
    reference's, binding by binding. *)
@@ -92,12 +103,5 @@ let check tag (before : Core.State.t) smo (after : Core.State.t) =
       Alcotest.failf "%s: reference regeneration failed: %s" tag
         (Containment.Validation_error.show e)
   | Some (Ok reference) ->
-      let ours = bindings after and theirs = bindings reference in
-      Alcotest.check
-        Alcotest.(list string)
-        (tag ^ ": the reference's view bindings") (List.map fst theirs) (List.map fst ours);
-      List.iter2
-        (fun (n, v) (_, w) ->
-          Alcotest.check Alcotest.bool (tag ^ ": " ^ n ^ " as the reference") true
-            (Query.View.equal v w))
-        ours theirs
+      same_bindings tag Query.View.equal (query_bindings after) (query_bindings reference);
+      same_bindings tag Query.Algebra.equal (update_bindings after) (update_bindings reference)

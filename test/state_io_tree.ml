@@ -217,7 +217,9 @@ let save (st : Core.State.t) =
   let entity_views = List.map (binding "for_entity") (Query.View.entity_view_bindings qv) in
   let assoc_views = List.map (binding "for_assoc") (Query.View.assoc_view_bindings qv) in
   let update_views =
-    List.map (binding "for_table") (Query.View.update_view_bindings st.Core.State.update_views)
+    List.map
+      (fun (table, q) -> S.field "for_table" [ S.string table; reference (query_ref enc q) ])
+      (Query.View.update_view_bindings st.Core.State.update_views)
   in
   let env = st.Core.State.env in
   render

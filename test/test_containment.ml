@@ -340,12 +340,7 @@ let test_aa_jt_cases () =
 
 (* -- the DAG-aware simplifier against the tree walk ---------------------- *)
 
-let views_of (st : Core.State.t) =
-  let qv = st.Core.State.query_views in
-  List.map
-    (fun (_, v) -> v.Query.View.query)
-    (Query.View.entity_view_bindings qv @ Query.View.assoc_view_bindings qv
-    @ Query.View.update_view_bindings st.Core.State.update_views)
+let views_of (st : Core.State.t) = Query.View.queries st.Core.State.query_views st.Core.State.update_views
 
 let simplify_agrees tag env qs =
   let simplify = Query.Simplify.query env in

@@ -198,21 +198,14 @@ let null_key_env, null_key_uv =
   let by_addr = A.Project ([ A.col_as "Id" "B"; A.col_as "BillAddr" "K" ], persons) in
   let employees = A.Select (C.Is_of "Employee", persons) in
   let supported = A.Project ([ A.col_as "Customer.Id" "C" ], A.Scan (A.Assoc_set "Supports")) in
-  let view query cols = { Query.View.query; ctor = Query.Ctor.Tuple cols } in
   ( Query.Env.make ~client:env.Query.Env.client ~store,
     Query.View.no_update_views
-    |> Query.View.set_table_view "Foj"
-         (view (A.Full_outer_join (by_dept, by_addr, [ "K" ])) [ "A"; "B"; "K" ])
+    |> Query.View.set_table_view "Foj" (A.Full_outer_join (by_dept, by_addr, [ "K" ]))
     |> Query.View.set_table_view "Loj"
-         (view
-            (A.Left_outer_join
-               (by_addr, A.Project ([ A.col_as "Id" "A"; A.col_as "Department" "K" ], employees),
-                 [ "K" ]))
-            [ "A"; "B"; "K" ])
+         (A.Left_outer_join
+            (by_addr, A.Project ([ A.col_as "Id" "A"; A.col_as "Department" "K" ], employees), [ "K" ]))
     |> Query.View.set_table_view "Cross"
-         (view
-            (A.Left_outer_join (A.Project ([ A.col_as "Id" "A" ], employees), supported, []))
-            [ "A"; "C" ]) )
+         (A.Left_outer_join (A.Project ([ A.col_as "Id" "A" ], employees), supported, [])) )
 
 let test_null_join_keys () =
   let person id =
@@ -293,21 +286,16 @@ let index_env, index_uv =
         table "FiveLinks" [ "C"; "E" ] [ ("C", D.Int); ("E", D.Int) ];
       ]
   in
-  let view query cols = { Query.View.query; ctor = Query.Ctor.Tuple cols } in
   ( Query.Env.make ~client:env.Query.Env.client ~store,
     Query.View.no_update_views
     |> Query.View.set_table_view "Five"
-         (view
-            (A.Select
-               ( C.Cmp ("Id", C.Eq, V.Int 5),
-                 A.Project ([ A.col "Id"; A.col "Name" ], A.Scan (A.Entity_set "Persons")) ))
-            [ "Id"; "Name" ])
+         (A.Select
+            ( C.Cmp ("Id", C.Eq, V.Int 5),
+              A.Project ([ A.col "Id"; A.col "Name" ], A.Scan (A.Entity_set "Persons")) ))
     |> Query.View.set_table_view "FiveLinks"
-         (view
-            (A.Project
-               ( [ A.col_as "Customer.Id" "C"; A.col_as "Employee.Id" "E" ],
-                 A.Select (C.Cmp ("Customer.Id", C.Eq, V.Int 5), A.Scan (A.Assoc_set "Supports")) ))
-            [ "C"; "E" ]) )
+         (A.Project
+            ( [ A.col_as "Customer.Id" "C"; A.col_as "Employee.Id" "E" ],
+              A.Select (C.Cmp ("Customer.Id", C.Eq, V.Int 5), A.Scan (A.Assoc_set "Supports")) )) )
 
 let test_index_scans () =
   let plan = ok_exn (Ivm.Plan.compile index_env index_uv) in
@@ -502,7 +490,7 @@ let sign_split d =
 
 (* The skipping engine against [Ivm_all_tables] after one step from equal
    states: equal states, equal non-empty deltas, and a store image whose
-   every table lists the rows of its [tuple_counts]. *)
+   every table lists the rows of its [query_counts]. *)
 let check_skip ~fail (plan : Ivm.Plan.t) ~store (skip_deltas, st_skip) (all_deltas, st_all) =
   let non_empty =
     List.filter (fun (_, removed, added) -> removed <> [] || added <> [])
@@ -531,9 +519,9 @@ let check_skip ~fail (plan : Ivm.Plan.t) ~store (skip_deltas, st_skip) (all_delt
               let table = tp.Ivm.Plan.table in
               same_rows
                 (Relational.Instance.rows store ~table)
-                (Ivm.Multiset.rows (Ivm.State.table st_skip table).Ivm.State.tuple_counts))
+                (Ivm.Multiset.rows (Ivm.State.table st_skip table).Ivm.State.query_counts))
             plan.Ivm.Plan.tables)
-  then fail "store image differs from the tables' tuple counts"
+  then fail "store image differs from the tables' query counts"
 
 let run_differential_case seed =
   let env, fragments = Workload.Random_model.generate ~profile ~seed () in
@@ -611,11 +599,11 @@ let check_planner_roots msg env uv =
     (List.map (fun (tp : Ivm.Plan.table_plan) -> tp.Ivm.Plan.table) plan.Ivm.Plan.tables);
   List.iter
     (fun (tp : Ivm.Plan.table_plan) ->
-      let v = List.assoc tp.Ivm.Plan.table views in
+      let q = List.assoc tp.Ivm.Plan.table views in
       checkb
         (Printf.sprintf "%s: %s is the planner's plan" msg tp.Ivm.Plan.table)
         true
-        (tp.Ivm.Plan.root = ok_exn (Exec.Planner.plan env v.Query.View.query)))
+        (tp.Ivm.Plan.root = ok_exn (Exec.Planner.plan env q)))
     plan.Ivm.Plan.tables
 
 let test_planner_roots () =

@@ -18,7 +18,7 @@ let test_paper_example_shapes () =
   (* The Client table's update view: the association branch rides on the
      Customer branch with a LEFT OUTER JOIN. *)
   let foj_u, loj_u, _ =
-    view_stats (Option.get (Query.View.table_view c.Fullc.Compile.update_views "Client"))
+    Fullc.Optimize.stats (Option.get (Query.View.table_view c.Fullc.Compile.update_views "Client"))
   in
   check Alcotest.int "update view: no FOJ" 0 foj_u;
   check Alcotest.int "update view: one LOJ" 1 loj_u
@@ -36,8 +36,8 @@ let test_chain_update_views_loj () =
   let env', frags = Workload.Chain.generate ~size:4 in
   let c = ok_exn (Fullc.Compile.compile ~optimize:true env' frags) in
   List.iter
-    (fun (table, v) ->
-      let foj, _, _ = view_stats v in
+    (fun (table, q) ->
+      let foj, _, _ = Fullc.Optimize.stats q in
       check Alcotest.int (table ^ ": no full outer joins") 0 foj)
     (Query.View.update_view_bindings c.Fullc.Compile.update_views)
 

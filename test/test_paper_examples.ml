@@ -70,7 +70,7 @@ let test_example1 () =
   let obls =
     equiv "ex1.person-view" narrowed hr
     @ equiv "ex1.hr-view"
-        (A.project_cols [ "Id"; "Name" ] uv.Query.View.query)
+        (A.project_cols [ "Id"; "Name" ] uv)
         (A.project_cols [ "Id"; "Name" ]
            (A.Select (C.Is_of "Person", A.Scan (A.Entity_set "Persons"))))
   in
@@ -110,8 +110,7 @@ let test_example2 () =
    Employee (Persons)); Q2_HR unchanged from Q1_HR. *)
 let test_example3 () =
   let st = Lazy.force st2 in
-  let v = Option.get (Query.View.table_view st.Core.State.update_views "Emp") in
-  (match v.Query.View.query with
+  (match Option.get (Query.View.table_view st.Core.State.update_views "Emp") with
   | A.Project (items, A.Select (C.Is_of "Employee", A.Scan (A.Entity_set "Persons"))) ->
       checkb "renames Department to Dept" true
         (List.exists
@@ -120,7 +119,7 @@ let test_example3 () =
   | q -> Alcotest.failf "unexpected Q2_Emp shape: %s" (A.show q));
   let before = Option.get (Query.View.table_view (Lazy.force st1).Core.State.update_views "HR") in
   let after = Option.get (Query.View.table_view st.Core.State.update_views "HR") in
-  checkb "Q2_HR = Q1_HR" true (Query.View.equal before after)
+  checkb "Q2_HR = Q1_HR" true (Query.Algebra.equal before after)
 
 (* Example 4: the TPC addition — Q3_Customer over Client alone; Q3_Person
    gains a UNION ALL branch; Q3_HR rewrites IS OF Person to
@@ -144,7 +143,7 @@ let test_example4 () =
     | A.Join (l, r, _) | A.Left_outer_join (l, r, _) | A.Full_outer_join (l, r, _)
     | A.Union_all (l, r) -> collect l; collect r
   in
-  collect v_hr.Query.View.query;
+  collect v_hr;
   checkb "Q3_HR condition widened" true
     (List.exists
        (fun c -> C.equal c (C.Or (C.Is_of_only "Person", C.Is_of "Employee")))
@@ -184,8 +183,7 @@ let test_example6 () =
 let test_example7 () =
   let st = Lazy.force st4 in
   checkb "Σ4" true (Mapping.Fragments.equal st.Core.State.fragments P.stage4.P.fragments);
-  let v = Option.get (Query.View.table_view st.Core.State.update_views "Client") in
-  (match v.Query.View.query with
+  (match Option.get (Query.View.table_view st.Core.State.update_views "Client") with
   | A.Left_outer_join (A.Project (items, _), A.Project (_, A.Scan (A.Assoc_set "Supports")), [ "Cid" ])
     ->
       checkb "Eid excluded from the left side" true

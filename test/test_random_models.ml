@@ -224,13 +224,10 @@ let test_differential_vs_fullc () =
           (Query.View.assoc_view_bindings full.Fullc.Compile.query_views);
         (* Update views read the client state. *)
         List.iter
-          (fun (t, (v : Query.View.t)) ->
+          (fun (t, q) ->
             match Query.View.table_view st'.Core.State.update_views t with
             | None -> Alcotest.failf "seed %d: no incremental update view for %s" seed t
-            | Some vi ->
-                equiv env' client_dbs
-                  (Printf.sprintf "seed %d table %s" seed t)
-                  vi.Query.View.query v.Query.View.query)
+            | Some qi -> equiv env' client_dbs (Printf.sprintf "seed %d table %s" seed t) qi q)
           (Query.View.update_view_bindings full.Fullc.Compile.update_views)
   in
   let shrinks = function
@@ -264,20 +261,15 @@ let test_differential_vs_fullc () =
    accept with equal views, binding by binding, or both reject with the same
    rendered error.  Returns the accepted state. *)
 let apply_both tag st smo =
-  let views (st : Core.State.t) =
-    let tagged kind = List.map (fun (n, v) -> (kind ^ " " ^ n, v)) in
-    tagged "entity" (Query.View.entity_view_bindings st.Core.State.query_views)
-    @ tagged "assoc" (Query.View.assoc_view_bindings st.Core.State.query_views)
-    @ tagged "table" (Query.View.update_view_bindings st.Core.State.update_views)
-  in
   let tag = tag ^ " " ^ Core.Smo.name smo in
+  let same equal va vb =
+    check Alcotest.(list string) (tag ^ ": same bindings") (List.map fst va) (List.map fst vb);
+    List.iter2 (fun (n, v) (_, w) -> checkb (tag ^ ": equal " ^ n) true (equal v w)) va vb
+  in
   match (Core.Engine.apply ~jobs:1 st smo, Core.Engine.apply ~jobs:4 st smo) with
   | Ok a, Ok b ->
-      let va = views a and vb = views b in
-      check Alcotest.(list string) (tag ^ ": same bindings") (List.map fst va) (List.map fst vb);
-      List.iter2
-        (fun (n, v) (_, w) -> checkb (tag ^ ": equal " ^ n) true (Query.View.equal v w))
-        va vb;
+      same Query.View.equal (Recompile.query_bindings a) (Recompile.query_bindings b);
+      same Query.Algebra.equal (Recompile.update_bindings a) (Recompile.update_bindings b);
       Some a
   | Error a, Error b ->
       check Alcotest.string (tag ^ ": same rejection") (show_v a) (show_v b);

@@ -371,9 +371,9 @@ let test_state_roundtrip () =
       | None -> Alcotest.failf "query view %s lost" ty)
     (Query.View.entity_view_bindings st.Core.State.query_views);
   List.iter
-    (fun (t, v) ->
+    (fun (t, q) ->
       match Query.View.table_view st'.Core.State.update_views t with
-      | Some v' -> checkb ("update view " ^ t) true (Query.View.equal v v')
+      | Some q' -> checkb ("update view " ^ t) true (Query.Algebra.equal q q')
       | None -> Alcotest.failf "update view %s lost" t)
     (Query.View.update_view_bindings st.Core.State.update_views);
   (* The reloaded state keeps compiling incrementally. *)
@@ -494,9 +494,9 @@ let test_loaded_state_is_shared () =
     Alcotest.failf "loaded state has %d words, the compiled one %d" reloaded compiled
 
 (* Hand-written documents around a two-entry table whose entry 0 is [true]. *)
-let doc ?(terms = "true (select #0 (scan (table T)))") ?(frags = "") ?(views = "") () =
-  Printf.sprintf "(state (client) (store) (terms %s) (fragments %s) (query_views %s) (update_views))"
-    terms frags views
+let doc ?(terms = "true (select #0 (scan (table T)))") ?(frags = "") ?(views = "") ?(updates = "") () =
+  Printf.sprintf "(state (client) (store) (terms %s) (fragments %s) (query_views %s) (update_views %s))"
+    terms frags views updates
 
 let test_bad_references () =
   let view q c = Printf.sprintf "(for_entity E (view %s %s))" q c in
@@ -523,6 +523,18 @@ let test_bad_references () =
        doc ~frags:"(frag (set S) #1 ((Id Id)) T #0)" ());
       ("unknown term", doc ~terms:"true (nand #0 #0)" ());
     ]
+
+(* An update binding is [(for_table T #q)].  A binding in the form with a
+   constructor, [(for_table T (view #q #c))], is an [Error] that names an
+   offset; [load] does not raise. *)
+let test_update_binding_form () =
+  let terms = "true (select #0 (scan (table T))) (tuple (Id))" in
+  let update b = doc ~terms ~updates:(Printf.sprintf "(for_table T %s)" b) () in
+  checkb "a query reference loads" true (Result.is_ok (load (update "#1")));
+  match load (update "(view #1 #2)") with
+  | Ok _ -> Alcotest.fail "an update binding with a constructor loaded"
+  | Error e -> checkb ("the error names an offset: " ^ e) true (String.starts_with ~prefix:"at offset " e)
+  | exception ex -> Alcotest.failf "load raised %s" (Printexc.to_string ex)
 
 (* Truncated and byte-mutated saved states: [load] answers, [Ok] or [Error],
    and never raises. *)
@@ -843,6 +855,7 @@ let () =
           Alcotest.test_case "customer save (load t) = t" `Quick test_customer_roundtrip;
           Alcotest.test_case "loaded state is shared" `Quick test_loaded_state_is_shared;
           Alcotest.test_case "bad references" `Quick test_bad_references;
+          Alcotest.test_case "update binding form" `Quick test_update_binding_form;
           Alcotest.test_case "save matches the tree-walk encoder" `Quick test_save_matches_oracle;
           Alcotest.test_case "encoder visits each term once" `Quick test_encode_visits;
           Alcotest.test_case "CR in a string constant" `Quick test_cr_constant;
