@@ -9,6 +9,7 @@ let find c r = M.find_opt c r
 let get c r = M.find c r
 let mem c r = M.mem c r
 let add c v r = M.add c v r
+let mapi f r = M.mapi f r
 let remove c r = M.remove c r
 let columns r = List.map fst (M.bindings r)
 let cardinal r = M.cardinal r

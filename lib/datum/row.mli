@@ -17,6 +17,12 @@ val get : string -> t -> Value.t
 
 val mem : string -> t -> bool
 val add : string -> Value.t -> t -> t
+
+val mapi : (string -> Value.t -> Value.t) -> t -> t
+(** The same columns, each bound to [f column value]: one allocation per
+    column, where binding them one {!add} at a time copies a path per
+    column. *)
+
 val remove : string -> t -> t
 val columns : t -> string list
 val cardinal : t -> int

@@ -123,26 +123,50 @@ let step plan st ops =
       Obs.Span.tag "ops" (List.length ops);
       run plan st ops)
 
-(* The whole instance as one batch of inserts into the empty state, so init
-   enforces exactly [step]'s duplicate-key and duplicate-link guards. *)
+(* [init]'s guard walk over one source: add each row to the base image under
+   [key row], failing with [dup] on a key already there, and keep the rows
+   as [Engine.init]'s input.  [Row_map.update] returns its map physically
+   unchanged when the key is bound and [f] keeps the binding, so one descent
+   both finds a duplicate and adds a new key. *)
+let fill src ~key ~dup items (st, rows) =
+  let* base, rs =
+    List.fold_left
+      (fun acc row ->
+        let* base, rs = acc in
+        let k = key row in
+        let base' = Row_map.update k (function None -> Some row | bound -> bound) base in
+        if base' == base then dup k else Ok (base', row :: rs))
+      (Ok (State.base st src, []))
+      items
+  in
+  Ok (State.set_base src base st, Src_map.add src rs rows)
+
+(* The guards a step from the empty state applies to a batch inserting the
+   whole instance, in that batch's order: entity sets in schema order, then
+   associations.  The walk visits only the schema's own sets and
+   associations, so of those guards only the duplicate-key and
+   duplicate-link ones can fail. *)
 let init (plan : Plan.t) client =
   Obs.Span.with_ ~name:"ivm.init" (fun () ->
       let schema = plan.Plan.env.Query.Env.client in
-      let entities =
-        List.concat_map
-          (fun (set, _) ->
-            List.map
-              (fun entity -> Insert_entity { set; entity })
-              (Edm.Instance.entities client ~set))
-          (Edm.Schema.entity_sets schema)
+      let entity_sets acc (set, root) =
+        let* acc = acc in
+        let row = Query.Eval.entity_row plan.Plan.env set in
+        let key = Datum.Row.project (Edm.Schema.key_of schema root) in
+        fill (Query.Algebra.Entity_set set) ~key
+          ~dup:(fun k -> fail "insert: key %s already present in %s" (Datum.Row.show k) set)
+          (List.map row (Edm.Instance.entities client ~set))
+          acc
       in
-      let links =
-        List.concat_map
-          (fun (a : Edm.Association.t) ->
-            List.map
-              (fun link -> Insert_link { assoc = a.name; link })
-              (Edm.Instance.links client ~assoc:a.name))
-          (Edm.Schema.associations schema)
+      let associations acc (a : Edm.Association.t) =
+        let* acc = acc in
+        fill (Query.Algebra.Assoc_set a.name) ~key:Fun.id
+          ~dup:(fun _ -> fail "link already present in %s" a.name)
+          (Edm.Instance.links client ~assoc:a.name)
+          acc
       in
-      let* _, st = run plan (State.empty plan) (entities @ links) in
-      Ok st)
+      let* st, rows =
+        List.fold_left entity_sets (Ok (State.empty plan, Src_map.empty)) (Edm.Schema.entity_sets schema)
+      in
+      let* st, rows = List.fold_left associations (Ok (st, rows)) (Edm.Schema.associations schema) in
+      Ok (Engine.init plan st ~rows))

@@ -1,11 +1,12 @@
 (** Client deltas in, table deltas out — the IVM face of update translation.
 
-    [init] materializes a client instance through the plan once: it is a
-    {!step} from the empty state whose batch inserts every entity and link
-    of the instance, so the materialized state is by construction
-    consistent with what later steps maintain, and the instance meets the
-    same guards.  [step] then costs the delta plus the table plans it
-    reaches, not O(instance).
+    [init] materializes a client instance through the plan once: it
+    checks the instance against the guards of a {!step} from the empty
+    state whose batch inserts every entity and then every link, filling
+    the base images, and hands each source's rows to {!Engine.init}, which
+    evaluates every table plan once over them.  The result equals that
+    step's state (the tests check it); [step] then costs the delta plus
+    the table plans it reaches, not O(instance).
 
     [op] is the client delta type: [Dml.Delta.op] re-exports it (lib/ivm
     sits below lib/dml, so the type is declared here).  [step] enforces
@@ -33,8 +34,9 @@ type table_delta = {
 
 val init : Plan.t -> Edm.Instance.t -> (State.t, string) result
 (** Materialize a full client instance (runs under an ["ivm.init"] span).
-    Fails, as {!step} does, on an instance holding two entities with one
-    key in a set or the same link twice. *)
+    Fails with {!step}'s messages on an instance holding two entities with
+    one key in a set or the same link twice, reporting the first in that
+    step's batch order. *)
 
 val step : Plan.t -> State.t -> op list -> (table_delta list * State.t, string) result
 (** Propagate one batch of ops (runs under an ["ivm.step"] span).  The

@@ -5,7 +5,8 @@
    J(old) per touched key, with J the group's cross product or its padding,
    decided by [Query.Join.key]).  DISTINCT — which [apply_update_views]
    applies to each view's query rows — becomes multiplicity 0↔positive
-   transitions. *)
+   transitions.  [init] walks the same plans with bulk rules over row
+   lists, which give what the delta rules give from the empty state. *)
 
 module Row_map = Multiset.Row_map
 module P = Exec.Plan
@@ -17,8 +18,6 @@ let c_project = Obs.Metric.counter "ivm.rows.project"
 let c_join = Obs.Metric.counter "ivm.rows.join"
 let c_union = Obs.Metric.counter "ivm.rows.union"
 let c_distinct = Obs.Metric.counter "ivm.rows.distinct"
-
-let tick c d = Obs.Metric.incr ~by:(Multiset.total d) c
 
 (* The join of one key group.  Every row of a group projects to the same
    join-key row [k], so either every pair matches — [k] is a full non-NULL
@@ -65,19 +64,6 @@ let join_delta (j : Query.Join.t) (js : State.join_state) dl dr =
   in
   (out, { State.lefts; rights })
 
-let select schema c d =
-  match c with
-  | C.True -> d
-  | c ->
-      let d = Multiset.filter (fun r -> C.eval schema r c) d in
-      tick c_select d;
-      d
-
-let project items d =
-  let d = Multiset.map_rows (Query.Eval.project_row items) d in
-  tick c_project d;
-  d
-
 (* The selection a scan applies: its residual filter, and for an index
    probe the [col = value] conjunct it was planned from ([C.eval] matches
    no [NULL], as the probe does). *)
@@ -87,54 +73,91 @@ let scan_cond access filter =
   | P.Index_eq { col; value }, C.True -> C.Cmp (col, C.Eq, value)
   | P.Index_eq { col; value }, f -> C.And (C.Cmp (col, C.Eq, value), f)
 
+(* One walk of a table plan serves both rule sets.  ['bag] is what flows
+   along the plan's edges — a signed delta for [propagate], a row list (a
+   row repeated by its multiplicity) for [init] — and [join] is the only
+   rule that reads or writes operator state.  The walk ticks every counter,
+   by [total] of the bag the operator emits. *)
+type 'bag rules = {
+  source : Query.Algebra.source -> 'bag;
+  filter : (Datum.Row.t -> bool) -> 'bag -> 'bag;
+  map : (Datum.Row.t -> Datum.Row.t) -> 'bag -> 'bag;
+  append : 'bag -> 'bag -> 'bag;
+  join : Query.Join.t -> State.join_state -> 'bag -> 'bag -> 'bag * State.join_state;
+  total : 'bag -> int;
+  is_empty : 'bag -> bool;
+}
+
+let tick rules c b = Obs.Metric.incr ~by:(rules.total b) c
+
+let select rules schema c b =
+  match c with
+  | C.True -> b
+  | c ->
+      let b = rules.filter (fun r -> C.eval schema r c) b in
+      tick rules c_select b;
+      b
+
+let project rules items b =
+  let b = rules.map (Query.Eval.project_row items) b in
+  tick rules c_project b;
+  b
+
 (* [joins] holds the table's join states by preorder number and [next] is
    the number of the next join the walk meets. *)
-let rec node_delta schema feed ((next, joins) as acc) = function
+let rec node rules schema ((next, joins) as acc) = function
   | P.Scan { source; access; filter; proj } ->
-      let d = Option.value ~default:Multiset.empty (Plan.Src_map.find_opt source feed) in
-      tick c_scan d;
-      let d = select schema (scan_cond access filter) d in
-      ((match proj with None -> d | Some items -> project items d), acc)
+      let b = rules.source source in
+      tick rules c_scan b;
+      let b = select rules schema (scan_cond access filter) b in
+      ((match proj with None -> b | Some items -> project rules items b), acc)
   | P.Filter (c, n) ->
-      let d, acc = node_delta schema feed acc n in
-      (select schema c d, acc)
+      let b, acc = node rules schema acc n in
+      (select rules schema c b, acc)
   | P.Project (items, n) ->
-      let d, acc = node_delta schema feed acc n in
-      (project items d, acc)
+      let b, acc = node rules schema acc n in
+      (project rules items b, acc)
   | P.Append (l, r) ->
-      let dl, acc = node_delta schema feed acc l in
-      let dr, acc = node_delta schema feed acc r in
-      let d = Multiset.sum dl dr in
-      tick c_union d;
-      (d, acc)
+      let bl, acc = node rules schema acc l in
+      let br, acc = node rules schema acc r in
+      let b = rules.append bl br in
+      tick rules c_union b;
+      (b, acc)
   | P.Hash_join j ->
-      let dl, acc = node_delta schema feed (next + 1, joins) j.left in
-      let dr, (after, joins) = node_delta schema feed acc j.right in
-      if Multiset.is_empty dl && Multiset.is_empty dr then (Multiset.empty, (after, joins))
+      let bl, acc = node rules schema (next + 1, joins) j.left in
+      let br, (after, joins) = node rules schema acc j.right in
+      if rules.is_empty bl && rules.is_empty br then (bl, (after, joins))
       else
-        let d, js = join_delta j.spec (State.join joins next) dl dr in
-        tick c_join d;
-        (d, (after, State.Int_map.add next js joins))
+        let b, js = rules.join j.spec (State.join joins next) bl br in
+        tick rules c_join b;
+        (b, (after, State.Int_map.add next js joins))
+
+let delta_rules feed =
+  {
+    source = (fun src -> Option.value ~default:Multiset.empty (Plan.Src_map.find_opt src feed));
+    filter = Multiset.filter;
+    map = Multiset.map_rows;
+    append = Multiset.sum;
+    join = join_delta;
+    total = Multiset.total;
+    is_empty = Multiset.is_empty;
+  }
 
 let table_delta (plan : Plan.t) feed st (tp : Plan.table_plan) =
   let schema = plan.Plan.env.Query.Env.client in
   let ts = State.table st tp.Plan.table in
-  let d, (_, joins) = node_delta schema feed (0, ts.State.joins) tp.Plan.root in
+  let d, (_, joins) = node (delta_rules feed) schema (0, ts.State.joins) tp.Plan.root in
   let query_counts, out = Multiset.apply_distinct ~base:ts.State.query_counts ~delta:d in
-  tick c_distinct out;
+  Obs.Metric.incr ~by:(Multiset.total out) c_distinct;
   ( out,
     State.set_table tp.Plan.table { State.query_counts; joins }
       ~changed:(not (Multiset.is_empty out)) st )
 
-(* The plans reading a source the feed changes, in plan order.  Plan order
-   is ascending table name, so merging the readers of several sources is a
-   sort by name. *)
-let reached (plan : Plan.t) feed =
-  match
-    Plan.Src_map.fold
-      (fun src d acc -> if Multiset.is_empty d then acc else Plan.readers plan src :: acc)
-      feed []
-  with
+(* The plans reading any of [srcs], in plan order.  Plan order is ascending
+   table name, so merging the readers of several sources is a sort by
+   name. *)
+let reached (plan : Plan.t) srcs =
+  match List.map (Plan.readers plan) srcs with
   | [] -> []
   | [ tps ] -> tps
   | tpss ->
@@ -149,7 +172,8 @@ let propagate (plan : Plan.t) st ~feed =
   Obs.Span.with_ ~name:"ivm.propagate" (fun () ->
       if Obs.enabled () then
         Obs.Span.tag "rows.fed" (Plan.Src_map.fold (fun _ d acc -> acc + Multiset.total d) feed 0);
-      let tps = reached plan feed in
+      let fed = Plan.Src_map.fold (fun src d acc -> if Multiset.is_empty d then acc else src :: acc) feed [] in
+      let tps = reached plan fed in
       Obs.Span.tag "tables" (List.length tps);
       let st, deltas =
         List.fold_left
@@ -159,6 +183,60 @@ let propagate (plan : Plan.t) st ~feed =
           (st, []) tps
       in
       (st, List.rev deltas))
+
+(* The bulk join: both inputs grouped by join key once, and the output the
+   [join_group] of each key's groups.  The groups are the state the delta
+   rule keeps. *)
+let join_rows (j : Query.Join.t) _ ls rs =
+  let groups rows =
+    List.fold_left
+      (fun groups r ->
+        Row_map.update (Datum.Row.project j.on r)
+          (fun g -> Some (Multiset.add r 1 (Option.value ~default:Multiset.empty g)))
+          groups)
+      Row_map.empty rows
+  in
+  let lefts = groups ls and rights = groups rs in
+  let emit bag acc =
+    Multiset.fold (fun r n acc -> List.rev_append (List.init n (fun _ -> r)) acc) bag acc
+  in
+  let group m k = Option.value ~default:Multiset.empty (Row_map.find_opt k m) in
+  let out = Row_map.fold (fun k l acc -> emit (join_group j k l (group rights k)) acc) lefts [] in
+  let out =
+    Row_map.fold
+      (fun k r acc -> if Row_map.mem k lefts then acc else emit (join_group j k Multiset.empty r) acc)
+      rights out
+  in
+  (out, { State.lefts; rights })
+
+let bulk_rules rows =
+  {
+    source = (fun src -> Option.value ~default:[] (Plan.Src_map.find_opt src rows));
+    filter = List.filter;
+    map = List.map;
+    append = List.append;
+    join = join_rows;
+    total = List.length;
+    is_empty = (fun b -> b = []);
+  }
+
+(* A table's first state: its plan evaluated once over the full sources,
+   and DISTINCT as the query rows counted. *)
+let table_init (plan : Plan.t) rows st (tp : Plan.table_plan) =
+  let schema = plan.Plan.env.Query.Env.client in
+  let b, (_, joins) = node (bulk_rules rows) schema (0, State.Int_map.empty) tp.Plan.root in
+  let query_counts = List.fold_left (fun t r -> Multiset.add r 1 t) Multiset.empty b in
+  Obs.Metric.incr ~by:(Multiset.cardinal query_counts) c_distinct;
+  State.set_table tp.Plan.table { State.query_counts; joins }
+    ~changed:(not (Multiset.is_empty query_counts)) st
+
+let init (plan : Plan.t) st ~rows =
+  if Obs.enabled () then
+    Obs.Span.tag "rows.fed" (Plan.Src_map.fold (fun _ r acc -> acc + List.length r) rows 0);
+  let srcs = Plan.Src_map.fold (fun src r acc -> if r = [] then acc else src :: acc) rows [] in
+  let tps = reached plan srcs in
+  Obs.Span.tag "tables" (List.length tps);
+  List.fold_left (table_init plan rows) st tps
 
 module For_tests = struct
   let table_delta = table_delta

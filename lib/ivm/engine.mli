@@ -38,7 +38,19 @@
     union emit; [ivm.rows.distinct] the query rows crossing 0.  A scan without a
     selection or a projection ticks neither counter.  A propagation runs
     under an ["ivm.propagate"] span carrying the fed row count
-    ([rows.fed]) and the number of table plans visited ([tables]). *)
+    ([rows.fed]) and the number of table plans visited ([tables]).
+
+    {!init} is the bulk form of the same rules, for a first state: it
+    evaluates each table plan that reads a non-empty source once, over
+    the sources' full row lists.  Scans, [Filter] and [Project] map the
+    list, [Append] concatenates, a [Hash_join] groups each input by join
+    key once (the groups are its state) and emits the [J] of each key's
+    groups, and DISTINCT counts the query rows.  From the empty state with
+    every row fed at [+1], each delta rule above computes exactly this:
+    [J(∅, ∅)] is empty, so a join's delta is [J] of the new groups, and
+    every count crossing 0 does so upward, once per distinct row.  So
+    [init] gives the state and counter ticks that {!propagate} gives for
+    that feed. *)
 
 val propagate :
   Plan.t -> State.t -> feed:Multiset.t Plan.Src_map.t -> State.t * (string * Multiset.t) list
@@ -47,6 +59,14 @@ val propagate :
     visited table in plan order, the {e set-level} delta of the
     materialized table: [-1] rows left the table, [+1] rows entered it.
     Tables not listed are unchanged. *)
+
+val init : Plan.t -> State.t -> rows:Datum.Row.t list Plan.Src_map.t -> State.t
+(** The tables' first state from the full rows of each client source (a
+    row list per source, no row twice): what {!propagate} gives from
+    [State.empty] for the feed holding each of those rows at [+1], built
+    without deltas.  The bases of [st] are kept as they are; its tables
+    must be empty.  Tags the enclosing span with [rows.fed] and [tables],
+    as {!propagate} tags its own. *)
 
 (** {1 Test seam} *)
 

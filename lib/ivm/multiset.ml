@@ -6,13 +6,12 @@ let empty = Row_map.empty
 let is_empty = Row_map.is_empty
 let count r t = Option.value ~default:0 (Row_map.find_opt r t)
 
+(* One descent per row: a row compare can walk dozens of columns. *)
 let add r n t =
   if n = 0 then t
-  else
-    let c = count r t + n in
-    if c = 0 then Row_map.remove r t else Row_map.add r c t
+  else Row_map.update r (fun c -> match Option.value ~default:0 c + n with 0 -> None | c -> Some c) t
 
-let sum a b = Row_map.fold add a b
+let sum a b = Row_map.union (fun _ m n -> match m + n with 0 -> None | c -> Some c) a b
 let diff a b = Row_map.fold (fun r n acc -> add r (-n) acc) b a
 let to_list t = Row_map.bindings t
 let rows t = List.rev (Row_map.fold (fun r n acc -> if n > 0 then r :: acc else acc) t [])

@@ -3,17 +3,18 @@ type db = { client : Edm.Instance.t; store : Relational.Instance.t }
 let client_db client = { client; store = Relational.Instance.empty }
 let store_db store = { client = Edm.Instance.empty; store }
 
-let entity_row env set (e : Edm.Instance.entity) =
-  let cols = Env.entity_set_columns env set in
-  let attr_cols = List.filter (fun c -> c <> Env.type_column) cols in
-  let base =
-    List.fold_left
-      (fun r c ->
-        let v = Option.value ~default:Datum.Value.Null (Datum.Row.find c e.attrs) in
-        Datum.Row.add c v r)
-      Datum.Row.empty attr_cols
+(* The set's columns are computed once per partial application, as a
+   template row that each entity's row is mapped from. *)
+let entity_row env set =
+  let template =
+    Datum.Row.of_list (List.map (fun c -> (c, Datum.Value.Null)) (Env.entity_set_columns env set))
   in
-  Datum.Row.add Env.type_column (Datum.Value.String e.etype) base
+  fun (e : Edm.Instance.entity) ->
+    Datum.Row.mapi
+      (fun c _ ->
+        if c = Env.type_column then Datum.Value.String e.etype
+        else Option.value ~default:Datum.Value.Null (Datum.Row.find c e.attrs))
+      template
 
 let scan_entity_set env db set =
   List.map (entity_row env set) (Edm.Instance.entities db.client ~set)

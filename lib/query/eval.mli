@@ -25,7 +25,10 @@ val rows : Env.t -> db -> Algebra.t -> Datum.Row.t list
 val entity_row : Env.t -> string -> Edm.Instance.entity -> Datum.Row.t
 (** The scan row of one entity of the named set: every column of
     {!Env.entity_set_columns} (absent attributes padded with [NULL]) plus
-    {!Env.type_column} bound to the entity's dynamic type. *)
+    {!Env.type_column} bound to the entity's dynamic type.  [entity_row env
+    set] computes the set's columns once, so apply it to the set once and
+    the result to each entity.  Raises [Invalid_argument] on an unknown
+    set. *)
 
 val project_row : Algebra.proj_item list -> Datum.Row.t -> Datum.Row.t
 (** One row through a projection list ([Col]/[Const]/[Coalesce]). *)

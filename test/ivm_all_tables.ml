@@ -31,7 +31,7 @@ let step plan st ops =
       (deltas, st))
     (Ivm.Apply.feed plan st ops)
 
-(* States equal as maintained images: a join or table entry holding
+(* States equal as maintained images: a base, join or table entry holding
    nothing equals a missing one. *)
 let equal_states (a : State.t) (b : State.t) =
   let join_empty (js : State.join_state) = Row_map.is_empty js.lefts && Row_map.is_empty js.rights in
@@ -43,7 +43,8 @@ let equal_states (a : State.t) (b : State.t) =
   in
   let ms_equal = Row_map.equal Int.equal in
   let groups_equal = Row_map.equal ms_equal in
-  Plan.Src_map.equal (Row_map.equal Datum.Row.equal) a.bases b.bases
+  let bases (st : State.t) = Plan.Src_map.filter (fun _ b -> not (Row_map.is_empty b)) st.bases in
+  Plan.Src_map.equal (Row_map.equal Datum.Row.equal) (bases a) (bases b)
   && State.String_map.equal
        (fun (x : State.table_state) (y : State.table_state) ->
          ms_equal x.query_counts y.query_counts

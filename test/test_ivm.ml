@@ -154,8 +154,9 @@ let test_handle_guards () =
     [ Delta.Delete_link
         { assoc = "Supports"; link = row [ ("Customer.Id", V.Int 6); ("Employee.Id", V.Int 3) ] } ]
 
-(* [ivm_init] is a step from the empty state, so an instance that breaks a
-   step guard fails to materialize; [Edm.Instance] itself accepts both. *)
+(* [ivm_init] applies the guards of a step from the empty state, so an
+   instance that breaks a step guard fails to materialize; [Edm.Instance]
+   itself accepts both. *)
 let test_init_guards () =
   let uv = uv () in
   let expect_error msg client =
@@ -172,13 +173,68 @@ let test_init_guards () =
        (row [ ("Customer.Id", V.Int 5); ("Employee.Id", V.Int 4) ])
        P.sample_client)
 
+(* -- init is the step from empty ------------------------------------------ *)
+
+(* A whole instance as inserts, entities first: the batch whose step from
+   the empty state [Ivm.Apply.init] equals. *)
+let instance_ops schema inst =
+  List.concat_map
+    (fun (set, _) ->
+      List.map
+        (fun e -> Delta.Insert_entity { set; entity = e })
+        (Edm.Instance.entities inst ~set))
+    (Edm.Schema.entity_sets schema)
+  @ List.concat_map
+      (fun (a : Edm.Association.t) ->
+        List.map
+          (fun link -> Delta.Insert_link { assoc = a.Edm.Association.name; link })
+          (Edm.Instance.links inst ~assoc:a.Edm.Association.name))
+      (Edm.Schema.associations schema)
+
+(* [f ()] and the [ivm.rows.*] counter deltas it caused. *)
+let rows_ticked f =
+  let before = Obs.Metric.snapshot () in
+  let r = f () in
+  let d = Obs.Metric.diff before (Obs.Metric.snapshot ()) in
+  (r, List.filter (fun (c, _) -> String.starts_with ~prefix:"ivm.rows." c) d.Obs.Metric.counters)
+
+(* [Ivm.Apply.init] against the step that inserts the whole instance into
+   the empty state, [init]'s oracle: equal base images, query counts and
+   join groups (as maps, whatever their shape), equal store images, and
+   each operator ticking the same rows. *)
+let check_init_is_step ~fail (plan : Ivm.Plan.t) inst =
+  let schema = plan.Ivm.Plan.env.Query.Env.client in
+  let init, init_rows = rows_ticked (fun () -> Ivm.Apply.init plan inst) in
+  let step, step_rows =
+    rows_ticked (fun () -> Ivm.Apply.step plan (Ivm.State.empty plan) (instance_ops schema inst))
+  in
+  let show rows = String.concat ", " (List.map (fun (c, n) -> Printf.sprintf "%s %d" c n) rows) in
+  match (init, step) with
+  | Error e, _ | _, Error e -> fail e
+  | Ok st_init, Ok (_, st_step) ->
+      if not (Ivm_all_tables.equal_states st_init st_step) then fail "init state differs from the step's"
+      else if not (Relational.Instance.equal (Ivm.State.store st_init) (Ivm.State.store st_step)) then
+        fail "init store image differs from the step's"
+      else if init_rows <> step_rows then
+        fail (Printf.sprintf "rows ticked: init %s; step %s" (show init_rows) (show step_rows))
+
+let test_init_is_step () =
+  let fail msg what = Alcotest.failf "%s: %s" msg what in
+  check_init_is_step ~fail:(fail "paper stage 4") (ok_exn (Ivm.Plan.compile env (uv ()))) P.sample_client;
+  let cenv, cfrags = Workload.Customer.generate () in
+  let cuv = (ok_exn (Fullc.Compile.compile ~validate:false cenv cfrags)).Fullc.Compile.update_views in
+  let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:20 cenv.Query.Env.client in
+  check_init_is_step ~fail:(fail "customer") (ok_exn (Ivm.Plan.compile cenv cuv)) inst
+
 (* -- NULL join keys ------------------------------------------------------ *)
 
 (* Hand-built update views over the paper's client schema whose joins see
    NULL keys (Department is NULL on non-employees and BillAddr on
    non-customers), several rows per key, and no key at all.  The IVM group
    join takes its padding-only branch for every NULL-keyed group, and for the
-   keyless join whenever Supports is empty. *)
+   keyless join whenever Supports is empty.  Shared's inputs project the key
+   away, so a key group holds one row several times and its join output
+   and query rows have multiplicities above 1. *)
 let null_key_env, null_key_uv =
   let table name key cols =
     Relational.Table.make ~name ~key (List.map (fun (c, d) -> (c, d, `Null)) cols)
@@ -191,6 +247,7 @@ let null_key_env, null_key_uv =
         table "Foj" [ "A"; "B" ] [ ("A", D.Int); ("B", D.Int); ("K", D.String) ];
         table "Loj" [ "B"; "A" ] [ ("A", D.Int); ("B", D.Int); ("K", D.String) ];
         table "Cross" [ "A"; "C" ] [ ("A", D.Int); ("C", D.Int) ];
+        table "Shared" [ "K" ] [ ("K", D.String) ];
       ]
   in
   let persons = A.Scan (A.Entity_set "Persons") in
@@ -205,7 +262,12 @@ let null_key_env, null_key_uv =
          (A.Left_outer_join
             (by_addr, A.Project ([ A.col_as "Id" "A"; A.col_as "Department" "K" ], employees), [ "K" ]))
     |> Query.View.set_table_view "Cross"
-         (A.Left_outer_join (A.Project ([ A.col_as "Id" "A" ], employees), supported, [])) )
+         (A.Left_outer_join (A.Project ([ A.col_as "Id" "A" ], employees), supported, []))
+    |> Query.View.set_table_view "Shared"
+         (A.Join
+            ( A.Project ([ A.col_as "Department" "K" ], employees),
+              A.Project ([ A.col_as "BillAddr" "K" ], persons),
+              [ "K" ] )) )
 
 let test_null_join_keys () =
   let person id =
@@ -254,11 +316,14 @@ let test_null_join_keys () =
   in
   let inc = ref (ok_exn (Tr.ivm_init null_key_env null_key_uv client0)) in
   let client = ref client0 in
+  let plan = ok_exn (Ivm.Plan.compile null_key_env null_key_uv) in
+  check_init_is_step ~fail:(Alcotest.failf "init: %s") plan client0;
   List.iter
     (fun (msg, delta) ->
       let s_full, new_client, st_full =
         ok_exn (Tr.full_diff null_key_env null_key_uv ~old_client:!client ~delta)
       in
+      check_init_is_step ~fail:(Alcotest.failf "%s: init: %s" msg) plan new_client;
       let s_ivm, inc' = ok_exn (Tr.ivm_step !inc delta) in
       checkb (msg ^ ": changes the store") true (s_full <> []);
       check Alcotest.string (msg ^ ": identical script") (Tr.to_sql s_full) (Tr.to_sql s_ivm);
@@ -469,21 +534,6 @@ let valid_batch schema inst candidates =
     (inst, []) candidates
   |> fun (_, acc) -> List.rev acc
 
-(* A whole instance as inserts, entities first, as [Ivm.Apply.init] feeds it. *)
-let instance_ops schema inst =
-  List.concat_map
-    (fun (set, _) ->
-      List.map
-        (fun e -> Delta.Insert_entity { set; entity = e })
-        (Edm.Instance.entities inst ~set))
-    (Edm.Schema.entity_sets schema)
-  @ List.concat_map
-      (fun (a : Edm.Association.t) ->
-        List.map
-          (fun link -> Delta.Insert_link { assoc = a.Edm.Association.name; link })
-          (Edm.Instance.links inst ~assoc:a.Edm.Association.name))
-      (Edm.Schema.associations schema)
-
 let sign_split d =
   let part p = List.filter_map (fun (r, n) -> if p n then Some r else None) (Ivm.Multiset.to_list d) in
   (part (fun n -> n < 0), part (fun n -> n > 0))
@@ -552,6 +602,7 @@ let run_differential_case seed =
             check_skip ~fail plan ~store:(store_of st_skip') skip all;
             (st_skip', st_all')
       in
+      check_init_is_step ~fail:(QCheck.Test.fail_reportf "seed %d init: %s" seed) plan inst0;
       let empty = Ivm.State.empty plan in
       let st0 =
         both "init" empty empty (instance_ops schema inst0) ~store_of:Ivm.State.store
@@ -703,6 +754,7 @@ let () =
           Alcotest.test_case "handle stream matches oracle" `Quick test_paper_handle_stream;
           Alcotest.test_case "handle guards" `Quick test_handle_guards;
           Alcotest.test_case "init guards" `Quick test_init_guards;
+          Alcotest.test_case "init ≡ step from empty" `Quick test_init_is_step;
           Alcotest.test_case "NULL and keyless join keys" `Quick test_null_join_keys;
           Alcotest.test_case "index-probe scans" `Quick test_index_scans;
         ] );
