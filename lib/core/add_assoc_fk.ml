@@ -22,7 +22,6 @@ let apply (st : State.t) ~assoc ~table ~fmap =
   let key2 = Edm.Schema.key_of client' assoc.Edm.Association.end2 in
   let cols1 = List.map (Edm.Association.qualify ~etype:assoc.Edm.Association.end1) key1 in
   let cols2 = List.map (Edm.Association.qualify ~etype:assoc.Edm.Association.end2) key2 in
-  let expected = cols1 @ cols2 in
   let* () =
     Algo.check_column_map
       ~attrs:(Edm.Schema.association_attributes client' assoc)
@@ -111,11 +110,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
         Query.Algebra.Select
           (Algo.not_null_conj f_pk2, Query.Algebra.Scan (Query.Algebra.Table table)) )
   in
-  let query_views =
-    Query.View.set_assoc_view assoc.Edm.Association.name
-      { Query.View.query = qa; ctor = Query.Ctor.Tuple expected }
-      st.State.query_views
-  in
+  let query_views = Query.View.set_assoc_view assoc.Edm.Association.name qa st.State.query_views in
   let keep = List.filter (fun c -> not (List.mem c f_pk2)) (Relational.Table.column_names tbl) in
   let assoc_side =
     Query.Algebra.Project

@@ -29,11 +29,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
         ( List.map (fun (ac, c) -> Query.Algebra.col_as c ac) fmap,
           Query.Algebra.Scan (Query.Algebra.Table table.Relational.Table.name) )
     in
-    let query_views =
-      Query.View.set_assoc_view assoc.Edm.Association.name
-        { Query.View.query = qa; ctor = Query.Ctor.Tuple expected }
-        st.State.query_views
-    in
+    let query_views = Query.View.set_assoc_view assoc.Edm.Association.name qa st.State.query_views in
     let qt =
       Query.Algebra.Project
         ( List.map (fun (ac, c) -> Query.Algebra.col_as ac c) fmap

@@ -97,7 +97,7 @@ let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
         match ctor with
         | Query.Ctor.Entity { etype = t; _ } when Edm.Schema.is_subtype client' ~sub:t ~sup:etype ->
             Query.Ctor.Entity { etype = t; attrs = Edm.Schema.attribute_names client' t }
-        | Query.Ctor.Entity _ | Query.Ctor.Tuple _ -> ctor
+        | Query.Ctor.Entity _ -> ctor
         | Query.Ctor.If (c, x, y) ->
             let x' = extend x and y' = extend y in
             if x' == x && y' == y then ctor else Query.Ctor.If (c, x', y'))

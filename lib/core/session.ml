@@ -95,9 +95,9 @@ let max_exec_generations = 8
 
 let same_query_views a b =
   a == b
-  || (let eq = List.equal (fun (na, va) (nb, vb) -> String.equal na nb && Query.View.equal va vb) in
-      eq (Query.View.entity_view_bindings a) (Query.View.entity_view_bindings b)
-      && eq (Query.View.assoc_view_bindings a) (Query.View.assoc_view_bindings b))
+  || (let eq veq = List.equal (fun (na, va) (nb, vb) -> String.equal na nb && veq va vb) in
+      eq Query.View.equal (Query.View.entity_view_bindings a) (Query.View.entity_view_bindings b)
+      && eq Query.Algebra.equal (Query.View.assoc_view_bindings a) (Query.View.assoc_view_bindings b))
 
 let generation t =
   let { State.env; query_views = qv; _ } = t.present in
@@ -109,11 +109,7 @@ let generation t =
       g
   | None ->
       Obs.Metric.incr c_plan_miss;
-      let views =
-        List.map
-          (fun (_, v) -> v.Query.View.query)
-          (Query.View.entity_view_bindings qv @ Query.View.assoc_view_bindings qv)
-      in
+      let views = Query.View.queries qv Query.View.no_update_views in
       let g = { gen_env = env; gen_views = qv; planner = Exec.Planner.context env views } in
       t.exec_cache := List.filteri (fun i _ -> i < max_exec_generations) (g :: gens);
       g

@@ -175,13 +175,7 @@ let for_set ?(optimize = false) env frags ~set =
          (ty, { Query.View.query; ctor }))
        types)
 
-let for_assoc env frags ~assoc =
-  let client = env.Query.Env.client in
-  let* a =
-    match Edm.Schema.find_association client assoc with
-    | Some a -> Ok a
-    | None -> fail "unknown association %s" assoc
-  in
+let for_assoc frags ~assoc =
   let* f =
     match Mapping.Fragments.of_assoc frags assoc with
     | [ f ] -> Ok f
@@ -197,8 +191,7 @@ let for_assoc env frags ~assoc =
   let items =
     List.map (fun (ac, c) -> Query.Algebra.col_as c ac) f.Mapping.Fragment.pairs
   in
-  let cols = Edm.Schema.association_columns client a in
-  Ok { Query.View.query = Query.Algebra.Project (items, base); ctor = Query.Ctor.Tuple cols }
+  Ok (Query.Algebra.Project (items, base))
 
 let all ?(optimize = false) env frags =
   let client = env.Query.Env.client in
@@ -214,6 +207,6 @@ let all ?(optimize = false) env frags =
   List.fold_left
     (fun acc (a : Edm.Association.t) ->
       let* acc = acc in
-      let* v = for_assoc env frags ~assoc:a.Edm.Association.name in
+      let* v = for_assoc frags ~assoc:a.Edm.Association.name in
       Ok (Query.View.set_assoc_view a.Edm.Association.name v acc))
     (Ok qv) (Edm.Schema.associations client)

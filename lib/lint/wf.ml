@@ -210,7 +210,6 @@ let typed_step env fold q =
 
 let leaf_name = function
   | Ctor.Entity { etype; _ } -> "entity " ^ etype
-  | Ctor.Tuple _ -> "a tuple"
   | Ctor.If _ -> "a nested CASE"
 
 let dead_branch_diags loc ctor acc =
@@ -229,12 +228,12 @@ let dead_branch_diags loc ctor acc =
          condition on its own. *)
       let rec walk c acc =
         match c with
-        | Ctor.Entity _ | Ctor.Tuple _ -> acc
+        | Ctor.Entity _ -> acc
         | Ctor.If (cond, t, e) -> walk e (walk t (dead cond t acc))
       in
       walk ctor acc
 
-(* -- L105: constructor references and update-view columns ------------------ *)
+(* -- L105: constructor references and exact view columns --------------------- *)
 
 module Refs = Set.Make (struct
   type t = string * string
@@ -248,7 +247,6 @@ let ctor_refs_step refs c =
   let tag what cs = Refs.of_list (List.map (fun c -> (what, c)) cs) in
   match c with
   | Ctor.Entity { attrs; _ } -> (tag "attribute" attrs, false)
-  | Ctor.Tuple cs -> (tag "column" cs, false)
   | Ctor.If (cond, a, b) ->
       let ra, ta = refs a in
       let rb, tb = refs b in
@@ -291,32 +289,48 @@ let ctor_ref_diags loc (refs, tests_types) cols acc =
     :: acc
   else acc
 
-(* An update view's columns, sorted, are exactly its table's: one error per
-   column only one side has. *)
-let update_column_diags env loc table cols acc =
+(* What a view's columns are judged against: an entity view's constructor,
+   with whether its CASE branches are checked (L008), or the table or
+   association whose columns an update or association view must produce. *)
+type judge = Ctor of { ctor : Ctor.t; branches : bool } | Exact of owner
+and owner = Table of string | Assoc of string
+
+(* A view without a constructor produces exactly its owner's columns: the
+   view and owner as messages name them, and the columns; or the message
+   that there is no such owner. *)
+let exact_columns env = function
+  | Table t -> (
+      match Relational.Schema.find_table env.Query.Env.store t with
+      | Some tbl -> Ok ("update view", "table " ^ t, Relational.Table.column_names tbl)
+      | None -> Error ("the store has no table " ^ t))
+  | Assoc a -> (
+      let client = env.Query.Env.client in
+      match Edm.Schema.find_association client a with
+      | Some assoc ->
+          Ok ("association view", "association " ^ a, Edm.Schema.association_columns client assoc)
+      | None -> Error ("the client has no association " ^ a))
+
+(* The view's columns, sorted, are exactly its owner's: one error per column
+   only one side has. *)
+let exact_column_diags env loc owner cols acc =
   let diag fmt = Diag.makef ~code:"L105" ~severity:Diag.Error ~loc fmt in
-  match Relational.Schema.find_table env.Query.Env.store table with
-  | None -> diag "the store has no table %s" table :: acc
-  | Some tbl ->
+  match exact_columns env owner with
+  | Error msg -> diag "%s" msg :: acc
+  | Ok (view, owner, expected) ->
       let missing acc c =
         if sorted_mem cols c 0 (Array.length cols) then acc
-        else diag "the update view does not produce column %s of table %s" c table :: acc
+        else diag "the %s does not produce column %s of %s" view c owner :: acc
       in
       let extra acc c =
-        if Relational.Table.mem_column tbl c then acc
-        else diag "the update view produces column %s, which table %s lacks" c table :: acc
+        if List.mem c expected then acc
+        else diag "the %s produces column %s, which %s lacks" view c owner :: acc
       in
-      Array.fold_left extra (List.fold_left missing acc (Relational.Table.column_names tbl)) cols
+      Array.fold_left extra (List.fold_left missing acc expected) cols
 
 (* -- Assembly ------------------------------------------------------------- *)
 
 (* One table per analysis per call (see wf.mli); the L104 pass runs after
    the others' tables are dead. *)
-
-(* What a view's columns are judged against: a query view's constructor,
-   with whether its CASE branches are checked (L008), or an update view's
-   table. *)
-type judge = Ctor of { ctor : Ctor.t; branches : bool } | Table of string
 
 (* Every view with its location, query and judge.  The root view's
    constructor carries the hierarchy's full CASE chain; the per-subtype
@@ -325,14 +339,12 @@ type judge = Ctor of { ctor : Ctor.t; branches : bool } | Table of string
    subtype. *)
 let located env (qv : View.query_views) (uv : View.update_views) =
   let roots = List.map snd (Edm.Schema.entity_sets env.Query.Env.client) in
-  let at loc branches bindings =
-    List.map
-      (fun (n, (v : View.t)) -> (loc n, v.query, Ctor { ctor = v.ctor; branches = branches n }))
-      bindings
-  in
-  at (fun ty -> Diag.Query_view ty) (fun ty -> List.mem ty roots) (View.entity_view_bindings qv)
-  @ at (fun a -> Diag.Query_view a) (fun _ -> true) (View.assoc_view_bindings qv)
-  @ List.map (fun (t, q) -> (Diag.Update_view t, q, Table t)) (View.update_view_bindings uv)
+  List.map
+    (fun (ty, (v : View.t)) ->
+      (Diag.Query_view ty, v.query, Ctor { ctor = v.ctor; branches = List.mem ty roots }))
+    (View.entity_view_bindings qv)
+  @ List.map (fun (a, q) -> (Diag.Query_view a, q, Exact (Assoc a))) (View.assoc_view_bindings qv)
+  @ List.map (fun (t, q) -> (Diag.Update_view t, q, Exact (Table t))) (View.update_view_bindings uv)
 
 (* L008, L011, L101, L102, L103 and L105 of every view. *)
 let view_shape_diags env ~keep views =
@@ -357,7 +369,7 @@ let view_shape_diags env ~keep views =
           let cols = sorted_columns sorted cols in
           match judge with
           | Ctor { ctor; _ } -> ctor_ref_diags loc (refs ctor) cols structural
-          | Table t -> update_column_diags env loc t cols structural)
+          | Exact owner -> exact_column_diags env loc owner cols structural)
       | Error msg ->
           (* Suppress when a more specific structural error already explains
              the failure. *)

@@ -20,19 +20,21 @@
     L103  warning   UNION ALL sides agree on columns but in different order
     L104  warning   a NOT NULL table column may receive NULL from its update
                     view (outer-join padding, nullable source)
-    L105  error     a query view's constructor references a column its
+    L105  error     an entity view's constructor references a column its
                     query does not produce (or tests types without the
-                    $type column); or an update view's query lacks a column
-                    of its table, or produces one the table lacks
+                    $type column); or a view without a constructor does not
+                    produce exactly its owner's columns: an association
+                    view its association's, an update view its table's
+                    (one error per missing or extra column)
     v}
 
     L011 and L101–L103 cover every view, and L105 every well-typed one.
-    L104 covers the update views, each NOT NULL column of the table.  An
-    update view is a bare query, so L008 covers the constructors of the
-    hierarchy-root entity views and the association views: a per-subtype
-    entity view restricts its root's CASE chain, so the roots see every
-    branch, and skipping the subtype copies keeps the analysis linear in
-    the model rather than in (branches x subtypes).
+    L104 covers the update views, each NOT NULL column of the table.  Only
+    entity views have constructors, so L008 covers the constructors of the
+    hierarchy-root entity views: a per-subtype entity view restricts its
+    root's CASE chain, so the roots see every branch, and skipping the
+    subtype copies keeps the analysis linear in the model rather than in
+    (branches x subtypes).
 
     {b Shared subterms.}  The incremental compiler builds each new view out
     of the old views' subterms, so the views form a DAG: a loaded customer

@@ -1,6 +1,5 @@
 type t =
   | Entity of { etype : string; attrs : string list }
-  | Tuple of string list
   | If of Cond.t * t * t
 [@@deriving eq]
 
@@ -8,7 +7,7 @@ module Memo = Phys_memo.Make (struct
   type nonrec t = t
 
   let iter_children f = function
-    | Entity _ | Tuple _ -> ()
+    | Entity _ -> ()
     | If (_, a, b) ->
         f a;
         f b
@@ -16,7 +15,6 @@ end)
 
 let rec pp fmt = function
   | Entity { etype; attrs } -> Format.fprintf fmt "%s(%s)" etype (String.concat "," attrs)
-  | Tuple cols -> Format.fprintf fmt "(%s)" (String.concat "," cols)
   | If (c, a, b) -> Format.fprintf fmt "@[if (%a)@ then %a@ else %a@]" Cond.pp c pp a pp b
 
 let show c = Format.asprintf "%a" pp c
@@ -24,13 +22,7 @@ let show c = Format.asprintf "%a" pp c
 let rec eval_entity schema row = function
   | Entity { etype; attrs } ->
       { Edm.Instance.etype; attrs = Datum.Row.project attrs row }
-  | Tuple _ -> invalid_arg "Query.Ctor.eval_entity: tuple leaf in an entity constructor"
   | If (c, a, b) -> if Cond.eval schema row c then eval_entity schema row a else eval_entity schema row b
-
-let rec eval_tuple schema row = function
-  | Tuple cols -> Datum.Row.project cols row
-  | Entity _ -> invalid_arg "Query.Ctor.eval_tuple: entity leaf in a tuple constructor"
-  | If (c, a, b) -> if Cond.eval schema row c then eval_tuple schema row a else eval_tuple schema row b
 
 (* Flatten the decision tree into (guard, leaf) pairs.  The guard of a leaf
    is the simplified conjunction of the conditions on its path, with
@@ -41,7 +33,7 @@ let branches ctor =
   let ( let* ) = Option.bind in
   let rec go guard k acc =
     match k with
-    | Entity _ | Tuple _ -> Some ((guard, k) :: acc)
+    | Entity _ -> Some ((guard, k) :: acc)
     | If (c, a, b) ->
         let* nc = Cond.negate c in
         let* acc = go (Cond.simplify_and guard (Cond.simplify nc)) b acc in
@@ -61,5 +53,5 @@ let guard_for ctor ~satisfies =
       Some (Cond.simplify (Cond.disj conds))
 
 let rec map_conditions f = function
-  | (Entity _ | Tuple _) as leaf -> leaf
+  | Entity _ as leaf -> leaf
   | If (c, a, b) -> If (f c, map_conditions f a, map_conditions f b)

@@ -2,16 +2,14 @@
 
     A query view [(Q_E | τ_E)] evaluates the relational query [Q_E] and then
     applies [τ_E] to each row to decide which entity type to instantiate —
-    the role of the CASE statement in Fig. 2.  Association views use the
-    degenerate [Tuple] form that simply assembles a row; update views have
-    no constructor, their query's rows being the table's. *)
+    the role of the CASE statement in Fig. 2.  A constructor only ever
+    builds entities: association and update views have none, their
+    query's rows being the association's links and the table's rows. *)
 
 type t =
   | Entity of { etype : string; attrs : string list }
       (** Instantiate [etype] from the named row columns (which coincide
           with the attribute names of the type). *)
-  | Tuple of string list
-      (** Assemble an association tuple from the named columns. *)
   | If of Cond.t * t * t
       (** Branch on the row (provenance flags, discriminators). *)
 
@@ -25,10 +23,7 @@ val pp : Format.formatter -> t -> unit
 val show : t -> string
 
 val eval_entity : Edm.Schema.t -> Datum.Row.t -> t -> Edm.Instance.entity
-(** @raise Invalid_argument if evaluation reaches a [Tuple] leaf. *)
-
-val eval_tuple : Edm.Schema.t -> Datum.Row.t -> t -> Datum.Row.t
-(** @raise Invalid_argument if evaluation reaches an [Entity] leaf. *)
+(** The entity of the leaf the row's branch conditions reach. *)
 
 val branches : t -> (Cond.t * t) list option
 (** Guard/leaf pairs, leaves left to right, each guard the

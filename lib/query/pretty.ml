@@ -63,20 +63,19 @@ and pp_join fmt kw l r on =
 
 let rec ctor_cases acc = function
   | Ctor.If (c, a, b) -> ctor_cases ((c, a) :: acc) b
-  | (Ctor.Entity _ | Ctor.Tuple _) as leaf -> (List.rev acc, leaf)
+  | Ctor.Entity _ as leaf -> (List.rev acc, leaf)
 
 let pp_leaf fmt = function
   | Ctor.Entity { etype; attrs } -> Format.fprintf fmt "%s(%s)" etype (String.concat ", " attrs)
-  | Ctor.Tuple cols -> Format.fprintf fmt "(%s)" (String.concat ", " cols)
   | Ctor.If _ -> assert false
 
 let rec pp_case_leaf fmt = function
-  | (Ctor.Entity _ | Ctor.Tuple _) as leaf -> pp_leaf fmt leaf
+  | Ctor.Entity _ as leaf -> pp_leaf fmt leaf
   | Ctor.If _ as nested -> pp_ctor fmt nested
 
 and pp_ctor fmt ctor =
   match ctor with
-  | Ctor.Entity _ | Ctor.Tuple _ -> pp_leaf fmt ctor
+  | Ctor.Entity _ -> pp_leaf fmt ctor
   | Ctor.If _ ->
       let cases, final = ctor_cases [] ctor in
       Format.fprintf fmt "@[<v>CASE@,%a@,  ELSE %a@,END@]"
@@ -104,9 +103,11 @@ let cond_string c = Format.asprintf "@[<h>%a@]" cond c
 let pp_named pp_v fmt (name, v) = Format.fprintf fmt "@[<v>-- %s@,%a@]" name pp_v v
 
 let query_views fmt (qv : View.query_views) =
+  let with_pp pp (name, v) = (name, fun fmt -> pp fmt v) in
   Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (pp_named view))
-    (View.entity_view_bindings qv @ View.assoc_view_bindings qv)
+    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (pp_named (fun fmt pp -> pp fmt)))
+    (List.map (with_pp view) (View.entity_view_bindings qv)
+    @ List.map (with_pp query) (View.assoc_view_bindings qv))
 
 let update_views fmt (uv : View.update_views) =
   Format.fprintf fmt "@[<v>%a@]"

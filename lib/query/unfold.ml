@@ -35,7 +35,7 @@ let rec go env qv q =
   | Algebra.Scan (Assoc_set a) -> (
       match View.assoc_view qv a with
       | None -> fail "no query view for association set %s" a
-      | Some v -> Ok (v.View.query, None))
+      | Some q -> Ok (q, None))
   | Algebra.Scan (Table t) -> fail "client query scans store table %s" t
   | Algebra.Select (c, q1) ->
       let* q1', ctor = go env qv q1 in

@@ -5,7 +5,8 @@
     [IS OF] conditions directly above an entity-set scan are translated into
     the view's provenance tests via {!Ctor.guard_for} — e.g.
     [IS OF Employee] over the unfolded Fig. 2 view becomes [_from2 = True].
-    Association-set scans are replaced by the association view.
+    Association-set scans are replaced by the association view, a bare
+    query whose rows are the links.
 
     Type conditions that sit above a projection which discards the
     provenance flags cannot be translated and are reported as errors; the

@@ -6,7 +6,7 @@ let show v = Format.asprintf "%a" pp v
 
 module String_map = Map.Make (String)
 
-type query_views = { entity : t String_map.t; assoc : t String_map.t }
+type query_views = { entity : t String_map.t; assoc : Algebra.t String_map.t }
 type update_views = Algebra.t String_map.t
 
 let no_query_views = { entity = String_map.empty; assoc = String_map.empty }
@@ -25,8 +25,8 @@ let assoc_view_bindings qv = String_map.bindings qv.assoc
 let update_view_bindings uv = String_map.bindings uv
 
 let queries qv uv =
-  List.map (fun (_, v) -> v.query) (entity_view_bindings qv @ assoc_view_bindings qv)
-  @ List.map snd (update_view_bindings uv)
+  List.map (fun (_, v) -> v.query) (entity_view_bindings qv)
+  @ List.map snd (assoc_view_bindings qv @ update_view_bindings uv)
 
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -42,8 +42,6 @@ let eval_query env db pp x q =
   | Error e -> fail "ill-typed view %a: %s" pp x e
   | Ok _ -> Ok (List.sort_uniq Datum.Row.compare (Eval.rows env db q))
 
-let eval_view env db v = eval_query env db pp v v.query
-
 let apply_query_views env qv store =
   let db = Eval.store_db store in
   let* inst =
@@ -52,7 +50,7 @@ let apply_query_views env qv store =
         match entity_view qv root with
         | None -> fail "no query view for hierarchy root %s" root
         | Some v ->
-            let* rows = eval_view env db v in
+            let* rows = eval_query env db pp v v.query in
             Ok
               (List.fold_left
                  (fun inst row ->
@@ -65,13 +63,9 @@ let apply_query_views env qv store =
     (fun inst (a : Edm.Association.t) ->
       match assoc_view qv a.name with
       | None -> fail "no query view for association set %s" a.name
-      | Some v ->
-          let* rows = eval_view env db v in
-          Ok
-            (List.fold_left
-               (fun inst row ->
-                 Edm.Instance.add_link ~assoc:a.name (Ctor.eval_tuple env.Env.client row v.ctor) inst)
-               inst rows))
+      | Some q ->
+          let* rows = eval_query env db Algebra.pp q q in
+          Ok (List.fold_left (fun inst row -> Edm.Instance.add_link ~assoc:a.name row inst) inst rows))
     inst
     (Edm.Schema.associations env.Env.client)
 

@@ -129,7 +129,6 @@ let add_entry b = function
       | Join (kind, l, r, on) -> add_refs b kind l r; add_arg b add_atoms on
       | Union (l, r) -> add_refs b "union" l r
       | Ctor_leaf (Query.Ctor.Entity { etype; attrs }) -> add_named b "entity" etype; add_arg b add_atoms attrs
-      | Ctor_leaf (Query.Ctor.Tuple cols) -> add_head b "tuple"; add_arg b add_atoms cols
       | Ctor_leaf (Query.Ctor.If _) -> not_a_leaf ()
       | If (c, x, y) -> add_refs b "if" c x; add_arg b add_reference y);
       close b
@@ -300,8 +299,8 @@ let save (st : Core.State.t) =
   let entity_views = Query.View.entity_view_bindings st.query_views in
   let assoc_views = Query.View.assoc_view_bindings st.query_views in
   let update_views = Query.View.update_view_bindings st.update_views in
-  (* [(kind name v)]: a query view's [v] is [(view #q #c)], an update
-     view's its query [#q]. *)
+  (* [(kind name v)]: an entity view's [v] is [(view #q #c)], an
+     association or update view's its query [#q]. *)
   let bindings kind add =
     List.iter (fun (name, v) -> item (); add_named b kind name; add_arg b add v; close b)
   in
@@ -316,13 +315,13 @@ let save (st : Core.State.t) =
         (fun (f : Mapping.Fragment.t) -> ignore (enc.cond_ref f.client_cond); ignore (enc.cond_ref f.store_cond))
         fragments;
       List.iter
-        (List.iter (fun (_, (v : Query.View.t)) -> ignore (enc.query_ref v.query); ignore (enc.ctor_ref v.ctor)))
-        [ entity_views; assoc_views ];
-      List.iter (fun (_, q) -> ignore (enc.query_ref q)) update_views);
+        (fun (_, (v : Query.View.t)) -> ignore (enc.query_ref v.query); ignore (enc.ctor_ref v.ctor))
+        entity_views;
+      List.iter (List.iter (fun (_, q) -> ignore (enc.query_ref q))) [ assoc_views; update_views ]);
   section "fragments" (fun () -> List.iter (fun f -> item (); add_fragment b enc f) fragments);
   section "query_views" (fun () ->
       bindings "for_entity" view entity_views;
-      bindings "for_assoc" view assoc_views);
+      bindings "for_assoc" query assoc_views);
   section "update_views" (fun () -> bindings "for_table" query update_views);
   Buffer.add_string b ")\n";
   let text = Buffer.contents b in
@@ -585,7 +584,6 @@ and inline c tbl h =
   | "entity" ->
       let etype = atom c in
       Ctor (Query.Ctor.Entity { etype; attrs = atoms c })
-  | "tuple" -> Ctor (Query.Ctor.Tuple (atoms c))
   | "if" ->
       let p = cond c tbl in
       let a = ctor c tbl in
@@ -696,20 +694,20 @@ let fragment c tbl =
       let table = atom c in
       { Mapping.Fragment.client_source; client_cond; pairs; table; store_cond = cond c tbl })
 
-(* The bindings of a view section, each [(kind name v)] with [v] read by
-   [value], folded into [init] by the setter [kinds] gives its kind. *)
-let views c value kinds init =
+(* The bindings of a view section, each [(kind name v)], folded into [init]
+   by the reader [kinds] gives its kind, which reads [v] and binds it. *)
+let views c kinds init =
   let rec go acc =
     if at_close c then acc
     else
       let kind = head c in
       match List.assoc_opt kind kinds with
       | None -> failf c "bad view binding (%s .." kind
-      | Some set ->
+      | Some bind ->
           let name = atom c in
-          let v = value c in
+          let acc = bind c name acc in
           expect c ')';
-          go (set name v acc)
+          go acc
   in
   go init
 
@@ -732,15 +730,21 @@ let document c =
   let fragments = Mapping.Fragments.of_list (until_close c (fun c -> fragment c tbl)) in
   Obs.Span.tag "terms" tbl.len;
   section "query_views";
+  (* Each reader takes the three arguments [views] applies it to, so no
+     call builds a partial application. *)
+  let entity_view c name acc =
+    let v = field c "view" (fun c -> let query = query c tbl in { Query.View.query; ctor = ctor c tbl }) in
+    Query.View.set_entity_view name v acc
+  in
+  let query_view set c name acc = set name (query c tbl) acc in
   let query_views =
     views c
-      (fun c -> field c "view" (fun c -> let query = query c tbl in { Query.View.query; ctor = ctor c tbl }))
-      [ ("for_entity", Query.View.set_entity_view); ("for_assoc", Query.View.set_assoc_view) ]
+      [ ("for_entity", entity_view); ("for_assoc", query_view Query.View.set_assoc_view) ]
       Query.View.no_query_views
   in
   section "update_views";
   let update_views =
-    views c (fun c -> query c tbl) [ ("for_table", Query.View.set_table_view) ] Query.View.no_update_views
+    views c [ ("for_table", query_view Query.View.set_table_view) ] Query.View.no_update_views
   in
   expect c ')';
   skip_ws c;

@@ -16,7 +16,7 @@
      (store (table ..) ..)
      (terms e0 e1 e2 ..)
      (fragments (frag (set S) #i ((a c) ..) T #j) ..)
-     (query_views (for_entity E (view #q #c)) .. (for_assoc A (view #q #c)) ..)
+     (query_views (for_entity E (view #q #c)) .. (for_assoc A #q) ..)
      (update_views (for_table T #q) ..))
     v}
 
@@ -54,7 +54,7 @@
     in between.  It decodes each entry once, in table order, so structurally
     equal subterms of the loaded state are physically shared: on the
     customer model the loaded state is about as large in memory as the
-    compiled one, and the file about 180 KB.  [save] prints every section
+    compiled one, and the file about 174 KB.  [save] prints every section
     and entry straight into one buffer: the term table while it interns the
     fragments' conditions and the views, then the sections that refer to
     it.  It reaches the terms through physical-identity memo tables
@@ -62,7 +62,7 @@
     walks the views as the DAG they are: a shared subterm is visited once.
     A node seen before has no new subterm, so this changes no byte of the
     output.  On the customer model [load] allocates about 1.9 MB and [save]
-    about 1.1 MB, for a 181,600-byte document ([BENCH_edit.json]).
+    about 1.1 MB, for a 173,682-byte document ([BENCH_edit.json]).
 
     Each direction records one [Obs] span: [surface.io.decode] in [load],
     tagged with the text's [bytes] and, once the table is read, its [terms]

@@ -200,7 +200,7 @@ module Wf = struct
 
   let union_order_diags env loc q acc = snd (union_scan env loc q acc)
 
-  (* -- L105: constructor references ----------------------------------------- *)
+  (* -- L105: constructor references and exact view columns ------------------- *)
 
   let ctor_ref_diags loc (v : View.t) cols acc =
     let cols = S.of_list cols in
@@ -214,7 +214,6 @@ module Wf = struct
     in
     let rec walk = function
       | Ctor.Entity { attrs; _ } -> List.iter (check "attribute") attrs
-      | Ctor.Tuple cs -> List.iter (check "column") cs
       | Ctor.If (c, a, b) ->
           List.iter (check "condition column") (Cond.columns c);
           if Cond.type_atoms c <> [] && not (S.mem Query.Env.type_column cols) then
@@ -229,27 +228,43 @@ module Wf = struct
     walk v.ctor;
     !acc
 
+  (* A view's columns against the columns [want] it must produce exactly;
+     [view] and [owner] name both in the messages. *)
+  let exact_column_diags loc ~view ~owner want cols acc =
+    let have = S.of_list cols and want = S.of_list want in
+    let acc =
+      S.fold
+        (fun c acc ->
+          Diag.makef ~code:"L105" ~severity:Diag.Error ~loc "the %s does not produce column %s of %s"
+            view c owner
+          :: acc)
+        (S.diff want have) acc
+    in
+    S.fold
+      (fun c acc ->
+        Diag.makef ~code:"L105" ~severity:Diag.Error ~loc "the %s produces column %s, which %s lacks"
+          view c owner
+        :: acc)
+      (S.diff have want) acc
+
   (* An update view's columns against its table's. *)
   let table_column_diags env loc table cols acc =
     match Relational.Schema.find_table env.Query.Env.store table with
     | None ->
         Diag.makef ~code:"L105" ~severity:Diag.Error ~loc "the store has no table %s" table :: acc
     | Some tbl ->
-        let have = S.of_list cols and want = S.of_list (Relational.Table.column_names tbl) in
-        let acc =
-          S.fold
-            (fun c acc ->
-              Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
-                "the update view does not produce column %s of table %s" c table
-              :: acc)
-            (S.diff want have) acc
-        in
-        S.fold
-          (fun c acc ->
-            Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
-              "the update view produces column %s, which table %s lacks" c table
-            :: acc)
-          (S.diff have want) acc
+        exact_column_diags loc ~view:"update view" ~owner:("table " ^ table)
+          (Relational.Table.column_names tbl) cols acc
+
+  (* An association view's columns against its association's. *)
+  let assoc_column_diags env loc a cols acc =
+    let client = env.Query.Env.client in
+    match Edm.Schema.find_association client a with
+    | None ->
+        Diag.makef ~code:"L105" ~severity:Diag.Error ~loc "the client has no association %s" a :: acc
+    | Some assoc ->
+        exact_column_diags loc ~view:"association view" ~owner:("association " ^ a)
+          (Edm.Schema.association_columns client assoc) cols acc
 
   (* -- Assembly ------------------------------------------------------------- *)
 
@@ -273,7 +288,11 @@ module Wf = struct
     let acc = ref [] in
     let one loc (v : View.t) = acc := view_diags env loc v.query (ctor_ref_diags loc v) @ !acc in
     List.iter (fun (ty, v) -> one (Diag.Query_view ty) v) (View.entity_view_bindings qv);
-    List.iter (fun (a, v) -> one (Diag.Query_view a) v) (View.assoc_view_bindings qv);
+    List.iter
+      (fun (a, q) ->
+        let loc = Diag.Query_view a in
+        acc := view_diags env loc q (assoc_column_diags env loc a) @ !acc)
+      (View.assoc_view_bindings qv);
     List.iter
       (fun (t, q) ->
         let loc = Diag.Update_view t in
@@ -314,7 +333,6 @@ module Views = struct
 
   let leaf_name = function
     | Query.Ctor.Entity { etype; _ } -> "entity " ^ etype
-    | Query.Ctor.Tuple _ -> "a tuple"
     | Query.Ctor.If _ -> "a nested CASE"
 
   let dead_branch_diags loc ctor acc =
@@ -333,7 +351,7 @@ module Views = struct
            condition on its own. *)
         let rec walk c acc =
           match c with
-          | Query.Ctor.Entity _ | Query.Ctor.Tuple _ -> acc
+          | Query.Ctor.Entity _ -> acc
           | Query.Ctor.If (cond, t, e) -> walk e (walk t (dead cond t acc))
         in
         walk ctor acc
@@ -357,7 +375,9 @@ module Views = struct
     List.iter
       (fun (ty, v) -> one ~branches:(S.mem ty roots) (Diag.Query_view ty) v)
       (Query.View.entity_view_bindings qv);
-    List.iter (fun (a, v) -> one (Diag.Query_view a) v) (Query.View.assoc_view_bindings qv);
+    List.iter
+      (fun (a, q) -> acc := dead_select_diags (Diag.Query_view a) q !acc)
+      (Query.View.assoc_view_bindings qv);
     List.iter
       (fun (t, q) -> acc := dead_select_diags (Diag.Update_view t) q !acc)
       (Query.View.update_view_bindings uv);

@@ -77,10 +77,11 @@ let expected (before : Core.State.t) smo (after : Core.State.t) =
       regenerate ~set (Query.View.remove_assoc_view assoc qv) before.Core.State.update_views
   | _ -> None
 
-let query_bindings (st : Core.State.t) =
-  let tagged kind = List.map (fun (n, v) -> (kind ^ " " ^ n, v)) in
-  tagged "entity" (Query.View.entity_view_bindings st.Core.State.query_views)
-  @ tagged "assoc" (Query.View.assoc_view_bindings st.Core.State.query_views)
+let entity_bindings (st : Core.State.t) =
+  List.map (fun (n, v) -> ("entity " ^ n, v)) (Query.View.entity_view_bindings st.Core.State.query_views)
+
+let assoc_bindings (st : Core.State.t) =
+  List.map (fun (n, q) -> ("assoc " ^ n, q)) (Query.View.assoc_view_bindings st.Core.State.query_views)
 
 let update_bindings (st : Core.State.t) =
   List.map (fun (n, q) -> ("table " ^ n, q)) (Query.View.update_view_bindings st.Core.State.update_views)
@@ -103,5 +104,6 @@ let check tag (before : Core.State.t) smo (after : Core.State.t) =
       Alcotest.failf "%s: reference regeneration failed: %s" tag
         (Containment.Validation_error.show e)
   | Some (Ok reference) ->
-      same_bindings tag Query.View.equal (query_bindings after) (query_bindings reference);
+      same_bindings tag Query.View.equal (entity_bindings after) (entity_bindings reference);
+      same_bindings tag Query.Algebra.equal (assoc_bindings after) (assoc_bindings reference);
       same_bindings tag Query.Algebra.equal (update_bindings after) (update_bindings reference)

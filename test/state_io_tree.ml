@@ -68,7 +68,6 @@ let entry_of_key = function
   | Join (kind, l, r, on) -> S.field kind [ reference l; reference r; strings on ]
   | Union (l, r) -> S.field "union" [ reference l; reference r ]
   | Ctor_leaf (Query.Ctor.Entity { etype; attrs }) -> S.field "entity" [ S.string etype; strings attrs ]
-  | Ctor_leaf (Query.Ctor.Tuple cols) -> S.field "tuple" [ strings cols ]
   | If (c, a, b) -> S.field "if" [ reference c; reference a; reference b ]
 
 type encoder = { ids : (key, int) Hashtbl.t; mutable entries : string list; mutable count : int }
@@ -208,18 +207,17 @@ let save (st : Core.State.t) =
   let enc = { ids = Hashtbl.create 4096; entries = []; count = 0 } in
   let render_all = List.map S.to_string in
   let fragments = List.map (sexp_of_fragment enc) (Mapping.Fragments.to_list st.Core.State.fragments) in
-  let binding kind (name, (v : Query.View.t)) =
+  let entity_binding (name, (v : Query.View.t)) =
     let q = query_ref enc v.Query.View.query in
     let c = ctor_ref enc v.Query.View.ctor in
-    S.field kind [ S.string name; S.field "view" [ reference q; reference c ] ]
+    S.field "for_entity" [ S.string name; S.field "view" [ reference q; reference c ] ]
   in
+  let query_binding kind (name, q) = S.field kind [ S.string name; reference (query_ref enc q) ] in
   let qv = st.Core.State.query_views in
-  let entity_views = List.map (binding "for_entity") (Query.View.entity_view_bindings qv) in
-  let assoc_views = List.map (binding "for_assoc") (Query.View.assoc_view_bindings qv) in
+  let entity_views = List.map entity_binding (Query.View.entity_view_bindings qv) in
+  let assoc_views = List.map (query_binding "for_assoc") (Query.View.assoc_view_bindings qv) in
   let update_views =
-    List.map
-      (fun (table, q) -> S.field "for_table" [ S.string table; reference (query_ref enc q) ])
-      (Query.View.update_view_bindings st.Core.State.update_views)
+    List.map (query_binding "for_table") (Query.View.update_view_bindings st.Core.State.update_views)
   in
   let env = st.Core.State.env in
   render

@@ -182,11 +182,11 @@ let test_pretty_total () =
     let c = ok (Fullc.Compile.compile ~validate:false env frags) in
     List.iter
       (fun (_, v) -> checkb "nonempty" true (String.length (Query.Pretty.view_string v) > 0))
-      (Query.View.entity_view_bindings c.Fullc.Compile.query_views
-      @ Query.View.assoc_view_bindings c.Fullc.Compile.query_views);
+      (Query.View.entity_view_bindings c.Fullc.Compile.query_views);
     List.iter
       (fun (_, q) -> checkb "nonempty" true (String.length (Query.Pretty.query_string q) > 0))
-      (Query.View.update_view_bindings c.Fullc.Compile.update_views)
+      (Query.View.assoc_view_bindings c.Fullc.Compile.query_views
+      @ Query.View.update_view_bindings c.Fullc.Compile.update_views)
   in
   exercise pe.P.env pe.P.fragments;
   let env, frags = Workload.Hub_rim.generate ~n:2 ~m:2 ~style:`Tph in

@@ -341,24 +341,28 @@ let same_as_tree tag env qv uv =
       tag (show_diags dag) (show_diags tree);
   dag
 
-(* L105 on update views, from the memoized analysis and the tree walks
-   alike: a column the table lacks, a table column the view omits, and a
-   table the store lacks are each an error at the update view. *)
+(* The memoized analysis and the tree walks alike report the L105 error
+   [message] at [loc]. *)
+let check_l105 what env qv uv loc message =
+  let ds = same_as_tree what env qv uv in
+  checkb
+    (Printf.sprintf "%s: L105 error \"%s\" (got:\n    %s)" what message (show_diags ds))
+    true
+    (List.exists
+       (fun (d : Diag.t) ->
+         d.code = "L105" && d.severity = Diag.Error && d.loc = loc && d.message = message)
+       ds)
+
+(* L105 on update views: a column the table lacks, a table column the view
+   omits, and a table the store lacks are each an error at the update
+   view. *)
 let test_update_view_columns () =
   let env = env_of [ ("Persons", person (), []) ] [ table_p () ] in
   let p = A.Scan (A.Table "P") in
   List.iter
     (fun (what, table, q, message) ->
       let uv = Query.View.set_table_view table q Query.View.no_update_views in
-      let ds = same_as_tree what env Query.View.no_query_views uv in
-      checkb
-        (Printf.sprintf "%s: L105 error \"%s\" (got:\n    %s)" what message (show_diags ds))
-        true
-        (List.exists
-           (fun (d : Diag.t) ->
-             d.code = "L105" && d.severity = Diag.Error && d.loc = Diag.Update_view table
-             && d.message = message)
-           ds))
+      check_l105 what env Query.View.no_query_views uv (Diag.Update_view table) message)
     [
       ( "extra column",
         "P",
@@ -371,15 +375,43 @@ let test_update_view_columns () =
       ("unknown table", "Ghost", p, "the store has no table Ghost");
     ]
 
+(* L105 on association views, as on update views: on the paper's stage-4
+   model a Supports view that yields a column the association lacks, one
+   that omits an association column, and a view of an association the
+   client lacks are each an error at the view. *)
+let test_assoc_view_columns () =
+  let s = Workload.Paper_example.stage4 in
+  let env = s.Workload.Paper_example.env in
+  let client = A.Select (C.Is_not_null "Eid", A.Scan (A.Table "Client")) in
+  let supports = [ A.col_as "Cid" "Customer.Id"; A.col_as "Eid" "Employee.Id" ] in
+  List.iter
+    (fun (what, assoc, q, message) ->
+      let qv = Query.View.set_assoc_view assoc q Query.View.no_query_views in
+      check_l105 what env qv Query.View.no_update_views (Diag.Query_view assoc) message)
+    [
+      ( "extra column",
+        "Supports",
+        A.Project (supports @ [ A.col_as "Name" "Ghost" ], client),
+        "the association view produces column Ghost, which association Supports lacks" );
+      ( "missing column",
+        "Supports",
+        A.Project ([ List.hd supports ], client),
+        "the association view does not produce column Employee.Id of association Supports" );
+      ( "unknown association",
+        "Ghost",
+        A.Project (supports, client),
+        "the client has no association Ghost" );
+    ]
+
 (* Faults planted in a view set without breaking its sharing: the rewrite is
    itself memoized on physical identity, so a damaged shared subterm stays
    shared by every view that contained it.  Which nodes are hit depends on
    their structural hash: some selections become unsatisfiable (L011) or
    test a column their input lacks (L101), some projections bind a column
    twice (L102) or become a union with their own column-reversed copy
-   (L103), some entity and association constructor leaves name a column
-   no query produces, and some update views trade their first column for
-   one their table lacks (L105). *)
+   (L103), some entity constructor leaves name a column no query
+   produces, and some association and update views trade their first
+   column for one their association or table lacks (L105). *)
 let damage (qv : Query.View.query_views) (uv : Query.View.update_views) =
   let hit k x = Hashtbl.hash x mod k = 0 in
   let query =
@@ -408,27 +440,26 @@ let damage (qv : Query.View.query_views) (uv : Query.View.update_views) =
         match c with
         | Query.Ctor.Entity { etype; attrs } when hit 3 c ->
             Query.Ctor.Entity { etype; attrs = attrs @ [ "Ghost" ] }
-        | Query.Ctor.Tuple cs when hit 3 c -> Query.Ctor.Tuple (cs @ [ "Ghost" ])
-        | Query.Ctor.Entity _ | Query.Ctor.Tuple _ -> c
+        | Query.Ctor.Entity _ -> c
         | Query.Ctor.If (cond, a, b) -> Query.Ctor.If (cond, go a, go b))
   in
   let view (v : Query.View.t) = { Query.View.query = query v.query; ctor = ctor v.ctor } in
+  let trade name q =
+    match query q with
+    | A.Project (_ :: items, sub) when hit 3 name -> A.Project (A.null_as "Ghost" :: items, sub)
+    | q -> q
+  in
   let qv =
     List.fold_left
-      (fun qv (a, v) -> Query.View.set_assoc_view a (view v) qv)
+      (fun qv (a, q) -> Query.View.set_assoc_view a (trade a q) qv)
       (List.fold_left
          (fun qv (ty, v) -> Query.View.set_entity_view ty (view v) qv)
          qv (Query.View.entity_view_bindings qv))
       (Query.View.assoc_view_bindings qv)
   in
-  let update t q =
-    match query q with
-    | A.Project (_ :: items, sub) when hit 3 t -> A.Project (A.null_as "Ghost" :: items, sub)
-    | q -> q
-  in
   let uv =
     List.fold_left
-      (fun uv (t, q) -> Query.View.set_table_view t (update t q) uv)
+      (fun uv (t, q) -> Query.View.set_table_view t (trade t q) uv)
       uv (Query.View.update_view_bindings uv)
   in
   (qv, uv)
@@ -474,11 +505,19 @@ let test_dag_builtins () =
       let o = ok_exn (Fullc.Compile.compile ~validate:false ~optimize:true env frags) in
       ignore (same_as_tree_state (name ^ " optimized") (Core.State.of_compiled env frags o));
       let ds = same_as_tree_state (name ^ " loaded") (reloaded st) in
-      (* The planted faults are there to be found. *)
-      if name = "customer" then
+      (* The planted faults are there to be found, L105 at association
+         views too. *)
+      if name = "customer" then (
         List.iter
           (fun code -> check_fires "damaged customer" code ds)
-          [ "L011"; "L101"; "L102"; "L103"; "L105" ])
+          [ "L011"; "L101"; "L102"; "L103"; "L105" ];
+        let assoc_view (d : Diag.t) =
+          match d.loc with
+          | Diag.Query_view a -> Edm.Schema.find_association env.Query.Env.client a <> None
+          | _ -> false
+        in
+        checkb "damaged customer: L105 at an association view" true
+          (List.exists (fun (d : Diag.t) -> d.code = "L105" && assoc_view d) ds)))
     (builtin_models ())
 
 (* Customer after each suite SMO alone (as the e2e [edit] op applies it) and
@@ -698,6 +737,7 @@ let () =
           Alcotest.test_case "codes" `Quick test_wf_codes;
           Alcotest.test_case "check reports errors" `Quick test_wf_errors;
           Alcotest.test_case "L105 update-view columns" `Quick test_update_view_columns;
+          Alcotest.test_case "L105 association-view columns" `Quick test_assoc_view_columns;
         ] );
       ( "soundness",
         [ prop_soundness; Alcotest.test_case "builtins clean" `Quick test_builtin_models_clean ]

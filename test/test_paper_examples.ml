@@ -189,8 +189,7 @@ let test_example7 () =
       checkb "Eid excluded from the left side" true
         (not (List.exists (fun it -> A.dst_of it = "Eid") items))
   | q -> Alcotest.failf "unexpected Q4_Client shape: %s" (A.show q));
-  let v_a = Option.get (Query.View.assoc_view st.Core.State.query_views "Supports") in
-  match v_a.Query.View.query with
+  match Option.get (Query.View.assoc_view st.Core.State.query_views "Supports") with
   | A.Project (_, A.Select (c, A.Scan (A.Table "Client"))) ->
       checkb "selects Eid IS NOT NULL" true (C.equal c (C.Is_not_null "Eid"))
   | q -> Alcotest.failf "unexpected Q_Supports shape: %s" (A.show q)

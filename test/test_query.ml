@@ -300,7 +300,7 @@ let prop_ctor_branches =
   let oracle ctor =
     let ( let* ) = Option.bind in
     let rec go guard = function
-      | (Query.Ctor.Entity _ | Query.Ctor.Tuple _) as k ->
+      | Query.Ctor.Entity _ as k ->
           Some [ (C.simplify (C.conj (List.rev guard)), k) ]
       | Query.Ctor.If (c, a, b) ->
           let* bs_then = go (c :: guard) a in

@@ -214,13 +214,10 @@ let test_differential_vs_fullc () =
                   (Query.Algebra.project_cols atts v.Query.View.query))
           (Query.View.entity_view_bindings full.Fullc.Compile.query_views);
         List.iter
-          (fun (a, (v : Query.View.t)) ->
+          (fun (a, q) ->
             match Query.View.assoc_view st'.Core.State.query_views a with
             | None -> Alcotest.failf "seed %d: no incremental assoc view for %s" seed a
-            | Some vi ->
-                equiv env' store_dbs
-                  (Printf.sprintf "seed %d assoc %s" seed a)
-                  vi.Query.View.query v.Query.View.query)
+            | Some qi -> equiv env' store_dbs (Printf.sprintf "seed %d assoc %s" seed a) qi q)
           (Query.View.assoc_view_bindings full.Fullc.Compile.query_views);
         (* Update views read the client state. *)
         List.iter
@@ -268,7 +265,8 @@ let apply_both tag st smo =
   in
   match (Core.Engine.apply ~jobs:1 st smo, Core.Engine.apply ~jobs:4 st smo) with
   | Ok a, Ok b ->
-      same Query.View.equal (Recompile.query_bindings a) (Recompile.query_bindings b);
+      same Query.View.equal (Recompile.entity_bindings a) (Recompile.entity_bindings b);
+      same Query.Algebra.equal (Recompile.assoc_bindings a) (Recompile.assoc_bindings b);
       same Query.Algebra.equal (Recompile.update_bindings a) (Recompile.update_bindings b);
       Some a
   | Error a, Error b ->

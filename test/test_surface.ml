@@ -524,17 +524,34 @@ let test_bad_references () =
       ("unknown term", doc ~terms:"true (nand #0 #0)" ());
     ]
 
+(* [load] answers [text] with an [Error] that names an offset, and does
+   not raise. *)
+let check_load_error what text =
+  match load text with
+  | Ok _ -> Alcotest.failf "%s: loaded" what
+  | Error e ->
+      checkb (what ^ ": the error names an offset: " ^ e) true (String.starts_with ~prefix:"at offset " e)
+  | exception ex -> Alcotest.failf "%s: load raised %s" what (Printexc.to_string ex)
+
 (* An update binding is [(for_table T #q)].  A binding in the form with a
-   constructor, [(for_table T (view #q #c))], is an [Error] that names an
-   offset; [load] does not raise. *)
+   constructor, [(for_table T (view #q #c))], is an [Error]. *)
 let test_update_binding_form () =
-  let terms = "true (select #0 (scan (table T))) (tuple (Id))" in
+  let terms = "true (select #0 (scan (table T))) (entity E (Id))" in
   let update b = doc ~terms ~updates:(Printf.sprintf "(for_table T %s)" b) () in
   checkb "a query reference loads" true (Result.is_ok (load (update "#1")));
-  match load (update "(view #1 #2)") with
-  | Ok _ -> Alcotest.fail "an update binding with a constructor loaded"
-  | Error e -> checkb ("the error names an offset: " ^ e) true (String.starts_with ~prefix:"at offset " e)
-  | exception ex -> Alcotest.failf "load raised %s" (Printexc.to_string ex)
+  check_load_error "an update binding with a constructor" (update "(view #1 #2)")
+
+(* A constructor only builds entities and an association view is a bare
+   query, so neither a [(tuple ..)] leaf in an entity view's constructor
+   nor an association binding with a constructor,
+   [(for_assoc A (view #q #c))], loads. *)
+let test_no_tuple_constructors () =
+  let terms = "true (select #0 (scan (table T))) (entity E (Id))" in
+  let assoc b = doc ~terms ~views:(Printf.sprintf "(for_assoc A %s)" b) () in
+  checkb "an association query reference loads" true (Result.is_ok (load (assoc "#1")));
+  check_load_error "an association binding with a constructor" (assoc "(view #1 #2)");
+  check_load_error "a tuple leaf in an entity view's constructor"
+    (doc ~terms:(terms ^ " (tuple (Id)) (if #0 #2 #3)") ~views:"(for_entity E (view #1 #4))" ())
 
 (* Truncated and byte-mutated saved states: [load] answers, [Ok] or [Error],
    and never raises. *)
@@ -856,6 +873,7 @@ let () =
           Alcotest.test_case "loaded state is shared" `Quick test_loaded_state_is_shared;
           Alcotest.test_case "bad references" `Quick test_bad_references;
           Alcotest.test_case "update binding form" `Quick test_update_binding_form;
+          Alcotest.test_case "no tuple constructors" `Quick test_no_tuple_constructors;
           Alcotest.test_case "save matches the tree-walk encoder" `Quick test_save_matches_oracle;
           Alcotest.test_case "encoder visits each term once" `Quick test_encode_visits;
           Alcotest.test_case "CR in a string constant" `Quick test_cr_constant;
