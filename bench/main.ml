@@ -89,6 +89,16 @@ let show_ms ms =
 
 let header title = Printf.printf "\n=== %s ===\n%!" title
 
+(* The sum of the integer attribute [tag] over the completed spans named
+   [name]. *)
+let span_tag_total ~name tag =
+  Obs.Span.fold_all
+    (fun acc sp ->
+      match List.assoc_opt tag (Obs.Span.attrs sp) with
+      | Some t when Obs.Span.name sp = name -> acc + int_of_string t
+      | _ -> acc)
+    0
+
 (* ------------------------------------------------------------------ *)
 (* Tables: every mode's results, printed and written by [emit].        *)
 (* ------------------------------------------------------------------ *)
@@ -107,9 +117,9 @@ type table = { name : string; keys : string list; rows : (string * cell) list li
 (* The columns whose values do not depend on the host. *)
 let count_columns =
   [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "tables_visited"; "scans"; "index_scans";
-    "rows_scanned"; "diags"; "state_bytes"; "steps"; "verdict"; "tree_nodes"; "distinct_nodes";
-    "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union"; "rows_distinct";
-    "rows_touched"; "rows_growth" ]
+    "rows_scanned"; "diags"; "state_bytes"; "terms"; "steps"; "verdict"; "tree_nodes";
+    "distinct_nodes"; "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union";
+    "rows_distinct"; "rows_touched"; "rows_growth" ]
 
 let json_string s =
   let esc = function
@@ -727,14 +737,7 @@ let customer_steps env inc inst =
       Obs.enable ();
       for i = 0 to n - 1 do ignore (step i) done;
       Obs.disable ();
-      let visited =
-        Obs.Span.fold_all
-          (fun acc sp ->
-            match List.assoc_opt "tables" (Obs.Span.attrs sp) with
-            | Some t when Obs.Span.name sp = "ivm.propagate" -> acc + int_of_string t
-            | _ -> acc)
-          0
-      in
+      let visited = span_tag_total ~name:"ivm.propagate" "tables" in
       let rows = operator_rows () in
       Obs.reset ();
       [ ("kind", str kind); ("steps", int n); ("ivm_step_ns", num 1 (ms *. 1e6)); ("alloc_mb", num 4 mb);
@@ -1079,9 +1082,21 @@ let edit_bench () =
         ("save", "surface", fun () -> ignore (Surface.State_io.save st));
       ]
   in
+  (* The term-table size that one save tags on its [surface.io.encode]. *)
+  let terms =
+    Obs.Span.reset ();
+    Obs.enable ();
+    ignore (Surface.State_io.save st);
+    Obs.disable ();
+    let n = span_tag_total ~name:"surface.io.encode" "terms" in
+    Obs.Span.reset ();
+    n
+  in
   emit "edit"
     [ { name = "state"; keys = [];
-        rows = [ [ ("model", str "customer"); ("state_bytes", int (String.length text)) ] ] };
+        rows =
+          [ [ ("model", str "customer"); ("state_bytes", int (String.length text));
+              ("terms", int terms) ] ] };
       { name = "layers"; keys = [ "layer" ];
         rows =
           List.map

@@ -4,12 +4,14 @@
       (examples/models/paper_stage1.imc) and fully compiled once;
    2. the schema evolves inside a Core.Session — incremental compilation,
       with a checkpoint, a validation failure that leaves the session
-      untouched, and an undo;
+      untouched, an undo, and a rollback to the checkpoint;
    3. the application updates objects through a DML script, which the update
       views translate into minimal store-side SQL — the update-translation
       problem of Section 1.1.
 
-   Run from the repository root: dune exec examples/update_session.exe *)
+   Run from the repository root: dune exec examples/update_session.exe
+   It exits 1 if the rollback misses the checkpointed state or the store
+   read back differs from the updated objects. *)
 
 let ok = function Ok x -> x | Error e -> failwith e
 let ok_v = function Ok x -> x | Error e -> failwith (Containment.Validation_error.show e)
@@ -29,6 +31,7 @@ let () =
     List.fold_left (fun s smo -> ok_v (Core.Session.apply s smo)) session smos
   in
   let session = Core.Session.checkpoint ~name:"stage4" session in
+  let stage4 = Core.Session.current session in
   (* A change that cannot validate: TPC below an association endpoint
      (the Fig. 6 scenario).  The session absorbs the abort. *)
   let vip_tpc =
@@ -68,6 +71,12 @@ let () =
   in
   let session = ok_v (Core.Session.apply session vip_tpt) in
   let session = Option.get (Core.Session.undo session) in
+  (* The checkpoint names the stage-4 state itself, so rolling back to it
+     lands on that very value. *)
+  let session = ok (Core.Session.rollback_to ~name:"stage4" session) in
+  if Core.Session.current session != stage4 then (
+    print_endline "rollback to stage4 did not return the checkpointed state";
+    exit 1);
   Printf.printf "\nsession log:\n%s\n" (Core.Session.log session);
   let st = Core.Session.current session in
 
@@ -83,5 +92,6 @@ let () =
   print_string (Dml.Translate.to_sql sql);
   (* The criterion of Section 1.1: the store now reflects exactly the update. *)
   let back = ok (Query.View.apply_query_views env st.Core.State.query_views new_store) in
-  Printf.printf "\nreading the store back yields exactly the updated objects: %b\n"
-    (Edm.Instance.equal back new_client)
+  let exact = Edm.Instance.equal back new_client in
+  Printf.printf "\nreading the store back yields exactly the updated objects: %b\n" exact;
+  if not exact then exit 1

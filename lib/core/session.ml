@@ -5,37 +5,35 @@ type event =
   | Checkpointed of string
   | Rolled_back of string
 
-(* One planner context per generation of the query views (and the
-   environment they are typed in).  Keeping a bounded list of recent
-   generations (instead of only the newest) means undo/redo and rollback
-   land back on a planned generation. *)
-type generation = {
-  gen_env : Query.Env.t;
-  gen_views : Query.View.query_views;
-  planner : Exec.Planner.context;
-}
-
-type exec_cache = generation list ref
+(* A state the session holds, with the planner context of its query views.
+   The context is built on the state's first read and travels with it
+   through undo, redo and rollback. *)
+type planned = { state : State.t; planner : Exec.Planner.context Lazy.t }
 
 type t = {
-  initial : State.t;
-  past : (State.t * entry) list;        (* newest first; state BEFORE the smo *)
-  depth : int;                          (* length of [past], tracked incrementally *)
-  present : State.t;
-  future : (State.t * entry) list;      (* undone, newest undo first *)
-  checkpoints : (string * int) list;    (* name -> [depth] at the mark *)
+  past : (planned * entry) list;        (* newest first; state BEFORE the smo *)
+  present : planned;
+  future : (planned * entry) list;      (* undone, newest undo first *)
+  checkpoints : (string * State.t) list; (* name -> the state at the mark *)
   events : event list;                  (* newest first *)
-  exec_cache : exec_cache;              (* shared across derived sessions *)
 }
 
-let start present =
-  { initial = present; past = []; depth = 0; present; future = []; checkpoints = [];
-    events = []; exec_cache = ref [] }
+let planned (state : State.t) =
+  {
+    state;
+    planner =
+      lazy
+        (Exec.Planner.context state.env
+           (Query.View.queries state.query_views Query.View.no_update_views));
+  }
 
-let current t = t.present
+let start present =
+  { past = []; present = planned present; future = []; checkpoints = []; events = [] }
+
+let current t = t.present.state
 
 let apply ?jobs t smo =
-  match Engine.apply_timed ?jobs t.present smo with
+  match Engine.apply_timed ?jobs t.present.state smo with
   | Error e -> Error e
   | Ok (next, timing) ->
       let entry = { smo; timing } in
@@ -43,8 +41,7 @@ let apply ?jobs t smo =
         {
           t with
           past = (t.present, entry) :: t.past;
-          depth = t.depth + 1;
-          present = next;
+          present = planned next;
           future = [];
           events = Applied entry :: t.events;
         }
@@ -53,75 +50,46 @@ let undo t =
   match t.past with
   | [] -> None
   | (before, entry) :: past ->
-      Some
-        {
-          t with
-          past;
-          depth = t.depth - 1;
-          present = before;
-          future = (t.present, entry) :: t.future;
-        }
+      Some { t with past; present = before; future = (t.present, entry) :: t.future }
 
 let redo t =
   match t.future with
   | [] -> None
   | (after, entry) :: future ->
-      Some
-        { t with past = (t.present, entry) :: t.past; depth = t.depth + 1; present = after; future }
+      Some { t with past = (t.present, entry) :: t.past; present = after; future }
 
 let history t = List.rev_map (fun (_, e) -> e) t.past
 
 let checkpoint ~name t =
   {
     t with
-    checkpoints = (name, t.depth) :: List.remove_assoc name t.checkpoints;
+    checkpoints = (name, t.present.state) :: List.remove_assoc name t.checkpoints;
     events = Checkpointed name :: t.events;
   }
 
 let rollback_to ~name t =
   match List.assoc_opt name t.checkpoints with
   | None -> Error (Printf.sprintf "unknown checkpoint %s" name)
-  | Some depth ->
+  | Some marked ->
       let rec unwind t =
-        if t.depth <= depth then t
-        else match undo t with Some t -> unwind t | None -> t
+        if t.present.state == marked then
+          Ok { t with future = []; events = Rolled_back name :: t.events }
+        else
+          match undo t with
+          | Some t -> unwind t
+          | None -> Error (Printf.sprintf "checkpoint %s is no longer in the session's history" name)
       in
-      let t = unwind t in
-      Ok { t with future = []; events = Rolled_back name :: t.events }
-
-let c_plan_hit = Obs.Metric.counter "exec.plan.cache.hit"
-let c_plan_miss = Obs.Metric.counter "exec.plan.cache.miss"
-let max_exec_generations = 8
-
-let same_query_views a b =
-  a == b
-  || (let eq veq = List.equal (fun (na, va) (nb, vb) -> String.equal na nb && veq va vb) in
-      eq Query.View.equal (Query.View.entity_view_bindings a) (Query.View.entity_view_bindings b)
-      && eq Query.Algebra.equal (Query.View.assoc_view_bindings a) (Query.View.assoc_view_bindings b))
-
-let generation t =
-  let { State.env; query_views = qv; _ } = t.present in
-  let gens = !(t.exec_cache) in
-  match List.find_opt (fun g -> g.gen_env == env && same_query_views g.gen_views qv) gens with
-  | Some g ->
-      Obs.Metric.incr c_plan_hit;
-      if List.hd gens != g then t.exec_cache := g :: List.filter (fun g' -> g' != g) gens;
-      g
-  | None ->
-      Obs.Metric.incr c_plan_miss;
-      let views = Query.View.queries qv Query.View.no_update_views in
-      let g = { gen_env = env; gen_views = qv; planner = Exec.Planner.context env views } in
-      t.exec_cache := List.filteri (fun i _ -> i < max_exec_generations) (g :: gens);
-      g
+      unwind t
 
 let query_plan t q =
-  let g = generation t in
+  let { state = { State.env; query_views; _ }; planner } = t.present in
+  let planner = Lazy.force planner in
   Result.bind
-    (Obs.Span.with_ ~name:"query.unfold" (fun () -> Query.Unfold.splice g.gen_env g.gen_views q))
-    (Exec.Planner.plan_in g.planner)
+    (Obs.Span.with_ ~name:"query.unfold" (fun () -> Query.Unfold.splice env query_views q))
+    (Exec.Planner.plan_in planner)
 
 let lint t =
-  let st = t.present in
+  let st = t.present.state in
   Lint.Analyze.run
     ~views:(st.State.query_views, st.State.update_views)
     st.State.env st.State.fragments

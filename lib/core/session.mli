@@ -6,7 +6,12 @@
     session wraps that loop: it records every accepted SMO with its timing,
     keeps the full state history for undo/redo, and supports named
     checkpoints for coarse rollback — cheap, because states are immutable
-    values. *)
+    values.
+
+    A session is a persistent value but not a domain-safe one: each held
+    state's planner context is a [Lazy.t] that {!query_plan} forces, and
+    [Lazy.force] may not race across domains.  Use a session from one domain
+    at a time. *)
 
 type entry = { smo : Smo.t; timing : Engine.timing }
 
@@ -31,9 +36,15 @@ val history : t -> entry list
 (** Accepted SMOs, oldest first. *)
 
 val checkpoint : name:string -> t -> t
+(** Name the present state; a later checkpoint of the same name replaces
+    it. *)
+
 val rollback_to : name:string -> t -> (t, string) result
-(** Return to the named checkpoint, dropping the SMOs after it (they remain
-    visible in {!log} as rolled back). *)
+(** Undo until the present state is [==] the named checkpoint's, dropping
+    the SMOs after it (they remain visible in {!log} as rolled back).
+    [Error] if the name is unknown, or if that state is neither present nor
+    in the undo history: the checkpoint was undone away, or undone and then
+    replaced by a new SMO. *)
 
 val log : t -> string
 (** A human-readable session transcript: SMOs, timings, checkpoints. *)
@@ -41,17 +52,15 @@ val log : t -> string
 val query_plan : t -> Query.Algebra.t -> (Exec.Plan.t, string) result
 (** The physical plan for a client query over the present state: splices
     the query views in ([Query.Unfold.splice], span [query.unfold]) and
-    lowers the result with {!Exec.Planner.plan_in} (span [exec.plan]).  The
-    session keeps one planner context per generation, that is per
-    environment and query views, for a bounded number of recent
-    generations: an SMO that moves the views gets a new context, and
-    undo/redo/rollback land back on an earlier one.  Plans themselves are
-    not kept, so the plan equals a cold [Exec.Planner.plan] of the unfolded
-    query, and a stream of distinct queries leaves the session's size
-    unchanged.  The contexts are shared by all sessions derived from the
-    same {!start}.  Each call counts [exec.plan.cache.hit] when it reuses a
-    context and [exec.plan.cache.miss] when it builds one.  They are the
-    session's only cache. *)
+    lowers the result with {!Exec.Planner.plan_in} (span [exec.plan]).
+    Every state the session holds carries one planner context over its
+    query views, built on that state's first read (span
+    [exec.plan.context]): an SMO's state gets its own, and undo, redo and
+    rollback move the states with their contexts, so they build none.
+    Sessions derived from one another share the contexts of the states they
+    share.  Plans themselves are not kept, so the plan equals a cold
+    [Exec.Planner.plan] of the unfolded query, and a stream of distinct
+    queries leaves the session's size unchanged. *)
 
 val lint : t -> Lint.Diag.t list
 (** Run the static mapping analyzer over the present state: exactly

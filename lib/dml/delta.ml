@@ -31,45 +31,6 @@ let find_entity schema inst ~set ~key =
     (fun e -> Datum.Row.equal (key_of_entity schema e) key)
     (Edm.Instance.entities inst ~set)
 
-let replace_entities inst ~set entities =
-  (* Rebuild the instance with the set's population swapped. *)
-  let base =
-    List.fold_left
-      (fun acc s ->
-        if s = set then acc
-        else
-          List.fold_left (fun acc e -> Edm.Instance.add_entity ~set:s e acc) acc
-            (Edm.Instance.entities inst ~set:s))
-      Edm.Instance.empty (Edm.Instance.sets inst)
-  in
-  let base =
-    List.fold_left
-      (fun acc a ->
-        List.fold_left (fun acc l -> Edm.Instance.add_link ~assoc:a l acc) acc
-          (Edm.Instance.links inst ~assoc:a))
-      base (Edm.Instance.assocs inst)
-  in
-  List.fold_left (fun acc e -> Edm.Instance.add_entity ~set e acc) base entities
-
-let replace_links inst ~assoc links =
-  let base =
-    List.fold_left
-      (fun acc s ->
-        List.fold_left (fun acc e -> Edm.Instance.add_entity ~set:s e acc) acc
-          (Edm.Instance.entities inst ~set:s))
-      Edm.Instance.empty (Edm.Instance.sets inst)
-  in
-  let base =
-    List.fold_left
-      (fun acc a ->
-        if a = assoc then acc
-        else
-          List.fold_left (fun acc l -> Edm.Instance.add_link ~assoc:a l acc) acc
-            (Edm.Instance.links inst ~assoc:a))
-      base (Edm.Instance.assocs inst)
-  in
-  List.fold_left (fun acc l -> Edm.Instance.add_link ~assoc l acc) base links
-
 (* Does any association tuple reference the entity with this key? *)
 let participates schema inst ~etype ~key =
   List.exists
@@ -108,10 +69,11 @@ let apply_op schema inst = function
             fail "delete: entity %s still participates in an association" (Datum.Row.show key)
           else
             Ok
-              (replace_entities inst ~set
+              (Edm.Instance.set_entities ~set
                  (List.filter
                     (fun e -> not (Datum.Row.equal (key_of_entity schema e) key))
-                    (Edm.Instance.entities inst ~set))))
+                    (Edm.Instance.entities inst ~set))
+                 inst))
   | Update_entity { set; key; changes } -> (
       match find_entity schema inst ~set ~key with
       | None -> fail "update: no entity with key %s in %s" (Datum.Row.show key) set
@@ -141,11 +103,12 @@ let apply_op schema inst = function
             }
           in
           Ok
-            (replace_entities inst ~set
+            (Edm.Instance.set_entities ~set
                (updated
                :: List.filter
                     (fun e -> not (Datum.Row.equal (key_of_entity schema e) key))
-                    (Edm.Instance.entities inst ~set))))
+                    (Edm.Instance.entities inst ~set))
+               inst))
   | Insert_link { assoc; link } ->
       let* () =
         match Edm.Schema.find_association schema assoc with
@@ -160,10 +123,11 @@ let apply_op schema inst = function
         fail "unlink: no such tuple in %s" assoc
       else
         Ok
-          (replace_links inst ~assoc
+          (Edm.Instance.set_links ~assoc
              (List.filter
                 (fun l -> not (Datum.Row.equal l link))
-                (Edm.Instance.links inst ~assoc)))
+                (Edm.Instance.links inst ~assoc))
+             inst)
 
 let apply schema inst delta =
   let* out =

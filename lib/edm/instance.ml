@@ -20,6 +20,8 @@ let cons_multi key v m =
 
 let add_entity ~set e t = { t with ents = cons_multi set e t.ents }
 let add_link ~assoc r t = { t with lnks = cons_multi assoc r t.lnks }
+let set_entities ~set es t = { t with ents = M.add set es t.ents }
+let set_links ~assoc rs t = { t with lnks = M.add assoc rs t.lnks }
 let entities t ~set = Option.value ~default:[] (M.find_opt set t.ents)
 let links t ~assoc = Option.value ~default:[] (M.find_opt assoc t.lnks)
 let sets t = List.map fst (M.bindings t.ents)

@@ -13,6 +13,11 @@ val empty : t
 val add_entity : set:string -> entity -> t -> t
 val add_link : assoc:string -> Datum.Row.t -> t -> t
 
+val set_entities : set:string -> entity list -> t -> t
+val set_links : assoc:string -> Datum.Row.t list -> t -> t
+(** Replace one entity set's (association's) population; every other list
+    is kept as it is. *)
+
 val entities : t -> set:string -> entity list
 val links : t -> assoc:string -> Datum.Row.t list
 val sets : t -> string list

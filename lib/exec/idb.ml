@@ -24,7 +24,7 @@ type index = Datum.Row.t list Value_tbl.t
 type t = {
   env : Query.Env.t;
   db : Query.Eval.db;
-  rows : Datum.Row.t array Source_tbl.t;
+  rows : Datum.Row.t list Source_tbl.t;
   indexes : (string, index) Hashtbl.t Source_tbl.t;
 }
 
@@ -36,24 +36,24 @@ let db t = t.db
 
 let source_rows t src =
   match Source_tbl.find_opt t.rows src with
-  | Some arr -> arr
+  | Some rows -> rows
   | None ->
-      let arr = Array.of_list (Query.Eval.rows t.env t.db (Query.Algebra.Scan src)) in
-      Source_tbl.add t.rows src arr;
-      arr
+      let rows = Query.Eval.rows t.env t.db (Query.Algebra.Scan src) in
+      Source_tbl.add t.rows src rows;
+      rows
 
 let build_index t src col =
-  let arr = source_rows t src in
-  let idx = Value_tbl.create (max 16 (Array.length arr)) in
-  (* Insert in reverse so each bucket lists rows in scan order. *)
-  for i = Array.length arr - 1 downto 0 do
-    let row = arr.(i) in
-    match Datum.Row.find col row with
-    | Some v when not (Datum.Value.is_null v) ->
-        let bucket = Option.value ~default:[] (Value_tbl.find_opt idx v) in
-        Value_tbl.replace idx v (row :: bucket)
-    | Some _ | None -> ()
-  done;
+  let rows = source_rows t src in
+  let idx = Value_tbl.create (max 16 (List.length rows)) in
+  (* Fold right so each bucket lists rows in scan order. *)
+  List.fold_right
+    (fun row () ->
+      match Datum.Row.find col row with
+      | Some v when not (Datum.Value.is_null v) ->
+          let bucket = Option.value ~default:[] (Value_tbl.find_opt idx v) in
+          Value_tbl.replace idx v (row :: bucket)
+      | Some _ | None -> ())
+    rows ();
   Obs.Metric.incr c_index_builds;
   idx
 

@@ -40,6 +40,65 @@ let test_delta_insert_update_delete () =
          && V.equal (Datum.Row.get "Name" e.attrs) (V.String "Anya"))
        persons)
 
+(* A delete, an update and an unlink swap one population: every other entity
+   set's and association's list is the input's own. *)
+let test_delta_keeps_other_populations () =
+  let schema = (fst (Workload.Customer.generate ())).Query.Env.client in
+  let inst = Roundtrip.Generate.instance ~seed:7 ~entities_per_set:6 schema in
+  let kept msg ?set ?assoc out =
+    List.iter
+      (fun s ->
+        if Some s <> set then
+          checkb (Printf.sprintf "%s: %s kept" msg s) true
+            (Edm.Instance.entities out ~set:s == Edm.Instance.entities inst ~set:s))
+      (Edm.Instance.sets inst);
+    List.iter
+      (fun a ->
+        if Some a <> assoc then
+          checkb (Printf.sprintf "%s: %s kept" msg a) true
+            (Edm.Instance.links out ~assoc:a == Edm.Instance.links inst ~assoc:a))
+      (Edm.Instance.assocs inst)
+  in
+  let entities =
+    List.concat_map
+      (fun set -> List.map (fun e -> (set, e)) (Edm.Instance.entities inst ~set))
+      (Edm.Instance.sets inst)
+  in
+  let key_of (e : Edm.Instance.entity) =
+    Datum.Row.project (Edm.Schema.key_of schema e.etype) e.attrs
+  in
+  (* the first entity no association references *)
+  let set, out =
+    Option.get
+      (List.find_map
+         (fun (set, e) ->
+           Result.to_option
+             (Result.map (fun out -> (set, out))
+                (Delta.apply schema inst [ Delta.Delete_entity { set; key = key_of e } ])))
+         entities)
+  in
+  kept "delete" ~set out;
+  let set, e, (attr, d) =
+    Option.get
+      (List.find_map
+         (fun (set, (e : Edm.Instance.entity)) ->
+           let key = Edm.Schema.key_of schema e.etype in
+           List.find_opt (fun (a, _) -> not (List.mem a key)) (Edm.Schema.attributes schema e.etype)
+           |> Option.map (fun a -> (set, e, a)))
+         entities)
+  in
+  let v = Roundtrip.Generate.value_for (Random.State.make [| 1 |]) d in
+  let delta = [ Delta.Update_entity { set; key = key_of e; changes = [ (attr, v) ] } ] in
+  kept "update" ~set (ok_exn (Delta.apply schema inst delta));
+  let assoc, link =
+    Option.get
+      (List.find_map
+         (fun a ->
+           match Edm.Instance.links inst ~assoc:a with l :: _ -> Some (a, l) | [] -> None)
+         (Edm.Instance.assocs inst))
+  in
+  kept "unlink" ~assoc (ok_exn (Delta.apply schema inst [ Delta.Delete_link { assoc; link } ]))
+
 let test_delta_guards () =
   let inst = P.sample_client in
   let dup =
@@ -316,6 +375,7 @@ let () =
         [
           Alcotest.test_case "insert/update/delete" `Quick test_delta_insert_update_delete;
           Alcotest.test_case "guards" `Quick test_delta_guards;
+          Alcotest.test_case "one population swapped" `Quick test_delta_keeps_other_populations;
         ] );
       ( "translate",
         [

@@ -4,8 +4,8 @@
    and IS OF provenance guards), on random client states, and on random
    models; key filters must reach both inputs of every join kind and turn
    each customer key lookup into index probes; and the session must plan
-   against one planner context per generation of the query views, with
-   undo/redo landing back on planned generations, plans equal to a cold
+   against one planner context per state it holds, with undo, redo and
+   rollback landing back on planned states, plans equal to a cold
    [Planner.plan], and a size that a stream of distinct reads leaves flat. *)
 
 open Common
@@ -455,15 +455,20 @@ let employee_smo =
     { entity = employee; alpha = [ "Id"; "Department" ]; p_ref = Some "Person";
       table = emp_table; fmap = [ ("Id", "Id"); ("Department", "Dept") ] }
 
-let cache_counts f =
-  let before = Obs.Metric.snapshot () in
-  let r = f () in
-  let d = Obs.Metric.diff before (Obs.Metric.snapshot ()) in
-  let count name = Option.value ~default:0 (List.assoc_opt name d.Obs.Metric.counters) in
-  (r, count "exec.plan.cache.hit", count "exec.plan.cache.miss")
+(* The planner contexts [f] builds: its [exec.plan.context] spans. *)
+let contexts_built f =
+  Obs.Span.reset ();
+  Obs.enable ();
+  let r = Fun.protect ~finally:Obs.disable f in
+  let n =
+    Obs.Span.fold_all
+      (fun n sp -> if Obs.Span.name sp = "exec.plan.context" then n + 1 else n)
+      0
+  in
+  Obs.Span.reset ();
+  (r, n)
 
-let expect_cache msg ~hit ~miss (got_hit, got_miss) =
-  check Alcotest.(pair int int) (msg ^ ": (hit, miss)") (hit, miss) (got_hit, got_miss)
+let expect_contexts msg n got = check Alcotest.int (msg ^ ": contexts built") n got
 
 (* The plan a cold one-shot [Planner.plan] gives for [q] over [st]. *)
 let cold_plan st q =
@@ -475,62 +480,66 @@ let check_cold msg s q plan =
     (Plan.show (cold_plan (Core.Session.current s) q))
     (Plan.show plan)
 
-(* Hits and misses count planner-context reuse: one miss per generation of
-   the query views, then hits, whatever the query. *)
+(* Each state the session holds gets one planner context, on its first
+   read; repeat reads, undo, redo and rollback build none. *)
 let test_plan_cache () =
   let s1 = Workload.Paper_example.stage1 in
   let st = ok_exn (Core.State.bootstrap s1.P.env s1.P.fragments) in
-  let session = Core.Session.start st in
+  let session = Core.Session.checkpoint ~name:"start" (Core.Session.start st) in
   let q = A.Scan (A.Entity_set "Persons") in
   let query msg s =
-    let plan, h, m = cache_counts (fun () -> ok_exn (Core.Session.query_plan s q)) in
+    let plan, n = contexts_built (fun () -> ok_exn (Core.Session.query_plan s q)) in
     check_cold msg s q plan;
-    (plan, h, m)
+    (plan, n)
   in
-  let plan0, h, m = query "first read" session in
-  expect_cache "first read" ~hit:0 ~miss:1 (h, m);
-  let _, h, m = query "repeat" session in
-  expect_cache "repeat reuses the generation" ~hit:1 ~miss:0 (h, m);
-  (* an SMO moves the query views: a new generation *)
+  let plan0, n = query "first read" session in
+  expect_contexts "first read" 1 n;
+  let _, n = query "repeat" session in
+  expect_contexts "repeat reuses the state's context" 0 n;
+  (* an SMO moves the query views: a new state, a new context *)
   let session' = ok_v (Core.Session.apply session employee_smo) in
-  let plan1, h, m = query "after SMO" session' in
-  expect_cache "after SMO" ~hit:0 ~miss:1 (h, m);
+  let plan1, n = query "after SMO" session' in
+  expect_contexts "after SMO" 1 n;
   checkb "planned against the new views" false (Plan.show plan0 = Plan.show plan1);
-  (* undo returns to the old views, still planned *)
+  (* undo returns to the old state, still planned *)
   let undone =
     match Core.Session.undo session' with
     | Some s -> s
     | None -> Alcotest.fail "undo failed"
   in
-  let _, h, m = query "after undo" undone in
-  expect_cache "after undo" ~hit:1 ~miss:0 (h, m);
-  (* and redo lands back on the post-SMO generation *)
+  let _, n = query "after undo" undone in
+  expect_contexts "after undo" 0 n;
+  (* redo lands back on the post-SMO state *)
   let redone =
     match Core.Session.redo undone with
     | Some s -> s
     | None -> Alcotest.fail "redo failed"
   in
-  let _, h, m = query "after redo" redone in
-  expect_cache "after redo" ~hit:1 ~miss:0 (h, m)
+  let _, n = query "after redo" redone in
+  expect_contexts "after redo" 0 n;
+  (* and rollback on the checkpointed one *)
+  let rolled = ok_exn (Core.Session.rollback_to ~name:"start" redone) in
+  let _, n = query "after rollback" rolled in
+  expect_contexts "after rollback" 0 n
 
-let test_one_context_per_generation () =
+let test_one_context_per_state () =
   let s1 = Workload.Paper_example.stage1 in
   let st = ok_exn (Core.State.bootstrap s1.P.env s1.P.fragments) in
   let session = Core.Session.start st in
   let q1 = A.Scan (A.Entity_set "Persons") in
   let q2 = A.project_cols [ "Id" ] (A.Scan (A.Entity_set "Persons")) in
   let read msg q =
-    let plan, h, m = cache_counts (fun () -> ok_exn (Core.Session.query_plan session q)) in
+    let plan, n = contexts_built (fun () -> ok_exn (Core.Session.query_plan session q)) in
     check_cold msg session q plan;
-    (plan, (h, m))
+    (plan, n)
   in
-  let p1, hm = read "q1" q1 in
-  expect_cache "q1 opens the generation" ~hit:0 ~miss:1 hm;
-  let p2, hm = read "q2" q2 in
-  expect_cache "q2 reuses it" ~hit:1 ~miss:0 hm;
+  let p1, n = read "q1" q1 in
+  expect_contexts "q1 builds the state's context" 1 n;
+  let p2, n = read "q2" q2 in
+  expect_contexts "q2 reuses it" 0 n;
   checkb "each query its own plan" false (Plan.show p1 = Plan.show p2);
-  let _, hm = read "q1 again" q1 in
-  expect_cache "q1 reuses it" ~hit:1 ~miss:0 hm
+  let _, n = read "q1 again" q1 in
+  expect_contexts "q1 reuses it" 0 n
 
 (* Distinct point reads leave the session's size flat: the planner context
    holds only view nodes, never a client query or its plan. *)
@@ -574,7 +583,7 @@ let () =
       ( "plan cache",
         [
           Alcotest.test_case "SMO invalidates, undo/redo restore" `Quick test_plan_cache;
-          Alcotest.test_case "one context for every query" `Quick test_one_context_per_generation;
+          Alcotest.test_case "one context for every query" `Quick test_one_context_per_state;
           Alcotest.test_case "flat over distinct reads" `Quick test_plan_memory_flat;
         ] );
     ]

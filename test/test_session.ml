@@ -19,10 +19,18 @@ let smo_property =
     { etype = "Employee"; attr = ("Level", D.Int);
       target = Core.Add_property.To_existing_table { table = "Emp"; column = "Level" } }
 
+let smo_grade =
+  Core.Smo.Add_property
+    { etype = "Employee"; attr = ("Grade", D.Int);
+      target = Core.Add_property.To_existing_table { table = "Emp"; column = "Grade" } }
+
 let fresh_session () =
   S.start (ok_exn (Core.State.bootstrap P.stage1.P.env P.stage1.P.fragments))
 
 let has_type s ty = Edm.Schema.mem_type (S.current s).Core.State.env.Query.Env.client ty
+
+let has_attr s attr =
+  Edm.Schema.attribute_domain (S.current s).Core.State.env.Query.Env.client "Employee" attr <> None
 
 let test_apply_and_history () =
   let s = fresh_session () in
@@ -74,6 +82,41 @@ let test_checkpoints () =
   List.iter
     (fun sub -> checkb ("log mentions " ^ sub) true (contains ~sub log))
     [ "applied"; "AE-TPT"; "checkpoint with-employee"; "rollback  -> with-employee" ]
+
+(* A checkpoint names a state: once that state has left the history, the
+   rollback fails instead of landing on whatever sits at the same depth. *)
+let expect_gone msg s name =
+  match S.rollback_to ~name s with
+  | Ok s' ->
+      Alcotest.failf "%s: rolled back to a state %s Level and %s Grade" msg
+        (if has_attr s' "Level" then "with" else "without")
+        (if has_attr s' "Grade" then "with" else "without")
+  | Error e -> checkb (msg ^ ": the error names the checkpoint") true (contains ~sub:name e)
+
+let test_checkpoint_replaced () =
+  let s = ok_v (S.apply (fresh_session ()) smo_employee) in
+  let s = ok_v (S.apply s smo_property) in
+  let s = S.checkpoint ~name:"c" s in
+  let s = ok_v (S.apply (Option.get (S.undo s)) smo_grade) in
+  expect_gone "undone and replaced" s "c";
+  (* while the checkpointed state is in the history, rollback lands on it *)
+  let s = ok_v (S.apply (fresh_session ()) smo_employee) in
+  let s = S.checkpoint ~name:"c" (ok_v (S.apply s smo_property)) in
+  let marked = S.current s in
+  let s = ok_v (S.apply s smo_grade) in
+  checkb "rollback lands on the checkpointed state" true
+    (S.current (ok_exn (S.rollback_to ~name:"c" s)) == marked)
+
+let test_checkpoint_undone () =
+  let s = S.checkpoint ~name:"c" (ok_v (S.apply (fresh_session ()) smo_employee)) in
+  let s = Option.get (S.undo s) in
+  expect_gone "undone below the checkpoint" s "c";
+  (* redo brings the state back into reach *)
+  let s = Option.get (S.redo s) in
+  let s = ok_v (S.apply s smo_property) in
+  checkb "back at Employee without Level" true
+    (let s = ok_exn (S.rollback_to ~name:"c" s) in
+     has_type s "Employee" && not (has_attr s "Level"))
 
 (* -- query / data / dml surface forms ---------------------------------------- *)
 
@@ -137,6 +180,8 @@ let () =
           Alcotest.test_case "failed apply" `Quick test_failed_apply_keeps_session;
           Alcotest.test_case "undo/redo" `Quick test_undo_redo;
           Alcotest.test_case "checkpoints and log" `Quick test_checkpoints;
+          Alcotest.test_case "checkpoint undone and replaced" `Quick test_checkpoint_replaced;
+          Alcotest.test_case "checkpoint undone away" `Quick test_checkpoint_undone;
         ] );
       ( "query/data/dml surface",
         [
