@@ -117,7 +117,7 @@ type table = { name : string; keys : string list; rows : (string * cell) list li
 (* The columns whose values do not depend on the host. *)
 let count_columns =
   [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "tables_visited"; "scans"; "index_scans";
-    "rows_scanned"; "diags"; "state_bytes"; "terms"; "steps"; "verdict"; "tree_nodes";
+    "rows_scanned"; "rows_joined"; "diags"; "state_bytes"; "terms"; "steps"; "verdict"; "tree_nodes";
     "distinct_nodes"; "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union";
     "rows_distinct"; "rows_touched"; "rows_growth" ]
 
@@ -187,12 +187,15 @@ let emit mode tables =
       (list (fun r -> "        { " ^ list field r ", " ^ " }") t.rows ",\n")
   in
   let path = Printf.sprintf "BENCH_%s.json" mode in
+  (* Read the revision before opening the file: truncating it makes the
+     tree dirty. *)
+  let rev = git_rev () in
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc
         "{\n  \"command\": %s,\n  \"git_rev\": %s,\n  \"profile\": %s,\n  \"cores\": %d,\n\
          \  \"tables\": {\n%s\n  }\n}\n"
         (json_string (String.concat " " ("dune exec bench/main.exe --" :: mode :: chain_size_arg)))
-        (json_string (git_rev ())) (json_string Build_profile.name) (Domain.recommended_domain_count ())
+        (json_string rev) (json_string Build_profile.name) (Domain.recommended_domain_count ())
         (list table tables ",\n"));
   Printf.printf "\n%s written\n%!" path
 
@@ -853,6 +856,38 @@ let ivm () =
 (* Physical execution: lib/exec plans vs Query.Eval.rows (E10).        *)
 (* ------------------------------------------------------------------ *)
 
+(* The customer model, compiled, and the store of the instance the
+   e2ebench [serve] workload reads (seed 2013, 300 entities per set) for a
+   state of it: the instance, an indexed store and a session. *)
+let customer_store st =
+  let ok = function Ok x -> x | Error e -> failwith e in
+  let env = st.Core.State.env in
+  let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 env.Query.Env.client in
+  let store = ok (Query.View.apply_update_views env st.Core.State.update_views inst) in
+  let db = Query.Eval.store_db store in
+  (inst, db, Exec.Idb.make env db, Core.Session.start st)
+
+let customer_state () =
+  let env, frags = Workload.Customer.generate () in
+  match Fullc.Compile.compile ~validate:false env frags with
+  | Ok c -> Core.State.of_compiled env frags c
+  | Error e -> failwith e
+
+(* One run of [plan]: its rows, whether they equal [Query.Eval.rows] on the
+   unfolded query, and the [exec.rows.scanned] / [exec.rows.joined] deltas. *)
+let exec_once st db idb q plan =
+  let ok = function Ok x -> x | Error e -> failwith e in
+  let env = st.Core.State.env in
+  let scanned = Obs.Metric.counter "exec.rows.scanned" in
+  let joined = Obs.Metric.counter "exec.rows.joined" in
+  let s0 = Obs.Metric.value scanned and j0 = Obs.Metric.value joined in
+  let rows = Exec.Run.rows idb plan in
+  let rows_scanned = Obs.Metric.value scanned - s0 and rows_joined = Obs.Metric.value joined - j0 in
+  let unfolded = ok (Query.Unfold.client_query env st.Core.State.query_views q) in
+  let sorted = List.sort Datum.Row.compare in
+  let agrees = List.equal Datum.Row.equal (sorted rows) (sorted (Query.Eval.rows env db unfolded)) in
+  (rows, agrees, rows_scanned, rows_joined, unfolded)
+
 (* Key lookups on the customer model, as the e2ebench [serve] workload reads
    it: [SELECT * FROM Set WHERE Id = c] planned through a session and run
    on an indexed store of the same instance (seed 2013, 300 entities per
@@ -860,28 +895,17 @@ let ivm () =
    table) and one set with a TPC type (Set4 after the suite's AE-TPC, read
    at a key of the new type).  Each read takes the next key of the set, so
    the figures cover planning a fresh literal, not one cached plan. *)
-let customer_lookups () =
+let customer_lookups st =
   let ok = function Ok x -> x | Error e -> failwith e in
   let module A = Query.Algebra in
-  let env, frags = Workload.Customer.generate () in
-  let st =
-    Core.State.of_compiled env frags (ok (Fullc.Compile.compile ~validate:false env frags))
-  in
   let st_tpc =
     match Core.Engine.apply st (List.assoc "AE-TPC" (Workload.Customer.smo_suite ())) with
     | Ok st -> st
     | Error e -> failwith (Containment.Validation_error.show e)
   in
-  let scanned = Obs.Metric.counter "exec.rows.scanned" in
   List.map
     (fun (set, style, st, etype) ->
-      let env = st.Core.State.env in
-      let schema = env.Query.Env.client in
-      let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 schema in
-      let store = ok (Query.View.apply_update_views env st.Core.State.update_views inst) in
-      let db = Query.Eval.store_db store in
-      let idb = Exec.Idb.make env db in
-      let session = Core.Session.start st in
+      let inst, db, idb, session = customer_store st in
       let queries =
         Edm.Instance.entities inst ~set
         |> List.filter (fun (e : Edm.Instance.entity) ->
@@ -894,33 +918,47 @@ let customer_lookups () =
       in
       let q = queries.(Array.length queries / 2) in
       let plan = ok (Core.Session.query_plan session q) in
-      let before = Obs.Metric.value scanned in
-      let rows = Exec.Run.rows idb plan in
-      let rows_scanned = Obs.Metric.value scanned - before in
-      let unfolded = ok (Query.Unfold.client_query env st.Core.State.query_views q) in
-      let sorted = List.sort Datum.Row.compare in
-      let agrees =
-        List.equal Datum.Row.equal (sorted rows) (sorted (Query.Eval.rows env db unfolded))
-      in
+      let _, agrees, rows_scanned, _, unfolded = exec_once st db idb q plan in
       let next = ref 0 in
-      let _, read_ms, _ =
+      let _, read_ms, read_mb =
         sample (fun () ->
             let q = queries.(!next mod Array.length queries) in
             incr next;
             Exec.Run.rows idb (ok (Core.Session.query_plan session q)))
       in
-      let _, run_ms, _ = sample (fun () -> Exec.Run.rows idb plan) in
+      let _, run_ms, run_mb = sample (fun () -> Exec.Run.rows idb plan) in
       if not agrees then failwith (Printf.sprintf "exec/%s key lookup disagrees with Eval.rows" set);
       [ ("set", str set); ("mapping", str style); ("tables", int (List.length (A.sources unfolded)));
-        ("read_ns", num 1 (read_ms *. 1e6)); ("run_ns", num 1 (run_ms *. 1e6));
+        ("read_ns", num 1 (read_ms *. 1e6)); ("read_alloc_mb", num 4 read_mb);
+        ("run_ns", num 1 (run_ms *. 1e6)); ("alloc_mb", num 4 run_mb);
         ("rows_scanned", int rows_scanned);
         ("scans", int (Exec.Plan.scans plan)); ("index_scans", int (Exec.Plan.index_scans plan));
         ("agrees_with_eval", bool agrees) ])
     [ ("Set1", "TPT", st, None); ("Set2", "TPH", st, None); ("Set4", "TPC", st_tpc, Some "CNewTpc") ]
 
+(* Whole entity-set scans on the same instance, as [serve]'s scan requests
+   read them: one TPT set (Set1), one TPH set (Set2) and one TPC set (Set6),
+   each a chain of full outer joins over its tables. *)
+let customer_set_scans st =
+  let ok = function Ok x -> x | Error e -> failwith e in
+  let _, db, idb, session = customer_store st in
+  List.map
+    (fun (set, style) ->
+      let q = Query.Algebra.Scan (Query.Algebra.Entity_set set) in
+      let plan = ok (Core.Session.query_plan session q) in
+      let rows, agrees, rows_scanned, rows_joined, _ = exec_once st db idb q plan in
+      let _, run_ms, run_mb = sample (fun () -> Exec.Run.rows idb plan) in
+      if not agrees then failwith (Printf.sprintf "exec/%s scan disagrees with Eval.rows" set);
+      [ ("set", str set); ("mapping", str style); ("rows", int (List.length rows));
+        ("run_ns", num 1 (run_ms *. 1e6)); ("alloc_mb", num 3 run_mb);
+        ("rows_scanned", int rows_scanned); ("rows_joined", int rows_joined);
+        ("agrees_with_eval", bool agrees) ])
+    [ ("Set1", "TPT"); ("Set2", "TPH"); ("Set6", "TPC") ]
+
 let exec_bench () =
   header "Exec -- physical plans (hash joins, indexed scans) vs naive evaluation";
   let ok = function Ok x -> x | Error e -> failwith e in
+  let customer = customer_state () in
   let st = paper_pipeline () in
   let env = st.Core.State.env in
   let module A = Query.Algebra in
@@ -956,12 +994,12 @@ let exec_bench () =
             let plan = ok (Exec.Planner.plan env unfolded) in
             let idb = Exec.Idb.make env db in
             (* the first run builds row arrays and indexes *)
-            let exec_rows, j1_ms, _ = sample (fun () -> Exec.Run.rows idb plan) in
-            let naive_rows, naive_ms, _ = sample (fun () -> Query.Eval.rows env db unfolded) in
+            let exec_rows, j1_ms, j1_mb = sample (fun () -> Exec.Run.rows idb plan) in
+            let naive_rows, naive_ms, naive_mb = sample (fun () -> Query.Eval.rows env db unfolded) in
             let sorted = List.sort Datum.Row.compare in
             if not (List.equal Datum.Row.equal (sorted naive_rows) (sorted exec_rows)) then
               failwith (Printf.sprintf "exec/%s disagrees with Eval.rows at n=%d" shape n);
-            (n, shape, naive_ms *. 1e6, j1_ms *. 1e6, Exec.Plan.index_scans plan))
+            (n, shape, (naive_ms *. 1e6, naive_mb), (j1_ms *. 1e6, j1_mb), Exec.Plan.index_scans plan))
           (shapes n))
       sizes
   in
@@ -970,7 +1008,7 @@ let exec_bench () =
   let hi = List.nth sizes (List.length sizes - 1) in
   let acceptance =
     List.filter_map
-      (fun (n, shape, naive_ns, j1_ns, _) ->
+      (fun (n, shape, (naive_ns, _), (j1_ns, _), _) ->
         if n = hi && shape = "join" then
           Some
             [ ("join_instance", int hi); ("naive_over_exec1", num 2 (naive_ns /. j1_ns));
@@ -982,12 +1020,14 @@ let exec_bench () =
     [ { name = "paper"; keys = [ "instance"; "shape" ];
         rows =
           List.map
-            (fun (n, shape, naive_ns, j1_ns, index_scans) ->
+            (fun (n, shape, (naive_ns, naive_mb), (j1_ns, j1_mb), index_scans) ->
               [ ("instance", int n); ("shape", str shape); ("naive_ns", num 1 naive_ns);
-                ("exec_jobs1_ns", num 1 j1_ns);
+                ("naive_alloc_mb", num 4 naive_mb); ("exec_jobs1_ns", num 1 j1_ns);
+                ("alloc_mb", num 4 j1_mb);
                 ("naive_over_jobs1", num 1 (naive_ns /. j1_ns)); ("index_scans", int index_scans) ])
             results };
-      { name = "customer_key_lookups"; keys = [ "set" ]; rows = customer_lookups () };
+      { name = "customer_key_lookups"; keys = [ "set" ]; rows = customer_lookups customer };
+      { name = "customer_set_scans"; keys = [ "set" ]; rows = customer_set_scans customer };
       { name = "acceptance"; keys = []; rows = acceptance } ]
 
 (* ------------------------------------------------------------------ *)

@@ -188,16 +188,16 @@ let chase_assoc env (cq : Nf.cq) =
   in
   { cq with Nf.body = cq.Nf.body @ extra_atoms; cons = cq.Nf.cons @ extra_cons }
 
-let subset_with ~split env q1 q2 =
+(* Collapse stacked projections before normalizing: validation feeds
+   [π_cols(view)] shapes whose outer-join structure only reduces once the
+   projections are fused. *)
+let superset env q = Nf.normalize env Nf.Superset_side (Query.Simplify.query env q)
+
+let subset_with ~split ?(superset = superset) env q1 q2 =
   let* n1, n2 =
     Obs.Span.with_ ~name:"containment.normalize" @@ fun () ->
-    (* Collapse stacked projections first: validation feeds [π_cols(view)]
-       shapes whose outer-join structure only reduces once the projections
-       are fused. *)
-    let simplify = Query.Simplify.query env in
-    let q1 = simplify q1 and q2 = simplify q2 in
-    let* n1 = Nf.normalize env Nf.Subset_side q1 in
-    let* n2 = Nf.normalize env Nf.Superset_side q2 in
+    let* n1 = Nf.normalize env Nf.Subset_side (Query.Simplify.query env q1) in
+    let* n2 = superset env q2 in
     Obs.Span.tag "lhs_cqs" (List.length n1.Nf.cqs);
     Obs.Span.tag "rhs_cqs" (List.length n2.Nf.cqs);
     Ok (n1, n2)
@@ -225,10 +225,10 @@ let subset_with ~split env q1 q2 =
   Obs.Span.tag "rhs_cqs" (List.length cq2s);
   Ok (List.for_all (fun cq1 -> List.exists (fun cq2 -> homomorphism cq2 cq1) cq2s) cq1s)
 
-let subset env q1 q2 = subset_with ~split:Nf.type_cases env q1 q2
+let subset ?superset env q1 q2 = subset_with ~split:Nf.type_cases ?superset env q1 q2
 
 module For_tests = struct
-  let subset = subset_with
+  let subset ~split env q1 q2 = subset_with ~split env q1 q2
 end
 
 let equivalent env q1 q2 =

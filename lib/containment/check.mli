@@ -18,9 +18,18 @@
     — for validation this is treated conservatively as failure, mirroring
     the paper's abort-on-failed-check behaviour. *)
 
-val subset : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
+val subset :
+  ?superset:(Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result) ->
+  Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
 (** [subset env q1 q2] tries to prove [q1 ⊆ q2] (set semantics) over all
-    database states admitted by [env]'s schemas. *)
+    database states admitted by [env]'s schemas.  [superset] normalizes
+    [q2]; it defaults to {!superset}, and a caller that proves many
+    containments against the same superset sides passes a memo of it. *)
+
+val superset : Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result
+(** The superset side as {!subset} normalizes it: [Query.Simplify.query],
+    then [Nf.normalize] with role [Superset_side].  A pure function of the
+    schemas and the query. *)
 
 val equivalent : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
 

@@ -17,6 +17,36 @@ let batches = Obs.Metric.counter "discharge.batches"
 let effective_workers ~jobs ~n =
   max 1 (min (min jobs n) (Domain.recommended_domain_count ()))
 
+module Rhs_tbl = Hashtbl.Make (struct
+  type t = Query.Algebra.t
+
+  let equal = Query.Algebra.equal
+  let hash = Hashtbl.hash_param 40 100
+end)
+
+(* [Check.superset] memoized per schemas ([==]) and superset side
+   ([Query.Algebra.equal]): the obligations of a batch repeat their superset
+   sides (every AE-TPH overlap check's [π_key(σ_false T)], the FK checks
+   against one referenced table), and each distinct one is normalized
+   once.  Each worker keeps its own memo, so domains share no table. *)
+let memo_superset () =
+  let tables = ref [] in
+  fun env rhs ->
+    let tbl =
+      match List.assq_opt env !tables with
+      | Some tbl -> tbl
+      | None ->
+          let tbl = Rhs_tbl.create 64 in
+          tables := (env, tbl) :: !tables;
+          tbl
+    in
+    match Rhs_tbl.find_opt tbl rhs with
+    | Some n -> n
+    | None ->
+        let n = Check.superset env rhs in
+        Rhs_tbl.add tbl rhs n;
+        n
+
 let prove ~workers arr =
   let n = Array.length arr in
   let next = Atomic.make 0 in
@@ -33,6 +63,7 @@ let prove ~workers arr =
      discharged by someone, so the reported failure is unchanged. *)
   let chunk = 8 in
   let worker () =
+    let superset = memo_superset () in
     let continue = ref true in
     while !continue do
       let lo = Atomic.fetch_and_add next chunk in
@@ -40,7 +71,7 @@ let prove ~workers arr =
       else
         for i = lo to min (lo + chunk - 1) (n - 1) do
           if i < Atomic.get first_fail then
-            match Obligation.discharge arr.(i) with
+            match Obligation.discharge ~superset arr.(i) with
             | Ok () -> ()
             | Error e ->
                 failures.(i) <- Some e;

@@ -8,7 +8,9 @@
     and on failure reports the {e first} failing obligation in emission
     order (the workers track the minimum failing index).  {!Check.subset}
     keeps no mutable state, so workers share nothing but the obligation
-    list. *)
+    list.  Each worker normalizes each distinct superset side of the batch
+    once: it keeps its own memo of {!Check.superset}, keyed by the
+    obligation's schemas ([==]) and its [rhs] ([Query.Algebra.equal]). *)
 
 val run : ?jobs:int -> Obligation.t list -> (unit, Validation_error.t) result
 (** [run ?jobs obls] discharges every obligation with {!Check.subset}.

@@ -16,10 +16,10 @@ let on_fail t = t.on_fail
 (* Every obligation funnels through here, whichever discharge worker proves
    it, so the span and counter accounting is uniform.  A normalization error
    counts as "not proven", the conservative collapse validation relies on. *)
-let discharge t =
+let discharge ?superset t =
   Obs.Span.with_ ~name:"containment.obligation" ~attrs:[ ("obligation", t.name) ]
   @@ fun () ->
   Obs.Metric.incr discharged;
-  match Check.subset t.env t.lhs t.rhs with
+  match Check.subset ?superset t.env t.lhs t.rhs with
   | Ok true -> Ok ()
   | Ok false | Error _ -> Error (Validation_error.of_obligation ~name:t.name t.on_fail)

@@ -26,7 +26,10 @@ val discharged : Obs.Metric.counter
 val name : t -> string
 val on_fail : t -> string
 
-val discharge : t -> (unit, Validation_error.t) result
-(** Prove one obligation with {!Check.subset}.  Records the per-obligation
-    span and counter; a normalization error is conservatively "not proven".
-    Every worker of {!Discharge.run} proves through this function. *)
+val discharge :
+  ?superset:(Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result) ->
+  t -> (unit, Validation_error.t) result
+(** Prove one obligation with {!Check.subset}, passing it [superset].
+    Records the per-obligation span and counter; a normalization error is
+    conservatively "not proven".  Every worker of {!Discharge.run} proves
+    through this function. *)

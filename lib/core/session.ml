@@ -10,11 +10,13 @@ type event =
    through undo, redo and rollback. *)
 type planned = { state : State.t; planner : Exec.Planner.context Lazy.t }
 
+module String_map = Map.Make (String)
+
 type t = {
   past : (planned * entry) list;        (* newest first; state BEFORE the smo *)
   present : planned;
   future : (planned * entry) list;      (* undone, newest undo first *)
-  checkpoints : (string * State.t) list; (* name -> the state at the mark *)
+  checkpoints : State.t String_map.t;   (* name -> the state at the mark *)
   events : event list;                  (* newest first *)
 }
 
@@ -28,7 +30,7 @@ let planned (state : State.t) =
   }
 
 let start present =
-  { past = []; present = planned present; future = []; checkpoints = []; events = [] }
+  { past = []; present = planned present; future = []; checkpoints = String_map.empty; events = [] }
 
 let current t = t.present.state
 
@@ -63,12 +65,12 @@ let history t = List.rev_map (fun (_, e) -> e) t.past
 let checkpoint ~name t =
   {
     t with
-    checkpoints = (name, t.present.state) :: List.remove_assoc name t.checkpoints;
+    checkpoints = String_map.add name t.present.state t.checkpoints;
     events = Checkpointed name :: t.events;
   }
 
 let rollback_to ~name t =
-  match List.assoc_opt name t.checkpoints with
+  match String_map.find_opt name t.checkpoints with
   | None -> Error (Printf.sprintf "unknown checkpoint %s" name)
   | Some marked ->
       let rec unwind t =

@@ -10,73 +10,73 @@ end
 
 module Source_tbl = Hashtbl.Make (Source_key)
 
-module Value_key = struct
+module Value_tbl = Hashtbl.Make (struct
   type t = Datum.Value.t
 
   let equal a b = Datum.Value.compare a b = 0
   let hash = Hashtbl.hash
-end
+end)
 
-module Value_tbl = Hashtbl.Make (Value_key)
+type row = Datum.Value.t array
+type index = row list Value_tbl.t
 
-type index = Datum.Row.t list Value_tbl.t
+(* One source in its scan layout: the rows as a list in scan order, and
+   the indexes built so far, one slot per layout column. *)
+type source = { layout : string array; rows : row list; indexes : index option array }
 
-type t = {
-  env : Query.Env.t;
-  db : Query.Eval.db;
-  rows : Datum.Row.t list Source_tbl.t;
-  indexes : (string, index) Hashtbl.t Source_tbl.t;
-}
+type t = { env : Query.Env.t; db : Query.Eval.db; sources : source Source_tbl.t }
 
-let make env db =
-  { env; db; rows = Source_tbl.create 16; indexes = Source_tbl.create 16 }
-
+let make env db = { env; db; sources = Source_tbl.create 16 }
 let env t = t.env
 let db t = t.db
 
-let source_rows t src =
-  match Source_tbl.find_opt t.rows src with
-  | Some rows -> rows
-  | None ->
-      let rows = Query.Eval.rows t.env t.db (Query.Algebra.Scan src) in
-      Source_tbl.add t.rows src rows;
-      rows
+let source_layout env = function
+  | Query.Algebra.Entity_set s -> Query.Env.entity_set_columns env s
+  | Query.Algebra.Assoc_set a -> Query.Env.assoc_set_columns env a
+  | Query.Algebra.Table tb -> Query.Env.table_columns env tb
 
-let build_index t src col =
-  let rows = source_rows t src in
+let source t src =
+  match Source_tbl.find t.sources src with
+  | s -> s
+  | exception Not_found ->
+      let layout = Array.of_list (source_layout t.env src) in
+      let at row c = Option.value ~default:Datum.Value.Null (Datum.Row.find c row) in
+      let rows =
+        List.map
+          (fun row -> Array.map (at row) layout)
+          (Query.Eval.rows t.env t.db (Query.Algebra.Scan src))
+      in
+      let s = { layout; rows; indexes = Array.make (Array.length layout) None } in
+      Source_tbl.add t.sources src s;
+      s
+
+let layout s = s.layout
+let rows s = s.rows
+
+let build_index rows slot =
   let idx = Value_tbl.create (max 16 (List.length rows)) in
   (* Fold right so each bucket lists rows in scan order. *)
   List.fold_right
     (fun row () ->
-      match Datum.Row.find col row with
-      | Some v when not (Datum.Value.is_null v) ->
-          let bucket = Option.value ~default:[] (Value_tbl.find_opt idx v) in
-          Value_tbl.replace idx v (row :: bucket)
-      | Some _ | None -> ())
+      let v = row.(slot) in
+      if not (Datum.Value.is_null v) then
+        let bucket = Option.value ~default:[] (Value_tbl.find_opt idx v) in
+        Value_tbl.replace idx v (row :: bucket))
     rows ();
   Obs.Metric.incr c_index_builds;
   idx
 
-let index_for t src col =
-  let per_source =
-    match Source_tbl.find_opt t.indexes src with
-    | Some h -> h
-    | None ->
-        let h = Hashtbl.create 4 in
-        Source_tbl.add t.indexes src h;
-        h
-  in
-  match Hashtbl.find_opt per_source col with
-  | Some idx -> idx
-  | None ->
-      let idx = build_index t src col in
-      Hashtbl.add per_source col idx;
-      idx
-
-let lookup t src col v =
+let lookup s slot v =
   if Datum.Value.is_null v then []
   else begin
-    let idx = index_for t src col in
+    let idx =
+      match s.indexes.(slot) with
+      | Some idx -> idx
+      | None ->
+          let idx = build_index s.rows slot in
+          s.indexes.(slot) <- Some idx;
+          idx
+    in
     Obs.Metric.incr c_index_hits;
-    Option.value ~default:[] (Value_tbl.find_opt idx v)
+    match Value_tbl.find idx v with rows -> rows | exception Not_found -> []
   end

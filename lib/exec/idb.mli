@@ -1,22 +1,42 @@
 (** Indexed database instances.
 
-    Wraps a {!Query.Eval.db} with per-source materialized row lists and
-    on-demand single-column hash indexes, the access paths {!Run} uses for
-    [Index_eq] scans and hash-join builds.  Indexes skip rows whose key
-    column is [NULL] (so a probe equals [σ(col = v)] with SQL three-valued
-    equality) and a [NULL] probe value returns nothing. *)
+    Wraps a {!Query.Eval.db} with each source materialized once into its
+    scan layout, and on-demand single-column hash indexes, the access paths
+    {!Run} uses for every scan.  A source's layout is its columns as
+    [Query.Algebra.infer] gives them for a scan, and each of its rows is an
+    array holding the value of each layout column at that column's slot (a
+    column the stored row lacks holds [NULL]).  Indexes are keyed by slot.
+    They skip rows whose key column is [NULL] (so a probe equals
+    [σ(col = v)] with SQL three-valued equality) and a [NULL] probe value
+    returns nothing. *)
 
 type t
+
+type row = Datum.Value.t array
+
+module Value_tbl : Hashtbl.S with type key = Datum.Value.t
+(** Tables keyed by value under [Datum.Value.compare]: the indexes' and the
+    hash joins' tables. *)
 
 val make : Query.Env.t -> Query.Eval.db -> t
 val env : t -> Query.Env.t
 val db : t -> Query.Eval.db
 
-val source_rows : t -> Query.Algebra.source -> Datum.Row.t list
-(** The rows [Query.Eval.rows] gives for a scan of a source, as it returns
-    them, kept after the first call. *)
+type source
+(** One source of the instance, materialized. *)
 
-val lookup : t -> Query.Algebra.source -> string -> Datum.Value.t -> Datum.Row.t list
-(** [lookup t src col v] returns the rows of [src] whose [col] equals [v]
-    ([[]] when [v] is [NULL]).  Builds the hash index on first use; bumps the
-    [exec.index.builds] / [exec.index.hits] counters. *)
+val source : t -> Query.Algebra.source -> source
+(** Materializes the source on its first use and keeps it. *)
+
+val layout : source -> string array
+(** The source's scan layout. *)
+
+val rows : source -> row list
+(** The rows [Query.Eval.rows] gives for a scan of the source, in its order,
+    each in the source's layout. *)
+
+val lookup : source -> int -> Datum.Value.t -> row list
+(** [lookup s slot v] returns the rows of [s] whose value at [slot] equals
+    [v], in scan order ([[]] when [v] is [NULL]).  Builds the hash index on
+    the slot on first use; bumps the [exec.index.builds] /
+    [exec.index.hits] counters. *)

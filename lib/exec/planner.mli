@@ -20,8 +20,8 @@
     - {b projection fusion}: a projection directly over a scan is fused into
       the scan node.
 
-    Every join becomes a hash join (build right, probe left) through
-    {!Query.Join.hash}; a join with no join columns hashes every row under
+    Every join becomes a hash join (build right, probe left) carrying its
+    {!Query.Join.t} spec; a join with no join columns hashes every row under
     the empty key, so it runs as a cross join.
 
     Both runtimes run the plans lowered here: {!Run} executes the plans of

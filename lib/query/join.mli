@@ -1,10 +1,10 @@
-(** The join kernel of the physical runtimes.
+(** The join specs of the physical runtimes.
 
-    One definition of the join kinds, the outer-join padding lists, the
-    NULL-refusing join key and the hash build/probe.  [Exec.Run] runs every
-    join of a plan through {!hash}; [Ivm.Engine] joins one key group at a
-    time, deciding with {!key} whether the group matches and padding with
-    {!pad} when it does not.
+    One definition of the join kinds, the outer-join padding lists and the
+    NULL-refusing join key.  [Exec.Planner] puts a spec on every join of a
+    plan, and [Exec.Run] reads its kind and join columns.  [Ivm.Engine]
+    joins one key group at a time, deciding with {!key} whether the group
+    matches and padding with {!pad} when it does not.
 
     [Eval.rows] deliberately does not use this module: it stays the
     independent nested-loop oracle both runtimes are tested against. *)
@@ -33,10 +33,3 @@ val key : string list -> Datum.Row.t -> Datum.Value.t list option
 
 val pad : string list -> Datum.Row.t -> Datum.Row.t
 (** Bind every listed column to [NULL] (outer-join padding). *)
-
-val hash : t -> Datum.Row.t list -> Datum.Row.t list -> Datum.Row.t list * int
-(** [hash j left right] builds a hash table on [right] and probes it from
-    [left].  Output is in nested-loop order: each left row's matches in
-    right input order (or the padded left row for the outer kinds), then,
-    for [Full], the padded unmatched right rows in input order.  Also
-    returns the number of matched pairs. *)

@@ -393,6 +393,116 @@ let prop_key_filter_pushdown =
         QCheck.Test.fail_reportf "expected an index probe on both inputs:@.%s" (Plan.show plan);
       true)
 
+(* -- layouts ------------------------------------------------------------------ *)
+
+(* The positional runtime on the cases where a row's slots differ from its
+   input's: each query runs through [Run.rows] and is compared with
+   [Query.Eval.rows] on tables [L] and [R] of the key-filter schema. *)
+
+let layout_db =
+  let l =
+    [ [ ("Lid", V.Int 1); ("K1", V.Int 1); ("K2", V.Int 1); ("A", V.Int 10) ];
+      [ ("Lid", V.Int 2); ("K1", V.Int 2); ("K2", V.Null); ("A", V.Null) ];
+      [ ("Lid", V.Int 3); ("K1", V.Null); ("K2", V.Int 3); ("A", V.Int 30) ];
+      [ ("Lid", V.Int 4); ("K1", V.Int 1); ("K2", V.Int 1); ("A", V.Int 40) ] ]
+  and r =
+    [ [ ("Rid", V.Int 1); ("K1", V.Int 1); ("K2", V.Int 1); ("B", V.Int 100) ];
+      [ ("Rid", V.Int 2); ("K1", V.Int 7); ("K2", V.Int 7); ("B", V.Int 700) ];
+      [ ("Rid", V.Int 3); ("K1", V.Null); ("K2", V.Int 3); ("B", V.Null) ];
+      [ ("Rid", V.Int 4); ("K1", V.Int 2); ("K2", V.Null); ("B", V.Int 200) ] ]
+  in
+  Query.Eval.store_db
+    Relational.Instance.(
+      set_rows ~table:"R" (List.map row r) (set_rows ~table:"L" (List.map row l) empty))
+
+let scan_l = A.Scan (A.Table "L") and scan_r = A.Scan (A.Table "R")
+let check_layout msg q = check_exec ~msg kf_env layout_db q
+
+(* The join column sits at slot 2 on the left and slot 0 on the right, so a
+   right-only row that took its key from the left slot would read NULL. *)
+let test_full_join_right_only () =
+  let left = A.project_cols [ "Lid"; "A"; "K1" ] scan_l in
+  let right = A.project_cols [ "K1"; "B" ] scan_r in
+  let q = A.Full_outer_join (left, right, [ "K1" ]) in
+  let rows = Run.rows (Idb.make kf_env layout_db) (check_layout "full outer join" q) in
+  checkb "the right-only row keeps its key" true
+    (List.exists
+       (fun r -> V.equal (Datum.Row.get "K1" r) (V.Int 7) && V.equal (Datum.Row.get "Lid" r) V.Null)
+       rows);
+  ignore (check_layout "flipped" (A.Full_outer_join (right, left, [ "K1" ])))
+
+(* Union branches whose columns come in different orders: the right
+   branch's rows are permuted into the left branch's layout. *)
+let test_append_column_order () =
+  let l = A.project_renamed [ ("Lid", "X"); ("A", "Y") ] scan_l in
+  let r = A.project_renamed [ ("B", "Y"); ("Rid", "X") ] scan_r in
+  ignore (check_layout "X,Y then Y,X" (A.Union_all (l, r)));
+  ignore (check_layout "Y,X then X,Y" (A.Union_all (r, l)));
+  ignore
+    (check_layout "under a join"
+       (A.Join (A.Union_all (l, r), A.project_renamed [ ("Rid", "X"); ("K2", "Z") ] scan_r, [ "X" ])))
+
+let test_cross_join () =
+  let l = A.project_cols [ "Lid"; "A" ] scan_l and r = A.project_cols [ "Rid"; "B" ] scan_r in
+  match check_layout "cross join" (A.Join (l, r, [])) with
+  | Plan.Hash_join { spec = { Query.Join.on = []; _ }; _ } -> ()
+  | p -> Alcotest.failf "expected a keyless hash join, got:@.%s" (Plan.show p)
+
+(* Keys with a NULL in one column of a two-column key, on both sides, for
+   every join kind. *)
+let test_null_join_keys () =
+  let l = A.project_cols [ "Lid"; "K1"; "K2"; "A" ] scan_l
+  and r = A.project_cols [ "Rid"; "K1"; "K2"; "B" ] scan_r in
+  List.iter
+    (fun (msg, q) -> ignore (check_layout msg q))
+    [ ("inner", A.Join (l, r, [ "K1"; "K2" ]));
+      ("left", A.Left_outer_join (l, r, [ "K1"; "K2" ]));
+      ("full", A.Full_outer_join (l, r, [ "K1"; "K2" ]));
+      ( "full, one key",
+        A.Full_outer_join
+          (A.project_cols [ "Lid"; "K1" ] scan_l, A.project_cols [ "Rid"; "K1" ] scan_r, [ "K1" ]) ) ]
+
+(* A projection over a projection that simplification cannot merge (both
+   read a COALESCE), so the runtime fuses the two into one slot map:
+   COALESCE over a NULL constant, a column and a constant, a column that
+   reads the inner COALESCE, and constants, over a scan (whose fused
+   projection is the inner one) and over a join. *)
+let test_fused_projections () =
+  let inner below =
+    A.Project
+      ( [ A.col_as "A" "X"; A.null_as "N"; A.const (V.Int 5) "F"; A.coalesce [ "K2"; "K1" ] "KK";
+          A.col "Lid" ],
+        below )
+  in
+  let outer below =
+    A.Project
+      ( [ A.coalesce [ "N"; "X"; "F" ] "Z"; A.col_as "KK" "K"; A.const (V.String "k") "C";
+          A.col "Lid" ],
+        inner below )
+  in
+  (match check_layout "over a scan" (outer scan_l) with
+  | Plan.Project (_, Plan.Scan { proj = Some _; _ }) -> ()
+  | p -> Alcotest.failf "expected a projection over a projecting scan, got:@.%s" (Plan.show p));
+  let joined = A.Join (scan_l, A.project_cols [ "K1"; "B" ] scan_r, [ "K1" ]) in
+  match check_layout "over a join" (outer joined) with
+  | Plan.Project (_, Plan.Project (_, Plan.Hash_join _)) -> ()
+  | p -> Alcotest.failf "expected stacked projections over a join, got:@.%s" (Plan.show p)
+
+(* The planner folds [col = NULL] to FALSE, so the probe is built by hand:
+   it returns nothing, as the selection does. *)
+let test_index_probe_null () =
+  let idb = Idb.make kf_env layout_db in
+  let probe =
+    Plan.Scan
+      { source = A.Table "L"; access = Plan.Index_eq { col = "K1"; value = V.Null };
+        filter = C.True; proj = Some [ A.col "Lid" ] }
+  in
+  check_bags "NULL probe"
+    (Query.Eval.rows kf_env layout_db
+       (A.project_cols [ "Lid" ] (A.Select (C.Cmp ("K1", C.Eq, V.Null), scan_l))))
+    (Run.rows idb probe);
+  check Alcotest.int "NULL probe returns nothing" 0 (List.length (Run.rows idb probe))
+
 (* -- customer key lookups --------------------------------------------------- *)
 
 let customer =
@@ -578,6 +688,16 @@ let () =
             test_exec_matches_client_semantics;
         ] );
       ("differential", [ prop_random_states; prop_random_models; prop_key_filter_pushdown ]);
+      ( "layouts",
+        [
+          Alcotest.test_case "full outer join right-only rows" `Quick test_full_join_right_only;
+          Alcotest.test_case "union of differently ordered branches" `Quick
+            test_append_column_order;
+          Alcotest.test_case "keyless cross join" `Quick test_cross_join;
+          Alcotest.test_case "NULL join keys" `Quick test_null_join_keys;
+          Alcotest.test_case "fused projections" `Quick test_fused_projections;
+          Alcotest.test_case "index probe with NULL" `Quick test_index_probe_null;
+        ] );
       ( "key lookups",
         [ Alcotest.test_case "customer lookups probe indexes" `Quick test_customer_key_lookups ] );
       ( "plan cache",

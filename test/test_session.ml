@@ -118,6 +118,32 @@ let test_checkpoint_undone () =
     (let s = ok_exn (S.rollback_to ~name:"c" s) in
      has_type s "Employee" && not (has_attr s "Level"))
 
+(* Re-marking a name moves it to the present state, and other names keep
+   theirs: rollback lands on the newest mark of a name, an older name still
+   reaches its own state, and a re-mark whose state is later undone away
+   fails like any checkpoint left behind. *)
+let test_checkpoint_remarked () =
+  let s = S.checkpoint ~name:"first" (ok_v (S.apply (fresh_session ()) smo_employee)) in
+  let first = S.current s in
+  let s = S.checkpoint ~name:"c" s in
+  let s = ok_v (S.apply s smo_property) in
+  let s = S.checkpoint ~name:"c" s in
+  let marked = S.current s in
+  let s = ok_v (S.apply s smo_grade) in
+  let back = ok_exn (S.rollback_to ~name:"c" s) in
+  checkb "rollback lands on the newest mark" true (S.current back == marked);
+  checkb "the other name keeps its state" true
+    (S.current (ok_exn (S.rollback_to ~name:"first" s)) == first);
+  (* many names, each re-marked once, on one state: every lookup still hits *)
+  let names = List.init 2_000 (fun i -> Printf.sprintf "n%d" i) in
+  let many = List.fold_left (fun s name -> S.checkpoint ~name s) back names in
+  let many = List.fold_left (fun s name -> S.checkpoint ~name s) many names in
+  checkb "every re-marked name rolls back" true
+    (List.for_all (fun name -> Result.is_ok (S.rollback_to ~name many)) names);
+  let s = Option.get (S.undo (S.checkpoint ~name:"c" (ok_v (S.apply many smo_grade)))) in
+  expect_gone "re-marked, then undone away" (ok_v (S.apply s smo_grade)) "c";
+  checkb "unknown name" true (Result.is_error (S.rollback_to ~name:"nope" many))
+
 (* -- query / data / dml surface forms ---------------------------------------- *)
 
 let env4 = P.stage4.P.env
@@ -182,6 +208,7 @@ let () =
           Alcotest.test_case "checkpoints and log" `Quick test_checkpoints;
           Alcotest.test_case "checkpoint undone and replaced" `Quick test_checkpoint_replaced;
           Alcotest.test_case "checkpoint undone away" `Quick test_checkpoint_undone;
+          Alcotest.test_case "checkpoint re-marked" `Quick test_checkpoint_remarked;
         ] );
       ( "query/data/dml surface",
         [
