@@ -22,35 +22,35 @@ type index = row list Value_tbl.t
 
 (* One source in its scan layout: the rows as a list in scan order, and
    the indexes built so far, one slot per layout column. *)
-type source = { layout : string array; rows : row list; indexes : index option array }
+type source = { rows : row list; indexes : index option array }
 
 type t = { env : Query.Env.t; db : Query.Eval.db; sources : source Source_tbl.t }
 
 let make env db = { env; db; sources = Source_tbl.create 16 }
-let env t = t.env
 let db t = t.db
 
-let source_layout env = function
-  | Query.Algebra.Entity_set s -> Query.Env.entity_set_columns env s
-  | Query.Algebra.Assoc_set a -> Query.Env.assoc_set_columns env a
-  | Query.Algebra.Table tb -> Query.Env.table_columns env tb
+let scan_layout env src =
+  Array.of_list
+    (match src with
+    | Query.Algebra.Entity_set s -> Query.Env.entity_set_columns env s
+    | Query.Algebra.Assoc_set a -> Query.Env.assoc_set_columns env a
+    | Query.Algebra.Table tb -> Query.Env.table_columns env tb)
+
+let scan_row layout row =
+  Array.map (fun c -> Option.value ~default:Datum.Value.Null (Datum.Row.find c row)) layout
 
 let source t src =
   match Source_tbl.find t.sources src with
   | s -> s
   | exception Not_found ->
-      let layout = Array.of_list (source_layout t.env src) in
-      let at row c = Option.value ~default:Datum.Value.Null (Datum.Row.find c row) in
+      let layout = scan_layout t.env src in
       let rows =
-        List.map
-          (fun row -> Array.map (at row) layout)
-          (Query.Eval.rows t.env t.db (Query.Algebra.Scan src))
+        List.map (scan_row layout) (Query.Eval.rows t.env t.db (Query.Algebra.Scan src))
       in
-      let s = { layout; rows; indexes = Array.make (Array.length layout) None } in
+      let s = { rows; indexes = Array.make (Array.length layout) None } in
       Source_tbl.add t.sources src s;
       s
 
-let layout s = s.layout
 let rows s = s.rows
 
 let build_index rows slot =

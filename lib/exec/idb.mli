@@ -18,8 +18,13 @@ module Value_tbl : Hashtbl.S with type key = Datum.Value.t
 (** Tables keyed by value under [Datum.Value.compare]: the indexes' and the
     hash joins' tables. *)
 
+val scan_layout : Query.Env.t -> Query.Algebra.source -> string array
+
+val scan_row : string array -> Datum.Row.t -> row
+(** A source's row in its scan layout, as every row enters both positional
+    runtimes: here and in [Ivm.Apply]. *)
+
 val make : Query.Env.t -> Query.Eval.db -> t
-val env : t -> Query.Env.t
 val db : t -> Query.Eval.db
 
 type source
@@ -27,9 +32,6 @@ type source
 
 val source : t -> Query.Algebra.source -> source
 (** Materializes the source on its first use and keeps it. *)
-
-val layout : source -> string array
-(** The source's scan layout. *)
 
 val rows : source -> row list
 (** The rows [Query.Eval.rows] gives for a scan of the source, in its order,

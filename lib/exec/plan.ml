@@ -1,22 +1,53 @@
+let absent = max_int
+
 type access =
   | Full_scan
-  | Index_eq of { col : string; value : Datum.Value.t }
+  | Index_eq of { col : string; slot : int; value : Datum.Value.t }
+
+type pred =
+  | Always
+  | Never
+  | Type_in of int * string list
+  | Null of int
+  | Not_null of int
+  | Cmp of int * Query.Cond.cmp * Datum.Value.t
+  | Both of pred * pred
+  | Either of pred * pred
+
+type item = Slot of int | Const of Datum.Value.t | Coalesce of item array
 
 type node =
   | Scan of {
       source : Query.Algebra.source;
       access : access;
       filter : Query.Cond.t;
+      pred : pred;
       proj : Query.Algebra.proj_item list option;
+      map : item array option;
+      layout : string array;
     }
-  | Filter of Query.Cond.t * node
-  | Project of Query.Algebra.proj_item list * node
+  | Filter of { cond : Query.Cond.t; pred : pred; input : node }
+  | Project of {
+      items : Query.Algebra.proj_item list;
+      slots : item array;
+      fused : item array;
+      layout : string array;
+      input : node;
+    }
   | Hash_join of join
-  | Append of node * node
+  | Append of { left : node; right : node; perm : int array option }
 
-and join = { spec : Query.Join.t; left : node; right : node }
+and join = {
+  spec : Query.Join.t;
+  left : node;
+  right : node;
+  lkey : int array;
+  rkey : int array;
+  keep : int array;
+  layout : string array;
+}
 
-type t = node
+type t = { root : node; template : Datum.Row.t; order : int array }
 
 let source_name = function
   | Query.Algebra.Entity_set s -> s
@@ -46,11 +77,11 @@ let show t =
     Buffer.add_char b '\n'
   in
   let rec go indent = function
-    | Scan { source; access; filter; proj } ->
+    | Scan { source; access; filter; proj; _ } ->
         let acc =
           match access with
           | Full_scan -> ""
-          | Index_eq { col; value } ->
+          | Index_eq { col; value; _ } ->
               Printf.sprintf " [index %s = %s]" col (Datum.Value.to_literal value)
         in
         let flt =
@@ -62,33 +93,30 @@ let show t =
           match proj with None -> "" | Some items -> " project {" ^ items_string items ^ "}"
         in
         line indent (Printf.sprintf "scan %s%s%s%s" (source_name source) acc flt prj)
-    | Filter (c, n) ->
-        line indent ("filter " ^ Query.Cond.show c);
-        go (indent + 2) n
-    | Project (items, n) ->
+    | Filter { cond; input; _ } ->
+        line indent ("filter " ^ Query.Cond.show cond);
+        go (indent + 2) input
+    | Project { items; input; _ } ->
         line indent ("project {" ^ items_string items ^ "}");
-        go (indent + 2) n
+        go (indent + 2) input
     | Hash_join j ->
         line indent
           (Printf.sprintf "hash join (%s) on {%s}" (kind_name j.spec.kind)
              (String.concat "," j.spec.on));
         go (indent + 2) j.left;
         go (indent + 2) j.right
-    | Append (a, b) ->
+    | Append { left; right; _ } ->
         line indent "union all";
-        go (indent + 2) a;
-        go (indent + 2) b
+        go (indent + 2) left;
+        go (indent + 2) right
   in
-  go 0 t;
+  go 0 t.root;
   Buffer.contents b
-
-let pp fmt t = Format.pp_print_string fmt (show t)
 
 let rec count_scans p = function
   | Scan { access; _ } -> if p access then 1 else 0
-  | Filter (_, n) | Project (_, n) -> count_scans p n
-  | Hash_join j -> count_scans p j.left + count_scans p j.right
-  | Append (a, b) -> count_scans p a + count_scans p b
+  | Filter { input; _ } | Project { input; _ } -> count_scans p input
+  | Hash_join { left; right; _ } | Append { left; right; _ } -> count_scans p left + count_scans p right
 
-let scans = count_scans (fun _ -> true)
-let index_scans = count_scans (function Index_eq _ -> true | Full_scan -> false)
+let scans t = count_scans (fun _ -> true) t.root
+let index_scans t = count_scans (function Index_eq _ -> true | Full_scan -> false) t.root

@@ -1,29 +1,23 @@
 (** Physical plan execution.
 
-    [rows] evaluates a {!Plan} over an {!Idb} with the same bag semantics as
-    [Query.Eval.rows] on the source query.  It first compiles the plan, once
-    per call, into a tree of closures over positional rows
-    ([Datum.Value.t array], {!Idb.row}).  Every node gets a layout, the
-    column at each slot of its rows: a scan's is its source's columns, a
-    projection's its destination columns, a join's the left layout followed
-    by the right side's non-join columns, and a union takes its left input's,
-    into which the right input's rows are permuted.  Conditions, projection
-    items and join keys are compiled to slot reads; [IS OF] atoms are
-    resolved against the client schema once.  Stacked projections (and a
-    projection fused into a scan) are inlined into one slot map, so each
-    projected row is built once.  Only the root's rows are converted back to
-    {!Datum.Row.t}.
+    [rows] evaluates a compiled {!Plan} over an {!Idb} with the same bag
+    semantics as [Query.Eval.rows] on the source query.  It resolves
+    nothing: every node already carries its layout and slots, so a node
+    only tests, maps and joins positional rows ({!Idb.row}).  A stack of
+    projections (a projecting scan included) runs as its one fused slot
+    map, so each projected row is built once, and only the root's rows are
+    converted back to {!Datum.Row.t}, through the plan's template.
 
-    A column a layout lacks reads as [NULL], as in [Query.Cond.eval], and so
-    does every slot past the end of a row: an outer join passes an unmatched
-    row through unpadded.  Joins hash the right input and probe it from the
-    left (rows match when all join columns are non-[NULL] on both sides and
-    equal; a join with no columns is the cross product).  Output is in
-    nested-loop order: each left row's matches in right input order, or the
-    left row when it has none and the join keeps it, then a full join's
-    unmatched right rows, which take their join columns from the right.
-    Index probes skip nothing a residual [col = v] filter would keep.  Plans
-    run on the calling domain, and each scan keeps its rows in scan order.
+    A slot past the end of a row reads [NULL]: an outer join passes an
+    unmatched left row through unpadded.  Joins hash the right input and
+    probe it from the left (rows match when all join columns are
+    non-[NULL] on both sides and equal; a join with no columns is the cross
+    product).  Output is in nested-loop order: each left row's matches in
+    right input order, or the left row when it has none and the join keeps
+    it, then a full join's unmatched right rows, which take their join
+    columns from the right.  Index probes skip nothing a residual
+    [col = v] filter would keep.  Plans run on the calling domain, and each
+    scan keeps its rows in scan order.
 
     Bumps [exec.rows.scanned] / [exec.rows.joined] counters and records an
     [exec.run] span. *)
@@ -33,3 +27,22 @@ val rows : ?jobs:int -> Idb.t -> Plan.t -> Datum.Row.t list
     split across fresh domains were slower than one domain at every size.
     The argument stays only because the end-to-end benchmark's [serve]
     workload passes [~jobs:1]. *)
+
+(** {1 The row kernel}, with which [Ivm.Engine] runs the same nodes *)
+
+val get : Idb.row -> int -> Datum.Value.t
+(** The value at a slot; [NULL] past the row's end. *)
+
+val holds : Idb.row -> Plan.pred -> bool
+val project : Plan.item array -> Idb.row -> Idb.row
+
+val matched : Plan.join -> Idb.row -> Idb.row -> Idb.row
+(** A matched pair's output row: the left row, then the right's kept slots. *)
+
+val right_only : Plan.join -> Idb.row -> Idb.row
+(** An unmatched right row's output row: its join columns in their left
+    slots, its kept slots after the left layout.  An unmatched left row is
+    output as it is. *)
+
+val datum_row : Plan.t -> Idb.row -> Datum.Row.t
+(** A row of the root's layout as a [Datum.Row.t], binding every column. *)

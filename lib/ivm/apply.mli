@@ -3,8 +3,8 @@
     [init] materializes a client instance through the plan once: it
     checks the instance against the guards of a {!step} from the empty
     state whose batch inserts every entity and then every link, filling
-    the base images, and hands each source's rows to {!Engine.init}, which
-    evaluates every table plan once over them.  The result equals that
+    the base images, and hands each source's rows, in its scan layout, to
+    {!Engine.init}, which evaluates every table plan once over them.  The result equals that
     step's state (the tests check it); [step] then costs the delta plus
     the table plans it reaches, not O(instance).
 
@@ -46,8 +46,9 @@ val step : Plan.t -> State.t -> op list -> (table_delta list * State.t, string) 
     row list in {!State.store} is physically the previous one. *)
 
 val feed :
-  Plan.t -> State.t -> op list -> (State.t * Multiset.t Plan.Src_map.t, string) result
+  Plan.t -> State.t -> op list -> (State.t * Multiset.Slots.t Plan.Src_map.t, string) result
 (** The first half of {!step}: check the ops against the base images in
     sequence and turn them into signed base-row deltas per client source,
-    returning the state with updated bases.  {!step} hands the result to
+    each row in its source's scan layout ({!Plan.scan_row}), returning the
+    state with updated bases.  {!step} hands the result to
     {!Engine.propagate}. *)

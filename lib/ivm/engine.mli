@@ -1,26 +1,34 @@
 (** The delta-propagation engine: one signed-multiset delta per operator
-    of the [Exec.Plan.t] each table plan holds.
+    of the compiled [Exec.Plan.t] each table plan holds.
 
-    Delta rules (Δ ranges over {!Multiset.t} with signed counts):
+    Rows are positional, in the layouts the planner compiled: they enter in
+    their source's scan layout ({!Apply}), every operator tests, projects
+    and joins them with [Exec.Run]'s row kernel, and they leave through
+    the root's template ([Exec.Run.datum_row]) as [Datum.Row.t] for
+    DISTINCT and the store image.
+
+    Delta rules (Δ ranges over {!Multiset.Slots} with signed counts):
 
     - scan of [src] with access path [a], residual filter [f] and fused
       projection [p]: Δout = π[p] σ[a ∧ f] Δsrc, where [Index_eq {col; value}]
       is the selection [col = value] it was planned from ([NULL] matches
       nothing) and [Full_scan] selects everything;
     - [Filter] (σ[c]): Δout = filter c Δin;
-    - [Project] (π): Δout = image of Δin under the projection (counts sum);
-    - [Append] (∪ ALL): Δout = Δl + Δr;
-    - [Hash_join] (⋈ / ⟕ / ⟗): group both deltas by join key; for each
-      touched key [k], Δout_k = J(L_k + ΔL_k, R_k + ΔR_k) − J(L_k, R_k).
-      All rows of a group share one key, so [J] is one of two things: when
-      [Query.Join.key] accepts [k] (every join column present and
-      non-[NULL]) and both sides are non-empty, the cross product with
-      multiplicities multiplied; otherwise the [Query.Join.pad]ding of each
-      side the kind preserves.  This is exact because equal join values
-      imply equal key projections, so no match crosses groups, and a
-      keyless join is one group.  A table plan's joins are numbered in
-      preorder; the number keys the join's groups in the table's
-      {!State.table_state};
+    - [Project] (π): Δout = image of Δin under the projection's own slot map
+      (counts sum);
+    - [Append] (∪ ALL): Δout = Δl + Δr, the right rows permuted into the
+      left layout;
+    - [Hash_join] (⋈ / ⟕ / ⟗): group both deltas by the values of their
+      join-key slots; for each touched key [k], Δout_k = J(L_k + ΔL_k,
+      R_k + ΔR_k) − J(L_k, R_k).  All rows of a group share one key, so [J]
+      is one of two things: when no value of [k] is [NULL] and both sides
+      are non-empty, the cross product ([Exec.Run.matched]) with
+      multiplicities multiplied; otherwise the unmatched rows of each side
+      the kind preserves (a left row as it is, a right row through
+      [Exec.Run.right_only]).  This is exact because equal join values
+      imply equal keys, so no match crosses groups, and a keyless join is
+      one group.  A table plan's joins are numbered in preorder; the number
+      keys the join's groups in the table's {!State.table_state};
     - DISTINCT (applied to the view's query rows, which are the table's
       rows): rows whose multiplicity crosses 0 contribute ±1.
 
@@ -53,26 +61,29 @@
     that feed. *)
 
 val propagate :
-  Plan.t -> State.t -> feed:Multiset.t Plan.Src_map.t -> State.t * (string * Multiset.t) list
-(** Push one batch of base deltas (per client source) through the table
-    plans that read a changed source.  Returns the updated state and, per
-    visited table in plan order, the {e set-level} delta of the
-    materialized table: [-1] rows left the table, [+1] rows entered it.
-    Tables not listed are unchanged. *)
+  Plan.t ->
+  State.t ->
+  feed:Multiset.Slots.t Plan.Src_map.t ->
+  State.t * (string * Multiset.Rows.t) list
+(** Push one batch of base deltas (per client source, in its scan layout)
+    through the table plans that read a changed source.  Returns the
+    updated state and, per visited table in plan order, the {e set-level}
+    delta of the materialized table: [-1] rows left the table, [+1] rows
+    entered it.  Tables not listed are unchanged. *)
 
-val init : Plan.t -> State.t -> rows:Datum.Row.t list Plan.Src_map.t -> State.t
+val init : Plan.t -> State.t -> rows:Exec.Idb.row list Plan.Src_map.t -> State.t
 (** The tables' first state from the full rows of each client source (a
-    row list per source, no row twice): what {!propagate} gives from
-    [State.empty] for the feed holding each of those rows at [+1], built
-    without deltas.  The bases of [st] are kept as they are; its tables
-    must be empty.  Tags the enclosing span with [rows.fed] and [tables],
-    as {!propagate} tags its own. *)
+    row list per source in its scan layout, no row twice): what
+    {!propagate} gives from [State.empty] for the feed holding each of
+    those rows at [+1], built without deltas.  The bases of [st] are kept
+    as they are; its tables must be empty.  Tags the enclosing span with
+    [rows.fed] and [tables], as {!propagate} tags its own. *)
 
 (** {1 Test seam} *)
 
 module For_tests : sig
   val table_delta :
-    Plan.t -> Multiset.t Plan.Src_map.t -> State.t -> Plan.table_plan -> Multiset.t * State.t
+    Multiset.Slots.t Plan.Src_map.t -> State.t -> Plan.table_plan -> Multiset.Rows.t * State.t
   (** The delta rules of one table plan: its set-level delta for [feed] and
       the state with its table updated, whether or not [feed] reaches it.
       {!propagate} applies it to the plans the feed reaches; only tests call

@@ -1,11 +1,12 @@
-module Row_map = Multiset.Row_map
+module Row_map = Multiset.Rows.Row_map
+module Group_map = Multiset.Slots.Row_map
 module Int_map = Map.Make (Int)
 module String_map = Map.Make (String)
 module Src_map = Plan.Src_map
 
-type join_state = { lefts : Multiset.t Row_map.t; rights : Multiset.t Row_map.t }
+type join_state = { lefts : Multiset.Slots.t Group_map.t; rights : Multiset.Slots.t Group_map.t }
 
-type table_state = { query_counts : Multiset.t; joins : join_state Int_map.t }
+type table_state = { query_counts : Multiset.Rows.t; joins : join_state Int_map.t }
 
 type t = {
   bases : Datum.Row.t Row_map.t Src_map.t;
@@ -13,8 +14,8 @@ type t = {
   store : Relational.Instance.t;
 }
 
-let empty_join = { lefts = Row_map.empty; rights = Row_map.empty }
-let empty_table = { query_counts = Multiset.empty; joins = Int_map.empty }
+let empty_join = { lefts = Group_map.empty; rights = Group_map.empty }
+let empty_table = { query_counts = Multiset.Rows.empty; joins = Int_map.empty }
 
 let empty (plan : Plan.t) =
   {
@@ -33,7 +34,7 @@ let table t name = Option.value ~default:empty_table (String_map.find_opt name t
 
 let set_table name ts ~changed t =
   let store =
-    if changed then Relational.Instance.set_rows ~table:name (Multiset.rows ts.query_counts) t.store
+    if changed then Relational.Instance.set_rows ~table:name (Multiset.Rows.rows ts.query_counts) t.store
     else t.store
   in
   { t with tables = String_map.add name ts t.tables; store }

@@ -8,23 +8,25 @@
       build signed row deltas;
     - {e tables}: per store table, the bag of view query rows with
       multiplicities, so DISTINCT maintenance is a counter transition
-      rather than a re-sort; and, per join
-      of the table's plan (numbered in preorder, so the numbers are local
-      to the table), both input bags grouped by join key — what the engine
-      needs to recompute exactly the touched key groups;
+      rather than a re-sort; and, per join of the table's plan (numbered
+      in preorder, so the numbers are local to the table), both input bags
+      in the inputs' layouts, grouped by the values of their join-key
+      slots — what the engine needs to recompute exactly the touched key
+      groups;
     - {e store}: per store table, the rows of [query_counts], ascending.  A
       table is re-listed only when its rows change, so the row list of a
       table a propagation leaves alone is physically the previous one. *)
 
-module Row_map = Multiset.Row_map
+module Row_map = Multiset.Rows.Row_map
+module Group_map = Multiset.Slots.Row_map
 module Int_map : Map.S with type key = int
 module String_map : Map.S with type key = string
 module Src_map = Plan.Src_map
 
-type join_state = { lefts : Multiset.t Row_map.t; rights : Multiset.t Row_map.t }
+type join_state = { lefts : Multiset.Slots.t Group_map.t; rights : Multiset.Slots.t Group_map.t }
 
 type table_state = {
-  query_counts : Multiset.t;
+  query_counts : Multiset.Rows.t;
   joins : join_state Int_map.t;  (** by the join's preorder number in the plan *)
 }
 

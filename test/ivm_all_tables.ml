@@ -7,7 +7,8 @@
    themselves.  The rule ticks the [ivm.rows.*] counters as the engine
    does; spans are left out. *)
 
-module Row_map = Ivm.Multiset.Row_map
+module Row_map = Ivm.Multiset.Rows.Row_map
+module Group_map = Ivm.Multiset.Slots.Row_map
 module Multiset = Ivm.Multiset
 module Plan = Ivm.Plan
 module State = Ivm.State
@@ -16,7 +17,7 @@ let propagate (plan : Plan.t) st ~feed =
   let st, deltas =
     List.fold_left
       (fun (st, acc) (tp : Plan.table_plan) ->
-        let out, st = Ivm.Engine.For_tests.table_delta plan feed st tp in
+        let out, st = Ivm.Engine.For_tests.table_delta feed st tp in
         (st, (tp.Plan.table, out) :: acc))
       (st, []) plan.Plan.tables
   in
@@ -34,20 +35,19 @@ let step plan st ops =
 (* States equal as maintained images: a base, join or table entry holding
    nothing equals a missing one. *)
 let equal_states (a : State.t) (b : State.t) =
-  let join_empty (js : State.join_state) = Row_map.is_empty js.lefts && Row_map.is_empty js.rights in
+  let join_empty (js : State.join_state) = Group_map.is_empty js.lefts && Group_map.is_empty js.rights in
   let joins (ts : State.table_state) =
     State.Int_map.filter (fun _ js -> not (join_empty js)) ts.joins
   in
   let table_empty (ts : State.table_state) =
-    Multiset.is_empty ts.query_counts && State.Int_map.is_empty (joins ts)
+    Multiset.Rows.is_empty ts.query_counts && State.Int_map.is_empty (joins ts)
   in
-  let ms_equal = Row_map.equal Int.equal in
-  let groups_equal = Row_map.equal ms_equal in
+  let groups_equal = Group_map.equal (Group_map.equal Int.equal) in
   let bases (st : State.t) = Plan.Src_map.filter (fun _ b -> not (Row_map.is_empty b)) st.bases in
   Plan.Src_map.equal (Row_map.equal Datum.Row.equal) (bases a) (bases b)
   && State.String_map.equal
        (fun (x : State.table_state) (y : State.table_state) ->
-         ms_equal x.query_counts y.query_counts
+         Row_map.equal Int.equal x.query_counts y.query_counts
          && State.Int_map.equal
               (fun (x : State.join_state) (y : State.join_state) ->
                 groups_equal x.lefts y.lefts && groups_equal x.rights y.rights)

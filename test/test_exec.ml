@@ -81,9 +81,9 @@ let test_outer_joins_null_keys () =
    row of the preserved side NULL-padded. *)
 let test_keyless_join () =
   let expect_keyless kind plan =
-    match plan with
-    | Plan.Hash_join { spec = { Query.Join.on = []; kind = k; _ }; _ } when k = kind -> ()
-    | p -> Alcotest.failf "expected a keyless hash join, got:@.%s" (Plan.show p)
+    match plan.Plan.root with
+    | Plan.Hash_join { spec = { Query.Join.on = []; kind = k }; _ } when k = kind -> ()
+    | _ -> Alcotest.failf "expected a keyless hash join, got:@.%s" (Plan.show plan)
   in
   let emp = A.Scan (A.Table "Emp") in
   let cids = A.project_cols [ "Cid"; "Score" ] (A.Scan (A.Table "Client")) in
@@ -125,9 +125,9 @@ let test_pushdown_through_projection () =
         A.Project ([ A.col_as "Id" "EmpId"; A.col "Dept" ], A.Scan (A.Table "Emp")) )
   in
   let plan = check_exec ~msg:"pushdown+fusion" env store_db q in
-  match plan with
+  match plan.Plan.root with
   | Plan.Scan { access = Plan.Index_eq { col = "Id"; _ }; proj = Some _; _ } -> ()
-  | p -> Alcotest.failf "expected a fused indexed scan, got:@.%s" (Plan.show p)
+  | _ -> Alcotest.failf "expected a fused indexed scan, got:@.%s" (Plan.show plan)
 
 let test_pushdown_union () =
   let q =
@@ -161,6 +161,24 @@ let paper_client_queries =
           A.Scan (A.Assoc_set "Supports"),
           [ "Employee.Id" ] ) );
   ]
+
+(* An index probe returns no row whose probed column is NULL, so the planner
+   drops [col IS NOT NULL] beside it: the Supports point lookup, whose view
+   reads the Client rows with a non-NULL [Eid], probes the [Eid] index of
+   Client with no residual filter left. *)
+let test_probe_drops_not_null () =
+  let q = A.Select (C.Cmp ("Employee.Id", C.Eq, V.Int 4), A.Scan (A.Assoc_set "Supports")) in
+  let unfolded = unfold q in
+  let rec guards = function
+    | A.Select (c, q) -> C.exists_atom (( = ) (C.Is_not_null "Eid")) c || guards q
+    | A.Project (_, q) -> guards q
+    | _ -> false
+  in
+  checkb "the view guards Eid IS NOT NULL" true (guards unfolded);
+  let plan = check_exec ~msg:"supports point lookup" env store_db unfolded in
+  match plan.Plan.root with
+  | Plan.Scan { access = Plan.Index_eq { col = "Eid"; _ }; filter = C.True; pred = Plan.Always; _ } -> ()
+  | _ -> Alcotest.failf "expected a probe of Client with no filter, got:@.%s" (Plan.show plan)
 
 let test_unfolded_paper_queries () =
   List.iter
@@ -444,9 +462,10 @@ let test_append_column_order () =
 
 let test_cross_join () =
   let l = A.project_cols [ "Lid"; "A" ] scan_l and r = A.project_cols [ "Rid"; "B" ] scan_r in
-  match check_layout "cross join" (A.Join (l, r, [])) with
+  let plan = check_layout "cross join" (A.Join (l, r, [])) in
+  match plan.Plan.root with
   | Plan.Hash_join { spec = { Query.Join.on = []; _ }; _ } -> ()
-  | p -> Alcotest.failf "expected a keyless hash join, got:@.%s" (Plan.show p)
+  | _ -> Alcotest.failf "expected a keyless hash join, got:@.%s" (Plan.show plan)
 
 (* Keys with a NULL in one column of a two-column key, on both sides, for
    every join kind. *)
@@ -461,6 +480,29 @@ let test_null_join_keys () =
       ( "full, one key",
         A.Full_outer_join
           (A.project_cols [ "Lid"; "K1" ] scan_l, A.project_cols [ "Rid"; "K1" ] scan_r, [ "K1" ]) ) ]
+
+(* A row an outer join passes through unmatched stops short of the right
+   side's columns, so a later join on one of them reads an absent key: it
+   matches nothing, and the outer kinds keep the row as it is. *)
+let test_absent_join_keys () =
+  let lr =
+    A.Left_outer_join
+      (A.project_cols [ "Lid"; "K1" ] scan_l, A.project_cols [ "K1"; "B" ] scan_r, [ "K1" ])
+  in
+  let s = A.project_renamed [ ("B", "B"); ("Rid", "S") ] scan_r in
+  List.iter
+    (fun (msg, q) -> ignore (check_layout msg q))
+    [ ("inner on an absent key", A.Join (lr, s, [ "B" ]));
+      ("left on an absent key", A.Left_outer_join (lr, s, [ "B" ]));
+      ("full on an absent key", A.Full_outer_join (lr, s, [ "B" ]));
+      ("flipped", A.Full_outer_join (s, lr, [ "B" ])) ];
+  let rows = Run.rows (Idb.make kf_env layout_db) (check_layout "left" (A.Left_outer_join (lr, s, [ "B" ]))) in
+  checkb "the unmatched row binds its absent columns to NULL" true
+    (List.exists
+       (fun r ->
+         V.equal (Datum.Row.get "Lid" r) (V.Int 3)
+         && List.for_all (fun c -> V.equal (Datum.Row.get c r) V.Null) [ "B"; "S" ])
+       rows)
 
 (* A projection over a projection that simplification cannot merge (both
    read a COALESCE), so the runtime fuses the two into one slot map:
@@ -480,22 +522,29 @@ let test_fused_projections () =
           A.col "Lid" ],
         inner below )
   in
-  (match check_layout "over a scan" (outer scan_l) with
-  | Plan.Project (_, Plan.Scan { proj = Some _; _ }) -> ()
-  | p -> Alcotest.failf "expected a projection over a projecting scan, got:@.%s" (Plan.show p));
+  let plan = check_layout "over a scan" (outer scan_l) in
+  (match plan.Plan.root with
+  | Plan.Project { input = Plan.Scan { proj = Some _; _ }; _ } -> ()
+  | _ -> Alcotest.failf "expected a projection over a projecting scan, got:@.%s" (Plan.show plan));
   let joined = A.Join (scan_l, A.project_cols [ "K1"; "B" ] scan_r, [ "K1" ]) in
-  match check_layout "over a join" (outer joined) with
-  | Plan.Project (_, Plan.Project (_, Plan.Hash_join _)) -> ()
-  | p -> Alcotest.failf "expected stacked projections over a join, got:@.%s" (Plan.show p)
+  let plan = check_layout "over a join" (outer joined) in
+  match plan.Plan.root with
+  | Plan.Project { input = Plan.Project { input = Plan.Hash_join _; _ }; _ } -> ()
+  | _ -> Alcotest.failf "expected stacked projections over a join, got:@.%s" (Plan.show plan)
 
-(* The planner folds [col = NULL] to FALSE, so the probe is built by hand:
-   it returns nothing, as the selection does. *)
+(* The planner folds [col = NULL] to FALSE, so the probe is the plan of
+   [K1 = 1] with its value replaced by NULL: it returns nothing, as the
+   selection does. *)
 let test_index_probe_null () =
   let idb = Idb.make kf_env layout_db in
+  let plan =
+    ok_exn (Planner.plan kf_env (A.project_cols [ "Lid" ] (A.Select (C.Cmp ("K1", C.Eq, V.Int 1), scan_l))))
+  in
   let probe =
-    Plan.Scan
-      { source = A.Table "L"; access = Plan.Index_eq { col = "K1"; value = V.Null };
-        filter = C.True; proj = Some [ A.col "Lid" ] }
+    match plan.Plan.root with
+    | Plan.Scan ({ access = Plan.Index_eq i; _ } as s) ->
+        { plan with root = Plan.Scan { s with access = Plan.Index_eq { i with value = V.Null } } }
+    | _ -> Alcotest.failf "expected an index probe, got:@.%s" (Plan.show plan)
   in
   check_bags "NULL probe"
     (Query.Eval.rows kf_env layout_db
@@ -684,6 +733,7 @@ let () =
       ( "view unfolding",
         [
           Alcotest.test_case "unfolded paper queries" `Quick test_unfolded_paper_queries;
+          Alcotest.test_case "index probe drops IS NOT NULL" `Quick test_probe_drops_not_null;
           Alcotest.test_case "matches client semantics" `Quick
             test_exec_matches_client_semantics;
         ] );
@@ -695,6 +745,7 @@ let () =
             test_append_column_order;
           Alcotest.test_case "keyless cross join" `Quick test_cross_join;
           Alcotest.test_case "NULL join keys" `Quick test_null_join_keys;
+          Alcotest.test_case "absent join keys" `Quick test_absent_join_keys;
           Alcotest.test_case "fused projections" `Quick test_fused_projections;
           Alcotest.test_case "index probe with NULL" `Quick test_index_probe_null;
         ] );

@@ -231,10 +231,12 @@ let test_init_is_step () =
 (* Hand-built update views over the paper's client schema whose joins see
    NULL keys (Department is NULL on non-employees and BillAddr on
    non-customers), several rows per key, and no key at all.  The IVM group
-   join takes its padding-only branch for every NULL-keyed group, and for the
-   keyless join whenever Supports is empty.  Shared's inputs project the key
-   away, so a key group holds one row several times and its join output
-   and query rows have multiplicities above 1. *)
+   join takes its unmatched-rows branch for every NULL-keyed group, and for
+   the keyless join whenever Supports is empty.  Shared's inputs project the
+   key away, so a key group holds one row several times and its join output
+   and query rows have multiplicities above 1.  Absent joins on [B], which
+   its inner left join leaves out of every row it passes through unmatched:
+   those rows' key is absent, reads NULL and groups with the NULL keys. *)
 let null_key_env, null_key_uv =
   let table name key cols =
     Relational.Table.make ~name ~key (List.map (fun (c, d) -> (c, d, `Null)) cols)
@@ -248,6 +250,7 @@ let null_key_env, null_key_uv =
         table "Loj" [ "B"; "A" ] [ ("A", D.Int); ("B", D.Int); ("K", D.String) ];
         table "Cross" [ "A"; "C" ] [ ("A", D.Int); ("C", D.Int) ];
         table "Shared" [ "K" ] [ ("K", D.String) ];
+        table "Absent" [ "A"; "B" ] [ ("A", D.Int); ("K", D.String); ("B", D.Int); ("N", D.String) ];
       ]
   in
   let persons = A.Scan (A.Entity_set "Persons") in
@@ -267,7 +270,12 @@ let null_key_env, null_key_uv =
          (A.Join
             ( A.Project ([ A.col_as "Department" "K" ], employees),
               A.Project ([ A.col_as "BillAddr" "K" ], persons),
-              [ "K" ] )) )
+              [ "K" ] ))
+    |> Query.View.set_table_view "Absent"
+         (A.Full_outer_join
+            ( A.Left_outer_join (by_dept, by_addr, [ "K" ]),
+              A.Project ([ A.col_as "Id" "B"; A.col_as "Name" "N" ], persons),
+              [ "B" ] )) )
 
 let test_null_join_keys () =
   let person id =
@@ -535,7 +543,7 @@ let valid_batch schema inst candidates =
   |> fun (_, acc) -> List.rev acc
 
 let sign_split d =
-  let part p = List.filter_map (fun (r, n) -> if p n then Some r else None) (Ivm.Multiset.to_list d) in
+  let part p = List.filter_map (fun (r, n) -> if p n then Some r else None) (Ivm.Multiset.Rows.to_list d) in
   (part (fun n -> n < 0), part (fun n -> n > 0))
 
 (* The skipping engine against [Ivm_all_tables] after one step from equal
@@ -569,7 +577,7 @@ let check_skip ~fail (plan : Ivm.Plan.t) ~store (skip_deltas, st_skip) (all_delt
               let table = tp.Ivm.Plan.table in
               same_rows
                 (Relational.Instance.rows store ~table)
-                (Ivm.Multiset.rows (Ivm.State.table st_skip table).Ivm.State.query_counts))
+                (Ivm.Multiset.Rows.rows (Ivm.State.table st_skip table).Ivm.State.query_counts))
             plan.Ivm.Plan.tables)
   then fail "store image differs from the tables' query counts"
 
@@ -669,6 +677,38 @@ let test_planner_roots () =
     | Error e -> Alcotest.failf "seed %d: compile failed: %s" seed e
   done
 
+(* Both runtimes run each table plan on one client instance: [Exec.Run]
+   over an indexed client database, made a set, gives the table image
+   [Ivm.Engine.init] builds. *)
+let check_two_runtimes msg env uv inst =
+  let plan = ok_exn (Ivm.Plan.compile env uv) in
+  let store = Ivm.State.store (ok_exn (Ivm.Apply.init plan inst)) in
+  let idb = Exec.Idb.make env (Query.Eval.client_db inst) in
+  List.iter
+    (fun (tp : Ivm.Plan.table_plan) ->
+      let table = tp.Ivm.Plan.table in
+      let exec_rows = List.sort_uniq Datum.Row.compare (Exec.Run.rows idb tp.Ivm.Plan.root) in
+      checkb
+        (Printf.sprintf "%s: %s has exec's rows" msg table)
+        true
+        (List.equal Datum.Row.equal exec_rows (Relational.Instance.rows store ~table)))
+    plan.Ivm.Plan.tables
+
+let test_two_runtimes () =
+  check_two_runtimes "paper stage 4" env (uv ()) P.sample_client;
+  let cenv, cfrags = Workload.Customer.generate () in
+  let cuv = (ok_exn (Fullc.Compile.compile ~validate:false cenv cfrags)).Fullc.Compile.update_views in
+  check_two_runtimes "customer" cenv cuv
+    (Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:20 cenv.Query.Env.client);
+  for seed = 0 to 29 do
+    let renv, frags = Workload.Random_model.generate ~profile ~seed () in
+    match Fullc.Compile.compile ~validate:false renv frags with
+    | Ok c ->
+        check_two_runtimes (Printf.sprintf "seed %d" seed) renv c.Fullc.Compile.update_views
+          (Roundtrip.Generate.instance ~seed ~entities_per_set:5 renv.Query.Env.client)
+    | Error e -> Alcotest.failf "seed %d: compile failed: %s" seed e
+  done
+
 (* -- sharing: a write reaches only its tables ---------------------------- *)
 
 (* The [tables] attribute of the one [ivm.propagate] span that [f] opens. *)
@@ -759,7 +799,10 @@ let () =
           Alcotest.test_case "index-probe scans" `Quick test_index_scans;
         ] );
       ( "planner",
-        [ Alcotest.test_case "table plans are the planner's plans" `Quick test_planner_roots ] );
+        [
+          Alcotest.test_case "table plans are the planner's plans" `Quick test_planner_roots;
+          Alcotest.test_case "one plan, two runtimes" `Quick test_two_runtimes;
+        ] );
       ( "customer",
         [ Alcotest.test_case "a write touches only its tables" `Quick test_write_touches_its_tables ] );
       ("differential", [ prop_differential ]);

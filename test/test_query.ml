@@ -335,30 +335,6 @@ let test_unfold_type_erasing_error () =
       checkb "names the type test" true (contains ~sub:"IS OF Employee" e);
       checkb "names the erasing operator" true (contains ~sub:"type-erasing" e)
 
-(* The join kernel on rows with a NULL, an absent and a present key: NULL
-   and absent keys never match, a keyless join matches every row, each kind
-   pads exactly the columns of the side it may lose, and padding binds
-   them to NULL.  Output order of the hash join itself is [Exec.Run]'s and
-   is tested there. *)
-let test_join_kernel () =
-  let l1 = row [ ("k", V.Int 1); ("a", V.String "x") ]
-  and l2 = row [ ("k", V.Null); ("a", V.String "y") ]
-  and l3 = row [ ("a", V.String "z") ] in
-  let key = Query.Join.key [ "k" ] in
-  checkb "NULL key" true (key l2 = None);
-  checkb "absent key" true (key l3 = None);
-  checkb "present key" true (key l1 = Some [ V.Int 1 ]);
-  checkb "keyless" true (Query.Join.key [] l3 = Some []);
-  let spec kind = Query.Join.make kind ~on:[ "k" ] ~left:[ "k"; "a" ] ~right:[ "k"; "b" ] in
-  let pads kind = ((spec kind).Query.Join.left_pad, (spec kind).Query.Join.right_pad) in
-  let strings = Alcotest.(pair (list string) (list string)) in
-  check strings "inner pads nothing" ([], []) (pads Query.Join.Inner);
-  check strings "left pads the right side" ([ "b" ], []) (pads Query.Join.Left);
-  check strings "full pads both sides" ([ "b" ], [ "a" ]) (pads Query.Join.Full);
-  checkb "pad binds NULL" true
-    (Datum.Row.equal (Query.Join.pad [ "b" ] l1)
-       (row [ ("k", V.Int 1); ("a", V.String "x"); ("b", V.Null) ]))
-
 let () =
   Alcotest.run "query"
     [
@@ -373,7 +349,6 @@ let () =
           Alcotest.test_case "union all" `Quick test_union_all;
           Alcotest.test_case "inference errors" `Quick test_infer_errors;
         ] );
-      ("join", [ Alcotest.test_case "keys and padding" `Quick test_join_kernel ]);
       ( "cond",
         [
           prop_dnf_equivalent;
