@@ -8,7 +8,6 @@ let cond_columns c =
   let cols = C.columns c in
   if C.type_atoms c = [] then cols else Query.Env.type_column :: cols
 
-let subset cols within = List.for_all (fun c -> List.mem c within) cols
 let within layout cols = List.for_all (fun c -> Array.mem c layout) cols
 
 (* Columns of a source on which Idb can build an equality index: primary
@@ -73,110 +72,189 @@ type source = { layout : string array; slots : (string, int) Hashtbl.t; indexabl
 
 let source_slot s c = match Hashtbl.find s.slots c with i -> i | exception Not_found -> Plan.absent
 
-(* Pick the first [col = v] conjunct over an indexable column as the access
-   path; everything else stays a residual filter, except [col IS NOT NULL]:
-   the probe returns no row whose [col] is NULL. *)
-let pick_index s filters =
-  let rec go acc = function
+(* The conjuncts of [fs] that can be evaluated below a projection, renamed
+   back to its input's columns, and the rest.  Every column such a conjunct
+   reads must come straight from a [Col] item; type atoms additionally need
+   the type column passed through unrenamed. *)
+let through items fs =
+  let col_src dst =
+    List.find_map (function A.Col { src; dst = d } when String.equal d dst -> Some src | _ -> None) items
+  in
+  let type_ok = lazy (col_src Query.Env.type_column = Some Query.Env.type_column) in
+  List.partition_map
+    (fun c ->
+      let cols = C.columns c in
+      let renames = List.filter_map (fun dst -> Option.map (fun src -> (dst, src)) (col_src dst)) cols in
+      if (C.type_atoms c = [] || Lazy.force type_ok) && List.length renames = List.length cols then
+        Either.Left (C.rename_columns renames c)
+      else Either.Right c)
+    fs
+
+(* -- plans -------------------------------------------------------------------- *)
+
+(* The plan nodes planning builds, as against finds in the context. *)
+let c_nodes = Obs.Metric.counter "exec.plan.nodes"
+
+let built node =
+  Obs.Metric.incr c_nodes;
+  node
+
+(* A node's layout: a filter's is its input's, a union's its left input's. *)
+let rec layout = function
+  | Plan.Scan { layout; _ } | Plan.Project { layout; _ } | Plan.Hash_join { layout; _ } -> layout
+  | Plan.Filter { input; _ } | Plan.Append { left = input; _ } -> layout input
+
+(* A condition's conjuncts; [TRUE] has none. *)
+let conjuncts c = List.filter (function C.True -> false | _ -> true) (C.conjuncts c)
+
+(* What pushdown reads: the environment, for [IS OF] and the store's keys,
+   and each scanned source's layout, slots and indexable columns. *)
+type scope = { env : Query.Env.t; source : A.source -> source }
+
+(* A residual filter over [node], resolved against its layout. *)
+let filter sc fs node =
+  if fs = [] then node
+  else
+    let cond = C.conj fs in
+    built (Plan.Filter { cond; pred = pred sc.env.client (index (layout node)) cond; input = node })
+
+(* A projection over [input]: fused into a scan that projects nothing yet,
+   and given one slot map over the rows below a stack of projections. *)
+let project items slots layout input =
+  built
+    (match input with
+    | Plan.Scan ({ proj = None; _ } as s) -> Plan.Scan { s with proj = Some items; map = Some slots; layout }
+    | Plan.Project { fused = m; _ } | Plan.Scan { map = Some m; _ } ->
+        Plan.Project { items; slots; fused = compose slots m; layout; input }
+    | input -> Plan.Project { items; slots; fused = slots; layout; input })
+
+let join kind left right on =
+  let l = layout left and r = layout right in
+  let rkey = Array.of_list (List.map (index r) on) in
+  let keep =
+    Array.of_seq (Seq.filter (fun j -> not (Array.mem j rkey)) (Seq.init (Array.length r) Fun.id))
+  in
+  built
+    (Plan.Hash_join
+       { spec = Query.Join.make kind ~on; left; right; lkey = Array.of_list (List.map (index l) on);
+         rkey; keep; layout = Array.append l (Array.map (Array.get r) keep) })
+
+(* A scan's access path and residual filter once [fs] follow its own
+   conjuncts (its probe, if it has one, first).  The first [col = v]
+   conjunct over an indexable column is the access path; the rest stay a
+   residual filter, except [col IS NOT NULL]: the probe returns no row
+   whose [col] is NULL. *)
+let scan_filter sc src access filter fs =
+  let s = sc.source src in
+  let rec pick acc = function
     | [] -> (Plan.Full_scan, List.rev acc)
     | C.Cmp (col, C.Eq, v) :: rest when List.mem col s.indexable ->
         let not_null = function C.Is_not_null c -> String.equal c col | _ -> false in
         ( Plan.Index_eq { col; slot = source_slot s col; value = v },
           List.filter (fun f -> not (not_null f)) (List.rev_append acc rest) )
-    | f :: rest -> go (f :: acc) rest
+    | f :: rest -> pick (f :: acc) rest
   in
-  go [] filters
+  let probe =
+    match access with Plan.Full_scan -> [] | Plan.Index_eq { col; value; _ } -> [ C.Cmp (col, C.Eq, value) ]
+  in
+  let access, residual = pick [] (probe @ conjuncts filter @ fs) in
+  let filter = C.conj residual in
+  (access, filter, pred sc.env.client (source_slot s) filter)
 
-(* Can [c] be evaluated below a projection?  Every referenced column must
-   come straight from a [Col] item (renamed back to its source); type atoms
-   additionally need the type column passed through unrenamed. *)
-let push_through_projection items c =
-  let col_src dst =
-    List.find_map
-      (function
-        | A.Col { src; dst = d } when String.equal d dst -> Some src
-        | A.Col _ | A.Const _ | A.Coalesce _ -> None)
-      items
-  in
-  let type_ok =
-    C.type_atoms c = []
-    || (match col_src Query.Env.type_column with
-       | Some src -> String.equal src Query.Env.type_column
-       | None -> false)
-  in
-  if not type_ok then None
+(* [push sc fs node] is [node] with the conjuncts [fs] applied after its
+   own: each sinks as far as it can, so a scan it reaches may turn it into
+   an index probe, and the rest join the residual filter of the node where
+   they stop (one [Filter], its own conjuncts first).  Only the nodes a
+   conjunct reaches are rebuilt; every other node stays [==].
+
+   A conjunct over join columns only goes into both inputs, whatever the
+   join kind: an output row takes its join columns from the input row it
+   came from, and a matched pair agrees on them, so the conjunct holds of
+   the output row exactly when it holds of its input rows.  Other conjuncts
+   sink only into an inner join's side that has their columns, or into a
+   left join's preserved side, never into a NULL-padded side. *)
+let rec push sc fs node =
+  if fs = [] then node
   else
-    let cols = C.columns c in
-    let renames =
-      List.filter_map (fun dst -> Option.map (fun src -> (dst, src)) (col_src dst)) cols
-    in
-    if List.length renames = List.length cols then Some (C.rename_columns renames c)
-    else None
+    let node, residual = sink sc fs node in
+    filter sc residual node
 
-(* A residual filter over [node], resolved against its layout. *)
-let wrap_residual schema layout filters node =
-  match filters with
-  | [] -> node
-  | fs ->
-      let cond = C.conj fs in
-      Plan.Filter { cond; pred = pred schema (index layout) cond; input = node }
+(* [node] with what of [fs] sinks into it, and the conjuncts left above it. *)
+and sink sc fs node =
+  match node with
+  | Plan.Filter { cond; input; _ } ->
+      let input, residual = sink sc fs input in
+      (input, conjuncts cond @ residual)
+  | Plan.Scan s ->
+      let below, residual = match s.proj with None -> (fs, []) | Some items -> through items fs in
+      if below = [] then (node, residual)
+      else
+        let access, filter, pred = scan_filter sc s.source s.access s.filter below in
+        (built (Plan.Scan { s with access; filter; pred }), residual)
+  | Plan.Project p ->
+      let below, residual = through p.items fs in
+      let input = push sc below p.input in
+      if input == p.input then (node, residual) else (project p.items p.slots p.layout input, residual)
+  | Plan.Hash_join j ->
+      let l = layout j.left and r = layout j.right in
+      let to_left, to_right, residual =
+        List.fold_right
+          (fun f (tl, tr, res) ->
+            let cols = cond_columns f in
+            if List.for_all (fun c -> List.mem c j.spec.on) cols then (f :: tl, f :: tr, res)
+            else
+              match j.spec.kind with
+              | Query.Join.Inner when within l cols -> (f :: tl, tr, res)
+              | Query.Join.Inner when within r cols -> (tl, f :: tr, res)
+              | Query.Join.Left when within l cols -> (f :: tl, tr, res)
+              | Query.Join.Inner | Query.Join.Left | Query.Join.Full -> (tl, tr, f :: res))
+          fs ([], [], [])
+      in
+      let left = push sc to_left j.left and right = push sc to_right j.right in
+      if left == j.left && right == j.right then (node, residual)
+      else (built (Plan.Hash_join { j with left; right }), residual)
+  | Plan.Append { left; right; perm } ->
+      (built (Plan.Append { left = push sc fs left; right = push sc fs right; perm }), [])
 
-(* A node's compiled form: its layout (the order of [A.infer]'s columns)
-   and its operator's slots over its inputs' layouts. *)
-type compiled = { layout : string array; op : op }
-
-and op =
-  | Selected  (** a scan or a selection *)
-  | Projected of Plan.item array
-  | Joined of { spec : Query.Join.t; lkey : int array; rkey : int array; keep : int array }
-  | Unioned of int array option
-
-let compile_step (source : A.source -> source) compile q =
-  let layout q = (compile q).layout in
-  let joined kind l r on =
-    let l = layout l and r = layout r in
-    let rkey = Array.of_list (List.map (index r) on) in
-    let keep =
-      Array.of_seq (Seq.filter (fun j -> not (Array.mem j rkey)) (Seq.init (Array.length r) Fun.id))
-    in
-    let lkey = Array.of_list (List.map (index l) on) in
-    {
-      layout = Array.append l (Array.map (Array.get r) keep);
-      op = Joined { spec = Query.Join.make kind ~on; lkey; rkey; keep };
-    }
-  in
-  match q with
-  | A.Scan src -> { layout = (source src).layout; op = Selected }
-  | A.Select (_, q) -> { layout = layout q; op = Selected }
+(* A node's unfiltered plan: a selection is its conjuncts pushed into its
+   input's plan. *)
+let compile_step sc compile = function
+  | A.Scan src ->
+      built
+        (Plan.Scan
+           { source = src; access = Plan.Full_scan; filter = C.True; pred = Plan.Always; proj = None;
+             map = None; layout = (sc.source src).layout })
+  | A.Select (c, q) -> push sc (conjuncts c) (compile q)
   | A.Project (its, q) ->
-      { layout = Array.of_list (List.map A.dst_of its); op = Projected (items (index (layout q)) its) }
-  | A.Join (l, r, on) -> joined Query.Join.Inner l r on
-  | A.Left_outer_join (l, r, on) -> joined Query.Join.Left l r on
-  | A.Full_outer_join (l, r, on) -> joined Query.Join.Full l r on
+      let input = compile q in
+      project its (items (index (layout input)) its) (Array.of_list (List.map A.dst_of its)) input
+  | A.Join (l, r, on) -> join Query.Join.Inner (compile l) (compile r) on
+  | A.Left_outer_join (l, r, on) -> join Query.Join.Left (compile l) (compile r) on
+  | A.Full_outer_join (l, r, on) -> join Query.Join.Full (compile l) (compile r) on
   | A.Union_all (l, r) ->
-      let l = layout l and r = layout r in
-      { layout = l; op = Unioned (if l = r then None else Some (Array.map (index r) l)) }
+      let left = compile l and right = compile r in
+      let l = layout left and r = layout right in
+      built (Plan.Append { left; right; perm = (if l = r then None else Some (Array.map (index r) l)) })
 
 (* The root's row template, and the slot of each of its columns. *)
 let template_step compile template = function
   | A.Select (_, q) -> template q
   | q ->
-      let layout = (compile q).layout in
+      let layout = layout (compile q) in
       let row = Datum.Row.of_list (Array.to_list (Array.map (fun c -> (c, Datum.Value.Null)) layout)) in
       (row, Array.of_list (List.map (index layout) (Datum.Row.columns row)))
 
 (* Planning state for the queries planned over one set of views.  The
    tables are keyed on physical identity and hold only the views' nodes,
    before and after simplification: a query spliced over the views is
-   simplified, typed and compiled afresh only above them, so it pays for
-   its own nodes and the filters pushed into its scans.  [sources] holds
-   one entry per source scanned. *)
+   simplified, typed and compiled afresh only above them, and its filters
+   are pushed down the views' plans, rebuilding only the nodes they reach.
+   [scope] holds one entry per source scanned. *)
 type context = {
-  env : Query.Env.t;
+  scope : scope;
   simplify : A.t -> A.t;
   check : A.t -> (unit, string) result;
-  source : A.source -> source;
-  compile : A.t -> compiled;
+  compile : A.t -> Plan.node;
   template : A.t -> Datum.Row.t * int array;
 }
 
@@ -210,109 +288,35 @@ let context env views =
             Hashtbl.add sources src s;
             s
       in
-      let compile = memo (compile_step source) in
-      (* [A.infer]'s typing, each node's columns read off its layout. *)
+      let scope = { env; source } in
+      let compile = memo (compile_step scope) in
+      (* [A.infer]'s typing, each node's columns read off its plan. *)
       let check =
         memo (fun check q ->
             let columns _ q =
               let* () = check q in
-              Ok (Array.to_list (compile q).layout)
+              Ok (Array.to_list (layout (compile q)))
             in
             Result.map ignore (A.infer_step columns env q))
       in
-      { env; simplify; check; source; compile; template = memo (template_step compile) })
-
-let rec lower ctx filters q =
-  let schema = ctx.env.client in
-  match q with
-  | A.Select (c, q) ->
-      let keep c filters = match c with C.True -> filters | c -> c :: filters in
-      lower ctx (List.fold_right keep (C.conjuncts c) filters) q
-  | A.Scan src ->
-      let s = ctx.source src in
-      let access, residual = pick_index s filters in
-      let filter = C.conj residual in
-      Plan.Scan
-        { source = src; access; filter; pred = pred schema (source_slot s) filter; proj = None;
-          map = None; layout = s.layout }
-  | A.Project (items, below) ->
-      let pushed, residual =
-        List.fold_left
-          (fun (pushed, residual) f ->
-            match push_through_projection items f with
-            | Some f' -> (f' :: pushed, residual)
-            | None -> (pushed, f :: residual))
-          ([], []) filters
-      in
-      let inner = lower ctx (List.rev pushed) below in
-      let layout, slots =
-        match ctx.compile q with
-        | { layout; op = Projected slots } -> (layout, slots)
-        | _ -> invalid_arg "Exec.Planner: not a projection"
-      in
-      let node =
-        match inner with
-        | Plan.Scan ({ proj = None; _ } as s) ->
-            Plan.Scan { s with proj = Some items; map = Some slots; layout }
-        | Plan.Project { fused = m; _ } | Plan.Scan { map = Some m; _ } ->
-            Plan.Project { items; slots; fused = compose slots m; layout; input = inner }
-        | inner -> Plan.Project { items; slots; fused = slots; layout; input = inner }
-      in
-      wrap_residual schema layout (List.rev residual) node
-  | A.Join (l, r, _) | A.Left_outer_join (l, r, _) | A.Full_outer_join (l, r, _) ->
-      lower_join ctx filters (ctx.compile q) l r
-  | A.Union_all (l, r) -> (
-      match ctx.compile q with
-      | { op = Unioned perm; _ } ->
-          Plan.Append { left = lower ctx filters l; right = lower ctx filters r; perm }
-      | _ -> invalid_arg "Exec.Planner: not a union")
-
-(* A conjunct over join columns only goes into both inputs, whatever the
-   join kind: an output row takes its join columns from the input row it
-   came from, and a matched pair agrees on them, so the conjunct holds of
-   the output row exactly when it holds of its input rows.  Other conjuncts
-   sink only into an inner join's side that has their columns, or into a
-   left join's preserved side, never into a NULL-padded side. *)
-and lower_join ctx filters compiled l r =
-  let spec, lkey, rkey, keep =
-    match compiled.op with
-    | Joined { spec; lkey; rkey; keep } -> (spec, lkey, rkey, keep)
-    | _ -> invalid_arg "Exec.Planner: not a join"
-  in
-  let columns q = (ctx.compile q).layout in
-  let to_left, to_right, residual =
-    List.fold_left
-      (fun (tl, tr, res) f ->
-        let cols = cond_columns f in
-        if subset cols spec.Query.Join.on then (f :: tl, f :: tr, res)
-        else
-          match spec.Query.Join.kind with
-          | Query.Join.Inner ->
-              if within (columns l) cols then (f :: tl, tr, res)
-              else if within (columns r) cols then (tl, f :: tr, res)
-              else (tl, tr, f :: res)
-          | Query.Join.Left ->
-              if within (columns l) cols then (f :: tl, tr, res) else (tl, tr, f :: res)
-          | Query.Join.Full -> (tl, tr, f :: res))
-      ([], [], []) filters
-  in
-  let join =
-    { Plan.spec; left = lower ctx (List.rev to_left) l; right = lower ctx (List.rev to_right) r;
-      lkey; rkey; keep; layout = compiled.layout }
-  in
-  wrap_residual ctx.env.client compiled.layout (List.rev residual) (Plan.Hash_join join)
-
-let lower_query ctx q =
-  let* () = ctx.check q in
-  let q = ctx.simplify q in
-  let template, order = ctx.template q in
-  Ok { Plan.root = lower ctx [] q; template; order }
+      { scope; simplify; check; compile; template = memo (template_step compile) })
 
 (* Closes over the source table alone, so a caller keeping the result does
    not keep the context's node tables. *)
 let scan_layout ctx =
-  let source = ctx.source in
+  let source = ctx.scope.source in
   fun src -> (source src).layout
 
-let plan_in ctx q = Obs.Span.with_ ~name:"exec.plan" (fun () -> lower_query ctx q)
-let plan env q = Obs.Span.with_ ~name:"exec.plan" (fun () -> lower_query (context env [ q ]) q)
+let plan_in ctx q =
+  Obs.Span.with_ ~name:"exec.plan" (fun () ->
+      let n = Obs.Metric.value c_nodes in
+      let plan =
+        let* () = ctx.check q in
+        let q = ctx.simplify q in
+        let template, order = ctx.template q in
+        Ok { Plan.root = ctx.compile q; template; order }
+      in
+      Obs.Span.tag "nodes" (Obs.Metric.value c_nodes - n);
+      plan)
+
+let plan env q = plan_in (context env [ q ]) q

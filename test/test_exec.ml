@@ -597,6 +597,124 @@ let test_customer_key_lookups () =
         [ List.hd ids; List.nth ids (List.length ids / 2); -1 ])
     (Edm.Schema.entity_sets schema)
 
+(* -- the tree lowering as oracle ---------------------------------------------- *)
+
+(* [plan] is the plan [Lower_tree] lowers [q] to: the same root and order,
+   and an equal template. *)
+let check_oracle msg env q (plan : Plan.t) =
+  let tree = ok_exn (Lower_tree.plan env q) in
+  if
+    not
+      (plan.Plan.root = tree.Plan.root && plan.Plan.order = tree.Plan.order
+      && Datum.Row.equal plan.Plan.template tree.Plan.template)
+  then
+    Alcotest.failf "%s: the planner's plan differs from the tree lowering's:@.%s@.tree:@.%s" msg
+      (Plan.show plan) (Plan.show tree)
+
+(* Each client query read through one session of [st], against the tree
+   lowering of its unfolding; a query that does not unfold is skipped. *)
+let check_reads msg st queries =
+  let env = st.Core.State.env in
+  let session = Core.Session.start st in
+  List.iter
+    (fun q ->
+      match Query.Unfold.client_query env st.Core.State.query_views q with
+      | Error _ -> ()
+      | Ok unfolded ->
+          check_oracle (msg ^ ": " ^ A.show q) env unfolded
+            (ok_exn (Core.Session.query_plan session q)))
+    queries
+
+let value_of = function
+  | D.Int -> V.Int 1
+  | D.String | D.Enum _ -> V.String "a"
+  | D.Bool -> V.Bool true
+  | D.Decimal -> V.Decimal 1.0
+
+(* A set's first attribute outside its key, if it has one. *)
+let non_key_attribute schema set =
+  let root = Option.get (Edm.Schema.set_root schema set) in
+  let key = Edm.Schema.key_of schema root in
+  List.find_opt (fun (a, _) -> not (List.mem a key)) (Edm.Schema.attributes schema root)
+
+(* A whole-set scan, a key lookup, a filter on an attribute outside the
+   key, and an [IS OF] filter on the set's last type. *)
+let set_reads schema set =
+  let scan = A.Scan (A.Entity_set set) in
+  let root = Option.get (Edm.Schema.set_root schema set) in
+  let key = List.hd (Edm.Schema.key_of schema root) in
+  let last = List.hd (List.rev (Edm.Schema.subtypes schema root)) in
+  [ scan; A.Select (C.Cmp (key, C.Eq, V.Int 7), scan); A.Select (C.Is_of last, scan) ]
+  @ (match non_key_attribute schema set with
+    | Some (a, d) -> [ A.Select (C.Cmp (a, C.Eq, value_of d), scan) ]
+    | None -> [])
+
+(* Key filters as [prop_key_filter_pushdown] draws them: [Planner.plan] of
+   the whole query, and [plan_in] of the second half of the conjuncts over
+   a view that applies the first half to the join, below a projection that
+   reverses its columns (so simplification keeps the two selections apart),
+   where both halves meet in the same scans and residual filters. *)
+let check_key_filters () =
+  let rand = Random.State.make [| 38 |] in
+  List.iteri
+    (fun i c ->
+      let msg = Printf.sprintf "key filter %d" i in
+      let q = kf_query c in
+      check_oracle msg kf_env q (ok_exn (Planner.plan kf_env q));
+      let join = match q with A.Select (_, join) -> join | q -> q in
+      let own = List.filteri (fun k _ -> 2 * k < List.length c.conjuncts) c.conjuncts
+      and pushed = List.filteri (fun k _ -> 2 * k >= List.length c.conjuncts) c.conjuncts in
+      let view =
+        A.project_cols (List.rev (ok_exn (A.infer kf_env join))) (A.Select (C.conj own, join))
+      in
+      let q = A.Select (C.conj pushed, view) in
+      check_oracle (msg ^ " over a view") kf_env q
+        (ok_exn (Planner.plan_in (Planner.context kf_env [ view ]) q)))
+    (QCheck.Gen.generate ~rand ~n:300 gen_kf_case)
+
+(* Every table plan IVM compiles, against the tree lowering of its view. *)
+let check_update_views msg env uv =
+  let views = Query.View.update_view_bindings uv in
+  List.iter
+    (fun (tp : Ivm.Plan.table_plan) ->
+      check_oracle (msg ^ ": " ^ tp.Ivm.Plan.table) env (List.assoc tp.Ivm.Plan.table views)
+        tp.Ivm.Plan.root)
+    (ok_exn (Ivm.Plan.compile env uv)).Ivm.Plan.tables
+
+let compiled_state env frags =
+  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+
+(* The planner memoizes each view node's plan and pushes a query's filters
+   down it; the plans are the ones lowering each query afresh gives. *)
+let test_tree_lowering () =
+  let st = Lazy.force customer in
+  let schema = st.Core.State.env.Query.Env.client in
+  check_reads "customer" st
+    (List.concat_map (fun (set, _) -> set_reads schema set) (Edm.Schema.entity_sets schema));
+  let paper = Core.State.of_compiled env P.stage4.P.fragments (Lazy.force compiled) in
+  let ci =
+    List.map
+      (fun text -> ok_exn (Surface.Elaborate.query env (ok_exn (Surface.Parser.query text))))
+      [ "select Id, Name from Persons where is of Employee";
+        "select Id, Name from Persons where Id = 4"; "select * from Supports" ]
+  in
+  check_reads "paper stage 4" paper
+    (List.map snd (paper_client_queries @ client_facing_queries) @ ci);
+  for seed = 0 to 29 do
+    let renv, frags = Workload.Random_model.generate ~profile ~seed () in
+    let rschema = renv.Query.Env.client in
+    check_reads (Printf.sprintf "seed %d" seed) (compiled_state renv frags)
+      (List.concat_map (fun (set, _) -> set_reads rschema set) (Edm.Schema.entity_sets rschema)
+      @ List.map
+          (fun (a : Edm.Association.t) -> A.Scan (A.Assoc_set a.Edm.Association.name))
+          (Edm.Schema.associations rschema))
+  done;
+  check_key_filters ();
+  check_update_views "paper" env (uv ());
+  let cenv, cfrags = Workload.Chain.generate ~size:10 in
+  check_update_views "chain-10" cenv (compiled_state cenv cfrags).Core.State.update_views;
+  check_update_views "customer" st.Core.State.env st.Core.State.update_views
+
 (* -- session plan cache ----------------------------------------------------- *)
 
 (* Stage 1 -> Add_entity Employee, as in the paper pipeline. *)
@@ -718,6 +836,52 @@ let test_plan_memory_flat () =
   let grown_mb = float_of_int (words () - w0) *. float_of_int (Sys.word_size / 8) /. 1e6 in
   if grown_mb > 0.25 then Alcotest.failf "session grew by %.2f MB over 10,000 reads" grown_mb
 
+(* Plans share the context's view plans: two whole-set reads of Set1
+   return one plan, and a filter on a root attribute of Set1, once AE-TPT
+   has put a left outer join over its chain, sinks into the left input of
+   each join it passes and leaves every right input the view plan's own
+   node. *)
+let test_plan_sharing () =
+  let st = Lazy.force customer in
+  let session = Core.Session.start st in
+  let scan = A.Scan (A.Entity_set "Set1") in
+  let read session q = ok_exn (Core.Session.query_plan session q) in
+  checkb "two whole-set reads share one plan" true
+    ((read session scan).Plan.root == (read session scan).Plan.root);
+  let st = ok_v (Core.Engine.apply st (List.assoc "AE-TPT" (Workload.Customer.smo_suite ()))) in
+  let session = Core.Session.start st in
+  let schema = st.Core.State.env.Query.Env.client in
+  let a, d = Option.get (non_key_attribute schema "Set1") in
+  let view = (read session scan).Plan.root in
+  let filtered = (read session (A.Select (C.Cmp (a, C.Eq, value_of d), scan))).Plan.root in
+  let rec nodes acc node =
+    let acc = node :: acc in
+    match node with
+    | Plan.Scan _ -> acc
+    | Plan.Filter { input; _ } | Plan.Project { input; _ } -> nodes acc input
+    | Plan.Hash_join { left; right; _ } | Plan.Append { left; right; _ } ->
+        nodes (nodes acc left) right
+  in
+  let shared = nodes [] view in
+  let rec joins node =
+    match node with
+    | Plan.Scan _ -> []
+    | Plan.Filter { input; _ } | Plan.Project { input; _ } -> joins input
+    | Plan.Hash_join { left; right; _ } -> node :: (joins left @ joins right)
+    | Plan.Append { left; right; _ } -> joins left @ joins right
+  in
+  let rebuilt = List.filter (fun j -> not (List.memq j shared)) (joins filtered) in
+  checkb "the filter sinks into a left outer join's left input" true
+    (List.exists
+       (function Plan.Hash_join { spec; _ } -> spec.Query.Join.kind = Query.Join.Left | _ -> false)
+       rebuilt);
+  List.iter
+    (function
+      | Plan.Hash_join { right; _ } ->
+          checkb "each join's right input is the view plan's" true (List.memq right shared)
+      | _ -> ())
+    rebuilt
+
 let () =
   Alcotest.run "exec"
     [
@@ -751,10 +915,12 @@ let () =
         ] );
       ( "key lookups",
         [ Alcotest.test_case "customer lookups probe indexes" `Quick test_customer_key_lookups ] );
+      ("oracle", [ Alcotest.test_case "plans equal the tree lowering" `Quick test_tree_lowering ]);
       ( "plan cache",
         [
           Alcotest.test_case "SMO invalidates, undo/redo restore" `Quick test_plan_cache;
           Alcotest.test_case "one context for every query" `Quick test_one_context_per_state;
           Alcotest.test_case "flat over distinct reads" `Quick test_plan_memory_flat;
+          Alcotest.test_case "reads share the view plans" `Quick test_plan_sharing;
         ] );
     ]
