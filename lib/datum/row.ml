@@ -13,6 +13,7 @@ let mapi f r = M.mapi f r
 let remove c r = M.remove c r
 let columns r = List.map fst (M.bindings r)
 let cardinal r = M.cardinal r
+let values layout r = Array.map (fun c -> Option.value ~default:Value.Null (M.find_opt c r)) layout
 
 let project cols r =
   List.fold_left

@@ -27,6 +27,11 @@ val remove : string -> t -> t
 val columns : t -> string list
 val cardinal : t -> int
 
+val values : string array -> t -> Value.t array
+(** [values layout r] holds [r]'s value of each column of [layout] at that
+    column's position, [NULL] for a column [r] lacks: the positional form
+    every row takes in the plan runtimes. *)
+
 val project : string list -> t -> t
 (** Keep only the named columns.  Absent columns are silently dropped, so
     projection never invents bindings. *)

@@ -36,16 +36,16 @@ let scan_layout env src =
     | Query.Algebra.Assoc_set a -> Query.Env.assoc_set_columns env a
     | Query.Algebra.Table tb -> Query.Env.table_columns env tb)
 
-let scan_row layout row =
-  Array.map (fun c -> Option.value ~default:Datum.Value.Null (Datum.Row.find c row)) layout
-
 let source t src =
   match Source_tbl.find t.sources src with
   | s -> s
   | exception Not_found ->
       let layout = scan_layout t.env src in
       let rows =
-        List.map (scan_row layout) (Query.Eval.rows t.env t.db (Query.Algebra.Scan src))
+        match src with
+        | Query.Algebra.Table table -> Relational.Instance.values t.db.Query.Eval.store ~table layout
+        | Query.Algebra.Entity_set _ | Query.Algebra.Assoc_set _ ->
+            List.map (Datum.Row.values layout) (Query.Eval.rows t.env t.db (Query.Algebra.Scan src))
       in
       let s = { rows; indexes = Array.make (Array.length layout) None } in
       Source_tbl.add t.sources src s;

@@ -8,7 +8,14 @@
     column the stored row lacks holds [NULL]).  Indexes are keyed by slot.
     They skip rows whose key column is [NULL] (so a probe equals
     [σ(col = v)] with SQL three-valued equality) and a [NULL] probe value
-    returns nothing. *)
+    returns nothing.
+
+    A store table's rows come from {!Relational.Instance.values}: the arrays
+    are part of the table's value, so an instance over a later store (after
+    an IVM step, say) shares them for every table the step left alone.
+    Indexes stay with the instance that built them: each instance builds,
+    and counts, its own, so two runs of the same reads from the same store
+    do the same counted work. *)
 
 type t
 
@@ -19,10 +26,6 @@ module Value_tbl : Hashtbl.S with type key = Datum.Value.t
     hash joins' tables. *)
 
 val scan_layout : Query.Env.t -> Query.Algebra.source -> string array
-
-val scan_row : string array -> Datum.Row.t -> row
-(** A source's row in its scan layout, as every row enters both positional
-    runtimes: here and in [Ivm.Apply]. *)
 
 val make : Query.Env.t -> Query.Eval.db -> t
 val db : t -> Query.Eval.db

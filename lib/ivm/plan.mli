@@ -40,5 +40,5 @@ val readers : t -> Query.Algebra.source -> table_plan list
 
 val scan_row : t -> Query.Algebra.source -> Datum.Row.t -> Exec.Idb.row
 (** A row of a client source in the source's scan layout
-    ([Exec.Idb.scan_row]): how every row enters the engine.  Apply it to
+    ([Datum.Row.values]): how every row enters the engine.  Apply it to
     [t] and [src] once per source: the layout is looked up then. *)

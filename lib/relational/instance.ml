@@ -1,15 +1,33 @@
 module M = Map.Make (String)
 
-type t = Datum.Row.t list M.t
+(* A table's rows, and their value arrays in the layout [values] last
+   gave them in, filled on first use.  Every change makes a new record, so
+   the arrays always belong to the rows beside them. *)
+type table = {
+  rows : Datum.Row.t list;
+  mutable values : (string array * Datum.Value.t array list) option;
+}
+
+type t = table M.t
 
 let empty = M.empty
+let table rows = { rows; values = None }
 
-let add_row ~table r t =
-  M.update table (function None -> Some [ r ] | Some l -> Some (r :: l)) t
+let add_row ~table:name r t =
+  M.update name (function None -> Some (table [ r ]) | Some tb -> Some (table (r :: tb.rows))) t
 
-let set_rows ~table rows t = M.add table rows t
-let rows t ~table = Option.value ~default:[] (M.find_opt table t)
+let set_rows ~table:name rows t = M.add name (table rows) t
+let rows t ~table = match M.find_opt table t with Some tb -> tb.rows | None -> []
 let tables t = List.map fst (M.bindings t)
+
+let values t ~table layout =
+  match M.find_opt table t with
+  | None -> []
+  | Some { values = Some (l, vs); _ } when l = layout -> vs
+  | Some tb ->
+      let vs = List.map (Datum.Row.values layout) tb.rows in
+      tb.values <- Some (Array.copy layout, vs);
+      vs
 
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -51,10 +69,8 @@ let check_key (tbl : Table.t) rows =
   | Some k -> fail "duplicate key %s in table %s" (Datum.Row.show k) tbl.name
   | None -> Ok ()
 
-let check_fk t (tbl : Table.t) (fk : Table.foreign_key) rows =
-  let targets =
-    List.map (Datum.Row.project fk.ref_columns) (Option.value ~default:[] (M.find_opt fk.ref_table t))
-  in
+let check_fk t (tbl : Table.t) (fk : Table.foreign_key) rs =
+  let targets = List.map (Datum.Row.project fk.ref_columns) (rows t ~table:fk.ref_table) in
   Datum.Results.all_ok
     (fun r ->
       let src = List.map (fun c -> Datum.Row.get c r) fk.fk_columns in
@@ -65,7 +81,7 @@ let check_fk t (tbl : Table.t) (fk : Table.foreign_key) rows =
         else
           fail "foreign key %s(%s) -> %s: dangling reference %s" tbl.name
             (String.concat "," fk.fk_columns) fk.ref_table (Datum.Row.show image))
-    rows
+    rs
 
 let conforms schema t =
   Datum.Results.all_ok
@@ -84,16 +100,16 @@ let conforms schema t =
 let equal a b =
   let norm m =
     M.filter_map
-      (fun _ l -> match List.sort_uniq Datum.Row.compare l with [] -> None | l -> Some l)
+      (fun _ tb -> match List.sort_uniq Datum.Row.compare tb.rows with [] -> None | l -> Some l)
       m
   in
   M.equal (List.equal Datum.Row.equal) (norm a) (norm b)
 
 let pp fmt t =
-  let pp_table fmt (name, rs) =
+  let pp_table fmt (name, tb) =
     Format.fprintf fmt "  %s: %a" name
       (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ") Datum.Row.pp)
-      (List.sort_uniq Datum.Row.compare rs)
+      (List.sort_uniq Datum.Row.compare tb.rows)
   in
   Format.fprintf fmt "@[<v>%a@]" (Format.pp_print_list pp_table) (M.bindings t)
 

@@ -597,6 +597,167 @@ let test_customer_key_lookups () =
         [ List.hd ids; List.nth ids (List.length ids / 2); -1 ])
     (Edm.Schema.entity_sets schema)
 
+(* -- reads over the maintained store ------------------------------------------ *)
+
+type request = Read of A.t | Write of Dml.Delta.t
+
+(* A set's first attribute outside its key, if it has one. *)
+let non_key_attribute schema set =
+  let root = Option.get (Edm.Schema.set_root schema set) in
+  let key = Edm.Schema.key_of schema root in
+  List.find_opt (fun (a, _) -> not (List.mem a key)) (Edm.Schema.attributes schema root)
+
+(* The key of a set's first entity, if it has one. *)
+let first_id schema inst set =
+  let root = Option.get (Edm.Schema.set_root schema set) in
+  let key = List.hd (Edm.Schema.key_of schema root) in
+  match Edm.Instance.entities inst ~set with
+  | e :: _ -> (
+      match Datum.Row.get key e.Edm.Instance.attrs with
+      | V.Int n -> Some n
+      | _ -> Alcotest.failf "%s: non-integer key" set)
+  | [] -> None
+
+(* The customer IVM handle over 20 entities per set, and a fixed stream in
+   [serve]'s shape: a scan of the first association, then per entity set a
+   key lookup and a whole-set scan, a write that inserts an entity of the
+   set's root type and updates an attribute of its first entity, a key
+   lookup of the new entity and one in the next set, which the write left
+   alone. *)
+let customer_stream () =
+  let st = Lazy.force customer in
+  let env = st.Core.State.env in
+  let schema = env.Query.Env.client in
+  let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:20 schema in
+  let rs = Random.State.make [| 39 |] in
+  let sets = Edm.Schema.entity_sets schema in
+  let requests =
+    List.concat
+      (List.mapi
+         (fun i (set, root) ->
+           let key = List.hd (Edm.Schema.key_of schema root) in
+           let id = first_id schema inst set and fresh = 1_000_000 + i in
+           let attrs =
+             List.map
+               (fun (a, dom) ->
+                 if a = key then (a, V.Int fresh) else (a, Roundtrip.Generate.value_for rs dom))
+               (Edm.Schema.attributes schema root)
+           in
+           let update =
+             match id, non_key_attribute schema set with
+             | Some id, Some (a, dom) ->
+                 [ Dml.Delta.Update_entity
+                     { set; key = Datum.Row.of_list [ (key, V.Int id) ];
+                       changes = [ (a, Roundtrip.Generate.value_for rs dom) ] } ]
+             | _ -> []
+           in
+           let next = fst (List.nth sets ((i + 1) mod List.length sets)) in
+           let lookup set id = Option.to_list (Option.map (fun id -> Read (key_lookup schema set id)) id) in
+           lookup set id
+           @ [ Read (A.Scan (A.Entity_set set));
+               Write (Dml.Delta.Insert_entity { set; entity = Edm.Instance.entity ~etype:root attrs }
+                      :: update);
+               Read (key_lookup schema set fresh) ]
+           @ lookup next (first_id schema inst next))
+         sets)
+  in
+  let assoc = List.hd (Edm.Schema.associations schema) in
+  let ivm0 = ok_exn (Dml.Translate.ivm_init env st.Core.State.update_views inst) in
+  (st, inst, ivm0, Read (A.Scan (A.Assoc_set assoc.Edm.Association.name)) :: requests)
+
+(* The work counters a pass reports: the ones [serve]'s traced run
+   requires to repeat. *)
+let counted (name, _) =
+  List.mem name [ "exec.index.builds"; "exec.index.hits"; "exec.plan.nodes" ]
+  || String.starts_with ~prefix:"exec.rows." name
+  || String.starts_with ~prefix:"ivm.rows." name
+
+(* One pass of [requests] from [ivm0], as [serve] runs it: reads planned
+   through a new session of [st] and run on an [Idb] of the current store,
+   IVM writes, and a new [Idb] after each write.  Returns the counted
+   deltas and each read's rows. *)
+let replay st ivm0 requests =
+  let env = st.Core.State.env in
+  let session = Core.Session.start st in
+  let idb_of ivm = Idb.make env (Query.Eval.store_db (Dml.Translate.ivm_store ivm)) in
+  let before = Obs.Metric.snapshot () in
+  let _, _, reads =
+    List.fold_left
+      (fun (ivm, idb, reads) -> function
+        | Read q -> (ivm, idb, Run.rows idb (ok_exn (Core.Session.query_plan session q)) :: reads)
+        | Write delta ->
+            let _, ivm = ok_exn (Dml.Translate.ivm_step ivm delta) in
+            (ivm, idb_of ivm, reads))
+      (ivm0, idb_of ivm0, []) requests
+  in
+  let d = Obs.Metric.diff before (Obs.Metric.snapshot ()) in
+  (List.filter counted d.Obs.Metric.counters, List.rev reads)
+
+(* Both passes of a traced [serve] run start from one IVM handle, and the
+   second must count the first's work: a store table may keep its value
+   arrays across passes, but not anything a counter sees, such as its
+   indexes. *)
+let test_passes_repeat () =
+  let st, _, ivm0, requests = customer_stream () in
+  let counts1, reads1 = replay st ivm0 requests in
+  let counts2, reads2 = replay st ivm0 requests in
+  check Alcotest.(list (pair string int)) "the second pass counts the first's work" counts1 counts2;
+  checkb "the same rows" true (List.equal bag_equal reads1 reads2);
+  List.iter
+    (fun name ->
+      checkb (name ^ " counted") true
+        (match List.assoc_opt name counts1 with Some n -> n > 0 | None -> false))
+    [ "exec.index.builds"; "exec.index.hits"; "exec.rows.scanned"; "ivm.rows.scan" ]
+
+(* An [Idb] over the store after IVM steps answers every customer key
+   lookup and set scan as [Query.Eval.rows] does.  Each store is read
+   before the next step, so the tables a step leaves alone enter the next
+   [Idb] with the arrays converted for the last one, and do so [==]. *)
+let test_reads_after_steps () =
+  let st, inst, ivm0, requests = customer_stream () in
+  let env = st.Core.State.env in
+  let schema = env.Query.Env.client in
+  let session = Core.Session.start st in
+  let reads =
+    List.concat
+      (List.mapi
+         (fun i (set, _) ->
+           [ A.Scan (A.Entity_set set); key_lookup schema set (1_000_000 + i) ]
+           @ Option.to_list (Option.map (key_lookup schema set) (first_id schema inst set)))
+         (Edm.Schema.entity_sets schema))
+  in
+  let check_reads msg ivm =
+    let db = Query.Eval.store_db (Dml.Translate.ivm_store ivm) in
+    let idb = Idb.make env db in
+    List.iter
+      (fun q ->
+        let unfolded = ok_exn (Query.Unfold.client_query env st.Core.State.query_views q) in
+        check_bags (msg ^ ": " ^ A.show q) (Query.Eval.rows env db unfolded)
+          (Run.rows idb (ok_exn (Core.Session.query_plan session q))))
+      reads
+  in
+  let values store table =
+    Relational.Instance.values store ~table (Idb.scan_layout env (A.Table table))
+  in
+  check_reads "before the steps" ivm0;
+  let writes = List.filter_map (function Write d -> Some d | Read _ -> None) requests in
+  ignore
+    (List.fold_left
+       (fun (k, ivm) delta ->
+         let _, ivm' = ok_exn (Dml.Translate.ivm_step ivm delta) in
+         let old_store = Dml.Translate.ivm_store ivm and store = Dml.Translate.ivm_store ivm' in
+         List.iter
+           (fun t ->
+             if Relational.Instance.rows old_store ~table:t == Relational.Instance.rows store ~table:t
+             then
+               checkb (Printf.sprintf "step %d: %s keeps its arrays" k t) true
+                 (values old_store t == values store t))
+           (Relational.Instance.tables store);
+         if k = 0 || k = List.length writes - 1 then
+           check_reads (Printf.sprintf "after step %d" k) ivm';
+         (k + 1, ivm'))
+       (0, ivm0) writes)
+
 (* -- the tree lowering as oracle ---------------------------------------------- *)
 
 (* [plan] is the plan [Lower_tree] lowers [q] to: the same root and order,
@@ -630,12 +791,6 @@ let value_of = function
   | D.String | D.Enum _ -> V.String "a"
   | D.Bool -> V.Bool true
   | D.Decimal -> V.Decimal 1.0
-
-(* A set's first attribute outside its key, if it has one. *)
-let non_key_attribute schema set =
-  let root = Option.get (Edm.Schema.set_root schema set) in
-  let key = Edm.Schema.key_of schema root in
-  List.find_opt (fun (a, _) -> not (List.mem a key)) (Edm.Schema.attributes schema root)
 
 (* A whole-set scan, a key lookup, a filter on an attribute outside the
    key, and an [IS OF] filter on the set's last type. *)
@@ -915,6 +1070,11 @@ let () =
         ] );
       ( "key lookups",
         [ Alcotest.test_case "customer lookups probe indexes" `Quick test_customer_key_lookups ] );
+      ( "maintained store",
+        [
+          Alcotest.test_case "passes from one handle repeat their counts" `Quick test_passes_repeat;
+          Alcotest.test_case "reads after IVM steps" `Quick test_reads_after_steps;
+        ] );
       ("oracle", [ Alcotest.test_case "plans equal the tree lowering" `Quick test_tree_lowering ]);
       ( "plan cache",
         [

@@ -102,6 +102,73 @@ let test_instance_equal () =
     (Relational.Instance.equal Relational.Instance.empty
        (Relational.Instance.set_rows ~table:"HR" [] Relational.Instance.empty))
 
+(* -- value arrays ------------------------------------------------------------ *)
+
+let names = [| "A"; "B"; "C" |]
+let layouts = [| [| "x"; "y"; "z" |]; [| "z"; "w"; "x" |] |]
+
+type op = Set of int * Datum.Row.t list | Add of int * Datum.Row.t
+
+let show_op = function
+  | Set (i, rs) -> Printf.sprintf "set %s [%s]" names.(i) (String.concat "; " (List.map Datum.Row.show rs))
+  | Add (i, r) -> Printf.sprintf "add %s %s" names.(i) (Datum.Row.show r)
+
+(* Rows over some of the columns the layouts name, and one they do not. *)
+let gen_row =
+  QCheck.Gen.(
+    map row
+      (list_size (int_bound 3)
+         (pair (oneofl [ "w"; "x"; "y"; "q" ])
+            (frequency [ (1, return V.Null); (4, map (fun n -> V.Int n) (int_bound 5)) ]))))
+
+let gen_op =
+  QCheck.Gen.(
+    oneof
+      [ map2 (fun i rs -> Set (i, rs)) (int_bound 2) (list_size (int_bound 4) gen_row);
+        map2 (fun i r -> Add (i, r)) (int_bound 2) gen_row ])
+
+let arb_ops =
+  QCheck.make ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
+    QCheck.Gen.(list_size (int_bound 12) gen_op)
+
+let same_arrays = List.equal (Array.for_all2 (fun u v -> V.compare u v = 0))
+let oracle t table layout = List.map (Datum.Row.values layout) (Relational.Instance.rows t ~table)
+
+(* After each step of a random [set_rows]/[add_row] sequence, every
+   table's [values] is the conversion of its rows, in each of two layouts
+   asked for in turn; a table the step left alone keeps its arrays [==];
+   and the arrays change neither [equal] nor [pp]. *)
+let prop_values =
+  qtest "values ≡ converted rows" arb_ops (fun ops ->
+      let module I = Relational.Instance in
+      let step t op =
+        let touched, t' =
+          match op with
+          | Set (i, rs) -> (i, I.set_rows ~table:names.(i) rs t)
+          | Add (i, r) -> (i, I.add_row ~table:names.(i) r t)
+        in
+        Array.iteri
+          (fun i table ->
+            let before = I.values t ~table layouts.(0) in
+            let vs = I.values t' ~table layouts.(0) in
+            if i <> touched && vs != before then
+              QCheck.Test.fail_reportf "%s: left alone, converted again" table;
+            Array.iter
+              (fun layout ->
+                if not (same_arrays (I.values t' ~table layout) (oracle t' table layout)) then
+                  QCheck.Test.fail_reportf "%s: values differ from the converted rows" table)
+              layouts)
+          names;
+        let fresh =
+          List.fold_left (fun acc table -> I.set_rows ~table (I.rows t' ~table) acc) I.empty (I.tables t')
+        in
+        if not (I.equal fresh t' && I.show fresh = I.show t') then
+          QCheck.Test.fail_reportf "the arrays change equal or pp";
+        t'
+      in
+      ignore (List.fold_left step I.empty ops);
+      true)
+
 let () =
   Alcotest.run "relational"
     [
@@ -116,5 +183,6 @@ let () =
           Alcotest.test_case "conforms" `Quick test_instance_conforms;
           Alcotest.test_case "foreign keys" `Quick test_instance_fks;
           Alcotest.test_case "equality" `Quick test_instance_equal;
+          prop_values;
         ] );
     ]
