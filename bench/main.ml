@@ -901,7 +901,8 @@ let exec_once st db idb q plan =
   (rows, agrees, rows_scanned, rows_joined, unfolded)
 
 (* The plan nodes one more planning of [q] through [session] builds rather
-   than finds in its planner context ([exec.plan.nodes]). *)
+   than finds in its planner context ([exec.plan.nodes]): for a shape the
+   session has prepared, the nodes binding [q]'s literals rebuilds. *)
 let plan_nodes session q =
   let nodes = Obs.Metric.counter "exec.plan.nodes" in
   let n = Obs.Metric.value nodes in
@@ -914,10 +915,15 @@ let plan_nodes session q =
    set).  One TPT set (Set1, 95 tables), one TPH set (Set2, 22 scans of one
    table) and one set with a TPC type (Set4 after the suite's AE-TPC, read
    at a key of the new type).  Each read takes the next key of the set, so
-   the figures cover planning a fresh literal, not one cached plan.  Each
-   set also gives the [phase_rows] of one traced read.  [fresh_read_*] are
-   the same reads, each on a new [Exec.Idb] over the same store: what a
-   read pays after a write for the tables the write left alone. *)
+   the figures cover binding a fresh literal into the session's prepared
+   plan of the lookup's shape ([Exec.Planner.plan_read]), not one plan
+   reused.  [cold_plan_*] plan the same fresh literals with
+   [Exec.Planner.plan_in], bypassing the prepared plans, in a context over
+   the same views: what a read paid for planning before plans were
+   prepared.  Each set also gives the [phase_rows] of one traced read.
+   [fresh_read_*] are the same reads, each on a new [Exec.Idb] over the
+   same store: what a read pays after a write for the tables the write
+   left alone. *)
 let customer_lookups st =
   let ok = function Ok x -> x | Error e -> failwith e in
   let module A = Query.Algebra in
@@ -941,6 +947,9 @@ let customer_lookups st =
       in
       let q = queries.(Array.length queries / 2) in
       let plan = ok (Core.Session.query_plan session q) in
+      let env = st.Core.State.env and views = st.Core.State.query_views in
+      let ctx = Exec.Planner.context env (Query.View.queries views Query.View.no_update_views) in
+      let spliced = Array.map (fun q -> ok (Query.Unfold.splice env views q)) queries in
       let _, agrees, rows_scanned, _, unfolded = exec_once st db idb q plan in
       let next = ref 0 in
       let _, read_ms, read_mb =
@@ -956,6 +965,12 @@ let customer_lookups st =
             let idb = Exec.Idb.make st.Core.State.env db in
             Exec.Run.rows idb (ok (Core.Session.query_plan session q)))
       in
+      let _, cold_ms, cold_mb =
+        sample (fun () ->
+            let q = spliced.(!next mod Array.length spliced) in
+            incr next;
+            Exec.Planner.plan_in ctx q)
+      in
       let _, run_ms, run_mb = sample (fun () -> Exec.Run.rows idb plan) in
       if not agrees then failwith (Printf.sprintf "exec/%s key lookup disagrees with Eval.rows" set);
       let phases =
@@ -965,6 +980,7 @@ let customer_lookups st =
       ( [ ("set", str set); ("mapping", str style); ("tables", int (List.length (A.sources unfolded)));
           ("read_ns", num 1 (read_ms *. 1e6)); ("read_alloc_mb", num 4 read_mb);
           ("fresh_read_ns", num 1 (fresh_ms *. 1e6)); ("fresh_read_alloc_mb", num 4 fresh_mb);
+          ("cold_plan_ns", num 1 (cold_ms *. 1e6)); ("cold_plan_alloc_mb", num 4 cold_mb);
           ("run_ns", num 1 (run_ms *. 1e6)); ("alloc_mb", num 4 run_mb);
           ("rows_scanned", int rows_scanned);
           ("scans", int (Exec.Plan.scans plan)); ("index_scans", int (Exec.Plan.index_scans plan));

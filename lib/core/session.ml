@@ -85,10 +85,8 @@ let rollback_to ~name t =
 
 let query_plan t q =
   let { state = { State.env; query_views; _ }; planner } = t.present in
-  let planner = Lazy.force planner in
-  Result.bind
-    (Obs.Span.with_ ~name:"query.unfold" (fun () -> Query.Unfold.splice env query_views q))
-    (Exec.Planner.plan_in planner)
+  Exec.Planner.plan_read (Lazy.force planner) q ~unfold:(fun q ->
+      Obs.Span.with_ ~name:"query.unfold" (fun () -> Query.Unfold.splice env query_views q))
 
 let lint t =
   let st = t.present.state in

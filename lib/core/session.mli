@@ -10,8 +10,9 @@
 
     A session is a persistent value but not a domain-safe one: each held
     state's planner context is a [Lazy.t] that {!query_plan} forces, and
-    [Lazy.force] may not race across domains.  Use a session from one domain
-    at a time. *)
+    [Lazy.force] may not race across domains, nor may two reads add to the
+    context's table of prepared plans at once.  Use a session from one
+    domain at a time. *)
 
 type entry = { smo : Smo.t; timing : Engine.timing }
 
@@ -50,17 +51,23 @@ val log : t -> string
 (** A human-readable session transcript: SMOs, timings, checkpoints. *)
 
 val query_plan : t -> Query.Algebra.t -> (Exec.Plan.t, string) result
-(** The physical plan for a client query over the present state: splices
-    the query views in ([Query.Unfold.splice], span [query.unfold]) and
-    lowers the result with {!Exec.Planner.plan_in} (span [exec.plan]).
-    Every state the session holds carries one planner context over its
-    query views, built on that state's first read (span
-    [exec.plan.context]): an SMO's state gets its own, and undo, redo and
-    rollback move the states with their contexts, so they build none.
-    Sessions derived from one another share the contexts of the states they
-    share.  Plans themselves are not kept, so the plan equals a cold
-    [Exec.Planner.plan] of the unfolded query, and a stream of distinct
-    queries leaves the session's size unchanged. *)
+(** The physical plan for a client query over the present state, through
+    {!Exec.Planner.plan_read} on the present state's planner context (span
+    [exec.plan]).  The first read of a query's shape (the query with its
+    non-[NULL] comparison literals lifted out) splices the query views in
+    ([Query.Unfold.splice], span [query.unfold]) and lowers the result as
+    {!Exec.Planner.plan_in} does; a later one binds its literals into the
+    plan kept for the shape, and [exec.plan.nodes] counts the nodes the
+    binding rebuilt.  Either way the plan equals a cold
+    [Exec.Planner.plan] of the unfolded query.  Every state the session
+    holds carries one planner context over its query views, built on that
+    state's first read (span [exec.plan.context]): an SMO's state gets its
+    own, and undo, redo and rollback move the states with their contexts,
+    so they build none.  Sessions derived from one another share the
+    contexts of the states they share, prepared plans included; a new
+    session starts with none.  A context keeps at most
+    {!Exec.Planner.prepared_cap} shapes, so a stream of distinct queries
+    leaves the session's size bounded. *)
 
 val lint : t -> Lint.Diag.t list
 (** Run the static mapping analyzer over the present state: exactly

@@ -53,15 +53,21 @@ let source t src =
 
 let rows s = s.rows
 
+let bucket tbl v = match Value_tbl.find tbl v with rows -> rows | exception Not_found -> []
+
+(* A new key is added without a search or a raise, a known one extended in
+   place. *)
+let push tbl v x =
+  if Value_tbl.mem tbl v then Value_tbl.replace tbl v (x :: Value_tbl.find tbl v)
+  else Value_tbl.add tbl v [ x ]
+
 let build_index rows slot =
   let idx = Value_tbl.create (max 16 (List.length rows)) in
   (* Fold right so each bucket lists rows in scan order. *)
   List.fold_right
     (fun row () ->
       let v = row.(slot) in
-      if not (Datum.Value.is_null v) then
-        let bucket = Option.value ~default:[] (Value_tbl.find_opt idx v) in
-        Value_tbl.replace idx v (row :: bucket))
+      if not (Datum.Value.is_null v) then push idx v row)
     rows ();
   Obs.Metric.incr c_index_builds;
   idx
@@ -78,5 +84,5 @@ let lookup s slot v =
           idx
     in
     Obs.Metric.incr c_index_hits;
-    match Value_tbl.find idx v with rows -> rows | exception Not_found -> []
+    bucket idx v
   end

@@ -25,6 +25,14 @@ module Value_tbl : Hashtbl.S with type key = Datum.Value.t
 (** Tables keyed by value under [Datum.Value.compare]: the indexes' and the
     hash joins' tables. *)
 
+val bucket : 'a list Value_tbl.t -> Datum.Value.t -> 'a list
+(** [bucket tbl v] is the list bound to [v], or [[]]; a hit allocates
+    nothing. *)
+
+val push : 'a list Value_tbl.t -> Datum.Value.t -> 'a -> unit
+(** [push tbl v x] puts [x] at the head of [v]'s list, binding [v] to
+    [[x]] when it has none; it allocates no option. *)
+
 val scan_layout : Query.Env.t -> Query.Algebra.source -> string array
 
 val make : Query.Env.t -> Query.Eval.db -> t

@@ -244,6 +244,104 @@ let template_step compile template = function
       let row = Datum.Row.of_list (Array.to_list (Array.map (fun c -> (c, Datum.Value.Null)) layout)) in
       (row, Array.of_list (List.map (index layout) (Datum.Row.columns row)))
 
+(* -- prepared reads ------------------------------------------------------------ *)
+
+(* A read's shape is its client query with each non-NULL comparison literal
+   lifted out and replaced by a placeholder of the literal's domain: reads
+   that differ only in such literals share a shape.  [lift f q] is [q] with
+   [f] applied to each of them, always in the same order, and [q] itself
+   when it has none. *)
+let placeholder = function
+  | Datum.Value.Int _ -> Datum.Value.Int 0
+  | Datum.Value.String _ -> Datum.Value.String ""
+  | Datum.Value.Bool _ -> Datum.Value.Bool false
+  | Datum.Value.Decimal _ -> Datum.Value.Decimal 0.
+  | Datum.Value.Null -> Datum.Value.Null
+
+let lift f =
+  A.map_conditions
+    (C.map_atoms (function
+      | C.Cmp (a, op, v) when not (Datum.Value.is_null v) -> C.Cmp (a, op, f v)
+      | atom -> atom))
+
+(* [Hashtbl.hash] reads 10 meaningful values, which a condition of a few
+   atoms can use up before the name of the set it selects from. *)
+module Shape_tbl = Hashtbl.Make (struct
+  type t = A.t
+
+  let equal = A.equal
+  let hash = Hashtbl.hash_param 40 200
+end)
+
+(* A shape's plan, planned once with fresh copies of its first read's
+   literals as the parameters. *)
+type prepared = { plan : Plan.t; params : Datum.Value.t array }
+
+(* Binding replaces each of [params], found by physical identity, with the
+   argument at its index in [args].  A parameter is a value no view holds,
+   so every occurrence of it in a plan is one the literal it stands for was
+   pushed to.  Each function returns a term no parameter occurs in [==]. *)
+let rec bind_value params args v i =
+  if i = Array.length params then v
+  else if params.(i) == v then args.(i)
+  else bind_value params args v (i + 1)
+
+let rec bind_cond params args c =
+  match c with
+  | C.Cmp (a, op, v) ->
+      let v' = bind_value params args v 0 in
+      if v' == v then c else C.Cmp (a, op, v')
+  | C.And (x, y) ->
+      let x' = bind_cond params args x and y' = bind_cond params args y in
+      if x' == x && y' == y then c else C.And (x', y')
+  | C.Or (x, y) ->
+      let x' = bind_cond params args x and y' = bind_cond params args y in
+      if x' == x && y' == y then c else C.Or (x', y')
+  | C.True | C.False | C.Is_of _ | C.Is_of_only _ | C.Is_null _ | C.Is_not_null _ -> c
+
+let rec bind_pred params args p =
+  match p with
+  | Plan.Cmp (i, op, v) ->
+      let v' = bind_value params args v 0 in
+      if v' == v then p else Plan.Cmp (i, op, v')
+  | Plan.Both (x, y) ->
+      let x' = bind_pred params args x and y' = bind_pred params args y in
+      if x' == x && y' == y then p else Plan.Both (x', y')
+  | Plan.Either (x, y) ->
+      let x' = bind_pred params args x and y' = bind_pred params args y in
+      if x' == x && y' == y then p else Plan.Either (x', y')
+  | Plan.Always | Plan.Never | Plan.Type_in _ | Plan.Null _ | Plan.Not_null _ -> p
+
+(* A node is rebuilt when a parameter occurs in its own fields or below it,
+   and counted in [exec.plan.nodes] as planning counts it. *)
+let rec bind_node params args node =
+  match node with
+  | Plan.Scan s ->
+      let access =
+        match s.access with
+        | Plan.Full_scan -> s.access
+        | Plan.Index_eq ix ->
+            let value = bind_value params args ix.value 0 in
+            if value == ix.value then s.access else Plan.Index_eq { ix with value }
+      in
+      let filter = bind_cond params args s.filter and pred = bind_pred params args s.pred in
+      if access == s.access && filter == s.filter && pred == s.pred then node
+      else built (Plan.Scan { s with access; filter; pred })
+  | Plan.Filter f ->
+      let cond = bind_cond params args f.cond and pred = bind_pred params args f.pred in
+      let input = bind_node params args f.input in
+      if cond == f.cond && pred == f.pred && input == f.input then node
+      else built (Plan.Filter { cond; pred; input })
+  | Plan.Project p ->
+      let input = bind_node params args p.input in
+      if input == p.input then node else built (Plan.Project { p with input })
+  | Plan.Hash_join j ->
+      let left = bind_node params args j.left and right = bind_node params args j.right in
+      if left == j.left && right == j.right then node else built (Plan.Hash_join { j with left; right })
+  | Plan.Append a ->
+      let left = bind_node params args a.left and right = bind_node params args a.right in
+      if left == a.left && right == a.right then node else built (Plan.Append { a with left; right })
+
 (* Planning state for the queries planned over one set of views.  The
    tables are keyed on physical identity and hold only the views' nodes,
    before and after simplification: a query spliced over the views is
@@ -252,10 +350,12 @@ let template_step compile template = function
    [scope] holds one entry per source scanned. *)
 type context = {
   scope : scope;
+  view : A.t -> bool;
   simplify : A.t -> A.t;
   check : A.t -> (unit, string) result;
   compile : A.t -> Plan.node;
   template : A.t -> Datum.Row.t * int array;
+  prepared : prepared option Shape_tbl.t;
 }
 
 let context env views =
@@ -299,7 +399,8 @@ let context env views =
             in
             Result.map ignore (A.infer_step columns env q))
       in
-      { scope; simplify; check; compile; template = memo (template_step compile) })
+      { scope; view = keep; simplify; check; compile; template = memo (template_step compile);
+        prepared = Shape_tbl.create 16 })
 
 (* Closes over the source table alone, so a caller keeping the result does
    not keep the context's node tables. *)
@@ -320,3 +421,98 @@ let plan_in ctx q =
       plan)
 
 let plan env q = plan_in (context env [ q ]) q
+
+(* Whether simplifying [q] may fold one of its literals by value
+   ([Query.Simplify.cond] folds contradictions and duplicates): a selection
+   above the views whose condition holds a literal and another atom on the
+   literal's column, or whose input simplifies to a selection, which it
+   merges into.  Conservative: it refuses some shapes that fold nothing. *)
+let folds_literals ctx q =
+  let rec columns acc = function
+    | C.And (x, y) | C.Or (x, y) -> columns (columns acc x) y
+    | C.Cmp (a, _, _) | C.Is_null a | C.Is_not_null a -> a :: acc
+    | C.Is_of _ | C.Is_of_only _ -> Query.Env.type_column :: acc
+    | C.True | C.False -> acc
+  in
+  let meets c =
+    let cols = columns [] c in
+    C.exists_atom
+      (function
+        | C.Cmp (a, _, v) when not (Datum.Value.is_null v) ->
+            List.length (List.filter (String.equal a) cols) > 1
+        | _ -> false)
+      c
+  in
+  let rec go q =
+    (not (ctx.view q))
+    &&
+    match q with
+    | A.Scan _ -> false
+    | A.Select (c, q1) -> meets c || (match ctx.simplify q1 with A.Select _ -> true | _ -> false) || go q1
+    | A.Project (_, q1) -> go q1
+    | A.Join (l, r, _) | A.Left_outer_join (l, r, _) | A.Full_outer_join (l, r, _) | A.Union_all (l, r) ->
+        go l || go r
+  in
+  go q
+
+let c_hit = Obs.Metric.counter "exec.plan.cache.hit"
+let c_miss = Obs.Metric.counter "exec.plan.cache.miss"
+
+(* The most shapes one context keeps prepared; a context that holds this
+   many starts over empty. *)
+let prepared_cap = 256
+let prepared ctx = Shape_tbl.length ctx.prepared
+
+(* A copy of [v] that no plan holds yet. *)
+let fresh = function
+  | Datum.Value.Int n -> Datum.Value.Int (Sys.opaque_identity n)
+  | Datum.Value.String s -> Datum.Value.String (Sys.opaque_identity s)
+  | Datum.Value.Bool b -> Datum.Value.Bool (Sys.opaque_identity b)
+  | Datum.Value.Decimal f -> Datum.Value.Decimal (Sys.opaque_identity f)
+  | Datum.Value.Null -> Datum.Value.Null
+
+let plan_read ctx ~unfold q =
+  let literals = ref [] in
+  let shape =
+    lift
+      (fun v ->
+        literals := v :: !literals;
+        placeholder v)
+      q
+  in
+  match Shape_tbl.find_opt ctx.prepared shape with
+  | Some (Some p) ->
+      Obs.Metric.incr c_hit;
+      Obs.Span.with_ ~name:"exec.plan" (fun () ->
+          let n = Obs.Metric.value c_nodes in
+          let plan =
+            if Array.length p.params = 0 then p.plan
+            else
+              { p.plan with root = bind_node p.params (Array.of_list (List.rev !literals)) p.plan.root }
+          in
+          Obs.Span.tag "nodes" (Obs.Metric.value c_nodes - n);
+          Ok plan)
+  | Some None ->
+      Obs.Metric.incr c_miss;
+      let* q = unfold q in
+      plan_in ctx q
+  | None ->
+      Obs.Metric.incr c_miss;
+      let params = Array.of_list (List.rev_map fresh !literals) in
+      let k = ref (-1) in
+      let* q =
+        unfold
+          (lift
+             (fun _ ->
+               incr k;
+               params.(!k))
+             q)
+      in
+      let* plan = plan_in ctx q in
+      let entry =
+        if Array.length params > 0 && folds_literals ctx q then None
+        else Some { plan; params }
+      in
+      if Shape_tbl.length ctx.prepared >= prepared_cap then Shape_tbl.reset ctx.prepared;
+      Shape_tbl.add ctx.prepared shape entry;
+      Ok plan

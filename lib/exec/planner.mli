@@ -29,14 +29,16 @@ type context
 (** Planning state for the queries planned over one set of views: a
     [Query.Simplify.query] table, a typing table, each node's unfiltered
     plan and the root templates, all keyed on physical identity and
-    holding only the views' nodes, before and after simplification; and
-    each scanned source's layout and slot table.  A query whose views were
+    holding only the views' nodes, before and after simplification; each
+    scanned source's layout and slot table; and the prepared plans of
+    {!plan_read}, at most {!prepared_cap}.  A query whose views were
     spliced in [==] ([Query.Unfold.splice]) is simplified, typed and
     compiled afresh only above them, and its conjuncts rebuild only the
     view plan nodes they reach: its other nodes are the views' plans'.  So
-    a stream of distinct queries leaves the context's size unchanged.
+    a stream of distinct queries leaves the node tables' size unchanged.
     Counter [exec.plan.nodes], and the [nodes] tag of each [exec.plan]
-    span, count the plan nodes built rather than found here. *)
+    span, count the plan nodes built rather than found here: for a read
+    {!plan_read} binds, the nodes its literals reached, rebuilt. *)
 
 val context : Query.Env.t -> Query.Algebra.t list -> context
 (** Simplifies the views once and records their nodes. *)
@@ -52,3 +54,34 @@ val plan_in : context -> Query.Algebra.t -> (Plan.t, string) result
 
 val plan : Query.Env.t -> Query.Algebra.t -> (Plan.t, string) result
 (** [plan env q] is [plan_in] with a fresh context over [q]. *)
+
+val plan_read :
+  context -> unfold:(Query.Algebra.t -> (Query.Algebra.t, string) result) -> Query.Algebra.t ->
+  (Plan.t, string) result
+(** [plan_read ctx ~unfold q] plans the client query [q], which [unfold]
+    splices over [ctx]'s views, as [plan_in ctx (unfold q)] does, with the
+    plan prepared once per {e shape}: [q] with each non-[NULL] comparison
+    literal lifted out, its domain kept.  The first read of a shape
+    ([exec.plan.cache.miss]) plans it as [plan_in] does, with fresh copies
+    of its literals as the parameters, and keeps the plan.  A later read
+    ([exec.plan.cache.hit]) neither unfolds, simplifies, types nor pushes
+    down: it binds its literals into the kept plan, rebuilding only the
+    nodes a parameter reached ([Index_eq] values, scan filters and
+    predicates, [Filter]s, and their ancestors), so every other node stays
+    [==] and the bound plan is the one [plan_in] gives for [q].
+
+    Pushdown never reads a literal's value, but [Query.Simplify.cond]
+    folds contradictions and duplicates by value.  So a shape where a
+    literal may meet another atom on its column during simplification is
+    not prepared, and each of its reads is a miss planned as [plan_in]
+    does: a selection above the views with a literal and another atom on
+    that column, or one over an input that simplifies to a selection, such
+    as nested client selections or a view whose root is one.  A read that
+    fails keeps nothing. *)
+
+val prepared_cap : int
+(** The most shapes a context keeps prepared: a context that holds this
+    many empties its table before it prepares another. *)
+
+val prepared : context -> int
+(** The shapes [ctx] keeps, prepared or refused. *)

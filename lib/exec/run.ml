@@ -90,11 +90,11 @@ let prober ~lkey ~rkey rarr =
     Array.iteri
       (fun j r ->
         let v = get r rk in
-        if not (V.is_null v) then Idb.Value_tbl.replace tbl v (j :: or_empty (Idb.Value_tbl.find_opt tbl v)))
+        if not (V.is_null v) then Idb.push tbl v j)
       rarr;
     fun l ->
       let v = get l lk in
-      if V.is_null v then [] else or_empty (Idb.Value_tbl.find_opt tbl v)
+      if V.is_null v then [] else Idb.bucket tbl v
   end
   else begin
     let tbl = Key_tbl.create n in

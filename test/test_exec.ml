@@ -6,7 +6,9 @@
    each customer key lookup into index probes; and the session must plan
    against one planner context per state it holds, with undo, redo and
    rollback landing back on planned states, plans equal to a cold
-   [Planner.plan], and a size that a stream of distinct reads leaves flat. *)
+   [Planner.plan], and a size that a stream of distinct reads leaves flat;
+   a read that binds its literals into its shape's prepared plan gets the
+   cold plan's plan, rows and counts. *)
 
 open Common
 module P = Workload.Paper_example
@@ -669,6 +671,7 @@ let customer_stream () =
    requires to repeat. *)
 let counted (name, _) =
   List.mem name [ "exec.index.builds"; "exec.index.hits"; "exec.plan.nodes" ]
+  || String.starts_with ~prefix:"exec.plan.cache." name
   || String.starts_with ~prefix:"exec.rows." name
   || String.starts_with ~prefix:"ivm.rows." name
 
@@ -696,7 +699,8 @@ let replay st ivm0 requests =
 (* Both passes of a traced [serve] run start from one IVM handle, and the
    second must count the first's work: a store table may keep its value
    arrays across passes, but not anything a counter sees, such as its
-   indexes. *)
+   indexes, or the prepared plans of the session's planner context, which
+   each pass's new session builds afresh. *)
 let test_passes_repeat () =
   let st, _, ivm0, requests = customer_stream () in
   let counts1, reads1 = replay st ivm0 requests in
@@ -707,7 +711,8 @@ let test_passes_repeat () =
     (fun name ->
       checkb (name ^ " counted") true
         (match List.assoc_opt name counts1 with Some n -> n > 0 | None -> false))
-    [ "exec.index.builds"; "exec.index.hits"; "exec.rows.scanned"; "ivm.rows.scan" ]
+    [ "exec.index.builds"; "exec.index.hits"; "exec.rows.scanned"; "ivm.rows.scan";
+      "exec.plan.cache.hit"; "exec.plan.cache.miss"; "exec.plan.nodes" ]
 
 (* An [Idb] over the store after IVM steps answers every customer key
    lookup and set scan as [Query.Eval.rows] does.  Each store is read
@@ -974,7 +979,8 @@ let test_one_context_per_state () =
   expect_contexts "q1 reuses it" 0 n
 
 (* Distinct point reads leave the session's size flat: the planner context
-   holds only view nodes, never a client query or its plan. *)
+   holds view nodes and one prepared plan per shape (18 here), never a plan
+   per literal. *)
 let test_plan_memory_flat () =
   let st = Lazy.force customer in
   let schema = st.Core.State.env.Query.Env.client in
@@ -1037,6 +1043,209 @@ let test_plan_sharing () =
       | _ -> ())
     rebuilt
 
+(* -- prepared reads ------------------------------------------------------------- *)
+
+let c_hit = Obs.Metric.counter "exec.plan.cache.hit"
+
+(* [f ()] and the deltas of the counters [keep] names. *)
+let deltas keep f =
+  let before = Obs.Metric.snapshot () in
+  let r = f () in
+  let d = Obs.Metric.diff before (Obs.Metric.snapshot ()) in
+  (r, List.filter (fun (name, _) -> keep name) d.Obs.Metric.counters)
+
+let run_counter name =
+  String.starts_with ~prefix:"exec.rows." name || String.starts_with ~prefix:"exec.index." name
+
+(* [got] against [cold], the plan of the same read planned afresh: the same
+   plan ([Plan.show]) or the same [Error], and, each run on a new [Idb] over
+   [db], the same rows in the same order and the same [exec.rows.*] and
+   [exec.index.*] deltas. *)
+let check_against_cold msg env db got cold =
+  match (got, cold) with
+  | Error e, Error e' -> check Alcotest.string (msg ^ ": the cold plan's error") e' e
+  | Ok p, Ok c ->
+      check Alcotest.string (msg ^ ": the cold plan") (Plan.show c) (Plan.show p);
+      let run plan = deltas run_counter (fun () -> Run.rows (Idb.make env db) plan) in
+      let rows, counts = run p and cold_rows, cold_counts = run c in
+      checkb (msg ^ ": the cold plan's rows, in order") true (List.equal Datum.Row.equal cold_rows rows);
+      check Alcotest.(list (pair string int)) (msg ^ ": the cold plan's counts") cold_counts counts
+  | Ok _, Error e -> Alcotest.failf "%s: planned, but the cold plan fails: %s" msg e
+  | Error e, Ok _ -> Alcotest.failf "%s: fails (%s), but the cold plan does not" msg e
+
+(* Reads [queries] in order through one session of [st], each against a
+   cold [Planner.plan] of its unfolding, and returns the reads that bound
+   a prepared plan. *)
+let check_prepared msg st db queries =
+  let env = st.Core.State.env in
+  let session = Core.Session.start st in
+  List.filter
+    (fun q ->
+      let h = Obs.Metric.value c_hit in
+      let got = Core.Session.query_plan session q in
+      let hit = Obs.Metric.value c_hit > h in
+      let cold =
+        Result.bind (Query.Unfold.client_query env st.Core.State.query_views q) (Planner.plan env)
+      in
+      check_against_cold (msg ^ ": " ^ A.show q) env db got cold;
+      hit)
+    queries
+
+let state_db st inst =
+  let env = st.Core.State.env in
+  Query.Eval.store_db (ok_exn (Query.View.apply_update_views env st.Core.State.update_views inst))
+
+(* The values of [a] in [set]'s entities, distinct, in order, at most [n]. *)
+let attribute_values inst set a n =
+  List.fold_left
+    (fun acc (e : Edm.Instance.entity) ->
+      match Datum.Row.find a e.Edm.Instance.attrs with
+      | Some v when (not (V.is_null v)) && List.length acc < n && not (List.mem v acc) -> acc @ [ v ]
+      | _ -> acc)
+    [] (Edm.Instance.entities inst ~set)
+
+(* Per set: key lookups at up to [keys] present keys and at absent ones, to
+   [keys + absent] literals; and per attribute of the root outside the key,
+   a filter at up to [values] of its values and at [value_of] its domain. *)
+let literal_reads schema inst ~keys ~absent ~values =
+  List.concat_map
+    (fun (set, root) ->
+      let scan = A.Scan (A.Entity_set set) in
+      let key = List.hd (Edm.Schema.key_of schema root) in
+      let present = attribute_values inst set key keys in
+      let lookups =
+        present @ List.init (keys + absent - List.length present) (fun k -> V.Int (1_000_000 + k))
+      in
+      List.map (fun v -> A.Select (C.Cmp (key, C.Eq, v), scan)) lookups
+      @ List.concat_map
+          (fun (a, d) ->
+            if a = key then []
+            else
+              List.map
+                (fun v -> A.Select (C.Cmp (a, C.Eq, v), scan))
+                (attribute_values inst set a values @ [ value_of d ]))
+          (Edm.Schema.attributes schema root))
+    (Edm.Schema.entity_sets schema)
+
+let literal_kind = function
+  | A.Select (C.Cmp (_, _, V.Int _), _) -> "int"
+  | A.Select (C.Cmp (_, _, V.String _), _) -> "string"
+  | A.Select (C.Cmp (_, _, V.Decimal _), _) -> "decimal"
+  | A.Select (C.Cmp (_, _, V.Bool _), _) -> "bool"
+  | _ -> "other"
+
+(* Every read after the first of a shape binds its literals into the
+   shape's prepared plan, and gets the plan, the rows and the counts of a
+   cold plan: every customer set's key lookup at 50 literals and its
+   attribute filters (string literals), and the same reads on random
+   models 0-29 (decimal literals among them). *)
+let test_prepared_equals_cold () =
+  let st = Lazy.force customer in
+  let schema = st.Core.State.env.Query.Env.client in
+  let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:20 schema in
+  let reads = literal_reads schema inst ~keys:20 ~absent:30 ~values:4 in
+  let hits = check_prepared "customer" st (state_db st inst) reads in
+  let sets = List.length (Edm.Schema.entity_sets schema) in
+  checkb "customer: every key lookup after a set's first binds" true
+    (List.length (List.filter (fun q -> literal_kind q = "int") hits) = sets * 49);
+  checkb "customer: string literals bind" true (List.exists (fun q -> literal_kind q = "string") hits);
+  let kinds = ref [] in
+  for seed = 0 to 29 do
+    let renv, frags = Workload.Random_model.generate ~profile ~seed () in
+    let rschema = renv.Query.Env.client in
+    let rst = compiled_state renv frags in
+    let rinst = Roundtrip.Generate.instance ~seed ~entities_per_set:5 rschema in
+    let hits =
+      check_prepared (Printf.sprintf "seed %d" seed) rst (state_db rst rinst)
+        (literal_reads rschema rinst ~keys:3 ~absent:2 ~values:2)
+    in
+    kinds := List.map literal_kind hits @ !kinds
+  done;
+  List.iter
+    (fun kind -> checkb ("random models: " ^ kind ^ " literals bind") true (List.mem kind !kinds))
+    [ "int"; "string"; "decimal" ]
+
+(* Reads whose shape must plan as a cold plan does: a NULL literal, kept
+   in the shape; a literal of another domain than its column's, and one on
+   an absent column (the same [Error]); and nested selections on one
+   column, at equal and at different literals, whose simplification folds
+   by value.  Each read again, in another order. *)
+let test_prepared_guards () =
+  let st = Lazy.force customer in
+  let schema = st.Core.State.env.Query.Env.client in
+  let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:20 schema in
+  let db = state_db st inst in
+  let set = "Set2" in
+  let scan = A.Scan (A.Entity_set set) in
+  let key = List.hd (Edm.Schema.key_of schema (Option.get (Edm.Schema.set_root schema set))) in
+  let a, _ = Option.get (non_key_attribute schema set) in
+  let id = match attribute_values inst set key 1 with [ v ] -> v | _ -> Alcotest.fail "no entity" in
+  let other = V.Int 1_000_000 in
+  let sel col v q = A.Select (C.Cmp (col, C.Eq, v), q) in
+  let reads =
+    [ sel a V.Null scan; sel a (V.String "a") scan; sel key V.Null scan; sel key id scan;
+      sel key (V.String "7") scan; sel key (V.Decimal 7.) scan; sel key (V.Int 7) scan;
+      sel "NoSuchColumn" (V.Int 1) scan; sel "NoSuchColumn" (V.Int 2) scan;
+      sel key id (sel key id scan); sel key id (sel key other scan); sel key other (sel key other scan);
+      sel key other (sel key id scan); sel a (V.String "a") (sel a (V.String "b") scan);
+      sel a (V.String "b") (sel a (V.String "b") scan);
+      A.Select (C.And (C.Cmp (key, C.Eq, id), C.Cmp (key, C.Eq, other)), scan);
+      A.Select (C.And (C.Cmp (key, C.Eq, id), C.Cmp (key, C.Eq, id)), scan);
+      A.Select (C.Or (C.Cmp (key, C.Eq, id), C.Cmp (key, C.Eq, id)), scan);
+      A.Select (C.Or (C.Cmp (key, C.Eq, other), C.Cmp (key, C.Eq, id)), scan);
+      A.Select (C.And (C.Cmp (key, C.Eq, id), C.Is_null key), scan) ]
+  in
+  ignore (check_prepared "guards" st db (reads @ List.rev reads @ reads))
+
+(* A literal merged into a view whose root is a selection: the view's
+   condition and the literal meet in one condition, so the shape plans as
+   a cold plan does at equal and at different literals. *)
+let test_prepared_view_selection () =
+  let view = A.Select (C.Cmp ("Cid", C.Eq, V.Int 6), A.Scan (A.Table "Client")) in
+  let client = A.Scan (A.Table "Client") in
+  let rec unfold q =
+    match q with
+    | A.Scan _ -> if A.equal q client then view else q
+    | A.Select (c, q) -> A.Select (c, unfold q)
+    | A.Project (items, q) -> A.Project (items, unfold q)
+    | q -> q
+  in
+  let ctx = Planner.context env [ view ] in
+  List.iter
+    (fun v ->
+      let q = A.Select (C.Cmp ("Cid", C.Eq, V.Int v), client) in
+      check_against_cold (A.show q) env store_db
+        (Planner.plan_read ctx ~unfold:(fun q -> Ok (unfold q)) q)
+        (Planner.plan env (unfold q)))
+    [ 6; 5; 6; 6; 5; 5 ]
+
+(* A stream of 10,000 distinct shapes leaves at most [prepared_cap] of them
+   in the context, and a shape read again afterwards still binds. *)
+let test_prepared_cap () =
+  let qv = qv () in
+  let ctx = Planner.context env (Query.View.queries qv Query.View.no_update_views) in
+  let unfold = Query.Unfold.splice env qv in
+  let read i =
+    ok_exn
+      (Planner.plan_read ctx ~unfold
+         (A.Project
+            ( [ A.col "Id"; A.const (V.Int i) "k" ],
+              A.Select (C.Cmp ("Id", C.Eq, V.Int i), A.Scan (A.Entity_set "Persons")) )))
+  in
+  for i = 1 to 10_000 do
+    ignore (read i);
+    if Planner.prepared ctx > Planner.prepared_cap then
+      Alcotest.failf "%d shapes kept after %d reads, over the cap of %d" (Planner.prepared ctx) i
+        Planner.prepared_cap
+  done;
+  let q = A.Select (C.Cmp ("Id", C.Eq, V.Int 4), A.Scan (A.Entity_set "Persons")) in
+  ignore (ok_exn (Planner.plan_read ctx ~unfold q));
+  let h = Obs.Metric.value c_hit in
+  let plan = ok_exn (Planner.plan_read ctx ~unfold q) in
+  checkb "a shape read again binds" true (Obs.Metric.value c_hit = h + 1);
+  check Alcotest.string "the cold plan" (Plan.show (ok_exn (Planner.plan env (ok_exn (unfold q)))))
+    (Plan.show plan)
+
 let () =
   Alcotest.run "exec"
     [
@@ -1076,11 +1285,19 @@ let () =
           Alcotest.test_case "reads after IVM steps" `Quick test_reads_after_steps;
         ] );
       ("oracle", [ Alcotest.test_case "plans equal the tree lowering" `Quick test_tree_lowering ]);
+      ( "prepared reads",
+        [
+          Alcotest.test_case "prepared plans equal cold plans" `Quick test_prepared_equals_cold;
+          Alcotest.test_case "guarded shapes plan cold" `Quick test_prepared_guards;
+          Alcotest.test_case "a literal merged into a view's selection" `Quick
+            test_prepared_view_selection;
+        ] );
       ( "plan cache",
         [
           Alcotest.test_case "SMO invalidates, undo/redo restore" `Quick test_plan_cache;
           Alcotest.test_case "one context for every query" `Quick test_one_context_per_state;
           Alcotest.test_case "flat over distinct reads" `Quick test_plan_memory_flat;
           Alcotest.test_case "reads share the view plans" `Quick test_plan_sharing;
+          Alcotest.test_case "10,000 distinct shapes stay under the cap" `Quick test_prepared_cap;
         ] );
     ]
