@@ -119,7 +119,7 @@ let count_columns =
   [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "tables_visited"; "scans"; "index_scans";
     "rows_scanned"; "rows_joined"; "diags"; "state_bytes"; "terms"; "steps"; "verdict"; "tree_nodes";
     "distinct_nodes"; "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union";
-    "rows_distinct"; "rows_touched"; "rows_growth"; "plan_nodes" ]
+    "rows_distinct"; "rows_touched"; "rows_growth"; "plan_nodes"; "after_step_index_builds" ]
 
 let json_string s =
   let esc = function
@@ -909,6 +909,40 @@ let plan_nodes session q =
   ignore (Core.Session.query_plan session q);
   Obs.Metric.value nodes - n
 
+(* An IVM handle over [inst] and a thunk stepping it: each call updates a
+   non-key attribute of [set]'s first entity (of type [etype], if given),
+   alternating between two values, and returns the store after the step. *)
+let after_step st inst set etype =
+  let ok = function Ok x -> x | Error e -> failwith e in
+  let env = st.Core.State.env in
+  let schema = env.Query.Env.client in
+  let e =
+    List.find
+      (fun (e : Edm.Instance.entity) ->
+        match etype with Some t -> e.Edm.Instance.etype = t | None -> true)
+      (Edm.Instance.entities inst ~set)
+  in
+  let key = Edm.Schema.key_of schema (Option.get (Edm.Schema.set_root schema set)) in
+  let attr, dom =
+    List.find
+      (fun (a, _) -> not (List.mem a key))
+      (Edm.Schema.attributes schema e.Edm.Instance.etype)
+  in
+  let rs = Random.State.make [| 41 |] in
+  let v0 = Datum.Row.get attr e.Edm.Instance.attrs in
+  let rec other () = match Roundtrip.Generate.value_for rs dom with v when v = v0 -> other () | v -> v in
+  let v1 = other () in
+  let update v =
+    [ Dml.Delta.Update_entity
+        { set; key = Datum.Row.project key e.Edm.Instance.attrs; changes = [ (attr, v) ] } ]
+  in
+  let inc = ref (ok (Dml.Translate.ivm_init env st.Core.State.update_views inst)) and flip = ref false in
+  fun () ->
+    flip := not !flip;
+    let _, next = ok (Dml.Translate.ivm_step !inc (update (if !flip then v1 else v0))) in
+    inc := next;
+    Dml.Translate.ivm_store next
+
 (* Key lookups on the customer model, as the e2ebench [serve] workload reads
    it: [SELECT * FROM Set WHERE Id = c] planned through a session and run
    on an indexed store of the same instance (seed 2013, 300 entities per
@@ -923,7 +957,13 @@ let plan_nodes session q =
    prepared.  Each set also gives the [phase_rows] of one traced read.
    [fresh_read_*] are the same reads, each on a new [Exec.Idb] over the
    same store: what a read pays after a write for the tables the write
-   left alone. *)
+   left alone.  [after_step_read_*] are the same reads on a new [Exec.Idb]
+   over the IVM store right after one update step, [serve]'s write-then-
+   read pattern: each step updates a non-key attribute of the set's first
+   entity of the read type, alternating between two values, so it changes
+   a table the reads probe.  They are the median of a step and a read less
+   the median of a step alone.  [after_step_index_builds] is the
+   [exec.index.builds] of one such read. *)
 let customer_lookups st =
   let ok = function Ok x -> x | Error e -> failwith e in
   let module A = Query.Algebra in
@@ -965,6 +1005,21 @@ let customer_lookups st =
             let idb = Exec.Idb.make st.Core.State.env db in
             Exec.Run.rows idb (ok (Core.Session.query_plan session q)))
       in
+      let step = after_step st inst set etype in
+      let read_after_step () =
+        let store = step () in
+        let q = queries.(!next mod Array.length queries) in
+        incr next;
+        Exec.Run.rows (Exec.Idb.make st.Core.State.env (Query.Eval.store_db store))
+          (ok (Core.Session.query_plan session q))
+      in
+      let _, step_read_ms, step_read_mb = sample read_after_step in
+      let _, step_ms, step_mb = sample step in
+      let builds = Obs.Metric.counter "exec.index.builds" in
+      ignore (step ());
+      let b0 = Obs.Metric.value builds in
+      ignore (read_after_step ());
+      let after_step_builds = Obs.Metric.value builds - b0 in
       let _, cold_ms, cold_mb =
         sample (fun () ->
             let q = spliced.(!next mod Array.length spliced) in
@@ -980,6 +1035,9 @@ let customer_lookups st =
       ( [ ("set", str set); ("mapping", str style); ("tables", int (List.length (A.sources unfolded)));
           ("read_ns", num 1 (read_ms *. 1e6)); ("read_alloc_mb", num 4 read_mb);
           ("fresh_read_ns", num 1 (fresh_ms *. 1e6)); ("fresh_read_alloc_mb", num 4 fresh_mb);
+          ("after_step_read_ns", num 1 ((step_read_ms -. step_ms) *. 1e6));
+          ("after_step_read_alloc_mb", num 4 (step_read_mb -. step_mb));
+          ("after_step_index_builds", int after_step_builds);
           ("cold_plan_ns", num 1 (cold_ms *. 1e6)); ("cold_plan_alloc_mb", num 4 cold_mb);
           ("run_ns", num 1 (run_ms *. 1e6)); ("alloc_mb", num 4 run_mb);
           ("rows_scanned", int rows_scanned);

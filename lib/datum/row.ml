@@ -15,6 +15,11 @@ let columns r = List.map fst (M.bindings r)
 let cardinal r = M.cardinal r
 let values layout r = Array.map (fun c -> Option.value ~default:Value.Null (M.find_opt c r)) layout
 
+let of_values layout vs =
+  let r = ref M.empty in
+  Array.iteri (fun i c -> r := M.add c (Tuple.get vs i) !r) layout;
+  !r
+
 let project cols r =
   List.fold_left
     (fun acc c -> match M.find_opt c r with None -> acc | Some v -> M.add c v acc)

@@ -32,6 +32,12 @@ val values : string array -> t -> Value.t array
     column's position, [NULL] for a column [r] lacks: the positional form
     every row takes in the plan runtimes. *)
 
+val of_values : string array -> Value.t array -> t
+(** [of_values layout vs] binds each column of [layout] to its slot's
+    value in [vs] ([Tuple.get]: [NULL] past the array's end), [NULL]s
+    included: the inverse of {!values} on a row binding exactly [layout]'s
+    columns. *)
+
 val project : string list -> t -> t
 (** Keep only the named columns.  Absent columns are silently dropped, so
     projection never invents bindings. *)

@@ -8,6 +8,23 @@ type t =
 
 let is_null = function Null -> true | Int _ | String _ | Bool _ | Decimal _ -> false
 
+(* A multiplicative mix, so that keys a stride apart do not share buckets;
+   [Hashtbl.hash] normalizes [-0.] and NaN as [compare] equates them. *)
+let hash = function
+  | Null -> 0
+  | Int n ->
+      let h = n * 0x2545F4914F6CDD1D in
+      h lxor (h lsr 29)
+  | String s -> Hashtbl.hash s
+  | Bool b -> if b then 1 else 2
+  | Decimal f -> Hashtbl.hash f
+
+module Map = Map.Make (struct
+  type nonrec t = t
+
+  let compare = compare
+end)
+
 let domain = function
   | Null -> None
   | Int _ -> Some Domain.Int

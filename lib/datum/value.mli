@@ -18,6 +18,13 @@ val show : t -> string
 
 val is_null : t -> bool
 
+val hash : t -> int
+(** A hash consistent with {!compare}: values that compare equal hash
+    equal.  An [Int] hashes without a call into the runtime. *)
+
+module Map : Map.S with type key = t
+(** Maps keyed under {!compare}. *)
+
 val domain : t -> Domain.t option
 (** [domain v] is the domain of [v], or [None] for [Null] (which inhabits
     every nullable column). *)

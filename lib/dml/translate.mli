@@ -69,8 +69,11 @@ val ivm_step : incremental -> Delta.t -> (script * incremental, string) result
 
 val ivm_store : incremental -> Relational.Instance.t
 (** The maintained store image (set-equal to pushing the current client
-    state through the update views), in O(1).  Rows are ascending, and a
-    table the last step did not change keeps the very same row list. *)
+    state through the update views), in O(1).  Each table is an
+    [Ivm.State] image ([Relational.Instance.image]): value arrays in the
+    table's layout, listed in ascending array order, with a key map for a
+    one-column primary key.  A table the last step did not change is the
+    very same table value, with whatever a reader listed from it. *)
 
 val topo_tables : Relational.Schema.t -> string list
 (** Every table in foreign-key topological order: referenced tables first,

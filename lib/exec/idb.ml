@@ -10,19 +10,31 @@ end
 
 module Source_tbl = Hashtbl.Make (Source_key)
 
+(* [compare a b = 0], with the common cases matched directly. *)
+let same_value (a : Datum.Value.t) (b : Datum.Value.t) =
+  match (a, b) with
+  | Int x, Int y -> Int.equal x y
+  | String x, String y -> String.equal x y
+  | _ -> Datum.Value.compare a b = 0
+
 module Value_tbl = Hashtbl.Make (struct
   type t = Datum.Value.t
 
-  let equal a b = Datum.Value.compare a b = 0
-  let hash = Hashtbl.hash
+  let equal = same_value
+  let hash = Datum.Value.hash
 end)
 
-type row = Datum.Value.t array
+type row = Datum.Tuple.t
 type index = row list Value_tbl.t
 
-(* One source in its scan layout: the rows as a list in scan order, and
-   the indexes built so far, one slot per layout column. *)
-type source = { rows : row list; indexes : index option array }
+(* One source in its scan layout: the rows in scan order, listed on first
+   use; a maintained key's map, when the store keeps one for the source;
+   and the indexes built so far, one slot per layout column. *)
+type source = {
+  rows : row list Lazy.t;
+  key : (int * row list Datum.Value.Map.t) option;
+  indexes : index option array;
+}
 
 type t = { env : Query.Env.t; db : Query.Eval.db; sources : source Source_tbl.t }
 
@@ -41,17 +53,24 @@ let source t src =
   | s -> s
   | exception Not_found ->
       let layout = scan_layout t.env src in
-      let rows =
+      let rows, key =
         match src with
-        | Query.Algebra.Table table -> Relational.Instance.values t.db.Query.Eval.store ~table layout
+        | Query.Algebra.Table table -> (
+            let store = t.db.Query.Eval.store in
+            match Relational.Instance.image store ~table with
+            | Some img when img.layout = layout ->
+                (lazy (Relational.Instance.values store ~table layout), img.key)
+            | Some _ | None -> (Lazy.from_val (Relational.Instance.values store ~table layout), None))
         | Query.Algebra.Entity_set _ | Query.Algebra.Assoc_set _ ->
-            List.map (Datum.Row.values layout) (Query.Eval.rows t.env t.db (Query.Algebra.Scan src))
+            ( Lazy.from_val
+                (List.map (Datum.Row.values layout) (Query.Eval.rows t.env t.db (Query.Algebra.Scan src))),
+              None )
       in
-      let s = { rows; indexes = Array.make (Array.length layout) None } in
+      let s = { rows; key; indexes = Array.make (Array.length layout) None } in
       Source_tbl.add t.sources src s;
       s
 
-let rows s = s.rows
+let rows s = Lazy.force s.rows
 
 let bucket tbl v = match Value_tbl.find tbl v with rows -> rows | exception Not_found -> []
 
@@ -66,23 +85,26 @@ let build_index rows slot =
   (* Fold right so each bucket lists rows in scan order. *)
   List.fold_right
     (fun row () ->
-      let v = row.(slot) in
+      let v = if slot < Array.length row then row.(slot) else Datum.Value.Null in
       if not (Datum.Value.is_null v) then push idx v row)
     rows ();
   Obs.Metric.incr c_index_builds;
   idx
 
+let index s slot =
+  match s.indexes.(slot) with
+  | Some idx -> idx
+  | None ->
+      let idx = build_index (rows s) slot in
+      s.indexes.(slot) <- Some idx;
+      idx
+
 let lookup s slot v =
   if Datum.Value.is_null v then []
   else begin
-    let idx =
-      match s.indexes.(slot) with
-      | Some idx -> idx
-      | None ->
-          let idx = build_index s.rows slot in
-          s.indexes.(slot) <- Some idx;
-          idx
-    in
     Obs.Metric.incr c_index_hits;
-    bucket idx v
+    match s.key with
+    | Some (k, keyed) when k = slot -> (
+        match Datum.Value.Map.find v keyed with rows -> rows | exception Not_found -> [])
+    | Some _ | None -> bucket (index s slot) v
   end

@@ -12,18 +12,26 @@
 
     A store table's rows come from {!Relational.Instance.values}: the arrays
     are part of the table's value, so an instance over a later store (after
-    an IVM step, say) shares them for every table the step left alone.
+    an IVM step, say) shares them for every table the step left alone, and
+    a table is listed only when a scan or an index build asks for its rows.
     Indexes stay with the instance that built them: each instance builds,
     and counts, its own, so two runs of the same reads from the same store
-    do the same counted work. *)
-
+    do the same counted work.  The one exception is a table the store keeps
+    as a maintained image ({!Relational.Instance.image}) in the instance's
+    layout: a probe on its one-column primary key reads the image's key
+    map, which belongs to the store, so it builds nothing and counts only
+    the hit. *)
 type t
 
-type row = Datum.Value.t array
+type row = Datum.Tuple.t
+
+val same_value : Datum.Value.t -> Datum.Value.t -> bool
+(** [Datum.Value.compare a b = 0], matching [Int] and [String] pairs
+    directly. *)
 
 module Value_tbl : Hashtbl.S with type key = Datum.Value.t
-(** Tables keyed by value under [Datum.Value.compare]: the indexes' and the
-    hash joins' tables. *)
+(** Tables keyed by value under {!same_value} and [Datum.Value.hash]: the
+    indexes' and the hash joins' tables. *)
 
 val bucket : 'a list Value_tbl.t -> Datum.Value.t -> 'a list
 (** [bucket tbl v] is the list bound to [v], or [[]]; a hit allocates
@@ -42,14 +50,18 @@ type source
 (** One source of the instance, materialized. *)
 
 val source : t -> Query.Algebra.source -> source
-(** Materializes the source on its first use and keeps it. *)
+(** Materializes a client source on its first use and keeps it; a store
+    table is listed on its first {!rows}. *)
 
 val rows : source -> row list
-(** The rows [Query.Eval.rows] gives for a scan of the source, in its order,
-    each in the source's layout. *)
+(** The rows [Query.Eval.rows] gives for a scan of the source, each in the
+    source's layout: in its order for a client source or a listed table,
+    and in ascending array order ([Datum.Tuple.compare]) for a maintained
+    image. *)
 
 val lookup : source -> int -> Datum.Value.t -> row list
 (** [lookup s slot v] returns the rows of [s] whose value at [slot] equals
-    [v], in scan order ([[]] when [v] is [NULL]).  Builds the hash index on
-    the slot on first use; bumps the [exec.index.builds] /
-    [exec.index.hits] counters. *)
+    [v], in scan order ([[]] when [v] is [NULL]).  On a maintained image's
+    key slot it reads the image's key map; otherwise it builds the hash
+    index on the slot on first use ([exec.index.builds]).  Each lookup of
+    a non-[NULL] value bumps [exec.index.hits]. *)

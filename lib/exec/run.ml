@@ -8,13 +8,13 @@ module V = Datum.Value
 let c_scanned = Obs.Metric.counter "exec.rows.scanned"
 let c_joined = Obs.Metric.counter "exec.rows.joined"
 
-type row = Idb.row
-
 (* Every read goes through [get], and a row may be shorter than its layout:
    past its end, every column reads NULL.  So [Plan.absent] reads NULL, as
    an absent column does in [Cond.eval], and an outer join passes an
-   unmatched row through without padding a copy. *)
-let get (r : row) i = if i < Array.length r then Array.unsafe_get r i else V.Null
+   unmatched row through without padding a copy.  This is
+   [Datum.Tuple.get], defined here so that the runtime's hottest call is
+   inlined. *)
+let get (r : Idb.row) i = if i < Array.length r then Array.unsafe_get r i else V.Null
 
 let rec holds r = function
   | Plan.Always -> true
@@ -68,11 +68,15 @@ let right_only (j : Plan.join) r =
   Array.iteri (fun k l -> out.(l) <- get r j.rkey.(k)) j.lkey;
   fill_right j out r
 
+(* Keys of several join columns, compared and hashed value by value. *)
 module Key_tbl = Hashtbl.Make (struct
-  type t = V.t list
+  type t = V.t array
 
-  let equal a b = List.compare V.compare a b = 0
-  let hash = Hashtbl.hash
+  let equal a b =
+    let rec go i = i = Array.length a || (Idb.same_value a.(i) b.(i) && go (i + 1)) in
+    Array.length a = Array.length b && go 0
+
+  let hash k = Array.fold_left (fun h v -> (h * 31) + V.hash v) 0 k
 end)
 
 (* For a left row, the indices of the right rows it matches, highest first.
@@ -98,7 +102,7 @@ let prober ~lkey ~rkey rarr =
   end
   else begin
     let tbl = Key_tbl.create n in
-    let key r k = Array.to_list (Array.map (get r) k) in
+    let key r k = Array.map (get r) k in
     Array.iteri
       (fun j r ->
         if not (Array.exists (fun i -> V.is_null (get r i)) rkey) then begin
@@ -193,8 +197,6 @@ let to_rows (plan : Plan.t) read rows =
       k := -1;
       Datum.Row.mapi column plan.template)
     rows
-
-let datum_row plan r = List.hd (to_rows plan get [ r ])
 
 let rows ?jobs:_ idb (plan : Plan.t) =
   Obs.Span.with_ ~name:"exec.run" (fun () ->

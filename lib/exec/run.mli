@@ -31,7 +31,7 @@ val rows : ?jobs:int -> Idb.t -> Plan.t -> Datum.Row.t list
 (** {1 The row kernel}, with which [Ivm.Engine] runs the same nodes *)
 
 val get : Idb.row -> int -> Datum.Value.t
-(** The value at a slot; [NULL] past the row's end. *)
+(** The value at a slot; [NULL] past the row's end ([Datum.Tuple.get]). *)
 
 val holds : Idb.row -> Plan.pred -> bool
 val project : Plan.item array -> Idb.row -> Idb.row
@@ -43,6 +43,3 @@ val right_only : Plan.join -> Idb.row -> Idb.row
 (** An unmatched right row's output row: its join columns in their left
     slots, its kept slots after the left layout.  An unmatched left row is
     output as it is. *)
-
-val datum_row : Plan.t -> Idb.row -> Datum.Row.t
-(** A row of the root's layout as a [Datum.Row.t], binding every column. *)

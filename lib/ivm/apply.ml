@@ -1,4 +1,4 @@
-module Row_map = Multiset.Rows.Row_map
+module Row_map = State.Row_map
 module Src_map = Plan.Src_map
 
 type op =
@@ -15,8 +15,8 @@ let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
 (* Rows enter the engine here, in their source's scan layout. *)
 let feed_add plan src row n feed =
-  let d = Option.value ~default:Multiset.Slots.empty (Src_map.find_opt src feed) in
-  Src_map.add src (Multiset.Slots.add (Plan.scan_row plan src row) n d) feed
+  let d = Option.value ~default:Multiset.empty (Src_map.find_opt src feed) in
+  Src_map.add src (Multiset.add (Plan.scan_row plan src row) n d) feed
 
 let entity_key schema ~set row =
   match Edm.Schema.set_root schema set with
@@ -96,11 +96,16 @@ let feed_op (plan : Plan.t) (st, feed) op =
       if not (Row_map.mem link base) then fail "unlink: no such tuple in %s" assoc
       else Ok (State.set_base src (Row_map.remove link base) st, feed_add plan src link (-1) feed)
 
-let to_table_deltas deltas =
+(* The changed rows, and only they, become [Datum.Row.t]s. *)
+let to_table_deltas st deltas =
   List.map
     (fun (table, d) ->
-      let removed, added = List.partition (fun (_, n) -> n < 0) (Multiset.Rows.to_list d) in
-      { table; removed = List.map fst removed; added = List.map fst added })
+      let layout = (State.image st table).Relational.Instance.layout in
+      let rows sign =
+        Multiset.fold (fun r n acc -> if sign n then Datum.Row.of_values layout r :: acc else acc) d []
+        |> List.sort Datum.Row.compare
+      in
+      { table; removed = rows (fun n -> n < 0); added = rows (fun n -> n > 0) })
     deltas
 
 let feed (plan : Plan.t) st ops =
@@ -112,7 +117,7 @@ let feed (plan : Plan.t) st ops =
 let run (plan : Plan.t) st ops =
   let* st, feed = feed plan st ops in
   let st, deltas = Engine.propagate plan st ~feed in
-  Ok (to_table_deltas deltas, st)
+  Ok (to_table_deltas st deltas, st)
 
 let step plan st ops =
   Obs.Span.with_ ~name:"ivm.step" (fun () ->

@@ -42,11 +42,12 @@ val step : Plan.t -> State.t -> op list -> (table_delta list * State.t, string) 
 (** Propagate one batch of ops (runs under an ["ivm.step"] span).  The
     returned deltas cover the tables whose plans read a source the batch
     changes ({!Engine.propagate}), in plan order; a reached table may still
-    have empty [removed]/[added].  Every other table is unchanged, and its
-    row list in {!State.store} is physically the previous one. *)
+    have empty [removed]/[added], which are the only rows the step turns
+    into [Datum.Row.t].  Every other table is unchanged, and its value in
+    {!State.store} is physically the previous one. *)
 
 val feed :
-  Plan.t -> State.t -> op list -> (State.t * Multiset.Slots.t Plan.Src_map.t, string) result
+  Plan.t -> State.t -> op list -> (State.t * Multiset.t Plan.Src_map.t, string) result
 (** The first half of {!step}: check the ops against the base images in
     sequence and turn them into signed base-row deltas per client source,
     each row in its source's scan layout ({!Plan.scan_row}), returning the

@@ -6,15 +6,14 @@
    touched key, with J the group's cross product or its unmatched rows,
    built by [Exec.Run]'s join-row kernel).  DISTINCT — which
    [apply_update_views] applies to each view's query rows — becomes
-   multiplicity 0↔positive transitions over the root's rows, which leave
-   the positional form there.  [init] walks the same plans with bulk rules
-   over row lists, which give what the delta rules give from the empty
-   state. *)
+   multiplicity 0↔positive transitions over the root's rows, taken into
+   the table's layout, which the table's image keeps.  [init] walks the
+   same plans with bulk rules over row lists, which give what the delta
+   rules give from the empty state. *)
 
 module P = Exec.Plan
 module Run = Exec.Run
-module Bag = Multiset.Slots
-module Rows = Multiset.Rows
+module Bag = Multiset
 module Group_map = Bag.Row_map
 
 let c_scan = Obs.Metric.counter "ivm.rows.scan"
@@ -163,14 +162,17 @@ let delta_rules feed =
     is_empty = Bag.is_empty;
   }
 
+(* The root's rows in the table's layout. *)
+let to_table map (tp : Plan.table_plan) b =
+  match tp.Plan.into with None -> b | Some items -> map (Run.project items) b
+
 let table_delta feed st (tp : Plan.table_plan) =
-  let ts = State.table st tp.Plan.table in
-  let d, (_, joins) = node (delta_rules feed) (0, ts.State.joins) tp.Plan.root.root in
-  let d = Bag.fold (fun r n acc -> Rows.add (Run.datum_row tp.Plan.root r) n acc) d Rows.empty in
-  let query_counts, out = Rows.apply_distinct ~base:ts.State.query_counts ~delta:d in
-  Obs.Metric.incr ~by:(Rows.total out) c_distinct;
-  ( out,
-    State.set_table tp.Plan.table { State.query_counts; joins } ~changed:(not (Rows.is_empty out)) st )
+  let table = tp.Plan.table in
+  let d, (_, joins) = node (delta_rules feed) (0, State.joins st table) tp.Plan.root.root in
+  let d = to_table Bag.map_rows tp d in
+  let counts, out = Bag.apply_distinct ~base:(State.image st table).counts ~delta:d in
+  Obs.Metric.incr ~by:(Bag.total out) c_distinct;
+  (out, State.set_table table joins ~counts ~out st)
 
 (* The plans reading any of [srcs], in plan order.  Plan order is ascending
    table name, so merging the readers of several sources is a sort by
@@ -233,13 +235,12 @@ let bulk_rules rows =
 (* A table's first state: its plan evaluated once over the full sources,
    and DISTINCT as the query rows counted. *)
 let table_init rows st (tp : Plan.table_plan) =
+  let table = tp.Plan.table in
   let b, (_, joins) = node (bulk_rules rows) (0, State.Int_map.empty) tp.Plan.root.root in
-  let query_counts =
-    List.fold_left (fun t r -> Rows.add (Run.datum_row tp.Plan.root r) 1 t) Rows.empty b
-  in
-  Obs.Metric.incr ~by:(Rows.cardinal query_counts) c_distinct;
-  State.set_table tp.Plan.table { State.query_counts; joins }
-    ~changed:(not (Rows.is_empty query_counts)) st
+  let b = to_table List.map tp b in
+  let st = State.init_table table joins b st in
+  Obs.Metric.incr ~by:(Bag.cardinal (State.image st table).counts) c_distinct;
+  st
 
 let init (plan : Plan.t) st ~rows =
   if Obs.enabled () then

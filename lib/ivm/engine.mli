@@ -3,11 +3,12 @@
 
     Rows are positional, in the layouts the planner compiled: they enter in
     their source's scan layout ({!Apply}), every operator tests, projects
-    and joins them with [Exec.Run]'s row kernel, and they leave through
-    the root's template ([Exec.Run.datum_row]) as [Datum.Row.t] for
-    DISTINCT and the store image.
+    and joins them with [Exec.Run]'s row kernel, and they leave the root
+    in the table's layout (through the table plan's [into]), the layout of
+    DISTINCT's counts and of the table's store image.  No [Datum.Row.t] is
+    built here; {!Apply} converts the rows a step changes.
 
-    Delta rules (Δ ranges over {!Multiset.Slots} with signed counts):
+    Delta rules (Δ ranges over {!Multiset} with signed counts):
 
     - scan of [src] with access path [a], residual filter [f] and fused
       projection [p]: Δout = π[p] σ[a ∧ f] Δsrc, where [Index_eq {col; value}]
@@ -30,7 +31,8 @@
       one group.  A table plan's joins are numbered in preorder; the number
       keys the join's groups in the table's {!State.table_state};
     - DISTINCT (applied to the view's query rows, which are the table's
-      rows): rows whose multiplicity crosses 0 contribute ±1.
+      rows): rows whose multiplicity crosses 0 contribute ±1, and those
+      transitions alone update the table's key map ({!State.set_table}).
 
     Every rule is linear: an empty input delta gives an empty output delta
     and leaves the operator's state alone.  So a table plan that scans no
@@ -54,7 +56,8 @@
     list, [Append] concatenates, a [Hash_join] groups each input by join
     key once (the groups are its state) and emits the [J] of each key's
     groups, and DISTINCT counts the query rows.  From the empty state with
-    every row fed at [+1], each delta rule above computes exactly this:
+    every row fed at [+1], each delta rule above computes exactly this
+    (the counts and key map built in one fold, {!State.init_table}):
     [J(∅, ∅)] is empty, so a join's delta is [J] of the new groups, and
     every count crossing 0 does so upward, once per distinct row.  So
     [init] gives the state and counter ticks that {!propagate} gives for
@@ -63,13 +66,13 @@
 val propagate :
   Plan.t ->
   State.t ->
-  feed:Multiset.Slots.t Plan.Src_map.t ->
-  State.t * (string * Multiset.Rows.t) list
+  feed:Multiset.t Plan.Src_map.t ->
+  State.t * (string * Multiset.t) list
 (** Push one batch of base deltas (per client source, in its scan layout)
     through the table plans that read a changed source.  Returns the
     updated state and, per visited table in plan order, the {e set-level}
-    delta of the materialized table: [-1] rows left the table, [+1] rows
-    entered it.  Tables not listed are unchanged. *)
+    delta of the materialized table, in the table's layout: [-1] rows left
+    the table, [+1] rows entered it.  Tables not listed are unchanged. *)
 
 val init : Plan.t -> State.t -> rows:Exec.Idb.row list Plan.Src_map.t -> State.t
 (** The tables' first state from the full rows of each client source (a
@@ -83,7 +86,7 @@ val init : Plan.t -> State.t -> rows:Exec.Idb.row list Plan.Src_map.t -> State.t
 
 module For_tests : sig
   val table_delta :
-    Multiset.Slots.t Plan.Src_map.t -> State.t -> Plan.table_plan -> Multiset.Rows.t * State.t
+    Multiset.t Plan.Src_map.t -> State.t -> Plan.table_plan -> Multiset.t * State.t
   (** The delta rules of one table plan: its set-level delta for [feed] and
       the state with its table updated, whether or not [feed] reaches it.
       {!propagate} applies it to the plans the feed reaches; only tests call

@@ -1,78 +1,35 @@
-module type S = sig
-  type row
+module Row_map = Datum.Tuple.Map
 
-  module Row_map : Map.S with type key = row
+type t = int Row_map.t
 
-  type t = int Row_map.t
+let empty = Row_map.empty
+let is_empty = Row_map.is_empty
 
-  val empty : t
-  val is_empty : t -> bool
-  val add : row -> int -> t -> t
-  val sum : t -> t -> t
-  val diff : t -> t -> t
-  val to_list : t -> (row * int) list
-  val rows : t -> row list
-  val fold : (row -> int -> 'a -> 'a) -> t -> 'a -> 'a
-  val filter : (row -> bool) -> t -> t
-  val map_rows : (row -> row) -> t -> t
-  val total : t -> int
-  val cardinal : t -> int
-  val apply_distinct : base:t -> delta:t -> t * t
-end
+(* One descent per row: a row compare can walk dozens of columns. *)
+let add r n t =
+  if n = 0 then t
+  else Row_map.update r (fun c -> match Option.value ~default:0 c + n with 0 -> None | c -> Some c) t
 
-module Make (R : Map.OrderedType) = struct
-  type row = R.t
+let sum a b = Row_map.union (fun _ m n -> match m + n with 0 -> None | c -> Some c) a b
+let diff a b = Row_map.fold (fun r n acc -> add r (-n) acc) b a
+let to_list t = Row_map.bindings t
+let rows t = List.rev (Row_map.fold (fun r n acc -> if n > 0 then r :: acc else acc) t [])
+let fold f t acc = Row_map.fold f t acc
+let filter p t = Row_map.filter (fun r _ -> p r) t
+let map_rows f t = Row_map.fold (fun r n acc -> add (f r) n acc) t empty
+let total t = Row_map.fold (fun _ n acc -> acc + abs n) t 0
+let cardinal = Row_map.cardinal
 
-  module Row_map = Map.Make (R)
-
-  type t = int Row_map.t
-
-  let empty = Row_map.empty
-  let is_empty = Row_map.is_empty
-
-  (* One descent per row: a row compare can walk dozens of columns. *)
-  let add r n t =
-    if n = 0 then t
-    else Row_map.update r (fun c -> match Option.value ~default:0 c + n with 0 -> None | c -> Some c) t
-
-  let sum a b = Row_map.union (fun _ m n -> match m + n with 0 -> None | c -> Some c) a b
-  let diff a b = Row_map.fold (fun r n acc -> add r (-n) acc) b a
-  let to_list t = Row_map.bindings t
-  let rows t = List.rev (Row_map.fold (fun r n acc -> if n > 0 then r :: acc else acc) t [])
-  let fold f t acc = Row_map.fold f t acc
-  let filter p t = Row_map.filter (fun r _ -> p r) t
-  let map_rows f t = Row_map.fold (fun r n acc -> add (f r) n acc) t empty
-  let total t = Row_map.fold (fun _ n acc -> acc + abs n) t 0
-  let cardinal = Row_map.cardinal
-
-  let apply_distinct ~base ~delta =
-    Row_map.fold
-      (fun r n (base, set_delta) ->
-        let old_c = Option.value ~default:0 (Row_map.find_opt r base) in
-        let new_c = old_c + n in
-        let base = if new_c = 0 then Row_map.remove r base else Row_map.add r new_c base in
-        let set_delta =
-          if old_c > 0 && new_c <= 0 then add r (-1) set_delta
-          else if old_c <= 0 && new_c > 0 then add r 1 set_delta
-          else set_delta
-        in
-        (base, set_delta))
-      delta (base, empty)
-end
-
-module Rows = Make (Datum.Row)
-
-module Slots = Make (struct
-  type t = Exec.Idb.row
-
-  let compare a b =
-    let n = max (Array.length a) (Array.length b) in
-    let rec go i =
-      if i = n then 0
-      else
-        match Datum.Value.compare (Exec.Run.get a i) (Exec.Run.get b i) with
-        | 0 -> go (i + 1)
-        | c -> c
-    in
-    go 0
-end)
+let apply_distinct ~base ~delta =
+  Row_map.fold
+    (fun r n (base, set_delta) ->
+      let old_c = Option.value ~default:0 (Row_map.find_opt r base) in
+      let new_c = old_c + n in
+      let base = if new_c = 0 then Row_map.remove r base else Row_map.add r new_c base in
+      let set_delta =
+        if old_c > 0 && new_c <= 0 then add r (-1) set_delta
+        else if old_c <= 0 && new_c > 0 then add r 1 set_delta
+        else set_delta
+      in
+      (base, set_delta))
+    delta (base, empty)

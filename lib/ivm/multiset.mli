@@ -1,64 +1,53 @@
-(** Keyed multisets of rows with signed multiplicities — the currency of
-    delta propagation.
+(** Keyed multisets of positional rows ([Datum.Tuple.t]) with signed
+    multiplicities — the currency of delta propagation.
 
     A value maps each distinct row to a non-zero integer count.  Positive
-    counts describe (fragments of) materialized bag states; mixed-sign values
-    describe {e deltas}: [+n] means the row gains [n] occurrences, [-n] that
-    it loses [n].  All operations keep the representation canonical (no
-    zero-count entries), so [is_empty] means "no change".
+    counts describe (fragments of) materialized bag states, such as the
+    DISTINCT counts of a store image ([Relational.Instance.image]); mixed-sign
+    values describe {e deltas}: [+n] means the row gains [n] occurrences,
+    [-n] that it loses [n].  All operations keep the representation
+    canonical (no zero-count entries), so [is_empty] means "no change".
+    Rows compare under [Datum.Tuple.compare]: an unpadded outer-join row
+    equals its padded form, so each row has one canonical form. *)
 
-    {!Slots} is over the engine's positional rows ({!Exec.Idb.row}), {!Rows}
-    over the [Datum.Row.t] rows DISTINCT counts and the store image lists. *)
+module Row_map = Datum.Tuple.Map
 
-module type S = sig
-  type row
+type t = int Row_map.t
 
-  module Row_map : Map.S with type key = row
+val empty : t
+val is_empty : t -> bool
 
-  type t = int Row_map.t
+val add : Datum.Tuple.t -> int -> t -> t
+(** Add [n] occurrences (may be negative); entries summing to zero
+    vanish. *)
 
-  val empty : t
-  val is_empty : t -> bool
+val sum : t -> t -> t
 
-  val add : row -> int -> t -> t
-  (** Add [n] occurrences (may be negative); entries summing to zero
-      vanish. *)
+val diff : t -> t -> t
+(** [diff a b]: [a]'s counts minus [b]'s — the delta turning [b] into
+    [a]. *)
 
-  val sum : t -> t -> t
+val to_list : t -> (Datum.Tuple.t * int) list
+(** Bindings in ascending row order. *)
 
-  val diff : t -> t -> t
-  (** [diff a b]: [a]'s counts minus [b]'s — the delta turning [b] into
-      [a]. *)
+val rows : t -> Datum.Tuple.t list
+(** Rows with positive count, ascending — the {e set} reading of a
+    state. *)
 
-  val to_list : t -> (row * int) list
-  (** Bindings in ascending row order. *)
+val fold : (Datum.Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
+val filter : (Datum.Tuple.t -> bool) -> t -> t
 
-  val rows : t -> row list
-  (** Rows with positive count, ascending — the {e set} reading of a
-      state. *)
+val map_rows : (Datum.Tuple.t -> Datum.Tuple.t) -> t -> t
+(** Image under a row function; counts of colliding images sum. *)
 
-  val fold : (row -> int -> 'a -> 'a) -> t -> 'a -> 'a
-  val filter : (row -> bool) -> t -> t
+val total : t -> int
+(** Sum of absolute multiplicities — the "rows touched" size of a
+    delta. *)
 
-  val map_rows : (row -> row) -> t -> t
-  (** Image under a row function; counts of colliding images sum. *)
+val cardinal : t -> int
 
-  val total : t -> int
-  (** Sum of absolute multiplicities — the "rows touched" size of a
-      delta. *)
-
-  val cardinal : t -> int
-
-  val apply_distinct : base:t -> delta:t -> t * t
-  (** Maintain a DISTINCT view over a bag: apply the bag-level [delta] to
-      [base] (multiplicities ≥ 0) and return the updated base together with
-      the {e set-level} delta — [+1] for rows whose count crossed 0 →
-      positive, [-1] for rows whose count dropped to 0. *)
-end
-
-module Rows : S with type row = Datum.Row.t
-
-module Slots : S with type row = Exec.Idb.row
-(** Rows compare slot by slot under [Datum.Value.compare], a slot past a
-    row's end reading [NULL]: an unpadded outer-join row equals its padded
-    form, so each row has one canonical form. *)
+val apply_distinct : base:t -> delta:t -> t * t
+(** Maintain a DISTINCT view over a bag: apply the bag-level [delta] to
+    [base] (multiplicities ≥ 0) and return the updated base together with
+    the {e set-level} delta — [+1] for rows whose count crossed 0 →
+    positive, [-1] for rows whose count dropped to 0. *)

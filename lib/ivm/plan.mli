@@ -13,12 +13,25 @@
     scans ([readers]), so the engine visits only the plans a delta can
     reach.
 
+    Each table's rows are kept in the table's own layout
+    ([Relational.Instance.image]): a table plan carries that layout, the
+    slot of its one-column primary key, and the map from its root's layout
+    into it.
+
     Compilation is pure; a long-lived translator compiles once per view set
     (see [Dml.Translate.ivm_init]). *)
 
 module Src_map : Map.S with type key = Query.Algebra.source
 
-type table_plan = { table : string; root : Exec.Plan.t }
+type table_plan = {
+  table : string;
+  root : Exec.Plan.t;
+  layout : string array;  (** the table's columns, its scan layout ([Exec.Idb.scan_layout]) *)
+  key : int option;  (** the slot of the table's primary key, when that is one column *)
+  into : Exec.Plan.item array option;
+      (** the root slot of each [layout] column, when the root's layout
+          orders them otherwise *)
+}
 
 type t = {
   env : Query.Env.t;
@@ -32,7 +45,8 @@ type t = {
 }
 
 val compile : Query.Env.t -> Query.View.update_views -> (t, string) result
-(** Fails on ill-typed views and on views scanning store tables. *)
+(** Fails on ill-typed views, on views scanning store tables, and on a view
+    whose columns are not its table's. *)
 
 val readers : t -> Query.Algebra.source -> table_plan list
 (** The table plans reading a source, in plan order ([[]] for a source no

@@ -1,31 +1,66 @@
 module M = Map.Make (String)
 
-(* A table's rows, and their value arrays in the layout [values] last
-   gave them in, filled on first use.  Every change makes a new record, so
-   the arrays always belong to the rows beside them. *)
+type image = {
+  layout : string array;
+  counts : int Datum.Tuple.Map.t;
+  key : (int * Datum.Tuple.t list Datum.Value.Map.t) option;
+}
+
+(* A table is its rows or a maintainer's image of them, and the value
+   arrays [values] last gave it in, filled on first use; an image's [Datum]
+   rows are built from its arrays on first use too.  Every change makes a
+   new record, so what a record keeps always belongs to its rows. *)
 type table = {
-  rows : Datum.Row.t list;
+  image : image option;
+  mutable rows : Datum.Row.t list option;
   mutable values : (string array * Datum.Value.t array list) option;
 }
 
 type t = table M.t
 
 let empty = M.empty
-let table rows = { rows; values = None }
+let listed rows = { image = None; rows = Some rows; values = None }
+
+let same_layout a b = a == b || a = b
+
+(* An image's rows in its own layout, ascending. *)
+let image_values tb (img : image) =
+  match tb.values with
+  | Some (l, vs) when same_layout l img.layout -> vs
+  | _ ->
+      let vs = List.rev (Datum.Tuple.Map.fold (fun r _ acc -> r :: acc) img.counts []) in
+      tb.values <- Some (img.layout, vs);
+      vs
+
+let table_rows tb =
+  match (tb.rows, tb.image) with
+  | Some rows, _ -> rows
+  | None, None -> []
+  | None, Some img ->
+      let rows = List.map (Datum.Row.of_values img.layout) (image_values tb img) in
+      tb.rows <- Some rows;
+      rows
 
 let add_row ~table:name r t =
-  M.update name (function None -> Some (table [ r ]) | Some tb -> Some (table (r :: tb.rows))) t
+  M.update name
+    (function None -> Some (listed [ r ]) | Some tb -> Some (listed (r :: table_rows tb)))
+    t
 
-let set_rows ~table:name rows t = M.add name (table rows) t
-let rows t ~table = match M.find_opt table t with Some tb -> tb.rows | None -> []
+let set_rows ~table:name rows t = M.add name (listed rows) t
+
+let set_image ~table:name img t = M.add name { image = Some img; rows = None; values = None } t
+
+let image t ~table = match M.find table t with tb -> tb.image | exception Not_found -> None
+let rows t ~table = match M.find_opt table t with Some tb -> table_rows tb | None -> []
 let tables t = List.map fst (M.bindings t)
 
 let values t ~table layout =
   match M.find_opt table t with
   | None -> []
-  | Some { values = Some (l, vs); _ } when l = layout -> vs
+  | Some { values = Some (l, vs); _ } when same_layout l layout -> vs
+  | Some ({ image = Some img; _ } as tb) when same_layout img.layout layout -> image_values tb img
   | Some tb ->
-      let vs = List.map (Datum.Row.values layout) tb.rows in
+      let vs = List.map (Datum.Row.values layout) (table_rows tb) in
       tb.values <- Some (Array.copy layout, vs);
       vs
 
@@ -100,7 +135,7 @@ let conforms schema t =
 let equal a b =
   let norm m =
     M.filter_map
-      (fun _ tb -> match List.sort_uniq Datum.Row.compare tb.rows with [] -> None | l -> Some l)
+      (fun _ tb -> match List.sort_uniq Datum.Row.compare (table_rows tb) with [] -> None | l -> Some l)
       m
   in
   M.equal (List.equal Datum.Row.equal) (norm a) (norm b)
@@ -109,7 +144,7 @@ let pp fmt t =
   let pp_table fmt (name, tb) =
     Format.fprintf fmt "  %s: %a" name
       (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ") Datum.Row.pp)
-      (List.sort_uniq Datum.Row.compare tb.rows)
+      (List.sort_uniq Datum.Row.compare (table_rows tb))
   in
   Format.fprintf fmt "@[<v>%a@]" (Format.pp_print_list pp_table) (M.bindings t)
 

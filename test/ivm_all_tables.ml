@@ -7,8 +7,8 @@
    themselves.  The rule ticks the [ivm.rows.*] counters as the engine
    does; spans are left out. *)
 
-module Row_map = Ivm.Multiset.Rows.Row_map
-module Group_map = Ivm.Multiset.Slots.Row_map
+module Row_map = Ivm.State.Row_map
+module Group_map = Ivm.Multiset.Row_map
 module Multiset = Ivm.Multiset
 module Plan = Ivm.Plan
 module State = Ivm.State
@@ -33,24 +33,25 @@ let step plan st ops =
     (Ivm.Apply.feed plan st ops)
 
 (* States equal as maintained images: a base, join or table entry holding
-   nothing equals a missing one. *)
+   nothing equals a missing one, and tables equal when their counts and key
+   maps do. *)
 let equal_states (a : State.t) (b : State.t) =
   let join_empty (js : State.join_state) = Group_map.is_empty js.lefts && Group_map.is_empty js.rights in
-  let joins (ts : State.table_state) =
-    State.Int_map.filter (fun _ js -> not (join_empty js)) ts.joins
-  in
-  let table_empty (ts : State.table_state) =
-    Multiset.Rows.is_empty ts.query_counts && State.Int_map.is_empty (joins ts)
-  in
+  let joins st table = State.Int_map.filter (fun _ js -> not (join_empty js)) (State.joins st table) in
   let groups_equal = Group_map.equal (Group_map.equal Int.equal) in
   let bases (st : State.t) = Plan.Src_map.filter (fun _ b -> not (Row_map.is_empty b)) st.bases in
+  let tables = Relational.Instance.tables a.store in
   Plan.Src_map.equal (Row_map.equal Datum.Row.equal) (bases a) (bases b)
-  && State.String_map.equal
-       (fun (x : State.table_state) (y : State.table_state) ->
-         Row_map.equal Int.equal x.query_counts y.query_counts
+  && tables = Relational.Instance.tables b.store
+  && List.for_all
+       (fun table ->
+         let x = State.image a table and y = State.image b table in
+         Group_map.equal Int.equal x.counts y.counts
+         && Option.equal
+              (fun (i, m) (j, n) -> i = j && Datum.Value.Map.equal (List.equal (fun r s -> Datum.Tuple.compare r s = 0)) m n)
+              x.key y.key
          && State.Int_map.equal
               (fun (x : State.join_state) (y : State.join_state) ->
                 groups_equal x.lefts y.lefts && groups_equal x.rights y.rights)
-              (joins x) (joins y))
-       (State.String_map.filter (fun _ ts -> not (table_empty ts)) a.tables)
-       (State.String_map.filter (fun _ ts -> not (table_empty ts)) b.tables)
+              (joins a table) (joins b table))
+       tables

@@ -621,11 +621,12 @@ let first_id schema inst set =
   | [] -> None
 
 (* The customer IVM handle over 20 entities per set, and a fixed stream in
-   [serve]'s shape: a scan of the first association, then per entity set a
-   key lookup and a whole-set scan, a write that inserts an entity of the
-   set's root type and updates an attribute of its first entity, a key
-   lookup of the new entity and one in the next set, which the write left
-   alone. *)
+   [serve]'s shape: a scan of the first association and a lookup of its
+   links by their second end, which customer maps to a foreign-key column,
+   outside any table's primary key; then per entity set a key lookup and a whole-set scan, a
+   write that inserts an entity of the set's root type and updates an
+   attribute of its first entity, a key lookup of the new entity and one in
+   the next set, which the write left alone. *)
 let customer_stream () =
   let st = Lazy.force customer in
   let env = st.Core.State.env in
@@ -664,8 +665,15 @@ let customer_stream () =
          sets)
   in
   let assoc = List.hd (Edm.Schema.associations schema) in
+  let links = A.Scan (A.Assoc_set assoc.Edm.Association.name) in
+  let end2 = Edm.Association.qualify ~etype:assoc.Edm.Association.end2 "Id" in
+  let end2_id =
+    match Edm.Instance.links inst ~assoc:assoc.Edm.Association.name with
+    | l :: _ -> Datum.Row.get end2 l
+    | [] -> Alcotest.fail "the first association has no links"
+  in
   let ivm0 = ok_exn (Dml.Translate.ivm_init env st.Core.State.update_views inst) in
-  (st, inst, ivm0, Read (A.Scan (A.Assoc_set assoc.Edm.Association.name)) :: requests)
+  (st, inst, ivm0, Read links :: Read (A.Select (C.Cmp (end2, C.Eq, end2_id), links)) :: requests)
 
 (* The work counters a pass reports: the ones [serve]'s traced run
    requires to repeat. *)
@@ -713,6 +721,45 @@ let test_passes_repeat () =
         (match List.assoc_opt name counts1 with Some n -> n > 0 | None -> false))
     [ "exec.index.builds"; "exec.index.hits"; "exec.rows.scanned"; "ivm.rows.scan";
       "exec.plan.cache.hit"; "exec.plan.cache.miss"; "exec.plan.nodes" ]
+
+(* Primary-key probes over the maintained store read the tables' key maps:
+   the stream's key lookups and writes, each write followed by a new [Idb],
+   count index hits on every table a lookup reaches and build no index. *)
+let test_key_probes_build_nothing () =
+  let st, _, ivm0, requests = customer_stream () in
+  let keyed =
+    List.filter
+      (function
+        | Read (A.Select (C.Cmp (_, C.Eq, _), A.Scan (A.Entity_set _))) | Write _ -> true
+        | Read _ -> false)
+      requests
+  in
+  let counts, _ = replay st ivm0 keyed in
+  let count name = Option.value ~default:0 (List.assoc_opt name counts) in
+  check Alcotest.int "exec.index.builds" 0 (count "exec.index.builds");
+  checkb "exec.index.hits counted" true (count "exec.index.hits" > 0)
+
+(* After every write of the customer stream, an [Idb] over the maintained
+   store answers every full scan and column probe as one over the store
+   the update views give for the client state ([Store_reads]). *)
+let test_store_reads_after_steps () =
+  let st, inst, ivm0, requests = customer_stream () in
+  let env = st.Core.State.env and uv = st.Core.State.update_views in
+  let check msg client ivm =
+    Store_reads.check env uv ~client (Dml.Translate.ivm_store ivm) ~fail:(fun e ->
+        Alcotest.failf "%s: %s" msg e)
+  in
+  check "init" inst ivm0;
+  ignore
+    (List.fold_left
+       (fun (k, client, ivm) -> function
+         | Read _ -> (k, client, ivm)
+         | Write delta ->
+             let client = ok_exn (Dml.Delta.apply env.Query.Env.client client delta) in
+             let _, ivm = ok_exn (Dml.Translate.ivm_step ivm delta) in
+             check (Printf.sprintf "after write %d" k) client ivm;
+             (k + 1, client, ivm))
+       (0, inst, ivm0) requests)
 
 (* An [Idb] over the store after IVM steps answers every customer key
    lookup and set scan as [Query.Eval.rows] does.  Each store is read
@@ -1283,6 +1330,9 @@ let () =
         [
           Alcotest.test_case "passes from one handle repeat their counts" `Quick test_passes_repeat;
           Alcotest.test_case "reads after IVM steps" `Quick test_reads_after_steps;
+          Alcotest.test_case "key probes build no index" `Quick test_key_probes_build_nothing;
+          Alcotest.test_case "reads ≡ reads of the update views' store" `Quick
+            test_store_reads_after_steps;
         ] );
       ("oracle", [ Alcotest.test_case "plans equal the tree lowering" `Quick test_tree_lowering ]);
       ( "prepared reads",
