@@ -901,8 +901,9 @@ let exec_once st db idb q plan =
   (rows, agrees, rows_scanned, rows_joined, unfolded)
 
 (* The plan nodes one more planning of [q] through [session] builds rather
-   than finds in its planner context ([exec.plan.nodes]): for a shape the
-   session has prepared, the nodes binding [q]'s literals rebuilds. *)
+   than finds in its planner context ([exec.plan.nodes]): none for a shape
+   the session has prepared, whose plan only takes [q]'s literals as its
+   arguments. *)
 let plan_nodes session q =
   let nodes = Obs.Metric.counter "exec.plan.nodes" in
   let n = Obs.Metric.value nodes in
@@ -949,9 +950,9 @@ let after_step st inst set etype =
    set).  One TPT set (Set1, 95 tables), one TPH set (Set2, 22 scans of one
    table) and one set with a TPC type (Set4 after the suite's AE-TPC, read
    at a key of the new type).  Each read takes the next key of the set, so
-   the figures cover binding a fresh literal into the session's prepared
-   plan of the lookup's shape ([Exec.Planner.plan_read]), not one plan
-   reused.  [cold_plan_*] plan the same fresh literals with
+   the figures cover binding a fresh literal as the argument of the
+   session's prepared plan of the lookup's shape
+   ([Exec.Planner.plan_read]), not one plan reused.  [cold_plan_*] plan the same fresh literals with
    [Exec.Planner.plan_in], bypassing the prepared plans, in a context over
    the same views: what a read paid for planning before plans were
    prepared.  Each set also gives the [phase_rows] of one traced read.

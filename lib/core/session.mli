@@ -56,9 +56,9 @@ val query_plan : t -> Query.Algebra.t -> (Exec.Plan.t, string) result
     [exec.plan]).  The first read of a query's shape (the query with its
     non-[NULL] comparison literals lifted out) splices the query views in
     ([Query.Unfold.splice], span [query.unfold]) and lowers the result as
-    {!Exec.Planner.plan_in} does; a later one binds its literals into the
-    plan kept for the shape, and [exec.plan.nodes] counts the nodes the
-    binding rebuilt.  Either way the plan equals a cold
+    {!Exec.Planner.plan_in} does; a later one is the plan kept for the
+    shape with its own literals as the arguments, and builds no node.
+    Either way the plan equals a cold
     [Exec.Planner.plan] of the unfolded query.  Every state the session
     holds carries one planner context over its query views, built on that
     state's first read (span [exec.plan.context]): an SMO's state gets its

@@ -1,8 +1,12 @@
 let absent = max_int
 
+type operand = Lit of Datum.Value.t | Param of int
+
+let operand args = function Lit v -> v | Param i -> args.(i)
+
 type access =
   | Full_scan
-  | Index_eq of { col : string; slot : int; value : Datum.Value.t }
+  | Index_eq of { col : string; slot : int; value : operand }
 
 type pred =
   | Always
@@ -10,7 +14,7 @@ type pred =
   | Type_in of int * string list
   | Null of int
   | Not_null of int
-  | Cmp of int * Query.Cond.cmp * Datum.Value.t
+  | Cmp of int * Query.Cond.cmp * operand
   | Both of pred * pred
   | Either of pred * pred
 
@@ -47,7 +51,7 @@ and join = {
   layout : string array;
 }
 
-type t = { root : node; template : Datum.Row.t; order : int array }
+type t = { root : node; template : Datum.Row.t; order : int array; args : Datum.Value.t array }
 
 let source_name = function
   | Query.Algebra.Entity_set s -> s
@@ -69,6 +73,15 @@ let item_string = function
 
 let items_string items = String.concat ", " (List.map item_string items)
 
+(* [cond] with each comparison's value the one its predicate [pred], which
+   was compiled from [cond] atom by atom, reads from [args]. *)
+let rec bound args cond pred =
+  match (cond, pred) with
+  | Query.Cond.Cmp (a, op, _), Cmp (_, _, v) -> Query.Cond.Cmp (a, op, operand args v)
+  | Query.Cond.And (x, y), Both (p, q) -> Query.Cond.And (bound args x p, bound args y q)
+  | Query.Cond.Or (x, y), Either (p, q) -> Query.Cond.Or (bound args x p, bound args y q)
+  | c, _ -> c
+
 let show t =
   let b = Buffer.create 256 in
   let line indent s =
@@ -77,24 +90,24 @@ let show t =
     Buffer.add_char b '\n'
   in
   let rec go indent = function
-    | Scan { source; access; filter; proj; _ } ->
+    | Scan { source; access; filter; pred; proj; _ } ->
         let acc =
           match access with
           | Full_scan -> ""
           | Index_eq { col; value; _ } ->
-              Printf.sprintf " [index %s = %s]" col (Datum.Value.to_literal value)
+              Printf.sprintf " [index %s = %s]" col (Datum.Value.to_literal (operand t.args value))
         in
         let flt =
           match filter with
           | Query.Cond.True -> ""
-          | c -> " where " ^ Query.Cond.show c
+          | c -> " where " ^ Query.Cond.show (bound t.args c pred)
         in
         let prj =
           match proj with None -> "" | Some items -> " project {" ^ items_string items ^ "}"
         in
         line indent (Printf.sprintf "scan %s%s%s%s" (source_name source) acc flt prj)
-    | Filter { cond; input; _ } ->
-        line indent ("filter " ^ Query.Cond.show cond);
+    | Filter { cond; pred; input } ->
+        line indent ("filter " ^ Query.Cond.show (bound t.args cond pred));
         go (indent + 2) input
     | Project { items; input; _ } ->
         line indent ("project {" ^ items_string items ^ "}");

@@ -19,9 +19,18 @@
 val absent : int
 (** The slot of a column a layout lacks: it reads [NULL] in every row. *)
 
+(** A comparison's value: a literal, or the plan's argument at an index
+    of its [args].  A plan {!Planner.plan_read} prepares for a read's shape
+    holds a [Param] wherever one of the read's literals was pushed, so a
+    later read of the shape only sets [args]. *)
+type operand = Lit of Datum.Value.t | Param of int
+
+val operand : Datum.Value.t array -> operand -> Datum.Value.t
+(** [operand args o] is [o]'s value under the arguments [args]. *)
+
 type access =
   | Full_scan
-  | Index_eq of { col : string; slot : int; value : Datum.Value.t }
+  | Index_eq of { col : string; slot : int; value : operand }
       (** Probe the hash index on [col] (at [slot] of the scan layout) for
           [value]; rows whose [col] is [NULL] are never returned, and a
           [NULL] probe value returns nothing — exactly the semantics of
@@ -36,7 +45,7 @@ type pred =
   | Type_in of int * string list  (** the slot holds one of the type names *)
   | Null of int
   | Not_null of int
-  | Cmp of int * Query.Cond.cmp * Datum.Value.t
+  | Cmp of int * Query.Cond.cmp * operand
   | Both of pred * pred
   | Either of pred * pred
 
@@ -89,10 +98,14 @@ type t = {
       (** the root slot of each [template] column, in ascending name
           order: a root row becomes a [Datum.Row.t] through one
           [Datum.Row.mapi] of [template] *)
+  args : Datum.Value.t array;  (** the value of each [Param], by index *)
 }
 
 val show : t -> string
-(** An indented EXPLAIN-style tree, one operator per line. *)
+(** An indented EXPLAIN-style tree, one operator per line.  A comparison's
+    value is read through the predicate compiled from its condition, so a
+    [Param] shows its argument: the [Query.Cond.t] fields of a prepared
+    plan keep the literals of the read that first planned its shape. *)
 
 val scans : t -> int
 (** Number of scans in the plan, whatever their access path. *)

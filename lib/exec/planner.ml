@@ -35,8 +35,9 @@ let indexable_columns (env : Query.Env.t) = function
 let index names c = Option.value ~default:Plan.absent (Array.find_index (String.equal c) names)
 
 (* [IS OF] atoms are resolved against the schema: the types that satisfy
-   them are listed. *)
-let rec pred schema slot = function
+   them are listed.  [operand] gives each comparison's value its plan
+   operand. *)
+let rec pred schema operand slot = function
   | C.True -> Plan.Always
   | C.False -> Plan.Never
   | C.Is_of e ->
@@ -45,9 +46,9 @@ let rec pred schema slot = function
   | C.Is_of_only e -> Plan.Type_in (slot Query.Env.type_column, [ e ])
   | C.Is_null a -> Plan.Null (slot a)
   | C.Is_not_null a -> Plan.Not_null (slot a)
-  | C.Cmp (a, op, v) -> Plan.Cmp (slot a, op, v)
-  | C.And (a, b) -> Plan.Both (pred schema slot a, pred schema slot b)
-  | C.Or (a, b) -> Plan.Either (pred schema slot a, pred schema slot b)
+  | C.Cmp (a, op, v) -> Plan.Cmp (slot a, op, operand v)
+  | C.And (a, b) -> Plan.Both (pred schema operand slot a, pred schema operand slot b)
+  | C.Or (a, b) -> Plan.Either (pred schema operand slot a, pred schema operand slot b)
 
 let items slot items =
   let item = function
@@ -107,16 +108,22 @@ let rec layout = function
 (* A condition's conjuncts; [TRUE] has none. *)
 let conjuncts c = List.filter (function C.True -> false | _ -> true) (C.conjuncts c)
 
-(* What pushdown reads: the environment, for [IS OF] and the store's keys,
-   and each scanned source's layout, slots and indexable columns. *)
-type scope = { env : Query.Env.t; source : A.source -> source }
+(* What pushdown reads: the environment, for [IS OF] and the store's keys;
+   each scanned source's layout, slots and indexable columns; and the
+   operand each comparison value becomes. *)
+type scope = {
+  env : Query.Env.t;
+  source : A.source -> source;
+  operand : Datum.Value.t -> Plan.operand;
+}
 
 (* A residual filter over [node], resolved against its layout. *)
 let filter sc fs node =
   if fs = [] then node
   else
     let cond = C.conj fs in
-    built (Plan.Filter { cond; pred = pred sc.env.client (index (layout node)) cond; input = node })
+    let pred = pred sc.env.client sc.operand (index (layout node)) cond in
+    built (Plan.Filter { cond; pred; input = node })
 
 (* A projection over [input]: fused into a scan that projects nothing yet,
    and given one slot map over the rows below a stack of projections. *)
@@ -140,26 +147,28 @@ let join kind left right on =
          rkey; keep; layout = Array.append l (Array.map (Array.get r) keep) })
 
 (* A scan's access path and residual filter once [fs] follow its own
-   conjuncts (its probe, if it has one, first).  The first [col = v]
-   conjunct over an indexable column is the access path; the rest stay a
-   residual filter, except [col IS NOT NULL]: the probe returns no row
-   whose [col] is NULL. *)
+   conjuncts.  A probe the scan has stays its access path; otherwise the
+   first [col = v] conjunct over an indexable column becomes it.  The rest
+   stay a residual filter, except [col IS NOT NULL]: the probe returns no
+   row whose [col] is NULL. *)
 let scan_filter sc src access filter fs =
   let s = sc.source src in
+  let not_null col = function C.Is_not_null c -> String.equal c col | _ -> false in
+  let probed col fs = List.filter (fun f -> not (not_null col f)) fs in
   let rec pick acc = function
     | [] -> (Plan.Full_scan, List.rev acc)
     | C.Cmp (col, C.Eq, v) :: rest when List.mem col s.indexable ->
-        let not_null = function C.Is_not_null c -> String.equal c col | _ -> false in
-        ( Plan.Index_eq { col; slot = source_slot s col; value = v },
-          List.filter (fun f -> not (not_null f)) (List.rev_append acc rest) )
+        ( Plan.Index_eq { col; slot = source_slot s col; value = sc.operand v },
+          probed col (List.rev_append acc rest) )
     | f :: rest -> pick (f :: acc) rest
   in
-  let probe =
-    match access with Plan.Full_scan -> [] | Plan.Index_eq { col; value; _ } -> [ C.Cmp (col, C.Eq, value) ]
+  let access, residual =
+    match access with
+    | Plan.Full_scan -> pick [] (conjuncts filter @ fs)
+    | Plan.Index_eq { col; _ } -> (access, probed col (conjuncts filter @ fs))
   in
-  let access, residual = pick [] (probe @ conjuncts filter @ fs) in
   let filter = C.conj residual in
-  (access, filter, pred sc.env.client (source_slot s) filter)
+  (access, filter, pred sc.env.client sc.operand (source_slot s) filter)
 
 (* [push sc fs node] is [node] with the conjuncts [fs] applied after its
    own: each sinks as far as it can, so a scan it reaches may turn it into
@@ -273,75 +282,6 @@ module Shape_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash_param 40 200
 end)
 
-(* A shape's plan, planned once with fresh copies of its first read's
-   literals as the parameters. *)
-type prepared = { plan : Plan.t; params : Datum.Value.t array }
-
-(* Binding replaces each of [params], found by physical identity, with the
-   argument at its index in [args].  A parameter is a value no view holds,
-   so every occurrence of it in a plan is one the literal it stands for was
-   pushed to.  Each function returns a term no parameter occurs in [==]. *)
-let rec bind_value params args v i =
-  if i = Array.length params then v
-  else if params.(i) == v then args.(i)
-  else bind_value params args v (i + 1)
-
-let rec bind_cond params args c =
-  match c with
-  | C.Cmp (a, op, v) ->
-      let v' = bind_value params args v 0 in
-      if v' == v then c else C.Cmp (a, op, v')
-  | C.And (x, y) ->
-      let x' = bind_cond params args x and y' = bind_cond params args y in
-      if x' == x && y' == y then c else C.And (x', y')
-  | C.Or (x, y) ->
-      let x' = bind_cond params args x and y' = bind_cond params args y in
-      if x' == x && y' == y then c else C.Or (x', y')
-  | C.True | C.False | C.Is_of _ | C.Is_of_only _ | C.Is_null _ | C.Is_not_null _ -> c
-
-let rec bind_pred params args p =
-  match p with
-  | Plan.Cmp (i, op, v) ->
-      let v' = bind_value params args v 0 in
-      if v' == v then p else Plan.Cmp (i, op, v')
-  | Plan.Both (x, y) ->
-      let x' = bind_pred params args x and y' = bind_pred params args y in
-      if x' == x && y' == y then p else Plan.Both (x', y')
-  | Plan.Either (x, y) ->
-      let x' = bind_pred params args x and y' = bind_pred params args y in
-      if x' == x && y' == y then p else Plan.Either (x', y')
-  | Plan.Always | Plan.Never | Plan.Type_in _ | Plan.Null _ | Plan.Not_null _ -> p
-
-(* A node is rebuilt when a parameter occurs in its own fields or below it,
-   and counted in [exec.plan.nodes] as planning counts it. *)
-let rec bind_node params args node =
-  match node with
-  | Plan.Scan s ->
-      let access =
-        match s.access with
-        | Plan.Full_scan -> s.access
-        | Plan.Index_eq ix ->
-            let value = bind_value params args ix.value 0 in
-            if value == ix.value then s.access else Plan.Index_eq { ix with value }
-      in
-      let filter = bind_cond params args s.filter and pred = bind_pred params args s.pred in
-      if access == s.access && filter == s.filter && pred == s.pred then node
-      else built (Plan.Scan { s with access; filter; pred })
-  | Plan.Filter f ->
-      let cond = bind_cond params args f.cond and pred = bind_pred params args f.pred in
-      let input = bind_node params args f.input in
-      if cond == f.cond && pred == f.pred && input == f.input then node
-      else built (Plan.Filter { cond; pred; input })
-  | Plan.Project p ->
-      let input = bind_node params args p.input in
-      if input == p.input then node else built (Plan.Project { p with input })
-  | Plan.Hash_join j ->
-      let left = bind_node params args j.left and right = bind_node params args j.right in
-      if left == j.left && right == j.right then node else built (Plan.Hash_join { j with left; right })
-  | Plan.Append a ->
-      let left = bind_node params args a.left and right = bind_node params args a.right in
-      if left == a.left && right == a.right then node else built (Plan.Append { a with left; right })
-
 (* Planning state for the queries planned over one set of views.  The
    tables are keyed on physical identity and hold only the views' nodes,
    before and after simplification: a query spliced over the views is
@@ -355,7 +295,7 @@ type context = {
   check : A.t -> (unit, string) result;
   compile : A.t -> Plan.node;
   template : A.t -> Datum.Row.t * int array;
-  prepared : prepared option Shape_tbl.t;
+  prepared : Plan.t option Shape_tbl.t;
 }
 
 let context env views =
@@ -388,7 +328,7 @@ let context env views =
             Hashtbl.add sources src s;
             s
       in
-      let scope = { env; source } in
+      let scope = { env; source; operand = (fun v -> Plan.Lit v) } in
       let compile = memo (compile_step scope) in
       (* [A.infer]'s typing, each node's columns read off its plan. *)
       let check =
@@ -408,18 +348,20 @@ let scan_layout ctx =
   let source = ctx.scope.source in
   fun src -> (source src).layout
 
-let plan_in ctx q =
+(* [q]'s plan, compiled above the views by [compile], with [args]. *)
+let plan_with ctx compile args q =
   Obs.Span.with_ ~name:"exec.plan" (fun () ->
       let n = Obs.Metric.value c_nodes in
       let plan =
         let* () = ctx.check q in
         let q = ctx.simplify q in
         let template, order = ctx.template q in
-        Ok { Plan.root = ctx.compile q; template; order }
+        Ok { Plan.root = compile q; template; order; args }
       in
       Obs.Span.tag "nodes" (Obs.Metric.value c_nodes - n);
       plan)
 
+let plan_in ctx q = plan_with ctx ctx.compile [||] q
 let plan env q = plan_in (context env [ q ]) q
 
 (* Whether simplifying [q] may fold one of its literals by value
@@ -471,6 +413,12 @@ let fresh = function
   | Datum.Value.Decimal f -> Datum.Value.Decimal (Sys.opaque_identity f)
   | Datum.Value.Null -> Datum.Value.Null
 
+(* The parameters of a shape are fresh copies of its first read's
+   literals: values no view holds, so every occurrence of one in the
+   unfolded query is one the literal it stands for was pushed to.  Planned
+   with them, the nodes above the views hold [Param i] wherever the [i]th
+   parameter occurs, found by [==] once per shape; the views' memoized
+   plans keep their [Lit]s. *)
 let plan_read ctx ~unfold q =
   let literals = ref [] in
   let shape =
@@ -484,14 +432,8 @@ let plan_read ctx ~unfold q =
   | Some (Some p) ->
       Obs.Metric.incr c_hit;
       Obs.Span.with_ ~name:"exec.plan" (fun () ->
-          let n = Obs.Metric.value c_nodes in
-          let plan =
-            if Array.length p.params = 0 then p.plan
-            else
-              { p.plan with root = bind_node p.params (Array.of_list (List.rev !literals)) p.plan.root }
-          in
-          Obs.Span.tag "nodes" (Obs.Metric.value c_nodes - n);
-          Ok plan)
+          Obs.Span.tag "nodes" 0;
+          match !literals with [] -> Ok p | ls -> Ok { p with Plan.args = Array.of_list (List.rev ls) })
   | Some None ->
       Obs.Metric.incr c_miss;
       let* q = unfold q in
@@ -508,11 +450,13 @@ let plan_read ctx ~unfold q =
                params.(!k))
              q)
       in
-      let* plan = plan_in ctx q in
-      let entry =
-        if Array.length params > 0 && folds_literals ctx q then None
-        else Some { plan; params }
+      let operand v =
+        match Array.find_index (fun p -> p == v) params with Some i -> Plan.Param i | None -> Plan.Lit v
       in
+      let sc = { ctx.scope with operand } in
+      let rec compile q = if ctx.view q then ctx.compile q else compile_step sc compile q in
+      let* plan = plan_with ctx compile params q in
+      let entry = if Array.length params > 0 && folds_literals ctx q then None else Some plan in
       if Shape_tbl.length ctx.prepared >= prepared_cap then Shape_tbl.reset ctx.prepared;
       Shape_tbl.add ctx.prepared shape entry;
       Ok plan

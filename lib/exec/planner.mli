@@ -37,8 +37,8 @@ type context
     view plan nodes they reach: its other nodes are the views' plans'.  So
     a stream of distinct queries leaves the node tables' size unchanged.
     Counter [exec.plan.nodes], and the [nodes] tag of each [exec.plan]
-    span, count the plan nodes built rather than found here: for a read
-    {!plan_read} binds, the nodes its literals reached, rebuilt. *)
+    span, count the plan nodes built rather than found here: none for a
+    read {!plan_read} binds. *)
 
 val context : Query.Env.t -> Query.Algebra.t list -> context
 (** Simplifies the views once and records their nodes. *)
@@ -63,12 +63,13 @@ val plan_read :
     plan prepared once per {e shape}: [q] with each non-[NULL] comparison
     literal lifted out, its domain kept.  The first read of a shape
     ([exec.plan.cache.miss]) plans it as [plan_in] does, with fresh copies
-    of its literals as the parameters, and keeps the plan.  A later read
-    ([exec.plan.cache.hit]) neither unfolds, simplifies, types nor pushes
-    down: it binds its literals into the kept plan, rebuilding only the
-    nodes a parameter reached ([Index_eq] values, scan filters and
-    predicates, [Filter]s, and their ancestors), so every other node stays
-    [==] and the bound plan is the one [plan_in] gives for [q].
+    of its literals as the parameters: above the views, each comparison
+    value that is the [i]th parameter ([==]) becomes [Plan.Param i], and
+    the plan's [args] are the parameters.  The context keeps the plan.  A
+    later read ([exec.plan.cache.hit]) neither unfolds, simplifies, types,
+    pushes down nor walks the plan: it is the kept plan with the read's
+    literals as [args], every node [==], and it runs and shows
+    ([Plan.show]) as the plan [plan_in] gives for [q].
 
     Pushdown never reads a literal's value, but [Query.Simplify.cond]
     folds contradictions and duplicates by value.  So a shape where a

@@ -16,22 +16,26 @@ let c_joined = Obs.Metric.counter "exec.rows.joined"
    inlined. *)
 let get (r : Idb.row) i = if i < Array.length r then Array.unsafe_get r i else V.Null
 
-let rec holds r = function
+(* [Plan.operand], defined here to be inlined too. *)
+let operand args = function Plan.Lit v -> v | Plan.Param i -> args.(i)
+
+let rec holds args r = function
   | Plan.Always -> true
   | Plan.Never -> false
   | Plan.Type_in (i, types) -> (
       match get r i with V.String ty -> List.exists (String.equal ty) types | _ -> false)
   | Plan.Null i -> V.is_null (get r i)
   | Plan.Not_null i -> not (V.is_null (get r i))
-  | Plan.Cmp (i, op, v) -> Query.Cond.eval_cmp op (get r i) v
-  | Plan.Both (a, b) -> holds r a && holds r b
-  | Plan.Either (a, b) -> holds r a || holds r b
+  | Plan.Cmp (i, op, v) -> Query.Cond.eval_cmp op (get r i) (operand args v)
+  | Plan.Both (a, b) -> holds args r a && holds args r b
+  | Plan.Either (a, b) -> holds args r a || holds args r b
 
-let[@tail_mod_cons] rec filter keep = function
+(* No closure per call: the rows [holds args p] keeps. *)
+let[@tail_mod_cons] rec filter args p = function
   | [] -> []
-  | r :: rest -> if keep r then r :: filter keep rest else filter keep rest
+  | r :: rest -> if holds args r p then r :: filter args p rest else filter args p rest
 
-let select pred rows = match pred with Plan.Always -> rows | p -> filter (fun r -> holds r p) rows
+let select args pred rows = match pred with Plan.Always -> rows | p -> filter args p rows
 
 let rec value r = function
   | Plan.Slot i -> get r i
@@ -141,12 +145,12 @@ let hash_join (j : Plan.join) lrows rrows =
 
 (* -- plans ------------------------------------------------------------------ *)
 
-let scan idb source access =
+let scan idb args source access =
   let s = Idb.source idb source in
   let rows =
     match access with
     | Plan.Full_scan -> Idb.rows s
-    | Plan.Index_eq { slot; value; _ } -> Idb.lookup s slot value
+    | Plan.Index_eq { slot; value; _ } -> Idb.lookup s slot (operand args value)
   in
   Obs.Metric.incr ~by:(List.length rows) c_scanned;
   rows
@@ -154,27 +158,29 @@ let scan idb source access =
 (* A node's rows, each still to go through the node's projection map when
    it has one: a projection returns the rows below its stack and its fused
    map, so the root's projection builds each [Datum.Row.t] straight from an
-   input row. *)
-let rec output idb = function
-  | Plan.Scan { source; access; pred; map; _ } -> (select pred (scan idb source access), map)
-  | Plan.Project { fused; input; _ } -> (below idb input, Some fused)
-  | Plan.Filter { pred; input; _ } -> (select pred (exec idb input), None)
-  | Plan.Hash_join j -> (join idb j, None)
+   input row.  [args] are the plan's, which its [Param]s read. *)
+let rec output idb args = function
+  | Plan.Scan { source; access; pred; map; _ } -> (select args pred (scan idb args source access), map)
+  | Plan.Project { fused; input; _ } -> (below idb args input, Some fused)
+  | Plan.Filter { pred; input; _ } -> (select args pred (exec idb args input), None)
+  | Plan.Hash_join j -> (join idb args j, None)
   | Plan.Append { left; right; perm } -> (
-      let lrows = exec idb left in
-      match (exec idb right, perm) with
+      let lrows = exec idb args left in
+      match (exec idb args right, perm) with
       | [], _ -> (lrows, None)
       | rrows, None -> (lrows @ rrows, None)
       | rrows, Some perm -> (lrows @ List.map (fun r -> Array.map (get r) perm) rrows, None))
 
-and exec idb node =
-  match output idb node with rows, None -> rows | rows, Some map -> List.map (project map) rows
+and exec idb args node =
+  match output idb args node with rows, None -> rows | rows, Some map -> List.map (project map) rows
 
 (* The rows below a stack of projections, which its fused map reads. *)
-and below idb = function Plan.Project { input; _ } -> below idb input | node -> fst (output idb node)
+and below idb args = function
+  | Plan.Project { input; _ } -> below idb args input
+  | node -> fst (output idb args node)
 
-and join idb (j : Plan.join) =
-  let lrows = exec idb j.left and rrows = exec idb j.right in
+and join idb args (j : Plan.join) =
+  let lrows = exec idb args j.left and rrows = exec idb args j.right in
   match (j.spec.kind, lrows, rrows) with
   | _, [], [] | (Query.Join.Inner | Query.Join.Left), [], _ | Query.Join.Inner, _, [] -> []
   | (Query.Join.Left | Query.Join.Full), _, [] -> lrows
@@ -201,7 +207,7 @@ let to_rows (plan : Plan.t) read rows =
 let rows ?jobs:_ idb (plan : Plan.t) =
   Obs.Span.with_ ~name:"exec.run" (fun () ->
       let out =
-        match output idb plan.root with
+        match output idb plan.args plan.root with
         | rows, None -> to_rows plan get rows
         | rows, Some map -> to_rows plan (fun r i -> value r (Array.unsafe_get map i)) rows
       in

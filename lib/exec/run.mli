@@ -3,7 +3,10 @@
     [rows] evaluates a compiled {!Plan} over an {!Idb} with the same bag
     semantics as [Query.Eval.rows] on the source query.  It resolves
     nothing: every node already carries its layout and slots, so a node
-    only tests, maps and joins positional rows ({!Idb.row}).  A stack of
+    only tests, maps and joins positional rows ({!Idb.row}), and a
+    [Plan.Param i] reads the plan's [args.(i)], at an index probe and in a
+    predicate, so a prepared plan runs with each read's arguments as it
+    is.  A stack of
     projections (a projecting scan included) runs as its one fused slot
     map, so each projected row is built once, and only the root's rows are
     converted back to {!Datum.Row.t}, through the plan's template.
@@ -33,7 +36,10 @@ val rows : ?jobs:int -> Idb.t -> Plan.t -> Datum.Row.t list
 val get : Idb.row -> int -> Datum.Value.t
 (** The value at a slot; [NULL] past the row's end ([Datum.Tuple.get]). *)
 
-val holds : Idb.row -> Plan.pred -> bool
+val holds : Datum.Value.t array -> Idb.row -> Plan.pred -> bool
+(** [holds args r p]: whether row [r] satisfies [p], each [Param] read
+    from [args]. *)
+
 val project : Plan.item array -> Idb.row -> Idb.row
 
 val matched : Plan.join -> Idb.row -> Idb.row -> Idb.row

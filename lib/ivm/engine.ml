@@ -104,7 +104,7 @@ let select rules pred b =
   match pred with
   | P.Always -> b
   | p ->
-      let b = rules.filter (fun r -> Run.holds r p) b in
+      let b = rules.filter (fun r -> Run.holds [||] r p) b in
       tick rules c_select b;
       b
 

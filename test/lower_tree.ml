@@ -45,7 +45,7 @@ let rec pred schema slot = function
   | C.Is_of_only e -> Plan.Type_in (slot Query.Env.type_column, [ e ])
   | C.Is_null a -> Plan.Null (slot a)
   | C.Is_not_null a -> Plan.Not_null (slot a)
-  | C.Cmp (a, op, v) -> Plan.Cmp (slot a, op, v)
+  | C.Cmp (a, op, v) -> Plan.Cmp (slot a, op, Plan.Lit v)
   | C.And (a, b) -> Plan.Both (pred schema slot a, pred schema slot b)
   | C.Or (a, b) -> Plan.Either (pred schema slot a, pred schema slot b)
 
@@ -74,7 +74,7 @@ let pick_index s filters =
     | [] -> (Plan.Full_scan, List.rev acc)
     | C.Cmp (col, C.Eq, v) :: rest when List.mem col s.indexable ->
         let not_null = function C.Is_not_null c -> String.equal c col | _ -> false in
-        ( Plan.Index_eq { col; slot = source_slot s col; value = v },
+        ( Plan.Index_eq { col; slot = source_slot s col; value = Plan.Lit v },
           List.filter (fun f -> not (not_null f)) (List.rev_append acc rest) )
     | f :: rest -> go (f :: acc) rest
   in
@@ -236,4 +236,29 @@ let plan env q =
   let compile = A.Memo.fix (A.Memo.create ()) (compile_step source) in
   let template = A.Memo.fix (A.Memo.create ()) (template_step compile) in
   let template, order = template q in
-  Ok { Plan.root = lower env source compile [] q; template; order }
+  Ok { Plan.root = lower env source compile [] q; template; order; args = [||] }
+
+(* [p] with each [Param i] the literal [p.args.(i)]: a plan the planner
+   prepared for a read, as the lowering of that read gives it. *)
+let resolve (p : Plan.t) =
+  let value = Plan.operand p.args in
+  let rec pred = function
+    | Plan.Cmp (i, op, v) -> Plan.Cmp (i, op, Plan.Lit (value v))
+    | Plan.Both (x, y) -> Plan.Both (pred x, pred y)
+    | Plan.Either (x, y) -> Plan.Either (pred x, pred y)
+    | (Plan.Always | Plan.Never | Plan.Type_in _ | Plan.Null _ | Plan.Not_null _) as p -> p
+  in
+  let rec node = function
+    | Plan.Scan s ->
+        let access =
+          match s.access with
+          | Plan.Full_scan -> Plan.Full_scan
+          | Plan.Index_eq ix -> Plan.Index_eq { ix with value = Plan.Lit (value ix.value) }
+        in
+        Plan.Scan { s with access; pred = pred s.pred }
+    | Plan.Filter f -> Plan.Filter { f with pred = pred f.pred; input = node f.input }
+    | Plan.Project p -> Plan.Project { p with input = node p.input }
+    | Plan.Hash_join j -> Plan.Hash_join { j with left = node j.left; right = node j.right }
+    | Plan.Append a -> Plan.Append { a with left = node a.left; right = node a.right }
+  in
+  { p with root = node p.root; args = [||] }

@@ -545,7 +545,7 @@ let test_index_probe_null () =
   let probe =
     match plan.Plan.root with
     | Plan.Scan ({ access = Plan.Index_eq i; _ } as s) ->
-        { plan with root = Plan.Scan { s with access = Plan.Index_eq { i with value = V.Null } } }
+        { plan with root = Plan.Scan { s with access = Plan.Index_eq { i with value = Plan.Lit V.Null } } }
     | _ -> Alcotest.failf "expected an index probe, got:@.%s" (Plan.show plan)
   in
   check_bags "NULL probe"
@@ -812,9 +812,11 @@ let test_reads_after_steps () =
 
 (* -- the tree lowering as oracle ---------------------------------------------- *)
 
-(* [plan] is the plan [Lower_tree] lowers [q] to: the same root and order,
-   and an equal template. *)
+(* [plan], its parameters resolved to their arguments, is the plan
+   [Lower_tree] lowers [q] to: the same root and order, and an equal
+   template. *)
 let check_oracle msg env q (plan : Plan.t) =
+  let plan = Lower_tree.resolve plan in
   let tree = ok_exn (Lower_tree.plan env q) in
   if
     not
@@ -1093,6 +1095,7 @@ let test_plan_sharing () =
 (* -- prepared reads ------------------------------------------------------------- *)
 
 let c_hit = Obs.Metric.counter "exec.plan.cache.hit"
+let c_nodes = Obs.Metric.counter "exec.plan.nodes"
 
 (* [f ()] and the deltas of the counters [keep] names. *)
 let deltas keep f =
@@ -1120,21 +1123,49 @@ let check_against_cold msg env db got cold =
   | Ok _, Error e -> Alcotest.failf "%s: planned, but the cold plan fails: %s" msg e
   | Error e, Ok _ -> Alcotest.failf "%s: fails (%s), but the cold plan does not" msg e
 
+(* [q] with each non-NULL comparison literal replaced by a placeholder of
+   its domain: reads that differ only in such literals share a shape. *)
+let shape =
+  A.map_conditions
+    (C.map_atoms (function
+      | C.Cmp (a, op, v) when not (V.is_null v) ->
+          let placeholder =
+            match v with
+            | V.Int _ -> V.Int 0
+            | V.String _ -> V.String ""
+            | V.Bool _ -> V.Bool false
+            | V.Decimal _ -> V.Decimal 0.
+            | V.Null -> V.Null
+          in
+          C.Cmp (a, op, placeholder)
+      | atom -> atom))
+
 (* Reads [queries] in order through one session of [st], each against a
    cold [Planner.plan] of its unfolding, and returns the reads that bound
-   a prepared plan. *)
+   a prepared plan.  A read that binds builds no plan node: its root is
+   the root of the plan its shape's first read got. *)
 let check_prepared msg st db queries =
   let env = st.Core.State.env in
   let session = Core.Session.start st in
+  let roots = ref [] in
   List.filter
     (fun q ->
-      let h = Obs.Metric.value c_hit in
+      let msg = msg ^ ": " ^ A.show q in
+      let h = Obs.Metric.value c_hit and n = Obs.Metric.value c_nodes in
       let got = Core.Session.query_plan session q in
-      let hit = Obs.Metric.value c_hit > h in
+      let hit = Obs.Metric.value c_hit > h and built = Obs.Metric.value c_nodes - n in
       let cold =
         Result.bind (Query.Unfold.client_query env st.Core.State.query_views q) (Planner.plan env)
       in
-      check_against_cold (msg ^ ": " ^ A.show q) env db got cold;
+      check_against_cold msg env db got cold;
+      (match (got, List.find_opt (fun (s, _) -> A.equal s (shape q)) !roots) with
+      | Ok p, Some (_, root) when hit ->
+          check Alcotest.int (msg ^ ": plan nodes a binding read builds") 0 built;
+          checkb (msg ^ ": the prepared root") true (p.Plan.root == root)
+      | _, Some _ -> ()
+      | _, None when hit -> Alcotest.failf "%s: binds at its shape's first read" msg
+      | Ok p, None -> roots := (shape q, p.Plan.root) :: !roots
+      | Error _, None -> ());
       hit)
     queries
 
@@ -1211,6 +1242,35 @@ let test_prepared_equals_cold () =
   List.iter
     (fun kind -> checkb ("random models: " ^ kind ^ " literals bind") true (List.mem kind !kinds))
     [ "int"; "string"; "decimal" ]
+
+(* Literals outside key lookups: residual filters with [<], [>=] and
+   [<>], and an AND and an OR of literals on the key and an attribute
+   outside it, on a TPT, a TPH and a TPC set, read through one session at
+   four literal pairs, each against a cold plan. *)
+let test_prepared_comparisons () =
+  let st = Lazy.force customer in
+  let schema = st.Core.State.env.Query.Env.client in
+  let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:20 schema in
+  let reads =
+    List.concat_map
+      (fun set ->
+        let scan = A.Scan (A.Entity_set set) in
+        let key = List.hd (Edm.Schema.key_of schema (Option.get (Edm.Schema.set_root schema set))) in
+        let a, _ = Option.get (non_key_attribute schema set) in
+        let pairs = List.combine (attribute_values inst set key 4) (attribute_values inst set a 4) in
+        let cmp col op v = C.Cmp (col, op, v) in
+        List.concat_map
+          (fun (k, v) ->
+            List.map
+              (fun c -> A.Select (c, scan))
+              [ cmp key C.Lt k; cmp key C.Ge k; cmp a C.Neq v; C.And (cmp key C.Ge k, cmp a C.Neq v);
+                C.Or (cmp key C.Lt k, cmp a C.Eq v) ])
+          pairs)
+      [ "Set1"; "Set2"; "Set4" ]
+  in
+  checkb "four literal pairs per set" true (List.length reads = 3 * 4 * 5);
+  let hits = check_prepared "comparisons" st (state_db st inst) reads in
+  check Alcotest.int "every read after its shape's first binds" (3 * 3 * 5) (List.length hits)
 
 (* Reads whose shape must plan as a cold plan does: a NULL literal, kept
    in the shape; a literal of another domain than its column's, and one on
@@ -1338,6 +1398,7 @@ let () =
       ( "prepared reads",
         [
           Alcotest.test_case "prepared plans equal cold plans" `Quick test_prepared_equals_cold;
+          Alcotest.test_case "comparisons, AND and OR bind" `Quick test_prepared_comparisons;
           Alcotest.test_case "guarded shapes plan cold" `Quick test_prepared_guards;
           Alcotest.test_case "a literal merged into a view's selection" `Quick
             test_prepared_view_selection;
