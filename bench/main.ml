@@ -1088,7 +1088,8 @@ let exec_bench () =
            A.Scan (A.Assoc_set "Supports")) );
       ( "join",
         A.Join
-          ( A.project_renamed [ ("Id", "Employee.Id"); ("Name", "Name") ]
+          ( Query.Join.Inner,
+            A.project_renamed [ ("Id", "Employee.Id"); ("Name", "Name") ]
               (A.Scan (A.Entity_set "Persons")),
             A.Scan (A.Assoc_set "Supports"),
             [ "Employee.Id" ] ) );

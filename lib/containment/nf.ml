@@ -326,11 +326,12 @@ let rec needed_elim env role needed q =
   let cols_of q = match Query.Algebra.infer env q with Ok c -> c | Error _ -> [] in
   let covered q = List.for_all (fun c -> List.mem c (cols_of q)) needed in
   match q with
-  | Query.Algebra.Left_outer_join (l, _r, _) when covered l -> needed_elim env role needed l
-  | Query.Algebra.Full_outer_join (l, r, on) when List.for_all (fun c -> List.mem c on) needed ->
-      Query.Algebra.Union_all (needed_elim env role needed l, needed_elim env role needed r)
-  | Query.Algebra.Full_outer_join (l, r, _) when role = Superset_side && (covered l || covered r)
+  | Query.Algebra.Join (Query.Join.Left, l, _r, _) when covered l -> needed_elim env role needed l
+  | Query.Algebra.Join (Query.Join.Full, l, r, on) when List.for_all (fun c -> List.mem c on) needed
     ->
+      Query.Algebra.Union_all (needed_elim env role needed l, needed_elim env role needed r)
+  | Query.Algebra.Join (Query.Join.Full, l, r, _)
+    when role = Superset_side && (covered l || covered r) ->
       let l' = if covered l then Some (needed_elim env role needed l) else None in
       let r' = if covered r then Some (needed_elim env role needed r) else None in
       (match l', r' with
@@ -338,14 +339,6 @@ let rec needed_elim env role needed q =
       | Some l', None -> l'
       | None, Some r' -> r'
       | None, None -> assert false)
-  | Query.Algebra.Left_outer_join (_l, r, on)
-    when role = Superset_side
-         && List.for_all (fun c -> List.mem c (cols_of r) || List.mem c on) needed ->
-      (* Matched rows carry the right side's values; the right side filtered
-         through the join is a lower bound, and so is the full right side
-         only when every row matches — not provable here, so keep the
-         default join lower bound. *)
-      q
   | Query.Algebra.Union_all (l, r) ->
       (* Projection distributes over union. *)
       Query.Algebra.Union_all (needed_elim env role needed l, needed_elim env role needed r)
@@ -369,9 +362,7 @@ let rec needed_elim env role needed q =
       in
       let needed' = List.sort_uniq String.compare (needed @ extra) in
       Query.Algebra.Select (c, needed_elim env role needed' q1)
-  | Query.Algebra.Scan _ | Query.Algebra.Join _ | Query.Algebra.Left_outer_join _
-  | Query.Algebra.Full_outer_join _ ->
-      q
+  | Query.Algebra.Scan _ | Query.Algebra.Join _ -> q
 
 let rec norm env role counter q : (state list * bool, string) Stdlib.result =
   match q with
@@ -458,38 +449,16 @@ let rec norm env role counter q : (state list * bool, string) Stdlib.result =
           sts
       in
       Ok (out, approx)
-  | Query.Algebra.Join (l, r, on) ->
+  | Query.Algebra.Join (kind, l, r, on) -> (
       let* ls, al = norm env role counter l in
       let* rs, ar = norm env role counter r in
-      Ok (join_states ls rs on, al || ar)
-  | Query.Algebra.Left_outer_join (l, r, on) -> (
-      let* ls, _al = norm env role counter l in
-      let* rs, _ar = norm env role counter r in
-      let rcols_only =
-        match Query.Algebra.infer env r with
-        | Ok rc -> List.filter (fun c -> not (List.mem c on)) rc
-        | Error e -> invalid_arg e
-      in
       let joined = join_states ls rs on in
-      match role with
-      | Superset_side -> Ok (joined, true)
-      | Subset_side ->
-          let padded = List.map (pad_state rcols_only) ls in
-          Ok (joined @ padded, true))
-  | Query.Algebra.Full_outer_join (l, r, on) -> (
-      let* ls, _al = norm env role counter l in
-      let* rs, _ar = norm env role counter r in
-      let lcols = match Query.Algebra.infer env l with Ok c -> c | Error e -> invalid_arg e in
-      let rcols = match Query.Algebra.infer env r with Ok c -> c | Error e -> invalid_arg e in
-      let rcols_only = List.filter (fun c -> not (List.mem c on)) rcols in
-      let lcols_only = List.filter (fun c -> not (List.mem c on)) lcols in
-      let joined = join_states ls rs on in
-      match role with
-      | Superset_side -> Ok (joined, true)
-      | Subset_side ->
-          let pad_l = List.map (pad_state rcols_only) ls in
-          let pad_r = List.map (pad_state lcols_only) rs in
-          Ok (joined @ pad_l @ pad_r, true))
+      match (kind, role) with
+      | Query.Join.Inner, _ -> Ok (joined, al || ar)
+      | (Query.Join.Left | Query.Join.Full), Superset_side -> Ok (joined, true)
+      | Query.Join.Left, Subset_side -> Ok (joined @ pad_unmatched env on r ls, true)
+      | Query.Join.Full, Subset_side ->
+          Ok (joined @ pad_unmatched env on r ls @ pad_unmatched env on l rs, true))
   | Query.Algebra.Union_all (l, r) ->
       let* ls, al = norm env role counter l in
       let* rs, ar = norm env role counter r in
@@ -515,6 +484,13 @@ and join_states ls rs on =
 
 and pad_state cols st =
   { st with bind = st.bind @ List.map (fun c -> (c, C Datum.Value.Null)) cols }
+
+(* The states of one join side, each padded with the other side [q]'s
+   non-join columns: the unmatched rows of an outer join. *)
+and pad_unmatched env on q sts =
+  match Query.Algebra.infer env q with
+  | Ok cols -> List.map (pad_state (List.filter (fun c -> not (List.mem c on)) cols)) sts
+  | Error e -> invalid_arg e
 
 (* The type distinctions the superset side can observe: each of its [Ty_in]
    sets, and each of its string constants as a singleton. *)

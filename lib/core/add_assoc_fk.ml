@@ -118,8 +118,8 @@ let apply (st : State.t) ~assoc ~table ~fmap =
         Query.Algebra.Scan (Query.Algebra.Assoc_set assoc.Edm.Association.name) )
   in
   let qt =
-    Query.Algebra.Left_outer_join
-      (Query.Algebra.project_cols keep prev_t, assoc_side, f_pk1)
+    Query.Algebra.Join
+      (Query.Join.Left, Query.Algebra.project_cols keep prev_t, assoc_side, f_pk1)
   in
   let update_views = Query.View.set_table_view table qt st.State.update_views in
   Ok ({ State.env = env'; fragments; query_views; update_views }, check2 :: check3)

@@ -124,7 +124,7 @@ let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) 
         @ List.map
             (fun c -> Query.Algebra.coalesce [ c ^ "@old"; c ^ "@new" ] c)
             nonkey,
-        Query.Algebra.Full_outer_join (old_side, new_side, tkey) )
+        Query.Algebra.Join (Query.Join.Full, old_side, new_side, tkey) )
   in
   let update_views = Query.View.set_table_view table qt narrowed in
   (* Remaining validation: foreign keys of T touching f(att(E)), and

@@ -110,7 +110,7 @@ let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
         match Query.View.entity_view st.State.query_views f with
         | None -> fail "no previous query view for entity type %s" f
         | Some vf ->
-            let query = Query.Algebra.Left_outer_join (vf.Query.View.query, branch, key) in
+            let query = Query.Algebra.Join (Query.Join.Left, vf.Query.View.query, branch, key) in
             Ok
               (Query.View.set_entity_view f
                  { Query.View.query; ctor = extend_ctor vf.Query.View.ctor }
@@ -150,7 +150,9 @@ let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
         | None -> fail "table %s has no update view" table
         | Some qt ->
             let tbl' = Relational.Schema.get_table store' table in
-            let qt = Query.Algebra.Left_outer_join (qt, entity_side, tbl'.Relational.Table.key) in
+            let qt =
+              Query.Algebra.Join (Query.Join.Left, qt, entity_side, tbl'.Relational.Table.key)
+            in
             Ok (Query.View.set_table_view table qt st.State.update_views))
   in
   (* Validation: foreign keys of a new property table. *)

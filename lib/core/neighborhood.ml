@@ -23,7 +23,8 @@ let store_side ~key ~own ~keep ~te phis =
           List.map (fun (i, phi) -> Fullc.Query_views.store_projection ~key ~keep ~index:i phi) ifr
         with
         | [] -> invalid_arg "Neighborhood.store_side: no partition"
-        | first :: rest -> List.fold_left (fun acc q -> A.Full_outer_join (acc, q, key)) first rest
+        | first :: rest ->
+            List.fold_left (fun acc q -> A.Join (Query.Join.Full, acc, q, key)) first rest
       in
       let items = List.map A.col key @ List.map (Fullc.Query_views.fused_item ifr) own in
       (A.Project (items, joined), A.Project (items @ [ A.tag te ], joined))
@@ -85,13 +86,15 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
                 (List.filter (fun c -> not (List.mem c drop)) (columns vp.Query.View.query))
                 vp.Query.View.query
         in
-        Ok (A.Join (qp, side, key), A.Join (qp, side_tagged, key))
+        Ok
+          ( A.Join (Query.Join.Inner, qp, side, key),
+            A.Join (Query.Join.Inner, qp, side_tagged, key) )
   in
   (* P and its ancestors: the tagged LEFT OUTER JOIN, a namesake column
      coalesced from E's side. *)
   let loj q =
     match clash q with
-    | [] -> A.Left_outer_join (q, side_tagged, key)
+    | [] -> A.Join (Query.Join.Left, q, side_tagged, key)
     | fused ->
         let renamed a = a ^ "@" ^ e in
         let right =
@@ -107,7 +110,7 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
               (columns q)
             @ List.map A.col (List.filter (fun a -> not (List.mem a fused)) own)
             @ [ A.col te ],
-            A.Left_outer_join (q, right, key) )
+            A.Join (Query.Join.Left, q, right, key) )
   in
   (* The previous views share their constructors; extend each shared one
      once. *)

@@ -25,10 +25,6 @@ val hash : t -> int
 module Map : Map.S with type key = t
 (** Maps keyed under {!compare}. *)
 
-val domain : t -> Domain.t option
-(** [domain v] is the domain of [v], or [None] for [Null] (which inhabits
-    every nullable column). *)
-
 val member : t -> Domain.t -> bool
 (** [member v d] holds when [v] is [Null] or a value of domain [d] (modulo
     the [Int] into [Decimal] embedding). *)

@@ -237,9 +237,7 @@ let compile_step sc compile = function
   | A.Project (its, q) ->
       let input = compile q in
       project its (items (index (layout input)) its) (Array.of_list (List.map A.dst_of its)) input
-  | A.Join (l, r, on) -> join Query.Join.Inner (compile l) (compile r) on
-  | A.Left_outer_join (l, r, on) -> join Query.Join.Left (compile l) (compile r) on
-  | A.Full_outer_join (l, r, on) -> join Query.Join.Full (compile l) (compile r) on
+  | A.Join (kind, l, r, on) -> join kind (compile l) (compile r) on
   | A.Union_all (l, r) ->
       let left = compile l and right = compile r in
       let l = layout left and r = layout right in
@@ -305,8 +303,7 @@ let context env views =
         A.Memo.fix nodes (fun register -> function
           | A.Scan _ -> ()
           | A.Select (_, q) | A.Project (_, q) -> register q
-          | A.Join (l, r, _) | A.Left_outer_join (l, r, _) | A.Full_outer_join (l, r, _)
-          | A.Union_all (l, r) ->
+          | A.Join (_, l, r, _) | A.Union_all (l, r) ->
               register l;
               register r)
       in
@@ -392,7 +389,7 @@ let folds_literals ctx q =
     | A.Scan _ -> false
     | A.Select (c, q1) -> meets c || (match ctx.simplify q1 with A.Select _ -> true | _ -> false) || go q1
     | A.Project (_, q1) -> go q1
-    | A.Join (l, r, _) | A.Left_outer_join (l, r, _) | A.Full_outer_join (l, r, _) | A.Union_all (l, r) ->
+    | A.Join (_, l, r, _) | A.Union_all (l, r) ->
         go l || go r
   in
   go q

@@ -77,9 +77,12 @@ let combine env ~key branches =
         List.fold_left
           (fun (joined, placed, deferred) (f, b) ->
             if isolated f then (joined, placed, (f, b) :: deferred)
-            else if List.exists (fun g -> subset_of client f g) placed then
-              (Query.Algebra.Left_outer_join (joined, b, key), f :: placed, deferred)
-            else (Query.Algebra.Full_outer_join (joined, b, key), f :: placed, deferred))
+            else
+              let kind =
+                if List.exists (fun g -> subset_of client f g) placed then Query.Join.Left
+                else Query.Join.Full
+              in
+              (Query.Algebra.Join (kind, joined, b, key), f :: placed, deferred))
           (b0, [ f0 ], []) rest
       in
       (* Isolated branches are pairwise disjoint, so UNION ALL is exact. *)
@@ -92,9 +95,9 @@ let combine env ~key branches =
 let rec stats = function
   | Query.Algebra.Scan _ -> (0, 0, 0)
   | Query.Algebra.Select (_, q) | Query.Algebra.Project (_, q) -> stats q
-  | Query.Algebra.Join (l, r, _) -> add (stats l) (stats r) (0, 0, 0)
-  | Query.Algebra.Left_outer_join (l, r, _) -> add (stats l) (stats r) (0, 1, 0)
-  | Query.Algebra.Full_outer_join (l, r, _) -> add (stats l) (stats r) (1, 0, 0)
+  | Query.Algebra.Join (kind, l, r, _) ->
+      add (stats l) (stats r)
+        (match kind with Query.Join.Inner -> (0, 0, 0) | Left -> (0, 1, 0) | Full -> (1, 0, 0))
   | Query.Algebra.Union_all (l, r) -> add (stats l) (stats r) (0, 0, 1)
 
 and add (a1, b1, c1) (a2, b2, c2) (a3, b3, c3) = (a1 + a2 + a3, b1 + b2 + b3, c1 + c2 + c3)

@@ -70,7 +70,7 @@ let fused_query ?(optimize = false) env frags ~set =
       match tagged with
       | [] -> assert false
       | first :: rest ->
-          List.fold_left (fun acc q -> Query.Algebra.Full_outer_join (acc, q, key)) first rest
+          List.fold_left (fun acc q -> Query.Algebra.Join (Query.Join.Full, acc, q, key)) first rest
   in
   let attrs = hierarchy_attrs client root in
   let items =

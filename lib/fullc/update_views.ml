@@ -65,7 +65,7 @@ let for_table ?(optimize = false) env frags ~table =
       match tagged with
       | [] -> assert false
       | first :: rest ->
-          List.fold_left (fun acc q -> Query.Algebra.Full_outer_join (acc, q, key)) first rest
+          List.fold_left (fun acc q -> Query.Algebra.Join (Query.Join.Full, acc, q, key)) first rest
   in
   let sources_for c =
     List.filter_map

@@ -77,24 +77,24 @@ let nullability_step scan nullability q =
              | Algebra.Const { value; dst } -> (dst, Datum.Value.is_null value)
              | Algebra.Coalesce { srcs; dst } -> (dst, List.for_all of_src srcs))
            items)
-  | Algebra.Join (l, r, on) ->
+  | Algebra.Join (kind, l, r, on) -> (
       let* lc = nullability l in
       let* rc = nullability r in
-      Some
-        (List.map (fun (n, nl) -> (n, (not (List.mem n on)) && nl)) lc
-        @ List.filter (fun (n, _) -> not (List.mem n on)) rc)
-  | Algebra.Left_outer_join (l, r, on) ->
-      let* lc = nullability l in
-      let* rc = nullability r in
-      Some (lc @ List.filter_map (fun (n, _) -> if List.mem n on then None else Some (n, true)) rc)
-  | Algebra.Full_outer_join (l, r, on) ->
-      let* lc = nullability l in
-      let* rc = nullability r in
-      Some
-        (List.map
-           (fun (n, nl) -> (n, (not (List.mem n on)) || nl || may_null ~absent:true n rc))
-           lc
-        @ List.filter_map (fun (n, _) -> if List.mem n on then None else Some (n, true)) rc)
+      (* The right side's other columns; an outer join pads them with NULL. *)
+      let padded = match kind with Query.Join.Inner -> false | Left | Full -> true in
+      let rest =
+        List.filter_map (fun (n, nl) -> if List.mem n on then None else Some (n, padded || nl)) rc
+      in
+      match kind with
+      | Query.Join.Inner ->
+          Some (List.map (fun (n, nl) -> (n, (not (List.mem n on)) && nl)) lc @ rest)
+      | Left -> Some (lc @ rest)
+      | Full ->
+          Some
+            (List.map
+               (fun (n, nl) -> (n, (not (List.mem n on)) || nl || may_null ~absent:true n rc))
+               lc
+            @ rest))
   | Algebra.Union_all (l, r) ->
       let* lc = nullability l in
       let* rc = nullability r in
@@ -176,8 +176,7 @@ let typed_step env fold q =
           { typed;
             cols = Some (List.map Algebra.dst_of items);
             findings = Diag.union_findings here s.findings })
-  | Algebra.Join (l, r, on) | Algebra.Left_outer_join (l, r, on) | Algebra.Full_outer_join (l, r, on)
-    ->
+  | Algebra.Join (_, l, r, on) ->
       let rl = fold l in
       let rr = fold r in
       let typed = verdict env q l rl rr in

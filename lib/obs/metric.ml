@@ -27,7 +27,6 @@ let counter_name c = c.cname
 let reset_counter c = Atomic.set c.cell 0
 
 let set g v = Atomic.set g.gcell v
-let get g = Atomic.get g.gcell
 
 type snapshot = { counters : (string * int) list; gauges : (string * float) list }
 

@@ -15,7 +15,6 @@ val reset_counter : counter -> unit
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
-val get : gauge -> float
 
 type snapshot = { counters : (string * int) list; gauges : (string * float) list }
 

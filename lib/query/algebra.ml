@@ -11,9 +11,7 @@ type t =
   | Scan of source
   | Select of Cond.t * t
   | Project of proj_item list * t
-  | Join of t * t * string list
-  | Left_outer_join of t * t * string list
-  | Full_outer_join of t * t * string list
+  | Join of Join.kind * t * t * string list
   | Union_all of t * t
 [@@deriving eq, ord]
 
@@ -65,7 +63,7 @@ module Memo = Phys_memo.Make (struct
   let iter_children f = function
     | Scan _ -> ()
     | Select (_, q) | Project (_, q) -> f q
-    | Join (l, r, _) | Left_outer_join (l, r, _) | Full_outer_join (l, r, _) | Union_all (l, r) ->
+    | Join (_, l, r, _) | Union_all (l, r) ->
         f l;
         f r
 end)
@@ -102,7 +100,7 @@ let infer_step infer env = function
       (match dup sorted with
       | Some d -> fail "duplicate projected column %s" d
       | None -> Ok dsts)
-  | Join (l, r, on) | Left_outer_join (l, r, on) | Full_outer_join (l, r, on) ->
+  | Join (_, l, r, on) ->
       let* lc = infer env l in
       let* rc = infer env r in
       let* () =
@@ -129,7 +127,7 @@ let sharing qs =
     Memo.fix tbl (fun size -> function
       | Scan _ -> 1
       | Select (_, q) | Project (_, q) -> 1 + size q
-      | Join (l, r, _) | Left_outer_join (l, r, _) | Full_outer_join (l, r, _) | Union_all (l, r) ->
+      | Join (_, l, r, _) | Union_all (l, r) ->
           1 + size l + size r)
   in
   let tree = List.fold_left (fun n q -> n + size q) 0 qs in
@@ -143,7 +141,7 @@ let columns env q =
 let rec sources_acc acc = function
   | Scan s -> if List.exists (equal_source s) acc then acc else s :: acc
   | Select (_, q) | Project (_, q) -> sources_acc acc q
-  | Join (l, r, _) | Left_outer_join (l, r, _) | Full_outer_join (l, r, _) | Union_all (l, r) ->
+  | Join (_, l, r, _) | Union_all (l, r) ->
       sources_acc (sources_acc acc l) r
 
 let sources q = List.rev (sources_acc [] q)
@@ -163,9 +161,7 @@ let rec map_conditions f q =
   | Project (items, sub) ->
       let sub' = map_conditions f sub in
       if sub' == sub then q else Project (items, sub')
-  | Join (l, r, on) -> binary (fun l r -> Join (l, r, on)) l r
-  | Left_outer_join (l, r, on) -> binary (fun l r -> Left_outer_join (l, r, on)) l r
-  | Full_outer_join (l, r, on) -> binary (fun l r -> Full_outer_join (l, r, on)) l r
+  | Join (kind, l, r, on) -> binary (fun l r -> Join (kind, l, r, on)) l r
   | Union_all (l, r) -> binary (fun l r -> Union_all (l, r)) l r
 
 let pp_item fmt = function
@@ -183,11 +179,9 @@ let rec pp fmt = function
       Format.fprintf fmt "@[π[%a]@,(%a)@]"
         (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ") pp_item)
         items pp q
-  | Join (l, r, on) -> Format.fprintf fmt "@[(%a@ ⋈{%s}@ %a)@]" pp l (String.concat "," on) pp r
-  | Left_outer_join (l, r, on) ->
-      Format.fprintf fmt "@[(%a@ ⟕{%s}@ %a)@]" pp l (String.concat "," on) pp r
-  | Full_outer_join (l, r, on) ->
-      Format.fprintf fmt "@[(%a@ ⟗{%s}@ %a)@]" pp l (String.concat "," on) pp r
+  | Join (kind, l, r, on) ->
+      let op = match kind with Join.Inner -> "⋈" | Join.Left -> "⟕" | Join.Full -> "⟗" in
+      Format.fprintf fmt "@[(%a@ %s{%s}@ %a)@]" pp l op (String.concat "," on) pp r
   | Union_all (l, r) -> Format.fprintf fmt "@[(%a@ ∪@ %a)@]" pp l pp r
 
 let show q = Format.asprintf "%a" pp q

@@ -1,12 +1,13 @@
 (** The relational algebra in which mapping fragments and compiled views are
     expressed: project–select over entity sets, association sets and tables,
-    plus the join, outer-join and union operators that view generation
-    introduces (Fig. 2 of the paper shows all of them at work).
+    plus the join and union operators that view generation introduces
+    (Fig. 2 of the paper shows all of them at work).
 
-    Joins are natural equi-joins on an explicit list of shared column names —
-    exactly the shape the paper's algorithms build (join on key columns after
-    renaming).  In outer joins, missing sides pad with [NULL]; full outer
-    joins coalesce the join columns. *)
+    A join is one node with a kind ({!Join.kind}): inner, left outer or full
+    outer.  Joins are natural equi-joins on an explicit list of shared
+    column names — exactly the shape the paper's algorithms build (join on
+    key columns after renaming).  In outer joins, missing sides pad with
+    [NULL]; full outer joins coalesce the join columns. *)
 
 type source =
   | Entity_set of string
@@ -27,9 +28,8 @@ type t =
   | Scan of source
   | Select of Cond.t * t
   | Project of proj_item list * t
-  | Join of t * t * string list
-  | Left_outer_join of t * t * string list
-  | Full_outer_join of t * t * string list
+  | Join of Join.kind * t * t * string list
+      (** [Join (kind, l, r, on)]: [l] joined to [r] on equal [on] columns. *)
   | Union_all of t * t
 
 val equal : t -> t -> bool

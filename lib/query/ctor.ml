@@ -51,7 +51,3 @@ let guard_for ctor ~satisfies =
           pairs
       in
       Some (Cond.simplify (Cond.disj conds))
-
-let rec map_conditions f = function
-  | Entity _ as leaf -> leaf
-  | If (c, a, b) -> If (f c, map_conditions f a, map_conditions f b)

@@ -38,5 +38,3 @@ val guard_for : t -> satisfies:(string -> bool) -> Cond.t option
     satisfies the predicate — the key step of view unfolding, which
     translates a client-side [IS OF E] into a store-side test on provenance
     flags.  [None] when a branch condition resists complementation. *)
-
-val map_conditions : (Cond.t -> Cond.t) -> t -> t

@@ -56,44 +56,29 @@ let rec rows env db q =
   | Algebra.Scan (Table t) -> Relational.Instance.rows db.store ~table:t
   | Algebra.Select (c, q) -> List.filter (fun r -> Cond.eval env.Env.client r c) (rows env db q)
   | Algebra.Project (items, q) -> List.map (project_row items) (rows env db q)
-  | Algebra.Join (l, r, on) ->
+  | Algebra.Join (kind, l, r, on) -> (
       let lr = rows env db l and rr = rows env db r in
-      List.concat_map
-        (fun lrow ->
-          List.filter_map
-            (fun rrow -> if join_match on lrow rrow then Some (Datum.Row.union lrow rrow) else None)
-            rr)
-        lr
-  | Algebra.Left_outer_join (l, r, on) ->
-      let lr = rows env db l and rr = rows env db r in
-      let rcols_only = List.filter (fun c -> not (List.mem c on)) (Algebra.columns env r) in
-      List.concat_map
-        (fun lrow ->
-          match List.filter (join_match on lrow) rr with
-          | [] -> [ pad rcols_only lrow ]
-          | matches -> List.map (fun rrow -> Datum.Row.union lrow rrow) matches)
-        lr
-  | Algebra.Full_outer_join (l, r, on) ->
-      let lr = rows env db l and rr = rows env db r in
-      let lcols = Algebra.columns env l and rcols = Algebra.columns env r in
-      let rcols_only = List.filter (fun c -> not (List.mem c on)) rcols in
-      let lcols_only = List.filter (fun c -> not (List.mem c on)) lcols in
+      (* The NULL padding of an unmatched row: the other side's non-join
+         columns. *)
+      let padding q = lazy (List.filter (fun c -> not (List.mem c on)) (Algebra.columns env q)) in
+      let pad_r = padding r and pad_l = padding l in
       let left_part =
         List.concat_map
           (fun lrow ->
-            match List.filter (join_match on lrow) rr with
-            | [] -> [ pad rcols_only lrow ]
-            | matches -> List.map (fun rrow -> Datum.Row.union lrow rrow) matches)
+            match (List.filter (join_match on lrow) rr, kind) with
+            | [], (Join.Left | Join.Full) -> [ pad (Lazy.force pad_r) lrow ]
+            | matches, _ -> List.map (fun rrow -> Datum.Row.union lrow rrow) matches)
           lr
       in
-      let right_unmatched =
-        List.filter_map
-          (fun rrow ->
-            if List.exists (fun lrow -> join_match on lrow rrow) lr then None
-            else Some (pad lcols_only rrow))
-          rr
-      in
-      left_part @ right_unmatched
+      match kind with
+      | Join.Inner | Join.Left -> left_part
+      | Join.Full ->
+          left_part
+          @ List.filter_map
+              (fun rrow ->
+                if List.exists (fun lrow -> join_match on lrow rrow) lr then None
+                else Some (pad (Lazy.force pad_l) rrow))
+              rr)
   | Algebra.Union_all (l, r) -> rows env db l @ rows env db r
 
 let rows_set env db q = List.sort_uniq Datum.Row.compare (rows env db q)

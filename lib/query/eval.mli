@@ -3,9 +3,10 @@
     Evaluation is the ground truth against which everything else is checked:
     mapping semantics, view correctness, containment soundness and the
     roundtripping criterion are all defined (and property-tested) in terms of
-    [rows].  Joins here are plain nested loops, written independently of
-    {!Join}: [rows] is the oracle the physical runtimes built on that kernel
-    ([Exec.Run], [Ivm.Engine]) are differentially tested against. *)
+    [rows].  Joins here are plain nested loops: [rows] shares {!Join}'s kind
+    type, not its join code, and is the oracle the physical runtimes built
+    on that kernel ([Exec.Run], [Ivm.Engine]) are differentially tested
+    against. *)
 
 type db = { client : Edm.Instance.t; store : Relational.Instance.t }
 
@@ -19,8 +20,8 @@ val rows : Env.t -> db -> Algebra.t -> Datum.Row.t list
 
 (** {2 Row-level building blocks}
 
-    Exposed so the physical runtimes (lib/exec, lib/ivm) scan and project
-    rows exactly as [rows] does. *)
+    Exposed so the physical runtimes scan entity rows exactly as [rows]
+    does. *)
 
 val entity_row : Env.t -> string -> Edm.Instance.entity -> Datum.Row.t
 (** The scan row of one entity of the named set: every column of
@@ -29,9 +30,6 @@ val entity_row : Env.t -> string -> Edm.Instance.entity -> Datum.Row.t
     set] computes the set's columns once, so apply it to the set once and
     the result to each entity.  Raises [Invalid_argument] on an unknown
     set. *)
-
-val project_row : Algebra.proj_item list -> Datum.Row.t -> Datum.Row.t
-(** One row through a projection list ([Col]/[Const]/[Coalesce]). *)
 
 val rows_set : Env.t -> db -> Algebra.t -> Datum.Row.t list
 (** [rows] deduplicated and sorted — set semantics, the basis of query

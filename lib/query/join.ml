@@ -1,4 +1,4 @@
-type kind = Inner | Left | Full
+type kind = Inner | Left | Full [@@deriving eq, ord]
 
 type t = { kind : kind; on : string list }
 

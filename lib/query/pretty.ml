@@ -42,9 +42,14 @@ let rec pp_query fmt q =
   | Algebra.Project (items, q1) ->
       Format.fprintf fmt "@[<v>SELECT @[%a@]@,FROM (@;<0 2>@[<v>%a@]@,) AS %s@]" pp_items items
         pp_query q1 (fresh ())
-  | Algebra.Join (l, r, on) -> pp_join fmt "INNER JOIN" l r on
-  | Algebra.Left_outer_join (l, r, on) -> pp_join fmt "LEFT OUTER JOIN" l r on
-  | Algebra.Full_outer_join (l, r, on) -> pp_join fmt "FULL OUTER JOIN" l r on
+  | Algebra.Join (kind, l, r, on) ->
+      let kw =
+        match kind with
+        | Join.Inner -> "INNER JOIN"
+        | Join.Left -> "LEFT OUTER JOIN"
+        | Join.Full -> "FULL OUTER JOIN"
+      in
+      pp_join fmt kw l r on
   | Algebra.Union_all (l, r) ->
       Format.fprintf fmt "@[<v>(@;<0 2>@[<v>%a@]@,)@,UNION ALL@,(@;<0 2>@[<v>%a@]@,)@]" pp_query l
         pp_query r

@@ -128,11 +128,7 @@ let query ?keep env =
             if is_identity_projection infer items q1' then q1'
             else if q1' == q1 then q
             else Algebra.Project (items, q1'))
-    | Algebra.Join (l, r, on) -> binary (fun l r -> Algebra.Join (l, r, on)) l r
-    | Algebra.Left_outer_join (l, r, on) ->
-        binary (fun l r -> Algebra.Left_outer_join (l, r, on)) l r
-    | Algebra.Full_outer_join (l, r, on) ->
-        binary (fun l r -> Algebra.Full_outer_join (l, r, on)) l r
+    | Algebra.Join (kind, l, r, on) -> binary (fun l r -> Algebra.Join (kind, l, r, on)) l r
     | Algebra.Union_all (l, r) -> binary (fun l r -> Algebra.Union_all (l, r)) l r
   in
   Algebra.Memo.fix ?keep (Algebra.Memo.create ()) step

@@ -50,18 +50,10 @@ let rec go env qv q =
   | Algebra.Project (items, q1) ->
       let* q1', _ = go env qv q1 in
       Ok (Algebra.Project (items, q1'), None)
-  | Algebra.Join (l, r, on) ->
+  | Algebra.Join (kind, l, r, on) ->
       let* l', _ = go env qv l in
       let* r', _ = go env qv r in
-      Ok (Algebra.Join (l', r', on), None)
-  | Algebra.Left_outer_join (l, r, on) ->
-      let* l', _ = go env qv l in
-      let* r', _ = go env qv r in
-      Ok (Algebra.Left_outer_join (l', r', on), None)
-  | Algebra.Full_outer_join (l, r, on) ->
-      let* l', _ = go env qv l in
-      let* r', _ = go env qv r in
-      Ok (Algebra.Full_outer_join (l', r', on), None)
+      Ok (Algebra.Join (kind, l', r', on), None)
   | Algebra.Union_all (l, r) ->
       let* l', _ = go env qv l in
       let* r', _ = go env qv r in

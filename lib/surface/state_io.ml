@@ -92,7 +92,7 @@ type key =
   | Scan of Query.Algebra.source
   | Select of int * int
   | Project of Query.Algebra.proj_item list * int
-  | Join of string * int * int * string list
+  | Join of Query.Join.kind * int * int * string list
   | Union of int * int
   | Ctor_leaf of Query.Ctor.t
   | If of int * int * int
@@ -126,7 +126,9 @@ let add_entry b = function
       | Scan (Query.Algebra.Table s) -> add_head b "scan "; add_named b "table" s; close b
       | Select (c, q) -> add_refs b "select" c q
       | Project (items, q) -> add_head b "project "; add_list b add_item items; add_arg b add_reference q
-      | Join (kind, l, r, on) -> add_refs b kind l r; add_arg b add_atoms on
+      | Join (kind, l, r, on) ->
+          let head = match kind with Query.Join.Inner -> "join" | Left -> "loj" | Full -> "foj" in
+          add_refs b head l r; add_arg b add_atoms on
       | Union (l, r) -> add_refs b "union" l r
       | Ctor_leaf (Query.Ctor.Entity { etype; attrs }) -> add_named b "entity" etype; add_arg b add_atoms attrs
       | Ctor_leaf (Query.Ctor.If _) -> not_a_leaf ()
@@ -186,11 +188,6 @@ let encoder out =
   in
   let query_ref =
     Query.Algebra.Memo.fix (Query.Algebra.Memo.create ()) (fun query_ref q ->
-        let binary kind l r on =
-          let l = query_ref l in
-          let r = query_ref r in
-          Join (kind, l, r, on)
-        in
         intern terms
           (match q with
           | Query.Algebra.Scan src -> Scan src
@@ -199,9 +196,10 @@ let encoder out =
               let q = query_ref q in
               Select (c, q)
           | Query.Algebra.Project (items, q) -> Project (items, query_ref q)
-          | Query.Algebra.Join (l, r, on) -> binary "join" l r on
-          | Query.Algebra.Left_outer_join (l, r, on) -> binary "loj" l r on
-          | Query.Algebra.Full_outer_join (l, r, on) -> binary "foj" l r on
+          | Query.Algebra.Join (kind, l, r, on) ->
+              let l = query_ref l in
+              let r = query_ref r in
+              Join (kind, l, r, on)
           | Query.Algebra.Union_all (l, r) ->
               let l = query_ref l in
               let r = query_ref r in
@@ -573,11 +571,8 @@ and inline c tbl h =
       let l = query c tbl in
       let r = query c tbl in
       let on = atoms c in
-      Query
-        (match h with
-        | "join" -> Query.Algebra.Join (l, r, on)
-        | "loj" -> Query.Algebra.Left_outer_join (l, r, on)
-        | _ -> Query.Algebra.Full_outer_join (l, r, on))
+      let kind = match h with "join" -> Query.Join.Inner | "loj" -> Left | _ -> Full in
+      Query (Query.Algebra.Join (kind, l, r, on))
   | "union" ->
       let l = query c tbl in
       Query (Query.Algebra.Union_all (l, query c tbl))

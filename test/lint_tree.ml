@@ -90,17 +90,17 @@ module Wf = struct
                | Algebra.Const { value; dst } -> (dst, Datum.Value.is_null value)
                | Algebra.Coalesce { srcs; dst } -> (dst, List.for_all of_src srcs))
              items)
-    | Algebra.Join (l, r, on) ->
+    | Algebra.Join (Query.Join.Inner, l, r, on) ->
         let* lc = nullability memo env l in
         let* rc = nullability memo env r in
         Some
           (List.map (fun (n, nl) -> (n, (not (List.mem n on)) && nl)) lc
           @ List.filter (fun (n, _) -> not (List.mem n on)) rc)
-    | Algebra.Left_outer_join (l, r, on) ->
+    | Algebra.Join (Query.Join.Left, l, r, on) ->
         let* lc = nullability memo env l in
         let* rc = nullability memo env r in
         Some (lc @ List.filter_map (fun (n, _) -> if List.mem n on then None else Some (n, true)) rc)
-    | Algebra.Full_outer_join (l, r, on) ->
+    | Algebra.Join (Query.Join.Full, l, r, on) ->
         let* lc = nullability memo env l in
         let* rc = nullability memo env r in
         let right_null n = match List.assoc_opt n rc with Some nl -> nl | None -> true in
@@ -154,9 +154,7 @@ module Wf = struct
         in
         dup_dst_diags loc sub acc
     | Algebra.Select (_, sub) -> dup_dst_diags loc sub acc
-    | Algebra.Join (l, r, _)
-    | Algebra.Left_outer_join (l, r, _)
-    | Algebra.Full_outer_join (l, r, _)
+    | Algebra.Join (_, l, r, _)
     | Algebra.Union_all (l, r) ->
         dup_dst_diags loc r (dup_dst_diags loc l acc)
 
@@ -173,7 +171,7 @@ module Wf = struct
     | Algebra.Project (items, sub) ->
         let _, acc = union_scan env loc sub acc in
         (Some (List.map Algebra.dst_of items), acc)
-    | Algebra.Join (l, r, on) | Algebra.Left_outer_join (l, r, on) | Algebra.Full_outer_join (l, r, on)
+    | Algebra.Join (_, l, r, on)
       ->
         let lc, acc = union_scan env loc l acc in
         let rc, acc = union_scan env loc r acc in
@@ -325,9 +323,7 @@ module Views = struct
         in
         dead_select_diags loc sub acc
     | Query.Algebra.Project (_, sub) -> dead_select_diags loc sub acc
-    | Query.Algebra.Join (l, r, _)
-    | Query.Algebra.Left_outer_join (l, r, _)
-    | Query.Algebra.Full_outer_join (l, r, _)
+    | Query.Algebra.Join (_, l, r, _)
     | Query.Algebra.Union_all (l, r) ->
         dead_select_diags loc r (dead_select_diags loc l acc)
 

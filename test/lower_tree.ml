@@ -136,9 +136,9 @@ let compile_step (source : A.source -> source) compile q =
   | A.Select (_, q) -> { layout = layout q; op = Selected }
   | A.Project (its, q) ->
       { layout = Array.of_list (List.map A.dst_of its); op = Projected (items (index (layout q)) its) }
-  | A.Join (l, r, on) -> joined Query.Join.Inner l r on
-  | A.Left_outer_join (l, r, on) -> joined Query.Join.Left l r on
-  | A.Full_outer_join (l, r, on) -> joined Query.Join.Full l r on
+  | A.Join (Query.Join.Inner, l, r, on) -> joined Query.Join.Inner l r on
+  | A.Join (Query.Join.Left, l, r, on) -> joined Query.Join.Left l r on
+  | A.Join (Query.Join.Full, l, r, on) -> joined Query.Join.Full l r on
   | A.Union_all (l, r) ->
       let l = layout l and r = layout r in
       { layout = l; op = Unioned (if l = r then None else Some (Array.map (index r) l)) }
@@ -187,7 +187,7 @@ let rec lower env source compile filters q =
         | inner -> Plan.Project { items = its; slots; fused = slots; layout; input = inner }
       in
       wrap_residual schema layout (List.rev residual) node
-  | A.Join (l, r, _) | A.Left_outer_join (l, r, _) | A.Full_outer_join (l, r, _) ->
+  | A.Join (_, l, r, _) ->
       lower_join env source compile filters (compile q) l r
   | A.Union_all (l, r) -> (
       match compile q with

@@ -57,7 +57,10 @@ let rec query env q =
           | Some merged -> query env (Algebra.Project (merged, q2))
           | None -> Algebra.Project (items, q1))
       | _ -> if is_identity_projection env items q1 then q1 else Algebra.Project (items, q1))
-  | Algebra.Join (l, r, on) -> Algebra.Join (query env l, query env r, on)
-  | Algebra.Left_outer_join (l, r, on) -> Algebra.Left_outer_join (query env l, query env r, on)
-  | Algebra.Full_outer_join (l, r, on) -> Algebra.Full_outer_join (query env l, query env r, on)
+  | Algebra.Join (Query.Join.Inner, l, r, on) ->
+      Algebra.Join (Query.Join.Inner, query env l, query env r, on)
+  | Algebra.Join (Query.Join.Left, l, r, on) ->
+      Algebra.Join (Query.Join.Left, query env l, query env r, on)
+  | Algebra.Join (Query.Join.Full, l, r, on) ->
+      Algebra.Join (Query.Join.Full, query env l, query env r, on)
   | Algebra.Union_all (l, r) -> Algebra.Union_all (query env l, query env r)

@@ -111,9 +111,9 @@ let rec query_ref enc q =
         let q = query_ref enc q in
         Select (c, q)
     | A.Project (items, q) -> Project (items, query_ref enc q)
-    | A.Join (l, r, on) -> binary "join" l r on
-    | A.Left_outer_join (l, r, on) -> binary "loj" l r on
-    | A.Full_outer_join (l, r, on) -> binary "foj" l r on
+    | A.Join (Query.Join.Inner, l, r, on) -> binary "join" l r on
+    | A.Join (Query.Join.Left, l, r, on) -> binary "loj" l r on
+    | A.Join (Query.Join.Full, l, r, on) -> binary "foj" l r on
     | A.Union_all (l, r) ->
         let l = query_ref enc l in
         let r = query_ref enc r in

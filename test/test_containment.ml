@@ -67,7 +67,7 @@ let hr = A.Scan (A.Table "HR")
 let emp = A.Scan (A.Table "Emp")
 
 let test_join_containments () =
-  let joined = proj [ "Id" ] (A.Join (hr, emp, [ "Id" ])) in
+  let joined = proj [ "Id" ] (A.Join (Query.Join.Inner, hr, emp, [ "Id" ])) in
   let hr_ids = proj [ "Id" ] hr in
   let emp_ids = proj [ "Id" ] emp in
   assert_subset "join ⊆ left side" true joined hr_ids;
@@ -81,17 +81,18 @@ let test_join_containments () =
 
 let test_outer_join_projection_rule () =
   (* π_Id(HR ⟕ Emp) ≡ π_Id(HR): the exact elimination rule. *)
-  let loj = proj [ "Id"; "Name" ] (A.Left_outer_join (hr, emp, [ "Id" ])) in
+  let loj = proj [ "Id"; "Name" ] (A.Join (Query.Join.Left, hr, emp, [ "Id" ])) in
   let plain = proj [ "Id"; "Name" ] hr in
   assert_subset "LOJ projected to left ⊆ left" true loj plain;
   assert_subset "left ⊆ LOJ projected to left" true plain loj;
   (* FOJ projected onto the join columns is the union of both sides. *)
   let foj =
     proj [ "Id" ]
-      (A.Full_outer_join
-         (A.project_renamed [ ("Id", "Id"); ("Name", "Name") ] hr,
-          A.project_renamed [ ("Id", "Id"); ("Dept", "Dept") ] emp,
-          [ "Id" ]))
+      (A.Join
+         ( Query.Join.Full,
+           A.project_renamed [ ("Id", "Id"); ("Name", "Name") ] hr,
+           A.project_renamed [ ("Id", "Id"); ("Dept", "Dept") ] emp,
+           [ "Id" ] ))
   in
   let union = A.Union_all (proj [ "Id" ] hr, proj [ "Id" ] emp) in
   assert_subset "FOJ on keys ⊆ union" true foj union;
@@ -100,8 +101,8 @@ let test_outer_join_projection_rule () =
 let test_outer_join_approximation_soundness () =
   (* When the projection needs both sides, only sound directions are
      provable. *)
-  let loj = proj [ "Id"; "Dept" ] (A.Left_outer_join (hr, emp, [ "Id" ])) in
-  let joined = proj [ "Id"; "Dept" ] (A.Join (hr, emp, [ "Id" ])) in
+  let loj = proj [ "Id"; "Dept" ] (A.Join (Query.Join.Left, hr, emp, [ "Id" ])) in
+  let joined = proj [ "Id"; "Dept" ] (A.Join (Query.Join.Inner, hr, emp, [ "Id" ])) in
   assert_subset "join ⊆ LOJ" true joined loj;
   assert_subset "LOJ ⊄ join (padding rows)" false loj joined
 

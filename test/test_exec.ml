@@ -61,15 +61,15 @@ let test_outer_joins_null_keys () =
   List.iter
     (fun (msg, q) -> ignore (check_exec ~msg env store_db q))
     [
-      ("inner join", A.Join (emp, clients, [ "Id" ]));
-      ("left outer join", A.Left_outer_join (emp, clients, [ "Id" ]));
-      ("left outer join, null side left", A.Left_outer_join (clients, emp, [ "Id" ]));
-      ("full outer join", A.Full_outer_join (emp, clients, [ "Id" ]));
-      ("full outer join flipped", A.Full_outer_join (clients, emp, [ "Id" ]));
+      ("inner join", A.Join (Query.Join.Inner, emp, clients, [ "Id" ]));
+      ("left outer join", A.Join (Query.Join.Left, emp, clients, [ "Id" ]));
+      ("left outer join, null side left", A.Join (Query.Join.Left, clients, emp, [ "Id" ]));
+      ("full outer join", A.Join (Query.Join.Full, emp, clients, [ "Id" ]));
+      ("full outer join flipped", A.Join (Query.Join.Full, clients, emp, [ "Id" ]));
       ("union all", A.Union_all (A.project_cols [ "Id" ] emp, A.project_cols [ "Id" ] clients));
     ];
   (* the unmatched NULL-keyed right row must actually be in the FOJ output *)
-  let foj = A.Full_outer_join (emp, clients, [ "Id" ]) in
+  let foj = A.Join (Query.Join.Full, emp, clients, [ "Id" ]) in
   let plan = ok_exn (Planner.plan env foj) in
   let rows = Run.rows (Idb.make env store_db) plan in
   checkb "NULL-keyed Client row survives padded" true
@@ -94,13 +94,13 @@ let test_keyless_join () =
     List.for_all (fun r -> List.for_all (fun c -> V.equal (Datum.Row.get c r) V.Null) cols) rows
   in
   expect_keyless Query.Join.Inner
-    (check_exec ~msg:"cross join" env store_db (A.Join (emp, cids, [])));
-  let loj = A.Left_outer_join (emp, none_of "Cid" cids, []) in
+    (check_exec ~msg:"cross join" env store_db (A.Join (Query.Join.Inner, emp, cids, [])));
+  let loj = A.Join (Query.Join.Left, emp, none_of "Cid" cids, []) in
   expect_keyless Query.Join.Left (check_exec ~msg:"keyless left outer join" env store_db loj);
   let rows = Run.rows (Idb.make env store_db) (ok_exn (Planner.plan env loj)) in
   check Alcotest.int "every Emp row once" 2 (List.length rows);
   checkb "every Emp row padded" true (all_null [ "Cid"; "Score" ] rows);
-  let foj = A.Full_outer_join (none_of "Id" emp, cids, []) in
+  let foj = A.Join (Query.Join.Full, none_of "Id" emp, cids, []) in
   expect_keyless Query.Join.Full (check_exec ~msg:"keyless full outer join" env store_db foj);
   let rows = Run.rows (Idb.make env store_db) (ok_exn (Planner.plan env foj)) in
   check Alcotest.int "every Client row once" 2 (List.length rows);
@@ -158,7 +158,8 @@ let paper_client_queries =
       A.Select (C.Cmp ("Employee.Id", C.Eq, V.Int 4), A.Scan (A.Assoc_set "Supports")) );
     ( "2-way join",
       A.Join
-        ( A.project_renamed [ ("Id", "Employee.Id"); ("Name", "Name") ]
+        ( Query.Join.Inner,
+          A.project_renamed [ ("Id", "Employee.Id"); ("Name", "Name") ]
             (A.Scan (A.Entity_set "Persons")),
           A.Scan (A.Assoc_set "Supports"),
           [ "Employee.Id" ] ) );
@@ -202,7 +203,8 @@ let client_facing_queries =
       A.Select (C.Cmp ("Employee.Id", C.Eq, V.Int 4), A.Scan (A.Assoc_set "Supports")) );
     ( "2-way join projected",
       A.Join
-        ( A.project_renamed [ ("Id", "Employee.Id"); ("Name", "Name") ]
+        ( Query.Join.Inner,
+          A.project_renamed [ ("Id", "Employee.Id"); ("Name", "Name") ]
             (A.Scan (A.Entity_set "Persons")),
           A.project_cols [ "Customer.Id"; "Employee.Id" ] (A.Scan (A.Assoc_set "Supports")),
           [ "Employee.Id" ] ) );
@@ -382,13 +384,7 @@ let gen_kf_case =
 
 let kf_query c =
   let l = kf_side "L" ~on:c.on ~suffix:"l" and r = kf_side "R" ~on:c.on ~suffix:"r" in
-  let join =
-    match c.kind with
-    | Query.Join.Inner -> A.Join (l, r, c.on)
-    | Query.Join.Left -> A.Left_outer_join (l, r, c.on)
-    | Query.Join.Full -> A.Full_outer_join (l, r, c.on)
-  in
-  A.Select (C.conj c.conjuncts, join)
+  A.Select (C.conj c.conjuncts, A.Join (c.kind, l, r, c.on))
 
 let arb_kf_case = QCheck.make ~print:(fun c -> A.show (kf_query c)) gen_kf_case
 
@@ -443,13 +439,13 @@ let check_layout msg q = check_exec ~msg kf_env layout_db q
 let test_full_join_right_only () =
   let left = A.project_cols [ "Lid"; "A"; "K1" ] scan_l in
   let right = A.project_cols [ "K1"; "B" ] scan_r in
-  let q = A.Full_outer_join (left, right, [ "K1" ]) in
+  let q = A.Join (Query.Join.Full, left, right, [ "K1" ]) in
   let rows = Run.rows (Idb.make kf_env layout_db) (check_layout "full outer join" q) in
   checkb "the right-only row keeps its key" true
     (List.exists
        (fun r -> V.equal (Datum.Row.get "K1" r) (V.Int 7) && V.equal (Datum.Row.get "Lid" r) V.Null)
        rows);
-  ignore (check_layout "flipped" (A.Full_outer_join (right, left, [ "K1" ])))
+  ignore (check_layout "flipped" (A.Join (Query.Join.Full, right, left, [ "K1" ])))
 
 (* Union branches whose columns come in different orders: the right
    branch's rows are permuted into the left branch's layout. *)
@@ -460,11 +456,15 @@ let test_append_column_order () =
   ignore (check_layout "Y,X then X,Y" (A.Union_all (r, l)));
   ignore
     (check_layout "under a join"
-       (A.Join (A.Union_all (l, r), A.project_renamed [ ("Rid", "X"); ("K2", "Z") ] scan_r, [ "X" ])))
+       (A.Join
+          ( Query.Join.Inner,
+            A.Union_all (l, r),
+            A.project_renamed [ ("Rid", "X"); ("K2", "Z") ] scan_r,
+            [ "X" ] )))
 
 let test_cross_join () =
   let l = A.project_cols [ "Lid"; "A" ] scan_l and r = A.project_cols [ "Rid"; "B" ] scan_r in
-  let plan = check_layout "cross join" (A.Join (l, r, [])) in
+  let plan = check_layout "cross join" (A.Join (Query.Join.Inner, l, r, [])) in
   match plan.Plan.root with
   | Plan.Hash_join { spec = { Query.Join.on = []; _ }; _ } -> ()
   | _ -> Alcotest.failf "expected a keyless hash join, got:@.%s" (Plan.show plan)
@@ -476,29 +476,38 @@ let test_null_join_keys () =
   and r = A.project_cols [ "Rid"; "K1"; "K2"; "B" ] scan_r in
   List.iter
     (fun (msg, q) -> ignore (check_layout msg q))
-    [ ("inner", A.Join (l, r, [ "K1"; "K2" ]));
-      ("left", A.Left_outer_join (l, r, [ "K1"; "K2" ]));
-      ("full", A.Full_outer_join (l, r, [ "K1"; "K2" ]));
+    [ ("inner", A.Join (Query.Join.Inner, l, r, [ "K1"; "K2" ]));
+      ("left", A.Join (Query.Join.Left, l, r, [ "K1"; "K2" ]));
+      ("full", A.Join (Query.Join.Full, l, r, [ "K1"; "K2" ]));
       ( "full, one key",
-        A.Full_outer_join
-          (A.project_cols [ "Lid"; "K1" ] scan_l, A.project_cols [ "Rid"; "K1" ] scan_r, [ "K1" ]) ) ]
+        A.Join
+          ( Query.Join.Full,
+            A.project_cols [ "Lid"; "K1" ] scan_l,
+            A.project_cols [ "Rid"; "K1" ] scan_r,
+            [ "K1" ] ) ) ]
 
 (* A row an outer join passes through unmatched stops short of the right
    side's columns, so a later join on one of them reads an absent key: it
    matches nothing, and the outer kinds keep the row as it is. *)
 let test_absent_join_keys () =
   let lr =
-    A.Left_outer_join
-      (A.project_cols [ "Lid"; "K1" ] scan_l, A.project_cols [ "K1"; "B" ] scan_r, [ "K1" ])
+    A.Join
+      ( Query.Join.Left,
+        A.project_cols [ "Lid"; "K1" ] scan_l,
+        A.project_cols [ "K1"; "B" ] scan_r,
+        [ "K1" ] )
   in
   let s = A.project_renamed [ ("B", "B"); ("Rid", "S") ] scan_r in
   List.iter
     (fun (msg, q) -> ignore (check_layout msg q))
-    [ ("inner on an absent key", A.Join (lr, s, [ "B" ]));
-      ("left on an absent key", A.Left_outer_join (lr, s, [ "B" ]));
-      ("full on an absent key", A.Full_outer_join (lr, s, [ "B" ]));
-      ("flipped", A.Full_outer_join (s, lr, [ "B" ])) ];
-  let rows = Run.rows (Idb.make kf_env layout_db) (check_layout "left" (A.Left_outer_join (lr, s, [ "B" ]))) in
+    [ ("inner on an absent key", A.Join (Query.Join.Inner, lr, s, [ "B" ]));
+      ("left on an absent key", A.Join (Query.Join.Left, lr, s, [ "B" ]));
+      ("full on an absent key", A.Join (Query.Join.Full, lr, s, [ "B" ]));
+      ("flipped", A.Join (Query.Join.Full, s, lr, [ "B" ])) ];
+  let rows =
+    Run.rows (Idb.make kf_env layout_db)
+      (check_layout "left" (A.Join (Query.Join.Left, lr, s, [ "B" ])))
+  in
   checkb "the unmatched row binds its absent columns to NULL" true
     (List.exists
        (fun r ->
@@ -528,7 +537,7 @@ let test_fused_projections () =
   (match plan.Plan.root with
   | Plan.Project { input = Plan.Scan { proj = Some _; _ }; _ } -> ()
   | _ -> Alcotest.failf "expected a projection over a projecting scan, got:@.%s" (Plan.show plan));
-  let joined = A.Join (scan_l, A.project_cols [ "K1"; "B" ] scan_r, [ "K1" ]) in
+  let joined = A.Join (Query.Join.Inner, scan_l, A.project_cols [ "K1"; "B" ] scan_r, [ "K1" ]) in
   let plan = check_layout "over a join" (outer joined) in
   match plan.Plan.root with
   | Plan.Project { input = Plan.Project { input = Plan.Hash_join _; _ }; _ } -> ()

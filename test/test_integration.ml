@@ -18,10 +18,11 @@ let unfold_pool st =
           Scan (Entity_set "Persons")));
     project_cols [ "Customer.Id"; "Employee.Id" ] (Scan (Assoc_set "Supports"));
     Join
-      (project_cols [ "Id"; "Name" ] (Select (C.Is_of "Person", Scan (Entity_set "Persons"))),
-       project_renamed [ ("Customer.Id", "Id"); ("Employee.Id", "Helper") ]
-         (Scan (Assoc_set "Supports")),
-       [ "Id" ]);
+      ( Query.Join.Inner,
+        project_cols [ "Id"; "Name" ] (Select (C.Is_of "Person", Scan (Entity_set "Persons"))),
+        project_renamed [ ("Customer.Id", "Id"); ("Employee.Id", "Helper") ]
+          (Scan (Assoc_set "Supports")),
+        [ "Id" ] );
   ]
   |> fun qs ->
   ignore st;

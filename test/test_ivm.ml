@@ -260,20 +260,25 @@ let null_key_env, null_key_uv =
   let supported = A.Project ([ A.col_as "Customer.Id" "C" ], A.Scan (A.Assoc_set "Supports")) in
   ( Query.Env.make ~client:env.Query.Env.client ~store,
     Query.View.no_update_views
-    |> Query.View.set_table_view "Foj" (A.Full_outer_join (by_dept, by_addr, [ "K" ]))
+    |> Query.View.set_table_view "Foj" (A.Join (Query.Join.Full, by_dept, by_addr, [ "K" ]))
     |> Query.View.set_table_view "Loj"
-         (A.Left_outer_join
-            (by_addr, A.Project ([ A.col_as "Id" "A"; A.col_as "Department" "K" ], employees), [ "K" ]))
+         (A.Join
+            ( Query.Join.Left,
+              by_addr,
+              A.Project ([ A.col_as "Id" "A"; A.col_as "Department" "K" ], employees),
+              [ "K" ] ))
     |> Query.View.set_table_view "Cross"
-         (A.Left_outer_join (A.Project ([ A.col_as "Id" "A" ], employees), supported, []))
+         (A.Join (Query.Join.Left, A.Project ([ A.col_as "Id" "A" ], employees), supported, []))
     |> Query.View.set_table_view "Shared"
          (A.Join
-            ( A.Project ([ A.col_as "Department" "K" ], employees),
+            ( Query.Join.Inner,
+              A.Project ([ A.col_as "Department" "K" ], employees),
               A.Project ([ A.col_as "BillAddr" "K" ], persons),
               [ "K" ] ))
     |> Query.View.set_table_view "Absent"
-         (A.Full_outer_join
-            ( A.Left_outer_join (by_dept, by_addr, [ "K" ]),
+         (A.Join
+            ( Query.Join.Full,
+              A.Join (Query.Join.Left, by_dept, by_addr, [ "K" ]),
               A.Project ([ A.col_as "Id" "B"; A.col_as "Name" "N" ], persons),
               [ "B" ] )) )
 

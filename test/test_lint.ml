@@ -212,7 +212,7 @@ let test_wf_codes () =
   (* L104: NOT NULL column fed from outer-join padding. *)
   let t2 = Relational.Table.make ~name:"Q" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null) ] in
   let env' = env_of [ ("Persons", person (), []) ] [ table_p ~nick:`Not_null (); t2 ] in
-  let loj = A.Left_outer_join (A.Scan (A.Table "Q"), A.Scan (A.Table "P"), [ "Id" ]) in
+  let loj = A.Join (Query.Join.Left, A.Scan (A.Table "Q"), A.Scan (A.Table "P"), [ "Id" ]) in
   let ds =
     Lint.Wf.check env' Query.View.no_query_views
       (Query.View.set_table_view "P" loj Query.View.no_update_views)
@@ -430,9 +430,7 @@ let damage (qv : Query.View.query_views) (uv : Query.View.update_views) =
             if hit 13 q then A.Project (items @ [ A.null_as (A.dst_of (List.hd items)) ], sub)
             else if hit 5 q then A.Union_all (A.Project (items, sub), A.Project (List.rev items, sub))
             else A.Project (items, sub)
-        | A.Join (l, r, on) -> A.Join (go l, go r, on)
-        | A.Left_outer_join (l, r, on) -> A.Left_outer_join (go l, go r, on)
-        | A.Full_outer_join (l, r, on) -> A.Full_outer_join (go l, go r, on)
+        | A.Join (kind, l, r, on) -> A.Join (kind, go l, go r, on)
         | A.Union_all (l, r) -> A.Union_all (go l, go r))
   in
   let ctor =

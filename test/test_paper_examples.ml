@@ -85,7 +85,7 @@ let test_example2 () =
   let st = Lazy.force st2 in
   let v_emp = Option.get (Query.View.entity_view st.Core.State.query_views "Employee") in
   (match v_emp.Query.View.query with
-  | A.Join (_, A.Project (items, A.Scan (A.Table "Emp")), [ "Id" ]) ->
+  | A.Join (Query.Join.Inner, _, A.Project (items, A.Scan (A.Table "Emp")), [ "Id" ]) ->
       checkb "renames Dept to Department" true
         (List.exists
            (function A.Col { src = "Dept"; dst = "Department" } -> true | _ -> false)
@@ -96,7 +96,7 @@ let test_example2 () =
        (Ct.Entity { etype = "Employee"; attrs = [ "Id"; "Name"; "Department" ] }));
   let v_per = Option.get (Query.View.entity_view st.Core.State.query_views "Person") in
   (match v_per.Query.View.query with
-  | A.Left_outer_join (_, A.Project (items, A.Scan (A.Table "Emp")), [ "Id" ]) ->
+  | A.Join (Query.Join.Left, _, A.Project (items, A.Scan (A.Table "Emp")), [ "Id" ]) ->
       checkb "tagged branch" true
         (List.exists (function A.Const { dst; _ } -> dst = "_tEmployee" | _ -> false) items)
   | q -> Alcotest.failf "unexpected Q2_Person shape: %s" (A.show q));
@@ -140,7 +140,7 @@ let test_example4 () =
     | A.Select (c, q) -> conds := c :: !conds; collect q
     | A.Project (_, q) -> collect q
     | A.Scan _ -> ()
-    | A.Join (l, r, _) | A.Left_outer_join (l, r, _) | A.Full_outer_join (l, r, _)
+    | A.Join (_, l, r, _)
     | A.Union_all (l, r) -> collect l; collect r
   in
   collect v_hr;
@@ -184,7 +184,11 @@ let test_example7 () =
   let st = Lazy.force st4 in
   checkb "Σ4" true (Mapping.Fragments.equal st.Core.State.fragments P.stage4.P.fragments);
   (match Option.get (Query.View.table_view st.Core.State.update_views "Client") with
-  | A.Left_outer_join (A.Project (items, _), A.Project (_, A.Scan (A.Assoc_set "Supports")), [ "Cid" ])
+  | A.Join
+      ( Query.Join.Left,
+        A.Project (items, _),
+        A.Project (_, A.Scan (A.Assoc_set "Supports")),
+        [ "Cid" ] )
     ->
       checkb "Eid excluded from the left side" true
         (not (List.exists (fun it -> A.dst_of it = "Eid") items))

@@ -47,9 +47,9 @@ let hr = A.Scan (A.Table "HR")
 let emp = A.Scan (A.Table "Emp")
 
 let test_joins () =
-  let j = A.Join (hr, emp, [ "Id" ]) in
+  let j = A.Join (Query.Join.Inner, hr, emp, [ "Id" ]) in
   check Alcotest.int "inner join" 2 (List.length (Query.Eval.rows env sample_db j));
-  let loj = A.Left_outer_join (hr, emp, [ "Id" ]) in
+  let loj = A.Join (Query.Join.Left, hr, emp, [ "Id" ]) in
   let rows = Query.Eval.rows env sample_db loj in
   check Alcotest.int "left outer join keeps all HR" 4 (List.length rows);
   let ana = List.find (fun r -> V.equal (Datum.Row.get "Id" r) (V.Int 1)) rows in
@@ -59,15 +59,51 @@ let test_join_null_no_match () =
   (* Join Client.Eid against Emp.Id: Fay's NULL Eid must not match. *)
   let q =
     A.Join
-      (A.project_renamed [ ("Cid", "Cid"); ("Eid", "Id") ] (A.Scan (A.Table "Client")),
-       A.project_cols [ "Id"; "Dept" ] emp, [ "Id" ])
+      ( Query.Join.Inner,
+        A.project_renamed [ ("Cid", "Cid"); ("Eid", "Id") ] (A.Scan (A.Table "Client")),
+        A.project_cols [ "Id"; "Dept" ] emp,
+        [ "Id" ] )
   in
   check Alcotest.int "null join key drops row" 1 (List.length (Query.Eval.rows env sample_db q))
+
+(* Each kind's rows exactly, in nested-loop order: every left row with its
+   matches in right order, or padded when an outer join finds none; then,
+   for [Full], every unmatched right row padded.  The sides hold a NULL
+   key each, a key on two rows of both sides, and an unmatched key each. *)
+let test_join_rows_exact () =
+  let store =
+    Relational.Instance.empty
+    |> Relational.Instance.set_rows ~table:"Client"
+         (List.map
+            (fun (cid, eid) -> row [ ("Cid", V.Int cid); ("Eid", eid) ])
+            [ (1, V.Int 10); (2, V.Int 10); (3, V.Null); (4, V.Int 30) ])
+    |> Relational.Instance.set_rows ~table:"Emp"
+         (List.map
+            (fun (id, dept) -> row [ ("Id", id); ("Dept", V.String dept) ])
+            [ (V.Int 10, "x"); (V.Int 10, "y"); (V.Null, "n"); (V.Int 20, "z") ])
+  in
+  let db = { sample_db with Query.Eval.store } in
+  let l = A.project_renamed [ ("Cid", "A"); ("Eid", "K") ] (A.Scan (A.Table "Client")) in
+  let r = A.project_renamed [ ("Id", "K"); ("Dept", "B") ] emp in
+  let out (a, k, b) = row [ ("A", a); ("K", k); ("B", b) ] in
+  let i n = V.Int n and str x = V.String x in
+  let matched =
+    [ (i 1, i 10, str "x"); (i 1, i 10, str "y"); (i 2, i 10, str "x"); (i 2, i 10, str "y") ]
+  in
+  let left = matched @ [ (i 3, V.Null, V.Null); (i 4, i 30, V.Null) ] in
+  let full = left @ [ (V.Null, V.Null, str "n"); (V.Null, i 20, str "z") ] in
+  let exact = Alcotest.testable (Format.pp_print_list Datum.Row.pp) (List.equal Datum.Row.equal) in
+  List.iter
+    (fun (what, kind, expected) ->
+      check exact what (List.map out expected)
+        (Query.Eval.rows env db (A.Join (kind, l, r, [ "K" ]))))
+    [ ("inner", Query.Join.Inner, matched); ("left", Query.Join.Left, left);
+      ("full", Query.Join.Full, full) ]
 
 let test_full_outer_join () =
   let adult = A.project_renamed [ ("Id", "Id"); ("Name", "Name") ] hr in
   let dept = A.project_renamed [ ("Id", "Id"); ("Dept", "Dept") ] emp in
-  let foj = A.Full_outer_join (adult, dept, [ "Id" ]) in
+  let foj = A.Join (Query.Join.Full, adult, dept, [ "Id" ]) in
   check Alcotest.int "foj covers both sides" 4 (List.length (Query.Eval.rows env sample_db foj));
   (* Make an Emp row with no HR partner to exercise the right-unmatched leg. *)
   let store' =
@@ -97,9 +133,10 @@ let test_infer_errors () =
   checkb "union schema mismatch" true
     (Result.is_error (A.infer env (A.Union_all (hr, emp))));
   checkb "join clash outside join columns" true
-    (Result.is_error (A.infer env (A.Join (hr, A.Scan (A.Table "HR"), [ "Id" ]))));
+    (Result.is_error
+       (A.infer env (A.Join (Query.Join.Inner, hr, A.Scan (A.Table "HR"), [ "Id" ]))));
   check (Alcotest.list Alcotest.string) "join output order" [ "Id"; "Name"; "Dept" ]
-    (ok_exn (A.infer env (A.Join (hr, emp, [ "Id" ]))))
+    (ok_exn (A.infer env (A.Join (Query.Join.Inner, hr, emp, [ "Id" ]))))
 
 (* -- Cond properties ------------------------------------------------------ *)
 
@@ -346,6 +383,7 @@ let () =
           Alcotest.test_case "joins" `Quick test_joins;
           Alcotest.test_case "null join keys" `Quick test_join_null_no_match;
           Alcotest.test_case "full outer join" `Quick test_full_outer_join;
+          Alcotest.test_case "join rows, exactly" `Quick test_join_rows_exact;
           Alcotest.test_case "union all" `Quick test_union_all;
           Alcotest.test_case "inference errors" `Quick test_infer_errors;
         ] );

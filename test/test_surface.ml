@@ -468,6 +468,21 @@ let test_canonical_form () =
       checkb (name ^ ": an unshared copy saves to the same text") true (save unshared = save st))
     [ ("paper", paper_state); ("chain-5", chain5_evolved); ("customer", customer_state) ]
 
+(* Documents written by an earlier build of [imcc]: [compile -m paper
+   --no-validate] (three [foj]), and [compile -f
+   examples/models/paper_stage1.imc] then [evolve --script
+   examples/models/paper_changes.smo] ([join], [loj] and [union]).  The
+   encoder and its tree-walk oracle change together, so only a committed
+   file pins the format itself. *)
+let states_dir = List.find Sys.file_exists [ "states"; "test/states" ]
+
+let test_committed_documents () =
+  List.iter
+    (fun file ->
+      let text = In_channel.with_open_bin (Filename.concat states_dir file) In_channel.input_all in
+      checkb (file ^ ": save (load t) = t") true (save (ok_exn (load text)) = text))
+    [ "paper.imcs"; "paper_evolved.imcs" ]
+
 let test_customer_roundtrip () =
   let st = Lazy.force customer_state in
   let text = save st in
@@ -870,6 +885,7 @@ let () =
           Alcotest.test_case "tree form loads" `Quick test_tree_form_loads;
           Alcotest.test_case "canonical form" `Quick test_canonical_form;
           Alcotest.test_case "customer save (load t) = t" `Quick test_customer_roundtrip;
+          Alcotest.test_case "committed documents re-save unchanged" `Quick test_committed_documents;
           Alcotest.test_case "loaded state is shared" `Quick test_loaded_state_is_shared;
           Alcotest.test_case "bad references" `Quick test_bad_references;
           Alcotest.test_case "update binding form" `Quick test_update_binding_form;
