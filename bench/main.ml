@@ -1178,9 +1178,13 @@ let lint_bench () =
         let diags, lint_ms, lint_mb = sample (fun () -> Lint.Analyze.run ~views env frags) in
         let _, val_ms, _ = sample (fun () -> ok (Fullc.Validate.run env frags)) in
         let sharing = Query.Algebra.sharing (Query.View.queries (fst views) (snd views)) in
-        (name, lint_ms, lint_mb, val_ms, List.length diags, sharing))
+        let phases =
+          phase_rows "model" name (fun () -> ignore (Lint.Analyze.run ~views env frags))
+        in
+        ((name, lint_ms, lint_mb, val_ms, List.length diags, sharing), phases))
       models
   in
+  let phases = List.concat_map snd rows and rows = List.map fst rows in
   (* The customer run split by artifact, as [Lint.Analyze.run] runs it. *)
   let passes =
     let env, frags = Workload.Customer.generate () in
@@ -1210,6 +1214,7 @@ let lint_bench () =
                 ("diags", int diags); ("tree_nodes", int tree); ("distinct_nodes", int distinct) ])
             rows };
       { name = "customer_passes"; keys = [ "pass" ]; rows = passes };
+      { name = "phases"; keys = [ "model"; "phase" ]; rows = phases };
       { name = "suite"; keys = [];
         rows =
           [ [ ("lint_ms", num 3 total_lint); ("validate_ms", num 3 total_val);
@@ -1242,6 +1247,20 @@ let edit_bench () =
         ("save", "surface", fun () -> ignore (Surface.State_io.save st));
       ]
   in
+  (* One traced op of e2ebench's loop per suite SMO: load, apply (validated),
+     lint, save. *)
+  let phases =
+    List.concat_map
+      (fun (label, smo) ->
+        phase_rows "row" label (fun () ->
+            let s = Core.Session.start (ok (Surface.State_io.load text)) in
+            match Core.Session.apply ~jobs:1 s smo with
+            | Ok s ->
+                ignore (Core.Session.lint s);
+                ignore (Surface.State_io.save (Core.Session.current s))
+            | Error e -> failwith (Containment.Validation_error.show e)))
+      (Workload.Customer.smo_suite ())
+  in
   (* The term-table size that one save tags on its [surface.io.encode]. *)
   let terms =
     Obs.Span.reset ();
@@ -1263,7 +1282,8 @@ let edit_bench () =
             (fun (name, kind, f) ->
               let _, ms, mb = sample f in
               [ ("layer", str name); ("kind", str kind); ("ms", num 3 ms); ("alloc_mb", num 2 mb) ])
-            rows } ]
+            rows };
+      { name = "phases"; keys = [ "row"; "phase" ]; rows = phases } ]
 
 (* ------------------------------------------------------------------ *)
 

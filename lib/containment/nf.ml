@@ -323,22 +323,24 @@ let rec needed_elim env role needed q =
      full outer join survives into the join's output, so projecting onto
      that input's columns yields a lower bound — enough to prove
      containment INTO the join.  (The exact rules stay role-agnostic.) *)
-  let cols_of q = match Query.Algebra.infer env q with Ok c -> c | Error _ -> [] in
-  let covered q = List.for_all (fun c -> List.mem c (cols_of q)) needed in
+  (* Whether [q] has every needed column: [q] is typed once per visit. *)
+  let covered q =
+    match Query.Algebra.infer env q with
+    | Ok cols -> List.for_all (fun c -> List.mem c cols) needed
+    | Error _ -> needed = []
+  in
   match q with
   | Query.Algebra.Join (Query.Join.Left, l, _r, _) when covered l -> needed_elim env role needed l
   | Query.Algebra.Join (Query.Join.Full, l, r, on) when List.for_all (fun c -> List.mem c on) needed
     ->
       Query.Algebra.Union_all (needed_elim env role needed l, needed_elim env role needed r)
-  | Query.Algebra.Join (Query.Join.Full, l, r, _)
-    when role = Superset_side && (covered l || covered r) ->
-      let l' = if covered l then Some (needed_elim env role needed l) else None in
-      let r' = if covered r then Some (needed_elim env role needed r) else None in
-      (match l', r' with
-      | Some l', Some r' -> Query.Algebra.Union_all (l', r')
-      | Some l', None -> l'
-      | None, Some r' -> r'
-      | None, None -> assert false)
+  | Query.Algebra.Join (Query.Join.Full, l, r, _) when role = Superset_side -> (
+      match (covered l, covered r) with
+      | true, true ->
+          Query.Algebra.Union_all (needed_elim env role needed l, needed_elim env role needed r)
+      | true, false -> needed_elim env role needed l
+      | false, true -> needed_elim env role needed r
+      | false, false -> q)
   | Query.Algebra.Union_all (l, r) ->
       (* Projection distributes over union. *)
       Query.Algebra.Union_all (needed_elim env role needed l, needed_elim env role needed r)

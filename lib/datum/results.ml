@@ -1,10 +1,9 @@
 let ( let* ) = Result.bind
 
+(* A match rather than [let*], which would allocate a closure per element. *)
 let rec all_ok f = function
   | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      all_ok f rest
+  | x :: rest -> ( match f x with Ok () -> all_ok f rest | Error _ as e -> e)
 
 let rec map_ok f = function
   | [] -> Ok []

@@ -35,15 +35,17 @@ let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 let mem_type t name = M.mem name t.ty
 let find_type t name = M.find_opt name t.ty
 
+(* [M.find] rather than [M.find_opt]: every step of a walk up the parent
+   links reads a type, and lint walks them thousands of times per call. *)
 let get_type t name =
-  match M.find_opt name t.ty with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Edm.Schema: unknown entity type %s" name)
+  match M.find name t.ty with
+  | e -> e
+  | exception Not_found -> invalid_arg (Printf.sprintf "Edm.Schema: unknown entity type %s" name)
 
 let types t = List.map snd (M.bindings t.ty)
 let parent t name = (get_type t name).Entity_type.parent
 
-let children t name = Option.value (M.find_opt name t.kids) ~default:[]
+let children t name = match M.find name t.kids with l -> l | exception Not_found -> []
 
 let ancestors t name =
   let rec up acc n =
@@ -83,12 +85,13 @@ let attributes t name =
 
 let hierarchy_index t name =
   let root = if mem_type t name then root_of t name else name in
-  Option.value (M.find_opt root t.hattrs) ~default:M.empty
+  match M.find root t.hattrs with idx -> idx | exception Not_found -> M.empty
 
 let hierarchy_attributes t name =
   M.fold (fun a (d, _) acc -> (a, d) :: acc) (hierarchy_index t name) [] |> List.rev
 
-let hierarchy_attribute t name a = Option.map fst (M.find_opt a (hierarchy_index t name))
+let hierarchy_attribute t name a =
+  match M.find a (hierarchy_index t name) with d, _ -> Some d | exception Not_found -> None
 
 let attribute_names t name = List.map fst (attributes t name)
 let attribute_domain t name a = List.assoc_opt a (attributes t name)

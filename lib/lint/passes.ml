@@ -2,6 +2,59 @@ module Cond = Query.Cond
 module Simplify = Query.Simplify
 module Fragment = Mapping.Fragment
 module Fragments = Mapping.Fragments
+module Coverage = Mapping.Coverage
+module S = Set.Make (String)
+
+(* Every pass below reads the schemas and the fragments in place: a lookup
+   allocates at most its answer, and a list is built only to name a
+   finding.  What several lookups share is built once per [run] call: the
+   hierarchy snapshots, the mapped tables, and each set's mapped
+   attributes. *)
+
+(* -- Hierarchy snapshot --------------------------------------------------- *)
+
+(* What the passes read about one type: [types] holds the type and its
+   ancestors (the types an [IS OF] test accepts it for), [attrs] its
+   attributes, and [non_null] those a type of its chain declares NOT NULL. *)
+type type_info = { name : string; types : S.t; attrs : S.t; non_null : S.t }
+
+(* One hierarchy: its key and its types in [Edm.Schema.subtypes] order. *)
+type hier = { key : string list; info : type_info list }
+
+type hiers = (string, hier) Hashtbl.t
+
+(* One walk down the child index: each type's sets are its parent's with
+   what the type declares added, so a snapshot costs the declarations, not a
+   copy of every type's attribute list.  [run] shares the snapshots across
+   the fragments and model passes of one call, so the table never outlives
+   the schema it was built from. *)
+let snapshot client root =
+  let rec walk (up : type_info) ty info =
+    match Edm.Schema.find_type client ty with
+    | None -> info
+    | Some e ->
+        let declared = e.Edm.Entity_type.declared in
+        let ti =
+          { name = ty;
+            types = S.add ty up.types;
+            attrs = List.fold_left (fun s (a, _) -> S.add a s) up.attrs declared;
+            non_null =
+              List.fold_left
+                (fun s a -> if List.mem_assoc a declared then S.add a s else s)
+                up.non_null e.Edm.Entity_type.non_null }
+        in
+        List.fold_left (fun info c -> walk ti c info) (ti :: info) (Edm.Schema.children client ty)
+  in
+  let top = { name = ""; types = S.empty; attrs = S.empty; non_null = S.empty } in
+  { key = Edm.Schema.key_of client root; info = List.rev (walk top root []) }
+
+let hier_of (hiers : hiers) client root =
+  match Hashtbl.find hiers root with
+  | h -> h
+  | exception Not_found ->
+      let h = snapshot client root in
+      Hashtbl.add hiers root h;
+      h
 
 (* -- Shared condition reasoning ------------------------------------------- *)
 
@@ -11,78 +64,39 @@ module Fragments = Mapping.Fragments
    unknown. *)
 type tri = T | F | U
 
-module S = Set.Make (String)
-
-let rec approx client ~ty ~attrs c =
+let rec approx ti c =
   match c with
   | Cond.True -> T
   | Cond.False -> F
-  | Cond.Is_of e -> if Edm.Schema.is_subtype client ~sub:ty ~sup:e then T else F
-  | Cond.Is_of_only e -> if String.equal ty e then T else F
-  | Cond.Is_null a -> if List.mem a attrs then U else T
-  | Cond.Is_not_null a -> if List.mem a attrs then U else F
-  | Cond.Cmp (a, _, v) ->
-      if Datum.Value.is_null v || not (List.mem a attrs) then F else U
+  | Cond.Is_of e -> if S.mem e ti.types then T else F
+  | Cond.Is_of_only e -> if String.equal ti.name e then T else F
+  | Cond.Is_null a -> if S.mem a ti.attrs then U else T
+  | Cond.Is_not_null a -> if S.mem a ti.attrs then U else F
+  | Cond.Cmp (a, _, v) -> if Datum.Value.is_null v || not (S.mem a ti.attrs) then F else U
   | Cond.And (a, b) -> (
-      match (approx client ~ty ~attrs a, approx client ~ty ~attrs b) with
+      match (approx ti a, approx ti b) with
       | F, _ | _, F -> F
       | T, T -> T
       | _ -> U)
   | Cond.Or (a, b) -> (
-      match (approx client ~ty ~attrs a, approx client ~ty ~attrs b) with
+      match (approx ti a, approx ti b) with
       | T, _ | _, T -> T
       | F, F -> F
       | _ -> U)
 
-(* -- Hierarchy snapshot --------------------------------------------------- *)
+(* Whether [c] may hold for some type of the hierarchy. *)
+let rec selects info c =
+  match info with [] -> false | ti :: rest -> approx ti c <> F || selects rest c
 
-(* Everything the passes read about one hierarchy, gathered once.  The
-   [Edm.Schema] hierarchy queries read a child index, but its attribute
-   accessors still walk the ancestry and concatenate the declared lists on
-   every call, which is fine interactively but dominates a whole-model sweep;
-   [run] shares these snapshots across the fragments and model passes of one
-   call, so the table never outlives the schema it was built from. *)
-type type_info = {
-  names : string list;
-  nset : S.t;
-  domains : (string * Datum.Domain.t) list;
-  nullable : S.t;  (* declared attributes that are nullable on this type *)
-}
-
-type hier = {
-  key : string list;
-  info : (string * type_info) list;  (* subtypes in [Edm.Schema.subtypes] order *)
-}
-
-type hiers = (string, hier) Hashtbl.t
-
-let hier_of (hiers : hiers) client root =
-  match Hashtbl.find_opt hiers root with
-  | Some h -> h
-  | None ->
-      let info =
-        List.map
-          (fun ty ->
-            let domains = Edm.Schema.attributes client ty in
-            let names = List.map fst domains in
-            let nullable =
-              List.fold_left
-                (fun s a -> if Edm.Schema.attribute_nullable client ty a then S.add a s else s)
-                S.empty names
-            in
-            (ty, { names; nset = S.of_list names; domains; nullable }))
-          (Edm.Schema.subtypes client root)
-      in
-      let h = { key = Edm.Schema.key_of client root; info } in
-      Hashtbl.add hiers root h;
-      h
-
-(* An attribute a type lacks reads as NULL (matching [Cond.eval]), so it is
-   nullable for that type as far as L003 is concerned. *)
-let ty_nullable ti a = (not (S.mem a ti.nset)) || S.mem a ti.nullable
-
-let selected_info client hier c =
-  List.filter (fun (ty, ti) -> approx client ~ty ~attrs:ti.names c <> F) hier.info
+(* Whether [c] may hold for a type on which the non-key attribute [a] may be
+   NULL: one that lacks [a] (it reads as NULL, matching [Cond.eval]) or has
+   it without a NOT NULL declaration. *)
+let rec selects_nullable info c a =
+  match info with
+  | [] -> false
+  | ti :: rest ->
+      (approx ti c <> F && ((not (S.mem a ti.attrs)) || not (S.mem a ti.non_null)))
+      || selects_nullable rest c a
 
 (* DNF with a size cap: past the cap we give up rather than blow the
    syntactic-analysis cost budget. *)
@@ -91,27 +105,30 @@ let dnf_capped c =
   if List.length d > 32 || List.exists (fun conj -> List.length conj > 24) d then None
   else Some d
 
-let conj_unsat hierarchy conj =
+let conj_unsat hier conj =
   Simplify.unsat (Cond.conj conj)
-  ||
-  match hierarchy with
-  | Some (client, hier) -> selected_info client hier (Cond.conj conj) = []
-  | None -> false
+  || match hier with Some h -> not (selects h.info (Cond.conj conj)) | None -> false
 
-let disjoint_gen hierarchy c1 c2 =
+let disjoint_gen hier c1 c2 =
   match (dnf_capped c1, dnf_capped c2) with
   | Some d1, Some d2 ->
       List.for_all
-        (fun conj1 -> List.for_all (fun conj2 -> conj_unsat hierarchy (conj1 @ conj2)) d2)
+        (fun conj1 -> List.for_all (fun conj2 -> conj_unsat hier (conj1 @ conj2)) d2)
         d1
   | _ -> false
 
-let disjoint_hier client hier c1 c2 = disjoint_gen (Some (client, hier)) c1 c2
+let disjoint_hier hier c1 c2 = disjoint_gen (Some hier) c1 c2
 let disjoint_store c1 c2 = disjoint_gen None c1 c2
 
 (* -- Per-fragment passes: L003 L004 L005 L007 L012 ------------------------ *)
 
 let floc f = Diag.Fragment (Fragment.describe f)
+
+(* Whether a conjunct of [c] forces [a] non-NULL. *)
+let rec forces_not_null a = function
+  | Cond.And (x, y) -> forces_not_null a x || forces_not_null a y
+  | Cond.Is_not_null b | Cond.Cmp (b, _, _) -> String.equal a b
+  | _ -> false
 
 let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
   let client = env.Query.Env.client in
@@ -120,29 +137,23 @@ let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
   | Some root ->
       let hier = hier_of hiers client root in
       let key = hier.key in
-      let sel = selected_info client hier f.client_cond in
-      let forced_not_null =
-        Query.Cond.conjuncts f.client_cond
-        |> List.filter_map (function
-             | Cond.Is_not_null a | Cond.Cmp (a, _, _) -> Some a
-             | _ -> None)
-      in
       List.iter
         (fun (a, c) ->
-          (let adom = List.find_map (fun (_, ti) -> List.assoc_opt a ti.domains) hier.info in
-           match (adom, Relational.Table.domain_of tbl c) with
-           | Some ad, Some cd when not (Datum.Domain.subsumes ~wide:cd ~narrow:ad) ->
-               add
-                 (Diag.makef ~code:"L004" ~severity:Diag.Error ~loc:(floc f)
-                    "column %s.%s (%s) cannot hold every value of attribute %s (%s)" f.table c
-                    (Datum.Domain.show cd) a (Datum.Domain.show ad))
-           | _ -> ());
+          (match
+             (Edm.Schema.hierarchy_attribute client root a, Relational.Table.domain_of tbl c)
+           with
+          | Some ad, Some cd when not (Datum.Domain.subsumes ~wide:cd ~narrow:ad) ->
+              add
+                (Diag.makef ~code:"L004" ~severity:Diag.Error ~loc:(floc f)
+                   "column %s.%s (%s) cannot hold every value of attribute %s (%s)" f.table c
+                   (Datum.Domain.show cd) a (Datum.Domain.show ad))
+          | _ -> ());
           if
             Relational.Table.mem_column tbl c
             && (not (Relational.Table.nullable tbl c))
             && (not (List.mem a key))
-            && (not (List.mem a forced_not_null))
-            && List.exists (fun (_, ti) -> ty_nullable ti a) sel
+            && (not (forces_not_null a f.client_cond))
+            && selects_nullable hier.info f.client_cond a
           then
             add
               (Diag.makef ~code:"L003" ~severity:Diag.Warning ~loc:(floc f)
@@ -157,7 +168,7 @@ let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
                 (Diag.makef ~code:"L005" ~severity:Diag.Warning ~loc:(floc f)
                    "primary-key column %s.%s is paired with non-key attribute %s" f.table k a)
           | None ->
-              if not (Mapping.Coverage.writes f k) then
+              if not (Coverage.writes f k) then
                 add
                   (Diag.makef ~code:"L005" ~severity:Diag.Error ~loc:(floc f)
                      "primary-key column %s.%s is neither mapped nor fixed by the store condition"
@@ -167,7 +178,7 @@ let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
         add
           (Diag.makef ~code:"L007" ~severity:Diag.Warning ~loc:(floc f)
              "client condition is unsatisfiable: contradictory conjuncts")
-      else if sel = [] then
+      else if not (selects hier.info f.client_cond) then
         add
           (Diag.makef ~code:"L007" ~severity:Diag.Warning ~loc:(floc f)
              "client condition selects no type of the hierarchy rooted at %s" root)
@@ -175,7 +186,7 @@ let entity_fragment_diags hiers env (f : Fragment.t) set tbl add =
 let assoc_fragment_diags (f : Fragment.t) tbl add =
   List.iter
     (fun k ->
-      if not (Mapping.Coverage.writes f k) then
+      if not (Coverage.writes f k) then
         add
           (Diag.makef ~code:"L005" ~severity:Diag.Error ~loc:(floc f)
              "primary-key column %s.%s is neither mapped nor fixed by the store condition" f.table
@@ -207,35 +218,45 @@ let fragment_diags hiers env (f : Fragment.t) =
 
 (* -- Whole-model passes: L001 L002 L006 L009 L010 ------------------------- *)
 
-let rec distinct_pairs = function
-  | [] -> []
-  | x :: rest -> List.map (fun y -> (x, y)) rest @ distinct_pairs rest
-
-let unmapped_attr_diags hiers env frags add =
+(* Each set's mapped attributes are gathered once, into one table that every
+   set reuses. *)
+let unmapped_attr_diags env frags add =
   let client = env.Query.Env.client in
+  let mapped = Hashtbl.create 64 in
+  let map a = Hashtbl.replace mapped a () in
   List.iter
     (fun (s, root) ->
-      let sfrags = Fragments.of_set frags s in
-      let mapped a =
-        List.exists
-          (fun (f : Fragment.t) ->
-            List.mem a (Fragment.attrs f)
-            || List.mem_assoc a (Mapping.Coverage.determined_constants f.client_cond))
-          sfrags
-      in
-      (hier_of hiers client root).info
-      |> List.concat_map (fun (_, ti) -> ti.names)
-      |> List.sort_uniq String.compare
-      |> List.iter (fun a ->
-             if not (mapped a) then
-               add
-                 (Diag.makef ~code:"L001" ~severity:Diag.Error ~loc:(Diag.Entity_set s)
-                    "attribute %s of the hierarchy rooted at %s is mapped by no fragment" a root)))
+      Hashtbl.clear mapped;
+      List.iter
+        (fun (f : Fragment.t) ->
+          match f.client_source with
+          | Fragment.Set s' when String.equal s s' ->
+              List.iter (fun (a, _) -> map a) f.pairs;
+              List.iter (fun (a, _) -> map a) (Coverage.determined_constants f.client_cond)
+          | Fragment.Set _ | Fragment.Assoc _ -> ())
+        frags;
+      List.iter
+        (fun (a, _) ->
+          if not (Hashtbl.mem mapped a) then
+            add
+              (Diag.makef ~code:"L001" ~severity:Diag.Error ~loc:(Diag.Entity_set s)
+                 "attribute %s of the hierarchy rooted at %s is mapped by no fragment" a root))
+        (Edm.Schema.hierarchy_attributes client root))
     (Edm.Schema.entity_sets client)
 
-let unwritten_column_diags env frags add =
-  List.iter
-    (fun tname ->
+(* The fragments of each mapped table, in mapping order. *)
+let by_table frags =
+  let tables = Hashtbl.create 64 in
+  List.fold_right
+    (fun (f : Fragment.t) () ->
+      let on = match Hashtbl.find tables f.table with l -> l | exception Not_found -> [] in
+      Hashtbl.replace tables f.table (f :: on))
+    frags ();
+  tables
+
+let unwritten_column_diags env tables add =
+  Hashtbl.iter
+    (fun tname on ->
       match Relational.Schema.find_table env.Query.Env.store tname with
       | None -> ()
       | Some tbl ->
@@ -244,50 +265,65 @@ let unwritten_column_diags env frags add =
               add
                 (Diag.makef ~code:"L002" ~severity:Diag.Error ~loc:(Diag.Table tname)
                    "non-nullable column %s is written by no fragment" c))
-            (Mapping.Coverage.unwritten_not_null (Fragments.on_table frags tname) tbl))
-    (Fragments.tables frags)
+            (Coverage.unwritten_not_null on tbl))
+    tables
 
-let overlap_diags hiers env frags add =
+(* The attribute of the first pair of [pairs] with column [c], which has
+   one. *)
+let rec attr_at c = function
+  | [] -> raise Not_found
+  | (a, c') :: rest -> if String.equal c c' then a else attr_at c rest
+
+let overlap_diags hiers env tables add =
   let client = env.Query.Env.client in
-  List.iter
-    (fun tname ->
+  let overlap tname key (f : Fragment.t) (g : Fragment.t) =
+    match (f.client_source, g.client_source) with
+    | Fragment.Set sf, Fragment.Set sg when String.equal sf sg -> (
+        match Edm.Schema.set_root client sf with
+        | None -> ()
+        | Some root ->
+            let conflicting =
+              List.filter_map
+                (fun (_, c) ->
+                  if
+                    Fragment.mem_col g c
+                    && (not (List.mem c key))
+                    && not (String.equal (attr_at c f.pairs) (attr_at c g.pairs))
+                  then Some c
+                  else None)
+                f.pairs
+            in
+            if
+              conflicting <> []
+              && (not (disjoint_hier (hier_of hiers client root) f.client_cond g.client_cond))
+              && not (disjoint_store f.store_cond g.store_cond)
+            then
+              add
+                (Diag.makef ~code:"L006" ~severity:Diag.Warning ~loc:(Diag.Table tname)
+                   "overlapping fragments %s and %s write different attributes into column(s) %s"
+                   (Fragment.describe f) (Fragment.describe g)
+                   (String.concat ", " conflicting)))
+    | _ -> ()
+  in
+  Hashtbl.iter
+    (fun tname on ->
       let key =
         match Relational.Schema.find_table env.Query.Env.store tname with
         | Some t -> t.Relational.Table.key
         | None -> []
       in
-      Fragments.on_table frags tname
-      |> List.filter (fun (f : Fragment.t) ->
+      let rec pairs = function
+        | [] -> ()
+        | f :: rest ->
+            List.iter (overlap tname key f) rest;
+            pairs rest
+      in
+      pairs
+        (List.filter
+           (fun (f : Fragment.t) ->
              match f.client_source with Fragment.Set _ -> true | Fragment.Assoc _ -> false)
-      |> distinct_pairs
-      |> List.iter (fun ((f : Fragment.t), (g : Fragment.t)) ->
-             match (f.client_source, g.client_source) with
-             | Fragment.Set sf, Fragment.Set sg when String.equal sf sg -> (
-                 match Edm.Schema.set_root client sf with
-                 | None -> ()
-                 | Some root ->
-                     let conflicting =
-                       Fragment.cols f
-                       |> List.filter (fun c ->
-                              List.mem c (Fragment.cols g)
-                              && (not (List.mem c key))
-                              && Fragment.attr_of f c <> Fragment.attr_of g c)
-                     in
-                     if
-                       conflicting <> []
-                       && (not
-                             (disjoint_hier client (hier_of hiers client root) f.client_cond
-                                g.client_cond))
-                       && not (disjoint_store f.store_cond g.store_cond)
-                     then
-                       add
-                         (Diag.makef ~code:"L006" ~severity:Diag.Warning ~loc:(Diag.Table tname)
-                            "overlapping fragments %s and %s write different attributes into \
-                             column(s) %s"
-                            (Fragment.describe f) (Fragment.describe g)
-                            (String.concat ", " conflicting)))
-             | _ -> ()))
-    (Fragments.tables frags)
+           on))
+    tables
 
 let assoc_fk_diags env frags add =
   let store = env.Query.Env.store in
@@ -311,25 +347,26 @@ let assoc_fk_diags env frags add =
                       tbl.fks
                   in
                   let unsupported =
-                    List.filter (fun c -> (not (in_key c)) && not (fk_backed c)) (Fragment.cols f)
+                    List.filter_map
+                      (fun (_, c) -> if (not (in_key c)) && not (fk_backed c) then Some c else None)
+                      f.pairs
                   in
                   if unsupported <> [] then
                     add
                       (Diag.makef ~code:"L009" ~severity:Diag.Warning ~loc:(Diag.Assoc assoc.name)
                          "association column(s) %s of table %s are backed by no foreign key"
                          (String.concat ", " unsupported) f.table)
-                  else if List.for_all in_key (Fragment.cols f) && tbl.fks = [] then
+                  else if tbl.fks = [] && List.for_all (fun (_, c) -> in_key c) f.pairs then
                     add
                       (Diag.makef ~code:"L009" ~severity:Diag.Warning ~loc:(Diag.Assoc assoc.name)
                          "join table %s of the association has no foreign keys" f.table))
             afrags)
     (Edm.Schema.associations env.Query.Env.client)
 
-let unreferenced_table_diags env frags add =
-  let mapped = Fragments.tables frags in
+let unreferenced_table_diags env tables add =
   List.iter
     (fun (tbl : Relational.Table.t) ->
-      if not (List.mem tbl.name mapped) then
+      if not (Hashtbl.mem tables tbl.name) then
         add
           (Diag.makef ~code:"L010" ~severity:Diag.Info ~loc:(Diag.Table tbl.name)
              "table is not mapped by any fragment"))
@@ -338,11 +375,12 @@ let unreferenced_table_diags env frags add =
 let model_diags hiers env frags =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  unmapped_attr_diags hiers env frags add;
-  unwritten_column_diags env frags add;
-  overlap_diags hiers env frags add;
+  let tables = by_table (Fragments.to_list frags) in
+  unmapped_attr_diags env (Fragments.to_list frags) add;
+  unwritten_column_diags env tables add;
+  overlap_diags hiers env tables add;
   assoc_fk_diags env frags add;
-  unreferenced_table_diags env frags add;
+  unreferenced_table_diags env tables add;
   !diags
 
 (* -- The mapping analysis ------------------------------------------------- *)

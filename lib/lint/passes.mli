@@ -27,6 +27,16 @@ val run : Query.Env.t -> Mapping.Fragments.t -> Diag.t list
 (** Every finding of the catalog, sorted.  The per-fragment passes (L003,
     L004, L005, L007, L012) run under a [lint.fragments] span, the passes
     that need the fragment set or the schemas as a whole (L001, L002, L006,
-    L009, L010) under a [lint.model] span.  Each hierarchy's snapshot
-    (subtypes, attribute names, domains, nullability, key) is built once per
-    call and shared by both. *)
+    L009, L010) under a [lint.model] span.
+
+    Every lookup reads the schemas and fragments in place
+    ({!Mapping.Fragment.mem_col}, {!Mapping.Coverage.writes},
+    {!Edm.Schema.hierarchy_attribute}, ...) and allocates at most its
+    answer.  What many lookups share is built once per call: each
+    hierarchy's snapshot (its key, and per type in [subtypes] order the set
+    of the type and its ancestors, of its attributes and of those declared
+    NOT NULL on its chain), shared by both spans; the fragments of each
+    mapped table (L002, L006, L010); and, one set at a time, the attributes
+    its fragments map (L001).  Sound because one call reads one schema pair
+    and one fragment set.  On loaded customer a call allocates 0.6 MB (3.4
+    MB when each lookup rebuilt its lists). *)

@@ -40,85 +40,92 @@ let scan_nullability memo env src =
       Hashtbl.add memo src r;
       r
 
-(* Whether column [n] of [cols] may be NULL, [absent] if [cols] lacks it. *)
-let rec may_null ~absent n = function
-  | [] -> absent
-  | (m, nl) :: rest -> if String.equal m n then nl else may_null ~absent n rest
+(* What a query's column may carry: the column is absent, or may be NULL,
+   or is never NULL. *)
+type nulls = Absent | Null | Not_null
 
-(* For each output column of a query, whether it may carry NULL: table scans
-   read column nullability, entity-set scans treat an attribute as nullable
-   when any type of the hierarchy lacks it or declares it nullable, joins
-   exploit that NULL keys never match, outer joins pad the missing side, and
-   COALESCE is null only when all sources are.  [None] when the query is too
-   broken to analyse (L101's business).  A step of a memoized fold:
-   [nullability] reaches the children, [scan] resolves sources. *)
-let nullability_step scan nullability q =
+let nulls_of nullable = if nullable then Null else Not_null
+
+let may_null = function Absent | Null -> true | Not_null -> false
+
+let rec scan_nulls n = function
+  | [] -> Absent
+  | (m, nl) :: rest -> if String.equal m n then nulls_of nl else scan_nulls n rest
+
+(* Whether a conjunct of [c] rules out NULL in column [n]. *)
+let rec refines n = function
+  | Cond.And (a, b) -> refines n a || refines n b
+  | Cond.Is_not_null a -> String.equal a n
+  | Cond.Cmp (a, _, v) -> String.equal a n && not (Datum.Value.is_null v)
+  | _ -> false
+
+(* Whether every source the query scans resolves; L104 judges only those
+   queries (the others are L101's business). *)
+let rec resolves scan = function
+  | Algebra.Scan src -> Option.is_some (scan src)
+  | Algebra.Select (_, q) | Algebra.Project (_, q) -> resolves scan q
+  | Algebra.Join (_, l, r, _) | Algebra.Union_all (l, r) -> resolves scan l && resolves scan r
+
+(* Whether column [n] of a query may carry NULL, asked of the one column and
+   walked down the query: table scans read column nullability, entity-set
+   scans treat an attribute as nullable when any type of the hierarchy lacks
+   it or declares it nullable, joins exploit that NULL keys never match,
+   outer joins pad the missing side, and COALESCE is null only when all
+   sources are.  A column a query binds twice is read at its first binding.
+   Only asked of queries that [resolves]. *)
+let rec column_nulls scan q n =
   match q with
-  | Algebra.Scan src -> scan src
+  | Algebra.Scan src -> ( match scan src with Some cols -> scan_nulls n cols | None -> Absent)
   | Algebra.Select (c, sub) -> (
-      let refined =
-        Query.Cond.conjuncts c
-        |> List.filter_map (function
-             | Cond.Is_not_null a -> Some a
-             | Cond.Cmp (a, _, v) when not (Datum.Value.is_null v) -> Some a
-             | _ -> None)
-      in
-      match nullability sub with
-      | Some cols when refined <> [] ->
-          Some (List.map (fun (n, nl) -> (n, nl && not (List.mem n refined))) cols)
-      | r -> r)
-  | Algebra.Project (items, sub) ->
-      let* cols = nullability sub in
-      let of_src s = may_null ~absent:true s cols in
-      Some
-        (List.map
-           (function
-             | Algebra.Col { src; dst } -> (dst, of_src src)
-             | Algebra.Const { value; dst } -> (dst, Datum.Value.is_null value)
-             | Algebra.Coalesce { srcs; dst } -> (dst, List.for_all of_src srcs))
-           items)
+      match column_nulls scan sub n with Null when refines n c -> Not_null | r -> r)
+  | Algebra.Project (items, sub) -> bound scan sub n items
   | Algebra.Join (kind, l, r, on) -> (
-      let* lc = nullability l in
-      let* rc = nullability r in
-      (* The right side's other columns; an outer join pads them with NULL. *)
-      let padded = match kind with Query.Join.Inner -> false | Left | Full -> true in
-      let rest =
-        List.filter_map (fun (n, nl) -> if List.mem n on then None else Some (n, padded || nl)) rc
-      in
-      match kind with
-      | Query.Join.Inner ->
-          Some (List.map (fun (n, nl) -> (n, (not (List.mem n on)) && nl)) lc @ rest)
-      | Left -> Some (lc @ rest)
-      | Full ->
-          Some
-            (List.map
-               (fun (n, nl) -> (n, (not (List.mem n on)) || nl || may_null ~absent:true n rc))
-               lc
-            @ rest))
-  | Algebra.Union_all (l, r) ->
-      let* lc = nullability l in
-      let* rc = nullability r in
-      Some (List.map (fun (n, nl) -> (n, nl || may_null ~absent:true n rc)) lc)
+      let joined = List.mem n on in
+      match column_nulls scan l n with
+      | Absent -> (
+          (* A right column other than a join column; an outer join pads it
+             with NULL. *)
+          if joined then Absent
+          else
+            match (kind, column_nulls scan r n) with
+            | _, Absent -> Absent
+            | Query.Join.Inner, rn -> rn
+            | (Left | Full), _ -> Null)
+      | ln -> (
+          match kind with
+          | Query.Join.Inner -> if joined then Not_null else ln
+          | Left -> ln
+          | Full -> if (not joined) || ln = Null then Null else nulls_of (source_null scan r n)))
+  | Algebra.Union_all (l, r) -> (
+      match column_nulls scan l n with Not_null -> nulls_of (source_null scan r n) | ln -> ln)
+
+(* The first item of a projection that binds [n], over [sub]. *)
+and bound scan sub n = function
+  | [] -> Absent
+  | item :: rest when not (String.equal (Algebra.dst_of item) n) -> bound scan sub n rest
+  | Algebra.Col { src; _ } :: _ -> nulls_of (source_null scan sub src)
+  | Algebra.Const { value; _ } :: _ -> nulls_of (Datum.Value.is_null value)
+  | Algebra.Coalesce { srcs; _ } :: _ -> nulls_of (List.for_all (source_null scan sub) srcs)
+
+(* Whether a source column may be NULL; an absent one reads as NULL. *)
+and source_null scan q n = may_null (column_nulls scan q n)
 
 (* Each NOT NULL column of the table that the view's query may fill with
    NULL; a column the query lacks is L105's business. *)
-let update_view_null_diags env nullability tname q =
+let update_view_null_diags env scan tname q =
   match Relational.Schema.find_table env.Query.Env.store tname with
-  | None -> []
-  | Some tbl -> (
-      match nullability q with
-      | None -> []
-      | Some cols ->
-          List.filter_map
-            (fun (c : Relational.Table.column) ->
-              if (not c.nullable) && may_null ~absent:false c.cname cols then
-                Some
-                  (Diag.makef ~code:"L104" ~severity:Diag.Warning ~loc:(Diag.Update_view tname)
-                     "column %s is NOT NULL but the update view may produce NULL there \
-                      (outer-join padding or nullable source)"
-                     c.cname)
-              else None)
-            tbl.Relational.Table.columns)
+  | Some tbl when resolves scan q ->
+      List.filter_map
+        (fun (c : Relational.Table.column) ->
+          if (not c.nullable) && column_nulls scan q c.cname = Null then
+            Some
+              (Diag.makef ~code:"L104" ~severity:Diag.Warning ~loc:(Diag.Update_view tname)
+                 "column %s is NOT NULL but the update view may produce NULL there \
+                  (outer-join padding or nullable source)"
+                 c.cname)
+          else None)
+        tbl.Relational.Table.columns
+  | _ -> []
 
 (* -- L011, L101, L102, L103: the typed fold ---------------------------------- *)
 
@@ -144,12 +151,19 @@ let verdict env q a ra rb =
 
 (* Each child is reached once, as [fold] recomputes an unshared node.  What
    [infer] accepts binds no column twice and has union sides that agree as
-   sets, so only where it fails are L102 and a union's sets checked. *)
-let typed_step env fold q =
+   sets, so only where it fails are L102 and a union's sets checked.  A
+   source is typed once per call ([scans]): a compiled view set scans one
+   entity set from many physically distinct nodes. *)
+let typed_step env scans fold q =
   match q with
-  | Algebra.Scan _ ->
-      let typed = Algebra.infer env q in
-      { typed; cols = Result.to_option typed; findings = [] }
+  | Algebra.Scan src -> (
+      match Hashtbl.find scans src with
+      | r -> r
+      | exception Not_found ->
+          let typed = Algebra.infer env q in
+          let r = { typed; cols = Result.to_option typed; findings = [] } in
+          Hashtbl.add scans src r;
+          r)
   | Algebra.Select (c, sub) ->
       let s = fold sub in
       let here =
@@ -234,59 +248,113 @@ let dead_branch_diags loc ctor acc =
 
 (* -- L105: constructor references and exact view columns --------------------- *)
 
-module Refs = Set.Make (struct
-  type t = string * string
+(* Column names are numbered in order of first sight, once per call, so
+   that a set of names is a bitset: an [int array] of [Sys.int_size] names a
+   word, as many words as its highest number needs. *)
+type names = (string, int) Hashtbl.t
 
-  let compare = compare
-end)
-
-(* What a constructor subtree references: [(what, column)] pairs, and
-   whether some branch tests entity types.  [refs] reaches the children. *)
-let ctor_refs_step refs c =
-  let tag what cs = Refs.of_list (List.map (fun c -> (what, c)) cs) in
-  match c with
-  | Ctor.Entity { attrs; _ } -> (tag "attribute" attrs, false)
-  | Ctor.If (cond, a, b) ->
-      let ra, ta = refs a in
-      let rb, tb = refs b in
-      ( Refs.union (tag "condition column" (Cond.columns cond)) (Refs.union ra rb),
-        Cond.type_atoms cond <> [] || ta || tb )
-
-(* Membership in a sorted array, without a closure. *)
-let rec sorted_mem cols c lo hi =
-  lo < hi
-  &&
-  let mid = (lo + hi) / 2 in
-  let k = String.compare c cols.(mid) in
-  k = 0 || if k < 0 then sorted_mem cols c lo mid else sorted_mem cols c (mid + 1) hi
-
-(* Sorted once per list: views share [infer]'s lists, and [compare] stops at [==]. *)
-let sorted_columns tbl cols =
-  match Hashtbl.find tbl cols with
-  | sorted -> sorted
+let number (names : names) c =
+  match Hashtbl.find names c with
+  | i -> i
   | exception Not_found ->
-      let sorted = Array.of_list cols in
-      Array.stable_sort String.compare sorted;
-      Hashtbl.add tbl cols sorted;
-      sorted
+      let i = Hashtbl.length names in
+      Hashtbl.add names c i;
+      i
 
-let ctor_ref_diags loc (refs, tests_types) cols acc =
-  let mem c = sorted_mem cols c 0 (Array.length cols) in
-  let acc =
-    Refs.fold
-      (fun (what, c) acc ->
-        if mem c then acc
-        else
+let word i = i / Sys.int_size
+let bit i = 1 lsl (i mod Sys.int_size)
+let get set k = if k < Array.length set then set.(k) else 0
+
+(* The set of the names [iter] reaches in [x]; numbered first, so the set is
+   allocated once, at its size. *)
+let set_of names iter x =
+  let top = ref (-1) in
+  iter (fun c -> top := Int.max !top (number names c)) x;
+  if !top < 0 then [||]
+  else
+    let set = Array.make (word !top + 1) 0 in
+    iter
+      (fun c ->
+        let i = number names c in
+        set.(word i) <- set.(word i) lor bit i)
+      x;
+    set
+
+let mem names set c =
+  match Hashtbl.find names c with
+  | i -> get set (word i) land bit i <> 0
+  | exception Not_found -> false
+
+let subset a b =
+  let rec from k = k = Array.length a || (a.(k) land lnot (get b k) = 0 && from (k + 1)) in
+  from 0
+
+(* One of the two sets when it holds the other, as a CASE chain's tail
+   mostly holds what its branch adds. *)
+let union a b =
+  if subset a b then b
+  else if subset b a then a
+  else Array.init (max (Array.length a) (Array.length b)) (fun k -> get a k lor get b k)
+
+(* [f] on each name of [a] that [b] lacks. *)
+let iter_missing names f a b =
+  if not (subset a b) then
+    Hashtbl.iter
+      (fun c i -> if get a (word i) land bit i <> 0 && get b (word i) land bit i = 0 then f c)
+      names
+
+(* The set of a view's columns, built once per list: views share [infer]'s
+   lists, and [compare] stops at [==]. *)
+let column_set names sets cols =
+  match Hashtbl.find sets cols with
+  | set -> set
+  | exception Not_found ->
+      let set = set_of names List.iter cols in
+      Hashtbl.add sets cols set;
+      set
+
+let rec iter_columns f = function
+  | Cond.Is_null c | Cond.Is_not_null c | Cond.Cmp (c, _, _) -> f c
+  | Cond.And (a, b) | Cond.Or (a, b) ->
+      iter_columns f a;
+      iter_columns f b
+  | Cond.True | Cond.False | Cond.Is_of _ | Cond.Is_of_only _ -> ()
+
+let is_type_atom = function Cond.Is_of _ | Cond.Is_of_only _ -> true | _ -> false
+
+(* What a constructor subtree references: the attributes its entities read
+   and the columns its conditions test, as sets, and whether some branch
+   tests entity types.  [refs] reaches the children. *)
+type refs = { attrs : int array; conds : int array; tests_types : bool }
+
+let ctor_refs_step names refs c =
+  match c with
+  | Ctor.Entity { attrs; _ } ->
+      { attrs = set_of names List.iter attrs; conds = [||]; tests_types = false }
+  | Ctor.If (cond, a, b) ->
+      let ra = refs a and rb = refs b in
+      { attrs = union ra.attrs rb.attrs;
+        conds = union (set_of names iter_columns cond) (union ra.conds rb.conds);
+        tests_types = Cond.exists_atom is_type_atom cond || ra.tests_types || rb.tests_types }
+
+let ctor_ref_diags loc names refs cols acc =
+  let acc = ref acc in
+  let missing what set =
+    iter_missing names
+      (fun c ->
+        acc :=
           Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
             "constructor %s %s is not produced by the view's query" what c
-          :: acc)
-      refs acc
+          :: !acc)
+      set cols
   in
-  if tests_types && not (mem Query.Env.type_column) then
+  missing "attribute" refs.attrs;
+  missing "condition column" refs.conds;
+  if refs.tests_types && not (mem names cols Query.Env.type_column) then
     Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
       "constructor tests entity types but the query does not carry %s" Query.Env.type_column
-    :: acc
-  else acc
+    :: !acc
+  else !acc
 
 (* What a view's columns are judged against: an entity view's constructor,
    with whether its CASE branches are checked (L008), or the table or
@@ -309,27 +377,26 @@ let exact_columns env = function
           Ok ("association view", "association " ^ a, Edm.Schema.association_columns client assoc)
       | None -> Error ("the client has no association " ^ a))
 
-(* The view's columns, sorted, are exactly its owner's: one error per column
-   only one side has. *)
-let exact_column_diags env loc owner cols acc =
+(* The view's columns are exactly its owner's: one error per column only one
+   side has. *)
+let exact_column_diags env loc names owner cols set acc =
   let diag fmt = Diag.makef ~code:"L105" ~severity:Diag.Error ~loc fmt in
   match exact_columns env owner with
   | Error msg -> diag "%s" msg :: acc
   | Ok (view, owner, expected) ->
       let missing acc c =
-        if sorted_mem cols c 0 (Array.length cols) then acc
+        if mem names set c then acc
         else diag "the %s does not produce column %s of %s" view c owner :: acc
       in
       let extra acc c =
         if List.mem c expected then acc
         else diag "the %s produces column %s, which %s lacks" view c owner :: acc
       in
-      Array.fold_left extra (List.fold_left missing acc expected) cols
+      List.fold_left extra (List.fold_left missing acc expected) cols
 
 (* -- Assembly ------------------------------------------------------------- *)
 
-(* One table per analysis per call (see wf.mli); the L104 pass runs after
-   the others' tables are dead. *)
+(* One table per analysis per call (see wf.mli). *)
 
 (* Every view with its location, query and judge.  The root view's
    constructor carries the hierarchy's full CASE chain; the per-subtype
@@ -347,15 +414,16 @@ let located env (qv : View.query_views) (uv : View.update_views) =
 
 (* L008, L011, L101, L102, L103 and L105 of every view. *)
 let view_shape_diags env ~keep views =
-  let fold = Algebra.Memo.fix ~keep (Algebra.Memo.create ()) (typed_step env) in
+  let fold = Algebra.Memo.fix ~keep (Algebra.Memo.create ()) (typed_step env (Hashtbl.create 64)) in
+  let names = Hashtbl.create 256 in
   let refs =
     let keep =
       Ctor.Memo.shared
         (List.filter_map (function _, _, Ctor { ctor; _ } -> Some ctor | _ -> None) views)
     in
-    Ctor.Memo.fix ~keep (Ctor.Memo.create ()) ctor_refs_step
+    Ctor.Memo.fix ~keep (Ctor.Memo.create ()) (ctor_refs_step names)
   in
-  let sorted = Hashtbl.create 64 in
+  let sets = Hashtbl.create 64 in
   let one acc (loc, query, judge) =
     let n = fold query in
     let structural = List.rev_map (Diag.at loc) n.findings in
@@ -365,10 +433,10 @@ let view_shape_diags env ~keep views =
     List.rev_append
       (match n.typed with
       | Ok cols -> (
-          let cols = sorted_columns sorted cols in
+          let set = column_set names sets cols in
           match judge with
-          | Ctor { ctor; _ } -> ctor_ref_diags loc (refs ctor) cols structural
-          | Exact owner -> exact_column_diags env loc owner cols structural)
+          | Ctor { ctor; _ } -> ctor_ref_diags loc names (refs ctor) set structural
+          | Exact owner -> exact_column_diags env loc names owner cols set structural)
       | Error msg ->
           (* Suppress when a more specific structural error already explains
              the failure. *)
@@ -379,19 +447,14 @@ let view_shape_diags env ~keep views =
   List.fold_left one [] views
 
 (* L104 of every update view. *)
-let update_null_diags env ~keep (uv : View.update_views) =
-  let scans = Hashtbl.create 64 in
-  let nullability =
-    Algebra.Memo.fix ~keep (Algebra.Memo.create ()) (nullability_step (scan_nullability scans env))
-  in
+let update_null_diags env (uv : View.update_views) =
+  let scan = scan_nullability (Hashtbl.create 64) env in
   List.concat_map
-    (fun (t, q) -> update_view_null_diags env nullability t q)
+    (fun (t, q) -> update_view_null_diags env scan t q)
     (View.update_view_bindings uv)
 
-(* One [keep] for both: the subterms shared anywhere in the view set, a
-   superset of those the update views share among themselves. *)
 let check env qv uv =
   let views = located env qv uv in
   let keep = Algebra.Memo.shared (List.map (fun (_, q, _) -> q) views) in
   let shape_ds = view_shape_diags env ~keep views in
-  Diag.sort (List.rev_append shape_ds (update_null_diags env ~keep uv))
+  Diag.sort (List.rev_append shape_ds (update_null_diags env uv))

@@ -38,18 +38,26 @@
 
     {b Shared subterms.}  The incremental compiler builds each new view out
     of the old views' subterms, so the views form a DAG: a loaded customer
-    state has 33,306 algebra nodes as trees, 1,818 physically distinct.
-    Each analysis is a fold memoized on physical identity
+    state has 33,306 algebra nodes as trees, 1,818 physically distinct, and
+    its entity views' constructors 20,506 nodes as trees, 442 distinct.
+    Two analyses are folds memoized on physical identity
     ({!Query.Algebra.Memo}, {!Query.Ctor.Memo}).  One typed fold yields a
     subterm's [Algebra.infer] verdict, columns and L011/L102/L103 findings
-    together; L105 sorts each distinct column list once; L008 tests the
-    guards {!Query.Ctor.branches} builds once each; L104 is its own fold.
-    Sound because each table lives for one {!check} call, with the
+    together.  For L105 each call numbers the column names it meets, so a
+    set of names is a bitset: the fold over constructors gives each
+    distinct subtree the set of attributes and of condition columns it
+    references, and each distinct column list of a view is made a set once;
+    a view's references are then checked by word.  L008 tests the guards
+    {!Query.Ctor.branches} builds once each.  L104 asks, for each NOT NULL
+    column of an update view, whether the view may fill it with NULL,
+    walking the view's query for that one column: it builds a column list
+    only per scanned source.  Sound because each table lives for one {!check} call, with the
     environment fixed, and holds location-free findings ({!Diag.finding})
     that each view places at its own location, merged
     ({!Diag.union_findings}) where one view reaches a subterm twice.  A
     table keeps only subterms reached more than once ([Memo.shared]).  On
-    loaded customer a call allocates 3.1 MB. *)
+    loaded customer a call allocates 1.5 MB: the typed fold's column lists
+    and the CASE guards, not its lookups. *)
 
 val check :
   Query.Env.t -> Query.View.query_views -> Query.View.update_views -> Diag.t list

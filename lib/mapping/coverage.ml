@@ -3,6 +3,13 @@ let determined_constants cond =
     (function Query.Cond.Cmp (a, Query.Cond.Eq, v) -> Some (a, v) | _ -> None)
     (Query.Cond.conjuncts cond)
 
+(* [List.mem_assoc c (determined_constants cond)], read in place. *)
+let rec determines cond c =
+  match cond with
+  | Query.Cond.And (a, b) -> determines a c || determines b c
+  | Query.Cond.Cmp (a, Query.Cond.Eq, _) -> String.equal a c
+  | _ -> false
+
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
@@ -20,10 +27,7 @@ let attribute_coverage env frags ~etype =
         List.filter_map
           (fun (f : Fragment.t) ->
             let cond = f.Fragment.client_cond in
-            if
-              List.mem attr (Fragment.attrs f)
-              || List.mem_assoc attr (determined_constants cond)
-            then Some cond
+            if Fragment.mem_attr f attr || determines cond attr then Some cond
             else None)
           set_frags
       in
@@ -31,9 +35,7 @@ let attribute_coverage env frags ~etype =
       else fail "attribute %s of entity type %s is not covered by the mapping" attr etype)
     (Edm.Schema.attributes client etype)
 
-let writes (f : Fragment.t) c =
-  List.mem c (Fragment.cols f)
-  || List.mem_assoc c (determined_constants f.Fragment.store_cond)
+let writes (f : Fragment.t) c = Fragment.mem_col f c || determines f.Fragment.store_cond c
 
 let unwritten_not_null frags (table : Relational.Table.t) =
   List.filter_map

@@ -19,7 +19,19 @@ let assoc ~assoc ~table ?(store_cond = Query.Cond.True) pairs =
 let attrs f = List.map fst f.pairs
 let cols f = List.map snd f.pairs
 let col_of f a = List.assoc_opt a f.pairs
-let attr_of f c = List.assoc_opt c (List.map (fun (a, b) -> (b, a)) f.pairs)
+
+(* The lookups by column read [pairs] in place. *)
+let rec attr_of_col c = function
+  | [] -> None
+  | (a, c') :: rest -> if String.equal c c' then Some a else attr_of_col c rest
+
+let rec mem_col_of c = function
+  | [] -> false
+  | (_, c') :: rest -> String.equal c c' || mem_col_of c rest
+
+let attr_of f c = attr_of_col c f.pairs
+let mem_attr f a = List.mem_assoc a f.pairs
+let mem_col f c = mem_col_of c f.pairs
 
 let client_scan f =
   match f.client_source with
@@ -63,116 +75,114 @@ let holds env client store f =
   let right = Query.Eval.rows_set env db (store_query f) in
   List.equal Datum.Row.equal left right
 
-let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let distinct l =
-  let sorted = List.sort String.compare l in
-  let rec dup = function
-    | a :: (b :: _ as rest) -> if a = b then Some a else dup rest
-    | [ _ ] | [] -> None
+(* The smallest name [name] gives two elements of [l], if any: the first
+   adjacent pair of the sorted names, found without sorting.  Projections
+   are short, so the scan is quadratic. *)
+let duplicate name l =
+  let rec occurs x = function [] -> false | y :: rest -> String.equal x (name y) || occurs x rest in
+  let rec scan best = function
+    | [] -> best
+    | y :: rest ->
+        let x = name y in
+        let smaller = match best with Some b -> String.compare x b < 0 | None -> true in
+        scan (if smaller && occurs x rest then Some x else best) rest
   in
-  dup sorted
+  scan None l
 
-let well_formed env f =
-  let client = env.Query.Env.client in
-  let store = env.Query.Env.store in
-  let* tbl =
-    match Relational.Schema.find_table store f.table with
-    | Some tbl -> Ok tbl
-    | None -> fail "fragment maps to unknown table %s" f.table
-  in
-  let* () =
-    match distinct (attrs f) with
-    | Some a -> fail "duplicate client attribute %s in fragment projection" a
-    | None -> Ok ()
-  in
-  let* () =
-    match distinct (cols f) with
-    | Some c -> fail "duplicate store column %s in fragment projection" c
-    | None -> Ok ()
-  in
-  let* () =
-    Datum.Results.all_ok
-      (fun c ->
-        if Relational.Table.mem_column tbl c then Ok ()
-        else fail "fragment projects unknown column %s.%s" f.table c)
-      (cols f)
-  in
-  let* () =
-    if Query.Cond.type_atoms f.store_cond = [] then Ok ()
-    else fail "store-side condition of a fragment uses a type test"
-  in
-  let* () =
-    Datum.Results.all_ok
-      (fun c ->
-        if Relational.Table.mem_column tbl c then Ok ()
-        else fail "store condition mentions unknown column %s.%s" f.table c)
-      (Query.Cond.columns f.store_cond)
-  in
+let is_type_atom = function Query.Cond.Is_of _ | Query.Cond.Is_of_only _ -> true | _ -> false
+
+exception Ill_formed of string
+
+let ill fmt = Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
+
+(* The checks run in order and the first to fail names its offender: the
+   first in the order of [attrs], [cols], [Query.Cond.atoms] or
+   [Query.Cond.columns], though they read [pairs] and the conditions in
+   place and build those lists only to name it. *)
+let checks client tbl f =
+  (match duplicate fst f.pairs with
+  | Some a -> ill "duplicate client attribute %s in fragment projection" a
+  | None -> ());
+  (match duplicate snd f.pairs with
+  | Some c -> ill "duplicate store column %s in fragment projection" c
+  | None -> ());
+  (match List.find_opt (fun (_, c) -> not (Relational.Table.mem_column tbl c)) f.pairs with
+  | Some (_, c) -> ill "fragment projects unknown column %s.%s" f.table c
+  | None -> ());
+  if Query.Cond.exists_atom is_type_atom f.store_cond then
+    ill "store-side condition of a fragment uses a type test";
+  (let absent = function
+     | Query.Cond.Is_null c | Query.Cond.Is_not_null c | Query.Cond.Cmp (c, _, _) ->
+         not (Relational.Table.mem_column tbl c)
+     | _ -> false
+   in
+   if Query.Cond.exists_atom absent f.store_cond then
+     ill "store condition mentions unknown column %s.%s" f.table
+       (List.find
+          (fun c -> not (Relational.Table.mem_column tbl c))
+          (Query.Cond.columns f.store_cond)));
   (* Every paired column's domain subsumes its attribute's, [domain] giving
      each client attribute's domain. *)
   let check_domains domain =
-    Datum.Results.all_ok
+    List.iter
       (fun (a, c) ->
-        match domain a, Relational.Table.domain_of tbl c with
-        | Some da, Some dc ->
-            if Datum.Domain.subsumes ~wide:dc ~narrow:da then Ok ()
-            else fail "domain of %s.%s does not subsume attribute %s" f.table c a
-        | None, _ | _, None -> Ok () (* reported above *))
+        match domain a with
+        | None -> () (* reported above *)
+        | Some da -> (
+            match Relational.Table.domain_of tbl c with
+            | Some dc when not (Datum.Domain.subsumes ~wide:dc ~narrow:da) ->
+                ill "domain of %s.%s does not subsume attribute %s" f.table c a
+            | _ -> ()))
       f.pairs
   in
   match f.client_source with
   | Assoc a -> (
       match Edm.Schema.find_association client a with
-      | None -> fail "fragment over unknown association %s" a
+      | None -> ill "fragment over unknown association %s" a
       | Some assoc ->
           let domains = Edm.Schema.association_attributes client assoc in
           let expected = List.map fst domains in
-          let* () =
-            if List.sort String.compare (attrs f) = List.sort String.compare expected then Ok ()
-            else
-              fail "association fragment must project the full key columns {%s}"
-                (String.concat "," expected)
-          in
-          let* () =
-            if Query.Cond.equal f.client_cond Query.Cond.True then Ok ()
-            else fail "association fragments carry no client-side condition"
-          in
+          if List.sort String.compare (attrs f) <> List.sort String.compare expected then
+            ill "association fragment must project the full key columns {%s}"
+              (String.concat "," expected);
+          if not (Query.Cond.equal f.client_cond Query.Cond.True) then
+            ill "association fragments carry no client-side condition";
           check_domains (fun a -> List.assoc_opt a domains))
   | Set s -> (
       match Edm.Schema.set_root client s with
-      | None -> fail "fragment over unknown entity set %s" s
+      | None -> ill "fragment over unknown entity set %s" s
       | Some root ->
           let domain = Edm.Schema.hierarchy_attribute client root in
-          let* () =
-            Datum.Results.all_ok
-              (fun a ->
-                if domain a <> None then Ok ()
-                else fail "fragment projects unknown attribute %s of set %s" a s)
-              (attrs f)
+          (match List.find_opt (fun (a, _) -> domain a = None) f.pairs with
+          | Some (a, _) -> ill "fragment projects unknown attribute %s of set %s" a s
+          | None -> ());
+          (match List.find_opt (fun k -> not (mem_attr f k)) (Edm.Schema.key_of client root) with
+          | Some k -> ill "fragment projection misses key attribute %s" k
+          | None -> ());
+          (* Left to right: the first atom to fail is also the first to fail
+             in [Query.Cond.atoms], which only drops repeats. *)
+          let rec atoms = function
+            | Query.Cond.Is_of e | Query.Cond.Is_of_only e ->
+                if
+                  not
+                    (Edm.Schema.mem_type client e && Edm.Schema.is_subtype client ~sub:e ~sup:root)
+                then ill "condition tests type %s outside hierarchy of %s" e s
+            | Query.Cond.Is_null a | Query.Cond.Is_not_null a | Query.Cond.Cmp (a, _, _) ->
+                if domain a = None then ill "condition mentions unknown attribute %s" a
+            | Query.Cond.True | Query.Cond.False -> ()
+            | Query.Cond.And (a, b) | Query.Cond.Or (a, b) ->
+                atoms a;
+                atoms b
           in
-          let key = Edm.Schema.key_of client root in
-          let* () =
-            Datum.Results.all_ok
-              (fun k ->
-                if List.mem k (attrs f) then Ok ()
-                else fail "fragment projection misses key attribute %s" k)
-              key
-          in
-          let* () =
-            Datum.Results.all_ok
-              (fun atom ->
-                match atom with
-                | Query.Cond.Is_of e | Query.Cond.Is_of_only e ->
-                    if Edm.Schema.mem_type client e && Edm.Schema.is_subtype client ~sub:e ~sup:root
-                    then Ok ()
-                    else fail "condition tests type %s outside hierarchy of %s" e s
-                | Query.Cond.Is_null a | Query.Cond.Is_not_null a | Query.Cond.Cmp (a, _, _) ->
-                    if domain a <> None then Ok ()
-                    else fail "condition mentions unknown attribute %s" a
-                | Query.Cond.True | Query.Cond.False | Query.Cond.And _ | Query.Cond.Or _ ->
-                    Ok ())
-              (Query.Cond.atoms f.client_cond)
-          in
+          atoms f.client_cond;
           check_domains domain)
+
+let well_formed env f =
+  match Relational.Schema.find_table env.Query.Env.store f.table with
+  | None -> fail "fragment maps to unknown table %s" f.table
+  | Some tbl -> (
+      match checks env.Query.Env.client tbl f with
+      | () -> Ok ()
+      | exception Ill_formed msg -> Error msg)

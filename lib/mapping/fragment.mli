@@ -41,7 +41,14 @@ val cols : t -> string list
 (** β — the store-side projection, in order. *)
 
 val col_of : t -> string -> string option
+
 val attr_of : t -> string -> string option
+(** The attribute of the first pair with this column. *)
+
+val mem_attr : t -> string -> bool
+val mem_col : t -> string -> bool
+(** Whether some pair has this attribute (column).  Like [attr_of], these
+    read [pairs] in place and build no list. *)
 
 val client_query : t -> Query.Algebra.t
 (** [π_α(σ_ψ(E))], over client attribute names. *)

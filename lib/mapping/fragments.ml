@@ -10,19 +10,21 @@ let on_table t table = List.filter (fun (f : Fragment.t) -> f.table = table) t
 
 let of_set t set =
   List.filter
-    (fun (f : Fragment.t) -> Fragment.equal_client_source f.client_source (Fragment.Set set))
+    (fun (f : Fragment.t) ->
+      match f.client_source with Fragment.Set s -> String.equal s set | Fragment.Assoc _ -> false)
     t
 
 let of_assoc t a =
   List.filter
-    (fun (f : Fragment.t) -> Fragment.equal_client_source f.client_source (Fragment.Assoc a))
+    (fun (f : Fragment.t) ->
+      match f.client_source with Fragment.Assoc b -> String.equal b a | Fragment.Set _ -> false)
     t
 
 let tables t = List.sort_uniq String.compare (List.map (fun (f : Fragment.t) -> f.table) t)
 let map f t = List.map f t
 
 let column_used t ~table col =
-  List.exists (fun f -> (f : Fragment.t).table = table && List.mem col (Fragment.cols f)) t
+  List.exists (fun f -> (f : Fragment.t).table = table && Fragment.mem_col f col) t
 
 let related env client store t = List.for_all (Fragment.holds env client store) t
 

@@ -25,7 +25,6 @@ let project_cols cols q = Project (List.map col cols, q)
 let project_renamed pairs q = Project (List.map (fun (src, dst) -> col_as src dst) pairs, q)
 let dst_of = function Col { dst; _ } -> dst | Const { dst; _ } -> dst | Coalesce { dst; _ } -> dst
 
-let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
 let source_columns env = function
@@ -68,56 +67,94 @@ module Memo = Phys_memo.Make (struct
         f r
 end)
 
+(* Helpers of [infer_step], which read the column lists in place: a node
+   that types allocates its column list and nothing else. *)
+let item_absent cols = function
+  | Col { src; _ } -> not (List.mem src cols)
+  | Coalesce { srcs; _ } -> srcs = [] || List.exists (fun s -> not (List.mem s cols)) srcs
+  | Const _ -> false
+
+let rec first_absent cols = function
+  | [] -> None
+  | item :: rest -> if item_absent cols item then Some item else first_absent cols rest
+
+(* The smallest column two items bind, if any: what the first adjacent pair
+   of the sorted names would give, found without sorting. *)
+let duplicate_dst items =
+  let rec binds d = function
+    | [] -> false
+    | item :: rest -> String.equal d (dst_of item) || binds d rest
+  in
+  let rec scan best = function
+    | [] -> best
+    | item :: rest ->
+        let d = dst_of item in
+        let smaller = match best with Some b -> String.compare d b < 0 | None -> true in
+        scan (if smaller && binds d rest then Some d else best) rest
+  in
+  scan None items
+
+(* The first join column one side lacks, and the first right column other
+   than a join column that the left side also has. *)
+let rec first_unshared lc rc = function
+  | [] -> None
+  | c :: rest -> if List.mem c lc && List.mem c rc then first_unshared lc rc rest else Some c
+
+let rec first_clash lc on = function
+  | [] -> None
+  | c :: rest -> if List.mem c lc && not (List.mem c on) then Some c else first_clash lc on rest
+
+(* [rc] without the join columns, sharing its longest tail that has none. *)
+let rec without on = function
+  | [] -> []
+  | c :: rest as l ->
+      let rest' = without on rest in
+      if List.mem c on then rest' else if rest' == rest then l else c :: rest'
+
 (* The typing rule of one node; [infer env] reaches the children. *)
 let infer_step infer env = function
   | Scan src -> source_columns env src
-  | Select (c, q) ->
-      let* cols = infer env q in
-      let* () = check_cond cols c in
-      Ok cols
-  | Project (items, q) ->
-      let* cols = infer env q in
-      let* () =
-        match
-          List.find_opt
-            (function
-              | Col { src; _ } -> not (List.mem src cols)
-              | Coalesce { srcs; _ } -> srcs = [] || List.exists (fun s -> not (List.mem s cols)) srcs
-              | Const _ -> false)
-            items
-        with
-        | Some (Col { src; _ }) -> fail "projection of absent column %s" src
-        | Some (Coalesce { srcs; dst }) ->
-            fail "coalesce into %s over absent or empty sources {%s}" dst (String.concat "," srcs)
-        | Some (Const _) | None -> Ok ()
-      in
-      let dsts = List.map dst_of items in
-      let sorted = List.sort String.compare dsts in
-      let rec dup = function
-        | a :: (b :: _ as rest) -> if a = b then Some a else dup rest
-        | [ _ ] | [] -> None
-      in
-      (match dup sorted with
-      | Some d -> fail "duplicate projected column %s" d
-      | None -> Ok dsts)
-  | Join (_, l, r, on) ->
-      let* lc = infer env l in
-      let* rc = infer env r in
-      let* () =
-        match List.find_opt (fun c -> not (List.mem c lc && List.mem c rc)) on with
-        | Some c -> fail "join column %s missing on one side" c
-        | None -> Ok ()
-      in
-      let clash = List.filter (fun c -> List.mem c lc && not (List.mem c on)) rc in
-      (match clash with
-      | c :: _ -> fail "non-join column %s appears on both join sides" c
-      | [] -> Ok (lc @ List.filter (fun c -> not (List.mem c on)) rc))
-  | Union_all (l, r) ->
-      let* lc = infer env l in
-      let* rc = infer env r in
-      if lc = rc || List.sort String.compare lc = List.sort String.compare rc then Ok lc
-      else
-        fail "union sides disagree: {%s} vs {%s}" (String.concat "," lc) (String.concat "," rc)
+  | Select (c, q) -> (
+      match infer env q with
+      | Error _ as e -> e
+      | Ok cols -> ( match check_cond cols c with Ok () -> Ok cols | Error e -> Error e))
+  | Project (items, q) -> (
+      match infer env q with
+      | Error _ as e -> e
+      | Ok cols -> (
+          match first_absent cols items with
+          | Some (Col { src; _ }) -> fail "projection of absent column %s" src
+          | Some (Coalesce { srcs; dst }) ->
+              fail "coalesce into %s over absent or empty sources {%s}" dst (String.concat "," srcs)
+          | Some (Const _) | None -> (
+              match duplicate_dst items with
+              | Some d -> fail "duplicate projected column %s" d
+              | None -> Ok (List.map dst_of items))))
+  | Join (_, l, r, on) -> (
+      match infer env l with
+      | Error _ as e -> e
+      | Ok lc -> (
+          match infer env r with
+          | Error _ as e -> e
+          | Ok rc -> (
+              match first_unshared lc rc on with
+              | Some c -> fail "join column %s missing on one side" c
+              | None -> (
+                  match first_clash lc on rc with
+                  | Some c -> fail "non-join column %s appears on both join sides" c
+                  | None -> Ok (match without on rc with [] -> lc | rest -> lc @ rest)))))
+  | Union_all (l, r) -> (
+      match infer env l with
+      | Error _ as e -> e
+      | Ok lc -> (
+          match infer env r with
+          | Error _ as e -> e
+          | Ok rc ->
+              if lc == rc || lc = rc || List.sort String.compare lc = List.sort String.compare rc
+              then Ok lc
+              else
+                fail "union sides disagree: {%s} vs {%s}" (String.concat "," lc)
+                  (String.concat "," rc)))
 
 let rec infer env q = infer_step infer env q
 

@@ -9,9 +9,20 @@ let unsat_atom = function
   | Cond.Cmp (_, _, v) -> Datum.Value.is_null v
   | _ -> false
 
-let rec exists_pair p = function
+(* The atomic conjuncts of [c], in [Cond.conjuncts] order. *)
+let rec atomic_conjuncts c acc =
+  match c with
+  | Cond.And (a, b) -> atomic_conjuncts a (atomic_conjuncts b acc)
+  | c -> if is_atom c then c :: acc else acc
+
+(* Whether two atoms of the list contradict, the earlier one first. *)
+let rec contradicts x = function
   | [] -> false
-  | x :: rest -> List.exists (p x) rest || exists_pair p rest
+  | y :: rest -> Cond.atoms_contradict x y || contradicts x rest
+
+let rec contradictory_pair = function
+  | [] -> false
+  | x :: rest -> contradicts x rest || contradictory_pair rest
 
 (* Fold conjunctions whose atomic conjuncts are jointly unsatisfiable
    ([A = c AND A = c'], [A IS NULL AND A > 3], crossed bounds, ...) to
@@ -29,8 +40,8 @@ let rec fold_contradictions ~top c =
         if
           top
           &&
-          let atoms = List.filter is_atom (Cond.conjuncts c') in
-          List.exists unsat_atom atoms || exists_pair Cond.atoms_contradict atoms
+          let atoms = atomic_conjuncts c' [] in
+          List.exists unsat_atom atoms || contradictory_pair atoms
         then Cond.False
         else c'
   | Cond.Or (a, b) -> (
