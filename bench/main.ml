@@ -335,6 +335,25 @@ let fig4 () =
 (* Figs. 9 & 10: incremental SMO timings vs. full recompilation.       *)
 (* ------------------------------------------------------------------ *)
 
+(* The spans of one traced run of [run], one row per span path: the [col]
+   column names the run, and [count], [total_ms] and [self_ms] roll up the
+   path's spans.  The rows of a [phases] table, keyed by [col] and
+   [phase]. *)
+let phase_rows col name run =
+  Obs.Span.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable run;
+  let rows =
+    List.map
+      (fun (phase, a) ->
+        [ (col, str name); ("phase", str phase); ("count", int a.Obs.Export.count);
+          ("total_ms", num 3 (a.Obs.Export.total_s *. 1e3));
+          ("self_ms", num 3 (a.Obs.Export.self_s *. 1e3)) ])
+      (Obs.Export.aggregate ())
+  in
+  Obs.Span.reset ();
+  rows
+
 (* The containment checker's work in [f ()]: the deltas of its case,
    CQ-pair and homomorphism-step counters, as count cells. *)
 let checker_work f =
@@ -384,14 +403,23 @@ let smo_rows ~baseline_ms st suite =
       @ [ ("outcome", str outcome) ])
     suite
 
-(* The full compile of [env, frags] and the costs of [suite] on its state. *)
+(* The full compile of [env, frags], the costs of [suite] on its state,
+   and the span aggregate of one traced validated application of each SMO
+   (a refused one included). *)
 let smo_tables env frags suite =
   match sample (fun () -> Fullc.Compile.compile env frags) with
   | Error e, _, _ -> failwith ("full compilation failed: " ^ e)
   | Ok c, full_ms, _ ->
       let st = Core.State.of_compiled env frags c in
+      let phases =
+        List.concat_map
+          (fun (label, smo) ->
+            phase_rows "smo" label (fun () -> ignore (Core.Engine.apply ~jobs:1 st smo)))
+          suite
+      in
       [ { name = "full_compile"; keys = []; rows = [ [ ("full_compile_s", num 3 (full_ms /. 1e3)) ] ] };
-        { name = "smos"; keys = [ "smo" ]; rows = smo_rows ~baseline_ms:full_ms st suite } ]
+        { name = "smos"; keys = [ "smo" ]; rows = smo_rows ~baseline_ms:full_ms st suite };
+        { name = "phases"; keys = [ "smo"; "phase" ]; rows = phases } ]
 
 let fig9 ~chain_size () =
   header
@@ -586,25 +614,6 @@ let obs_workloads ~chain_size =
               (fun (_, smo) -> ignore (Core.Engine.apply st smo))
               (Workload.Customer.smo_suite ()) );
   ]
-
-(* The spans of one traced run of [run], one row per span path: the [col]
-   column names the run, and [count], [total_ms] and [self_ms] roll up the
-   path's spans.  The rows of a [phases] table, keyed by [col] and
-   [phase]. *)
-let phase_rows col name run =
-  Obs.Span.reset ();
-  Obs.enable ();
-  Fun.protect ~finally:Obs.disable run;
-  let rows =
-    List.map
-      (fun (phase, a) ->
-        [ (col, str name); ("phase", str phase); ("count", int a.Obs.Export.count);
-          ("total_ms", num 3 (a.Obs.Export.total_s *. 1e3));
-          ("self_ms", num 3 (a.Obs.Export.self_s *. 1e3)) ])
-      (Obs.Export.aggregate ())
-  in
-  Obs.Span.reset ();
-  rows
 
 let obs_report ~chain_size () =
   header "Observability -- per-phase span breakdown (lib/obs)";

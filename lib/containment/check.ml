@@ -145,17 +145,11 @@ let chase_assoc env (cq : Nf.cq) =
   in
   let counter = ref max_var in
   let fresh () = incr counter; !counter in
-  let endpoint_atoms (assoc : Edm.Association.t) args etype =
+  let endpoint_atoms args etype =
     match Edm.Schema.set_of_type client etype with
     | None -> ([], [])
     | Some set ->
         let key = Edm.Schema.key_of client etype in
-        let cols =
-          match Query.Algebra.infer env (Query.Algebra.Scan (Query.Algebra.Entity_set set)) with
-          | Ok cols -> cols
-          | Error _ -> []
-        in
-        ignore assoc;
         let bind =
           List.map
             (fun c ->
@@ -164,7 +158,7 @@ let chase_assoc env (cq : Nf.cq) =
                 match List.mem c key, List.assoc_opt (Edm.Association.qualify ~etype c) args with
                 | true, Some t -> (c, t)
                 | _, _ -> (c, Nf.V (fresh ())))
-            cols
+            (Query.Env.entity_set_columns env set)
         in
         let tyvar =
           match List.assoc Query.Env.type_column bind with Nf.V v -> v | Nf.C _ -> assert false
@@ -180,8 +174,8 @@ let chase_assoc env (cq : Nf.cq) =
             match Edm.Schema.find_association client name with
             | None -> (atoms, cons)
             | Some assoc ->
-                let a1, c1 = endpoint_atoms assoc a.Nf.args assoc.Edm.Association.end1 in
-                let a2, c2 = endpoint_atoms assoc a.Nf.args assoc.Edm.Association.end2 in
+                let a1, c1 = endpoint_atoms a.Nf.args assoc.Edm.Association.end1 in
+                let a2, c2 = endpoint_atoms a.Nf.args assoc.Edm.Association.end2 in
                 (atoms @ a1 @ a2, cons @ c1 @ c2))
         | Query.Algebra.Entity_set _ | Query.Algebra.Table _ -> (atoms, cons))
       ([], []) cq.Nf.body

@@ -194,11 +194,7 @@ type state = { bind : (string * term) list; body : atom list; cons : constr list
 let ( let* ) = Result.bind
 
 let scan_state env counter src =
-  let* cols =
-    match Query.Algebra.infer env (Query.Algebra.Scan src) with
-    | Ok cols -> Ok cols
-    | Error e -> Error e
-  in
+  let* cols = Query.Algebra.source_columns env src in
   let bind =
     List.map
       (fun c ->

@@ -1,25 +1,27 @@
 type t = {
-  name : string;
+  name : string Lazy.t;
   env : Query.Env.t;
   lhs : Query.Algebra.t;
   rhs : Query.Algebra.t;
-  on_fail : string;
+  on_fail : string Lazy.t;
 }
 
 let make ~name ~env ~lhs ~rhs ~on_fail = { name; env; lhs; rhs; on_fail }
 
 let discharged = Obs.Metric.counter "containment.obligations"
 
-let name t = t.name
-let on_fail t = t.on_fail
+let name t = Lazy.force t.name
+let on_fail t = Lazy.force t.on_fail
 
 (* Every obligation funnels through here, whichever discharge worker proves
    it, so the span and counter accounting is uniform.  A normalization error
-   counts as "not proven", the conservative collapse validation relies on. *)
+   counts as "not proven", the conservative collapse validation relies on.
+   The name is forced only for a recorded span or a failure, the message
+   only for a failure, and both in the domain proving [t]. *)
 let discharge ?superset t =
-  Obs.Span.with_ ~name:"containment.obligation" ~attrs:[ ("obligation", t.name) ]
-  @@ fun () ->
+  let attrs = if Obs.enabled () then [ ("obligation", name t) ] else [] in
+  Obs.Span.with_ ~name:"containment.obligation" ~attrs @@ fun () ->
   Obs.Metric.incr discharged;
   match Check.subset ?superset t.env t.lhs t.rhs with
   | Ok true -> Ok ()
-  | Ok false | Error _ -> Error (Validation_error.of_obligation ~name:t.name t.on_fail)
+  | Ok false | Error _ -> Error (Validation_error.of_obligation ~name:(name t) (on_fail t))

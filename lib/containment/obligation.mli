@@ -6,19 +6,23 @@
     [Core.Engine] hands each SMO's batch to {!Discharge} — the
     collect-then-discharge split that makes the checks schedulable (on one
     domain or several) and uniformly observable.  Obligations are immutable
-    values: building one performs no proving work. *)
+    values: building one performs no proving work and renders no string.
+    {!discharge} forces the name only while {!Obs} records spans or when the
+    proof fails, and the message only when it fails.  Two domains forcing
+    one suspension at once raise, so only the domain proving an obligation,
+    or the caller once {!Discharge.run} has returned, may force either. *)
 
 type t = {
-  name : string;             (** stable identifier, e.g. ["aa-fk.check-2:Emp"] *)
+  name : string Lazy.t;      (** stable identifier, e.g. ["aa-fk.check-2:Emp"] *)
   env : Query.Env.t;         (** schemas the containment is judged over *)
   lhs : Query.Algebra.t;     (** subset side *)
   rhs : Query.Algebra.t;     (** superset side *)
-  on_fail : string;          (** human message if the proof fails *)
+  on_fail : string Lazy.t;   (** human message if the proof fails *)
 }
 
 val make :
-  name:string -> env:Query.Env.t -> lhs:Query.Algebra.t -> rhs:Query.Algebra.t ->
-  on_fail:string -> t
+  name:string Lazy.t -> env:Query.Env.t -> lhs:Query.Algebra.t -> rhs:Query.Algebra.t ->
+  on_fail:string Lazy.t -> t
 
 val discharged : Obs.Metric.counter
 (** ["containment.obligations"]: obligations passed to {!discharge}. *)

@@ -56,12 +56,13 @@ let apply (st : State.t) ~assoc ~table ~fmap =
             Query.Algebra.Scan (Query.Algebra.Entity_set set1)))
     in
     let rhs = Query.Algebra.project_cols f_pk1 prev_t in
-    Containment.Obligation.make
-      ~name:(Printf.sprintf "aa-fk.check-2:%s" assoc.Edm.Association.end1)
-      ~env:env' ~lhs ~rhs
+    let end1 = assoc.Edm.Association.end1 in
+    Containment.Obligation.make ~env:env' ~lhs ~rhs
+      ~name:(lazy ("aa-fk.check-2:" ^ end1))
       ~on_fail:
-        (Printf.sprintf "check 2 failed: %s endpoint keys cannot be stored in the key of %s"
-           assoc.Edm.Association.end1 table)
+        (lazy
+          (Printf.sprintf "check 2 failed: %s endpoint keys cannot be stored in the key of %s"
+             end1 table))
   in
   (* Check 3: an existing foreign key out of f(PK2) must keep resolving. *)
   let* check3 =
@@ -85,15 +86,14 @@ let apply (st : State.t) ~assoc ~table ~fmap =
               let rhs = Query.Algebra.project_cols fk.ref_columns qt' in
               Ok
                 [
-                  Containment.Obligation.make
-                    ~name:
-                      (Printf.sprintf "aa-fk.check-3:%s(%s)" table
-                         (String.concat "," fk.fk_columns))
-                    ~env:env' ~lhs ~rhs
+                  let cols = String.concat "," fk.fk_columns in
+                  Containment.Obligation.make ~env:env' ~lhs ~rhs
+                    ~name:(lazy (Printf.sprintf "aa-fk.check-3:%s(%s)" table cols))
                     ~on_fail:
-                      (Printf.sprintf
-                         "check 3 failed: foreign key %s(%s) -> %s would not be preserved" table
-                         (String.concat "," fk.fk_columns) fk.ref_table);
+                      (lazy
+                        (Printf.sprintf
+                           "check 3 failed: foreign key %s(%s) -> %s would not be preserved"
+                           table cols fk.ref_table));
                 ])
       tbl.Relational.Table.fks
   in

@@ -47,12 +47,12 @@ let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) 
           Query.Algebra.project_cols tbl.Relational.Table.key
             (Query.Algebra.Select (Query.Cond.False, Query.Algebra.Scan (Query.Algebra.Table table)))
         in
-        Containment.Obligation.make
-          ~name:(Printf.sprintf "ae-tph.overlap:%s" (Mapping.Fragment.show g))
-          ~env:env' ~lhs:overlap ~rhs:empty
+        Containment.Obligation.make ~env:env' ~lhs:overlap ~rhs:empty
+          ~name:(lazy ("ae-tph.overlap:" ^ Mapping.Fragment.show g))
           ~on_fail:
-            (Printf.sprintf "discriminator %s = %s overlaps the region of fragment %s" disc
-               (Datum.Value.show disc_value) (Mapping.Fragment.show g)))
+            (lazy
+              (Printf.sprintf "discriminator %s = %s overlaps the region of fragment %s" disc
+                 (Datum.Value.show disc_value) (Mapping.Fragment.show g))))
       (List.filter
          (fun (g : Mapping.Fragment.t) ->
            match g.Mapping.Fragment.client_source with

@@ -159,13 +159,12 @@ let fk_obligations env uv ~table (fk : Relational.Table.foreign_key) =
       let cols = String.concat "," fk.fk_columns in
       Ok
         [
-          Containment.Obligation.make
-            ~name:(Printf.sprintf "fk:%s(%s)->%s" table cols fk.ref_table)
-            ~env ~lhs ~rhs
+          Containment.Obligation.make ~env ~lhs ~rhs
+            ~name:(lazy (Printf.sprintf "fk:%s(%s)->%s" table cols fk.ref_table))
             ~on_fail:
-              (Printf.sprintf
-                 "incremental validation: update views may violate foreign key %s(%s) -> %s" table
-                 cols fk.ref_table);
+              (lazy
+                (Printf.sprintf "incremental validation: update views may violate foreign key \
+                                 %s(%s) -> %s" table cols fk.ref_table));
         ]
 
 let assoc_endpoint_obligations env frags uv ~etypes =
@@ -197,15 +196,13 @@ let assoc_endpoint_obligations env frags uv ~etypes =
                     let rhs = Query.Algebra.project_cols beta qr in
                     Ok
                       [
-                        Containment.Obligation.make
-                          ~name:
-                            (Printf.sprintf "assoc-endpoint:%s@%s" a.Edm.Association.name etype)
-                          ~env ~lhs ~rhs
+                        let name = a.Edm.Association.name in
+                        Containment.Obligation.make ~env ~lhs ~rhs
+                          ~name:(lazy (Printf.sprintf "assoc-endpoint:%s@%s" name etype))
                           ~on_fail:
-                            (Printf.sprintf
-                               "incremental validation: association %s can no longer be stored \
-                                in %s"
-                               a.Edm.Association.name f.Mapping.Fragment.table);
+                            (lazy
+                              (Printf.sprintf "incremental validation: association %s can no \
+                                               longer be stored in %s" name f.table));
                       ]))
         (Edm.Schema.associations_on client etype))
     etypes

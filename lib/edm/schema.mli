@@ -104,6 +104,9 @@ val hierarchy_attributes : t -> string -> (string * Datum.Domain.t) list
     with different domains).  The schema keeps this per root, in an index
     the evolution operations above maintain. *)
 
+val hierarchy_attribute_names : t -> string -> string list
+(** The names of {!hierarchy_attributes}, read off the index. *)
+
 val hierarchy_attribute : t -> string -> string -> Datum.Domain.t option
 (** [hierarchy_attribute t name a] is [a]'s domain in
     [hierarchy_attributes t name], by one lookup in the index. *)

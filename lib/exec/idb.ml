@@ -42,11 +42,9 @@ let make env db = { env; db; sources = Source_tbl.create 16 }
 let db t = t.db
 
 let scan_layout env src =
-  Array.of_list
-    (match src with
-    | Query.Algebra.Entity_set s -> Query.Env.entity_set_columns env s
-    | Query.Algebra.Assoc_set a -> Query.Env.assoc_set_columns env a
-    | Query.Algebra.Table tb -> Query.Env.table_columns env tb)
+  match Query.Algebra.source_columns env src with
+  | Ok cols -> Array.of_list cols
+  | Error e -> invalid_arg ("Exec.Idb.scan_layout: " ^ e)
 
 let source t src =
   match Source_tbl.find t.sources src with

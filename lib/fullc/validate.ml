@@ -176,15 +176,16 @@ let fk_obligations env frags =
                 | Some lhs ->
                     Ok
                       [
-                        Containment.Obligation.make
+                        let cols = String.concat "," fk.fk_columns in
+                        Containment.Obligation.make ~env ~lhs ~rhs
                           ~name:
-                            (Printf.sprintf "fullc.fk:%s(%s)/%s" table
-                               (String.concat "," fk.fk_columns) (Mapping.Fragment.describe g))
-                          ~env ~lhs ~rhs
+                            (lazy
+                              (Printf.sprintf "fullc.fk:%s(%s)/%s" table cols
+                                 (Mapping.Fragment.describe g)))
                           ~on_fail:
-                            (Printf.sprintf "update views may violate foreign key %s(%s) -> %s"
-                               table
-                               (String.concat "," fk.fk_columns) fk.ref_table);
+                            (lazy
+                              (Printf.sprintf "update views may violate foreign key %s(%s) -> %s"
+                                 table cols fk.ref_table));
                       ])
             (Mapping.Fragments.on_table frags table))
         tbl.Relational.Table.fks)

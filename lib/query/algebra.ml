@@ -34,11 +34,11 @@ let source_columns env = function
       | None -> fail "unknown entity set %s" s)
   | Assoc_set a -> (
       match Edm.Schema.find_association env.Env.client a with
-      | Some _ -> Ok (Env.assoc_set_columns env a)
+      | Some assoc -> Ok (Edm.Schema.association_columns env.Env.client assoc)
       | None -> fail "unknown association set %s" a)
   | Table t -> (
       match Relational.Schema.find_table env.Env.store t with
-      | Some _ -> Ok (Env.table_columns env t)
+      | Some tbl -> Ok (Relational.Table.column_names tbl)
       | None -> fail "unknown table %s" t)
 
 (* The atoms are tested in place; the lists of [Cond.columns] are built

@@ -56,6 +56,12 @@ val project_renamed : (string * string) list -> t -> t
 
 val dst_of : proj_item -> string
 
+val source_columns : Env.t -> source -> (string list, string) result
+(** The columns a scan of the source produces ({!Env.entity_set_columns},
+    an association's endpoint keys, or a table's columns in declaration
+    order), or an error naming an unknown source: {!infer}'s rule for
+    [Scan], and the one map from a source to its columns. *)
+
 val infer : Env.t -> t -> (string list, string) result
 (** Output columns, in producer order; also a full well-formedness check:
     sources exist, selected/projected/joined columns are present, type atoms

@@ -6,21 +6,4 @@ let type_column = "$type"
 let entity_set_columns t set =
   match Edm.Schema.set_root t.client set with
   | None -> invalid_arg (Printf.sprintf "Query.Env: unknown entity set %s" set)
-  | Some root ->
-      let tys = Edm.Schema.subtypes t.client root in
-      let attrs =
-        List.concat_map
-          (fun ty ->
-            match Edm.Schema.find_type t.client ty with
-            | Some e -> Edm.Entity_type.declared_names e
-            | None -> [])
-          tys
-      in
-      type_column :: List.sort_uniq String.compare attrs
-
-let assoc_set_columns t name =
-  match Edm.Schema.find_association t.client name with
-  | None -> invalid_arg (Printf.sprintf "Query.Env: unknown association %s" name)
-  | Some a -> Edm.Schema.association_columns t.client a
-
-let table_columns t name = Relational.Table.column_names (Relational.Schema.get_table t.store name)
+  | Some root -> type_column :: Edm.Schema.hierarchy_attribute_names t.client root

@@ -15,8 +15,7 @@ val type_column : string
 
 val entity_set_columns : t -> string -> string list
 (** Columns produced by scanning an entity set: {!type_column} followed by
-    the union of all attributes declared anywhere in the set's hierarchy
-    (entities lacking an attribute scan as [NULL] there). *)
-
-val assoc_set_columns : t -> string -> string list
-val table_columns : t -> string -> string list
+    the union of all attributes declared anywhere in the set's hierarchy,
+    ascending (entities lacking an attribute scan as [NULL] there).  A call
+    reads the schema's per-root index ({!Edm.Schema.hierarchy_attribute_names}),
+    walks no subtype, and allocates the returned list only. *)

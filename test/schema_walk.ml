@@ -2,9 +2,10 @@
    walk [descendants] made before the schema kept a child index (one pass
    over [types] builds a parent -> children table), the list-building
    versions of the accessors that now walk parent links, and the
-   hierarchy-attribute walk the schema's per-root index replaced.  [check]
-   compares the schema's accessors with them at every type, every pair of
-   types and every attribute of each hierarchy. *)
+   hierarchy-attribute walk the schema's per-root index replaced, and the
+   scan columns [Query.Env] built from that walk.  [check] compares the
+   schema's accessors with them at every type, every pair of types, every
+   attribute of each hierarchy and every entity set. *)
 
 let by_parent schema =
   let tbl = Hashtbl.create 16 in
@@ -97,6 +98,26 @@ let check_walks tag schema =
         ("?unknown" :: List.map fst walk))
     names
 
+(* An entity set's scan columns as [Query.Env] built them before it read
+   the index: the dynamic-type column, then every name some type of the
+   hierarchy declares, sorted, once each. *)
+let check_set_columns tag schema =
+  let tbl = by_parent schema in
+  let env = Query.Env.make ~client:schema ~store:Relational.Schema.empty in
+  List.iter
+    (fun (set, root) ->
+      let names =
+        List.concat_map
+          (fun ty -> Edm.Entity_type.declared_names (find schema ty))
+          (root :: descendants tbl root)
+      in
+      Alcotest.(check (list string))
+        (tag ^ ": columns of " ^ set)
+        (Query.Env.type_column :: List.sort_uniq String.compare names)
+        (Query.Env.entity_set_columns env set))
+    (Edm.Schema.entity_sets schema)
+
 let check tag schema =
   check tag schema;
-  check_walks tag schema
+  check_walks tag schema;
+  check_set_columns tag schema

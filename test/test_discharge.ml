@@ -25,9 +25,9 @@ let person_ids i = proj [ "Id" ] (sel (C.And (C.Is_of "Person", C.Cmp ("Id", C.G
 let obligation i ~holds =
   let lhs, rhs = if holds then (emp_ids i, person_ids i) else (person_ids i, emp_ids i) in
   O.make
-    ~name:(Printf.sprintf "test.ob-%d" i)
+    ~name:(lazy (Printf.sprintf "test.ob-%d" i))
     ~env ~lhs ~rhs
-    ~on_fail:(Printf.sprintf "obligation %d failed" i)
+    ~on_fail:(lazy (Printf.sprintf "obligation %d failed" i))
 
 let batch_of_pattern pattern = List.mapi (fun i holds -> obligation i ~holds) pattern
 

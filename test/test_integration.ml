@@ -164,12 +164,12 @@ let test_incremental_equiv_by_containment () =
   let keys q = Query.Algebra.project_cols [ "Id" ] q in
   let obls =
     [
-      Containment.Obligation.make ~name:"equiv.keys.inc-in-full" ~env
+      Containment.Obligation.make ~name:(lazy "equiv.keys.inc-in-full") ~env
         ~lhs:(keys vi.Query.View.query) ~rhs:(keys vf.Query.View.query)
-        ~on_fail:"incremental key set not contained in the full compiler's";
-      Containment.Obligation.make ~name:"equiv.keys.full-in-inc" ~env
+        ~on_fail:(lazy "incremental key set not contained in the full compiler's");
+      Containment.Obligation.make ~name:(lazy "equiv.keys.full-in-inc") ~env
         ~lhs:(keys vf.Query.View.query) ~rhs:(keys vi.Query.View.query)
-        ~on_fail:"full compiler's key set not contained in the incremental's";
+        ~on_fail:(lazy "full compiler's key set not contained in the incremental's");
     ]
   in
   match Containment.Discharge.run obls with
@@ -209,8 +209,8 @@ let test_chase () =
     project_cols [ "Id" ] (Select (C.Is_of "Employee", Scan (Entity_set "Persons")))
   in
   let chased =
-    Containment.Obligation.make ~name:"chase.endpoint-keys" ~env ~lhs ~rhs
-      ~on_fail:"Supports' Employee endpoint not contained in the entity keys"
+    Containment.Obligation.make ~name:(lazy "chase.endpoint-keys") ~env ~lhs ~rhs
+      ~on_fail:(lazy "Supports' Employee endpoint not contained in the entity keys")
   in
   checkb "endpoint ⊆ entity keys (chased)" true
     (Result.is_ok (Containment.Discharge.run [ chased ]));
@@ -218,8 +218,8 @@ let test_chase () =
     project_cols [ "Id" ] (Select (C.Is_of_only "Person", Scan (Entity_set "Persons")))
   in
   let unrelated =
-    Containment.Obligation.make ~name:"chase.unrelated-region" ~env ~lhs ~rhs:rhs_bad
-      ~on_fail:"endpoint must not be provable inside the Person-only region"
+    Containment.Obligation.make ~name:(lazy "chase.unrelated-region") ~env ~lhs ~rhs:rhs_bad
+      ~on_fail:(lazy "endpoint must not be provable inside the Person-only region")
   in
   match Containment.Discharge.run [ unrelated ] with
   | Ok () -> Alcotest.fail "containment in the unrelated region unexpectedly proven"

@@ -61,10 +61,10 @@ let test_example1 () =
   let env = st.Core.State.env in
   let equiv name lhs rhs =
     [
-      Containment.Obligation.make ~name:(name ^ ".lr") ~env ~lhs ~rhs
-        ~on_fail:(name ^ " not contained left-to-right");
-      Containment.Obligation.make ~name:(name ^ ".rl") ~env ~lhs:rhs ~rhs:lhs
-        ~on_fail:(name ^ " not contained right-to-left");
+      Containment.Obligation.make ~name:(lazy (name ^ ".lr")) ~env ~lhs ~rhs
+        ~on_fail:(lazy (name ^ " not contained left-to-right"));
+      Containment.Obligation.make ~name:(lazy (name ^ ".rl")) ~env ~lhs:rhs ~rhs:lhs
+        ~on_fail:(lazy (name ^ " not contained right-to-left"));
     ]
   in
   let obls =
@@ -171,8 +171,8 @@ let test_example6 () =
     (Result.is_ok
        (Containment.Discharge.run
           [
-            Containment.Obligation.make ~name:"ex6.emp-fk" ~env ~lhs ~rhs
-              ~on_fail:"Employee keys not contained in Person keys";
+            Containment.Obligation.make ~name:(lazy "ex6.emp-fk") ~env ~lhs ~rhs
+              ~on_fail:(lazy "Employee keys not contained in Person keys");
           ]));
   (* ...and the whole AddEntity validated, which the staged pipeline already
      proves by existing. *)
