@@ -170,8 +170,6 @@ let script_in_order schema rank (deltas : Ivm.Apply.table_delta list) =
   let inserts = List.concat_map (fun (_, _, i) -> i) per_table in
   deletes @ updates @ inserts
 
-let script_of_deltas schema deltas = script_in_order schema (fk_rank schema) deltas
-
 (* The rows only in [old_rows] and the rows only in [new_rows], each
    ascending: a sorted merge of the two deduplicated images. *)
 let sorted_diff old_rows new_rows =
@@ -188,7 +186,7 @@ let sorted_diff old_rows new_rows =
   go [] [] (sorted old_rows, sorted new_rows)
 
 let diff_stores schema ~old_store ~new_store =
-  script_of_deltas schema
+  script_in_order schema (fk_rank schema)
     (List.map
        (fun (tbl : Relational.Table.t) ->
          let table = tbl.Relational.Table.name in

@@ -27,8 +27,12 @@ val diff_stores :
   Relational.Schema.t -> old_store:Relational.Instance.t -> new_store:Relational.Instance.t ->
   script
 (** Per-table, keyed diff: a sorted merge of each table's old and new
-    images yields its removed and added rows, which {!script_of_deltas}
-    classifies and orders. *)
+    images yields its removed and added rows, classified, paired by primary
+    key, into DELETE/UPDATE/INSERT.  All deletes come first, in reverse
+    {!topo_tables} order (children first); then all updates; then all
+    inserts in {!topo_tables} order (referenced tables first).  This is the
+    one classifier: {!ivm_step} ends here too, with the order computed by
+    [ivm_init]. *)
 
 val translate :
   Query.Env.t -> Query.View.update_views -> old_client:Edm.Instance.t -> delta:Delta.t ->
@@ -80,14 +84,6 @@ val topo_tables : Relational.Schema.t -> string list
     level by level, each level in name order.  Self references are ignored;
     tables on a cycle (or referencing a table the schema lacks) follow in
     name order.  Linear in tables and foreign keys, plus the sorts. *)
-
-val script_of_deltas : Relational.Schema.t -> Ivm.Apply.table_delta list -> script
-(** Classify per-table removed/added rows, paired by primary key, into
-    DELETE/UPDATE/INSERT.  All deletes come first, in reverse
-    {!topo_tables} order (children first); then all updates; then all
-    inserts in {!topo_tables} order (referenced tables first).  This is the
-    one classifier: {!diff_stores} and {!ivm_step} both end here
-    ([ivm_step] with the order computed by [ivm_init]). *)
 
 val apply_script :
   Relational.Instance.t -> script -> (Relational.Instance.t, string) result

@@ -46,6 +46,13 @@ let scan_layout env src =
   | Ok cols -> Array.of_list cols
   | Error e -> invalid_arg ("Exec.Idb.scan_layout: " ^ e)
 
+let entity_row layout (e : Edm.Instance.entity) =
+  Array.map
+    (fun c ->
+      if String.equal c Query.Env.type_column then Datum.Value.String e.etype
+      else Option.value ~default:Datum.Value.Null (Datum.Row.find c e.attrs))
+    layout
+
 let source t src =
   match Source_tbl.find t.sources src with
   | s -> s
@@ -59,10 +66,10 @@ let source t src =
             | Some img when img.layout = layout ->
                 (lazy (Relational.Instance.values store ~table layout), img.key)
             | Some _ | None -> (Lazy.from_val (Relational.Instance.values store ~table layout), None))
-        | Query.Algebra.Entity_set _ | Query.Algebra.Assoc_set _ ->
-            ( Lazy.from_val
-                (List.map (Datum.Row.values layout) (Query.Eval.rows t.env t.db (Query.Algebra.Scan src))),
-              None )
+        | Query.Algebra.Entity_set set ->
+            (Lazy.from_val (List.map (entity_row layout) (Edm.Instance.entities t.db.Query.Eval.client ~set)), None)
+        | Query.Algebra.Assoc_set assoc ->
+            (Lazy.from_val (List.map (Datum.Row.values layout) (Edm.Instance.links t.db.Query.Eval.client ~assoc)), None)
       in
       let s = { rows; key; indexes = Array.make (Array.length layout) None } in
       Source_tbl.add t.sources src s;

@@ -5,7 +5,9 @@
     {!Run} uses for every scan.  A source's layout is its columns as
     [Query.Algebra.infer] gives them for a scan, and each of its rows is an
     array holding the value of each layout column at that column's slot (a
-    column the stored row lacks holds [NULL]).  Indexes are keyed by slot.
+    column the stored row lacks holds [NULL]).  Client rows are built here,
+    from [Edm.Instance] ({!entity_row}, and [Datum.Row.values] for a link),
+    not by the evaluator they are tested against.  Indexes are keyed by slot.
     They skip rows whose key column is [NULL] (so a probe equals
     [σ(col = v)] with SQL three-valued equality) and a [NULL] probe value
     returns nothing.
@@ -42,6 +44,11 @@ val push : 'a list Value_tbl.t -> Datum.Value.t -> 'a -> unit
     [[x]] when it has none; it allocates no option. *)
 
 val scan_layout : Query.Env.t -> Query.Algebra.source -> string array
+
+val entity_row : string array -> Edm.Instance.entity -> row
+(** [e]'s row in its entity set's scan layout: {!Query.Env.type_column}
+    holds [String e.etype], an attribute [e] lacks [NULL].  The runtimes'
+    one entity-row builder ({!source}'s, and [Ivm.Apply]'s). *)
 
 val make : Query.Env.t -> Query.Eval.db -> t
 val db : t -> Query.Eval.db

@@ -14,51 +14,67 @@ let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
 (* Rows enter the engine here, in their source's scan layout. *)
-let feed_add plan src row n feed =
+let feed_add src row n feed =
   let d = Option.value ~default:Multiset.empty (Src_map.find_opt src feed) in
-  Src_map.add src (Multiset.add (Plan.scan_row plan src row) n d) feed
+  Src_map.add src (Multiset.add row n d) feed
 
-let entity_key schema ~set row =
-  match Edm.Schema.set_root schema set with
-  | None -> fail "ivm: unknown entity set %s" set
-  | Some root -> Ok (Datum.Row.project (Edm.Schema.key_of schema root) row)
+(* An entity's key in its base image: the root's key columns, a column the
+   entity lacks bound to [NULL]. *)
+let entity_key keys (e : Edm.Instance.entity) = Datum.Row.of_values keys (Datum.Row.values keys e.attrs)
+
+(* [Row_map.update] returns its map physically unchanged when the key is
+   bound and [f] keeps the binding, so one descent both finds a duplicate
+   and adds a new key. *)
+let enter key row base ~dup =
+  let base' = Row_map.update key (function None -> Some row | bound -> bound) base in
+  if base' == base then dup key else Ok base'
+
+let dup_key set key = fail "insert: key %s already present in %s" (Datum.Row.show key) set
+let dup_link assoc _ = fail "link already present in %s" assoc
+
+(* Take a keyed row out of its base image and feed the stored array back. *)
+let remove src key ~missing (st, feed) =
+  let base = State.base st src in
+  match Row_map.find_opt key base with
+  | None -> missing ()
+  | Some row -> Ok (State.set_base src (Row_map.remove key base) st, feed_add src row (-1) feed)
+
+let slot layout c = Option.get (Array.find_index (String.equal c) layout)
 
 (* Sequentially turn ops into signed base-row deltas, updating the keyed base
    images as we go so intra-batch guards (duplicate key, missing key,
-   immutable key attribute, duplicate link) see intermediate states.  The
-   whole-instance checks of [Dml.Delta.apply] — association participation on
-   delete, full conformance — are deliberately not re-run here: they cost
-   O(instance), which is exactly what this path avoids.  Callers wanting
-   those guarantees validate the delta first (as [Dml.Translate.translate]
-   does) or accept the trade. *)
+   immutable key attribute, duplicate link) see intermediate states.  Each
+   row is built once, in its source's scan layout, and the base image keeps
+   the array it feeds.  The whole-instance checks of [Dml.Delta.apply] —
+   association participation on delete, full conformance — are deliberately
+   not re-run here: they cost O(instance), which is exactly what this path
+   avoids.  Callers wanting those guarantees validate the delta first (as
+   [Dml.Translate.translate] does) or accept the trade. *)
 let feed_op (plan : Plan.t) (st, feed) op =
   let schema = plan.Plan.env.Query.Env.client in
   match op with
-  | Insert_entity { set; entity } ->
-      let row = Query.Eval.entity_row plan.Plan.env set entity in
-      let* key = entity_key schema ~set row in
-      let src = Query.Algebra.Entity_set set in
-      let base = State.base st src in
-      if Row_map.mem key base then
-        fail "insert: key %s already present in %s" (Datum.Row.show key) set
-      else
-        Ok (State.set_base src (Row_map.add key row base) st, feed_add plan src row 1 feed)
-  | Delete_entity { set; key } -> (
-      let src = Query.Algebra.Entity_set set in
-      let base = State.base st src in
-      match Row_map.find_opt key base with
-      | None -> fail "delete: no entity with key %s in %s" (Datum.Row.show key) set
-      | Some row ->
-          Ok (State.set_base src (Row_map.remove key base) st, feed_add plan src row (-1) feed))
+  | Insert_entity { set; entity } -> (
+      match Edm.Schema.set_root schema set with
+      | None -> fail "ivm: unknown entity set %s" set
+      | Some root ->
+          let src = Query.Algebra.Entity_set set in
+          let row = Exec.Idb.entity_row (plan.Plan.scan_layout src) entity in
+          let key = entity_key (Array.of_list (Edm.Schema.key_of schema root)) entity in
+          let* base = enter key row (State.base st src) ~dup:(dup_key set) in
+          Ok (State.set_base src base st, feed_add src row 1 feed))
+  | Delete_entity { set; key } ->
+      remove (Query.Algebra.Entity_set set) key (st, feed) ~missing:(fun () ->
+          fail "delete: no entity with key %s in %s" (Datum.Row.show key) set)
   | Update_entity { set; key; changes } -> (
       let src = Query.Algebra.Entity_set set in
       let base = State.base st src in
       match Row_map.find_opt key base with
       | None -> fail "update: no entity with key %s in %s" (Datum.Row.show key) set
       | Some old_row ->
+          let layout = plan.Plan.scan_layout src in
           let* etype =
-            match Datum.Row.find Query.Env.type_column old_row with
-            | Some (Datum.Value.String ty) -> Ok ty
+            match old_row.(slot layout Query.Env.type_column) with
+            | Datum.Value.String ty -> Ok ty
             | _ -> fail "ivm: base row in %s lacks a dynamic type" set
           in
           let keyattrs = Edm.Schema.key_of schema etype in
@@ -74,12 +90,11 @@ let feed_op (plan : Plan.t) (st, feed) op =
             | Some (a, _) -> fail "update: %s has no attribute %s" etype a
             | None -> Ok ()
           in
-          let new_row =
-            List.fold_left (fun r (a, v) -> Datum.Row.add a v r) old_row changes
-          in
+          let new_row = Array.copy old_row in
+          List.iter (fun (a, v) -> new_row.(slot layout a) <- v) changes;
           Ok
             ( State.set_base src (Row_map.add key new_row base) st,
-              feed_add plan src old_row (-1) (feed_add plan src new_row 1 feed) ))
+              feed_add src old_row (-1) (feed_add src new_row 1 feed) ))
   | Insert_link { assoc; link } ->
       let* () =
         match Edm.Schema.find_association schema assoc with
@@ -87,14 +102,12 @@ let feed_op (plan : Plan.t) (st, feed) op =
         | None -> fail "unknown association %s" assoc
       in
       let src = Query.Algebra.Assoc_set assoc in
-      let base = State.base st src in
-      if Row_map.mem link base then fail "link already present in %s" assoc
-      else Ok (State.set_base src (Row_map.add link link base) st, feed_add plan src link 1 feed)
+      let row = Datum.Row.values (plan.Plan.scan_layout src) link in
+      let* base = enter link row (State.base st src) ~dup:(dup_link assoc) in
+      Ok (State.set_base src base st, feed_add src row 1 feed)
   | Delete_link { assoc; link } ->
-      let src = Query.Algebra.Assoc_set assoc in
-      let base = State.base st src in
-      if not (Row_map.mem link base) then fail "unlink: no such tuple in %s" assoc
-      else Ok (State.set_base src (Row_map.remove link base) st, feed_add plan src link (-1) feed)
+      remove (Query.Algebra.Assoc_set assoc) link (st, feed) ~missing:(fun () ->
+          fail "unlink: no such tuple in %s" assoc)
 
 (* The changed rows, and only they, become [Datum.Row.t]s. *)
 let to_table_deltas st deltas =
@@ -124,20 +137,17 @@ let step plan st ops =
       Obs.Span.tag "ops" (List.length ops);
       run plan st ops)
 
-(* [init]'s guard walk over one source: add each row to the base image under
-   [key row], failing with [dup] on a key already there, and keep the rows,
-   in the source's scan layout, as [Engine.init]'s input.  [Row_map.update]
-   returns its map physically unchanged when the key is bound and [f] keeps
-   the binding, so one descent both finds a duplicate and adds a new key. *)
-let fill plan src ~key ~dup items (st, rows) =
-  let enter = Plan.scan_row plan src in
+(* [init]'s guard walk over one source: build each item's row and add it
+   to the base image under [key item], failing with [dup] on a key already
+   there, and keep the rows as [Engine.init]'s input. *)
+let fill src ~key ~row ~dup items (st, rows) =
   let* base, rs =
     List.fold_left
-      (fun acc row ->
+      (fun acc item ->
         let* base, rs = acc in
-        let k = key row in
-        let base' = Row_map.update k (function None -> Some row | bound -> bound) base in
-        if base' == base then dup k else Ok (base', enter row :: rs))
+        let r = row item in
+        let* base = enter (key item) r base ~dup in
+        Ok (base, r :: rs))
       (Ok (State.base st src, []))
       items
   in
@@ -153,19 +163,18 @@ let init (plan : Plan.t) client =
       let schema = plan.Plan.env.Query.Env.client in
       let entity_sets acc (set, root) =
         let* acc = acc in
-        let row = Query.Eval.entity_row plan.Plan.env set in
-        let key = Datum.Row.project (Edm.Schema.key_of schema root) in
-        fill plan (Query.Algebra.Entity_set set) ~key
-          ~dup:(fun k -> fail "insert: key %s already present in %s" (Datum.Row.show k) set)
-          (List.map row (Edm.Instance.entities client ~set))
-          acc
+        let src = Query.Algebra.Entity_set set in
+        fill src
+          ~key:(entity_key (Array.of_list (Edm.Schema.key_of schema root)))
+          ~row:(Exec.Idb.entity_row (plan.Plan.scan_layout src))
+          ~dup:(dup_key set) (Edm.Instance.entities client ~set) acc
       in
       let associations acc (a : Edm.Association.t) =
         let* acc = acc in
-        fill plan (Query.Algebra.Assoc_set a.name) ~key:Fun.id
-          ~dup:(fun _ -> fail "link already present in %s" a.name)
-          (Edm.Instance.links client ~assoc:a.name)
-          acc
+        let src = Query.Algebra.Assoc_set a.name in
+        fill src ~key:Fun.id
+          ~row:(Datum.Row.values (plan.Plan.scan_layout src))
+          ~dup:(dup_link a.name) (Edm.Instance.links client ~assoc:a.name) acc
       in
       let* st, rows =
         List.fold_left entity_sets (Ok (State.empty plan, Src_map.empty)) (Edm.Schema.entity_sets schema)

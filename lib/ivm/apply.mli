@@ -50,6 +50,7 @@ val feed :
   Plan.t -> State.t -> op list -> (State.t * Multiset.t Plan.Src_map.t, string) result
 (** The first half of {!step}: check the ops against the base images in
     sequence and turn them into signed base-row deltas per client source,
-    each row in its source's scan layout ({!Plan.scan_row}), returning the
-    state with updated bases.  {!step} hands the result to
-    {!Engine.propagate}. *)
+    returning the state with updated bases; {!step} hands the result to
+    {!Engine.propagate}.  An inserted row is built once, in its source's
+    scan layout ([Exec.Idb.entity_row]), and that array is both fed and
+    kept; a delete feeds it back, an update a changed copy. *)

@@ -77,4 +77,3 @@ let compile env uv =
   Ok { env; tables = List.rev_map fst rev_plans; readers; scan_layout = Exec.Planner.scan_layout ctx }
 
 let readers t src = Option.value ~default:[] (Src_map.find_opt src t.readers)
-let scan_row t src = Datum.Row.values (t.scan_layout src)

@@ -51,8 +51,3 @@ val compile : Query.Env.t -> Query.View.update_views -> (t, string) result
 val readers : t -> Query.Algebra.source -> table_plan list
 (** The table plans reading a source, in plan order ([[]] for a source no
     view reads). *)
-
-val scan_row : t -> Query.Algebra.source -> Datum.Row.t -> Exec.Idb.row
-(** A row of a client source in the source's scan layout
-    ([Datum.Row.values]): how every row enters the engine.  Apply it to
-    [t] and [src] once per source: the layout is looked up then. *)

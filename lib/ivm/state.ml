@@ -8,7 +8,7 @@ module Value_map = Datum.Value.Map
 type join_state = { lefts : Multiset.t Group_map.t; rights : Multiset.t Group_map.t }
 
 type t = {
-  bases : Datum.Row.t Row_map.t Src_map.t;
+  bases : Datum.Tuple.t Row_map.t Src_map.t;
   joins : join_state Int_map.t String_map.t;
   store : Relational.Instance.t;
 }

@@ -3,9 +3,11 @@
     Immutable (each propagation returns a new value), holding two layers
     and the store image they determine:
 
-    - {e bases}: per client source, the current scan rows keyed by the
-      source's key columns — what {!Apply} consults to validate ops and to
-      build signed row deltas;
+    - {e bases}: per client source, the current rows, each the very array
+      {!Apply} fed the engine (in the source's scan layout), keyed by the
+      entity's key columns ([NULL] where it lacks one) or by the link —
+      what {!Apply} consults to validate ops and feeds back on a delete or
+      update;
     - {e joins}: per store table, and per join of the table's plan
       (numbered in preorder, so the numbers are local to the table), both
       input bags in the inputs' layouts, grouped by the values of their
@@ -31,7 +33,7 @@ module Src_map = Plan.Src_map
 type join_state = { lefts : Multiset.t Group_map.t; rights : Multiset.t Group_map.t }
 
 type t = {
-  bases : Datum.Row.t Row_map.t Src_map.t;
+  bases : Datum.Tuple.t Row_map.t Src_map.t;
   joins : join_state Int_map.t String_map.t;
       (** per table, by the join's preorder number in the table's plan *)
   store : Relational.Instance.t;
@@ -42,8 +44,8 @@ val empty : Plan.t -> t
     an empty image in its layout (with an empty key map for a one-column
     key). *)
 
-val base : t -> Query.Algebra.source -> Datum.Row.t Row_map.t
-val set_base : Query.Algebra.source -> Datum.Row.t Row_map.t -> t -> t
+val base : t -> Query.Algebra.source -> Datum.Tuple.t Row_map.t
+val set_base : Query.Algebra.source -> Datum.Tuple.t Row_map.t -> t -> t
 val join : join_state Int_map.t -> int -> join_state
 (** A join's entry in a table's joins; no groups when absent. *)
 

@@ -48,13 +48,11 @@ let with_ ?(attrs = []) ~name f =
     let span = enter name attrs in
     Fun.protect ~finally:(fun () -> exit_ span) f
 
-let add_attr key value =
+let tag key n =
   if Switch.enabled () then
     match !(Domain.DLS.get stack_key) with
     | [] -> ()
-    | span :: _ -> span.attrs <- (key, value) :: span.attrs
-
-let tag key n = if Switch.enabled () then add_attr key (string_of_int n)
+    | span :: _ -> span.attrs <- (key, string_of_int n) :: span.attrs
 
 let reset () =
   Mutex.lock completed_mutex;

@@ -10,12 +10,9 @@ type t
 
 val with_ : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 'a
 
-(** Attach an attribute to the innermost open span (no-op when collection is
-    disabled or no span is open). *)
-val add_attr : string -> string -> unit
-
-(** [add_attr] of an integer, whose string is only built while spans are
-    collected. *)
+(** Attach an integer attribute to the innermost open span (no-op when
+    collection is disabled or no span is open); its string is only built
+    while spans are collected. *)
 val tag : string -> int -> unit
 
 (** Completed top-level spans, oldest first. *)

@@ -18,19 +18,6 @@ val rows : Env.t -> db -> Algebra.t -> Datum.Row.t list
     entity's type with [NULL] and bind {!Env.type_column}; joins never match
     on [NULL]; outer joins pad the missing side with [NULL]. *)
 
-(** {2 Row-level building blocks}
-
-    Exposed so the physical runtimes scan entity rows exactly as [rows]
-    does. *)
-
-val entity_row : Env.t -> string -> Edm.Instance.entity -> Datum.Row.t
-(** The scan row of one entity of the named set: every column of
-    {!Env.entity_set_columns} (absent attributes padded with [NULL]) plus
-    {!Env.type_column} bound to the entity's dynamic type.  [entity_row env
-    set] computes the set's columns once, so apply it to the set once and
-    the result to each entity.  Raises [Invalid_argument] on an unknown
-    set. *)
-
 val rows_set : Env.t -> db -> Algebra.t -> Datum.Row.t list
 (** [rows] deduplicated and sorted — set semantics, the basis of query
     equivalence and containment. *)

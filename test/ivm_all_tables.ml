@@ -41,7 +41,7 @@ let equal_states (a : State.t) (b : State.t) =
   let groups_equal = Group_map.equal (Group_map.equal Int.equal) in
   let bases (st : State.t) = Plan.Src_map.filter (fun _ b -> not (Row_map.is_empty b)) st.bases in
   let tables = Relational.Instance.tables a.store in
-  Plan.Src_map.equal (Row_map.equal Datum.Row.equal) (bases a) (bases b)
+  Plan.Src_map.equal (Row_map.equal (fun r s -> Datum.Tuple.compare r s = 0)) (bases a) (bases b)
   && tables = Relational.Instance.tables b.store
   && List.for_all
        (fun table ->

@@ -126,49 +126,50 @@ let test_paper_handle_stream () =
       inc := inc')
     stream
 
+(* Every guard of [Ivm.Apply], by its full message. *)
 let test_handle_guards () =
   let uv = uv () in
   let inc = ok_exn (Tr.ivm_init env uv P.sample_client) in
-  let expect_error msg delta =
+  let expect_error msg expected delta =
     match Tr.ivm_step inc delta with
     | Ok _ -> Alcotest.failf "%s: expected an error" msg
-    | Error _ -> ()
+    | Error e -> check Alcotest.string msg expected e
   in
-  expect_error "duplicate key"
+  expect_error "duplicate key" "insert: key {Id=(Int 1)} already present in Persons"
     [ Delta.Insert_entity
         { set = "Persons";
           entity = Edm.Instance.entity ~etype:"Person" [ ("Id", V.Int 1); ("Name", V.String "x") ] } ];
-  expect_error "missing delete"
+  expect_error "missing delete" "delete: no entity with key {Id=(Int 77)} in Persons"
     [ Delta.Delete_entity { set = "Persons"; key = row [ ("Id", V.Int 77) ] } ];
-  expect_error "immutable key"
+  expect_error "immutable key" "update: key attribute Id is immutable"
     [ Delta.Update_entity
         { set = "Persons"; key = row [ ("Id", V.Int 1) ]; changes = [ ("Id", V.Int 2) ] } ];
-  expect_error "unknown attribute"
+  expect_error "unknown attribute" "update: Person has no attribute Department"
     [ Delta.Update_entity
         { set = "Persons"; key = row [ ("Id", V.Int 1) ];
           changes = [ ("Department", V.String "x") ] } ];
-  expect_error "duplicate link"
+  expect_error "duplicate link" "link already present in Supports"
     [ Delta.Insert_link
         { assoc = "Supports"; link = row [ ("Customer.Id", V.Int 5); ("Employee.Id", V.Int 4) ] } ];
-  expect_error "missing link"
+  expect_error "missing link" "unlink: no such tuple in Supports"
     [ Delta.Delete_link
         { assoc = "Supports"; link = row [ ("Customer.Id", V.Int 6); ("Employee.Id", V.Int 3) ] } ]
 
 (* [ivm_init] applies the guards of a step from the empty state, so an
-   instance that breaks a step guard fails to materialize; [Edm.Instance]
-   itself accepts both. *)
+   instance that breaks a step guard fails to materialize, with that
+   guard's message; [Edm.Instance] itself accepts both. *)
 let test_init_guards () =
   let uv = uv () in
-  let expect_error msg client =
+  let expect_error msg expected client =
     match Tr.ivm_init env uv client with
     | Ok _ -> Alcotest.failf "%s: expected an error" msg
-    | Error e -> checkb (msg ^ ": " ^ e) true (contains ~sub:"already present" e)
+    | Error e -> check Alcotest.string msg expected e
   in
-  expect_error "duplicate entity key"
+  expect_error "duplicate entity key" "insert: key {Id=(Int 1)} already present in Persons"
     (Edm.Instance.add_entity ~set:"Persons"
        (Edm.Instance.entity ~etype:"Person" [ ("Id", V.Int 1); ("Name", V.String "Ann") ])
        P.sample_client);
-  expect_error "duplicate link"
+  expect_error "duplicate link" "link already present in Supports"
     (Edm.Instance.add_link ~assoc:"Supports"
        (row [ ("Customer.Id", V.Int 5); ("Employee.Id", V.Int 4) ])
        P.sample_client)
