@@ -6,7 +6,7 @@
      fig9  — SMO timings on the 1002-type chain model (Fig. 9)
      fig10 — SMO timings on the customer-like model (Fig. 10)
      ablation — design-choice measurements called out in DESIGN.md
-     par   — obligation-discharge jobs sweep (1/2/4)
+     par   — one large obligation batch, discharged on the calling domain
      obs   — per-phase span breakdown via lib/obs
      lint  — static lint vs full validation (E11)
      ivm   — update-translation scaling, IVM vs full diff, and the cost of
@@ -414,7 +414,7 @@ let smo_tables env frags suite =
       let phases =
         List.concat_map
           (fun (label, smo) ->
-            phase_rows "smo" label (fun () -> ignore (Core.Engine.apply ~jobs:1 st smo)))
+            phase_rows "smo" label (fun () -> ignore (Core.Engine.apply st smo)))
           suite
       in
       [ { name = "full_compile"; keys = []; rows = [ [ ("full_compile_s", num 3 (full_ms /. 1e3)) ] ] };
@@ -531,11 +531,11 @@ let ablation () =
         (Workload.Chain.smo_suite ~at:100)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel obligation discharge: jobs sweep over one big batch.       *)
+(* Obligation discharge: one big batch, proven on the calling domain.  *)
 (* ------------------------------------------------------------------ *)
 
 let par () =
-  header "Parallel discharge -- one obligation batch, jobs in {1, 2, 4}";
+  header "Obligation discharge -- one batch of random-model FK obligations";
   let models = 40 in
   let base_obls =
     List.concat_map
@@ -544,42 +544,24 @@ let par () =
         match Fullc.Validate.fk_obligations env frags with Ok obls -> obls | Error _ -> [])
       (List.init models Fun.id)
   in
-  (* Replicate the batch so the measurement amortizes domain spawning; every
+  (* Replicate the batch so one call is long enough to time steadily; every
      copy is re-proven. *)
   let target = 4000 in
   let reps = max 1 ((target + List.length base_obls - 1) / List.length base_obls) in
   let obls = List.concat (List.init reps (fun _ -> base_obls)) in
-  let verdict = function
-    | Ok () -> "ok"
-    | Error e -> "fail: " ^ Containment.Validation_error.show e
+  let r, ms, _ = sample (fun () -> Containment.Discharge.run obls) in
+  let verdict =
+    match r with Ok () -> "ok" | Error e -> "fail: " ^ Containment.Validation_error.show e
   in
-  (* The cost of starting domains is in the measurement.  On an idle host,
-     and after single-domain work, two-domain work can run at a fraction of
-     its speed for up to a second, so two untimed samplings at jobs=2 come
-     first and the multi-domain cells are sampled before jobs=1. *)
-  for _ = 1 to 2 do
-    ignore (sample (fun () -> Containment.Discharge.run ~jobs:2 obls))
-  done;
-  let sweep =
-    List.rev_map
-      (fun jobs ->
-        let r, ms, _ = sample (fun () -> Containment.Discharge.run ~jobs obls) in
-        (jobs, ms /. 1e3, verdict r))
-      [ 4; 2; 1 ]
-  in
-  let _, base, _ = List.hd sweep in
   emit "par"
     [ { name = "batch"; keys = [];
         rows =
           [ [ ("models", int models); ("model_obligations", int (List.length base_obls));
               ("replicas", int reps); ("obligations", int (List.length obls)) ] ] };
-      { name = "sweep"; keys = [ "jobs" ];
-        rows =
-          List.map
-            (fun (jobs, dt, verdict) ->
-              [ ("jobs", int jobs); ("seconds", num 6 dt); ("speedup", num 2 (base /. dt));
-                ("verdict", str verdict) ])
-            sweep } ]
+      { name = "discharge"; keys = [];
+        rows = [ [ ("seconds", num 6 (ms /. 1e3)); ("verdict", str verdict) ] ] };
+      { name = "phases"; keys = [ "row"; "phase" ];
+        rows = phase_rows "row" "batch" (fun () -> ignore (Containment.Discharge.run obls)) } ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-phase span breakdown (lib/obs): where the compile time goes.    *)
@@ -1239,7 +1221,7 @@ let edit_bench () =
   header "Edit -- the persisted Fig. 7 loop on the customer model, by layer";
   let ok = function Ok x -> x | Error e -> failwith e in
   let env, frags = Workload.Customer.generate () in
-  let compiled = ok (Fullc.Compile.compile ~validate:false ~jobs:1 env frags) in
+  let compiled = ok (Fullc.Compile.compile ~validate:false env frags) in
   let text = Surface.State_io.save (Core.State.of_compiled env frags compiled) in
   let st = ok (Surface.State_io.load text) in
   let env = st.Core.State.env and frags = st.Core.State.fragments in
@@ -1248,7 +1230,7 @@ let edit_bench () =
     [ ("load", "surface", fun () -> ignore (ok (Surface.State_io.load text))) ]
     @ List.map
         (fun (label, smo) ->
-          (label, "smo", fun () -> ignore (Core.Engine.apply ~jobs:1 st smo)))
+          (label, "smo", fun () -> ignore (Core.Engine.apply st smo)))
         (Workload.Customer.smo_suite ())
     @ [
         ("mapping", "lint", fun () -> ignore (Lint.Passes.run env frags));
@@ -1263,7 +1245,7 @@ let edit_bench () =
       (fun (label, smo) ->
         phase_rows "row" label (fun () ->
             let s = Core.Session.start (ok (Surface.State_io.load text)) in
-            match Core.Session.apply ~jobs:1 s smo with
+            match Core.Session.apply s smo with
             | Ok s ->
                 ignore (Core.Session.lint s);
                 ignore (Surface.State_io.save (Core.Session.current s))

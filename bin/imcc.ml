@@ -113,20 +113,13 @@ let load_input ~model ~file ~size =
       Printf.eprintf "error: pass -m MODEL or -f FILE\n";
       exit 1
 
-let state_of ?jobs ~env ~frags = function
+let state_of ~env ~frags = function
   | Some st -> st
-  | None -> Core.State.of_compiled env frags (ok (Fullc.Compile.compile ?jobs env frags))
+  | None -> Core.State.of_compiled env frags (ok (Fullc.Compile.compile env frags))
 
 let size_arg =
   let doc = "Size parameter for scalable models (the chain's type count)." in
   Arg.(value & opt int 100 & info [ "size" ] ~docv:"N" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Discharge containment obligations on $(docv) domains.  Verdicts and failure \
-     messages are identical for every value; only wall-clock changes."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* -- observability ---------------------------------------------------------- *)
 
@@ -213,13 +206,13 @@ let compile_cmd =
   let no_validate =
     Arg.(value & flag & info [ "no-validate" ] ~doc:"Skip validation (view generation only).")
   in
-  let run name file size no_validate jobs output trace profile =
+  let run name file size no_validate output trace profile =
     with_obs ~trace ~profile @@ fun () ->
     let env, frags, _ = load_input ~model:name ~file ~size in
     let what = match name, file with Some n, _ -> n | _, Some f -> f | _ -> "?" in
     let before = Obs.Metric.snapshot () in
     let t0 = Unix.gettimeofday () in
-    let c = ok (Fullc.Compile.compile ~validate:(not no_validate) ~jobs env frags) in
+    let c = ok (Fullc.Compile.compile ~validate:(not no_validate) env frags) in
     let dt = Unix.gettimeofday () -. t0 in
     Printf.printf "full compilation of %s: %.3fs\n" what dt;
     Printf.printf "  fragments:          %d\n" (Mapping.Fragments.size frags);
@@ -240,7 +233,7 @@ let compile_cmd =
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Run the full (baseline) mapping compiler on a model")
-    Term.(const run $ model_arg $ file_arg $ size_arg $ no_validate $ jobs_arg $ out_arg
+    Term.(const run $ model_arg $ file_arg $ size_arg $ no_validate $ out_arg
           $ trace_arg $ profile_arg)
 
 let evolve_cmd =
@@ -252,11 +245,11 @@ let evolve_cmd =
     Arg.(value & opt (some string) None
          & info [ "script" ] ~docv:"FILE.smo" ~doc:"Apply the SMO script from this file.")
   in
-  let run name file size smo_name script jobs output trace profile =
+  let run name file size smo_name script output trace profile =
     with_obs ~trace ~profile @@ fun () ->
     let env, frags, loaded = load_input ~model:name ~file ~size in
     let t0 = Unix.gettimeofday () in
-    let st = state_of ~jobs ~env ~frags loaded in
+    let st = state_of ~env ~frags loaded in
     (match loaded with
     | Some _ -> Printf.printf "resumed compiled state\n\n"
     | None -> Printf.printf "bootstrap (full compilation): %.3fs\n\n" (Unix.gettimeofday () -. t0));
@@ -267,7 +260,7 @@ let evolve_cmd =
         let st =
           List.fold_left
             (fun st smo ->
-              match Core.Engine.apply_timed ~jobs st smo with
+              match Core.Engine.apply_timed st smo with
               | Ok (st', t) ->
                   Format.printf "%-10s %.2f ms   %a@." (Core.Smo.name smo)
                     (t.Core.Engine.seconds *. 1000.)
@@ -308,7 +301,7 @@ let evolve_cmd =
         end;
         List.iter
           (fun (label, smo) ->
-            match Core.Engine.apply_timed ~jobs st smo with
+            match Core.Engine.apply_timed st smo with
             | Ok (_, t) ->
                 Format.printf "%-10s %.2f ms   %a@." label (t.Core.Engine.seconds *. 1000.)
                   Obs.Metric.pp t.Core.Engine.containment
@@ -319,8 +312,8 @@ let evolve_cmd =
   in
   Cmd.v
     (Cmd.info "evolve" ~doc:"Apply SMOs (a built-in suite or a script file) incrementally")
-    Term.(const run $ model_arg $ file_arg $ size_arg $ smo_name $ script_arg $ jobs_arg
-          $ out_arg $ trace_arg $ profile_arg)
+    Term.(const run $ model_arg $ file_arg $ size_arg $ smo_name $ script_arg $ out_arg
+          $ trace_arg $ profile_arg)
 
 let roundtrip_cmd =
   let samples =
@@ -485,15 +478,13 @@ let apply_cmd =
           $ trace_arg $ profile_arg)
 
 let validate_cmd =
-  let run name file size jobs trace profile =
+  let run name file size trace profile =
     with_obs ~trace ~profile @@ fun () ->
     let env, frags, loaded = load_input ~model:name ~file ~size in
-    let st = state_of ~jobs ~env ~frags loaded in
+    let st = state_of ~env ~frags loaded in
     let before = Obs.Metric.snapshot () in
     let t0 = Unix.gettimeofday () in
-    match
-      Fullc.Validate.run ~jobs st.Core.State.env st.Core.State.fragments
-    with
+    match Fullc.Validate.run st.Core.State.env st.Core.State.fragments with
     | Error e ->
         Printf.printf "mapping INVALID: %s\n" e;
         exit 1
@@ -507,7 +498,7 @@ let validate_cmd =
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Run full mapping validation (roundtripping safety checks)")
-    Term.(const run $ model_arg $ file_arg $ size_arg $ jobs_arg $ trace_arg $ profile_arg)
+    Term.(const run $ model_arg $ file_arg $ size_arg $ trace_arg $ profile_arg)
 
 let lint_cmd =
   let format_arg =

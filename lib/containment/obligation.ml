@@ -13,11 +13,10 @@ let discharged = Obs.Metric.counter "containment.obligations"
 let name t = Lazy.force t.name
 let on_fail t = Lazy.force t.on_fail
 
-(* Every obligation funnels through here, whichever discharge worker proves
-   it, so the span and counter accounting is uniform.  A normalization error
-   counts as "not proven", the conservative collapse validation relies on.
-   The name is forced only for a recorded span or a failure, the message
-   only for a failure, and both in the domain proving [t]. *)
+(* Every obligation funnels through here, so the span and counter accounting
+   is uniform.  A normalization error counts as "not proven", the
+   conservative collapse validation relies on.  The name is forced only for
+   a recorded span or a failure, the message only for a failure. *)
 let discharge ?superset t =
   let attrs = if Obs.enabled () then [ ("obligation", name t) ] else [] in
   Obs.Span.with_ ~name:"containment.obligation" ~attrs @@ fun () ->

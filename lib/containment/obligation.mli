@@ -4,13 +4,12 @@
     tests ([lhs ⊆ rhs] over [env]'s schemas).  Instead of proving each test
     inline where it arises, the SMO algorithms {e return} obligations, and
     [Core.Engine] hands each SMO's batch to {!Discharge} — the
-    collect-then-discharge split that makes the checks schedulable (on one
-    domain or several) and uniformly observable.  Obligations are immutable
-    values: building one performs no proving work and renders no string.
-    {!discharge} forces the name only while {!Obs} records spans or when the
-    proof fails, and the message only when it fails.  Two domains forcing
-    one suspension at once raise, so only the domain proving an obligation,
-    or the caller once {!Discharge.run} has returned, may force either. *)
+    collect-then-discharge split that makes the checks batchable and
+    uniformly observable.  Obligations are immutable values: building one
+    performs no proving work and renders no string.  {!discharge} forces the
+    name only while {!Obs} records spans or when the proof fails, and the
+    message only when it fails.  Two domains forcing one suspension at once
+    raise, so one domain at a time may prove or render an obligation. *)
 
 type t = {
   name : string Lazy.t;      (** stable identifier, e.g. ["aa-fk.check-2:Emp"] *)
@@ -35,5 +34,5 @@ val discharge :
   t -> (unit, Validation_error.t) result
 (** Prove one obligation with {!Check.subset}, passing it [superset].
     Records the per-obligation span and counter; a normalization error is
-    conservatively "not proven".  Every worker of {!Discharge.run} proves
-    through this function. *)
+    conservatively "not proven".  {!Discharge.run} proves through this
+    function. *)

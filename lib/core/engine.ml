@@ -24,28 +24,28 @@ let compile st = function
 (* The Fig. 7 step: compile the SMO's neighborhood, then prove the
    obligations it returned as one batch; the evolved state is committed only
    if every proof goes through. *)
-let compile_and_prove ?jobs st smo =
+let compile_and_prove st smo =
   let* st', obls = compile st smo in
-  let* () = Containment.Discharge.run ?jobs obls in
+  let* () = Containment.Discharge.run obls in
   Ok st'
 
 (* One span per SMO, tagged with its kind — the unit of the paper's Fig. 9/10
    timings and of the bench per-phase breakdown.  The attrs (notably
    [Smo.show]) are only computed when collection is on.  Errors are tagged
    with the failing SMO's kind for structured reporting. *)
-let apply ?jobs st smo =
+let apply st smo =
   let result =
-    if not (Obs.enabled ()) then compile_and_prove ?jobs st smo
+    if not (Obs.enabled ()) then compile_and_prove st smo
     else
       Obs.Span.with_
         ~name:("smo:" ^ Smo.name smo)
         ~attrs:[ ("kind", Smo.name smo); ("smo", Smo.show smo) ]
-        (fun () -> compile_and_prove ?jobs st smo)
+        (fun () -> compile_and_prove st smo)
   in
   Result.map_error (Containment.Validation_error.with_smo (Smo.name smo)) result
 
-let apply_all ?jobs st smos =
-  List.fold_left (fun acc smo -> Result.bind acc (fun st -> apply ?jobs st smo)) (Ok st) smos
+let apply_all st smos =
+  List.fold_left (fun acc smo -> Result.bind acc (fun st -> apply st smo)) (Ok st) smos
 
 type timing = { smo : string; seconds : float; containment : Obs.Metric.snapshot }
 
@@ -57,10 +57,10 @@ let read_containment () =
   let read c = (Obs.Metric.counter_name c, Obs.Metric.value c) in
   { Obs.Metric.counters = List.map read containment_counters; gauges = [] }
 
-let apply_timed ?jobs st smo =
+let apply_timed st smo =
   let before = read_containment () in
   let t0 = Unix.gettimeofday () in
-  match apply ?jobs st smo with
+  match apply st smo with
   | Error e -> Error e
   | Ok st' ->
       let seconds = Unix.gettimeofday () -. t0 in

@@ -8,15 +8,12 @@
     and returns the containment obligations the new state must satisfy,
     and [apply] proves that batch with one {!Containment.Discharge.run}
     call (inside the SMO's ["smo:"] span) before committing.  Structural
-    checks run inside the algorithm, before any proof.  [?jobs] caps the
-    discharge workers (default 1); verdicts and failure messages are
-    identical for every [jobs] value.
+    checks run inside the algorithm, before any proof.
     Failures are structured {!Containment.Validation_error.t} values tagged
     with the SMO kind; [Containment.Validation_error.show] renders the same
     message the string-errored API used to produce. *)
 
-val apply :
-  ?jobs:int -> State.t -> Smo.t -> (State.t, Containment.Validation_error.t) result
+val apply : State.t -> Smo.t -> (State.t, Containment.Validation_error.t) result
 
 val compile :
   State.t -> Smo.t ->
@@ -25,8 +22,7 @@ val compile :
     {!apply} would prove before committing it, unproven.  Structural
     failures are reported untagged. *)
 
-val apply_all :
-  ?jobs:int -> State.t -> Smo.t list -> (State.t, Containment.Validation_error.t) result
+val apply_all : State.t -> Smo.t list -> (State.t, Containment.Validation_error.t) result
 (** Left-to-right; the first failure aborts the whole sequence. *)
 
 type timing = {
@@ -37,7 +33,6 @@ type timing = {
           counters of {!Containment.Check} and {!Containment.Obligation} *)
 }
 
-val apply_timed :
-  ?jobs:int -> State.t -> Smo.t -> (State.t * timing, Containment.Validation_error.t) result
+val apply_timed : State.t -> Smo.t -> (State.t * timing, Containment.Validation_error.t) result
 (** Wall-clock and containment-checker accounting for one application — the
     measurement underlying Figs. 9 and 10. *)

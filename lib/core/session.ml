@@ -34,8 +34,8 @@ let start present =
 
 let current t = t.present.state
 
-let apply ?jobs t smo =
-  match Engine.apply_timed ?jobs t.present.state smo with
+let apply ?jobs:_ t smo =
+  match Engine.apply_timed t.present.state smo with
   | Error e -> Error e
   | Ok (next, timing) ->
       let entry = { smo; timing } in

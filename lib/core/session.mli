@@ -23,8 +23,10 @@ val current : t -> State.t
 
 val apply : ?jobs:int -> t -> Smo.t -> (t, Containment.Validation_error.t) result
 (** Apply incrementally and record; on validation failure the session is
-    unchanged (the "abort" arrow of Fig. 7).  [?jobs] controls obligation
-    discharge parallelism, as in {!Engine.apply}. *)
+    unchanged (the "abort" arrow of Fig. 7).  [jobs] is ignored: obligations
+    are proven on the calling domain, since no batch an SMO emits repays
+    spawning a domain.  The argument stays only because the end-to-end
+    benchmark's [edit] and [session] workloads pass [~jobs:1]. *)
 
 val undo : t -> t option
 (** Step back over the last accepted SMO; [None] at the initial state. *)

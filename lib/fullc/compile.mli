@@ -16,5 +16,6 @@ val compile :
 (** [?validate] defaults to [true]; benchmarks use [~validate:false] to
     isolate view-generation cost.  [?optimize] (default false) runs the
     Section-6 view optimizer ({!Optimize}) during view generation.
-    [?jobs] sets obligation-discharge parallelism for validation; verdicts
-    are identical for every value. *)
+    [jobs] is ignored: validation proves its obligations on the calling
+    domain.  The argument stays only because the end-to-end benchmark
+    passes [~jobs:1]. *)

@@ -191,10 +191,10 @@ let fk_obligations env frags =
         tbl.Relational.Table.fks)
     (Mapping.Fragments.tables frags)
 
-let fk_checks ?jobs env frags =
+let fk_checks env frags =
   let* obls = fk_obligations env frags in
   let* () =
-    Result.map_error Containment.Validation_error.show (Containment.Discharge.run ?jobs obls)
+    Result.map_error Containment.Validation_error.show (Containment.Discharge.run obls)
   in
   Ok (List.length obls)
 
@@ -209,10 +209,10 @@ let nullability env frags =
 
 let phase name f = Obs.Span.with_ ~name:("validate." ^ name) f
 
-let run ?jobs env frags =
+let run env frags =
   let* () = phase "well-formed" (fun () -> Mapping.Fragments.well_formed env frags) in
   let* cells_visited = phase "cells" (fun () -> one_to_one env frags) in
   let* covered_types = phase "coverage" (fun () -> coverage env frags) in
   let* () = phase "nullability" (fun () -> nullability env frags) in
-  let* containment_checks = phase "fk-checks" (fun () -> fk_checks ?jobs env frags) in
+  let* containment_checks = phase "fk-checks" (fun () -> fk_checks env frags) in
   Ok { cells_visited; containment_checks; covered_types }

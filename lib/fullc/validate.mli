@@ -29,9 +29,9 @@ type report = {
   covered_types : int;         (** concrete types whose attributes all map *)
 }
 
-val run : ?jobs:int -> Query.Env.t -> Mapping.Fragments.t -> (report, string) result
-(** [?jobs] sets the parallelism for discharging the foreign-key containment
-    obligations (step 4); verdicts are identical for every value. *)
+val run : Query.Env.t -> Mapping.Fragments.t -> (report, string) result
+(** Steps 1–4 in order; the foreign-key obligations of step 4 are proven as
+    one {!Containment.Discharge.run} batch. *)
 
 val fk_obligations :
   Query.Env.t -> Mapping.Fragments.t -> (Containment.Obligation.t list, string) result

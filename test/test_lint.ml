@@ -615,12 +615,12 @@ let test_dag_customer_suite () =
   let suite = Workload.Customer.smo_suite () in
   List.iter
     (fun (label, smo) ->
-      ignore (same_as_tree_state ("customer + " ^ label) (ok_v (Core.Engine.apply ~jobs:1 st smo))))
+      ignore (same_as_tree_state ("customer + " ^ label) (ok_v (Core.Engine.apply st smo))))
     suite;
   ignore
     (List.fold_left
        (fun st (label, smo) ->
-         let st = ok_v (Core.Engine.apply ~jobs:1 st smo) in
+         let st = ok_v (Core.Engine.apply st smo) in
          ignore (same_as_tree_state ~damaged:false ("customer suite up to " ^ label) st);
          st)
        st suite)
@@ -640,7 +640,7 @@ let prop_dag_random =
             (List.fold_left
                (fun st smo ->
                  Option.bind st (fun st ->
-                     match Core.Engine.apply ~jobs:1 st smo with
+                     match Core.Engine.apply st smo with
                      | Error _ -> None
                      | Ok st ->
                          ignore (same_as_tree_state (tag ^ " after " ^ Core.Smo.name smo) st);

@@ -252,49 +252,6 @@ let test_differential_vs_fullc () =
           go ~grown:false st smos)
     (Lazy.force compiled)
 
-(* -- discharge parallelism is unobservable ---------------------------------- *)
-
-(* [Engine.apply] with [~jobs:1] and with [~jobs:4] from one state: both
-   accept with equal views, binding by binding, or both reject with the same
-   rendered error.  Returns the accepted state. *)
-let apply_both tag st smo =
-  let tag = tag ^ " " ^ Core.Smo.name smo in
-  let same equal va vb =
-    check Alcotest.(list string) (tag ^ ": same bindings") (List.map fst va) (List.map fst vb);
-    List.iter2 (fun (n, v) (_, w) -> checkb (tag ^ ": equal " ^ n) true (equal v w)) va vb
-  in
-  match (Core.Engine.apply ~jobs:1 st smo, Core.Engine.apply ~jobs:4 st smo) with
-  | Ok a, Ok b ->
-      same Query.View.equal (Recompile.entity_bindings a) (Recompile.entity_bindings b);
-      same Query.Algebra.equal (Recompile.assoc_bindings a) (Recompile.assoc_bindings b);
-      same Query.Algebra.equal (Recompile.update_bindings a) (Recompile.update_bindings b);
-      Some a
-  | Error a, Error b ->
-      check Alcotest.string (tag ^ ": same rejection") (show_v a) (show_v b);
-      None
-  | Ok _, Error e -> Alcotest.failf "%s: only jobs=4 rejects: %s" tag (show_v e)
-  | Error e, Ok _ -> Alcotest.failf "%s: only jobs=1 rejects: %s" tag (show_v e)
-
-let test_jobs_agree () =
-  List.iter
-    (fun (seed, env, frags, c) ->
-      let st = Core.State.of_compiled env frags c in
-      let tag = Printf.sprintf "seed %d" seed in
-      match random_pipeline seed st with
-      | None -> ()
-      | Some smos ->
-          ignore
-            (List.fold_left
-               (fun st smo -> Option.bind st (fun st -> apply_both tag st smo))
-               (Some st) smos))
-    (Lazy.force compiled);
-  (* The chain suite includes a rejected SMO (AE-TPC-fk). *)
-  let env, frags = Workload.Chain.generate ~size:10 in
-  let st = Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile env frags)) in
-  List.iter
-    (fun (label, smo) -> ignore (apply_both ("chain " ^ label) st smo))
-    (Workload.Chain.smo_suite ~at:5)
-
 let () =
   Alcotest.run "random models"
     [
@@ -309,6 +266,5 @@ let () =
           Alcotest.test_case "DSL roundtrip" `Quick test_dsl_roundtrip;
           Alcotest.test_case "evolution" `Quick test_evolution_on_random_models;
           Alcotest.test_case "differential vs full compiler" `Quick test_differential_vs_fullc;
-          Alcotest.test_case "jobs=1 and jobs=4 agree" `Quick test_jobs_agree;
         ] );
     ]

@@ -428,7 +428,7 @@ let customer_state =
   lazy
     (let env, frags = Workload.Customer.generate () in
      Core.State.of_compiled env frags
-       (ok_exn (Fullc.Compile.compile ~validate:false ~jobs:1 env frags)))
+       (ok_exn (Fullc.Compile.compile ~validate:false env frags)))
 
 (* The same document with every back-reference replaced by its entry and the
    term table dropped: the tree form, where every term is inline. *)
@@ -795,7 +795,7 @@ let fuzz_docs =
                  let env, frags = Workload.Random_model.generate ~seed () in
                  save
                    (Core.State.of_compiled env frags
-                      (ok_exn (Fullc.Compile.compile ~validate:false ~jobs:1 env frags))))
+                      (ok_exn (Fullc.Compile.compile ~validate:false env frags))))
                [ 1; 2; 3 ])))
 
 (* [text] with [s.[i .. j-1]] replaced by [by]. *)
