@@ -1103,12 +1103,12 @@ let exec_bench () =
             let plan = ok (Exec.Planner.plan env unfolded) in
             let idb = Exec.Idb.make env db in
             (* the first run builds row arrays and indexes *)
-            let exec_rows, j1_ms, j1_mb = sample (fun () -> Exec.Run.rows idb plan) in
+            let exec_rows, exec_ms, exec_mb = sample (fun () -> Exec.Run.rows idb plan) in
             let naive_rows, naive_ms, naive_mb = sample (fun () -> Query.Eval.rows env db unfolded) in
             let sorted = List.sort Datum.Row.compare in
             if not (List.equal Datum.Row.equal (sorted naive_rows) (sorted exec_rows)) then
               failwith (Printf.sprintf "exec/%s disagrees with Eval.rows at n=%d" shape n);
-            (n, shape, (naive_ms *. 1e6, naive_mb), (j1_ms *. 1e6, j1_mb), Exec.Plan.index_scans plan))
+            (n, shape, (naive_ms *. 1e6, naive_mb), (exec_ms *. 1e6, exec_mb), Exec.Plan.index_scans plan))
           (shapes n))
       sizes
   in
@@ -1117,11 +1117,11 @@ let exec_bench () =
   let hi = List.nth sizes (List.length sizes - 1) in
   let acceptance =
     List.filter_map
-      (fun (n, shape, (naive_ns, _), (j1_ns, _), _) ->
+      (fun (n, shape, (naive_ns, _), (exec_ns, _), _) ->
         if n = hi && shape = "join" then
           Some
-            [ ("join_instance", int hi); ("naive_over_exec1", num 2 (naive_ns /. j1_ns));
-              ("pass", bool (naive_ns /. j1_ns >= 5.0)) ]
+            [ ("join_instance", int hi); ("naive_over_exec", num 2 (naive_ns /. exec_ns));
+              ("pass", bool (naive_ns /. exec_ns >= 5.0)) ]
         else None)
       results
   in
@@ -1130,11 +1130,11 @@ let exec_bench () =
     [ { name = "paper"; keys = [ "instance"; "shape" ];
         rows =
           List.map
-            (fun (n, shape, (naive_ns, naive_mb), (j1_ns, j1_mb), index_scans) ->
+            (fun (n, shape, (naive_ns, naive_mb), (exec_ns, exec_mb), index_scans) ->
               [ ("instance", int n); ("shape", str shape); ("naive_ns", num 1 naive_ns);
-                ("naive_alloc_mb", num 4 naive_mb); ("exec_jobs1_ns", num 1 j1_ns);
-                ("alloc_mb", num 4 j1_mb);
-                ("naive_over_jobs1", num 1 (naive_ns /. j1_ns)); ("index_scans", int index_scans) ])
+                ("naive_alloc_mb", num 4 naive_mb); ("exec_ns", num 1 exec_ns);
+                ("alloc_mb", num 4 exec_mb);
+                ("naive_over_exec", num 1 (naive_ns /. exec_ns)); ("index_scans", int index_scans) ])
             results };
       { name = "customer_key_lookups"; keys = [ "set" ]; rows = List.map fst lookups };
       { name = "customer_set_scans"; keys = [ "set" ]; rows = List.map fst scans };

@@ -60,8 +60,6 @@ let redo t =
   | (after, entry) :: future ->
       Some { t with past = (t.present, entry) :: t.past; present = after; future }
 
-let history t = List.rev_map (fun (_, e) -> e) t.past
-
 let checkpoint ~name t =
   {
     t with

@@ -14,8 +14,6 @@
     context's table of prepared plans at once.  Use a session from one
     domain at a time. *)
 
-type entry = { smo : Smo.t; timing : Engine.timing }
-
 type t
 
 val start : State.t -> t
@@ -34,9 +32,6 @@ val undo : t -> t option
 val redo : t -> t option
 (** Re-apply the last undone SMO; [None] if nothing was undone.  Applying a
     new SMO clears the redo trail. *)
-
-val history : t -> entry list
-(** Accepted SMOs, oldest first. *)
 
 val checkpoint : name:string -> t -> t
 (** Name the present state; a later checkpoint of the same name replaces

@@ -23,8 +23,3 @@ let empty ~client ~store =
     query_views = Query.View.no_query_views;
     update_views = Query.View.no_update_views;
   }
-
-let roundtrip_ok t inst =
-  Result.map
-    (fun back -> Edm.Instance.equal back inst)
-    (Query.View.roundtrip t.env t.query_views t.update_views inst)

@@ -23,6 +23,3 @@ val bootstrap : Query.Env.t -> Mapping.Fragments.t -> (t, string) result
 val empty : client:Edm.Schema.t -> store:Relational.Schema.t -> t
 (** A state with no fragments or views — the seed for building a model from
     scratch with SMOs only. *)
-
-val roundtrip_ok : t -> Edm.Instance.t -> (bool, string) result
-(** Instance-level roundtrip check through the state's views. *)

@@ -10,9 +10,7 @@ let get c r = M.find c r
 let mem c r = M.mem c r
 let add c v r = M.add c v r
 let mapi f r = M.mapi f r
-let remove c r = M.remove c r
 let columns r = List.map fst (M.bindings r)
-let cardinal r = M.cardinal r
 let values layout r = Array.map (fun c -> Option.value ~default:Value.Null (M.find_opt c r)) layout
 
 let of_values layout vs =
@@ -25,22 +23,7 @@ let project cols r =
     (fun acc c -> match M.find_opt c r with None -> acc | Some v -> M.add c v acc)
     M.empty cols
 
-let rename pairs r =
-  List.fold_left
-    (fun acc (src, dst) ->
-      match M.find_opt src r with None -> acc | Some v -> M.add dst v acc)
-    M.empty pairs
-
 let union a b = M.union (fun _ va _ -> Some va) a b
-
-let restrict_equal cols a b =
-  List.for_all
-    (fun c ->
-      match M.find_opt c a, M.find_opt c b with
-      | Some va, Some vb -> Value.equal va vb
-      | None, None -> true
-      | Some _, None | None, Some _ -> false)
-    cols
 
 let equal a b = M.equal Value.equal a b
 let compare a b = M.compare Value.compare a b

@@ -23,9 +23,7 @@ val mapi : (string -> Value.t -> Value.t) -> t -> t
     column, where binding them one {!add} at a time copies a path per
     column. *)
 
-val remove : string -> t -> t
 val columns : t -> string list
-val cardinal : t -> int
 
 val values : string array -> t -> Value.t array
 (** [values layout r] holds [r]'s value of each column of [layout] at that
@@ -42,15 +40,8 @@ val project : string list -> t -> t
 (** Keep only the named columns.  Absent columns are silently dropped, so
     projection never invents bindings. *)
 
-val rename : (string * string) list -> t -> t
-(** [rename [ (src, dst); ... ] r] rebuilds [r] keeping only the listed
-    source columns, bound under their destination names. *)
-
 val union : t -> t -> t
 (** Left-biased union: bindings of the first row win on clashes. *)
-
-val restrict_equal : string list -> t -> t -> bool
-(** Whether the two rows agree (by {!Value.equal}) on every listed column. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -5,15 +5,6 @@ type store_op =
 
 type script = store_op list
 
-let pp_store_op fmt = function
-  | Insert_row { table; row } -> Format.fprintf fmt "INSERT %s %a" table Datum.Row.pp row
-  | Delete_row { table; key } -> Format.fprintf fmt "DELETE %s %a" table Datum.Row.pp key
-  | Update_row { table; key; changes } ->
-      Format.fprintf fmt "UPDATE %s %a SET %a" table Datum.Row.pp key Datum.Row.pp
-        (Datum.Row.of_list changes)
-
-let pp_script fmt s = Format.fprintf fmt "@[<v>%a@]" (Format.pp_print_list pp_store_op) s
-
 let to_sql script =
   let b = Buffer.create 256 in
   let lit v = Datum.Value.to_literal v in
@@ -185,6 +176,9 @@ let sorted_diff old_rows new_rows =
   let sorted rows = List.sort_uniq Datum.Row.compare rows in
   go [] [] (sorted old_rows, sorted new_rows)
 
+(* Per-table, keyed diff: a sorted merge of each table's old and new images
+   yields its removed and added rows, classified as [ivm_step]'s deltas
+   are. *)
 let diff_stores schema ~old_store ~new_store =
   script_in_order schema (fk_rank schema)
     (List.map

@@ -17,22 +17,16 @@ type store_op =
   | Update_row of { table : string; key : Datum.Row.t; changes : (string * Datum.Value.t) list }
 
 type script = store_op list
-
-val pp_script : Format.formatter -> script -> unit
+(** Each table's changed rows, paired by primary key into DELETE, UPDATE and
+    INSERT.  All deletes come first, children first; then all updates; then
+    all inserts, referenced tables first.  The foreign-key order places
+    tables level by level, each level in name order; self references are
+    ignored, and tables on a cycle (or referencing a table the schema
+    lacks) follow in name order.  {!translate}, {!ivm_step} and
+    {!full_diff} order their scripts so. *)
 
 val to_sql : script -> string
 (** Render as INSERT/UPDATE/DELETE statements (presentation syntax). *)
-
-val diff_stores :
-  Relational.Schema.t -> old_store:Relational.Instance.t -> new_store:Relational.Instance.t ->
-  script
-(** Per-table, keyed diff: a sorted merge of each table's old and new
-    images yields its removed and added rows, classified, paired by primary
-    key, into DELETE/UPDATE/INSERT.  All deletes come first, in reverse
-    {!topo_tables} order (children first); then all updates; then all
-    inserts in {!topo_tables} order (referenced tables first).  This is the
-    one classifier: {!ivm_step} ends here too, with the order computed by
-    [ivm_init]. *)
 
 val translate :
   Query.Env.t -> Query.View.update_views -> old_client:Edm.Instance.t -> delta:Delta.t ->
@@ -46,8 +40,8 @@ val full_diff :
   Query.Env.t -> Query.View.update_views -> old_client:Edm.Instance.t -> delta:Delta.t ->
   (script * Edm.Instance.t * Relational.Instance.t, string) result
 (** The whole-store oracle {!translate} is checked against: materialize the
-    old and new store images with [Query.View.apply_update_views] and
-    {!diff_stores} them (O(instance)).  Same result shape and the same
+    old and new store images with [Query.View.apply_update_views] and diff
+    them table by table (O(instance)).  Same result shape and the same
     [Delta.apply] validation; the script is byte-identical to
     {!translate}'s (property-tested). *)
 
@@ -78,12 +72,6 @@ val ivm_store : incremental -> Relational.Instance.t
     table's layout, listed in ascending array order, with a key map for a
     one-column primary key.  A table the last step did not change is the
     very same table value, with whatever a reader listed from it. *)
-
-val topo_tables : Relational.Schema.t -> string list
-(** Every table in foreign-key topological order: referenced tables first,
-    level by level, each level in name order.  Self references are ignored;
-    tables on a cycle (or referencing a table the schema lacks) follow in
-    name order.  Linear in tables and foreign keys, plus the sorts. *)
 
 val apply_script :
   Relational.Instance.t -> script -> (Relational.Instance.t, string) result

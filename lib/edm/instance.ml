@@ -158,18 +158,6 @@ let conforms schema t =
       check_multiplicity a rows ~cols:cols2 ~other_mult:a.mult1 ~side:a.end2)
     (assocs t)
 
-let restrict_new_components ~old_schema t =
-  let ents =
-    M.filter_map
-      (fun set es ->
-        match Schema.set_root old_schema set with
-        | None -> None
-        | Some _ -> Some (List.filter (fun e -> Schema.mem_type old_schema e.etype) es))
-      t.ents
-  in
-  let lnks = M.filter (fun name _ -> Schema.find_association old_schema name <> None) t.lnks in
-  { ents; lnks }
-
 let equal a b =
   let norm_e m = M.filter_map (fun _ l -> match sort_uniq_entities l with [] -> None | l -> Some l) m in
   let norm_r m = M.filter_map (fun _ l -> match sort_uniq_rows l with [] -> None | l -> Some l) m in

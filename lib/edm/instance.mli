@@ -32,12 +32,6 @@ val conforms : Schema.t -> t -> (unit, string) result
     carry the qualified key columns of both ends, reference existing
     entities, and respect the declared multiplicities. *)
 
-val restrict_new_components : old_schema:Schema.t -> t -> t
-(** Keep only the entity sets and association sets that exist in
-    [old_schema], and within shared hierarchies drop entities whose type is
-    unknown to [old_schema] — the state [f⁻¹] view used to phrase the
-    paper's soundness restriction on mapping adaptation. *)
-
 val equal : t -> t -> bool
 (** Set-semantics equality: populations compared up to order and
     duplicates. *)

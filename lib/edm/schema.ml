@@ -227,13 +227,6 @@ let remove_type name t =
     let t = { t with ty = M.remove name t.ty; kids; sets } in
     Ok (if root = name then { t with hattrs = M.remove root t.hattrs } else reindex root t)
 
-let remove_subtree name t =
-  if not (mem_type t name) then fail "unknown entity type %s" name
-  else
-    (* Remove leaves first so [remove_type] invariants hold at each step. *)
-    let victims = List.rev (subtypes t name) in
-    List.fold_left (fun acc n -> Result.bind acc (remove_type n)) (Ok t) victims
-
 let add_attribute ~etype (a, dom) t =
   let* e =
     match find_type t etype with Some e -> Ok e | None -> fail "unknown entity type %s" etype

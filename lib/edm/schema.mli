@@ -29,10 +29,6 @@ val remove_type : string -> t -> (t, string) result
 (** Remove a leaf type that is no association endpoint.  Removing a root also
     removes its entity set. *)
 
-val remove_subtree : string -> t -> (t, string) result
-(** Remove a type together with all its descendants; fails if any type in the
-    subtree is an association endpoint. *)
-
 val add_attribute : etype:string -> string * Datum.Domain.t -> t -> (t, string) result
 (** Append a declared attribute (the [AddProperty] SMO's schema step).  Fails
     on a name clash anywhere in the subtree or ancestry of [etype]. *)

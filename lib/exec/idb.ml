@@ -36,7 +36,7 @@ type source = {
   indexes : index option array;
 }
 
-type t = { env : Query.Env.t; db : Query.Eval.db; sources : source Source_tbl.t }
+type t = { env : Query.Env.t; db : Query.Db.t; sources : source Source_tbl.t }
 
 let make env db = { env; db; sources = Source_tbl.create 16 }
 let db t = t.db
@@ -61,15 +61,15 @@ let source t src =
       let rows, key =
         match src with
         | Query.Algebra.Table table -> (
-            let store = t.db.Query.Eval.store in
+            let store = t.db.Query.Db.store in
             match Relational.Instance.image store ~table with
             | Some img when img.layout = layout ->
                 (lazy (Relational.Instance.values store ~table layout), img.key)
             | Some _ | None -> (Lazy.from_val (Relational.Instance.values store ~table layout), None))
         | Query.Algebra.Entity_set set ->
-            (Lazy.from_val (List.map (entity_row layout) (Edm.Instance.entities t.db.Query.Eval.client ~set)), None)
+            (Lazy.from_val (List.map (entity_row layout) (Edm.Instance.entities t.db.Query.Db.client ~set)), None)
         | Query.Algebra.Assoc_set assoc ->
-            (Lazy.from_val (List.map (Datum.Row.values layout) (Edm.Instance.links t.db.Query.Eval.client ~assoc)), None)
+            (Lazy.from_val (List.map (Datum.Row.values layout) (Edm.Instance.links t.db.Query.Db.client ~assoc)), None)
       in
       let s = { rows; key; indexes = Array.make (Array.length layout) None } in
       Source_tbl.add t.sources src s;

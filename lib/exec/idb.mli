@@ -1,6 +1,6 @@
 (** Indexed database instances.
 
-    Wraps a {!Query.Eval.db} with each source materialized once into its
+    Wraps a {!Query.Db.t} with each source materialized once into its
     scan layout, and on-demand single-column hash indexes, the access paths
     {!Run} uses for every scan.  A source's layout is its columns as
     [Query.Algebra.infer] gives them for a scan, and each of its rows is an
@@ -50,8 +50,12 @@ val entity_row : string array -> Edm.Instance.entity -> row
     holds [String e.etype], an attribute [e] lacks [NULL].  The runtimes'
     one entity-row builder ({!source}'s, and [Ivm.Apply]'s). *)
 
-val make : Query.Env.t -> Query.Eval.db -> t
-val db : t -> Query.Eval.db
+val make : Query.Env.t -> Query.Db.t -> t
+(** Wraps an instance pair, materializing nothing yet.  [Query.Eval.db] is
+    [Query.Db.t], so a pair an oracle's caller built
+    ([Query.Eval.store_db]) passes as it is. *)
+
+val db : t -> Query.Db.t
 
 type source
 (** One source of the instance, materialized. *)

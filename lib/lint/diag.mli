@@ -66,7 +66,6 @@ val errors : t list -> t list
 val count : t list -> int * int * int
 (** [(errors, warnings, infos)]. *)
 
-val pp_location : Format.formatter -> location -> unit
 val pp : Format.formatter -> t -> unit
 (** One line: [error L004 (fragment ...): message]. *)
 

@@ -45,6 +45,8 @@ let select_store f =
   let scan = Query.Algebra.Scan (Query.Algebra.Table f.table) in
   match f.store_cond with Query.Cond.True -> scan | c -> Query.Algebra.Select (c, scan)
 
+(* [π_β(σ_χ(R))] with β renamed to α, so both sides share an output
+   schema. *)
 let store_query f =
   Query.Algebra.project_renamed (List.map (fun (a, b) -> (b, a)) f.pairs) (select_store f)
 

@@ -53,10 +53,6 @@ val mem_col : t -> string -> bool
 val client_query : t -> Query.Algebra.t
 (** [π_α(σ_ψ(E))], over client attribute names. *)
 
-val store_query : t -> Query.Algebra.t
-(** [π_β(σ_χ(R))] with β renamed to α, so both sides share an output
-    schema. *)
-
 val holds : Query.Env.t -> Edm.Instance.t -> Relational.Instance.t -> t -> bool
 (** Whether the pair of states satisfies the fragment equation (set
     semantics) — the building block of the mapping's semantics. *)

@@ -272,7 +272,3 @@ let infer (st : Core.State.t) ~target =
     (dropped_assocs st ~target @ dropped_properties st ~target @ drops
     @ widened_properties st ~target @ changed_multiplicities st ~target
     @ List.rev adds_rev @ added_properties st ~target @ added_assocs st ~target)
-
-let apply_diff st ~target =
-  let* smos = infer st ~target in
-  Result.map_error Containment.Validation_error.show (Core.Engine.apply_all st smos)

@@ -25,6 +25,3 @@
     moved types, changed association endpoints) are reported as errors. *)
 
 val infer : Core.State.t -> target:Edm.Schema.t -> (Core.Smo.t list, string) result
-
-val apply_diff : Core.State.t -> target:Edm.Schema.t -> (Core.State.t, string) result
-(** [infer] followed by {!Core.Engine.apply_all}. *)

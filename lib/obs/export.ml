@@ -104,22 +104,3 @@ let trace_json ?(process = "imc") () =
     (Printf.sprintf "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"process\":\"%s\"}}"
        (json_escape process));
   Buffer.contents b
-
-(* -- flat CSV (BENCH ingestion) --------------------------------------------- *)
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let csv () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "phase,count,total_ms,self_ms,mean_ms\n";
-  List.iter
-    (fun (name, a) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%d,%.3f,%.3f,%.3f\n" (csv_escape name) a.count (a.total_s *. 1e3)
-           (a.self_s *. 1e3)
-           (a.total_s *. 1e3 /. float_of_int a.count)))
-    (aggregate ());
-  Buffer.contents b

@@ -17,7 +17,3 @@ val pp_aggregate : Format.formatter -> unit -> unit
 (** Chrome [trace_event] JSON (complete "X" events, microsecond timestamps
     rebased to the first span) — loadable in about:tracing or Perfetto. *)
 val trace_json : ?process:string -> unit -> string
-
-(** Flat roll-up as [phase,count,total_ms,self_ms,mean_ms] CSV, one row per
-    span path. *)
-val csv : unit -> string

@@ -1,6 +1,6 @@
 (** Observability for the incremental compiler: hierarchical timing spans,
-    typed counters/gauges, and exporters (pretty tree, Chrome [trace_event]
-    JSON, flat CSV).
+    typed counters, and exporters (pretty tree, Chrome [trace_event] JSON,
+    a roll-up by span path).
 
     Span collection is off by default ({!Switch}); enable it around a
     workload, then export:

@@ -70,7 +70,6 @@ let name s = s.name
 let attrs s = List.rev s.attrs
 let children s = List.rev s.children_rev
 let start_s s = s.start
-let finish_s s = s.finish
 let duration_s s = s.finish -. s.start
 
 let self_s s =

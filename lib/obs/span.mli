@@ -25,7 +25,6 @@ val name : t -> string
 val attrs : t -> (string * string) list
 val children : t -> t list
 val start_s : t -> float
-val finish_s : t -> float
 val duration_s : t -> float
 
 (** Duration minus the summed durations of direct children. *)

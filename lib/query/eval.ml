@@ -1,4 +1,4 @@
-type db = { client : Edm.Instance.t; store : Relational.Instance.t }
+type db = Db.t = { client : Edm.Instance.t; store : Relational.Instance.t }
 
 let client_db client = { client; store = Relational.Instance.empty }
 let store_db store = { client = Edm.Instance.empty; store }

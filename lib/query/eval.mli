@@ -8,7 +8,10 @@
     on that kernel ([Exec.Run], [Ivm.Engine]) are differentially tested
     against. *)
 
-type db = { client : Edm.Instance.t; store : Relational.Instance.t }
+type db = Db.t = { client : Edm.Instance.t; store : Relational.Instance.t }
+(** {!Db.t}, the instance pair, under this module's name for the oracles'
+    callers.  The runtimes ([Exec.Idb]) name it as [Query.Db.t] and so
+    reach nothing of the evaluator. *)
 
 val client_db : Edm.Instance.t -> db
 val store_db : Relational.Instance.t -> db

@@ -97,9 +97,6 @@ let view fmt (v : View.t) =
   Format.fprintf fmt "@[<v>SELECT VALUE@;<0 2>@[<v>%a@]@,FROM (@;<0 2>@[<v>%a@]@,) AS %s@]" pp_ctor
     v.View.ctor pp_query v.View.query (fresh ())
 
-let query_string q = Format.asprintf "%a" query q
-let view_string v = Format.asprintf "%a" view v
-
 (* Compact single-line conditions, for lint diagnostics and fragment
    descriptions. *)
 let cond = Cond.pp

@@ -4,8 +4,6 @@
 
 val query : Format.formatter -> Algebra.t -> unit
 val view : Format.formatter -> View.t -> unit
-val query_string : Algebra.t -> string
-val view_string : View.t -> string
 
 (** {1 Compact single-line conditions}
 

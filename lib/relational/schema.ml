@@ -20,21 +20,6 @@ let get_table t name =
 
 let tables t = List.map snd (M.bindings t)
 
-let referencing t name =
-  List.concat_map
-    (fun (tbl : Table.t) ->
-      List.filter_map
-        (fun (fk : Table.foreign_key) -> if fk.ref_table = name then Some (tbl, fk) else None)
-        tbl.fks)
-    (tables t)
-
-let remove_table name t =
-  if not (M.mem name t) then fail "unknown table %s" name
-  else
-    match List.filter (fun ((tbl : Table.t), _) -> tbl.name <> name) (referencing t name) with
-    | (tbl, _) :: _ -> fail "table %s is still referenced by %s" name tbl.Table.name
-    | [] -> Ok (M.remove name t)
-
 let replace_table (tbl : Table.t) t =
   if M.mem tbl.name t then Ok (M.add tbl.name tbl t) else fail "unknown table %s" tbl.name
 

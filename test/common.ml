@@ -79,6 +79,34 @@ let rows_testable =
 
 let eval_set env db q = Query.Eval.rows_set env db q
 
+(* Instance-level roundtrip through a state's views: the client state read
+   back from the store its update views write equals the one written. *)
+let roundtrip_ok (st : Core.State.t) inst =
+  Result.map
+    (fun back -> Edm.Instance.equal back inst)
+    (Query.View.roundtrip st.Core.State.env st.Core.State.query_views st.Core.State.update_views inst)
+
+(* Keep only the entity sets and associations of [old_schema], and in the
+   kept sets only the entities whose type it knows: the state [f⁻¹] view
+   that phrases the paper's soundness restriction on mapping adaptation. *)
+let restrict_new_components ~old_schema inst =
+  let keep_set acc set =
+    if Edm.Schema.set_root old_schema set = None then acc
+    else
+      Edm.Instance.set_entities ~set
+        (List.filter
+           (fun (e : Edm.Instance.entity) -> Edm.Schema.mem_type old_schema e.etype)
+           (Edm.Instance.entities inst ~set))
+        acc
+  in
+  let keep_assoc acc assoc =
+    if Edm.Schema.find_association old_schema assoc = None then acc
+    else Edm.Instance.set_links ~assoc (Edm.Instance.links inst ~assoc) acc
+  in
+  List.fold_left keep_assoc
+    (List.fold_left keep_set Edm.Instance.empty (Edm.Instance.sets inst))
+    (Edm.Instance.assocs inst)
+
 (* -- random generation over the paper-example schemas -------------------- *)
 
 let pe = Workload.Paper_example.stage4

@@ -81,7 +81,7 @@ let test_tpt_child_on_composite_key () =
               ("Tolerance", V.Int 5) ])
   in
   checkb "TPT child over a composite key roundtrips" true
-    (ok_exn (Core.State.roundtrip_ok st' inst))
+    (ok_exn (roundtrip_ok st' inst))
 
 let test_dml_on_composite_key () =
   let env, frags = base () in
@@ -149,7 +149,7 @@ let test_tph_drop_and_readd () =
          (Edm.Instance.entity ~etype:"Book"
             [ ("Id", V.Int 1); ("Label", V.String "ocaml"); ("Pages", V.Int 200) ])
   in
-  checkb "re-added type roundtrips" true (ok_exn (Core.State.roundtrip_ok st inst))
+  checkb "re-added type roundtrips" true (ok_exn (roundtrip_ok st inst))
 
 let () =
   Alcotest.run "composite keys"

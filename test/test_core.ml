@@ -71,7 +71,7 @@ let test_schemas_match_paper () =
 
 let test_sample_roundtrip () =
   let _, _, _, st4 = Lazy.force paper_states in
-  checkb "sample roundtrips" true (ok_exn (Core.State.roundtrip_ok st4 P.sample_client));
+  checkb "sample roundtrips" true (ok_exn (roundtrip_ok st4 P.sample_client));
   let store =
     ok_exn (Query.View.apply_update_views st4.Core.State.env st4.Core.State.update_views P.sample_client)
   in
@@ -80,7 +80,7 @@ let test_sample_roundtrip () =
 let prop_incremental_roundtrip =
   qtest "incremental views roundtrip random states" ~count:150 arb_client_instance (fun inst ->
       let _, _, _, st4 = Lazy.force paper_states in
-      match Core.State.roundtrip_ok st4 inst with
+      match roundtrip_ok st4 inst with
       | Ok b -> b
       | Error e -> QCheck.Test.fail_reportf "roundtrip error: %s" e)
 
@@ -108,8 +108,7 @@ let prop_soundness_restriction =
   qtest "mapping adaptation is sound" ~count:100 arb_client_instance (fun inst ->
       let _, st2, st3, _ = Lazy.force paper_states in
       let old_inst =
-        Edm.Instance.restrict_new_components
-          ~old_schema:st2.Core.State.env.Query.Env.client inst
+        restrict_new_components ~old_schema:st2.Core.State.env.Query.Env.client inst
       in
       let store =
         ok_exn
@@ -405,7 +404,7 @@ let test_tph_add () =
          (Edm.Instance.entity ~etype:"Record"
             [ ("Id", V.Int 3); ("Label", V.String "lp"); ("Rpm", V.Int 33) ])
   in
-  checkb "TPH roundtrips" true (ok_exn (Core.State.roundtrip_ok st inst));
+  checkb "TPH roundtrips" true (ok_exn (roundtrip_ok st inst));
   let store = ok_exn (Query.View.apply_update_views st.Core.State.env st.Core.State.update_views inst) in
   let discs =
     List.map (fun r -> Datum.Row.get "Disc" r) (Relational.Instance.rows store ~table:"Inventory")
@@ -496,7 +495,7 @@ let test_part_roundtrip () =
     |> Edm.Instance.add_entity ~set:"People"
          (Edm.Instance.entity ~etype:"Citizen" [ ("Hid", V.Int 3); ("Age", V.Int 12) ])
   in
-  checkb "partitioned roundtrip" true (ok_exn (Core.State.roundtrip_ok st inst));
+  checkb "partitioned roundtrip" true (ok_exn (roundtrip_ok st inst));
   let store = ok_exn (Query.View.apply_update_views st.Core.State.env st.Core.State.update_views inst) in
   check Alcotest.int "adult row" 1 (List.length (Relational.Instance.rows store ~table:"Adult"));
   check Alcotest.int "young row" 1 (List.length (Relational.Instance.rows store ~table:"Young"))
@@ -563,7 +562,7 @@ let test_part_gender_example () =
             [ ("Hid", V.Int 2); ("PName", V.String "bob"); ("Gender", V.String "M") ])
   in
   checkb "gender mapping roundtrips (constants re-materialized)" true
-    (ok_exn (Core.State.roundtrip_ok st inst))
+    (ok_exn (roundtrip_ok st inst))
 
 (* -- AddProperty -------------------------------------------------------------- *)
 
@@ -586,7 +585,7 @@ let test_add_property_existing () =
            ("Level", V.Int 4) ])
       Edm.Instance.empty
   in
-  checkb "roundtrips with the new property" true (ok_exn (Core.State.roundtrip_ok st inst))
+  checkb "roundtrips with the new property" true (ok_exn (roundtrip_ok st inst))
 
 let test_add_property_new_table () =
   let _, _, _, st4 = Lazy.force paper_states in
@@ -611,7 +610,7 @@ let test_add_property_new_table () =
             [ ("Id", V.Int 2); ("Name", V.String "bob"); ("Department", V.String "HR");
               ("Nick", V.Null) ])
   in
-  checkb "descendants inherit the property" true (ok_exn (Core.State.roundtrip_ok st inst))
+  checkb "descendants inherit the property" true (ok_exn (roundtrip_ok st inst))
 
 (* AE-TPT with one attribute, then DropProperty of that attribute: the
    fragment left with only the key still tells employees from persons. *)
@@ -635,7 +634,7 @@ let test_drop_tpt_only_attribute () =
     |> Edm.Instance.add_entity ~set:"Persons"
          (Edm.Instance.entity ~etype:"Employee" [ ("Id", V.Int 2); ("Name", V.String "bob") ])
   in
-  checkb "an employee reads back as an employee" true (ok_exn (Core.State.roundtrip_ok st inst))
+  checkb "an employee reads back as an employee" true (ok_exn (roundtrip_ok st inst))
 
 (* -- the column-map rules of the additive SMOs ------------------------------------ *)
 
@@ -834,10 +833,10 @@ let test_drop_entity () =
   checkb "Client table unmapped" false
     (List.mem "Client" (Mapping.Fragments.tables st.Core.State.fragments));
   let inst =
-    Edm.Instance.restrict_new_components ~old_schema:st.Core.State.env.Query.Env.client
+    restrict_new_components ~old_schema:st.Core.State.env.Query.Env.client
       P.sample_client
   in
-  checkb "roundtrip after drop" true (ok_exn (Core.State.roundtrip_ok st inst))
+  checkb "roundtrip after drop" true (ok_exn (roundtrip_ok st inst))
 
 (* -- drops that would leave a NOT NULL column unwritten ------------------------ *)
 
@@ -984,7 +983,7 @@ let test_refactor () =
             [ ("Did", V.Int 2); ("DName", V.String "ops"); ("Mid", V.Int 7);
               ("MName", V.String "max") ])
   in
-  checkb "merged hierarchy roundtrips" true (ok_exn (Core.State.roundtrip_ok st' inst))
+  checkb "merged hierarchy roundtrips" true (ok_exn (roundtrip_ok st' inst))
 
 let test_refactor_subtree () =
   (* Refactor where the absorbed root has its own subtree, mapped TPH into a
@@ -1060,7 +1059,7 @@ let test_refactor_subtree () =
             [ ("Did", V.Int 2); ("DName", V.String "ops"); ("Mid", V.Int 7);
               ("MName", V.String "max"); ("Bonus", V.Int 100) ])
   in
-  checkb "merged subtree roundtrips" true (ok_exn (Core.State.roundtrip_ok st' inst))
+  checkb "merged subtree roundtrips" true (ok_exn (roundtrip_ok st' inst))
 
 let test_facet_modifications () =
   let _, _, _, st4 = Lazy.force paper_states in
@@ -1101,7 +1100,7 @@ let test_facet_modifications () =
       (Edm.Instance.entity ~etype:"M" [ ("Id", V.Int 1); ("Qty", V.Decimal 1.5) ])
       Edm.Instance.empty
   in
-  checkb "decimal values roundtrip after widening" true (ok_exn (Core.State.roundtrip_ok st inst));
+  checkb "decimal values roundtrip after widening" true (ok_exn (roundtrip_ok st inst));
   (* Multiplicity: loosening Supports to many-to-many is fine... *)
   let st_loose =
     ok_v

@@ -22,31 +22,18 @@ let test_row_basics () =
   let r = row [ ("b", V.Int 2); ("a", V.Int 1) ] in
   check (Alcotest.list Alcotest.string) "sorted columns" [ "a"; "b" ] (Datum.Row.columns r);
   checkb "mem" true (Datum.Row.mem "a" r);
-  checkb "find missing" true (Datum.Row.find "z" r = None);
-  check Alcotest.int "cardinal" 2 (Datum.Row.cardinal r);
-  let r2 = Datum.Row.remove "a" r in
-  checkb "removed" false (Datum.Row.mem "a" r2)
+  checkb "find missing" true (Datum.Row.find "z" r = None)
 
-let test_row_project_rename () =
+let test_row_project () =
   let r = row [ ("a", V.Int 1); ("b", V.Int 2); ("c", V.Int 3) ] in
   let p = Datum.Row.project [ "a"; "c"; "zz" ] r in
-  check (Alcotest.list Alcotest.string) "project drops absent" [ "a"; "c" ] (Datum.Row.columns p);
-  let rn = Datum.Row.rename [ ("a", "x"); ("b", "y") ] r in
-  checkb "renamed value" true (V.equal (Datum.Row.get "x" rn) (V.Int 1));
-  checkb "unlisted column dropped" false (Datum.Row.mem "c" rn)
+  check (Alcotest.list Alcotest.string) "project drops absent" [ "a"; "c" ] (Datum.Row.columns p)
 
 let test_row_union_bias () =
   let a = row [ ("k", V.Int 1) ] and b = row [ ("k", V.Int 2); ("l", V.Int 3) ] in
   let u = Datum.Row.union a b in
   checkb "left wins" true (V.equal (Datum.Row.get "k" u) (V.Int 1));
   checkb "right-only kept" true (V.equal (Datum.Row.get "l" u) (V.Int 3))
-
-let test_restrict_equal () =
-  let a = row [ ("k", V.Int 1); ("l", V.Int 9) ] and b = row [ ("k", V.Int 1); ("l", V.Int 8) ] in
-  checkb "equal on k" true (Datum.Row.restrict_equal [ "k" ] a b);
-  checkb "differs on l" false (Datum.Row.restrict_equal [ "k"; "l" ] a b);
-  checkb "one-sided column" false
-    (Datum.Row.restrict_equal [ "z" ] a (Datum.Row.add "z" V.Null b))
 
 let prop_row_roundtrip =
   qtest "of_list/to_list roundtrip" ~count:100
@@ -78,9 +65,8 @@ let () =
       ( "row",
         [
           Alcotest.test_case "basics" `Quick test_row_basics;
-          Alcotest.test_case "project/rename" `Quick test_row_project_rename;
+          Alcotest.test_case "project" `Quick test_row_project;
           Alcotest.test_case "union bias" `Quick test_row_union_bias;
-          Alcotest.test_case "restrict_equal" `Quick test_restrict_equal;
           prop_row_roundtrip;
           prop_project_subset;
         ] );

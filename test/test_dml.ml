@@ -190,7 +190,7 @@ let test_translate_link_ops () =
       checkb "keyed by Cid" true (V.equal (Datum.Row.get "Cid" key) (V.Int 6));
       checkb "sets Eid" true
         (List.exists (fun (c, v) -> c = "Eid" && V.equal v (V.Int 3)) changes)
-  | _ -> Alcotest.failf "unexpected script:@.%a" Tr.pp_script script
+  | _ -> Alcotest.failf "unexpected script:@.%s" (Tr.to_sql script)
 
 let test_sql_rendering () =
   let script =
@@ -210,61 +210,54 @@ let test_sql_rendering () =
       "DELETE FROM HR WHERE Id = 1;";
     ]
 
-(* diff_stores pins its documented cross-table ordering on a 3-table FK chain
-   A ← B ← C: deletes children-first (C, B, A), then updates parents-first,
-   then inserts parents-first (A, B, C) — the order apply_script needs for a
-   store with enforced foreign keys. *)
+let shape script =
+  List.map
+    (function
+      | Tr.Delete_row { table; _ } -> ("delete", table)
+      | Tr.Update_row { table; _ } -> ("update", table)
+      | Tr.Insert_row { table; _ } -> ("insert", table))
+    script
+
+(* The whole-store diff pins its documented cross-table ordering on the
+   paper's FK chain HR <- Emp <- Client, whose name order is the reverse
+   of its FK order: deletes children first (Client, Emp, HR), then updates
+   and inserts parents first (HR, Emp, Client) -- the order apply_script
+   needs for a store with enforced foreign keys.  One delta deletes, updates
+   and inserts one row of each table. *)
 let test_diff_stores_fk_topology () =
-  let t_a = Relational.Table.make ~name:"A" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null); ("Av", D.String, `Null) ] in
-  let t_b =
-    Relational.Table.make ~name:"B" ~key:[ "Id" ]
-      ~fks:[ { Relational.Table.fk_columns = [ "Aid" ]; ref_table = "A"; ref_columns = [ "Id" ] } ]
-      [ ("Id", D.Int, `Not_null); ("Aid", D.Int, `Null); ("Bv", D.String, `Null) ]
+  let employee id name dept =
+    Edm.Instance.entity ~etype:"Employee"
+      [ ("Id", V.Int id); ("Name", V.String name); ("Department", V.String dept) ]
   in
-  let t_c =
-    Relational.Table.make ~name:"C" ~key:[ "Id" ]
-      ~fks:[ { Relational.Table.fk_columns = [ "Bid" ]; ref_table = "B"; ref_columns = [ "Id" ] } ]
-      [ ("Id", D.Int, `Not_null); ("Bid", D.Int, `Null); ("Cv", D.String, `Null) ]
+  let customer id name =
+    Edm.Instance.entity ~etype:"Customer"
+      [ ("Id", V.Int id); ("Name", V.String name); ("CredScore", V.Int 1); ("BillAddr", V.String "a") ]
   in
-  let schema =
-    List.fold_left
-      (fun s t -> ok_exn (Relational.Schema.add_table t s))
-      Relational.Schema.empty [ t_c; t_a; t_b ]
+  let key id = row [ ("Id", V.Int id) ] in
+  let delta =
+    [
+      Delta.Delete_link { assoc = "Supports"; link = row [ ("Customer.Id", V.Int 5); ("Employee.Id", V.Int 4) ] };
+      Delta.Delete_entity { set = "Persons"; key = key 5 };
+      Delta.Delete_entity { set = "Persons"; key = key 3 };
+      Delta.Update_entity { set = "Persons"; key = key 1; changes = [ ("Name", V.String "Anya") ] };
+      Delta.Update_entity { set = "Persons"; key = key 4; changes = [ ("Department", V.String "Ops") ] };
+      Delta.Update_entity { set = "Persons"; key = key 6; changes = [ ("CredScore", V.Int 650) ] };
+      Delta.Insert_entity { set = "Persons"; entity = employee 7 "Gil" "Sales" };
+      Delta.Insert_entity { set = "Persons"; entity = customer 8 "Hal" };
+    ]
   in
-  let a i v = row [ ("Id", V.Int i); ("Av", V.String v) ] in
-  let b i aid v = row [ ("Id", V.Int i); ("Aid", V.Int aid); ("Bv", V.String v) ] in
-  let c i bid v = row [ ("Id", V.Int i); ("Bid", V.Int bid); ("Cv", V.String v) ] in
-  let store rows =
-    List.fold_left
-      (fun s (table, rs) -> Relational.Instance.set_rows ~table rs s)
-      Relational.Instance.empty rows
-  in
-  let old_store =
-    store [ ("A", [ a 1 "x"; a 2 "y" ]); ("B", [ b 1 1 "x"; b 2 2 "y" ]); ("C", [ c 1 1 "x"; c 2 2 "y" ]) ]
-  in
-  let new_store =
-    store
-      [ ("A", [ a 1 "x'"; a 3 "z" ]); ("B", [ b 1 1 "x'"; b 3 3 "z" ]); ("C", [ c 1 1 "x'"; c 3 3 "z" ]) ]
-  in
-  let script = Tr.diff_stores schema ~old_store ~new_store in
-  let shape =
-    List.map
-      (function
-        | Tr.Delete_row { table; _ } -> ("delete", table)
-        | Tr.Update_row { table; _ } -> ("update", table)
-        | Tr.Insert_row { table; _ } -> ("insert", table))
-      script
-  in
+  let script, _, new_store = ok_exn (Tr.full_diff env (uv ()) ~old_client:P.sample_client ~delta) in
   check
     Alcotest.(list (pair string string))
     "referenced tables' deletes last, inserts first"
     [
-      ("delete", "C"); ("delete", "B"); ("delete", "A");
-      ("update", "A"); ("update", "B"); ("update", "C");
-      ("insert", "A"); ("insert", "B"); ("insert", "C");
+      ("delete", "Client"); ("delete", "Emp"); ("delete", "HR");
+      ("update", "HR"); ("update", "Emp"); ("update", "Client");
+      ("insert", "HR"); ("insert", "Emp"); ("insert", "Client");
     ]
-    shape;
+    (shape script);
   (* and that order actually replays against a store with those FKs *)
+  let old_store = ok_exn (Query.View.apply_update_views env (uv ()) P.sample_client) in
   let final = ok_exn (Tr.apply_script old_store script) in
   checkb "replays to the new store" true (Relational.Instance.equal final new_store)
 
@@ -359,14 +352,75 @@ let quadratic_topo_tables schema =
   place tables;
   !placed
 
+(* A client state with one entity of every type and one link of every
+   association, so every mapped table holds a row. *)
+let one_of_each (schema : Edm.Schema.t) =
+  let rng = Random.State.make [| 1 |] in
+  let next = ref 0 in
+  let entity etype =
+    incr next;
+    let key = Edm.Schema.key_of schema etype in
+    Edm.Instance.entity ~etype
+      (List.map
+         (fun (a, dom) ->
+           (a, if List.mem a key then V.Int !next else Roundtrip.Generate.value_for rng dom))
+         (Edm.Schema.attributes schema etype))
+  in
+  let inst, by_type =
+    List.fold_left
+      (fun acc (set, root) ->
+        List.fold_left
+          (fun (inst, by_type) etype ->
+            let e = entity etype in
+            (Edm.Instance.add_entity ~set e inst, (etype, e) :: by_type))
+          acc (Edm.Schema.subtypes schema root))
+      (Edm.Instance.empty, []) (Edm.Schema.entity_sets schema)
+  in
+  List.fold_left
+    (fun inst (a : Edm.Association.t) ->
+      let ends cols etype =
+        let key = Edm.Schema.key_of schema etype in
+        let attrs = (List.assoc etype by_type).Edm.Instance.attrs in
+        List.map2 (fun c k -> (c, Datum.Row.get k attrs)) (cols a ~key) key
+      in
+      Edm.Instance.add_link ~assoc:a.Edm.Association.name
+        (row (ends Edm.Association.end1_columns a.end1 @ ends Edm.Association.end2_columns a.end2))
+        inst)
+    inst (Edm.Schema.associations schema)
+
+(* The tables of a script's inserts, in script order, each once. *)
+let insert_tables script =
+  List.fold_left
+    (fun acc op ->
+      match op, acc with
+      | Tr.Insert_row { table; _ }, last :: _ when last = table -> acc
+      | Tr.Insert_row { table; _ }, _ -> table :: acc
+      | _ -> acc)
+    [] script
+  |> List.rev
+
+(* Inserting a state that fills every table from an empty one inserts into
+   the tables in the translation's FK order, which must be the order the
+   quadratic walk computes. *)
 let test_topo_order () =
   List.iter
-    (fun (name, (env : Query.Env.t)) ->
-      let store = env.Query.Env.store in
-      check Alcotest.(list string) (name ^ ": FK order") (quadratic_topo_tables store)
-        (Tr.topo_tables store))
-    [ ("paper", env); ("chain", fst (Workload.Chain.generate ~size:50));
-      ("customer", fst (Workload.Customer.generate ())) ]
+    (fun (name, ((env : Query.Env.t), frags)) ->
+      let uv = (ok_exn (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
+      let inst = one_of_each env.Query.Env.client in
+      let delta =
+        List.concat_map
+          (fun set ->
+            List.map (fun entity -> Delta.Insert_entity { set; entity }) (Edm.Instance.entities inst ~set))
+          (Edm.Instance.sets inst)
+        @ List.concat_map
+            (fun assoc -> List.map (fun link -> Delta.Insert_link { assoc; link }) (Edm.Instance.links inst ~assoc))
+            (Edm.Instance.assocs inst)
+      in
+      let script, _, _ = ok_exn (Tr.translate env uv ~old_client:Edm.Instance.empty ~delta) in
+      check Alcotest.(list string) (name ^ ": FK order") (quadratic_topo_tables env.Query.Env.store)
+        (insert_tables script))
+    [ ("paper", (env, P.stage4.P.fragments)); ("chain", Workload.Chain.generate ~size:50);
+      ("customer", Workload.Customer.generate ()) ]
 
 let () =
   Alcotest.run "dml"

@@ -67,17 +67,25 @@ let test_construction_errors () =
             mult1 = Edm.Association.Many; mult2 = Edm.Association.Many }
           client))
 
+(* A type and its descendants, removed leaf first so that each
+   [remove_type] removes a leaf. *)
+let remove_leaf_first name s =
+  List.fold_left
+    (fun acc n -> Result.bind acc (Edm.Schema.remove_type n))
+    (Ok s)
+    (List.rev (Edm.Schema.subtypes s name))
+
 let test_evolution () =
   let s = ok_exn (Edm.Schema.add_attribute ~etype:"Employee" ("Level", D.Int) client) in
   check slist "attribute appended" [ "Id"; "Name"; "Department"; "Level" ]
     (Edm.Schema.attribute_names s "Employee");
   check_error "attribute clash via descendant"
     (Result.map (fun _ -> ()) (Edm.Schema.add_attribute ~etype:"Person" ("Department", D.Int) client));
-  (* remove_subtree refuses when an association endpoint is inside. *)
-  check_error "remove_subtree with endpoint"
-    (Result.map (fun _ -> ()) (Edm.Schema.remove_subtree "Person" client));
+  (* The leaf-first walk stops at an association endpoint inside. *)
+  check_error "subtree removal with endpoint"
+    (Result.map (fun _ -> ()) (remove_leaf_first "Person" client));
   let s2 = ok_exn (Edm.Schema.remove_association "Supports" client) in
-  let s3 = ok_exn (Edm.Schema.remove_subtree "Person" s2) in
+  let s3 = ok_exn (remove_leaf_first "Person" s2) in
   checkb "all types gone" true (Edm.Schema.types s3 = []);
   checkb "set gone" true (Edm.Schema.entity_sets s3 = [])
 
@@ -162,7 +170,7 @@ let test_instance_links () =
 
 let test_restrict_new_components () =
   let old = Workload.Paper_example.stage2.env.Query.Env.client in
-  let restricted = Edm.Instance.restrict_new_components ~old_schema:old sample in
+  let restricted = restrict_new_components ~old_schema:old sample in
   checkb "customers dropped" true
     (List.for_all
        (fun (e : Edm.Instance.entity) -> e.etype <> "Customer")
@@ -174,7 +182,7 @@ let test_restrict_new_components () =
 (* The child and attribute indexes under random evolution: after every
    operation of a random sequence of [add_root], [add_derived] (declaring
    attributes from a small pool, so sibling types share names with
-   different domains), [remove_type], [remove_subtree], [reparent],
+   different domains), [remove_type] (alone and leaf first over a subtree), [reparent],
    [add_attribute], [remove_attribute] and [widen_attribute] (refused ones
    included), every hierarchy accessor agrees with {!Schema_walk}'s
    recomputation, and the schema stays well formed. *)
@@ -206,7 +214,7 @@ let prop_child_index =
               let declared = if j mod 3 = 0 then [] else [ attribute j ] in
               Edm.Schema.add_derived (Edm.Entity_type.derived ~name ~parent:(pick s i) declared) s
           | 2 -> Edm.Schema.remove_type (pick s i) s
-          | 3 -> Edm.Schema.remove_subtree (pick s i) s
+          | 3 -> remove_leaf_first (pick s i) s
           | 4 -> Edm.Schema.reparent ~etype:(pick s i) ~parent:(pick s j) s
           | 5 -> Edm.Schema.add_attribute ~etype:(pick s i) (attribute j) s
           | 6 -> Edm.Schema.remove_attribute ~etype:(pick s i) (fst (attribute j)) s

@@ -124,7 +124,7 @@ let paper_state =
 let test_fig2_structure () =
   let st = Lazy.force paper_state in
   let v = Option.get (Query.View.entity_view st.Core.State.query_views "Person") in
-  let s = Query.Pretty.view_string v in
+  let s = Format.asprintf "%a" Query.Pretty.view v in
   (* The structural landmarks of the paper's Fig. 2. *)
   List.iter
     (fun landmark -> checkb ("contains " ^ landmark) true (contains ~sub:landmark s))
@@ -182,10 +182,10 @@ let test_pretty_total () =
   let exercise env frags =
     let c = ok (Fullc.Compile.compile ~validate:false env frags) in
     List.iter
-      (fun (_, v) -> checkb "nonempty" true (String.length (Query.Pretty.view_string v) > 0))
+      (fun (_, v) -> checkb "nonempty" true (String.length (Format.asprintf "%a" Query.Pretty.view v) > 0))
       (Query.View.entity_view_bindings c.Fullc.Compile.query_views);
     List.iter
-      (fun (_, q) -> checkb "nonempty" true (String.length (Query.Pretty.query_string q) > 0))
+      (fun (_, q) -> checkb "nonempty" true (String.length (Format.asprintf "%a" Query.Pretty.query q) > 0))
       (Query.View.assoc_view_bindings c.Fullc.Compile.query_views
       @ Query.View.update_view_bindings c.Fullc.Compile.update_views)
   in

@@ -722,7 +722,8 @@ let test_shared_faults () =
   let ds = Lint.Wf.check env qv uv in
   let reported code loc =
     checkb
-      (Format.asprintf "%s reported at %a (got:\n    %s)" code Diag.pp_location loc (show_diags ds))
+      (Format.asprintf "reported: %a (got:\n    %s)" Diag.pp
+         (Diag.make ~code ~severity:Diag.Error ~loc "") (show_diags ds))
       true
       (List.exists (fun (d : Diag.t) -> d.code = code && d.loc = loc) ds)
   in

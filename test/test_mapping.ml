@@ -12,13 +12,9 @@ let test_fragment_queries () =
     (Query.Eval.rows env
        { Query.Eval.client = P.sample_client; store = P.sample_store }
        lhs);
-  let rhs = F.store_query P.phi2 in
-  check rows_testable "store side renamed to attrs"
-    [ row [ ("Id", V.Int 3); ("Department", V.String "Sales") ];
-      row [ ("Id", V.Int 4); ("Department", V.String "Support") ] ]
-    (Query.Eval.rows env
-       { Query.Eval.client = P.sample_client; store = P.sample_store }
-       rhs)
+  (* [holds] compares the two sides' row sets, so with the client side
+     pinned above it pins the store side, renamed to the attributes. *)
+  checkb "store side renamed to attrs" true (F.holds env P.sample_client P.sample_store P.phi2)
 
 let test_fragments_hold () =
   List.iter

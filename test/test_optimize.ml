@@ -85,10 +85,10 @@ let test_drop_association () =
   checkb "assoc view removed" true
     (Query.View.assoc_view st'.Core.State.query_views "Supports" = None);
   let inst =
-    Edm.Instance.restrict_new_components ~old_schema:st'.Core.State.env.Query.Env.client
+    restrict_new_components ~old_schema:st'.Core.State.env.Query.Env.client
       P.sample_client
   in
-  checkb "roundtrips without the association" true (ok_exn (Core.State.roundtrip_ok st' inst));
+  checkb "roundtrips without the association" true (ok_exn (roundtrip_ok st' inst));
   (* The freed column is reusable: re-adding the association validates. *)
   let re_add =
     Core.Smo.Add_assoc_fk
@@ -132,7 +132,7 @@ let test_drop_property () =
   checkb "attribute removed" true
     (Edm.Schema.attribute_domain st'.Core.State.env.Query.Env.client "Employee" "Level" = None);
   check Alcotest.int "property fragment dropped" 4 (Mapping.Fragments.size st'.Core.State.fragments);
-  checkb "roundtrips after the drop" true (ok_exn (Core.State.roundtrip_ok st' P.sample_client))
+  checkb "roundtrips after the drop" true (ok_exn (roundtrip_ok st' P.sample_client))
 
 let test_drop_property_guards () =
   let st = ok_exn (Core.State.bootstrap env P.stage4.P.fragments) in

@@ -255,14 +255,14 @@ let test_pretty () =
   let q = A.Project ([ A.col "Id"; A.col "Name" ], (A.Select (C.Is_of "Person", persons))) in
   check Alcotest.string "fragment left side"
     "SELECT Id, Name\nFROM Persons\nWHERE IS OF Person"
-    (Query.Pretty.query_string q);
+    (Format.asprintf "%a" Query.Pretty.query q);
   let v =
     { Query.View.query = A.project_cols [ "Id"; "Name" ] hr;
       ctor = Query.Ctor.Entity { etype = "Person"; attrs = [ "Id"; "Name" ] } }
   in
+  let s = Format.asprintf "%a" Query.Pretty.view v in
   checkb "view string mentions SELECT VALUE" true
-    (String.length (Query.Pretty.view_string v) > 0
-    && String.sub (Query.Pretty.view_string v) 0 12 = "SELECT VALUE")
+    (String.length s > 0 && String.sub s 0 12 = "SELECT VALUE")
 
 (* -- ctor ----------------------------------------------------------------- *)
 

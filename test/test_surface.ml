@@ -122,7 +122,7 @@ let test_smo_script () =
     (Mapping.Fragments.equal st.Core.State.fragments P.stage4.P.fragments);
   checkb "script reproduces the stage-4 schema" true
     (Edm.Schema.equal st.Core.State.env.Query.Env.client P.stage4.P.env.Query.Env.client);
-  checkb "roundtrips" true (ok_exn (Core.State.roundtrip_ok st P.sample_client))
+  checkb "roundtrips" true (ok_exn (roundtrip_ok st P.sample_client))
 
 let test_smo_script_other_forms () =
   let text =

@@ -142,7 +142,7 @@ let test_diff_infers_additions () =
   let target = ok_exn (Edm.Schema.add_attribute ~etype:"Person" ("Phone", D.String) target) in
   let smos = ok_exn (Modef.Diff.infer st ~target) in
   check Alcotest.int "two SMOs" 2 (List.length smos);
-  let st' = ok_exn (Modef.Diff.apply_diff st ~target) in
+  let st' = ok_v (Core.Engine.apply_all st smos) in
   checkb "schema reached the target" true
     (Edm.Schema.equal st'.Core.State.env.Query.Env.client target);
   match
@@ -164,7 +164,7 @@ let test_diff_infers_drop_and_assoc () =
   in
   let smos = ok_exn (Modef.Diff.infer st ~target) in
   check Alcotest.int "one SMO" 1 (List.length smos);
-  let st' = ok_exn (Modef.Diff.apply_diff st ~target) in
+  let st' = ok_v (Core.Engine.apply_all st smos) in
   checkb "association added" true
     (Edm.Schema.find_association st'.Core.State.env.Query.Env.client "Mentors" <> None)
 
@@ -174,20 +174,22 @@ let test_diff_infers_facets () =
   (* Supports loosened to many-to-many in the edited model. *)
   let target = ok_exn (Edm.Schema.set_multiplicity ~assoc:"Supports"
                          (Edm.Association.Many, Edm.Association.Many) client) in
-  (match ok_exn (Modef.Diff.infer st ~target) with
+  let smos = ok_exn (Modef.Diff.infer st ~target) in
+  (match smos with
   | [ smo ] -> check Alcotest.string "multiplicity change inferred" "MULT" (Core.Smo.name smo)
   | l -> Alcotest.failf "expected one SMO, got %d" (List.length l));
-  let st' = ok_exn (Modef.Diff.apply_diff st ~target) in
+  let st' = ok_v (Core.Engine.apply_all st smos) in
   checkb "target reached" true (Edm.Schema.equal st'.Core.State.env.Query.Env.client target)
 
 let test_diff_rejects_unsupported () =
   let st = ok_exn (Core.State.bootstrap pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments) in
   (* Removing an association is inferred as Drop_association. *)
   let target = ok_exn (Edm.Schema.remove_association "Supports" st.Core.State.env.Query.Env.client) in
-  (match ok_exn (Modef.Diff.infer st ~target) with
+  let smos = ok_exn (Modef.Diff.infer st ~target) in
+  (match smos with
   | [ smo ] -> check Alcotest.string "drop assoc inferred" "DROP-A" (Core.Smo.name smo)
-  | smos -> Alcotest.failf "expected one SMO, got %d" (List.length smos));
-  let st' = ok_exn (Modef.Diff.apply_diff st ~target) in
+  | l -> Alcotest.failf "expected one SMO, got %d" (List.length l));
+  let st' = ok_v (Core.Engine.apply_all st smos) in
   checkb "association gone" true
     (Edm.Schema.find_association st'.Core.State.env.Query.Env.client "Supports" = None);
   (* A brand-new hierarchy root is not expressible. *)
