@@ -116,8 +116,8 @@ type table = { name : string; keys : string list; rows : (string * cell) list li
 
 (* The columns whose values do not depend on the host. *)
 let count_columns =
-  [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "tables_visited"; "scans"; "index_scans";
-    "rows_scanned"; "rows_joined"; "diags"; "state_bytes"; "terms"; "steps"; "verdict"; "tree_nodes";
+  [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "atom_args"; "tables_visited"; "scans";
+    "index_scans"; "rows_scanned"; "rows_joined"; "diags"; "state_bytes"; "terms"; "steps"; "verdict"; "tree_nodes";
     "distinct_nodes"; "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union";
     "rows_distinct"; "rows_touched"; "rows_growth"; "plan_nodes"; "after_step_index_builds" ]
 
@@ -364,8 +364,27 @@ let checker_work f =
   let r = f () in
   (r, List.map2 (fun (name, c) b -> (name, int (Obs.Metric.value c - b))) counters before)
 
+(* The atom arguments of the UCQs the checker normalizes in [f ()]: the
+   [lhs_args] and [rhs_args] tags of its [containment.normalize] spans,
+   summed over one traced run. *)
+let atom_args f =
+  Obs.Span.reset ();
+  Obs.enable ();
+  let r = Fun.protect ~finally:Obs.disable f in
+  let tagged n (k, v) = if k = "lhs_args" || k = "rhs_args" then n + int_of_string v else n in
+  let n =
+    Obs.Span.fold_all
+      (fun n s ->
+        if Obs.Span.name s = "containment.normalize" then List.fold_left tagged n (Obs.Span.attrs s)
+        else n)
+      0
+  in
+  Obs.Span.reset ();
+  (r, n)
+
 (* Per-SMO costs on one state.  One untimed application gives the outcome,
-   the obligations and the checker's work; then the SMO's algorithm
+   the obligations, the checker's work and the atom arguments of its
+   UCQs; then the SMO's algorithm
    ([Core.Engine.compile]) and its obligation discharge are sampled apart.
    [ms] and [alloc_mb] are the sums of the two medians and
    [non_containment_ms] the algorithm's (so never above [ms]); [speedup] is
@@ -373,10 +392,11 @@ let checker_work f =
 let smo_rows ~baseline_ms st suite =
   List.map
     (fun (label, smo) ->
-      let (compiled, proved), work =
-        checker_work (fun () ->
-            let compiled = Core.Engine.compile st smo in
-            (compiled, Result.bind compiled (fun (_, obls) -> Containment.Discharge.run obls)))
+      let ((compiled, proved), work), args =
+        atom_args (fun () ->
+            checker_work (fun () ->
+                let compiled = Core.Engine.compile st smo in
+                (compiled, Result.bind compiled (fun (_, obls) -> Containment.Discharge.run obls))))
       in
       (* Validation aborts are timed too: the paper reports AE-TPC failures
          of exactly this shape (Section 4.2). *)
@@ -400,7 +420,7 @@ let smo_rows ~baseline_ms st suite =
         ("non_containment_ms", num 3 algo_ms); ("alloc_mb", num 2 (algo_mb +. check_mb));
         ("obligations", int (List.length obls)) ]
       @ work
-      @ [ ("outcome", str outcome) ])
+      @ [ ("atom_args", int args); ("outcome", str outcome) ])
     suite
 
 (* The full compile of [env, frags], the costs of [suite] on its state,

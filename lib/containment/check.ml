@@ -75,19 +75,22 @@ let constraint_entailed store1 subst con =
         | `Var u -> Nf.entails store1 (Nf.Not_null_c u)
         | `Const value -> not (Datum.Value.is_null value))
 
-let homomorphism (cq2 : Nf.cq) ((cq1 : Nf.cq), store1) =
+(* [cols1] and [cols2] are the two heads' columns, ascending. *)
+let homomorphism ((cq2 : Nf.cq), cols2) ((cq1 : Nf.cq), store1, cols1) =
   Obs.Metric.incr cq_pairs;
   (* Seed the substitution from the heads: output columns must align. *)
   let seed =
-    List.fold_left
-      (fun acc (col, t2) ->
-        match acc with
-        | None -> None
-        | Some subst -> (
-            match List.assoc_opt col cq1.Nf.head with
-            | None -> None
-            | Some t1 -> unify_term store1 subst t2 t1))
-      (Some Int_map.empty) cq2.Nf.head
+    if not (List.equal String.equal cols1 cols2) then None
+    else
+      List.fold_left
+        (fun acc (col, t2) ->
+          match acc with
+          | None -> None
+          | Some subst -> (
+              match List.assoc_opt col cq1.Nf.head with
+              | None -> None
+              | Some t1 -> unify_term store1 subst t2 t1))
+        (Some Int_map.empty) cq2.Nf.head
   in
   match seed with
   | None -> false
@@ -118,17 +121,21 @@ let homomorphism (cq2 : Nf.cq) ((cq1 : Nf.cq), store1) =
                   match subst' with None -> false | Some subst' -> assign subst' rest)
               cq1.Nf.body
       in
-      (* Heads must cover the same columns. *)
-      let cols cq = List.sort String.compare (List.map fst cq.Nf.head) in
-      cols cq1 = cols cq2 && assign seed cq2.Nf.body
+      assign seed cq2.Nf.body
+
+(* A CQ's head columns, ascending: heads must cover the same columns. *)
+let head_cols (cq : Nf.cq) = List.sort String.compare (List.map fst cq.Nf.head)
 
 (* Chase the client schema's referential axioms into a subset-side CQ:
    every association tuple's endpoints are keys of existing entities of the
    endpoint types (guaranteed by [Edm.Instance.conforms]).  Materializing
    the implied entity atoms lets the homomorphism find them — e.g. check 3
    of AddAssocFK maps an entity-set atom onto the endpoint of an
-   association atom. *)
-let chase_assoc env (cq : Nf.cq) =
+   association atom.  An implied atom binds the key, [$type] and the
+   columns [widen] gives for its entity set ([None]: every column); a key
+   column the association atom does not bind gets a fresh variable, and
+   the implied keys are non-null. *)
+let chase_assoc env ~widen (cq : Nf.cq) =
   let client = env.Query.Env.client in
   let max_var =
     let of_term acc = function Nf.V v -> max acc v | Nf.C _ -> acc in
@@ -149,22 +156,37 @@ let chase_assoc env (cq : Nf.cq) =
     match Edm.Schema.set_of_type client etype with
     | None -> ([], [])
     | Some set ->
+        let src = Query.Algebra.Entity_set set in
         let key = Edm.Schema.key_of client etype in
+        let cols =
+          match widen with
+          | None -> Query.Env.entity_set_columns env set
+          | Some widen ->
+              Query.Env.type_column :: key
+              @ List.filter
+                  (fun c -> c <> Query.Env.type_column && not (List.mem c key))
+                  (widen src)
+        in
+        let tyvar = fresh () in
         let bind =
           List.map
             (fun c ->
-              if c = Query.Env.type_column then (c, Nf.V (fresh ()))
+              if c = Query.Env.type_column then (c, Nf.V tyvar)
               else
-                match List.mem c key, List.assoc_opt (Edm.Association.qualify ~etype c) args with
-                | true, Some t -> (c, t)
-                | _, _ -> (c, Nf.V (fresh ())))
-            (Query.Env.entity_set_columns env set)
+                match
+                  if List.mem c key then List.assoc_opt (Edm.Association.qualify ~etype c) args
+                  else None
+                with
+                | Some t -> (c, t)
+                | None -> (c, Nf.V (fresh ())))
+            cols
         in
-        let tyvar =
-          match List.assoc Query.Env.type_column bind with Nf.V v -> v | Nf.C _ -> assert false
+        let non_null_key = function
+          | c, Nf.V v when List.mem c key -> Some (Nf.Not_null_c v)
+          | _, (Nf.V _ | Nf.C _) -> None
         in
-        ( [ { Nf.src = Query.Algebra.Entity_set set; args = bind } ],
-          [ Nf.Ty_in (tyvar, Edm.Schema.subtypes client etype) ] )
+        ( [ { Nf.src; args = bind } ],
+          Nf.Ty_in (tyvar, Edm.Schema.subtypes client etype) :: List.filter_map non_null_key bind )
   in
   let extra_atoms, extra_cons =
     List.fold_left
@@ -187,27 +209,52 @@ let chase_assoc env (cq : Nf.cq) =
    projections are fused. *)
 let superset env q = Nf.normalize env Nf.Superset_side (Query.Simplify.query env q)
 
-let subset_with ~split ?(superset = superset) env q1 q2 =
-  let* n1, n2 =
+(* [superset] as the test seam's full-width oracle normalizes it. *)
+let full_width_superset env q =
+  Nf.For_tests.normalize_full_width env Nf.Superset_side (Query.Simplify.query env q)
+
+(* The superset side is normalized first; each subset-side scan and
+   implied atom is then widened to every column a superset CQ binds on its
+   source, so no superset atom looks up a column the subset atom lacks. *)
+let subset_with ~split ~full_width ?(superset = superset) env q1 q2 =
+  let superset = if full_width then full_width_superset else superset in
+  let* n1, n2, widen =
     Obs.Span.with_ ~name:"containment.normalize" @@ fun () ->
-    let* n1 = Nf.normalize env Nf.Subset_side (Query.Simplify.query env q1) in
     let* n2 = superset env q2 in
+    let q1 = Query.Simplify.query env q1 in
+    let* n1, widen =
+      if full_width then
+        let* n1 = Nf.For_tests.normalize_full_width env Nf.Subset_side q1 in
+        Ok (n1, None)
+      else
+        let widen = Nf.bound_columns n2.Nf.cqs in
+        let* n1 = Nf.normalize ~widen env Nf.Subset_side q1 in
+        Ok (n1, Some widen)
+    in
     Obs.Span.tag "lhs_cqs" (List.length n1.Nf.cqs);
     Obs.Span.tag "rhs_cqs" (List.length n2.Nf.cqs);
-    Ok (n1, n2)
+    if Obs.enabled () then begin
+      Obs.Span.tag "lhs_args" (Nf.atom_args n1.Nf.cqs);
+      Obs.Span.tag "rhs_args" (Nf.atom_args n2.Nf.cqs)
+    end;
+    Ok (n1, n2, widen)
   in
   Obs.Metric.incr checks;
   if n1.Nf.approximate || n2.Nf.approximate then Obs.Metric.incr approximate_checks;
   let cq2s = List.map canonicalize n2.Nf.cqs in
   let cq1s =
     Obs.Span.with_ ~name:"containment.cases" @@ fun () ->
-    let cq1s = List.map (fun cq -> canonicalize (chase_assoc env cq)) n1.Nf.cqs in
     let cq1s =
-      List.filter_map
-        (fun (cq : Nf.cq) ->
-          let store = Nf.solve cq.Nf.cons in
-          if Nf.consistent store then Some (cq, store) else None)
-        (List.concat_map (split ~against:cq2s) cq1s)
+      List.concat_map
+        (fun cq ->
+          let cq = canonicalize (chase_assoc env ~widen cq) in
+          let cols = head_cols cq in
+          List.filter_map
+            (fun (case : Nf.cq) ->
+              let store = Nf.solve case.Nf.cons in
+              if Nf.consistent store then Some (case, store, cols) else None)
+            (split ~against:cq2s cq))
+        n1.Nf.cqs
     in
     let n = List.length cq1s in
     Obs.Metric.incr ~by:n cases;
@@ -217,12 +264,15 @@ let subset_with ~split ?(superset = superset) env q1 q2 =
   Obs.Span.with_ ~name:"containment.hom" @@ fun () ->
   Obs.Span.tag "cases" (List.length cq1s);
   Obs.Span.tag "rhs_cqs" (List.length cq2s);
+  let cq2s = List.map (fun cq -> (cq, head_cols cq)) cq2s in
   Ok (List.for_all (fun cq1 -> List.exists (fun cq2 -> homomorphism cq2 cq1) cq2s) cq1s)
 
-let subset ?superset env q1 q2 = subset_with ~split:Nf.type_cases ?superset env q1 q2
+let subset ?superset env q1 q2 =
+  subset_with ~split:Nf.type_cases ~full_width:false ?superset env q1 q2
 
 module For_tests = struct
-  let subset ~split env q1 q2 = subset_with ~split env q1 q2
+  let subset ?(split = Nf.type_cases) ?(full_width = false) env q1 q2 =
+    subset_with ~split ~full_width env q1 q2
 end
 
 let equivalent env q1 q2 =

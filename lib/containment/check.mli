@@ -6,7 +6,9 @@
     of [AddEntity]/[AddAssocFK].
 
     The decision procedure is the classic UCQ one: normalize both sides
-    ({!Nf.normalize}), then show every conjunctive query of the subset side
+    ({!Nf.normalize}; the superset side first, then the subset side with
+    each source widened to the columns the superset CQs bind on it, see
+    {!Nf.bound_columns}), then show every conjunctive query of the subset side
     admits a homomorphism from some conjunctive query of the superset side,
     with atom-level entailment delegated to the constraint solver.  The
     problem is NP-hard; DNF expansion and backtracking make the worst case
@@ -37,7 +39,8 @@ val equivalent : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, str
 
     Each {!subset} call opens ["containment.normalize"] under the caller's
     span (simplify and normalize both sides; attrs [lhs_cqs] and [rhs_cqs],
-    the UCQ sizes) and, when both sides normalize, ["containment.cases"]
+    the UCQ sizes, and [lhs_args] and [rhs_args], their atom arguments
+    summed by {!Nf.atom_args}) and, when both sides normalize, ["containment.cases"]
     (chase the subset side and split it by {!Nf.type_cases}; attr [cases])
     and ["containment.hom"] (the homomorphism search; attrs [cases] and
     [rhs_cqs]).  Attribute strings are only built while collection is
@@ -69,9 +72,13 @@ val cases : Obs.Metric.counter
 
 module For_tests : sig
   val subset :
-    split:(against:Nf.cq list -> Nf.cq -> Nf.cq list) ->
+    ?split:(against:Nf.cq list -> Nf.cq -> Nf.cq list) ->
+    ?full_width:bool ->
     Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
-  (** {!subset} with the type split replaced by [split]; {!subset} is
-      [subset ~split:Nf.type_cases].  Only tests call it, to hold the coarse
-      split against the one-case-per-type oracle. *)
+  (** {!subset} with the type split replaced by [split] (default
+      {!Nf.type_cases}) and, with [~full_width:true], both sides normalized
+      by {!Nf.For_tests.normalize_full_width} and every implied entity atom
+      binding every column.  Only tests call it: to hold the coarse split
+      against the one-case-per-type oracle, and narrowed atoms against
+      full-width ones. *)
 end

@@ -191,10 +191,72 @@ let entails store target =
 
 type state = { bind : (string * term) list; body : atom list; cons : constr list }
 
+(* Which columns a scan binds: [Observed widen] the columns its parents
+   read plus [widen src], [Full] (the tests' oracle) every column. *)
+type width = Full | Observed of (Query.Algebra.source -> string list)
+
 let ( let* ) = Result.bind
 
-let scan_state env counter src =
-  let* cols = Query.Algebra.source_columns env src in
+(* Union of two ascending lists without duplicates. *)
+let rec union a b =
+  match a, b with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+      let c = String.compare x y in
+      if c = 0 then x :: union a' b' else if c < 0 then x :: union a' b else y :: union a b'
+
+(* Whether the source has a column, tested in place; an unknown source is
+   an error, as in [Query.Algebra.source_columns]. *)
+let source_has env src =
+  match src with
+  | Query.Algebra.Entity_set s -> (
+      match Edm.Schema.set_root env.Query.Env.client s with
+      | Some root ->
+          Ok
+            (fun c ->
+              c = Query.Env.type_column
+              || Option.is_some (Edm.Schema.hierarchy_attribute env.Query.Env.client root c))
+      | None -> Error ("unknown entity set " ^ s))
+  | Query.Algebra.Assoc_set _ ->
+      let* cols = Query.Algebra.source_columns env src in
+      Ok (fun c -> List.mem c cols)
+  | Query.Algebra.Table t -> (
+      match Relational.Schema.find_table env.Query.Env.store t with
+      | Some tbl -> Ok (Relational.Table.mem_column tbl)
+      | None -> Error ("unknown table " ^ t))
+
+(* The source-level invariant of one bound column, if any: entity rows
+   range over the hierarchy's types, and keys, association ends and NOT NULL
+   table columns are non-null. *)
+let seed env src =
+  match src with
+  | Query.Algebra.Entity_set s ->
+      let root = Option.get (Edm.Schema.set_root env.Query.Env.client s) in
+      let key = Edm.Schema.key_of env.Query.Env.client root in
+      fun c v ->
+        if c = Query.Env.type_column then
+          Some (Ty_in (v, Edm.Schema.subtypes env.Query.Env.client root))
+        else if List.mem c key then Some (Not_null_c v)
+        else None
+  | Query.Algebra.Assoc_set _ -> fun _ v -> Some (Not_null_c v)
+  | Query.Algebra.Table t ->
+      let tbl = Relational.Schema.get_table env.Query.Env.store t in
+      fun c v ->
+        match Relational.Table.column tbl c with
+        | Some col when List.mem c tbl.Relational.Table.key || not col.Relational.Table.nullable ->
+            Some (Not_null_c v)
+        | Some _ | None -> None
+
+(* A scan binding [needed] (every column when [None]) and the columns
+   [width] adds, each to a fresh variable, and seeding only those. *)
+let scan_state env width counter needed src =
+  let* cols =
+    match width, needed with
+    | Full, _ | Observed _, None -> Query.Algebra.source_columns env src
+    | Observed widen, Some needed ->
+        let* has = source_has env src in
+        Ok (List.filter has (union needed (widen src)))
+  in
   let bind =
     List.map
       (fun c ->
@@ -202,34 +264,29 @@ let scan_state env counter src =
         (c, V !counter))
       cols
   in
-  let var c = match List.assoc c bind with V v -> v | C _ -> assert false in
-  let seeds =
-    match src with
-    | Query.Algebra.Entity_set s ->
-        let root = Option.get (Edm.Schema.set_root env.Query.Env.client s) in
-        let key = Edm.Schema.key_of env.Query.Env.client root in
-        Ty_in (var Query.Env.type_column, Edm.Schema.subtypes env.Query.Env.client root)
-        :: List.map (fun k -> Not_null_c (var k)) key
-    | Query.Algebra.Assoc_set _ -> List.map (fun (c, _) -> Not_null_c (var c)) bind
-    | Query.Algebra.Table t ->
-        let tbl = Relational.Schema.get_table env.Query.Env.store t in
-        List.filter_map
-          (fun (col : Relational.Table.column) ->
-            if List.mem col.cname tbl.Relational.Table.key || not col.nullable then
-              Some (Not_null_c (var col.cname))
-            else None)
-          tbl.Relational.Table.columns
-  in
+  let seed = seed env src in
+  let seeds = List.filter_map (function c, V v -> seed c v | _, C _ -> None) bind in
   Ok { bind; body = [ { src; args = bind } ]; cons = seeds }
+
+(* Column [c] of a state of [q], as a parent of [q] reads it: a column [q]
+   lacks reads as NULL.  Every column a parent reads is bound, so a column
+   that [q] has and the state lacks is a narrowing fault; it raises rather
+   than silently read as NULL. *)
+let read env q (st : state) c =
+  match List.assoc_opt c st.bind with
+  | Some t -> t
+  | None -> (
+      match Query.Algebra.infer env q with
+      | Ok cols when List.mem c cols ->
+          invalid_arg (Printf.sprintf "Nf: column %s is not bound by its normalized subterm" c)
+      | Ok _ | Error _ -> C Datum.Value.Null)
 
 exception Dead_state
 
 (* Apply one condition atom to a state; raises [Dead_state] when the atom is
    decidedly false on the state's constant bindings. *)
-let apply_atom env st atom =
-  let term a =
-    match List.assoc_opt a st.bind with Some t -> t | None -> C Datum.Value.Null
-  in
+let apply_atom env q st atom =
+  let term = read env q st in
   match atom with
   | Query.Cond.True -> st
   | Query.Cond.False -> raise Dead_state
@@ -313,6 +370,23 @@ let unify_join_col (st, rbind) col =
       if (not (Datum.Value.is_null v)) && Datum.Value.equal v w then (st, rbind)
       else raise Dead_state
 
+(* The source columns of projection items, ascending. *)
+let item_sources items =
+  List.concat_map
+    (function
+      | Query.Algebra.Col { src; _ } -> [ src ]
+      | Query.Algebra.Coalesce { srcs; _ } -> srcs
+      | Query.Algebra.Const _ -> [])
+    items
+  |> List.sort_uniq String.compare
+
+(* The columns a selection reads, ascending: [$type] for its type atoms. *)
+let cond_reads c =
+  let cols = Query.Cond.columns c in
+  List.sort_uniq String.compare
+    (if Query.Cond.type_atoms c <> [] then Query.Env.type_column :: cols else cols)
+
+(* [needed] is ascending, as [union] requires. *)
 let rec needed_elim env role needed q =
   (* Rewrite away outer joins that a projection renders exact, plus sound
      one-sided reductions on the superset side: every row of one input of a
@@ -343,39 +417,30 @@ let rec needed_elim env role needed q =
   | Query.Algebra.Project (items, q1) ->
       (* Narrow the projection to the needed columns and keep pushing. *)
       let items' = List.filter (fun it -> List.mem (Query.Algebra.dst_of it) needed) items in
-      let needed' =
-        List.concat_map
-          (function
-            | Query.Algebra.Col { src; _ } -> [ src ]
-            | Query.Algebra.Coalesce { srcs; _ } -> srcs
-            | Query.Algebra.Const _ -> [])
-          items'
-        |> List.sort_uniq String.compare
-      in
-      Query.Algebra.Project (items', needed_elim env role needed' q1)
+      Query.Algebra.Project (items', needed_elim env role (item_sources items') q1)
   | Query.Algebra.Select (c, q1) ->
-      let extra = Query.Cond.columns c in
-      let extra =
-        if Query.Cond.type_atoms c <> [] then Query.Env.type_column :: extra else extra
-      in
-      let needed' = List.sort_uniq String.compare (needed @ extra) in
-      Query.Algebra.Select (c, needed_elim env role needed' q1)
+      Query.Algebra.Select (c, needed_elim env role (union needed (cond_reads c)) q1)
   | Query.Algebra.Scan _ | Query.Algebra.Join _ -> q
 
-let rec norm env role counter q : (state list * bool, string) Stdlib.result =
+(* [norm env role width counter needed q] normalizes [q], whose parents
+   read the columns [needed] (all of them when [None]); under [Observed]
+   each subterm is passed the columns its own parents read. *)
+let rec norm env role width counter needed q : (state list * bool, string) Stdlib.result =
+  let observe cols = match width with Full -> None | Observed _ -> Some cols in
+  let also extra = Option.map (union extra) needed in
   match q with
   | Query.Algebra.Scan src ->
-      let* st = scan_state env counter src in
+      let* st = scan_state env width counter needed src in
       Ok ([ st ], false)
   | Query.Algebra.Select (c, q1) ->
-      let* sts, approx = norm env role counter q1 in
+      let* sts, approx = norm env role width counter (also (cond_reads c)) q1 in
       let disjuncts = Query.Cond.dnf (Query.Cond.simplify c) in
       let out =
         List.concat_map
           (fun st ->
             List.filter_map
               (fun conj ->
-                match List.fold_left (apply_atom env) st conj with
+                match List.fold_left (apply_atom env q1) st conj with
                 | st -> if consistent (solve st.cons) then Some st else None
                 | exception Dead_state -> None)
               disjuncts)
@@ -383,44 +448,22 @@ let rec norm env role counter q : (state list * bool, string) Stdlib.result =
       in
       Ok (out, approx)
   | Query.Algebra.Project (items, q1) ->
-      let needed =
-        List.concat_map
-          (function
-            | Query.Algebra.Col { src; _ } -> [ src ]
-            | Query.Algebra.Coalesce { srcs; _ } -> srcs
-            | Query.Algebra.Const _ -> [])
-          items
-      in
-      let q1 = needed_elim env role (List.sort_uniq String.compare needed) q1 in
-      let* sts, approx = norm env role counter q1 in
+      let sources = item_sources items in
+      let q1 = needed_elim env role sources q1 in
+      let* sts, approx = norm env role width counter (observe sources) q1 in
       (* [Coalesce] splits a state into one case per "first non-null source"
          position, plus the all-null case; each case pins the corresponding
          null constraints.  Constant sources resolve immediately. *)
       let apply_item states item =
         match item with
         | Query.Algebra.Col { src; dst } ->
-            List.map
-              (fun (st, bind) ->
-                let t =
-                  match List.assoc_opt src st.bind with
-                  | Some t -> t
-                  | None -> C Datum.Value.Null
-                in
-                (st, (dst, t) :: bind))
-              states
+            List.map (fun (st, bind) -> (st, (dst, read env q1 st src) :: bind)) states
         | Query.Algebra.Const { value; dst } ->
             List.map (fun (st, bind) -> (st, (dst, C value) :: bind)) states
         | Query.Algebra.Coalesce { srcs; dst } ->
             List.concat_map
               (fun ((st : state), bind) ->
-                let terms =
-                  List.map
-                    (fun src ->
-                      match List.assoc_opt src st.bind with
-                      | Some t -> t
-                      | None -> C Datum.Value.Null)
-                    srcs
-                in
+                let terms = List.map (read env q1 st) srcs in
                 let rec cases prefix_null = function
                   | [] ->
                       [ ({ st with cons = prefix_null @ st.cons },
@@ -448,18 +491,19 @@ let rec norm env role counter q : (state list * bool, string) Stdlib.result =
       in
       Ok (out, approx)
   | Query.Algebra.Join (kind, l, r, on) -> (
-      let* ls, al = norm env role counter l in
-      let* rs, ar = norm env role counter r in
+      let needed' = also (List.sort_uniq String.compare on) in
+      let* ls, al = norm env role width counter needed' l in
+      let* rs, ar = norm env role width counter needed' r in
       let joined = join_states ls rs on in
       match (kind, role) with
       | Query.Join.Inner, _ -> Ok (joined, al || ar)
       | (Query.Join.Left | Query.Join.Full), Superset_side -> Ok (joined, true)
-      | Query.Join.Left, Subset_side -> Ok (joined @ pad_unmatched env on r ls, true)
+      | Query.Join.Left, Subset_side -> Ok (joined @ pad_unmatched env needed on r ls, true)
       | Query.Join.Full, Subset_side ->
-          Ok (joined @ pad_unmatched env on r ls @ pad_unmatched env on l rs, true))
+          Ok (joined @ pad_unmatched env needed on r ls @ pad_unmatched env needed on l rs, true))
   | Query.Algebra.Union_all (l, r) ->
-      let* ls, al = norm env role counter l in
-      let* rs, ar = norm env role counter r in
+      let* ls, al = norm env role width counter needed l in
+      let* rs, ar = norm env role width counter needed r in
       Ok (ls @ rs, al || ar)
 
 and join_states ls rs on =
@@ -483,11 +527,15 @@ and join_states ls rs on =
 and pad_state cols st =
   { st with bind = st.bind @ List.map (fun c -> (c, C Datum.Value.Null)) cols }
 
-(* The states of one join side, each padded with the other side [q]'s
-   non-join columns: the unmatched rows of an outer join. *)
-and pad_unmatched env on q sts =
+(* The states of one join side, each padded with NULL in the non-join
+   columns of the other side [q] that the parents read: the unmatched rows
+   of an outer join. *)
+and pad_unmatched env needed on q sts =
+  let padded c =
+    (not (List.mem c on)) && match needed with None -> true | Some n -> List.mem c n
+  in
   match Query.Algebra.infer env q with
-  | Ok cols -> List.map (pad_state (List.filter (fun c -> not (List.mem c on)) cols)) sts
+  | Ok cols -> List.map (pad_state (List.filter padded cols)) sts
   | Error e -> invalid_arg e
 
 (* The type distinctions the superset side can observe: each of its [Ty_in]
@@ -548,9 +596,9 @@ let type_cases ~against =
           cases)
       [ cq ] split_vars
 
-let normalize env role q =
+let run env role width q =
   let counter = ref 0 in
-  let* sts, approximate = norm env role counter q in
+  let* sts, approximate = norm env role width counter None q in
   let cqs =
     List.filter_map
       (fun st ->
@@ -559,3 +607,30 @@ let normalize env role q =
       sts
   in
   Ok { cqs; approximate }
+
+let normalize ?(widen = fun _ -> []) env role q = run env role (Observed widen) q
+
+let bound_columns (cqs : cq list) =
+  let add acc (a : atom) =
+    let cols = List.sort_uniq String.compare (List.map fst a.args) in
+    let rec go = function
+      | [] -> [ (a.src, cols) ]
+      | (src, cs) :: rest when Query.Algebra.equal_source src a.src -> (src, union cs cols) :: rest
+      | entry :: rest -> entry :: go rest
+    in
+    go acc
+  in
+  let table = List.fold_left (fun acc (cq : cq) -> List.fold_left add acc cq.body) [] cqs in
+  fun src ->
+    match List.find_opt (fun (s, _) -> Query.Algebra.equal_source s src) table with
+    | Some (_, cols) -> cols
+    | None -> []
+
+let atom_args (cqs : cq list) =
+  List.fold_left
+    (fun n (cq : cq) -> List.fold_left (fun n (a : atom) -> n + List.length a.args) n cq.body)
+    0 cqs
+
+module For_tests = struct
+  let normalize_full_width env role q = run env role Full q
+end

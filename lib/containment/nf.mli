@@ -4,9 +4,16 @@
     A conjunctive query has a head (output column to term), a body of source
     atoms binding columns to terms, and a constraint store over variables
     (type memberships from [IS OF] atoms, comparisons, null tests).
-    Source-level invariants are seeded automatically: key columns and
-    non-nullable table columns are non-null, entity rows range over the
-    hierarchy's types.
+
+    An atom binds only the columns its query observes: the head, the
+    columns that selections test ([$type] when they have type atoms), the
+    join columns, the sources of projections and the padding of outer
+    joins, plus the columns a caller asks to widen a source by.  Source-level
+    invariants are seeded for the bound columns only: a bound key column or
+    non-nullable table column is non-null, and a bound [$type] ranges over
+    the hierarchy's types.  An unbound column would carry nothing but such a
+    seed.  Reading a column that the subterm has but did not bind raises
+    [Invalid_argument] instead of reading NULL.
 
     Selections are expanded through {!Cond.dnf} (worst-case exponential —
     the honest cost of validation).  Outer joins are handled exactly where a
@@ -38,9 +45,20 @@ type role = Subset_side | Superset_side
 
 type output = { cqs : cq list; approximate : bool }
 
-val normalize : Query.Env.t -> role -> Query.Algebra.t -> (output, string) result
+val normalize :
+  ?widen:(Query.Algebra.source -> string list) ->
+  Query.Env.t -> role -> Query.Algebra.t -> (output, string) result
 (** Unsatisfiable disjuncts are pruned; an empty [cqs] means the query is
-    provably empty. *)
+    provably empty.  Each scan of a source [src] also binds the columns of
+    [widen src] that the source has (by default none); the checker widens
+    the subset side by the superset side's {!bound_columns}. *)
+
+val bound_columns : cq list -> Query.Algebra.source -> string list
+(** [bound_columns cqs src]: every column that some atom of [cqs] over
+    [src] binds, ascending.  Partial application computes the table once. *)
+
+val atom_args : cq list -> int
+(** The atom arguments summed over the CQs' bodies. *)
 
 type store
 (** A constraint store solved into per-variable facts: the intersection of
@@ -89,3 +107,12 @@ val type_cases : against:cq list -> cq -> cq list
     once. *)
 
 val equal_term : term -> term -> bool
+
+(** {1 Test seam} *)
+
+module For_tests : sig
+  val normalize_full_width : Query.Env.t -> role -> Query.Algebra.t -> (output, string) result
+  (** {!normalize} with every scan binding (and seeding) every column of its
+      source, the normalization before atoms were narrowed.  Only tests
+      reach it, through [Check.For_tests.subset ~full_width:true]. *)
+end
