@@ -49,7 +49,7 @@ let unify_term store1 subst t2 t1 =
 
 (* The image of a constraint of the candidate CQ under the substitution must
    be entailed by the target CQ's store. *)
-let constraint_entailed store1 subst con =
+let constraint_entailed types store1 subst con =
   let on_var v k =
     match Int_map.find_opt v subst with
     | Some (Nf.V u) -> k (`Var u)
@@ -60,7 +60,7 @@ let constraint_entailed store1 subst con =
   | Nf.Ty_in (v, tys) ->
       on_var v (function
         | `Var u -> Nf.entails store1 (Nf.Ty_in (u, tys))
-        | `Const (Datum.Value.String ty) -> List.mem ty tys
+        | `Const (Datum.Value.String ty) -> Nf.Types.mem types tys ty
         | `Const _ -> false)
   | Nf.Rel (v, op, c) ->
       on_var v (function
@@ -76,7 +76,7 @@ let constraint_entailed store1 subst con =
         | `Const value -> not (Datum.Value.is_null value))
 
 (* [cols1] and [cols2] are the two heads' columns, ascending. *)
-let homomorphism ((cq2 : Nf.cq), cols2) ((cq1 : Nf.cq), store1, cols1) =
+let homomorphism types ((cq2 : Nf.cq), cols2) ((cq1 : Nf.cq), store1, cols1) =
   Obs.Metric.incr cq_pairs;
   (* Seed the substitution from the heads: output columns must align. *)
   let seed =
@@ -100,7 +100,7 @@ let homomorphism ((cq2 : Nf.cq), cols2) ((cq1 : Nf.cq), store1, cols1) =
       in
       let rec assign subst = function
         | [] ->
-            List.for_all (constraint_entailed store1 subst) cq2.Nf.cons
+            List.for_all (constraint_entailed types store1 subst) cq2.Nf.cons
         | (a2 : Nf.atom) :: rest ->
             List.exists
               (fun (a1 : Nf.atom) ->
@@ -135,7 +135,7 @@ let head_cols (cq : Nf.cq) = List.sort String.compare (List.map fst cq.Nf.head)
    columns [widen] gives for its entity set ([None]: every column); a key
    column the association atom does not bind gets a fresh variable, and
    the implied keys are non-null. *)
-let chase_assoc env ~widen (cq : Nf.cq) =
+let chase_assoc types env ~widen (cq : Nf.cq) =
   let client = env.Query.Env.client in
   let max_var =
     let of_term acc = function Nf.V v -> max acc v | Nf.C _ -> acc in
@@ -186,7 +186,7 @@ let chase_assoc env ~widen (cq : Nf.cq) =
           | _, (Nf.V _ | Nf.C _) -> None
         in
         ( [ { Nf.src; args = bind } ],
-          Nf.Ty_in (tyvar, Edm.Schema.subtypes client etype) :: List.filter_map non_null_key bind )
+          Nf.Ty_in (tyvar, Nf.Types.subtypes types etype) :: List.filter_map non_null_key bind )
   in
   let extra_atoms, extra_cons =
     List.fold_left
@@ -204,31 +204,29 @@ let chase_assoc env ~widen (cq : Nf.cq) =
   in
   { cq with Nf.body = cq.Nf.body @ extra_atoms; cons = cq.Nf.cons @ extra_cons }
 
-(* Collapse stacked projections before normalizing: validation feeds
-   [π_cols(view)] shapes whose outer-join structure only reduces once the
-   projections are fused. *)
-let superset env q = Nf.normalize env Nf.Superset_side (Query.Simplify.query env q)
+(* Validation feeds [π_cols(view)] shapes whose outer-join structure only
+   reduces once stacked projections are fused, so both sides are
+   simplified ([Query.Simplify.query]) before they are normalized. *)
+let superset types env q = Nf.normalize types env Nf.Superset_side q
 
 (* [superset] as the test seam's full-width oracle normalizes it. *)
-let full_width_superset env q =
-  Nf.For_tests.normalize_full_width env Nf.Superset_side (Query.Simplify.query env q)
+let full_width_superset types env q = Nf.For_tests.normalize_full_width types env Nf.Superset_side q
 
-(* The superset side is normalized first; each subset-side scan and
+(* [q1] is simplified and [n2] is the simplified superset side normalized.
+   The superset side is normalized first; each subset-side scan and
    implied atom is then widened to every column a superset CQ binds on its
    source, so no superset atom looks up a column the subset atom lacks. *)
-let subset_with ~split ~full_width ?(superset = superset) env q1 q2 =
-  let superset = if full_width then full_width_superset else superset in
+let subset_with ~split ~full_width types env q1 n2 =
   let* n1, n2, widen =
     Obs.Span.with_ ~name:"containment.normalize" @@ fun () ->
-    let* n2 = superset env q2 in
-    let q1 = Query.Simplify.query env q1 in
+    let* n2 = Lazy.force n2 in
     let* n1, widen =
       if full_width then
-        let* n1 = Nf.For_tests.normalize_full_width env Nf.Subset_side q1 in
+        let* n1 = Nf.For_tests.normalize_full_width types env Nf.Subset_side q1 in
         Ok (n1, None)
       else
         let widen = Nf.bound_columns n2.Nf.cqs in
-        let* n1 = Nf.normalize ~widen env Nf.Subset_side q1 in
+        let* n1 = Nf.normalize ~widen types env Nf.Subset_side q1 in
         Ok (n1, Some widen)
     in
     Obs.Span.tag "lhs_cqs" (List.length n1.Nf.cqs);
@@ -244,16 +242,16 @@ let subset_with ~split ~full_width ?(superset = superset) env q1 q2 =
   let cq2s = List.map canonicalize n2.Nf.cqs in
   let cq1s =
     Obs.Span.with_ ~name:"containment.cases" @@ fun () ->
+    let split = split types ~against:cq2s in
     let cq1s =
       List.concat_map
         (fun cq ->
-          let cq = canonicalize (chase_assoc env ~widen cq) in
+          let cq = canonicalize (chase_assoc types env ~widen cq) in
           let cols = head_cols cq in
           List.filter_map
-            (fun (case : Nf.cq) ->
-              let store = Nf.solve case.Nf.cons in
+            (fun ((case : Nf.cq), store) ->
               if Nf.consistent store then Some (case, store, cols) else None)
-            (split ~against:cq2s cq))
+            (split cq))
         n1.Nf.cqs
     in
     let n = List.length cq1s in
@@ -265,17 +263,30 @@ let subset_with ~split ~full_width ?(superset = superset) env q1 q2 =
   Obs.Span.tag "cases" (List.length cq1s);
   Obs.Span.tag "rhs_cqs" (List.length cq2s);
   let cq2s = List.map (fun cq -> (cq, head_cols cq)) cq2s in
-  Ok (List.for_all (fun cq1 -> List.exists (fun cq2 -> homomorphism cq2 cq1) cq2s) cq1s)
+  Ok (List.for_all (fun cq1 -> List.exists (fun cq2 -> homomorphism types cq2 cq1) cq2s) cq1s)
 
-let subset ?superset env q1 q2 =
-  subset_with ~split:Nf.type_cases ~full_width:false ?superset env q1 q2
+let prove = subset_with ~split:Nf.type_cases ~full_width:false
+
+(* [subset] over a numbering of its own. *)
+let subset_in ~split ~full_width env q1 q2 =
+  let types = Nf.Types.create env.Query.Env.client in
+  let superset = if full_width then full_width_superset else superset in
+  subset_with ~split ~full_width types env (Query.Simplify.query env q1)
+    (lazy (superset types env (Query.Simplify.query env q2)))
+
+let subset env q1 q2 = subset_in ~split:Nf.type_cases ~full_width:false env q1 q2
 
 module For_tests = struct
-  let subset ?(split = Nf.type_cases) ?(full_width = false) env q1 q2 =
-    subset_with ~split ~full_width env q1 q2
+  (* The seam's split returns bare cases: each is solved on its own. *)
+  let solved split _types ~against =
+    let split = split ~against in
+    fun cq -> List.map (fun (case : Nf.cq) -> (case, Nf.solve case.Nf.cons)) (split cq)
+
+  let subset ?split ?(full_width = false) env q1 q2 =
+    let split = match split with Some split -> solved split | None -> Nf.type_cases in
+    subset_in ~split ~full_width env q1 q2
 end
 
 let equivalent env q1 q2 =
   let* a = subset env q1 q2 in
   if not a then Ok false else subset env q2 q1
-

@@ -20,18 +20,25 @@
     — for validation this is treated conservatively as failure, mirroring
     the paper's abort-on-failed-check behaviour. *)
 
-val subset :
-  ?superset:(Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result) ->
-  Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
+val subset : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
 (** [subset env q1 q2] tries to prove [q1 ⊆ q2] (set semantics) over all
-    database states admitted by [env]'s schemas.  [superset] normalizes
-    [q2]; it defaults to {!superset}, and a caller that proves many
-    containments against the same superset sides passes a memo of it. *)
+    database states admitted by [env]'s schemas.  Both sides are first
+    simplified by [Query.Simplify.query].  Type sets are bitsets over a
+    numbering of [env]'s client types that the call makes for itself;
+    {!prove} takes a batch's. *)
 
-val superset : Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result
-(** The superset side as {!subset} normalizes it: [Query.Simplify.query],
-    then [Nf.normalize] with role [Superset_side].  A pure function of the
-    schemas and the query. *)
+val superset : Nf.Types.t -> Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result
+(** The superset side as {!subset} normalizes it, once simplified:
+    [Nf.normalize] with role [Superset_side].  A pure function of the
+    schemas and the query, up to the numbering of types. *)
+
+val prove :
+  Nf.Types.t -> Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result Lazy.t ->
+  (bool, string) result
+(** [prove types env q1 n2] is {!subset} of [q1], already simplified, and
+    the superset side [n2], as {!superset} normalizes it over the same
+    [types].  [n2] is forced in the ["containment.normalize"] span.
+    {!Discharge.run} proves through it, simplifying each side once. *)
 
 val equivalent : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
 
@@ -76,7 +83,8 @@ module For_tests : sig
     ?full_width:bool ->
     Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
   (** {!subset} with the type split replaced by [split] (default
-      {!Nf.type_cases}) and, with [~full_width:true], both sides normalized
+      {!Nf.type_cases}; a given [split]'s cases are each solved on their
+      own) and, with [~full_width:true], both sides normalized
       by {!Nf.For_tests.normalize_full_width} and every implied entity atom
       binding every column.  Only tests call it: to hold the coarse split
       against the one-case-per-type oracle, and narrowed atoms against

@@ -10,31 +10,60 @@ module Rhs_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash_param 40 100
 end)
 
-(* [Check.superset] memoized per schemas ([==]) and superset side
-   ([Query.Algebra.equal]): the obligations of a batch repeat their superset
-   sides (every AE-TPH overlap check's [π_key(σ_false T)], the FK checks
-   against one referenced table), and each distinct one is normalized
-   once per batch. *)
-let memo_superset () =
-  let tables = ref [] in
-  fun env rhs ->
-    let tbl =
-      match List.assq_opt env !tables with
-      | Some tbl -> tbl
-      | None ->
-          let tbl = Rhs_tbl.create 64 in
-          tables := (env, tbl) :: !tables;
-          tbl
-    in
-    match Rhs_tbl.find_opt tbl rhs with
-    | Some n -> n
+module Pair_tbl = Hashtbl.Make (struct
+  type t = Query.Algebra.t * Query.Algebra.t
+
+  let equal (a1, b1) (a2, b2) = Query.Algebra.equal a1 a2 && Query.Algebra.equal b1 b2
+  let hash (a, b) = Hashtbl.hash (Hashtbl.hash_param 40 100 a, Hashtbl.hash_param 40 100 b)
+end)
+
+(* What a batch keeps per schemas ([==]): the numbering of the client's
+   types that every check over them shares; each distinct superset side
+   ([Query.Algebra.equal]), simplified and normalized once (every AE-TPH
+   overlap check's [π_key(σ_false T)], the FK checks against one referenced
+   table); and the pairs of simplified sides already proven. *)
+type scope = {
+  types : Nf.Types.t;
+  supersets : (Query.Algebra.t * (Nf.output, string) result Lazy.t) Rhs_tbl.t;
+  proven : unit Pair_tbl.t;
+}
+
+let scopes () =
+  let scopes = ref [] in
+  fun env ->
+    match List.assq_opt env !scopes with
+    | Some s -> s
     | None ->
-        let n = Check.superset env rhs in
-        Rhs_tbl.add tbl rhs n;
-        n
+        let s =
+          { types = Nf.Types.create env.Query.Env.client; supersets = Rhs_tbl.create 64;
+            proven = Pair_tbl.create 16 }
+        in
+        scopes := (env, s) :: !scopes;
+        s
+
+(* A proof is a function of the schemas and the two simplified sides, so an
+   equal pair reuses the first one's verdict; the batch stops at a
+   failure, so only proven pairs are ever met again. *)
+let prove scope env lhs rhs =
+  let s = scope env in
+  let lhs = Query.Simplify.query env lhs in
+  let rhs, n2 =
+    match Rhs_tbl.find_opt s.supersets rhs with
+    | Some side -> side
+    | None ->
+        let q = Query.Simplify.query env rhs in
+        let side = (q, lazy (Check.superset s.types env q)) in
+        Rhs_tbl.add s.supersets rhs side;
+        side
+  in
+  if Pair_tbl.mem s.proven (lhs, rhs) then Ok true
+  else
+    let r = Check.prove s.types env lhs n2 in
+    if r = Ok true then Pair_tbl.add s.proven (lhs, rhs) ();
+    r
 
 let run obls =
   Obs.Span.with_ ~name:"discharge.batch" @@ fun () ->
   Obs.Span.tag "obligations" (List.length obls);
   Obs.Metric.incr batches;
-  Datum.Results.all_ok (Obligation.discharge ~superset:(memo_superset ())) obls
+  Datum.Results.all_ok (Obligation.discharge ~prove:(prove (scopes ()))) obls

@@ -6,13 +6,21 @@
 
     First-failure rule: the calling domain proves a batch in emission order
     and stops at the first obligation that fails, so the failure reported is
-    the first in emission order and no later obligation is proven.  The
-    batch normalizes each distinct superset side once: it keeps one memo of
-    {!Check.superset}, keyed by the obligation's schemas ([==]) and its
-    [rhs] ([Query.Algebra.equal]). *)
+    the first in emission order and no later obligation is proven.
+
+    Per schemas ([==]) a batch keeps one numbering of the client's types
+    ({!Nf.Types.t}) that all its checks share, and normalizes each distinct
+    superset side once: a memo of its simplification and {!Check.superset},
+    keyed by the obligation's [rhs] ([Query.Algebra.equal]).  It simplifies
+    each obligation's [lhs] once, and proves each distinct pair of
+    simplified sides once: a verdict depends on nothing else, and an
+    obligation whose pair an earlier one proved is proven without a check.
+    Since a batch stops at its first failure, only proven pairs repeat. *)
 
 val run : Obligation.t list -> (unit, Validation_error.t) result
-(** [run obls] discharges the obligations with {!Check.subset}, in order,
+(** [run obls] discharges the obligations with {!Check.prove}, in order,
     up to the first failure.  Each call adds 1 to the ["discharge.batches"]
     counter and is wrapped in a ["discharge.batch"] span tagged with the
-    batch size ([obligations]). *)
+    batch size ([obligations]); every obligation, a repeated one included,
+    opens its ["containment.obligation"] span, and only a check adds to
+    ["containment.checks"]. *)

@@ -1,9 +1,11 @@
+module Names = Datum.Name_set
+
 type term = V of int | C of Datum.Value.t [@@deriving eq, ord]
 
 type atom = { src : Query.Algebra.source; args : (string * term) list }
 
 type constr =
-  | Ty_in of int * string list
+  | Ty_in of int * Names.t
   | Rel of int * Query.Cond.cmp * Datum.Value.t
   | Null_c of int
   | Not_null_c of int
@@ -13,14 +15,41 @@ type role = Subset_side | Superset_side
 type output = { cqs : cq list; approximate : bool }
 
 (* ------------------------------------------------------------------ *)
+(* Type sets: bitsets over a numbering of the client's types.          *)
+(* ------------------------------------------------------------------ *)
+
+module Types = struct
+  type t = {
+    client : Edm.Schema.t;
+    names : Names.numbering;
+    subtypes : (string, Names.t) Hashtbl.t;
+  }
+
+  let create client = { client; names = Names.numbering 64; subtypes = Hashtbl.create 16 }
+
+  let subtypes t ty =
+    match Hashtbl.find_opt t.subtypes ty with
+    | Some s -> s
+    | None ->
+        let s = Names.of_list t.names (Edm.Schema.subtypes t.client ty) in
+        Hashtbl.add t.subtypes ty s;
+        s
+
+  let only t ty = Names.singleton (Names.number t.names ty)
+  let of_names t tys = Names.of_list t.names tys
+  let names t s = Names.elements t.names s
+  let mem t s ty = Names.mem t.names s ty
+  let find t ty = Names.find t.names ty
+end
+
+(* ------------------------------------------------------------------ *)
 (* Constraint solving: per-variable consistency and entailment.        *)
 (* ------------------------------------------------------------------ *)
 
 module Int_map = Map.Make (Int)
-module String_set = Set.Make (String)
 
 type info = {
-  types : string list option;                 (* intersection of Ty_in sets *)
+  types : Names.t option;                     (* intersection of Ty_in sets *)
   eq : Datum.Value.t option;
   neq : Datum.Value.t list;
   lo : (Datum.Value.t * bool) option;         (* bound, strict *)
@@ -35,8 +64,6 @@ type store = info Int_map.t
 let info0 =
   { types = None; eq = None; neq = []; lo = None; hi = None; null = false; notnull = false;
     inconsistent = false }
-
-let inter a b = List.filter (fun x -> List.mem x b) a
 
 let tighten_lo cur (v, strict) =
   match cur with
@@ -54,7 +81,7 @@ let tighten_hi cur (v, strict) =
 
 let add_info i = function
   | Ty_in (_, tys) ->
-      let types = match i.types with None -> Some tys | Some t -> Some (inter t tys) in
+      let types = match i.types with None -> Some tys | Some t -> Some (Names.inter t tys) in
       { i with types }
   | Null_c _ -> { i with null = true }
   | Not_null_c _ -> { i with notnull = true }
@@ -88,15 +115,57 @@ let norm_bounds i =
   in
   if lo == i.lo && hi == i.hi then i else { i with lo; hi }
 
+let solves = Obs.Metric.counter "containment.solves"
+
+let find_info v store = Option.value ~default:info0 (Int_map.find_opt v store)
+
+(* A variable's facts are a fold over its constraints, and the steps
+   commute (an intersection, a disjunction of flags, a tightest bound, a
+   list used as a set), so adding a constraint to a solved store is
+   solving the longer list. *)
+let add store con =
+  let v = var_of con in
+  Int_map.add v (add_info (find_info v store) con) store
+
+let refine store v tys = add store (Ty_in (v, tys))
+
 (* One fold of the store into per-variable facts; [consistent] and
    [entails] only read the result. *)
 let solve cons =
-  List.fold_left
-    (fun m con ->
-      let v = var_of con in
-      let i = Option.value ~default:info0 (Int_map.find_opt v m) in
-      Int_map.add v (add_info i con) m)
-    Int_map.empty cons
+  Obs.Metric.incr solves;
+  List.fold_left add Int_map.empty cons
+
+(* The facts of two constraint lists on one variable: those of their
+   concatenation. *)
+let merge_info a b =
+  let eq, clash =
+    match a.eq, b.eq with
+    | None, e | e, None -> (e, false)
+    | Some x, Some y -> (a.eq, not (Datum.Value.equal x y))
+  in
+  let bound tighten cur = function None -> cur | Some b -> tighten cur b in
+  {
+    types =
+      (match a.types, b.types with
+      | None, t | t, None -> t
+      | Some x, Some y -> Some (Names.inter x y));
+    eq;
+    neq = List.rev_append b.neq a.neq;
+    lo = bound tighten_lo a.lo b.lo;
+    hi = bound tighten_hi a.hi b.hi;
+    null = a.null || b.null;
+    notnull = a.notnull || b.notnull;
+    inconsistent = a.inconsistent || b.inconsistent || clash;
+  }
+
+(* The store of two concatenated lists, such as the two sides of a join. *)
+let union_stores = Int_map.union (fun _ a b -> Some (merge_info a b))
+
+(* [from]'s constraints become [into]'s. *)
+let rename_var store ~from ~into =
+  match Int_map.find_opt from store with
+  | None -> store
+  | Some i -> Int_map.add into (merge_info (find_info into store) i) (Int_map.remove from store)
 
 let in_bounds i v =
   let ok_lo = match i.lo with
@@ -132,7 +201,7 @@ let info_consistent i =
   let i = norm_bounds i in
   if i.inconsistent then false
   else if i.null && i.notnull then false
-  else if i.types = Some [] then false
+  else if (match i.types with Some s -> Names.is_empty s | None -> false) then false
   else
     match i.eq with
     | Some v -> in_bounds i v && not (List.exists (Datum.Value.equal v) i.neq)
@@ -152,10 +221,10 @@ let info_consistent i =
 let consistent store = Int_map.for_all (fun _ i -> info_consistent i) store
 
 let entails store target =
-  let i = norm_bounds (Option.value ~default:info0 (Int_map.find_opt (var_of target) store)) in
+  let i = norm_bounds (find_info (var_of target) store) in
   match target with
   | Ty_in (_, tys) -> (
-      match i.types with Some ts -> List.for_all (fun t -> List.mem t tys) ts | None -> false)
+      match i.types with Some ts -> Names.subset ts tys | None -> false)
   | Null_c _ -> i.null
   | Not_null_c _ -> i.notnull
   | Rel (_, op, c) -> (
@@ -189,7 +258,11 @@ let entails store target =
 (* Normalization proper.                                               *)
 (* ------------------------------------------------------------------ *)
 
-type state = { bind : (string * term) list; body : atom list; cons : constr list }
+(* [store] is [solve cons], kept up to date as constraints are added, so a
+   pruning point asks [consistent store] without re-solving. *)
+type state = { bind : (string * term) list; body : atom list; cons : constr list; store : store }
+
+let constrain st con = { st with cons = con :: st.cons; store = add st.store con }
 
 (* Which columns a scan binds: [Observed widen] the columns its parents
    read plus [widen src], [Full] (the tests' oracle) every column. *)
@@ -228,14 +301,13 @@ let source_has env src =
 (* The source-level invariant of one bound column, if any: entity rows
    range over the hierarchy's types, and keys, association ends and NOT NULL
    table columns are non-null. *)
-let seed env src =
+let seed types env src =
   match src with
   | Query.Algebra.Entity_set s ->
       let root = Option.get (Edm.Schema.set_root env.Query.Env.client s) in
       let key = Edm.Schema.key_of env.Query.Env.client root in
       fun c v ->
-        if c = Query.Env.type_column then
-          Some (Ty_in (v, Edm.Schema.subtypes env.Query.Env.client root))
+        if c = Query.Env.type_column then Some (Ty_in (v, Types.subtypes types root))
         else if List.mem c key then Some (Not_null_c v)
         else None
   | Query.Algebra.Assoc_set _ -> fun _ v -> Some (Not_null_c v)
@@ -249,7 +321,7 @@ let seed env src =
 
 (* A scan binding [needed] (every column when [None]) and the columns
    [width] adds, each to a fresh variable, and seeding only those. *)
-let scan_state env width counter needed src =
+let scan_state types env width counter needed src =
   let* cols =
     match width, needed with
     | Full, _ | Observed _, None -> Query.Algebra.source_columns env src
@@ -264,9 +336,9 @@ let scan_state env width counter needed src =
         (c, V !counter))
       cols
   in
-  let seed = seed env src in
+  let seed = seed types env src in
   let seeds = List.filter_map (function c, V v -> seed c v | _, C _ -> None) bind in
-  Ok { bind; body = [ { src; args = bind } ]; cons = seeds }
+  Ok { bind; body = [ { src; args = bind } ]; cons = seeds; store = solve seeds }
 
 (* Column [c] of a state of [q], as a parent of [q] reads it: a column [q]
    lacks reads as NULL.  Every column a parent reads is bound, so a column
@@ -285,14 +357,14 @@ exception Dead_state
 
 (* Apply one condition atom to a state; raises [Dead_state] when the atom is
    decidedly false on the state's constant bindings. *)
-let apply_atom env q st atom =
+let apply_atom types env q st atom =
   let term = read env q st in
   match atom with
   | Query.Cond.True -> st
   | Query.Cond.False -> raise Dead_state
   | Query.Cond.Is_of e -> (
       match term Query.Env.type_column with
-      | V v -> { st with cons = Ty_in (v, Edm.Schema.subtypes env.Query.Env.client e) :: st.cons }
+      | V v -> constrain st (Ty_in (v, Types.subtypes types e))
       | C (Datum.Value.String ty) ->
           if Edm.Schema.mem_type env.Query.Env.client ty
              && Edm.Schema.is_subtype env.Query.Env.client ~sub:ty ~sup:e
@@ -301,20 +373,20 @@ let apply_atom env q st atom =
       | C _ -> raise Dead_state)
   | Query.Cond.Is_of_only e -> (
       match term Query.Env.type_column with
-      | V v -> { st with cons = Ty_in (v, [ e ]) :: st.cons }
+      | V v -> constrain st (Ty_in (v, Types.only types e))
       | C (Datum.Value.String ty) -> if ty = e then st else raise Dead_state
       | C _ -> raise Dead_state)
   | Query.Cond.Is_null a -> (
       match term a with
-      | V v -> { st with cons = Null_c v :: st.cons }
+      | V v -> constrain st (Null_c v)
       | C v -> if Datum.Value.is_null v then st else raise Dead_state)
   | Query.Cond.Is_not_null a -> (
       match term a with
-      | V v -> { st with cons = Not_null_c v :: st.cons }
+      | V v -> constrain st (Not_null_c v)
       | C v -> if Datum.Value.is_null v then raise Dead_state else st)
   | Query.Cond.Cmp (a, op, c) -> (
       match term a with
-      | V v -> { st with cons = Rel (v, op, c) :: st.cons }
+      | V v -> constrain st (Rel (v, op, c))
       | C v -> if Query.Cond.eval_cmp op v c then st else raise Dead_state)
   | Query.Cond.And _ | Query.Cond.Or _ -> invalid_arg "apply_atom: non-atom"
 
@@ -322,7 +394,13 @@ let subst_term ~from ~into t = if equal_term t (V from) then into else t
 
 let subst_state ~from ~into st =
   let sub = subst_term ~from ~into in
+  let store =
+    match into with
+    | V v -> rename_var st.store ~from ~into:v
+    | C _ -> Int_map.remove from st.store
+  in
   {
+    store;
     bind = List.map (fun (c, t) -> (c, sub t)) st.bind;
     body = List.map (fun a -> { a with args = List.map (fun (c, t) -> (c, sub t)) a.args }) st.body;
     cons =
@@ -356,13 +434,13 @@ let unify_join_col (st, rbind) col =
     List.map (fun (c, t) -> (c, subst_term ~from ~into t)) rbind
   in
   match tl, tr with
-  | V a, V b when a = b -> ({ st with cons = Not_null_c a :: st.cons }, rbind)
+  | V a, V b when a = b -> (constrain st (Not_null_c a), rbind)
   | V a, V b ->
       let st = subst_state ~from:b ~into:(V a) st in
-      ({ st with cons = Not_null_c a :: st.cons }, subst_rbind ~from:b ~into:(V a) rbind)
+      (constrain st (Not_null_c a), subst_rbind ~from:b ~into:(V a) rbind)
   | V a, C v ->
       if Datum.Value.is_null v then raise Dead_state
-      else ({ st with cons = Rel (a, Query.Cond.Eq, v) :: st.cons }, rbind)
+      else (constrain st (Rel (a, Query.Cond.Eq, v)), rbind)
   | C v, V b ->
       if Datum.Value.is_null v then raise Dead_state
       else (subst_state ~from:b ~into:(C v) st, subst_rbind ~from:b ~into:(C v) rbind)
@@ -425,23 +503,23 @@ let rec needed_elim env role needed q =
 (* [norm env role width counter needed q] normalizes [q], whose parents
    read the columns [needed] (all of them when [None]); under [Observed]
    each subterm is passed the columns its own parents read. *)
-let rec norm env role width counter needed q : (state list * bool, string) Stdlib.result =
+let rec norm types env role width counter needed q : (state list * bool, string) Stdlib.result =
   let observe cols = match width with Full -> None | Observed _ -> Some cols in
   let also extra = Option.map (union extra) needed in
   match q with
   | Query.Algebra.Scan src ->
-      let* st = scan_state env width counter needed src in
+      let* st = scan_state types env width counter needed src in
       Ok ([ st ], false)
   | Query.Algebra.Select (c, q1) ->
-      let* sts, approx = norm env role width counter (also (cond_reads c)) q1 in
+      let* sts, approx = norm types env role width counter (also (cond_reads c)) q1 in
       let disjuncts = Query.Cond.dnf (Query.Cond.simplify c) in
       let out =
         List.concat_map
           (fun st ->
             List.filter_map
               (fun conj ->
-                match List.fold_left (apply_atom env q1) st conj with
-                | st -> if consistent (solve st.cons) then Some st else None
+                match List.fold_left (apply_atom types env q1) st conj with
+                | st -> if consistent st.store then Some st else None
                 | exception Dead_state -> None)
               disjuncts)
           sts
@@ -450,7 +528,7 @@ let rec norm env role width counter needed q : (state list * bool, string) Stdli
   | Query.Algebra.Project (items, q1) ->
       let sources = item_sources items in
       let q1 = needed_elim env role sources q1 in
-      let* sts, approx = norm env role width counter (observe sources) q1 in
+      let* sts, approx = norm types env role width counter (observe sources) q1 in
       (* [Coalesce] splits a state into one case per "first non-null source"
          position, plus the all-null case; each case pins the corresponding
          null constraints.  Constant sources resolve immediately. *)
@@ -464,21 +542,20 @@ let rec norm env role width counter needed q : (state list * bool, string) Stdli
             List.concat_map
               (fun ((st : state), bind) ->
                 let terms = List.map (read env q1 st) srcs in
+                let with_cons cons =
+                  { st with cons = cons @ st.cons; store = List.fold_left add st.store cons }
+                in
                 let rec cases prefix_null = function
-                  | [] ->
-                      [ ({ st with cons = prefix_null @ st.cons },
-                         (dst, C Datum.Value.Null) :: bind) ]
+                  | [] -> [ (with_cons prefix_null, (dst, C Datum.Value.Null) :: bind) ]
                   | t :: rest -> (
                       match t with
                       | C v when Datum.Value.is_null v -> cases prefix_null rest
-                      | C v ->
-                          [ ({ st with cons = prefix_null @ st.cons }, (dst, C v) :: bind) ]
+                      | C v -> [ (with_cons prefix_null, (dst, C v) :: bind) ]
                       | V x ->
-                          ({ st with cons = (Not_null_c x :: prefix_null) @ st.cons },
-                           (dst, V x) :: bind)
+                          (with_cons (Not_null_c x :: prefix_null), (dst, V x) :: bind)
                           :: cases (Null_c x :: prefix_null) rest)
                 in
-                List.filter (fun ((st : state), _) -> consistent (solve st.cons)) (cases [] terms))
+                List.filter (fun ((st : state), _) -> consistent st.store) (cases [] terms))
               states
       in
       let out =
@@ -492,8 +569,8 @@ let rec norm env role width counter needed q : (state list * bool, string) Stdli
       Ok (out, approx)
   | Query.Algebra.Join (kind, l, r, on) -> (
       let needed' = also (List.sort_uniq String.compare on) in
-      let* ls, al = norm env role width counter needed' l in
-      let* rs, ar = norm env role width counter needed' r in
+      let* ls, al = norm types env role width counter needed' l in
+      let* rs, ar = norm types env role width counter needed' r in
       let joined = join_states ls rs on in
       match (kind, role) with
       | Query.Join.Inner, _ -> Ok (joined, al || ar)
@@ -502,8 +579,8 @@ let rec norm env role width counter needed q : (state list * bool, string) Stdli
       | Query.Join.Full, Subset_side ->
           Ok (joined @ pad_unmatched env needed on r ls @ pad_unmatched env needed on l rs, true))
   | Query.Algebra.Union_all (l, r) ->
-      let* ls, al = norm env role width counter needed l in
-      let* rs, ar = norm env role width counter needed r in
+      let* ls, al = norm types env role width counter needed l in
+      let* rs, ar = norm types env role width counter needed r in
       Ok (ls @ rs, al || ar)
 
 and join_states ls rs on =
@@ -516,10 +593,11 @@ and join_states ls rs on =
               bind = stl.bind @ List.filter (fun (c, _) -> not (List.mem c on)) str.bind;
               body = stl.body @ str.body;
               cons = stl.cons @ str.cons;
+              store = union_stores stl.store str.store;
             }
           in
           match List.fold_left unify_join_col (merged, str.bind) on with
-          | st, _ -> if consistent (solve st.cons) then Some st else None
+          | st, _ -> if consistent st.store then Some st else None
           | exception Dead_state -> None)
         rs)
     ls
@@ -539,10 +617,13 @@ and pad_unmatched env needed on q sts =
   | Error e -> invalid_arg e
 
 (* The type distinctions the superset side can observe: each of its [Ty_in]
-   sets, and each of its string constants as a singleton. *)
-let observable_type_sets (cq2s : cq list) =
+   sets, and each of its string constants that names a numbered type, as a
+   singleton.  A name with no number is in no type set, so it splits no
+   class. *)
+let observable_type_sets types (cq2s : cq list) =
   let of_term acc = function
-    | C (Datum.Value.String s) -> String_set.singleton s :: acc
+    | C (Datum.Value.String s) -> (
+        match Types.find types s with Some i -> Names.singleton i :: acc | None -> acc)
     | C _ | V _ -> acc
   in
   let of_args acc args = List.fold_left (fun acc (_, t) -> of_term acc t) acc args in
@@ -552,63 +633,67 @@ let observable_type_sets (cq2s : cq list) =
       let acc = List.fold_left (fun acc (a : atom) -> of_args acc a.args) acc cq.body in
       List.fold_left
         (fun acc -> function
-          | Ty_in (_, tys) -> String_set.of_list tys :: acc
+          | Ty_in (_, tys) -> tys :: acc
           | Rel (_, _, c) -> of_term acc (C c)
           | Null_c _ | Not_null_c _ -> acc)
         acc cq.cons)
     [] cq2s
-  |> List.sort_uniq String_set.compare
+  |> List.sort_uniq Names.compare
 
 (* Refine [[tys]] by every observable set: split each class into the types
    inside the set and those outside it, keeping only non-empty parts. *)
-let type_partition ~against =
-  let sets = observable_type_sets against in
+let type_partition types ~against =
+  let sets = observable_type_sets types against in
   fun tys ->
     List.fold_left
       (fun classes s ->
         List.concat_map
           (fun cls ->
-            match List.partition (fun t -> String_set.mem t s) cls with
-            | [], _ | _, [] -> [ cls ]
-            | inside, outside -> [ inside; outside ])
+            (* [inter] returns [cls] itself when [cls] is inside [s]. *)
+            let inside = Names.inter cls s in
+            if Names.is_empty inside || inside == cls then [ cls ]
+            else [ inside; Names.diff cls s ])
           classes)
       [ tys ] sets
 
-let type_cases ~against =
-  let partition = type_partition ~against in
+let type_cases types ~against =
+  let partition = type_partition types ~against in
   fun (cq : cq) ->
+    let store = solve cq.cons in
     let split_vars =
       Int_map.fold
         (fun v i acc ->
           match i.types with
-          | Some (_ :: _ :: _ as tys) -> (
+          | Some tys when Names.at_least_two tys -> (
               match partition tys with
               | [ _ ] -> acc
               | classes -> (v, classes) :: acc)
           | _ -> acc)
-        (solve cq.cons) []
+        store []
     in
     List.fold_left
       (fun cases (v, classes) ->
         List.concat_map
-          (fun (cq : cq) ->
-            List.map (fun cls -> { cq with cons = Ty_in (v, cls) :: cq.cons }) classes)
+          (fun ((cq : cq), store) ->
+            List.map
+              (fun cls -> ({ cq with cons = Ty_in (v, cls) :: cq.cons }, refine store v cls))
+              classes)
           cases)
-      [ cq ] split_vars
+      [ (cq, store) ] split_vars
 
-let run env role width q =
+let run types env role width q =
   let counter = ref 0 in
-  let* sts, approximate = norm env role width counter None q in
+  let* sts, approximate = norm types env role width counter None q in
   let cqs =
     List.filter_map
       (fun st ->
-        if consistent (solve st.cons) then Some { head = st.bind; body = st.body; cons = st.cons }
+        if consistent st.store then Some { head = st.bind; body = st.body; cons = st.cons }
         else None)
       sts
   in
   Ok { cqs; approximate }
 
-let normalize ?(widen = fun _ -> []) env role q = run env role (Observed widen) q
+let normalize ?(widen = fun _ -> []) types env role q = run types env role (Observed widen) q
 
 let bound_columns (cqs : cq list) =
   let add acc (a : atom) =
@@ -632,5 +717,24 @@ let atom_args (cqs : cq list) =
     0 cqs
 
 module For_tests = struct
-  let normalize_full_width env role q = run env role Full q
+  let normalize_full_width types env role q = run types env role Full q
+
+  (* Facts equal up to what adding in another order may change: the order
+     of [neq], and which of two clashing equalities an inconsistent
+     variable keeps. *)
+  let equal_info a b =
+    let opt eq x y = match x, y with None, None -> true | Some x, Some y -> eq x y | _ -> false in
+    let bound (v, s) (w, t) = Datum.Value.compare v w = 0 && s = t in
+    let values l = List.sort_uniq Datum.Value.compare l in
+    opt (fun x y -> Names.compare x y = 0) a.types b.types
+    && (opt Datum.Value.equal a.eq b.eq || (a.inconsistent && b.inconsistent))
+    && List.equal Datum.Value.equal (values a.neq) (values b.neq)
+    && opt bound a.lo b.lo && opt bound a.hi b.hi
+    && a.null = b.null && a.notnull = b.notnull && a.inconsistent = b.inconsistent
+
+  let equal_store = Int_map.equal equal_info
+
+  let stores_agree types env role q =
+    let* sts, _ = norm types env role (Observed (fun _ -> [])) (ref 0) None q in
+    Ok (List.for_all (fun st -> equal_store st.store (solve st.cons)) sts)
 end

@@ -28,9 +28,37 @@ type term = V of int | C of Datum.Value.t
 
 type atom = { src : Query.Algebra.source; args : (string * term) list }
 
+(** The numbering of a client schema's entity types that type sets are
+    bitsets over ({!Datum.Name_set}).  A discharge batch builds one per
+    schema and normalizes, splits and matches every CQ of the batch over
+    it, so a type set means something only within its batch.  Types are
+    numbered in order of first sight, and each type's subtree set is built
+    at most once per numbering. *)
+module Types : sig
+  type t
+
+  val create : Edm.Schema.t -> t
+  (** An empty numbering of the schema's types. *)
+
+  val subtypes : t -> string -> Datum.Name_set.t
+  (** The type and its descendants ({!Edm.Schema.subtypes}), as a set;
+      built on the first call for the type, then returned as is. *)
+
+  val of_names : t -> string list -> Datum.Name_set.t
+  val names : t -> Datum.Name_set.t -> string list
+  (** The set's types, in numbering order: only printing and tests need
+      them. *)
+
+  val mem : t -> Datum.Name_set.t -> string -> bool
+  (** Whether the named type is in the set; a name the numbering has not
+      seen is in no set. *)
+end
+
 type constr =
-  | Ty_in of int * string list
-      (** The variable (a dynamic-type binding) is one of the named types. *)
+  | Ty_in of int * Datum.Name_set.t
+      (** The variable (a dynamic-type binding) is one of the types of the
+          set, a bitset over the batch's {!Types.t}: intersection, inclusion
+          and the splits of {!type_partition} are word operations. *)
   | Rel of int * Query.Cond.cmp * Datum.Value.t
   | Null_c of int
   | Not_null_c of int
@@ -47,11 +75,15 @@ type output = { cqs : cq list; approximate : bool }
 
 val normalize :
   ?widen:(Query.Algebra.source -> string list) ->
-  Query.Env.t -> role -> Query.Algebra.t -> (output, string) result
+  Types.t -> Query.Env.t -> role -> Query.Algebra.t -> (output, string) result
 (** Unsatisfiable disjuncts are pruned; an empty [cqs] means the query is
-    provably empty.  Each scan of a source [src] also binds the columns of
+    provably empty.  Each intermediate state keeps its constraints solved
+    and adds each new constraint to that store ({!add}), so a pruning
+    point tests the store rather than solving the state's whole list
+    again.  Each scan of a source [src] also binds the columns of
     [widen src] that the source has (by default none); the checker widens
-    the subset side by the superset side's {!bound_columns}. *)
+    the subset side by the superset side's {!bound_columns}.  Type sets are
+    over [types], which numbers [env]'s client types. *)
 
 val bound_columns : cq list -> Query.Algebra.source -> string list
 (** [bound_columns cqs src]: every column that some atom of [cqs] over
@@ -66,8 +98,20 @@ type store
     its null tests. *)
 
 val solve : constr list -> store
-(** One fold over the store.  The checker solves each case once and asks
-    {!entails} about it for every candidate homomorphism. *)
+(** One fold of {!add} over the list.  Each call adds 1 to {!solves}. *)
+
+val add : store -> constr -> store
+(** [add (solve cons) c] has the facts of [solve (c :: cons)]: a variable's
+    facts are a fold over its constraints whose steps commute. *)
+
+val refine : store -> int -> Datum.Name_set.t -> store
+(** [refine store v tys] is [add store (Ty_in (v, tys))]: a case of
+    {!type_cases} narrowed to one class of types. *)
+
+val solves : Obs.Metric.counter
+(** ["containment.solves"]: constraint lists solved into a new store by
+    {!solve}: one per scan's seeds and one per subset-side CQ the checker
+    splits. *)
 
 val consistent : store -> bool
 (** Whether the store is satisfiable (per-variable reasoning: type-set
@@ -78,19 +122,24 @@ val entails : store -> constr -> bool
 (** Whether every assignment satisfying the store satisfies the target
     constraint — the atom-level test of homomorphism checking. *)
 
-val type_partition : against:cq list -> string list -> string list list
-(** [type_partition ~against tys] is the coarsest partition of [tys] that
-    the superset CQs [against] can observe: two types share a class exactly
-    when they lie in the same [Ty_in] sets of [against] and equal the same
-    string constants of [against] (in heads, atom arguments or comparisons).
-    Each class is therefore inside or disjoint from every such set.  The
-    classes are non-empty and their union is [tys]. *)
+val type_partition :
+  Types.t -> against:cq list -> Datum.Name_set.t -> Datum.Name_set.t list
+(** [type_partition types ~against tys] is the coarsest partition of [tys]
+    that the superset CQs [against] can observe: two types share a class
+    exactly when they lie in the same [Ty_in] sets of [against] and equal
+    the same string constants of [against] (in heads, atom arguments or
+    comparisons).  Each class is therefore inside or disjoint from every
+    such set.  The classes are non-empty and their union is [tys].  A
+    string constant that names no type numbered in [types] is in no type
+    set and splits no class. *)
 
-val type_cases : against:cq list -> cq -> cq list
+val type_cases : Types.t -> against:cq list -> cq -> (cq * store) list
 (** Split a subset-side conjunctive query into one case per class of
     {!type_partition} for each of its dynamic-type variables; a variable
     with one class is not split.  The union of the cases is equivalent to
-    the original CQ.
+    the original CQ.  Each case comes with its store: the CQ is solved
+    once, and a case's store is that store {!refine}d by the case's class
+    of each split variable, equal to solving the case's constraints.
 
     Splitting makes the homomorphism test complete for coverage checks such
     as [IS OF P ⊆ IS OF (ONLY P) ∪ IS OF E] — the disjunctions Algorithm 2
@@ -103,16 +152,27 @@ val type_cases : against:cq list -> cq -> cq list
     store is the same in the class case and in each per-type case.  So a
     superset CQ maps onto the class case exactly when it maps onto each of
     the class's per-type cases, and the checker's verdict is the same.
-    Partial application [type_cases ~against] computes the observable sets
-    once. *)
+    Partial application [type_cases types ~against] computes the observable
+    sets once. *)
 
 val equal_term : term -> term -> bool
 
 (** {1 Test seam} *)
 
 module For_tests : sig
-  val normalize_full_width : Query.Env.t -> role -> Query.Algebra.t -> (output, string) result
+  val normalize_full_width :
+    Types.t -> Query.Env.t -> role -> Query.Algebra.t -> (output, string) result
   (** {!normalize} with every scan binding (and seeding) every column of its
       source, the normalization before atoms were narrowed.  Only tests
       reach it, through [Check.For_tests.subset ~full_width:true]. *)
+
+  val equal_store : store -> store -> bool
+  (** Whether two stores hold the same facts per variable, up to the order
+      of disequalities and, on a variable with two clashing equalities,
+      which one is kept. *)
+
+  val stores_agree : Types.t -> Query.Env.t -> role -> Query.Algebra.t -> (bool, string) result
+  (** Whether every state {!normalize} ends with (before its last
+      consistency filter) holds the store of its own constraint list: the
+      store it kept up to date is {!equal_store} to solving the list. *)
 end

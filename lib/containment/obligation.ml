@@ -17,10 +17,10 @@ let on_fail t = Lazy.force t.on_fail
    is uniform.  A normalization error counts as "not proven", the
    conservative collapse validation relies on.  The name is forced only for
    a recorded span or a failure, the message only for a failure. *)
-let discharge ?superset t =
+let discharge ?(prove = fun env lhs rhs -> Check.subset env lhs rhs) t =
   let attrs = if Obs.enabled () then [ ("obligation", name t) ] else [] in
   Obs.Span.with_ ~name:"containment.obligation" ~attrs @@ fun () ->
   Obs.Metric.incr discharged;
-  match Check.subset ?superset t.env t.lhs t.rhs with
+  match prove t.env t.lhs t.rhs with
   | Ok true -> Ok ()
   | Ok false | Error _ -> Error (Validation_error.of_obligation ~name:(name t) (on_fail t))

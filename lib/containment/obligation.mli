@@ -30,9 +30,9 @@ val name : t -> string
 val on_fail : t -> string
 
 val discharge :
-  ?superset:(Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result) ->
+  ?prove:(Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result) ->
   t -> (unit, Validation_error.t) result
-(** Prove one obligation with {!Check.subset}, passing it [superset].
+(** Prove one obligation with [prove env lhs rhs] (default {!Check.subset}).
     Records the per-obligation span and counter; a normalization error is
     conservatively "not proven".  {!Discharge.run} proves through this
     function. *)

@@ -249,59 +249,8 @@ let dead_branch_diags loc ctor acc =
 (* -- L105: constructor references and exact view columns --------------------- *)
 
 (* Column names are numbered in order of first sight, once per call, so
-   that a set of names is a bitset: an [int array] of [Sys.int_size] names a
-   word, as many words as its highest number needs. *)
-type names = (string, int) Hashtbl.t
-
-let number (names : names) c =
-  match Hashtbl.find names c with
-  | i -> i
-  | exception Not_found ->
-      let i = Hashtbl.length names in
-      Hashtbl.add names c i;
-      i
-
-let word i = i / Sys.int_size
-let bit i = 1 lsl (i mod Sys.int_size)
-let get set k = if k < Array.length set then set.(k) else 0
-
-(* The set of the names [iter] reaches in [x]; numbered first, so the set is
-   allocated once, at its size. *)
-let set_of names iter x =
-  let top = ref (-1) in
-  iter (fun c -> top := Int.max !top (number names c)) x;
-  if !top < 0 then [||]
-  else
-    let set = Array.make (word !top + 1) 0 in
-    iter
-      (fun c ->
-        let i = number names c in
-        set.(word i) <- set.(word i) lor bit i)
-      x;
-    set
-
-let mem names set c =
-  match Hashtbl.find names c with
-  | i -> get set (word i) land bit i <> 0
-  | exception Not_found -> false
-
-let subset a b =
-  let rec from k = k = Array.length a || (a.(k) land lnot (get b k) = 0 && from (k + 1)) in
-  from 0
-
-(* One of the two sets when it holds the other, as a CASE chain's tail
-   mostly holds what its branch adds. *)
-let union a b =
-  if subset a b then b
-  else if subset b a then a
-  else Array.init (max (Array.length a) (Array.length b)) (fun k -> get a k lor get b k)
-
-(* [f] on each name of [a] that [b] lacks. *)
-let iter_missing names f a b =
-  if not (subset a b) then
-    Hashtbl.iter
-      (fun c i -> if get a (word i) land bit i <> 0 && get b (word i) land bit i = 0 then f c)
-      names
+   that a set of names is a bitset ({!Datum.Name_set}). *)
+module Names = Datum.Name_set
 
 (* The set of a view's columns, built once per list: views share [infer]'s
    lists, and [compare] stops at [==]. *)
@@ -309,7 +258,7 @@ let column_set names sets cols =
   match Hashtbl.find sets cols with
   | set -> set
   | exception Not_found ->
-      let set = set_of names List.iter cols in
+      let set = Names.of_list names cols in
       Hashtbl.add sets cols set;
       set
 
@@ -325,22 +274,22 @@ let is_type_atom = function Cond.Is_of _ | Cond.Is_of_only _ -> true | _ -> fals
 (* What a constructor subtree references: the attributes its entities read
    and the columns its conditions test, as sets, and whether some branch
    tests entity types.  [refs] reaches the children. *)
-type refs = { attrs : int array; conds : int array; tests_types : bool }
+type refs = { attrs : Names.t; conds : Names.t; tests_types : bool }
 
 let ctor_refs_step names refs c =
   match c with
   | Ctor.Entity { attrs; _ } ->
-      { attrs = set_of names List.iter attrs; conds = [||]; tests_types = false }
+      { attrs = Names.of_list names attrs; conds = Names.empty; tests_types = false }
   | Ctor.If (cond, a, b) ->
       let ra = refs a and rb = refs b in
-      { attrs = union ra.attrs rb.attrs;
-        conds = union (set_of names iter_columns cond) (union ra.conds rb.conds);
+      { attrs = Names.union ra.attrs rb.attrs;
+        conds = Names.union (Names.of_iter names iter_columns cond) (Names.union ra.conds rb.conds);
         tests_types = Cond.exists_atom is_type_atom cond || ra.tests_types || rb.tests_types }
 
 let ctor_ref_diags loc names refs cols acc =
   let acc = ref acc in
   let missing what set =
-    iter_missing names
+    Names.iter_missing names
       (fun c ->
         acc :=
           Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
@@ -350,7 +299,7 @@ let ctor_ref_diags loc names refs cols acc =
   in
   missing "attribute" refs.attrs;
   missing "condition column" refs.conds;
-  if refs.tests_types && not (mem names cols Query.Env.type_column) then
+  if refs.tests_types && not (Names.mem names cols Query.Env.type_column) then
     Diag.makef ~code:"L105" ~severity:Diag.Error ~loc
       "constructor tests entity types but the query does not carry %s" Query.Env.type_column
     :: !acc
@@ -385,7 +334,7 @@ let exact_column_diags env loc names owner cols set acc =
   | Error msg -> diag "%s" msg :: acc
   | Ok (view, owner, expected) ->
       let missing acc c =
-        if mem names set c then acc
+        if Names.mem names set c then acc
         else diag "the %s does not produce column %s of %s" view c owner :: acc
       in
       let extra acc c =
@@ -415,7 +364,7 @@ let located env (qv : View.query_views) (uv : View.update_views) =
 (* L008, L011, L101, L102, L103 and L105 of every view. *)
 let view_shape_diags env ~keep views =
   let fold = Algebra.Memo.fix ~keep (Algebra.Memo.create ()) (typed_step env (Hashtbl.create 64)) in
-  let names = Hashtbl.create 256 in
+  let names = Names.numbering 256 in
   let refs =
     let keep =
       Ctor.Memo.shared

@@ -5,8 +5,10 @@
    side can tell apart) against it, verdict for verdict. *)
 
 module Nf = Containment.Nf
+module Names = Datum.Name_set
 
-(* Each variable's possible types: the intersection of its [Ty_in] sets. *)
+(* Each variable's possible types: the intersection of its [Ty_in] sets, as
+   the numbers of the batch's numbering. *)
 let types_of (cq : Nf.cq) =
   List.fold_left
     (fun acc -> function
@@ -14,11 +16,15 @@ let types_of (cq : Nf.cq) =
           let tys =
             match List.assoc_opt v acc with
             | None -> tys
-            | Some cur -> List.filter (fun t -> List.mem t tys) cur
+            | Some cur -> Names.inter cur tys
           in
           (v, tys) :: List.remove_assoc v acc
       | Nf.Rel _ | Nf.Null_c _ | Nf.Not_null_c _ -> acc)
     [] cq.Nf.cons
+  |> List.map (fun (v, tys) ->
+         let numbers = ref [] in
+         Names.iter (fun i -> numbers := i :: !numbers) tys;
+         (v, List.rev !numbers))
 
 let type_cases ~against:(_ : Nf.cq list) (cq : Nf.cq) =
   List.fold_left
@@ -27,7 +33,9 @@ let type_cases ~against:(_ : Nf.cq list) (cq : Nf.cq) =
       else
         List.concat_map
           (fun (cq : Nf.cq) ->
-            List.map (fun ty -> { cq with Nf.cons = Nf.Ty_in (v, [ ty ]) :: cq.Nf.cons }) tys)
+            List.map
+              (fun ty -> { cq with Nf.cons = Nf.Ty_in (v, Names.singleton ty) :: cq.Nf.cons })
+              tys)
           cases)
     [ cq ] (types_of cq)
 

@@ -264,7 +264,9 @@ let prop_split_random =
         (pipeline_obligations seed);
       true)
 
-(* Random type sets and random superset stores over ten types. *)
+(* Random type sets and random superset stores over ten types.  A type set
+   is built through a numbering ([numbered]), once the property has made
+   one; the numbering sees the partitioned types first. *)
 let gen_partition_case =
   let open QCheck.Gen in
   let ty = map (Printf.sprintf "T%d") (int_bound 9) in
@@ -272,28 +274,37 @@ let gen_partition_case =
   let con =
     oneof
       [
-        map (fun ts -> Nf.Ty_in (0, ts)) tys;
-        map (fun t -> Nf.Rel (1, Query.Cond.Eq, V.String t)) ty;
+        map (fun ts types -> Nf.Ty_in (0, Nf.Types.of_names types ts)) tys;
+        map (fun t _ -> Nf.Rel (1, Query.Cond.Eq, V.String t)) ty;
       ]
   in
   let cq =
     map2
-      (fun cons head -> { Nf.head = List.map (fun t -> ("c", Nf.C (V.String t))) head; body = []; cons })
+      (fun cons head types ->
+        { Nf.head = List.map (fun t -> ("c", Nf.C (V.String t))) head; body = [];
+          cons = List.map (fun con -> con types) cons })
       (list_size (int_bound 4) con) (list_size (int_bound 1) ty)
   in
   pair tys (list_size (int_bound 3) cq)
 
+let numbered (tys, against) =
+  let types = Nf.Types.create env.Query.Env.client in
+  let set = Nf.Types.of_names types tys in
+  (types, set, List.map (fun cq -> cq types) against)
+
 let prop_partition =
   qtest ~count:500 "classes partition the types and respect every superset set"
     (QCheck.make gen_partition_case)
-    (fun (tys, against) ->
-      let classes = Nf.type_partition ~against tys in
+    (fun case ->
+      let tys = fst case in
+      let types, set, against = numbered case in
+      let classes = List.map (Nf.Types.names types) (Nf.type_partition types ~against set) in
       let sets =
         List.concat_map
           (fun (cq : Nf.cq) ->
             List.filter_map
               (function
-                | Nf.Ty_in (_, ts) -> Some ts
+                | Nf.Ty_in (_, ts) -> Some (Nf.Types.names types ts)
                 | Nf.Rel (_, _, V.String t) -> Some [ t ]
                 | _ -> None)
               cq.Nf.cons
@@ -461,6 +472,222 @@ let prop_simplify_random =
         (pipeline_obligations seed);
       true)
 
+(* -- bitset type sets and solved stores ------------------------------------- *)
+
+module Names = Datum.Name_set
+
+(* Customer Set1's 95 types, numbered as a batch numbers them: the
+   hierarchy's subtree set first. *)
+let set1 =
+  lazy
+    (let client = (Lazy.force customer).Core.State.env.Query.Env.client in
+     let root = Option.get (Edm.Schema.set_root client "Set1") in
+     let types = Nf.Types.create client in
+     ignore (Nf.Types.subtypes types root);
+     (types, Edm.Schema.subtypes client root))
+
+(* A random subset of [names], each kept with one random probability, so
+   empty, small and nearly full sets all occur. *)
+let gen_subset names =
+  let open QCheck.Gen in
+  float_bound_inclusive 1. >>= fun p ->
+  map
+    (fun keep -> List.filteri (fun i _ -> keep.(i) < p) names)
+    (array_repeat (List.length names) (float_bound_exclusive 1.))
+
+let sorted l = List.sort String.compare l
+
+(* The list semantics the bitsets replace. *)
+let list_inter a b = List.filter (fun x -> List.mem x b) a
+
+let list_partition sets tys =
+  List.fold_left
+    (fun classes s ->
+      List.concat_map
+        (fun cls ->
+          match List.partition (fun t -> List.mem t s) cls with
+          | [], _ | _, [] -> [ cls ]
+          | inside, outside -> [ inside; outside ])
+        classes)
+    [ tys ] sets
+
+let canonical classes = List.sort compare (List.map sorted classes)
+
+(* Two subsets of Set1, and superset CQs of Set1 subsets and of string
+   constants, one of which names no type. *)
+let gen_bitset_case =
+  let open QCheck.Gen in
+  let _, names = Lazy.force set1 in
+  let const = oneof [ oneofl names; return "NoSuchType" ] in
+  let con =
+    oneof [ map (fun ts -> `Ty ts) (gen_subset names); map (fun t -> `Eq t) const ]
+  in
+  triple (gen_subset names) (gen_subset names) (list_size (int_bound 3) (list_size (int_bound 4) con))
+
+let prop_bitsets =
+  qtest ~count:300 "bitset inter, subset, partition ≡ lists on Set1"
+    (QCheck.make gen_bitset_case)
+    (fun (a, b, against) ->
+      let types, _ = Lazy.force set1 in
+      let set = Nf.Types.of_names types in
+      let names = Nf.Types.names types in
+      let sa = set a and sb = set b in
+      let cqs =
+        List.map
+          (fun cons ->
+            { Nf.head = []; body = [];
+              cons =
+                List.map
+                  (function
+                    | `Ty ts -> Nf.Ty_in (0, set ts)
+                    | `Eq t -> Nf.Rel (1, Query.Cond.Eq, V.String t))
+                  cons })
+          against
+      in
+      let sets =
+        List.concat_map (List.map (function `Ty ts -> ts | `Eq t -> [ t ])) against
+      in
+      sorted (names (Names.inter sa sb)) = sorted (list_inter a b)
+      && Names.subset sa sb = List.for_all (fun x -> List.mem x b) a
+      && sorted (names (Names.diff sa sb)) = sorted (List.filter (fun x -> not (List.mem x b)) a)
+      && Names.is_empty sa = (a = [])
+      && Names.at_least_two sa = (List.length a >= 2)
+      && (a = []
+         || canonical (List.map names (Nf.type_partition types ~against:cqs sa))
+            = canonical (list_partition sets a)))
+
+(* Random constraint lists over four variables: Set1 type sets, integer
+   comparisons and null tests. *)
+let gen_constr =
+  let open QCheck.Gen in
+  let types, names = Lazy.force set1 in
+  let var = int_bound 3 in
+  let op = oneofl Query.Cond.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+  oneof
+    [
+      map2 (fun v ts -> Nf.Ty_in (v, Nf.Types.of_names types ts)) var (gen_subset names);
+      map3 (fun v op n -> Nf.Rel (v, op, V.Int n)) var op (int_bound 5);
+      map (fun v -> Nf.Null_c v) var;
+      map (fun v -> Nf.Not_null_c v) var;
+    ]
+
+let gen_cons = QCheck.Gen.(list_size (int_bound 8) gen_constr)
+
+let prop_add =
+  qtest ~count:500 "adding to a solved store ≡ solving the longer list"
+    (QCheck.make QCheck.Gen.(pair gen_constr gen_cons))
+    (fun (c, cons) ->
+      let added = Nf.add (Nf.solve cons) c and solved = Nf.solve (c :: cons) in
+      Nf.For_tests.equal_store added solved && Nf.consistent added = Nf.consistent solved)
+
+let prop_refine =
+  qtest ~count:500 "refine ≡ solving with the extra Ty_in"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_bound 3) (gen_subset (snd (Lazy.force set1))) gen_cons))
+    (fun (v, ts, cons) ->
+      let types, _ = Lazy.force set1 in
+      let tys = Nf.Types.of_names types ts in
+      Nf.For_tests.equal_store (Nf.refine (Nf.solve cons) v tys)
+        (Nf.solve (Nf.Ty_in (v, tys) :: cons)))
+
+(* Each case [type_cases] returns carries the store of its own
+   constraints, though only its CQ was solved. *)
+let prop_case_stores =
+  qtest ~count:300 "each case's store ≡ solving the case"
+    (QCheck.make QCheck.Gen.(pair gen_cons (list_size (int_bound 3) gen_cons)))
+    (fun (cons, against) ->
+      let types, _ = Lazy.force set1 in
+      let cq cons = { Nf.head = []; body = []; cons } in
+      List.for_all
+        (fun ((case : Nf.cq), store) ->
+          Nf.For_tests.equal_store store (Nf.solve case.Nf.cons))
+        (Nf.type_cases types ~against:(List.map cq against) (cq cons)))
+
+(* The store each normalized state keeps up to date against solving its
+   constraint list, on both sides of every obligation of the customer suite
+   and its drops and of the random pipelines. *)
+let stores_agree tag (o : Obligation.t) =
+  let env = o.Obligation.env in
+  let types = Nf.Types.create env.Query.Env.client in
+  List.iter
+    (fun (role, q) ->
+      match Nf.For_tests.stores_agree types env role (Query.Simplify.query env q) with
+      | Ok agree -> checkb (tag ^ " " ^ Obligation.name o ^ " stores") true agree
+      | Error e -> Alcotest.failf "%s %s: %s" tag (Obligation.name o) e)
+    [ (Nf.Subset_side, o.Obligation.lhs); (Nf.Superset_side, o.Obligation.rhs) ]
+
+let test_stores_customer () =
+  let st = Lazy.force customer in
+  List.iter
+    (fun (label, smo) ->
+      match Core.Engine.compile st smo with
+      | Ok (_, obls) -> List.iter (stores_agree label) obls
+      | Error e -> Alcotest.failf "%s: %s" label (show_v e))
+    (Workload.Customer.smo_suite () @ Workload.Customer.drop_suite ())
+
+let prop_stores_random =
+  qtest ~count:100 "kept stores ≡ solved lists on random pipelines"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      List.iter
+        (fun (label, o) -> stores_agree (Printf.sprintf "seed %d %s" seed label) o)
+        (pipeline_obligations seed);
+      true)
+
+(* A join merges the facts of the variable it substitutes into those of
+   the one it keeps, so a clash across the join prunes the state. *)
+let test_join_stores () =
+  let join on l r = proj [ "Id" ] (A.Join (Query.Join.Inner, l, r, on)) in
+  let id op n q = sel (C.Cmp ("Id", op, V.Int n)) q in
+  let typed c = A.project_cols [ "Id"; Query.Env.type_column ] (sel c persons) in
+  let by_type = join [ "Id"; Query.Env.type_column ] in
+  List.iter
+    (fun (tag, q, expected) ->
+      let types = Nf.Types.create env.Query.Env.client in
+      let q = Query.Simplify.query env q in
+      (match Nf.normalize types env Nf.Subset_side q with
+      | Ok n -> check Alcotest.int (tag ^ " CQs") expected (List.length n.Nf.cqs)
+      | Error e -> Alcotest.failf "%s: %s" tag e);
+      match Nf.For_tests.stores_agree types env Nf.Subset_side q with
+      | Ok agree -> checkb (tag ^ " stores") true agree
+      | Error e -> Alcotest.failf "%s: %s" tag e)
+    [
+      ("bounds clash", join [ "Id" ] (id C.Ge 5 hr) (id C.Le 3 emp), 0);
+      ("bounds clash, swapped", join [ "Id" ] (id C.Le 3 hr) (id C.Ge 5 emp), 0);
+      ("bounds meet", join [ "Id" ] (id C.Ge 5 hr) (id C.Le 7 emp), 1);
+      ("equalities clash", join [ "Id" ] (id C.Eq 1 hr) (id C.Eq 2 emp), 0);
+      ("excluded value", join [ "Id" ] (id C.Eq 1 hr) (id C.Neq 1 emp), 0);
+      ("types clash", by_type (typed (C.Is_of "Employee")) (typed (C.Is_of_only "Person")), 0);
+      ("types clash, swapped", by_type (typed (C.Is_of_only "Person")) (typed (C.Is_of "Employee")), 0);
+      ("types meet", by_type (typed (C.Is_of "Person")) (typed (C.Is_of "Employee")), 1);
+      ("constant meets bound", join [ "Id" ] (A.Project ([ A.const (V.Int 7) "Id" ], hr)) (id C.Ge 5 emp), 1);
+      ("constant fails bound", join [ "Id" ] (A.Project ([ A.const (V.Int 3) "Id" ], hr)) (id C.Ge 5 emp), 0);
+    ]
+
+(* A superset type variable mapped onto a subset string constant holds
+   when the constant names a type of the variable's set; a name no type
+   has is in no set. *)
+let test_constant_types () =
+  let tagged ty =
+    A.project_cols [ "Id"; Query.Env.type_column ]
+      (sel (C.Cmp (Query.Env.type_column, C.Eq, V.String ty)) persons)
+  in
+  let employees = A.project_cols [ "Id"; Query.Env.type_column ] (sel (C.Is_of "Employee") persons) in
+  assert_subset "Employee constant" true (tagged "Employee") employees;
+  assert_subset "Customer constant" false (tagged "Customer") employees;
+  assert_subset "unknown constant" false (tagged "NoSuchType") employees
+
+(* AE-TPH's overlap checks repeat their pairs once simplified: the batch
+   proves each distinct pair once. *)
+let test_ae_tph_repeats () =
+  let obls = List.assoc "AE-TPH" (Lazy.force customer_obligations) in
+  let o0 = Obs.Metric.value Obligation.discharged
+  and c0 = Obs.Metric.value Containment.Check.checks in
+  checkb "AE-TPH proven" true (Result.is_ok (Containment.Discharge.run obls));
+  check Alcotest.int "obligations" 26 (Obs.Metric.value Obligation.discharged - o0);
+  check Alcotest.int "checks" 5 (Obs.Metric.value Containment.Check.checks - c0)
+
 let () =
   Alcotest.run "containment"
     [
@@ -494,6 +721,15 @@ let () =
           prop_partition;
           Alcotest.test_case "AA-JT fk check is one case" `Quick test_aa_jt_cases;
         ] );
+      ( "bitsets",
+        [
+          prop_bitsets; prop_add; prop_refine; prop_case_stores;
+          Alcotest.test_case "joins merge both sides' facts" `Quick test_join_stores;
+          Alcotest.test_case "string constants against type sets" `Quick test_constant_types;
+          Alcotest.test_case "kept stores on customer and drops" `Quick test_stores_customer;
+          prop_stores_random;
+        ] );
+      ("repeats", [ Alcotest.test_case "AE-TPH proves 5 pairs" `Quick test_ae_tph_repeats ]);
       ( "narrowing",
         [
           Alcotest.test_case "widening keeps containment complete" `Quick test_narrowing_completeness;

@@ -66,6 +66,62 @@ let test_failure_is_structured () =
       check Alcotest.string "legacy rendering is the bare message" "obligation 1 failed"
         (VE.show e)
 
+(* -- repeated pairs ------------------------------------------------------------ *)
+
+let named name lhs rhs =
+  O.make ~name:(lazy name) ~env ~lhs ~rhs ~on_fail:(lazy (name ^ " failed"))
+
+(* Equal pairs, built apart (structural equality decides) and one wrapped
+   in a projection that simplification removes, are proven once. *)
+let test_repeats_proven_once () =
+  let o0 = Obs.Metric.value O.discharged and c0 = Obs.Metric.value Containment.Check.checks in
+  let batch =
+    [ named "a" (emp_ids 0) (person_ids 0); named "b" (emp_ids 0) (person_ids 0);
+      named "c" (proj [ "Id" ] (emp_ids 0)) (person_ids 0); named "d" (emp_ids 1) (person_ids 0) ]
+  in
+  check Alcotest.string "verdict" "ok" (verdict (Containment.Discharge.run batch));
+  check Alcotest.int "obligations" 4 (Obs.Metric.value O.discharged - o0);
+  check Alcotest.int "checks" 2 (Obs.Metric.value Containment.Check.checks - c0)
+
+(* A failing pair fails at its first obligation, whose name the batch
+   reports; the repeat is never reached.  The pair before it shares its
+   lhs only, so it is not a repeat. *)
+let test_repeat_failure () =
+  let batch =
+    [ named "same lhs" (person_ids 1) (person_ids 1); named "first" (person_ids 1) (emp_ids 1);
+      named "second" (person_ids 1) (emp_ids 1) ]
+  in
+  match Containment.Discharge.run batch with
+  | Ok () -> Alcotest.fail "expected a failure"
+  | Error e ->
+      check Alcotest.(option string) "first failing obligation" (Some "first") (VE.obligation e)
+
+let compiled_state (env, frags) =
+  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+
+(* One verdict per obligation, or the failing obligation's name. *)
+let outcome = function Ok () -> "ok" | Error e -> Option.value ~default:"?" (VE.obligation e)
+
+let prop_repeats_random =
+  qtest ~count:100 "repeat removal keeps random pipelines' verdicts"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let st = compiled_state (Workload.Random_model.generate ~seed ()) in
+      let rec go st = function
+        | [] -> true
+        | smo :: rest -> (
+            match Core.Engine.compile st smo with
+            | Error _ -> true
+            | Ok (st', obls) ->
+                let batch = Containment.Discharge.run obls in
+                let alone = Datum.Results.all_ok (fun o -> O.discharge o) obls in
+                if outcome batch <> outcome alone then
+                  QCheck.Test.fail_reportf "seed %d %s: batch %s, one by one %s" seed
+                    (Core.Smo.name smo) (outcome batch) (outcome alone);
+                Result.is_error batch || go st' rest)
+      in
+      match random_pipeline seed st with None -> true | Some smos -> go st smos)
+
 (* -- safety under domain concurrency ---------------------------------------- *)
 
 let test_domain_hammer () =
@@ -95,6 +151,12 @@ let () =
         [
           prop_first_failure;
           Alcotest.test_case "structured failure" `Quick test_failure_is_structured;
+        ] );
+      ( "repeats",
+        [
+          Alcotest.test_case "equal pairs proven once" `Quick test_repeats_proven_once;
+          Alcotest.test_case "first name of a failing pair" `Quick test_repeat_failure;
+          prop_repeats_random;
         ] );
       ("domain safety", [ Alcotest.test_case "4-domain hammer" `Quick test_domain_hammer ]);
     ]
