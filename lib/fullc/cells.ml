@@ -30,46 +30,21 @@ let eval_atom_on value = function
   | Query.Cond.Is_of _ | Query.Cond.Is_of_only _ | Query.Cond.And _ | Query.Cond.Or _ ->
       invalid_arg "Fullc.Cells: non-scalar atom"
 
-(* Existence of one column value realizing the given atom valuations: test
-   the boundary grid of the constants mentioned, plus NULL and a fresh
-   value.  Exact for the store condition language. *)
-let column_satisfiable valuations =
+(* Existence of one column value realizing the given atom valuations: some
+   {!Query.Cover.candidates} value of the column's domain realizes them if
+   any value does.  Exact for the store condition language. *)
+let column_satisfiable domain valuations =
   let constants =
     List.filter_map
       (function Query.Cond.Cmp (_, _, v), _ -> Some v | _, _ -> None)
       valuations
   in
-  let neighbours =
-    List.concat_map
-      (fun v ->
-        match v with
-        | Datum.Value.Int n -> [ Datum.Value.Int (n - 1); v; Datum.Value.Int (n + 1) ]
-        | Datum.Value.Decimal f -> [ Datum.Value.Decimal (f -. 0.5); v; Datum.Value.Decimal (f +. 0.5) ]
-        | Datum.Value.String s -> [ v; Datum.Value.String (s ^ "~") ]
-        | Datum.Value.Bool b -> [ Datum.Value.Bool b; Datum.Value.Bool (not b) ]
-        | Datum.Value.Null -> [])
-      constants
-  in
-  let fresh =
-    match constants with
-    | Datum.Value.Int _ :: _ ->
-        let m =
-          List.fold_left
-            (fun m v -> match v with Datum.Value.Int n -> max m n | _ -> m)
-            0 constants
-        in
-        [ Datum.Value.Int (m + 1000) ]
-    | Datum.Value.String _ :: _ -> [ Datum.Value.String "\x01fresh" ]
-    | Datum.Value.Decimal _ :: _ -> [ Datum.Value.Decimal 1.0e9 ]
-    | _ -> [ Datum.Value.Int 0 ]
-  in
-  let candidates = Datum.Value.Null :: List.sort_uniq Datum.Value.compare (neighbours @ fresh) in
   List.exists
     (fun candidate ->
       List.for_all (fun (atom, expected) -> eval_atom_on candidate atom = expected) valuations)
-    candidates
+    (Query.Cover.candidates domain ~nullable:true constants)
 
-let assignment_satisfiable atoms mask =
+let assignment_satisfiable domain_of atoms mask =
   let valuations = List.mapi (fun i atom -> (atom, mask land (1 lsl i) <> 0)) atoms in
   let columns =
     List.sort_uniq String.compare (List.filter_map (fun (a, _) -> atom_column a) valuations)
@@ -77,7 +52,8 @@ let assignment_satisfiable atoms mask =
   if
     List.for_all
       (fun col ->
-        column_satisfiable (List.filter (fun (a, _) -> atom_column a = Some col) valuations))
+        column_satisfiable (domain_of col)
+          (List.filter (fun (a, _) -> atom_column a = Some col) valuations))
       columns
   then Some valuations
   else None
@@ -94,7 +70,8 @@ let rec eval_cond valuations = function
       | None -> invalid_arg "Fullc.Cells: atom outside the table's atom space")
 
 let fold env frags ~table ~init ~f =
-  ignore env;
+  let store_table = Relational.Schema.find_table env.Query.Env.store table in
+  let domain_of col = Option.bind store_table (fun t -> Relational.Table.domain_of t col) in
   let atoms = atoms_of_table frags table in
   let k = List.length atoms in
   if k > max_atoms then
@@ -107,7 +84,7 @@ let fold env frags ~table ~init ~f =
     let table_frags = Mapping.Fragments.on_table frags table in
     let acc = ref init in
     for mask = 0 to (1 lsl k) - 1 do
-      match assignment_satisfiable atoms mask with
+      match assignment_satisfiable domain_of atoms mask with
       | None -> ()
       | Some valuations ->
           let active =
@@ -119,6 +96,3 @@ let fold env frags ~table ~init ~f =
           acc := f !acc { assignment = valuations; active }
     done;
     Ok !acc
-
-let enumerate env frags ~table =
-  Result.map List.rev (fold env frags ~table ~init:[] ~f:(fun acc cell -> cell :: acc))

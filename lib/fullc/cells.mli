@@ -24,14 +24,14 @@ type cell = {
       (** Fragments whose store condition evaluates to true in this cell. *)
 }
 
-val enumerate :
-  Query.Env.t -> Mapping.Fragments.t -> table:string -> (cell list, string) result
-(** All satisfiable cells of the table.  Fails when the atom count exceeds
-    the hard bound of 26 atoms (2^26 valuations), mirroring the practical
-    infeasibility the paper reports past 32 types. *)
-
 val fold :
   Query.Env.t -> Mapping.Fragments.t -> table:string ->
   init:'a -> f:('a -> cell -> 'a) -> ('a, string) result
-(** Streaming variant of {!enumerate}: visits every satisfiable cell without
-    materializing the (potentially huge) cell list. *)
+(** Visits every satisfiable cell of the table, in valuation order, without
+    materializing the (potentially huge) cell list.  A valuation is
+    satisfiable when, column by column, one of the column's
+    {!Query.Cover.candidates} (over its store domain, [NULL] included)
+    realizes it; exact for the store condition language.  Fails when the
+    atom count exceeds the hard bound of 26 atoms (2^26 valuations),
+    mirroring the practical infeasibility the paper reports past 32
+    types. *)

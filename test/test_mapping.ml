@@ -182,6 +182,39 @@ let test_constant_only_coverage () =
   check_error "nullable Flag escapes both fragments"
     (Mapping.Coverage.attribute_coverage (env_of ~non_null:false) frags ~etype:"Item")
 
+(* Attribute coverage over a non-null Decimal W split at near constants:
+   [W <= 1.0] with [W >= 1.2] leaves the values between them uncovered. *)
+let test_decimal_coverage_gap () =
+  let client =
+    ok_exn
+      (Edm.Schema.add_root ~set:"Items"
+         (Edm.Entity_type.root ~name:"Item" ~key:[ "Id" ] ~non_null:[ "W" ]
+            [ ("Id", D.Int); ("W", D.Decimal) ])
+         Edm.Schema.empty)
+  in
+  let table n =
+    Relational.Table.make ~name:n ~key:[ "Id" ]
+      [ ("Id", D.Int, `Not_null); ("W", D.Decimal, `Null) ]
+  in
+  let store =
+    ok_exn
+      (Relational.Schema.add_table (table "Low")
+         (ok_exn (Relational.Schema.add_table (table "High") Relational.Schema.empty)))
+  in
+  let env = Query.Env.make ~client ~store in
+  let frags high =
+    Mapping.Fragments.of_list
+      [ F.entity ~set:"Items" ~cond:(C.Cmp ("W", C.Le, V.Decimal 1.0)) ~table:"Low"
+          [ ("Id", "Id"); ("W", "W") ];
+        F.entity ~set:"Items" ~cond:high ~table:"High" [ ("Id", "Id"); ("W", "W") ] ]
+  in
+  check_error "W <= 1.0 / W >= 1.2 leaves a gap"
+    (Mapping.Coverage.attribute_coverage env (frags (C.Cmp ("W", C.Ge, V.Decimal 1.2)))
+       ~etype:"Item");
+  check_ok "W <= 1.0 / W > 1.0 covers W"
+    (Mapping.Coverage.attribute_coverage env (frags (C.Cmp ("W", C.Gt, V.Decimal 1.0)))
+       ~etype:"Item")
+
 let test_collection_ops () =
   let s = P.stage4.P.fragments in
   check Alcotest.int "size" 4 (Mapping.Fragments.size s);
@@ -246,6 +279,7 @@ let () =
           Alcotest.test_case "well-formed" `Quick test_well_formed;
           Alcotest.test_case "well-formed negatives" `Quick test_well_formed_negatives;
           Alcotest.test_case "constant-only coverage" `Quick test_constant_only_coverage;
+          Alcotest.test_case "Decimal coverage gap" `Quick test_decimal_coverage_gap;
           Alcotest.test_case "sibling attribute domains" `Quick test_sibling_domains;
           Alcotest.test_case "hierarchy attributes" `Quick test_hierarchy_attributes;
         ] );

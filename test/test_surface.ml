@@ -681,7 +681,7 @@ let example_texts () =
 
 let test_reader_matches_oracle () =
   let files = example_texts () in
-  check Alcotest.int "nine example files" 9 (List.length files);
+  check Alcotest.int "twelve example files" 12 (List.length files);
   List.iter
     (fun (file, text) ->
       same_reading file text;
