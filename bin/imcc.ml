@@ -440,7 +440,7 @@ let apply_cmd =
       | Some path -> ok (Surface.Elaborate.data env (ok (Surface.Parser.data (read_file path))))
       | None -> Edm.Instance.empty
     in
-    let delta = ok (Surface.Elaborate.dml (ok (Surface.Parser.dml (read_file script)))) in
+    let delta = ok (Surface.Elaborate.dml env (ok (Surface.Parser.dml (read_file script)))) in
     let before = Obs.Metric.snapshot () in
     let sql_script, _new_client, new_store =
       ok (Dml.Translate.translate env uv ~old_client:inst ~delta)

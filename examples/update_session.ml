@@ -84,7 +84,9 @@ let () =
   let env = st.Core.State.env in
   let data = ok (Surface.Parser.data (read "examples/models/paper_data.imcd")) in
   let inst = ok (Surface.Elaborate.data env data) in
-  let delta = ok (Surface.Elaborate.dml (ok (Surface.Parser.dml (read "examples/models/paper_updates.dml")))) in
+  let delta =
+    ok (Surface.Elaborate.dml env (ok (Surface.Parser.dml (read "examples/models/paper_updates.dml"))))
+  in
   let sql, new_client, new_store =
     ok (Dml.Translate.translate env st.Core.State.update_views ~old_client:inst ~delta)
   in

@@ -6,77 +6,23 @@ let hom_steps = Obs.Metric.counter "containment.hom_steps"
 let approximate_checks = Obs.Metric.counter "containment.approximate_checks"
 let cases = Obs.Metric.counter "containment.cases"
 
-(* Replace every variable that the store forces equal to a constant by that
-   constant, so homomorphism targets are syntactically explicit. *)
-let canonicalize (cq : Nf.cq) =
-  let eqs =
-    List.filter_map
-      (function Nf.Rel (v, Query.Cond.Eq, c) -> Some (v, c) | _ -> None)
-      cq.Nf.cons
-  in
-  let sub = function
-    | Nf.V v as t -> (
-        match List.assoc_opt v eqs with Some c -> Nf.C c | None -> t)
-    | Nf.C _ as t -> t
-  in
-  {
-    Nf.head = List.map (fun (c, t) -> (c, sub t)) cq.Nf.head;
-    body =
-      List.map
-        (fun (a : Nf.atom) -> { a with Nf.args = List.map (fun (c, t) -> (c, sub t)) a.Nf.args })
-        cq.Nf.body;
-    (* Keep all constraints: those on substituted variables are still sound
-       (they were consistent), and [Rel Eq] on them remains available for
-       entailment queries about the variable itself. *)
-    cons = cq.Nf.cons;
-  }
-
 module Int_map = Map.Make (Int)
 
 (* Try to extend [subst] so that term [t2] of the candidate (superset) CQ
-   maps onto term [t1] of the target (subset) CQ. *)
-let unify_term store1 subst t2 t1 =
-  match t2 with
-  | Nf.C v2 -> (
-      match t1 with
-      | Nf.C v1 -> if Datum.Value.equal v1 v2 then Some subst else None
-      | Nf.V u ->
-          if Nf.entails store1 (Nf.Rel (u, Query.Cond.Eq, v2)) then Some subst else None)
-  | Nf.V x -> (
+   maps onto term [t1] of the target (subset) CQ.  Both CQs are canonical:
+   no variable is forced equal to a constant, so a constant maps onto
+   itself only. *)
+let unify_term subst t2 t1 =
+  match t2, t1 with
+  | Nf.C v2, Nf.C v1 -> if Datum.Value.equal v1 v2 then Some subst else None
+  | Nf.C _, Nf.V _ -> None
+  | Nf.V x, _ -> (
       match Int_map.find_opt x subst with
       | Some t -> if Nf.equal_term t t1 then Some subst else None
       | None -> Some (Int_map.add x t1 subst))
 
-(* The image of a constraint of the candidate CQ under the substitution must
-   be entailed by the target CQ's store. *)
-let constraint_entailed types store1 subst con =
-  let on_var v k =
-    match Int_map.find_opt v subst with
-    | Some (Nf.V u) -> k (`Var u)
-    | Some (Nf.C c) -> k (`Const c)
-    | None -> false
-  in
-  match con with
-  | Nf.Ty_in (v, tys) ->
-      on_var v (function
-        | `Var u -> Nf.entails store1 (Nf.Ty_in (u, tys))
-        | `Const (Datum.Value.String ty) -> Nf.Types.mem types tys ty
-        | `Const _ -> false)
-  | Nf.Rel (v, op, c) ->
-      on_var v (function
-        | `Var u -> Nf.entails store1 (Nf.Rel (u, op, c))
-        | `Const value -> Query.Cond.eval_cmp op value c)
-  | Nf.Null_c v ->
-      on_var v (function
-        | `Var u -> Nf.entails store1 (Nf.Null_c u)
-        | `Const value -> Datum.Value.is_null value)
-  | Nf.Not_null_c v ->
-      on_var v (function
-        | `Var u -> Nf.entails store1 (Nf.Not_null_c u)
-        | `Const value -> not (Datum.Value.is_null value))
-
 (* [cols1] and [cols2] are the two heads' columns, ascending. *)
-let homomorphism types ((cq2 : Nf.cq), cols2) ((cq1 : Nf.cq), store1, cols1) =
+let homomorphism types ((cq2 : Nf.cq), cols2) ((cq1 : Nf.cq), cols1) =
   Obs.Metric.incr cq_pairs;
   (* Seed the substitution from the heads: output columns must align. *)
   let seed =
@@ -89,7 +35,7 @@ let homomorphism types ((cq2 : Nf.cq), cols2) ((cq1 : Nf.cq), store1, cols1) =
           | Some subst -> (
               match List.assoc_opt col cq1.Nf.head with
               | None -> None
-              | Some t1 -> unify_term store1 subst t2 t1))
+              | Some t1 -> unify_term subst t2 t1))
         (Some Int_map.empty) cq2.Nf.head
   in
   match seed with
@@ -99,8 +45,7 @@ let homomorphism types ((cq2 : Nf.cq), cols2) ((cq1 : Nf.cq), store1, cols1) =
         Query.Algebra.equal_source a2.Nf.src a1.Nf.src
       in
       let rec assign subst = function
-        | [] ->
-            List.for_all (constraint_entailed types store1 subst) cq2.Nf.cons
+        | [] -> Nf.entails_store types cq1.Nf.store (fun x -> Int_map.find_opt x subst) cq2.Nf.store
         | (a2 : Nf.atom) :: rest ->
             List.exists
               (fun (a1 : Nf.atom) ->
@@ -115,7 +60,7 @@ let homomorphism types ((cq2 : Nf.cq), cols2) ((cq1 : Nf.cq), store1, cols1) =
                         | Some subst -> (
                             match List.assoc_opt col a1.Nf.args with
                             | None -> None
-                            | Some t1 -> unify_term store1 subst t2 t1))
+                            | Some t1 -> unify_term subst t2 t1))
                       (Some subst) a2.Nf.args
                   in
                   match subst' with None -> false | Some subst' -> assign subst' rest)
@@ -134,21 +79,15 @@ let head_cols (cq : Nf.cq) = List.sort String.compare (List.map fst cq.Nf.head)
    association atom.  An implied atom binds the key, [$type] and the
    columns [widen] gives for its entity set ([None]: every column); a key
    column the association atom does not bind gets a fresh variable, and
-   the implied keys are non-null. *)
+   the implied keys are non-null.  Every variable of a CQ is bound by an
+   atom of its body. *)
 let chase_assoc types env ~widen (cq : Nf.cq) =
   let client = env.Query.Env.client in
   let max_var =
     let of_term acc = function Nf.V v -> max acc v | Nf.C _ -> acc in
-    let of_con acc = function
-      | Nf.Ty_in (v, _) | Nf.Rel (v, _, _) | Nf.Null_c v | Nf.Not_null_c v -> max acc v
-    in
-    let acc = List.fold_left (fun acc (_, t) -> of_term acc t) 0 cq.Nf.head in
-    let acc =
-      List.fold_left
-        (fun acc (a : Nf.atom) -> List.fold_left (fun acc (_, t) -> of_term acc t) acc a.Nf.args)
-        acc cq.Nf.body
-    in
-    List.fold_left of_con acc cq.Nf.cons
+    List.fold_left
+      (fun acc (a : Nf.atom) -> List.fold_left (fun acc (_, t) -> of_term acc t) acc a.Nf.args)
+      0 cq.Nf.body
   in
   let counter = ref max_var in
   let fresh () = incr counter; !counter in
@@ -202,7 +141,8 @@ let chase_assoc types env ~widen (cq : Nf.cq) =
         | Query.Algebra.Entity_set _ | Query.Algebra.Table _ -> (atoms, cons))
       ([], []) cq.Nf.body
   in
-  { cq with Nf.body = cq.Nf.body @ extra_atoms; cons = cq.Nf.cons @ extra_cons }
+  { Nf.head = cq.Nf.head; body = cq.Nf.body @ extra_atoms;
+    store = List.fold_left Nf.add cq.Nf.store extra_cons }
 
 (* Validation feeds [π_cols(view)] shapes whose outer-join structure only
    reduces once stacked projections are fused, so both sides are
@@ -239,18 +179,17 @@ let subset_with ~split ~full_width types env q1 n2 =
   in
   Obs.Metric.incr checks;
   if n1.Nf.approximate || n2.Nf.approximate then Obs.Metric.incr approximate_checks;
-  let cq2s = List.map canonicalize n2.Nf.cqs in
+  let cq2s = n2.Nf.cqs in
   let cq1s =
     Obs.Span.with_ ~name:"containment.cases" @@ fun () ->
     let split = split types ~against:cq2s in
     let cq1s =
       List.concat_map
         (fun cq ->
-          let cq = canonicalize (chase_assoc types env ~widen cq) in
+          let cq = chase_assoc types env ~widen cq in
           let cols = head_cols cq in
           List.filter_map
-            (fun ((case : Nf.cq), store) ->
-              if Nf.consistent store then Some (case, store, cols) else None)
+            (fun (case : Nf.cq) -> if Nf.consistent case.Nf.store then Some (case, cols) else None)
             (split cq))
         n1.Nf.cqs
     in
@@ -277,13 +216,8 @@ let subset_in ~split ~full_width env q1 q2 =
 let subset env q1 q2 = subset_in ~split:Nf.type_cases ~full_width:false env q1 q2
 
 module For_tests = struct
-  (* The seam's split returns bare cases: each is solved on its own. *)
-  let solved split _types ~against =
-    let split = split ~against in
-    fun cq -> List.map (fun (case : Nf.cq) -> (case, Nf.solve case.Nf.cons)) (split cq)
-
   let subset ?split ?(full_width = false) env q1 q2 =
-    let split = match split with Some split -> solved split | None -> Nf.type_cases in
+    let split = match split with Some split -> fun _ -> split | None -> Nf.type_cases in
     subset_in ~split ~full_width env q1 q2
 end
 

@@ -10,7 +10,11 @@
     each source widened to the columns the superset CQs bind on it, see
     {!Nf.bound_columns}), then show every conjunctive query of the subset side
     admits a homomorphism from some conjunctive query of the superset side,
-    with atom-level entailment delegated to the constraint solver.  The
+    with atom-level entailment delegated to the constraint solver: the
+    subset case's store must entail every fact of the superset CQ's store,
+    read through the homomorphism ({!Nf.entails_store}).  Both sides are
+    canonical ({!Nf.cq}), so a constant of the superset side maps onto the
+    same constant only.  The
     problem is NP-hard; DNF expansion and backtracking make the worst case
     exponential, which is precisely the compilation cost the paper sets out
     to avoid recomputing from scratch.
@@ -83,8 +87,8 @@ module For_tests : sig
     ?full_width:bool ->
     Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
   (** {!subset} with the type split replaced by [split] (default
-      {!Nf.type_cases}; a given [split]'s cases are each solved on their
-      own) and, with [~full_width:true], both sides normalized
+      {!Nf.type_cases}; a case carries its own store, as {!Nf.refine}
+      narrows it) and, with [~full_width:true], both sides normalized
       by {!Nf.For_tests.normalize_full_width} and every implied entity atom
       binding every column.  Only tests call it: to hold the coarse split
       against the one-case-per-type oracle, and narrowed atoms against

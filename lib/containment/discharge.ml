@@ -18,12 +18,15 @@ module Pair_tbl = Hashtbl.Make (struct
 end)
 
 (* What a batch keeps per schemas ([==]): the numbering of the client's
-   types that every check over them shares; each distinct superset side
-   ([Query.Algebra.equal]), simplified and normalized once (every AE-TPH
-   overlap check's [π_key(σ_false T)], the FK checks against one referenced
-   table); and the pairs of simplified sides already proven. *)
+   types that every check over them shares; one [Query.Simplify.query],
+   whose memo rewrites each subterm the batch's sides share once; each
+   distinct superset side ([Query.Algebra.equal]), simplified and
+   normalized once (every AE-TPH overlap check's [π_key(σ_false T)], the FK
+   checks against one referenced table); and the pairs of simplified sides
+   already proven. *)
 type scope = {
   types : Nf.Types.t;
+  simplify : Query.Algebra.t -> Query.Algebra.t;
   supersets : (Query.Algebra.t * (Nf.output, string) result Lazy.t) Rhs_tbl.t;
   proven : unit Pair_tbl.t;
 }
@@ -35,8 +38,8 @@ let scopes () =
     | Some s -> s
     | None ->
         let s =
-          { types = Nf.Types.create env.Query.Env.client; supersets = Rhs_tbl.create 64;
-            proven = Pair_tbl.create 16 }
+          { types = Nf.Types.create env.Query.Env.client; simplify = Query.Simplify.query env;
+            supersets = Rhs_tbl.create 64; proven = Pair_tbl.create 16 }
         in
         scopes := (env, s) :: !scopes;
         s
@@ -46,12 +49,12 @@ let scopes () =
    failure, so only proven pairs are ever met again. *)
 let prove scope env lhs rhs =
   let s = scope env in
-  let lhs = Query.Simplify.query env lhs in
+  let lhs = s.simplify lhs in
   let rhs, n2 =
     match Rhs_tbl.find_opt s.supersets rhs with
     | Some side -> side
     | None ->
-        let q = Query.Simplify.query env rhs in
+        let q = s.simplify rhs in
         let side = (q, lazy (Check.superset s.types env q)) in
         Rhs_tbl.add s.supersets rhs side;
         side

@@ -11,8 +11,10 @@
     Per schemas ([==]) a batch keeps one numbering of the client's types
     ({!Nf.Types.t}) that all its checks share, and normalizes each distinct
     superset side once: a memo of its simplification and {!Check.superset},
-    keyed by the obligation's [rhs] ([Query.Algebra.equal]).  It simplifies
-    each obligation's [lhs] once, and proves each distinct pair of
+    keyed by the obligation's [rhs] ([Query.Algebra.equal]).  Both sides
+    are simplified by one [Query.Simplify.query] per schemas, whose memo
+    rewrites each subterm the batch's sides share (the views they restate)
+    once; it simplifies each obligation's [lhs] once, and proves each distinct pair of
     simplified sides once: a verdict depends on nothing else, and an
     obligation whose pair an earlier one proved is proven without a check.
     Since a batch stops at its first failure, only proven pairs repeat. *)

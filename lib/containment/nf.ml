@@ -10,9 +10,7 @@ type constr =
   | Null_c of int
   | Not_null_c of int
 
-type cq = { head : (string * term) list; body : atom list; cons : constr list }
 type role = Subset_side | Superset_side
-type output = { cqs : cq list; approximate : bool }
 
 (* ------------------------------------------------------------------ *)
 (* Type sets: bitsets over a numbering of the client's types.          *)
@@ -161,7 +159,7 @@ let merge_info a b =
 (* The store of two concatenated lists, such as the two sides of a join. *)
 let union_stores = Int_map.union (fun _ a b -> Some (merge_info a b))
 
-(* [from]'s constraints become [into]'s. *)
+(* [from]'s facts become [into]'s. *)
 let rename_var store ~from ~into =
   match Int_map.find_opt from store with
   | None -> store
@@ -220,6 +218,26 @@ let info_consistent i =
 
 let consistent store = Int_map.for_all (fun _ i -> info_consistent i) store
 
+(* Whether [f] accepts every fact [i] holds of variable [v], each as a
+   constraint on [v]; it stops at the first it rejects. *)
+let for_all_facts f v i =
+  let bound strict op = function
+    | None -> true
+    | Some (c, s) -> f (Rel (v, (if s then strict else op), c))
+  in
+  (match i.types with None -> true | Some tys -> f (Ty_in (v, tys)))
+  && (match i.eq with None -> true | Some c -> f (Rel (v, Query.Cond.Eq, c)))
+  && List.for_all (fun c -> f (Rel (v, Query.Cond.Neq, c))) i.neq
+  && bound Query.Cond.Gt Query.Cond.Ge i.lo
+  && bound Query.Cond.Lt Query.Cond.Le i.hi
+  && ((not i.null) || f (Null_c v))
+  && ((not i.notnull) || f (Not_null_c v))
+
+let facts store =
+  let acc = ref [] in
+  Int_map.iter (fun v i -> ignore (for_all_facts (fun c -> acc := c :: !acc; true) v i)) store;
+  !acc
+
 let entails store target =
   let i = norm_bounds (find_info (var_of target) store) in
   match target with
@@ -254,15 +272,41 @@ let entails store target =
                 List.exists (Datum.Value.equal c) i.neq || not (in_bounds i c)
             | Query.Cond.Eq -> false))
 
+(* What is known of a constant: its value, and the type a string names when
+   the numbering has seen it (a name it has not seen is in no type set). *)
+let constant types c =
+  let types =
+    match c with
+    | Datum.Value.String s -> Option.map Names.singleton (Types.find types s)
+    | _ -> None
+  in
+  let null = Datum.Value.is_null c in
+  { info0 with types; eq = Some c; null; notnull = not null }
+
+(* Whether every fact [i] states of a variable holds of [t]: entailed by
+   [store] of a variable, true of a constant. *)
+let holds types store t i =
+  match t with
+  | V u -> for_all_facts (entails store) u i
+  | C c -> for_all_facts (entails (Int_map.singleton 0 (constant types c))) 0 i
+
+let entails_store types store image target =
+  Int_map.for_all
+    (fun x i -> match image x with Some t -> holds types store t i | None -> false)
+    target
+
 (* ------------------------------------------------------------------ *)
 (* Normalization proper.                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* [store] is [solve cons], kept up to date as constraints are added, so a
-   pruning point asks [consistent store] without re-solving. *)
-type state = { bind : (string * term) list; body : atom list; cons : constr list; store : store }
+type cq = { head : (string * term) list; body : atom list; store : store }
+type output = { cqs : cq list; approximate : bool }
 
-let constrain st con = { st with cons = con :: st.cons; store = add st.store con }
+(* [store] is kept solved as constraints are added, so a pruning point asks
+   [consistent store] without re-solving. *)
+type state = { bind : (string * term) list; body : atom list; store : store }
+
+let constrain st con = { st with store = add st.store con }
 
 (* Which columns a scan binds: [Observed widen] the columns its parents
    read plus [widen src], [Full] (the tests' oracle) every column. *)
@@ -338,7 +382,7 @@ let scan_state types env width counter needed src =
   in
   let seed = seed types env src in
   let seeds = List.filter_map (function c, V v -> seed c v | _, C _ -> None) bind in
-  Ok { bind; body = [ { src; args = bind } ]; cons = seeds; store = solve seeds }
+  Ok { bind; body = [ { src; args = bind } ]; store = solve seeds }
 
 (* Column [c] of a state of [q], as a parent of [q] reads it: a column [q]
    lacks reads as NULL.  Every column a parent reads is bound, so a column
@@ -392,43 +436,25 @@ let apply_atom types env q st atom =
 
 let subst_term ~from ~into t = if equal_term t (V from) then into else t
 
-let subst_state ~from ~into st =
+(* Onto a constant, [from]'s facts must hold on it. *)
+let subst_state types ~from ~into st =
   let sub = subst_term ~from ~into in
   let store =
     match into with
     | V v -> rename_var st.store ~from ~into:v
-    | C _ -> Int_map.remove from st.store
+    | C _ ->
+        if holds types st.store into (find_info from st.store) then Int_map.remove from st.store
+        else raise Dead_state
   in
   {
     store;
     bind = List.map (fun (c, t) -> (c, sub t)) st.bind;
     body = List.map (fun a -> { a with args = List.map (fun (c, t) -> (c, sub t)) a.args }) st.body;
-    cons =
-      List.filter_map
-        (fun con ->
-          if var_of con <> from then Some con
-          else
-            match into, con with
-            | V v, Ty_in (_, tys) -> Some (Ty_in (v, tys))
-            | V v, Rel (_, op, c) -> Some (Rel (v, op, c))
-            | V v, Null_c _ -> Some (Null_c v)
-            | V v, Not_null_c _ -> Some (Not_null_c v)
-            | C value, con -> (
-                (* Evaluate the constraint on the constant. *)
-                let ok =
-                  match con with
-                  | Ty_in _ -> false (* type vars are never unified with data constants *)
-                  | Rel (_, op, c) -> Query.Cond.eval_cmp op value c
-                  | Null_c _ -> Datum.Value.is_null value
-                  | Not_null_c _ -> not (Datum.Value.is_null value)
-                in
-                if ok then None else raise Dead_state))
-        st.cons;
   }
 
 (* Unify one join column.  [st.bind] holds the left occurrence; [rbind]
    tracks the right side's (possibly already substituted) bindings. *)
-let unify_join_col (st, rbind) col =
+let unify_join_col types (st, rbind) col =
   let tl = List.assoc col st.bind and tr = List.assoc col rbind in
   let subst_rbind ~from ~into rbind =
     List.map (fun (c, t) -> (c, subst_term ~from ~into t)) rbind
@@ -436,14 +462,14 @@ let unify_join_col (st, rbind) col =
   match tl, tr with
   | V a, V b when a = b -> (constrain st (Not_null_c a), rbind)
   | V a, V b ->
-      let st = subst_state ~from:b ~into:(V a) st in
+      let st = subst_state types ~from:b ~into:(V a) st in
       (constrain st (Not_null_c a), subst_rbind ~from:b ~into:(V a) rbind)
   | V a, C v ->
       if Datum.Value.is_null v then raise Dead_state
       else (constrain st (Rel (a, Query.Cond.Eq, v)), rbind)
   | C v, V b ->
       if Datum.Value.is_null v then raise Dead_state
-      else (subst_state ~from:b ~into:(C v) st, subst_rbind ~from:b ~into:(C v) rbind)
+      else (subst_state types ~from:b ~into:(C v) st, subst_rbind ~from:b ~into:(C v) rbind)
   | C v, C w ->
       if (not (Datum.Value.is_null v)) && Datum.Value.equal v w then (st, rbind)
       else raise Dead_state
@@ -542,9 +568,7 @@ let rec norm types env role width counter needed q : (state list * bool, string)
             List.concat_map
               (fun ((st : state), bind) ->
                 let terms = List.map (read env q1 st) srcs in
-                let with_cons cons =
-                  { st with cons = cons @ st.cons; store = List.fold_left add st.store cons }
-                in
+                let with_cons cons = { st with store = List.fold_left add st.store cons } in
                 let rec cases prefix_null = function
                   | [] -> [ (with_cons prefix_null, (dst, C Datum.Value.Null) :: bind) ]
                   | t :: rest -> (
@@ -571,7 +595,7 @@ let rec norm types env role width counter needed q : (state list * bool, string)
       let needed' = also (List.sort_uniq String.compare on) in
       let* ls, al = norm types env role width counter needed' l in
       let* rs, ar = norm types env role width counter needed' r in
-      let joined = join_states ls rs on in
+      let joined = join_states types ls rs on in
       match (kind, role) with
       | Query.Join.Inner, _ -> Ok (joined, al || ar)
       | (Query.Join.Left | Query.Join.Full), Superset_side -> Ok (joined, true)
@@ -583,7 +607,7 @@ let rec norm types env role width counter needed q : (state list * bool, string)
       let* rs, ar = norm types env role width counter needed r in
       Ok (ls @ rs, al || ar)
 
-and join_states ls rs on =
+and join_states types ls rs on =
   List.concat_map
     (fun (stl : state) ->
       List.filter_map
@@ -592,11 +616,10 @@ and join_states ls rs on =
             {
               bind = stl.bind @ List.filter (fun (c, _) -> not (List.mem c on)) str.bind;
               body = stl.body @ str.body;
-              cons = stl.cons @ str.cons;
               store = union_stores stl.store str.store;
             }
           in
-          match List.fold_left unify_join_col (merged, str.bind) on with
+          match List.fold_left (unify_join_col types) (merged, str.bind) on with
           | st, _ -> if consistent st.store then Some st else None
           | exception Dead_state -> None)
         rs)
@@ -636,7 +659,7 @@ let observable_type_sets types (cq2s : cq list) =
           | Ty_in (_, tys) -> tys :: acc
           | Rel (_, _, c) -> of_term acc (C c)
           | Null_c _ | Not_null_c _ -> acc)
-        acc cq.cons)
+        acc (facts cq.store))
     [] cq2s
   |> List.sort_uniq Names.compare
 
@@ -659,7 +682,6 @@ let type_partition types ~against =
 let type_cases types ~against =
   let partition = type_partition types ~against in
   fun (cq : cq) ->
-    let store = solve cq.cons in
     let split_vars =
       Int_map.fold
         (fun v i acc ->
@@ -669,27 +691,31 @@ let type_cases types ~against =
               | [ _ ] -> acc
               | classes -> (v, classes) :: acc)
           | _ -> acc)
-        store []
+        cq.store []
     in
     List.fold_left
       (fun cases (v, classes) ->
         List.concat_map
-          (fun ((cq : cq), store) ->
-            List.map
-              (fun cls -> ({ cq with cons = Ty_in (v, cls) :: cq.cons }, refine store v cls))
-              classes)
+          (fun (cq : cq) -> List.map (fun cls -> { cq with store = refine cq.store v cls }) classes)
           cases)
-      [ (cq, store) ] split_vars
+      [ cq ] split_vars
+
+(* A consistent state as a canonical CQ: each variable its store forces
+   equal to a constant becomes that constant, and is dropped unless its
+   other facts hold on the constant. *)
+let canonical types st =
+  let eqs =
+    Int_map.fold (fun v i acc -> match i.eq with Some c -> (v, c) :: acc | None -> acc) st.store []
+  in
+  match List.fold_left (fun st (v, c) -> subst_state types ~from:v ~into:(C c) st) st eqs with
+  | st -> Some { head = st.bind; body = st.body; store = st.store }
+  | exception Dead_state -> None
 
 let run types env role width q =
   let counter = ref 0 in
   let* sts, approximate = norm types env role width counter None q in
   let cqs =
-    List.filter_map
-      (fun st ->
-        if consistent st.store then Some { head = st.bind; body = st.body; cons = st.cons }
-        else None)
-      sts
+    List.filter_map (fun st -> if consistent st.store then canonical types st else None) sts
   in
   Ok { cqs; approximate }
 
@@ -733,8 +759,4 @@ module For_tests = struct
     && a.null = b.null && a.notnull = b.notnull && a.inconsistent = b.inconsistent
 
   let equal_store = Int_map.equal equal_info
-
-  let stores_agree types env role q =
-    let* sts, _ = norm types env role (Observed (fun _ -> [])) (ref 0) None q in
-    Ok (List.for_all (fun st -> equal_store st.store (solve st.cons)) sts)
 end

@@ -2,8 +2,9 @@
     (UCQs) — the input format of the containment checker.
 
     A conjunctive query has a head (output column to term), a body of source
-    atoms binding columns to terms, and a constraint store over variables
-    (type memberships from [IS OF] atoms, comparisons, null tests).
+    atoms binding columns to terms, and a solved constraint store over
+    variables (type memberships from [IS OF] atoms, comparisons, null
+    tests), which is the only form its constraints take.
 
     An atom binds only the columns its query observes: the head, the
     columns that selections test ([$type] when they have type atoms), the
@@ -63,11 +64,21 @@ type constr =
   | Null_c of int
   | Not_null_c of int
 
+type store
+(** A constraint store solved into per-variable facts: the intersection of
+    a variable's [Ty_in] sets, its equality, disequalities and bounds, and
+    its null tests. *)
+
 type cq = {
   head : (string * term) list;
   body : atom list;
-  cons : constr list;
+  store : store;
 }
+(** A canonical CQ: no variable of [store] is forced equal to a constant.
+    {!normalize} replaces such a variable by its constant in the head and
+    body, and drops the CQ unless the variable's other facts hold on the
+    constant ([Ty_in] through {!Types.mem}, comparisons and null tests on
+    its value). *)
 
 type role = Subset_side | Superset_side
 
@@ -77,13 +88,16 @@ val normalize :
   ?widen:(Query.Algebra.source -> string list) ->
   Types.t -> Query.Env.t -> role -> Query.Algebra.t -> (output, string) result
 (** Unsatisfiable disjuncts are pruned; an empty [cqs] means the query is
-    provably empty.  Each intermediate state keeps its constraints solved
-    and adds each new constraint to that store ({!add}), so a pruning
-    point tests the store rather than solving the state's whole list
-    again.  Each scan of a source [src] also binds the columns of
-    [widen src] that the source has (by default none); the checker widens
-    the subset side by the superset side's {!bound_columns}.  Type sets are
-    over [types], which numbers [env]'s client types. *)
+    provably empty.  A scan's seeds are solved into a store ({!solve}), and
+    each intermediate state adds each new constraint to its store
+    ({!add}), merges the stores of a join's two sides, and, substituting a
+    variable by a constant, checks the variable's facts on the constant and
+    drops it, so a pruning point tests the store and nothing is solved
+    again.  The CQs are canonical (see {!cq}).  Each scan of a source [src]
+    also binds the columns of [widen src] that the source has (by default
+    none); the checker widens the subset side by the superset side's
+    {!bound_columns}.  Type sets are over [types], which numbers [env]'s
+    client types. *)
 
 val bound_columns : cq list -> Query.Algebra.source -> string list
 (** [bound_columns cqs src]: every column that some atom of [cqs] over
@@ -92,13 +106,13 @@ val bound_columns : cq list -> Query.Algebra.source -> string list
 val atom_args : cq list -> int
 (** The atom arguments summed over the CQs' bodies. *)
 
-type store
-(** A constraint store solved into per-variable facts: the intersection of
-    a variable's [Ty_in] sets, its equality, disequalities and bounds, and
-    its null tests. *)
-
 val solve : constr list -> store
 (** One fold of {!add} over the list.  Each call adds 1 to {!solves}. *)
+
+val facts : store -> constr list
+(** Each variable's facts as constraints: its [Ty_in] set (the intersection
+    of those it was given), its equality, each disequality, its tightest
+    bounds and its null tests.  [solve (facts s)] holds the facts of [s]. *)
 
 val add : store -> constr -> store
 (** [add (solve cons) c] has the facts of [solve (c :: cons)]: a variable's
@@ -110,43 +124,48 @@ val refine : store -> int -> Datum.Name_set.t -> store
 
 val solves : Obs.Metric.counter
 (** ["containment.solves"]: constraint lists solved into a new store by
-    {!solve}: one per scan's seeds and one per subset-side CQ the checker
-    splits. *)
+    {!solve}: one per scan's seeds.  Nothing else is solved: states, CQs
+    and cases only add to, merge or {!refine} a store. *)
 
 val consistent : store -> bool
 (** Whether the store is satisfiable (per-variable reasoning: type-set
     intersection, interval emptiness with exact integer rounding, finite
     boolean domains, null conflicts). *)
 
-val entails : store -> constr -> bool
-(** Whether every assignment satisfying the store satisfies the target
-    constraint — the atom-level test of homomorphism checking. *)
+val entails_store : Types.t -> store -> (int -> term option) -> store -> bool
+(** [entails_store types store image target]: whether every fact of
+    [target] about each of its variables [x] holds of [image x] — entailed
+    by [store] (every assignment satisfying [store] satisfies it) when the
+    image is a variable, true of its value (and, for [Ty_in], of the type a
+    string names, {!Types.mem}) when it is a constant.  A variable without
+    an image fails.  The checker asks it of a case's store, a superset CQ's
+    store and the homomorphism between them: the atom-level test of
+    homomorphism checking. *)
 
 val type_partition :
   Types.t -> against:cq list -> Datum.Name_set.t -> Datum.Name_set.t list
 (** [type_partition types ~against tys] is the coarsest partition of [tys]
     that the superset CQs [against] can observe: two types share a class
-    exactly when they lie in the same [Ty_in] sets of [against] and equal
-    the same string constants of [against] (in heads, atom arguments or
-    comparisons).  Each class is therefore inside or disjoint from every
-    such set.  The classes are non-empty and their union is [tys].  A
-    string constant that names no type numbered in [types] is in no type
-    set and splits no class. *)
+    exactly when they lie in the same per-variable type sets of [against]'s
+    {!facts} and equal the same string constants of [against] (in heads,
+    atom arguments or the constants of its facts).  Each class is therefore
+    inside or disjoint from every such set.  The classes are non-empty and
+    their union is [tys].  A string constant that names no type numbered in
+    [types] is in no type set and splits no class. *)
 
-val type_cases : Types.t -> against:cq list -> cq -> (cq * store) list
+val type_cases : Types.t -> against:cq list -> cq -> cq list
 (** Split a subset-side conjunctive query into one case per class of
     {!type_partition} for each of its dynamic-type variables; a variable
     with one class is not split.  The union of the cases is equivalent to
-    the original CQ.  Each case comes with its store: the CQ is solved
-    once, and a case's store is that store {!refine}d by the case's class
-    of each split variable, equal to solving the case's constraints.
+    the original CQ.  A case's store is the CQ's store {!refine}d by the
+    case's class of each split variable; nothing is solved again.
 
     Splitting makes the homomorphism test complete for coverage checks such
     as [IS OF P ⊆ IS OF (ONLY P) ∪ IS OF E] — the disjunctions Algorithm 2
     introduces — and the coarse split is as complete as one case per
     concrete type.  A homomorphism from a superset CQ reads a case's store
-    only through {!entails}, and of a type variable [u] it can only ask
-    [Ty_in (u, S)] for a set [S] of [against]: the case's types for [u] are
+    only through {!entails_store}, and of a type variable [u] it can only
+    ask [Ty_in (u, S)] for a per-variable set [S] of [against]: the case's types for [u] are
     one class [K], and [K ⊆ S] holds exactly when every type of [K] is in
     [S], since [K] is inside or disjoint from [S].  Every other fact of the
     store is the same in the class case and in each per-type case.  So a
@@ -170,9 +189,4 @@ module For_tests : sig
   (** Whether two stores hold the same facts per variable, up to the order
       of disequalities and, on a variable with two clashing equalities,
       which one is kept. *)
-
-  val stores_agree : Types.t -> Query.Env.t -> role -> Query.Algebra.t -> (bool, string) result
-  (** Whether every state {!normalize} ends with (before its last
-      consistency filter) holds the store of its own constraint list: the
-      store it kept up to date is {!equal_store} to solving the list. *)
 end

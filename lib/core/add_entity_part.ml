@@ -56,6 +56,12 @@ let apply (st : State.t) ~entity ~p_ref ~parts =
   let e = entity.Edm.Entity_type.name in
   let* client' = Algo.lift (Edm.Schema.add_derived entity st.State.env.Query.Env.client) in
   let* () = match parts with [] -> fail "AddEntityPart needs at least one partition" | _ -> Ok () in
+  (* An Int literal compared with a Decimal attribute becomes the equal
+     Decimal, so ψᵢ orders it by value. *)
+  let domain = Edm.Schema.attribute_domain client' e in
+  let parts =
+    List.map (fun pt -> { pt with part_cond = Query.Cond.with_domains domain pt.part_cond }) parts
+  in
   let* () = Datum.Results.all_ok (check_part client' e) parts in
   let* () =
     match p_ref with

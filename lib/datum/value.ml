@@ -41,10 +41,20 @@ let member v d =
       | None -> true
       | Some dv -> Domain.subsumes ~wide:d ~narrow:dv)
 
+let of_domain d v = match d, v with Domain.Decimal, Int n -> Decimal (float_of_int n) | _ -> v
+
+let decimal f =
+  let rec shortest p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+  in
+  let s = shortest 1 in
+  if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+
 let to_literal = function
   | Null -> "NULL"
   | Int i -> string_of_int i
   | String s -> Printf.sprintf "'%s'" s
   | Bool true -> "True"
   | Bool false -> "False"
-  | Decimal f -> Printf.sprintf "%g" f
+  | Decimal f -> decimal f

@@ -125,6 +125,16 @@ let rename_columns pairs c =
       | (True | False | Is_of _ | Is_of_only _ | And _ | Or _) as atom -> atom)
     c
 
+let with_domains domain =
+  map_atoms (function
+    | Cmp (a, op, v) as atom -> (
+        match domain a with
+        | Some d ->
+            let v' = Datum.Value.of_domain d v in
+            if v' == v then atom else Cmp (a, op, v')
+        | None -> atom)
+    | atom -> atom)
+
 (* Unit and absorbing elements and duplicate removal, bottom up.  [orig] is
    the node being simplified: when its children come back physically
    unchanged it is returned itself, so simplifying a simplified condition

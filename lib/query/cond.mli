@@ -68,6 +68,12 @@ val map_atoms : (t -> t) -> t -> t
 val rename_columns : (string * string) list -> t -> t
 (** Substitute attribute names in non-type atoms ([(old, new)] pairs). *)
 
+val with_domains : (string -> Datum.Domain.t option) -> t -> t
+(** Each comparison's literal as a value of its column's [domain]
+    ({!Datum.Value.of_domain}): an [Int] compared with a [Decimal] column
+    becomes the equal [Decimal].  A column [domain] does not know keeps its
+    literal.  Sharing-preserving, as {!map_atoms}. *)
+
 val simplify : t -> t
 (** Boolean simplification: unit/absorbing elements, flattening, duplicate
     removal.  Purely syntactic — no satisfiability reasoning.

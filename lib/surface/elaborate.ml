@@ -59,6 +59,30 @@ let table (t : Ast.table) =
   in
   Ok (Relational.Table.make ~name:t.Ast.tb_name ~key:t.Ast.tb_key ~fks cols)
 
+(* -- literals of Decimal attributes and columns ----------------------------- *)
+
+(* Each Int bound to an attribute or column known to be Decimal becomes the
+   equal Decimal ([Datum.Value.of_domain]): the value order puts every Int
+   below every Decimal. *)
+let coerce domain bindings =
+  List.map
+    (fun (c, v) -> (c, match domain c with Some d -> Datum.Value.of_domain d v | None -> v))
+    bindings
+
+let type_domain client etype a =
+  if Edm.Schema.mem_type client etype then Edm.Schema.attribute_domain client etype a else None
+
+let set_domain client set a =
+  Option.bind (Edm.Schema.set_root client set) (fun root ->
+      Edm.Schema.hierarchy_attribute client root a)
+
+let assoc_domain client assoc a =
+  Option.bind (Edm.Schema.find_association client assoc) (fun x ->
+      List.assoc_opt a (Edm.Schema.association_attributes client x))
+
+let table_domain store table c =
+  Option.bind (Relational.Schema.find_table store table) (fun t -> Relational.Table.domain_of t c)
+
 (* -- whole models ------------------------------------------------------------ *)
 
 let client_schema (m : Ast.model) =
@@ -116,25 +140,29 @@ let store_schema (m : Ast.model) =
       Relational.Schema.add_table tbl schema)
     (Ok Relational.Schema.empty) m.Ast.tables
 
-let fragments client (m : Ast.model) =
+let fragments client store (m : Ast.model) =
   let is_set name = List.exists (fun (s : Ast.eset) -> s.Ast.s_name = name) m.Ast.sets in
   let is_assoc name = Edm.Schema.find_association client name <> None in
   List.fold_left
     (fun acc (f : Ast.fragment) ->
       let* frags = acc in
+      let store_cond =
+        Query.Cond.with_domains (table_domain store f.Ast.fr_table) f.Ast.fr_store_cond
+      in
       let* frag =
         if is_set f.Ast.fr_source then
+          let cond = Query.Cond.with_domains (set_domain client f.Ast.fr_source) f.Ast.fr_cond in
           Ok
-            (Mapping.Fragment.entity ~set:f.Ast.fr_source ~cond:f.Ast.fr_cond
-               ~table:f.Ast.fr_table ~store_cond:f.Ast.fr_store_cond f.Ast.fr_pairs)
+            (Mapping.Fragment.entity ~set:f.Ast.fr_source ~cond ~table:f.Ast.fr_table ~store_cond
+               f.Ast.fr_pairs)
         else if is_assoc f.Ast.fr_source then begin
           let* () =
             if Query.Cond.equal f.Ast.fr_cond Query.Cond.True then Ok ()
             else fail "association fragment %s cannot carry a client-side condition" f.Ast.fr_source
           in
           Ok
-            (Mapping.Fragment.assoc ~assoc:f.Ast.fr_source ~table:f.Ast.fr_table
-               ~store_cond:f.Ast.fr_store_cond f.Ast.fr_pairs)
+            (Mapping.Fragment.assoc ~assoc:f.Ast.fr_source ~table:f.Ast.fr_table ~store_cond
+               f.Ast.fr_pairs)
         end
         else fail "fragment source %s is neither an entity set nor an association" f.Ast.fr_source
       in
@@ -147,7 +175,7 @@ let model (m : Ast.model) =
   let* () = Edm.Schema.well_formed client in
   let* () = Relational.Schema.well_formed store in
   let env = Query.Env.make ~client ~store in
-  let* frags = fragments client m in
+  let* frags = fragments client store m in
   let* () = Mapping.Fragments.well_formed env frags in
   Ok (env, frags)
 
@@ -224,15 +252,19 @@ let script smos =
 
 let query env (q : Ast.query) =
   let client = env.Query.Env.client in
-  let* source =
+  let* source, domain =
     if Edm.Schema.set_root client q.Ast.q_source <> None then
-      Ok (Query.Algebra.Entity_set q.Ast.q_source)
+      Ok (Query.Algebra.Entity_set q.Ast.q_source, set_domain client q.Ast.q_source)
     else if Edm.Schema.find_association client q.Ast.q_source <> None then
-      Ok (Query.Algebra.Assoc_set q.Ast.q_source)
+      Ok (Query.Algebra.Assoc_set q.Ast.q_source, assoc_domain client q.Ast.q_source)
     else fail "unknown source %s (expected an entity set or association)" q.Ast.q_source
   in
   let base = Query.Algebra.Scan source in
-  let selected = match q.Ast.q_where with None -> base | Some c -> Query.Algebra.Select (c, base) in
+  let selected =
+    match q.Ast.q_where with
+    | None -> base
+    | Some c -> Query.Algebra.Select (Query.Cond.with_domains domain c, base)
+  in
   let* algebra =
     match q.Ast.q_items with
     | None ->
@@ -270,7 +302,7 @@ let data env (decls : Ast.data) =
             else
               Ok
                 (Edm.Instance.add_entity ~set:d.Ast.d_source
-                   (Edm.Instance.entity ~etype d.Ast.d_bindings)
+                   (Edm.Instance.entity ~etype (coerce (type_domain client etype) d.Ast.d_bindings))
                    inst)
         | None ->
             if Edm.Schema.find_association client d.Ast.d_source = None then
@@ -278,25 +310,31 @@ let data env (decls : Ast.data) =
             else
               Ok
                 (Edm.Instance.add_link ~assoc:d.Ast.d_source
-                   (Datum.Row.of_list d.Ast.d_bindings)
+                   (Datum.Row.of_list
+                      (coerce (assoc_domain client d.Ast.d_source) d.Ast.d_bindings))
                    inst))
       (Ok Edm.Instance.empty) decls
   in
   let* () = Edm.Instance.conforms client inst in
   Ok inst
 
-let dml (stmts : Ast.dml) =
+let dml env (stmts : Ast.dml) =
+  let client = env.Query.Env.client in
+  let row domain bindings = Datum.Row.of_list (coerce domain bindings) in
   Ok
     (List.map
        (function
          | Ast.M_insert { set; etype; bindings } ->
-             Dml.Delta.Insert_entity { set; entity = Edm.Instance.entity ~etype bindings }
+             let entity = Edm.Instance.entity ~etype (coerce (type_domain client etype) bindings) in
+             Dml.Delta.Insert_entity { set; entity }
          | Ast.M_update { set; key; changes } ->
-             Dml.Delta.Update_entity { set; key = Datum.Row.of_list key; changes }
+             Dml.Delta.Update_entity
+               { set; key = row (set_domain client set) key;
+                 changes = coerce (set_domain client set) changes }
          | Ast.M_delete { set; key } ->
-             Dml.Delta.Delete_entity { set; key = Datum.Row.of_list key }
+             Dml.Delta.Delete_entity { set; key = row (set_domain client set) key }
          | Ast.M_link { assoc; bindings } ->
-             Dml.Delta.Insert_link { assoc; link = Datum.Row.of_list bindings }
+             Dml.Delta.Insert_link { assoc; link = row (assoc_domain client assoc) bindings }
          | Ast.M_unlink { assoc; bindings } ->
-             Dml.Delta.Delete_link { assoc; link = Datum.Row.of_list bindings })
+             Dml.Delta.Delete_link { assoc; link = row (assoc_domain client assoc) bindings })
        stmts)

@@ -3,7 +3,13 @@
     Name resolution and well-formedness beyond the grammar (unknown parents,
     sets without roots, fragments over unknown sources) are reported with
     the offending names; everything that passes elaboration also passes the
-    semantic layers' own constructors, whose errors are propagated. *)
+    semantic layers' own constructors, whose errors are propagated.
+
+    An [Int] literal compared with or stored in an attribute or column known
+    to be [Decimal] becomes the equal [Decimal] ({!Datum.Value.of_domain}):
+    in fragment conditions, query conditions, data and DML.  The value
+    order puts every [Int] below every [Decimal], so [W > 1] on a Decimal
+    [W] would otherwise hold of [W = 0.5]. *)
 
 val domain : Ast.domain -> Datum.Domain.t
 val table : Ast.table -> (Relational.Table.t, string) result
@@ -23,4 +29,6 @@ val query : Query.Env.t -> Ast.query -> (Query.Algebra.t, string) result
 val data : Query.Env.t -> Ast.data -> (Edm.Instance.t, string) result
 (** Build a client state and check it with [Edm.Instance.conforms]. *)
 
-val dml : Ast.dml -> (Dml.Delta.t, string) result
+val dml : Query.Env.t -> Ast.dml -> (Dml.Delta.t, string) result
+(** Attribute domains are read from [env]'s client schema; an unknown set,
+    type or association is left to the translator to report. *)

@@ -16,23 +16,13 @@ let quote s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-(* The fewest significant digits that read back as the finite [f], with a
-   decimal point or an exponent so the lexer reads a float. *)
-let decimal f =
-  let rec shortest p =
-    let s = Printf.sprintf "%.*g" p f in
-    if p >= 17 || float_of_string s = f then s else shortest (p + 1)
-  in
-  let s = shortest 1 in
-  if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
-
 let literal = function
   | Datum.Value.Null -> "null"
   | Datum.Value.Int i -> string_of_int i
   | Datum.Value.String s -> quote s
   | Datum.Value.Bool true -> "true"
   | Datum.Value.Bool false -> "false"
-  | Datum.Value.Decimal f -> decimal f
+  | Datum.Value.Decimal f -> Datum.Value.decimal f
 
 let cmp = function
   | Query.Cond.Eq -> "="

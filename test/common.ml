@@ -107,6 +107,45 @@ let restrict_new_components ~old_schema inst =
     (List.fold_left keep_set Edm.Instance.empty (Edm.Instance.sets inst))
     (Edm.Instance.assocs inst)
 
+(* -- the model of examples/models/acct.imc -------------------------------- *)
+
+(* One root Acct stored in TAcct. *)
+let acct_model () =
+  let client =
+    ok_exn
+      (Edm.Schema.add_root ~set:"Accts"
+         (Edm.Entity_type.root ~name:"Acct" ~key:[ "Id" ] [ ("Id", D.Int) ])
+         Edm.Schema.empty)
+  in
+  let store =
+    ok_exn
+      (Relational.Schema.add_table
+         (Relational.Table.make ~name:"TAcct" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null) ])
+         Relational.Schema.empty)
+  in
+  ( Query.Env.make ~client ~store,
+    Mapping.Fragments.of_list
+      [ Mapping.Fragment.entity ~set:"Accts" ~cond:(C.Is_of "Acct") ~table:"TAcct" [ ("Id", "Id") ] ] )
+
+(* examples/models/acct_gold.smo: a Vip below Acct with a non-null Tier,
+   stored in TGold and, by Id alone, in TGoldX (whose foreign key references
+   TGold) when Tier = "gold", and in TOther otherwise. *)
+let gold_vip =
+  Edm.Entity_type.derived ~name:"Vip" ~parent:"Acct" ~non_null:[ "Tier" ] [ ("Tier", D.String) ]
+
+let gold_parts =
+  let gold = C.Cmp ("Tier", C.Eq, V.String "gold") in
+  let fk ref_table = { Relational.Table.fk_columns = [ "Id" ]; ref_table; ref_columns = [ "Id" ] } in
+  let part name ref_table cond cols =
+    { Core.Add_entity_part.part_alpha = cols; part_cond = cond;
+      part_table =
+        Relational.Table.make ~name ~key:[ "Id" ] ~fks:[ fk ref_table ]
+          (List.map (function "Id" -> ("Id", D.Int, `Not_null) | c -> (c, D.String, `Null)) cols);
+      part_fmap = List.map (fun c -> (c, c)) cols }
+  in
+  [ part "TGold" "TAcct" gold [ "Id"; "Tier" ]; part "TGoldX" "TGold" gold [ "Id" ];
+    part "TOther" "TAcct" (C.Cmp ("Tier", C.Neq, V.String "gold")) [ "Id"; "Tier" ] ]
+
 (* -- random generation over the paper-example schemas -------------------- *)
 
 let pe = Workload.Paper_example.stage4

@@ -7,24 +7,17 @@
 module Nf = Containment.Nf
 module Names = Datum.Name_set
 
-(* Each variable's possible types: the intersection of its [Ty_in] sets, as
-   the numbers of the batch's numbering. *)
+(* Each variable's possible types: its [Ty_in] fact, as the numbers of the
+   batch's numbering. *)
 let types_of (cq : Nf.cq) =
-  List.fold_left
-    (fun acc -> function
+  List.filter_map
+    (function
       | Nf.Ty_in (v, tys) ->
-          let tys =
-            match List.assoc_opt v acc with
-            | None -> tys
-            | Some cur -> Names.inter cur tys
-          in
-          (v, tys) :: List.remove_assoc v acc
-      | Nf.Rel _ | Nf.Null_c _ | Nf.Not_null_c _ -> acc)
-    [] cq.Nf.cons
-  |> List.map (fun (v, tys) ->
-         let numbers = ref [] in
-         Names.iter (fun i -> numbers := i :: !numbers) tys;
-         (v, List.rev !numbers))
+          let numbers = ref [] in
+          Names.iter (fun i -> numbers := i :: !numbers) tys;
+          Some (v, List.rev !numbers)
+      | Nf.Rel _ | Nf.Null_c _ | Nf.Not_null_c _ -> None)
+    (Nf.facts cq.Nf.store)
 
 let type_cases ~against:(_ : Nf.cq list) (cq : Nf.cq) =
   List.fold_left
@@ -34,7 +27,7 @@ let type_cases ~against:(_ : Nf.cq list) (cq : Nf.cq) =
         List.concat_map
           (fun (cq : Nf.cq) ->
             List.map
-              (fun ty -> { cq with Nf.cons = Nf.Ty_in (v, Names.singleton ty) :: cq.Nf.cons })
+              (fun ty -> { cq with Nf.store = Nf.refine cq.Nf.store v (Names.singleton ty) })
               tys)
           cases)
     [ cq ] (types_of cq)

@@ -512,23 +512,8 @@ let test_part_coverage_gap () =
 (* A Vip below the root Acct (in TAcct) with a non-null Decimal W, split
    into one partition table per [(name, condition)] of [parts]. *)
 let vip_split parts =
-  let client =
-    ok_exn
-      (Edm.Schema.add_root ~set:"Accts"
-         (Edm.Entity_type.root ~name:"Acct" ~key:[ "Id" ] [ ("Id", D.Int) ])
-         Edm.Schema.empty)
-  in
-  let store =
-    ok_exn
-      (Relational.Schema.add_table
-         (T.make ~name:"TAcct" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null) ])
-         Relational.Schema.empty)
-  in
-  let frags =
-    Mapping.Fragments.of_list
-      [ F.entity ~set:"Accts" ~cond:(C.Is_of "Acct") ~table:"TAcct" [ ("Id", "Id") ] ]
-  in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let env, frags = acct_model () in
+  let st = ok_exn (Core.State.bootstrap env frags) in
   let part name cond =
     { Core.Add_entity_part.part_alpha = [ "Id"; "W" ]; part_cond = cond;
       part_table =
@@ -573,6 +558,23 @@ let test_part_decimal_gap () =
          (Edm.Instance.entity ~etype:"Vip" [ ("Id", V.Int 3); ("W", V.Int 0) ])
   in
   checkb "Vips at W = 1.1 and at the Int 0 roundtrip" true (ok_exn (roundtrip_ok st inst))
+
+(* TGoldX's foreign key into TGold is proven by a containment whose
+   superset side holds the equality Tier = "gold". *)
+let test_part_gold () =
+  let env, frags = acct_model () in
+  let st = ok_exn (Core.State.bootstrap env frags) in
+  let smo = Core.Smo.Add_entity_part { entity = gold_vip; p_ref = Some "Acct"; parts = gold_parts } in
+  let st = ok_v (Core.Engine.apply st smo) in
+  let entity etype id attrs = Edm.Instance.entity ~etype (("Id", V.Int id) :: attrs) in
+  let inst =
+    List.fold_left
+      (fun inst e -> Edm.Instance.add_entity ~set:"Accts" e inst)
+      Edm.Instance.empty
+      [ entity "Acct" 1 []; entity "Vip" 2 [ ("Tier", V.String "gold") ];
+        entity "Vip" 3 [ ("Tier", V.String "silver") ] ]
+  in
+  checkb "gold and other Vips roundtrip" true (ok_exn (roundtrip_ok st inst))
 
 let test_part_gender_example () =
   (* Section 3.3's gender example: ids split by a closed-domain attribute that
@@ -1336,6 +1338,7 @@ let () =
           Alcotest.test_case "adult/young roundtrip" `Quick test_part_roundtrip;
           Alcotest.test_case "coverage gap" `Quick test_part_coverage_gap;
           Alcotest.test_case "Decimal coverage gap" `Quick test_part_decimal_gap;
+          Alcotest.test_case "equality on the superset side" `Quick test_part_gold;
           Alcotest.test_case "gender example" `Quick test_part_gender_example;
         ] );
       ( "property",

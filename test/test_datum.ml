@@ -18,6 +18,26 @@ let test_value_literals () =
   check Alcotest.string "bool" "True" (V.to_literal (V.Bool true));
   check Alcotest.string "int" "42" (V.to_literal (V.Int 42))
 
+(* A Decimal prints with the digits that read back as it and a decimal
+   point, so no printer rounds it or turns it into an Int. *)
+let test_decimal_literals () =
+  List.iter
+    (fun (f, s) -> check Alcotest.string s s (V.to_literal (V.Decimal f)))
+    [ (1.0, "1.0"); (1.0000001, "1.0000001"); (0.1, "0.1"); (-2.5, "-2.5"); (1e20, "1e+20");
+      (123456789.0, "123456789.0") ];
+  check Alcotest.string "an update sets the exact value"
+    "UPDATE TLow SET W = 1.0000001 WHERE Id = 2;\n"
+    (Dml.Translate.to_sql
+       [ Dml.Translate.Update_row
+           { table = "TLow"; key = Datum.Row.of_list [ ("Id", V.Int 2) ];
+             changes = [ ("W", V.Decimal 1.0000001) ] } ]);
+  let cond = C.Cmp ("W", C.Gt, V.Decimal 1.0) in
+  check Alcotest.string "a condition shows its Decimal" "W > 1.0" (C.show cond);
+  checkb "and reads back as a Decimal" true
+    (match Surface.Parser.condition (C.show cond) with
+    | Ok c -> C.equal c cond
+    | Error e -> Alcotest.failf "W > 1.0 does not parse: %s" e)
+
 let test_row_basics () =
   let r = row [ ("b", V.Int 2); ("a", V.Int 1) ] in
   check (Alcotest.list Alcotest.string) "sorted columns" [ "a"; "b" ] (Datum.Row.columns r);
@@ -61,6 +81,7 @@ let () =
           Alcotest.test_case "subsumes" `Quick test_domain_subsumes;
           Alcotest.test_case "member" `Quick test_value_member;
           Alcotest.test_case "literals" `Quick test_value_literals;
+          Alcotest.test_case "Decimal literals read back" `Quick test_decimal_literals;
         ] );
       ( "row",
         [

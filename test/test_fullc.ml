@@ -311,6 +311,39 @@ let test_partitioned_roundtrip () =
     (List.length (Relational.Instance.rows store ~table:"Young"))
 
 
+(* examples/models/acct.imc after acct_gold.smo, as one mapping: TGoldX's
+   foreign key into TGold holds because both hold the Vips with
+   Tier = "gold". *)
+let test_gold_fk () =
+  let env, frags = acct_model () in
+  let client = ok_exn (Edm.Schema.add_derived gold_vip env.Query.Env.client) in
+  let store =
+    List.fold_left
+      (fun store (p : Core.Add_entity_part.part) ->
+        ok_exn (Relational.Schema.add_table p.part_table store))
+      env.Query.Env.store gold_parts
+  in
+  let frags =
+    List.fold_left
+      (fun frags (p : Core.Add_entity_part.part) ->
+        Mapping.Fragments.add
+          (F.entity ~set:"Accts" ~cond:(C.And (C.Is_of "Vip", p.part_cond))
+             ~table:p.part_table.Relational.Table.name p.part_fmap)
+          frags)
+      frags gold_parts
+  in
+  let env = Query.Env.make ~client ~store in
+  let c = ok_exn (Fullc.Compile.compile env frags) in
+  let inst =
+    Edm.Instance.empty
+    |> Edm.Instance.add_entity ~set:"Accts" (Edm.Instance.entity ~etype:"Acct" [ ("Id", V.Int 1) ])
+    |> Edm.Instance.add_entity ~set:"Accts"
+         (Edm.Instance.entity ~etype:"Vip" [ ("Id", V.Int 2); ("Tier", V.String "gold") ])
+  in
+  checkb "gold Vip roundtrips" true
+    (Edm.Instance.equal inst
+       (ok_exn (Query.View.roundtrip env c.Fullc.Compile.query_views c.Fullc.Compile.update_views inst)))
+
 let test_partitioned_coverage_gap () =
   (* Age >= 18 / Age < 10 leaves a gap: validation must fail. *)
   let env', _ = adult_young_env_frags in
@@ -356,5 +389,6 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_partitioned_roundtrip;
           Alcotest.test_case "coverage gap" `Quick test_partitioned_coverage_gap;
+          Alcotest.test_case "foreign key under an equality" `Quick test_gold_fk;
         ] );
     ]

@@ -205,7 +205,7 @@ let test_dml_surface () =
       link Supports (Customer.Id = 6, Employee.Id = 3);
       unlink Supports (Customer.Id = 5, Employee.Id = 4);|}
   in
-  let delta = ok_exn (Surface.Elaborate.dml (ok_exn (Surface.Parser.dml text))) in
+  let delta = ok_exn (Surface.Elaborate.dml env4 (ok_exn (Surface.Parser.dml text))) in
   check Alcotest.int "five operations" 5 (List.length delta);
   let out = ok_exn (Dml.Delta.apply env4.Query.Env.client P.sample_client delta) in
   check Alcotest.int "entity count" 6 (List.length (Edm.Instance.entities out ~set:"Persons"))

@@ -620,7 +620,7 @@ let parse_and_elaborate file text =
       Result.map ignore (Surface.Elaborate.data P.stage4.P.env d)
   | ".dml" ->
       let* d = Surface.Parser.dml text in
-      Result.map ignore (Surface.Elaborate.dml d)
+      Result.map ignore (Surface.Elaborate.dml P.stage4.P.env d)
   | ext -> Alcotest.failf "no reader for %s files" ext
 
 let test_truncated_bindings () =
@@ -679,9 +679,50 @@ let example_texts () =
   Sys.readdir example_dir |> Array.to_list |> List.sort String.compare
   |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat example_dir f) In_channel.input_all))
 
+(* After a W <= 1 / W > 1 split of a Decimal W, written with Int literals,
+   a Vip at W = 0.5 is stored in TLow and no query for W > 1 returns it: each
+   Int literal on a Decimal attribute or column is elaborated as the equal
+   Decimal, so it is ordered by value. *)
+let test_int_on_decimal () =
+  let read f = In_channel.with_open_bin (Filename.concat example_dir f) In_channel.input_all in
+  let model = ok_exn (Surface.Parser.model (read "acct.imc")) in
+  let env, frags = ok_exn (Surface.Elaborate.model model) in
+  let split =
+    {|add entity Vip : Acct { W : decimal not null; }
+        partitions reference Acct
+        partition (Id, W) where W <= 1
+          to table TLow { Id : int not null; W : decimal; key (Id); fk (Id) references TAcct (Id); }
+          map (Id -> Id, W -> W)
+        partition (Id, W) where W > 1
+          to table THigh { Id : int not null; W : decimal; key (Id); fk (Id) references TAcct (Id); }
+          map (Id -> Id, W -> W);|}
+  in
+  let st =
+    List.fold_left
+      (fun st smo -> ok_v (Core.Engine.apply st smo))
+      (ok_exn (Core.State.bootstrap env frags))
+      (ok_exn (Surface.Elaborate.script (ok_exn (Surface.Parser.script split))))
+  in
+  let env = st.Core.State.env in
+  let data = {|data { Accts: Vip (Id = 1, W = 0.5); Accts: Vip (Id = 2, W = 1); }|} in
+  let inst = ok_exn (Surface.Elaborate.data env (ok_exn (Surface.Parser.data data))) in
+  let delta = Surface.Parser.dml "insert Accts Vip (Id = 3, W = 2);" in
+  let delta = ok_exn (Surface.Elaborate.dml env (ok_exn delta)) in
+  let inst = ok_exn (Dml.Delta.apply env.Query.Env.client inst delta) in
+  let store = ok_exn (Query.View.apply_update_views env st.Core.State.update_views inst) in
+  let ids rows = List.sort V.compare (List.map (Datum.Row.get "Id") rows) in
+  let values = Alcotest.(list (testable V.pp V.equal)) in
+  let table t = ids (Relational.Instance.rows store ~table:t) in
+  check values "TLow holds W = 0.5 and W = 1" [ V.Int 1; V.Int 2 ] (table "TLow");
+  check values "THigh holds W = 2" [ V.Int 3 ] (table "THigh");
+  let q = Surface.Parser.query "select Id, W from Accts where W > 1" in
+  let q = ok_exn (Surface.Elaborate.query env (ok_exn q)) in
+  let rows = Query.Eval.rows env (Query.Eval.client_db inst) q in
+  check values "W > 1 returns the Vip at W = 2 alone" [ V.Int 3 ] (ids rows)
+
 let test_reader_matches_oracle () =
   let files = example_texts () in
-  check Alcotest.int "twelve example files" 12 (List.length files);
+  check Alcotest.int "thirteen example files" 13 (List.length files);
   List.iter
     (fun (file, text) ->
       same_reading file text;
@@ -862,6 +903,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "truncated bindings" `Quick test_truncated_bindings;
           Alcotest.test_case "example files fuzzed" `Quick test_examples_fuzz;
+          Alcotest.test_case "Int literals on a Decimal attribute" `Quick test_int_on_decimal;
           prop_cond_print_parse;
         ] );
       ( "smo scripts",
