@@ -336,9 +336,9 @@ let fig4 () =
 (* ------------------------------------------------------------------ *)
 
 (* The spans of one traced run of [run], one row per span path: the [col]
-   column names the run, and [count], [total_ms] and [self_ms] roll up the
-   path's spans.  The rows of a [phases] table, keyed by [col] and
-   [phase]. *)
+   column names the run, and [count], [total_ms], [self_ms] and [alloc_mb]
+   (what the path's spans allocated, children included) roll up the path's
+   spans.  The rows of a [phases] table, keyed by [col] and [phase]. *)
 let phase_rows col name run =
   Obs.Span.reset ();
   Obs.enable ();
@@ -348,7 +348,8 @@ let phase_rows col name run =
       (fun (phase, a) ->
         [ (col, str name); ("phase", str phase); ("count", int a.Obs.Export.count);
           ("total_ms", num 3 (a.Obs.Export.total_s *. 1e3));
-          ("self_ms", num 3 (a.Obs.Export.self_s *. 1e3)) ])
+          ("self_ms", num 3 (a.Obs.Export.self_s *. 1e3));
+          ("alloc_mb", num 3 a.Obs.Export.alloc_mb) ])
       (Obs.Export.aggregate ())
   in
   Obs.Span.reset ();
@@ -389,10 +390,11 @@ let atom_args f =
    ([Core.Engine.compile]) and its obligation discharge are sampled apart.
    [ms] and [alloc_mb] are the sums of the two medians and
    [non_containment_ms] the algorithm's (so never above [ms]); [speedup] is
-   over the full compile's [baseline_ms]. *)
-let smo_rows ~baseline_ms st suite =
+   over the full compile's [baseline_ms].  A row is a label, the state and
+   the SMO applied to it. *)
+let smo_rows ~baseline_ms rows =
   List.map
-    (fun (label, smo) ->
+    (fun (label, st, smo) ->
       let ((compiled, proved), work), args =
         atom_args (fun () ->
             checker_work (fun () ->
@@ -422,24 +424,37 @@ let smo_rows ~baseline_ms st suite =
         ("obligations", int (List.length obls)) ]
       @ work
       @ [ ("atom_args", int args); ("outcome", str outcome) ])
-    suite
+    rows
 
 (* The full compile of [env, frags], the costs of [suite] on its state,
    and the span aggregate of one traced validated application of each SMO
-   (a refused one included). *)
-let smo_tables env frags suite =
+   (a refused one included).  A sequel [(label, first, second)] is one
+   more row: the suite's SMO [second] applied to the state the suite's
+   [first] leaves. *)
+let smo_tables ?(sequels = []) env frags suite =
   match sample (fun () -> Fullc.Compile.compile env frags) with
   | Error e, _, _ -> failwith ("full compilation failed: " ^ e)
   | Ok c, full_ms, _ ->
       let st = Core.State.of_compiled env frags c in
+      let after first =
+        match Core.Engine.apply st (List.assoc first suite) with
+        | Ok st -> st
+        | Error e -> failwith (first ^ " failed: " ^ Containment.Validation_error.show e)
+      in
+      let rows =
+        List.map (fun (label, smo) -> (label, st, smo)) suite
+        @ List.map
+            (fun (label, first, second) -> (label, after first, List.assoc second suite))
+            sequels
+      in
       let phases =
         List.concat_map
-          (fun (label, smo) ->
+          (fun (label, st, smo) ->
             phase_rows "smo" label (fun () -> ignore (Core.Engine.apply st smo)))
-          suite
+          rows
       in
       [ { name = "full_compile"; keys = []; rows = [ [ ("full_compile_s", num 3 (full_ms /. 1e3)) ] ] };
-        { name = "smos"; keys = [ "smo" ]; rows = smo_rows ~baseline_ms:full_ms st suite };
+        { name = "smos"; keys = [ "smo" ]; rows = smo_rows ~baseline_ms:full_ms rows };
         { name = "phases"; keys = [ "smo"; "phase" ]; rows = phases } ]
 
 let fig9 ~chain_size () =
@@ -454,8 +469,12 @@ let fig10 () =
   header "Fig. 10 -- SMO timings on the customer-like model (the paper's EF baseline: 8 hours)";
   Printf.printf "model: %s\n%!" (Workload.Customer.stats ());
   let env, frags = Workload.Customer.generate () in
+  (* AEP-2p+ applies AEP-2p after AEP-1p, where Bucket is a namesake. *)
   emit "fig10"
-    (smo_tables env frags (Workload.Customer.smo_suite () @ Workload.Customer.drop_suite ()))
+    (smo_tables
+       ~sequels:[ ("AEP-2p+", "AEP-1p", "AEP-2p") ]
+       env frags
+       (Workload.Customer.smo_suite () @ Workload.Customer.drop_suite ()))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md section 5).                                    *)

@@ -147,7 +147,7 @@ let chase_assoc types env ~widen (cq : Nf.cq) =
 (* Validation feeds [π_cols(view)] shapes whose outer-join structure only
    reduces once stacked projections are fused, so both sides are
    simplified ([Query.Simplify.query]) before they are normalized. *)
-let superset types env q = Nf.normalize types env Nf.Superset_side q
+let superset ~infer types env q = Nf.normalize ~infer types env Nf.Superset_side q
 
 (* [superset] as the test seam's full-width oracle normalizes it. *)
 let full_width_superset types env q = Nf.For_tests.normalize_full_width types env Nf.Superset_side q
@@ -156,7 +156,7 @@ let full_width_superset types env q = Nf.For_tests.normalize_full_width types en
    The superset side is normalized first; each subset-side scan and
    implied atom is then widened to every column a superset CQ binds on its
    source, so no superset atom looks up a column the subset atom lacks. *)
-let subset_with ~split ~full_width types env q1 n2 =
+let subset_with ~infer ~split ~full_width types env q1 n2 =
   let* n1, n2, widen =
     Obs.Span.with_ ~name:"containment.normalize" @@ fun () ->
     let* n2 = Lazy.force n2 in
@@ -166,7 +166,7 @@ let subset_with ~split ~full_width types env q1 n2 =
         Ok (n1, None)
       else
         let widen = Nf.bound_columns n2.Nf.cqs in
-        let* n1 = Nf.normalize ~widen types env Nf.Subset_side q1 in
+        let* n1 = Nf.normalize ~widen ~infer types env Nf.Subset_side q1 in
         Ok (n1, Some widen)
     in
     Obs.Span.tag "lhs_cqs" (List.length n1.Nf.cqs);
@@ -204,13 +204,14 @@ let subset_with ~split ~full_width types env q1 n2 =
   let cq2s = List.map (fun cq -> (cq, head_cols cq)) cq2s in
   Ok (List.for_all (fun cq1 -> List.exists (fun cq2 -> homomorphism types cq2 cq1) cq2s) cq1s)
 
-let prove = subset_with ~split:Nf.type_cases ~full_width:false
+let prove ~infer types env q1 n2 =
+  subset_with ~infer ~split:Nf.type_cases ~full_width:false types env q1 n2
 
-(* [subset] over a numbering of its own. *)
+(* [subset] over a numbering and a typing of its own. *)
 let subset_in ~split ~full_width env q1 q2 =
-  let types = Nf.Types.create env.Query.Env.client in
-  let superset = if full_width then full_width_superset else superset in
-  subset_with ~split ~full_width types env (Query.Simplify.query env q1)
+  let types = Nf.Types.create env.Query.Env.client and infer = Query.Algebra.typing env in
+  let superset = if full_width then full_width_superset else superset ~infer in
+  subset_with ~infer ~split ~full_width types env (Query.Simplify.query env q1)
     (lazy (superset types env (Query.Simplify.query env q2)))
 
 let subset env q1 q2 = subset_in ~split:Nf.type_cases ~full_width:false env q1 q2

@@ -31,18 +31,23 @@ val subset : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string)
     numbering of [env]'s client types that the call makes for itself;
     {!prove} takes a batch's. *)
 
-val superset : Nf.Types.t -> Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result
+val superset :
+  infer:(Query.Algebra.t -> (string list, string) result) ->
+  Nf.Types.t -> Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result
 (** The superset side as {!subset} normalizes it, once simplified:
-    [Nf.normalize] with role [Superset_side].  A pure function of the
-    schemas and the query, up to the numbering of types. *)
+    [Nf.normalize] with role [Superset_side], typing subterms through
+    [infer] (a {!Query.Algebra.typing}).  A pure function of the schemas
+    and the query, up to the numbering of types. *)
 
 val prove :
+  infer:(Query.Algebra.t -> (string list, string) result) ->
   Nf.Types.t -> Query.Env.t -> Query.Algebra.t -> (Nf.output, string) result Lazy.t ->
   (bool, string) result
 (** [prove types env q1 n2] is {!subset} of [q1], already simplified, and
     the superset side [n2], as {!superset} normalizes it over the same
-    [types].  [n2] is forced in the ["containment.normalize"] span.
-    {!Discharge.run} proves through it, simplifying each side once. *)
+    [types] (and [infer]).  [n2] is forced in the ["containment.normalize"]
+    span.  {!Discharge.run} proves through it, simplifying and typing each
+    side's subterms once per batch. *)
 
 val equivalent : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
 

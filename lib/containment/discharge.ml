@@ -19,7 +19,9 @@ end)
 
 (* What a batch keeps per schemas ([==]): the numbering of the client's
    types that every check over them shares; one [Query.Simplify.query],
-   whose memo rewrites each subterm the batch's sides share once; each
+   whose memo rewrites each subterm the batch's sides share once; one
+   [Query.Algebra.typing], whose memo types each subterm the normalizer's
+   outer-join reductions and padding ask about once; each
    distinct superset side ([Query.Algebra.equal]), simplified and
    normalized once (every AE-TPH overlap check's [π_key(σ_false T)], the FK
    checks against one referenced table); and the pairs of simplified sides
@@ -27,6 +29,7 @@ end)
 type scope = {
   types : Nf.Types.t;
   simplify : Query.Algebra.t -> Query.Algebra.t;
+  infer : Query.Algebra.t -> (string list, string) result;
   supersets : (Query.Algebra.t * (Nf.output, string) result Lazy.t) Rhs_tbl.t;
   proven : unit Pair_tbl.t;
 }
@@ -39,7 +42,7 @@ let scopes () =
     | None ->
         let s =
           { types = Nf.Types.create env.Query.Env.client; simplify = Query.Simplify.query env;
-            supersets = Rhs_tbl.create 64; proven = Pair_tbl.create 16 }
+            infer = Query.Algebra.typing env; supersets = Rhs_tbl.create 64; proven = Pair_tbl.create 16 }
         in
         scopes := (env, s) :: !scopes;
         s
@@ -55,13 +58,13 @@ let prove scope env lhs rhs =
     | Some side -> side
     | None ->
         let q = s.simplify rhs in
-        let side = (q, lazy (Check.superset s.types env q)) in
+        let side = (q, lazy (Check.superset ~infer:s.infer s.types env q)) in
         Rhs_tbl.add s.supersets rhs side;
         side
   in
   if Pair_tbl.mem s.proven (lhs, rhs) then Ok true
   else
-    let r = Check.prove s.types env lhs n2 in
+    let r = Check.prove ~infer:s.infer s.types env lhs n2 in
     if r = Ok true then Pair_tbl.add s.proven (lhs, rhs) ();
     r
 

@@ -387,12 +387,13 @@ let scan_state types env width counter needed src =
 (* Column [c] of a state of [q], as a parent of [q] reads it: a column [q]
    lacks reads as NULL.  Every column a parent reads is bound, so a column
    that [q] has and the state lacks is a narrowing fault; it raises rather
-   than silently read as NULL. *)
-let read env q (st : state) c =
+   than silently read as NULL.  [infer] types a subterm
+   ([Query.Algebra.typing]). *)
+let read infer q (st : state) c =
   match List.assoc_opt c st.bind with
   | Some t -> t
   | None -> (
-      match Query.Algebra.infer env q with
+      match infer q with
       | Ok cols when List.mem c cols ->
           invalid_arg (Printf.sprintf "Nf: column %s is not bound by its normalized subterm" c)
       | Ok _ | Error _ -> C Datum.Value.Null)
@@ -401,8 +402,8 @@ exception Dead_state
 
 (* Apply one condition atom to a state; raises [Dead_state] when the atom is
    decidedly false on the state's constant bindings. *)
-let apply_atom types env q st atom =
-  let term = read env q st in
+let apply_atom types env infer q st atom =
+  let term = read infer q st in
   match atom with
   | Query.Cond.True -> st
   | Query.Cond.False -> raise Dead_state
@@ -491,45 +492,46 @@ let cond_reads c =
     (if Query.Cond.type_atoms c <> [] then Query.Env.type_column :: cols else cols)
 
 (* [needed] is ascending, as [union] requires. *)
-let rec needed_elim env role needed q =
+let rec needed_elim infer role needed q =
   (* Rewrite away outer joins that a projection renders exact, plus sound
      one-sided reductions on the superset side: every row of one input of a
      full outer join survives into the join's output, so projecting onto
      that input's columns yields a lower bound — enough to prove
      containment INTO the join.  (The exact rules stay role-agnostic.) *)
-  (* Whether [q] has every needed column: [q] is typed once per visit. *)
+  (* Whether [q] has every needed column. *)
   let covered q =
-    match Query.Algebra.infer env q with
+    match infer q with
     | Ok cols -> List.for_all (fun c -> List.mem c cols) needed
     | Error _ -> needed = []
   in
   match q with
-  | Query.Algebra.Join (Query.Join.Left, l, _r, _) when covered l -> needed_elim env role needed l
+  | Query.Algebra.Join (Query.Join.Left, l, _r, _) when covered l -> needed_elim infer role needed l
   | Query.Algebra.Join (Query.Join.Full, l, r, on) when List.for_all (fun c -> List.mem c on) needed
     ->
-      Query.Algebra.Union_all (needed_elim env role needed l, needed_elim env role needed r)
+      Query.Algebra.Union_all (needed_elim infer role needed l, needed_elim infer role needed r)
   | Query.Algebra.Join (Query.Join.Full, l, r, _) when role = Superset_side -> (
       match (covered l, covered r) with
       | true, true ->
-          Query.Algebra.Union_all (needed_elim env role needed l, needed_elim env role needed r)
-      | true, false -> needed_elim env role needed l
-      | false, true -> needed_elim env role needed r
+          Query.Algebra.Union_all (needed_elim infer role needed l, needed_elim infer role needed r)
+      | true, false -> needed_elim infer role needed l
+      | false, true -> needed_elim infer role needed r
       | false, false -> q)
   | Query.Algebra.Union_all (l, r) ->
       (* Projection distributes over union. *)
-      Query.Algebra.Union_all (needed_elim env role needed l, needed_elim env role needed r)
+      Query.Algebra.Union_all (needed_elim infer role needed l, needed_elim infer role needed r)
   | Query.Algebra.Project (items, q1) ->
       (* Narrow the projection to the needed columns and keep pushing. *)
       let items' = List.filter (fun it -> List.mem (Query.Algebra.dst_of it) needed) items in
-      Query.Algebra.Project (items', needed_elim env role (item_sources items') q1)
+      Query.Algebra.Project (items', needed_elim infer role (item_sources items') q1)
   | Query.Algebra.Select (c, q1) ->
-      Query.Algebra.Select (c, needed_elim env role (union needed (cond_reads c)) q1)
+      Query.Algebra.Select (c, needed_elim infer role (union needed (cond_reads c)) q1)
   | Query.Algebra.Scan _ | Query.Algebra.Join _ -> q
 
-(* [norm env role width counter needed q] normalizes [q], whose parents
-   read the columns [needed] (all of them when [None]); under [Observed]
-   each subterm is passed the columns its own parents read. *)
-let rec norm types env role width counter needed q : (state list * bool, string) Stdlib.result =
+(* [norm types env infer role width counter needed q] normalizes [q],
+   whose parents read the columns [needed] (all of them when [None]); under
+   [Observed] each subterm is passed the columns its own parents read. *)
+let rec norm types env infer role width counter needed q :
+    (state list * bool, string) Stdlib.result =
   let observe cols = match width with Full -> None | Observed _ -> Some cols in
   let also extra = Option.map (union extra) needed in
   match q with
@@ -537,14 +539,14 @@ let rec norm types env role width counter needed q : (state list * bool, string)
       let* st = scan_state types env width counter needed src in
       Ok ([ st ], false)
   | Query.Algebra.Select (c, q1) ->
-      let* sts, approx = norm types env role width counter (also (cond_reads c)) q1 in
+      let* sts, approx = norm types env infer role width counter (also (cond_reads c)) q1 in
       let disjuncts = Query.Cond.dnf (Query.Cond.simplify c) in
       let out =
         List.concat_map
           (fun st ->
             List.filter_map
               (fun conj ->
-                match List.fold_left (apply_atom types env q1) st conj with
+                match List.fold_left (apply_atom types env infer q1) st conj with
                 | st -> if consistent st.store then Some st else None
                 | exception Dead_state -> None)
               disjuncts)
@@ -553,21 +555,21 @@ let rec norm types env role width counter needed q : (state list * bool, string)
       Ok (out, approx)
   | Query.Algebra.Project (items, q1) ->
       let sources = item_sources items in
-      let q1 = needed_elim env role sources q1 in
-      let* sts, approx = norm types env role width counter (observe sources) q1 in
+      let q1 = needed_elim infer role sources q1 in
+      let* sts, approx = norm types env infer role width counter (observe sources) q1 in
       (* [Coalesce] splits a state into one case per "first non-null source"
          position, plus the all-null case; each case pins the corresponding
          null constraints.  Constant sources resolve immediately. *)
       let apply_item states item =
         match item with
         | Query.Algebra.Col { src; dst } ->
-            List.map (fun (st, bind) -> (st, (dst, read env q1 st src) :: bind)) states
+            List.map (fun (st, bind) -> (st, (dst, read infer q1 st src) :: bind)) states
         | Query.Algebra.Const { value; dst } ->
             List.map (fun (st, bind) -> (st, (dst, C value) :: bind)) states
         | Query.Algebra.Coalesce { srcs; dst } ->
             List.concat_map
               (fun ((st : state), bind) ->
-                let terms = List.map (read env q1 st) srcs in
+                let terms = List.map (read infer q1 st) srcs in
                 let with_cons cons = { st with store = List.fold_left add st.store cons } in
                 let rec cases prefix_null = function
                   | [] -> [ (with_cons prefix_null, (dst, C Datum.Value.Null) :: bind) ]
@@ -593,18 +595,19 @@ let rec norm types env role width counter needed q : (state list * bool, string)
       Ok (out, approx)
   | Query.Algebra.Join (kind, l, r, on) -> (
       let needed' = also (List.sort_uniq String.compare on) in
-      let* ls, al = norm types env role width counter needed' l in
-      let* rs, ar = norm types env role width counter needed' r in
+      let* ls, al = norm types env infer role width counter needed' l in
+      let* rs, ar = norm types env infer role width counter needed' r in
       let joined = join_states types ls rs on in
       match (kind, role) with
       | Query.Join.Inner, _ -> Ok (joined, al || ar)
       | (Query.Join.Left | Query.Join.Full), Superset_side -> Ok (joined, true)
-      | Query.Join.Left, Subset_side -> Ok (joined @ pad_unmatched env needed on r ls, true)
+      | Query.Join.Left, Subset_side -> Ok (joined @ pad_unmatched infer needed on r ls, true)
       | Query.Join.Full, Subset_side ->
-          Ok (joined @ pad_unmatched env needed on r ls @ pad_unmatched env needed on l rs, true))
+          let left = pad_unmatched infer needed on r ls in
+          Ok (joined @ left @ pad_unmatched infer needed on l rs, true))
   | Query.Algebra.Union_all (l, r) ->
-      let* ls, al = norm types env role width counter needed l in
-      let* rs, ar = norm types env role width counter needed r in
+      let* ls, al = norm types env infer role width counter needed l in
+      let* rs, ar = norm types env infer role width counter needed r in
       Ok (ls @ rs, al || ar)
 
 and join_states types ls rs on =
@@ -625,18 +628,21 @@ and join_states types ls rs on =
         rs)
     ls
 
-and pad_state cols st =
-  { st with bind = st.bind @ List.map (fun c -> (c, C Datum.Value.Null)) cols }
+and pad_state nulls st = { st with bind = st.bind @ nulls }
 
 (* The states of one join side, each padded with NULL in the non-join
    columns of the other side [q] that the parents read: the unmatched rows
    of an outer join. *)
-and pad_unmatched env needed on q sts =
+and pad_unmatched infer needed on q sts =
   let padded c =
     (not (List.mem c on)) && match needed with None -> true | Some n -> List.mem c n
   in
-  match Query.Algebra.infer env q with
-  | Ok cols -> List.map (pad_state (List.filter padded cols)) sts
+  match infer q with
+  | Ok rcols ->
+      (* [rcols] is reversed, so the fold yields the padding in producer order. *)
+      let null acc c = if padded c then (c, C Datum.Value.Null) :: acc else acc in
+      let nulls = List.fold_left null [] rcols in
+      List.map (pad_state nulls) sts
   | Error e -> invalid_arg e
 
 (* The type distinctions the superset side can observe: each of its [Ty_in]
@@ -711,15 +717,16 @@ let canonical types st =
   | st -> Some { head = st.bind; body = st.body; store = st.store }
   | exception Dead_state -> None
 
-let run types env role width q =
+let run ~infer types env role width q =
   let counter = ref 0 in
-  let* sts, approximate = norm types env role width counter None q in
+  let* sts, approximate = norm types env infer role width counter None q in
   let cqs =
     List.filter_map (fun st -> if consistent st.store then canonical types st else None) sts
   in
   Ok { cqs; approximate }
 
-let normalize ?(widen = fun _ -> []) types env role q = run types env role (Observed widen) q
+let normalize ?(widen = fun _ -> []) ~infer types env role q =
+  run ~infer types env role (Observed widen) q
 
 let bound_columns (cqs : cq list) =
   let add acc (a : atom) =
@@ -743,7 +750,8 @@ let atom_args (cqs : cq list) =
     0 cqs
 
 module For_tests = struct
-  let normalize_full_width types env role q = run types env role Full q
+  let normalize_full_width types env role q =
+    run ~infer:(Query.Algebra.typing env) types env role Full q
 
   (* Facts equal up to what adding in another order may change: the order
      of [neq], and which of two clashing equalities an inconsistent

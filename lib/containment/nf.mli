@@ -86,6 +86,7 @@ type output = { cqs : cq list; approximate : bool }
 
 val normalize :
   ?widen:(Query.Algebra.source -> string list) ->
+  infer:(Query.Algebra.t -> (string list, string) result) ->
   Types.t -> Query.Env.t -> role -> Query.Algebra.t -> (output, string) result
 (** Unsatisfiable disjuncts are pruned; an empty [cqs] means the query is
     provably empty.  A scan's seeds are solved into a store ({!solve}), and
@@ -97,7 +98,9 @@ val normalize :
     also binds the columns of [widen src] that the source has (by default
     none); the checker widens the subset side by the superset side's
     {!bound_columns}.  Type sets are over [types], which numbers [env]'s
-    client types. *)
+    client types.  Outer-join reductions and padding type subterms through
+    [infer], a {!Query.Algebra.typing} over [env]: a discharge batch passes
+    one per schemas to every call. *)
 
 val bound_columns : cq list -> Query.Algebra.source -> string list
 (** [bound_columns cqs src]: every column that some atom of [cqs] over

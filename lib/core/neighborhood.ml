@@ -56,11 +56,12 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
     List.filter (fun a -> Edm.Schema.hierarchy_attribute st.State.env.Query.Env.client root a <> None) own
   in
   (* The previous views share most of their subterms: type each distinct
-     one once. *)
+     one once.  The lists are in reverse producer order
+     ([A.infer_step]'s shared form), so a join chain's lists share their
+     tails; [clash] only tests membership, and a projection over them is
+     built with [rev_map], which restores producer order. *)
   let columns =
-    let infer =
-      A.Memo.fix (A.Memo.create ()) (fun infer -> A.infer_step (fun _ -> infer) env')
-    in
+    let infer = A.typing env' in
     fun q ->
       match infer q with
       | Ok cols -> cols
@@ -82,9 +83,11 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
           match clash vp.Query.View.query with
           | [] -> vp.Query.View.query
           | drop ->
-              A.project_cols
-                (List.filter (fun c -> not (List.mem c drop)) (columns vp.Query.View.query))
-                vp.Query.View.query
+              A.Project
+                ( List.fold_left
+                    (fun items c -> if List.mem c drop then items else A.col c :: items)
+                    [] (columns vp.Query.View.query),
+                  vp.Query.View.query )
         in
         Ok
           ( A.Join (Query.Join.Inner, qp, side, key),
@@ -105,7 +108,7 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
               side_tagged )
         in
         A.Project
-          ( List.map
+          ( List.rev_map
               (fun c -> if List.mem c fused then A.coalesce [ renamed c; c ] c else A.col c)
               (columns q)
             @ List.map A.col (List.filter (fun a -> not (List.mem a fused)) own)

@@ -90,8 +90,10 @@ let hierarchy_index t name =
 let hierarchy_attributes t name =
   M.fold (fun a (d, _) acc -> (a, d) :: acc) (hierarchy_index t name) [] |> List.rev
 
-let hierarchy_attribute_names t name =
-  M.fold (fun a _ acc -> a :: acc) (hierarchy_index t name) [] |> List.rev
+let rev_hierarchy_attribute_names t name tail =
+  M.fold (fun a _ acc -> a :: acc) (hierarchy_index t name) tail
+
+let hierarchy_attribute_names t name = List.rev (rev_hierarchy_attribute_names t name [])
 
 let hierarchy_attribute t name a =
   match M.find a (hierarchy_index t name) with d, _ -> Some d | exception Not_found -> None

@@ -103,6 +103,11 @@ val hierarchy_attributes : t -> string -> (string * Datum.Domain.t) list
 val hierarchy_attribute_names : t -> string -> string list
 (** The names of {!hierarchy_attributes}, read off the index. *)
 
+val rev_hierarchy_attribute_names : t -> string -> string list -> string list
+(** [rev_hierarchy_attribute_names t name tail] is
+    [List.rev_append (hierarchy_attribute_names t name) tail], built in one
+    pass over the index. *)
+
 val hierarchy_attribute : t -> string -> string -> Datum.Domain.t option
 (** [hierarchy_attribute t name a] is [a]'s domain in
     [hierarchy_attributes t name], by one lookup in the index. *)

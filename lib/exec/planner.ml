@@ -327,12 +327,13 @@ let context env views =
       in
       let scope = { env; source; operand = (fun v -> Plan.Lit v) } in
       let compile = memo (compile_step scope) in
-      (* [A.infer]'s typing, each node's columns read off its plan. *)
+      (* [A.infer]'s typing, each node's columns read off its plan, in
+         [A.infer_step]'s reverse producer order. *)
       let check =
         memo (fun check q ->
             let columns _ q =
               let* () = check q in
-              Ok (Array.to_list (layout (compile q)))
+              Ok (Array.fold_left (fun cols c -> c :: cols) [] (layout (compile q)))
             in
             Result.map ignore (A.infer_step columns env q))
       in

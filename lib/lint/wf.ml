@@ -138,7 +138,10 @@ let dup_dsts items =
 (* The view fold's result for a subterm: [Algebra.infer]'s verdict, its
    L011, L102 and L103 findings, and its columns.  These are [infer]'s list
    where it succeeds, and a lenient list elsewhere, for L103 must still be
-   found above a projection [infer] rejects (None once a source is unknown). *)
+   found above a projection [infer] rejects (None once a source is unknown).
+   Both lists are in reverse producer order ([Algebra.infer_step]'s shared
+   form): a join's shares its left side's, and only L103's message reads
+   them in producer order. *)
 type typed = {
   typed : (string list, string) result;
   cols : string list option;
@@ -160,7 +163,7 @@ let typed_step env scans fold q =
       match Hashtbl.find scans src with
       | r -> r
       | exception Not_found ->
-          let typed = Algebra.infer env q in
+          let typed = Algebra.infer_rev env q in
           let r = { typed; cols = Result.to_option typed; findings = [] } in
           Hashtbl.add scans src r;
           r)
@@ -188,7 +191,7 @@ let typed_step env scans fold q =
                     "projection binds column(s) %s more than once" (String.concat ", " dups) ]
           in
           { typed;
-            cols = Some (List.map Algebra.dst_of items);
+            cols = Some (List.rev_map Algebra.dst_of items);
             findings = Diag.union_findings here s.findings })
   | Algebra.Join (_, l, r, on) ->
       let rl = fold l in
@@ -197,7 +200,7 @@ let typed_step env scans fold q =
       let cols =
         match (typed, rl.cols, rr.cols) with
         | Ok cols, _, _ -> Some cols
-        | Error _, Some lc, Some rc -> Some (lc @ List.filter (fun c -> not (List.mem c on)) rc)
+        | Error _, Some lc, Some rc -> Some (List.filter (fun c -> not (List.mem c on)) rc @ lc)
         | Error _, _, _ -> None
       in
       { typed; cols; findings = Diag.union_findings rl.findings rr.findings }
@@ -213,7 +216,8 @@ let typed_step env scans fold q =
                   || List.sort String.compare lc = List.sort String.compare rc) ->
             [ Diag.finding ~code:"L103" ~severity:Diag.Warning
                 "UNION ALL sides agree on columns but in different order: {%s} vs {%s}"
-                (String.concat "," lc) (String.concat "," rc) ]
+                (String.concat "," (List.rev lc))
+                (String.concat "," (List.rev rc)) ]
         | _ -> []
       in
       let findings = Diag.union_findings rl.findings rr.findings in

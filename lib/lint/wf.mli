@@ -55,9 +55,12 @@
     environment fixed, and holds location-free findings ({!Diag.finding})
     that each view places at its own location, merged
     ({!Diag.union_findings}) where one view reaches a subterm twice.  A
-    table keeps only subterms reached more than once ([Memo.shared]).  On
-    loaded customer a call allocates 1.5 MB: the typed fold's column lists
-    and the CASE guards, not its lookups. *)
+    table keeps only subterms reached more than once ([Memo.shared]).  The
+    typed fold's column lists are in reverse producer order
+    ({!Query.Algebra.infer_step}): a join's list shares its left input's,
+    so the views' 94-join chains type in linear space.  On loaded customer
+    a call allocates 1.16 MB (1.18 MB after AP): the typed fold's column
+    lists and the CASE guards, not its lookups. *)
 
 val check :
   Query.Env.t -> Query.View.query_views -> Query.View.update_views -> Diag.t list

@@ -12,18 +12,21 @@ let pp_attrs fmt = function
       Format.fprintf fmt "  [%s]"
         (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) attrs))
 
+let pp_mb fmt mb = Format.fprintf fmt "%8.3fMB" mb
+
 let rec pp_span depth fmt span =
-  Format.fprintf fmt "%s%-*s %a%a@."
+  Format.fprintf fmt "%s%-*s %a %a%a@."
     (String.concat "" (List.init depth (fun _ -> "  ")))
     (max 1 (36 - (2 * depth)))
-    (Span.name span) pp_duration (Span.duration_s span) pp_attrs (Span.attrs span);
+    (Span.name span) pp_duration (Span.duration_s span) pp_mb (Span.alloc_mb span) pp_attrs
+    (Span.attrs span);
   List.iter (pp_span (depth + 1) fmt) (Span.children span)
 
 let pp_tree fmt () = List.iter (pp_span 0 fmt) (Span.roots ())
 
 (* -- aggregation by span path ---------------------------------------------- *)
 
-type agg = { count : int; total_s : float; self_s : float }
+type agg = { count : int; total_s : float; self_s : float; alloc_mb : float }
 
 let aggregate () =
   let order = ref [] in
@@ -34,11 +37,12 @@ let aggregate () =
     | None ->
         order := path :: !order;
         Hashtbl.add tbl path
-          { count = 1; total_s = Span.duration_s span; self_s = Span.self_s span }
+          { count = 1; total_s = Span.duration_s span; self_s = Span.self_s span;
+            alloc_mb = Span.alloc_mb span }
     | Some a ->
         Hashtbl.replace tbl path
           { count = a.count + 1; total_s = a.total_s +. Span.duration_s span;
-            self_s = a.self_s +. Span.self_s span });
+            self_s = a.self_s +. Span.self_s span; alloc_mb = a.alloc_mb +. Span.alloc_mb span });
     List.iter (add (Some path)) (Span.children span)
   in
   List.iter (add None) (Span.roots ());
@@ -47,11 +51,11 @@ let aggregate () =
 let pp_aggregate fmt () =
   let rows = aggregate () in
   let width = List.fold_left (fun w (path, _) -> max w (String.length path)) 36 rows in
-  Format.fprintf fmt "%-*s %8s %10s %10s@." width "phase" "count" "total" "self";
+  Format.fprintf fmt "%-*s %8s %10s %10s %10s@." width "phase" "count" "total" "self" "alloc";
   List.iter
     (fun (path, a) ->
-      Format.fprintf fmt "%-*s %8d  %a  %a@." width path a.count pp_duration a.total_s
-        pp_duration a.self_s)
+      Format.fprintf fmt "%-*s %8d  %a  %a %a@." width path a.count pp_duration a.total_s
+        pp_duration a.self_s pp_mb a.alloc_mb)
     rows
 
 (* -- Chrome trace_event JSON ------------------------------------------------ *)

@@ -1,9 +1,12 @@
 (** Exporters over the completed spans of {!Span}. *)
 
-(** Indented tree of every completed root: name, duration, attributes. *)
+(** Indented tree of every completed root: name, duration, allocation
+    ({!Span.alloc_mb}), attributes. *)
 val pp_tree : Format.formatter -> unit -> unit
 
-type agg = { count : int; total_s : float; self_s : float }
+type agg = { count : int; total_s : float; self_s : float; alloc_mb : float }
+(** [alloc_mb] sums the path's spans' {!Span.alloc_mb}, children's
+    allocation included, as [total_s] sums their durations. *)
 
 (** Roll-up by span path over all completed spans, in order of first
     appearance.  A span's path is the names from its root down to it,
@@ -11,7 +14,7 @@ type agg = { count : int; total_s : float; self_s : float }
     the same phase under different parents gets one row each. *)
 val aggregate : unit -> (string * agg) list
 
-(** The roll-up as a phase/count/total/self table. *)
+(** The roll-up as a phase/count/total/self/alloc table. *)
 val pp_aggregate : Format.formatter -> unit -> unit
 
 (** Chrome [trace_event] JSON (complete "X" events, microsecond timestamps

@@ -27,32 +27,50 @@ let dst_of = function Col { dst; _ } -> dst | Const { dst; _ } -> dst | Coalesce
 
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let source_columns env = function
+(* The reversed names of a table's columns (no closure, unlike
+   [List.rev_map]). *)
+let rec rev_names acc = function
+  | [] -> acc
+  | (c : Relational.Table.column) :: rest -> rev_names (c.cname :: acc) rest
+
+(* A scan's columns in producer order or, with [rev], reversed: each is
+   built in one pass. *)
+let scan_columns ~rev env = function
   | Entity_set s -> (
       match Edm.Schema.set_root env.Env.client s with
-      | Some _ -> Ok (Env.entity_set_columns env s)
+      | Some _ -> Ok ((if rev then Env.rev_entity_set_columns else Env.entity_set_columns) env s)
       | None -> fail "unknown entity set %s" s)
   | Assoc_set a -> (
       match Edm.Schema.find_association env.Env.client a with
-      | Some assoc -> Ok (Edm.Schema.association_columns env.Env.client assoc)
+      | Some assoc ->
+          let cols = Edm.Schema.association_columns env.Env.client assoc in
+          Ok (if rev then List.rev cols else cols)
       | None -> fail "unknown association set %s" a)
   | Table t -> (
       match Relational.Schema.find_table env.Env.store t with
+      | Some tbl when rev -> Ok (rev_names [] tbl.Relational.Table.columns)
       | Some tbl -> Ok (Relational.Table.column_names tbl)
       | None -> fail "unknown table %s" t)
+
+let source_columns = scan_columns ~rev:false
+
+(* Column membership by [String.equal], not [List.mem]'s polymorphic
+   compare: in [infer_step]'s reversed lists the columns a scan yields
+   first ([$type], a chain's join key) sit at the far end. *)
+let rec mem c = function [] -> false | x :: rest -> String.equal c x || mem c rest
 
 (* The atoms are tested in place; the lists of [Cond.columns] are built
    only to name the first absent column. *)
 let check_cond cols c =
   let absent = function
-    | Cond.Is_null a | Cond.Is_not_null a | Cond.Cmp (a, _, _) -> not (List.mem a cols)
+    | Cond.Is_null a | Cond.Is_not_null a | Cond.Cmp (a, _, _) -> not (mem a cols)
     | _ -> false
   in
   let type_atom = function Cond.Is_of _ | Cond.Is_of_only _ -> true | _ -> false in
   if Cond.exists_atom absent c then
     fail "condition %s references absent column %s" (Cond.show c)
-      (List.find (fun a -> not (List.mem a cols)) (Cond.columns c))
-  else if Cond.exists_atom type_atom c && not (List.mem Env.type_column cols) then
+      (List.find (fun a -> not (mem a cols)) (Cond.columns c))
+  else if Cond.exists_atom type_atom c && not (mem Env.type_column cols) then
     fail "type test in %s over rows without a dynamic type" (Cond.show c)
   else Ok ()
 
@@ -67,11 +85,16 @@ module Memo = Phys_memo.Make (struct
         f r
 end)
 
-(* Helpers of [infer_step], which read the column lists in place: a node
-   that types allocates its column list and nothing else. *)
+(* [infer_step] works on column lists in reverse producer order, the
+   shared form: a join's list is its right side's non-join columns, reversed,
+   in front of its left side's list, which it shares.  So typing a left-deep
+   join chain allocates each right side's columns once, where producer order
+   ([lc @ rest]) would copy the left list at every join.  Its helpers read
+   the lists in place: a node that types allocates its own columns and
+   nothing else. *)
 let item_absent cols = function
-  | Col { src; _ } -> not (List.mem src cols)
-  | Coalesce { srcs; _ } -> srcs = [] || List.exists (fun s -> not (List.mem s cols)) srcs
+  | Col { src; _ } -> not (mem src cols)
+  | Coalesce { srcs; _ } -> srcs = [] || List.exists (fun s -> not (mem s cols)) srcs
   | Const _ -> false
 
 let rec first_absent cols = function
@@ -94,42 +117,57 @@ let duplicate_dst items =
   in
   scan None items
 
-(* The first join column one side lacks, and the first right column other
-   than a join column that the left side also has. *)
+(* The first join column one side lacks, and the last column of the
+   reversed right list (the first in producer order) other than a join
+   column that the left side also has. *)
 let rec first_unshared lc rc = function
   | [] -> None
-  | c :: rest -> if List.mem c lc && List.mem c rc then first_unshared lc rc rest else Some c
+  | c :: rest -> if mem c lc && mem c rc then first_unshared lc rc rest else Some c
 
-let rec first_clash lc on = function
-  | [] -> None
-  | c :: rest -> if List.mem c lc && not (List.mem c on) then Some c else first_clash lc on rest
+let rec last_clash lc on found = function
+  | [] -> found
+  | c :: rest ->
+      last_clash lc on (if mem c lc && not (mem c on) then Some c else found) rest
 
-(* [rc] without the join columns, sharing its longest tail that has none. *)
-let rec without on = function
-  | [] -> []
-  | c :: rest as l ->
-      let rest' = without on rest in
-      if List.mem c on then rest' else if rest' == rest then l else c :: rest'
+(* [rc] without the join columns, in front of [lc]. *)
+let rec prepend_without on rc lc =
+  match rc with
+  | [] -> lc
+  | c :: rest ->
+      if mem c on then prepend_without on rest lc else c :: prepend_without on rest lc
+
+let rec rev_dsts acc = function [] -> acc | item :: rest -> rev_dsts (dst_of item :: acc) rest
+
+(* A projection's columns, its items' [dst]s (reversed with [rev]), once
+   its input's columns [cols] (in either order) have every source. *)
+let project_rule ~rev items cols =
+  match first_absent cols items with
+  | Some (Col { src; _ }) -> fail "projection of absent column %s" src
+  | Some (Coalesce { srcs; dst }) ->
+      fail "coalesce into %s over absent or empty sources {%s}" dst (String.concat "," srcs)
+  | Some (Const _) | None -> (
+      match duplicate_dst items with
+      | Some d -> fail "duplicate projected column %s" d
+      | None -> Ok (if rev then rev_dsts [] items else List.map dst_of items))
+
+(* A union's columns, its left side's, once both sides' lists (in one
+   order) agree as sets; [producer] puts a list in producer order. *)
+let union_rule producer lc rc =
+  if lc == rc || lc = rc || List.sort String.compare lc = List.sort String.compare rc then Ok lc
+  else
+    fail "union sides disagree: {%s} vs {%s}"
+      (String.concat "," (producer lc))
+      (String.concat "," (producer rc))
 
 (* The typing rule of one node; [infer env] reaches the children. *)
 let infer_step infer env = function
-  | Scan src -> source_columns env src
+  | Scan src -> scan_columns ~rev:true env src
   | Select (c, q) -> (
       match infer env q with
       | Error _ as e -> e
       | Ok cols -> ( match check_cond cols c with Ok () -> Ok cols | Error e -> Error e))
   | Project (items, q) -> (
-      match infer env q with
-      | Error _ as e -> e
-      | Ok cols -> (
-          match first_absent cols items with
-          | Some (Col { src; _ }) -> fail "projection of absent column %s" src
-          | Some (Coalesce { srcs; dst }) ->
-              fail "coalesce into %s over absent or empty sources {%s}" dst (String.concat "," srcs)
-          | Some (Const _) | None -> (
-              match duplicate_dst items with
-              | Some d -> fail "duplicate projected column %s" d
-              | None -> Ok (List.map dst_of items))))
+      match infer env q with Error _ as e -> e | Ok cols -> project_rule ~rev:true items cols)
   | Join (_, l, r, on) -> (
       match infer env l with
       | Error _ as e -> e
@@ -140,23 +178,41 @@ let infer_step infer env = function
               match first_unshared lc rc on with
               | Some c -> fail "join column %s missing on one side" c
               | None -> (
-                  match first_clash lc on rc with
+                  match last_clash lc on None rc with
                   | Some c -> fail "non-join column %s appears on both join sides" c
-                  | None -> Ok (match without on rc with [] -> lc | rest -> lc @ rest)))))
+                  | None -> Ok (prepend_without on rc lc)))))
   | Union_all (l, r) -> (
       match infer env l with
       | Error _ as e -> e
       | Ok lc -> (
-          match infer env r with
-          | Error _ as e -> e
-          | Ok rc ->
-              if lc == rc || lc = rc || List.sort String.compare lc = List.sort String.compare rc
-              then Ok lc
-              else
-                fail "union sides disagree: {%s} vs {%s}" (String.concat "," lc)
-                  (String.concat "," rc)))
+          match infer env r with Error _ as e -> e | Ok rc -> union_rule List.rev lc rc))
 
-let rec infer env q = infer_step infer env q
+let rec infer_rev env q = infer_step infer_rev env q
+
+(* Most tables type a few subterms, or none: the table is made on the
+   first call, small. *)
+let typing ?keep env =
+  let infer =
+    lazy (Memo.fix ?keep (Memo.create ~size:16 ()) (fun infer -> infer_step (fun _ -> infer) env))
+  in
+  fun q -> Lazy.force infer q
+
+(* [infer_step]'s rules in producer order down to the first projection or
+   join, whose input is typed in the shared form: a join's list is reversed
+   once, at the root, and no other node's list is copied. *)
+let rec infer env = function
+  | Scan src -> source_columns env src
+  | Select (c, q) -> (
+      match infer env q with
+      | Error _ as e -> e
+      | Ok cols -> ( match check_cond cols c with Ok () -> Ok cols | Error e -> Error e))
+  | Project (items, q) -> (
+      match infer_rev env q with Error _ as e -> e | Ok cols -> project_rule ~rev:false items cols)
+  | Join _ as q -> Result.map List.rev (infer_rev env q)
+  | Union_all (l, r) -> (
+      match infer env l with
+      | Error _ as e -> e
+      | Ok lc -> ( match infer env r with Error _ as e -> e | Ok rc -> union_rule Fun.id lc rc))
 
 let sharing qs =
   let tbl = Memo.create () in

@@ -66,7 +66,22 @@ val infer : Env.t -> t -> (string list, string) result
 (** Output columns, in producer order; also a full well-formedness check:
     sources exist, selected/projected/joined columns are present, type atoms
     only appear over rows that carry {!Env.type_column}, join sides don't
-    clash outside the join columns, and union sides agree on columns. *)
+    clash outside the join columns, and union sides agree on columns.
+
+    {b Producer order.}  A scan yields {!source_columns}; a selection its
+    input's columns; a projection its items' [dst]s in item order; a join
+    its left side's columns, then its right side's other than the join
+    columns; a union its left side's.  An error names the first offence in
+    that order: a join's first join column one side lacks, else the first
+    right column other than a join column that the left side also has; a
+    union's message lists both sides in producer order.  The left child's
+    error wins over the right's.  Linear in the size of the tree: a join
+    chain shares its left lists ({!infer_step}), and the topmost join's
+    list is reversed once into producer order. *)
+
+val infer_rev : Env.t -> t -> (string list, string) result
+(** {!infer} with the columns in reverse producer order, the form
+    {!infer_step} works in: nothing is reversed, even at the root. *)
 
 (** {1 Folds over shared subterms} *)
 
@@ -77,9 +92,26 @@ module Memo : Phys_memo.S with type node := t
 val infer_step :
   (Env.t -> t -> (string list, string) result) -> Env.t -> t -> (string list, string) result
 (** {!infer}'s rule for one node, reaching the children through its first
-    argument.  {!infer} ties it by plain recursion, so it allocates what a
-    directly recursive [infer] would; a view analysis over many views ties
-    it through a {!Memo} table, so each shared subterm is typed once. *)
+    argument, over column lists in {e reverse} producer order (the shared
+    form): a scan's list is built reversed, a projection's is its items'
+    [dst]s reversed, and a join's list is its right side's non-join
+    columns, reversed, consed onto its left side's list, which it shares
+    ([==] its tail).  So typing a left-deep join chain allocates each right
+    side's columns once, not the whole left list at every join.  Verdicts
+    and error messages are {!infer}'s.  {!infer_rev} ties it by plain
+    recursion; a view analysis over many views ties it through a {!Memo}
+    table, so each shared subterm is typed once.  A caller that only tests
+    membership uses the lists as they are; one that needs producer order
+    reverses what it reads ([List.rev], or a [rev_map] that builds its own
+    list in producer order). *)
+
+val typing : ?keep:(t -> bool) -> Env.t -> t -> (string list, string) result
+(** {!infer_step} tied through a {!Memo} table, made on the first call:
+    each physically distinct subterm (each that [keep] picks, as in
+    {!Phys_memo.S.fix}) is typed once for as long as the returned function
+    lives, in the shared form.  A discharge batch makes one per schemas;
+    AddEntity's namesake test and {!Simplify.query}'s identity test make
+    one per call. *)
 
 val sharing : t list -> int * int
 (** [(tree, distinct)]: the nodes of the queries counted as trees (each

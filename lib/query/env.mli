@@ -19,3 +19,7 @@ val entity_set_columns : t -> string -> string list
     ascending (entities lacking an attribute scan as [NULL] there).  A call
     reads the schema's per-root index ({!Edm.Schema.hierarchy_attribute_names}),
     walks no subtype, and allocates the returned list only. *)
+
+val rev_entity_set_columns : t -> string -> string list
+(** [List.rev (entity_set_columns t set)], built in one pass: the form
+    {!Algebra.infer_step} types a scan in. *)

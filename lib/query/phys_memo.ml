@@ -2,7 +2,7 @@ module type S = sig
   type node
   type 'a table
 
-  val create : unit -> 'a table
+  val create : ?size:int -> unit -> 'a table
   val fix : ?keep:(node -> bool) -> 'a table -> ((node -> 'a) -> node -> 'a) -> node -> 'a
   val size : 'a table -> int
   val mem : 'a table -> node -> bool
@@ -26,7 +26,7 @@ struct
 
   type 'a table = 'a H.t
 
-  let create () = H.create 256
+  let create ?(size = 256) () = H.create size
 
   let fix ?keep tbl step =
     let rec memo x =

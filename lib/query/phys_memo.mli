@@ -21,7 +21,9 @@ module type S = sig
   type 'a table
   (** Results by node, compared with [==]. *)
 
-  val create : unit -> 'a table
+  val create : ?size:int -> unit -> 'a table
+  (** An empty table of [size] initial buckets (default 256), grown as
+      needed. *)
 
   val fix : ?keep:(node -> bool) -> 'a table -> ((node -> 'a) -> node -> 'a) -> node -> 'a
   (** [fix tbl step] ties the open-recursive [step] through [tbl]: the

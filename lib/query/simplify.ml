@@ -83,21 +83,28 @@ let compose_projections outer inner =
          outer)
   with Opaque -> None
 
+(* The rest of [rcols] once [items], read last first, named its first
+   columns in turn; raises [Exit] where one does not. *)
+let rec unmatched items rcols =
+  match items with
+  | [] -> rcols
+  | item :: others -> (
+      match (item, unmatched others rcols) with
+      | Algebra.Col { src; _ }, c :: tl when String.equal src c -> tl
+      | _ -> raise_notrace Exit)
+
 (* Only a list of plain [Col] items can be an identity, so [infer] types the
-   (already simplified) input only for those. *)
+   (already simplified) input only for those.  [infer]'s lists are in
+   reverse producer order ([Algebra.infer_step]), so the items, read last
+   first, must name them in turn. *)
 let is_identity_projection infer items q =
   List.for_all (function Algebra.Col { src; dst } -> src = dst | _ -> false) items
   &&
   match infer q with
   | Error _ -> false
-  | Ok cols ->
-      List.length items = List.length cols
-      && List.for_all2
-           (fun item c ->
-             match item with
-             | Algebra.Col { src; dst } -> src = c && dst = c
-             | Algebra.Const _ | Algebra.Coalesce _ -> false)
-           items cols
+  | Ok rcols -> (
+      List.compare_lengths items rcols = 0
+      && match unmatched items rcols with _ -> true | exception Exit -> false)
 
 (* The compiled views form a DAG, so both the rewrite and the typing of its
    identity-projection test are memoized on physical identity, for as long
@@ -105,12 +112,7 @@ let is_identity_projection infer items q =
    node whose rewrite changes nothing comes back physically unchanged, so an
    already simplified query is returned [==]. *)
 let query ?keep env =
-  let infer =
-    lazy
-      (Algebra.Memo.fix ?keep (Algebra.Memo.create ()) (fun infer ->
-           Algebra.infer_step (fun _ -> infer) env))
-  in
-  let infer q = Lazy.force infer q in
+  let infer = Algebra.typing ?keep env in
   let step query q =
     let binary mk l r =
       let l' = query l and r' = query r in

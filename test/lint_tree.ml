@@ -168,7 +168,7 @@ module Wf = struct
   let rec union_scan env loc q acc =
     match q with
     | Algebra.Scan _ ->
-        ((match Algebra.infer env q with Ok cols -> Some cols | Error _ -> None), acc)
+        ((match Infer_tree.infer env q with Ok cols -> Some cols | Error _ -> None), acc)
     | Algebra.Select (_, sub) -> union_scan env loc sub acc
     | Algebra.Project (items, sub) ->
         let _, acc = union_scan env loc sub acc in
@@ -273,7 +273,7 @@ module Wf = struct
     let acc = dup_dst_diags loc q [] in
     let acc = union_order_diags env loc q acc in
     let acc =
-      match Algebra.infer env q with
+      match Infer_tree.infer env q with
       | Ok cols -> judge cols acc
       | Error msg ->
           (* Suppress when a more specific structural error already explains

@@ -1,7 +1,7 @@
 (* [Query.Simplify.query] as a tree walk: every occurrence of a shared
    subterm is rewritten again, and every identity-projection test types its
-   input with a full [Algebra.infer].  Tests hold the memoized rewrite
-   against it node for node. *)
+   input with a full list-copying [Infer_tree.infer].  Tests hold the
+   memoized rewrite against it node for node. *)
 
 module Algebra = Query.Algebra
 module Cond = Query.Cond
@@ -27,7 +27,7 @@ let compose_projections outer inner =
   with Opaque -> None
 
 let is_identity_projection env items q =
-  match Algebra.infer env q with
+  match Infer_tree.infer env q with
   | Error _ -> false
   | Ok cols ->
       List.length items = List.length cols

@@ -634,7 +634,7 @@ let test_join_stores () =
     (fun (tag, q, expected) ->
       let types = Nf.Types.create env.Query.Env.client in
       let q = Query.Simplify.query env q in
-      match Nf.normalize types env Nf.Subset_side q with
+      match Nf.normalize ~infer:(Query.Algebra.typing env) types env Nf.Subset_side q with
       | Ok n -> check Alcotest.int (tag ^ " CQs") expected (List.length n.Nf.cqs)
       | Error e -> Alcotest.failf "%s: %s" tag e)
     [

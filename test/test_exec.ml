@@ -1074,6 +1074,21 @@ let test_scan_typing_lean () =
   let words = minor_words (fun () -> A.infer env scan) in
   if words > 700. then Alcotest.failf "typing a Set1 scan allocated %.0f minor words" words
 
+(* Every suite AEP declares Bucket under the hierarchy's target, so from
+   the second on Bucket is a namesake: AddEntity types P's view and every
+   ancestor's Set1 join chain to find it, and those typings share each
+   left input's column list.  A warm validated AEP-2p on the state after
+   AEP-1p allocates at most 0.5 MB (0.62 MB when each join copied its left
+   list). *)
+let test_namesake_aep_lean () =
+  let st = Lazy.force customer in
+  let suite = Workload.Customer.smo_suite () in
+  let st1 = ok_v (Core.Engine.apply st (List.assoc "AEP-1p" suite)) in
+  let apply () = ok_v (Core.Engine.apply st1 (List.assoc "AEP-2p" suite)) in
+  ignore (apply ());
+  let mb = minor_words apply *. float_of_int (Sys.word_size / 8) /. 1e6 in
+  if mb > 0.5 then Alcotest.failf "AEP-2p after AEP-1p allocated %.3f MB" mb
+
 (* AE-TPH's overlap obligations carry suspended names and messages, so an
    application that proves nothing renders no fragment: a warm apply of the
    customer suite's AE-TPH allocates at most 0.5 MB (1.31 MB when both
@@ -1453,6 +1468,8 @@ let () =
           Alcotest.test_case "a Set1 scan types from the hierarchy index" `Quick
             test_scan_typing_lean;
           Alcotest.test_case "AE-TPH renders no unread message" `Quick test_tph_apply_lean;
+          Alcotest.test_case "a namesake AEP shares join-chain columns" `Quick
+            test_namesake_aep_lean;
           Alcotest.test_case "reads share the view plans" `Quick test_plan_sharing;
           Alcotest.test_case "10,000 distinct shapes stay under the cap" `Quick test_prepared_cap;
         ] );

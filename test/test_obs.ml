@@ -43,6 +43,39 @@ let test_timing_monotonic () =
       checkb "self time <= duration" true (Obs.Span.self_s root <= Obs.Span.duration_s root)
   | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
 
+(* A span records the words allocated while it was open, its children's
+   included: a 10,000-element list (30,000 minor words) inside, and a
+   100,000-element array (allocated directly in the major heap) in a
+   sibling child, each counted with a few words of bookkeeping at most. *)
+let test_alloc_words () =
+  with_collection (fun () ->
+      Obs.Span.with_ ~name:"outer" (fun () ->
+          Obs.Span.with_ ~name:"list" (fun () ->
+              ignore (Sys.opaque_identity (List.init 10_000 Fun.id)));
+          Obs.Span.with_ ~name:"array" (fun () ->
+              ignore (Sys.opaque_identity (Array.make 100_000 0)))));
+  match Obs.Span.roots () with
+  | [ root ] ->
+      let words name =
+        Obs.Span.alloc_words (List.find (fun s -> Obs.Span.name s = name) (Obs.Span.children root))
+      in
+      let around what expected got =
+        checkb
+          (Printf.sprintf "%s: %.0f words for %d" what got expected)
+          true
+          (got >= float_of_int expected && got < float_of_int expected +. 1000.)
+      in
+      around "list" 30_000 (words "list");
+      around "array" 100_001 (words "array");
+      checkb "outer covers its children" true
+        (Obs.Span.alloc_words root >= words "list" +. words "array");
+      checkb "alloc_mb is alloc_words in MB" true
+        (Float.abs
+           (Obs.Span.alloc_mb root
+           -. (Obs.Span.alloc_words root *. float_of_int (Sys.word_size / 8) /. 1e6))
+        < 1e-9)
+  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
+
 let test_exception_unwind () =
   (* A raising workload must not leave spans open: the escaping span still
      completes and later spans are roots, not its children. *)
@@ -200,6 +233,7 @@ let () =
         [
           Alcotest.test_case "nesting" `Quick test_nesting;
           Alcotest.test_case "timing monotonicity" `Quick test_timing_monotonic;
+          Alcotest.test_case "allocation" `Quick test_alloc_words;
           Alcotest.test_case "exception unwind" `Quick test_exception_unwind;
           Alcotest.test_case "disabled mode records nothing" `Quick test_disabled_no_spans;
         ] );

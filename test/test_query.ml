@@ -122,6 +122,172 @@ let test_union_all () =
   check Alcotest.int "bag union" 6 (List.length (Query.Eval.rows env sample_db q));
   check Alcotest.int "set semantics dedups" 4 (List.length (Query.Eval.rows_set env sample_db q))
 
+(* The messages [infer] names: a join's first join column one side lacks;
+   of two right columns that clash with the left side, the first in
+   producer order (neither the alphabetically first nor the last); a union's
+   sides, each in producer order, a join's included. *)
+let test_infer_messages () =
+  let msg q = match A.infer env q with Ok _ -> "ok" | Error e -> e in
+  let l = A.Project ([ A.col "Id"; A.null_as "Alf"; A.null_as "Zed" ], hr) in
+  let r = A.Project ([ A.col "Id"; A.null_as "Zed"; A.null_as "Alf" ], emp) in
+  check Alcotest.string "first clash in producer order"
+    "non-join column Zed appears on both join sides"
+    (msg (A.Join (Query.Join.Inner, l, r, [ "Id" ])));
+  check Alcotest.string "clash under a chain"
+    "non-join column Zed appears on both join sides"
+    (msg (A.Join (Query.Join.Left, A.Join (Query.Join.Left, hr, l, [ "Id" ]), r, [ "Id" ])));
+  check Alcotest.string "first missing join column" "join column Name missing on one side"
+    (msg (A.Join (Query.Join.Inner, hr, emp, [ "Name"; "Id"; "Dept" ])));
+  let join = A.Join (Query.Join.Inner, hr, emp, [ "Id" ]) in
+  check Alcotest.string "union sides in producer order"
+    "union sides disagree: {Id,Name,Dept} vs {Id,Name}" (msg (A.Union_all (join, hr)));
+  check Alcotest.string "union of projections" "union sides disagree: {Id,Dept} vs {Id,Name}"
+    (msg (A.Union_all (A.project_cols [ "Id"; "Dept" ] emp, A.project_cols [ "Id"; "Name" ] hr)));
+  check Alcotest.string "agreeing sets in another order" "ok"
+    (msg (A.Union_all (join, A.project_cols [ "Dept"; "Id"; "Name" ] join)));
+  check (Alcotest.list Alcotest.string) "shared form is reversed" [ "Dept"; "Name"; "Id" ]
+    (ok_exn (A.infer_rev env join))
+
+(* Every physically distinct subterm of [roots], once each. *)
+let distinct_subterms roots =
+  let seen = ref [] in
+  let visit =
+    A.Memo.fix (A.Memo.create ()) (fun visit q ->
+        seen := q :: !seen;
+        match q with
+        | A.Scan _ -> ()
+        | A.Select (_, q) | A.Project (_, q) -> visit q
+        | A.Join (_, l, r, _) | A.Union_all (l, r) ->
+            visit l;
+            visit r)
+  in
+  List.iter visit roots;
+  List.rev !seen
+
+(* [infer], its shared form plain and memoized, and the list-copying
+   oracle ([Infer_tree], memoized) agree, columns and error text, on every
+   distinct subterm of [roots], and on terms built from neighbouring pairs
+   of them that are mostly ill-typed: unions, outer joins on a left column
+   and with no join column, a test of an absent column, a doubled item.
+   The plain recursions walk each subterm as a tree, so [~plain:false]
+   checks the memoized form alone. *)
+let same_as_oracle ?(plain = true) tag env roots =
+  let shared = A.typing env in
+  let oracle = A.Memo.fix (A.Memo.create ()) (fun infer -> Infer_tree.step (fun _ -> infer) env) in
+  let result = Alcotest.(result (list string) string) in
+  let same q =
+    let oracle = oracle q in
+    check result (tag ^ ": memoized") oracle (Result.map List.rev (shared q));
+    if plain then begin
+      check result (tag ^ ": infer") oracle (A.infer env q);
+      check result (tag ^ ": infer_rev") oracle (Result.map List.rev (A.infer_rev env q))
+    end;
+    oracle
+  in
+  let rec pairs = function
+    | a :: (b :: _ as rest) ->
+        let on = match same a with Ok (c :: _) -> [ c ] | Ok [] | Error _ -> [] in
+        List.iter
+          (fun q -> ignore (same q))
+          [ A.Union_all (a, b); A.Join (Query.Join.Left, a, b, on);
+            A.Join (Query.Join.Full, b, a, []); A.Select (C.Is_null "Ghost", a);
+            A.Project ([ A.col "Id"; A.col "Id" ], a) ];
+        pairs rest
+    | [ a ] -> ignore (same a)
+    | [] -> ()
+  in
+  let subterms = distinct_subterms roots in
+  pairs subterms;
+  List.length subterms
+
+let view_queries (st : Core.State.t) =
+  List.map (fun (_, (v : Query.View.t)) -> v.Query.View.query)
+    (Query.View.entity_view_bindings st.Core.State.query_views)
+  @ List.map snd (Query.View.assoc_view_bindings st.Core.State.query_views)
+  @ List.map snd (Query.View.update_view_bindings st.Core.State.update_views)
+
+let compiled_state env frags =
+  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+
+(* Customer as compiled, and after each suite SMO (whose views extend the
+   old views' join chains) in the memoized form. *)
+let test_infer_oracle_customer () =
+  let env, frags = Workload.Customer.generate () in
+  let st = compiled_state env frags in
+  let n = same_as_oracle "customer" env (view_queries st) in
+  checkb "customer has many distinct subterms" true (n > 1000);
+  List.iter
+    (fun (label, smo) ->
+      let st = ok_v (Core.Engine.apply st smo) in
+      ignore
+        (same_as_oracle ~plain:false ("customer + " ^ label) st.Core.State.env (view_queries st)))
+    (Workload.Customer.smo_suite ())
+
+(* Random models, compiled and after each accepted step of their SMO
+   pipelines. *)
+let test_infer_oracle_random () =
+  List.iter
+    (fun seed ->
+      let env, frags = Workload.Random_model.generate ~seed () in
+      let tag = Printf.sprintf "seed %d" seed in
+      let st = compiled_state env frags in
+      ignore (same_as_oracle tag env (view_queries st));
+      match random_pipeline seed st with
+      | None -> ()
+      | Some smos ->
+          ignore
+            (List.fold_left
+               (fun st smo ->
+                 match Core.Engine.apply st smo with
+                 | Error _ -> st
+                 | Ok st ->
+                     ignore
+                       (same_as_oracle (tag ^ " after " ^ Core.Smo.name smo) st.Core.State.env
+                          (view_queries st));
+                     st)
+               st smos))
+    (List.init 25 (fun i -> i + 1))
+
+(* Minor words [f ()] allocates. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* A left-deep chain of [n] left outer joins on [Id] over tables T0..Tn,
+   each adding its own column C<i>, and its environment. *)
+let join_chain n =
+  let table i =
+    Relational.Table.make ~name:(Printf.sprintf "T%d" i) ~key:[ "Id" ]
+      [ ("Id", D.Int, `Not_null); (Printf.sprintf "C%d" i, D.String, `Null) ]
+  in
+  let store =
+    List.fold_left
+      (fun s i -> ok_exn (Relational.Schema.add_table (table i) s))
+      Relational.Schema.empty (List.init (n + 1) Fun.id)
+  in
+  let scan i = A.Scan (A.Table (Printf.sprintf "T%d" i)) in
+  let chain =
+    List.fold_left
+      (fun acc i -> A.Join (Query.Join.Left, acc, scan i, [ "Id" ]))
+      (scan 0) (List.init n (fun i -> i + 1))
+  in
+  (Query.Env.make ~client:Edm.Schema.empty ~store, chain)
+
+(* Typing a join chain is linear in its length: a join's list shares its
+   left input's, so 400 joins allocate at most 5x what 100 do (16x when
+   each join copied the left list). *)
+let test_chain_typing_linear () =
+  let words n =
+    let env, chain = join_chain n in
+    check Alcotest.int (Printf.sprintf "%d-join chain columns" n) (n + 2)
+      (List.length (ok_exn (A.infer env chain)));
+    minor_words (fun () -> A.infer env chain)
+  in
+  let w100 = words 100 and w400 = words 400 in
+  if w400 > 5. *. w100 then
+    Alcotest.failf "typing 400 joins allocated %.0f words, 100 joins %.0f" w400 w100
+
 let test_infer_errors () =
   checkb "unknown set" true (Result.is_error (A.infer env (A.Scan (A.Entity_set "Nope"))));
   checkb "projection of absent column" true
@@ -386,6 +552,13 @@ let () =
           Alcotest.test_case "join rows, exactly" `Quick test_join_rows_exact;
           Alcotest.test_case "union all" `Quick test_union_all;
           Alcotest.test_case "inference errors" `Quick test_infer_errors;
+          Alcotest.test_case "inference messages" `Quick test_infer_messages;
+        ] );
+      ( "infer",
+        [
+          Alcotest.test_case "customer subterms match the oracle" `Quick test_infer_oracle_customer;
+          Alcotest.test_case "random pipelines match the oracle" `Quick test_infer_oracle_random;
+          Alcotest.test_case "join chains type in linear space" `Quick test_chain_typing_linear;
         ] );
       ( "cond",
         [
