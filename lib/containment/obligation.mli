@@ -30,9 +30,9 @@ val name : t -> string
 val on_fail : t -> string
 
 val discharge :
-  ?prove:(Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result) ->
+  prove:(Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result) ->
   t -> (unit, Validation_error.t) result
-(** Prove one obligation with [prove env lhs rhs] (default {!Check.subset}).
-    Records the per-obligation span and counter; a normalization error is
-    conservatively "not proven".  {!Discharge.run} proves through this
-    function. *)
+(** Prove one obligation with [prove env lhs rhs].  Records the
+    per-obligation span and counter; a normalization error is
+    conservatively "not proven".  {!Discharge.run}, the one prover path,
+    proves through this function with its batch's prover. *)

@@ -104,22 +104,17 @@ let apply (st : State.t) ~assoc ~table ~fmap =
       ~store_cond:(Algo.not_null_conj f_pk2) fmap
   in
   let fragments = Mapping.Fragments.add phi_a st.State.fragments in
-  let qa =
-    Query.Algebra.Project
-      ( List.map (fun (ac, c) -> Query.Algebra.col_as c ac) fmap,
-        Query.Algebra.Select
-          (Algo.not_null_conj f_pk2, Query.Algebra.Scan (Query.Algebra.Table table)) )
+  let query_views =
+    Query.View.set_assoc_view assoc.Edm.Association.name (Mapping.Fragment.store_query phi_a)
+      st.State.query_views
   in
-  let query_views = Query.View.set_assoc_view assoc.Edm.Association.name qa st.State.query_views in
   let keep = List.filter (fun c -> not (List.mem c f_pk2)) (Relational.Table.column_names tbl) in
-  let assoc_side =
-    Query.Algebra.Project
-      ( List.map (fun (ac, c) -> Query.Algebra.col_as ac c) fmap,
-        Query.Algebra.Scan (Query.Algebra.Assoc_set assoc.Edm.Association.name) )
-  in
   let qt =
     Query.Algebra.Join
-      (Query.Join.Left, Query.Algebra.project_cols keep prev_t, assoc_side, f_pk1)
+      ( Query.Join.Left,
+        Query.Algebra.project_cols keep prev_t,
+        Mapping.Fragment.update_side phi_a,
+        f_pk1 )
   in
   let update_views = Query.View.set_table_view table qt st.State.update_views in
   Ok ({ State.env = env'; fragments; query_views; update_views }, check2 :: check3)

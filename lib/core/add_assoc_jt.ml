@@ -18,27 +18,20 @@ let apply (st : State.t) ~assoc ~table ~fmap =
   let* () = Algo.check_column_map ~attrs ~keys table fmap in
   let* store' = Algo.add_fresh_table st.State.fragments store table fmap in
   let env' = Query.Env.make ~client:client' ~store:store' in
-  let image = List.map snd fmap in
   (* Fragment, views. *)
   let fragments, query_views, update_views =
     Algo.span "aa-jt.view-patch" @@ fun () ->
     let phi_a = Mapping.Fragment.assoc ~assoc:assoc.Edm.Association.name ~table:table.Relational.Table.name fmap in
     let fragments = Mapping.Fragments.add phi_a st.State.fragments in
-    let qa =
-      Query.Algebra.Project
-        ( List.map (fun (ac, c) -> Query.Algebra.col_as c ac) fmap,
-          Query.Algebra.Scan (Query.Algebra.Table table.Relational.Table.name) )
+    let query_views =
+      Query.View.set_assoc_view assoc.Edm.Association.name (Mapping.Fragment.store_query phi_a)
+        st.State.query_views
     in
-    let query_views = Query.View.set_assoc_view assoc.Edm.Association.name qa st.State.query_views in
-    let qt =
-      Query.Algebra.Project
-        ( List.map (fun (ac, c) -> Query.Algebra.col_as ac c) fmap
-          @ List.filter_map
-              (fun c -> if List.mem c image then None else Some (Query.Algebra.null_as c))
-              (Relational.Table.column_names table),
-          Query.Algebra.Scan (Query.Algebra.Assoc_set assoc.Edm.Association.name) )
+    let update_views =
+      Query.View.set_table_view table.Relational.Table.name
+        (Mapping.Fragment.update_side ~table phi_a)
+        st.State.update_views
     in
-    let update_views = Query.View.set_table_view table.Relational.Table.name qt st.State.update_views in
     (fragments, query_views, update_views)
   in
   (* Validation: the join table's foreign keys must resolve under the new

@@ -99,7 +99,7 @@ let apply (st : State.t) ~entity ~p_ref ~parts =
               (fun pt ->
                 if
                   List.mem a pt.part_alpha
-                  || List.mem_assoc a (Mapping.Coverage.determined_constants pt.part_cond)
+                  || List.mem_assoc a (Query.Cond.determined_constants pt.part_cond)
                 then Some pt.part_cond
                 else None)
               parts

@@ -102,21 +102,8 @@ let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) 
         prev_t )
   in
   let new_side =
-    let mapped c = List.exists (fun (_, c') -> c' = c) fmap in
-    Query.Algebra.Project
-      ( List.map
-          (fun (a, c) ->
-            if List.mem c tkey then Query.Algebra.col_as a c
-            else Query.Algebra.col_as a (c ^ "@new"))
-          fmap
-        @ [ Query.Algebra.const disc_value (disc ^ "@new") ]
-        @ List.filter_map
-            (fun c ->
-              if mapped c || c = disc then None
-              else Some (Query.Algebra.null_as (c ^ "@new")))
-            nonkey,
-        Query.Algebra.Select
-          (Query.Cond.Is_of e, Query.Algebra.Scan (Query.Algebra.Entity_set set)) )
+    Mapping.Fragment.update_side phi_e ~table:tbl ~rename:(fun c ->
+        if List.mem c tkey then c else c ^ "@new")
   in
   let qt =
     Query.Algebra.Project

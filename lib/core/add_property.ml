@@ -83,12 +83,7 @@ let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
   (* Query views: the type, its ancestors and its descendants gain the
      property column through a left outer join on the hierarchy key. *)
   let key = Edm.Schema.key_of client' etype in
-  let branch =
-    Query.Algebra.Project
-      ( List.map (fun (k, c) -> Query.Algebra.col_as c k) key_pairs
-        @ [ Query.Algebra.col_as column a ],
-        Query.Algebra.Scan (Query.Algebra.Table table) )
-  in
+  let branch = Mapping.Fragment.store_query phi in
   let affected = Edm.Schema.ancestors client' etype @ Edm.Schema.subtypes client' etype in
   (* The affected views share their CASE chains; rebuilding each shared node
      once, and only where a leaf changes, keeps that sharing. *)
@@ -117,43 +112,22 @@ let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
                  acc))
       (Ok st.State.query_views) affected
   in
-  (* Update view of the target table. *)
-  let entity_side =
-    Query.Algebra.Project
-      ( List.map (fun (k, c) -> Query.Algebra.col_as k c) key_pairs
-        @ [ Query.Algebra.col_as a column ],
-        Query.Algebra.Select
-          (Query.Cond.Is_of etype, Query.Algebra.Scan (Query.Algebra.Entity_set set)) )
-  in
+  (* Update view of the target table: a new table's is the fragment's
+     NULL-padded update side, an existing one's gains it through a left
+     outer join on the table key. *)
   let* update_views =
     Algo.span "ap.update-views" @@ fun () ->
-    match mode with
-    | `New tbl ->
-        let pads =
-          List.filter_map
-            (fun c ->
-              if List.mem c (List.map snd key_pairs) || c = column then None
-              else Some (Query.Algebra.null_as c))
-            (Relational.Table.column_names tbl)
-        in
-        let qt =
-          match pads with
-          | [] -> entity_side
-          | _ -> (
-              match entity_side with
-              | Query.Algebra.Project (items, q) -> Query.Algebra.Project (items @ pads, q)
-              | q -> q)
-        in
-        Ok (Query.View.set_table_view table qt st.State.update_views)
-    | `Existing -> (
-        match Query.View.table_view st.State.update_views table with
-        | None -> fail "table %s has no update view" table
-        | Some qt ->
-            let tbl' = Relational.Schema.get_table store' table in
-            let qt =
-              Query.Algebra.Join (Query.Join.Left, qt, entity_side, tbl'.Relational.Table.key)
-            in
-            Ok (Query.View.set_table_view table qt st.State.update_views))
+    let* qt =
+      match mode with
+      | `New tbl -> Ok (Mapping.Fragment.update_side ~table:tbl phi)
+      | `Existing -> (
+          match Query.View.table_view st.State.update_views table with
+          | None -> fail "table %s has no update view" table
+          | Some qt ->
+              let tkey = (Relational.Schema.get_table store' table).Relational.Table.key in
+              Ok (Query.Algebra.Join (Query.Join.Left, qt, Mapping.Fragment.update_side phi, tkey)))
+    in
+    Ok (Query.View.set_table_view table qt st.State.update_views)
   in
   (* Validation: foreign keys of a new property table. *)
   let* obls =

@@ -14,12 +14,6 @@ let hierarchy_attrs client root =
   |> List.fold_left (fun acc a -> if List.mem a acc then acc else acc @ [ a ]) []
 
 let store_projection ~key ?(keep = fun _ -> true) ?index ?tag (f : Mapping.Fragment.t) =
-  let base =
-    let scan = Query.Algebra.Scan (Query.Algebra.Table f.Mapping.Fragment.table) in
-    match f.Mapping.Fragment.store_cond with
-    | Query.Cond.True -> scan
-    | c -> Query.Algebra.Select (c, scan)
-  in
   let name a = match index with Some i -> Frag_info.local_name a i | None -> a in
   let items =
     List.filter_map
@@ -32,16 +26,16 @@ let store_projection ~key ?(keep = fun _ -> true) ?index ?tag (f : Mapping.Fragm
         (fun (a, v) ->
           if List.mem a key || List.mem a (Mapping.Fragment.attrs f) || not (keep a) then None
           else Some (Query.Algebra.const v (name a)))
-        (Mapping.Coverage.determined_constants f.Mapping.Fragment.client_cond)
+        (Query.Cond.determined_constants f.Mapping.Fragment.client_cond)
     @ match tag with Some t -> [ Query.Algebra.tag t ] | None -> []
   in
-  Query.Algebra.Project (items, base)
+  Query.Algebra.Project (items, Mapping.Fragment.store_side f)
 
+(* A fragment supplies the attributes it maps or its ψ forces to a
+   constant. *)
 let fused_item ifr a =
-  Frag_info.fuse_item
-    (Frag_info.sources_for ifr a ~attr_of:Mapping.Fragment.attrs
-       ~cond_of:(fun f -> f.Mapping.Fragment.client_cond))
-    a
+  Frag_info.fuse_item ifr a ~supplies:(fun (f : Mapping.Fragment.t) a ->
+      Mapping.Fragment.mem_attr f a || Query.Cond.determines f.Mapping.Fragment.client_cond a)
 
 (* Tagged store query of one fragment of a set: other mapped attributes
    under fragment-local names, plus the fragment's provenance flag. *)
@@ -104,19 +98,23 @@ let guard_of_split (must, may) =
       let parts = conj @ (match disj with [] -> [] | _ -> [ Query.Cond.disj disj ]) in
       Some (Query.Cond.conj parts)
 
-(* Order concrete types for the CASE: most constrained first. *)
-let case_order client ifr types =
-  let depth ty = List.length (Edm.Schema.ancestors client ty) in
-  let weight ty =
-    let must, may = cover_split client ifr ~etype:ty in
-    List.length must + List.length may
+(* Order concrete types, each with its cover split, for the CASE: most
+   constrained first, then deepest, then by name.  Each sort key is worked
+   out once. *)
+let case_order client splits =
+  let keyed =
+    List.map
+      (fun ((ty, (must, may)) as s) ->
+        (List.length must + List.length may, List.length (Edm.Schema.ancestors client ty), s))
+      splits
   in
   List.sort
-    (fun a b ->
-      match compare (weight b) (weight a) with
-      | 0 -> ( match compare (depth b) (depth a) with 0 -> String.compare a b | c -> c)
+    (fun (w, d, (a, _)) (w', d', (b, _)) ->
+      match compare w' w with
+      | 0 -> ( match compare d' d with 0 -> String.compare a b | c -> c)
       | c -> c)
-    types
+    keyed
+  |> List.map (fun (_, _, s) -> s)
 
 let for_set ?(optimize = false) env frags ~set =
   Obs.Span.with_ ~name:"query-views.set" ~attrs:[ ("set", set) ] @@ fun () ->
@@ -125,11 +123,12 @@ let for_set ?(optimize = false) env frags ~set =
   let types = Edm.Schema.subtypes client root in
   let covered =
     List.filter_map
-      (fun ty ->
-        match guard_of_split (cover_split client ifr ~etype:ty) with
+      (fun (ty, split) ->
+        match guard_of_split split with
         | Some g -> Some (ty, Query.Cond.simplify g)
         | None -> None)
-      (case_order client ifr types)
+      (case_order client
+         (List.map (fun ty -> (ty, cover_split client ifr ~etype:ty)) types))
   in
   let* () =
     match covered with [] -> fail "no entity type of set %s is covered" set | _ -> Ok ()
@@ -182,16 +181,7 @@ let for_assoc frags ~assoc =
     | [] -> fail "association %s has no mapping fragment" assoc
     | _ -> fail "association %s has several mapping fragments" assoc
   in
-  let base =
-    let scan = Query.Algebra.Scan (Query.Algebra.Table f.Mapping.Fragment.table) in
-    match f.Mapping.Fragment.store_cond with
-    | Query.Cond.True -> scan
-    | c -> Query.Algebra.Select (c, scan)
-  in
-  let items =
-    List.map (fun (ac, c) -> Query.Algebra.col_as c ac) f.Mapping.Fragment.pairs
-  in
-  Ok (Query.Algebra.Project (items, base))
+  Ok (Mapping.Fragment.store_query f)
 
 let all ?(optimize = false) env frags =
   let client = env.Query.Env.client in

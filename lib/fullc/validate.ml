@@ -111,17 +111,7 @@ let one_to_one env frags =
 let client_query_renamed (g : Mapping.Fragment.t) cols ~renaming =
   (* π over [g]'s client source, with the store columns [cols] renamed per
      [renaming]; columns that [g] forces to constants are materialized. *)
-  let scan =
-    match g.Mapping.Fragment.client_source with
-    | Mapping.Fragment.Set s -> Query.Algebra.Scan (Query.Algebra.Entity_set s)
-    | Mapping.Fragment.Assoc a -> Query.Algebra.Scan (Query.Algebra.Assoc_set a)
-  in
-  let base =
-    match g.Mapping.Fragment.client_cond with
-    | Query.Cond.True -> scan
-    | c -> Query.Algebra.Select (c, scan)
-  in
-  let consts = Mapping.Coverage.determined_constants g.Mapping.Fragment.store_cond in
+  let consts = Query.Cond.determined_constants g.Mapping.Fragment.store_cond in
   let item c =
     let dst = match List.assoc_opt c renaming with Some d -> d | None -> c in
     match Mapping.Fragment.attr_of g c with
@@ -133,7 +123,7 @@ let client_query_renamed (g : Mapping.Fragment.t) cols ~renaming =
   in
   match List.map item cols with
   | items when List.for_all Option.is_some items ->
-      Some (Query.Algebra.Project (List.map Option.get items, base))
+      Some (Query.Algebra.Project (List.map Option.get items, Mapping.Fragment.client_side g))
   | _ -> None
 
 let fk_obligations env frags =

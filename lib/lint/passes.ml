@@ -232,7 +232,7 @@ let unmapped_attr_diags env frags add =
           match f.client_source with
           | Fragment.Set s' when String.equal s s' ->
               List.iter (fun (a, _) -> map a) f.pairs;
-              List.iter (fun (a, _) -> map a) (Coverage.determined_constants f.client_cond)
+              List.iter (fun (a, _) -> map a) (Query.Cond.determined_constants f.client_cond)
           | Fragment.Set _ | Fragment.Assoc _ -> ())
         frags;
       List.iter

@@ -1,15 +1,3 @@
-let determined_constants cond =
-  List.filter_map
-    (function Query.Cond.Cmp (a, Query.Cond.Eq, v) -> Some (a, v) | _ -> None)
-    (Query.Cond.conjuncts cond)
-
-(* [List.mem_assoc c (determined_constants cond)], read in place. *)
-let rec determines cond c =
-  match cond with
-  | Query.Cond.And (a, b) -> determines a c || determines b c
-  | Query.Cond.Cmp (a, Query.Cond.Eq, _) -> String.equal a c
-  | _ -> false
-
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
@@ -27,7 +15,7 @@ let attribute_coverage env frags ~etype =
         List.filter_map
           (fun (f : Fragment.t) ->
             let cond = f.Fragment.client_cond in
-            if Fragment.mem_attr f attr || determines cond attr then Some cond
+            if Fragment.mem_attr f attr || Query.Cond.determines cond attr then Some cond
             else None)
           set_frags
       in
@@ -35,7 +23,7 @@ let attribute_coverage env frags ~etype =
       else fail "attribute %s of entity type %s is not covered by the mapping" attr etype)
     (Edm.Schema.attributes client etype)
 
-let writes (f : Fragment.t) c = Fragment.mem_col f c || determines f.Fragment.store_cond c
+let writes (f : Fragment.t) c = Fragment.mem_col f c || Query.Cond.determines f.Fragment.store_cond c
 
 let unwritten_not_null frags (table : Relational.Table.t) =
   List.filter_map

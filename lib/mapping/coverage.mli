@@ -14,10 +14,6 @@
 val attribute_coverage :
   Query.Env.t -> Fragments.t -> etype:string -> (unit, string) result
 
-val determined_constants : Query.Cond.t -> (string * Datum.Value.t) list
-(** Attribute/column values forced by equality conjuncts of a condition
-    (e.g. [gender = 'M'], or a TPH discriminator on the store side). *)
-
 val writes : Fragment.t -> string -> bool
 (** Whether the fragment writes the store column: β pairs an attribute with
     it, or χ forces it to a constant (a TPH discriminator). *)

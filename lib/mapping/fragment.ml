@@ -41,16 +41,39 @@ let client_scan f =
 let client_query f =
   Query.Algebra.project_cols (attrs f) (Query.Algebra.Select (f.client_cond, client_scan f))
 
-let select_store f =
+let client_side f =
+  match f.client_cond with
+  | Query.Cond.True -> client_scan f
+  | c -> Query.Algebra.Select (c, client_scan f)
+
+let store_side f =
   let scan = Query.Algebra.Scan (Query.Algebra.Table f.table) in
   match f.store_cond with Query.Cond.True -> scan | c -> Query.Algebra.Select (c, scan)
 
-(* [π_β(σ_χ(R))] with β renamed to α, so both sides share an output
-   schema. *)
 let store_query f =
-  Query.Algebra.project_renamed (List.map (fun (a, b) -> (b, a)) f.pairs) (select_store f)
+  Query.Algebra.project_renamed (List.map (fun (a, b) -> (b, a)) f.pairs) (store_side f)
 
-let store_query_raw f = Query.Algebra.project_cols (cols f) (select_store f)
+let update_side ?(rename = Fun.id) ?table f =
+  let consts =
+    List.filter (fun (c, _) -> not (mem_col f c)) (Query.Cond.determined_constants f.store_cond)
+  in
+  let pads =
+    match table with
+    | None -> []
+    | Some tbl ->
+        List.filter_map
+          (fun c ->
+            if mem_col f c || List.mem_assoc c consts then None
+            else Some (Query.Algebra.null_as (rename c)))
+          (Relational.Table.column_names tbl)
+  in
+  Query.Algebra.Project
+    ( List.map (fun (a, c) -> Query.Algebra.col_as a (rename c)) f.pairs
+      @ List.map (fun (c, v) -> Query.Algebra.const v (rename c)) consts
+      @ pads,
+      client_side f )
+
+let store_query_raw f = Query.Algebra.project_cols (cols f) (store_side f)
 
 let pp fmt f =
   Format.fprintf fmt "@[%a = %a@]" Query.Algebra.pp (client_query f) Query.Algebra.pp

@@ -51,7 +51,32 @@ val mem_col : t -> string -> bool
     read [pairs] in place and build no list. *)
 
 val client_query : t -> Query.Algebra.t
-(** [π_α(σ_ψ(E))], over client attribute names. *)
+(** [π_α(σ_ψ(E))], over client attribute names: the left-hand side of the
+    fragment equation as {!holds} evaluates it (always with its σ). *)
+
+(** {2 The two sides of [π_α σ_ψ(E) = π_β σ_χ(T)]}
+
+    The store side read under client names is the fragment's piece of a
+    query view, the client side written under store names its piece of an
+    update view (Algorithms 1 and 2, Section 3.1).  An SMO's new views are
+    its new fragments' sides; [Fullc] fuses a set's or a table's. *)
+
+val client_side : t -> Query.Algebra.t
+(** [σ_ψ(E)], with no σ when ψ is [TRUE] (every association fragment). *)
+
+val store_side : t -> Query.Algebra.t
+(** [σ_χ(T)], with no σ when χ is [TRUE]. *)
+
+val store_query : t -> Query.Algebra.t
+(** [π_{β AS α}(σ_χ(T))]: the store side under the client side's names. *)
+
+val update_side : ?rename:(string -> string) -> ?table:Relational.Table.t -> t -> Query.Algebra.t
+(** [π_{α AS β}(σ_ψ(E))], in [pairs] order, then the constants χ forces on
+    columns outside β (a TPH discriminator), then, given the fragment's
+    [table], [NULL] for each of its other columns, in column order.
+    [rename] (default the identity) renames every output column: [Fullc]
+    gives a table's non-key columns fragment-local names, AE-TPH its new
+    branch's. *)
 
 val holds : Query.Env.t -> Edm.Instance.t -> Relational.Instance.t -> t -> bool
 (** Whether the pair of states satisfies the fragment equation (set

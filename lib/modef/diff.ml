@@ -145,7 +145,7 @@ let smo_for_added (st : Core.State.t) ~target ~styles name =
       with
       | None -> fail "cannot locate the TPH fragment of %s" parent
       | Some pf -> (
-          match Mapping.Coverage.determined_constants pf.Mapping.Fragment.store_cond with
+          match Query.Cond.determined_constants pf.Mapping.Fragment.store_cond with
           | (disc, _) :: _ ->
               Ok
                 ( Core.Smo.Add_entity_tph

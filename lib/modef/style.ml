@@ -79,7 +79,7 @@ let detect env frags ~etype =
                 | None -> false)
           in
           let has_discriminator =
-            Mapping.Coverage.determined_constants f.Mapping.Fragment.store_cond <> []
+            Query.Cond.determined_constants f.Mapping.Fragment.store_cond <> []
           in
           let att = Edm.Schema.attribute_names client etype in
           let own =

@@ -46,6 +46,16 @@ let conjuncts c =
   let rec go c acc = match c with And (a, b) -> go a (go b acc) | c -> c :: acc in
   go c []
 
+let determined_constants cond =
+  List.filter_map (function Cmp (a, Eq, v) -> Some (a, v) | _ -> None) (conjuncts cond)
+
+(* [List.mem_assoc c (determined_constants cond)], read in place. *)
+let rec determines cond c =
+  match cond with
+  | And (a, b) -> determines a c || determines b c
+  | Cmp (a, Eq, _) -> String.equal a c
+  | _ -> false
+
 let eval_cmp op va vb =
   if Datum.Value.is_null va || Datum.Value.is_null vb then false
   else

@@ -37,6 +37,15 @@ val conjuncts : t -> t list
     nodes reached from the root without passing another connective.  Linear
     in the result. *)
 
+val determined_constants : t -> (string * Datum.Value.t) list
+(** The columns the condition forces to a constant, with their values: its
+    [A = c] conjuncts, in {!conjuncts} order (e.g. [gender = 'M'], or a TPH
+    discriminator on the store side). *)
+
+val determines : t -> string -> bool
+(** [determines c a] is [List.mem_assoc a (determined_constants c)],
+    without building the list. *)
+
 val eval_cmp : cmp -> Datum.Value.t -> Datum.Value.t -> bool
 (** SQL comparison of two values; false whenever either is [NULL]. *)
 

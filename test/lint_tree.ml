@@ -402,7 +402,7 @@ module Passes = struct
 
   let writes (f : Fragment.t) c =
     List.mem c (Fragment.cols f)
-    || List.mem_assoc c (Mapping.Coverage.determined_constants f.store_cond)
+    || List.mem_assoc c (Query.Cond.determined_constants f.store_cond)
 
   let unwritten_not_null frags (table : Relational.Table.t) =
     List.filter_map
@@ -751,7 +751,7 @@ module Passes = struct
           List.exists
             (fun (f : Fragment.t) ->
               List.mem a (Fragment.attrs f)
-              || List.mem_assoc a (Mapping.Coverage.determined_constants f.client_cond))
+              || List.mem_assoc a (Query.Cond.determined_constants f.client_cond))
             sfrags
         in
         (hier_of hiers client root).info

@@ -114,7 +114,9 @@ let prop_repeats_random =
             | Error _ -> true
             | Ok (st', obls) ->
                 let batch = Containment.Discharge.run obls in
-                let alone = Datum.Results.all_ok (fun o -> O.discharge o) obls in
+                let alone =
+                  Datum.Results.all_ok (fun o -> Containment.Discharge.run [ o ]) obls
+                in
                 if outcome batch <> outcome alone then
                   QCheck.Test.fail_reportf "seed %d %s: batch %s, one by one %s" seed
                     (Core.Smo.name smo) (outcome batch) (outcome alone);
