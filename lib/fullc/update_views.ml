@@ -1,12 +1,6 @@
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
-(* A fragment's update side with its non-key columns under fragment-local
-   names, so the fused view can tell the fragments' writes apart. *)
-let tagged_client_query key i f =
-  Mapping.Fragment.update_side f ~rename:(fun c ->
-      if List.mem c key then c else Frag_info.local_name c i)
-
 let for_table ?(optimize = false) env frags ~table =
   Obs.Span.with_ ~name:"update-views.table" ~attrs:[ ("table", table) ] @@ fun () ->
   let* tbl =
@@ -30,7 +24,15 @@ let for_table ?(optimize = false) env frags ~table =
       (Ok ()) table_frags
   in
   let ifr = List.mapi (fun i f -> (i, f)) table_frags in
-  let tagged = List.map (fun (i, f) -> tagged_client_query key i f) ifr in
+  (* Each fragment's update side, its non-key columns under fragment-local
+     names so the fused view can tell the fragments' writes apart. *)
+  let tagged =
+    List.map
+      (fun (i, f) ->
+        Mapping.Fragment.update_side f ~rename:(fun c ->
+            if List.mem c key then c else Frag_info.local_name c i))
+      ifr
+  in
   let combined =
     if optimize then
       Obs.Span.with_ ~name:"fullc.optimize" ~attrs:[ ("table", table) ] (fun () ->
