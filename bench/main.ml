@@ -116,7 +116,8 @@ type table = { name : string; keys : string list; rows : (string * cell) list li
 
 (* The columns whose values do not depend on the host. *)
 let count_columns =
-  [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "solves"; "atom_args"; "tables_visited"; "scans";
+  [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "solves"; "atom_args"; "fragments_visited";
+    "views_visited"; "tables_visited"; "scans";
     "index_scans"; "rows_scanned"; "rows_joined"; "diags"; "state_bytes"; "terms"; "steps"; "verdict"; "tree_nodes";
     "distinct_nodes"; "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union";
     "rows_distinct"; "rows_touched"; "rows_growth"; "plan_nodes"; "after_step_index_builds" ]
@@ -366,27 +367,35 @@ let checker_work f =
   let r = f () in
   (r, List.map2 (fun (name, c) b -> (name, int (Obs.Metric.value c - b))) counters before)
 
-(* The atom arguments of the UCQs the checker normalizes in [f ()]: the
-   [lhs_args] and [rhs_args] tags of its [containment.normalize] spans,
-   summed over one traced run. *)
-let atom_args f =
+(* Work counts of one traced run of [f ()], summed over its spans: the
+   atom arguments of the UCQs the checker normalizes (the [lhs_args] and
+   [rhs_args] tags of its [containment.normalize] spans), and the fragments
+   and update views the SMO adapters visit ([fragments_visited],
+   [views_visited]). *)
+let traced_counts f =
   Obs.Span.reset ();
   Obs.enable ();
   let r = Fun.protect ~finally:Obs.disable f in
-  let tagged n (k, v) = if k = "lhs_args" || k = "rhs_args" then n + int_of_string v else n in
-  let n =
+  let sum tags =
     Obs.Span.fold_all
       (fun n s ->
-        if Obs.Span.name s = "containment.normalize" then List.fold_left tagged n (Obs.Span.attrs s)
-        else n)
+        List.fold_left
+          (fun n (k, v) -> if List.mem k tags then n + int_of_string v else n)
+          n (Obs.Span.attrs s))
       0
   in
+  let counts =
+    [ ("atom_args", int (sum [ "lhs_args"; "rhs_args" ]));
+      ("fragments_visited", int (sum [ "fragments_visited" ]));
+      ("views_visited", int (sum [ "views_visited" ])) ]
+  in
   Obs.Span.reset ();
-  (r, n)
+  (r, counts)
 
 (* Per-SMO costs on one state.  One untimed application gives the outcome,
-   the obligations, the checker's work and the atom arguments of its
-   UCQs; then the SMO's algorithm
+   the obligations, the checker's work, the atom arguments of its UCQs and
+   the fragments and update views it visits ({!traced_counts}); then the
+   SMO's algorithm
    ([Core.Engine.compile]) and its obligation discharge are sampled apart.
    [ms] and [alloc_mb] are the sums of the two medians and
    [non_containment_ms] the algorithm's (so never above [ms]); [speedup] is
@@ -395,8 +404,8 @@ let atom_args f =
 let smo_rows ~baseline_ms rows =
   List.map
     (fun (label, st, smo) ->
-      let ((compiled, proved), work), args =
-        atom_args (fun () ->
+      let ((compiled, proved), work), traced =
+        traced_counts (fun () ->
             checker_work (fun () ->
                 let compiled = Core.Engine.compile st smo in
                 (compiled, Result.bind compiled (fun (_, obls) -> Containment.Discharge.run obls))))
@@ -423,7 +432,7 @@ let smo_rows ~baseline_ms rows =
         ("non_containment_ms", num 3 algo_ms); ("alloc_mb", num 2 (algo_mb +. check_mb));
         ("obligations", int (List.length obls)) ]
       @ work
-      @ [ ("atom_args", int args); ("outcome", str outcome) ])
+      @ traced @ [ ("outcome", str outcome) ])
     rows
 
 (* The full compile of [env, frags], the costs of [suite] on its state,
@@ -457,13 +466,40 @@ let smo_tables ?(sequels = []) env frags suite =
         { name = "smos"; keys = [ "smo" ]; rows = smo_rows ~baseline_ms:full_ms rows };
         { name = "phases"; keys = [ "smo"; "phase" ]; rows = phases } ]
 
+(* The chain suite at each of [sizes] (at the middle of the chain): per
+   size and SMO, the fragments and update views one traced application
+   visits, which must not grow with the model, and the sampled algorithm's
+   [non_containment_ms] and [alloc_mb]. *)
+let scale_table sizes =
+  let rows =
+    List.concat_map
+      (fun size ->
+        let env, frags = Workload.Chain.generate ~size in
+        match Fullc.Compile.compile ~validate:false env frags with
+        | Error e -> failwith ("chain compilation failed: " ^ e)
+        | Ok c ->
+            let st = Core.State.of_compiled env frags c in
+            List.map
+              (fun (label, smo) ->
+                let _, traced = traced_counts (fun () -> Core.Engine.compile st smo) in
+                let _, ms, mb = sample (fun () -> Core.Engine.compile st smo) in
+                [ ("size", int size); ("smo", str label) ]
+                @ List.filter (fun (k, _) -> k <> "atom_args") traced
+                @ [ ("non_containment_ms", num 3 ms); ("alloc_mb", num 3 mb) ])
+              (Workload.Chain.smo_suite ~at:(size / 2)))
+      sizes
+  in
+  { name = "scale"; keys = [ "size"; "smo" ]; rows }
+
 let fig9 ~chain_size () =
   header
     (Printf.sprintf
        "Fig. 9 -- SMO timings on the %d-type chain model (the paper's EF baseline: 15 minutes)"
        chain_size);
   let env, frags = Workload.Chain.generate ~size:chain_size in
-  emit "fig9" (smo_tables env frags (Workload.Chain.smo_suite ~at:(chain_size / 2)))
+  let sizes = List.sort_uniq compare [ 125; 250; 500; chain_size ] in
+  emit "fig9"
+    (smo_tables env frags (Workload.Chain.smo_suite ~at:(chain_size / 2)) @ [ scale_table sizes ])
 
 let fig10 () =
   header "Fig. 10 -- SMO timings on the customer-like model (the paper's EF baseline: 8 hours)";

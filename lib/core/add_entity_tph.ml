@@ -68,7 +68,7 @@ let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) 
   in
   let fragments =
     Algo.span "ae-tph.fragments" @@ fun () ->
-    Mapping.Fragments.add phi_e (Algo.adapt_fragments narrow st.State.fragments)
+    Mapping.Fragments.add phi_e (Algo.adapt_fragments ~types:[ parent ] narrow st.State.fragments)
   in
   (* Query views: Algorithm 1 with P = NIL, E's store side read from its
      discriminator region. *)
@@ -81,7 +81,7 @@ let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) 
      branch into T's view. *)
   let narrowed =
     Algo.span "ae-tph.update-views" @@ fun () ->
-    Algo.adapt_update_views narrow st.State.update_views
+    Algo.adapt_update_views st.State.fragments ~types:[ parent ] narrow st.State.update_views
   in
   let* prev_t =
     match Query.View.table_view narrowed table with

@@ -126,20 +126,30 @@ let adapt_cond client ~p_ref ~between ~e cond =
   in
   rule_out client ~between ~e cond
 
-let adapt_fragments rewrite frags =
-  Mapping.Fragments.map
-    (fun f ->
-      let cond = rewrite f.Mapping.Fragment.client_cond in
-      if cond == f.Mapping.Fragment.client_cond then f
-      else { f with Mapping.Fragment.client_cond = cond })
-    frags
+let adapt_fragments ~types rewrite frags =
+  let visited = Mapping.Fragments.naming frags types in
+  Obs.Span.tag "fragments_visited" (List.length visited);
+  List.fold_left
+    (fun acc (f : Mapping.Fragment.t) ->
+      let cond = rewrite f.client_cond in
+      if cond == f.client_cond then acc
+      else Mapping.Fragments.replace f { f with client_cond = cond } acc)
+    frags visited
 
-let adapt_update_views rewrite uv =
+let adapt_update_views frags ~types rewrite uv =
+  let tables =
+    List.sort_uniq String.compare
+      (List.map (fun (f : Mapping.Fragment.t) -> f.table) (Mapping.Fragments.naming frags types))
+  in
+  let visited =
+    List.filter_map (fun t -> Option.map (fun q -> (t, q)) (Query.View.table_view uv t)) tables
+  in
+  Obs.Span.tag "views_visited" (List.length visited);
   List.fold_left
     (fun acc (t, q) ->
       let q' = Query.Algebra.map_conditions rewrite q in
       if q' == q then acc else Query.View.set_table_view t q' acc)
-    uv (Query.View.update_view_bindings uv)
+    uv visited
 
 let not_null_conj cols = Query.Cond.conj (List.map (fun c -> Query.Cond.Is_not_null c) cols)
 

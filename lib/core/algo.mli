@@ -72,15 +72,31 @@ val adapt_cond :
 (** Both rewrites, as applied to update views (Algorithm 2) and to the
     previous fragments Σ⁻ (Section 3.1.3). *)
 
-val adapt_fragments : (Query.Cond.t -> Query.Cond.t) -> Mapping.Fragments.t -> Mapping.Fragments.t
-(** Rewrite every fragment's client condition; a fragment the rewrite leaves
-    alone stays physically the same. *)
+(** {2 Adaptation visits only the neighborhood}
+
+    [adapt_cond] changes only [IS OF F] atoms for [F] in [between] and
+    [IS OF (ONLY P)] atoms, and {!Add_entity_tph}'s narrowing only
+    [IS OF parent] atoms.  So the adapters below take those types [types]
+    and visit only the fragments whose client condition names one of them
+    ({!Mapping.Fragments.naming}), and the update views of those fragments'
+    tables: an update view names no type that no fragment on its table
+    names (DESIGN §2).  Each tags the innermost open span with what it
+    visited, [fragments_visited] and [views_visited]. *)
+
+val adapt_fragments :
+  types:string list -> (Query.Cond.t -> Query.Cond.t) -> Mapping.Fragments.t ->
+  Mapping.Fragments.t
+(** Rewrite the client condition of every fragment that names one of
+    [types]; a fragment the rewrite leaves alone stays physically the same,
+    and so do the fragments when it leaves every one alone. *)
 
 val adapt_update_views :
-  (Query.Cond.t -> Query.Cond.t) -> Query.View.update_views -> Query.View.update_views
-(** Rewrite every selection condition of the update views
-    ({!Query.Algebra.map_conditions}); a view the rewrite leaves alone stays
-    physically the same. *)
+  Mapping.Fragments.t -> types:string list -> (Query.Cond.t -> Query.Cond.t) ->
+  Query.View.update_views -> Query.View.update_views
+(** [adapt_update_views frags ~types rewrite uv] rewrites every selection
+    condition ({!Query.Algebra.map_conditions}) of the update views of the
+    tables of [frags]' fragments that name one of [types]; a view the
+    rewrite leaves alone stays physically the same. *)
 
 val not_null_conj : string list -> Query.Cond.t
 

@@ -143,6 +143,9 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
 
 (* -- Algorithm 2: update views --------------------------------------------- *)
 
+(* The types whose atoms [Algo.adapt_cond] rewrites. *)
+let affected ~p_ref ~between = Option.fold ~none:between ~some:(fun p -> p :: between) p_ref
+
 let update_views (st : State.t) env' ~e ~p_ref ~between phis =
   let client' = env'.Query.Env.client in
   List.fold_left
@@ -150,14 +153,16 @@ let update_views (st : State.t) env' ~e ~p_ref ~between phis =
       let name = phi.Mapping.Fragment.table in
       let table = Relational.Schema.get_table env'.Query.Env.store name in
       Query.View.set_table_view name (Mapping.Fragment.update_side ~table phi) acc)
-    (Algo.adapt_update_views (Algo.adapt_cond client' ~p_ref ~between ~e) st.State.update_views)
+    (Algo.adapt_update_views st.State.fragments ~types:(affected ~p_ref ~between)
+       (Algo.adapt_cond client' ~p_ref ~between ~e)
+       st.State.update_views)
     phis
 
 (* -- fragment adaptation (Section 3.1.3) ----------------------------------- *)
 
 let fragments (st : State.t) env' ~e ~p_ref ~between phis =
   let sigma_star =
-    Algo.adapt_fragments
+    Algo.adapt_fragments ~types:(affected ~p_ref ~between)
       (Algo.adapt_cond env'.Query.Env.client ~p_ref ~between ~e)
       st.State.fragments
   in

@@ -27,7 +27,10 @@ val add_type :
       an [If (t_E, τ_E, _)] constructor branch; the types strictly between
       [E] and [P]: the aligned UNION ALL.
     - Update views: [π(σ[IS OF E ∧ ψᵢ](set))] for each new table; the
-      existing ones, and the fragments, get {!Algo.adapt_cond}.
+      existing ones, and the fragments, get {!Algo.adapt_cond}, which
+      rewrites only atoms naming [P] or a type between [E] and [P]: only
+      the fragments that name one, and their tables' update views, are
+      visited ({!Algo.adapt_fragments}).
 
     The phases are traced as [phase ^ ".query-views"], [".update-views"]
     and [".fragments"].  Validation is the caller's. *)

@@ -7,27 +7,31 @@ type t = {
       (* root -> attribute -> its domain and declaring type *)
   sets : string M.t;             (* entity-set name -> root type name *)
   assocs : Association.t M.t;    (* associations by name *)
+  ends : string list M.t;        (* type -> the associations it is an endpoint of, ascending *)
 }
 
-(* [kids] is an index over the [parent] fields of [ty], and [hattrs] one
-   over the declared attributes of each hierarchy: every operation that
-   adds, removes or reparents a type, or changes its attributes, updates
-   them, so the hierarchy queries below never scan the type map. *)
-let empty = { ty = M.empty; kids = M.empty; hattrs = M.empty; sets = M.empty; assocs = M.empty }
+(* [kids] is an index over the [parent] fields of [ty], [hattrs] one over
+   the declared attributes of each hierarchy, and [ends] one over the
+   endpoints of [assocs]: every operation that adds, removes or reparents a
+   type, changes its attributes, or adds or removes an association updates
+   them, so the queries below never scan the type or association map. *)
+let empty =
+  { ty = M.empty; kids = M.empty; hattrs = M.empty; sets = M.empty; assocs = M.empty; ends = M.empty }
 
-let add_child ~parent c kids =
+(* [index] with [c] in [key]'s ascending list. *)
+let index_add ~key c index =
   let rec insert = function
     | [] -> [ c ]
     | x :: rest as l -> if String.compare c x < 0 then c :: l else x :: insert rest
   in
-  M.update parent (fun l -> Some (insert (Option.value l ~default:[]))) kids
+  M.update key (fun l -> Some (insert (Option.value l ~default:[]))) index
 
-let remove_child ~parent c kids =
-  M.update parent
+let index_remove ~key c index =
+  M.update key
     (function
       | None -> None
       | Some l -> ( match List.filter (fun x -> x <> c) l with [] -> None | l -> Some l))
-    kids
+    index
 
 let ( let* ) r f = Result.bind r f
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -123,7 +127,9 @@ let associations t = List.map snd (M.bindings t.assocs)
 let find_association t name = M.find_opt name t.assocs
 
 let associations_on t etype =
-  List.filter (fun (a : Association.t) -> a.end1 = etype || a.end2 = etype) (associations t)
+  match M.find etype t.ends with
+  | names -> List.map (fun a -> M.find a t.assocs) names
+  | exception Not_found -> []
 
 let association_columns t (a : Association.t) =
   Association.end1_columns a ~key:(key_of t a.end1)
@@ -175,9 +181,15 @@ let reindex root t =
 let check_fresh_type t name =
   if mem_type t name then fail "entity type %s already exists" name else Ok ()
 
+(* Walks the parent links and builds no attribute list: loading a state
+   checks every derived type. *)
 let check_no_shadowing t ~parent declared =
-  let inherited = attribute_names t parent in
-  match List.find_opt (fun (a, _) -> List.mem a inherited) declared with
+  let rec inherited n a =
+    let e = get_type t n in
+    List.mem_assoc a e.Entity_type.declared
+    || match e.Entity_type.parent with None -> false | Some p -> inherited p a
+  in
+  match List.find_opt (fun (a, _) -> inherited parent a) declared with
   | Some (a, _) -> fail "attribute %s shadows an inherited attribute of %s" a parent
   | None -> Ok ()
 
@@ -199,7 +211,7 @@ let add_derived (e : Entity_type.t) t =
   let* () = if not (mem_type t p) then fail "unknown parent type %s" p else Ok () in
   let* () = if e.key <> [] then fail "derived type %s must not declare a key" e.name else Ok () in
   let* () = check_no_shadowing t ~parent:p e.declared in
-  Ok (index_new e.name e.declared { t with ty = M.add e.name e t.ty; kids = add_child ~parent:p e.name t.kids })
+  Ok (index_new e.name e.declared { t with ty = M.add e.name e t.ty; kids = index_add ~key:p e.name t.kids })
 
 let add_association (a : Association.t) t =
   let* () =
@@ -208,11 +220,15 @@ let add_association (a : Association.t) t =
   let* () = if not (mem_type t a.end1) then fail "unknown endpoint type %s" a.end1 else Ok () in
   let* () = if not (mem_type t a.end2) then fail "unknown endpoint type %s" a.end2 else Ok () in
   let* () = if a.end1 = a.end2 then fail "self-association %s is not supported" a.name else Ok () in
-  Ok { t with assocs = M.add a.name a t.assocs }
+  let ends = index_add ~key:a.end2 a.name (index_add ~key:a.end1 a.name t.ends) in
+  Ok { t with assocs = M.add a.name a t.assocs; ends }
 
 let remove_association name t =
-  if M.mem name t.assocs then Ok { t with assocs = M.remove name t.assocs }
-  else fail "unknown association %s" name
+  match M.find_opt name t.assocs with
+  | Some a ->
+      let ends = index_remove ~key:a.end2 name (index_remove ~key:a.end1 name t.ends) in
+      Ok { t with assocs = M.remove name t.assocs; ends }
+  | None -> fail "unknown association %s" name
 
 let remove_type name t =
   if not (mem_type t name) then fail "unknown entity type %s" name
@@ -223,7 +239,7 @@ let remove_type name t =
     let sets, kids =
       match set_of_type t name, parent t name with
       | Some set, None -> (M.remove set t.sets, t.kids)
-      | _, Some p -> (t.sets, remove_child ~parent:p name t.kids)
+      | _, Some p -> (t.sets, index_remove ~key:p name t.kids)
       | None, None -> (t.sets, t.kids)
     in
     let t = { t with ty = M.remove name t.ty; kids; sets } in
@@ -310,7 +326,7 @@ let reparent ~etype ~parent:p t =
   in
   let e = { e with Entity_type.parent = Some p; key = [] } in
   let sets = M.filter (fun _ r -> r <> etype) t.sets in
-  let t = { t with ty = M.add etype e t.ty; kids = add_child ~parent:p etype t.kids; sets } in
+  let t = { t with ty = M.add etype e t.ty; kids = index_add ~key:p etype t.kids; sets } in
   Ok (reindex (root_of t p) { t with hattrs = M.remove etype t.hattrs })
 
 (* -- whole-schema check -------------------------------------------------- *)
@@ -359,7 +375,8 @@ let well_formed t =
       else Ok ())
     (Ok ()) (associations t)
 
-(* [kids] and [hattrs] are derived from [ty], so they take no part. *)
+(* [kids], [hattrs] and [ends] are derived from [ty] and [assocs], so they
+   take no part. *)
 let equal a b =
   M.equal Entity_type.equal a.ty b.ty
   && M.equal String.equal a.sets b.sets

@@ -136,7 +136,9 @@ val set_of_type : t -> string -> string option
 val associations : t -> Association.t list
 val find_association : t -> string -> Association.t option
 val associations_on : t -> string -> Association.t list
-(** Associations having exactly the given type as an endpoint. *)
+(** Associations having exactly the given type as an endpoint, ascending by
+    name: one lookup in an endpoint index the evolution operations above
+    maintain. *)
 
 val association_columns : t -> Association.t -> string list
 (** Qualified columns of the association set: end1 key columns then end2 key

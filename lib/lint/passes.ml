@@ -372,11 +372,12 @@ let unreferenced_table_diags env tables add =
              "table is not mapped by any fragment"))
     (Relational.Schema.tables env.Query.Env.store)
 
-let model_diags hiers env frags =
+(* [l] is [Fragments.to_list frags]. *)
+let model_diags hiers env frags l =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let tables = by_table (Fragments.to_list frags) in
-  unmapped_attr_diags env (Fragments.to_list frags) add;
+  let tables = by_table l in
+  unmapped_attr_diags env l add;
   unwritten_column_diags env tables add;
   overlap_diags hiers env tables add;
   assoc_fk_diags env frags add;
@@ -387,9 +388,9 @@ let model_diags hiers env frags =
 
 let run env frags =
   let hiers : hiers = Hashtbl.create 16 in
+  let l = Fragments.to_list frags in
   let frag_ds =
-    Obs.Span.with_ ~name:"lint.fragments" (fun () ->
-        List.concat_map (fragment_diags hiers env) (Fragments.to_list frags))
+    Obs.Span.with_ ~name:"lint.fragments" (fun () -> List.concat_map (fragment_diags hiers env) l)
   in
-  let model_ds = Obs.Span.with_ ~name:"lint.model" (fun () -> model_diags hiers env frags) in
+  let model_ds = Obs.Span.with_ ~name:"lint.model" (fun () -> model_diags hiers env frags l) in
   Diag.sort (List.rev_append frag_ds model_ds)

@@ -3,9 +3,10 @@
    over [types] builds a parent -> children table), the list-building
    versions of the accessors that now walk parent links, and the
    hierarchy-attribute walk the schema's per-root index replaced, and the
-   scan columns [Query.Env] built from that walk.  [check] compares the
-   schema's accessors with them at every type, every pair of types, every
-   attribute of each hierarchy and every entity set. *)
+   scan columns [Query.Env] built from that walk, and the association
+   filter the endpoint index replaced.  [check] compares the schema's
+   accessors with them at every type, every pair of types, every attribute
+   of each hierarchy and every entity set. *)
 
 let by_parent schema =
   let tbl = Hashtbl.create 16 in
@@ -117,7 +118,24 @@ let check_set_columns tag schema =
         (Query.Env.entity_set_columns env set))
     (Edm.Schema.entity_sets schema)
 
+(* [associations_on] as it was before the schema kept an endpoint index: a
+   filter over every association. *)
+let associations_on schema etype =
+  List.filter
+    (fun (a : Edm.Association.t) -> a.end1 = etype || a.end2 = etype)
+    (Edm.Schema.associations schema)
+
+let check_endpoints tag schema =
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (tag ^ ": associations on " ^ n)
+        true
+        (List.equal Edm.Association.equal (associations_on schema n) (Edm.Schema.associations_on schema n)))
+    ("?unknown" :: List.map (fun (e : Edm.Entity_type.t) -> e.name) (Edm.Schema.types schema))
+
 let check tag schema =
   check tag schema;
   check_walks tag schema;
-  check_set_columns tag schema
+  check_set_columns tag schema;
+  check_endpoints tag schema

@@ -234,6 +234,41 @@ let prop_child_index =
       ignore (List.fold_left step (seed, 0) ops);
       true)
 
+(* The endpoint index under random association edits: on a random model,
+   a random sequence of [add_association] (between random types, refused
+   ones included), [remove_association] and [set_multiplicity] keeps
+   [associations_on] equal to a filter over every association at every
+   type ({!Schema_walk.check_endpoints}). *)
+let prop_endpoint_index =
+  let gen_op = QCheck.Gen.(triple (int_bound 2) (int_bound 1000) (int_bound 1000)) in
+  qtest "endpoint index matches the association filter" ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list (triple int int int)))
+       QCheck.Gen.(pair (int_range 1 60) (list_size (int_range 1 30) gen_op)))
+    (fun (seed, ops) ->
+      let env, _ = Workload.Random_model.generate ~seed () in
+      let pick l i = List.nth l (i mod List.length l) in
+      let step (s, fresh) (kind, i, j) =
+        let types = List.map (fun (e : Edm.Entity_type.t) -> e.name) (Edm.Schema.types s) in
+        let assocs = List.map (fun (a : Edm.Association.t) -> a.name) (Edm.Schema.associations s) in
+        let r =
+          match kind, assocs with
+          | 0, _ | _, [] ->
+              Edm.Schema.add_association
+                { Edm.Association.name = Printf.sprintf "Rnd%d" fresh; end1 = pick types i;
+                  end2 = pick types j; mult1 = Edm.Association.Many; mult2 = Edm.Association.Zero_or_one }
+                s
+          | 1, _ -> Edm.Schema.remove_association (pick assocs i) s
+          | _ -> Edm.Schema.set_multiplicity ~assoc:(pick assocs i) (Edm.Association.One, Edm.Association.Many) s
+        in
+        let s = Result.value r ~default:s in
+        Schema_walk.check_endpoints (Printf.sprintf "seed %d, op %d" seed fresh) s;
+        (s, fresh + 1)
+      in
+      Schema_walk.check_endpoints (Printf.sprintf "seed %d" seed) env.Query.Env.client;
+      ignore (List.fold_left step (env.Query.Env.client, 0) ops);
+      true)
+
 let prop_conforming_generated =
   qtest "generator produces conforming instances" ~count:200 arb_client_instance (fun inst ->
       match Edm.Instance.conforms client inst with
@@ -254,6 +289,7 @@ let () =
           Alcotest.test_case "reparent" `Quick test_reparent;
           Alcotest.test_case "well-formed" `Quick test_well_formed;
           prop_child_index;
+          prop_endpoint_index;
         ] );
       ( "instance",
         [

@@ -268,6 +268,58 @@ let prop_identity_store_relates =
       in
       Mapping.Fragments.related env2 client store P.stage2.P.fragments)
 
+(* The container's indexes under random edits: from a random model's
+   fragments, a random sequence of [add] (a copy of a fragment under
+   another table or naming another type), [remove], [replace] (a rewritten
+   client condition) and [map] (rewriting every k-th fragment) keeps
+   [to_list] equal to the same edits on a plain list, and every lookup
+   equal to its recomputation ({!Adapt_walk.lookups}). *)
+let prop_container_edits =
+  let module F = Mapping.Fragment in
+  let module Fs = Mapping.Fragments in
+  let gen_op = QCheck.Gen.(triple (int_bound 3) (int_bound 1000) (int_bound 1000)) in
+  qtest "container edits keep the indexes" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list (triple int int int)))
+       QCheck.Gen.(pair (int_range 1 40) (list_size (int_range 1 25) gen_op)))
+    (fun (seed, ops) ->
+      let env, frags = Workload.Random_model.generate ~seed () in
+      let types = List.map (fun (e : Edm.Entity_type.t) -> e.name) (Edm.Schema.types env.Query.Env.client) in
+      let pick l i = List.nth l (i mod List.length l) in
+      let renamed j (f : F.t) =
+        if j mod 2 = 0 then { f with client_cond = C.And (C.Is_of (pick types j), f.client_cond) }
+        else { f with table = f.table ^ "'" }
+      in
+      let first = List.hd (Fs.to_list frags) in
+      let step (frags, l) (kind, i, j) =
+        match kind, l with
+        | _, [] | 0, _ ->
+            let f = renamed j (if l = [] then first else pick l i) in
+            (Fs.add f frags, l @ [ f ])
+        | 1, _ ->
+            let f = pick l i in
+            (Fs.remove f frags, List.filter (fun g -> not (F.equal f g)) l)
+        | 2, _ ->
+            let n = i mod List.length l in
+            let f = List.nth (Fs.to_list frags) n in
+            let g = { f with client_cond = C.Or (C.Is_of_only (pick types j), f.client_cond) } in
+            (Fs.replace f g frags, List.mapi (fun m h -> if m = n then g else h) l)
+        | _ ->
+            let k = 1 + (j mod 3) in
+            let rewrite n (f : F.t) = if n mod k = 0 then renamed (i + n) f else f in
+            let counter = ref (-1) in
+            (Fs.map (fun f -> incr counter; rewrite !counter f) frags, List.mapi rewrite l)
+      in
+      ignore
+        (List.fold_left
+           (fun acc op ->
+             let frags, l = step acc op in
+             checkb "to_list as the plain list" true (List.equal F.equal l (Fs.to_list frags));
+             Adapt_walk.lookups (Printf.sprintf "seed %d" seed) env frags;
+             (frags, l))
+           (frags, Fs.to_list frags) ops);
+      true)
+
 let () =
   Alcotest.run "mapping"
     [
@@ -285,5 +337,6 @@ let () =
         ] );
       ( "fragments",
         [ Alcotest.test_case "collection ops" `Quick test_collection_ops;
-          prop_identity_store_relates ] );
+          prop_identity_store_relates;
+          prop_container_edits ] );
     ]

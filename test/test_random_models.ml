@@ -35,7 +35,10 @@ let test_compiles () =
 
 (* [Engine.apply] one SMO at a time, asserting after every accepted step
    well-formed views, written non-nullable columns ({!check_written}), a
-   child index that matches a recomputation ({!Schema_walk}), a [save] that
+   child index that matches a recomputation ({!Schema_walk}), fragments
+   and update views as the full-walk adaptation leaves them, with the
+   type invariant and fragment indexes it rests on ({!Adapt_walk}), a
+   [save] that
    matches the tree-walk encoder ({!State_io_tree}), and for a drop the
    views of the reference regeneration ({!Recompile}); the first rejection
    aborts. *)
@@ -49,6 +52,7 @@ let apply_checked tag st smos =
               let tag = tag ^ " after " ^ Core.Smo.name smo in
               check_wf tag st;
               check_written tag st;
+              Adapt_walk.check tag before smo st;
               Recompile.check tag before smo st;
               Schema_walk.check tag st.Core.State.env.Query.Env.client;
               checkb (tag ^ ": save matches the tree-walk encoder") true
@@ -144,6 +148,43 @@ let test_evolution_on_random_models () =
                           Roundtrip.Check.pp_failure f))
           in
           go st smos)
+    (Lazy.force compiled)
+
+(* The random pipelines through a session: each accepted step is held
+   against the full-walk adaptation, and every state undo and then redo
+   reach keeps the type invariant and fragment indexes ({!Adapt_walk}). *)
+let test_session_locality () =
+  List.iter
+    (fun (seed, env, frags, c) ->
+      let st = Core.State.of_compiled env frags c in
+      match random_pipeline seed st with
+      | None -> ()
+      | Some smos ->
+          let tag = Printf.sprintf "seed %d" seed in
+          let holds what s =
+            Adapt_walk.type_invariant (tag ^ what) (Core.Session.current s);
+            Adapt_walk.indexes (tag ^ what) (Core.Session.current s)
+          in
+          let applied =
+            List.fold_left
+              (fun s smo ->
+                match Core.Session.apply s smo with
+                | Ok s' ->
+                    Adapt_walk.check
+                      (tag ^ " after " ^ Core.Smo.name smo)
+                      (Core.Session.current s) smo (Core.Session.current s');
+                    s'
+                | Error _ -> s)
+              (Core.Session.start st) smos
+          in
+          let rec walk step what s =
+            match step s with
+            | None -> s
+            | Some s' ->
+                holds what s';
+                walk step what s'
+          in
+          ignore (walk Core.Session.redo " redone" (walk Core.Session.undo " undone" applied)))
     (Lazy.force compiled)
 
 let test_differential_vs_fullc () =
@@ -265,6 +306,7 @@ let () =
           Alcotest.test_case "state io" `Quick test_state_io_roundtrip;
           Alcotest.test_case "DSL roundtrip" `Quick test_dsl_roundtrip;
           Alcotest.test_case "evolution" `Quick test_evolution_on_random_models;
+          Alcotest.test_case "locality through undo and redo" `Quick test_session_locality;
           Alcotest.test_case "differential vs full compiler" `Quick test_differential_vs_fullc;
         ] );
     ]
