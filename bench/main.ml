@@ -369,9 +369,9 @@ let checker_work f =
 
 (* Work counts of one traced run of [f ()], summed over its spans: the
    atom arguments of the UCQs the checker normalizes (the [lhs_args] and
-   [rhs_args] tags of its [containment.normalize] spans), and the fragments
-   and update views the SMO adapters visit ([fragments_visited],
-   [views_visited]). *)
+   [rhs_args] tags of its [containment.normalize] spans), the fragments
+   the SMOs' fragment edits visit ([fragments_visited]) and the update
+   views the adapters visit ([views_visited]). *)
 let traced_counts f =
   Obs.Span.reset ();
   Obs.enable ();
@@ -404,8 +404,11 @@ let traced_counts f =
 let smo_rows ~baseline_ms rows =
   List.map
     (fun (label, st, smo) ->
+      (* Inside the SMO's span, as [Core.Engine.apply] runs it, so a tag
+         the SMO puts outside its phase spans is counted too. *)
       let ((compiled, proved), work), traced =
         traced_counts (fun () ->
+            Obs.Span.with_ ~name:("smo:" ^ Core.Smo.name smo) @@ fun () ->
             checker_work (fun () ->
                 let compiled = Core.Engine.compile st smo in
                 (compiled, Result.bind compiled (fun (_, obls) -> Containment.Discharge.run obls))))

@@ -282,22 +282,24 @@ let assoc_table_fk_obligations env frags uv ~etypes =
 
 let shrink (before : State.t) env fragments query_views ~set ~fk_tables =
   span "algo.shrink" @@ fun () ->
-  let tables = Mapping.Fragments.tables fragments in
-  let update_views =
-    List.fold_left
-      (fun uv t -> if List.mem t tables then uv else Query.View.remove_table_view t uv)
-      before.State.update_views (Mapping.Fragments.tables before.State.fragments)
-  in
-  let set_tables =
+  let set_tables frags =
     match set with
     | None -> []
     | Some set ->
         List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table)
-          (Mapping.Fragments.of_set fragments set)
+          (Mapping.Fragments.of_set frags set)
+  in
+  let mapped t = Mapping.Fragments.on_table fragments t <> [] in
+  (* Every fragment a shrinking SMO removes lies on a table of [set] or of
+     [fk_tables] (DESIGN §2), so only those tables can be left unmapped. *)
+  let update_views =
+    List.fold_left
+      (fun uv t -> if mapped t then uv else Query.View.remove_table_view t uv)
+      before.State.update_views
+      (set_tables before.State.fragments @ fk_tables)
   in
   let regenerated =
-    List.sort_uniq String.compare
-      (set_tables @ List.filter (fun t -> List.mem t tables) fk_tables)
+    List.sort_uniq String.compare (set_tables fragments @ List.filter mapped fk_tables)
   in
   let store = env.Query.Env.store in
   let* () =

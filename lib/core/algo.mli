@@ -143,11 +143,14 @@ val shrink :
     that shrink the mapping (DropEntity, DropProperty, DropAssociation,
     Refactor), given the shrunken schemas, fragments and query views, the
     entity set whose views regenerate, if any, and the tables whose foreign
-    keys must be re-proved.  It drops the update view of every table
-    [before] maps and [frags] does not.  The regenerated tables are [set]'s
-    and the still-mapped [fk_tables]; a non-nullable column of one that no
-    fragment writes ({!Mapping.Coverage.unwritten_not_null}) is an
-    immediate error naming the table and the column.  Then [set]'s query
+    keys must be re-proved.  It drops the update view of every table of
+    [before]'s fragments of [set], and of [fk_tables], that no fragment of
+    [frags] maps: every fragment a shrinking SMO removes lies on one of
+    those tables (DESIGN §2), so no other table can lose its last.  The
+    regenerated tables are [set]'s and the still-mapped [fk_tables]; a
+    non-nullable column of one that no fragment writes
+    ({!Mapping.Coverage.unwritten_not_null}) is an immediate error naming
+    the table and the column.  Then [set]'s query
     views regenerate with [Fullc.Query_views.for_set] and each regenerated
     table's update view with [Fullc.Update_views.for_table]; the result
     carries the {!fk_obligations} of every foreign key of [fk_tables] whose

@@ -8,15 +8,11 @@ let apply (st : State.t) ~assoc =
     | Some a -> Ok a
     | None -> fail "unknown association %s" assoc
   in
-  let* frag =
-    match Mapping.Fragments.of_assoc st.State.fragments assoc with
-    | [ f ] -> Ok f
-    | [] -> fail "association %s has no mapping fragment" assoc
-    | _ -> fail "association %s has several mapping fragments" assoc
-  in
+  let* frag = Algo.lift (Mapping.Fragments.assoc_fragment st.State.fragments assoc) in
   let table = frag.Mapping.Fragment.table in
   let* client' = Algo.lift (Edm.Schema.remove_association assoc client) in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
+  Obs.Span.tag "fragments_visited" 1;
   let fragments = Mapping.Fragments.remove frag st.State.fragments in
   (* A pure join table loses its view; any other table's update view
      regenerates from its remaining fragments, and its foreign keys are

@@ -23,14 +23,17 @@ let apply (st : State.t) ~etype =
     | None -> fail "dropping hierarchy root %s would drop its entity set; not supported" etype
   in
   let* client' = Algo.lift (Edm.Schema.remove_type etype client) in
+  (* Only a fragment whose condition names [etype] can change. *)
   let fragments =
     Algo.span "drop-entity.fragments" @@ fun () ->
-    Mapping.Fragments.to_list st.State.fragments
-    |> List.filter_map (fun (f : Mapping.Fragment.t) ->
-           let cond = erase_type ~e:etype f.Mapping.Fragment.client_cond in
-           if Query.Cond.equal cond Query.Cond.False then None
-           else Some { f with Mapping.Fragment.client_cond = cond })
-    |> Mapping.Fragments.of_list
+    let visited = Mapping.Fragments.naming st.State.fragments [ etype ] in
+    Obs.Span.tag "fragments_visited" (List.length visited);
+    List.fold_left
+      (fun acc (f : Mapping.Fragment.t) ->
+        let cond = erase_type ~e:etype f.Mapping.Fragment.client_cond in
+        if Query.Cond.equal cond Query.Cond.False then Mapping.Fragments.remove f acc
+        else Mapping.Fragments.replace f { f with Mapping.Fragment.client_cond = cond } acc)
+      st.State.fragments visited
   in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
   (* The set's views regenerate, and its remaining tables' foreign keys are

@@ -21,7 +21,7 @@ let apply (st : State.t) ~etype ~attr =
   let key = Edm.Schema.key_of client etype in
   let fragments =
     Algo.span "drop-property.fragments" @@ fun () ->
-    let all = Mapping.Fragments.to_list st.State.fragments in
+    let before = st.State.fragments in
     (* Another fragment with [f]'s source, conditions and table whose pairs
        include [pairs] implies the equation of [f] cut down to [pairs]. *)
     let implied (f : Mapping.Fragment.t) pairs =
@@ -30,25 +30,24 @@ let apply (st : State.t) ~etype ~attr =
           g != f
           && Mapping.Fragment.equal { g with pairs = f.pairs } f
           && List.for_all (fun p -> List.mem p g.pairs) pairs)
-        all
+        (Mapping.Fragments.on_table before f.Mapping.Fragment.table)
     in
-    List.filter_map
-      (fun (f : Mapping.Fragment.t) ->
-        if
-          not
-            (Mapping.Fragment.equal_client_source f.Mapping.Fragment.client_source
-               (Mapping.Fragment.Set set))
-        then Some f
-        else if not (List.mem attr (Mapping.Fragment.attrs f)) then Some f
-        else
-          let pairs = List.remove_assoc attr f.Mapping.Fragment.pairs in
-          (* A fragment left with nothing but the key still says which
-             entities the table holds, and so which types they have; drop
-             it only when another fragment says the same. *)
-          if List.for_all (fun (a, _) -> List.mem a key) pairs && implied f pairs then None
-          else Some { f with Mapping.Fragment.pairs })
-      all
-    |> Mapping.Fragments.of_list
+    let visited =
+      List.filter
+        (fun f -> List.mem attr (Mapping.Fragment.attrs f))
+        (Mapping.Fragments.of_set before set)
+    in
+    Obs.Span.tag "fragments_visited" (List.length visited);
+    List.fold_left
+      (fun acc (f : Mapping.Fragment.t) ->
+        let pairs = List.remove_assoc attr f.Mapping.Fragment.pairs in
+        (* A fragment left with nothing but the key still says which
+           entities the table holds, and so which types they have; drop it
+           only when another fragment says the same. *)
+        if List.for_all (fun (a, _) -> List.mem a key) pairs && implied f pairs then
+          Mapping.Fragments.remove f acc
+        else Mapping.Fragments.replace f { f with Mapping.Fragment.pairs } acc)
+      before visited
   in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
   (* Every concrete type of the hierarchy must still be covered. *)

@@ -56,12 +56,7 @@ let set_multiplicity (st : State.t) ~assoc (m1, m2) =
          the association keyed by the first endpoint's key stores at most
          one partner per entity, matching mult2 <= 0..1 (and mult1 is a
          client-side constraint the store cannot violate). *)
-      let* frag =
-        match Mapping.Fragments.of_assoc st.State.fragments assoc with
-        | [ f ] -> Ok f
-        | [] -> fail "association %s has no mapping fragment" assoc
-        | _ -> fail "association %s has several mapping fragments" assoc
-      in
+      let* frag = Algo.lift (Mapping.Fragments.assoc_fragment st.State.fragments assoc) in
       let* tbl =
         match Relational.Schema.find_table env.Query.Env.store frag.Mapping.Fragment.table with
         | Some tbl -> Ok tbl

@@ -23,12 +23,7 @@ let apply (st : State.t) ~assoc =
     | Some s -> Ok s
     | None -> fail "entity type %s belongs to no set" e2
   in
-  let* assoc_frag =
-    match Mapping.Fragments.of_assoc st.State.fragments assoc with
-    | [ f ] -> Ok f
-    | [] -> fail "association %s has no mapping fragment" assoc
-    | _ -> fail "association %s has several mapping fragments" assoc
-  in
+  let* assoc_frag = Algo.lift (Mapping.Fragments.assoc_fragment st.State.fragments assoc) in
   let t2 = assoc_frag.Mapping.Fragment.table in
   let key1 = Edm.Schema.key_of client e1 in
   let cols1 = List.map (Edm.Association.qualify ~etype:e1) key1 in
@@ -63,30 +58,23 @@ let apply (st : State.t) ~assoc =
   let key_pairs = List.combine key1 f_pk1 in
   let fragments =
     Algo.span "refactor.fragments" @@ fun () ->
-    Mapping.Fragments.to_list st.State.fragments
-    |> List.filter_map (fun (f : Mapping.Fragment.t) ->
-           if Mapping.Fragment.equal f assoc_frag then None
-           else if
-             Mapping.Fragment.equal_client_source f.Mapping.Fragment.client_source
-               (Mapping.Fragment.Set set2)
-           then
-             Some
-               {
-                 f with
-                 Mapping.Fragment.client_source = Mapping.Fragment.Set set1;
-                 client_cond =
-                   Query.Cond.simplify
-                     (Query.Cond.And (Query.Cond.Is_of e2, f.Mapping.Fragment.client_cond));
-                 pairs = key_pairs @ f.Mapping.Fragment.pairs;
-               }
-           else
-             Some
-               {
-                 f with
-                 Mapping.Fragment.client_cond =
-                   Algo.widen_only_p ~p:e1 ~e:e2 f.Mapping.Fragment.client_cond;
-               })
-    |> Mapping.Fragments.of_list
+    let moved =
+      List.fold_left
+        (fun acc (f : Mapping.Fragment.t) ->
+          Mapping.Fragments.replace f
+            {
+              f with
+              Mapping.Fragment.client_source = Mapping.Fragment.Set set1;
+              client_cond =
+                Query.Cond.simplify
+                  (Query.Cond.And (Query.Cond.Is_of e2, f.Mapping.Fragment.client_cond));
+              pairs = key_pairs @ f.Mapping.Fragment.pairs;
+            }
+            acc)
+        (Mapping.Fragments.remove assoc_frag st.State.fragments)
+        e2_frags
+    in
+    Algo.adapt_fragments ~types:[ e1 ] (Algo.widen_only_p ~p:e1 ~e:e2) moved
   in
   (* Coverage of the reparented subtree (inherited attributes included). *)
   let* () =

@@ -7,10 +7,11 @@
     move into [E1]'s entity set, keyed by the inherited key through the
     columns that previously stored the association ([f(PK₁)] in [E2]'s
     table); [IS OF (ONLY E1)] conditions widen to admit the new subtype
-    (Σ*-style).  Views of the merged hierarchy are regenerated from the
-    adapted fragments (the neighborhood); coverage of the reparented
-    subtree is re-validated, and the touched table's foreign keys are
-    returned as obligations for {!Engine.apply} to discharge.
+    (Σ*-style, {!Algo.adapt_fragments}).  Views of the merged hierarchy
+    are regenerated from the adapted fragments (the neighborhood); coverage
+    of the reparented subtree is re-validated, and the touched table's
+    foreign keys are returned as obligations for {!Engine.apply} to
+    discharge.
 
     Supported shape (the common one): [E2] is a hierarchy root whose subtree
     maps entirely to tables carrying the association's f(PK₁) image, with

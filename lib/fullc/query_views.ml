@@ -175,13 +175,7 @@ let for_set ?(optimize = false) env frags ~set =
        types)
 
 let for_assoc frags ~assoc =
-  let* f =
-    match Mapping.Fragments.of_assoc frags assoc with
-    | [ f ] -> Ok f
-    | [] -> fail "association %s has no mapping fragment" assoc
-    | _ -> fail "association %s has several mapping fragments" assoc
-  in
-  Ok (Mapping.Fragment.store_query f)
+  Result.map Mapping.Fragment.store_query (Mapping.Fragments.assoc_fragment frags assoc)
 
 let all ?(optimize = false) env frags =
   let client = env.Query.Env.client in

@@ -13,8 +13,8 @@ type index = { keys : string array; groups : int array array; changed : int arra
 type t = {
   base : Fragment.t array;  (* [of_list]'s fragments, by id *)
   edits : Fragment.t option Int_map.t;
-      (* the ids [add] gave, and those [remove] ([None]) or a rewrite
-         replaced since [of_list] *)
+      (* the ids [add] gave, and those [remove] ([None]) or [replace]
+         changed since [of_list] *)
   next : int;
   size : int;
   by_table : index;
@@ -230,20 +230,6 @@ let replace old f t =
     | Some id -> rewrite id ~old f t
     | None -> invalid_arg "Mapping.Fragments.replace: not a fragment of the set"
 
-let map f t =
-  let rec go id t =
-    if id >= t.next then t
-    else
-      match Int_map.find id t.edits with
-      | Some old -> step id old t
-      | None -> go (id + 1) t
-      | exception Not_found -> step id t.base.(id) t
-  and step id old t =
-    let g = f old in
-    go (id + 1) (if g == old then t else rewrite id ~old g t)
-  in
-  go 0 t
-
 (* -- lookups ------------------------------------------------------------- *)
 
 let on_table t table = fragments t (group t.by_table table)
@@ -261,6 +247,12 @@ let of_source t name ~set =
 
 let of_set t set = of_source t set ~set:true
 let of_assoc t a = of_source t a ~set:false
+
+let assoc_fragment t a =
+  match of_assoc t a with
+  | [ f ] -> Ok f
+  | [] -> Error (Printf.sprintf "association %s has no mapping fragment" a)
+  | _ -> Error (Printf.sprintf "association %s has several mapping fragments" a)
 let tables t = keys t.by_table
 
 let naming t types =
@@ -311,5 +303,3 @@ let pp fmt t =
   Format.fprintf fmt "@[<v>%a@]"
     (Format.pp_print_list (fun fmt f -> Format.fprintf fmt "• %a" Fragment.pp f))
     (to_list t)
-
-let show t = Format.asprintf "%a" pp t

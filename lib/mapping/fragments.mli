@@ -15,11 +15,11 @@
 
     {!of_list} builds each index as arrays sorted by key, with one merge
     sort: loading a state allocates no tree node for them (about 0.04 MB
-    for the 270 customer fragments).  {!add}, {!remove}, {!replace} and
-    {!map} record what they change in persistent maps that shadow those
-    arrays, so an edit costs the logarithm of the edits before it, copies
-    the ids under the keys it touches, and copies neither the list of
-    fragments nor an index. *)
+    for the 270 customer fragments).  {!add}, {!remove} and {!replace}
+    record what they change in persistent maps that shadow those arrays,
+    so an edit costs the logarithm of the edits before it, copies the ids
+    under the keys it touches, and copies neither the list of fragments
+    nor an index. *)
 
 type t
 
@@ -44,6 +44,10 @@ val of_set : t -> string -> Fragment.t list
 val of_assoc : t -> string -> Fragment.t list
 (** In document order, as every lookup below. *)
 
+val assoc_fragment : t -> string -> (Fragment.t, string) result
+(** The one fragment of an association set; an error when it has none or
+    several. *)
+
 val tables : t -> string list
 (** Tables mentioned by at least one fragment — the tables that get update
     views — ascending. *)
@@ -52,11 +56,6 @@ val naming : t -> string list -> Fragment.t list
 (** The fragments whose client condition names one of the given types in
     an [IS OF] or [IS OF ONLY] atom, each once: the fragments a rewrite of
     those atoms (Algorithm 2's, Section 3.1.3) can change. *)
-
-val map : (Fragment.t -> Fragment.t) -> t -> t
-(** Rewrite every fragment in place, calling the function in document
-    order; a fragment it maps to itself (physically) is left alone, and
-    [map] of a function that leaves every fragment alone is [t] itself. *)
 
 val column_used : t -> table:string -> string -> bool
 (** Whether any fragment maps client data into the given column — check 1 of
@@ -71,4 +70,3 @@ val well_formed : Query.Env.t -> t -> (unit, string) result
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val show : t -> string

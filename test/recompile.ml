@@ -1,12 +1,107 @@
-(* The view regeneration of the shrinking SMOs (DropEntity, DropProperty,
-   DropAssociation, Refactor) as each of them did it before they shared
-   [Core.Algo.shrink]: [drop_orphans] and [recompile_set] are the former
-   [Algo.drop_orphaned_views] and [Algo.recompile_set].  [check] compares
-   the views of an accepted shrinking SMO with them, binding by binding; the
-   surgery tests use [recompile_set] as the reference for AddEntityPart. *)
+(* The shrinking SMOs (DropEntity, DropProperty, DropAssociation,
+   Refactor) as each of them did it before:
+
+   - the fragments of DropEntity, DropProperty and Refactor as each rebuilt
+     the whole container from [to_list] before it edited the container in
+     place ([rebuilt]);
+   - the view regeneration as each did it before they shared
+     [Core.Algo.shrink]: [drop_orphans] and [recompile_set] are the former
+     [Algo.drop_orphaned_views] and [Algo.recompile_set].
+
+   [check] holds an accepted shrinking SMO against both: its fragments are
+   the rebuild's, in order, physically the same wherever the rebuild left
+   one alone, with every lookup as recomputed ({!Adapt_walk.lookups}); its
+   views are the reference's, binding by binding.  The surgery tests use
+   [recompile_set] as the reference for AddEntityPart. *)
 
 let ( let* ) = Result.bind
 let lift r = Containment.Validation_error.lift r
+
+module F = Mapping.Fragment
+
+(* -- the fragments ------------------------------------------------------------ *)
+
+let erase_type ~e cond =
+  Query.Cond.simplify
+    (Query.Cond.map_atoms
+       (function
+         | Query.Cond.Is_of t when t = e -> Query.Cond.False
+         | Query.Cond.Is_of_only t when t = e -> Query.Cond.False
+         | atom -> atom)
+       cond)
+
+(* The fragments [smo] had to leave, given the evolved schema of [after]:
+   the body of the SMO's former [to_list |> filter_map |> of_list] rebuild,
+   each fragment it keeps paired with the fragment of [before] it came
+   from; [None] for an SMO that edited the container in place before. *)
+let rebuilt (before : Core.State.t) smo (after : Core.State.t) =
+  let client = before.Core.State.env.Query.Env.client in
+  let all = Mapping.Fragments.to_list before.Core.State.fragments in
+  let rebuild step = Some (List.filter_map (fun f -> Option.map (fun g -> (f, g)) (step f)) all) in
+  match smo with
+  | Core.Smo.Drop_entity { etype } ->
+      rebuild (fun (f : F.t) ->
+          let cond = erase_type ~e:etype f.client_cond in
+          if Query.Cond.equal cond Query.Cond.False then None else Some { f with client_cond = cond })
+  | Core.Smo.Drop_property { etype; attr } ->
+      let set = Option.get (Edm.Schema.set_of_type client etype) in
+      let key = Edm.Schema.key_of client etype in
+      let implied (f : F.t) pairs =
+        List.exists
+          (fun (g : F.t) ->
+            g != f && F.equal { g with pairs = f.pairs } f && List.for_all (fun p -> List.mem p g.pairs) pairs)
+          all
+      in
+      rebuild (fun (f : F.t) ->
+          if not (F.equal_client_source f.client_source (F.Set set)) then Some f
+          else if not (List.mem attr (F.attrs f)) then Some f
+          else
+            let pairs = List.remove_assoc attr f.pairs in
+            if List.for_all (fun (a, _) -> List.mem a key) pairs && implied f pairs then None
+            else Some { f with pairs })
+  | Core.Smo.Refactor { assoc } ->
+      let a = Option.get (Edm.Schema.find_association client assoc) in
+      let e1 = a.Edm.Association.end1 and e2 = a.Edm.Association.end2 in
+      let set1 = Option.get (Edm.Schema.set_of_type after.Core.State.env.Query.Env.client e1) in
+      let set2 = Option.get (Edm.Schema.set_of_type client e2) in
+      let assoc_frag = List.hd (Mapping.Fragments.of_assoc before.Core.State.fragments assoc) in
+      let key1 = Edm.Schema.key_of client e1 in
+      let f_pk1 =
+        List.filter_map (F.col_of assoc_frag) (List.map (Edm.Association.qualify ~etype:e1) key1)
+      in
+      let key_pairs = List.combine key1 f_pk1 in
+      rebuild (fun (f : F.t) ->
+          if F.equal f assoc_frag then None
+          else if F.equal_client_source f.client_source (F.Set set2) then
+            Some
+              { f with
+                client_source = F.Set set1;
+                client_cond = Query.Cond.simplify (Query.Cond.And (Query.Cond.Is_of e2, f.client_cond));
+                pairs = key_pairs @ f.pairs }
+          else Some { f with client_cond = Core.Algo.widen_only_p ~p:e1 ~e:e2 f.client_cond })
+  | _ -> None
+
+(* The fragments of [after] are the rebuild's, in order; one the rebuild
+   left alone is the fragment of [before] itself; and every lookup of the
+   container [after] holds is its recomputation. *)
+let check_fragments tag before smo (after : Core.State.t) =
+  match rebuilt before smo after with
+  | None -> ()
+  | Some expected ->
+      let ours = Mapping.Fragments.to_list after.Core.State.fragments in
+      Alcotest.check Alcotest.int (tag ^ ": fragments as many as the rebuild's") (List.length expected)
+        (List.length ours);
+      List.iter2
+        (fun ((old : F.t), g) f ->
+          Alcotest.check Alcotest.bool (tag ^ ": fragment as the rebuild's " ^ F.describe g) true (F.equal f g);
+          if F.equal g old then
+            Alcotest.check Alcotest.bool
+              (tag ^ ": fragment the rebuild leaves alone stays physically " ^ F.describe old)
+              true (f == old))
+        expected ours;
+      Adapt_walk.lookups tag after.Core.State.env after.Core.State.fragments
+
+(* -- the views ---------------------------------------------------------------- *)
 
 (* Remove the update view of every table [before] maps and [frags] does
    not. *)
@@ -95,9 +190,10 @@ let same_bindings tag equal ours theirs =
     (fun (n, v) (_, w) -> Alcotest.check Alcotest.bool (tag ^ ": " ^ n ^ " as the reference") true (equal v w))
     ours theirs
 
-(* The views of [after], the state [smo] produced from [before], are the
-   reference's, binding by binding. *)
+(* The fragments and views of [after], the state [smo] produced from
+   [before], are the rebuild's and the reference's. *)
 let check tag (before : Core.State.t) smo (after : Core.State.t) =
+  check_fragments tag before smo after;
   match expected before smo after with
   | None -> ()
   | Some (Error e) ->

@@ -987,8 +987,9 @@ let test_drops_keep_not_null_written () =
 
 (* -- Refactor ------------------------------------------------------------------- *)
 
-let test_refactor () =
-  (* Departments 1-0..1 Managers: refactor Manager under Department. *)
+(* Departments 1-0..1 Managers: refactor Manager under Department, whose
+   fragment holds [dept_cond]. *)
+let refactor_heads ~dept_cond () =
   let client =
     ok_exn
       (Edm.Schema.add_root ~set:"Depts"
@@ -1025,7 +1026,7 @@ let test_refactor () =
   let frags =
     Mapping.Fragments.of_list
       [
-        F.entity ~set:"Depts" ~cond:(C.Is_of "Dept") ~table:"DeptT"
+        F.entity ~set:"Depts" ~cond:dept_cond ~table:"DeptT"
           [ ("Did", "Did"); ("DName", "DName") ];
         F.entity ~set:"Mgrs" ~cond:(C.Is_of "Mgr") ~table:"MgrT"
           [ ("Mid", "Mid"); ("MName", "MName") ];
@@ -1050,7 +1051,19 @@ let test_refactor () =
             [ ("Did", V.Int 2); ("DName", V.String "ops"); ("Mid", V.Int 7);
               ("MName", V.String "max") ])
   in
-  checkb "merged hierarchy roundtrips" true (ok_exn (roundtrip_ok st' inst))
+  checkb "merged hierarchy roundtrips" true (ok_exn (roundtrip_ok st' inst));
+  st'
+
+let test_refactor () = ignore (refactor_heads ~dept_cond:(C.Is_of "Dept") ())
+
+(* Dept's [IS OF (ONLY Dept)] widens to admit Mgr, as Algorithm 2 widens
+   the parent's ONLY conditions, and the other fragments keep theirs. *)
+let test_refactor_widens_only () =
+  let st' = refactor_heads ~dept_cond:(C.Is_of_only "Dept") () in
+  check Alcotest.(list string) "DeptT's condition"
+    [ C.show (C.Or (C.Is_of_only "Dept", C.Is_of "Mgr")) ]
+    (List.map (fun (f : F.t) -> C.show f.client_cond)
+       (Mapping.Fragments.on_table st'.Core.State.fragments "DeptT"))
 
 let test_refactor_subtree () =
   (* Refactor where the absorbed root has its own subtree, mapped TPH into a
@@ -1359,6 +1372,7 @@ let () =
           Alcotest.test_case "drops keep NOT NULL columns written" `Quick
             test_drops_keep_not_null_written;
           Alcotest.test_case "refactor association" `Quick test_refactor;
+          Alcotest.test_case "refactor widens ONLY conditions" `Quick test_refactor_widens_only;
           Alcotest.test_case "refactor with a subtree" `Quick test_refactor_subtree;
         ] );
       ( "facets",

@@ -270,10 +270,11 @@ let prop_identity_store_relates =
 
 (* The container's indexes under random edits: from a random model's
    fragments, a random sequence of [add] (a copy of a fragment under
-   another table or naming another type), [remove], [replace] (a rewritten
-   client condition) and [map] (rewriting every k-th fragment) keeps
-   [to_list] equal to the same edits on a plain list, and every lookup
-   equal to its recomputation ({!Adapt_walk.lookups}). *)
+   another table or naming another type), [remove] and [replace] (a
+   rewritten client condition, or a move to another table and another
+   client source, as Refactor moves a subtree's fragments) keeps [to_list]
+   equal to the same edits on a plain list, and every lookup equal to its
+   recomputation ({!Adapt_walk.lookups}). *)
 let prop_container_edits =
   let module F = Mapping.Fragment in
   let module Fs = Mapping.Fragments in
@@ -291,6 +292,9 @@ let prop_container_edits =
         else { f with table = f.table ^ "'" }
       in
       let first = List.hd (Fs.to_list frags) in
+      let sources =
+        List.sort_uniq compare (List.map (fun (f : F.t) -> f.client_source) (Fs.to_list frags))
+      in
       let step (frags, l) (kind, i, j) =
         match kind, l with
         | _, [] | 0, _ ->
@@ -305,10 +309,14 @@ let prop_container_edits =
             let g = { f with client_cond = C.Or (C.Is_of_only (pick types j), f.client_cond) } in
             (Fs.replace f g frags, List.mapi (fun m h -> if m = n then g else h) l)
         | _ ->
-            let k = 1 + (j mod 3) in
-            let rewrite n (f : F.t) = if n mod k = 0 then renamed (i + n) f else f in
-            let counter = ref (-1) in
-            (Fs.map (fun f -> incr counter; rewrite !counter f) frags, List.mapi rewrite l)
+            let n = i mod List.length l in
+            let f = List.nth (Fs.to_list frags) n in
+            let others =
+              List.filter (fun s -> not (F.equal_client_source s f.client_source)) sources
+            in
+            let client_source = if others = [] then f.client_source else pick others j in
+            let g = { f with table = f.table ^ "'"; client_source } in
+            (Fs.replace f g frags, List.mapi (fun m h -> if m = n then g else h) l)
       in
       ignore
         (List.fold_left

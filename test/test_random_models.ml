@@ -151,8 +151,9 @@ let test_evolution_on_random_models () =
     (Lazy.force compiled)
 
 (* The random pipelines through a session: each accepted step is held
-   against the full-walk adaptation, and every state undo and then redo
-   reach keeps the type invariant and fragment indexes ({!Adapt_walk}). *)
+   against the full-walk adaptation ({!Adapt_walk}) and, for a drop, the
+   rebuild and reference regeneration ({!Recompile}), and every state undo
+   and then redo reach keeps the type invariant and fragment indexes. *)
 let test_session_locality () =
   List.iter
     (fun (seed, env, frags, c) ->
@@ -170,9 +171,9 @@ let test_session_locality () =
               (fun s smo ->
                 match Core.Session.apply s smo with
                 | Ok s' ->
-                    Adapt_walk.check
-                      (tag ^ " after " ^ Core.Smo.name smo)
-                      (Core.Session.current s) smo (Core.Session.current s');
+                    let tag = tag ^ " after " ^ Core.Smo.name smo in
+                    Adapt_walk.check tag (Core.Session.current s) smo (Core.Session.current s');
+                    Recompile.check tag (Core.Session.current s) smo (Core.Session.current s');
                     s'
                 | Error _ -> s)
               (Core.Session.start st) smos
