@@ -257,6 +257,18 @@ let assoc_rows_keep_entities env frags ~e ~etypes =
         (Edm.Schema.associations_on client etype))
     etypes
 
+let image_fk_obligations env uv (frag : Mapping.Fragment.t) =
+  let table = frag.Mapping.Fragment.table in
+  match Relational.Schema.find_table env.Query.Env.store table with
+  | None -> Ok []
+  | Some tbl ->
+      Datum.Results.collect
+        (fun (fk : Relational.Table.foreign_key) ->
+          if List.exists (Mapping.Fragment.mem_col frag) fk.fk_columns then
+            fk_obligations env uv ~table fk
+          else Ok [])
+        tbl.Relational.Table.fks
+
 let assoc_table_fk_obligations env frags uv ~etypes =
   let client = env.Query.Env.client in
   Datum.Results.collect
@@ -265,22 +277,11 @@ let assoc_table_fk_obligations env frags uv ~etypes =
         (fun (a : Edm.Association.t) ->
           match Mapping.Fragments.of_assoc frags a.Edm.Association.name with
           | [] -> Ok []
-          | frag :: _ -> (
-              let r = frag.Mapping.Fragment.table in
-              match Relational.Schema.find_table env.Query.Env.store r with
-              | None -> Ok []
-              | Some tbl ->
-                  let beta = Mapping.Fragment.cols frag in
-                  Datum.Results.collect
-                    (fun (fk : Relational.Table.foreign_key) ->
-                      if List.exists (fun c -> List.mem c beta) fk.fk_columns then
-                        fk_obligations env uv ~table:r fk
-                      else Ok [])
-                    tbl.Relational.Table.fks))
+          | frag :: _ -> image_fk_obligations env uv frag)
         (Edm.Schema.associations_on client etype))
     etypes
 
-let shrink (before : State.t) env fragments query_views ~set ~fk_tables =
+let shrink (before : State.t) env fragments query_views ~set ~regenerate =
   span "algo.shrink" @@ fun () ->
   let set_tables frags =
     match set with
@@ -291,22 +292,21 @@ let shrink (before : State.t) env fragments query_views ~set ~fk_tables =
   in
   let mapped t = Mapping.Fragments.on_table fragments t <> [] in
   (* Every fragment a shrinking SMO removes lies on a table of [set] or of
-     [fk_tables] (DESIGN §2), so only those tables can be left unmapped. *)
+     [regenerate] (DESIGN §2), so only those tables can be left unmapped. *)
   let update_views =
     List.fold_left
       (fun uv t -> if mapped t then uv else Query.View.remove_table_view t uv)
       before.State.update_views
-      (set_tables before.State.fragments @ fk_tables)
+      (set_tables before.State.fragments @ regenerate)
   in
   let regenerated =
-    List.sort_uniq String.compare (set_tables fragments @ List.filter mapped fk_tables)
+    List.sort_uniq String.compare (set_tables fragments @ List.filter mapped regenerate)
   in
-  let store = env.Query.Env.store in
   let* () =
     Datum.Results.all_ok
       (fun t ->
         let unwritten = Mapping.Coverage.unwritten_not_null (Mapping.Fragments.on_table fragments t) in
-        match Option.map unwritten (Relational.Schema.find_table store t) with
+        match Option.map unwritten (Relational.Schema.find_table env.Query.Env.store t) with
         | Some (c :: _) -> fail "non-nullable column %s.%s would be written by no fragment" t c
         | Some [] | None -> Ok ())
       regenerated
@@ -329,18 +329,4 @@ let shrink (before : State.t) env fragments query_views ~set ~fk_tables =
         Ok (Query.View.set_table_view table v acc))
       (Ok update_views) regenerated
   in
-  let has_view t = Query.View.table_view update_views t <> None in
-  let* obls =
-    Datum.Results.collect
-      (fun table ->
-        match Relational.Schema.find_table store table with
-        | Some tbl when has_view table ->
-            Datum.Results.collect
-              (fun (fk : Relational.Table.foreign_key) ->
-                if has_view fk.ref_table then fk_obligations env update_views ~table fk
-                else Ok [])
-              tbl.Relational.Table.fks
-        | Some _ | None -> Ok [])
-      (List.sort_uniq String.compare fk_tables)
-  in
-  Ok ({ State.env; fragments; query_views; update_views }, obls)
+  Ok { State.env; fragments; query_views; update_views }

@@ -127,31 +127,34 @@ val assoc_rows_keep_entities :
     then be a row no entity accounts for, so the SMO aborts.  A structural
     check: it emits no obligation. *)
 
+val image_fk_obligations :
+  Query.Env.t -> Query.View.update_views -> Mapping.Fragment.t ->
+  (Containment.Obligation.t list, Containment.Validation_error.t) result
+(** The {!fk_obligations} of each foreign key of the fragment's table over
+    a column the fragment maps, under the given update views. *)
+
 val assoc_table_fk_obligations :
   Query.Env.t -> Mapping.Fragments.t -> Query.View.update_views -> etypes:string list ->
   (Containment.Obligation.t list, Containment.Validation_error.t) result
 (** Obligations for check 2 of Section 3.1.4, for every association having
-    one of the given types as an endpoint: each foreign key of the table
-    the association maps to that shares a column with the association's
-    image must still hold under the new update views. *)
+    one of the given types as an endpoint: the {!image_fk_obligations} of
+    the association's fragment under the new update views. *)
 
 val shrink :
   State.t -> Query.Env.t -> Mapping.Fragments.t -> Query.View.query_views ->
-  set:string option -> fk_tables:string list ->
-  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result
-(** [shrink before env frags qv ~set ~fk_tables]: the one tail of the SMOs
-    that shrink the mapping (DropEntity, DropProperty, DropAssociation,
-    Refactor), given the shrunken schemas, fragments and query views, the
-    entity set whose views regenerate, if any, and the tables whose foreign
-    keys must be re-proved.  It drops the update view of every table of
-    [before]'s fragments of [set], and of [fk_tables], that no fragment of
-    [frags] maps: every fragment a shrinking SMO removes lies on one of
-    those tables (DESIGN §2), so no other table can lose its last.  The
-    regenerated tables are [set]'s and the still-mapped [fk_tables]; a
-    non-nullable column of one that no fragment writes
+  set:string option -> regenerate:string list ->
+  (State.t, Containment.Validation_error.t) result
+(** [shrink before env frags qv ~set ~regenerate]: the regeneration step
+    of the SMOs that shrink the mapping, given the shrunken schemas,
+    fragments and query views, the entity set whose views regenerate, if
+    any, and the other tables whose update views regenerate.  It drops the
+    update view of every table of [before]'s fragments of [set], and of
+    [regenerate], that no fragment of [frags] maps: every fragment a
+    shrinking SMO removes lies on one of those tables (DESIGN §2).  A
+    non-nullable column of a regenerated table that no fragment writes
     ({!Mapping.Coverage.unwritten_not_null}) is an immediate error naming
-    the table and the column.  Then [set]'s query
-    views regenerate with [Fullc.Query_views.for_set] and each regenerated
-    table's update view with [Fullc.Update_views.for_table]; the result
-    carries the {!fk_obligations} of every foreign key of [fk_tables] whose
-    two ends keep an update view, in table order. *)
+    the table and the column.  Then [set]'s query views regenerate with
+    [Fullc.Query_views.for_set], and the update views of [set]'s tables
+    and of the still-mapped [regenerate] with
+    [Fullc.Update_views.for_table].  It emits no obligation: each SMO
+    emits those its change can break (DESIGN §2). *)

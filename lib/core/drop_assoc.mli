@@ -7,9 +7,11 @@
     reverts to an unmapped NULL-padded column, and the drop is refused if
     that column is declared not null; a join table loses its view
     entirely).
-    Dropping rows can only shrink foreign-key sources, but the touched
-    table's foreign keys are re-checked for safety: their obligations are
-    returned for {!Engine.apply} to discharge. *)
+    The foreign keys of that table over a column the fragment wrote are
+    returned as obligations for {!Engine.apply} to discharge
+    ({!Algo.image_fk_obligations}); the table's other columns keep their
+    values, and the proofs of its other keys read no multiplicity, so they
+    covered states without the association's links already (DESIGN §2). *)
 
 val apply :
   State.t -> assoc:string ->

@@ -36,12 +36,7 @@ let apply (st : State.t) ~etype =
       st.State.fragments visited
   in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
-  (* The set's views regenerate, and its remaining tables' foreign keys are
-     re-proved. *)
-  let touched =
-    List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table)
-      (Mapping.Fragments.of_set fragments set)
-  in
+  (* The set's views regenerate; the drop can break no proof (DESIGN §2). *)
   Algo.shrink st env' fragments
     (Query.View.remove_entity_view etype st.State.query_views)
-    ~set:(Some set) ~fk_tables:touched
+    ~set:(Some set) ~regenerate:[]

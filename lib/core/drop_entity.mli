@@ -9,10 +9,10 @@
     that lose all their fragments lose their update views (the tables
     themselves stay in the store; dropping data is not the compiler's
     call).  Views of the affected entity set are regenerated from its
-    remaining fragments — the neighborhood — and the touched tables'
-    foreign keys are re-checked ({!Algo.shrink}): their obligations are
-    returned for {!Engine.apply} to discharge. *)
+    remaining fragments — the neighborhood — by {!Algo.shrink}.  No
+    obligation is emitted: every client state of the new schema is one of
+    the old, on which each fragment condition holds as before, so every
+    update view yields the rows it did and every foreign key proven before
+    still holds (DESIGN §2). *)
 
-val apply :
-  State.t -> etype:string ->
-  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result
+val apply : State.t -> etype:string -> (State.t, Containment.Validation_error.t) result

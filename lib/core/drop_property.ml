@@ -19,7 +19,7 @@ let apply (st : State.t) ~etype ~attr =
       (Mapping.Fragments.of_set st.State.fragments set)
   in
   let key = Edm.Schema.key_of client etype in
-  let fragments =
+  let fragments, removed =
     Algo.span "drop-property.fragments" @@ fun () ->
     let before = st.State.fragments in
     (* Another fragment with [f]'s source, conditions and table whose pairs
@@ -39,25 +39,30 @@ let apply (st : State.t) ~etype ~attr =
     in
     Obs.Span.tag "fragments_visited" (List.length visited);
     List.fold_left
-      (fun acc (f : Mapping.Fragment.t) ->
+      (fun (acc, removed) (f : Mapping.Fragment.t) ->
         let pairs = List.remove_assoc attr f.Mapping.Fragment.pairs in
         (* A fragment left with nothing but the key still says which
            entities the table holds, and so which types they have; drop it
            only when another fragment says the same. *)
         if List.for_all (fun (a, _) -> List.mem a key) pairs && implied f pairs then
-          Mapping.Fragments.remove f acc
-        else Mapping.Fragments.replace f { f with Mapping.Fragment.pairs } acc)
-      before visited
+          (Mapping.Fragments.remove f acc, true)
+        else (Mapping.Fragments.replace f { f with Mapping.Fragment.pairs } acc, removed))
+      (before, false) visited
   in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
-  (* Every concrete type of the hierarchy must still be covered. *)
+  (* Every concrete type of the hierarchy must still be covered.  Only a
+     removal (which takes every [Fragment.equal] twin) can uncover one: a
+     kept fragment loses just the attribute's pair, and no fragment of the
+     set tests the attribute (DESIGN §2). *)
   let* () =
-    Algo.span "drop-property.coverage" @@ fun () ->
-    Datum.Results.all_ok
-      (fun ty -> Algo.lift (Mapping.Coverage.attribute_coverage env' fragments ~etype:ty))
-      (Edm.Schema.subtypes client' (Edm.Schema.root_of client' etype))
+    if not removed then Ok ()
+    else
+      Algo.span "drop-property.coverage" @@ fun () ->
+      Datum.Results.all_ok
+        (fun ty -> Algo.lift (Mapping.Coverage.attribute_coverage env' fragments ~etype:ty))
+        (Edm.Schema.subtypes client' (Edm.Schema.root_of client' etype))
   in
   (* The drop's only store effect is NULL in non-key columns, which no
      foreign key can object to: simple-match exempts NULL references, and a
      foreign key references a key.  So no foreign key is re-proved. *)
-  Algo.shrink st env' fragments st.State.query_views ~set:(Some set) ~fk_tables:[]
+  Algo.shrink st env' fragments st.State.query_views ~set:(Some set) ~regenerate:[]

@@ -8,15 +8,14 @@
     removed only when another fragment with the same source, conditions
     and table still maps those columns; otherwise it stays, because it
     alone may tell the type's entities apart (a TPT type's own table).
-    The surviving coverage of every concrete type is re-checked — dropping
-    an attribute can never lose {e other} data, but the checks guard the
-    fragment surgery itself.  Views of the affected set regenerate from the
-    adapted fragments (the neighborhood) through {!Algo.shrink}, which
-    refuses the drop when it leaves a non-nullable column unwritten.  No
-    foreign key is re-proved, so the obligation list is empty: the drop only
-    turns non-key columns NULL, simple-match foreign keys exempt NULL
-    references, and a foreign key can reference only a key. *)
+    When the surgery removes a fragment, the coverage of every concrete type
+    of the hierarchy is re-checked; a kept fragment loses only the
+    attribute's pair, which uncovers no other attribute (DESIGN §2).  Views
+    of the affected set regenerate from the adapted fragments (the
+    neighborhood) through {!Algo.shrink}, which refuses the drop when it
+    leaves a non-nullable column unwritten.  No obligation is emitted: the
+    drop only turns non-key columns NULL, simple-match foreign keys exempt
+    NULL references, and a foreign key can reference only a key. *)
 
 val apply :
-  State.t -> etype:string -> attr:string ->
-  (State.t * Containment.Obligation.t list, Containment.Validation_error.t) result
+  State.t -> etype:string -> attr:string -> (State.t, Containment.Validation_error.t) result

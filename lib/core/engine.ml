@@ -12,9 +12,9 @@ let compile st = function
   | Smo.Add_assoc_fk { assoc; table; fmap } -> Add_assoc_fk.apply st ~assoc ~table ~fmap
   | Smo.Add_assoc_jt { assoc; table; fmap } -> Add_assoc_jt.apply st ~assoc ~table ~fmap
   | Smo.Add_property { etype; attr; target } -> Add_property.apply st ~etype ~attr ~target
-  | Smo.Drop_entity { etype } -> Drop_entity.apply st ~etype
+  | Smo.Drop_entity { etype } -> without_obligations (Drop_entity.apply st ~etype)
   | Smo.Drop_association { assoc } -> Drop_assoc.apply st ~assoc
-  | Smo.Drop_property { etype; attr } -> Drop_property.apply st ~etype ~attr
+  | Smo.Drop_property { etype; attr } -> without_obligations (Drop_property.apply st ~etype ~attr)
   | Smo.Widen_attribute { etype; attr; domain } ->
       without_obligations (Modify_facet.widen_attribute st ~etype ~attr domain)
   | Smo.Set_multiplicity { assoc; mult } ->

@@ -84,8 +84,24 @@ let apply (st : State.t) ~assoc =
       (Edm.Schema.subtypes client' e2)
   in
   (* Views: drop the association view, then regenerate the merged
-     hierarchy; the foreign keys of the subtree's table must keep
-     resolving. *)
-  Algo.shrink st env' fragments
-    (Query.View.remove_assoc_view assoc st.State.query_views)
-    ~set:(Some set1) ~fk_tables:[ t2 ]
+     hierarchy and the subtree's table. *)
+  let* st' =
+    Algo.shrink st env' fragments
+      (Query.View.remove_assoc_view assoc st.State.query_views)
+      ~set:(Some set1) ~regenerate:[ t2 ]
+  in
+  (* The foreign keys of the subtree's table must keep resolving: the
+     refactored schema has client states the old one had not. *)
+  let update_views = st'.State.update_views in
+  let has_view t = Query.View.table_view update_views t <> None in
+  let* obls =
+    match Relational.Schema.find_table env'.Query.Env.store t2 with
+    | Some tbl when has_view t2 ->
+        Datum.Results.collect
+          (fun (fk : Relational.Table.foreign_key) ->
+            if has_view fk.ref_table then Algo.fk_obligations env' update_views ~table:t2 fk
+            else Ok [])
+          tbl.Relational.Table.fks
+    | Some _ | None -> Ok []
+  in
+  Ok (st', obls)

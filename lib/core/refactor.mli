@@ -9,9 +9,10 @@
     table); [IS OF (ONLY E1)] conditions widen to admit the new subtype
     (Σ*-style, {!Algo.adapt_fragments}).  Views of the merged hierarchy
     are regenerated from the adapted fragments (the neighborhood); coverage
-    of the reparented subtree is re-validated, and the touched table's
-    foreign keys are returned as obligations for {!Engine.apply} to
-    discharge.
+    of the reparented subtree is re-validated, and every foreign key of the
+    subtree's table is returned as an obligation for {!Engine.apply} to
+    discharge: the merged hierarchy has client states the old schema had
+    not.
 
     Supported shape (the common one): [E2] is a hierarchy root whose subtree
     maps entirely to tables carrying the association's f(PK₁) image, with

@@ -5,11 +5,11 @@ module Fragments = Mapping.Fragments
 module Coverage = Mapping.Coverage
 module S = Set.Make (String)
 
-(* Every pass below reads the schemas and the fragments in place: a lookup
-   allocates at most its answer, and a list is built only to name a
-   finding.  What several lookups share is built once per [run] call: the
-   hierarchy snapshots, the mapped tables, and each set's mapped
-   attributes. *)
+(* Every pass below reads the schemas and the fragments in place, the
+   fragments through the container's indexes: a lookup allocates at most
+   its answer, and a list is built only to name a finding.  What several
+   lookups share is built once per [run] call: the hierarchy snapshots and
+   each set's mapped attributes. *)
 
 (* -- Hierarchy snapshot --------------------------------------------------- *)
 
@@ -229,12 +229,9 @@ let unmapped_attr_diags env frags add =
       Hashtbl.clear mapped;
       List.iter
         (fun (f : Fragment.t) ->
-          match f.client_source with
-          | Fragment.Set s' when String.equal s s' ->
-              List.iter (fun (a, _) -> map a) f.pairs;
-              List.iter (fun (a, _) -> map a) (Query.Cond.determined_constants f.client_cond)
-          | Fragment.Set _ | Fragment.Assoc _ -> ())
-        frags;
+          List.iter (fun (a, _) -> map a) f.pairs;
+          List.iter (fun (a, _) -> map a) (Query.Cond.determined_constants f.client_cond))
+        (Fragments.of_set frags s);
       List.iter
         (fun (a, _) ->
           if not (Hashtbl.mem mapped a) then
@@ -244,29 +241,17 @@ let unmapped_attr_diags env frags add =
         (Edm.Schema.hierarchy_attributes client root))
     (Edm.Schema.entity_sets client)
 
-(* The fragments of each mapped table, in mapping order. *)
-let by_table frags =
-  let tables = Hashtbl.create 64 in
-  List.fold_right
-    (fun (f : Fragment.t) () ->
-      let on = match Hashtbl.find tables f.table with l -> l | exception Not_found -> [] in
-      Hashtbl.replace tables f.table (f :: on))
-    frags ();
-  tables
-
-let unwritten_column_diags env tables add =
-  Hashtbl.iter
-    (fun tname on ->
-      match Relational.Schema.find_table env.Query.Env.store tname with
-      | None -> ()
-      | Some tbl ->
-          List.iter
-            (fun c ->
-              add
-                (Diag.makef ~code:"L002" ~severity:Diag.Error ~loc:(Diag.Table tname)
-                   "non-nullable column %s is written by no fragment" c))
-            (Coverage.unwritten_not_null on tbl))
-    tables
+(* [on] is [Fragments.on_table frags tname], as in [overlap_diags]. *)
+let unwritten_column_diags env tname on add =
+  match Relational.Schema.find_table env.Query.Env.store tname with
+  | None -> ()
+  | Some tbl ->
+      List.iter
+        (fun c ->
+          add
+            (Diag.makef ~code:"L002" ~severity:Diag.Error ~loc:(Diag.Table tname)
+               "non-nullable column %s is written by no fragment" c))
+        (Coverage.unwritten_not_null on tbl)
 
 (* The attribute of the first pair of [pairs] with column [c], which has
    one. *)
@@ -274,7 +259,7 @@ let rec attr_at c = function
   | [] -> raise Not_found
   | (a, c') :: rest -> if String.equal c c' then a else attr_at c rest
 
-let overlap_diags hiers env tables add =
+let overlap_diags hiers env tname on add =
   let client = env.Query.Env.client in
   let overlap tname key (f : Fragment.t) (g : Fragment.t) =
     match (f.client_source, g.client_source) with
@@ -305,25 +290,22 @@ let overlap_diags hiers env tables add =
                    (String.concat ", " conflicting)))
     | _ -> ()
   in
-  Hashtbl.iter
-    (fun tname on ->
-      let key =
-        match Relational.Schema.find_table env.Query.Env.store tname with
-        | Some t -> t.Relational.Table.key
-        | None -> []
-      in
-      let rec pairs = function
-        | [] -> ()
-        | f :: rest ->
-            List.iter (overlap tname key f) rest;
-            pairs rest
-      in
-      pairs
-        (List.filter
-           (fun (f : Fragment.t) ->
-             match f.client_source with Fragment.Set _ -> true | Fragment.Assoc _ -> false)
-           on))
-    tables
+  let key =
+    match Relational.Schema.find_table env.Query.Env.store tname with
+    | Some t -> t.Relational.Table.key
+    | None -> []
+  in
+  let rec pairs = function
+    | [] -> ()
+    | f :: rest ->
+        List.iter (overlap tname key f) rest;
+        pairs rest
+  in
+  pairs
+    (List.filter
+       (fun (f : Fragment.t) ->
+         match f.client_source with Fragment.Set _ -> true | Fragment.Assoc _ -> false)
+       on)
 
 let assoc_fk_diags env frags add =
   let store = env.Query.Env.store in
@@ -363,34 +345,36 @@ let assoc_fk_diags env frags add =
             afrags)
     (Edm.Schema.associations env.Query.Env.client)
 
-let unreferenced_table_diags env tables add =
+let unreferenced_table_diags env frags add =
   List.iter
     (fun (tbl : Relational.Table.t) ->
-      if not (Hashtbl.mem tables tbl.name) then
+      if Fragments.on_table frags tbl.name = [] then
         add
           (Diag.makef ~code:"L010" ~severity:Diag.Info ~loc:(Diag.Table tbl.name)
              "table is not mapped by any fragment"))
     (Relational.Schema.tables env.Query.Env.store)
 
-(* [l] is [Fragments.to_list frags]. *)
-let model_diags hiers env frags l =
+let model_diags hiers env frags =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let tables = by_table l in
-  unmapped_attr_diags env l add;
-  unwritten_column_diags env tables add;
-  overlap_diags hiers env tables add;
+  unmapped_attr_diags env frags add;
+  List.iter
+    (fun tname ->
+      let on = Fragments.on_table frags tname in
+      unwritten_column_diags env tname on add;
+      overlap_diags hiers env tname on add)
+    (Fragments.tables frags);
   assoc_fk_diags env frags add;
-  unreferenced_table_diags env tables add;
+  unreferenced_table_diags env frags add;
   !diags
 
 (* -- The mapping analysis ------------------------------------------------- *)
 
 let run env frags =
   let hiers : hiers = Hashtbl.create 16 in
-  let l = Fragments.to_list frags in
   let frag_ds =
-    Obs.Span.with_ ~name:"lint.fragments" (fun () -> List.concat_map (fragment_diags hiers env) l)
+    Obs.Span.with_ ~name:"lint.fragments" (fun () ->
+        List.concat_map (fragment_diags hiers env) (Fragments.to_list frags))
   in
-  let model_ds = Obs.Span.with_ ~name:"lint.model" (fun () -> model_diags hiers env frags l) in
+  let model_ds = Obs.Span.with_ ~name:"lint.model" (fun () -> model_diags hiers env frags) in
   Diag.sort (List.rev_append frag_ds model_ds)

@@ -32,11 +32,13 @@ val run : Query.Env.t -> Mapping.Fragments.t -> Diag.t list
     Every lookup reads the schemas and fragments in place
     ({!Mapping.Fragment.mem_col}, {!Mapping.Coverage.writes},
     {!Edm.Schema.hierarchy_attribute}, ...) and allocates at most its
-    answer.  What many lookups share is built once per call: each
-    hierarchy's snapshot (its key, and per type in [subtypes] order the set
-    of the type and its ancestors, of its attributes and of those declared
-    NOT NULL on its chain), shared by both spans; the fragments of each
-    mapped table (L002, L006, L010); and, one set at a time, the attributes
-    its fragments map (L001).  Sound because one call reads one schema pair
+    answer; the fragments of a table (L002, L006, L010) and of a set
+    (L001) come from {!Mapping.Fragments.on_table} and
+    {!Mapping.Fragments.of_set}.  What many lookups share is built once
+    per call: each hierarchy's snapshot (its key, and per type in
+    [subtypes] order the set of the type and its ancestors, of its
+    attributes and of those declared NOT NULL on its chain), shared by
+    both spans; and, one set at a time, the attributes its fragments map
+    (L001).  Sound because one call reads one schema pair
     and one fragment set.  On loaded customer a call allocates 0.6 MB (3.4
     MB when each lookup rebuilt its lists). *)

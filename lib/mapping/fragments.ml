@@ -24,18 +24,20 @@ type t = {
 
 (* -- indexes ------------------------------------------------------------- *)
 
+(* Top-level, so that a lookup allocates no closure. *)
+let rec search ix key lo hi =
+  if lo >= hi then [||]
+  else
+    let mid = (lo + hi) / 2 in
+    let c = String.compare key ix.keys.(mid) in
+    if c = 0 then ix.groups.(mid)
+    else if c < 0 then search ix key lo mid
+    else search ix key (mid + 1) hi
+
 let group ix key =
   match String_map.find key ix.changed with
   | ids -> ids
-  | exception Not_found ->
-      let rec search lo hi =
-        if lo >= hi then [||]
-        else
-          let mid = (lo + hi) / 2 in
-          let c = String.compare key ix.keys.(mid) in
-          if c = 0 then ix.groups.(mid) else if c < 0 then search lo mid else search (mid + 1) hi
-      in
-      search 0 (Array.length ix.keys)
+  | exception Not_found -> search ix key 0 (Array.length ix.keys)
 
 let insert id ix key =
   let ids = group ix key in
@@ -169,7 +171,10 @@ let fold_right f t acc =
 
 let to_list t = fold_right List.cons t []
 let size t = t.size
-let fragments t ids = Array.fold_right (fun id acc -> get t id :: acc) ids []
+let rec fragments_below t ids i acc =
+  if i < 0 then acc else fragments_below t ids (i - 1) (get t ids.(i) :: acc)
+
+let fragments t ids = fragments_below t ids (Array.length ids - 1) []
 
 (* [t] with id [id] holding [f], which is not in [t]'s indexes yet. *)
 let index_in id (f : Fragment.t) t =
@@ -272,25 +277,15 @@ let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
 let well_formed env t =
-  let l = to_list t in
-  let* () =
-    List.fold_left
-      (fun acc f -> Result.bind acc (fun () -> Fragment.well_formed env f))
-      (Ok ()) l
-  in
-  let assoc_names =
-    List.filter_map
-      (fun (f : Fragment.t) ->
-        match f.client_source with Fragment.Assoc a -> Some a | Fragment.Set _ -> None)
-      l
-  in
-  let sorted = List.sort String.compare assoc_names in
-  let rec dup = function
-    | a :: (b :: _ as rest) -> if a = b then Some a else dup rest
-    | [ _ ] | [] -> None
-  in
-  match dup sorted with
-  | Some a -> fail "association set %s is mentioned by more than one fragment" a
+  let* () = Datum.Results.all_ok (Fragment.well_formed env) (to_list t) in
+  (* Every association fragment names a client association, and
+     [associations] ascends by name. *)
+  match
+    List.find_opt
+      (fun (a : Edm.Association.t) -> List.compare_length_with (of_assoc t a.name) 1 > 0)
+      (Edm.Schema.associations env.Query.Env.client)
+  with
+  | Some a -> fail "association set %s is mentioned by more than one fragment" a.name
   | None -> Ok ()
 
 let equal a b =

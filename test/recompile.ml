@@ -8,11 +8,16 @@
      [Core.Algo.shrink]: [drop_orphans] and [recompile_set] are the former
      [Algo.drop_orphaned_views] and [Algo.recompile_set].
 
-   [check] holds an accepted shrinking SMO against both: its fragments are
-   the rebuild's, in order, physically the same wherever the rebuild left
-   one alone, with every lookup as recomputed ({!Adapt_walk.lookups}); its
-   views are the reference's, binding by binding.  The surgery tests use
-   [recompile_set] as the reference for AddEntityPart. *)
+   - the proofs each emitted when the shared tail re-proved every foreign
+     key of the tables it regenerated ([unsliced_fk_obligations]), and
+     DropProperty's coverage step on every removal.
+
+   [check] holds an accepted shrinking SMO against all three: its fragments
+   are the rebuild's, in order, physically the same wherever the rebuild
+   left one alone, with every lookup as recomputed
+   ({!Adapt_walk.lookups}); its views are the reference's, binding by
+   binding; and what it no longer proves still holds.  The surgery tests
+   use [recompile_set] as the reference for AddEntityPart. *)
 
 let ( let* ) = Result.bind
 let lift r = Containment.Validation_error.lift r
@@ -172,6 +177,58 @@ let expected (before : Core.State.t) smo (after : Core.State.t) =
       regenerate ~set (Query.View.remove_assoc_view assoc qv) before.Core.State.update_views
   | _ -> None
 
+(* -- the proofs ---------------------------------------------------------------- *)
+
+(* The foreign-key obligations a drop emitted when the shared tail
+   re-proved every foreign key, whose two ends keep an update view, of the
+   set's remaining tables (DropEntity) or of the association's table
+   (DropAssociation). *)
+let unsliced_fk_obligations (before : Core.State.t) smo (after : Core.State.t) =
+  let env = after.Core.State.env and uv = after.Core.State.update_views in
+  let tables =
+    match smo with
+    | Core.Smo.Drop_entity { etype } ->
+        let set = Option.get (Edm.Schema.set_of_type before.Core.State.env.Query.Env.client etype) in
+        List.sort_uniq String.compare
+          (List.map (fun (f : F.t) -> f.table) (Mapping.Fragments.of_set after.Core.State.fragments set))
+    | Core.Smo.Drop_association { assoc } ->
+        [ (List.hd (Mapping.Fragments.of_assoc before.Core.State.fragments assoc)).F.table ]
+    | _ -> []
+  in
+  let has_view t = Query.View.table_view uv t <> None in
+  List.concat_map
+    (fun table ->
+      match Relational.Schema.find_table env.Query.Env.store table with
+      | Some tbl when has_view table ->
+          List.concat_map
+            (fun (fk : Relational.Table.foreign_key) ->
+              if has_view fk.ref_table then Result.get_ok (Core.Algo.fk_obligations env uv ~table fk)
+              else [])
+            tbl.Relational.Table.fks
+      | Some _ | None -> [])
+    tables
+
+(* What [smo] no longer proves holds on [after], given that [before] was
+   valid: every unsliced foreign key, and after DropProperty the coverage
+   of every type of the hierarchy. *)
+let check_unproven tag (before : Core.State.t) smo (after : Core.State.t) =
+  (match Containment.Discharge.run (unsliced_fk_obligations before smo after) with
+  | Ok () -> ()
+  | Error e ->
+      Alcotest.failf "%s: a foreign key the drop no longer proves fails: %s" tag
+        (Containment.Validation_error.show e));
+  match smo with
+  | Core.Smo.Drop_property { etype; _ } ->
+      let env = after.Core.State.env in
+      let client = env.Query.Env.client in
+      List.iter
+        (fun ty ->
+          match Mapping.Coverage.attribute_coverage env after.Core.State.fragments ~etype:ty with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s loses coverage: %s" tag ty e)
+        (Edm.Schema.subtypes client (Edm.Schema.root_of client etype))
+  | _ -> ()
+
 let entity_bindings (st : Core.State.t) =
   List.map (fun (n, v) -> ("entity " ^ n, v)) (Query.View.entity_view_bindings st.Core.State.query_views)
 
@@ -191,9 +248,11 @@ let same_bindings tag equal ours theirs =
     ours theirs
 
 (* The fragments and views of [after], the state [smo] produced from
-   [before], are the rebuild's and the reference's. *)
+   [before], are the rebuild's and the reference's, and what [smo] no
+   longer proves holds. *)
 let check tag (before : Core.State.t) smo (after : Core.State.t) =
   check_fragments tag before smo after;
+  check_unproven tag before smo after;
   match expected before smo after with
   | None -> ()
   | Some (Error e) ->

@@ -985,11 +985,39 @@ let test_drops_keep_not_null_written () =
       ("drop assoc WorksIn (nullable)", hr_state ~name:false ~dep:false, drop_works_in);
     ]
 
+(* Tag(Id, Label) mapped by two equal fragments: dropping Label leaves each
+   with only the key and implied by the other, and [Fragments.remove] takes
+   both, so Tag keeps no fragment.  DropProperty's coverage step, which
+   runs only after a removal, refuses the drop naming the uncovered key. *)
+let test_drop_property_twins () =
+  let client =
+    ok_exn
+      (Edm.Schema.add_root ~set:"Tags"
+         (Edm.Entity_type.root ~name:"Tag" ~key:[ "Id" ] [ ("Id", D.Int); ("Label", D.String) ])
+         Edm.Schema.empty)
+  in
+  let store =
+    ok_exn
+      (Relational.Schema.add_table
+         (T.make ~name:"TagT" ~key:[ "Id" ] [ ("Id", D.Int, `Not_null); ("Label", D.String, `Null) ])
+         Relational.Schema.empty)
+  in
+  let f =
+    F.entity ~set:"Tags" ~cond:(C.Is_of "Tag") ~table:"TagT" [ ("Id", "Id"); ("Label", "Label") ]
+  in
+  let frags = Mapping.Fragments.of_list [ f; { f with pairs = f.pairs } ] in
+  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  match Core.Engine.apply st (Core.Smo.Drop_property { etype = "Tag"; attr = "Label" }) with
+  | Ok _ -> Alcotest.fail "accepted, leaving Tag unmapped"
+  | Error e ->
+      let msg = show_v e in
+      if not (contains ~sub:"attribute Id of entity type Tag is not covered" msg) then
+        Alcotest.failf "%S is not the coverage failure" msg
+
 (* -- Refactor ------------------------------------------------------------------- *)
 
-(* Departments 1-0..1 Managers: refactor Manager under Department, whose
-   fragment holds [dept_cond]. *)
-let refactor_heads ~dept_cond () =
+(* Departments 1-0..1 Managers, Dept's fragment holding [dept_cond]. *)
+let heads_state ~dept_cond =
   let client =
     ok_exn
       (Edm.Schema.add_root ~set:"Depts"
@@ -1034,7 +1062,11 @@ let refactor_heads ~dept_cond () =
           [ ("Dept.Did", "Did"); ("Mgr.Mid", "Mid") ];
       ]
   in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags)
+
+(* Refactor Manager under Department. *)
+let refactor_heads ~dept_cond () =
+  let st = heads_state ~dept_cond in
   let smo = Core.Smo.Refactor { assoc = "Heads" } in
   let st' = ok_v (Core.Engine.apply st smo) in
   Recompile.check "refactor Heads" st smo st';
@@ -1055,6 +1087,27 @@ let refactor_heads ~dept_cond () =
   st'
 
 let test_refactor () = ignore (refactor_heads ~dept_cond:(C.Is_of "Dept") ())
+
+(* Each shrinking SMO emits only what its change can break (DESIGN §2):
+   DropEntity and DropProperty nothing, DropAssociation the foreign keys
+   over the columns its fragment wrote, Refactor every foreign key of the
+   absorbed subtree's table. *)
+let test_drop_obligations () =
+  let names st smo =
+    match Core.Engine.compile st smo with
+    | Ok (_, obls) -> List.map Containment.Obligation.name obls
+    | Error e -> Alcotest.failf "%s: %s" (Core.Smo.show smo) (show_v e)
+  in
+  let pins st smo expected =
+    check Alcotest.(list string) (Core.Smo.show smo ^ " obligations") expected (names st smo)
+  in
+  let _, _, st3, _ = Lazy.force paper_states in
+  pins st3 (Core.Smo.Drop_entity { etype = "Customer" }) [];
+  pins st3 (Core.Smo.Drop_property { etype = "Employee"; attr = "Department" }) [];
+  pins (hr_state ~name:false ~dep:false) (Core.Smo.Drop_association { assoc = "WorksIn" })
+    [ "fk:HR(Dep)->DeptT" ];
+  pins (heads_state ~dept_cond:(C.Is_of "Dept")) (Core.Smo.Refactor { assoc = "Heads" })
+    [ "fk:MgrT(Did)->DeptT" ]
 
 (* Dept's [IS OF (ONLY Dept)] widens to admit Mgr, as Algorithm 2 widens
    the parent's ONLY conditions, and the other fragments keep theirs. *)
@@ -1371,9 +1424,12 @@ let () =
           Alcotest.test_case "drop entity" `Quick test_drop_entity;
           Alcotest.test_case "drops keep NOT NULL columns written" `Quick
             test_drops_keep_not_null_written;
+          Alcotest.test_case "drop property from twin fragments" `Quick test_drop_property_twins;
           Alcotest.test_case "refactor association" `Quick test_refactor;
           Alcotest.test_case "refactor widens ONLY conditions" `Quick test_refactor_widens_only;
           Alcotest.test_case "refactor with a subtree" `Quick test_refactor_subtree;
+          Alcotest.test_case "each drop emits only what it can break" `Quick
+            test_drop_obligations;
         ] );
       ( "facets",
         [

@@ -67,7 +67,11 @@ let test_well_formed_negatives () =
   let dup_assoc =
     Mapping.Fragments.of_list [ P.phi4; P.phi4 ]
   in
-  check_error "association mapped twice" (Mapping.Fragments.well_formed env dup_assoc);
+  check
+    Alcotest.(result unit string)
+    "association mapped twice"
+    (Error "association set Supports is mentioned by more than one fragment")
+    (Mapping.Fragments.well_formed env dup_assoc);
   (* A join table whose string columns cannot hold the two int endpoint keys. *)
   let mentors =
     { Edm.Association.name = "Mentors"; end1 = "Employee"; end2 = "Customer";

@@ -469,11 +469,12 @@ let test_canonical_form () =
     [ ("paper", paper_state); ("chain-5", chain5_evolved); ("customer", customer_state) ]
 
 (* Documents written by an earlier build of [imcc]: [compile -m paper
-   --no-validate] (three [foj]), and [compile -f
+   --no-validate] (three [foj]), [compile -f
    examples/models/paper_stage1.imc] then [evolve --script
-   examples/models/paper_changes.smo] ([join], [loj] and [union]).  The
+   examples/models/paper_changes.smo] ([join], [loj] and [union]), and that
+   state evolved by [examples/models/paper_drops.smo].  The
    encoder and its tree-walk oracle change together, so only a committed
-   file pins the format itself.  CI also rebuilds both with the CLI and
+   file pins the format itself.  CI also rebuilds them with the CLI and
    [cmp]s them with these files, so they must track the current build's
    output: an intended change of that output regenerates them, and from
    then on they pin the new output's format. *)
@@ -484,7 +485,7 @@ let test_committed_documents () =
     (fun file ->
       let text = In_channel.with_open_bin (Filename.concat states_dir file) In_channel.input_all in
       checkb (file ^ ": save (load t) = t") true (save (ok_exn (load text)) = text))
-    [ "paper.imcs"; "paper_evolved.imcs" ]
+    [ "paper.imcs"; "paper_evolved.imcs"; "paper_dropped.imcs" ]
 
 let test_customer_roundtrip () =
   let st = Lazy.force customer_state in
