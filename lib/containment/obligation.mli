@@ -27,7 +27,6 @@ val discharged : Obs.Metric.counter
 (** ["containment.obligations"]: obligations passed to {!discharge}. *)
 
 val name : t -> string
-val on_fail : t -> string
 
 val discharge :
   prove:(Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result) ->

@@ -12,17 +12,11 @@ let with_smo smo t = { t with smo = Some smo }
 
 let message t = t.message
 let obligation t = t.obligation
-let smo t = t.smo
 
 (* [show] is the legacy rendering: exactly the human message, so every
    pre-existing consumer that printed the stringly error keeps producing the
    same bytes.  The structured fields travel alongside for programmatic
-   consumers ([pp] shows them). *)
+   consumers. *)
 let show t = t.message
 
 let lift r = Result.map_error msg r
-
-let pp fmt t =
-  (match t.smo with Some s -> Format.fprintf fmt "[%s] " s | None -> ());
-  (match t.obligation with Some o -> Format.fprintf fmt "{%s} " o | None -> ());
-  Format.pp_print_string fmt t.message

@@ -17,9 +17,6 @@ type t = {
   message : string;            (** the human-readable failure *)
 }
 
-val msg : string -> t
-(** An unstructured failure — the adapter for legacy string errors. *)
-
 val msgf : ('a, Format.formatter, unit, ('b, t) result) format4 -> 'a
 (** [msgf fmt ...] is [Error (msg (sprintf fmt ...))] — the drop-in
     replacement for the algorithms' local [fail]. *)
@@ -32,13 +29,9 @@ val with_smo : string -> t -> t
 
 val message : t -> string
 val obligation : t -> string option
-val smo : t -> string option
 
 val show : t -> string
 (** The bare message — identical to the pre-structured error strings. *)
 
 val lift : ('a, string) result -> ('a, t) result
 (** Adapt a string-error result from the lower layers. *)
-
-val pp : Format.formatter -> t -> unit
-(** Message with provenance: [[smo] {obligation} message]. *)

@@ -39,9 +39,7 @@ let apply (st : State.t) ~assoc ~table ~fmap =
      checker). *)
   let* obls =
     Algo.span "aa-jt.validate" @@ fun () ->
-    Datum.Results.collect
-      (fun (fk : Relational.Table.foreign_key) ->
-        Algo.fk_obligations env' update_views ~table:table.Relational.Table.name fk)
-      table.Relational.Table.fks
+    Algo.image_fk_obligations env' fragments update_views ~table:table.Relational.Table.name
+      ~columns:(List.map snd fmap)
   in
   Ok ({ State.env = env'; fragments; query_views; update_views }, obls)

@@ -127,9 +127,7 @@ let apply (st : State.t) ~entity ~p_ref ~parts =
   let* () = Algo.assoc_rows_keep_entities env' st'.State.fragments ~e ~etypes:between in
   (* Validation (Section 3.1.4), as one batch: checks 1 and 2 on the types
      between E and P, then check 3, the foreign keys of each new table that
-     meet f(αᵢ) — the 2^n checks of the AEP-np benchmarks.  Any other
-     foreign-key column lies outside f's image, so it is nullable and the
-     update view pads it with NULL, which simple-match exempts. *)
+     meet f(αᵢ) — the 2^n checks of the AEP-np benchmarks. *)
   let uv' = st'.State.update_views in
   Algo.span "aep.validate" @@ fun () ->
   let* check1 = Algo.assoc_endpoint_obligations env' st'.State.fragments uv' ~etypes:between in
@@ -137,13 +135,8 @@ let apply (st : State.t) ~entity ~p_ref ~parts =
   let* check3 =
     Datum.Results.collect
       (fun pt ->
-        let f_alpha = List.map snd pt.part_fmap in
-        Datum.Results.collect
-          (fun (fk : Relational.Table.foreign_key) ->
-            if List.exists (fun c -> List.mem c f_alpha) fk.fk_columns then
-              Algo.fk_obligations env' uv' ~table:pt.part_table.Relational.Table.name fk
-            else Ok [])
-          pt.part_table.Relational.Table.fks)
+        Algo.image_fk_obligations env' st'.State.fragments uv'
+          ~table:pt.part_table.Relational.Table.name ~columns:(List.map snd pt.part_fmap))
       parts
   in
   Ok (st', check1 @ check2 @ check3)

@@ -116,14 +116,7 @@ let apply (st : State.t) ~entity ~table ~fmap ~discriminator:(disc, disc_value) 
   let update_views = Query.View.set_table_view table qt narrowed in
   (* Remaining validation: foreign keys of T touching f(att(E)), and
      associations on the ancestors (the new entities join their sets). *)
-  let* fk_obls =
-    Datum.Results.collect
-      (fun (fk : Relational.Table.foreign_key) ->
-        if List.exists (fun c -> List.mem c image) fk.fk_columns then
-          Algo.fk_obligations env' update_views ~table fk
-        else Ok [])
-      tbl.Relational.Table.fks
-  in
+  let* fk_obls = Algo.image_fk_obligations env' fragments update_views ~table ~columns:image in
   let* assoc_obls =
     Algo.assoc_endpoint_obligations env' fragments update_views
       ~etypes:(Edm.Schema.ancestors client' e)

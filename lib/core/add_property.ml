@@ -114,7 +114,8 @@ let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
   in
   (* Update view of the target table: a new table's is the fragment's
      NULL-padded update side, an existing one's gains it through a left
-     outer join on the table key. *)
+     outer join on the table key, less the old view's NULL padding of a
+     re-used column (the store is unchanged exactly then). *)
   let* update_views =
     Algo.span "ap.update-views" @@ fun () ->
     let* qt =
@@ -124,20 +125,22 @@ let apply (st : State.t) ~etype ~attr:(a, dom) ~target =
           match Query.View.table_view st.State.update_views table with
           | None -> fail "table %s has no update view" table
           | Some qt ->
-              let tkey = (Relational.Schema.get_table store' table).Relational.Table.key in
-              Ok (Query.Algebra.Join (Query.Join.Left, qt, Mapping.Fragment.update_side phi, tkey)))
+              let tbl = Relational.Schema.get_table store' table in
+              let keep = List.filter (( <> ) column) (Relational.Table.column_names tbl) in
+              let reused = store' == st.State.env.Query.Env.store in
+              let qt = if reused then Query.Algebra.project_cols keep qt else qt in
+              let side = Mapping.Fragment.update_side phi in
+              Ok (Query.Algebra.Join (Query.Join.Left, qt, side, tbl.Relational.Table.key)))
     in
     Ok (Query.View.set_table_view table qt st.State.update_views)
   in
-  (* Validation: foreign keys of a new property table. *)
+  (* Validation: the foreign keys of the target table over the columns the
+     new fragment fills (only the property's, in an existing table). *)
   let* obls =
     Algo.span "ap.validate" @@ fun () ->
-    match mode with
-    | `Existing -> Ok []
-    | `New tbl ->
-        Datum.Results.collect
-          (fun (fk : Relational.Table.foreign_key) ->
-            Algo.fk_obligations env' update_views ~table:tbl.Relational.Table.name fk)
-          tbl.Relational.Table.fks
+    let columns =
+      match mode with `New _ -> column :: List.map snd key_pairs | `Existing -> [ column ]
+    in
+    Algo.image_fk_obligations env' fragments update_views ~table ~columns
   in
   Ok ({ State.env = env'; fragments; query_views; update_views }, obls)

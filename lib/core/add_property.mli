@@ -7,8 +7,11 @@
     by left-outer-joining the property column on the hierarchy key and
     extending the affected constructor leaves; the target table's update
     view gains the property through an outer join with
-    [σ(IS OF E)(entity set)].  A new property table's foreign keys are
-    returned as obligations, for {!Engine.apply} to discharge. *)
+    [σ(IS OF E)(entity set)], after dropping a re-used column's NULL
+    padding.  The target table's foreign keys over the columns the new
+    fragment writes (all of a new table's, the property's column of an
+    existing one) are returned as obligations, for {!Engine.apply} to
+    discharge ({!Algo.image_fk_obligations}). *)
 
 type target =
   | To_existing_table of { table : string; column : string }

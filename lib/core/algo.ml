@@ -257,15 +257,21 @@ let assoc_rows_keep_entities env frags ~e ~etypes =
         (Edm.Schema.associations_on client etype))
     etypes
 
-let image_fk_obligations env uv (frag : Mapping.Fragment.t) =
-  let table = frag.Mapping.Fragment.table in
+(* An FK of [table] that meets none of [columns] keeps its proof; one with
+   a column no fragment of [frags] writes holds in every row, since that
+   column is NULL there and simple match exempts the row (DESIGN §2). *)
+let image_fk_obligations env frags uv ~table ~columns =
   match Relational.Schema.find_table env.Query.Env.store table with
   | None -> Ok []
   | Some tbl ->
+      let on = Mapping.Fragments.on_table frags table in
+      let written c = List.exists (fun f -> Mapping.Coverage.writes f c) on in
       Datum.Results.collect
         (fun (fk : Relational.Table.foreign_key) ->
-          if List.exists (Mapping.Fragment.mem_col frag) fk.fk_columns then
-            fk_obligations env uv ~table fk
+          if
+            List.exists (fun c -> List.mem c columns) fk.fk_columns
+            && List.for_all written fk.fk_columns
+          then fk_obligations env uv ~table fk
           else Ok [])
         tbl.Relational.Table.fks
 
@@ -277,30 +283,17 @@ let assoc_table_fk_obligations env frags uv ~etypes =
         (fun (a : Edm.Association.t) ->
           match Mapping.Fragments.of_assoc frags a.Edm.Association.name with
           | [] -> Ok []
-          | frag :: _ -> image_fk_obligations env uv frag)
+          | frag :: _ ->
+              image_fk_obligations env frags uv ~table:frag.Mapping.Fragment.table
+                ~columns:(Mapping.Fragment.cols frag))
         (Edm.Schema.associations_on client etype))
     etypes
 
-let shrink (before : State.t) env fragments query_views ~set ~regenerate =
+let shrink (before : State.t) env fragments query_views ~set ~tables =
   span "algo.shrink" @@ fun () ->
-  let set_tables frags =
-    match set with
-    | None -> []
-    | Some set ->
-        List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table)
-          (Mapping.Fragments.of_set frags set)
-  in
-  let mapped t = Mapping.Fragments.on_table fragments t <> [] in
-  (* Every fragment a shrinking SMO removes lies on a table of [set] or of
-     [regenerate] (DESIGN §2), so only those tables can be left unmapped. *)
-  let update_views =
-    List.fold_left
-      (fun uv t -> if mapped t then uv else Query.View.remove_table_view t uv)
-      before.State.update_views
-      (set_tables before.State.fragments @ regenerate)
-  in
-  let regenerated =
-    List.sort_uniq String.compare (set_tables fragments @ List.filter mapped regenerate)
+  let tables = List.sort_uniq String.compare tables in
+  let mapped, unmapped =
+    List.partition (fun t -> Mapping.Fragments.on_table fragments t <> []) tables
   in
   let* () =
     Datum.Results.all_ok
@@ -309,7 +302,7 @@ let shrink (before : State.t) env fragments query_views ~set ~regenerate =
         match Option.map unwritten (Relational.Schema.find_table env.Query.Env.store t) with
         | Some (c :: _) -> fail "non-nullable column %s.%s would be written by no fragment" t c
         | Some [] | None -> Ok ())
-      regenerated
+      mapped
   in
   let* query_views =
     match set with
@@ -321,12 +314,14 @@ let shrink (before : State.t) env fragments query_views ~set ~regenerate =
              (fun acc (ty, v) -> Query.View.set_entity_view ty v acc)
              query_views views)
   in
+  Obs.Span.tag "views_visited" (List.length tables);
+  let orphaned = List.fold_left (Fun.flip Query.View.remove_table_view) before.State.update_views unmapped in
   let* update_views =
     List.fold_left
       (fun acc table ->
         let* acc = acc in
         let* v = lift (Fullc.Update_views.for_table env fragments ~table) in
         Ok (Query.View.set_table_view table v acc))
-      (Ok update_views) regenerated
+      (Ok orphaned) mapped
   in
   Ok { State.env; fragments; query_views; update_views }

@@ -127,34 +127,47 @@ val assoc_rows_keep_entities :
     then be a row no entity accounts for, so the SMO aborts.  A structural
     check: it emits no obligation. *)
 
+(** {2 What an SMO rebuilds and re-proves}
+
+    An SMO rebuilds the update views of exactly the tables whose fragments
+    it added, removed or changed, and re-proves exactly the foreign keys of
+    those tables that meet the columns it changed (DESIGN §2). *)
+
 val image_fk_obligations :
-  Query.Env.t -> Query.View.update_views -> Mapping.Fragment.t ->
+  Query.Env.t -> Mapping.Fragments.t -> Query.View.update_views -> table:string ->
+  columns:string list ->
   (Containment.Obligation.t list, Containment.Validation_error.t) result
-(** The {!fk_obligations} of each foreign key of the fragment's table over
-    a column the fragment maps, under the given update views. *)
+(** [image_fk_obligations env frags uv ~table ~columns]: the
+    {!fk_obligations} under [uv] of each foreign key of [table] that meets
+    [columns], the columns the SMO changed, and whose every column some
+    fragment of [table] in [frags] writes ({!Mapping.Coverage.writes}).  A
+    foreign key that meets none of [columns] keeps its proof; one with a
+    column no fragment writes holds, since that column is NULL in every row
+    of the update view and simple match exempts the row. *)
 
 val assoc_table_fk_obligations :
   Query.Env.t -> Mapping.Fragments.t -> Query.View.update_views -> etypes:string list ->
   (Containment.Obligation.t list, Containment.Validation_error.t) result
 (** Obligations for check 2 of Section 3.1.4, for every association having
     one of the given types as an endpoint: the {!image_fk_obligations} of
-    the association's fragment under the new update views. *)
+    the association fragment's table over the fragment's columns, under the
+    new update views. *)
 
 val shrink :
   State.t -> Query.Env.t -> Mapping.Fragments.t -> Query.View.query_views ->
-  set:string option -> regenerate:string list ->
+  set:string option -> tables:string list ->
   (State.t, Containment.Validation_error.t) result
-(** [shrink before env frags qv ~set ~regenerate]: the regeneration step
-    of the SMOs that shrink the mapping, given the shrunken schemas,
-    fragments and query views, the entity set whose views regenerate, if
-    any, and the other tables whose update views regenerate.  It drops the
-    update view of every table of [before]'s fragments of [set], and of
-    [regenerate], that no fragment of [frags] maps: every fragment a
-    shrinking SMO removes lies on one of those tables (DESIGN §2).  A
-    non-nullable column of a regenerated table that no fragment writes
+(** [shrink before env frags qv ~set ~tables]: the view step of the SMOs
+    that shrink the mapping, given the shrunken schemas, fragments and
+    query views, the entity set whose query views regenerate, if any, and
+    the tables of the fragments the SMO removed or replaced.  Of those
+    tables, each that no fragment of [frags] maps loses its update view;
+    for each other, a non-nullable column that no fragment writes
     ({!Mapping.Coverage.unwritten_not_null}) is an immediate error naming
-    the table and the column.  Then [set]'s query views regenerate with
-    [Fullc.Query_views.for_set], and the update views of [set]'s tables
-    and of the still-mapped [regenerate] with
-    [Fullc.Update_views.for_table].  It emits no obligation: each SMO
-    emits those its change can break (DESIGN §2). *)
+    the table and the column, and otherwise its update view rebuilds with
+    [Fullc.Update_views.for_table].  Every other update view stays
+    physically the same: [for_table] reads only the table and its
+    fragments, so it is the view a rebuild would make.  [set]'s query views
+    regenerate with [Fullc.Query_views.for_set].  The span is tagged
+    [views_visited] with the number of update views rebuilt or removed.  It
+    emits no obligation: each SMO emits those its change can break. *)

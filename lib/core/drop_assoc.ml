@@ -15,17 +15,17 @@ let apply (st : State.t) ~assoc =
   Obs.Span.tag "fragments_visited" 1;
   let fragments = Mapping.Fragments.remove frag st.State.fragments in
   (* A pure join table loses its view; any other table's update view
-     regenerates from its remaining fragments. *)
+     rebuilds from its remaining fragments. *)
   let* st' =
     Algo.shrink st env' fragments
       (Query.View.remove_assoc_view assoc st.State.query_views)
-      ~set:None ~regenerate:[ table ]
+      ~set:None ~tables:[ table ]
   in
   (* Only the columns the fragment wrote change; the checker reads no
      multiplicity, so the proofs of the table's other foreign keys covered
      states without the association's links already (DESIGN §2). *)
-  let uv = st'.State.update_views in
   let* obls =
-    if Query.View.table_view uv table = None then Ok [] else Algo.image_fk_obligations env' uv frag
+    Algo.image_fk_obligations env' fragments st'.State.update_views ~table
+      ~columns:(Mapping.Fragment.cols frag)
   in
   Ok (st', obls)

@@ -24,19 +24,21 @@ let apply (st : State.t) ~etype =
   in
   let* client' = Algo.lift (Edm.Schema.remove_type etype client) in
   (* Only a fragment whose condition names [etype] can change. *)
-  let fragments =
+  let visited, fragments =
     Algo.span "drop-entity.fragments" @@ fun () ->
     let visited = Mapping.Fragments.naming st.State.fragments [ etype ] in
     Obs.Span.tag "fragments_visited" (List.length visited);
-    List.fold_left
-      (fun acc (f : Mapping.Fragment.t) ->
-        let cond = erase_type ~e:etype f.Mapping.Fragment.client_cond in
-        if Query.Cond.equal cond Query.Cond.False then Mapping.Fragments.remove f acc
-        else Mapping.Fragments.replace f { f with Mapping.Fragment.client_cond = cond } acc)
-      st.State.fragments visited
+    ( visited,
+      List.fold_left
+        (fun acc (f : Mapping.Fragment.t) ->
+          let cond = erase_type ~e:etype f.Mapping.Fragment.client_cond in
+          if Query.Cond.equal cond Query.Cond.False then Mapping.Fragments.remove f acc
+          else Mapping.Fragments.replace f { f with Mapping.Fragment.client_cond = cond } acc)
+        st.State.fragments visited )
   in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
-  (* The set's views regenerate; the drop can break no proof (DESIGN §2). *)
+  (* The drop can break no proof (DESIGN §2). *)
   Algo.shrink st env' fragments
     (Query.View.remove_entity_view etype st.State.query_views)
-    ~set:(Some set) ~regenerate:[]
+    ~set:(Some set)
+    ~tables:(List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table) visited)

@@ -8,8 +8,9 @@
     e.g. [IS OF (ONLY P) ∨ IS OF E] reverts to [IS OF (ONLY P)].  Tables
     that lose all their fragments lose their update views (the tables
     themselves stay in the store; dropping data is not the compiler's
-    call).  Views of the affected entity set are regenerated from its
-    remaining fragments — the neighborhood — by {!Algo.shrink}.  No
+    call).  The query views of the affected entity set regenerate from its
+    remaining fragments, and only the update views of the changed
+    fragments' tables rebuild — the neighborhood — by {!Algo.shrink}.  No
     obligation is emitted: every client state of the new schema is one of
     the old, on which each fragment condition holds as before, so every
     update view yields the rows it did and every foreign key proven before

@@ -19,7 +19,7 @@ let apply (st : State.t) ~etype ~attr =
       (Mapping.Fragments.of_set st.State.fragments set)
   in
   let key = Edm.Schema.key_of client etype in
-  let fragments, removed =
+  let visited, (fragments, removed) =
     Algo.span "drop-property.fragments" @@ fun () ->
     let before = st.State.fragments in
     (* Another fragment with [f]'s source, conditions and table whose pairs
@@ -38,16 +38,17 @@ let apply (st : State.t) ~etype ~attr =
         (Mapping.Fragments.of_set before set)
     in
     Obs.Span.tag "fragments_visited" (List.length visited);
-    List.fold_left
-      (fun (acc, removed) (f : Mapping.Fragment.t) ->
-        let pairs = List.remove_assoc attr f.Mapping.Fragment.pairs in
-        (* A fragment left with nothing but the key still says which
-           entities the table holds, and so which types they have; drop it
-           only when another fragment says the same. *)
-        if List.for_all (fun (a, _) -> List.mem a key) pairs && implied f pairs then
-          (Mapping.Fragments.remove f acc, true)
-        else (Mapping.Fragments.replace f { f with Mapping.Fragment.pairs } acc, removed))
-      (before, false) visited
+    ( visited,
+      List.fold_left
+        (fun (acc, removed) (f : Mapping.Fragment.t) ->
+          let pairs = List.remove_assoc attr f.Mapping.Fragment.pairs in
+          (* A fragment left with nothing but the key still says which
+             entities the table holds, and so which types they have; drop
+             it only when another fragment says the same. *)
+          if List.for_all (fun (a, _) -> List.mem a key) pairs && implied f pairs then
+            (Mapping.Fragments.remove f acc, true)
+          else (Mapping.Fragments.replace f { f with Mapping.Fragment.pairs } acc, removed))
+        (before, false) visited )
   in
   let env' = Query.Env.make ~client:client' ~store:st.State.env.Query.Env.store in
   (* Every concrete type of the hierarchy must still be covered.  Only a
@@ -65,4 +66,5 @@ let apply (st : State.t) ~etype ~attr =
   (* The drop's only store effect is NULL in non-key columns, which no
      foreign key can object to: simple-match exempts NULL references, and a
      foreign key references a key.  So no foreign key is re-proved. *)
-  Algo.shrink st env' fragments st.State.query_views ~set:(Some set) ~regenerate:[]
+  Algo.shrink st env' fragments st.State.query_views ~set:(Some set)
+    ~tables:(List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table) visited)

@@ -10,9 +10,10 @@
     alone may tell the type's entities apart (a TPT type's own table).
     When the surgery removes a fragment, the coverage of every concrete type
     of the hierarchy is re-checked; a kept fragment loses only the
-    attribute's pair, which uncovers no other attribute (DESIGN §2).  Views
-    of the affected set regenerate from the adapted fragments (the
-    neighborhood) through {!Algo.shrink}, which refuses the drop when it
+    attribute's pair, which uncovers no other attribute (DESIGN §2).  The
+    query views of the affected set regenerate from the adapted fragments,
+    and the update views of the changed fragments' tables rebuild (the
+    neighborhood), through {!Algo.shrink}, which refuses the drop when it
     leaves a non-nullable column unwritten.  No obligation is emitted: the
     drop only turns non-key columns NULL, simple-match foreign keys exempt
     NULL references, and a foreign key can reference only a key. *)

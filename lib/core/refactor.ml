@@ -56,7 +56,8 @@ let apply (st : State.t) ~assoc =
      f(PK1); E1-side ONLY conditions widen to admit the subtree; the
      association fragment disappears. *)
   let key_pairs = List.combine key1 f_pk1 in
-  let fragments =
+  let widen = Algo.widen_only_p ~p:e1 ~e:e2 in
+  let widened, fragments =
     Algo.span "refactor.fragments" @@ fun () ->
     let moved =
       List.fold_left
@@ -74,7 +75,12 @@ let apply (st : State.t) ~assoc =
         (Mapping.Fragments.remove assoc_frag st.State.fragments)
         e2_frags
     in
-    Algo.adapt_fragments ~types:[ e1 ] (Algo.widen_only_p ~p:e1 ~e:e2) moved
+    let widened =
+      List.filter
+        (fun (f : Mapping.Fragment.t) -> widen f.Mapping.Fragment.client_cond != f.client_cond)
+        (Mapping.Fragments.naming moved [ e1 ])
+    in
+    (widened, Algo.adapt_fragments ~types:[ e1 ] widen moved)
   in
   (* Coverage of the reparented subtree (inherited attributes included). *)
   let* () =
@@ -83,12 +89,13 @@ let apply (st : State.t) ~assoc =
       (fun ty -> Algo.lift (Mapping.Coverage.attribute_coverage env' fragments ~etype:ty))
       (Edm.Schema.subtypes client' e2)
   in
-  (* Views: drop the association view, then regenerate the merged
-     hierarchy and the subtree's table. *)
+  (* Views: drop the association view, regenerate the merged hierarchy and
+     rebuild the tables of the moved and widened fragments. *)
   let* st' =
     Algo.shrink st env' fragments
       (Query.View.remove_assoc_view assoc st.State.query_views)
-      ~set:(Some set1) ~regenerate:[ t2 ]
+      ~set:(Some set1)
+      ~tables:(t2 :: List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table) widened)
   in
   (* The foreign keys of the subtree's table must keep resolving: the
      refactored schema has client states the old one had not. *)

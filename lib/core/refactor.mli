@@ -7,8 +7,10 @@
     move into [E1]'s entity set, keyed by the inherited key through the
     columns that previously stored the association ([f(PK₁)] in [E2]'s
     table); [IS OF (ONLY E1)] conditions widen to admit the new subtype
-    (Σ*-style, {!Algo.adapt_fragments}).  Views of the merged hierarchy
-    are regenerated from the adapted fragments (the neighborhood); coverage
+    (Σ*-style, {!Algo.adapt_fragments}).  The query views of the merged
+    hierarchy regenerate from the adapted fragments, and the update views
+    of the subtree's table and of the widened fragments' tables rebuild
+    (the neighborhood); coverage
     of the reparented subtree is re-validated, and every foreign key of the
     subtree's table is returned as an obligation for {!Engine.apply} to
     discharge: the merged hierarchy has client states the old schema had

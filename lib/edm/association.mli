@@ -23,7 +23,6 @@ type t = {
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val show : t -> string
 val pp_multiplicity : Format.formatter -> multiplicity -> unit
 

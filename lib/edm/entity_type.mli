@@ -19,7 +19,6 @@ type t = {
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val show : t -> string
 
 val root :

@@ -345,10 +345,11 @@ let assoc_fk_diags env frags add =
             afrags)
     (Edm.Schema.associations env.Query.Env.client)
 
-let unreferenced_table_diags env frags add =
+(* [mapped] is [Fragments.tables frags]. *)
+let unreferenced_table_diags env mapped add =
   List.iter
     (fun (tbl : Relational.Table.t) ->
-      if Fragments.on_table frags tbl.name = [] then
+      if not (List.mem tbl.name mapped) then
         add
           (Diag.makef ~code:"L010" ~severity:Diag.Info ~loc:(Diag.Table tbl.name)
              "table is not mapped by any fragment"))
@@ -358,14 +359,15 @@ let model_diags hiers env frags =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   unmapped_attr_diags env frags add;
+  let mapped = Fragments.tables frags in
   List.iter
     (fun tname ->
       let on = Fragments.on_table frags tname in
       unwritten_column_diags env tname on add;
       overlap_diags hiers env tname on add)
-    (Fragments.tables frags);
+    mapped;
   assoc_fk_diags env frags add;
-  unreferenced_table_diags env frags add;
+  unreferenced_table_diags env mapped add;
   !diags
 
 (* -- The mapping analysis ------------------------------------------------- *)

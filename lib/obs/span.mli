@@ -42,8 +42,5 @@ val alloc_mb : t -> float
 (** Duration minus the summed durations of direct children. *)
 val self_s : t -> float
 
-(** Pre-order fold over a span and its descendants. *)
-val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
-
-(** [fold] over every completed root. *)
+(** Pre-order fold over every completed root and its descendants. *)
 val fold_all : ('a -> t -> 'a) -> 'a -> 'a

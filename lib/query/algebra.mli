@@ -36,7 +36,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val equal_source : source -> source -> bool
 val compare_source : source -> source -> int
-val pp_source : Format.formatter -> source -> unit
 
 val col : string -> proj_item
 (** [col a] is [Col {src = a; dst = a}]. *)

@@ -10,7 +10,6 @@ val view : Format.formatter -> View.t -> unit
     The condition renderer of [Lint] diagnostics and of the fragment
     descriptions ([Mapping.Fragment.describe]) that error messages quote. *)
 
-val cond : Format.formatter -> Cond.t -> unit
 val cond_string : Cond.t -> string
 
 val query_views : Format.formatter -> View.query_views -> unit

@@ -11,15 +11,11 @@
     order puts every [Int] below every [Decimal], so [W > 1] on a Decimal
     [W] would otherwise hold of [W = 0.5]. *)
 
-val domain : Ast.domain -> Datum.Domain.t
-val table : Ast.table -> (Relational.Table.t, string) result
-
 val model : Ast.model -> (Query.Env.t * Mapping.Fragments.t, string) result
 (** Builds the client schema (types in dependency order), the store schema
     and the fragment set.  The result is checked with the semantic
     [well_formed] predicates before being returned. *)
 
-val smo : Ast.smo -> (Core.Smo.t, string) result
 val script : Ast.script -> (Core.Smo.t list, string) result
 
 val query : Query.Env.t -> Ast.query -> (Query.Algebra.t, string) result

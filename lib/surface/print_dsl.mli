@@ -3,8 +3,6 @@
     (tested by the roundtrip property in the surface test suite). *)
 
 val cond : Query.Cond.t -> string
-val table : Relational.Table.t -> string
-val entity_type : key:string list -> Edm.Entity_type.t -> string
 val model : Query.Env.t -> Mapping.Fragments.t -> string
 
 val smo : Core.Smo.t -> string

@@ -12,11 +12,6 @@
 
 val generate : size:int -> Query.Env.t * Mapping.Fragments.t
 
-val etype : int -> string
-(** Name of the [i]-th chain type (1-based). *)
-
-val table : int -> string
-
 val smo_suite : at:int -> (string * Core.Smo.t) list
 (** The Fig. 9 primitives, targeting the chain around position [at]:
     AE-TPT, AE-TPC, AE-TPH, AEP-1p…AEP-3p (TPT with one foreign key per

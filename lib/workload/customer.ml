@@ -283,8 +283,11 @@ let smo_suite () =
   ]
 
 let drop_suite () =
+  let ae_tpc = List.assoc "AE-TPC" (smo_suite ()) in
   [
-    ("DROP", Core.Smo.Drop_entity { etype = ty 1 20 });
-    ("DROP-P", Core.Smo.Drop_property { etype = ty 1 20; attr = attr 1 20 });
-    ("DROP-A", Core.Smo.Drop_association { assoc = "Rel27" });
+    ("DROP", [], Core.Smo.Drop_entity { etype = ty 1 20 });
+    ("DROP-P", [], Core.Smo.Drop_property { etype = ty 1 20; attr = attr 1 20 });
+    ("DROP-A", [], Core.Smo.Drop_association { assoc = "Rel27" });
+    ("DROP-TPH", [], Core.Smo.Drop_entity { etype = ty 2 20 });
+    ("DROP-TPC", [ ae_tpc ], Core.Smo.Drop_entity { etype = "CNewTpc" });
   ]

@@ -20,7 +20,9 @@ val stats : unit -> string
 val smo_suite : unit -> (string * Core.Smo.t) list
 (** The Fig. 10 primitives over this model, labelled as in the figure. *)
 
-val drop_suite : unit -> (string * Core.Smo.t) list
-(** Three shrinking SMOs over this model: [DROP] drops a leaf of the
-    95-type TPT hierarchy (Set1), [DROP-P] that leaf's attribute, and
-    [DROP-A] the association Rel27. *)
+val drop_suite : unit -> (string * Core.Smo.t list * Core.Smo.t) list
+(** Shrinking SMOs, each with the {!smo_suite} SMOs that make its state
+    from the compiled model: [DROP] drops a leaf of the 95-type TPT
+    hierarchy (Set1), [DROP-P] that leaf's attribute, [DROP-A] the
+    association Rel27, [DROP-TPH] a leaf of the TPH hierarchy Set2, and
+    [DROP-TPC] the TPC type AE-TPC adds below Set4. *)

@@ -4,9 +4,13 @@
    - the fragments of DropEntity, DropProperty and Refactor as each rebuilt
      the whole container from [to_list] before it edited the container in
      place ([rebuilt]);
-   - the view regeneration as each did it before they shared
-     [Core.Algo.shrink]: [drop_orphans] and [recompile_set] are the former
-     [Algo.drop_orphaned_views] and [Algo.recompile_set].
+   - the view regeneration: the set's query views as the full compiler
+     regenerates them ([recompile_set], the former [Algo.recompile_set]),
+     and each update view by the rebuild rule ([check_update_views]): a
+     table whose fragments the SMO left alone keeps its view physically,
+     and a table whose fragments it changed has the view
+     [Fullc.Update_views.for_table] regenerates, or none when it has no
+     fragment left;
 
    - the proofs each emitted when the shared tail re-proved every foreign
      key of the tables it regenerated ([unsliced_fk_obligations]), and
@@ -15,9 +19,11 @@
    [check] holds an accepted shrinking SMO against all three: its fragments
    are the rebuild's, in order, physically the same wherever the rebuild
    left one alone, with every lookup as recomputed
-   ({!Adapt_walk.lookups}); its views are the reference's, binding by
-   binding; and what it no longer proves still holds.  The surgery tests
-   use [recompile_set] as the reference for AddEntityPart. *)
+   ({!Adapt_walk.lookups}); its query views are the reference's, binding
+   by binding, and its update views those of the rebuild rule; the states
+   before and after it roundtrip sampled client states; and what it no
+   longer proves still holds.  The surgery tests use [recompile_set] as
+   the reference for AddEntityPart. *)
 
 let ( let* ) = Result.bind
 let lift r = Containment.Validation_error.lift r
@@ -108,14 +114,6 @@ let check_fragments tag before smo (after : Core.State.t) =
 
 (* -- the views ---------------------------------------------------------------- *)
 
-(* Remove the update view of every table [before] maps and [frags] does
-   not. *)
-let drop_orphans ~before frags uv =
-  let after = Mapping.Fragments.tables frags in
-  List.fold_left
-    (fun uv t -> if List.mem t after then uv else Query.View.remove_table_view t uv)
-    uv (Mapping.Fragments.tables before)
-
 let recompile_table env frags ~table uv =
   let* v = lift (Fullc.Update_views.for_table env frags ~table) in
   Ok (Query.View.set_table_view table v uv)
@@ -141,41 +139,66 @@ let recompile_set env frags ~set (st : Core.State.t) =
   in
   Ok { Core.State.env; fragments = frags; query_views; update_views }
 
-(* The state [smo] had to produce from [before], given the evolved mapping
-   of [after]; [None] for an SMO that does not shrink the mapping. *)
-let expected (before : Core.State.t) smo (after : Core.State.t) =
+(* The query views [smo] had to produce from [before], given the evolved
+   mapping of [after]: the shrunken set's regenerated by the full compiler;
+   [None] for an SMO that does not shrink the mapping. *)
+let expected_query_views (before : Core.State.t) smo (after : Core.State.t) =
   let env = after.Core.State.env and frags = after.Core.State.fragments in
   let client = before.Core.State.env.Query.Env.client in
   let qv = before.Core.State.query_views in
-  let uv = drop_orphans ~before:before.Core.State.fragments frags before.Core.State.update_views in
-  let regenerate ~set query_views update_views =
-    Some (recompile_set env frags ~set { after with Core.State.query_views; update_views })
+  let regenerate ~set query_views =
+    Some
+      (Result.map
+         (fun (st : Core.State.t) -> st.Core.State.query_views)
+         (recompile_set env frags ~set { after with Core.State.query_views }))
   in
   match smo with
   | Core.Smo.Drop_entity { etype } ->
-      let set = Option.get (Edm.Schema.set_of_type client etype) in
-      regenerate ~set (Query.View.remove_entity_view etype qv) uv
+      regenerate ~set:(Option.get (Edm.Schema.set_of_type client etype))
+        (Query.View.remove_entity_view etype qv)
   | Core.Smo.Drop_property { etype; _ } ->
-      regenerate ~set:(Option.get (Edm.Schema.set_of_type client etype)) qv uv
-  | Core.Smo.Drop_association { assoc } ->
-      let t =
-        (List.hd (Mapping.Fragments.of_assoc before.Core.State.fragments assoc))
-          .Mapping.Fragment.table
-      in
-      let uv =
-        if Query.View.table_view uv t = None then Ok uv else recompile_table env frags ~table:t uv
-      in
-      Some
-        (Result.map
-           (fun update_views ->
-             { after with
-               Core.State.query_views = Query.View.remove_assoc_view assoc qv; update_views })
-           uv)
+      regenerate ~set:(Option.get (Edm.Schema.set_of_type client etype)) qv
+  | Core.Smo.Drop_association { assoc } -> Some (Ok (Query.View.remove_assoc_view assoc qv))
   | Core.Smo.Refactor { assoc } ->
       let e1 = (Option.get (Edm.Schema.find_association client assoc)).Edm.Association.end1 in
-      let set = Option.get (Edm.Schema.set_of_type env.Query.Env.client e1) in
-      regenerate ~set (Query.View.remove_assoc_view assoc qv) before.Core.State.update_views
+      regenerate
+        ~set:(Option.get (Edm.Schema.set_of_type env.Query.Env.client e1))
+        (Query.View.remove_assoc_view assoc qv)
   | _ -> None
+
+(* The update views of [after]: a table whose fragments [before] and
+   [after] share, one for one and physically, keeps its view of [before]
+   physically; a table whose fragments changed has the view the full
+   compiler regenerates from its remaining fragments, or none when it has
+   none left. *)
+let check_update_views tag (before : Core.State.t) (after : Core.State.t) =
+  let env = after.Core.State.env and frags = after.Core.State.fragments in
+  let tables (st : Core.State.t) =
+    List.map fst (Query.View.update_view_bindings st.Core.State.update_views)
+  in
+  List.iter
+    (fun t ->
+      let ours = Query.View.table_view after.Core.State.update_views t in
+      match Mapping.Fragments.on_table frags t with
+      | on when List.equal ( == ) on (Mapping.Fragments.on_table before.Core.State.fragments t) ->
+          Alcotest.check Alcotest.bool
+            (tag ^ ": update view of " ^ t ^ ", whose fragments stay, stays physically the same")
+            true
+            (match Query.View.table_view before.Core.State.update_views t, ours with
+            | Some v, Some w -> v == w
+            | None, None -> true
+            | Some _, None | None, Some _ -> false)
+      | [] ->
+          Alcotest.check Alcotest.bool (tag ^ ": " ^ t ^ ", left without a fragment, has no update view")
+            true (ours = None)
+      | _ -> (
+          match Fullc.Update_views.for_table env frags ~table:t, ours with
+          | Ok v, Some w ->
+              Alcotest.check Alcotest.bool (tag ^ ": rebuilt update view of " ^ t ^ " as the reference")
+                true (Query.Algebra.equal v w)
+          | Ok _, None -> Alcotest.failf "%s: %s lost its update view" tag t
+          | Error e, _ -> Alcotest.failf "%s: reference regeneration of %s failed: %s" tag t e))
+    (List.sort_uniq String.compare (tables before @ tables after))
 
 (* -- the proofs ---------------------------------------------------------------- *)
 
@@ -229,14 +252,10 @@ let check_unproven tag (before : Core.State.t) smo (after : Core.State.t) =
         (Edm.Schema.subtypes client (Edm.Schema.root_of client etype))
   | _ -> ()
 
-let entity_bindings (st : Core.State.t) =
-  List.map (fun (n, v) -> ("entity " ^ n, v)) (Query.View.entity_view_bindings st.Core.State.query_views)
+let entity_bindings qv =
+  List.map (fun (n, v) -> ("entity " ^ n, v)) (Query.View.entity_view_bindings qv)
 
-let assoc_bindings (st : Core.State.t) =
-  List.map (fun (n, q) -> ("assoc " ^ n, q)) (Query.View.assoc_view_bindings st.Core.State.query_views)
-
-let update_bindings (st : Core.State.t) =
-  List.map (fun (n, q) -> ("table " ^ n, q)) (Query.View.update_view_bindings st.Core.State.update_views)
+let assoc_bindings qv = List.map (fun (n, q) -> ("assoc " ^ n, q)) (Query.View.assoc_view_bindings qv)
 
 (* The same names in the same order, and equal views under each. *)
 let same_bindings tag equal ours theirs =
@@ -247,18 +266,30 @@ let same_bindings tag equal ours theirs =
     (fun (n, v) (_, w) -> Alcotest.check Alcotest.bool (tag ^ ": " ^ n ^ " as the reference") true (equal v w))
     ours theirs
 
+(* A few sampled client states of each state roundtrip through its views. *)
+let check_roundtrips tag (st : Core.State.t) =
+  match
+    Roundtrip.Check.roundtrips st.Core.State.env st.Core.State.query_views
+      st.Core.State.update_views ~samples:2 ~entities_per_set:3 ()
+  with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "%s: %a" tag Roundtrip.Check.pp_failure f
+
 (* The fragments and views of [after], the state [smo] produced from
-   [before], are the rebuild's and the reference's, and what [smo] no
-   longer proves holds. *)
+   [before], are the rebuild's and the reference's, both states roundtrip,
+   and what [smo] no longer proves holds. *)
 let check tag (before : Core.State.t) smo (after : Core.State.t) =
   check_fragments tag before smo after;
   check_unproven tag before smo after;
-  match expected before smo after with
+  match expected_query_views before smo after with
   | None -> ()
   | Some (Error e) ->
       Alcotest.failf "%s: reference regeneration failed: %s" tag
         (Containment.Validation_error.show e)
   | Some (Ok reference) ->
-      same_bindings tag Query.View.equal (entity_bindings after) (entity_bindings reference);
-      same_bindings tag Query.Algebra.equal (assoc_bindings after) (assoc_bindings reference);
-      same_bindings tag Query.Algebra.equal (update_bindings after) (update_bindings reference)
+      let qv = after.Core.State.query_views in
+      same_bindings tag Query.View.equal (entity_bindings qv) (entity_bindings reference);
+      same_bindings tag Query.Algebra.equal (assoc_bindings qv) (assoc_bindings reference);
+      check_update_views tag before after;
+      check_roundtrips (tag ^ ": before") before;
+      check_roundtrips (tag ^ ": after") after

@@ -907,10 +907,11 @@ let test_drop_entity () =
 
 (* -- drops that would leave a NOT NULL column unwritten ------------------------ *)
 
-(* Person(Id, Name) in HR(Id, Name, Dep), Dept(Id) in DeptT(Id), and WorksIn
-   (every person works in one department) stored by HR.Dep -> DeptT.Id;
-   [name] and [dep] say whether HR.Name and HR.Dep are declared not null. *)
-let hr_state ~name ~dep =
+(* Person(Id, Name) in HR(Id, Name, Dep), Dept(Id) in DeptT(Id), and, when
+   [works_in], WorksIn (every person works in one department) stored by
+   HR.Dep -> DeptT.Id; [name] and [dep] say whether HR.Name and HR.Dep are
+   declared not null. *)
+let hr_state ~name ~dep ~works_in =
   let client =
     ok_exn
       (Edm.Schema.add_root ~set:"Persons"
@@ -925,11 +926,13 @@ let hr_state ~name ~dep =
          client)
   in
   let client =
-    ok_exn
-      (Edm.Schema.add_association
-         { Edm.Association.name = "WorksIn"; end1 = "Person"; end2 = "Dept";
-           mult1 = Edm.Association.Many; mult2 = Edm.Association.One }
-         client)
+    if not works_in then client
+    else
+      ok_exn
+        (Edm.Schema.add_association
+           { Edm.Association.name = "WorksIn"; end1 = "Person"; end2 = "Dept";
+             mult1 = Edm.Association.Many; mult2 = Edm.Association.One }
+           client)
   in
   let null b = if b then `Not_null else `Null in
   let store =
@@ -945,15 +948,52 @@ let hr_state ~name ~dep =
   in
   let frags =
     Mapping.Fragments.of_list
-      [
-        F.entity ~set:"Persons" ~cond:(C.Is_of "Person") ~table:"HR"
-          [ ("Id", "Id"); ("Name", "Name") ];
-        F.entity ~set:"Depts" ~cond:(C.Is_of "Dept") ~table:"DeptT" [ ("Id", "Id") ];
-        F.assoc ~assoc:"WorksIn" ~table:"HR" ~store_cond:(C.Is_not_null "Dep")
-          [ ("Person.Id", "Id"); ("Dept.Id", "Dep") ];
-      ]
+      ([
+         F.entity ~set:"Persons" ~cond:(C.Is_of "Person") ~table:"HR"
+           [ ("Id", "Id"); ("Name", "Name") ];
+         F.entity ~set:"Depts" ~cond:(C.Is_of "Dept") ~table:"DeptT" [ ("Id", "Id") ];
+       ]
+      @
+      if works_in then
+        [ F.assoc ~assoc:"WorksIn" ~table:"HR" ~store_cond:(C.Is_not_null "Dep")
+            [ ("Person.Id", "Id"); ("Dept.Id", "Dep") ] ]
+      else [])
   in
   ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags)
+
+(* AddProperty into an existing, unused, nullable column that carries a
+   foreign key: Person.Boss into HR.Dep, which references DeptT.Id.  The
+   new fragment writes HR.Dep, so the SMO re-proves the key; no Person
+   need have a Boss that is a department, so it is refused, as the full
+   compiler refuses the same mapping. *)
+let test_add_property_existing_fk () =
+  let st = hr_state ~name:false ~dep:false ~works_in:false in
+  let smo =
+    Core.Smo.Add_property
+      { etype = "Person"; attr = ("Boss", D.Int);
+        target = Core.Add_property.To_existing_table { table = "HR"; column = "Dep" } }
+  in
+  let st' =
+    match Core.Engine.compile st smo with
+    | Ok (st', obls) ->
+        check Alcotest.(list string) "obligations" [ "fk:HR(Dep)->DeptT" ]
+          (List.map Containment.Obligation.name obls);
+
+        st'
+    | Error e -> Alcotest.failf "AddProperty refused before its proofs: %s" (show_v e)
+  in
+  let inst =
+    Edm.Instance.add_entity ~set:"Persons"
+      (Edm.Instance.entity ~etype:"Person" [ ("Id", V.Int 1); ("Name", V.Null); ("Boss", V.Int 7) ])
+      Edm.Instance.empty
+  in
+  checkb "Boss reads back from HR.Dep" true (ok_exn (roundtrip_ok st' inst));
+  (match Core.Engine.apply st smo with
+  | Ok _ -> Alcotest.fail "AddProperty into HR.Dep accepted"
+  | Error e -> checkb "the refusal names the foreign key" true (contains ~sub:"HR(Dep)" (show_v e)));
+  match Fullc.Compile.compile st'.Core.State.env st'.Core.State.fragments with
+  | Ok _ -> Alcotest.fail "the full compiler accepts the mapping"
+  | Error e -> checkb "the full compiler names the foreign key" true (contains ~sub:"HR(Dep)" e)
 
 let test_drops_keep_not_null_written () =
   let drop_name = Core.Smo.Drop_property { etype = "Person"; attr = "Name" } in
@@ -967,8 +1007,8 @@ let test_drops_keep_not_null_written () =
           if not (contains ~sub:column msg) then
             Alcotest.failf "%s: %S does not name %s" label msg column)
     [
-      ("drop property Person.Name", hr_state ~name:true ~dep:false, drop_name, "HR.Name");
-      ("drop assoc WorksIn", hr_state ~name:false ~dep:true, drop_works_in, "HR.Dep");
+      ("drop property Person.Name", hr_state ~name:true ~dep:false ~works_in:true, drop_name, "HR.Name");
+      ("drop assoc WorksIn", hr_state ~name:false ~dep:true ~works_in:true, drop_works_in, "HR.Dep");
     ];
   (* With the column nullable, each drop is accepted, and full validation
      accepts what it leaves. *)
@@ -981,8 +1021,8 @@ let test_drops_keep_not_null_written () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "%s: full validation rejects the result: %s" label e)
     [
-      ("drop property Person.Name (nullable)", hr_state ~name:false ~dep:false, drop_name);
-      ("drop assoc WorksIn (nullable)", hr_state ~name:false ~dep:false, drop_works_in);
+      ("drop property Person.Name (nullable)", hr_state ~name:false ~dep:false ~works_in:true, drop_name);
+      ("drop assoc WorksIn (nullable)", hr_state ~name:false ~dep:false ~works_in:true, drop_works_in);
     ]
 
 (* Tag(Id, Label) mapped by two equal fragments: dropping Label leaves each
@@ -1090,8 +1130,9 @@ let test_refactor () = ignore (refactor_heads ~dept_cond:(C.Is_of "Dept") ())
 
 (* Each shrinking SMO emits only what its change can break (DESIGN §2):
    DropEntity and DropProperty nothing, DropAssociation the foreign keys
-   over the columns its fragment wrote, Refactor every foreign key of the
-   absorbed subtree's table. *)
+   over the columns its fragment wrote that some fragment still writes
+   (none of WorksIn's: no fragment writes HR.Dep after the drop), Refactor
+   every foreign key of the absorbed subtree's table. *)
 let test_drop_obligations () =
   let names st smo =
     match Core.Engine.compile st smo with
@@ -1104,8 +1145,9 @@ let test_drop_obligations () =
   let _, _, st3, _ = Lazy.force paper_states in
   pins st3 (Core.Smo.Drop_entity { etype = "Customer" }) [];
   pins st3 (Core.Smo.Drop_property { etype = "Employee"; attr = "Department" }) [];
-  pins (hr_state ~name:false ~dep:false) (Core.Smo.Drop_association { assoc = "WorksIn" })
-    [ "fk:HR(Dep)->DeptT" ];
+  pins (hr_state ~name:false ~dep:false ~works_in:true)
+    (Core.Smo.Drop_association { assoc = "WorksIn" })
+    [];
   pins (heads_state ~dept_cond:(C.Is_of "Dept")) (Core.Smo.Refactor { assoc = "Heads" })
     [ "fk:MgrT(Did)->DeptT" ]
 
@@ -1411,6 +1453,8 @@ let () =
         [
           Alcotest.test_case "existing table" `Quick test_add_property_existing;
           Alcotest.test_case "new table" `Quick test_add_property_new_table;
+          Alcotest.test_case "existing column with a foreign key" `Quick
+            test_add_property_existing_fk;
           Alcotest.test_case "drop a TPT type's only attribute" `Quick
             test_drop_tpt_only_attribute;
         ] );

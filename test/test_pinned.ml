@@ -31,7 +31,9 @@ let states () =
   [ ("customer", Ok customer) ]
   @ suite_states "customer" customer (Workload.Customer.smo_suite ())
   @ List.map
-      (fun (label, smo) -> ("customer " ^ label, Core.Engine.apply customer smo))
+      (fun (label, before, smo) ->
+        ( "customer " ^ label,
+          Result.bind (Core.Engine.apply_all customer before) (fun st -> Core.Engine.apply st smo) ))
       (Workload.Customer.drop_suite ())
   @ [ ("chain", Ok chain) ]
   @ List.map
@@ -58,6 +60,8 @@ let pinned =
     ("customer DROP", "518a8864b18bc3ebe9d46634e091b2bb");
     ("customer DROP-P", "35dc2a17e6799e18d56cdd18f2113314");
     ("customer DROP-A", "a8f9df89cc7c0af85f8f9d7477fa3c39");
+    ("customer DROP-TPH", "daabde3728a2ef35282fd24d51ebafd3");
+    ("customer DROP-TPC", "7fe9316bf20846892e537dab7b22d497");
     ("chain", "acf204a0f40256d08b797d525183d7fc");
     ("chain AE-TPT", "5c9cd6c8057c9eed498b0e4174be38d2");
     ("chain AE-TPC", "5248b17879f0838e4ac35f7009075d40");
