@@ -221,7 +221,3 @@ module For_tests = struct
     let split = match split with Some split -> fun _ -> split | None -> Nf.type_cases in
     subset_in ~split ~full_width env q1 q2
 end
-
-let equivalent env q1 q2 =
-  let* a = subset env q1 q2 in
-  if not a then Ok false else subset env q2 q1

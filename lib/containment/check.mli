@@ -49,8 +49,6 @@ val prove :
     span.  {!Discharge.run} proves through it, simplifying and typing each
     side's subterms once per batch. *)
 
-val equivalent : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result
-
 (** {1 Observability}
 
     Each {!subset} call opens ["containment.normalize"] under the caller's

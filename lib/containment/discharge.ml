@@ -47,26 +47,32 @@ let scopes () =
         scopes := (env, s) :: !scopes;
         s
 
-(* A proof is a function of the schemas and the two simplified sides, so an
-   equal pair reuses the first one's verdict; the batch stops at a
-   failure, so only proven pairs are ever met again. *)
+(* Both raw sides are typed first, through the batch's memo: a proof over
+   an ill-typed view means nothing, so a typing [Error] fails the
+   obligation.  A proof is a function of the schemas and the two simplified
+   sides, so an equal pair reuses the first one's verdict; the batch stops
+   at a failure, so only proven pairs are ever met again.  A normalization
+   error is conservatively "not proven". *)
 let prove scope env lhs rhs =
   let s = scope env in
-  let lhs = s.simplify lhs in
-  let rhs, n2 =
+  let ( let* ) = Result.bind in
+  let* _ = s.infer lhs in
+  let* rhs, n2 =
     match Rhs_tbl.find_opt s.supersets rhs with
-    | Some side -> side
+    | Some side -> Ok side
     | None ->
+        let* _ = s.infer rhs in
         let q = s.simplify rhs in
         let side = (q, lazy (Check.superset ~infer:s.infer s.types env q)) in
         Rhs_tbl.add s.supersets rhs side;
-        side
+        Ok side
   in
+  let lhs = s.simplify lhs in
   if Pair_tbl.mem s.proven (lhs, rhs) then Ok true
   else
-    let r = Check.prove ~infer:s.infer s.types env lhs n2 in
-    if r = Ok true then Pair_tbl.add s.proven (lhs, rhs) ();
-    r
+    let proven = Check.prove ~infer:s.infer s.types env lhs n2 = Ok true in
+    if proven then Pair_tbl.add s.proven (lhs, rhs) ();
+    Ok proven
 
 let run obls =
   Obs.Span.with_ ~name:"discharge.batch" @@ fun () ->

@@ -21,8 +21,12 @@
 
 val run : Obligation.t list -> (unit, Validation_error.t) result
 (** [run obls] discharges the obligations with {!Check.prove}, in order,
-    up to the first failure.  Each call adds 1 to the ["discharge.batches"]
-    counter and is wrapped in a ["discharge.batch"] span tagged with the
-    batch size ([obligations]); every obligation, a repeated one included,
-    opens its ["containment.obligation"] span, and only a check adds to
-    ["containment.checks"]. *)
+    up to the first failure.  An obligation whose raw [lhs] or [rhs] is
+    ill-typed fails before it is simplified: its error carries the
+    obligation's name and {!Query.Algebra.infer}'s message, since no proof
+    over an ill-typed view means anything.  A normalization error fails it
+    as "not proven", with its own message.  Each call adds 1 to the
+    ["discharge.batches"] counter and is wrapped in a ["discharge.batch"]
+    span tagged with the batch size ([obligations]); every obligation, a
+    repeated one included, opens its ["containment.obligation"] span, and
+    only a check adds to ["containment.checks"]. *)

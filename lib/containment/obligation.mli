@@ -26,12 +26,10 @@ val make :
 val discharged : Obs.Metric.counter
 (** ["containment.obligations"]: obligations passed to {!discharge}. *)
 
-val name : t -> string
-
 val discharge :
   prove:(Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> (bool, string) result) ->
   t -> (unit, Validation_error.t) result
 (** Prove one obligation with [prove env lhs rhs].  Records the
-    per-obligation span and counter; a normalization error is
-    conservatively "not proven".  {!Discharge.run}, the one prover path,
-    proves through this function with its batch's prover. *)
+    per-obligation span and counter.  [Ok false] fails with the
+    obligation's message, [Error e] with [e].  {!Discharge.run}, the one
+    prover path, proves through this function with its batch's prover. *)

@@ -10,8 +10,6 @@ let of_obligation ~name message = { obligation = Some name; smo = None; message 
 
 let with_smo smo t = { t with smo = Some smo }
 
-let message t = t.message
-let obligation t = t.obligation
 
 (* [show] is the legacy rendering: exactly the human message, so every
    pre-existing consumer that printed the stringly error keeps producing the

@@ -8,8 +8,7 @@
 
     {!show} deliberately renders the message alone — byte-for-byte what the
     stringly API produced — so session transcripts and CLI output are stable
-    across the migration.  Use {!pp} (or the accessors) when the provenance
-    should be visible. *)
+    across the migration; the provenance is in the fields. *)
 
 type t = {
   obligation : string option;  (** name of the failing proof obligation *)
@@ -26,9 +25,6 @@ val of_obligation : name:string -> string -> t
 
 val with_smo : string -> t -> t
 (** Tag the error with the SMO kind; applied once at the engine boundary. *)
-
-val message : t -> string
-val obligation : t -> string option
 
 val show : t -> string
 (** The bare message — identical to the pre-structured error strings. *)

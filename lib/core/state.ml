@@ -15,11 +15,3 @@ let of_compiled env fragments (c : Fullc.Compile.t) =
 
 let bootstrap env fragments =
   Result.map (of_compiled env fragments) (Fullc.Compile.compile env fragments)
-
-let empty ~client ~store =
-  {
-    env = Query.Env.make ~client ~store;
-    fragments = Mapping.Fragments.empty;
-    query_views = Query.View.no_query_views;
-    update_views = Query.View.no_update_views;
-  }

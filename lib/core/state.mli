@@ -19,7 +19,3 @@ val of_compiled : Query.Env.t -> Mapping.Fragments.t -> Fullc.Compile.t -> t
 
 val bootstrap : Query.Env.t -> Mapping.Fragments.t -> (t, string) result
 (** [of_compiled] composed with {!Fullc.Compile.compile}. *)
-
-val empty : client:Edm.Schema.t -> store:Relational.Schema.t -> t
-(** A state with no fragments or views — the seed for building a model from
-    scratch with SMOs only. *)

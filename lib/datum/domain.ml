@@ -1,5 +1,5 @@
 type t = Int | String | Bool | Decimal | Enum of string list
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq, show { with_path = false }]
 
 let subsumes ~wide ~narrow =
   match wide, narrow with

@@ -17,7 +17,6 @@ type t =
           conditions like [gender = 'M' OR gender = 'F'] tautologies. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val show : t -> string
 

@@ -91,15 +91,6 @@ let compare a b =
     in
     from 0
 
-let iter f s =
-  Array.iteri
-    (fun k w ->
-      if w <> 0 then
-        for j = 0 to Sys.int_size - 1 do
-          if w land (1 lsl j) <> 0 then f ((k * Sys.int_size) + j)
-        done)
-    s
-
 (* Names are read back by a walk of the numbering: only printing, tests
    and a lint finding do it. *)
 let elements n s =

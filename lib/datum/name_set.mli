@@ -56,9 +56,6 @@ val diff : t -> t -> t
 val compare : t -> t -> int
 (** A total order; [0] exactly on equal sets. *)
 
-val iter : (int -> unit) -> t -> unit
-(** The numbers of the set's names, ascending. *)
-
 val elements : numbering -> t -> string list
 (** The set's names, in ascending number. *)
 

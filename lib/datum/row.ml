@@ -7,7 +7,6 @@ let of_list l = List.fold_left (fun m (k, v) -> M.add k v m) M.empty l
 let to_list r = M.bindings r
 let find c r = M.find_opt c r
 let get c r = M.find c r
-let mem c r = M.mem c r
 let add c v r = M.add c v r
 let mapi f r = M.mapi f r
 let columns r = List.map fst (M.bindings r)

@@ -15,7 +15,6 @@ val find : string -> t -> Value.t option
 val get : string -> t -> Value.t
 (** @raise Not_found if the column is absent. *)
 
-val mem : string -> t -> bool
 val add : string -> Value.t -> t -> t
 
 val mapi : (string -> Value.t -> Value.t) -> t -> t

@@ -1,4 +1,4 @@
-type multiplicity = One | Zero_or_one | Many [@@deriving eq, ord, show { with_path = false }]
+type multiplicity = One | Zero_or_one | Many [@@deriving eq, show { with_path = false }]
 
 type t = {
   name : string;
@@ -7,7 +7,7 @@ type t = {
   mult1 : multiplicity;
   mult2 : multiplicity;
 }
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq]
 
 let qualify ~etype a = etype ^ "." ^ a
 let end1_columns t ~key = List.map (qualify ~etype:t.end1) key

@@ -22,8 +22,6 @@ type t = {
 }
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val show : t -> string
 val pp_multiplicity : Format.formatter -> multiplicity -> unit
 
 val qualify : etype:string -> string -> string

@@ -5,7 +5,7 @@ type t = {
   key : string list;
   non_null : string list;
 }
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq]
 
 let root ~name ~key ?(non_null = []) declared =
   assert (key <> []);

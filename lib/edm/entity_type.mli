@@ -18,8 +18,6 @@ type t = {
 }
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val show : t -> string
 
 val root :
   name:string -> key:string list -> ?non_null:string list ->

@@ -179,4 +179,3 @@ let pp fmt t =
     (Format.pp_print_list pp_set) (M.bindings t.ents)
     (Format.pp_print_list pp_assoc) (M.bindings t.lnks)
 
-let show t = Format.asprintf "%a" pp t

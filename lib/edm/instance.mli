@@ -20,8 +20,6 @@ val set_links : assoc:string -> Datum.Row.t list -> t -> t
 
 val entities : t -> set:string -> entity list
 val links : t -> assoc:string -> Datum.Row.t list
-val sets : t -> string list
-val assocs : t -> string list
 
 val entity : etype:string -> (string * Datum.Value.t) list -> entity
 
@@ -37,5 +35,4 @@ val equal : t -> t -> bool
     duplicates. *)
 
 val pp : Format.formatter -> t -> unit
-val show : t -> string
 val pp_entity : Format.formatter -> entity -> unit

@@ -399,5 +399,3 @@ let pp fmt t =
     (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
        (fun fmt (a : Association.t) -> Format.fprintf fmt "%s(%s,%s)" a.name a.end1 a.end2))
     (associations t)
-
-let show t = Format.asprintf "%a" pp t

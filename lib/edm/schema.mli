@@ -55,8 +55,8 @@ val reparent : etype:string -> parent:string -> t -> (t, string) result
 (** {1 Hierarchy queries}
 
     The schema keeps an index from each type to its children, which the
-    evolution operations above maintain, so {!children}, {!descendants} and
-    {!subtypes} cost the size of their result. *)
+    evolution operations above maintain, so {!children} and {!subtypes}
+    cost the size of their result. *)
 
 val mem_type : t -> string -> bool
 val find_type : t -> string -> Entity_type.t option
@@ -69,12 +69,9 @@ val children : t -> string -> string list
 val ancestors : t -> string -> string list
 (** Proper ancestors, nearest first. *)
 
-val descendants : t -> string -> string list
-(** Proper descendants, preorder. *)
-
 val subtypes : t -> string -> string list
-(** The type itself followed by its proper descendants — the types satisfying
-    [IS OF E]. *)
+(** The type itself followed by its proper descendants in preorder — the
+    types satisfying [IS OF E]. *)
 
 val is_subtype : t -> sub:string -> sup:string -> bool
 (** Reflexive.  This, {!is_proper_ancestor}, {!root_of}, {!key_of} and
@@ -157,4 +154,3 @@ val well_formed : t -> (unit, string) result
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val show : t -> string

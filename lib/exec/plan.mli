@@ -25,9 +25,6 @@ val absent : int
     later read of the shape only sets [args]. *)
 type operand = Lit of Datum.Value.t | Param of int
 
-val operand : Datum.Value.t array -> operand -> Datum.Value.t
-(** [operand args o] is [o]'s value under the arguments [args]. *)
-
 type access =
   | Full_scan
   | Index_eq of { col : string; slot : int; value : operand }

@@ -12,8 +12,6 @@ let add r n t =
 
 let sum a b = Row_map.union (fun _ m n -> match m + n with 0 -> None | c -> Some c) a b
 let diff a b = Row_map.fold (fun r n acc -> add r (-n) acc) b a
-let to_list t = Row_map.bindings t
-let rows t = List.rev (Row_map.fold (fun r n acc -> if n > 0 then r :: acc else acc) t [])
 let fold f t acc = Row_map.fold f t acc
 let filter p t = Row_map.filter (fun r _ -> p r) t
 let map_rows f t = Row_map.fold (fun r n acc -> add (f r) n acc) t empty

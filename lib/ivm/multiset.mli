@@ -27,13 +27,6 @@ val diff : t -> t -> t
 (** [diff a b]: [a]'s counts minus [b]'s — the delta turning [b] into
     [a]. *)
 
-val to_list : t -> (Datum.Tuple.t * int) list
-(** Bindings in ascending row order. *)
-
-val rows : t -> Datum.Tuple.t list
-(** Rows with positive count, ascending — the {e set} reading of a
-    state. *)
-
 val fold : (Datum.Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val filter : (Datum.Tuple.t -> bool) -> t -> t
 

@@ -1,9 +1,5 @@
 type severity = Error | Warning | Info
 
-(* Hand-written: ppx_deriving's generated code for a nullary [Error]
-   constructor collides with [Stdlib.result]'s. *)
-let equal_severity (a : severity) b = a = b
-
 type location =
   | Model
   | Entity_set of string
@@ -13,12 +9,9 @@ type location =
   | Fragment of string
   | Query_view of string
   | Update_view of string
-[@@deriving eq, ord]
+[@@deriving ord]
 
 type t = { code : string; severity : severity; loc : location; message : string }
-[@@deriving eq]
-
-let make ~code ~severity ~loc message = { code; severity; loc; message }
 
 let makef ~code ~severity ~loc fmt =
   Format.kasprintf (fun message -> { code; severity; loc; message }) fmt

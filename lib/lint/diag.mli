@@ -30,18 +30,13 @@ type t = {
   message : string;
 }
 
-val make : code:string -> severity:severity -> loc:location -> string -> t
-
 val makef :
   code:string -> severity:severity -> loc:location ->
   ('a, Format.formatter, unit, t) format4 -> 'a
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Errors first, then warnings, then infos; ties broken by code, location,
-    message — a stable presentation order. *)
-
 val sort : t list -> t list
+(** Errors first, then warnings, then infos; ties broken by code, location,
+    message — a stable presentation order, duplicates dropped. *)
 
 (** {1 Location-free findings}
 

@@ -1,5 +1,5 @@
 type client_source = Set of string | Assoc of string
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq, show { with_path = false }]
 
 type t = {
   client_source : client_source;
@@ -8,7 +8,7 @@ type t = {
   table : string;
   store_cond : Query.Cond.t;
 }
-[@@deriving eq, ord]
+[@@deriving eq]
 
 let entity ~set ~cond ~table ?(store_cond = Query.Cond.True) pairs =
   { client_source = Set set; client_cond = cond; pairs; table; store_cond }

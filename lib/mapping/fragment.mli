@@ -18,7 +18,6 @@ type t = {
 }
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val show : t -> string
 
@@ -49,10 +48,6 @@ val mem_attr : t -> string -> bool
 val mem_col : t -> string -> bool
 (** Whether some pair has this attribute (column).  Like [attr_of], these
     read [pairs] in place and build no list. *)
-
-val client_query : t -> Query.Algebra.t
-(** [π_α(σ_ψ(E))], over client attribute names: the left-hand side of the
-    fragment equation as {!holds} evaluates it (always with its σ). *)
 
 (** {2 The two sides of [π_α σ_ψ(E) = π_β σ_χ(T)]}
 

@@ -1,4 +1,4 @@
-type t = Tpt | Tpc | Tph | Unknown [@@deriving eq, show { with_path = false }]
+type t = Tpt | Tpc | Tph | Unknown [@@deriving show { with_path = false }]
 
 (* A type's "own" fragment may have been widened by later SMOs: the Σ*
    adaptation turns [IS OF (ONLY P)] into [IS OF (ONLY P) ∨ IS OF E], so we

@@ -5,9 +5,7 @@
 
 type t = Tpt | Tpc | Tph | Unknown
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val show : t -> string
 
 val detect : Query.Env.t -> Mapping.Fragments.t -> etype:string -> t
 (** Classify how the given entity type is mapped:

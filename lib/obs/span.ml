@@ -84,7 +84,6 @@ let attrs s = List.rev s.attrs
 let children s = List.rev s.children_rev
 let start_s s = s.start
 let duration_s s = s.finish -. s.start
-let alloc_words s = s.alloc_words
 let alloc_mb s = s.alloc_words *. float_of_int (Sys.word_size / 8) /. 1e6
 
 let self_s s =

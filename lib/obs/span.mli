@@ -2,7 +2,7 @@
 
     [with_ ~name f] times [f] and records the span under the currently open
     span of the same domain (or as a new root), with the words the calling
-    domain allocated meanwhile ({!alloc_words}).  Collection is gated by
+    domain allocated meanwhile ({!alloc_mb}).  Collection is gated by
     {!Switch}: when disabled, [with_] is [f ()] — no span is allocated and
     no counter is read.
     Completed roots accumulate in a shared, mutex-protected buffer until
@@ -29,14 +29,11 @@ val children : t -> t list
 val start_s : t -> float
 val duration_s : t -> float
 
-(** Words the calling domain allocated while the span was open, its
-    children's included: [Gc.minor_words] plus the words allocated directly
-    in the major heap (major words less promoted ones), read at entry and
-    exit.  The span's own bookkeeping is a few words of it; [nan] while
-    the span is open. *)
-val alloc_words : t -> float
-
-(** {!alloc_words} in megabytes. *)
+(** Megabytes the calling domain allocated while the span was open, its
+    children's included: the words of [Gc.minor_words] plus those allocated
+    directly in the major heap (major words less promoted ones), read at
+    entry and exit.  The span's own bookkeeping is a few words of it; [nan]
+    while the span is open. *)
 val alloc_mb : t -> float
 
 (** Duration minus the summed durations of direct children. *)

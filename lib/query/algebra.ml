@@ -5,7 +5,7 @@ type proj_item =
   | Col of { src : string; dst : string }
   | Const of { value : Datum.Value.t; dst : string }
   | Coalesce of { srcs : string list; dst : string }
-[@@deriving eq, ord]
+[@@deriving eq]
 
 type t =
   | Scan of source
@@ -13,7 +13,7 @@ type t =
   | Project of proj_item list * t
   | Join of Join.kind * t * t * string list
   | Union_all of t * t
-[@@deriving eq, ord]
+[@@deriving eq]
 
 let col a = Col { src = a; dst = a }
 let col_as src dst = Col { src; dst }
@@ -190,10 +190,21 @@ let infer_step infer env = function
 let rec infer_rev env q = infer_step infer_rev env q
 
 (* Most tables type a few subterms, or none: the table is made on the
-   first call, small. *)
+   first call, small.  Every scan of one source shares one column list,
+   however many physically distinct scans of it the views hold. *)
 let typing ?keep env =
   let infer =
-    lazy (Memo.fix ?keep (Memo.create ~size:16 ()) (fun infer -> infer_step (fun _ -> infer) env))
+    lazy
+      (let scans = Hashtbl.create 16 in
+       Memo.fix ?keep (Memo.create ~size:16 ()) (fun infer -> function
+         | Scan src -> (
+             match Hashtbl.find_opt scans src with
+             | Some cols -> cols
+             | None ->
+                 let cols = scan_columns ~rev:true env src in
+                 Hashtbl.add scans src cols;
+                 cols)
+         | q -> infer_step (fun _ -> infer) env q))
   in
   fun q -> Lazy.force infer q
 
@@ -277,4 +288,3 @@ let rec pp fmt = function
       Format.fprintf fmt "@[(%a@ %s{%s}@ %a)@]" pp l op (String.concat "," on) pp r
   | Union_all (l, r) -> Format.fprintf fmt "@[(%a@ ∪@ %a)@]" pp l pp r
 
-let show q = Format.asprintf "%a" pp q

@@ -33,7 +33,6 @@ type t =
   | Union_all of t * t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val equal_source : source -> source -> bool
 val compare_source : source -> source -> int
 
@@ -108,7 +107,8 @@ val typing : ?keep:(t -> bool) -> Env.t -> t -> (string list, string) result
 (** {!infer_step} tied through a {!Memo} table, made on the first call:
     each physically distinct subterm (each that [keep] picks, as in
     {!Phys_memo.S.fix}) is typed once for as long as the returned function
-    lives, in the shared form.  A discharge batch makes one per schemas;
+    lives, in the shared form, and every scan of one source shares one
+    column list.  A discharge batch makes one per schemas;
     AddEntity's namesake test and {!Simplify.query}'s identity test make
     one per call. *)
 
@@ -130,4 +130,3 @@ val map_conditions : (Cond.t -> Cond.t) -> t -> t
     unchanged, so [map_conditions f q == q] when [f] rewrites nothing. *)
 
 val pp : Format.formatter -> t -> unit
-val show : t -> string

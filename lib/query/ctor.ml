@@ -17,7 +17,6 @@ let rec pp fmt = function
   | Entity { etype; attrs } -> Format.fprintf fmt "%s(%s)" etype (String.concat "," attrs)
   | If (c, a, b) -> Format.fprintf fmt "@[if (%a)@ then %a@ else %a@]" Cond.pp c pp a pp b
 
-let show c = Format.asprintf "%a" pp c
 
 let rec eval_entity schema row = function
   | Entity { etype; attrs } ->

@@ -20,7 +20,6 @@ module Memo : Phys_memo.S with type node := t
     CASE chains, so a constructor analysis runs once per distinct node. *)
 
 val pp : Format.formatter -> t -> unit
-val show : t -> string
 
 val eval_entity : Edm.Schema.t -> Datum.Row.t -> t -> Edm.Instance.entity
 (** The entity of the leaf the row's branch conditions reach. *)

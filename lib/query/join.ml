@@ -1,4 +1,4 @@
-type kind = Inner | Left | Full [@@deriving eq, ord]
+type kind = Inner | Left | Full [@@deriving eq]
 
 type t = { kind : kind; on : string list }
 

@@ -14,7 +14,6 @@ type kind =
   | Full  (** [Left], plus every unmatched right row padded with [NULL] *)
 
 val equal_kind : kind -> kind -> bool
-val compare_kind : kind -> kind -> int
 
 type t = {
   kind : kind;

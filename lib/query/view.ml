@@ -2,7 +2,6 @@ type t = { query : Algebra.t; ctor : Ctor.t }
 
 let equal a b = Algebra.equal a.query b.query && Ctor.equal a.ctor b.ctor
 let pp fmt v = Format.fprintf fmt "@[<v2>(%a@ | %a)@]" Algebra.pp v.query Ctor.pp v.ctor
-let show v = Format.asprintf "%a" pp v
 
 module String_map = Map.Make (String)
 

@@ -15,7 +15,6 @@ type t = { query : Algebra.t; ctor : Ctor.t }
 (** An entity view [(Q_E | τ_E)]. *)
 
 val equal : t -> t -> bool
-val show : t -> string
 
 module String_map : Map.S with type key = string
 

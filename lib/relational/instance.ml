@@ -147,5 +147,3 @@ let pp fmt t =
       (List.sort_uniq Datum.Row.compare (table_rows tb))
   in
   Format.fprintf fmt "@[<v>%a@]" (Format.pp_print_list pp_table) (M.bindings t)
-
-let show t = Format.asprintf "%a" pp t

@@ -61,4 +61,3 @@ val equal : t -> t -> bool
 (** Set-semantics equality per table. *)
 
 val pp : Format.formatter -> t -> unit
-val show : t -> string

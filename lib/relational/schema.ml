@@ -65,5 +65,3 @@ let equal a b = M.equal Table.equal a b
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%a@]" (Format.pp_print_list Table.pp) (tables t)
-
-let show t = Format.asprintf "%a" pp t

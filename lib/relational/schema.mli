@@ -21,4 +21,3 @@ val well_formed : t -> (unit, string) result
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val show : t -> string

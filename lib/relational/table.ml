@@ -1,12 +1,12 @@
 type column = { cname : string; domain : Datum.Domain.t; nullable : bool }
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq, show { with_path = false }]
 
 type foreign_key = {
   fk_columns : string list;
   ref_table : string;
   ref_columns : string list;
 }
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq, show { with_path = false }]
 
 type t = {
   name : string;
@@ -14,7 +14,7 @@ type t = {
   key : string list;
   fks : foreign_key list;
 }
-[@@deriving eq, ord, show { with_path = false }]
+[@@deriving eq, show { with_path = false }]
 
 let make ~name ~key ?(fks = []) cols =
   let columns =

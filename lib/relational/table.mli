@@ -24,7 +24,6 @@ type t = {
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val show : t -> string
 
 val make :
   name:string -> key:string list -> ?fks:foreign_key list ->

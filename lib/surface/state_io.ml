@@ -630,19 +630,23 @@ let client c =
     | None, Some (set, _) -> ok c (Edm.Schema.add_root ~set e schema)
     | None, None -> failf c "saved root %s has no entity set" e.name
   in
-  let rec place schema = function
-    | [] -> schema
-    | pending -> (
-        let ready, blocked =
-          List.partition
-            (fun (e : Edm.Entity_type.t) -> Option.fold ~none:true ~some:(Edm.Schema.mem_type schema) e.parent)
-            pending
-        in
-        match ready with
-        | [] -> fail c "unresolvable parents in saved client schema"
-        | _ -> place (List.fold_left add schema ready) blocked)
+  (* One walk down from the roots, each type's children in document order:
+     a type whose parent is missing, or lies on a cycle, is never reached. *)
+  let children = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Edm.Entity_type.t) -> Option.iter (fun p -> Hashtbl.add children p e) e.parent)
+    !types;
+  let placed = ref 0 in
+  let rec place schema (e : Edm.Entity_type.t) =
+    incr placed;
+    List.fold_left place (add schema e) (Hashtbl.find_all children e.name)
   in
-  let schema = place Edm.Schema.empty (List.rev !types) in
+  let schema =
+    List.fold_left
+      (fun schema (e : Edm.Entity_type.t) -> if e.parent = None then place schema e else schema)
+      Edm.Schema.empty (List.rev !types)
+  in
+  if !placed <> List.length !types then fail c "unresolvable parents in saved client schema";
   List.fold_left (fun schema a -> ok c (Edm.Schema.add_association a schema)) schema (List.rev !rels)
 
 let store c =

@@ -90,22 +90,19 @@ let roundtrip_ok (st : Core.State.t) inst =
    kept sets only the entities whose type it knows: the state [f⁻¹] view
    that phrases the paper's soundness restriction on mapping adaptation. *)
 let restrict_new_components ~old_schema inst =
-  let keep_set acc set =
-    if Edm.Schema.set_root old_schema set = None then acc
-    else
-      Edm.Instance.set_entities ~set
-        (List.filter
-           (fun (e : Edm.Instance.entity) -> Edm.Schema.mem_type old_schema e.etype)
-           (Edm.Instance.entities inst ~set))
-        acc
+  let keep_set acc (set, _) =
+    Edm.Instance.set_entities ~set
+      (List.filter
+         (fun (e : Edm.Instance.entity) -> Edm.Schema.mem_type old_schema e.etype)
+         (Edm.Instance.entities inst ~set))
+      acc
   in
-  let keep_assoc acc assoc =
-    if Edm.Schema.find_association old_schema assoc = None then acc
-    else Edm.Instance.set_links ~assoc (Edm.Instance.links inst ~assoc) acc
+  let keep_assoc acc (a : Edm.Association.t) =
+    Edm.Instance.set_links ~assoc:a.name (Edm.Instance.links inst ~assoc:a.name) acc
   in
   List.fold_left keep_assoc
-    (List.fold_left keep_set Edm.Instance.empty (Edm.Instance.sets inst))
-    (Edm.Instance.assocs inst)
+    (List.fold_left keep_set Edm.Instance.empty (Edm.Schema.entity_sets old_schema))
+    (Edm.Schema.associations old_schema)
 
 (* -- the model of examples/models/acct.imc -------------------------------- *)
 
@@ -203,7 +200,7 @@ let gen_client_instance =
              inst linked))
 
 let arb_client_instance =
-  QCheck.make ~print:Edm.Instance.show gen_client_instance
+  QCheck.make ~print:(Format.asprintf "%a" Edm.Instance.pp) gen_client_instance
 
 (* Random conditions over the Persons hierarchy attributes. *)
 let gen_cond =

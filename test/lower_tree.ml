@@ -241,7 +241,7 @@ let plan env q =
 (* [p] with each [Param i] the literal [p.args.(i)]: a plan the planner
    prepared for a read, as the lowering of that read gives it. *)
 let resolve (p : Plan.t) =
-  let value = Plan.operand p.args in
+  let value = function Plan.Lit v -> v | Plan.Param i -> p.args.(i) in
   let rec pred = function
     | Plan.Cmp (i, op, v) -> Plan.Cmp (i, op, Plan.Lit (value v))
     | Plan.Both (x, y) -> Plan.Both (pred x, pred y)

@@ -7,15 +7,22 @@
 module Nf = Containment.Nf
 module Names = Datum.Name_set
 
+(* The numbers of a set's names, ascending: each number whose singleton
+   the set contains, until those cover the set. *)
+let numbers tys =
+  let rec from i found =
+    if Names.subset tys found then []
+    else if Names.subset (Names.singleton i) tys then i :: from (i + 1) (Names.union found (Names.singleton i))
+    else from (i + 1) found
+  in
+  from 0 Names.empty
+
 (* Each variable's possible types: its [Ty_in] fact, as the numbers of the
    batch's numbering. *)
 let types_of (cq : Nf.cq) =
   List.filter_map
     (function
-      | Nf.Ty_in (v, tys) ->
-          let numbers = ref [] in
-          Names.iter (fun i -> numbers := i :: !numbers) tys;
-          Some (v, List.rev !numbers)
+      | Nf.Ty_in (v, tys) -> Some (v, numbers tys)
       | Nf.Rel _ | Nf.Null_c _ | Nf.Not_null_c _ -> None)
     (Nf.facts cq.Nf.store)
 

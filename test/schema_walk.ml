@@ -31,8 +31,6 @@ let check tag schema =
     (fun (e : Edm.Entity_type.t) ->
       let n = e.name in
       Alcotest.check slist (tag ^ ": children of " ^ n) (children tbl n) (Edm.Schema.children schema n);
-      Alcotest.check slist (tag ^ ": descendants of " ^ n) (descendants tbl n)
-        (Edm.Schema.descendants schema n);
       Alcotest.check slist (tag ^ ": subtypes of " ^ n) (n :: descendants tbl n)
         (Edm.Schema.subtypes schema n))
     (Edm.Schema.types schema)

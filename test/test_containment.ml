@@ -164,7 +164,7 @@ let prop_soundness =
       | Ok true ->
           let db = Query.Eval.client_db inst in
           Query.Eval.subset env db q1 q2
-          || QCheck.Test.fail_reportf "claimed ⊆ but counterexample:@.%s" (Edm.Instance.show inst)
+          || QCheck.Test.fail_reportf "claimed ⊆ but counterexample:@.%a" Edm.Instance.pp inst
       | Ok false -> true)
 
 let test_stats_counting () =
@@ -229,7 +229,7 @@ let verdict_testable = Alcotest.(result bool pass)
 let split_agrees tag (o : Obligation.t) =
   let coarse = Containment.Check.subset o.Obligation.env o.lhs o.rhs in
   let fine = Per_type_split.subset o.Obligation.env o.lhs o.rhs in
-  check verdict_testable (tag ^ " " ^ Obligation.name o) fine coarse;
+  check verdict_testable (tag ^ " " ^ Lazy.force o.Obligation.name) fine coarse;
   Result.is_ok coarse
 
 let test_split_customer () =
@@ -359,15 +359,15 @@ let prop_partition =
 let test_aa_jt_cases () =
   let obls = List.assoc "AA-JT" (Lazy.force customer_obligations) in
   let fk =
-    List.filter (fun o -> String.starts_with ~prefix:"fk:" (Obligation.name o)) obls
+    List.filter (fun o -> String.starts_with ~prefix:"fk:" (Lazy.force o.Obligation.name)) obls
   in
   checkb "AA-JT has an fk: obligation" true (fk <> []);
   List.iter
     (fun o ->
       let c0 = Obs.Metric.value Containment.Check.cases in
-      checkb (Obligation.name o ^ " proven") true
+      checkb (Lazy.force o.Obligation.name ^ " proven") true
         (Result.is_ok (Containment.Discharge.run [ o ]));
-      check Alcotest.int (Obligation.name o ^ " cases") 1
+      check Alcotest.int (Lazy.force o.Obligation.name ^ " cases") 1
         (Obs.Metric.value Containment.Check.cases - c0))
     fk
 
@@ -408,7 +408,7 @@ let test_narrowing_completeness () =
 let width_agrees tag (o : Obligation.t) =
   let narrow = Containment.Check.subset o.Obligation.env o.lhs o.rhs in
   let full = Full_width.subset o.Obligation.env o.lhs o.rhs in
-  check verdict_testable (tag ^ " " ^ Obligation.name o) full narrow
+  check verdict_testable (tag ^ " " ^ Lazy.force o.Obligation.name) full narrow
 
 let test_width_customer () =
   let st = Lazy.force customer in
@@ -484,7 +484,7 @@ let test_simplify_customer () =
     (fun (label, obls) ->
       List.iter
         (fun (o : Obligation.t) ->
-          simplify_agrees (label ^ " " ^ Obligation.name o) o.Obligation.env
+          simplify_agrees (label ^ " " ^ Lazy.force o.Obligation.name) o.Obligation.env
             [ o.Obligation.lhs; o.Obligation.rhs ])
         obls)
     (Lazy.force customer_obligations)
@@ -498,7 +498,7 @@ let prop_simplify_random =
       List.iter
         (fun (label, (o : Obligation.t)) ->
           simplify_agrees
-            (Printf.sprintf "seed %d %s %s" seed label (Obligation.name o))
+            (Printf.sprintf "seed %d %s %s" seed label (Lazy.force o.Obligation.name))
             o.Obligation.env [ o.Obligation.lhs; o.Obligation.rhs ])
         (pipeline_obligations seed);
       true)

@@ -436,10 +436,10 @@ let test_tph_discriminator_clash () =
       in
       check Alcotest.(option string) "names the overlap obligation"
         (Some ("ae-tph.overlap:" ^ fragment))
-        (Containment.Validation_error.obligation e);
+        e.Containment.Validation_error.obligation;
       check Alcotest.string "overlap message"
         ("discriminator Disc = (String \"book\") overlaps the region of fragment " ^ fragment)
-        (Containment.Validation_error.message e)
+        e.Containment.Validation_error.message
 
 (* -- AddEntityPart ----------------------------------------------------------- *)
 
@@ -966,18 +966,19 @@ let hr_state ~name ~dep ~works_in =
    new fragment writes HR.Dep, so the SMO re-proves the key; no Person
    need have a Boss that is a department, so it is refused, as the full
    compiler refuses the same mapping. *)
+let boss_into_dep =
+  Core.Smo.Add_property
+    { etype = "Person"; attr = ("Boss", D.Int);
+      target = Core.Add_property.To_existing_table { table = "HR"; column = "Dep" } }
+
 let test_add_property_existing_fk () =
   let st = hr_state ~name:false ~dep:false ~works_in:false in
-  let smo =
-    Core.Smo.Add_property
-      { etype = "Person"; attr = ("Boss", D.Int);
-        target = Core.Add_property.To_existing_table { table = "HR"; column = "Dep" } }
-  in
+  let smo = boss_into_dep in
   let st' =
     match Core.Engine.compile st smo with
     | Ok (st', obls) ->
         check Alcotest.(list string) "obligations" [ "fk:HR(Dep)->DeptT" ]
-          (List.map Containment.Obligation.name obls);
+          (List.map (fun o -> Lazy.force o.Containment.Obligation.name) obls);
 
         st'
     | Error e -> Alcotest.failf "AddProperty refused before its proofs: %s" (show_v e)
@@ -994,6 +995,30 @@ let test_add_property_existing_fk () =
   match Fullc.Compile.compile st'.Core.State.env st'.Core.State.fragments with
   | Ok _ -> Alcotest.fail "the full compiler accepts the mapping"
   | Error e -> checkb "the full compiler names the foreign key" true (contains ~sub:"HR(Dep)" e)
+
+(* The AddProperty fault above, planted here rather than in the SMO: HR's
+   old update view, which pads HR.Dep with NULL, left-joined with the new
+   fragment's update side without first dropping that column, so the
+   non-key column Dep is on both join sides.  Discharge types each raw
+   side before it simplifies it, so the FK obligation over that view fails
+   with the typing error rather than being proven. *)
+let test_discharge_refuses_ill_typed () =
+  let st = hr_state ~name:false ~dep:false ~works_in:false in
+  let st', _ = ok_v (Core.Engine.compile st boss_into_dep) in
+  let env = st'.Core.State.env in
+  let phi = List.find (fun f -> F.mem_attr f "Boss") (Mapping.Fragments.on_table st'.Core.State.fragments "HR") in
+  let old_view = Option.get (Query.View.table_view st.Core.State.update_views "HR") in
+  let planted = A.Join (Query.Join.Left, old_view, F.update_side phi, [ "Id" ]) in
+  let typing_error =
+    match A.infer env planted with Error e -> e | Ok _ -> Alcotest.fail "the planted view is well typed"
+  in
+  let uv = Query.View.set_table_view "HR" planted st'.Core.State.update_views in
+  let fk = List.hd (Relational.Schema.get_table env.Query.Env.store "HR").T.fks in
+  match Containment.Discharge.run (ok_v (Core.Algo.fk_obligations env uv ~table:"HR" fk)) with
+  | Ok () -> Alcotest.fail "the foreign key over the ill-typed view is proven"
+  | Error e ->
+      check Alcotest.(pair (option string) string) "failing obligation, typing error"
+        (Some "fk:HR(Dep)->DeptT", typing_error) (e.Containment.Validation_error.obligation, e.message)
 
 let test_drops_keep_not_null_written () =
   let drop_name = Core.Smo.Drop_property { etype = "Person"; attr = "Name" } in
@@ -1136,7 +1161,7 @@ let test_refactor () = ignore (refactor_heads ~dept_cond:(C.Is_of "Dept") ())
 let test_drop_obligations () =
   let names st smo =
     match Core.Engine.compile st smo with
-    | Ok (_, obls) -> List.map Containment.Obligation.name obls
+    | Ok (_, obls) -> List.map (fun o -> Lazy.force o.Containment.Obligation.name) obls
     | Error e -> Alcotest.failf "%s: %s" (Core.Smo.show smo) (show_v e)
   in
   let pins st smo expected =
@@ -1369,7 +1394,7 @@ let outcome st smo =
   | Error e -> ([], Error (show_v e))
   | Ok (st', obls) ->
       let verdict = Result.map_error show_v (Containment.Discharge.run obls) in
-      ( List.sort String.compare (List.map Containment.Obligation.name obls),
+      ( List.sort String.compare (List.map (fun o -> Lazy.force o.Containment.Obligation.name) obls),
         Result.map (fun () -> Surface.State_io.save st') verdict )
 
 let test_ae_is_one_partition () =
@@ -1455,6 +1480,8 @@ let () =
           Alcotest.test_case "new table" `Quick test_add_property_new_table;
           Alcotest.test_case "existing column with a foreign key" `Quick
             test_add_property_existing_fk;
+          Alcotest.test_case "discharge refuses an ill-typed view" `Quick
+            test_discharge_refuses_ill_typed;
           Alcotest.test_case "drop a TPT type's only attribute" `Quick
             test_drop_tpt_only_attribute;
         ] );

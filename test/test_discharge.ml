@@ -62,7 +62,7 @@ let test_failure_is_structured () =
   | Ok () -> Alcotest.fail "expected a failure"
   | Error e ->
       check Alcotest.(option string) "tagged with the obligation name" (Some "test.ob-1")
-        (VE.obligation e);
+        e.VE.obligation;
       check Alcotest.string "legacy rendering is the bare message" "obligation 1 failed"
         (VE.show e)
 
@@ -94,13 +94,13 @@ let test_repeat_failure () =
   match Containment.Discharge.run batch with
   | Ok () -> Alcotest.fail "expected a failure"
   | Error e ->
-      check Alcotest.(option string) "first failing obligation" (Some "first") (VE.obligation e)
+      check Alcotest.(option string) "first failing obligation" (Some "first") e.VE.obligation
 
 let compiled_state (env, frags) =
   Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
 
 (* One verdict per obligation, or the failing obligation's name. *)
-let outcome = function Ok () -> "ok" | Error e -> Option.value ~default:"?" (VE.obligation e)
+let outcome = function Ok () -> "ok" | Error e -> Option.value ~default:"?" e.VE.obligation
 
 let prop_repeats_random =
   qtest ~count:100 "repeat removal keeps random pipelines' verdicts"

@@ -45,24 +45,26 @@ let test_delta_insert_update_delete () =
 let test_delta_keeps_other_populations () =
   let schema = (fst (Workload.Customer.generate ())).Query.Env.client in
   let inst = Roundtrip.Generate.instance ~seed:7 ~entities_per_set:6 schema in
+  let sets = List.map fst (Edm.Schema.entity_sets schema) in
+  let assocs = List.map (fun (a : Edm.Association.t) -> a.name) (Edm.Schema.associations schema) in
   let kept msg ?set ?assoc out =
     List.iter
       (fun s ->
         if Some s <> set then
           checkb (Printf.sprintf "%s: %s kept" msg s) true
             (Edm.Instance.entities out ~set:s == Edm.Instance.entities inst ~set:s))
-      (Edm.Instance.sets inst);
+      sets;
     List.iter
       (fun a ->
         if Some a <> assoc then
           checkb (Printf.sprintf "%s: %s kept" msg a) true
             (Edm.Instance.links out ~assoc:a == Edm.Instance.links inst ~assoc:a))
-      (Edm.Instance.assocs inst)
+      assocs
   in
   let entities =
     List.concat_map
       (fun set -> List.map (fun e -> (set, e)) (Edm.Instance.entities inst ~set))
-      (Edm.Instance.sets inst)
+      sets
   in
   let key_of (e : Edm.Instance.entity) =
     Datum.Row.project (Edm.Schema.key_of schema e.etype) e.attrs
@@ -95,7 +97,7 @@ let test_delta_keeps_other_populations () =
       (List.find_map
          (fun a ->
            match Edm.Instance.links inst ~assoc:a with l :: _ -> Some (a, l) | [] -> None)
-         (Edm.Instance.assocs inst))
+         assocs)
   in
   kept "unlink" ~assoc (ok_exn (Delta.apply schema inst [ Delta.Delete_link { assoc; link } ]))
 
@@ -409,12 +411,13 @@ let test_topo_order () =
       let inst = one_of_each env.Query.Env.client in
       let delta =
         List.concat_map
-          (fun set ->
+          (fun (set, _) ->
             List.map (fun entity -> Delta.Insert_entity { set; entity }) (Edm.Instance.entities inst ~set))
-          (Edm.Instance.sets inst)
+          (Edm.Schema.entity_sets env.Query.Env.client)
         @ List.concat_map
-            (fun assoc -> List.map (fun link -> Delta.Insert_link { assoc; link }) (Edm.Instance.links inst ~assoc))
-            (Edm.Instance.assocs inst)
+            (fun ({ name = assoc; _ } : Edm.Association.t) ->
+              List.map (fun link -> Delta.Insert_link { assoc; link }) (Edm.Instance.links inst ~assoc))
+            (Edm.Schema.associations env.Query.Env.client)
       in
       let script, _, _ = ok_exn (Tr.translate env uv ~old_client:Edm.Instance.empty ~delta) in
       check Alcotest.(list string) (name ^ ": FK order") (quadratic_topo_tables env.Query.Env.store)

@@ -275,9 +275,9 @@ let run_random_model_case seed =
           match Query.Unfold.client_query env c.Fullc.Compile.query_views q with
           | Error _ -> () (* some guards are untranslatable over optimized views *)
           | Ok store_q -> (
-              try ignore (check_exec ~msg:(A.show q) env db store_q)
+              try ignore (check_exec ~msg:(Format.asprintf "%a" A.pp q) env db store_q)
               with Alcotest.Test_error | Failure _ ->
-                QCheck.Test.fail_reportf "seed %d: exec mismatch on %s" seed (A.show q)))
+                QCheck.Test.fail_reportf "seed %d: exec mismatch on %a" seed A.pp q))
         queries;
       true
 
@@ -386,7 +386,7 @@ let kf_query c =
   let l = kf_side "L" ~on:c.on ~suffix:"l" and r = kf_side "R" ~on:c.on ~suffix:"r" in
   A.Select (C.conj c.conjuncts, A.Join (c.kind, l, r, c.on))
 
-let arb_kf_case = QCheck.make ~print:(fun c -> A.show (kf_query c)) gen_kf_case
+let arb_kf_case = QCheck.make ~print:(fun c -> Format.asprintf "%a" A.pp (kf_query c)) gen_kf_case
 
 (* Exec agrees with Eval on σf over each join kind, and an equality on a
    join column puts an index probe on both inputs, unless simplification
@@ -793,7 +793,7 @@ let test_reads_after_steps () =
     List.iter
       (fun q ->
         let unfolded = ok_exn (Query.Unfold.client_query env st.Core.State.query_views q) in
-        check_bags (msg ^ ": " ^ A.show q) (Query.Eval.rows env db unfolded)
+        check_bags (Format.asprintf "%s: %a" msg A.pp q) (Query.Eval.rows env db unfolded)
           (Run.rows idb (ok_exn (Core.Session.query_plan session q))))
       reads
   in
@@ -845,7 +845,7 @@ let check_reads msg st queries =
       match Query.Unfold.client_query env st.Core.State.query_views q with
       | Error _ -> ()
       | Ok unfolded ->
-          check_oracle (msg ^ ": " ^ A.show q) env unfolded
+          check_oracle (Format.asprintf "%s: %a" msg A.pp q) env unfolded
             (ok_exn (Core.Session.query_plan session q)))
     queries
 
@@ -1207,7 +1207,7 @@ let check_prepared msg st db queries =
   let roots = ref [] in
   List.filter
     (fun q ->
-      let msg = msg ^ ": " ^ A.show q in
+      let msg = Format.asprintf "%s: %a" msg A.pp q in
       let h = Obs.Metric.value c_hit and n = Obs.Metric.value c_nodes in
       let got = Core.Session.query_plan session q in
       let hit = Obs.Metric.value c_hit > h and built = Obs.Metric.value c_nodes - n in
@@ -1378,7 +1378,7 @@ let test_prepared_view_selection () =
   List.iter
     (fun v ->
       let q = A.Select (C.Cmp ("Cid", C.Eq, V.Int v), client) in
-      check_against_cold (A.show q) env store_db
+      check_against_cold (Format.asprintf "%a" A.pp q) env store_db
         (Planner.plan_read ctx ~unfold:(fun q -> Ok (unfold q)) q)
         (Planner.plan env (unfold q)))
     [ 6; 5; 6; 6; 5; 5 ]

@@ -52,8 +52,8 @@ let prop_roundtrip =
       | Error e -> QCheck.Test.fail_reportf "roundtrip error: %s" e
       | Ok back ->
           Edm.Instance.equal back inst
-          || QCheck.Test.fail_reportf "lost data:@.in:  %s@.out: %s" (Edm.Instance.show inst)
-               (Edm.Instance.show back))
+          || QCheck.Test.fail_reportf "lost data:@.in:  %a@.out: %a" Edm.Instance.pp inst
+               Edm.Instance.pp back)
 
 let prop_store_satisfies_mapping =
   qtest "update views produce M-related store states" ~count:100 arb_client_instance

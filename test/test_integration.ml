@@ -40,8 +40,8 @@ let prop_unfold_agrees =
       let client_rows = Query.Eval.rows_set env (Query.Eval.client_db inst) q in
       let store_rows = Query.Eval.rows_set env (Query.Eval.store_db store) unfolded in
       List.equal Datum.Row.equal client_rows store_rows
-      || QCheck.Test.fail_reportf "query %s:@.client: %d rows, store: %d rows"
-           (Query.Algebra.show q) (List.length client_rows) (List.length store_rows))
+      || QCheck.Test.fail_reportf "query %a:@.client: %d rows, store: %d rows"
+           Query.Algebra.pp q (List.length client_rows) (List.length store_rows))
 
 (* -- random SMO sequences preserve roundtripping ----------------------------- *)
 
@@ -225,7 +225,7 @@ let test_chase () =
   | Ok () -> Alcotest.fail "containment in the unrelated region unexpectedly proven"
   | Error e ->
       checkb "failure names the obligation" true
-        (Containment.Validation_error.obligation e = Some "chase.unrelated-region")
+        (e.Containment.Validation_error.obligation = Some "chase.unrelated-region")
 
 let () =
   Alcotest.run "integration"

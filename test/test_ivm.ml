@@ -559,7 +559,7 @@ let key_map slot rows =
 
 let sign_split layout d =
   let part p =
-    List.filter_map (fun (r, n) -> if p n then Some (Datum.Row.of_values layout r) else None) (Ivm.Multiset.to_list d)
+    Ivm.Multiset.fold (fun r n acc -> if p n then Datum.Row.of_values layout r :: acc else acc) d []
     |> List.sort Datum.Row.compare
   in
   (part (fun n -> n < 0), part (fun n -> n > 0))
@@ -602,7 +602,10 @@ let check_skip ~fail (plan : Ivm.Plan.t) ~store (skip_deltas, st_skip) (all_delt
             (fun (tp : Ivm.Plan.table_plan) ->
               let table = tp.Ivm.Plan.table in
               let img = Ivm.State.image st_skip table in
-              let rows = Ivm.Multiset.rows img.Relational.Instance.counts in
+              let rows =
+                Ivm.Multiset.fold (fun r n acc -> if n > 0 then r :: acc else acc) img.Relational.Instance.counts []
+                |> List.rev
+              in
               same_rows
                 (Relational.Instance.rows store ~table)
                 (List.map (Datum.Row.of_values tp.Ivm.Plan.layout) rows)

@@ -34,7 +34,7 @@ let show_diags ds = String.concat "\n    " (List.map (Format.asprintf "%a" Diag.
 let same_passes tag env frags =
   let lean = Lint.Passes.run env frags in
   let oracle = Lint_tree.Passes.run env frags in
-  if not (List.equal Diag.equal lean oracle) then
+  if lean <> oracle then
     Alcotest.failf "%s: Passes.run differs from its oracle\n  lean:\n    %s\n  oracle:\n    %s" tag
       (show_diags lean) (show_diags oracle);
   lean
@@ -422,7 +422,7 @@ let test_faster_than_validation () =
 let same_as_tree tag env qv uv =
   let dag = Lint.Wf.check env qv uv in
   let tree = Diag.sort (Lint_tree.Wf.check env qv uv @ Lint_tree.Views.view_diags env qv uv) in
-  if not (List.equal Diag.equal dag tree) then
+  if dag <> tree then
     Alcotest.failf "%s: Wf.check differs from the tree walks\n  memoized:\n    %s\n  tree:\n    %s"
       tag (show_diags dag) (show_diags tree);
   dag
@@ -723,7 +723,7 @@ let test_shared_faults () =
   let reported code loc =
     checkb
       (Format.asprintf "reported: %a (got:\n    %s)" Diag.pp
-         (Diag.make ~code ~severity:Diag.Error ~loc "") (show_diags ds))
+         { Diag.code; severity = Diag.Error; loc; message = "" } (show_diags ds))
       true
       (List.exists (fun (d : Diag.t) -> d.code = code && d.loc = loc) ds)
   in
@@ -854,9 +854,9 @@ let test_customer_lean () =
 
 let test_diag_render () =
   let d =
-    Diag.make ~code:"L004" ~severity:Diag.Error ~loc:(Diag.Table "P") "domain \"clash\""
+    { Diag.code = "L004"; severity = Diag.Error; loc = Diag.Table "P"; message = "domain \"clash\"" }
   in
-  let w = Diag.make ~code:"L003" ~severity:Diag.Warning ~loc:(Diag.Fragment "f") "nullable" in
+  let w = { Diag.code = "L003"; severity = Diag.Warning; loc = Diag.Fragment "f"; message = "nullable" } in
   let sorted = Diag.sort [ w; d ] in
   checkb "errors sort first" true ((List.hd sorted).Diag.severity = Diag.Error);
   check Alcotest.(triple int int int) "count" (1, 1, 0) (Diag.count sorted);

@@ -5,7 +5,7 @@ module F = Mapping.Fragment
 let env = P.stage4.P.env
 
 let test_fragment_queries () =
-  let lhs = F.client_query P.phi2 in
+  let lhs = Query.Algebra.project_cols (F.attrs P.phi2) (F.client_side P.phi2) in
   check rows_testable "client side of φ2"
     [ row [ ("Id", V.Int 3); ("Department", V.String "Sales") ];
       row [ ("Id", V.Int 4); ("Department", V.String "Support") ] ]

@@ -90,7 +90,7 @@ let test_example2 () =
         (List.exists
            (function A.Col { src = "Dept"; dst = "Department" } -> true | _ -> false)
            items)
-  | q -> Alcotest.failf "unexpected Q2_Employee shape: %s" (A.show q));
+  | q -> Alcotest.failf "unexpected Q2_Employee shape: %a" A.pp q);
   checkb "τ2_Employee constructs Employee" true
     (Ct.equal v_emp.Query.View.ctor
        (Ct.Entity { etype = "Employee"; attrs = [ "Id"; "Name"; "Department" ] }));
@@ -99,12 +99,12 @@ let test_example2 () =
   | A.Join (Query.Join.Left, _, A.Project (items, A.Scan (A.Table "Emp")), [ "Id" ]) ->
       checkb "tagged branch" true
         (List.exists (function A.Const { dst; _ } -> dst = "_tEmployee" | _ -> false) items)
-  | q -> Alcotest.failf "unexpected Q2_Person shape: %s" (A.show q));
+  | q -> Alcotest.failf "unexpected Q2_Person shape: %a" A.pp q);
   match v_per.Query.View.ctor with
   | Ct.If (C.Cmp ("_tEmployee", C.Eq, V.Bool true), Ct.Entity { etype = "Employee"; _ },
            Ct.Entity { etype = "Person"; _ }) ->
       ()
-  | c -> Alcotest.failf "unexpected τ2_Person: %s" (Ct.show c)
+  | c -> Alcotest.failf "unexpected τ2_Person: %a" Ct.pp c
 
 (* Example 3 / Algorithm 2: Q2_Emp = π(Id, Department AS Dept)(σ IS OF
    Employee (Persons)); Q2_HR unchanged from Q1_HR. *)
@@ -116,7 +116,7 @@ let test_example3 () =
         (List.exists
            (function A.Col { src = "Department"; dst = "Dept" } -> true | _ -> false)
            items)
-  | q -> Alcotest.failf "unexpected Q2_Emp shape: %s" (A.show q));
+  | q -> Alcotest.failf "unexpected Q2_Emp shape: %a" A.pp q);
   let before = Option.get (Query.View.table_view (Lazy.force st1).Core.State.update_views "HR") in
   let after = Option.get (Query.View.table_view st.Core.State.update_views "HR") in
   checkb "Q2_HR = Q1_HR" true (Query.Algebra.equal before after)
@@ -129,11 +129,11 @@ let test_example4 () =
   let v_cust = Option.get (Query.View.entity_view st.Core.State.query_views "Customer") in
   (match v_cust.Query.View.query with
   | A.Project (_, A.Scan (A.Table "Client")) -> ()
-  | q -> Alcotest.failf "unexpected Q3_Customer shape: %s" (A.show q));
+  | q -> Alcotest.failf "unexpected Q3_Customer shape: %a" A.pp q);
   let v_per = Option.get (Query.View.entity_view st.Core.State.query_views "Person") in
   (match v_per.Query.View.query with
   | A.Union_all (_, _) -> ()
-  | q -> Alcotest.failf "Q3_Person should be a union, got %s" (A.show q));
+  | q -> Alcotest.failf "Q3_Person should be a union, got %a" A.pp q);
   let v_hr = Option.get (Query.View.table_view st.Core.State.update_views "HR") in
   let conds = ref [] in
   let rec collect = function
@@ -192,11 +192,11 @@ let test_example7 () =
     ->
       checkb "Eid excluded from the left side" true
         (not (List.exists (fun it -> A.dst_of it = "Eid") items))
-  | q -> Alcotest.failf "unexpected Q4_Client shape: %s" (A.show q));
+  | q -> Alcotest.failf "unexpected Q4_Client shape: %a" A.pp q);
   match Option.get (Query.View.assoc_view st.Core.State.query_views "Supports") with
   | A.Project (_, A.Select (c, A.Scan (A.Table "Client"))) ->
       checkb "selects Eid IS NOT NULL" true (C.equal c (C.Is_not_null "Eid"))
-  | q -> Alcotest.failf "unexpected Q_Supports shape: %s" (A.show q)
+  | q -> Alcotest.failf "unexpected Q_Supports shape: %a" A.pp q
 
 (* Figure 4's companion claim (Section 1.1): "for the same entity schema, if
    each entity type is mapped to a separate table, mapping compilation is

@@ -196,7 +196,7 @@ let test_differential_vs_fullc () =
      shrinking SMO that follows an additive one, and on the final state: a
      drop regenerates its set's views with the full compiler, so checking
      only the end would not check the views the additive SMOs' surgery
-     built.  [Containment.Check.equivalent] is the primary oracle; where its
+     built.  [Containment.Check.subset] both ways is the primary oracle; where its
      conservative outer-join approximation cannot prove equivalence, the
      views are compared by evaluation on sampled states instead. *)
   let empirical env dbs tag q_inc q_full =
@@ -214,9 +214,8 @@ let test_differential_vs_fullc () =
     let has_foj q = match Fullc.Optimize.stats q with n, _, _ -> n > 0 in
     if has_foj q_inc || has_foj q_full then empirical env dbs tag q_inc q_full
     else
-      match Containment.Check.equivalent env q_inc q_full with
-      | Ok true -> ()
-      | Ok false | Error _ -> empirical env dbs tag q_inc q_full
+      let subset a b = Containment.Check.subset env a b = Ok true in
+      if not (subset q_inc q_full && subset q_full q_inc) then empirical env dbs tag q_inc q_full
   in
   let compare_with_fullc seed (st' : Core.State.t) =
     let env' = st'.Core.State.env in

@@ -157,7 +157,8 @@ let prop_values =
         let fresh =
           List.fold_left (fun acc table -> I.set_rows ~table (I.rows t' ~table) acc) I.empty (I.tables t')
         in
-        if not (I.equal fresh t' && I.show fresh = I.show t') then
+        let shown i = Format.asprintf "%a" I.pp i in
+        if not (I.equal fresh t' && shown fresh = shown t') then
           QCheck.Test.fail_reportf "the arrays change equal or pp";
         t'
       in

@@ -168,7 +168,7 @@ let test_query_surface () =
     Query.Eval.rows_set env4 (Query.Eval.client_db P.sample_client) q
   in
   check Alcotest.int "two employees" 2 (List.length rows);
-  checkb "renamed column" true (List.for_all (fun r -> Datum.Row.mem "N" r) rows);
+  checkb "renamed column" true (List.for_all (fun r -> Datum.Row.find "N" r <> None) rows);
   (* select * excludes the $type pseudo-column. *)
   let star = ok_exn (Surface.Elaborate.query env4 (ok_exn (Surface.Parser.query "select * from Supports"))) in
   let rows = Query.Eval.rows_set env4 (Query.Eval.client_db P.sample_client) star in

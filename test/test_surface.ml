@@ -484,7 +484,9 @@ let test_committed_documents () =
   List.iter
     (fun file ->
       let text = In_channel.with_open_bin (Filename.concat states_dir file) In_channel.input_all in
-      checkb (file ^ ": save (load t) = t") true (save (ok_exn (load text)) = text))
+      let st = ok_exn (load text) in
+      Schema_walk.check file st.Core.State.env.Query.Env.client;
+      checkb (file ^ ": save (load t) = t") true (save st = text))
     [ "paper.imcs"; "paper_evolved.imcs"; "paper_dropped.imcs" ]
 
 let test_customer_roundtrip () =
@@ -571,6 +573,25 @@ let test_no_tuple_constructors () =
   check_load_error "an association binding with a constructor" (assoc "(view #1 #2)");
   check_load_error "a tuple leaf in an entity view's constructor"
     (doc ~terms:(terms ^ " (tuple (Id)) (if #0 #2 #3)") ~views:"(for_entity E (view #1 #4))" ())
+
+(* The loader places each saved type under its parent in one walk down
+   from the roots, so a type whose parent is missing, or lies on a parent
+   cycle, is never placed, and the load is an [Error]. *)
+let test_unresolvable_parents () =
+  let client types =
+    "(state (client (type P _ ((Id int)) (Id) ()) " ^ types
+    ^ " (eset Ps P)) (store) (terms true) (fragments) (query_views) (update_views))"
+  in
+  checkb "a grandchild before its parent loads" true
+    (Result.is_ok (load (client "(type D C () () ()) (type C P () () ())")));
+  List.iter
+    (fun (what, types) ->
+      check_load_error what (client types);
+      match load (client types) with
+      | Error e -> checkb (what ^ ": " ^ e) true (contains ~sub:"unresolvable parents" e)
+      | Ok _ -> ())
+    [ ("a missing parent", "(type C Q () () ())"); ("a parent cycle", "(type A B () () ()) (type B A () () ())");
+      ("a type its own parent", "(type A A () () ())") ]
 
 (* Truncated and byte-mutated saved states: [load] answers, [Ok] or [Error],
    and never raises. *)
@@ -936,6 +957,7 @@ let () =
           Alcotest.test_case "bad references" `Quick test_bad_references;
           Alcotest.test_case "update binding form" `Quick test_update_binding_form;
           Alcotest.test_case "no tuple constructors" `Quick test_no_tuple_constructors;
+          Alcotest.test_case "unresolvable parents" `Quick test_unresolvable_parents;
           Alcotest.test_case "save matches the tree-walk encoder" `Quick test_save_matches_oracle;
           Alcotest.test_case "encoder visits each term once" `Quick test_encode_visits;
           Alcotest.test_case "CR in a string constant" `Quick test_cr_constant;

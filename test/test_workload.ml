@@ -117,13 +117,12 @@ let test_style_detection () =
     (st1, st1, st1, ok_exn (Core.State.bootstrap pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments))
   in
   let detect ty = Modef.Style.detect st4.Core.State.env st4.Core.State.fragments ~etype:ty in
-  checkb "Employee is TPT" true (Modef.Style.equal (detect "Employee") Modef.Style.Tpt);
-  checkb "Customer is TPC" true (Modef.Style.equal (detect "Customer") Modef.Style.Tpc);
+  checkb "Employee is TPT" true (detect "Employee" = Modef.Style.Tpt);
+  checkb "Customer is TPC" true (detect "Customer" = Modef.Style.Tpc);
   let tph_env, tph_frags = Workload.Hub_rim.generate ~n:2 ~m:1 ~style:`Tph in
   let st = ok_exn (Core.State.bootstrap tph_env tph_frags) in
   checkb "hub2 is TPH" true
-    (Modef.Style.equal (Modef.Style.detect st.Core.State.env st.Core.State.fragments ~etype:"Hub2")
-       Modef.Style.Tph)
+    (Modef.Style.detect st.Core.State.env st.Core.State.fragments ~etype:"Hub2" = Modef.Style.Tph)
 
 let test_diff_infers_additions () =
   (* Start from stage 2 (Person+Employee) and edit the model: a new Manager
