@@ -102,8 +102,7 @@ let load_input ~model ~file ~size =
         (st.Core.State.env, st.Core.State.fragments, Some st)
       end
       else begin
-        let ast = ok (Surface.Parser.model text) in
-        let env, frags = ok (Surface.Elaborate.model ast) in
+        let env, frags = ok (Surface.Parser.model text) in
         (env, frags, None)
       end
   | Some _, Some _ ->
@@ -255,8 +254,7 @@ let evolve_cmd =
     | None -> Printf.printf "bootstrap (full compilation): %.3fs\n\n" (Unix.gettimeofday () -. t0));
     match script with
     | Some path ->
-        let ast = ok (Surface.Parser.script (read_file path)) in
-        let smos = ok (Surface.Elaborate.script ast) in
+        let smos = ok (Surface.Parser.script (read_file path)) in
         let st =
           List.fold_left
             (fun st smo ->
@@ -359,8 +357,7 @@ let query_cmd =
     let env, frags, loaded = load_input ~model:name ~file ~size in
     let st = state_of ~env ~frags loaded in
     let env = st.Core.State.env in
-    let q_ast = ok (Surface.Parser.query qtext) in
-    let q = ok (Surface.Elaborate.query env q_ast) in
+    let q = ok (Surface.Parser.query env qtext) in
     let unfolded = ok (Query.Unfold.client_query env st.Core.State.query_views q) in
     Format.printf "-- client query@.%a@.@.-- unfolds over the store to@.%a@." Query.Pretty.query q
       Query.Pretty.query unfolded;
@@ -377,7 +374,7 @@ let query_cmd =
           exit 1
         end
     | Some path ->
-        let inst = ok (Surface.Elaborate.data env (ok (Surface.Parser.data (read_file path)))) in
+        let inst = ok (Surface.Parser.data env (read_file path)) in
         let store = ok (Query.View.apply_update_views env st.Core.State.update_views inst) in
         let client_rows = Query.Eval.rows_set env (Query.Eval.client_db inst) q in
         let store_rows = Query.Eval.rows_set env (Query.Eval.store_db store) unfolded in
@@ -437,10 +434,10 @@ let apply_cmd =
     let uv = st.Core.State.update_views in
     let inst =
       match data with
-      | Some path -> ok (Surface.Elaborate.data env (ok (Surface.Parser.data (read_file path))))
+      | Some path -> ok (Surface.Parser.data env (read_file path))
       | None -> Edm.Instance.empty
     in
-    let delta = ok (Surface.Elaborate.dml env (ok (Surface.Parser.dml (read_file script)))) in
+    let delta = ok (Surface.Parser.dml env (read_file script)) in
     let before = Obs.Metric.snapshot () in
     let sql_script, _new_client, new_store =
       ok (Dml.Translate.translate env uv ~old_client:inst ~delta)
@@ -555,24 +552,9 @@ let diff_cmd =
   let run name file size target output =
     let env, frags, loaded = load_input ~model:name ~file ~size in
     let st = state_of ~env ~frags loaded in
-    let target_ast = ok (Surface.Parser.model (read_file target)) in
-    (* Elaborate the target's client section against a permissive store: the
-       differ only needs the client schema. *)
-    let target_client =
-      match Surface.Elaborate.model target_ast with
-      | Ok (env', _) -> env'.Query.Env.client
-      | Error _ -> (
-          (* The target file may only make sense as a client section (its
-             mapping may be the old one); elaborate just the client. *)
-          match
-            Surface.Elaborate.model
-              { target_ast with Surface.Ast.tables = []; fragments = [] }
-          with
-          | Ok (env', _) -> env'.Query.Env.client
-          | Error e ->
-              Printf.eprintf "error: %s\n" e;
-              exit 1)
-    in
+    (* The differ only needs the target's client schema: its store and
+       mapping may be the old ones. *)
+    let target_client = ok (Surface.Parser.client (read_file target)) in
     let smos = ok (Modef.Diff.infer st ~target:target_client) in
     let text = Surface.Print_dsl.script smos in
     print_string text;

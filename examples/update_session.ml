@@ -19,14 +19,12 @@ let read path = In_channel.with_open_text path In_channel.input_all
 
 let () =
   (* -- 1. load and compile the model file -------------------------------- *)
-  let ast = ok (Surface.Parser.model (read "examples/models/paper_stage1.imc")) in
-  let env, frags = ok (Surface.Elaborate.model ast) in
+  let env, frags = ok (Surface.Parser.model (read "examples/models/paper_stage1.imc")) in
   let session = Core.Session.start (ok (Core.State.bootstrap env frags)) in
   print_endline "loaded examples/models/paper_stage1.imc and compiled it";
 
   (* -- 2. evolve inside a session ----------------------------------------- *)
-  let script = ok (Surface.Parser.script (read "examples/models/paper_changes.smo")) in
-  let smos = ok (Surface.Elaborate.script script) in
+  let smos = ok (Surface.Parser.script (read "examples/models/paper_changes.smo")) in
   let session =
     List.fold_left (fun s smo -> ok_v (Core.Session.apply s smo)) session smos
   in
@@ -82,11 +80,8 @@ let () =
 
   (* -- 3. run application updates through the mapping ---------------------- *)
   let env = st.Core.State.env in
-  let data = ok (Surface.Parser.data (read "examples/models/paper_data.imcd")) in
-  let inst = ok (Surface.Elaborate.data env data) in
-  let delta =
-    ok (Surface.Elaborate.dml env (ok (Surface.Parser.dml (read "examples/models/paper_updates.dml"))))
-  in
+  let inst = ok (Surface.Parser.data env (read "examples/models/paper_data.imcd")) in
+  let delta = ok (Surface.Parser.dml env (read "examples/models/paper_updates.dml")) in
   let sql, new_client, new_store =
     ok (Dml.Translate.translate env st.Core.State.update_views ~old_client:inst ~delta)
   in

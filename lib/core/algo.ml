@@ -74,19 +74,6 @@ let tag_for etype = "_t" ^ etype
    collection is disabled). *)
 let span ?attrs name f = Obs.Span.with_ ?attrs ~name f
 
-let align_union env l r =
-  let lc = Query.Algebra.columns env l and rc = Query.Algebra.columns env r in
-  let all = List.sort_uniq String.compare (lc @ rc) in
-  let pad cols q =
-    let items =
-      List.map
-        (fun c -> if List.mem c cols then Query.Algebra.col c else Query.Algebra.null_as c)
-        all
-    in
-    Query.Algebra.Project (items, q)
-  in
-  Query.Algebra.Union_all (pad lc l, pad rc r)
-
 let widen_only_p ~p ~e cond =
   Query.Cond.map_atoms
     (function

@@ -52,11 +52,6 @@ val span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
     argument order flipped for partial application.  Free when collection is
     disabled. *)
 
-val align_union : Query.Env.t -> Query.Algebra.t -> Query.Algebra.t -> Query.Algebra.t
-(** UNION ALL after padding each side's missing columns with [NULL] — how
-    Algorithm 1's line 18 (and Fig. 2) reconciles branches with different
-    column sets. *)
-
 val widen_only_p : p:string -> e:string -> Query.Cond.t -> Query.Cond.t
 (** Algorithm 2, lines 7–9: replace [IS OF (ONLY P)] by
     [IS OF (ONLY P) ∨ IS OF E]. *)

@@ -138,7 +138,8 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
   let anc = match p_ref with None -> [] | Some p -> p :: Edm.Schema.ancestors client' p in
   let* qv = List.fold_left (patch loj) (Ok st.State.query_views) anc in
   (* Types strictly between E and P: the aligned UNION ALL. *)
-  let* qv = List.fold_left (patch (fun q -> Algo.align_union env' q qaux)) (Ok qv) between in
+  let align q = Query.Algebra.align_union env' q qaux in
+  let* qv = List.fold_left (patch align) (Ok qv) between in
   Ok (Query.View.set_entity_view e { Query.View.query = qe; ctor = tau_e } qv)
 
 (* -- Algorithm 2: update views --------------------------------------------- *)

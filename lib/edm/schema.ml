@@ -329,6 +329,63 @@ let reparent ~etype ~parent:p t =
   let t = { t with ty = M.add etype e t.ty; kids = index_add ~key:p etype t.kids; sets } in
   Ok (reindex (root_of t p) { t with hattrs = M.remove etype t.hattrs })
 
+(* One walk down from the roots, each in document order and each type's
+   children in document order: a type whose parent is missing, or lies on a
+   parent cycle, is never reached.  [Hashtbl.find_all] lists a type's
+   children last declared first, so the walk folds them from the right. *)
+let of_declarations types ~sets assocs =
+  let set_of = Hashtbl.create 16 and kids = Hashtbl.create 64 in
+  let* () =
+    Datum.Results.all_ok
+      (fun (set, root) ->
+        match Hashtbl.find_opt set_of root with
+        | Some other -> fail "root type %s has two entity sets, %s and %s" root other set
+        | None -> Ok (Hashtbl.add set_of root set))
+      sets
+  in
+  List.iter
+    (fun (e : Entity_type.t) -> Option.iter (fun p -> Hashtbl.add kids p e) e.parent)
+    types;
+  let rec place (e : Entity_type.t) t =
+    match t with
+    | Error _ -> t
+    | Ok t ->
+        let t =
+          match (e.parent, Hashtbl.find_opt set_of e.name) with
+          | Some _, _ -> add_derived e t
+          | None, Some set -> add_root ~set e t
+          | None, None -> fail "root type %s has no entity set" e.name
+        in
+        List.fold_right place (Hashtbl.find_all kids e.name) t
+  in
+  let* t =
+    List.fold_left
+      (fun t (e : Entity_type.t) -> if e.parent = None then place e t else t)
+      (Ok empty) types
+  in
+  let* () =
+    if M.cardinal t.ty = List.length types then Ok ()
+    else
+      let unplaced (e : Entity_type.t) =
+        match find_type t e.name with Some placed -> placed != e | None -> true
+      in
+      fail "entity types with unresolvable parents: %s"
+        (String.concat ", "
+           (List.filter_map
+              (fun (e : Entity_type.t) -> if unplaced e then Some e.name else None)
+              types))
+  in
+  let* () =
+    Datum.Results.all_ok
+      (fun (set, root) ->
+        match find_type t root with
+        | Some r when r.Entity_type.parent = None -> Ok ()
+        | Some _ -> fail "entity set %s is rooted at non-root %s" set root
+        | None -> fail "entity set %s is rooted at unknown type %s" set root)
+      sets
+  in
+  List.fold_left (fun t a -> Result.bind t (add_association a)) (Ok t) assocs
+
 (* -- whole-schema check -------------------------------------------------- *)
 
 let well_formed t =

@@ -22,6 +22,16 @@ val add_derived : Entity_type.t -> t -> (t, string) result
     taken, the type declares a key, or a declared attribute shadows an
     inherited one. *)
 
+val of_declarations :
+  Entity_type.t list -> sets:(string * string) list -> Association.t list -> (t, string) result
+(** The schema of a model's declarations: entity types in document order,
+    [(set, root)] pairs and associations.  Each root is placed with its set,
+    then its children in document order, in one walk down from the roots.
+    Fails if a type is never reached (its parent is missing or lies on a
+    cycle; the message names every such type), if a root has no set or two,
+    if a set's root is unknown or not a root, or if an [add_*] step above
+    fails. *)
+
 val add_association : Association.t -> t -> (t, string) result
 val remove_association : string -> t -> (t, string) result
 

@@ -1,4 +1,11 @@
-(* Shared per-fragment analysis used by both view generators. *)
+(* Shared per-fragment analysis of the view generators, the view optimizer
+   and validation. *)
+
+(* Both fragments map one entity set. *)
+let same_set (f : Mapping.Fragment.t) (g : Mapping.Fragment.t) =
+  match f.Mapping.Fragment.client_source, g.Mapping.Fragment.client_source with
+  | Mapping.Fragment.Set a, Mapping.Fragment.Set b -> a = b
+  | _, _ -> false
 
 let tag_name i = Printf.sprintf "_from%d" (i + 1)
 let local_name a i = Printf.sprintf "%s@%d" a (i + 1)

@@ -6,14 +6,9 @@ let concrete_types client (f : Mapping.Fragment.t) =
       | None -> [])
   | Mapping.Fragment.Assoc _ -> []
 
-let same_set (f : Mapping.Fragment.t) (g : Mapping.Fragment.t) =
-  match f.Mapping.Fragment.client_source, g.Mapping.Fragment.client_source with
-  | Mapping.Fragment.Set a, Mapping.Fragment.Set b -> a = b
-  | _, _ -> false
-
 (* No entity can satisfy both fragments' conditions. *)
 let disjoint client (f : Mapping.Fragment.t) (g : Mapping.Fragment.t) =
-  same_set f g
+  Frag_info.same_set f g
   && List.for_all
        (fun ty ->
          not
@@ -25,7 +20,7 @@ let disjoint client (f : Mapping.Fragment.t) (g : Mapping.Fragment.t) =
 let subset_of client (f : Mapping.Fragment.t) (g : Mapping.Fragment.t) =
   match f.Mapping.Fragment.client_source, g.Mapping.Fragment.client_source with
   | Mapping.Fragment.Set _, Mapping.Fragment.Set _ ->
-      same_set f g
+      Frag_info.same_set f g
       && List.for_all
            (fun ty ->
              Query.Cover.implies client ~etype:ty f.Mapping.Fragment.client_cond
@@ -47,18 +42,6 @@ let subset_of client (f : Mapping.Fragment.t) (g : Mapping.Fragment.t) =
                 g.Mapping.Fragment.client_cond)
             (Edm.Schema.subtypes client assoc.Edm.Association.end1))
   | _, Mapping.Fragment.Assoc _ -> false
-
-let pad_union env l r =
-  let lc = Query.Algebra.columns env l and rc = Query.Algebra.columns env r in
-  let all = List.sort_uniq String.compare (lc @ rc) in
-  let pad cols q =
-    Query.Algebra.Project
-      ( List.map
-          (fun c -> if List.mem c cols then Query.Algebra.col c else Query.Algebra.null_as c)
-          all,
-        q )
-  in
-  Query.Algebra.Union_all (pad lc l, pad rc r)
 
 let combine env ~key branches =
   let client = env.Query.Env.client in
@@ -88,7 +71,7 @@ let combine env ~key branches =
       (* Isolated branches are pairwise disjoint, so UNION ALL is exact. *)
       let rec union_in tree = function
         | [] -> tree
-        | (_, b) :: rest -> union_in (pad_union env tree b) rest
+        | (_, b) :: rest -> union_in (Query.Algebra.align_union env tree b) rest
       in
       union_in joined (List.rev deferred)
 

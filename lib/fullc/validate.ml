@@ -18,11 +18,6 @@ let coverage env frags =
 
 (* -- step (1): one-to-one left sides over the cell partitioning ----------- *)
 
-let same_set (f : Mapping.Fragment.t) (g : Mapping.Fragment.t) =
-  match f.Mapping.Fragment.client_source, g.Mapping.Fragment.client_source with
-  | Mapping.Fragment.Set a, Mapping.Fragment.Set b -> a = b
-  | _, _ -> false
-
 let cell_collision env key (cell : Cells.cell) =
   let client = env.Query.Env.client in
   let rec pairs = function
@@ -31,7 +26,7 @@ let cell_collision env key (cell : Cells.cell) =
         let* () =
           Datum.Results.all_ok
             (fun g ->
-              if not (same_set f g) then Ok ()
+              if not (Frag_info.same_set f g) then Ok ()
               else
                 let shared =
                   List.filter

@@ -242,6 +242,12 @@ let columns env q =
   | Ok cols -> cols
   | Error e -> invalid_arg ("Query.Algebra.columns: " ^ e)
 
+let align_union env l r =
+  let lc = columns env l and rc = columns env r in
+  let all = List.sort_uniq String.compare (lc @ rc) in
+  let pad cols q = Project (List.map (fun c -> if List.mem c cols then col c else null_as c) all, q) in
+  Union_all (pad lc l, pad rc r)
+
 let rec sources_acc acc = function
   | Scan s -> if List.exists (equal_source s) acc then acc else s :: acc
   | Select (_, q) | Project (_, q) -> sources_acc acc q

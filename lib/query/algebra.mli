@@ -52,6 +52,12 @@ val project_cols : string list -> t -> t
 val project_renamed : (string * string) list -> t -> t
 (** [(src, dst)] pairs. *)
 
+val align_union : Env.t -> t -> t -> t
+(** UNION ALL after padding each side's missing columns with [NULL] — how
+    Algorithm 1's line 18 (and Fig. 2) reconciles branches with different
+    column sets, and how the full compiler's view optimizer unions disjoint
+    branches.  @raise Invalid_argument when {!infer} fails on a side. *)
+
 val dst_of : proj_item -> string
 
 val source_columns : Env.t -> source -> (string list, string) result

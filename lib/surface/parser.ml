@@ -1,3 +1,5 @@
+let ( let* ) = Result.bind
+
 exception Fail of int * int * string
 
 type state = { mutable toks : Lexer.spanned list }
@@ -73,10 +75,10 @@ let domain st =
   match t.Lexer.token with
   | Lexer.Ident s -> (
       match String.lowercase_ascii s with
-      | "int" -> Ast.D_int
-      | "string" -> Ast.D_string
-      | "bool" -> Ast.D_bool
-      | "decimal" -> Ast.D_decimal
+      | "int" -> Datum.Domain.Int
+      | "string" -> Datum.Domain.String
+      | "bool" -> Datum.Domain.Bool
+      | "decimal" -> Datum.Domain.Decimal
       | "enum" ->
           expect st Lexer.LParen;
           let values =
@@ -88,7 +90,7 @@ let domain st =
                 | tok -> fail_at t "expected an enum value, found %s" (Lexer.describe tok))
           in
           expect st Lexer.RParen;
-          Ast.D_enum values
+          Datum.Domain.Enum values
       | _ -> fail_at t "expected a domain (int/string/bool/decimal/enum), found %s" s)
   | tok -> fail_at t "expected a domain, found %s" (Lexer.describe tok)
 
@@ -155,78 +157,135 @@ and cond_atom st =
       | tok -> fail_at t "expected 'is' or a comparison after %s, found %s" a (Lexer.describe tok))
   | tok -> fail_at t "expected a condition, found %s" (Lexer.describe tok)
 
+(* -- literals of Decimal attributes and columns ----------------------------- *)
+
+(* Each Int bound to an attribute or column known to be Decimal becomes the
+   equal Decimal ([Datum.Value.of_domain]): the value order puts every Int
+   below every Decimal. *)
+let coerce domain bindings =
+  List.map
+    (fun (c, v) -> (c, match domain c with Some d -> Datum.Value.of_domain d v | None -> v))
+    bindings
+
+let type_domain client etype a =
+  if Edm.Schema.mem_type client etype then Edm.Schema.attribute_domain client etype a else None
+
+let set_domain client set a =
+  Option.bind (Edm.Schema.set_root client set) (fun root ->
+      Edm.Schema.hierarchy_attribute client root a)
+
+let assoc_domain client assoc a =
+  Option.bind (Edm.Schema.find_association client assoc) (fun x ->
+      List.assoc_opt a (Edm.Schema.association_attributes client x))
+
+let table_domain store table c =
+  Option.bind (Relational.Schema.find_table store table) (fun t -> Relational.Table.domain_of t c)
+
 (* -- client section ------------------------------------------------------------ *)
 
-let attr st =
-  let a_key = try_kw st "key" in
-  let a_name = ident st in
-  expect st Lexer.Colon;
-  let a_domain = domain st in
-  let a_non_null =
-    if try_kw st "not" then begin
-      kw st "null";
-      true
+let not_null st =
+  try_kw st "not"
+  && begin
+    kw st "null";
+    true
+  end
+
+(* A type's attribute block: its attributes, its key, and its non-null
+   attributes (the key's among them), each in document order. *)
+let attrs st =
+  expect st Lexer.LBrace;
+  let rec go declared key non_null =
+    if peek st |> fun t -> t.Lexer.token = Lexer.RBrace then begin
+      ignore (next st);
+      (List.rev declared, List.rev key, List.rev non_null)
     end
-    else false
+    else begin
+      let is_key = try_kw st "key" in
+      let a = ident st in
+      expect st Lexer.Colon;
+      let d = domain st in
+      let nn = not_null st || is_key in
+      expect st Lexer.Semi;
+      go ((a, d) :: declared) (if is_key then a :: key else key)
+        (if nn then a :: non_null else non_null)
+    end
   in
-  expect st Lexer.Semi;
-  { Ast.a_name; a_domain; a_key; a_non_null = a_non_null || a_key }
+  go [] [] []
+
+(* A client type declaration; the caller has consumed 'type'. *)
+let type_decl st =
+  let at = peek st in
+  let name = ident st in
+  let parent =
+    if peek st |> fun t -> t.Lexer.token = Lexer.Colon then begin
+      expect st Lexer.Colon;
+      Some (ident st)
+    end
+    else None
+  in
+  let declared, key, non_null = attrs st in
+  match parent with
+  | None ->
+      if key = [] then fail_at at "root type %s declares no key attribute" name;
+      let non_null = List.filter (fun a -> not (List.mem a key)) non_null in
+      Edm.Entity_type.root ~name ~key ~non_null declared
+  | Some parent ->
+      if key <> [] then fail_at at "derived type %s must not declare key attributes" name;
+      Edm.Entity_type.derived ~name ~parent ~non_null declared
 
 let multiplicity st =
   let t = next st in
   match t.Lexer.token with
-  | Lexer.Star -> Ast.M_many
-  | Lexer.Int 1 -> Ast.M_one
+  | Lexer.Star -> Edm.Association.Many
+  | Lexer.Int 1 -> Edm.Association.One
   | Lexer.Int 0 ->
       expect st Lexer.DotDot;
       let t2 = next st in
       (match t2.Lexer.token with
-      | Lexer.Int 1 -> Ast.M_zero_one
+      | Lexer.Int 1 -> Edm.Association.Zero_or_one
       | tok -> fail_at t2 "expected 1 after '0..', found %s" (Lexer.describe tok))
   | tok -> fail_at t "expected a multiplicity (*, 1 or 0..1), found %s" (Lexer.describe tok)
 
 let assoc_decl st ~name =
   kw st "between";
-  let as_end1 = ident st in
+  let end1 = ident st in
   kw st "and";
-  let as_end2 = ident st in
+  let end2 = ident st in
   kw st "multiplicity";
-  let as_mult1 = multiplicity st in
+  let mult1 = multiplicity st in
   kw st "to";
-  let as_mult2 = multiplicity st in
-  { Ast.as_name = name; as_end1; as_end2; as_mult1; as_mult2 }
+  let mult2 = multiplicity st in
+  { Edm.Association.name; end1; end2; mult1; mult2 }
 
-let client_section st =
-  let types = ref [] and sets = ref [] and assocs = ref [] in
+(* A model file's declarations, each list in reverse document order.  A
+   fragment waits for both schemas: its source is an entity set or an
+   association of the client, and its literals are coerced by the domains
+   of its set and table. *)
+type decls = {
+  mutable types : Edm.Entity_type.t list;
+  mutable sets : (string * string) list;
+  mutable assocs : Edm.Association.t list;
+  mutable tables : Relational.Table.t list;
+  mutable fragments : (Edm.Schema.t -> Relational.Schema.t -> Mapping.Fragment.t) list;
+}
+
+let client_section st d =
   expect st Lexer.LBrace;
   let rec go () =
     let t = peek st in
     if t.Lexer.token = Lexer.RBrace then ignore (next st)
     else if is_kw t "set" then begin
       ignore (next st);
-      let s_name = ident st in
+      let set = ident st in
       kw st "of";
-      let s_root = ident st in
+      let root = ident st in
       expect st Lexer.Semi;
-      sets := { Ast.s_name; s_root } :: !sets;
+      d.sets <- (set, root) :: d.sets;
       go ()
     end
     else if is_kw t "type" then begin
       ignore (next st);
-      let t_name = ident st in
-      let t_parent = if peek st |> fun t -> t.Lexer.token = Lexer.Colon then begin
-          expect st Lexer.Colon;
-          Some (ident st)
-        end
-        else None
-      in
-      expect st Lexer.LBrace;
-      let attrs = ref [] in
-      while peek st |> fun t -> t.Lexer.token <> Lexer.RBrace do
-        attrs := attr st :: !attrs
-      done;
-      expect st Lexer.RBrace;
-      types := { Ast.t_name; t_parent; t_attrs = List.rev !attrs } :: !types;
+      d.types <- type_decl st :: d.types;
       go ()
     end
     else if is_kw t "assoc" then begin
@@ -234,19 +293,19 @@ let client_section st =
       let name = ident st in
       let a = assoc_decl st ~name in
       expect st Lexer.Semi;
-      assocs := a :: !assocs;
+      d.assocs <- a :: d.assocs;
       go ()
     end
     else fail_at t "expected 'set', 'type', 'assoc' or '}', found %s" (Lexer.describe t.Lexer.token)
   in
-  go ();
-  (List.rev !types, List.rev !sets, List.rev !assocs)
+  go ()
 
 (* -- store section --------------------------------------------------------------- *)
 
 let table_decl st =
   (* caller has consumed 'table' *)
-  let tb_name = ident st in
+  let at = peek st in
+  let name = ident st in
   expect st Lexer.LBrace;
   let cols = ref [] and key = ref [] and fks = ref [] in
   let rec go () =
@@ -260,125 +319,147 @@ let table_decl st =
     end
     else if is_kw t "fk" then begin
       ignore (next st);
-      let fk_cols = paren_idents st in
+      let fk_columns = paren_idents st in
       kw st "references";
-      let fk_ref = ident st in
-      let fk_ref_cols = paren_idents st in
+      let ref_table = ident st in
+      let ref_columns = paren_idents st in
       expect st Lexer.Semi;
-      fks := { Ast.fk_cols; fk_ref; fk_ref_cols } :: !fks;
+      fks := { Relational.Table.fk_columns; ref_table; ref_columns } :: !fks;
       go ()
     end
     else begin
-      let c_name = ident st in
+      let c = ident st in
       expect st Lexer.Colon;
-      let c_domain = domain st in
-      let c_not_null =
-        if try_kw st "not" then begin
-          kw st "null";
-          true
-        end
-        else false
-      in
+      let d = domain st in
+      let null = if not_null st then `Not_null else `Null in
       expect st Lexer.Semi;
-      cols := { Ast.c_name; c_domain; c_not_null } :: !cols;
+      cols := (c, d, null) :: !cols;
       go ()
     end
   in
   go ();
-  (match !key with
-  | [] -> raise (Fail (0, 0, Printf.sprintf "table %s has no key clause" tb_name))
-  | _ -> ());
-  { Ast.tb_name; tb_cols = List.rev !cols; tb_key = !key; tb_fks = List.rev !fks }
+  let cols = List.rev !cols and key = !key in
+  if key = [] then fail_at at "table %s has no key clause" name;
+  (match List.find_opt (fun k -> not (List.exists (fun (c, _, _) -> c = k) cols)) key with
+  | Some k -> fail_at at "table %s keys on undeclared column %s" name k
+  | None -> ());
+  Relational.Table.make ~name ~key ~fks:(List.rev !fks) cols
 
-let store_section st =
+let store_section st d =
   expect st Lexer.LBrace;
-  let tables = ref [] in
   let rec go () =
     let t = peek st in
     if t.Lexer.token = Lexer.RBrace then ignore (next st)
     else if is_kw t "table" then begin
       ignore (next st);
-      tables := table_decl st :: !tables;
+      d.tables <- table_decl st :: d.tables;
       go ()
     end
     else fail_at t "expected 'table' or '}', found %s" (Lexer.describe t.Lexer.token)
   in
-  go ();
-  List.rev !tables
+  go ()
 
 (* -- mapping section --------------------------------------------------------------- *)
 
-let mapping_section st =
+let fragment_decl st =
+  (* caller has consumed 'fragment' *)
+  let at = peek st in
+  let source = ident st in
+  let client_cond = if try_kw st "where" then cond st else Query.Cond.True in
+  kw st "maps";
+  let ps = pairs st in
+  kw st "to";
+  let table = ident st in
+  let store_cond = if try_kw st "where" then cond st else Query.Cond.True in
+  expect st Lexer.Semi;
+  fun client store ->
+    let store_cond = Query.Cond.with_domains (table_domain store table) store_cond in
+    if Edm.Schema.set_root client source <> None then
+      let cond = Query.Cond.with_domains (set_domain client source) client_cond in
+      Mapping.Fragment.entity ~set:source ~cond ~table ~store_cond ps
+    else if Edm.Schema.find_association client source = None then
+      fail_at at "fragment source %s is neither an entity set nor an association" source
+    else if not (Query.Cond.equal client_cond Query.Cond.True) then
+      fail_at at "association fragment %s cannot carry a client-side condition" source
+    else Mapping.Fragment.assoc ~assoc:source ~table ~store_cond ps
+
+let mapping_section st d =
   expect st Lexer.LBrace;
-  let frags = ref [] in
   let rec go () =
     let t = peek st in
     if t.Lexer.token = Lexer.RBrace then ignore (next st)
     else if is_kw t "fragment" then begin
       ignore (next st);
-      let fr_source = ident st in
-      let fr_cond = if try_kw st "where" then cond st else Query.Cond.True in
-      kw st "maps";
-      let fr_pairs = pairs st in
-      kw st "to";
-      let fr_table = ident st in
-      let fr_store_cond = if try_kw st "where" then cond st else Query.Cond.True in
-      expect st Lexer.Semi;
-      frags := { Ast.fr_source; fr_cond; fr_pairs; fr_table; fr_store_cond } :: !frags;
+      d.fragments <- fragment_decl st :: d.fragments;
       go ()
     end
     else fail_at t "expected 'fragment' or '}', found %s" (Lexer.describe t.Lexer.token)
   in
-  go ();
-  List.rev !frags
+  go ()
 
 let model_toks st =
-  let types = ref [] and sets = ref [] and assocs = ref [] in
-  let tables = ref [] and frags = ref [] in
+  let d = { types = []; sets = []; assocs = []; tables = []; fragments = [] } in
   let rec go () =
     let t = peek st in
     if t.Lexer.token = Lexer.Eof then ()
-    else if is_kw t "client" then begin
+    else begin
       ignore (next st);
-      let ty, se, a = client_section st in
-      types := !types @ ty;
-      sets := !sets @ se;
-      assocs := !assocs @ a;
+      if is_kw t "client" then client_section st d
+      else if is_kw t "store" then store_section st d
+      else if is_kw t "mapping" then mapping_section st d
+      else
+        fail_at t "expected 'client', 'store' or 'mapping', found %s" (Lexer.describe t.Lexer.token);
       go ()
     end
-    else if is_kw t "store" then begin
-      ignore (next st);
-      tables := !tables @ store_section st;
-      go ()
-    end
-    else if is_kw t "mapping" then begin
-      ignore (next st);
-      frags := !frags @ mapping_section st;
-      go ()
-    end
-    else
-      fail_at t "expected 'client', 'store' or 'mapping', found %s" (Lexer.describe t.Lexer.token)
   in
   go ();
-  { Ast.types = !types; sets = !sets; assocs = !assocs; tables = !tables; fragments = !frags }
+  d
+
+let client_schema d =
+  let* client =
+    Edm.Schema.of_declarations (List.rev d.types) ~sets:(List.rev d.sets) (List.rev d.assocs)
+  in
+  let* () = Edm.Schema.well_formed client in
+  Ok client
+
+let model_of d =
+  let* client = client_schema d in
+  let* store =
+    List.fold_right
+      (fun t store -> Result.bind store (Relational.Schema.add_table t))
+      d.tables (Ok Relational.Schema.empty)
+  in
+  let* () = Relational.Schema.well_formed store in
+  let env = Query.Env.make ~client ~store in
+  let frags =
+    List.fold_right
+      (fun f frags -> Mapping.Fragments.add (f client store) frags)
+      d.fragments Mapping.Fragments.empty
+  in
+  let* () = Mapping.Fragments.well_formed env frags in
+  Ok (env, frags)
 
 (* -- SMO scripts -------------------------------------------------------------------- *)
 
-let type_header st =
+(* The new type of an 'add entity' statement: its key attributes are only
+   non-null, since a derived type has no key. *)
+let new_entity st =
   let name = ident st in
   expect st Lexer.Colon;
   let parent = ident st in
-  expect st Lexer.LBrace;
-  let attrs = ref [] in
-  while peek st |> fun t -> t.Lexer.token <> Lexer.RBrace do
-    attrs := attr st :: !attrs
-  done;
-  expect st Lexer.RBrace;
-  (name, parent, List.rev !attrs)
+  let declared, _, non_null = attrs st in
+  Edm.Entity_type.derived ~name ~parent ~non_null declared
 
 let reference st =
   kw st "reference";
   if try_kw st "nil" then None else Some (ident st)
+
+(* [Type.Attribute] as one dotted identifier, split at its first dot. *)
+let owner_attr st ~at =
+  let s = ident st in
+  match String.index_opt s '.' with
+  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  | None -> fail_at at "expected Type.Attribute, found %s" s
 
 let smo st =
   let t = peek st in
@@ -387,19 +468,19 @@ let smo st =
     let t2 = peek st in
     if is_kw t2 "entity" then begin
       ignore (next st);
-      let name, parent, attrs = type_header st in
+      let entity = new_entity st in
       let t3 = peek st in
       if is_kw t3 "alpha" then begin
         ignore (next st);
         let alpha = paren_idents st in
-        let reference = reference st in
+        let p_ref = reference st in
         kw st "to";
         kw st "table";
         let table = table_decl st in
         kw st "map";
-        let ps = pairs st in
+        let fmap = pairs st in
         expect st Lexer.Semi;
-        Ast.S_add_entity { name; parent; attrs; alpha; reference; table; pairs = ps }
+        Core.Smo.Add_entity { entity; alpha; p_ref; table; fmap }
       end
       else if is_kw t3 "tph" then begin
         ignore (next st);
@@ -412,28 +493,28 @@ let smo st =
         | tok -> fail_at t3 "expected '=' after the discriminator column, found %s" (Lexer.describe tok));
         let disc_value = literal st in
         kw st "map";
-        let ps = pairs st in
+        let fmap = pairs st in
         expect st Lexer.Semi;
-        Ast.S_add_entity_tph { name; parent; attrs; table; disc = (disc_col, disc_value); pairs = ps }
+        Core.Smo.Add_entity_tph { entity; table; fmap; discriminator = (disc_col, disc_value) }
       end
       else if is_kw t3 "partitions" then begin
         ignore (next st);
-        let reference = reference st in
+        let p_ref = reference st in
         let parts = ref [] in
         while is_kw (peek st) "partition" do
           ignore (next st);
-          let p_alpha = paren_idents st in
+          let part_alpha = paren_idents st in
           kw st "where";
-          let p_cond = cond st in
+          let part_cond = cond st in
           kw st "to";
           kw st "table";
-          let p_table = table_decl st in
+          let part_table = table_decl st in
           kw st "map";
-          let p_pairs = pairs st in
-          parts := { Ast.p_alpha; p_cond; p_table; p_pairs } :: !parts
+          let part_fmap = pairs st in
+          parts := { Core.Add_entity_part.part_alpha; part_cond; part_table; part_fmap } :: !parts
         done;
         expect st Lexer.Semi;
-        Ast.S_add_entity_part { name; parent; attrs; reference; parts = List.rev !parts }
+        Core.Smo.Add_entity_part { entity; p_ref; parts = List.rev !parts }
       end
       else
         fail_at t3 "expected 'alpha', 'tph' or 'partitions', found %s"
@@ -442,16 +523,16 @@ let smo st =
     else if is_kw t2 "assoc" then begin
       ignore (next st);
       let name = ident st in
-      let a = assoc_decl st ~name in
+      let assoc = assoc_decl st ~name in
       let t3 = peek st in
       if is_kw t3 "fk" then begin
         ignore (next st);
         kw st "in";
         let table = ident st in
         kw st "map";
-        let ps = pairs st in
+        let fmap = pairs st in
         expect st Lexer.Semi;
-        Ast.S_add_assoc_fk { assoc = a; table; pairs = ps }
+        Core.Smo.Add_assoc_fk { assoc; table; fmap }
       end
       else if is_kw t3 "jt" then begin
         ignore (next st);
@@ -459,25 +540,17 @@ let smo st =
         kw st "table";
         let table = table_decl st in
         kw st "map";
-        let ps = pairs st in
+        let fmap = pairs st in
         expect st Lexer.Semi;
-        Ast.S_add_assoc_jt { assoc = a; table; pairs = ps }
+        Core.Smo.Add_assoc_jt { assoc; table; fmap }
       end
       else fail_at t3 "expected 'fk' or 'jt', found %s" (Lexer.describe t3.Lexer.token)
     end
     else if is_kw t2 "property" then begin
       ignore (next st);
-      let owner_attr = ident st in
-      (* Owner and attribute come as one dotted identifier: Employee.Level *)
-      let etype, attr_name =
-        match String.index_opt owner_attr '.' with
-        | Some i ->
-            ( String.sub owner_attr 0 i,
-              String.sub owner_attr (i + 1) (String.length owner_attr - i - 1) )
-        | None -> fail_at t2 "expected Type.Attribute, found %s" owner_attr
-      in
+      let etype, a = owner_attr st ~at:t2 in
       expect st Lexer.Colon;
-      let dom = domain st in
+      let attr = (a, domain st) in
       let t3 = peek st in
       if is_kw t3 "in" then begin
         ignore (next st);
@@ -485,18 +558,18 @@ let smo st =
         kw st "column";
         let column = ident st in
         expect st Lexer.Semi;
-        Ast.S_add_property
-          { etype; attr = attr_name; domain = dom; target = Ast.P_existing { table; column } }
+        Core.Smo.Add_property
+          { etype; attr; target = Core.Add_property.To_existing_table { table; column } }
       end
       else if is_kw t3 "to" then begin
         ignore (next st);
         kw st "table";
         let table = table_decl st in
         kw st "map";
-        let ps = pairs st in
+        let fmap = pairs st in
         expect st Lexer.Semi;
-        Ast.S_add_property
-          { etype; attr = attr_name; domain = dom; target = Ast.P_new { table; pairs = ps } }
+        Core.Smo.Add_property
+          { etype; attr; target = Core.Add_property.To_new_table { table; fmap } }
       end
       else fail_at t3 "expected 'in' or 'to', found %s" (Lexer.describe t3.Lexer.token)
     end
@@ -509,28 +582,21 @@ let smo st =
     let t2 = peek st in
     if is_kw t2 "entity" then begin
       ignore (next st);
-      let name = ident st in
+      let etype = ident st in
       expect st Lexer.Semi;
-      Ast.S_drop_entity name
+      Core.Smo.Drop_entity { etype }
     end
     else if is_kw t2 "assoc" then begin
       ignore (next st);
-      let name = ident st in
+      let assoc = ident st in
       expect st Lexer.Semi;
-      Ast.S_drop_assoc name
+      Core.Smo.Drop_association { assoc }
     end
     else if is_kw t2 "property" then begin
       ignore (next st);
-      let owner_attr = ident st in
-      let etype, attr =
-        match String.index_opt owner_attr '.' with
-        | Some i ->
-            ( String.sub owner_attr 0 i,
-              String.sub owner_attr (i + 1) (String.length owner_attr - i - 1) )
-        | None -> fail_at t2 "expected Type.Attribute, found %s" owner_attr
-      in
+      let etype, attr = owner_attr st ~at:t2 in
       expect st Lexer.Semi;
-      Ast.S_drop_property { etype; attr }
+      Core.Smo.Drop_property { etype; attr }
     end
     else
       fail_at t2 "expected 'entity', 'assoc' or 'property', found %s"
@@ -539,18 +605,11 @@ let smo st =
   else if is_kw t "widen" then begin
     ignore (next st);
     kw st "property";
-    let owner_attr = ident st in
-    let etype, attr =
-      match String.index_opt owner_attr '.' with
-      | Some i ->
-          ( String.sub owner_attr 0 i,
-            String.sub owner_attr (i + 1) (String.length owner_attr - i - 1) )
-      | None -> fail_at t "expected Type.Attribute, found %s" owner_attr
-    in
+    let etype, attr = owner_attr st ~at:t in
     expect st Lexer.Colon;
-    let dom = domain st in
+    let domain = domain st in
     expect st Lexer.Semi;
-    Ast.S_widen { etype; attr; domain = dom }
+    Core.Smo.Widen_attribute { etype; attr; domain }
   end
   else if is_kw t "modify" then begin
     ignore (next st);
@@ -561,13 +620,13 @@ let smo st =
     kw st "to";
     let m2 = multiplicity st in
     expect st Lexer.Semi;
-    Ast.S_set_mult { assoc; mult1 = m1; mult2 = m2 }
+    Core.Smo.Set_multiplicity { assoc; mult = (m1, m2) }
   end
   else if is_kw t "refactor" then begin
     ignore (next st);
-    let name = ident st in
+    let assoc = ident st in
     expect st Lexer.Semi;
-    Ast.S_refactor name
+    Core.Smo.Refactor { assoc }
   end
   else
     fail_at t "expected 'add', 'drop', 'widen', 'modify' or 'refactor', found %s"
@@ -578,7 +637,7 @@ let script_toks st =
   while peek st |> fun t -> t.Lexer.token <> Lexer.Eof do
     out := smo st :: !out
   done;
-  List.rev !out
+  Ok (List.rev !out)
 
 (* -- queries, data and DML -------------------------------------------------- *)
 
@@ -596,7 +655,7 @@ let bindings st =
   expect st Lexer.RParen;
   bs
 
-let query_toks st =
+let query_toks env st =
   kw st "select";
   let items =
     if peek st |> fun t -> t.Lexer.token = Lexer.Star then begin
@@ -606,103 +665,148 @@ let query_toks st =
     else
       Some
         (sep_list st ~sep:Lexer.Comma (fun st ->
-             let si_col = ident st in
-             let si_as = if try_kw st "as" then Some (ident st) else None in
-             { Ast.si_col; si_as }))
+             let c = ident st in
+             if try_kw st "as" then Query.Algebra.col_as c (ident st) else Query.Algebra.col c))
   in
   kw st "from";
-  let q_source = ident st in
-  let q_where = if try_kw st "where" then Some (cond st) else None in
-  { Ast.q_items = items; q_source; q_where }
+  let at = peek st in
+  let source = ident st in
+  let where = if try_kw st "where" then Some (cond st) else None in
+  let client = env.Query.Env.client in
+  let source, domain =
+    if Edm.Schema.set_root client source <> None then
+      (Query.Algebra.Entity_set source, set_domain client source)
+    else if Edm.Schema.find_association client source <> None then
+      (Query.Algebra.Assoc_set source, assoc_domain client source)
+    else fail_at at "unknown source %s (expected an entity set or association)" source
+  in
+  let selected =
+    match where with
+    | None -> Query.Algebra.Scan source
+    | Some c -> Query.Algebra.Select (Query.Cond.with_domains domain c, Query.Algebra.Scan source)
+  in
+  let* algebra =
+    match items with
+    | None ->
+        (* select *: all columns except the dynamic-type pseudo column. *)
+        let* cols = Query.Algebra.infer env selected in
+        Ok
+          (Query.Algebra.project_cols
+             (List.filter (fun c -> c <> Query.Env.type_column) cols)
+             selected)
+    | Some items -> Ok (Query.Algebra.Project (items, selected))
+  in
+  let* _ = Query.Algebra.infer env algebra in
+  Ok algebra
 
-let data_toks st =
+let data_toks env st =
+  let client = env.Query.Env.client in
   kw st "data";
   expect st Lexer.LBrace;
-  let out = ref [] in
+  let inst = ref Edm.Instance.empty in
   while peek st |> fun t -> t.Lexer.token <> Lexer.RBrace do
-    let d_source = ident st in
+    let at = peek st in
+    let source = ident st in
     expect st Lexer.Colon;
-    let d_type =
+    let etype =
       if peek st |> fun t -> t.Lexer.token = Lexer.LParen then None else Some (ident st)
     in
-    let d_bindings = bindings st in
+    let bs = bindings st in
     expect st Lexer.Semi;
-    out := { Ast.d_source; d_type; d_bindings } :: !out
+    inst :=
+      match etype with
+      | Some etype ->
+          if Edm.Schema.set_root client source = None then
+            fail_at at "unknown entity set %s" source;
+          let entity = Edm.Instance.entity ~etype (coerce (type_domain client etype) bs) in
+          Edm.Instance.add_entity ~set:source entity !inst
+      | None ->
+          if Edm.Schema.find_association client source = None then
+            fail_at at "unknown association %s" source;
+          let link = Datum.Row.of_list (coerce (assoc_domain client source) bs) in
+          Edm.Instance.add_link ~assoc:source link !inst
   done;
   expect st Lexer.RBrace;
-  List.rev !out
+  let* () = Edm.Instance.conforms client !inst in
+  Ok !inst
 
-let dml_stmt st =
+(* Attribute domains are read from [env]'s client schema; an unknown set,
+   type or association is left to the translator to report. *)
+let dml_stmt env st =
+  let client = env.Query.Env.client in
+  let row domain bindings = Datum.Row.of_list (coerce domain bindings) in
   let t = peek st in
-  if is_kw t "insert" then begin
-    ignore (next st);
-    let set = ident st in
-    let etype = ident st in
-    let bs = bindings st in
-    expect st Lexer.Semi;
-    Ast.M_insert { set; etype; bindings = bs }
-  end
-  else if is_kw t "update" then begin
-    ignore (next st);
-    let set = ident st in
-    let key = bindings st in
-    kw st "set";
-    let changes = bindings st in
-    expect st Lexer.Semi;
-    Ast.M_update { set; key; changes }
-  end
-  else if is_kw t "delete" then begin
-    ignore (next st);
-    let set = ident st in
-    let key = bindings st in
-    expect st Lexer.Semi;
-    Ast.M_delete { set; key }
-  end
-  else if is_kw t "link" then begin
-    ignore (next st);
-    let assoc = ident st in
-    let bs = bindings st in
-    expect st Lexer.Semi;
-    Ast.M_link { assoc; bindings = bs }
-  end
-  else if is_kw t "unlink" then begin
-    ignore (next st);
-    let assoc = ident st in
-    let bs = bindings st in
-    expect st Lexer.Semi;
-    Ast.M_unlink { assoc; bindings = bs }
-  end
-  else
-    fail_at t "expected 'insert', 'update', 'delete', 'link' or 'unlink', found %s"
-      (Lexer.describe t.Lexer.token)
+  let stmt =
+    if is_kw t "insert" then begin
+      ignore (next st);
+      let set = ident st in
+      let etype = ident st in
+      let bs = bindings st in
+      let entity = Edm.Instance.entity ~etype (coerce (type_domain client etype) bs) in
+      Dml.Delta.Insert_entity { set; entity }
+    end
+    else if is_kw t "update" then begin
+      ignore (next st);
+      let set = ident st in
+      let key = bindings st in
+      kw st "set";
+      let changes = bindings st in
+      Dml.Delta.Update_entity
+        { set; key = row (set_domain client set) key; changes = coerce (set_domain client set) changes }
+    end
+    else if is_kw t "delete" then begin
+      ignore (next st);
+      let set = ident st in
+      Dml.Delta.Delete_entity { set; key = row (set_domain client set) (bindings st) }
+    end
+    else if is_kw t "link" then begin
+      ignore (next st);
+      let assoc = ident st in
+      Dml.Delta.Insert_link { assoc; link = row (assoc_domain client assoc) (bindings st) }
+    end
+    else if is_kw t "unlink" then begin
+      ignore (next st);
+      let assoc = ident st in
+      Dml.Delta.Delete_link { assoc; link = row (assoc_domain client assoc) (bindings st) }
+    end
+    else
+      fail_at t "expected 'insert', 'update', 'delete', 'link' or 'unlink', found %s"
+        (Lexer.describe t.Lexer.token)
+  in
+  expect st Lexer.Semi;
+  stmt
 
-let dml_toks st =
+let dml_toks env st =
   let out = ref [] in
   while peek st |> fun t -> t.Lexer.token <> Lexer.Eof do
-    out := dml_stmt st :: !out
+    out := dml_stmt env st :: !out
   done;
-  List.rev !out
+  Ok (List.rev !out)
 
 (* -- entry points --------------------------------------------------------------------- *)
 
+(* [f] reads the tokens and builds its value; a declaration it cannot build
+   fails at the declaration's position, a whole-model check without one. *)
 let run input f =
   match Lexer.tokenize input with
   | Error e -> Error e
   | Ok toks -> (
       let st = { toks } in
       match f st with
-      | v ->
+      | Error _ as e -> e
+      | Ok _ as v ->
           let t = peek st in
-          if t.Lexer.token = Lexer.Eof then Ok v
+          if t.Lexer.token = Lexer.Eof then v
           else
             Error
               (Printf.sprintf "line %d, column %d: trailing input (%s)" t.Lexer.line t.Lexer.col
                  (Lexer.describe t.Lexer.token))
       | exception Fail (l, c, msg) -> Error (Printf.sprintf "line %d, column %d: %s" l c msg))
 
-let model input = run input model_toks
+let model input = run input (fun st -> model_of (model_toks st))
+let client input = run input (fun st -> client_schema (model_toks st))
 let script input = run input script_toks
-let condition input = run input cond
-let query input = run input query_toks
-let data input = run input data_toks
-let dml input = run input dml_toks
+let condition input = run input (fun st -> Ok (cond st))
+let query env input = run input (query_toks env)
+let data env input = run input (data_toks env)
+let dml env input = run input (dml_toks env)

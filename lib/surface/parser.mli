@@ -38,19 +38,40 @@
     refactor Heads;
     v}
 
-    Errors carry a line/column position and what was expected. *)
+    Each entry point returns the compiler's own values, built while the
+    text is parsed: a declaration becomes an [Edm], [Relational] or
+    [Core.Smo] value where it is read, and a check that one declaration
+    fails (a root with no key, a derived type that declares one, a table
+    keyed on a column it does not declare, an unknown source) is an error
+    at its position.  Every error that has a position starts with
+    [line L, column C:] and says what was expected.
 
-val model : string -> (Ast.model, string) result
-val script : string -> (Ast.script, string) result
+    An [Int] literal compared with or stored in an attribute or column known
+    to be [Decimal] becomes the equal [Decimal] ({!Datum.Value.of_domain}):
+    in fragment conditions, query conditions, data and DML.  The value
+    order puts every [Int] below every [Decimal], so [W > 1] on a Decimal
+    [W] would otherwise hold of [W = 0.5]. *)
+
+val model : string -> (Query.Env.t * Mapping.Fragments.t, string) result
+(** The client schema ({!Edm.Schema.of_declarations}), the store schema and
+    the fragment set, checked with the semantic [well_formed] predicates. *)
+
+val client : string -> (Edm.Schema.t, string) result
+(** Parse a whole model file but build only its client section (the store
+    and mapping may be an older model's), checked with
+    {!Edm.Schema.well_formed}. *)
+
+val script : string -> (Core.Smo.t list, string) result
 val condition : string -> (Query.Cond.t, string) result
 (** Parse a standalone condition — handy for tests and the CLI. *)
 
-val query : string -> (Ast.query, string) result
+val query : Query.Env.t -> string -> (Query.Algebra.t, string) result
 (** [select Id, Name from Persons where is of Employee] — project–select
-    over one entity set or association ([select *] for all columns). *)
+    over one entity set or association of [env] ([select *] for all
+    columns), type-checked with {!Query.Algebra.infer}. *)
 
-val data : string -> (Ast.data, string) result
-(** A client-state literal:
+val data : Query.Env.t -> string -> (Edm.Instance.t, string) result
+(** A client-state literal, checked with {!Edm.Instance.conforms}:
     {v
     data {
       Persons: Employee (Id = 2, Name = "Bob", Department = "Sales");
@@ -58,7 +79,7 @@ val data : string -> (Ast.data, string) result
     }
     v} *)
 
-val dml : string -> (Ast.dml, string) result
+val dml : Query.Env.t -> string -> (Dml.Delta.t, string) result
 (** A client-side update script:
     {v
     insert Persons Employee (Id = 9, Name = "Hal", Department = "IT");
@@ -66,4 +87,6 @@ val dml : string -> (Ast.dml, string) result
     delete Persons (Id = 2);
     link Supports (Customer.Id = 5, Employee.Id = 4);
     unlink Supports (Customer.Id = 5, Employee.Id = 4);
-    v} *)
+    v}
+    Attribute domains are read from [env]'s client schema; an unknown set,
+    type or association is left to the translator to report. *)

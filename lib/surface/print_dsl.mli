@@ -1,5 +1,5 @@
 (** Render semantic objects back to the surface syntax, such that
-    [Parser.model ∘ Print_dsl.model] is the identity on elaborated models
+    [Parser.model ∘ Print_dsl.model] is the identity on well-formed models
     (tested by the roundtrip property in the surface test suite). *)
 
 val cond : Query.Cond.t -> string

@@ -599,8 +599,8 @@ let mult c = function
   | "many" -> Edm.Association.Many
   | s -> failf c "bad multiplicity %s" s
 
-(* The client field lists types, entity sets and associations; types are
-   added parents first, each root with its set, and associations last. *)
+(* The client field lists types, entity sets and associations, in the
+   document order [Edm.Schema.of_declarations] builds the schema in. *)
 let client c =
   let types = ref [] and sets = ref [] and rels = ref [] in
   while not (at_close c) do
@@ -624,30 +624,7 @@ let client c =
     | h -> failf c "bad client field (%s .." h);
     expect c ')'
   done;
-  let add schema (e : Edm.Entity_type.t) =
-    match (e.parent, List.find_opt (fun (_, root) -> root = e.name) !sets) with
-    | Some _, _ -> ok c (Edm.Schema.add_derived e schema)
-    | None, Some (set, _) -> ok c (Edm.Schema.add_root ~set e schema)
-    | None, None -> failf c "saved root %s has no entity set" e.name
-  in
-  (* One walk down from the roots, each type's children in document order:
-     a type whose parent is missing, or lies on a cycle, is never reached. *)
-  let children = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Edm.Entity_type.t) -> Option.iter (fun p -> Hashtbl.add children p e) e.parent)
-    !types;
-  let placed = ref 0 in
-  let rec place schema (e : Edm.Entity_type.t) =
-    incr placed;
-    List.fold_left place (add schema e) (Hashtbl.find_all children e.name)
-  in
-  let schema =
-    List.fold_left
-      (fun schema (e : Edm.Entity_type.t) -> if e.parent = None then place schema e else schema)
-      Edm.Schema.empty (List.rev !types)
-  in
-  if !placed <> List.length !types then fail c "unresolvable parents in saved client schema";
-  List.fold_left (fun schema a -> ok c (Edm.Schema.add_association a schema)) schema (List.rev !rels)
+  ok c (Edm.Schema.of_declarations (List.rev !types) ~sets:(List.rev !sets) (List.rev !rels))
 
 let store c =
   let column c =

@@ -912,7 +912,7 @@ let test_tree_lowering () =
   let paper = Core.State.of_compiled env P.stage4.P.fragments (Lazy.force compiled) in
   let ci =
     List.map
-      (fun text -> ok_exn (Surface.Elaborate.query env (ok_exn (Surface.Parser.query text))))
+      (fun text -> ok_exn (Surface.Parser.query env text))
       [ "select Id, Name from Persons where is of Employee";
         "select Id, Name from Persons where Id = 4"; "select * from Supports" ]
   in

@@ -112,7 +112,7 @@ let test_dsl_roundtrip () =
   List.iter
     (fun (seed, (env, frags)) ->
       let text = Surface.Print_dsl.model env frags in
-      match Result.bind (Surface.Parser.model text) Surface.Elaborate.model with
+      match Surface.Parser.model text with
       | Error e -> Alcotest.failf "seed %d DSL reparse: %s" seed e
       | Ok (env', frags') ->
           checkb (Printf.sprintf "seed %d client" seed) true

@@ -162,23 +162,20 @@ let test_checkpoint_remarked () =
 let env4 = P.stage4.P.env
 
 let test_query_surface () =
-  let q_ast = ok_exn (Surface.Parser.query "select Id, Name as N from Persons where is of Employee") in
-  let q = ok_exn (Surface.Elaborate.query env4 q_ast) in
+  let q = ok_exn (Surface.Parser.query env4 "select Id, Name as N from Persons where is of Employee") in
   let rows =
     Query.Eval.rows_set env4 (Query.Eval.client_db P.sample_client) q
   in
   check Alcotest.int "two employees" 2 (List.length rows);
   checkb "renamed column" true (List.for_all (fun r -> Datum.Row.find "N" r <> None) rows);
   (* select * excludes the $type pseudo-column. *)
-  let star = ok_exn (Surface.Elaborate.query env4 (ok_exn (Surface.Parser.query "select * from Supports"))) in
+  let star = ok_exn (Surface.Parser.query env4 "select * from Supports") in
   let rows = Query.Eval.rows_set env4 (Query.Eval.client_db P.sample_client) star in
   check Alcotest.int "one link" 1 (List.length rows);
   checkb "unknown source rejected" true
-    (Result.is_error
-       (Surface.Elaborate.query env4 (ok_exn (Surface.Parser.query "select * from Nowhere"))));
+    (Result.is_error (Surface.Parser.query env4 "select * from Nowhere"));
   checkb "unknown column rejected" true
-    (Result.is_error
-       (Surface.Elaborate.query env4 (ok_exn (Surface.Parser.query "select Zz from Persons"))))
+    (Result.is_error (Surface.Parser.query env4 "select Zz from Persons"))
 
 let test_data_surface () =
   let text =
@@ -189,13 +186,12 @@ let test_data_surface () =
         Persons: Customer (Id = 3, Name = "Cyd", CredScore = 1, BillAddr = "x");
       }|}
   in
-  let inst = ok_exn (Surface.Elaborate.data env4 (ok_exn (Surface.Parser.data text))) in
+  let inst = ok_exn (Surface.Parser.data env4 text) in
   check Alcotest.int "three entities" 3 (List.length (Edm.Instance.entities inst ~set:"Persons"));
   check Alcotest.int "one link" 1 (List.length (Edm.Instance.links inst ~assoc:"Supports"));
-  (* Non-conforming data is rejected at elaboration. *)
+  (* Non-conforming data is rejected. *)
   let dangling = {|data { Supports: (Customer.Id = 9, Employee.Id = 9); }|} in
-  checkb "dangling link rejected" true
-    (Result.is_error (Surface.Elaborate.data env4 (ok_exn (Surface.Parser.data dangling))))
+  checkb "dangling link rejected" true (Result.is_error (Surface.Parser.data env4 dangling))
 
 let test_dml_surface () =
   let text =
@@ -205,7 +201,7 @@ let test_dml_surface () =
       link Supports (Customer.Id = 6, Employee.Id = 3);
       unlink Supports (Customer.Id = 5, Employee.Id = 4);|}
   in
-  let delta = ok_exn (Surface.Elaborate.dml env4 (ok_exn (Surface.Parser.dml text))) in
+  let delta = ok_exn (Surface.Parser.dml env4 text) in
   check Alcotest.int "five operations" 5 (List.length delta);
   let out = ok_exn (Dml.Delta.apply env4.Query.Env.client P.sample_client delta) in
   check Alcotest.int "entity count" 6 (List.length (Edm.Instance.entities out ~set:"Persons"))

@@ -56,8 +56,7 @@ mapping {
 |}
 
 let parse_paper () =
-  let ast = ok_exn (Surface.Parser.model paper_model_text) in
-  ok_exn (Surface.Elaborate.model ast)
+  ok_exn (Surface.Parser.model paper_model_text)
 
 let test_parse_paper_model () =
   let env, frags = parse_paper () in
@@ -71,8 +70,7 @@ let test_model_print_parse_roundtrip () =
   List.iter
     (fun (env, frags) ->
       let text = Surface.Print_dsl.model env frags in
-      let ast = ok_exn (Surface.Parser.model text) in
-      let env', frags' = ok_exn (Surface.Elaborate.model ast) in
+      let env', frags' = ok_exn (Surface.Parser.model text) in
       checkb "client roundtrips" true (Edm.Schema.equal env.Query.Env.client env'.Query.Env.client);
       checkb "store roundtrips" true
         (Relational.Schema.equal env.Query.Env.store env'.Query.Env.store);
@@ -113,8 +111,7 @@ add assoc Supports between Customer and Employee multiplicity * to 0..1
 |}
 
 let test_smo_script () =
-  let ast = ok_exn (Surface.Parser.script smo_script_text) in
-  let smos = ok_exn (Surface.Elaborate.script ast) in
+  let smos = ok_exn (Surface.Parser.script smo_script_text) in
   check Alcotest.int "three SMOs" 3 (List.length smos);
   let st = ok_exn (Core.State.bootstrap P.stage1.P.env P.stage1.P.fragments) in
   let st = ok_v (Core.Engine.apply_all st smos) in
@@ -156,8 +153,7 @@ modify assoc Supports multiplicity * to *;
 refactor Heads;
 |}
   in
-  let ast = ok_exn (Surface.Parser.script text) in
-  let smos = ok_exn (Surface.Elaborate.script ast) in
+  let smos = ok_exn (Surface.Parser.script text) in
   check
     (Alcotest.list Alcotest.string)
     "labels"
@@ -253,7 +249,7 @@ let test_smo_print_parse_roundtrip () =
   List.iter
     (fun smo ->
       let text = Surface.Print_dsl.smo smo in
-      match Result.bind (Surface.Parser.script text) Surface.Elaborate.script with
+      match Surface.Parser.script text with
       | Error e -> Alcotest.failf "SMO %s failed to reparse: %s\n%s" (Core.Smo.show smo) e text
       | Ok [ smo' ] ->
           check Alcotest.string
@@ -278,7 +274,7 @@ let test_diff_script_replays () =
   in
   let smos = ok_exn (Modef.Diff.infer st ~target) in
   let text = Surface.Print_dsl.script smos in
-  let smos' = ok_exn (Surface.Elaborate.script (ok_exn (Surface.Parser.script text))) in
+  let smos' = ok_exn (Surface.Parser.script text) in
   let st_direct = ok_v (Core.Engine.apply_all st smos) in
   let st_replayed = ok_v (Core.Engine.apply_all st smos') in
   checkb "replayed script reaches the same schema" true
@@ -593,6 +589,45 @@ let test_unresolvable_parents () =
     [ ("a missing parent", "(type C Q () () ())"); ("a parent cycle", "(type A B () () ()) (type B A () () ())");
       ("a type its own parent", "(type A A () () ())") ]
 
+(* The model-file counterpart: a type whose parent is missing or lies on a
+   parent cycle is an [Error] that names it. *)
+let test_dsl_unresolvable_parents () =
+  let client types = "client { set Ps of P; type P { key Id : int; } " ^ types ^ " }" in
+  checkb "a grandchild before its parent builds" true
+    (Result.is_ok (Surface.Parser.client (client "type D : C { } type C : P { }")));
+  List.iter
+    (fun (what, types, names) ->
+      match Surface.Parser.client (client types) with
+      | Ok _ -> Alcotest.failf "%s: built" what
+      | Error e ->
+          checkb (what ^ ": " ^ e) true (String.ends_with ~suffix:("unresolvable parents: " ^ names) e))
+    [ ("a missing parent", "type C : Q { }", "C"); ("a parent cycle", "type A : B { } type B : A { }", "A, B");
+      ("a type its own parent", "type A : A { }", "A") ]
+
+(* Each entity set is rooted at a declared root and each root has one set,
+   in a saved state as in a model file: a set over an unknown or a derived
+   type, or a root's second set, is an [Error] that names the set. *)
+let test_set_roots () =
+  let saved set =
+    "(state (client (type P _ ((Id int)) (Id) ()) (type C P () () ()) (eset Ps P) " ^ set
+    ^ ") (store) (terms true) (fragments) (query_views) (update_views))"
+  in
+  let model set = "client { set Ps of P; " ^ set ^ " type P { key Id : int; } type C : P { } }" in
+  checkb "a saved client loads" true (Result.is_ok (load (saved "")));
+  checkb "a model's client builds" true (Result.is_ok (Surface.Parser.client (model "")));
+  List.iter
+    (fun (what, saved_set, model_set, name) ->
+      check_load_error what (saved saved_set);
+      (match load (saved saved_set) with
+      | Error e -> checkb (what ^ ", saved: " ^ e) true (contains ~sub:name e)
+      | Ok _ -> ());
+      match Surface.Parser.client (model model_set) with
+      | Ok _ -> Alcotest.failf "%s, model: built" what
+      | Error e -> checkb (what ^ ", model: " ^ e) true (contains ~sub:name e))
+    [ ("a set over an unknown type", "(eset Qs Q)", "set Qs of Q;", "Qs");
+      ("a set over a derived type", "(eset Cs C)", "set Cs of C;", "Cs");
+      ("a root's second set", "(eset Ps2 P)", "set Ps2 of P;", "Ps2") ]
+
 (* Truncated and byte-mutated saved states: [load] answers, [Ok] or [Error],
    and never raises. *)
 let prop_load_never_raises =
@@ -625,40 +660,50 @@ let prop_load_never_raises =
       | exception e -> QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e))
 
 (* Every prefix of each example file, and seeded one-byte mutations of it,
-   through the parser and the elaborator: each answers [Ok] or [Error] and
+   through the parser: each answers [Ok] or [Error] and
    never raises.  Truncated bindings used to reach [peek] past the end of
    the token list.  [dune runtest] runs the tests from [test/] of the build
    tree, [dune exec] from the root. *)
 let example_dir = List.find Sys.file_exists [ "../examples/models"; "examples/models" ]
 
-let parse_and_elaborate file text =
-  let ( let* ) = Result.bind in
+let parse file text =
   match Filename.extension file with
-  | ".imc" ->
-      let* m = Surface.Parser.model text in
-      Result.map ignore (Surface.Elaborate.model m)
-  | ".smo" ->
-      let* s = Surface.Parser.script text in
-      Result.map ignore (Surface.Elaborate.script s)
-  | ".imcd" ->
-      let* d = Surface.Parser.data text in
-      Result.map ignore (Surface.Elaborate.data P.stage4.P.env d)
-  | ".dml" ->
-      let* d = Surface.Parser.dml text in
-      Result.map ignore (Surface.Elaborate.dml P.stage4.P.env d)
+  | ".imc" -> Result.map ignore (Surface.Parser.model text)
+  | ".smo" -> Result.map ignore (Surface.Parser.script text)
+  | ".imcd" -> Result.map ignore (Surface.Parser.data P.stage4.P.env text)
+  | ".dml" -> Result.map ignore (Surface.Parser.dml P.stage4.P.env text)
   | ext -> Alcotest.failf "no reader for %s files" ext
 
 let test_truncated_bindings () =
   List.iter
     (fun (what, r) -> checkb what true (Result.is_error r))
     [
-      ("truncated dml", Result.map ignore (Surface.Parser.dml "unlink Supports (Customer.Id"));
+      ("truncated dml", Result.map ignore (Surface.Parser.dml P.stage4.P.env "unlink Supports (Customer.Id"));
       ( "truncated data",
-        Result.map ignore (Surface.Parser.data "data { Supports: (Customer.Id = 5, Employee.Id") );
+        Result.map ignore
+          (Surface.Parser.data P.stage4.P.env "data { Supports: (Customer.Id = 5, Employee.Id") );
     ];
-  match Surface.Parser.dml "unlink Supports (Customer.Id 5);" with
+  match Surface.Parser.dml P.stage4.P.env "unlink Supports (Customer.Id 5);" with
   | Ok _ -> Alcotest.fail "missing '=' accepted"
   | Error e -> checkb ("error at the bad token: " ^ e) true (contains ~sub:"column 30" e)
+
+(* A declaration the parser cannot build is an [Error] at its position. *)
+let test_declaration_positions () =
+  List.iter
+    (fun (what, text, prefix) ->
+      match Surface.Parser.model text with
+      | Ok _ -> Alcotest.failf "%s: built" what
+      | Error e -> checkb (what ^ ": " ^ e) true (String.starts_with ~prefix e))
+    [
+      ("a root with no key", "client {\n  set Ps of P;\n  type P { Id : int; }\n}",
+       "line 3, column 8: root type P declares no key");
+      ("a derived type with a key", "client { set Ps of P; type P { key Id : int; }\n type C : P { key K : int; } }",
+       "line 2, column 7: derived type C must not declare key");
+      ("a table keyed on an undeclared column", "store {\n  table T { Id : int; key (Nope); }\n}",
+       "line 2, column 9: table T keys on undeclared column Nope");
+      ("a table with no key clause", "store {\n  table T { Id : int; }\n}",
+       "line 2, column 9: table T has no key clause");
+    ]
 
 let test_examples_fuzz () =
   let files =
@@ -669,7 +714,7 @@ let test_examples_fuzz () =
   List.iter
     (fun file ->
       let text = In_channel.with_open_bin (Filename.concat example_dir file) In_channel.input_all in
-      let run = parse_and_elaborate file in
+      let run = parse file in
       let answers what input =
         match run input with
         | Ok () | Error _ -> ()
@@ -706,12 +751,11 @@ let example_texts () =
 
 (* After a W <= 1 / W > 1 split of a Decimal W, written with Int literals,
    a Vip at W = 0.5 is stored in TLow and no query for W > 1 returns it: each
-   Int literal on a Decimal attribute or column is elaborated as the equal
+   Int literal on a Decimal attribute or column is read as the equal
    Decimal, so it is ordered by value. *)
 let test_int_on_decimal () =
   let read f = In_channel.with_open_bin (Filename.concat example_dir f) In_channel.input_all in
-  let model = ok_exn (Surface.Parser.model (read "acct.imc")) in
-  let env, frags = ok_exn (Surface.Elaborate.model model) in
+  let env, frags = ok_exn (Surface.Parser.model (read "acct.imc")) in
   let split =
     {|add entity Vip : Acct { W : decimal not null; }
         partitions reference Acct
@@ -726,13 +770,12 @@ let test_int_on_decimal () =
     List.fold_left
       (fun st smo -> ok_v (Core.Engine.apply st smo))
       (ok_exn (Core.State.bootstrap env frags))
-      (ok_exn (Surface.Elaborate.script (ok_exn (Surface.Parser.script split))))
+      (ok_exn (Surface.Parser.script split))
   in
   let env = st.Core.State.env in
   let data = {|data { Accts: Vip (Id = 1, W = 0.5); Accts: Vip (Id = 2, W = 1); }|} in
-  let inst = ok_exn (Surface.Elaborate.data env (ok_exn (Surface.Parser.data data))) in
-  let delta = Surface.Parser.dml "insert Accts Vip (Id = 3, W = 2);" in
-  let delta = ok_exn (Surface.Elaborate.dml env (ok_exn delta)) in
+  let inst = ok_exn (Surface.Parser.data env data) in
+  let delta = ok_exn (Surface.Parser.dml env "insert Accts Vip (Id = 3, W = 2);") in
   let inst = ok_exn (Dml.Delta.apply env.Query.Env.client inst delta) in
   let store = ok_exn (Query.View.apply_update_views env st.Core.State.update_views inst) in
   let ids rows = List.sort V.compare (List.map (Datum.Row.get "Id") rows) in
@@ -740,8 +783,7 @@ let test_int_on_decimal () =
   let table t = ids (Relational.Instance.rows store ~table:t) in
   check values "TLow holds W = 0.5 and W = 1" [ V.Int 1; V.Int 2 ] (table "TLow");
   check values "THigh holds W = 2" [ V.Int 3 ] (table "THigh");
-  let q = Surface.Parser.query "select Id, W from Accts where W > 1" in
-  let q = ok_exn (Surface.Elaborate.query env (ok_exn q)) in
+  let q = ok_exn (Surface.Parser.query env "select Id, W from Accts where W > 1") in
   let rows = Query.Eval.rows env (Query.Eval.client_db inst) q in
   check values "W > 1 returns the Vip at W = 2 alone" [ V.Int 3 ] (ids rows)
 
@@ -927,6 +969,8 @@ let () =
           Alcotest.test_case "print/parse roundtrip" `Quick test_model_print_parse_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "truncated bindings" `Quick test_truncated_bindings;
+          Alcotest.test_case "declaration errors carry a position" `Quick test_declaration_positions;
+          Alcotest.test_case "unresolvable parents" `Quick test_dsl_unresolvable_parents;
           Alcotest.test_case "example files fuzzed" `Quick test_examples_fuzz;
           Alcotest.test_case "Int literals on a Decimal attribute" `Quick test_int_on_decimal;
           prop_cond_print_parse;
@@ -958,6 +1002,7 @@ let () =
           Alcotest.test_case "update binding form" `Quick test_update_binding_form;
           Alcotest.test_case "no tuple constructors" `Quick test_no_tuple_constructors;
           Alcotest.test_case "unresolvable parents" `Quick test_unresolvable_parents;
+          Alcotest.test_case "entity sets rooted at roots" `Quick test_set_roots;
           Alcotest.test_case "save matches the tree-walk encoder" `Quick test_save_matches_oracle;
           Alcotest.test_case "encoder visits each term once" `Quick test_encode_visits;
           Alcotest.test_case "CR in a string constant" `Quick test_cr_constant;
