@@ -45,7 +45,10 @@ type t =
 let name = function
   | Add_entity { p_ref = None; _ } -> "AE-TPC"
   | Add_entity { p_ref = Some _; _ } -> "AE-TPT"
-  | Add_entity_part { parts; _ } -> Printf.sprintf "AEP-%dp" (List.length parts)
+  | Add_entity_part { parts; _ } ->
+      let k = List.length parts in
+      let rec log2 n p = if p >= k then (if p = k then Some n else None) else log2 (n + 1) (2 * p) in
+      (match log2 1 2 with Some n -> Printf.sprintf "AEP-%dp" n | None -> Printf.sprintf "AEP-%dparts" k)
   | Add_entity_tph _ -> "AE-TPH"
   | Add_assoc_fk _ -> "AA-FK"
   | Add_assoc_jt _ -> "AA-JT"

@@ -55,7 +55,10 @@ type t =
 
 val name : t -> string
 (** The benchmark label of the primitive: AE-TPT/TPC, AEP-<n>p, AE-TPH,
-    AA-FK, AA-JT, AP, DROP, DROP-A, DROP-P, WIDEN, MULT, REFACTOR. *)
+    AA-FK, AA-JT, AP, DROP, DROP-A, DROP-P, WIDEN, MULT, REFACTOR.  An AEP
+    into 2{^n} partitions, n >= 1, is AEP-<n>p, the paper's label (AEP-1p
+    has 2 partitions, AEP-3p 8); one into any other count k of partitions
+    is AEP-<k>parts. *)
 
 val pp : Format.formatter -> t -> unit
 val show : t -> string

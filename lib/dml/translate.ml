@@ -38,8 +38,8 @@ module Row_map = Map.Make (Datum.Row)
 (* Foreign-key topological order, level by level: a level is every table
    whose last referenced table (self references aside) sits in the level
    before it, sorted by name.  Each table and foreign key is visited once.
-   Tables left over — on a cycle, or referencing a table the schema lacks —
-   follow in name order. *)
+   Tables left over, on a cycle or referencing one, follow in name
+   order. *)
 let topo_tables schema =
   let tables = Relational.Schema.tables schema in
   let refs (tbl : Relational.Table.t) =

@@ -22,13 +22,14 @@ val equal : t -> t -> bool
 val root :
   name:string -> key:string list -> ?non_null:string list ->
   (string * Datum.Domain.t) list -> t
-(** [root ~name ~key declared] builds a hierarchy root.  Key attributes must
-    be among [declared]. *)
+(** [root ~name ~key declared] builds a hierarchy root.  It checks nothing:
+    {!Schema.add_root} does. *)
 
 val derived :
   name:string -> parent:string -> ?non_null:string list ->
   (string * Datum.Domain.t) list -> t
 (** [derived ~name ~parent declared] builds a non-root type declaring the
-    given extra attributes. *)
+    given extra attributes.  It checks nothing: {!Schema.add_derived}
+    does. *)
 
 val declared_names : t -> string list

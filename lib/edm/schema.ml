@@ -178,9 +178,6 @@ let reindex root t =
 
 (* -- construction -------------------------------------------------------- *)
 
-let check_fresh_type t name =
-  if mem_type t name then fail "entity type %s already exists" name else Ok ()
-
 (* Walks the parent links and builds no attribute list: loading a state
    checks every derived type. *)
 let check_no_shadowing t ~parent declared =
@@ -193,20 +190,35 @@ let check_no_shadowing t ~parent declared =
   | Some (a, _) -> fail "attribute %s shadows an inherited attribute of %s" a parent
   | None -> Ok ()
 
+(* A new type: its name is free, each attribute is declared once, and its
+   non-null and key attributes are declared.  No closure, and no allocation
+   unless it fails: loading a state checks every type. *)
+let rec declared_twice = function
+  | [] -> None
+  | (a, _) :: rest -> if List.mem_assoc a rest then Some a else declared_twice rest
+
+let rec undeclared declared = function
+  | [] -> None
+  | a :: rest -> if List.mem_assoc a declared then undeclared declared rest else Some a
+
+let check_new t (e : Entity_type.t) =
+  if mem_type t e.name then fail "entity type %s already exists" e.name
+  else
+    match (declared_twice e.declared, undeclared e.declared e.non_null, undeclared e.declared e.key) with
+    | Some a, _, _ -> fail "type %s declares attribute %s twice" e.name a
+    | None, Some a, _ -> fail "type %s marks undeclared attribute %s non-null" e.name a
+    | None, None, Some k -> fail "key attribute %s of %s is not declared" k e.name
+    | None, None, None -> Ok ()
+
 let add_root ~set (e : Entity_type.t) t =
-  let* () = check_fresh_type t e.name in
+  let* () = check_new t e in
   let* () = if e.parent <> None then fail "type %s is not a root" e.name else Ok () in
   let* () = if e.key = [] then fail "root type %s has no key" e.name else Ok () in
-  let* () =
-    match List.find_opt (fun k -> not (List.mem_assoc k e.declared)) e.key with
-    | Some k -> fail "key attribute %s of %s is not declared" k e.name
-    | None -> Ok ()
-  in
   let* () = if M.mem set t.sets then fail "entity set %s already exists" set else Ok () in
   Ok (index_new e.name e.declared { t with ty = M.add e.name e t.ty; sets = M.add set e.name t.sets })
 
 let add_derived (e : Entity_type.t) t =
-  let* () = check_fresh_type t e.name in
+  let* () = check_new t e in
   let* p = match e.parent with Some p -> Ok p | None -> fail "type %s has no parent" e.name in
   let* () = if not (mem_type t p) then fail "unknown parent type %s" p else Ok () in
   let* () = if e.key <> [] then fail "derived type %s must not declare a key" e.name else Ok () in
@@ -385,52 +397,6 @@ let of_declarations types ~sets assocs =
       sets
   in
   List.fold_left (fun t a -> Result.bind t (add_association a)) (Ok t) assocs
-
-(* -- whole-schema check -------------------------------------------------- *)
-
-let well_formed t =
-  let check_type (e : Entity_type.t) =
-    let* () =
-      match e.parent with
-      | None ->
-          if e.key = [] then fail "root %s has no key" e.name
-          else if List.for_all (fun k -> List.mem_assoc k e.declared) e.key then Ok ()
-          else fail "root %s has an undeclared key attribute" e.name
-      | Some p ->
-          let* () = if mem_type t p then Ok () else fail "%s has unknown parent %s" e.name p in
-          let* () = if e.key = [] then Ok () else fail "derived type %s declares a key" e.name in
-          (* Cycle detection: walking up must terminate within |types| steps. *)
-          let rec walk n seen =
-            match parent t n with
-            | None -> Ok ()
-            | Some p when List.mem p seen -> fail "inheritance cycle through %s" p
-            | Some p -> walk p (p :: seen)
-          in
-          let* () = walk e.name [ e.name ] in
-          check_no_shadowing t ~parent:p e.declared
-    in
-    match set_of_type t e.name with
-    | Some _ -> Ok ()
-    | None -> fail "entity type %s belongs to no entity set" e.name
-  in
-  let* () = List.fold_left (fun acc e -> Result.bind acc (fun () -> check_type e)) (Ok ()) (types t) in
-  let* () =
-    List.fold_left
-      (fun acc (set, root) ->
-        let* () = acc in
-        match find_type t root with
-        | Some r when r.Entity_type.parent = None -> Ok ()
-        | Some _ -> fail "entity set %s is rooted at non-root %s" set root
-        | None -> fail "entity set %s is rooted at unknown type %s" set root)
-      (Ok ()) (entity_sets t)
-  in
-  List.fold_left
-    (fun acc (a : Association.t) ->
-      let* () = acc in
-      if not (mem_type t a.end1) then fail "association %s has unknown endpoint %s" a.name a.end1
-      else if not (mem_type t a.end2) then fail "association %s has unknown endpoint %s" a.name a.end2
-      else Ok ())
-    (Ok ()) (associations t)
 
 (* [kids], [hattrs] and [ends] are derived from [ty] and [assocs], so they
    take no part. *)

@@ -14,13 +14,15 @@ val empty : t
 
 val add_root : set:string -> Entity_type.t -> t -> (t, string) result
 (** Declare a hierarchy root and its entity set.  Fails if the type is not a
-    root (has a parent or an empty key), or if the type or set name is
+    root (has a parent or an empty key), if it declares an attribute twice
+    or marks an undeclared one non-null, or if the type or set name is
     already taken. *)
 
 val add_derived : Entity_type.t -> t -> (t, string) result
 (** Declare a derived type.  Fails if the parent is unknown, the name is
-    taken, the type declares a key, or a declared attribute shadows an
-    inherited one. *)
+    taken, the type declares a key, declares an attribute twice or marks an
+    undeclared one non-null, or a declared attribute shadows an inherited
+    one. *)
 
 val of_declarations :
   Entity_type.t list -> sets:(string * string) list -> Association.t list -> (t, string) result
@@ -154,13 +156,6 @@ val association_columns : t -> Association.t -> string list
 val association_attributes : t -> Association.t -> (string * Datum.Domain.t) list
 (** {!association_columns} paired with the domain of the endpoint key
     attribute each column carries. *)
-
-(** {1 Whole-schema checks} *)
-
-val well_formed : t -> (unit, string) result
-(** Redundant defence-in-depth check of all construction invariants: parent
-    links acyclic and resolvable, keys only on roots, no attribute
-    shadowing, sets rooted at roots, association endpoints present. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

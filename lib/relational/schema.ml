@@ -7,9 +7,58 @@ let empty = M.empty
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
+(* The cross-table rules of one foreign key of [tbl]: it names the whole
+   key of a table of [t], column for column, and each pair of columns has
+   one domain.  These helpers take everything as arguments, so they build
+   no closure: loading a state checks every foreign key. *)
+let rec same_domains (tbl : Table.t) (target : Table.t) cs rcs =
+  match (cs, rcs) with
+  | c :: cs, rc :: rcs -> (
+      match (Table.domain_of tbl c, Table.domain_of target rc) with
+      | Some d, Some rd when Datum.Domain.equal d rd -> same_domains tbl target cs rcs
+      | _ ->
+          fail "foreign key column %s.%s disagrees on domain with %s.%s" tbl.name c target.name rc)
+  | _ -> Ok ()
+
+let check_fk t (tbl : Table.t) (fk : Table.foreign_key) =
+  match M.find fk.ref_table t with
+  | exception Not_found -> fail "table %s references unknown table %s" tbl.name fk.ref_table
+  | (target : Table.t) ->
+      if not (List.equal String.equal fk.ref_columns target.key) then
+        fail "foreign key %s -> %s does not target the full key" tbl.name fk.ref_table
+      else if List.compare_lengths fk.fk_columns fk.ref_columns <> 0 then
+        fail "foreign key %s -> %s has mismatched arity" tbl.name fk.ref_table
+      else same_domains tbl target fk.fk_columns fk.ref_columns
+
+let rec check_fks t tbl = function
+  | [] -> Ok ()
+  | fk :: rest -> ( match check_fk t tbl fk with Ok () -> check_fks t tbl rest | e -> e)
+
+let check_all_fks t =
+  M.fold (fun _ (tbl : Table.t) acc -> match acc with Ok () -> check_fks t tbl tbl.fks | e -> e) t (Ok ())
+
+(* Every table is indexed, then checked on its own, before any foreign
+   key is checked: a key may target a later table, and a table's own error
+   comes before the errors of the keys into it. *)
+let of_tables tables =
+  let rec index t = function
+    | [] -> Ok t
+    | (tbl : Table.t) :: rest ->
+        if M.mem tbl.name t then fail "table %s already exists" tbl.name
+        else index (M.add tbl.name tbl t) rest
+  in
+  let* t = index M.empty tables in
+  let* () = Datum.Results.all_ok Table.check tables in
+  let* () = check_all_fks t in
+  Ok t
+
 let add_table (tbl : Table.t) t =
   if M.mem tbl.name t then fail "table %s already exists" tbl.name
-  else Ok (M.add tbl.name tbl t)
+  else
+    let t = M.add tbl.name tbl t in
+    let* () = Table.check tbl in
+    let* () = check_fks t tbl tbl.fks in
+    Ok t
 
 let find_table t name = M.find_opt name t
 
@@ -20,46 +69,15 @@ let get_table t name =
 
 let tables t = List.map snd (M.bindings t)
 
+(* Every foreign key is checked again: the new definition may change the
+   key that others target. *)
 let replace_table (tbl : Table.t) t =
-  if M.mem tbl.name t then Ok (M.add tbl.name tbl t) else fail "unknown table %s" tbl.name
-
-let well_formed t =
-  Datum.Results.all_ok
-    (fun (tbl : Table.t) ->
-      let* () =
-        Datum.Results.all_ok
-          (fun k ->
-            if Table.mem_column tbl k then Ok ()
-            else fail "table %s keys on unknown column %s" tbl.name k)
-          tbl.key
-      in
-      Datum.Results.all_ok
-        (fun (fk : Table.foreign_key) ->
-          let* target =
-            match find_table t fk.ref_table with
-            | Some target -> Ok target
-            | None -> fail "table %s references unknown table %s" tbl.name fk.ref_table
-          in
-          let* () =
-            if fk.ref_columns = target.Table.key then Ok ()
-            else fail "foreign key %s -> %s does not target the full key" tbl.name fk.ref_table
-          in
-          let* () =
-            if List.length fk.fk_columns = List.length fk.ref_columns then Ok ()
-            else fail "foreign key %s -> %s has mismatched arity" tbl.name fk.ref_table
-          in
-          Datum.Results.all_ok
-            (fun (c, rc) ->
-              match Table.domain_of tbl c, Table.domain_of target rc with
-              | Some d, Some rd when Datum.Domain.equal d rd -> Ok ()
-              | Some _, Some _ ->
-                  fail "foreign key column %s.%s disagrees on domain with %s.%s" tbl.name c
-                    fk.ref_table rc
-              | None, _ -> fail "foreign key of %s uses unknown column %s" tbl.name c
-              | _, None -> fail "foreign key of %s targets unknown column %s.%s" tbl.name fk.ref_table rc)
-            (List.combine fk.fk_columns fk.ref_columns))
-        tbl.fks)
-    (tables t)
+  if not (M.mem tbl.name t) then fail "unknown table %s" tbl.name
+  else
+    let t = M.add tbl.name tbl t in
+    let* () = Table.check tbl in
+    let* () = check_all_fks t in
+    Ok t
 
 let equal a b = M.equal Table.equal a b
 

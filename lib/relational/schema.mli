@@ -3,10 +3,21 @@
 type t
 
 val empty : t
+val of_tables : Table.t list -> (t, string) result
+(** The schema of the given tables, in any order: the one builder both
+    loaders use.  Fails on a table name given twice, on a table that fails
+    {!Table.check}, or on a foreign key whose target table is unknown, that
+    does not name that table's whole key in key order, whose arity differs,
+    or whose column pairs disagree on domains. *)
+
 val add_table : Table.t -> t -> (t, string) result
+(** The same rules for one new table, whose foreign keys may target the
+    tables of the schema and itself. *)
+
 val replace_table : Table.t -> t -> (t, string) result
 (** Swap in a new definition for an existing table (used by SMOs that add
-    columns or foreign keys to an existing table). *)
+    columns or foreign keys to an existing table).  The same rules for the
+    new definition, and for every foreign key that targets it. *)
 
 val find_table : t -> string -> Table.t option
 val get_table : t -> string -> Table.t
@@ -14,10 +25,6 @@ val get_table : t -> string -> Table.t
 
 val tables : t -> Table.t list
 (** Ascending name order. *)
-
-val well_formed : t -> (unit, string) result
-(** Keys declared over existing columns; foreign keys target existing tables,
-    match the full referenced key, and agree column-for-column on domains. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -28,7 +28,13 @@ val pp : Format.formatter -> t -> unit
 val make :
   name:string -> key:string list -> ?fks:foreign_key list ->
   (string * Datum.Domain.t * [ `Null | `Not_null ]) list -> t
-(** Convenience constructor; key columns must appear among the columns. *)
+(** Convenience constructor.  It checks nothing: {!check} does, and
+    {!Schema} applies it to every table it holds. *)
+
+val check : t -> (unit, string) result
+(** The table-local rules: a non-empty key over declared columns, no column
+    declared twice, and foreign keys over declared columns.  Its messages
+    are the ones both loaders report. *)
 
 val column : t -> string -> column option
 val column_names : t -> string list

@@ -338,12 +338,8 @@ let table_decl st =
     end
   in
   go ();
-  let cols = List.rev !cols and key = !key in
-  if key = [] then fail_at at "table %s has no key clause" name;
-  (match List.find_opt (fun k -> not (List.exists (fun (c, _, _) -> c = k) cols)) key with
-  | Some k -> fail_at at "table %s keys on undeclared column %s" name k
-  | None -> ());
-  Relational.Table.make ~name ~key ~fks:(List.rev !fks) cols
+  let tbl = Relational.Table.make ~name ~key:!key ~fks:(List.rev !fks) (List.rev !cols) in
+  match Relational.Table.check tbl with Ok () -> tbl | Error e -> fail_at at "%s" e
 
 let store_section st d =
   expect st Lexer.LBrace;
@@ -416,20 +412,11 @@ let model_toks st =
   d
 
 let client_schema d =
-  let* client =
-    Edm.Schema.of_declarations (List.rev d.types) ~sets:(List.rev d.sets) (List.rev d.assocs)
-  in
-  let* () = Edm.Schema.well_formed client in
-  Ok client
+  Edm.Schema.of_declarations (List.rev d.types) ~sets:(List.rev d.sets) (List.rev d.assocs)
 
 let model_of d =
   let* client = client_schema d in
-  let* store =
-    List.fold_right
-      (fun t store -> Result.bind store (Relational.Schema.add_table t))
-      d.tables (Ok Relational.Schema.empty)
-  in
-  let* () = Relational.Schema.well_formed store in
+  let* store = Relational.Schema.of_tables (List.rev d.tables) in
   let env = Query.Env.make ~client ~store in
   let frags =
     List.fold_right

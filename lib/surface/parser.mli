@@ -42,7 +42,7 @@
     text is parsed: a declaration becomes an [Edm], [Relational] or
     [Core.Smo] value where it is read, and a check that one declaration
     fails (a root with no key, a derived type that declares one, a table
-    keyed on a column it does not declare, an unknown source) is an error
+    that fails {!Relational.Table.check}, an unknown source) is an error
     at its position.  Every error that has a position starts with
     [line L, column C:] and says what was expected.
 
@@ -53,13 +53,14 @@
     [W] would otherwise hold of [W = 0.5]. *)
 
 val model : string -> (Query.Env.t * Mapping.Fragments.t, string) result
-(** The client schema ({!Edm.Schema.of_declarations}), the store schema and
-    the fragment set, checked with the semantic [well_formed] predicates. *)
+(** The client schema ({!Edm.Schema.of_declarations}), the store schema
+    ({!Relational.Schema.of_tables}, the builders a saved state's load uses
+    too) and the fragment set, checked with
+    {!Mapping.Fragments.well_formed}. *)
 
 val client : string -> (Edm.Schema.t, string) result
 (** Parse a whole model file but build only its client section (the store
-    and mapping may be an older model's), checked with
-    {!Edm.Schema.well_formed}. *)
+    and mapping may be an older model's). *)
 
 val script : string -> (Core.Smo.t list, string) result
 val condition : string -> (Query.Cond.t, string) result

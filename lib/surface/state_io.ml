@@ -651,10 +651,7 @@ let store c =
     expect c '(';
     { Relational.Table.name; columns; key; fks = until_close c fk }
   in
-  let rec go schema =
-    if at_close c then schema else go (ok c (Relational.Schema.add_table (field c "table" table) schema))
-  in
-  go Relational.Schema.empty
+  ok c (Relational.Schema.of_tables (until_close c (fun c -> field c "table" table)))
 
 let fragment c tbl =
   field c "frag" (fun c ->
@@ -693,19 +690,21 @@ let document c =
   let section name = if head c <> name then failf c "expected (%s .." name in
   section "state";
   section "client";
-  let client = client c in
+  let client = Obs.Span.with_ ~name:"surface.io.client" (fun () -> client c) in
   section "store";
-  let store = store c in
+  let store = Obs.Span.with_ ~name:"surface.io.store" (fun () -> store c) in
   let tbl = { terms = Array.make 256 true_; len = 0 } in
   (match head c with
   | "terms" ->
-      while not (at_close c) do push tbl (term c tbl) done;
+      Obs.Span.with_ ~name:"surface.io.terms" (fun () -> while not (at_close c) do push tbl (term c tbl) done);
       section "fragments"
   | "fragments" -> ()
   | h -> failf c "expected (terms .. or (fragments .., got (%s .." h);
-  let fragments = Mapping.Fragments.of_list (until_close c (fun c -> fragment c tbl)) in
+  let fragments =
+    Obs.Span.with_ ~name:"surface.io.fragments" (fun () ->
+        Mapping.Fragments.of_list (until_close c (fun c -> fragment c tbl)))
+  in
   Obs.Span.tag "terms" tbl.len;
-  section "query_views";
   (* Each reader takes the three arguments [views] applies it to, so no
      call builds a partial application. *)
   let entity_view c name acc =
@@ -713,14 +712,13 @@ let document c =
     Query.View.set_entity_view name v acc
   in
   let query_view set c name acc = set name (query c tbl) acc in
-  let query_views =
-    views c
-      [ ("for_entity", entity_view); ("for_assoc", query_view Query.View.set_assoc_view) ]
-      Query.View.no_query_views
-  in
-  section "update_views";
-  let update_views =
-    views c [ ("for_table", query_view Query.View.set_table_view) ] Query.View.no_update_views
+  let query_views, update_views =
+    Obs.Span.with_ ~name:"surface.io.views" @@ fun () ->
+    section "query_views";
+    let kinds = [ ("for_entity", entity_view); ("for_assoc", query_view Query.View.set_assoc_view) ] in
+    let qv = views c kinds Query.View.no_query_views in
+    section "update_views";
+    (qv, views c [ ("for_table", query_view Query.View.set_table_view) ] Query.View.no_update_views)
   in
   expect c ')';
   skip_ws c;

@@ -43,26 +43,26 @@ let generate ~size =
       client
       (List.init (size - 1) (fun i -> i + 1))
   in
+  (* One table per chain type, and TLone for the isolated type below. *)
   let store =
-    List.fold_left
-      (fun s i ->
-        let fks =
-          if i < size then
-            [ { Relational.Table.fk_columns = [ "FkA" ]; ref_table = table (i + 1);
-                ref_columns = [ "Id" ] };
-              { Relational.Table.fk_columns = [ "FkB" ]; ref_table = table (i + 1);
-                ref_columns = [ "Id" ] } ]
-          else []
-        in
-        ok
-          (Relational.Schema.add_table
-             (Relational.Table.make ~name:(table i) ~key:[ "Id" ] ~fks
-                ([ ("Id", D.Int, `Not_null); ("Disc", D.String, `Null);
-                   ("Extra", D.Int, `Null); ("FkA", D.Int, `Null); ("FkB", D.Int, `Null) ]
-                @ List.map (fun a -> (a, D.String, `Null)) attrs))
-             s))
-      Relational.Schema.empty
-      (List.init size (fun i -> i + 1))
+    Relational.Table.make ~name:"TLone" ~key:[ "Id" ]
+      [ ("Id", D.Int, `Not_null); ("LAttr", D.String, `Null) ]
+    :: List.map
+         (fun i ->
+           let fks =
+             if i < size then
+               [ { Relational.Table.fk_columns = [ "FkA" ]; ref_table = table (i + 1);
+                   ref_columns = [ "Id" ] };
+                 { Relational.Table.fk_columns = [ "FkB" ]; ref_table = table (i + 1);
+                   ref_columns = [ "Id" ] } ]
+             else []
+           in
+           Relational.Table.make ~name:(table i) ~key:[ "Id" ] ~fks
+             ([ ("Id", D.Int, `Not_null); ("Disc", D.String, `Null);
+                ("Extra", D.Int, `Null); ("FkA", D.Int, `Null); ("FkB", D.Int, `Null) ]
+             @ List.map (fun a -> (a, D.String, `Null)) attrs))
+         (List.init size (fun i -> i + 1))
+    |> Relational.Schema.of_tables |> ok
   in
   let frags =
     List.concat_map
@@ -92,13 +92,6 @@ let generate ~size =
          (Edm.Entity_type.root ~name:"Lone" ~key:[ "Id" ]
             [ ("Id", D.Int); ("LAttr", D.String) ])
          client)
-  in
-  let store =
-    ok
-      (Relational.Schema.add_table
-         (Relational.Table.make ~name:"TLone" ~key:[ "Id" ]
-            [ ("Id", D.Int, `Not_null); ("LAttr", D.String, `Null) ])
-         store)
   in
   let frags =
     frags

@@ -141,7 +141,7 @@ let tpt_store client ~n ~m =
               tbl (List.init m Fun.id))
       tables
   in
-  List.fold_left (fun s t -> ok (Relational.Schema.add_table t s)) Relational.Schema.empty tables
+  ok (Relational.Schema.of_tables tables)
 
 let tpt_fragments client ~n ~m =
   let entity_frag ty =

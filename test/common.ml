@@ -62,6 +62,21 @@ let check_error msg = function
   | Ok () -> Alcotest.failf "%s: expected Error, got Ok" msg
   | Error _ -> ()
 
+(* The builders as the oracle of a built schema: rebuilding it from its own
+   declarations is [Ok] and equal to it. *)
+let check_rebuilds_client msg s =
+  match
+    Edm.Schema.of_declarations (Edm.Schema.types s) ~sets:(Edm.Schema.entity_sets s)
+      (Edm.Schema.associations s)
+  with
+  | Ok s' -> checkb (msg ^ ": the client schema rebuilds") true (Edm.Schema.equal s s')
+  | Error e -> Alcotest.failf "%s: the client schema does not rebuild: %s" msg e
+
+let check_rebuilds_store msg s =
+  match Relational.Schema.of_tables (Relational.Schema.tables s) with
+  | Ok s' -> checkb (msg ^ ": the store schema rebuilds") true (Relational.Schema.equal s s')
+  | Error e -> Alcotest.failf "%s: the store schema does not rebuild: %s" msg e
+
 let row = Datum.Row.of_list
 
 let contains ~sub s =

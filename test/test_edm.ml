@@ -56,6 +56,18 @@ let test_construction_errors () =
   check_error "unknown parent" (Result.map (fun _ -> ()) (Edm.Schema.add_derived orphan client));
   let shadow = Edm.Entity_type.derived ~name:"Shadow" ~parent:"Person" [ ("Name", D.String) ] in
   check_error "attribute shadowing" (Result.map (fun _ -> ()) (Edm.Schema.add_derived shadow client));
+  let twice = { dup with name = "Twice"; declared = [ ("Id", D.Int); ("Id", D.Int) ] } in
+  check_error "a root declares an attribute twice"
+    (Result.map (fun _ -> ()) (Edm.Schema.add_root ~set:"Twices" twice client));
+  let ghost = { dup with name = "Ghost"; non_null = [ "Nope" ] } in
+  check_error "a root marks an undeclared attribute non-null"
+    (Result.map (fun _ -> ()) (Edm.Schema.add_root ~set:"Ghosts" ghost client));
+  let kid = Edm.Entity_type.derived ~name:"Kid" ~parent:"Person" [ ("Age", D.Int) ] in
+  check_error "a derived type declares an attribute twice"
+    (Result.map (fun _ -> ())
+       (Edm.Schema.add_derived { kid with declared = [ ("Age", D.Int); ("Age", D.String) ] } client));
+  check_error "a derived type marks an undeclared attribute non-null"
+    (Result.map (fun _ -> ()) (Edm.Schema.add_derived { kid with non_null = [ "Name" ] } client));
   check_error "remove non-leaf" (Result.map (fun _ -> ()) (Edm.Schema.remove_type "Person" client));
   check_error "remove assoc endpoint"
     (Result.map (fun _ -> ()) (Edm.Schema.remove_type "Customer" client));
@@ -108,11 +120,11 @@ let test_reparent () =
   check slist "B attrs include inherited Id" [ "Id"; "Bid"; "X" ] (Edm.Schema.attribute_names s' "B");
   check slist "B keys on A's key" [ "Id" ] (Edm.Schema.key_of s' "B");
   checkb "Bs set dropped" true (Edm.Schema.set_root s' "Bs" = None);
-  check_ok "still well-formed" (Edm.Schema.well_formed s');
+  check_rebuilds_client "after reparenting" s';
   check_error "cycle rejected" (Result.map (fun _ -> ()) (Edm.Schema.reparent ~etype:"A" ~parent:"B" s'))
 
 let test_well_formed () =
-  check_ok "paper schema well-formed" (Edm.Schema.well_formed client)
+  check_rebuilds_client "paper schema" client
 
 let sample = Workload.Paper_example.sample_client
 
@@ -222,7 +234,7 @@ let prop_child_index =
         in
         let s = match r with Ok s' when Edm.Schema.types s' <> [] -> s' | _ -> s in
         Schema_walk.check (Printf.sprintf "after op %d" fresh) s;
-        check_ok "well formed" (Edm.Schema.well_formed s);
+        check_rebuilds_client (Printf.sprintf "after op %d" fresh) s;
         (s, fresh + 1)
       in
       let seed =

@@ -14,31 +14,27 @@ let test_table_ops () =
     (Relational.Table.non_key_columns tbl);
   checkb "domain_of" true (Relational.Table.domain_of tbl "Score" = Some D.Int)
 
-let test_schema_ops () =
-  check_ok "paper store well-formed" (Relational.Schema.well_formed store)
+let test_schema_ops () = check_rebuilds_store "paper store" store
 
+(* [add_table] and [replace_table] refuse what [of_tables] refuses: each
+   edit below would leave a foreign key that does not hold. *)
 let test_schema_well_formed_negative () =
-  let bad_fk =
-    Relational.Table.make ~name:"T" ~key:[ "Id" ]
-      ~fks:[ { Relational.Table.fk_columns = [ "Id" ]; ref_table = "Missing"; ref_columns = [ "Id" ] } ]
-      [ ("Id", D.Int, `Not_null) ]
-  in
-  let s = ok_exn (Relational.Schema.add_table bad_fk Relational.Schema.empty) in
-  check_error "fk to unknown table" (Relational.Schema.well_formed s);
-  let partial_key_fk =
-    Relational.Table.make ~name:"U" ~key:[ "Id" ]
-      ~fks:[ { Relational.Table.fk_columns = [ "Id" ]; ref_table = "Client"; ref_columns = [ "Eid" ] } ]
-      [ ("Id", D.Int, `Not_null) ]
-  in
-  let s2 = ok_exn (Relational.Schema.add_table partial_key_fk store) in
-  check_error "fk not targeting full key" (Relational.Schema.well_formed s2);
-  let mismatched =
-    Relational.Table.make ~name:"W" ~key:[ "Id" ]
-      ~fks:[ { Relational.Table.fk_columns = [ "Id" ]; ref_table = "HR"; ref_columns = [ "Id" ] } ]
-      [ ("Id", D.String, `Not_null) ]
-  in
-  let s3 = ok_exn (Relational.Schema.add_table mismatched store) in
-  check_error "fk domain mismatch" (Relational.Schema.well_formed s3)
+  let is_error what r = checkb what true (Result.is_error r) in
+  let fk ref_table ref_columns = { Relational.Table.fk_columns = [ "Id" ]; ref_table; ref_columns } in
+  let table name ?(fks = []) d = Relational.Table.make ~name ~key:[ "Id" ] ~fks [ ("Id", d, `Not_null) ] in
+  is_error "fk to unknown table"
+    (Relational.Schema.add_table (table "T" ~fks:[ fk "Missing" [ "Id" ] ] D.Int) Relational.Schema.empty);
+  is_error "fk not targeting full key"
+    (Relational.Schema.add_table (table "U" ~fks:[ fk "Client" [ "Eid" ] ] D.Int) store);
+  is_error "fk domain mismatch"
+    (Relational.Schema.add_table (table "W" ~fks:[ fk "HR" [ "Id" ] ] D.String) store);
+  is_error "a new definition breaks a foreign key into it"
+    (Relational.Schema.replace_table (table "HR" D.String) store);
+  is_error "a table that is not there" (Relational.Schema.replace_table (table "Nope" D.Int) store);
+  is_error "a table twice" (Relational.Schema.of_tables [ table "T" D.Int; table "T" D.Int ]);
+  checkb "a self-reference" true
+    (Result.is_ok
+       (Relational.Schema.add_table (table "S" ~fks:[ fk "S" [ "Id" ] ] D.Int) Relational.Schema.empty))
 
 let test_instance_conforms () =
   check_ok "sample conforms" (Relational.Instance.conforms store sample);

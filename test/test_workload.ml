@@ -4,8 +4,8 @@ let test_hub_rim_well_formed () =
   List.iter
     (fun style ->
       let env, frags = Workload.Hub_rim.generate ~n:2 ~m:2 ~style in
-      check_ok "client schema" (Edm.Schema.well_formed env.Query.Env.client);
-      check_ok "store schema" (Relational.Schema.well_formed env.Query.Env.store);
+      check_rebuilds_client "client schema" env.Query.Env.client;
+      check_rebuilds_store "store schema" env.Query.Env.store;
       check_ok "fragments" (Mapping.Fragments.well_formed env frags))
     [ `Tph; `Tpt ]
 
@@ -31,8 +31,8 @@ let test_hub_rim_roundtrips () =
 
 let test_chain_well_formed () =
   let env, frags = Workload.Chain.generate ~size:10 in
-  check_ok "client schema" (Edm.Schema.well_formed env.Query.Env.client);
-  check_ok "store schema" (Relational.Schema.well_formed env.Query.Env.store);
+  check_rebuilds_client "client schema" env.Query.Env.client;
+  check_rebuilds_store "store schema" env.Query.Env.store;
   check_ok "fragments" (Mapping.Fragments.well_formed env frags);
   (* 10 chain types + Lone; 9 pairs with 2 associations each. *)
   check Alcotest.int "types" 11 (List.length (Edm.Schema.types env.Query.Env.client));
@@ -77,9 +77,19 @@ let test_customer_stats () =
   checkb "largest 95" true (contains ~sub:"largest 95" s);
   checkb "4 levels" true (contains ~sub:"deepest 4" s);
   let env, frags = Workload.Customer.generate () in
-  check_ok "client schema" (Edm.Schema.well_formed env.Query.Env.client);
-  check_ok "store schema" (Relational.Schema.well_formed env.Query.Env.store);
+  check_rebuilds_client "client schema" env.Query.Env.client;
+  check_rebuilds_store "store schema" env.Query.Env.store;
   check_ok "fragments" (Mapping.Fragments.well_formed env frags)
+
+(* A suite's label starts with its SMO's [Core.Smo.name], so the [smo:]
+   span a benchmark row runs under carries the row's label: AEP-1p, -2p
+   and -3p split into 2, 4 and 8 partitions. *)
+let test_suite_labels () =
+  List.iter
+    (fun (label, smo) ->
+      let name = Core.Smo.name smo in
+      checkb (label ^ " starts with " ^ name) true (String.starts_with ~prefix:name label))
+    (Workload.Customer.smo_suite () @ Workload.Chain.smo_suite ~at:5)
 
 (* -- roundtrip generator --------------------------------------------------- *)
 
@@ -215,7 +225,9 @@ let () =
           Alcotest.test_case "roundtrips" `Quick test_chain_roundtrips;
           Alcotest.test_case "SMO suite preserves roundtripping" `Quick test_chain_smo_suite;
         ] );
-      ("customer", [ Alcotest.test_case "statistics" `Quick test_customer_stats ]);
+      ( "customer",
+        [ Alcotest.test_case "statistics" `Quick test_customer_stats;
+          Alcotest.test_case "suite labels name their SMOs" `Quick test_suite_labels ] );
       ( "roundtrip harness",
         [
           Alcotest.test_case "generator conforms" `Quick test_generate_conforms;
