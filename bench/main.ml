@@ -14,7 +14,7 @@
      exec  — physical execution vs naive evaluation
      edit  — the persisted Fig. 7 loop on the customer model, layer by
              layer (load, each suite SMO, linting the mapping and the views,
-             save)
+             save), and whole, one op per suite SMO
 
    Each of fig9, fig10, par, obs, lint, ivm, exec and edit prints its tables
    and writes them to BENCH_<mode>.json ([emit]), in one schema:
@@ -119,7 +119,7 @@ let count_columns =
   [ "obligations"; "cases"; "cq_pairs"; "hom_steps"; "solves"; "atom_args"; "fragments_visited";
     "views_visited"; "tables_visited"; "scans";
     "index_scans"; "rows_scanned"; "rows_joined"; "diags"; "state_bytes"; "terms"; "steps"; "verdict"; "tree_nodes";
-    "distinct_nodes"; "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union";
+    "distinct_nodes"; "atoms"; "rows_scan"; "rows_select"; "rows_project"; "rows_join"; "rows_union";
     "rows_distinct"; "rows_touched"; "rows_growth"; "plan_nodes"; "after_step_index_builds" ]
 
 let json_string s =
@@ -1312,27 +1312,27 @@ let edit_bench () =
         ("save", "surface", fun () -> ignore (Surface.State_io.save st));
       ]
   in
-  (* One traced op of e2ebench's loop per suite SMO: load, apply (validated),
-     lint, save. *)
-  let phases =
-    List.concat_map
-      (fun (label, smo) ->
-        phase_rows "row" label (fun () ->
-            let s = Core.Session.start (ok (Surface.State_io.load text)) in
-            match Core.Session.apply s smo with
-            | Ok s ->
-                ignore (Core.Session.lint s);
-                ignore (Surface.State_io.save (Core.Session.current s))
-            | Error e -> failwith (Containment.Validation_error.show e)))
-      (Workload.Customer.smo_suite ())
+  (* One op of e2ebench's loop: load, apply (validated), lint, save. *)
+  let op smo () =
+    let s = Core.Session.start (ok (Surface.State_io.load text)) in
+    match Core.Session.apply s smo with
+    | Ok s ->
+        ignore (Core.Session.lint s);
+        ignore (Surface.State_io.save (Core.Session.current s))
+    | Error e -> failwith (Containment.Validation_error.show e)
   in
-  (* The term-table size that one save tags on its [surface.io.encode]. *)
-  let terms =
+  let phases =
+    List.concat_map (fun (label, smo) -> phase_rows "row" label (op smo)) (Workload.Customer.smo_suite ())
+  in
+  (* The term-table size that one save tags on its [surface.io.encode], and
+     the distinct atoms one load tags on its [surface.io.decode]. *)
+  let terms, atoms =
     Obs.Span.reset ();
     Obs.enable ();
     ignore (Surface.State_io.save st);
+    ignore (Surface.State_io.load text);
     Obs.disable ();
-    let n = span_tag_total ~name:"surface.io.encode" "terms" in
+    let n = (span_tag_total ~name:"surface.io.encode" "terms", span_tag_total ~name:"surface.io.decode" "atoms") in
     Obs.Span.reset ();
     n
   in
@@ -1340,7 +1340,7 @@ let edit_bench () =
     [ { name = "state"; keys = [];
         rows =
           [ [ ("model", str "customer"); ("state_bytes", int (String.length text));
-              ("terms", int terms) ] ] };
+              ("terms", int terms); ("atoms", int atoms) ] ] };
       { name = "layers"; keys = [ "layer" ];
         rows =
           List.map
@@ -1348,6 +1348,16 @@ let edit_bench () =
               let _, ms, mb = sample f in
               [ ("layer", str name); ("kind", str kind); ("ms", num 3 ms); ("alloc_mb", num 2 mb) ])
             rows };
+      (* The whole op per suite SMO, untraced: its exact allocation, from
+         [Gc.minor_words] as every [alloc_mb] here, stands next to
+         e2ebench's [alloc_mb_per_op], which reads [Gc.counters]. *)
+      { name = "loop"; keys = [ "smo" ];
+        rows =
+          List.map
+            (fun (label, smo) ->
+              let _, ms, mb = sample (op smo) in
+              [ ("smo", str label); ("ms", num 3 ms); ("alloc_mb", num 2 mb) ])
+            (Workload.Customer.smo_suite ()) };
       { name = "phases"; keys = [ "row"; "phase" ]; rows = phases } ]
 
 (* ------------------------------------------------------------------ *)

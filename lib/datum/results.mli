@@ -4,6 +4,10 @@
 
 val all_ok : ('a -> (unit, 'e) result) -> 'a list -> (unit, 'e) result
 
+val all_oki : (int -> 'a -> (unit, 'e) result) -> 'a list -> (unit, 'e) result
+(** [all_ok] whose function also takes the item's place in the list,
+    counting from 0. *)
+
 val collect : ('a -> ('b list, 'e) result) -> 'a list -> ('b list, 'e) result
 (** Concatenate the lists emitted per item, preserving emission order (the
     order [Containment.Discharge.run] reports the first failure in). *)

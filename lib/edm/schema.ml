@@ -156,43 +156,56 @@ let precedes t x y =
   in
   down (List.rev (x :: ancestors t x)) (List.rev (y :: ancestors t y))
 
-(* Add attributes [ty] declares to an index of its hierarchy: an attribute
-   keeps the domain of its earliest declaring type in preorder. *)
-let index_attributes t ty attrs idx =
-  List.fold_left
-    (fun idx (a, d) ->
-      match M.find_opt a idx with
-      | Some (_, other) when not (precedes t ty other) -> idx
-      | _ -> M.add a (d, ty) idx)
-    idx attrs
-
-(* [t] with [attrs], which [ty] has just declared, in its hierarchy's index. *)
+(* [t] with [attrs], which [ty] has just declared, in its hierarchy's index:
+   an attribute keeps the domain of its earliest declaring type in preorder. *)
 let index_new ty attrs t =
   let root = root_of t ty in
-  { t with hattrs = M.add root (index_attributes t ty attrs (hierarchy_index t root)) t.hattrs }
+  let add idx (a, d) =
+    match M.find_opt a idx with
+    | Some (_, other) when not (precedes t ty other) -> idx
+    | _ -> M.add a (d, ty) idx
+  in
+  { t with hattrs = M.add root (List.fold_left add (hierarchy_index t root) attrs) t.hattrs }
 
-(* [t] with the index of [root]'s hierarchy rebuilt by a walk over it. *)
-let reindex root t =
-  let index idx ty = index_attributes t ty (get_type t ty).Entity_type.declared idx in
-  { t with hattrs = M.add root (List.fold_left index M.empty (subtypes t root)) t.hattrs }
+(* The attribute index of [root]'s hierarchy, by one walk over its
+   subtypes in preorder: an attribute keeps the domain of its first
+   declaring type in the walk, which is its earliest in preorder. *)
+let hierarchy_of t root =
+  let rec walk idx ty =
+    let idx =
+      List.fold_left
+        (fun idx (a, d) -> if M.mem a idx then idx else M.add a (d, ty) idx)
+        idx (get_type t ty).Entity_type.declared
+    in
+    List.fold_left walk idx (children t ty)
+  in
+  walk M.empty root
+
+(* [t] with the index of [root]'s hierarchy rebuilt. *)
+let reindex root t = { t with hattrs = M.add root (hierarchy_of t root) t.hattrs }
 
 (* -- construction -------------------------------------------------------- *)
 
-(* Walks the parent links and builds no attribute list: loading a state
-   checks every derived type. *)
-let check_no_shadowing t ~parent declared =
-  let rec inherited n a =
-    let e = get_type t n in
-    List.mem_assoc a e.Entity_type.declared
-    || match e.Entity_type.parent with None -> false | Some p -> inherited p a
-  in
-  match List.find_opt (fun (a, _) -> inherited parent a) declared with
-  | Some (a, _) -> fail "attribute %s shadows an inherited attribute of %s" a parent
-  | None -> Ok ()
+(* The checks of a new type read the type map [ty] (and a root's the set
+   map [sets]) and are written without [let*]: a model's load checks every
+   type, and would otherwise build a closure per step. *)
+
+(* Whether [n] or an ancestor declares [a]: walks the parent links and
+   builds no attribute list. *)
+let rec inherited ty n a =
+  let e = M.find n ty in
+  List.mem_assoc a e.Entity_type.declared
+  || match e.Entity_type.parent with None -> false | Some p -> inherited ty p a
+
+let rec check_no_shadowing ty ~parent = function
+  | [] -> Ok ()
+  | (a, _) :: rest ->
+      if inherited ty parent a then fail "attribute %s shadows an inherited attribute of %s" a parent
+      else check_no_shadowing ty ~parent rest
 
 (* A new type: its name is free, each attribute is declared once, and its
-   non-null and key attributes are declared.  No closure, and no allocation
-   unless it fails: loading a state checks every type. *)
+   non-null and key attributes are declared.  No allocation unless it
+   fails. *)
 let rec declared_twice = function
   | [] -> None
   | (a, _) :: rest -> if List.mem_assoc a rest then Some a else declared_twice rest
@@ -201,8 +214,8 @@ let rec undeclared declared = function
   | [] -> None
   | a :: rest -> if List.mem_assoc a declared then undeclared declared rest else Some a
 
-let check_new t (e : Entity_type.t) =
-  if mem_type t e.name then fail "entity type %s already exists" e.name
+let check_new ty (e : Entity_type.t) =
+  if M.mem e.name ty then fail "entity type %s already exists" e.name
   else
     match (declared_twice e.declared, undeclared e.declared e.non_null, undeclared e.declared e.key) with
     | Some a, _, _ -> fail "type %s declares attribute %s twice" e.name a
@@ -210,19 +223,31 @@ let check_new t (e : Entity_type.t) =
     | None, None, Some k -> fail "key attribute %s of %s is not declared" k e.name
     | None, None, None -> Ok ()
 
+let check_root ty sets ~set (e : Entity_type.t) =
+  match check_new ty e with
+  | Error _ as r -> r
+  | Ok () ->
+      if e.parent <> None then fail "type %s is not a root" e.name
+      else if e.key = [] then fail "root type %s has no key" e.name
+      else if M.mem set sets then fail "entity set %s already exists" set
+      else Ok ()
+
+let check_derived ty (e : Entity_type.t) =
+  match (check_new ty e, e.parent) with
+  | (Error _ as r), _ -> r
+  | Ok (), None -> fail "type %s has no parent" e.name
+  | Ok (), Some p ->
+      if not (M.mem p ty) then fail "unknown parent type %s" p
+      else if e.key <> [] then fail "derived type %s must not declare a key" e.name
+      else check_no_shadowing ty ~parent:p e.declared
+
 let add_root ~set (e : Entity_type.t) t =
-  let* () = check_new t e in
-  let* () = if e.parent <> None then fail "type %s is not a root" e.name else Ok () in
-  let* () = if e.key = [] then fail "root type %s has no key" e.name else Ok () in
-  let* () = if M.mem set t.sets then fail "entity set %s already exists" set else Ok () in
+  let* () = check_root t.ty t.sets ~set e in
   Ok (index_new e.name e.declared { t with ty = M.add e.name e t.ty; sets = M.add set e.name t.sets })
 
 let add_derived (e : Entity_type.t) t =
-  let* () = check_new t e in
-  let* p = match e.parent with Some p -> Ok p | None -> fail "type %s has no parent" e.name in
-  let* () = if not (mem_type t p) then fail "unknown parent type %s" p else Ok () in
-  let* () = if e.key <> [] then fail "derived type %s must not declare a key" e.name else Ok () in
-  let* () = check_no_shadowing t ~parent:p e.declared in
+  let* () = check_derived t.ty e in
+  let p = Option.get e.parent in
   Ok (index_new e.name e.declared { t with ty = M.add e.name e t.ty; kids = index_add ~key:p e.name t.kids })
 
 let add_association (a : Association.t) t =
@@ -341,39 +366,73 @@ let reparent ~etype ~parent:p t =
   let t = { t with ty = M.add etype e t.ty; kids = index_add ~key:p etype t.kids; sets } in
   Ok (reindex (root_of t p) { t with hattrs = M.remove etype t.hattrs })
 
+type declaration = Type of int | Set of int | Association of int
+
+let refuse d fmt = Format.kasprintf (fun s -> Error (d, s)) fmt
+
+(* The child index of [ty], each list ascending: children collected in
+   ascending name order, then each list reversed once. *)
+let kids_of ty =
+  let kids = Hashtbl.create 64 in
+  M.iter
+    (fun name (e : Entity_type.t) ->
+      match e.parent with
+      | Some p -> Hashtbl.replace kids p (name :: Option.value (Hashtbl.find_opt kids p) ~default:[])
+      | None -> ())
+    ty;
+  Hashtbl.fold (fun p names index -> M.add p (List.rev names) index) kids M.empty
+
+exception Refused of declaration * string
+
 (* One walk down from the roots, each in document order and each type's
    children in document order: a type whose parent is missing, or lies on a
-   parent cycle, is never reached.  [Hashtbl.find_all] lists a type's
-   children last declared first, so the walk folds them from the right. *)
+   parent cycle, is never reached.  The walk goes by each type's place in
+   [types] ([decl] holds them by place), which names the type it refuses:
+   the walk's order is not the document's, so of two namesakes the one
+   refused may be the earlier.
+   [Hashtbl.find_all] lists a type's children last declared first, so the
+   walk places them from the end of that list.  The walk applies the checks
+   of [add_root] and [add_derived] and fills the type and set maps; [kids]
+   and every root's [hattrs] are built once, after every type is placed,
+   instead of once per type. *)
 let of_declarations types ~sets assocs =
   let set_of = Hashtbl.create 16 and kids = Hashtbl.create 64 in
   let* () =
-    Datum.Results.all_ok
-      (fun (set, root) ->
+    Datum.Results.all_oki
+      (fun i (set, root) ->
         match Hashtbl.find_opt set_of root with
-        | Some other -> fail "root type %s has two entity sets, %s and %s" root other set
+        | Some other -> refuse (Set i) "root type %s has two entity sets, %s and %s" root other set
         | None -> Ok (Hashtbl.add set_of root set))
       sets
   in
-  List.iter
-    (fun (e : Entity_type.t) -> Option.iter (fun p -> Hashtbl.add kids p e) e.parent)
-    types;
-  let rec place (e : Entity_type.t) t =
-    match t with
-    | Error _ -> t
-    | Ok t ->
-        let t =
-          match (e.parent, Hashtbl.find_opt set_of e.name) with
-          | Some _, _ -> add_derived e t
-          | None, Some set -> add_root ~set e t
-          | None, None -> fail "root type %s has no entity set" e.name
-        in
-        List.fold_right place (Hashtbl.find_all kids e.name) t
+  let decl = Array.of_list types in
+  Array.iteri
+    (fun i (e : Entity_type.t) -> match e.parent with Some p -> Hashtbl.add kids p i | None -> ())
+    decl;
+  let ty = ref M.empty and roots = ref M.empty in
+  let rec place i (e : Entity_type.t) =
+    let checked =
+      match (e.parent, Hashtbl.find_opt set_of e.name) with
+      | Some _, _ -> check_derived !ty e
+      | None, Some set ->
+          let r = check_root !ty !roots ~set e in
+          if Result.is_ok r then roots := M.add set e.name !roots;
+          r
+      | None, None -> fail "root type %s has no entity set" e.name
+    in
+    (match checked with Ok () -> () | Error m -> raise (Refused (Type i, m)));
+    ty := M.add e.name e !ty;
+    place_from_end (Hashtbl.find_all kids e.name)
+  and place_from_end = function
+    | [] -> ()
+    | i :: rest ->
+        place_from_end rest;
+        place i decl.(i)
   in
   let* t =
-    List.fold_left
-      (fun t (e : Entity_type.t) -> if e.parent = None then place e t else t)
-      (Ok empty) types
+    match Array.iteri (fun i (e : Entity_type.t) -> if e.parent = None then place i e) decl with
+    | () -> Ok { empty with ty = !ty; sets = !roots }
+    | exception Refused (d, m) -> Error (d, m)
   in
   let* () =
     if M.cardinal t.ty = List.length types then Ok ()
@@ -381,22 +440,27 @@ let of_declarations types ~sets assocs =
       let unplaced (e : Entity_type.t) =
         match find_type t e.name with Some placed -> placed != e | None -> true
       in
-      fail "entity types with unresolvable parents: %s"
-        (String.concat ", "
-           (List.filter_map
-              (fun (e : Entity_type.t) -> if unplaced e then Some e.name else None)
-              types))
+      let names = List.filter_map (fun (e : Entity_type.t) -> if unplaced e then Some e.name else None) types in
+      refuse (Type (Option.get (List.find_index unplaced types)))
+        "entity types with unresolvable parents: %s" (String.concat ", " names)
   in
   let* () =
-    Datum.Results.all_ok
-      (fun (set, root) ->
+    Datum.Results.all_oki
+      (fun i (set, root) ->
         match find_type t root with
         | Some r when r.Entity_type.parent = None -> Ok ()
-        | Some _ -> fail "entity set %s is rooted at non-root %s" set root
-        | None -> fail "entity set %s is rooted at unknown type %s" set root)
+        | Some _ -> refuse (Set i) "entity set %s is rooted at non-root %s" set root
+        | None -> refuse (Set i) "entity set %s is rooted at unknown type %s" set root)
       sets
   in
-  List.fold_left (fun t a -> Result.bind t (add_association a)) (Ok t) assocs
+  let t = { t with kids = kids_of t.ty } in
+  let t = { t with hattrs = M.fold (fun _ root hattrs -> M.add root (hierarchy_of t root) hattrs) t.sets M.empty } in
+  let rec associate i t = function
+    | [] -> Ok t
+    | a :: rest -> (
+        match add_association a t with Ok t -> associate (i + 1) t rest | Error m -> Error (Association i, m))
+  in
+  associate 0 t assocs
 
 (* [kids], [hattrs] and [ends] are derived from [ty] and [assocs], so they
    take no part. *)

@@ -24,15 +24,27 @@ val add_derived : Entity_type.t -> t -> (t, string) result
     undeclared one non-null, or a declared attribute shadows an inherited
     one. *)
 
+(** The declaration {!of_declarations} refuses, by its place in its list,
+    counting from 0: a place rather than a name, since a name declared twice
+    is one of the faults, and the one refused is not always the later. *)
+type declaration = Type of int | Set of int | Association of int
+
 val of_declarations :
-  Entity_type.t list -> sets:(string * string) list -> Association.t list -> (t, string) result
+  Entity_type.t list -> sets:(string * string) list -> Association.t list ->
+  (t, declaration * string) result
 (** The schema of a model's declarations: entity types in document order,
     [(set, root)] pairs and associations.  Each root is placed with its set,
-    then its children in document order, in one walk down from the roots.
-    Fails if a type is never reached (its parent is missing or lies on a
-    cycle; the message names every such type), if a root has no set or two,
-    if a set's root is unknown or not a root, or if an [add_*] step above
-    fails. *)
+    then its children in document order, in one walk down from the roots,
+    with the checks of {!add_root} and {!add_derived}; the child index and
+    each hierarchy's attribute index are built once, after every type is
+    placed, and the result equals the fold of [add_root] and [add_derived]
+    over the same walk.  Fails if a type is never reached (its parent is
+    missing or lies on a cycle; the message names every such type, the
+    declaration the first of them), if a root has no set or two (the second
+    set's declaration), if a set's root is unknown or not a root, or if a
+    type's or an association's own check fails (of two namesakes, the one
+    the walk reaches second is refused).  The error pairs the
+    declaration with the message, so a loader can say where it stands. *)
 
 val add_association : Association.t -> t -> (t, string) result
 val remove_association : string -> t -> (t, string) result

@@ -37,19 +37,22 @@ let rec check_fks t tbl = function
 let check_all_fks t =
   M.fold (fun _ (tbl : Table.t) acc -> match acc with Ok () -> check_fks t tbl tbl.fks | e -> e) t (Ok ())
 
+(* [r] with its error paired with [i], the place of the table it refuses. *)
+let placed i = function Ok () -> Ok () | Error m -> Error (i, m)
+
 (* Every table is indexed, then checked on its own, before any foreign
    key is checked: a key may target a later table, and a table's own error
    comes before the errors of the keys into it. *)
 let of_tables tables =
-  let rec index t = function
+  let rec index i t = function
     | [] -> Ok t
     | (tbl : Table.t) :: rest ->
-        if M.mem tbl.name t then fail "table %s already exists" tbl.name
-        else index (M.add tbl.name tbl t) rest
+        if M.mem tbl.name t then Error (i, Printf.sprintf "table %s already exists" tbl.name)
+        else index (i + 1) (M.add tbl.name tbl t) rest
   in
-  let* t = index M.empty tables in
-  let* () = Datum.Results.all_ok Table.check tables in
-  let* () = check_all_fks t in
+  let* t = index 0 M.empty tables in
+  let* () = Datum.Results.all_oki (fun i tbl -> placed i (Table.check tbl)) tables in
+  let* () = Datum.Results.all_oki (fun i (tbl : Table.t) -> placed i (check_fks t tbl tbl.fks)) tables in
   Ok t
 
 let add_table (tbl : Table.t) t =

@@ -260,12 +260,18 @@ let assoc_decl st ~name =
 (* A model file's declarations, each list in reverse document order.  A
    fragment waits for both schemas: its source is an entity set or an
    association of the client, and its literals are coerced by the domains
-   of its set and table. *)
+   of its set and table.  Each [_at] list holds the name tokens of the
+   declarations in the list it follows, in the same order: where a schema
+   builder's error about one of them is reported. *)
 type decls = {
   mutable types : Edm.Entity_type.t list;
+  mutable types_at : Lexer.spanned list;
   mutable sets : (string * string) list;
+  mutable sets_at : Lexer.spanned list;
   mutable assocs : Edm.Association.t list;
+  mutable assocs_at : Lexer.spanned list;
   mutable tables : Relational.Table.t list;
+  mutable tables_at : Lexer.spanned list;
   mutable fragments : (Edm.Schema.t -> Relational.Schema.t -> Mapping.Fragment.t) list;
 }
 
@@ -276,24 +282,31 @@ let client_section st d =
     if t.Lexer.token = Lexer.RBrace then ignore (next st)
     else if is_kw t "set" then begin
       ignore (next st);
+      let at = peek st in
       let set = ident st in
       kw st "of";
       let root = ident st in
       expect st Lexer.Semi;
       d.sets <- (set, root) :: d.sets;
+      d.sets_at <- at :: d.sets_at;
       go ()
     end
     else if is_kw t "type" then begin
       ignore (next st);
-      d.types <- type_decl st :: d.types;
+      let at = peek st in
+      let e = type_decl st in
+      d.types <- e :: d.types;
+      d.types_at <- at :: d.types_at;
       go ()
     end
     else if is_kw t "assoc" then begin
       ignore (next st);
+      let at = peek st in
       let name = ident st in
       let a = assoc_decl st ~name in
       expect st Lexer.Semi;
       d.assocs <- a :: d.assocs;
+      d.assocs_at <- at :: d.assocs_at;
       go ()
     end
     else fail_at t "expected 'set', 'type', 'assoc' or '}', found %s" (Lexer.describe t.Lexer.token)
@@ -348,7 +361,10 @@ let store_section st d =
     if t.Lexer.token = Lexer.RBrace then ignore (next st)
     else if is_kw t "table" then begin
       ignore (next st);
-      d.tables <- table_decl st :: d.tables;
+      let at = peek st in
+      let tbl = table_decl st in
+      d.tables <- tbl :: d.tables;
+      d.tables_at <- at :: d.tables_at;
       go ()
     end
     else fail_at t "expected 'table' or '}', found %s" (Lexer.describe t.Lexer.token)
@@ -394,7 +410,10 @@ let mapping_section st d =
   go ()
 
 let model_toks st =
-  let d = { types = []; sets = []; assocs = []; tables = []; fragments = [] } in
+  let d =
+    { types = []; types_at = []; sets = []; sets_at = []; assocs = []; assocs_at = []; tables = []; tables_at = [];
+      fragments = [] }
+  in
   let rec go () =
     let t = peek st in
     if t.Lexer.token = Lexer.Eof then ()
@@ -411,12 +430,24 @@ let model_toks st =
   go ();
   d
 
+(* A schema builder's error [msg] at the declaration it refuses, the [i]th
+   in document order of those whose name tokens [at] holds, last first. *)
+let located at i msg = fail_at (List.nth at (List.length at - 1 - i)) "%s" msg
+
 let client_schema d =
-  Edm.Schema.of_declarations (List.rev d.types) ~sets:(List.rev d.sets) (List.rev d.assocs)
+  match Edm.Schema.of_declarations (List.rev d.types) ~sets:(List.rev d.sets) (List.rev d.assocs) with
+  | Ok client -> client
+  | Error (Edm.Schema.Type i, msg) -> located d.types_at i msg
+  | Error (Edm.Schema.Set i, msg) -> located d.sets_at i msg
+  | Error (Edm.Schema.Association i, msg) -> located d.assocs_at i msg
 
 let model_of d =
-  let* client = client_schema d in
-  let* store = Relational.Schema.of_tables (List.rev d.tables) in
+  let client = client_schema d in
+  let store =
+    match Relational.Schema.of_tables (List.rev d.tables) with
+    | Ok store -> store
+    | Error (i, msg) -> located d.tables_at i msg
+  in
   let env = Query.Env.make ~client ~store in
   let frags =
     List.fold_right
@@ -791,7 +822,7 @@ let run input f =
       | exception Fail (l, c, msg) -> Error (Printf.sprintf "line %d, column %d: %s" l c msg))
 
 let model input = run input (fun st -> model_of (model_toks st))
-let client input = run input (fun st -> client_schema (model_toks st))
+let client input = run input (fun st -> Ok (client_schema (model_toks st)))
 let script input = run input script_toks
 let condition input = run input (fun st -> Ok (cond st))
 let query env input = run input (query_toks env)

@@ -43,8 +43,13 @@
     [Core.Smo] value where it is read, and a check that one declaration
     fails (a root with no key, a derived type that declares one, a table
     that fails {!Relational.Table.check}, an unknown source) is an error
-    at its position.  Every error that has a position starts with
-    [line L, column C:] and says what was expected.
+    at its position.  So is a fault the schema builders find once every
+    declaration is read (a foreign key into an unknown table, a table or
+    type declared twice, a root's second set): the builder names the
+    declaration it refuses by its place in document order, and the error
+    stands at that declaration's name, even where it is the earlier of two
+    namesakes.  Every error that has a position starts with [line L, column C:]
+    and says what was expected.
 
     An [Int] literal compared with or stored in an attribute or column known
     to be [Decimal] becomes the equal [Decimal] ({!Datum.Value.of_domain}):

@@ -1,7 +1,50 @@
 (* One pass each way: [save] prints every section and term entry straight
-   into one buffer, and [load] walks a cursor over the text, decoding each
-   entry, fragment and view as it reads it.  No s-expression tree is built
-   in either direction. *)
+   into a chunked writer, and [load] walks a cursor over the text, decoding
+   each entry, fragment and view as it reads it.  No s-expression tree is
+   built in either direction. *)
+
+(* -- the writer ---------------------------------------------------------------------- *)
+
+(* The document goes into fixed chunks, copied once into a string of its
+   exact length by [contents]: a [Buffer] would copy its storage each time it
+   doubles, and once more at the end. *)
+type writer = {
+  mutable chunk : Bytes.t;
+  mutable used : int;             (* bytes of [chunk] written *)
+  mutable full : Bytes.t list;    (* the chunks before [chunk], last first *)
+}
+
+let chunk_size = 65536
+let writer () = { chunk = Bytes.create chunk_size; used = 0; full = [] }
+let chunks w = List.length w.full + 1
+
+let next_chunk w =
+  w.full <- w.chunk :: w.full;
+  w.chunk <- Bytes.create chunk_size;
+  w.used <- 0
+
+let add_char w ch =
+  if w.used = chunk_size then next_chunk w;
+  Bytes.unsafe_set w.chunk w.used ch;
+  w.used <- w.used + 1
+
+(* [s.[i .. i + n - 1]], across as many chunks as it fills. *)
+let rec add_sub w s i n =
+  if n > 0 then (
+    if w.used = chunk_size then next_chunk w;
+    let k = min n (chunk_size - w.used) in
+    Bytes.blit_string s i w.chunk w.used k;
+    w.used <- w.used + k;
+    add_sub w s (i + k) (n - k))
+
+let add_string w s = add_sub w s 0 (String.length s)
+
+let contents w =
+  let n = ((chunks w - 1) * chunk_size) + w.used in
+  let out = Bytes.create n in
+  Bytes.blit w.chunk 0 out (n - w.used) w.used;
+  List.iteri (fun i c -> Bytes.blit c 0 out (n - w.used - ((i + 1) * chunk_size)) chunk_size) w.full;
+  Bytes.unsafe_to_string out
 
 (* -- writing ------------------------------------------------------------------------------ *)
 
@@ -14,62 +57,62 @@ let rec plain s i = i >= String.length s || ((not (delimiter s.[i])) && plain s 
 (* An atom is quoted iff it is empty or holds a delimiter; inside quotes,
    double quote, backslash and LF are escaped. *)
 let add_atom b s =
-  if s <> "" && plain s 0 then Buffer.add_string b s
+  if s <> "" && plain s 0 then add_string b s
   else (
-    Buffer.add_char b '"';
+    add_char b '"';
     String.iter
       (function
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
+        | '"' -> add_string b "\\\""
+        | '\\' -> add_string b "\\\\"
+        | '\n' -> add_string b "\\n"
+        | c -> add_char b c)
       s;
-    Buffer.add_char b '"')
+    add_char b '"')
 
 (* The writers below take the buffer first and print one element each; none
    builds a string or a closure per element, since [save] prints thousands. *)
-let close b = Buffer.add_char b ')'
+let close b = add_char b ')'
 
 (* [" " ^ x] for each [x] of [l]. *)
 let rec add_args b add = function
   | [] -> ()
   | x :: rest ->
-      Buffer.add_char b ' ';
+      add_char b ' ';
       add b x;
       add_args b add rest
 
 let add_list b add l =
-  Buffer.add_char b '(';
+  add_char b '(';
   (match l with [] -> () | x :: rest -> add b x; add_args b add rest);
   close b
 
 let add_atoms b l = add_list b add_atom l
-let add_arg b add x = Buffer.add_char b ' '; add b x
+let add_arg b add x = add_char b ' '; add b x
 
 (* [(head] and [(head s]; the caller closes the list. *)
-let add_head b head = Buffer.add_char b '('; Buffer.add_string b head
+let add_head b head = add_char b '('; add_string b head
 let add_named b head s = add_head b head; add_arg b add_atom s
 
 (* The decimal digits of [k >= 0], without building a string. *)
 let rec add_digits b k =
   if k >= 10 then add_digits b (k / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (k mod 10)))
+  add_char b (Char.unsafe_chr (48 + (k mod 10)))
 
-let add_reference b k = Buffer.add_char b '#'; add_digits b k
+let add_reference b k = add_char b '#'; add_digits b k
 let add_refs b head x y = add_head b head; add_arg b add_reference x; add_arg b add_reference y
 
 let add_value b = function
-  | Datum.Value.Null -> Buffer.add_string b "null"
+  | Datum.Value.Null -> add_string b "null"
   | Datum.Value.Int i -> add_named b "int" (string_of_int i); close b
   | Datum.Value.String s -> add_named b "str" s; close b
-  | Datum.Value.Bool v -> Buffer.add_string b (if v then "(bool true)" else "(bool false)")
+  | Datum.Value.Bool v -> add_string b (if v then "(bool true)" else "(bool false)")
   | Datum.Value.Decimal f -> add_named b "dec" (Printf.sprintf "%h" f); close b
 
 let add_domain b = function
-  | Datum.Domain.Int -> Buffer.add_string b "int"
-  | Datum.Domain.String -> Buffer.add_string b "string"
-  | Datum.Domain.Bool -> Buffer.add_string b "bool"
-  | Datum.Domain.Decimal -> Buffer.add_string b "decimal"
+  | Datum.Domain.Int -> add_string b "int"
+  | Datum.Domain.String -> add_string b "string"
+  | Datum.Domain.Bool -> add_string b "bool"
+  | Datum.Domain.Decimal -> add_string b "decimal"
   | Datum.Domain.Enum values -> add_head b "enum"; add_args b add_atom values; close b
 
 let cmp_to_string = function
@@ -108,8 +151,8 @@ let not_a_leaf () = invalid_arg "State_io: a term with children is not a leaf"
 
 (* A table entry: [(head arg ..)], or [true] / [false]. *)
 let add_entry b = function
-  | Cond_atom Query.Cond.True -> Buffer.add_string b "true"
-  | Cond_atom Query.Cond.False -> Buffer.add_string b "false"
+  | Cond_atom Query.Cond.True -> add_string b "true"
+  | Cond_atom Query.Cond.False -> add_string b "false"
   | key ->
       (match key with
       | Cond_atom (Query.Cond.Is_of e) -> add_named b "isof" e
@@ -117,7 +160,7 @@ let add_entry b = function
       | Cond_atom (Query.Cond.Is_null a) -> add_named b "isnull" a
       | Cond_atom (Query.Cond.Is_not_null a) -> add_named b "notnull" a
       | Cond_atom (Query.Cond.Cmp (a, op, v)) ->
-          add_named b "cmp" a; add_arg b Buffer.add_string (cmp_to_string op); add_arg b add_value v
+          add_named b "cmp" a; add_arg b add_string (cmp_to_string op); add_arg b add_value v
       | Cond_atom (Query.Cond.True | Query.Cond.False | Query.Cond.And _ | Query.Cond.Or _) -> not_a_leaf ()
       | And (x, y) -> add_refs b "and" x y
       | Or (x, y) -> add_refs b "or" x y
@@ -138,7 +181,7 @@ let add_entry b = function
 (* The interned terms so far, each new one printed to [out] on its own line
    as it is interned; [visits] counts the nodes the encoder looked up. *)
 type interned = {
-  out : Buffer.t;
+  out : writer;
   ids : (key, int) Hashtbl.t;
   mutable count : int;
   mutable visits : int;
@@ -152,7 +195,7 @@ let intern tbl key =
   | None ->
       let k = tbl.count in
       Hashtbl.add tbl.ids key k;
-      Buffer.add_string tbl.out "\n  ";
+      add_string tbl.out "\n  ";
       add_entry tbl.out key;
       tbl.count <- k + 1;
       k
@@ -226,11 +269,11 @@ let mult_to_string = function
   | Edm.Association.Many -> "many"
 
 (* [(a x)], the atom [a] paired with [x]. *)
-let add_pair add b (a, x) = Buffer.add_char b '('; add_atom b a; add_arg b add x; close b
+let add_pair add b (a, x) = add_char b '('; add_atom b a; add_arg b add x; close b
 
 let add_etype b (e : Edm.Entity_type.t) =
   add_named b "type" e.name;
-  (match e.parent with None -> Buffer.add_string b " _" | Some p -> add_arg b add_atom p);
+  (match e.parent with None -> add_string b " _" | Some p -> add_arg b add_atom p);
   add_arg b (fun b -> add_list b (add_pair add_domain)) e.declared;
   add_arg b add_atoms e.key;
   add_arg b add_atoms e.non_null;
@@ -251,13 +294,13 @@ let add_client b item client =
 
 let add_table b (t : Relational.Table.t) =
   let column b (c : Relational.Table.column) =
-    Buffer.add_char b '(';
+    add_char b '(';
     add_atom b c.cname;
     add_arg b add_domain c.domain;
-    Buffer.add_string b (if c.nullable then " true)" else " false)")
+    add_string b (if c.nullable then " true)" else " false)")
   in
   let fk b (fk : Relational.Table.foreign_key) =
-    Buffer.add_char b '(';
+    add_char b '(';
     add_atoms b fk.fk_columns;
     add_arg b add_atom fk.ref_table;
     add_arg b add_atoms fk.ref_columns;
@@ -289,9 +332,9 @@ let add_fragment b enc (f : Mapping.Fragment.t) =
    reference in the encoder's memo tables. *)
 let save (st : Core.State.t) =
   Obs.Span.with_ ~name:"surface.io.encode" @@ fun () ->
-  let b = Buffer.create 65536 in
-  let item () = Buffer.add_string b "\n  " in
-  let section name items = Buffer.add_string b "\n ("; Buffer.add_string b name; items (); close b in
+  let b = writer () in
+  let item () = add_string b "\n  " in
+  let section name items = add_string b "\n ("; add_string b name; items (); close b in
   let enc = encoder b in
   let fragments = Mapping.Fragments.to_list st.fragments in
   let entity_views = Query.View.entity_view_bindings st.query_views in
@@ -304,7 +347,7 @@ let save (st : Core.State.t) =
   in
   let view b (v : Query.View.t) = add_refs b "view" (enc.query_ref v.query) (enc.ctor_ref v.ctor); close b in
   let query b q = add_reference b (enc.query_ref q) in
-  Buffer.add_string b "(state";
+  add_string b "(state";
   section "client" (fun () -> add_client b item st.env.client);
   section "store" (fun () -> List.iter (fun t -> item (); add_table b t) (Relational.Schema.tables st.env.store));
   (* Interning order is document order: fragments, query views, update views. *)
@@ -321,9 +364,10 @@ let save (st : Core.State.t) =
       bindings "for_entity" view entity_views;
       bindings "for_assoc" query assoc_views);
   section "update_views" (fun () -> bindings "for_table" query update_views);
-  Buffer.add_string b ")\n";
-  let text = Buffer.contents b in
+  add_string b ")\n";
+  let text = contents b in
   Obs.Span.tag "bytes" (String.length text);
+  Obs.Span.tag "chunks" (chunks b);
   Obs.Span.tag "terms" enc.terms.count;
   Obs.Span.tag "visits" enc.terms.visits;
   text
@@ -334,7 +378,61 @@ let save (st : Core.State.t) =
    turns it into [Error]. *)
 exception Malformed of int * string
 
-type cursor = { text : string; mutable pos : int }
+(* -- the atom table ---------------------------------------------------------------- *)
+
+(* The distinct atoms read so far, each allocated once: an open-addressing
+   table with linear probing, keyed by the atom's bytes.  A lookup hashes and
+   compares the byte range where it lies, so reading an atom seen before
+   allocates nothing, and equal atoms of the loaded state are one string.
+   [load] makes one per call.  An empty slot holds [""], which is never
+   stored: the empty atom is the literal. *)
+type atoms = { mutable slots : string array; mutable count : int }
+
+(* The customer document holds about one distinct atom per 120 bytes, so
+   [length / 64] slots keep it under half full without growing. *)
+let atoms_for text =
+  let rec size n = if 64 * n >= String.length text then n else size (2 * n) in
+  { slots = Array.make (size 64) ""; count = 0 }
+
+(* FNV-1a over [s.[i .. j - 1]]. *)
+let rec hash s i j h =
+  if i >= j then h lxor (h lsr 32) else hash s (i + 1) j ((h lxor Char.code (String.unsafe_get s i)) * 16777619)
+
+(* Whether [s.[i + k .. i + n - 1]] is [a.[k ..]], [a] of length [n]. *)
+let rec same s i n a k = k >= n || (String.unsafe_get s (i + k) = String.unsafe_get a k && same s i n a (k + 1))
+
+(* The slot of [s.[i .. i + n - 1]], [n > 0]: the one holding it, or the empty
+   one where it goes.  Every helper takes all it reads as arguments, so a
+   lookup builds no closure. *)
+let rec probe slots s i n p =
+  let a = Array.unsafe_get slots p in
+  if String.length a = 0 || (String.length a = n && same s i n a 0) then p
+  else probe slots s i n ((p + 1) land (Array.length slots - 1))
+
+let slot slots s i n = probe slots s i n (hash s i (i + n) 0x811c9dc5 land (Array.length slots - 1))
+
+(* [a], a new atom, stored in the empty slot [p]; the table doubles when it
+   is half full. *)
+let store atoms p a =
+  atoms.slots.(p) <- a;
+  atoms.count <- atoms.count + 1;
+  if 2 * atoms.count > Array.length atoms.slots then (
+    let slots = Array.make (2 * Array.length atoms.slots) "" in
+    Array.iter (fun a -> if a <> "" then slots.(slot slots a 0 (String.length a)) <- a) atoms.slots;
+    atoms.slots <- slots);
+  a
+
+(* The atom [s.[i .. j - 1]], copied out of [s] only the first time. *)
+let atom_of atoms s i j =
+  if j = i then ""
+  else
+    let p = slot atoms.slots s i (j - i) in
+    let a = atoms.slots.(p) in
+    if a <> "" then a else store atoms p (String.sub s i (j - i))
+
+(* -- the cursor ------------------------------------------------------------------------ *)
+
+type cursor = { text : string; mutable pos : int; atoms : atoms }
 
 let fail c msg = raise (Malformed (c.pos, msg))
 let failf c fmt = Printf.ksprintf (fail c) fmt
@@ -363,22 +461,33 @@ let expect c ch =
 (* Consumes a [)] if one is next. *)
 let at_close c = look c = ')' && (c.pos <- c.pos + 1; true)
 
-(* A quoted atom, from its opening quote. *)
+(* A quoted atom, from its opening quote.  One without escapes is looked up
+   where it lies in the text; one with escapes is unescaped first. *)
 let quoted c =
-  let b = Buffer.create 16 in
-  let n = String.length c.text in
-  let rec go p =
-    if p >= n then (c.pos <- p; fail c "unterminated string");
-    match c.text.[p] with
-    | '"' -> p + 1
-    | '\\' ->
-        if p + 1 >= n then (c.pos <- p + 1; fail c "unterminated escape");
-        Buffer.add_char b (match c.text.[p + 1] with 'n' -> '\n' | e -> e);
-        go (p + 2)
-    | ch -> Buffer.add_char b ch; go (p + 1)
-  in
-  c.pos <- go (c.pos + 1);
-  Buffer.contents b
+  let text = c.text and start = c.pos + 1 in
+  let n = String.length text in
+  let p = ref start and escapes = ref 0 in
+  while !p < n && text.[!p] <> '"' do
+    if text.[!p] = '\\' then (incr escapes; incr p);
+    incr p
+  done;
+  if !p >= n then (
+    c.pos <- n;
+    fail c (if !p > n then "unterminated escape" else "unterminated string"));
+  let stop = !p in
+  c.pos <- stop + 1;
+  if !escapes = 0 then atom_of c.atoms text start stop
+  else
+    let b = Bytes.create (stop - start - !escapes) in
+    let rec unescape i k =
+      if i < stop then
+        if text.[i] = '\\' then (
+          Bytes.set b k (match text.[i + 1] with 'n' -> '\n' | e -> e);
+          unescape (i + 2) (k + 1))
+        else (Bytes.set b k text.[i]; unescape (i + 1) (k + 1))
+    in
+    unescape start 0;
+    atom_of c.atoms (Bytes.unsafe_to_string b) 0 (Bytes.length b)
 
 (* The end of the bare atom starting at [c.pos]. *)
 let bare_end c =
@@ -393,7 +502,7 @@ let atom c =
   | _ ->
       let start = c.pos in
       c.pos <- bare_end c;
-      String.sub c.text start (c.pos - start)
+      atom_of c.atoms c.text start c.pos
 
 (* The head atom of a list, after its [(]. *)
 let head c = expect c '('; atom c
@@ -433,9 +542,14 @@ let value c =
     expect c ')';
     match h with
     | "str" -> Datum.Value.String a
-    | "int" when int_of_string_opt a <> None -> Datum.Value.Int (int_of_string a)
-    | "bool" when a = "true" || a = "false" -> Datum.Value.Bool (a = "true")
-    | "dec" when float_of_string_opt a <> None -> Datum.Value.Decimal (float_of_string a)
+    | "int" -> (
+        match int_of_string a with i -> Datum.Value.Int i | exception Failure _ -> failf c "bad value (%s %s)" h a)
+    | "bool" when a = "true" -> Datum.Value.Bool true
+    | "bool" when a = "false" -> Datum.Value.Bool false
+    | "dec" -> (
+        match float_of_string a with
+        | f -> Datum.Value.Decimal f
+        | exception Failure _ -> failf c "bad value (%s %s)" h a)
     | _ -> failf c "bad value (%s %s)" h a
 
 let domain c =
@@ -484,9 +598,13 @@ let resolve c tbl s i j =
   tbl.terms.(!k)
 
 (* An atom where a term may stand: a back-reference, [true] or [false]. *)
+let is_word s i j w = j - i = String.length w && same s i (j - i) w 0
+
 let word c tbl s i j =
   if j > i && s.[i] = '#' then resolve c tbl s i j
-  else match String.sub s i (j - i) with "true" -> true_ | "false" -> false_ | w -> failf c "bad term %s" w
+  else if is_word s i j "true" then true_
+  else if is_word s i j "false" then false_
+  else failf c "bad term %s" (String.sub s i (j - i))
 
 let item c =
   let x =
@@ -591,7 +709,9 @@ and ctor c tbl = match term c tbl with Ctor k -> k | t -> wrong_sort c t "constr
 
 (* -- reading schemas, fragments and views --------------------------------------------- *)
 
-let ok c = function Ok x -> x | Error e -> fail c e
+(* A schema builder's result; its error names the declaration it refuses,
+   which the offset already locates. *)
+let ok c = function Ok x -> x | Error (_, e) -> fail c e
 
 let mult c = function
   | "one" -> Edm.Association.One
@@ -728,6 +848,9 @@ let document c =
 let load text =
   Obs.Span.with_ ~name:"surface.io.decode" @@ fun () ->
   Obs.Span.tag "bytes" (String.length text);
-  match document { text; pos = 0 } with
-  | st -> Ok st
+  let c = { text; pos = 0; atoms = atoms_for text } in
+  match document c with
+  | st ->
+      Obs.Span.tag "atoms" c.atoms.count;
+      Ok st
   | exception Malformed (pos, msg) -> Error (Printf.sprintf "at offset %d: %s" pos msg)

@@ -55,20 +55,38 @@
     equal subterms of the loaded state are physically shared: on the
     customer model the loaded state is about as large in memory as the
     compiled one, and the file about 174 KB.  [save] prints every section
-    and entry straight into one buffer: the term table while it interns the
+    and entry straight into its writer: the term table while it interns the
     fragments' conditions and the views, then the sections that refer to
     it.  It reaches the terms through physical-identity memo tables
     ({!Query.Algebra.Memo} and its condition and constructor twins), so it
     walks the views as the DAG they are: a shared subterm is visited once.
     A node seen before has no new subterm, so this changes no byte of the
-    output.  On the customer model [load] allocates about 1.9 MB and [save]
-    about 1.1 MB, for a 173,682-byte document ([BENCH_edit.json]).
+    output.
+
+    {b Shared atoms.}  [load] interns every atom, bare or quoted, in a table
+    keyed by its bytes: a lookup hashes and compares the atom where it lies
+    in the text, and a string is allocated only the first time its bytes
+    appear (a quoted atom with escapes is unescaped first).  So equal names
+    of the loaded state, a column of many fragments and views or a type of
+    the schema and the constructors, are one string.  The table is sized
+    from the text's length and grows if it fills; each call makes its own,
+    so no table outlives a call.
+
+    {b Chunked writer.}  [save] writes into fixed 64 KB chunks and copies
+    them once into a string of the document's exact length, where a growing
+    buffer would copy its storage at each doubling and once more at the
+    end.
+
+    On the customer model [load] allocates about 1.27 MB and [save] about
+    0.84 MB, for a 173,682-byte document with 1,413 distinct atoms
+    ([BENCH_edit.json]).
 
     Each direction records one [Obs] span: [surface.io.decode] in [load],
-    tagged with the text's [bytes] and, once the table is read, its [terms]
-    count, and [surface.io.encode] in [save], tagged with the document's
-    [bytes], its [terms] count and [visits], the nodes the encoder looked
-    up.  On a loaded state, where each term is one physical node, [visits]
+    tagged with the text's [bytes], once the table is read its [terms]
+    count, and on success its [atoms], the distinct atoms it allocated; and
+    [surface.io.encode] in [save], tagged with the document's [bytes], the
+    writer's [chunks], its [terms] count and [visits], the nodes the encoder
+    looked up.  On a loaded state, where each term is one physical node, [visits]
     equals [terms].  The decode span's children time the load's phases:
     [surface.io.client], [.store], [.terms], [.fragments] and [.views].
 

@@ -62,7 +62,7 @@ let generate ~size =
                 ("Extra", D.Int, `Null); ("FkA", D.Int, `Null); ("FkB", D.Int, `Null) ]
              @ List.map (fun a -> (a, D.String, `Null)) attrs))
          (List.init size (fun i -> i + 1))
-    |> Relational.Schema.of_tables |> ok
+    |> Relational.Schema.of_tables |> Result.map_error snd |> ok
   in
   let frags =
     List.concat_map

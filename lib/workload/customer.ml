@@ -111,7 +111,7 @@ let store_schema client =
             in
             Relational.Table.make ~name:(tpt_table_name h i) ~key:[ "Id" ] ~fks cols)
   in
-  let base = ok (Relational.Schema.of_tables (List.concat_map tables_of plan)) in
+  let base = ok (Result.map_error snd (Relational.Schema.of_tables (List.concat_map tables_of plan))) in
   (* Association columns land on the anchor root's table. *)
   List.fold_left
     (fun s (_name, h1, h2, col) ->

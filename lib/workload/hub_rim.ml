@@ -141,7 +141,7 @@ let tpt_store client ~n ~m =
               tbl (List.init m Fun.id))
       tables
   in
-  ok (Relational.Schema.of_tables tables)
+  ok (Result.map_error snd (Relational.Schema.of_tables tables))
 
 let tpt_fragments client ~n ~m =
   let entity_frag ty =

@@ -70,12 +70,12 @@ let check_rebuilds_client msg s =
       (Edm.Schema.associations s)
   with
   | Ok s' -> checkb (msg ^ ": the client schema rebuilds") true (Edm.Schema.equal s s')
-  | Error e -> Alcotest.failf "%s: the client schema does not rebuild: %s" msg e
+  | Error (_, e) -> Alcotest.failf "%s: the client schema does not rebuild: %s" msg e
 
 let check_rebuilds_store msg s =
   match Relational.Schema.of_tables (Relational.Schema.tables s) with
   | Ok s' -> checkb (msg ^ ": the store schema rebuilds") true (Relational.Schema.equal s s')
-  | Error e -> Alcotest.failf "%s: the store schema does not rebuild: %s" msg e
+  | Error (_, e) -> Alcotest.failf "%s: the store schema does not rebuild: %s" msg e
 
 let row = Datum.Row.of_list
 

@@ -126,6 +126,83 @@ let test_reparent () =
 let test_well_formed () =
   check_rebuilds_client "paper schema" client
 
+(* The bulk builder against the one-at-a-time fold of [Schema_fold], on
+   customer, chain-50 and random models, with the declarations in name
+   order and reversed: both build one schema, with the same children,
+   hierarchy attributes and endpoint associations at every type. *)
+let test_bulk_matches_fold () =
+  let same what s =
+    List.iter
+      (fun (how, reversed) ->
+        let what = what ^ how in
+        let order l = if reversed then List.rev l else l in
+        let types = order (Edm.Schema.types s) and sets = order (Edm.Schema.entity_sets s) in
+        let assocs = order (Edm.Schema.associations s) in
+        let bulk = ok_exn (Result.map_error snd (Edm.Schema.of_declarations types ~sets assocs)) in
+        let fold = ok_exn (Schema_fold.of_declarations types ~sets assocs) in
+        checkb (what ^ ": equal schemas") true (Edm.Schema.equal bulk fold);
+        let assoc_names t ty = List.map (fun (a : Edm.Association.t) -> a.name) (Edm.Schema.associations_on t ty) in
+        List.iter
+          (fun (e : Edm.Entity_type.t) ->
+            let at = what ^ ", " ^ e.name in
+            check slist (at ^ ": children") (Edm.Schema.children fold e.name) (Edm.Schema.children bulk e.name);
+            checkb (at ^ ": hierarchy attributes") true
+              (Edm.Schema.hierarchy_attributes fold e.name = Edm.Schema.hierarchy_attributes bulk e.name);
+            check slist (at ^ ": associations") (assoc_names fold e.name) (assoc_names bulk e.name))
+          types)
+      [ ("", false); (", reversed", true) ]
+  in
+  let client_of (env, _) = env.Query.Env.client in
+  (* Siblings' subtrees declare [X] and [Y] with other domains: each keeps
+     the domain of its earliest declaring type in preorder. *)
+  let derived name parent declared = Edm.Entity_type.derived ~name ~parent declared in
+  same "namesake attributes"
+    (ok_exn
+       (Schema_fold.of_declarations
+          [ Edm.Entity_type.root ~name:"P" ~key:[ "Id" ] [ ("Id", D.Int) ]; derived "B" "P" [ ("X", D.Int); ("Y", D.String) ];
+            derived "A" "P" [ ("X", D.String) ]; derived "A1" "A" [ ("Y", D.Int) ] ]
+          ~sets:[ ("Ps", "P") ] []));
+  same "customer" (client_of (Workload.Customer.generate ()));
+  same "chain-50" (client_of (Workload.Chain.generate ~size:50));
+  List.iter
+    (fun seed -> same (Printf.sprintf "random %d" seed) (client_of (Workload.Random_model.generate ~seed ())))
+    (List.init 10 (fun i -> i + 1))
+
+(* Malformed declarations: the bulk builder refuses them with the fold's
+   message, and names the declaration at fault. *)
+let test_bulk_refuses_as_fold () =
+  let types = Edm.Schema.types client and sets = Edm.Schema.entity_sets client in
+  let assocs = Edm.Schema.associations client in
+  let derived name parent declared = Edm.Entity_type.derived ~name ~parent declared in
+  let person = Option.get (Edm.Schema.find_type client "Person") in
+  let supports = Option.get (Edm.Schema.find_association client "Supports") in
+  List.iter
+    (fun (what, (types, sets, assocs), decl) ->
+      match (Edm.Schema.of_declarations types ~sets assocs, Schema_fold.of_declarations types ~sets assocs) with
+      | Error (d, m), Error m' ->
+          check Alcotest.string (what ^ ": message") m' m;
+          checkb (what ^ ": declaration") true (d = decl)
+      | Ok _, _ -> Alcotest.failf "%s: the bulk builder accepts it" what
+      | _, Ok _ -> Alcotest.failf "%s: the fold accepts it" what)
+    (let n = List.length types and ns = List.length sets and na = List.length assocs in
+     let root name = Edm.Entity_type.root ~name ~key:[ "Id" ] [ ("Id", D.Int) ] in
+     [ ("an unknown parent", (types @ [ derived "Z" "Nope" [] ], sets, assocs), Edm.Schema.Type n);
+       ("a parent cycle", (types @ [ derived "A" "B" []; derived "B" "A" [] ], sets, assocs), Edm.Schema.Type n);
+       ("a shadowing attribute", (types @ [ derived "S" "Employee" [ ("Name", D.String) ] ], sets, assocs),
+        Edm.Schema.Type n);
+       ("a type declared twice", (types @ [ derived "Customer" "Person" [] ], sets, assocs), Edm.Schema.Type n);
+       (* The walk reaches the derived [X] under [A] before the root [X]
+          declared above it, so the root is the one refused. *)
+       ("a root before its derived namesake",
+        ([ root "A"; root "X"; derived "X" "A" [ ("Y", D.Int) ] ], [ ("As", "A"); ("Xs", "X") ], []),
+        Edm.Schema.Type 1);
+       ("a root without a set", (types @ [ { person with name = "Q" } ], sets, assocs), Edm.Schema.Type n);
+       ("a root's second set", (types, sets @ [ ("Ps2", "Person") ], assocs), Edm.Schema.Set ns);
+       ("a set over a derived type", (types, sets @ [ ("Cs", "Customer") ], assocs), Edm.Schema.Set ns);
+       ("an unknown endpoint", (types, sets, assocs @ [ { supports with name = "R"; end2 = "Nope" } ]),
+        Edm.Schema.Association na);
+       ("an association declared twice", (types, sets, assocs @ assocs), Edm.Schema.Association na) ])
+
 let sample = Workload.Paper_example.sample_client
 
 let test_instance_conforms () =
@@ -300,6 +377,8 @@ let () =
           Alcotest.test_case "evolution" `Quick test_evolution;
           Alcotest.test_case "reparent" `Quick test_reparent;
           Alcotest.test_case "well-formed" `Quick test_well_formed;
+          Alcotest.test_case "bulk build matches the add_* fold" `Quick test_bulk_matches_fold;
+          Alcotest.test_case "bulk build refuses as the fold" `Quick test_bulk_refuses_as_fold;
           prop_child_index;
           prop_endpoint_index;
         ] );

@@ -638,17 +638,20 @@ let error_body e =
     String.sub e (i + 2) (String.length e - i - 2)
   else e
 
-(* Both loaders answer [Error body], whatever position they put before it,
-   and neither raises. *)
-let check_both_refuse what ~model ~saved body =
+(* Both loaders answer [Error body], the model at [at], the line and column
+   of the refused declaration's name, and the saved state at an offset; and
+   neither raises. *)
+let check_both_refuse what ~model ~at ~saved body =
   List.iter
-    (fun (loader, r) ->
+    (fun (loader, prefix, r) ->
       match r () with
       | Ok () -> Alcotest.failf "%s, %s: built" what loader
-      | Error e -> check Alcotest.string (what ^ ", " ^ loader) body (error_body e)
+      | Error e ->
+          check Alcotest.string (what ^ ", " ^ loader) body (error_body e);
+          checkb (what ^ ", " ^ loader ^ ": " ^ e) true (String.starts_with ~prefix e)
       | exception ex -> Alcotest.failf "%s, %s: raised %s" what loader (Printexc.to_string ex))
-    [ ("model", fun () -> Result.map ignore (Surface.Parser.model model));
-      ("saved state", fun () -> Result.map ignore (load saved)) ]
+    [ ("model", at ^ ": ", fun () -> Result.map ignore (Surface.Parser.model model));
+      ("saved state", "at offset ", fun () -> Result.map ignore (load saved)) ]
 
 let paper_imcs () = In_channel.with_open_bin (Filename.concat states_dir "paper.imcs") In_channel.input_all
 
@@ -694,7 +697,9 @@ let store_field tables =
 
 (* Each malformed store, as a model and as test/states/paper.imcs with its
    store edited: both loaders build it with [Relational.Schema.of_tables],
-   so they refuse it with one message. *)
+   so they refuse it with one message.  The model's error stands at the
+   refused table's name: table [i] of a [store_section] is on line [i + 2],
+   its name at column 9. *)
 let test_malformed_stores () =
   let text = paper_imcs () in
   let saved tables = splice text ~field:"store" ~next:"terms" (store_field tables) in
@@ -710,22 +715,24 @@ let test_malformed_stores () =
   checkb "the paper store, saved, is test/states/paper.imcs" true (saved paper = text);
   checkb "the paper store, as a model, builds" true (Result.is_ok (Surface.Parser.model (store_section paper)));
   List.iter
-    (fun (what, tables, body) -> check_both_refuse what ~model:(store_section tables) ~saved:(saved tables) body)
-    [ ("an FK to an unknown table", [ emp [ ([ "Id" ], "Nope", [ "Id" ]) ]; hr ],
+    (fun (what, tables, line, body) ->
+      check_both_refuse what ~model:(store_section tables) ~at:(Printf.sprintf "line %d, column 9" line)
+        ~saved:(saved tables) body)
+    [ ("an FK to an unknown table", [ emp [ ([ "Id" ], "Nope", [ "Id" ]) ]; hr ], 2,
        "table Emp references unknown table Nope");
-      ("an FK not to the whole key", [ emp [ ([ "Id" ], "HR", [ "Name" ]) ]; hr ],
+      ("an FK not to the whole key", [ hr; emp [ ([ "Id" ], "HR", [ "Name" ]) ] ], 3,
        "foreign key Emp -> HR does not target the full key");
-      ("an FK of another arity", [ emp [ ([ "Id"; "Dept" ], "HR", [ "Id" ]) ]; hr ],
+      ("an FK of another arity", [ emp [ ([ "Id"; "Dept" ], "HR", [ "Id" ]) ]; hr ], 2,
        "foreign key Emp -> HR has mismatched arity");
-      ("an FK across domains", [ client [ ([ "Name" ], "Emp", [ "Id" ]) ]; emp []; hr ],
+      ("an FK across domains", [ hr; emp []; client [ ([ "Name" ], "Emp", [ "Id" ]) ] ], 4,
        "foreign key column Client.Name disagrees on domain with Emp.Id");
-      ("an FK over an undeclared column", [ emp [ ([ "Nope" ], "HR", [ "Id" ]) ]; hr ],
+      ("an FK over an undeclared column", [ emp [ ([ "Nope" ], "HR", [ "Id" ]) ]; hr ], 2,
        "foreign key of Emp uses unknown column Nope");
-      ("a key over an undeclared column", [ ("HR", [ ("Id", "int", false) ], [ "Nope" ], []) ],
+      ("a key over an undeclared column", [ ("HR", [ ("Id", "int", false) ], [ "Nope" ], []) ], 2,
        "table HR keys on undeclared column Nope");
-      ("a column declared twice", [ ("HR", [ ("Id", "int", false); ("Id", "int", true) ], [ "Id" ], []) ],
+      ("a column declared twice", [ ("HR", [ ("Id", "int", false); ("Id", "int", true) ], [ "Id" ], []) ], 2,
        "table HR declares column Id twice");
-      ("a table declared twice", [ hr; hr ], "table HR already exists") ]
+      ("a table declared twice", [ hr; hr ], 3, "table HR already exists") ]
 
 (* The client builder refuses a type that declares an attribute twice, or
    marks an undeclared attribute non-null; a model cannot write the
@@ -744,7 +751,7 @@ let test_malformed_types () =
     (saved [ customer; employee ""; person "(Id int) (Name string)" ] = text);
   check_both_refuse "an attribute declared twice"
     ~model:"client { set Persons of Person; type Person { key Id : int; Name : string; Name : string; } }"
-    ~saved:(saved [ customer; employee ""; person "(Id int) (Name string) (Name string)" ])
+    ~at:"line 1, column 38" ~saved:(saved [ customer; employee ""; person "(Id int) (Name string) (Name string)" ])
     "type Person declares attribute Name twice";
   match load (saved [ customer; employee "Nope"; person "(Id int) (Name string)" ]) with
   | Error e ->
@@ -827,6 +834,22 @@ let test_declaration_positions () =
        "line 2, column 9: table T keys on undeclared column Nope");
       ("a table with no key clause", "store {\n  table T { Id : int; }\n}",
        "line 2, column 9: table T has no key clause");
+      ("a root's second set", "client { set Ps of P; type P { key Id : int; }\n set Qs of P; }",
+       "line 2, column 6: root type P has two entity sets, Ps and Qs");
+      ("an association to an unknown type",
+       "client { set Ps of P; type P { key Id : int; }\n assoc R between P and Nope multiplicity * to 1; }",
+       "line 2, column 8: unknown endpoint type Nope");
+      (* The walk places the derived X under A first and refuses the root
+         X declared above it: the error stands at the root. *)
+      ("a root before its derived namesake",
+       "client {\n  set As of A; type A { key Id : int; }\n  set Xs of X; type X { key Id : int; }\n  type X : A { Y : int; }\n}",
+       "line 3, column 21: entity type X already exists");
+      ("a table declared twice",
+       "store {\n  table T { Id : int; key (Id); }\n  table T { Id : int; key (Id); }\n  table T { Id : int; key (Id); }\n}",
+       "line 3, column 9: table T already exists");
+      ("an FK to an unknown table",
+       "store {\n  table T { Id : int; key (Id); }\n  table U { Id : int; key (Id); fk (Id) references V (Id); }\n}",
+       "line 3, column 9: table U references unknown table V");
     ]
 
 let test_examples_fuzz () =
@@ -970,6 +993,132 @@ let test_cr_constant () =
   let st' = ok_exn (load text) in
   checkb "fragments survive" true (Mapping.Fragments.equal st.Core.State.fragments st'.Core.State.fragments);
   checkb "save (load t) = t" true (String.equal (save st') text)
+
+(* [load] interns its atoms: in the loaded customer state, each name that
+   the client's types, the store's tables, the fragments and the views
+   (scans, projections, joins, conditions and constructors) hold is one
+   string, however many places hold it. *)
+let test_loaded_atoms_shared () =
+  let st = Lazy.force customer_loaded in
+  let first = Hashtbl.create 4096 and occurrences = ref 0 and unshared = ref [] in
+  let name s =
+    incr occurrences;
+    match Hashtbl.find_opt first s with
+    | None -> Hashtbl.add first s s
+    | Some s' -> if s' != s && not (List.mem s !unshared) then unshared := s :: !unshared
+  in
+  let names = List.iter name in
+  List.iter
+    (fun (e : Edm.Entity_type.t) ->
+      name e.name; Option.iter name e.parent; names (List.map fst e.declared); names e.key; names e.non_null)
+    (Edm.Schema.types st.Core.State.env.Query.Env.client);
+  List.iter
+    (fun (t : Relational.Table.t) ->
+      name t.name;
+      List.iter (fun (c : Relational.Table.column) -> name c.cname) t.columns;
+      names t.key;
+      List.iter
+        (fun (fk : Relational.Table.foreign_key) -> names fk.fk_columns; name fk.ref_table; names fk.ref_columns)
+        t.fks)
+    (Relational.Schema.tables st.Core.State.env.Query.Env.store);
+  let rec cond = function
+    | C.And (a, b) | C.Or (a, b) -> cond a; cond b
+    | C.Is_of e | C.Is_of_only e -> name e
+    | C.Is_null a | C.Is_not_null a -> name a
+    | C.Cmp (a, _, _) -> name a
+    | C.True | C.False -> ()
+  in
+  let source = function A.Entity_set s | A.Assoc_set s | A.Table s -> name s in
+  List.iter
+    (fun (f : Mapping.Fragment.t) ->
+      (match f.client_source with Mapping.Fragment.Set s | Mapping.Fragment.Assoc s -> name s);
+      cond f.client_cond;
+      List.iter (fun (a, c) -> name a; name c) f.pairs;
+      name f.table;
+      cond f.store_cond)
+    (Mapping.Fragments.to_list st.Core.State.fragments);
+  let query =
+    A.Memo.fix (A.Memo.create ()) (fun query -> function
+      | A.Scan src -> source src
+      | A.Select (c, q) -> cond c; query q
+      | A.Project (items, q) ->
+          List.iter
+            (function
+              | A.Col { src; dst } -> name src; name dst
+              | A.Const { dst; _ } -> name dst
+              | A.Coalesce { srcs; dst } -> names srcs; name dst)
+            items;
+          query q
+      | A.Join (_, l, r, on) -> query l; query r; names on
+      | A.Union_all (l, r) -> query l; query r)
+  in
+  let rec ctor = function
+    | Query.Ctor.Entity { etype; attrs } -> name etype; names attrs
+    | Query.Ctor.If (c, a, b) -> cond c; ctor a; ctor b
+  in
+  List.iter
+    (fun (ty, (v : Query.View.t)) -> name ty; query v.query; ctor v.ctor)
+    (Query.View.entity_view_bindings st.Core.State.query_views);
+  List.iter (fun (a, q) -> name a; query q) (Query.View.assoc_view_bindings st.Core.State.query_views);
+  List.iter (fun (t, q) -> name t; query q) (Query.View.update_view_bindings st.Core.State.update_views);
+  checkb
+    (Printf.sprintf "%d occurrences of %d names" !occurrences (Hashtbl.length first))
+    true
+    (!occurrences > 4 * Hashtbl.length first);
+  check Alcotest.(list string) "names held by more than one string" [] !unshared
+
+(* The writer fills 64 KB chunks.  A string constant holding each byte
+   the writer escapes (a double quote, a backslash and an LF), padded so that its quoted atom
+   starts [k] bytes before a chunk boundary, for every [k] from 0 to the
+   atom's length: the state saves as the tree-walk encoder saves it, and
+   [save (load t) = t].  The pad itself is one bare atom, which spans a
+   whole chunk when the boundary is the second. *)
+let chunk_size = 65536
+
+let prop_chunk_boundaries =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 2)
+        (map (fun l -> String.concat "" l)
+           (list_size (int_range 0 6) (oneofl [ "\""; "\\"; "\n"; "a"; " "; "(" ]))))
+  in
+  let print (boundary, s) = Printf.sprintf "boundary %d, %S" boundary s in
+  qtest "chunk boundaries: quoted atoms across chunks" ~count:6 (QCheck.make ~print gen) (fun (boundary, s) ->
+      let value = "\"\\\n" ^ s in
+      let quoted =
+        "\""
+        ^ String.concat ""
+            (List.map
+               (function '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n" | c -> String.make 1 c)
+               (List.of_seq (String.to_seq value)))
+        ^ "\""
+      in
+      let st = Lazy.force paper_state in
+      let padded pad =
+        let f = List.hd (Mapping.Fragments.to_list st.Core.State.fragments) in
+        let cond =
+          C.And (C.And (f.client_cond, C.Cmp ("Name", C.Eq, V.String (String.make pad 'x'))), C.Cmp ("Name", C.Eq, V.String value))
+        in
+        let frags = Mapping.Fragments.to_list st.Core.State.fragments in
+        let frags = { f with Mapping.Fragment.client_cond = cond } :: List.tl frags in
+        { st with Core.State.fragments = Mapping.Fragments.of_list frags }
+      in
+      let find text =
+        let n = String.length quoted in
+        let rec go i = if String.sub text i n = quoted then i else go (i + 1) in
+        go 0
+      in
+      let at_one = find (save (padded 1)) in
+      List.for_all
+        (fun k ->
+          let pad = 1 + ((boundary * chunk_size) - k - at_one) in
+          let st = padded pad in
+          let text = save st in
+          if find text <> (boundary * chunk_size) - k then QCheck.Test.fail_reportf "k = %d: the atom is elsewhere" k;
+          if not (String.equal text (State_io_tree.save st)) then
+            QCheck.Test.fail_reportf "k = %d: save differs from the tree-walk encoder" k;
+          String.equal (save (ok_exn (load text))) text || QCheck.Test.fail_reportf "k = %d: save (load t) <> t" k)
+        (List.init (String.length quoted + 1) Fun.id))
 
 (* -- loader fuzzing ---------------------------------------------------------------------- *)
 
@@ -1132,6 +1281,8 @@ let () =
           Alcotest.test_case "save matches the tree-walk encoder" `Quick test_save_matches_oracle;
           Alcotest.test_case "encoder visits each term once" `Quick test_encode_visits;
           Alcotest.test_case "CR in a string constant" `Quick test_cr_constant;
+          Alcotest.test_case "loaded atoms are shared" `Quick test_loaded_atoms_shared;
+          prop_chunk_boundaries;
           prop_load_never_raises;
           prop_loader_fuzz;
         ] );
