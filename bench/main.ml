@@ -212,7 +212,7 @@ let paper_pipeline () =
     | Ok x -> x
     | Error e -> failwith (Containment.Validation_error.show e)
   in
-  let st = ok (Core.State.bootstrap P.stage1.P.env P.stage1.P.fragments) in
+  let st = ok (Fullc.Compile.compile P.stage1.P.env P.stage1.P.fragments) in
   let employee =
     Edm.Entity_type.derived ~name:"Employee" ~parent:"Person"
       [ ("Department", Datum.Domain.String) ]
@@ -445,8 +445,7 @@ let smo_rows ~baseline_ms rows =
 let smo_tables ?(sequels = []) env frags suite =
   match sample (fun () -> Fullc.Compile.compile env frags) with
   | Error e, _, _ -> failwith ("full compilation failed: " ^ e)
-  | Ok c, full_ms, _ ->
-      let st = Core.State.of_compiled env frags c in
+  | Ok st, full_ms, _ ->
       let after label before =
         match Core.Engine.apply_all st before with
         | Ok st -> st
@@ -477,8 +476,7 @@ let scale_table sizes =
         let env, frags = Workload.Chain.generate ~size in
         match Fullc.Compile.compile ~validate:false env frags with
         | Error e -> failwith ("chain compilation failed: " ^ e)
-        | Ok c ->
-            let st = Core.State.of_compiled env frags c in
+        | Ok st ->
             List.map
               (fun (label, smo) ->
                 let _, traced = traced_counts (fun () -> Core.Engine.compile st smo) in
@@ -523,8 +521,7 @@ let ablation () =
   let env, frags = Workload.Chain.generate ~size:200 in
   (match Fullc.Compile.compile env frags with
   | Error e -> Printf.printf "chain compile failed: %s\n" e
-  | Ok c -> (
-      let st = Core.State.of_compiled env frags c in
+  | Ok st -> (
       match List.assoc_opt "AE-TPT" (Workload.Chain.smo_suite ~at:100) with
       | None -> ()
       | Some smo -> (
@@ -554,7 +551,7 @@ let ablation () =
         let inst = Roundtrip.Generate.instance ~seed env.Query.Env.client in
         match
           ( Query.View.apply_update_views env st.Core.State.update_views inst,
-            Query.View.apply_update_views env full.Fullc.Compile.update_views inst )
+            Query.View.apply_update_views env full.Core.State.update_views inst )
         with
         | Ok a, Ok b -> if not (Relational.Instance.equal a b) then agree := false
         | _, _ -> agree := false
@@ -566,7 +563,7 @@ let ablation () =
   let shape_of views =
     List.fold_left
       (fun (f, l, u) (_, v) ->
-        let f', l', u' = Fullc.Optimize.stats (v : Query.View.t).Query.View.query in
+        let f', l', u' = Mapping.Views.stats (v : Query.View.t).Query.View.query in
         (f + f', l + l', u + u'))
       (0, 0, 0) views
   in
@@ -577,8 +574,8 @@ let ablation () =
           Fullc.Compile.compile ~validate:false ~optimize:true env frags )
       with
       | Ok plain, Ok opt ->
-          let fp, lp, up = shape_of (Query.View.entity_view_bindings plain.Fullc.Compile.query_views) in
-          let fo, lo, uo = shape_of (Query.View.entity_view_bindings opt.Fullc.Compile.query_views) in
+          let fp, lp, up = shape_of (Query.View.entity_view_bindings plain.Core.State.query_views) in
+          let fo, lo, uo = shape_of (Query.View.entity_view_bindings opt.Core.State.query_views) in
           Printf.printf
             "%-14s query views: plain FOJ=%d LOJ=%d UNION=%d  ->  optimized FOJ=%d LOJ=%d UNION=%d\n%!"
             label fp lp up fo lo uo
@@ -596,8 +593,7 @@ let ablation () =
   let env, frags = Workload.Chain.generate ~size:200 in
   match Fullc.Compile.compile env frags with
   | Error e -> Printf.printf "chain compile failed: %s\n" e
-  | Ok c ->
-      let st = Core.State.of_compiled env frags c in
+  | Ok st ->
       List.iter
         (fun (label, smo) ->
           match Core.Engine.apply_timed st smo with
@@ -654,8 +650,7 @@ let obs_workloads ~chain_size =
         let env, frags = Workload.Chain.generate ~size in
         match Fullc.Compile.compile env frags with
         | Error _ -> ()
-        | Ok c ->
-            let st = Core.State.of_compiled env frags c in
+        | Ok st ->
             List.iter
               (fun (_, smo) -> ignore (Core.Engine.apply st smo))
               (Workload.Chain.smo_suite ~at:(size / 2)) );
@@ -664,8 +659,7 @@ let obs_workloads ~chain_size =
         let env, frags = Workload.Customer.generate () in
         match Fullc.Compile.compile env frags with
         | Error _ -> ()
-        | Ok c ->
-            let st = Core.State.of_compiled env frags c in
+        | Ok st ->
             List.iter
               (fun (_, smo) -> ignore (Core.Engine.apply st smo))
               (Workload.Customer.smo_suite ()) );
@@ -830,7 +824,7 @@ let ivm () =
   let s4 = P.stage4 in
   let env = s4.P.env and frags = s4.P.fragments in
   let uv =
-    (ok (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views
+    (ok (Fullc.Compile.compile ~validate:false env frags)).Core.State.update_views
   in
   let open Datum in
   (* The measured update: insert [d] fresh Customers; its inverse deletes
@@ -902,7 +896,7 @@ let ivm () =
      does: the one-off cost that the steps above amortize, and the rows each
      IVM operator emits in one untimed init; then single-op steps on it. *)
   let env, frags = Workload.Customer.generate () in
-  let uv = (ok (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
+  let uv = (ok (Fullc.Compile.compile ~validate:false env frags)).Core.State.update_views in
   let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 env.Query.Env.client in
   let inc, init_ms, init_mb = sample (fun () -> ok (Dml.Translate.ivm_init env uv inst)) in
   Obs.reset ();
@@ -946,9 +940,7 @@ let customer_store st =
 
 let customer_state () =
   let env, frags = Workload.Customer.generate () in
-  match Fullc.Compile.compile ~validate:false env frags with
-  | Ok c -> Core.State.of_compiled env frags c
-  | Error e -> failwith e
+  match Fullc.Compile.compile ~validate:false env frags with Ok st -> st | Error e -> failwith e
 
 (* One run of [plan]: its rows, whether they equal [Query.Eval.rows] on the
    unfolded query, and the [exec.rows.scanned] / [exec.rows.joined] deltas. *)
@@ -1239,7 +1231,7 @@ let lint_bench () =
       (fun (name, gen) ->
         let env, frags = gen () in
         let c = ok (Fullc.Compile.compile ~validate:false env frags) in
-        let views = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
+        let views = (c.Core.State.query_views, c.Core.State.update_views) in
         let diags, lint_ms, lint_mb = sample (fun () -> Lint.Analyze.run ~views env frags) in
         let _, val_ms, _ = sample (fun () -> ok (Fullc.Validate.run env frags)) in
         let sharing = Query.Algebra.sharing (Query.View.queries (fst views) (snd views)) in
@@ -1254,7 +1246,7 @@ let lint_bench () =
   let passes =
     let env, frags = Workload.Customer.generate () in
     let c = ok (Fullc.Compile.compile ~validate:false env frags) in
-    let qv, uv = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
+    let qv, uv = (c.Core.State.query_views, c.Core.State.update_views) in
     List.map
       (fun (pass, f) ->
         let _, ms, mb = sample f in
@@ -1295,8 +1287,7 @@ let edit_bench () =
   header "Edit -- the persisted Fig. 7 loop on the customer model, by layer";
   let ok = function Ok x -> x | Error e -> failwith e in
   let env, frags = Workload.Customer.generate () in
-  let compiled = ok (Fullc.Compile.compile ~validate:false env frags) in
-  let text = Surface.State_io.save (Core.State.of_compiled env frags compiled) in
+  let text = Surface.State_io.save (ok (Fullc.Compile.compile ~validate:false env frags)) in
   let st = ok (Surface.State_io.load text) in
   let env = st.Core.State.env and frags = st.Core.State.fragments in
   let qv, uv = (st.Core.State.query_views, st.Core.State.update_views) in

@@ -68,7 +68,7 @@ let () =
           [ ("Aid", "Aid"); ("Handle", "Handle") ];
       ]
   in
-  let st = ok (Core.State.bootstrap (Query.Env.make ~client ~store) fragments) in
+  let st = ok (Fullc.Compile.compile (Query.Env.make ~client ~store) fragments) in
   print_endline "bootstrapped blog model (Content, Author); evolving:";
 
   (* -- the session ------------------------------------------------------ *)

@@ -17,7 +17,7 @@ let ok = function Ok x -> x | Error e -> failwith e
 let ok_v = function Ok x -> x | Error e -> failwith (Containment.Validation_error.show e)
 
 let () =
-  let st = ok (Core.State.bootstrap P.stage2.P.env P.stage2.P.fragments) in
+  let st = ok (Fullc.Compile.compile P.stage2.P.env P.stage2.P.fragments) in
   Format.printf "current model:@.%a@.@." Edm.Schema.pp st.Core.State.env.Query.Env.client;
 
   (* The developer edits the model... *)

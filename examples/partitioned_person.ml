@@ -35,7 +35,7 @@ let base () =
       [ Mapping.Fragment.entity ~set:"People" ~cond:(C.Is_of "Human") ~table:"Humans"
           [ ("Hid", "Hid") ] ]
   in
-  ok (Core.State.bootstrap (Query.Env.make ~client ~store) fragments)
+  ok (Fullc.Compile.compile (Query.Env.make ~client ~store) fragments)
 
 let part alpha cond table fmap =
   { Core.Add_entity_part.part_alpha = alpha; part_cond = cond; part_table = table;

@@ -30,7 +30,7 @@ let () =
           [ ("Id", "Id"); ("Name", "Name") ] ]
   in
   let env = Query.Env.make ~client ~store in
-  let st = ok (Core.State.bootstrap env fragments) in
+  let st = ok (Fullc.Compile.compile env fragments) in
   print_endline "bootstrapped: Person -> HR";
 
   (* -- 2. three incremental schema changes ----------------------------- *)

@@ -20,7 +20,7 @@ let read path = In_channel.with_open_text path In_channel.input_all
 let () =
   (* -- 1. load and compile the model file -------------------------------- *)
   let env, frags = ok (Surface.Parser.model (read "examples/models/paper_stage1.imc")) in
-  let session = Core.Session.start (ok (Core.State.bootstrap env frags)) in
+  let session = Core.Session.start (ok (Fullc.Compile.compile env frags)) in
   print_endline "loaded examples/models/paper_stage1.imc and compiled it";
 
   (* -- 2. evolve inside a session ----------------------------------------- *)

@@ -295,7 +295,7 @@ let shrink (before : State.t) env fragments query_views ~set ~tables =
     match set with
     | None -> Ok query_views
     | Some set ->
-        let* views = lift (Fullc.Query_views.for_set env fragments ~set) in
+        let* views = lift (Mapping.Views.for_set env fragments ~set) in
         Ok
           (List.fold_left
              (fun acc (ty, v) -> Query.View.set_entity_view ty v acc)
@@ -307,7 +307,7 @@ let shrink (before : State.t) env fragments query_views ~set ~tables =
     List.fold_left
       (fun acc table ->
         let* acc = acc in
-        let* v = lift (Fullc.Update_views.for_table env fragments ~table) in
+        let* v = lift (Mapping.Views.for_table env fragments ~table) in
         Ok (Query.View.set_table_view table v acc))
       (Ok orphaned) mapped
   in

@@ -12,8 +12,8 @@ val fail : ('a, Format.formatter, unit, ('b, Containment.Validation_error.t) res
 (** [Error] of a plain-message {!Containment.Validation_error.t}. *)
 
 val lift : ('a, string) result -> ('a, Containment.Validation_error.t) result
-(** Adapt a string-errored result (e.g. from [Fullc]) into the validation
-    error monad. *)
+(** Adapt a string-errored result (e.g. from {!Mapping.Views}) into the
+    validation error monad. *)
 
 (** {1 The column map of the additive SMOs}
 
@@ -160,9 +160,11 @@ val shrink :
     for each other, a non-nullable column that no fragment writes
     ({!Mapping.Coverage.unwritten_not_null}) is an immediate error naming
     the table and the column, and otherwise its update view rebuilds with
-    [Fullc.Update_views.for_table].  Every other update view stays
-    physically the same: [for_table] reads only the table and its
-    fragments, so it is the view a rebuild would make.  [set]'s query views
-    regenerate with [Fullc.Query_views.for_set].  The span is tagged
+    {!Mapping.Views.for_table}, the generator the full compiler builds
+    every update view with (the paper gives no view-surgery recipe for a
+    drop).  Every other update view stays physically the same:
+    [for_table] reads only the table and its fragments, so it is the view
+    a rebuild would make.  [set]'s query views regenerate with
+    {!Mapping.Views.for_set}.  The span is tagged
     [views_visited] with the number of update views rebuilt or removed.  It
     emits no obligation: each SMO emits those its change can break. *)

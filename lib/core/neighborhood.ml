@@ -8,26 +8,17 @@ module A = Query.Algebra
 (* E's store side: the one partition's projection, or the keyed full outer
    join of all of them with each attribute fused from the partitions that
    store or determine it.  Attributes of P are read from P's view and left
-   out.  Returns the side without and with the provenance flag t_E. *)
-let store_side ~key ~own ~keep ~te phis =
-  match phis with
-  | [ phi ] -> (
-      (* Both sides read the one partition's table through the same node. *)
-      match Fullc.Query_views.store_projection ~key ~keep phi with
-      | A.Project (items, base) as side -> (side, A.Project (items @ [ A.tag te ], base))
-      | side -> (side, Fullc.Query_views.store_projection ~key ~keep ~tag:te phi))
-  | _ ->
-      let ifr = List.mapi (fun i phi -> (i, phi)) phis in
-      let joined =
-        match
-          List.map (fun (i, phi) -> Fullc.Query_views.store_projection ~key ~keep ~index:i phi) ifr
-        with
-        | [] -> invalid_arg "Neighborhood.store_side: no partition"
-        | first :: rest ->
-            List.fold_left (fun acc q -> A.Join (Query.Join.Full, acc, q, key)) first rest
-      in
-      let items = List.map A.col key @ List.map (Fullc.Query_views.fused_item ifr) own in
-      (A.Project (items, joined), A.Project (items @ [ A.tag te ], joined))
+   out.  Returns the side without and with the provenance flag t_E; both
+   read the partitions through the same node. *)
+let store_side env ~key ~own ~keep ~te phis =
+  let side =
+    match phis with
+    | [ phi ] -> Mapping.Views.store_projection ~key ~keep phi
+    | _ -> Mapping.Views.fused_store_query env ~key ~keep phis (key @ own)
+  in
+  match side with
+  | A.Project (items, base) -> (side, A.Project (items @ [ A.tag te ], base))
+  | _ -> invalid_arg "Neighborhood.store_side: not a projection"
 
 let query_views (st : State.t) env' ~e ~p_ref ~between phis =
   let client' = env'.Query.Env.client in
@@ -39,7 +30,7 @@ let query_views (st : State.t) env' ~e ~p_ref ~between phis =
   let own =
     List.filter (fun a -> keep a && not (List.mem a key)) (Edm.Schema.attribute_names client' e)
   in
-  let side, side_tagged = store_side ~key ~own ~keep ~te phis in
+  let side, side_tagged = store_side env' ~key ~own ~keep ~te phis in
   let prev ty =
     match Query.View.entity_view st.State.query_views ty with
     | Some v -> Ok v

@@ -5,13 +5,4 @@ type t = {
   update_views : Query.View.update_views;
 }
 
-let of_compiled env fragments (c : Fullc.Compile.t) =
-  {
-    env;
-    fragments;
-    query_views = c.Fullc.Compile.query_views;
-    update_views = c.Fullc.Compile.update_views;
-  }
-
-let bootstrap env fragments =
-  Result.map (of_compiled env fragments) (Fullc.Compile.compile env fragments)
+let of_compiled env fragments st = { st with env; fragments }

@@ -26,7 +26,7 @@ let cell_collision env key (cell : Cells.cell) =
         let* () =
           Datum.Results.all_ok
             (fun g ->
-              if not (Frag_info.same_set f g) then Ok ()
+              if not (Mapping.Views.same_set f g) then Ok ()
               else
                 let shared =
                   List.filter

@@ -54,7 +54,7 @@ val mem_col : t -> string -> bool
     The store side read under client names is the fragment's piece of a
     query view, the client side written under store names its piece of an
     update view (Algorithms 1 and 2, Section 3.1).  An SMO's new views are
-    its new fragments' sides; [Fullc] fuses a set's or a table's. *)
+    its new fragments' sides; {!Views} fuses a set's or a table's. *)
 
 val client_side : t -> Query.Algebra.t
 (** [σ_ψ(E)], with no σ when ψ is [TRUE] (every association fragment). *)
@@ -69,7 +69,7 @@ val update_side : ?rename:(string -> string) -> ?table:Relational.Table.t -> t -
 (** [π_{α AS β}(σ_ψ(E))], in [pairs] order, then the constants χ forces on
     columns outside β (a TPH discriminator), then, given the fragment's
     [table], [NULL] for each of its other columns, in column order.
-    [rename] (default the identity) renames every output column: [Fullc]
+    [rename] (default the identity) renames every output column: {!Views}
     gives a table's non-key columns fragment-local names, AE-TPH its new
     branch's. *)
 

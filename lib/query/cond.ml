@@ -22,6 +22,24 @@ module Memo = Phys_memo.Make (struct
     | True | False | Is_of _ | Is_of_only _ | Is_null _ | Is_not_null _ | Cmp _ -> ()
 end)
 
+let cmp_to_string = function
+  | Eq -> "="
+  | Neq -> "<>"
+  | Lt -> "<"
+  | Le -> "<="
+  | Gt -> ">"
+  | Ge -> ">="
+
+(* Each [Some] below is a static constant: a lookup allocates nothing. *)
+let cmp_of_string = function
+  | "=" -> Some Eq
+  | "<>" -> Some Neq
+  | "<" -> Some Lt
+  | "<=" -> Some Le
+  | ">" -> Some Gt
+  | ">=" -> Some Ge
+  | _ -> None
+
 let rec pp fmt = function
   | True -> Format.pp_print_string fmt "TRUE"
   | False -> Format.pp_print_string fmt "FALSE"
@@ -29,9 +47,7 @@ let rec pp fmt = function
   | Is_of_only e -> Format.fprintf fmt "IS OF (ONLY %s)" e
   | Is_null a -> Format.fprintf fmt "%s IS NULL" a
   | Is_not_null a -> Format.fprintf fmt "%s IS NOT NULL" a
-  | Cmp (a, op, v) ->
-      let ops = match op with Eq -> "=" | Neq -> "<>" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" in
-      Format.fprintf fmt "%s %s %s" a ops (Datum.Value.to_literal v)
+  | Cmp (a, op, v) -> Format.fprintf fmt "%s %s %s" a (cmp_to_string op) (Datum.Value.to_literal v)
   | And (a, b) -> Format.fprintf fmt "(%a AND %a)" pp a pp b
   | Or (a, b) -> Format.fprintf fmt "(%a OR %a)" pp a pp b
 

@@ -21,6 +21,13 @@ type t =
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val cmp_to_string : cmp -> string
+(** The one spelling of each comparison, in conditions, the DSL and saved
+    states: [=], [<>], [<], [<=], [>], [>=]. *)
+
+val cmp_of_string : string -> cmp option
+(** The inverse of {!cmp_to_string}; [None] for any other string. *)
+
 module Memo : Phys_memo.S with type node := t
 (** {!Phys_memo.Make} over conditions: the views' selections and CASE
     guards share their conjunction chains. *)

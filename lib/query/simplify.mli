@@ -7,7 +7,7 @@
     compare the simplified and raw forms by evaluation on random states.
 
     Deeper, constraint-driven rewrites (full outer join to left outer join or
-    UNION ALL) are the full compiler's job; see [Fullc.Query_views]. *)
+    UNION ALL) are the view optimizer's job; see [Mapping.Views]. *)
 
 val cond : Cond.t -> Cond.t
 (** {!Cond.simplify} plus local satisfiability: conjunctions with jointly

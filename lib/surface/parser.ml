@@ -107,14 +107,10 @@ let literal st =
 
 (* -- conditions -------------------------------------------------------------- *)
 
-let cmp_of_op t = function
-  | "=" -> Query.Cond.Eq
-  | "<>" -> Query.Cond.Neq
-  | "<" -> Query.Cond.Lt
-  | "<=" -> Query.Cond.Le
-  | ">" -> Query.Cond.Gt
-  | ">=" -> Query.Cond.Ge
-  | s -> fail_at t "unknown comparison operator %s" s
+let cmp_of_op t s =
+  match Query.Cond.cmp_of_string s with
+  | Some op -> op
+  | None -> fail_at t "unknown comparison operator %s" s
 
 let rec cond st =
   let lhs = cond_and st in

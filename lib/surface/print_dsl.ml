@@ -24,14 +24,6 @@ let literal = function
   | Datum.Value.Bool false -> "false"
   | Datum.Value.Decimal f -> Datum.Value.decimal f
 
-let cmp = function
-  | Query.Cond.Eq -> "="
-  | Query.Cond.Neq -> "<>"
-  | Query.Cond.Lt -> "<"
-  | Query.Cond.Le -> "<="
-  | Query.Cond.Gt -> ">"
-  | Query.Cond.Ge -> ">="
-
 (* Precedence: atoms > and > or; parenthesize only when needed. *)
 let cond_prec = function
   | Query.Cond.Or _ -> 0
@@ -49,7 +41,7 @@ let rec cond_at level c =
     | Query.Cond.Is_of_only e -> "is of only " ^ e
     | Query.Cond.Is_null a -> a ^ " is null"
     | Query.Cond.Is_not_null a -> a ^ " is not null"
-    | Query.Cond.Cmp (a, op, v) -> Printf.sprintf "%s %s %s" a (cmp op) (literal v)
+    | Query.Cond.Cmp (a, op, v) -> Printf.sprintf "%s %s %s" a (Query.Cond.cmp_to_string op) (literal v)
     (* The parser is right-associative, so the left operand prints one
        level tighter to preserve tree structure on reparse. *)
     | Query.Cond.And (x, y) -> cond_at 2 x ^ " and " ^ cond_at 1 y

@@ -115,10 +115,6 @@ let add_domain b = function
   | Datum.Domain.Decimal -> add_string b "decimal"
   | Datum.Domain.Enum values -> add_head b "enum"; add_args b add_atom values; close b
 
-let cmp_to_string = function
-  | Query.Cond.Eq -> "=" | Query.Cond.Neq -> "<>" | Query.Cond.Lt -> "<"
-  | Query.Cond.Le -> "<=" | Query.Cond.Gt -> ">" | Query.Cond.Ge -> ">="
-
 (* -- the term table --------------------------------------------------------------- *)
 
 (* Every condition, query and constructor node is a term.  [save] interns each
@@ -160,7 +156,7 @@ let add_entry b = function
       | Cond_atom (Query.Cond.Is_null a) -> add_named b "isnull" a
       | Cond_atom (Query.Cond.Is_not_null a) -> add_named b "notnull" a
       | Cond_atom (Query.Cond.Cmp (a, op, v)) ->
-          add_named b "cmp" a; add_arg b add_string (cmp_to_string op); add_arg b add_value v
+          add_named b "cmp" a; add_arg b add_string (Query.Cond.cmp_to_string op); add_arg b add_value v
       | Cond_atom (Query.Cond.True | Query.Cond.False | Query.Cond.And _ | Query.Cond.Or _) -> not_a_leaf ()
       | And (x, y) -> add_refs b "and" x y
       | Or (x, y) -> add_refs b "or" x y
@@ -665,10 +661,8 @@ and inline c tbl h =
   | "cmp" ->
       let a = atom c in
       let op =
-        match atom c with
-        | "=" -> Query.Cond.Eq | "<>" -> Query.Cond.Neq | "<" -> Query.Cond.Lt
-        | "<=" -> Query.Cond.Le | ">" -> Query.Cond.Gt | ">=" -> Query.Cond.Ge
-        | s -> failf c "bad comparison %s" s
+        let s = atom c in
+        match Query.Cond.cmp_of_string s with Some op -> op | None -> failf c "bad comparison %s" s
       in
       Cond (Query.Cond.Cmp (a, op, value c))
   | "and" ->

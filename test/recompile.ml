@@ -9,7 +9,7 @@
      and each update view by the rebuild rule ([check_update_views]): a
      table whose fragments the SMO left alone keeps its view physically,
      and a table whose fragments it changed has the view
-     [Fullc.Update_views.for_table] regenerates, or none when it has no
+     [Mapping.Views.for_table] regenerates, or none when it has no
      fragment left;
 
    - the proofs each emitted when the shared tail re-proved every foreign
@@ -115,13 +115,13 @@ let check_fragments tag before smo (after : Core.State.t) =
 (* -- the views ---------------------------------------------------------------- *)
 
 let recompile_table env frags ~table uv =
-  let* v = lift (Fullc.Update_views.for_table env frags ~table) in
+  let* v = lift (Mapping.Views.for_table env frags ~table) in
   Ok (Query.View.set_table_view table v uv)
 
 (* Regenerate the query views of one entity set's hierarchy with the full
    compiler, and the update views of the tables its fragments touch. *)
 let recompile_set env frags ~set (st : Core.State.t) =
-  let* set_views = lift (Fullc.Query_views.for_set env frags ~set) in
+  let* set_views = lift (Mapping.Views.for_set env frags ~set) in
   let touched =
     List.sort_uniq String.compare
       (List.map (fun (f : Mapping.Fragment.t) -> f.Mapping.Fragment.table)
@@ -192,7 +192,7 @@ let check_update_views tag (before : Core.State.t) (after : Core.State.t) =
           Alcotest.check Alcotest.bool (tag ^ ": " ^ t ^ ", left without a fragment, has no update view")
             true (ours = None)
       | _ -> (
-          match Fullc.Update_views.for_table env frags ~table:t, ours with
+          match Mapping.Views.for_table env frags ~table:t, ours with
           | Ok v, Some w ->
               Alcotest.check Alcotest.bool (tag ^ ": rebuilt update view of " ^ t ^ " as the reference")
                 true (Query.Algebra.equal v w)

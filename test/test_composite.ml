@@ -45,12 +45,12 @@ let test_compile_and_roundtrip () =
   let env, frags = base () in
   let c = ok_exn (Fullc.Compile.compile env frags) in
   let inst = sample env.Query.Env.client in
-  let store = ok_exn (Query.View.apply_update_views env c.Fullc.Compile.update_views inst) in
+  let store = ok_exn (Query.View.apply_update_views env c.Core.State.update_views inst) in
   check Alcotest.int "three rows" 3 (List.length (Relational.Instance.rows store ~table:"PartsT"));
-  let back = ok_exn (Query.View.apply_query_views env c.Fullc.Compile.query_views store) in
+  let back = ok_exn (Query.View.apply_query_views env c.Core.State.query_views store) in
   checkb "roundtrips" true (Edm.Instance.equal back inst);
   match
-    Roundtrip.Check.roundtrips env c.Fullc.Compile.query_views c.Fullc.Compile.update_views
+    Roundtrip.Check.roundtrips env c.Core.State.query_views c.Core.State.update_views
       ~samples:20 ()
   with
   | Ok _ -> ()
@@ -58,7 +58,7 @@ let test_compile_and_roundtrip () =
 
 let test_tpt_child_on_composite_key () =
   let env, frags = base () in
-  let st = Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile env frags)) in
+  let st = ok_exn (Fullc.Compile.compile env frags) in
   let smo =
     Core.Smo.Add_entity
       { entity =
@@ -97,12 +97,12 @@ let test_dml_on_composite_key () =
     ]
   in
   let script, _, new_store =
-    ok_exn (Dml.Translate.translate env c.Fullc.Compile.update_views ~old_client:inst ~delta)
+    ok_exn (Dml.Translate.translate env c.Core.State.update_views ~old_client:inst ~delta)
   in
   let sql = Dml.Translate.to_sql script in
   checkb "update keyed on both columns" true
     (contains ~sub:"WHERE S = 11 AND V = 1" sql || contains ~sub:"WHERE V = 1 AND S = 11" sql);
-  let old_store = ok_exn (Query.View.apply_update_views env c.Fullc.Compile.update_views inst) in
+  let old_store = ok_exn (Query.View.apply_update_views env c.Core.State.update_views inst) in
   let applied = ok_exn (Dml.Translate.apply_script old_store script) in
   checkb "script reproduces the new store" true (Relational.Instance.equal applied new_store)
 
@@ -129,7 +129,7 @@ let test_tph_drop_and_readd () =
           ~store_cond:(C.Cmp ("Disc", C.Eq, V.String "item"))
           [ ("Id", "Id"); ("Label", "Label") ] ]
   in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let st = ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags) in
   let book disc =
     Core.Smo.Add_entity_tph
       { entity = Edm.Entity_type.derived ~name:"Book" ~parent:"Item" [ ("Pages", D.Int) ];

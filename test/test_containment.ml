@@ -208,7 +208,7 @@ module Nf = Containment.Nf
 module Obligation = Containment.Obligation
 
 let compiled_state (env, frags) =
-  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+  ok_exn (Fullc.Compile.compile ~validate:false env frags)
 
 let customer = lazy (compiled_state (Workload.Customer.generate ()))
 

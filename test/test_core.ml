@@ -46,7 +46,7 @@ let smo_supports = supports_fk [ ("Customer.Id", "Cid"); ("Employee.Id", "Eid") 
 
 let paper_states =
   lazy
-    (let st1 = ok_exn (Core.State.bootstrap P.stage1.P.env P.stage1.P.fragments) in
+    (let st1 = ok_exn (Fullc.Compile.compile P.stage1.P.env P.stage1.P.fragments) in
      let st2 = ok_v (Core.Engine.apply st1 smo_employee) in
      let st3 = ok_v (Core.Engine.apply st2 smo_customer) in
      let st4 = ok_v (Core.Engine.apply st3 smo_supports) in
@@ -92,13 +92,13 @@ let prop_incremental_equals_full =
       let env = st4.Core.State.env in
       let store_inc = ok_exn (Query.View.apply_update_views env st4.Core.State.update_views inst) in
       let store_full =
-        ok_exn (Query.View.apply_update_views env full.Fullc.Compile.update_views inst)
+        ok_exn (Query.View.apply_update_views env full.Core.State.update_views inst)
       in
       Relational.Instance.equal store_inc store_full
       &&
       let client_inc = ok_exn (Query.View.apply_query_views env st4.Core.State.query_views store_inc) in
       let client_full =
-        ok_exn (Query.View.apply_query_views env full.Fullc.Compile.query_views store_inc)
+        ok_exn (Query.View.apply_query_views env full.Core.State.query_views store_inc)
       in
       Edm.Instance.equal client_inc client_full)
 
@@ -250,7 +250,7 @@ let test_fig6_in_table_assoc_aborts () =
         F.assoc ~assoc:"Holds" ~table:"TAcct" ~store_cond:(C.Is_not_null "BankId")
           [ ("Acct.Id", "Id"); ("Bank.Id", "BankId") ] ]
   in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let st = ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags) in
   let aborting, tpt = vip_smos () in
   expect_aborts st ~sub:"Holds" aborting;
   checkb "TPT variant validates" true (Result.is_ok (Core.Engine.apply st tpt))
@@ -280,7 +280,7 @@ let test_fig6_join_table_assoc_aborts () =
         F.entity ~set:"Banks" ~cond:(C.Is_of "Bank") ~table:"TBank" [ ("Id", "Id") ];
         F.assoc ~assoc:"Holds" ~table:"THolds" [ ("Acct.Id", "AcctId"); ("Bank.Id", "BankId") ] ]
   in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let st = ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags) in
   let aborting, tpt = vip_smos () in
   expect_aborts st ~sub:"THolds(AcctId) -> TAcct" aborting;
   checkb "TPT variant validates" true (Result.is_ok (Core.Engine.apply st tpt))
@@ -373,7 +373,7 @@ let tph_base =
              ~store_cond:(C.Cmp ("Disc", C.Eq, V.String "item"))
              [ ("Id", "Id"); ("Label", "Label") ] ]
      in
-     ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags))
+     ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags))
 
 let smo_book =
   Core.Smo.Add_entity_tph
@@ -461,7 +461,7 @@ let part_base =
        Mapping.Fragments.of_list
          [ F.entity ~set:"People" ~cond:(C.Is_of "Human") ~table:"Humans" [ ("Hid", "Hid") ] ]
      in
-     ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags))
+     ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags))
 
 let person_part ~cond1 ~cond2 =
   Core.Smo.Add_entity_part
@@ -513,7 +513,7 @@ let test_part_coverage_gap () =
    into one partition table per [(name, condition)] of [parts]. *)
 let vip_split parts =
   let env, frags = acct_model () in
-  let st = ok_exn (Core.State.bootstrap env frags) in
+  let st = ok_exn (Fullc.Compile.compile env frags) in
   let part name cond =
     { Core.Add_entity_part.part_alpha = [ "Id"; "W" ]; part_cond = cond;
       part_table =
@@ -563,7 +563,7 @@ let test_part_decimal_gap () =
    superset side holds the equality Tier = "gold". *)
 let test_part_gold () =
   let env, frags = acct_model () in
-  let st = ok_exn (Core.State.bootstrap env frags) in
+  let st = ok_exn (Fullc.Compile.compile env frags) in
   let smo = Core.Smo.Add_entity_part { entity = gold_vip; p_ref = Some "Acct"; parts = gold_parts } in
   let st = ok_v (Core.Engine.apply st smo) in
   let entity etype id attrs = Edm.Instance.entity ~etype (("Id", V.Int id) :: attrs) in
@@ -596,7 +596,7 @@ let test_part_gender_example () =
     Mapping.Fragments.of_list
       [ F.entity ~set:"People" ~cond:(C.Is_of "Human") ~table:"Humans" [ ("Hid", "Hid") ] ]
   in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let st = ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags) in
   let smo =
     Core.Smo.Add_entity_part
       { entity =
@@ -959,7 +959,7 @@ let hr_state ~name ~dep ~works_in =
             [ ("Person.Id", "Id"); ("Dept.Id", "Dep") ] ]
       else [])
   in
-  ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags)
+  ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags)
 
 (* AddProperty into an existing, unused, nullable column that carries a
    foreign key: Person.Boss into HR.Dep, which references DeptT.Id.  The
@@ -1071,7 +1071,7 @@ let test_drop_property_twins () =
     F.entity ~set:"Tags" ~cond:(C.Is_of "Tag") ~table:"TagT" [ ("Id", "Id"); ("Label", "Label") ]
   in
   let frags = Mapping.Fragments.of_list [ f; { f with pairs = f.pairs } ] in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let st = ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags) in
   match Core.Engine.apply st (Core.Smo.Drop_property { etype = "Tag"; attr = "Label" }) with
   | Ok _ -> Alcotest.fail "accepted, leaving Tag unmapped"
   | Error e ->
@@ -1127,7 +1127,7 @@ let heads_state ~dept_cond =
           [ ("Dept.Did", "Did"); ("Mgr.Mid", "Mid") ];
       ]
   in
-  ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags)
+  ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags)
 
 (* Refactor Manager under Department. *)
 let refactor_heads ~dept_cond () =
@@ -1242,7 +1242,7 @@ let test_refactor_subtree () =
           [ ("Dept.Did", "Did"); ("Mgr.Mid", "Mid") ];
       ]
   in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let st = ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags) in
   let smo = Core.Smo.Refactor { assoc = "Heads" } in
   let st' = ok_v (Core.Engine.apply st smo) in
   Recompile.check "refactor Heads" st smo st';
@@ -1287,7 +1287,7 @@ let test_facet_modifications () =
     Mapping.Fragments.of_list
       [ F.entity ~set:"Ms" ~cond:(C.Is_of "M") ~table:"MT" [ ("Id", "Id"); ("Qty", "Qty") ] ]
   in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let st = ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags) in
   let st =
     ok_v
       (Core.Engine.apply st
@@ -1356,7 +1356,7 @@ let test_apply_timed () =
    obligation counts are the SMOs' own (E3: AEP-np proves 2^n foreign keys). *)
 let test_one_batch_per_smo () =
   let env, frags = Workload.Chain.generate ~size:10 in
-  let st = Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile env frags)) in
+  let st = ok_exn (Fullc.Compile.compile env frags) in
   let batches = Obs.Metric.counter "discharge.batches" in
   let obligations = Containment.Obligation.discharged in
   let expected =
@@ -1399,7 +1399,7 @@ let outcome st smo =
 
 let test_ae_is_one_partition () =
   let compiled (env, frags) =
-    Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+    ok_exn (Fullc.Compile.compile ~validate:false env frags)
   in
   let aes suite =
     List.filter (fun (_, smo) -> match smo with Core.Smo.Add_entity _ -> true | _ -> false) suite

@@ -97,7 +97,7 @@ let test_repeat_failure () =
       check Alcotest.(option string) "first failing obligation" (Some "first") e.VE.obligation
 
 let compiled_state (env, frags) =
-  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+  ok_exn (Fullc.Compile.compile ~validate:false env frags)
 
 (* One verdict per obligation, or the failing obligation's name. *)
 let outcome = function Ok () -> "ok" | Error e -> Option.value ~default:"?" e.VE.obligation

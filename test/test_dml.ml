@@ -12,8 +12,8 @@ let compiled =
     | Ok c -> c
     | Error e -> Alcotest.failf "compile failed: %s" e)
 
-let uv () = (Lazy.force compiled).Fullc.Compile.update_views
-let qv () = (Lazy.force compiled).Fullc.Compile.query_views
+let uv () = (Lazy.force compiled).Core.State.update_views
+let qv () = (Lazy.force compiled).Core.State.query_views
 
 (* -- delta semantics --------------------------------------------------------- *)
 
@@ -407,7 +407,7 @@ let insert_tables script =
 let test_topo_order () =
   List.iter
     (fun (name, ((env : Query.Env.t), frags)) ->
-      let uv = (ok_exn (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
+      let uv = (ok_exn (Fullc.Compile.compile ~validate:false env frags)).Core.State.update_views in
       let inst = one_of_each env.Query.Env.client in
       let delta =
         List.concat_map

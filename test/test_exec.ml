@@ -25,8 +25,8 @@ let compiled =
     | Ok c -> c
     | Error e -> Alcotest.failf "compile failed: %s" e)
 
-let qv () = (Lazy.force compiled).Fullc.Compile.query_views
-let uv () = (Lazy.force compiled).Fullc.Compile.update_views
+let qv () = (Lazy.force compiled).Core.State.query_views
+let uv () = (Lazy.force compiled).Core.State.update_views
 let bag rows = List.sort Datum.Row.compare rows
 
 (* True bag equality: duplicates matter, so no sort_uniq here. *)
@@ -253,7 +253,7 @@ let run_random_model_case seed =
   | Ok c ->
       let inst = Roundtrip.Generate.instance ~seed ~entities_per_set:5 schema in
       let store =
-        match Query.View.apply_update_views env c.Fullc.Compile.update_views inst with
+        match Query.View.apply_update_views env c.Core.State.update_views inst with
         | Ok s -> s
         | Error e -> QCheck.Test.fail_reportf "seed %d: update views failed: %s" seed e
       in
@@ -272,7 +272,7 @@ let run_random_model_case seed =
       in
       List.iter
         (fun q ->
-          match Query.Unfold.client_query env c.Fullc.Compile.query_views q with
+          match Query.Unfold.client_query env c.Core.State.query_views q with
           | Error _ -> () (* some guards are untranslatable over optimized views *)
           | Ok store_q -> (
               try ignore (check_exec ~msg:(Format.asprintf "%a" A.pp q) env db store_q)
@@ -568,7 +568,7 @@ let test_index_probe_null () =
 let customer =
   lazy
     (let env, frags = Workload.Customer.generate () in
-     Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags)))
+     ok_exn (Fullc.Compile.compile ~validate:false env frags))
 
 let key_lookup schema set id =
   let root = Option.get (Edm.Schema.set_root schema set) in
@@ -900,7 +900,7 @@ let check_update_views msg env uv =
     (ok_exn (Ivm.Plan.compile env uv)).Ivm.Plan.tables
 
 let compiled_state env frags =
-  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+  ok_exn (Fullc.Compile.compile ~validate:false env frags)
 
 (* The planner memoizes each view node's plan and pushes a query's filters
    down it; the plans are the ones lowering each query afresh gives. *)
@@ -909,7 +909,7 @@ let test_tree_lowering () =
   let schema = st.Core.State.env.Query.Env.client in
   check_reads "customer" st
     (List.concat_map (fun (set, _) -> set_reads schema set) (Edm.Schema.entity_sets schema));
-  let paper = Core.State.of_compiled env P.stage4.P.fragments (Lazy.force compiled) in
+  let paper = Lazy.force compiled in
   let ci =
     List.map
       (fun text -> ok_exn (Surface.Parser.query env text))
@@ -979,7 +979,7 @@ let check_cold msg s q plan =
    read; repeat reads, undo, redo and rollback build none. *)
 let test_plan_cache () =
   let s1 = Workload.Paper_example.stage1 in
-  let st = ok_exn (Core.State.bootstrap s1.P.env s1.P.fragments) in
+  let st = ok_exn (Fullc.Compile.compile s1.P.env s1.P.fragments) in
   let session = Core.Session.checkpoint ~name:"start" (Core.Session.start st) in
   let q = A.Scan (A.Entity_set "Persons") in
   let query msg s =
@@ -1019,7 +1019,7 @@ let test_plan_cache () =
 
 let test_one_context_per_state () =
   let s1 = Workload.Paper_example.stage1 in
-  let st = ok_exn (Core.State.bootstrap s1.P.env s1.P.fragments) in
+  let st = ok_exn (Fullc.Compile.compile s1.P.env s1.P.fragments) in
   let session = Core.Session.start st in
   let q1 = A.Scan (A.Entity_set "Persons") in
   let q2 = A.project_cols [ "Id" ] (A.Scan (A.Entity_set "Persons")) in

@@ -13,23 +13,24 @@ let compiled =
 let test_compiles () =
   let c = Lazy.force compiled in
   checkb "views produced for all types" true
-    (List.length (Query.View.entity_view_bindings c.Fullc.Compile.query_views) = 3);
+    (List.length (Query.View.entity_view_bindings c.Core.State.query_views) = 3);
   checkb "assoc view produced" true
-    (Query.View.assoc_view c.Fullc.Compile.query_views "Supports" <> None);
+    (Query.View.assoc_view c.Core.State.query_views "Supports" <> None);
   checkb "update views for all tables" true
-    (List.length (Query.View.update_view_bindings c.Fullc.Compile.update_views) = 3);
-  checkb "cells visited" true (c.Fullc.Compile.report.Fullc.Validate.cells_visited > 0);
-  checkb "fk checks ran" true (c.Fullc.Compile.report.Fullc.Validate.containment_checks >= 2)
+    (List.length (Query.View.update_view_bindings c.Core.State.update_views) = 3);
+  let report = ok_exn (Fullc.Validate.run env P.stage4.P.fragments) in
+  checkb "cells visited" true (report.Fullc.Validate.cells_visited > 0);
+  checkb "fk checks ran" true (report.Fullc.Validate.containment_checks >= 2)
 
 let test_update_views_materialize () =
   let c = Lazy.force compiled in
-  let store = ok_exn (Query.View.apply_update_views env c.Fullc.Compile.update_views P.sample_client) in
+  let store = ok_exn (Query.View.apply_update_views env c.Core.State.update_views P.sample_client) in
   checkb "store state matches the canonical one" true
     (Relational.Instance.equal store P.sample_store)
 
 let test_query_views_materialize () =
   let c = Lazy.force compiled in
-  let client = ok_exn (Query.View.apply_query_views env c.Fullc.Compile.query_views P.sample_store) in
+  let client = ok_exn (Query.View.apply_query_views env c.Core.State.query_views P.sample_store) in
   checkb "client state recovered from the store" true
     (Edm.Instance.equal client P.sample_client)
 
@@ -37,7 +38,7 @@ let test_roundtrip_sample () =
   let c = Lazy.force compiled in
   let back =
     ok_exn
-      (Query.View.roundtrip env c.Fullc.Compile.query_views c.Fullc.Compile.update_views
+      (Query.View.roundtrip env c.Core.State.query_views c.Core.State.update_views
          P.sample_client)
   in
   checkb "V ; Q is the identity on the sample" true (Edm.Instance.equal back P.sample_client)
@@ -47,7 +48,7 @@ let prop_roundtrip =
     (fun inst ->
       let c = Lazy.force compiled in
       match
-        Query.View.roundtrip env c.Fullc.Compile.query_views c.Fullc.Compile.update_views inst
+        Query.View.roundtrip env c.Core.State.query_views c.Core.State.update_views inst
       with
       | Error e -> QCheck.Test.fail_reportf "roundtrip error: %s" e
       | Ok back ->
@@ -59,14 +60,14 @@ let prop_store_satisfies_mapping =
   qtest "update views produce M-related store states" ~count:100 arb_client_instance
     (fun inst ->
       let c = Lazy.force compiled in
-      match Query.View.apply_update_views env c.Fullc.Compile.update_views inst with
+      match Query.View.apply_update_views env c.Core.State.update_views inst with
       | Error e -> QCheck.Test.fail_reportf "update views: %s" e
       | Ok store -> Mapping.Fragments.related env inst store P.stage4.P.fragments)
 
 let prop_store_conforms =
   qtest "update views preserve store integrity" ~count:100 arb_client_instance (fun inst ->
       let c = Lazy.force compiled in
-      match Query.View.apply_update_views env c.Fullc.Compile.update_views inst with
+      match Query.View.apply_update_views env c.Core.State.update_views inst with
       | Error e -> QCheck.Test.fail_reportf "update views: %s" e
       | Ok store -> (
           match Relational.Instance.conforms env.Query.Env.store store with
@@ -168,18 +169,20 @@ let test_cells_decimal_between () =
 
 (* -- validation negatives -------------------------------------------------- *)
 
+(* Drop φ2: Employee's Department is no longer covered. *)
+let coverage_gap_model = (env, Mapping.Fragments.of_list [ P.phi1'; P.phi3; P.phi4 ])
+
 let test_validation_coverage_failure () =
-  (* Drop φ2: Employee's Department is no longer covered. *)
-  let frags = Mapping.Fragments.of_list [ P.phi1'; P.phi3; P.phi4 ] in
+  let env, frags = coverage_gap_model in
   match Fullc.Compile.compile env frags with
   | Ok _ -> Alcotest.fail "expected coverage failure"
   | Error e ->
       checkb "mentions the lost attribute" true
         (contains ~sub:"Department" e)
 
-let test_validation_fk_failure () =
-  (* Break the FK direction: map Employee alone to Emp without mapping its
-     ancestor rows to HR; Emp.Id -> HR.Id can then dangle. *)
+(* Break the FK direction: map Employee alone to Emp without mapping its
+   ancestor rows to HR; Emp.Id -> HR.Id can then dangle. *)
+let dangling_fk_model =
   let client =
     ok_exn
       (Edm.Schema.add_derived
@@ -214,19 +217,25 @@ let test_validation_fk_failure () =
           [ ("Id", "Id"); ("Name", "Name"); ("Department", "Dept") ];
       ]
   in
+  (env', frags)
+
+let test_validation_fk_failure () =
+  let env', frags = dangling_fk_model in
   match Fullc.Compile.compile env' frags with
   | Ok _ -> Alcotest.fail "expected foreign-key validation failure"
   | Error e -> checkb "mentions a foreign key" true (contains ~sub:"foreign key" e)
 
-let test_validation_alike_types () =
-  (* Paper stage 2 without φ2 and without Employee.Department: HR alone
-     holds persons and employees, and no column says which is which. *)
+(* Paper stage 2 without φ2 and without Employee.Department: HR alone
+   holds persons and employees, and no column says which is which. *)
+let alike_types_model =
   let stage2 = P.stage2.P.env in
   let client =
     ok_exn (Edm.Schema.remove_attribute ~etype:"Employee" "Department" stage2.Query.Env.client)
   in
-  let env' = Query.Env.make ~client ~store:stage2.Query.Env.store in
-  let frags = Mapping.Fragments.of_list [ P.phi1 ] in
+  (Query.Env.make ~client ~store:stage2.Query.Env.store, Mapping.Fragments.of_list [ P.phi1 ])
+
+let test_validation_alike_types () =
+  let env', frags = alike_types_model in
   List.iter
     (fun validate ->
       match Fullc.Compile.compile ~validate env' frags with
@@ -236,9 +245,9 @@ let test_validation_alike_types () =
             (contains ~sub:"Person" e && contains ~sub:"Employee" e && contains ~sub:"Persons" e))
     [ true; false ]
 
-let test_validation_nullability () =
-  (* Leave Client.Cid unmapped is impossible (key), but a non-nullable
-     non-key column must be rejected. *)
+(* Leave Client.Cid unmapped is impossible (key), but a non-nullable
+   non-key column must be rejected. *)
+let unmapped_not_null_model =
   let store =
     ok_exn
       (Relational.Schema.add_table
@@ -253,7 +262,10 @@ let test_validation_nullability () =
          Edm.Schema.empty)
   in
   let env' = Query.Env.make ~client ~store in
-  let frags = Mapping.Fragments.of_list [ F.entity ~set:"Ps" ~cond:C.True ~table:"H2" [ ("Id", "Id") ] ] in
+  (env', Mapping.Fragments.of_list [ F.entity ~set:"Ps" ~cond:C.True ~table:"H2" [ ("Id", "Id") ] ])
+
+let test_validation_nullability () =
+  let env', frags = unmapped_not_null_model in
   match Fullc.Compile.compile env' frags with
   | Ok _ -> Alcotest.fail "expected nullability failure"
   | Error e -> checkb "mentions the column" true (contains ~sub:"Name" e)
@@ -301,10 +313,10 @@ let test_partitioned_roundtrip () =
          (Edm.Instance.entity ~etype:"Human" [ ("Hid", V.Int 2); ("Age", V.Int 12) ])
   in
   let back =
-    ok_exn (Query.View.roundtrip env' c.Fullc.Compile.query_views c.Fullc.Compile.update_views inst)
+    ok_exn (Query.View.roundtrip env' c.Core.State.query_views c.Core.State.update_views inst)
   in
   checkb "partitioned mapping roundtrips" true (Edm.Instance.equal back inst);
-  let store = ok_exn (Query.View.apply_update_views env' c.Fullc.Compile.update_views inst) in
+  let store = ok_exn (Query.View.apply_update_views env' c.Core.State.update_views inst) in
   check Alcotest.int "adult row stored" 1
     (List.length (Relational.Instance.rows store ~table:"Adult"));
   check Alcotest.int "young row stored" 1
@@ -342,21 +354,62 @@ let test_gold_fk () =
   in
   checkb "gold Vip roundtrips" true
     (Edm.Instance.equal inst
-       (ok_exn (Query.View.roundtrip env c.Fullc.Compile.query_views c.Fullc.Compile.update_views inst)))
+       (ok_exn (Query.View.roundtrip env c.Core.State.query_views c.Core.State.update_views inst)))
 
-let test_partitioned_coverage_gap () =
-  (* Age >= 18 / Age < 10 leaves a gap: validation must fail. *)
-  let env', _ = adult_young_env_frags in
-  let frags =
+(* Age >= 18 / Age < 10 leaves a gap: validation must fail. *)
+let partitioned_gap_model =
+  ( fst adult_young_env_frags,
     Mapping.Fragments.of_list
       [
         F.entity ~set:"People" ~cond:(C.Cmp ("Age", C.Ge, V.Int 18)) ~table:"Adult"
           [ ("Hid", "Hid"); ("Age", "Age") ];
         F.entity ~set:"People" ~cond:(C.Cmp ("Age", C.Lt, V.Int 10)) ~table:"Young"
           [ ("Hid", "Hid"); ("Age", "Age") ];
-      ]
-  in
+      ] )
+
+let test_partitioned_coverage_gap () =
+  let env', frags = partitioned_gap_model in
   checkb "gap detected" true (Result.is_error (Fullc.Compile.compile env' frags))
+
+(* -- the validating compile ------------------------------------------------ *)
+
+(* [compile] refuses what [Validate.run] refuses, with its message, and
+   otherwise returns what view generation alone returns: the same views (the
+   same saved text) in a state of the very inputs, or the same error. *)
+let test_compile_is_validate_then_views () =
+  let models =
+    [
+      ("paper", (env, P.stage4.P.fragments));
+      ("coverage gap", coverage_gap_model);
+      ("dangling foreign key", dangling_fk_model);
+      ("unmapped NOT NULL column", unmapped_not_null_model);
+      ("types alike", alike_types_model);
+      ("partitioned", adult_young_env_frags);
+      ("partitioned gap", partitioned_gap_model);
+      ("acct", acct_model ());
+    ]
+    @ List.map
+        (fun seed -> (Printf.sprintf "random %d" seed, Workload.Random_model.generate ~seed ()))
+        [ 1; 2; 3; 4; 5; 6 ]
+  in
+  List.iter
+    (fun (name, (env, frags)) ->
+      let compiled = Fullc.Compile.compile env frags in
+      let expected =
+        match Fullc.Validate.run env frags with
+        | Error e -> Error e
+        | Ok _ -> Fullc.Compile.compile ~validate:false env frags
+      in
+      match compiled, expected with
+      | Ok st, Ok st' ->
+          checkb (name ^ ": env is the input") true (st.Core.State.env == env);
+          checkb (name ^ ": fragments are the input") true (st.Core.State.fragments == frags);
+          check Alcotest.string (name ^ ": views") (Surface.State_io.save st')
+            (Surface.State_io.save st)
+      | Error e, Error e' -> check Alcotest.string (name ^ ": refusal") e' e
+      | Ok _, Error e -> Alcotest.failf "%s: compiled, but expected %s" name e
+      | Error e, Ok _ -> Alcotest.failf "%s: refused with %s" name e)
+    models
 
 let () =
   Alcotest.run "fullc"
@@ -364,6 +417,8 @@ let () =
       ( "paper example",
         [
           Alcotest.test_case "compiles" `Quick test_compiles;
+          Alcotest.test_case "validating compile is Validate.run, then views" `Quick
+            test_compile_is_validate_then_views;
           Alcotest.test_case "update views materialize" `Quick test_update_views_materialize;
           Alcotest.test_case "query views materialize" `Quick test_query_views_materialize;
           Alcotest.test_case "roundtrip on sample" `Quick test_roundtrip_sample;

@@ -35,8 +35,8 @@ let prop_unfold_agrees =
       let env = pe.P.env in
       let full = ok (Fullc.Compile.compile env pe.P.fragments) in
       let q = List.nth (unfold_pool ()) i in
-      let store = ok (Query.View.apply_update_views env full.Fullc.Compile.update_views inst) in
-      let unfolded = ok (Query.Unfold.client_query env full.Fullc.Compile.query_views q) in
+      let store = ok (Query.View.apply_update_views env full.Core.State.update_views inst) in
+      let unfolded = ok (Query.Unfold.client_query env full.Core.State.query_views q) in
       let client_rows = Query.Eval.rows_set env (Query.Eval.client_db inst) q in
       let store_rows = Query.Eval.rows_set env (Query.Eval.store_db store) unfolded in
       List.equal Datum.Row.equal client_rows store_rows
@@ -56,7 +56,7 @@ let prop_random_smo_sequences =
     QCheck.(list_of_size (QCheck.Gen.int_range 1 6) (int_range 0 8))
     (fun picks ->
       let env, frags = Workload.Chain.generate ~size:8 in
-      let st = Core.State.of_compiled env frags (ok (Fullc.Compile.compile env frags)) in
+      let st = ok (Fullc.Compile.compile env frags) in
       let pool = smo_pool () in
       let distinct = List.sort_uniq compare picks in
       let st =
@@ -88,7 +88,7 @@ let prop_random_smo_sequences =
 
 let paper_state =
   lazy
-    (let st = ok (Core.State.bootstrap P.stage1.P.env P.stage1.P.fragments) in
+    (let st = ok (Fullc.Compile.compile P.stage1.P.env P.stage1.P.fragments) in
      let employee =
        Edm.Entity_type.derived ~name:"Employee" ~parent:"Person" [ ("Department", D.String) ]
      in
@@ -160,7 +160,7 @@ let test_incremental_equiv_by_containment () =
   let env = st.Core.State.env in
   let full = ok (Fullc.Compile.compile env st.Core.State.fragments) in
   let vi = Option.get (Query.View.entity_view st.Core.State.query_views "Employee") in
-  let vf = Option.get (Query.View.entity_view full.Fullc.Compile.query_views "Employee") in
+  let vf = Option.get (Query.View.entity_view full.Core.State.query_views "Employee") in
   let keys q = Query.Algebra.project_cols [ "Id" ] q in
   let obls =
     [
@@ -183,11 +183,11 @@ let test_pretty_total () =
     let c = ok (Fullc.Compile.compile ~validate:false env frags) in
     List.iter
       (fun (_, v) -> checkb "nonempty" true (String.length (Format.asprintf "%a" Query.Pretty.view v) > 0))
-      (Query.View.entity_view_bindings c.Fullc.Compile.query_views);
+      (Query.View.entity_view_bindings c.Core.State.query_views);
     List.iter
       (fun (_, q) -> checkb "nonempty" true (String.length (Format.asprintf "%a" Query.Pretty.query q) > 0))
-      (Query.View.assoc_view_bindings c.Fullc.Compile.query_views
-      @ Query.View.update_view_bindings c.Fullc.Compile.update_views)
+      (Query.View.assoc_view_bindings c.Core.State.query_views
+      @ Query.View.update_view_bindings c.Core.State.update_views)
   in
   exercise pe.P.env pe.P.fragments;
   let env, frags = Workload.Hub_rim.generate ~n:2 ~m:2 ~style:`Tph in

@@ -16,7 +16,7 @@ let compiled =
     | Ok c -> c
     | Error e -> Alcotest.failf "compile failed: %s" e)
 
-let uv () = (Lazy.force compiled).Fullc.Compile.update_views
+let uv () = (Lazy.force compiled).Core.State.update_views
 
 (* Both paths on one delta, from one client state.  Returns the new client so
    sequences can thread it. *)
@@ -223,7 +223,7 @@ let test_init_is_step () =
   let fail msg what = Alcotest.failf "%s: %s" msg what in
   check_init_is_step ~fail:(fail "paper stage 4") (ok_exn (Ivm.Plan.compile env (uv ()))) P.sample_client;
   let cenv, cfrags = Workload.Customer.generate () in
-  let cuv = (ok_exn (Fullc.Compile.compile ~validate:false cenv cfrags)).Fullc.Compile.update_views in
+  let cuv = (ok_exn (Fullc.Compile.compile ~validate:false cenv cfrags)).Core.State.update_views in
   let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:20 cenv.Query.Env.client in
   check_init_is_step ~fail:(fail "customer") (ok_exn (Ivm.Plan.compile cenv cuv)) inst
 
@@ -622,7 +622,7 @@ let run_differential_case seed =
   match Fullc.Compile.compile ~validate:false env fragments with
   | Error e -> QCheck.Test.fail_reportf "seed %d: compile failed: %s" seed e
   | Ok c ->
-      let uv = c.Fullc.Compile.update_views in
+      let uv = c.Core.State.update_views in
       let inst0 = Roundtrip.Generate.instance ~seed ~entities_per_set:4 schema in
       let rs = Random.State.make [| seed; 0xD17A |] in
       let inc =
@@ -726,11 +726,11 @@ let test_planner_roots () =
   check_planner_roots "paper stage 4" env (uv ());
   let cenv, cfrags = Workload.Customer.generate () in
   check_planner_roots "customer" cenv
-    (ok_exn (Fullc.Compile.compile ~validate:false cenv cfrags)).Fullc.Compile.update_views;
+    (ok_exn (Fullc.Compile.compile ~validate:false cenv cfrags)).Core.State.update_views;
   for seed = 0 to 29 do
     let renv, frags = Workload.Random_model.generate ~profile ~seed () in
     match Fullc.Compile.compile ~validate:false renv frags with
-    | Ok c -> check_planner_roots (Printf.sprintf "seed %d" seed) renv c.Fullc.Compile.update_views
+    | Ok c -> check_planner_roots (Printf.sprintf "seed %d" seed) renv c.Core.State.update_views
     | Error e -> Alcotest.failf "seed %d: compile failed: %s" seed e
   done
 
@@ -756,14 +756,14 @@ let check_two_runtimes msg env uv inst =
 let test_two_runtimes () =
   check_two_runtimes "paper stage 4" env (uv ()) P.sample_client;
   let cenv, cfrags = Workload.Customer.generate () in
-  let cuv = (ok_exn (Fullc.Compile.compile ~validate:false cenv cfrags)).Fullc.Compile.update_views in
+  let cuv = (ok_exn (Fullc.Compile.compile ~validate:false cenv cfrags)).Core.State.update_views in
   check_two_runtimes "customer" cenv cuv
     (Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:20 cenv.Query.Env.client);
   for seed = 0 to 29 do
     let renv, frags = Workload.Random_model.generate ~profile ~seed () in
     match Fullc.Compile.compile ~validate:false renv frags with
     | Ok c ->
-        check_two_runtimes (Printf.sprintf "seed %d" seed) renv c.Fullc.Compile.update_views
+        check_two_runtimes (Printf.sprintf "seed %d" seed) renv c.Core.State.update_views
           (Roundtrip.Generate.instance ~seed ~entities_per_set:5 renv.Query.Env.client)
     | Error e -> Alcotest.failf "seed %d: compile failed: %s" seed e
   done
@@ -793,7 +793,7 @@ let tables_visited f =
    reaches change nothing). *)
 let test_write_touches_its_tables () =
   let env, frags = Workload.Customer.generate () in
-  let uv = (ok_exn (Fullc.Compile.compile ~validate:false env frags)).Fullc.Compile.update_views in
+  let uv = (ok_exn (Fullc.Compile.compile ~validate:false env frags)).Core.State.update_views in
   let schema = env.Query.Env.client in
   let inst = Roundtrip.Generate.instance ~seed:2013 ~entities_per_set:300 schema in
   let plan = ok_exn (Ivm.Plan.compile env uv) in

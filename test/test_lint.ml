@@ -334,7 +334,7 @@ let prop_soundness =
       match Fullc.Compile.compile ~validate:false env frags with
       | Error e -> QCheck.Test.fail_reportf "seed %d failed view generation: %s" seed e
       | Ok c ->
-          let views = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
+          let views = (c.Core.State.query_views, c.Core.State.update_views) in
           ignore (same_passes (Printf.sprintf "seed %d" seed) env frags);
           let ds = Lint.Analyze.run ~views env frags in
           (match Diag.errors ds with
@@ -350,7 +350,7 @@ let test_builtin_models_clean () =
       match Fullc.Compile.compile ~validate:false env frags with
       | Error e -> Alcotest.failf "%s: %s" name e
       | Ok c ->
-          let views = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
+          let views = (c.Core.State.query_views, c.Core.State.update_views) in
           check Alcotest.int (name ^ " diag count") 0
             (List.length (Lint.Analyze.run ~views env frags)))
     [
@@ -368,7 +368,7 @@ let test_builtin_models_clean () =
 let test_session_lint () =
   let module P = Workload.Paper_example in
   let module S = Core.Session in
-  let s = S.start (ok_exn (Core.State.bootstrap P.stage4.P.env P.stage4.P.fragments)) in
+  let s = S.start (ok_exn (Fullc.Compile.compile P.stage4.P.env P.stage4.P.fragments)) in
   let level =
     Core.Smo.Add_property
       { etype = "Employee"; attr = ("Level", D.Int);
@@ -398,7 +398,7 @@ let test_session_lint () =
 let test_faster_than_validation () =
   let env, frags = Workload.Hub_rim.generate ~n:3 ~m:3 ~style:`Tph in
   let c = ok_exn (Fullc.Compile.compile ~validate:false env frags) in
-  let views = (c.Fullc.Compile.query_views, c.Fullc.Compile.update_views) in
+  let views = (c.Core.State.query_views, c.Core.State.update_views) in
   ignore (Lint.Analyze.run ~views env frags);
   let wall f =
     let t0 = Unix.gettimeofday () in
@@ -580,16 +580,16 @@ let builtin_models () =
 let reloaded st = ok_exn (Surface.State_io.load (Surface.State_io.save st))
 
 let loaded_state env frags =
-  reloaded (Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags)))
+  reloaded (ok_exn (Fullc.Compile.compile ~validate:false env frags))
 
 let test_dag_builtins () =
   List.iter
     (fun (name, env, frags) ->
-      let st = Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags)) in
+      let st = ok_exn (Fullc.Compile.compile ~validate:false env frags) in
       ignore (same_as_tree_state (name ^ " compiled") st);
       (* The optimizer is what introduces unions. *)
       let o = ok_exn (Fullc.Compile.compile ~validate:false ~optimize:true env frags) in
-      ignore (same_as_tree_state (name ^ " optimized") (Core.State.of_compiled env frags o));
+      ignore (same_as_tree_state (name ^ " optimized") o);
       let ds = same_as_tree_state (name ^ " loaded") (reloaded st) in
       (* The planted faults are there to be found, L105 at association
          views too. *)

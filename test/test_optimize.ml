@@ -3,14 +3,14 @@ module P = Workload.Paper_example
 
 let env = P.stage4.P.env
 
-let view_stats v = Fullc.Optimize.stats (v : Query.View.t).Query.View.query
+let view_stats v = Mapping.Views.stats (v : Query.View.t).Query.View.query
 
 let test_paper_example_shapes () =
   let c = ok_exn (Fullc.Compile.compile ~optimize:true env P.stage4.P.fragments) in
   (* The optimized Person view has the Fig. 2 shape: one LEFT OUTER JOIN
      (Emp under HR), one UNION ALL (Client), no FULL OUTER JOIN. *)
   let foj, loj, uni =
-    view_stats (Option.get (Query.View.entity_view c.Fullc.Compile.query_views "Person"))
+    view_stats (Option.get (Query.View.entity_view c.Core.State.query_views "Person"))
   in
   check Alcotest.int "no full outer joins" 0 foj;
   check Alcotest.int "one left outer join" 1 loj;
@@ -18,7 +18,7 @@ let test_paper_example_shapes () =
   (* The Client table's update view: the association branch rides on the
      Customer branch with a LEFT OUTER JOIN. *)
   let foj_u, loj_u, _ =
-    Fullc.Optimize.stats (Option.get (Query.View.table_view c.Fullc.Compile.update_views "Client"))
+    Mapping.Views.stats (Option.get (Query.View.table_view c.Core.State.update_views "Client"))
   in
   check Alcotest.int "update view: no FOJ" 0 foj_u;
   check Alcotest.int "update view: one LOJ" 1 loj_u
@@ -27,7 +27,7 @@ let test_tph_becomes_unions () =
   let env', frags = Workload.Hub_rim.generate ~n:2 ~m:1 ~style:`Tph in
   let c = ok_exn (Fullc.Compile.compile ~optimize:true env' frags) in
   let foj, _, uni =
-    view_stats (Option.get (Query.View.entity_view c.Fullc.Compile.query_views "Hub1"))
+    view_stats (Option.get (Query.View.entity_view c.Core.State.query_views "Hub1"))
   in
   check Alcotest.int "TPH view: no full outer joins" 0 foj;
   checkb "TPH view: unions" true (uni >= 3)
@@ -37,9 +37,9 @@ let test_chain_update_views_loj () =
   let c = ok_exn (Fullc.Compile.compile ~optimize:true env' frags) in
   List.iter
     (fun (table, q) ->
-      let foj, _, _ = Fullc.Optimize.stats q in
+      let foj, _, _ = Mapping.Views.stats q in
       check Alcotest.int (table ^ ": no full outer joins") 0 foj)
-    (Query.View.update_view_bindings c.Fullc.Compile.update_views)
+    (Query.View.update_view_bindings c.Core.State.update_views)
 
 let equivalent_on_samples env frags =
   let plain = ok_exn (Fullc.Compile.compile ~validate:false env frags) in
@@ -47,12 +47,12 @@ let equivalent_on_samples env frags =
   List.for_all
     (fun seed ->
       let inst = Roundtrip.Generate.instance ~seed env.Query.Env.client in
-      let store_p = ok_exn (Query.View.apply_update_views env plain.Fullc.Compile.update_views inst) in
-      let store_o = ok_exn (Query.View.apply_update_views env opt.Fullc.Compile.update_views inst) in
+      let store_p = ok_exn (Query.View.apply_update_views env plain.Core.State.update_views inst) in
+      let store_o = ok_exn (Query.View.apply_update_views env opt.Core.State.update_views inst) in
       Relational.Instance.equal store_p store_o
       &&
-      let client_p = ok_exn (Query.View.apply_query_views env plain.Fullc.Compile.query_views store_p) in
-      let client_o = ok_exn (Query.View.apply_query_views env opt.Fullc.Compile.query_views store_p) in
+      let client_p = ok_exn (Query.View.apply_query_views env plain.Core.State.query_views store_p) in
+      let client_o = ok_exn (Query.View.apply_query_views env opt.Core.State.query_views store_p) in
       Edm.Instance.equal client_p client_o)
     (List.init 25 Fun.id)
 
@@ -68,7 +68,7 @@ let test_optimized_equivalent () =
 let test_optimized_roundtrips () =
   let c = ok_exn (Fullc.Compile.compile ~optimize:true env P.stage4.P.fragments) in
   match
-    Roundtrip.Check.roundtrips env c.Fullc.Compile.query_views c.Fullc.Compile.update_views
+    Roundtrip.Check.roundtrips env c.Core.State.query_views c.Core.State.update_views
       ~samples:40 ()
   with
   | Ok _ -> ()
@@ -77,7 +77,7 @@ let test_optimized_roundtrips () =
 (* -- drop SMOs -------------------------------------------------------------------- *)
 
 let test_drop_association () =
-  let st = ok_exn (Core.State.bootstrap env P.stage4.P.fragments) in
+  let st = ok_exn (Fullc.Compile.compile env P.stage4.P.fragments) in
   let st' = ok_v (Core.Engine.apply st (Core.Smo.Drop_association { assoc = "Supports" })) in
   checkb "association removed from the schema" true
     (Edm.Schema.find_association st'.Core.State.env.Query.Env.client "Supports" = None);
@@ -101,7 +101,7 @@ let test_drop_association () =
   checkb "column freed for reuse" true (Result.is_ok (Core.Engine.apply st' re_add))
 
 let test_drop_join_table_association () =
-  let st = ok_exn (Core.State.bootstrap env P.stage4.P.fragments) in
+  let st = ok_exn (Fullc.Compile.compile env P.stage4.P.fragments) in
   let jt =
     Core.Smo.Add_assoc_jt
       { assoc =
@@ -118,7 +118,7 @@ let test_drop_join_table_association () =
     (Query.View.table_view st'.Core.State.update_views "MentorsT" = None)
 
 let test_drop_property () =
-  let st = ok_exn (Core.State.bootstrap env P.stage4.P.fragments) in
+  let st = ok_exn (Fullc.Compile.compile env P.stage4.P.fragments) in
   let st =
     ok_v
       (Core.Engine.apply st
@@ -135,7 +135,7 @@ let test_drop_property () =
   checkb "roundtrips after the drop" true (ok_exn (roundtrip_ok st' P.sample_client))
 
 let test_drop_property_guards () =
-  let st = ok_exn (Core.State.bootstrap env P.stage4.P.fragments) in
+  let st = ok_exn (Fullc.Compile.compile env P.stage4.P.fragments) in
   checkb "key attribute refused" true
     (Result.is_error
        (Core.Engine.apply st (Core.Smo.Drop_property { etype = "Person"; attr = "Id" })));
@@ -170,7 +170,7 @@ let test_drop_property_guards () =
           [ ("Hid", "Hid"); ("Age", "Age") ];
       ]
   in
-  let st = ok_exn (Core.State.bootstrap (Query.Env.make ~client ~store) frags) in
+  let st = ok_exn (Fullc.Compile.compile (Query.Env.make ~client ~store) frags) in
   match Core.Engine.apply st (Core.Smo.Drop_property { etype = "Human"; attr = "Age" }) with
   | Ok _ -> Alcotest.fail "expected the partition attribute drop to abort"
   | Error e -> checkb "mentions the condition" true (contains ~sub:"tested by fragment" (show_v e))

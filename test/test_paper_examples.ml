@@ -42,7 +42,7 @@ let smo_supports =
           mult1 = Edm.Association.Many; mult2 = Edm.Association.Zero_or_one };
       table = "Client"; fmap = [ ("Customer.Id", "Cid"); ("Employee.Id", "Eid") ] }
 
-let st1 = lazy (ok_exn (Core.State.bootstrap P.stage1.P.env P.stage1.P.fragments))
+let st1 = lazy (ok_exn (Fullc.Compile.compile P.stage1.P.env P.stage1.P.fragments))
 let st2 = lazy (ok_v (Core.Engine.apply (Lazy.force st1) smo_employee))
 let st3 = lazy (ok_v (Core.Engine.apply (Lazy.force st2) smo_customer))
 let st4 = lazy (ok_v (Core.Engine.apply (Lazy.force st3) smo_supports))

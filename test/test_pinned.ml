@@ -12,7 +12,7 @@
 open Common
 
 let compiled (env, frags) =
-  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+  ok_exn (Fullc.Compile.compile ~validate:false env frags)
 
 (* A state's saved text, or the message of the error that rejected it:
    a rejection is pinned too. *)

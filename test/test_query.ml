@@ -207,7 +207,7 @@ let view_queries (st : Core.State.t) =
   @ List.map snd (Query.View.update_view_bindings st.Core.State.update_views)
 
 let compiled_state env frags =
-  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+  ok_exn (Fullc.Compile.compile ~validate:false env frags)
 
 (* Customer as compiled, and after each suite SMO (whose views extend the
    old views' join chains) in the memoized form. *)
@@ -353,7 +353,13 @@ let test_cond_helpers () =
   check (Alcotest.list Alcotest.string) "columns" [ "Id"; "Name" ] (C.columns c);
   check Alcotest.int "type atoms" 1 (List.length (C.type_atoms c));
   let renamed = C.rename_columns [ ("Id", "Pid") ] c in
-  check (Alcotest.list Alcotest.string) "renamed columns" [ "Name"; "Pid" ] (C.columns renamed)
+  check (Alcotest.list Alcotest.string) "renamed columns" [ "Name"; "Pid" ] (C.columns renamed);
+  check (Alcotest.list Alcotest.string) "comparison spellings" [ "="; "<>"; "<"; "<="; ">"; ">=" ]
+    (List.map C.cmp_to_string [ C.Eq; C.Neq; C.Lt; C.Le; C.Gt; C.Ge ]);
+  List.iter
+    (fun op -> checkb "spelling reads back" true (C.cmp_of_string (C.cmp_to_string op) = Some op))
+    [ C.Eq; C.Neq; C.Lt; C.Le; C.Gt; C.Ge ];
+  checkb "unknown spelling" true (C.cmp_of_string "==" = None)
 
 (* -- simplifier ----------------------------------------------------------- *)
 
@@ -526,7 +532,7 @@ let test_unfold_type_erasing_error () =
   let c =
     ok_exn (Fullc.Compile.compile ~validate:false env pe.Workload.Paper_example.fragments)
   in
-  let qv = c.Fullc.Compile.query_views in
+  let qv = c.Core.State.query_views in
   let good = A.Select (C.Is_of "Employee", persons) in
   (match Query.Unfold.client_query env qv good with
   | Ok _ -> ()

@@ -23,14 +23,13 @@ let compiled =
     (List.map
        (fun (seed, (env, frags)) ->
          match Fullc.Compile.compile env frags with
-         | Ok c -> (seed, env, frags, c)
+         | Ok st -> (seed, st)
          | Error e -> Alcotest.failf "seed %d failed to compile: %s" seed e)
        (Lazy.force models))
 
 let test_compiles () =
   List.iter
-    (fun (seed, env, frags, c) ->
-      check_wf (Printf.sprintf "seed %d" seed) (Core.State.of_compiled env frags c))
+    (fun (seed, st) -> check_wf (Printf.sprintf "seed %d" seed) st)
     (Lazy.force compiled)
 
 (* [Engine.apply] one SMO at a time, asserting after every accepted step
@@ -63,9 +62,9 @@ let apply_checked tag st smos =
 
 let test_roundtrips () =
   List.iter
-    (fun (seed, env, _frags, c) ->
+    (fun (seed, (st : Core.State.t)) ->
       match
-        Roundtrip.Check.roundtrips env c.Fullc.Compile.query_views c.Fullc.Compile.update_views
+        Roundtrip.Check.roundtrips st.env st.query_views st.update_views
           ~samples:8 ~base_seed:(seed * 1000) ()
       with
       | Ok _ -> ()
@@ -75,11 +74,11 @@ let test_roundtrips () =
 let test_mapping_semantics () =
   (* The store image of every sampled state is M-related to the state. *)
   List.iter
-    (fun (seed, env, frags, c) ->
-      let inst = Roundtrip.Generate.instance ~seed:(seed * 77) env.Query.Env.client in
-      let store = ok_exn (Query.View.apply_update_views env c.Fullc.Compile.update_views inst) in
+    (fun (seed, (st : Core.State.t)) ->
+      let inst = Roundtrip.Generate.instance ~seed:(seed * 77) st.env.Query.Env.client in
+      let store = ok_exn (Query.View.apply_update_views st.env st.update_views inst) in
       checkb (Printf.sprintf "seed %d related" seed) true
-        (Mapping.Fragments.related env inst store frags))
+        (Mapping.Fragments.related st.env inst store st.fragments))
     (Lazy.force compiled)
 
 let test_optimizer_equivalence () =
@@ -89,8 +88,8 @@ let test_optimizer_equivalence () =
       | Error e -> Alcotest.failf "seed %d optimized compile: %s" seed e
       | Ok opt -> (
           match
-            Roundtrip.Check.roundtrips env opt.Fullc.Compile.query_views
-              opt.Fullc.Compile.update_views ~samples:6 ~base_seed:(seed * 500) ()
+            Roundtrip.Check.roundtrips env opt.Core.State.query_views
+              opt.Core.State.update_views ~samples:6 ~base_seed:(seed * 500) ()
           with
           | Ok _ -> ()
           | Error f ->
@@ -99,8 +98,7 @@ let test_optimizer_equivalence () =
 
 let test_state_io_roundtrip () =
   List.iter
-    (fun (seed, env, frags, c) ->
-      let st = Core.State.of_compiled env frags c in
+    (fun (seed, st) ->
       let st' = ok_exn (Surface.State_io.load (Surface.State_io.save st)) in
       checkb (Printf.sprintf "seed %d fragments survive" seed) true
         (Mapping.Fragments.equal st.Core.State.fragments st'.Core.State.fragments);
@@ -126,8 +124,7 @@ let test_dsl_roundtrip () =
 let test_evolution_on_random_models () =
   (* Every accepted step of the pipeline must keep the mapping sound. *)
   List.iter
-    (fun (seed, env, frags, c) ->
-      let st = Core.State.of_compiled env frags c in
+    (fun (seed, st) ->
       match random_pipeline seed st with
       | None -> ()
       | Some smos ->
@@ -156,8 +153,7 @@ let test_evolution_on_random_models () =
    and then redo reach keeps the type invariant and fragment indexes. *)
 let test_session_locality () =
   List.iter
-    (fun (seed, env, frags, c) ->
-      let st = Core.State.of_compiled env frags c in
+    (fun (seed, st) ->
       match random_pipeline seed st with
       | None -> ()
       | Some smos ->
@@ -211,7 +207,7 @@ let test_differential_vs_fullc () =
     (* Full-outer-join views are only approximated by the checker: proving
        equivalence cannot succeed, and the DNF expansion is exponential —
        go straight to the sampled-state comparison for those. *)
-    let has_foj q = match Fullc.Optimize.stats q with n, _, _ -> n > 0 in
+    let has_foj q = match Mapping.Views.stats q with n, _, _ -> n > 0 in
     if has_foj q_inc || has_foj q_full then empirical env dbs tag q_inc q_full
     else
       let subset a b = Containment.Check.subset env a b = Ok true in
@@ -222,9 +218,7 @@ let test_differential_vs_fullc () =
     match Fullc.Compile.compile env' st'.Core.State.fragments with
     | Error e -> Alcotest.failf "seed %d: full compile of evolved mapping: %s" seed e
     | Ok full ->
-        check_wf
-          (Printf.sprintf "seed %d full compile" seed)
-          (Core.State.of_compiled env' st'.Core.State.fragments full);
+        check_wf (Printf.sprintf "seed %d full compile" seed) full;
         let insts =
           List.init 4 (fun i ->
               Roundtrip.Generate.instance ~seed:((seed * 913) + i)
@@ -237,7 +231,7 @@ let test_differential_vs_fullc () =
               Query.Eval.store_db
                 (ok_exn
                    (Query.View.apply_update_views env'
-                      full.Fullc.Compile.update_views inst)))
+                      full.Core.State.update_views inst)))
             insts
         in
         (* Query views read the store; compare them projected
@@ -253,20 +247,20 @@ let test_differential_vs_fullc () =
                   (Printf.sprintf "seed %d entity %s" seed e)
                   (Query.Algebra.project_cols atts vi.Query.View.query)
                   (Query.Algebra.project_cols atts v.Query.View.query))
-          (Query.View.entity_view_bindings full.Fullc.Compile.query_views);
+          (Query.View.entity_view_bindings full.Core.State.query_views);
         List.iter
           (fun (a, q) ->
             match Query.View.assoc_view st'.Core.State.query_views a with
             | None -> Alcotest.failf "seed %d: no incremental assoc view for %s" seed a
             | Some qi -> equiv env' store_dbs (Printf.sprintf "seed %d assoc %s" seed a) qi q)
-          (Query.View.assoc_view_bindings full.Fullc.Compile.query_views);
+          (Query.View.assoc_view_bindings full.Core.State.query_views);
         (* Update views read the client state. *)
         List.iter
           (fun (t, q) ->
             match Query.View.table_view st'.Core.State.update_views t with
             | None -> Alcotest.failf "seed %d: no incremental update view for %s" seed t
             | Some qi -> equiv env' client_dbs (Printf.sprintf "seed %d table %s" seed t) qi q)
-          (Query.View.update_view_bindings full.Fullc.Compile.update_views)
+          (Query.View.update_view_bindings full.Core.State.update_views)
   in
   let shrinks = function
     | Core.Smo.Drop_entity _ | Core.Smo.Drop_property _ | Core.Smo.Drop_association _
@@ -275,8 +269,7 @@ let test_differential_vs_fullc () =
     | _ -> false
   in
   List.iter
-    (fun (seed, env, frags, c) ->
-      let st = Core.State.of_compiled env frags c in
+    (fun (seed, st) ->
       match random_pipeline seed st with
       | None -> ()
       | Some smos ->

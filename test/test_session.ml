@@ -25,7 +25,7 @@ let smo_grade =
       target = Core.Add_property.To_existing_table { table = "Emp"; column = "Grade" } }
 
 let fresh_session () =
-  S.start (ok_exn (Core.State.bootstrap P.stage1.P.env P.stage1.P.fragments))
+  S.start (ok_exn (Fullc.Compile.compile P.stage1.P.env P.stage1.P.fragments))
 
 let has_type s ty = Edm.Schema.mem_type (S.current s).Core.State.env.Query.Env.client ty
 

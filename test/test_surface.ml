@@ -113,7 +113,7 @@ add assoc Supports between Customer and Employee multiplicity * to 0..1
 let test_smo_script () =
   let smos = ok_exn (Surface.Parser.script smo_script_text) in
   check Alcotest.int "three SMOs" 3 (List.length smos);
-  let st = ok_exn (Core.State.bootstrap P.stage1.P.env P.stage1.P.fragments) in
+  let st = ok_exn (Fullc.Compile.compile P.stage1.P.env P.stage1.P.fragments) in
   let st = ok_v (Core.Engine.apply_all st smos) in
   checkb "script reproduces Σ4" true
     (Mapping.Fragments.equal st.Core.State.fragments P.stage4.P.fragments);
@@ -263,7 +263,7 @@ let test_diff_script_replays () =
      apply it — same result as applying the inferred SMOs directly. *)
   let st =
     ok_exn
-      (Core.State.bootstrap Workload.Paper_example.stage2.P.env
+      (Fullc.Compile.compile Workload.Paper_example.stage2.P.env
          Workload.Paper_example.stage2.P.fragments)
   in
   let target =
@@ -350,7 +350,7 @@ let prop_reader_matches_oracle =
 
 let test_state_roundtrip () =
   let st =
-    ok_exn (Core.State.bootstrap P.stage4.P.env P.stage4.P.fragments)
+    ok_exn (Fullc.Compile.compile P.stage4.P.env P.stage4.P.fragments)
   in
   let text = Surface.State_io.save st in
   let st' = ok_exn (Surface.State_io.load text) in
@@ -383,7 +383,7 @@ let test_state_roundtrip () =
 let test_state_io_views_after_evolution () =
   (* Save after incremental evolution (LOJ/UNION-shaped views). *)
   let env, frags = Workload.Chain.generate ~size:5 in
-  let st = Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile env frags)) in
+  let st = ok_exn (Fullc.Compile.compile env frags) in
   let st =
     List.fold_left
       (fun st (label, smo) ->
@@ -408,7 +408,7 @@ let load = Surface.State_io.load
 let chain5_evolved =
   lazy
     (let env, frags = Workload.Chain.generate ~size:5 in
-     let st = Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile env frags)) in
+     let st = ok_exn (Fullc.Compile.compile env frags) in
      List.fold_left
        (fun st (label, smo) ->
          if label = "AE-TPC-fk" then st
@@ -416,15 +416,14 @@ let chain5_evolved =
        st
        (Workload.Chain.smo_suite ~at:2))
 
-let paper_state = lazy (ok_exn (Core.State.bootstrap P.stage4.P.env P.stage4.P.fragments))
+let paper_state = lazy (ok_exn (Fullc.Compile.compile P.stage4.P.env P.stage4.P.fragments))
 
 (* The customer model's views, as [imcc compile -m customer --no-validate]
    builds them. *)
 let customer_state =
   lazy
     (let env, frags = Workload.Customer.generate () in
-     Core.State.of_compiled env frags
-       (ok_exn (Fullc.Compile.compile ~validate:false env frags)))
+     ok_exn (Fullc.Compile.compile ~validate:false env frags))
 
 (* The same document with every back-reference replaced by its entry and the
    term table dropped: the tree form, where every term is inline. *)
@@ -916,7 +915,7 @@ let test_int_on_decimal () =
   let st =
     List.fold_left
       (fun st smo -> ok_v (Core.Engine.apply st smo))
-      (ok_exn (Core.State.bootstrap env frags))
+      (ok_exn (Fullc.Compile.compile env frags))
       (ok_exn (Surface.Parser.script split))
   in
   let env = st.Core.State.env in
@@ -1174,9 +1173,7 @@ let fuzz_docs =
           :: List.map
                (fun seed ->
                  let env, frags = Workload.Random_model.generate ~seed () in
-                 save
-                   (Core.State.of_compiled env frags
-                      (ok_exn (Fullc.Compile.compile ~validate:false env frags))))
+                 save (ok_exn (Fullc.Compile.compile ~validate:false env frags)))
                [ 1; 2; 3 ])))
 
 (* [text] with [s.[i .. j-1]] replaced by [by]. *)

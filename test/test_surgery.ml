@@ -12,7 +12,7 @@ let new_type = function
   | smo -> Alcotest.failf "%s adds no entity type" (Core.Smo.name smo)
 
 let compiled_state (env, frags) =
-  Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile ~validate:false env frags))
+  ok_exn (Fullc.Compile.compile ~validate:false env frags)
 
 let customer = lazy (compiled_state (Workload.Customer.generate ()))
 let chain = lazy (compiled_state (Workload.Chain.generate ~size:10))

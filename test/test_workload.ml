@@ -22,7 +22,7 @@ let test_hub_rim_roundtrips () =
       let env, frags = Workload.Hub_rim.generate ~n:2 ~m:2 ~style in
       let c = ok_exn (Fullc.Compile.compile env frags) in
       match
-        Roundtrip.Check.roundtrips env c.Fullc.Compile.query_views c.Fullc.Compile.update_views
+        Roundtrip.Check.roundtrips env c.Core.State.query_views c.Core.State.update_views
           ~samples:20 ()
       with
       | Ok n -> check Alcotest.int "samples" 20 n
@@ -41,7 +41,7 @@ let test_chain_well_formed () =
 let chain_state =
   lazy
     (let env, frags = Workload.Chain.generate ~size:10 in
-     Core.State.of_compiled env frags (ok_exn (Fullc.Compile.compile env frags)))
+     ok_exn (Fullc.Compile.compile env frags))
 
 let test_chain_roundtrips () =
   let st = Lazy.force chain_state in
@@ -113,8 +113,8 @@ let test_check_detects_broken_views () =
   (* Dropping a table's update view must surface as a roundtrip failure. *)
   let env = pe.Workload.Paper_example.env in
   let c = ok_exn (Fullc.Compile.compile env pe.Workload.Paper_example.fragments) in
-  let broken = Query.View.remove_table_view "Emp" c.Fullc.Compile.update_views in
-  match Roundtrip.Check.roundtrips env c.Fullc.Compile.query_views broken ~samples:30 () with
+  let broken = Query.View.remove_table_view "Emp" c.Core.State.update_views in
+  match Roundtrip.Check.roundtrips env c.Core.State.query_views broken ~samples:30 () with
   | Ok _ -> Alcotest.fail "expected a roundtrip failure"
   | Error f -> checkb "failure reported" true (String.length f.Roundtrip.Check.reason > 0)
 
@@ -122,15 +122,15 @@ let test_check_detects_broken_views () =
 
 let test_style_detection () =
   let _, _, _, st4 =
-    let st1 = ok_exn (Core.State.bootstrap Workload.Paper_example.stage1.Workload.Paper_example.env
+    let st1 = ok_exn (Fullc.Compile.compile Workload.Paper_example.stage1.Workload.Paper_example.env
                         Workload.Paper_example.stage1.Workload.Paper_example.fragments) in
-    (st1, st1, st1, ok_exn (Core.State.bootstrap pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments))
+    (st1, st1, st1, ok_exn (Fullc.Compile.compile pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments))
   in
   let detect ty = Modef.Style.detect st4.Core.State.env st4.Core.State.fragments ~etype:ty in
   checkb "Employee is TPT" true (detect "Employee" = Modef.Style.Tpt);
   checkb "Customer is TPC" true (detect "Customer" = Modef.Style.Tpc);
   let tph_env, tph_frags = Workload.Hub_rim.generate ~n:2 ~m:1 ~style:`Tph in
-  let st = ok_exn (Core.State.bootstrap tph_env tph_frags) in
+  let st = ok_exn (Fullc.Compile.compile tph_env tph_frags) in
   checkb "hub2 is TPH" true
     (Modef.Style.detect st.Core.State.env st.Core.State.fragments ~etype:"Hub2" = Modef.Style.Tph)
 
@@ -139,7 +139,7 @@ let test_diff_infers_additions () =
      under Employee, a new attribute on Person. *)
   let st =
     ok_exn
-      (Core.State.bootstrap Workload.Paper_example.stage2.Workload.Paper_example.env
+      (Fullc.Compile.compile Workload.Paper_example.stage2.Workload.Paper_example.env
          Workload.Paper_example.stage2.Workload.Paper_example.fragments)
   in
   let target =
@@ -162,7 +162,7 @@ let test_diff_infers_additions () =
   | Error f -> Alcotest.failf "inferred mapping broke roundtripping: %a" Roundtrip.Check.pp_failure f
 
 let test_diff_infers_drop_and_assoc () =
-  let st = ok_exn (Core.State.bootstrap pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments) in
+  let st = ok_exn (Fullc.Compile.compile pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments) in
   (* New association mapped through a join table. *)
   let target =
     ok_exn
@@ -178,7 +178,7 @@ let test_diff_infers_drop_and_assoc () =
     (Edm.Schema.find_association st'.Core.State.env.Query.Env.client "Mentors" <> None)
 
 let test_diff_infers_facets () =
-  let st = ok_exn (Core.State.bootstrap pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments) in
+  let st = ok_exn (Fullc.Compile.compile pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments) in
   let client = st.Core.State.env.Query.Env.client in
   (* Supports loosened to many-to-many in the edited model. *)
   let target = ok_exn (Edm.Schema.set_multiplicity ~assoc:"Supports"
@@ -191,7 +191,7 @@ let test_diff_infers_facets () =
   checkb "target reached" true (Edm.Schema.equal st'.Core.State.env.Query.Env.client target)
 
 let test_diff_rejects_unsupported () =
-  let st = ok_exn (Core.State.bootstrap pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments) in
+  let st = ok_exn (Fullc.Compile.compile pe.Workload.Paper_example.env pe.Workload.Paper_example.fragments) in
   (* Removing an association is inferred as Drop_association. *)
   let target = ok_exn (Edm.Schema.remove_association "Supports" st.Core.State.env.Query.Env.client) in
   let smos = ok_exn (Modef.Diff.infer st ~target) in
